@@ -128,30 +128,7 @@ pub enum Workload {
 /// `run<NNN>.<variant>.<workload>` label, so a bench binary only has to
 /// call [`write_metrics`] once at the end of `main`.
 pub fn measure_fs(variant: FsVariant, profile: SsdProfile, workload: &Workload) -> FsPoint {
-    let threads = match workload {
-        Workload::Fio { threads, .. }
-        | Workload::Varmail { threads, .. }
-        | Workload::Fillsync { threads, .. } => *threads,
-    };
-    let w = match workload {
-        Workload::Fio { .. } => "fio",
-        Workload::Varmail { .. } => "varmail",
-        Workload::Fillsync { .. } => "fillsync",
-    };
-    let label = format!("{variant:?}.{w}").to_lowercase();
-    let scfg = StackConfig::new(variant, profile.clone(), threads);
-    let workload = workload.clone();
-    let prof2 = profile.clone();
-    let (point, snap) = in_sim(scfg.sim_cores(), move || {
-        let (stack, fs) = Stack::format(&scfg);
-        let t0 = stack.controller().link().traffic.snapshot();
-        let res = run_workload(&fs, &workload);
-        let t1 = stack.controller().link().traffic.snapshot();
-        let point = FsPoint::from_result(&res, t1.since(&t0).block_bytes, &prof2);
-        (point, stack.metrics())
-    });
-    record_run_seq(&label, snap);
-    point
+    measure(RuntimeKind::Sim, "", variant, profile, workload)
 }
 
 /// Like [`measure_fs`] but on an explicitly chosen execution substrate:
@@ -162,6 +139,16 @@ pub fn measure_fs(variant: FsVariant, profile: SsdProfile, workload: &Workload) 
 /// substrates stay distinct in the metrics document.
 pub fn measure_fs_on(kind: RuntimeKind, variant: FsVariant, workload: &Workload) -> FsPoint {
     let profile = SsdProfile::optane_905p();
+    measure(kind, &format!("{kind}."), variant, profile, workload)
+}
+
+fn measure(
+    kind: RuntimeKind,
+    label_prefix: &str,
+    variant: FsVariant,
+    profile: SsdProfile,
+    workload: &Workload,
+) -> FsPoint {
     let threads = match workload {
         Workload::Fio { threads, .. }
         | Workload::Varmail { threads, .. }
@@ -172,16 +159,15 @@ pub fn measure_fs_on(kind: RuntimeKind, variant: FsVariant, workload: &Workload)
         Workload::Varmail { .. } => "varmail",
         Workload::Fillsync { .. } => "fillsync",
     };
-    let label = format!("{kind}.{variant:?}.{w}").to_lowercase();
+    let label = format!("{label_prefix}{variant:?}.{w}").to_lowercase();
     let scfg = StackConfig::new(variant, profile.clone(), threads);
     let workload = workload.clone();
-    let prof2 = profile;
     let (point, snap) = run_on(kind, scfg.sim_cores(), move || {
         let (stack, fs) = Stack::format(&scfg);
         let t0 = stack.controller().link().traffic.snapshot();
         let res = run_workload(&fs, &workload);
         let t1 = stack.controller().link().traffic.snapshot();
-        let point = FsPoint::from_result(&res, t1.since(&t0).block_bytes, &prof2);
+        let point = FsPoint::from_result(&res, t1.since(&t0).block_bytes, &profile);
         (point, stack.metrics())
     });
     record_run_seq(&label, snap);

@@ -349,6 +349,134 @@ impl CrashWorkload for Generic321 {
     }
 }
 
+// ---------------------------------------------------------------------------
+// extent_spill: the extent mapping's whole life cycle
+// ---------------------------------------------------------------------------
+
+/// One file taken through every shape its extent map can have: appends
+/// that grow one extent in place, a back-to-front fill that opens more
+/// extents than the inode holds (so they spill into a leaf block), an
+/// unlink that frees data and leaf blocks, and a re-created file whose
+/// data lands on all of them — the old leaf included, whose journal
+/// copy must be revoked, not replayed (not a Table 4 row).
+pub struct ExtentSpill;
+
+/// Blocks of the first file; block [`ExtentSpill::HOLE`] is never
+/// written.
+const SPILL_OLD_BLOCKS: u64 = 18;
+/// Blocks of the file re-created over the freed ones.
+const SPILL_NEW_BLOCKS: u64 = 20;
+
+impl ExtentSpill {
+    const PATH: &'static str = "/ext/a";
+    const HOLE: u64 = 3;
+
+    fn old_byte(block: u64) -> u8 {
+        if block == Self::HOLE {
+            0
+        } else {
+            0x10 + block as u8
+        }
+    }
+
+    fn new_byte(block: u64) -> u8 {
+        0x80 + block as u8
+    }
+
+    /// Whether the file is exactly `blocks` long with every block
+    /// holding `byte(block)` throughout.
+    fn holds(fs: &Arc<FileSystem>, ino: u64, blocks: u64, byte: fn(u64) -> u8) -> bool {
+        fs.stat(ino).0 == blocks * 4096
+            && (0..blocks).all(|b| {
+                fs.read(ino, b * 4096, 4096)
+                    .is_ok_and(|d| d.len() == 4096 && d.iter().all(|x| *x == byte(b)))
+            })
+    }
+}
+
+// Marks: 0 = three merged appends persisted; 1 = fragmented tail (and
+// its leaf) persisted; 2 = unlink issued; 3 = unlink persisted;
+// 4 = re-created file persisted.
+impl CrashWorkload for ExtentSpill {
+    fn name(&self) -> &'static str {
+        "extent_spill"
+    }
+
+    fn run(&self, fs: &Arc<FileSystem>, log: &OpLog) {
+        fs.mkdir_path("/ext").expect("mkdir");
+        let dir = fs.resolve("/ext").expect("resolve");
+        fs.fsync(dir).expect("persist dir");
+        let a = fs.create_path(Self::PATH).expect("create");
+        let block = |byte: u8| vec![byte; 4096];
+        // Each append continues the previous block on disk: one extent.
+        for b in 0..Self::HOLE {
+            fs.write(a, b * 4096, &block(Self::old_byte(b)))
+                .expect("write");
+            fs.fsync(a).expect("fsync");
+        }
+        log.mark(0);
+        // Back to front, every block is allocated while the one before
+        // it is still a hole: 14 one-block extents on top of the first,
+        // two more than the inode holds.
+        for b in (Self::HOLE + 1..SPILL_OLD_BLOCKS).rev() {
+            fs.write(a, b * 4096, &block(Self::old_byte(b)))
+                .expect("write");
+        }
+        fs.fsync(a).expect("fsync");
+        log.mark(1);
+        log.mark(2);
+        fs.unlink_path(Self::PATH).expect("unlink");
+        fs.fsync(dir).expect("fsync dir");
+        log.mark(3);
+        // The same name gets the same inode number, hence the same block
+        // group: a sequential file takes the freed blocks in LBA order.
+        let a = fs.create_path(Self::PATH).expect("re-create");
+        for b in 0..SPILL_NEW_BLOCKS {
+            fs.write(a, b * 4096, &block(Self::new_byte(b)))
+                .expect("write");
+        }
+        fs.fsync(a).expect("fsync");
+        log.mark(4);
+    }
+
+    fn verify(&self, fs: &Arc<FileSystem>, persisted: &HashSet<u64>) -> Vec<String> {
+        let ino = exists(fs, Self::PATH);
+        let old_with =
+            |blocks: u64| ino.is_some_and(|i| Self::holds(fs, i, blocks, Self::old_byte));
+        let new_whole = ino.is_some_and(|i| Self::holds(fs, i, SPILL_NEW_BLOCKS, Self::new_byte));
+        let ok = if persisted.contains(&4) {
+            new_whole
+        } else if persisted.contains(&3) {
+            // Create and content ride one transaction.
+            ino.is_none() || new_whole
+        } else if persisted.contains(&2) {
+            ino.is_none() || old_with(SPILL_OLD_BLOCKS)
+        } else if persisted.contains(&1) {
+            old_with(SPILL_OLD_BLOCKS)
+        } else {
+            // Appends in flight: any whole number of them, at least the
+            // persisted ones.
+            let floor = if persisted.contains(&0) {
+                Self::HOLE
+            } else {
+                0
+            };
+            (floor == 0 && ino.is_none())
+                || (floor..=Self::HOLE).any(old_with)
+                || old_with(SPILL_OLD_BLOCKS)
+        };
+        if ok {
+            Vec::new()
+        } else {
+            let size = ino.map(|i| fs.stat(i).0);
+            vec![format!(
+                "{}: size {size:?} or content contradicts persisted marks {persisted:?}",
+                Self::PATH
+            )]
+        }
+    }
+}
+
 /// The four Table 4 workloads with the paper's row order.
 pub fn table4_workloads() -> Vec<Arc<dyn CrashWorkload>> {
     vec![

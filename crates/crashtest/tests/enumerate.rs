@@ -87,6 +87,29 @@ fn smoke_workload_explores_every_event_prefix() {
 }
 
 #[test]
+fn extent_life_cycle_recovers_at_every_event_prefix() {
+    // In-place extent growth, a spill into a leaf block, unlink, and
+    // reuse of the freed data and leaf blocks by a new file.
+    let cfg = EnumConfig {
+        stack: smoke_stack(),
+        torn_depth: 0,
+        recrash: RecrashSweep::None,
+    };
+    let r = enumerate_crash_surface(Arc::new(workloads::ExtentSpill), &cfg);
+    // Exact: the run is deterministic, so a moved count means the
+    // workload's persistence traffic changed.
+    assert_eq!((r.events, r.states), (183, 184), "crash surface moved");
+    assert!(
+        r.failures.is_empty(),
+        "crash states failed recovery: {:?}",
+        r.failures
+    );
+    assert_eq!(r.repaired, r.states, "every state must recover clean");
+    assert_eq!(r.forensics_images, r.states);
+    assert_eq!(r.sanitizer_violations, 0);
+}
+
+#[test]
 fn recovery_recrashed_at_each_of_its_events_converges() {
     let w = Arc::new(workloads::CreateDelete { rounds: 1 });
     let cfg = EnumConfig {

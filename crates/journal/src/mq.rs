@@ -29,7 +29,13 @@
 //! Block reuse across queues follows §5.4: if the stale copy is mid-
 //! checkpoint the writer must journal the new content (case 1,
 //! [`ReuseAction::MustJournal`]); otherwise the copy is dropped from the
-//! trees and a revoke record rides in the next JD (case 2).
+//! trees and a revoke record rides in the next JD (case 2). "Stale copy"
+//! means every copy recovery could still replay, not just the live ones:
+//! a released copy stays intact in its ring until overwritten and stays
+//! at or above the horizon for as long as a slower area pins it, so it is
+//! revoked too; a revoked copy is never written home; and the revoking
+//! transaction keeps its ring space until no other area holds an older
+//! transaction, so the record outlives every copy it revokes.
 
 use std::{
     collections::{HashMap, HashSet, VecDeque},
@@ -76,7 +82,8 @@ struct Version {
 struct Chain {
     /// Live journal copies of this block, ascending `tx_id`.
     versions: Vec<Version>,
-    /// Newest version already checkpointed home.
+    /// Newest version already checkpointed home or revoked: no copy at
+    /// or below it is ever written home.
     floor: u64,
 }
 
@@ -88,6 +95,8 @@ struct LoggedTx {
     ring_blocks: u64,
     /// (home LBA, shadow copy) of every journaled block.
     blocks: Vec<(u64, BioBuf)>,
+    /// The JD carries revoke records.
+    revoking: bool,
     /// Completion tracker for the transaction's journal writes; a tx can
     /// only be checkpointed once its journal copies are on media.
     waiter: BioWaiter,
@@ -335,7 +344,11 @@ impl MqJournal {
                 break;
             }
             let tx_id = front.tx_id;
-            let mut safe = true;
+            // A revoke record suppresses copies from older transactions;
+            // it may go only when no other area still holds one (they
+            // are all below the horizon this release then persists).
+            let mut safe =
+                !(front.revoking && self.areas_older_than(area_idx, tx_id).next().is_some());
             'blocks: for (lba, _) in &front.blocks {
                 let tree = inner.trees[tree_index(*lba)].lock();
                 if let Some(chain) = tree.get(lba) {
@@ -413,6 +426,16 @@ impl MqJournal {
         inner.checkpoint_hist.record(ccnvme_runtime::now() - t0);
     }
 
+    /// The areas other than `area_idx` whose oldest live transaction is
+    /// older than `tx_id`.
+    fn areas_older_than(&self, area_idx: usize, tx_id: u64) -> impl Iterator<Item = usize> + '_ {
+        let areas = self.inner.areas.iter().enumerate();
+        areas
+            // ord: SeqCst — pairs with the oldest_live stores.
+            .filter(move |(i, a)| *i != area_idx && a.oldest_live.load(Ordering::SeqCst) < tx_id)
+            .map(|(i, _)| i)
+    }
+
     /// Finds which areas hold versions older than the front of
     /// `area_idx`'s log (the areas blocking its release).
     fn blocking_areas(&self, area_idx: usize) -> Vec<usize> {
@@ -421,6 +444,9 @@ impl MqJournal {
         let st = area.st.lock();
         let mut blockers = HashSet::new();
         if let Some(front) = st.logged.front() {
+            if front.revoking {
+                blockers.extend(self.areas_older_than(area_idx, front.tx_id));
+            }
             for (lba, _) in &front.blocks {
                 let tree = inner.trees[tree_index(*lba)].lock();
                 if let Some(chain) = tree.get(lba) {
@@ -569,6 +595,7 @@ impl Journal for MqJournal {
                     .iter()
                     .map(|b| (b.final_lba, Arc::clone(&b.buf)))
                     .collect(),
+                revoking: !tx.revokes.is_empty(),
                 waiter: waiter.clone_handle(),
             });
             if st.logged.len() == 1 {
@@ -614,19 +641,31 @@ impl Journal for MqJournal {
         let Some(chain) = tree.get_mut(&lba) else {
             return ReuseAction::None;
         };
-        if chain.versions.is_empty() {
-            return ReuseAction::None;
-        }
         if chain.versions.iter().any(|v| v.state == VerState::Chp) {
             // §5.4 case 1: mid-checkpoint — the caller must journal the
             // new content (regress to data journaling for this block).
-            ReuseAction::MustJournal
-        } else {
-            // §5.4 case 2: drop the stale copies from the trees; the
-            // caller rides a revoke record in its next transaction.
-            chain.versions.clear();
-            ReuseAction::Revoked
+            return ReuseAction::MustJournal;
         }
+        let newest = chain
+            .versions
+            .iter()
+            .map(|v| v.tx_id)
+            .fold(chain.floor, u64::max);
+        // ord: SeqCst — pairs with the horizon_written updates.
+        if newest == 0 || newest < self.inner.horizon_written.load(Ordering::SeqCst) {
+            // Every copy ever journaled is below the persisted horizon:
+            // recovery skips them without help.
+            return ReuseAction::None;
+        }
+        // §5.4 case 2: some copy may still be replayed — a live one, or
+        // a released one whose JD is intact and at or above a horizon
+        // that a slower area pins. Drop the live copies from the trees,
+        // raise the floor so no checkpoint writes them home over the new
+        // content, and have the caller ride a revoke record in its next
+        // transaction.
+        chain.versions.clear();
+        chain.floor = newest;
+        ReuseAction::Revoked
     }
 
     fn checkpoint_all(&self) {

@@ -283,6 +283,142 @@ fn mq_selective_revocation_prevents_stale_replay() {
     sim.run();
 }
 
+/// Commits one-metadata-block fillers from the current core (each takes
+/// two ring blocks: the journal copy and the JD).
+fn fill(journal: &MqJournal, first_lba: u64, n: u64) {
+    for i in 0..n {
+        let tx = tx_with(journal, &[(first_lba + i, 0xf0)], &[]);
+        journal
+            .commit_tx(tx, Durability::Durable)
+            .expect("commit ok");
+    }
+}
+
+/// Reuses `lba` for plain user data the way the file system does: ask
+/// the journal, ride a revoke if told to, write the data in place as
+/// part of the transaction.
+fn reuse_as_data(journal: &MqJournal, lba: u64, byte: u8) {
+    let mut tx = tx_with(journal, &[(lba + 1, 0x99)], &[(lba, byte)]);
+    match journal.note_block_reuse(lba) {
+        mqfs_journal::ReuseAction::Revoked => tx.revokes.push(lba),
+        mqfs_journal::ReuseAction::None => {}
+        mqfs_journal::ReuseAction::MustJournal => panic!("no checkpoint is running"),
+    }
+    journal
+        .commit_tx(tx, Durability::Durable)
+        .expect("commit ok");
+}
+
+/// Crashes, reboots, recovers and replays; returns the recovered device.
+fn crash_and_replay(drv: &CcNvmeDriver, areas: Vec<AreaSpec>, seed: u64) -> Arc<dyn BlockDevice> {
+    let profile = SsdProfile::optane_905p();
+    let image = drv.controller().power_fail(CrashMode::adversarial(seed));
+    let (_drv2, dev2, report) = reboot_cc(&image, profile);
+    let journal2 = MqJournal::new(Arc::clone(&dev2), areas, HORIZON_LBA);
+    let updates = journal2.recover(&report.unfinished_tx_ids());
+    mqfs_journal::recover::replay_updates(&dev2, &updates).expect("replay ok");
+    dev2
+}
+
+/// Regression (benchmark/README.md, "an fsynced file can come back with
+/// the wrong first block"): a journal copy that was checkpointed home and
+/// *released* is gone from the version trees, but its JD stays intact in
+/// the ring until overwritten, and recovery replays every intact JD at or
+/// above the persisted horizon — which is the minimum over all areas, so
+/// an idle area holding one old transaction keeps it low. Reusing such a
+/// block for data must therefore still ride a revoke record.
+#[test]
+fn mq_reuse_after_release_under_a_pinned_horizon_rides_a_revoke() {
+    let mut sim = Sim::new(CORES + 1);
+    sim.spawn("host", 0, || {
+        let (drv, dev) = cc_stack(SsdProfile::optane_905p());
+        let areas = AreaSpec::split(JOURNAL_START, 16, CORES); // 8 blocks each.
+        let journal = Arc::new(MqJournal::new(Arc::clone(&dev), areas.clone(), HORIZON_LBA));
+        // Area 0: one transaction, never checkpointed — pins the horizon.
+        fill(&journal, 60, 1);
+        let j = Arc::clone(&journal);
+        ccnvme_sim::spawn("w1", 1, move || {
+            // Area 1: three fillers, then the index block of a file at
+            // home LBA 50 in the ring's last two slots.
+            fill(&j, 70, 3);
+            let tx = tx_with(&*j, &[(50, 0xd1)], &[]);
+            j.commit_tx(tx, Durability::Durable).expect("commit ok");
+            // The ring is full: this commit checkpoints area 1 (block 50
+            // goes home), releases all four transactions and wraps into
+            // slots 0-1. The copy of block 50 in slots 6-7 stays intact.
+            fill(&j, 80, 1);
+            // File unlinked; block 50 reused for another file's data.
+            reuse_as_data(&j, 50, 0x42);
+        })
+        .join();
+        let dev2 = crash_and_replay(&drv, areas, 21);
+        assert_eq!(
+            read_lba(&dev2, 50),
+            0x42,
+            "released-but-replayable index block replayed over file data"
+        );
+        assert_eq!(read_lba(&dev2, 51), 0x99);
+    });
+    sim.run();
+}
+
+/// A revoked journal copy must not be written home by a later
+/// checkpoint either: the block now holds user data.
+#[test]
+fn mq_revoked_copy_is_not_checkpointed_home() {
+    let mut sim = Sim::new(CORES + 1);
+    sim.spawn("host", 0, || {
+        let (_drv, dev) = cc_stack(SsdProfile::optane_905p());
+        let areas = AreaSpec::split(JOURNAL_START, JOURNAL_LEN, CORES);
+        let journal = MqJournal::new(Arc::clone(&dev), areas, HORIZON_LBA);
+        let tx = tx_with(&journal, &[(50, 0xd1)], &[]);
+        journal
+            .commit_tx(tx, Durability::Durable)
+            .expect("commit ok");
+        reuse_as_data(&journal, 50, 0x42);
+        journal.checkpoint_all();
+        assert_eq!(
+            read_lba(&dev, 50),
+            0x42,
+            "checkpoint wrote the revoked copy over file data"
+        );
+    });
+    sim.run();
+}
+
+/// A revoke record must stay replayable for as long as any copy it
+/// revokes is: here the stale copy sits un-checkpointed in an idle area
+/// while the revoking area wraps its ring.
+#[test]
+fn mq_revoke_record_outlives_the_copies_it_revokes() {
+    let mut sim = Sim::new(CORES + 1);
+    sim.spawn("host", 0, || {
+        let (drv, dev) = cc_stack(SsdProfile::optane_905p());
+        let areas = AreaSpec::split(JOURNAL_START, 16, CORES); // 8 blocks each.
+        let journal = Arc::new(MqJournal::new(Arc::clone(&dev), areas.clone(), HORIZON_LBA));
+        // Area 0 journals block 50 and goes idle.
+        let tx = tx_with(&*journal, &[(50, 0xd1)], &[]);
+        journal
+            .commit_tx(tx, Durability::Durable)
+            .expect("commit ok");
+        let j = Arc::clone(&journal);
+        ccnvme_sim::spawn("w1", 1, move || {
+            // Area 1 reuses it (revoke in slots 0-1), then runs its ring
+            // around: the fifth filler needs slots 0-1 back.
+            reuse_as_data(&j, 50, 0x42);
+            fill(&j, 70, 5);
+        })
+        .join();
+        let dev2 = crash_and_replay(&drv, areas, 22);
+        assert_eq!(
+            read_lba(&dev2, 50),
+            0x42,
+            "revoke record overwritten while the copy it revokes was replayable"
+        );
+    });
+    sim.run();
+}
+
 #[test]
 fn mq_fatomic_returns_before_durability() {
     let mut sim = Sim::new(CORES + 1);

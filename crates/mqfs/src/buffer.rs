@@ -1,5 +1,5 @@
-//! Buffer cache for metadata blocks (inode table, bitmaps, indirect
-//! blocks).
+//! Buffer cache for metadata blocks (inode table, bitmaps, directory
+//! and extent-leaf blocks).
 //!
 //! Each cached block carries a *page lock* ([`MetaBlock::acquire`]): the
 //! serialization point the paper's §5.3 identifies — threads updating
@@ -168,7 +168,7 @@ impl BufferCache {
     }
 
     /// Returns a zero-filled cached block without touching the device
-    /// (for freshly allocated metadata such as indirect blocks).
+    /// (for freshly allocated metadata such as extent-leaf blocks).
     pub fn get_zeroed(&self, lba: u64) -> Arc<MetaBlock> {
         let mut map = self.map.lock();
         Arc::clone(

@@ -2,7 +2,7 @@
 //! and the `fsync`/`fatomic` family (§5.1).
 //!
 //! All metadata — bitmap blocks, inode-table blocks, directory blocks and
-//! indirect blocks — lives in the [`BufferCache`] keyed by device LBA.
+//! extent-leaf blocks — lives in the [`BufferCache`] keyed by device LBA.
 //! Namespace operations mutate those blocks under their page locks and
 //! record the dirtied LBAs in the *dependency set* of every inode whose
 //! later `fsync` must persist the operation ("MQFS always packs the
@@ -41,7 +41,7 @@ use crate::{
     buffer::BufferCache,
     dir::{self, DirState},
     error::{FsError, FsResult},
-    inode::{BlockClass, Inode, InodeKind},
+    inode::{ExtentMap, Inode, InodeKind, MAX_BLOCKS},
     layout::{Layout, ROOT_INO},
 };
 
@@ -476,6 +476,11 @@ impl FileSystem {
         self.layout
     }
 
+    /// Unallocated blocks left on the volume.
+    pub fn free_blocks(&self) -> u64 {
+        self.alloc.free_blocks()
+    }
+
     /// Root directory inode number.
     pub fn root(&self) -> u64 {
         ROOT_INO
@@ -513,7 +518,11 @@ impl FileSystem {
         // Load outside the icache lock, then race to insert.
         let (iblk_lba, off) = self.layout.inode_pos(ino);
         let blk = self.cache.get(iblk_lba);
-        let inode = blk.with_data(|d| Inode::decode(&d.data[off..off + 256]));
+        let (mut inode, mut leaf) = blk.with_data(|d| Inode::decode(&d.data[off..off + 256]));
+        while leaf != 0 {
+            let blk = self.cache.get(leaf);
+            leaf = blk.with_data(|d| inode.map.load_leaf(leaf, &d.data));
+        }
         let handle = Arc::new(InodeHandle {
             st: RtMutex::new(InodeSt {
                 inode,
@@ -550,110 +559,81 @@ impl FileSystem {
 
     /// Maps a file block to its LBA (`None` = hole).
     fn bmap(&self, st: &InodeSt, file_block: u64) -> Option<u64> {
-        match Inode::classify(file_block).ok()? {
-            BlockClass::Direct(i) => match st.inode.direct[i] {
-                0 => None,
-                lba => Some(lba),
-            },
-            BlockClass::Indirect { slot } => {
-                if st.inode.indirect == 0 {
-                    return None;
-                }
-                self.read_ptr(st.inode.indirect, slot)
-            }
-            BlockClass::DoubleIndirect { outer, inner } => {
-                if st.inode.double_indirect == 0 {
-                    return None;
-                }
-                let mid = self.read_ptr(st.inode.double_indirect, outer)?;
-                self.read_ptr(mid, inner)
-            }
-        }
+        st.inode.map.lookup(file_block)
     }
 
-    fn read_ptr(&self, indirect_lba: u64, slot: u64) -> Option<u64> {
-        let blk = self.cache.get(indirect_lba);
-        let v = blk.with_data(|d| {
-            let off = (slot * 8) as usize;
-            u64::from_le_bytes(d.data[off..off + 8].try_into().expect("8 bytes"))
-        });
-        if v == 0 {
-            None
-        } else {
-            Some(v)
-        }
-    }
-
-    fn write_ptr(&self, indirect_lba: u64, slot: u64, value: u64) {
-        let blk = self.cache.get(indirect_lba);
-        blk.acquire();
-        blk.with_data(|d| {
-            let off = (slot * 8) as usize;
-            d.data[off..off + 8].copy_from_slice(&value.to_le_bytes());
-            d.dirty = true;
-        });
-        blk.release();
-    }
-
-    /// Maps a file block, allocating data and indirect blocks as needed;
+    /// Maps a file block, allocating its data block if it is a hole;
     /// dirtied metadata LBAs are added to the inode's dependency set.
+    /// When the allocator hands back the LBA after the previous file
+    /// block's — what the goal asks for — the last extent grows in place
+    /// and the inode is the only mapping metadata that changes.
     fn bmap_alloc(&self, st: &mut InodeSt, ino: u64, file_block: u64) -> FsResult<u64> {
         if let Some(lba) = self.bmap(st, file_block) {
             return Ok(lba);
         }
-        let class = Inode::classify(file_block)?;
+        if file_block >= MAX_BLOCKS {
+            return Err(FsError::FileTooBig);
+        }
         // Goal allocation: continue after the file's previous block, or
         // start in the inode's block group for its first one.
-        let goal = if file_block > 0 {
-            self.bmap(st, file_block - 1)
-                .map(|l| l + 1)
-                .unwrap_or_else(|| self.group_goal(ino))
-        } else {
-            self.group_goal(ino)
-        };
+        let goal = file_block
+            .checked_sub(1)
+            .and_then(|prev| self.bmap(st, prev))
+            .map_or_else(|| self.group_goal(ino), |l| l + 1);
         let (lba, bitmap) = self.alloc.alloc_block_near(goal)?;
         st.dep_meta.insert(bitmap);
         st.meta_dirty = MetaDirty::Full;
-        match class {
-            BlockClass::Direct(i) => {
-                st.inode.direct[i] = lba;
-            }
-            BlockClass::Indirect { slot } => {
-                if st.inode.indirect == 0 {
-                    // Indirect blocks are journaled metadata: any stale
-                    // journal copy of a previous life is superseded by
-                    // transaction-ID order at replay.
-                    let (ind, bm) = self.alloc.alloc_block()?;
-                    st.dep_meta.insert(bm);
-                    self.cache.get_zeroed(ind).with_data(|d| d.dirty = true);
-                    st.inode.indirect = ind;
-                }
-                self.write_ptr(st.inode.indirect, slot, lba);
-                st.dep_meta.insert(st.inode.indirect);
-            }
-            BlockClass::DoubleIndirect { outer, inner } => {
-                if st.inode.double_indirect == 0 {
-                    let (ind, bm) = self.alloc.alloc_block()?;
-                    st.dep_meta.insert(bm);
-                    self.cache.get_zeroed(ind).with_data(|d| d.dirty = true);
-                    st.inode.double_indirect = ind;
-                }
-                let mid = match self.read_ptr(st.inode.double_indirect, outer) {
-                    Some(m) => m,
-                    None => {
-                        let (mid, bm) = self.alloc.alloc_block()?;
-                        st.dep_meta.insert(bm);
-                        self.cache.get_zeroed(mid).with_data(|d| d.dirty = true);
-                        self.write_ptr(st.inode.double_indirect, outer, mid);
-                        st.dep_meta.insert(st.inode.double_indirect);
-                        mid
-                    }
-                };
-                self.write_ptr(mid, inner, lba);
-                st.dep_meta.insert(mid);
-            }
+        let changed = st.inode.map.insert(file_block, lba);
+        if let Err(e) = self.sync_leaves(st, ino, changed.clone()) {
+            // Only a newly opened extent can need one more leaf than the
+            // volume has room for: take it back out.
+            st.inode.map.remove(changed.start);
+            self.alloc.free_block(lba);
+            return Err(e);
         }
         Ok(lba)
+    }
+
+    /// Brings the leaf chain in line with the extent list after the
+    /// extent slots `changed` moved: grows the chain if the list no
+    /// longer fits (failing, before touching anything, when the volume
+    /// is full) and rewrites the leaves that store a changed slot.
+    /// Leaves live in the inode's block group and are journaled
+    /// metadata: every block dirtied here joins the dependency set, and
+    /// a stale journal copy from a block's previous life is superseded
+    /// by transaction-ID order at replay.
+    fn sync_leaves(
+        &self,
+        st: &mut InodeSt,
+        ino: u64,
+        changed: std::ops::Range<usize>,
+    ) -> FsResult<()> {
+        let had = st.inode.map.leaves().len();
+        let need = st.inode.map.leaves_needed();
+        for _ in had..need {
+            let (leaf, bm) = self.alloc.alloc_block_near(self.group_goal(ino))?;
+            st.dep_meta.insert(bm);
+            self.cache.get_zeroed(leaf);
+            st.inode.map.push_leaf(leaf);
+        }
+        let mut span = ExtentMap::leaf_span(changed);
+        if need > had {
+            // The leaf before the new ones stores a changed `next`.
+            span.start = span.start.min(had.saturating_sub(1));
+        }
+        for k in span.start..span.end {
+            let lba = st.inode.map.leaves()[k];
+            let encoded = st.inode.map.encode_leaf(k);
+            let blk = self.cache.get(lba);
+            blk.acquire();
+            blk.with_data(|d| {
+                d.data.copy_from_slice(&encoded);
+                d.dirty = true;
+            });
+            blk.release();
+            st.dep_meta.insert(lba);
+        }
+        Ok(())
     }
 
     /// First block of the allocation group a seed value maps to.
@@ -743,12 +723,18 @@ impl FileSystem {
         let end = offset + data.len() as u64;
         let mut pos = offset;
         let mut src = 0usize;
+        let mut result = Ok(());
         while pos < end {
             ccnvme_runtime::cpu(WRITE_PAGE_CPU);
             let fb = pos / BLOCK_SIZE;
             let in_page = (pos % BLOCK_SIZE) as usize;
             let n = ((BLOCK_SIZE as usize - in_page) as u64).min(end - pos) as usize;
-            self.bmap_alloc(&mut st, ino, fb)?;
+            if let Err(e) = self.bmap_alloc(&mut st, ino, fb) {
+                // Short write: the size below still has to cover the
+                // blocks mapped so far (fsck: no extent beyond EOF).
+                result = Err(e);
+                break;
+            }
             // Read-modify-write for partial pages that exist on disk.
             if !st.pages.contains_key(&fb) {
                 let need_read =
@@ -766,15 +752,15 @@ impl FileSystem {
             pos += n as u64;
             src += n;
         }
-        if end > st.inode.size {
-            st.inode.size = end;
+        if pos > st.inode.size {
+            st.inode.size = pos;
             st.meta_dirty = MetaDirty::Full;
         } else if st.meta_dirty == MetaDirty::Clean {
             st.meta_dirty = MetaDirty::Timestamps;
         }
         st.inode.mtime = ccnvme_runtime::now();
-        self.stats.bytes_written.add(data.len() as u64);
-        Ok(())
+        self.stats.bytes_written.add(pos - offset);
+        result
     }
 
     fn read_page_from_disk(&self, st: &InodeSt, fb: u64) -> FsResult<Vec<u8>> {
@@ -1110,7 +1096,7 @@ impl FileSystem {
         let mut deps = BTreeSet::new();
         // Capture only the metadata THIS operation dirties: stash the
         // parent's accumulated dependency set aside so a directory-grow
-        // allocation records its bitmap/indirect blocks into a fresh one.
+        // allocation records its bitmap/leaf blocks into a fresh one.
         let saved = std::mem::take(&mut pst.dep_meta);
         let blk_idx = match pst.dir.as_ref().expect("dir loaded").block_with_space(name) {
             Some(b) => b,
@@ -1254,33 +1240,18 @@ impl FileSystem {
         Ok(())
     }
 
-    /// Frees all data and indirect blocks of an inode; returns dirtied
-    /// bitmap LBAs.
+    /// Frees every data block and extent-leaf block of an inode; returns
+    /// the dirtied bitmap LBAs.
     fn free_inode_blocks(&self, st: &mut InodeSt) -> BTreeSet<u64> {
         let mut bitmaps = BTreeSet::new();
-        let nblocks = st.inode.nblocks();
-        for fb in 0..nblocks {
-            if let Some(lba) = self.bmap(st, fb) {
-                bitmaps.insert(self.alloc.free_block(lba));
-            }
+        let map = std::mem::take(&mut st.inode.map);
+        for lba in map.extents().iter().flat_map(|e| e.lbas()) {
+            bitmaps.insert(self.alloc.free_block(lba));
         }
-        if st.inode.indirect != 0 {
-            bitmaps.insert(self.alloc.free_block(st.inode.indirect));
-            self.cache.evict(st.inode.indirect);
+        for leaf in map.leaves() {
+            bitmaps.insert(self.alloc.free_block(*leaf));
+            self.cache.evict(*leaf);
         }
-        if st.inode.double_indirect != 0 {
-            for outer in 0..crate::inode::PTRS_PER_BLOCK {
-                if let Some(mid) = self.read_ptr(st.inode.double_indirect, outer) {
-                    bitmaps.insert(self.alloc.free_block(mid));
-                    self.cache.evict(mid);
-                }
-            }
-            bitmaps.insert(self.alloc.free_block(st.inode.double_indirect));
-            self.cache.evict(st.inode.double_indirect);
-        }
-        st.inode.direct = [0; crate::inode::NDIRECT];
-        st.inode.indirect = 0;
-        st.inode.double_indirect = 0;
         st.inode.size = 0;
         st.pages.clear();
         st.dirty_pages.clear();
@@ -1642,17 +1613,7 @@ impl FileSystem {
             let h = self.handle(ino);
             let mut st = h.st.lock();
             let kind = st.inode.kind;
-            let nblocks = st.inode.nblocks();
-            for fb in 0..nblocks {
-                if let Some(lba) = self.bmap(&st, fb) {
-                    if !seen_blocks.insert(lba) {
-                        problems.push(format!("block {lba} multiply referenced (ino {ino})"));
-                    }
-                    if !self.alloc.block_allocated(lba) {
-                        problems.push(format!("block {lba} in use by ino {ino} but free"));
-                    }
-                }
-            }
+            self.check_mapping(ino, &st.inode, &mut seen_blocks, &mut problems);
             let children: Vec<u64> = if kind == InodeKind::Dir {
                 self.load_dir(&mut st);
                 *link_counts.entry(ino).or_insert(0) += 1; // its own "."
@@ -1684,6 +1645,64 @@ impl FileSystem {
             }
         }
         problems
+    }
+
+    /// The mapping half of [`FileSystem::check`]: the extent list is
+    /// well-formed and every block it names — data and leaf alike — is
+    /// inside the data area, allocated, and referenced exactly once.
+    fn check_mapping(
+        &self,
+        ino: u64,
+        inode: &Inode,
+        seen_blocks: &mut HashSet<u64>,
+        problems: &mut Vec<String>,
+    ) {
+        let data_area = self.layout.data_start()..self.layout.capacity;
+        let mut claim = |lba: u64, what: &str| {
+            if !data_area.contains(&lba) {
+                problems.push(format!("{what} {lba} of ino {ino} outside the data area"));
+                return;
+            }
+            if !seen_blocks.insert(lba) {
+                problems.push(format!("{what} {lba} multiply referenced (ino {ino})"));
+            }
+            if !self.alloc.block_allocated(lba) {
+                problems.push(format!("{what} {lba} in use by ino {ino} but free"));
+            }
+        };
+        let extents = inode.map.extents();
+        for e in extents {
+            e.lbas().for_each(|lba| claim(lba, "block"));
+        }
+        for leaf in inode.map.leaves() {
+            claim(*leaf, "extent leaf");
+        }
+        if inode.map.leaves().len() < inode.map.leaves_needed() {
+            problems.push(format!(
+                "inode {ino}: {} extents on a chain of {} leaves",
+                extents.len(),
+                inode.map.leaves().len()
+            ));
+        }
+        if extents.iter().any(|e| e.len == 0)
+            || extents
+                .windows(2)
+                .any(|w| w[0].end_file_block() > w[1].first_file_block as u64)
+        {
+            problems.push(format!("inode {ino}: extents unsorted or overlapping"));
+        }
+        if inode.kind == InodeKind::File {
+            if let Some(e) = extents
+                .iter()
+                .find(|e| e.first_file_block as u64 >= inode.nblocks())
+            {
+                problems.push(format!(
+                    "inode {ino}: extent at file block {} beyond its {} blocks",
+                    e.first_file_block,
+                    inode.nblocks()
+                ));
+            }
+        }
     }
 }
 

@@ -16,8 +16,10 @@
 
 use ccnvme_block::BLOCK_SIZE;
 
-/// Superblock magic ("MQFSv1\0\0").
-pub const SB_MAGIC: u64 = 0x4d51_4653_7631_0000;
+/// Superblock magic ("MQFSv2\0\0"). The version byte names the inode
+/// format: v1 mapped files with a pointer tree, v2 maps them with
+/// extents (`inode.rs`), and neither mounts the other.
+pub const SB_MAGIC: u64 = 0x4d51_4653_7632_0000;
 
 /// Bytes per on-disk inode.
 pub const INODE_SIZE: u64 = 256;

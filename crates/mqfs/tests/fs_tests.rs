@@ -88,6 +88,13 @@ impl Stack {
     }
 }
 
+/// Block groups of the volume: a file's first block (and a directory's)
+/// is allocated from the start of group `ino % groups`.
+fn block_groups(fs: &FileSystem) -> u64 {
+    let layout = fs.layout();
+    (layout.capacity - layout.data_start()) / mqfs::layout::BITS_PER_BLOCK + 1
+}
+
 fn all_variants() -> Vec<FsVariant> {
     vec![
         FsVariant::Mqfs,
@@ -343,35 +350,99 @@ fn hard_links_share_content_and_count() {
 }
 
 #[test]
-fn large_file_uses_indirect_blocks() {
+fn interleaved_appends_spill_into_extent_leaves() {
+    const BLOCKS: u64 = 300;
+    let variant = FsVariant::Mqfs;
+    let mut sim = Sim::new(CORES + 2);
+    sim.spawn("host", 0, move || {
+        let profile = SsdProfile::optane_p5800x();
+        let stack = Stack::new(variant, profile.clone());
+        let fs = FileSystem::format(Arc::clone(&stack.dev), fs_config(variant));
+        // Two files whose allocation goals share a block group (the goal
+        // of a file's first block is group `ino % groups`): alternate
+        // appends then take alternate LBAs and no extent can grow.
+        let groups = block_groups(&fs);
+        let mut by_group = std::collections::HashMap::new();
+        let files = (0..)
+            .find_map(|i| {
+                let ino = fs.create_path(&format!("/f{i}")).expect("create");
+                by_group
+                    .insert(ino % groups, (i, ino))
+                    .map(|first| [first, (i, ino)])
+            })
+            .expect("two files in one group");
+        fs.fsync(fs.root()).expect("fsync the creates");
+        let free_before = fs.free_blocks();
+        let content = |file: usize, blk: u64| vec![(file as u64 * 101 + blk) as u8; 4096];
+        for blk in 0..BLOCKS {
+            for (f, (_, ino)) in files.iter().enumerate() {
+                fs.write(*ino, blk * 4096, &content(f, blk)).expect("write");
+            }
+            if blk % 50 == 49 {
+                fs.fsync(files[0].1).expect("fsync");
+            }
+        }
+        for (_, ino) in files {
+            fs.fsync(ino).expect("fsync");
+        }
+        // 300 one-block extents per file: 13 inline, 255 in a first
+        // leaf, the rest in a second one chained behind it.
+        assert_eq!(
+            free_before - fs.free_blocks(),
+            2 * (BLOCKS + 2),
+            "every append opened an extent and each file spilled into two leaves"
+        );
+        assert!(fs.check().is_empty(), "fsck: {:?}", fs.check());
+        // The chain must also load from disk: crash, recover, read back.
+        let image = stack.power_fail(17);
+        let (_s2, fs2) = Stack::reboot(variant, &image, profile);
+        for (f, (i, _)) in files.iter().enumerate() {
+            let ino = fs2.resolve(&format!("/f{i}")).expect("resolve");
+            assert_eq!(fs2.stat(ino).0, BLOCKS * 4096);
+            for blk in 0..BLOCKS {
+                assert_eq!(
+                    fs2.read(ino, blk * 4096, 4096).expect("read"),
+                    content(f, blk),
+                    "file {f} block {blk}"
+                );
+            }
+        }
+        assert!(fs2.check().is_empty(), "fsck: {:?}", fs2.check());
+        // Free everything; data and leaf blocks must all come back.
+        for (i, _) in files {
+            fs2.unlink_path(&format!("/f{i}")).expect("unlink");
+        }
+        assert!(fs2.check().is_empty(), "fsck: {:?}", fs2.check());
+        assert_eq!(fs2.free_blocks(), free_before);
+    });
+    sim.run();
+}
+
+#[test]
+fn holes_fill_in_any_order_and_merge() {
     let mut sim = Sim::new(CORES + 2);
     sim.spawn("host", 0, || {
         let variant = FsVariant::Mqfs;
         let stack = Stack::new(variant, SsdProfile::optane_p5800x());
         let fs = FileSystem::format(Arc::clone(&stack.dev), fs_config(variant));
-        let ino = fs.create_path("/big").expect("create");
-        // 600 blocks: exercises direct, indirect and double-indirect.
-        let chunk = vec![7u8; 4096];
-        for i in 0..600u64 {
-            fs.write(ino, i * 4096, &chunk).expect("write");
+        let ino = fs.create_path("/sparse").expect("create");
+        let free_before = fs.free_blocks();
+        // Back to front: every block is written while the one before it
+        // is still a hole.
+        for blk in (0..40u64).rev() {
+            fs.write(ino, blk * 4096, &[blk as u8; 4096])
+                .expect("write");
         }
         fs.fsync(ino).expect("fsync");
-        let (size, _, _) = fs.stat(ino);
-        assert_eq!(size, 600 * 4096);
-        // Spot-check content across the mapping classes.
-        for i in [0u64, 11, 12, 523, 524, 599] {
+        for blk in 0..40u64 {
             assert_eq!(
-                fs.read(ino, i * 4096, 4096).expect("read"),
-                chunk,
-                "block {i}"
+                fs.read(ino, blk * 4096, 4096).expect("read"),
+                vec![blk as u8; 4096]
             );
         }
-        assert!(fs.check().is_empty());
-        // Free everything; the blocks must come back.
-        let free_before = 0; // placeholder to silence lints
-        let _ = free_before;
-        fs.unlink_path("/big").expect("unlink");
-        assert!(fs.check().is_empty());
+        assert!(fs.check().is_empty(), "fsck: {:?}", fs.check());
+        fs.unlink_path("/sparse").expect("unlink");
+        assert_eq!(fs.free_blocks(), free_before);
     });
     sim.run();
 }
@@ -510,6 +581,131 @@ fn block_reuse_dir_to_data_never_leaks_dir_content() {
         });
         sim.run();
     }
+}
+
+#[test]
+fn reuse_of_a_released_dir_block_under_a_pinned_horizon_survives_crash() {
+    // The durability bug recorded in benchmark/README.md: a journaled
+    // metadata block is checkpointed home and its journal space released,
+    // the block is freed and reused for file data — and recovery replays
+    // the old journal copy over the data, because the copy's JD is still
+    // intact and the persisted horizon is held down by an idle journal
+    // area. Two areas: core 0 pins, core 1 does the work.
+    let variant = FsVariant::Mqfs;
+    let mut sim = Sim::new(CORES + 2);
+    sim.spawn("host", 0, move || {
+        let profile = SsdProfile::optane_905p();
+        let stack = Stack::new(variant, profile.clone());
+        let mut cfg = fs_config(variant);
+        cfg.journal_blocks = 256; // Two rings of 128 blocks.
+        cfg.queues = 2;
+        let fs = FileSystem::format(Arc::clone(&stack.dev), cfg.clone());
+        let checkpoints = ccnvme_block::obs_of(stack.dev.as_ref())
+            .metrics
+            .counter("journal.mq.checkpoints");
+        let pin = fs.create_path("/pin").expect("create");
+        let churn = fs.create_path("/churn").expect("create");
+        // One more transaction on the calling core's ring: an in-place
+        // overwrite journals the file's inode-table block and nothing
+        // anyone else touches.
+        let tick = {
+            let fs = Arc::clone(&fs);
+            move |ino: u64, n: u64| {
+                fs.write(ino, 0, &[n as u8; 4096]).expect("write");
+                fs.fsync(ino).expect("fsync");
+            }
+        };
+        // Runs the calling core's ring around until it checkpoints.
+        let until_checkpoint = {
+            let (tick, checkpoints) = (tick.clone(), Arc::clone(&checkpoints));
+            move |ino: u64| {
+                let before = checkpoints.get();
+                (0..).find(|n| {
+                    tick(ino, *n);
+                    checkpoints.get() > before
+                });
+            }
+        };
+        // A directory and a file whose first blocks share a block group:
+        // the file's data will land where the directory's block was.
+        let groups = block_groups(&fs);
+        let (mut dirs, mut files) = (
+            std::collections::HashMap::new(),
+            std::collections::HashMap::new(),
+        );
+        let (victim, file) = (0..)
+            .find_map(|i| {
+                let d = fs.mkdir_path(&format!("/d{i}")).expect("mkdir");
+                let f = fs.create_path(&format!("/f{i}")).expect("create");
+                dirs.insert(d % groups, i);
+                files.insert(f % groups, (i, f));
+                dirs.keys()
+                    .find_map(|g| files.get(g).map(|f| (dirs[g], *f)))
+            })
+            .expect("a directory and a file in one group");
+        let core1 = |name: &str, f: Box<dyn FnOnce() + Send>| ccnvme_sim::spawn(name, 1, f).join();
+        tick(pin, 0); // Allocates the block the pinning overwrite rewrites.
+                      // Core 1 settles the namespace (its first release drags area 0
+                      // along: both journaled the root directory).
+        {
+            let (fs, until_checkpoint) = (Arc::clone(&fs), until_checkpoint.clone());
+            core1(
+                "settle",
+                Box::new(move || {
+                    fs.fsync(fs.root()).expect("fsync");
+                    until_checkpoint(churn);
+                    until_checkpoint(churn);
+                }),
+            );
+        }
+        // Core 0 journals one private block and goes idle: from here on
+        // the horizon cannot pass this transaction.
+        tick(pin, 1);
+        {
+            let fs = Arc::clone(&fs);
+            core1(
+                "work",
+                Box::new(move || {
+                    // Start from a fresh ring and leave padding for the
+                    // commits that follow the next checkpoint to land on.
+                    until_checkpoint(churn);
+                    (0..8).for_each(|n| tick(churn, n));
+                    // The victim's directory block is journaled...
+                    fs.create_path(&format!("/d{victim}/child"))
+                        .expect("create");
+                    let d = fs.resolve(&format!("/d{victim}")).expect("resolve");
+                    fs.fsync(d).expect("fsync");
+                    // ...checkpointed home and released...
+                    until_checkpoint(churn);
+                    // ...freed...
+                    fs.unlink_path(&format!("/d{victim}/child"))
+                        .expect("unlink");
+                    fs.rmdir(fs.root(), &format!("d{victim}")).expect("rmdir");
+                    // ...and reused as file data.
+                    fs.write(file.1, 0, &[0x42; 4096]).expect("write");
+                    fs.fsync(file.1).expect("fsync");
+                }),
+            );
+        }
+        let image = stack.power_fail(9);
+        let mut ctrl_cfg = CtrlConfig::new(profile);
+        ctrl_cfg.device_core = CORES + 1;
+        let (drv, report) = CcNvmeDriver::probe(
+            NvmeController::from_image(ctrl_cfg, &image),
+            CORES as u16,
+            128,
+        );
+        let dev2 = Arc::new(drv) as Arc<dyn BlockDevice>;
+        let fs2 = FileSystem::mount(dev2, cfg, &report.unfinished_tx_ids()).expect("mount");
+        let f2 = fs2.resolve(&format!("/f{}", file.0)).expect("resolve");
+        assert_eq!(
+            fs2.read(f2, 0, 4096).expect("read"),
+            vec![0x42; 4096],
+            "stale directory block replayed over fsynced file data"
+        );
+        assert!(fs2.check().is_empty(), "fsck: {:?}", fs2.check());
+    });
+    sim.run();
 }
 
 #[test]

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Repo gate, two tiers (documented in README and DESIGN.md §10):
 #
-#   fast (always): formatting, clippy, the full test suite, the
+#   fast (always): formatting, clippy, the root test suite plus the
+#     mqfs and journal crate suites, the
 #     ccnvme-lint protocol-invariant analyzer over the workspace, the
 #     bench metrics-schema smoke run, the bounded crash-enumeration
 #     smoke (every event-prefix of a small workload, full re-crash
@@ -26,6 +27,11 @@ cargo fmt --all -- --check
 cargo clippy --workspace --all-targets -- -D warnings
 cargo test -q
 cargo test -q -p ccnvme-obs
+# `cargo test` at the root runs the root package only. The file system
+# and the journal under it are the crates every figure depends on: their
+# own suites (mapping, fsck, crash/remount per variant, revocation and
+# release gating of the multi-queue journal) gate here too.
+cargo test -q --release -p mqfs -p mqfs-journal
 # Protocol-invariant gate: the interprocedural persistence-effect
 # analyzer — persist-order (§4.3 flush-before-doorbell, path-sensitive
 # over branches/loops/closures), static-race, observer-purity — plus

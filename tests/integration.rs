@@ -250,3 +250,32 @@ fn irq_coalescing_preserves_correctness_and_cuts_interrupts() {
         "coalescing should suppress member IRQs: {irqs_on} vs {irqs_off}"
     );
 }
+
+/// A steady-state 4 KB append + `fsync` puts four blocks on the wire —
+/// data, inode-table block, block bitmap, JD — and no mapping block:
+/// growing a file contiguously extends its last extent inside the inode.
+/// (With a pointer tree every append past the 12 direct blocks journaled
+/// a fifth block to record one pointer.)
+#[test]
+fn steady_state_append_fsync_is_four_block_ios() {
+    let cfg = StackConfig::new(FsVariant::Mqfs, SsdProfile::optane_905p(), 1);
+    let mut sim = Sim::new(cfg.sim_cores());
+    sim.spawn("main", 0, move || {
+        let (stack, fs) = Stack::format(&cfg);
+        let ino = fs.create_path("/log").expect("create");
+        let append = |i: u64| {
+            fs.write(ino, i * 4096, &[i as u8; 4096]).expect("write");
+            fs.fsync(ino).expect("fsync");
+        };
+        (0..16).for_each(append);
+        let before = stack.controller().link().traffic.block_ios.get();
+        (16..116).for_each(append);
+        let ios = stack.controller().link().traffic.block_ios.get() - before;
+        // Four per commit, plus whatever checkpoint falls in the window.
+        assert!(
+            (400..=405).contains(&ios),
+            "100 appends cost {ios} block I/Os"
+        );
+    });
+    sim.run();
+}
