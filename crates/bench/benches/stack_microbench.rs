@@ -8,7 +8,8 @@
 
 use std::sync::Arc;
 
-use ccnvme_bench::{in_sim, Stack, StackConfig};
+use ccnvme_bench::{Stack, StackConfig};
+use ccnvme_sim::Sim;
 use ccnvme_ssd::SsdProfile;
 use ccnvme_workloads::{run_fio, FioConfig};
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -17,7 +18,7 @@ use mqfs::FsVariant;
 fn bench_sim_kernel(c: &mut Criterion) {
     c.bench_function("sim_kernel_100_context_switches", |b| {
         b.iter(|| {
-            in_sim(1, || {
+            Sim::run_main(1, || {
                 for _ in 0..100 {
                     ccnvme_sim::cpu(10);
                 }
@@ -30,7 +31,7 @@ fn bench_sim_kernel(c: &mut Criterion) {
 fn bench_ccnvme_transaction(c: &mut Criterion) {
     c.bench_function("ccnvme_tx_4k_commit_durable", |b| {
         b.iter(|| {
-            in_sim(3, || {
+            Sim::run_main(3, || {
                 let scfg = StackConfig::new(FsVariant::Mqfs, SsdProfile::optane_p5800x(), 1);
                 let (_stack, fs) = Stack::format(&scfg);
                 let ino = fs.create_path("/b").expect("create");
@@ -44,7 +45,7 @@ fn bench_ccnvme_transaction(c: &mut Criterion) {
 fn bench_fio_16_ops(c: &mut Criterion) {
     c.bench_function("mqfs_fio_2threads_16ops", |b| {
         b.iter(|| {
-            in_sim(4, || {
+            Sim::run_main(4, || {
                 let scfg = StackConfig::new(FsVariant::Mqfs, SsdProfile::optane_905p(), 2);
                 let (_stack, fs) = Stack::format(&scfg);
                 let res = run_fio(&fs, &FioConfig::append_4k(2, 8));
@@ -57,7 +58,7 @@ fn bench_fio_16_ops(c: &mut Criterion) {
 fn bench_recovery_scan(c: &mut Criterion) {
     c.bench_function("mqfs_crash_recover_small_journal", |b| {
         b.iter(|| {
-            in_sim(3, || {
+            Sim::run_main(3, || {
                 let mut scfg = StackConfig::new(FsVariant::Mqfs, SsdProfile::optane_905p(), 1);
                 scfg.journal_blocks = 256;
                 let (stack, fs) = Stack::format(&scfg);

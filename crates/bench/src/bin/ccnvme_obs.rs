@@ -19,10 +19,11 @@
 
 use std::sync::Arc;
 
-use ccnvme_bench::{in_sim, Stack, StackConfig};
+use ccnvme_bench::{Stack, StackConfig};
 use ccnvme_fabric::{Backend, ClientCfg, FabricClient, FabricConfig, FabricTarget, SyncKind};
 use ccnvme_obs::json::validate_metrics;
 use ccnvme_obs::MetricsSnapshot;
+use ccnvme_sim::Sim;
 use ccnvme_ssd::CrashMode;
 use ccnvme_ssd::SsdProfile;
 use mqfs::FsVariant;
@@ -31,7 +32,7 @@ const USAGE: &str = "usage: ccnvme-obs report [--prometheus] | ccnvme-obs valida
 
 fn report() -> MetricsSnapshot {
     let scfg = StackConfig::new(FsVariant::Mqfs, SsdProfile::optane_905p(), 1);
-    in_sim(scfg.sim_cores(), move || {
+    Sim::run_main(scfg.sim_cores(), move || {
         let (stack, fs) = Stack::format(&scfg);
         for i in 0..8 {
             let ino = fs.create_path(&format!("/f{i}")).expect("create");
@@ -60,7 +61,7 @@ fn report() -> MetricsSnapshot {
 /// the surviving PMR image (media is irrelevant to the recorder).
 fn crash_demo_image() -> Vec<u8> {
     let scfg = StackConfig::new(FsVariant::Mqfs, SsdProfile::optane_905p(), 1);
-    in_sim(scfg.sim_cores(), move || {
+    Sim::run_main(scfg.sim_cores(), move || {
         let (stack, fs) = Stack::format(&scfg);
         for i in 0..6 {
             let ino = fs.create_path(&format!("/tx{i}")).expect("create");

@@ -21,14 +21,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use ccnvme::CcNvmeDriver;
-use ccnvme_bench::{f1, header, in_sim, record_run_seq, row, scaled, write_metrics};
+use ccnvme_bench::{f1, header, record_run_seq, row, scaled, write_metrics};
 use ccnvme_cluster::{ClusterCfg, ClusterClient, ClusterNode, ShardLayout};
 use ccnvme_fabric::{
     Backend, ClientCfg, ClientStats, ClusterBackend, Connector, FabricConfig, FabricTarget,
     ShardWrite,
 };
 use ccnvme_obs::Registry;
-use ccnvme_sim::{Histogram, Ns};
+use ccnvme_sim::{Histogram, Ns, Sim};
 use ccnvme_ssd::{CtrlConfig, NvmeController, SsdProfile};
 
 /// Host cores serving fabric handler daemons and client threads.
@@ -109,7 +109,7 @@ fn payload(tag: u8) -> Vec<u8> {
 
 /// One sweep point: `CLIENTS` initiators over `shards` participants.
 fn measure_shards(shards: usize) -> Point {
-    let (point, snap) = in_sim(sim_cores(shards), move || {
+    let (point, snap) = Sim::run_main(sim_cores(shards), move || {
         let (nodes, targets) = build_cluster(shards);
         let hist = Arc::new(Histogram::new());
         let committed = Arc::new(AtomicU64::new(0));
@@ -208,7 +208,7 @@ struct Drill {
 fn measure_kill_one_shard() -> Drill {
     const SHARDS: usize = 4;
     const DEAD: usize = 3;
-    let (drill, snap) = in_sim(sim_cores(SHARDS), move || {
+    let (drill, snap) = Sim::run_main(sim_cores(SHARDS), move || {
         let (_nodes, targets) = build_cluster(SHARDS);
         let reg = targets[SHARDS].obs();
         let mut client = connect(&targets, 1, Some(&reg.metrics));

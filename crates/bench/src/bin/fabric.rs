@@ -14,12 +14,11 @@
 use std::sync::Arc;
 
 use ccnvme::CcNvmeDriver;
-use ccnvme_bench::{
-    f1, header, in_sim, record_run_seq, row, scaled, write_metrics, Stack, StackConfig,
-};
+use ccnvme_bench::{f1, header, record_run_seq, row, scaled, write_metrics, Stack, StackConfig};
 use ccnvme_fabric::{
     Backend, Capsule, ClientCfg, ClientStats, FabricClient, FabricConfig, FabricTarget,
 };
+use ccnvme_sim::Sim;
 use ccnvme_ssd::{CtrlConfig, NvmeController, SsdProfile};
 use ccnvme_workloads::{run_fio, FioConfig, SyncMode};
 use mqfs::FsVariant;
@@ -37,7 +36,7 @@ struct Point {
 /// One sweep point: `clients` initiators over an MQFS fabric target.
 fn measure_clients(clients: usize) -> Point {
     let cfg = StackConfig::new(FsVariant::Mqfs, SsdProfile::optane_905p(), CORES);
-    let (point, metrics) = in_sim(cfg.sim_cores(), move || {
+    let (point, metrics) = Sim::run_main(cfg.sim_cores(), move || {
         let (stack, fs) = Stack::format(&cfg);
         let res = run_fio(
             &fs,
@@ -67,7 +66,7 @@ fn measure_clients(clients: usize) -> Point {
 /// The overload drill: a window of 2 against a deep pipeline of raw
 /// transaction writes. Success criterion: stalls observed, zero errors.
 fn measure_overload() -> (u64, u64) {
-    let (stalls, errors, metrics) = in_sim(CORES + 1, || {
+    let (stalls, errors, metrics) = Sim::run_main(CORES + 1, || {
         let mut cc = CtrlConfig::new(SsdProfile::optane_905p());
         cc.device_core = CORES;
         let ctrl = NvmeController::new(cc);

@@ -7,11 +7,11 @@
 //! error-handling ladder described in DESIGN.md §8.
 
 use ccnvme_bench::{
-    f1, header, in_sim, quick, record_run, record_run_seq, row, scaled, write_metrics, Stack,
-    StackConfig,
+    f1, header, quick, record_run, record_run_seq, row, scaled, write_metrics, Stack, StackConfig,
 };
 use ccnvme_crashtest::{campaign_metrics, run_fault_campaign, FaultCampaignConfig};
 use ccnvme_fault::{FaultKind, FaultPlan, FaultRule, OpMask, Trigger};
+use ccnvme_sim::Sim;
 use ccnvme_ssd::SsdProfile;
 use ccnvme_workloads::{run_fio, FioConfig, SyncMode};
 use mqfs::FsVariant;
@@ -41,7 +41,7 @@ fn measure(variant: FsVariant, busy_pct: f64, drop_pct: f64) -> Point {
                 ),
         );
     }
-    let (point, metrics) = in_sim(cfg.sim_cores(), move || {
+    let (point, metrics) = Sim::run_main(cfg.sim_cores(), move || {
         let (stack, fs) = Stack::format(&cfg);
         let res = run_fio(
             &fs,

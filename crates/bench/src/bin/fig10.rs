@@ -7,9 +7,9 @@
 
 use std::sync::Arc;
 
-use ccnvme_bench::{f1, header, in_sim, scaled, Stack, StackConfig};
+use ccnvme_bench::{f1, header, scaled, Stack, StackConfig};
 use ccnvme_block::BioBuf;
-use ccnvme_sim::DetRng;
+use ccnvme_sim::{DetRng, Sim};
 use ccnvme_ssd::SsdProfile;
 use mqfs::FsVariant;
 use mqfs_journal::{
@@ -66,7 +66,7 @@ fn measure(engine: Engine, threads: usize, write_kb: u64, txs_per_thread: u64) -
     };
     let scfg = StackConfig::new(variant, profile.clone(), threads);
     let prof2 = profile.clone();
-    let (point, metrics) = in_sim(scfg.sim_cores(), move || {
+    let (point, metrics) = Sim::run_main(scfg.sim_cores(), move || {
         // Raw driver + journal engine; no file system.
         let (stack, _fs) = Stack::format(&scfg);
         let dev = Arc::clone(&stack.dev);

@@ -2,7 +2,8 @@
 //! Ext4-NJ on the Optane 905P. One thread repeatedly creates a file,
 //! writes 4 KB and syncs it.
 
-use ccnvme_bench::{f0, header, in_sim, row, scaled, Stack, StackConfig};
+use ccnvme_bench::{f0, header, row, scaled, Stack, StackConfig};
+use ccnvme_sim::Sim;
 use ccnvme_ssd::SsdProfile;
 use mqfs::{FsVariant, FsyncTrace};
 
@@ -14,7 +15,7 @@ enum SyncKind {
 
 fn run(variant: FsVariant, kind: SyncKind) -> (FsyncTrace, f64) {
     let iters = scaled(200);
-    let (avg, total, metrics) = in_sim(3, move || {
+    let (avg, total, metrics) = Sim::run_main(3, move || {
         let scfg = StackConfig::new(variant, SsdProfile::optane_905p(), 1);
         let (stack, fs) = Stack::format(&scfg);
         fs.enable_tracing();

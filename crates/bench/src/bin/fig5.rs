@@ -4,8 +4,9 @@
 
 use std::sync::Arc;
 
-use ccnvme_bench::{f1, header, in_sim, row};
+use ccnvme_bench::{f1, header, row};
 use ccnvme_pcie::{mmio::RegionKind, MmioRegion, PcieLink};
+use ccnvme_sim::Sim;
 
 #[derive(Clone, Copy)]
 enum Op {
@@ -16,7 +17,7 @@ enum Op {
 
 /// Returns (mean latency ns, bandwidth MB/s) for `op` at `size` bytes.
 fn measure(op: Op, size: u64) -> (f64, f64) {
-    in_sim(1, move || {
+    Sim::run_main(1, move || {
         let link = Arc::new(PcieLink::new(3_300_000_000));
         let region = MmioRegion::new("pmr", RegionKind::Pmr, 2 << 20, link);
         let data = vec![0xa5u8; size as usize];

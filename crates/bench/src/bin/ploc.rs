@@ -13,10 +13,11 @@
 use std::sync::Arc;
 
 use ccnvme::PmrLayout;
-use ccnvme_bench::{f1, header, in_sim, record_run_seq, row, scaled, write_metrics};
+use ccnvme_bench::{f1, header, record_run_seq, row, scaled, write_metrics};
 use ccnvme_crashtest::ploc::scripted_op;
 use ccnvme_obs::Obs;
 use ccnvme_ploc::{PlocConfig, PlocService};
+use ccnvme_sim::Sim;
 use ccnvme_ssd::{CrashMode, CtrlConfig, NvmeController, SsdProfile};
 
 const CORES: usize = 4;
@@ -41,7 +42,7 @@ struct Point {
 
 fn measure(clients: u16) -> Point {
     let ops = scaled(300) as u32;
-    let (kops, mean_us, replays, image) = in_sim(CORES + 1, move || {
+    let (kops, mean_us, replays, image) = Sim::run_main(CORES + 1, move || {
         let ctrl = Arc::new(NvmeController::new(ctrl_config()));
         let obs = Obs::new();
         let svc = PlocService::format(
@@ -94,7 +95,7 @@ fn measure(clients: u16) -> Point {
         record_run_seq(&format!("ploc.clients{clients}"), snap);
         (kops, mean_us, replays, crasher.join())
     });
-    let (recover_us, recovered_ops) = in_sim(CORES + 1, move || {
+    let (recover_us, recovered_ops) = Sim::run_main(CORES + 1, move || {
         let ctrl = Arc::new(NvmeController::from_image(ctrl_config(), &image));
         let obs = Obs::new();
         let t0 = ccnvme_sim::now();

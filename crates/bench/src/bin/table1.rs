@@ -7,14 +7,15 @@
 //! convention: only the traffic the caller must *wait for* is charged to
 //! the atomicity guarantee.
 
-use ccnvme_bench::{header, in_sim, record_run_seq, row, write_metrics, Stack, StackConfig};
+use ccnvme_bench::{header, record_run_seq, row, write_metrics, Stack, StackConfig};
 use ccnvme_pcie::TrafficSnapshot;
+use ccnvme_sim::Sim;
 use ccnvme_ssd::SsdProfile;
 use ccnvme_workloads::SyncMode;
 use mqfs::FsVariant;
 
 fn measure(variant: FsVariant, sync: SyncMode, n: u64) -> TrafficSnapshot {
-    let (traffic, metrics) = in_sim(3, move || {
+    let (traffic, metrics) = Sim::run_main(3, move || {
         let scfg = StackConfig::new(variant, SsdProfile::optane_905p(), 1);
         let (stack, fs) = Stack::format(&scfg);
         let ino = fs.create_path("/t").expect("create");

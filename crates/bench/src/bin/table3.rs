@@ -5,9 +5,9 @@
 use std::sync::Arc;
 
 use ccnvme::NvmeDriver;
-use ccnvme_bench::{f0, f1, header, in_sim, row, scaled};
+use ccnvme_bench::{f0, f1, header, row, scaled};
 use ccnvme_block::{submit_and_wait, Bio, BioBuf, BioFlags, BioWaiter, BlockDevice};
-use ccnvme_sim::DetRng;
+use ccnvme_sim::{DetRng, Sim};
 use ccnvme_ssd::{CtrlConfig, NvmeController, SsdProfile};
 
 struct RawPoint {
@@ -26,7 +26,7 @@ fn buf(blocks: usize) -> BioBuf {
 const RAND_THREADS: usize = 4;
 
 fn measure(profile: SsdProfile) -> RawPoint {
-    in_sim(RAND_THREADS + 1, move || {
+    Sim::run_main(RAND_THREADS + 1, move || {
         let mut cfg = CtrlConfig::new(profile);
         cfg.device_core = RAND_THREADS;
         let drv = Arc::new(NvmeDriver::new(NvmeController::new(cfg), RAND_THREADS));

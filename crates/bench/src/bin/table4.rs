@@ -3,7 +3,7 @@
 //! crash points per workload; the default runs the paper's 1000.
 
 use ccnvme_bench::quick;
-use ccnvme_crashtest::{run_crash_campaign, table4_workloads, CrashTestConfig, StackConfig};
+use ccnvme_crashtest::{sweep, table4_workloads, Cuts, FsSurface, StackConfig, SweepPlan};
 use ccnvme_ssd::SsdProfile;
 use mqfs::FsVariant;
 
@@ -24,20 +24,19 @@ fn main() {
             .collect::<Vec<_>>(),
     );
     let mut all_pass = true;
-    for w in table4_workloads() {
+    let plan = SweepPlan {
+        cuts: Cuts::Spread(crash_points),
+        ..SweepPlan::every()
+    };
+    for workload in table4_workloads() {
         let mut stack = StackConfig::new(FsVariant::Mqfs, SsdProfile::optane_905p(), 2);
         stack.journal_blocks = 512; // Small journal: fast recovery scans.
-        let cfg = CrashTestConfig {
-            stack,
-            crash_points,
-            seed: 0xcc,
-        };
-        let report = run_crash_campaign(w, &cfg);
+        let report = sweep(FsSurface { workload, stack }, &plan);
         ccnvme_bench::row(
-            report.workload,
-            &[report.total.to_string(), report.passed.to_string()],
+            &report.surface,
+            &[report.states.to_string(), report.clean.to_string()],
         );
-        if report.passed != report.total {
+        if report.clean != report.states || !report.failures.is_empty() {
             all_pass = false;
             for f in &report.failures {
                 println!("    FAILURE: {f}");

@@ -15,14 +15,12 @@ use std::sync::Arc;
 
 use ccnvme_obs::MetricsSnapshot;
 use ccnvme_runtime::{run_on, RuntimeKind};
-use ccnvme_sim::Sim;
 use ccnvme_ssd::SsdProfile;
 use ccnvme_workloads::{
     run_fillsync, run_fio, run_varmail, FillsyncConfig, FioConfig, SyncMode, VarmailConfig,
     WorkloadResult,
 };
 use mqfs::{FileSystem, FsVariant};
-use parking_lot::Mutex;
 
 pub use ccnvme_crashtest::{Stack, StackConfig};
 
@@ -38,24 +36,6 @@ pub fn scaled(n: u64) -> u64 {
     } else {
         n
     }
-}
-
-/// Runs `f` inside a fresh simulation with `cores` simulated cores and
-/// returns its result.
-pub fn in_sim<T, F>(cores: usize, f: F) -> T
-where
-    T: Send + 'static,
-    F: FnOnce() -> T + Send + 'static,
-{
-    let out: Arc<Mutex<Option<T>>> = Arc::new(Mutex::new(None));
-    let out2 = Arc::clone(&out);
-    let mut sim = Sim::new(cores);
-    sim.spawn("bench-main", 0, move || {
-        *out2.lock() = Some(f());
-    });
-    sim.run();
-    let v = out.lock().take().expect("bench closure ran");
-    v
 }
 
 /// One measured point of a file-system workload.

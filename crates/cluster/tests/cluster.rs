@@ -15,7 +15,6 @@ use ccnvme_fault::{FaultKind, FaultPlan, FaultRule, Trigger};
 use ccnvme_obs::Registry;
 use ccnvme_sim::Sim;
 use ccnvme_ssd::{CrashMode, CtrlConfig, NvmeController, SsdProfile};
-use parking_lot::Mutex;
 
 /// Host cores serving fabric connections in these tests.
 const CORES: usize = 2;
@@ -34,15 +33,7 @@ where
     T: Send + 'static,
     F: FnOnce() -> T + Send + 'static,
 {
-    let out: Arc<Mutex<Option<T>>> = Arc::new(Mutex::new(None));
-    let out2 = Arc::clone(&out);
-    let mut sim = Sim::new(sim_cores());
-    sim.spawn("test-main", 0, move || {
-        *out2.lock() = Some(f());
-    });
-    sim.run();
-    let v = out.lock().take().expect("test closure ran");
-    v
+    Sim::run_main(sim_cores(), f)
 }
 
 /// Builds one cluster domain: its own device, driver and node.

@@ -30,7 +30,7 @@ use std::{
 use ccnvme_block::{Bio, BioOp, BioStatus, BlockDevice};
 use ccnvme_obs::{EventKind, Obs};
 use ccnvme_pcie::MmioRegion;
-use ccnvme_runtime::{mpsc_channel, Receiver, RtCondvar, RtMutex, Sender};
+use ccnvme_runtime::{mpsc_channel, RtCondvar, RtMutex, Sender};
 use ccnvme_sim::{Histogram, Ns};
 use ccnvme_ssd::{
     CompletionEntry, DoorbellLoc, HostMemory, NvmeCommand, NvmeController, Opcode, QueueParams,
@@ -38,7 +38,7 @@ use ccnvme_ssd::{
 };
 
 use crate::{
-    errpolicy::{map_status, ErrPolicy, HostErrStats},
+    errpolicy::{map_status, retry_daemon, ErrPolicy, HostErrStats},
     layout::PmrLayout,
     recovery::{scan_pmr, RecoveryReport},
     DEFAULT_CAPACITY_BLOCKS, SUBMIT_CPU,
@@ -369,7 +369,9 @@ impl CcNvmeDriver {
         let wd = Arc::clone(&driver.inner);
         ccnvme_runtime::spawn_daemon("ccnvme-wdog", 0, move || cc_watchdog_loop(wd));
         let rt = Arc::clone(&driver.inner);
-        ccnvme_runtime::spawn_daemon("ccnvme-errd", 0, move || cc_retry_loop(rt, retry_rx));
+        ccnvme_runtime::spawn_daemon("ccnvme-errd", 0, move || {
+            retry_daemon(retry_rx, |r| r.due, |r| cc_resubmit(&rt, &r.q, r.cid))
+        });
         (driver, report)
     }
 
@@ -966,40 +968,6 @@ fn cc_resubmit(inner: &Arc<CcInner>, q: &Arc<CcQueue>, orig_cid: u16) {
         st.tail
     };
     inner.pmr.write(q.db_off, &tail_now.to_le_bytes());
-}
-
-/// Daemon draining the retry channel: holds each request until its
-/// backoff elapses, then resubmits. Exits when the driver (the only
-/// sender) is dropped.
-fn cc_retry_loop(inner: Arc<CcInner>, rx: Receiver<CcRetryReq>) {
-    let mut pending: Vec<CcRetryReq> = Vec::new();
-    loop {
-        let now = ccnvme_runtime::now();
-        let mut i = 0;
-        while i < pending.len() {
-            if pending[i].due <= now {
-                let req = pending.swap_remove(i);
-                cc_resubmit(&inner, &req.q, req.cid);
-            } else {
-                i += 1;
-            }
-        }
-        match pending.iter().map(|r| r.due).min() {
-            None => match rx.recv() {
-                Ok(req) => pending.push(req),
-                Err(_) => return,
-            },
-            Some(due) => {
-                let now = ccnvme_runtime::now();
-                if due <= now {
-                    continue;
-                }
-                if let Some(req) = rx.recv_timeout(due - now) {
-                    pending.push(req);
-                }
-            }
-        }
-    }
 }
 
 impl BlockDevice for CcNvmeDriver {

@@ -19,7 +19,7 @@ use std::{collections::HashMap, sync::Arc};
 
 use ccnvme_block::{Bio, BioOp, BioStatus, BioWaiter, BlockDevice};
 use ccnvme_obs::{EventKind, Obs};
-use ccnvme_runtime::{mpsc_channel, Receiver, RtCondvar, RtMutex, Sender};
+use ccnvme_runtime::{mpsc_channel, RtCondvar, RtMutex, Sender};
 use ccnvme_sim::{Histogram, Ns};
 use ccnvme_ssd::{
     CompletionEntry, DoorbellLoc, HostMemory, NvmeCommand, NvmeController, Opcode, QueueParams,
@@ -27,7 +27,7 @@ use ccnvme_ssd::{
 };
 use parking_lot::Mutex;
 
-use crate::errpolicy::{map_status, ErrPolicy, HostErrStats};
+use crate::errpolicy::{map_status, retry_daemon, ErrPolicy, HostErrStats};
 use crate::{DEFAULT_CAPACITY_BLOCKS, QUEUE_DEPTH, SUBMIT_CPU};
 
 /// CPU cost of formatting one 64-byte SQE into host memory.
@@ -164,7 +164,9 @@ impl NvmeDriver {
         let wd = Arc::clone(&inner);
         ccnvme_runtime::spawn_daemon("nvme-wdog", 0, move || watchdog_loop(wd));
         let rd = Arc::clone(&inner);
-        ccnvme_runtime::spawn_daemon("nvme-errd", 0, move || retry_loop(rd, retry_rx));
+        ccnvme_runtime::spawn_daemon("nvme-errd", 0, move || {
+            retry_daemon(retry_rx, |r| r.due, |r| resubmit(&rd, &r.q, r.cid))
+        });
         NvmeDriver { inner }
     }
 
@@ -408,39 +410,6 @@ fn resubmit(inner: &DrvInner, q: &Arc<DrvQueue>, cid: u16) {
     }
     inner.errctx.stats.retries.inc();
     inner.regs.write(q.sqdb_off, &new_tail.to_le_bytes());
-}
-
-/// Daemon: sleeps out retry backoffs and resubmits commands when due.
-fn retry_loop(inner: Arc<DrvInner>, rx: Receiver<RetryReq>) {
-    let mut pending: Vec<RetryReq> = Vec::new();
-    loop {
-        let now = ccnvme_runtime::now();
-        let mut i = 0;
-        while i < pending.len() {
-            if pending[i].due <= now {
-                let req = pending.swap_remove(i);
-                resubmit(&inner, &req.q, req.cid);
-            } else {
-                i += 1;
-            }
-        }
-        let msg = match pending.iter().map(|r| r.due).min() {
-            None => match rx.recv() {
-                Ok(m) => Some(m),
-                Err(_) => return, // Driver dropped.
-            },
-            Some(due) => {
-                let now = ccnvme_runtime::now();
-                if due <= now {
-                    continue;
-                }
-                rx.recv_timeout(due - now)
-            }
-        };
-        if let Some(m) = msg {
-            pending.push(m);
-        }
-    }
 }
 
 /// Daemon: ages every in-flight command against the virtual clock.

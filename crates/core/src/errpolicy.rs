@@ -23,6 +23,7 @@ use std::sync::Arc;
 
 use ccnvme_block::BioStatus;
 use ccnvme_obs::Registry;
+use ccnvme_runtime::Receiver;
 use ccnvme_sim::{Counter, Ns};
 use ccnvme_ssd::Status;
 
@@ -65,6 +66,43 @@ impl ErrPolicy {
     pub fn backoff(&self, attempt: u32) -> Ns {
         let shift = attempt.saturating_sub(1).min(20);
         (self.backoff_base << shift).min(self.backoff_cap)
+    }
+}
+
+/// The retry daemon both drivers run: holds each request from `rx`
+/// until the instant `due` names for it, then hands it to `resubmit`.
+/// Returns when every sender is gone (the driver was dropped).
+pub(crate) fn retry_daemon<R>(
+    rx: Receiver<R>,
+    due: impl Fn(&R) -> Ns,
+    mut resubmit: impl FnMut(R),
+) {
+    let mut pending: Vec<R> = Vec::new();
+    loop {
+        let now = ccnvme_runtime::now();
+        let mut i = 0;
+        while i < pending.len() {
+            if due(&pending[i]) <= now {
+                resubmit(pending.swap_remove(i));
+            } else {
+                i += 1;
+            }
+        }
+        match pending.iter().map(&due).min() {
+            None => match rx.recv() {
+                Ok(req) => pending.push(req),
+                Err(_) => return,
+            },
+            Some(next) => {
+                let now = ccnvme_runtime::now();
+                if next <= now {
+                    continue;
+                }
+                if let Some(req) = rx.recv_timeout(next - now) {
+                    pending.push(req);
+                }
+            }
+        }
     }
 }
 

@@ -1,18 +1,14 @@
-//! Exhaustive crash-surface enumeration for the sharded 2PC cluster
-//! (`crates/cluster`) — the multi-domain counterpart of
-//! [`enumerate`](crate::enumerate)'s single-device sweep.
+//! The cluster crash surface: the sharded 2PC cluster of
+//! `crates/cluster` — the multi-domain counterpart of the single-device
+//! file-system surface ([`crate::fs`]).
 //!
-//! A recorded pass drives a scripted mix of cross-shard commits,
+//! The recorded pass drives a scripted mix of cross-shard commits,
 //! single-shard fast-path commits and deliberate aborts against N
 //! participant nodes plus one coordinator node, each on its own
-//! instrumented device with its own [`PersistLog`]. A power cut is a
-//! *consistent global cut*: one instant of virtual time, truncating
-//! every domain's event log at that same instant (per-domain prefixes
-//! never disagree about the past — the simulation clock is shared). The
-//! enumerator walks every such cut, and at each cut every subset of
-//! domains (coordinator included) is additionally held *down* through
-//! the first recovery wave, so in-doubt participants must park until
-//! the coordinator returns:
+//! instrumented device — one recovery domain each. At every cut the
+//! surface additionally holds every subset of domains (coordinator
+//! included) *down* through the first recovery wave, so in-doubt
+//! participants must park until the coordinator returns:
 //!
 //! * **wave 1** — the up domains boot through ccNVMe recovery and, if
 //!   the coordinator is up, resolve their in-doubt intents against it
@@ -20,74 +16,36 @@
 //! * **wave 2** — the late domains boot and every remaining in-doubt
 //!   intent resolves.
 //!
-//! After both waves the harness asserts, for every scripted
-//! transaction: **all-or-nothing visibility** across its participants
-//! (never a partial cross-shard commit), **exactly-once effects**
-//! (commits acked before the cut are fully visible, acked aborts never
-//! are), and **convergence** — every down-subset schedule lands on
-//! byte-identical media, and re-recovering the converged image changes
-//! nothing and reports nothing in doubt. Each domain's recorded
-//! workload must also replay through the persist-order sanitizer with
-//! zero violations.
+//! After both waves the oracle asserts, for every scripted transaction:
+//! **all-or-nothing visibility** across its participants (never a
+//! partial cross-shard commit), **exactly-once effects** (commits acked
+//! before the cut are fully visible, acked aborts never are), and
+//! **convergence** — every down-subset schedule lands on byte-identical
+//! media, and re-recovering the converged image changes nothing and
+//! reports nothing in doubt. Each down-subset schedule is one crash
+//! state. Counter `resolved_in_doubt`: in-doubt intents resolved across
+//! all recoveries — a sweep that never cut through a prepared-but-
+//! undecided window proved nothing about resolution, and fails.
 
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use ccnvme::CcNvmeDriver;
 use ccnvme_cluster::{resolve_in_doubt_local, ClusterNode, ShardLayout};
 use ccnvme_fabric::{ClusterBackend, ShardWrite};
-use ccnvme_sim::{Ns, Sim};
-use ccnvme_ssd::{
-    CacheSurvival, CrashMode, CtrlConfig, DurableImage, NvmeController, PersistLog, SsdProfile,
-};
-use parking_lot::Mutex;
+use ccnvme_ssd::{DurableImage, PersistLog};
 
-/// A slot a simulation closure fills in and the caller drains.
-type Slot<T> = Arc<Mutex<Option<T>>>;
+use crate::sweep::{CrashSurface, Domain, Judgement, Settled, SweepReport, Tape};
+use crate::{boot_ctrl, SETTLED};
 
-/// Enumerator configuration.
+/// The scripted cluster workload.
 #[derive(Clone)]
-pub struct ClusterEnumConfig {
+pub struct ClusterSurface {
     /// Participant shards (domains = `shards + 1` with the coordinator).
     pub shards: usize,
-    /// Scripted transactions (cycling commit / fast-path / abort).
+    /// Scripted transactions (cycling commit / fast-path / abort); the
+    /// ack of transaction `i` is mark `i`.
     pub txs: usize,
-    /// Walk every `stride`-th global cut (1 = the complete surface).
-    /// The first and final cut are always included.
-    pub boundary_stride: usize,
-}
-
-impl Default for ClusterEnumConfig {
-    fn default() -> Self {
-        ClusterEnumConfig {
-            shards: 2,
-            txs: 3,
-            boundary_stride: 1,
-        }
-    }
-}
-
-/// What the enumeration found.
-#[derive(Debug, Clone)]
-pub struct ClusterEnumReport {
-    /// Participant shards enumerated.
-    pub shards: usize,
-    /// Durable-effecting events the workload generated across all
-    /// domains (after mount).
-    pub events: usize,
-    /// Consistent global cuts walked.
-    pub cuts: usize,
-    /// Crash states explored (cuts × down-subsets).
-    pub states: usize,
-    /// States that recovered to all-or-nothing, exactly-once,
-    /// convergent media.
-    pub clean: usize,
-    /// In-doubt intents resolved across all recoveries.
-    pub resolved_in_doubt: usize,
-    /// Persist-order sanitizer violations summed over every domain's
-    /// recorded workload. Must be zero.
-    pub sanitizer_violations: usize,
-    /// Descriptions of the first few failures.
-    pub failures: Vec<String>,
 }
 
 /// What one scripted transaction intends.
@@ -102,15 +60,12 @@ enum TxKind {
 }
 
 /// One scripted transaction as the oracle remembers it.
-#[derive(Clone)]
-struct TxRec {
+pub struct TxRec {
     gtx: u64,
     kind: TxKind,
     participants: Vec<usize>,
     /// Data lba (per participating shard) this transaction writes.
     lba: u64,
-    /// Virtual instant the client ack fired (all decides returned).
-    ack_at: Ns,
 }
 
 /// The unique block a transaction writes on one shard: gtx, shard and a
@@ -131,407 +86,264 @@ fn scripted_kind(tx: usize) -> TxKind {
     }
 }
 
-fn scripted_participants(tx: usize, shards: usize) -> Vec<usize> {
-    match scripted_kind(tx) {
-        TxKind::FastPath => vec![tx % shards],
-        _ => (0..shards).collect(),
-    }
-}
-
-fn ctrl_config(domain: usize, record: bool) -> CtrlConfig {
-    let mut cc = CtrlConfig::new(SsdProfile::optane_905p());
-    cc.device_core = 1 + domain;
-    cc.record_persistence = record;
-    cc
-}
-
-/// Boots one domain: controller (fresh or from a crash image), ccNVMe
-/// probe (journal replay), cluster mount (intent/decision scan).
-fn boot_domain(
-    domain: usize,
-    domains: usize,
-    image: Option<&DurableImage>,
-    record: bool,
-) -> (Arc<ClusterNode>, Vec<u64>, Arc<CcNvmeDriver>) {
-    let cc = ctrl_config(domain, record);
-    let ctrl = match image {
-        Some(img) => NvmeController::from_image(cc, img),
-        None => NvmeController::new(cc),
-    };
-    let (drv, _report) = CcNvmeDriver::probe(ctrl, (domains + 1) as u16, 64);
-    let drv = Arc::new(drv);
-    let (node, in_doubt) = ClusterNode::mount(Arc::clone(&drv), ShardLayout::small(0));
-    (node, in_doubt, drv)
-}
-
-/// Output of the instrumented execution.
-struct ClusterRun {
-    /// Per-domain persistence logs (`0..shards` participants, then the
-    /// coordinator).
-    logs: Vec<Arc<PersistLog>>,
-    /// Events recorded across all domains after every mount finished.
-    events: usize,
-    /// First workload instant; cuts start here.
-    t0: Ns,
-    txs: Vec<TxRec>,
-    /// Sanitizer violations per domain over the full recorded run.
-    sanitizer_violations: usize,
-    sanitizer_failures: Vec<String>,
-}
-
-/// Runs the scripted workload once on instrumented devices, mirroring
-/// the cluster client's commit order exactly: prepare every
-/// participant, record the coordinator verdict (skipped on the fast
-/// path), decide everywhere, ack.
-fn record_workload(cfg: &ClusterEnumConfig) -> ClusterRun {
-    let domains = cfg.shards + 1;
-    let out: Slot<ClusterRun> = Arc::new(Mutex::new(None));
-    {
-        let out = Arc::clone(&out);
-        let cfg = cfg.clone();
-        let mut sim = Sim::new(domains + 1);
-        sim.spawn("cluster-enum-record", 0, move || {
-            let mut nodes = Vec::new();
-            let mut drvs = Vec::new();
-            for d in 0..domains {
-                let (node, in_doubt, drv) = boot_domain(d, domains, None, true);
-                assert!(in_doubt.is_empty(), "fresh domain {d} mounted in doubt");
-                nodes.push(node);
-                drvs.push(drv);
-            }
-            let logs: Vec<Arc<PersistLog>> = drvs
-                .iter()
-                .map(|d| d.controller().persist_log().expect("recording"))
-                .collect();
-            let base: Vec<usize> = logs.iter().map(|l| l.len()).collect();
-            let coord = &nodes[cfg.shards];
-            let t0 = ccnvme_sim::now();
-            let mut txs = Vec::new();
-            for tx in 0..cfg.txs {
-                let (st, gtx) = coord.alloc_gtx();
-                assert!(st.is_ok(), "alloc gtx for tx {tx}: {st:?}");
-                let kind = scripted_kind(tx);
-                let participants = scripted_participants(tx, cfg.shards);
-                let lba = tx as u64;
-                for &p in &participants {
-                    let w = ShardWrite {
-                        lba,
-                        data: tx_block(gtx, p, tx),
-                    };
-                    let st = nodes[p].prepare(gtx, &[w]);
-                    assert!(st.is_ok(), "prepare tx {tx} on shard {p}: {st:?}");
-                }
-                let commit = match kind {
-                    TxKind::FastPath => true,
-                    TxKind::Abort => {
-                        let (st, word) = coord.verdict(gtx, false);
-                        assert!(st.is_ok(), "abort verdict tx {tx}: {st:?}");
-                        assert_eq!(word, ccnvme_cluster::layout::DECISION_ABORT);
-                        false
-                    }
-                    TxKind::Commit => {
-                        let (st, word) = coord.verdict(gtx, true);
-                        assert!(st.is_ok(), "commit verdict tx {tx}: {st:?}");
-                        assert_eq!(word, ccnvme_cluster::layout::DECISION_COMMIT);
-                        true
-                    }
-                };
-                for &p in &participants {
-                    let st = nodes[p].decide(gtx, commit);
-                    assert!(st.is_ok(), "decide tx {tx} on shard {p}: {st:?}");
-                }
-                txs.push(TxRec {
-                    gtx,
-                    kind,
-                    participants,
-                    lba,
-                    ack_at: ccnvme_sim::now(),
-                });
-            }
-            let events = logs
-                .iter()
-                .zip(&base)
-                .map(|(l, b)| l.len() - b)
-                .sum::<usize>();
-            let mut sanitizer_violations = 0;
-            let mut sanitizer_failures = Vec::new();
-            for (d, (log, drv)) in logs.iter().zip(&drvs).enumerate() {
-                let geo = drv.layout().sanitizer_geometry();
-                let violations = log.sanitize(&geo);
-                sanitizer_violations += violations.len();
-                for v in violations.iter().take(2) {
-                    sanitizer_failures.push(format!("domain {d} persist-order: {v}"));
-                }
-            }
-            *out.lock() = Some(ClusterRun {
-                logs,
-                events,
-                t0,
-                txs,
-                sanitizer_violations,
-                sanitizer_failures,
-            });
-        });
-        sim.run();
-    }
-    let run = out.lock().take().expect("record run completed");
-    run
-}
+/// One booted domain: its node and the intents it mounted in doubt.
+type Booted = (Arc<ClusterNode>, Vec<u64>);
 
 /// What one recovery schedule produced.
-struct RecoveryOutcome {
-    /// Oracle violations (all-or-nothing, exactly-once).
-    problems: Vec<String>,
+struct Recovered {
+    nodes: Vec<Arc<ClusterNode>>,
     /// In-doubt intents resolved across both waves.
     resolved: usize,
-    /// Graceful (everything-landed) snapshot of each domain after
-    /// recovery and resolution settled.
-    finals: Vec<DurableImage>,
     /// Whether any domain mounted with in-doubt intents.
     any_in_doubt: bool,
 }
 
-/// Boots every domain from `images` — the `down` bitmask names domains
-/// held back until wave 2 — resolves all in-doubt intents, and checks
-/// the transaction oracle for a cut at instant `cut_at`.
-fn recover_and_verify(
-    images: &[DurableImage],
-    down: u32,
-    cut_at: Ns,
-    txs: &[TxRec],
-    shards: usize,
-) -> RecoveryOutcome {
-    let domains = shards + 1;
-    let out: Slot<RecoveryOutcome> = Arc::new(Mutex::new(None));
-    {
-        let out = Arc::clone(&out);
-        let images = images.to_vec();
-        let txs = txs.to_vec();
-        let mut sim = Sim::new(domains + 1);
-        sim.spawn("cluster-enum-verify", 0, move || {
-            let mut problems = Vec::new();
-            let mut nodes: Vec<Option<(Arc<ClusterNode>, Vec<u64>)>> = vec![None; domains];
-            let mut resolved = 0;
-            let mut any_in_doubt = false;
-            let wave = |nodes: &mut Vec<Option<(Arc<ClusterNode>, Vec<u64>)>>, boot_down: bool| {
-                for d in 0..domains {
-                    if ((down >> d) & 1 == 1) == boot_down && nodes[d].is_none() {
-                        let (node, in_doubt, _drv) =
-                            boot_domain(d, domains, Some(&images[d]), false);
-                        nodes[d] = Some((node, in_doubt));
-                    }
-                }
-            };
-            let resolve_ready = |nodes: &mut Vec<Option<(Arc<ClusterNode>, Vec<u64>)>>| {
-                let coord = match &nodes[shards] {
-                    Some((c, _)) => Arc::clone(c),
-                    None => return 0,
-                };
-                let mut n = 0;
-                for (node, in_doubt) in nodes.iter_mut().take(shards).flatten() {
-                    if !in_doubt.is_empty() {
-                        resolve_in_doubt_local(node, &coord, in_doubt);
-                        n += in_doubt.len();
-                        in_doubt.clear();
-                    }
-                }
-                n
-            };
-            // Wave 1: the up domains boot; in-doubt intents resolve only
-            // if the coordinator is among them.
-            wave(&mut nodes, false);
-            any_in_doubt |= nodes
-                .iter()
-                .flatten()
-                .any(|(_, in_doubt)| !in_doubt.is_empty());
-            resolved += resolve_ready(&mut nodes);
-            // Wave 2: the late domains return; everything resolves.
-            wave(&mut nodes, true);
-            any_in_doubt |= nodes
-                .iter()
-                .flatten()
-                .any(|(_, in_doubt)| !in_doubt.is_empty());
-            resolved += resolve_ready(&mut nodes);
-            let nodes: Vec<Arc<ClusterNode>> = nodes
-                .into_iter()
-                .map(|s| s.expect("domain booted").0)
-                .collect();
-            // The coordinator itself never stages data writes; anything
-            // it mounted in doubt is a harness bug.
-            for tx in &txs {
-                let mut visible = Vec::new();
-                for &p in &tx.participants {
-                    let block = nodes[p].read_block(tx.lba).expect("read data block");
-                    let expect = tx_block(tx.gtx, p, tx.lba as usize);
-                    if block[..expect.len()] == expect[..] {
-                        visible.push(true);
-                    } else if block.iter().all(|&b| b == 0) {
-                        visible.push(false);
-                    } else {
-                        problems.push(format!(
-                            "gtx {} shard {p}: lba {} holds foreign bytes",
-                            tx.gtx, tx.lba
-                        ));
-                        visible.push(false);
-                    }
-                }
-                let all = visible.iter().all(|&v| v);
-                let none = visible.iter().all(|&v| !v);
-                if !all && !none {
-                    problems.push(format!(
-                        "gtx {}: partial cross-shard visibility {visible:?}",
-                        tx.gtx
-                    ));
-                }
-                let acked = tx.ack_at < cut_at;
-                if acked && tx.kind != TxKind::Abort && !all {
-                    problems.push(format!("gtx {}: acked commit lost", tx.gtx));
-                }
-                if acked && tx.kind == TxKind::Abort && !none {
-                    problems.push(format!("gtx {}: acked abort resurfaced", tx.gtx));
-                }
-            }
-            let finals = nodes
-                .iter()
-                .map(|n| {
-                    n.driver().controller().crash_snapshot(CrashMode {
-                        pmr_extra_prefix: usize::MAX,
-                        cache_keep_prob: 1.0,
-                        seed: 0,
-                    })
-                })
-                .collect();
-            *out.lock() = Some(RecoveryOutcome {
-                problems,
-                resolved,
-                finals,
-                any_in_doubt,
-            });
-        });
-        sim.run();
+impl Recovered {
+    /// Every domain's state once recovery and resolution settled.
+    fn finals(&self) -> Vec<DurableImage> {
+        let snapshot = |n: &Arc<ClusterNode>| n.driver().controller().crash_snapshot(SETTLED);
+        self.nodes.iter().map(snapshot).collect()
     }
-    let outcome = out.lock().take().expect("verify run completed");
-    outcome
 }
 
-/// Walks the complete multi-domain crash surface of one scripted
-/// cluster execution.
-pub fn enumerate_cluster_crash_surface(cfg: &ClusterEnumConfig) -> ClusterEnumReport {
-    let domains = cfg.shards + 1;
-    let run = record_workload(cfg);
-    let mut failures = run.sanitizer_failures.clone();
-    // Consistent global cuts: every instant at which any domain gained
-    // a durable event during the workload, deduplicated, plus the
-    // final (nothing-lost) state.
-    let mut cut_times: Vec<Ns> = run
-        .logs
-        .iter()
-        .flat_map(|l| l.sorted_events())
-        .map(|e| e.at)
-        .filter(|&at| at >= run.t0)
-        .collect();
-    cut_times.sort_unstable();
-    cut_times.dedup();
-    cut_times.push(Ns::MAX);
-    let total_cuts = cut_times.len();
-    let stride = cfg.boundary_stride.max(1);
-    let cut_times: Vec<Ns> = cut_times
-        .iter()
-        .enumerate()
-        .filter(|&(i, _)| i % stride == 0 || i == total_cuts - 1)
-        .map(|(_, &t)| t)
-        .collect();
-    let mut states = 0;
-    let mut clean = 0;
-    let mut resolved_in_doubt = 0;
-    let mut saw_in_doubt = false;
-    for &cut_at in &cut_times {
-        // Materialize the cut: each domain truncated at the same
-        // instant (events strictly before the cut survive).
-        let images: Vec<DurableImage> = run
-            .logs
-            .iter()
-            .map(|log| {
-                let ev = log.sorted_events();
-                let prefix = ev.partition_point(|e| e.at < cut_at);
-                log.state_at(prefix, 0, CacheSurvival::DropAll)
-            })
-            .collect();
+impl ClusterSurface {
+    fn domains(&self) -> usize {
+        self.shards + 1
+    }
+
+    /// Boots one domain: controller (fresh or from a crash image),
+    /// ccNVMe probe (journal replay), cluster mount (intent/decision
+    /// scan).
+    fn boot(
+        &self,
+        domain: usize,
+        image: Option<&DurableImage>,
+        record: bool,
+    ) -> (Booted, Arc<CcNvmeDriver>) {
+        let ctrl = boot_ctrl(1 + domain, image, record);
+        let (drv, _report) = CcNvmeDriver::probe(ctrl, (self.domains() + 1) as u16, 64);
+        let drv = Arc::new(drv);
+        (
+            ClusterNode::mount(Arc::clone(&drv), ShardLayout::small(0)),
+            drv,
+        )
+    }
+
+    /// Boots every domain from `images` — the `down` bitmask names
+    /// domains held back until wave 2 — and resolves all in-doubt
+    /// intents.
+    fn recover(&self, images: &[DurableImage], down: u32, record: bool) -> Recovered {
+        let mut nodes: Vec<Option<Booted>> = vec![None; self.domains()];
+        let (mut resolved, mut any_in_doubt) = (0, false);
+        // Wave 1: the up domains boot; in-doubt intents resolve only if
+        // the coordinator is among them. Wave 2: the late domains
+        // return; everything resolves.
+        for wave_down in [false, true] {
+            for (d, slot) in nodes.iter_mut().enumerate() {
+                if ((down >> d) & 1 == 1) == wave_down {
+                    *slot = Some(self.boot(d, Some(&images[d]), record).0);
+                }
+            }
+            any_in_doubt |= nodes.iter().flatten().any(|(_, doubt)| !doubt.is_empty());
+            let Some((coord, _)) = nodes[self.shards].clone() else {
+                continue;
+            };
+            for (node, in_doubt) in nodes.iter_mut().take(self.shards).flatten() {
+                if !in_doubt.is_empty() {
+                    resolve_in_doubt_local(node, &coord, in_doubt);
+                    resolved += in_doubt.len();
+                    in_doubt.clear();
+                }
+            }
+        }
+        Recovered {
+            nodes: nodes
+                .into_iter()
+                .map(|s| s.expect("domain booted").0)
+                .collect(),
+            resolved,
+            any_in_doubt,
+        }
+    }
+
+    /// The transaction oracle: all-or-nothing visibility, acked commits
+    /// visible, acked aborts not.
+    fn check(
+        &self,
+        nodes: &[Arc<ClusterNode>],
+        txs: &[TxRec],
+        acked: &HashSet<u64>,
+    ) -> Vec<String> {
+        let mut problems = Vec::new();
+        for (i, tx) in txs.iter().enumerate() {
+            let mut visible = Vec::new();
+            for &p in &tx.participants {
+                let block = nodes[p].read_block(tx.lba).expect("read data block");
+                let expect = tx_block(tx.gtx, p, i);
+                if block[..expect.len()] == expect[..] {
+                    visible.push(true);
+                } else if block.iter().all(|&b| b == 0) {
+                    visible.push(false);
+                } else {
+                    problems.push(format!(
+                        "gtx {} shard {p}: lba {} holds foreign bytes",
+                        tx.gtx, tx.lba
+                    ));
+                    visible.push(false);
+                }
+            }
+            let all = visible.iter().all(|&v| v);
+            let none = visible.iter().all(|&v| !v);
+            if !all && !none {
+                problems.push(format!(
+                    "gtx {}: partial cross-shard visibility {visible:?}",
+                    tx.gtx
+                ));
+            }
+            let acked = acked.contains(&(i as u64));
+            if acked && tx.kind != TxKind::Abort && !all {
+                problems.push(format!("gtx {}: acked commit lost", tx.gtx));
+            }
+            if acked && tx.kind == TxKind::Abort && !none {
+                problems.push(format!("gtx {}: acked abort resurfaced", tx.gtx));
+            }
+        }
+        problems
+    }
+}
+
+impl CrashSurface for ClusterSurface {
+    type Script = Vec<TxRec>;
+    type Witness = Vec<HashMap<u64, Vec<u8>>>;
+
+    fn name(&self) -> String {
+        format!("cluster{}", self.shards)
+    }
+
+    fn cores(&self) -> usize {
+        self.domains() + 1
+    }
+
+    /// Mirrors the cluster client's commit order exactly: prepare every
+    /// participant, record the coordinator verdict (skipped on the fast
+    /// path), decide everywhere, ack.
+    fn record(&self, tape: &mut Tape) -> Vec<TxRec> {
+        let mut nodes = Vec::new();
+        let mut domains = Vec::new();
+        for d in 0..self.domains() {
+            let ((node, in_doubt), drv) = self.boot(d, None, true);
+            assert!(in_doubt.is_empty(), "fresh domain {d} mounted in doubt");
+            nodes.push(node);
+            domains.push(Domain {
+                log: drv.controller().persist_log().expect("recording"),
+                geometry: Some(drv.layout().sanitizer_geometry()),
+            });
+        }
+        tape.start(domains);
+        let coord = &nodes[self.shards];
+        let mut txs = Vec::new();
+        for tx in 0..self.txs {
+            let (st, gtx) = coord.alloc_gtx();
+            assert!(st.is_ok(), "alloc gtx for tx {tx}: {st:?}");
+            let kind = scripted_kind(tx);
+            let participants = match kind {
+                TxKind::FastPath => vec![tx % self.shards],
+                _ => (0..self.shards).collect(),
+            };
+            let lba = tx as u64;
+            for &p in &participants {
+                let w = ShardWrite {
+                    lba,
+                    data: tx_block(gtx, p, tx),
+                };
+                let st = nodes[p].prepare(gtx, &[w]);
+                assert!(st.is_ok(), "prepare tx {tx} on shard {p}: {st:?}");
+            }
+            let commit = kind != TxKind::Abort;
+            if kind != TxKind::FastPath {
+                let (st, word) = coord.verdict(gtx, commit);
+                assert!(st.is_ok(), "verdict tx {tx}: {st:?}");
+                let want = if commit {
+                    ccnvme_cluster::layout::DECISION_COMMIT
+                } else {
+                    ccnvme_cluster::layout::DECISION_ABORT
+                };
+                assert_eq!(word, want, "verdict word of tx {tx}");
+            }
+            for &p in &participants {
+                let st = nodes[p].decide(gtx, commit);
+                assert!(st.is_ok(), "decide tx {tx} on shard {p}: {st:?}");
+            }
+            tape.marks().mark(tx as u64);
+            txs.push(TxRec {
+                gtx,
+                kind,
+                participants,
+                lba,
+            });
+        }
+        txs
+    }
+
+    fn judge(&self, txs: &Vec<TxRec>, images: &[DurableImage], acked: &HashSet<u64>) -> Judgement {
+        let schedules = 1usize << self.domains();
+        let (mut clean, mut resolved, mut problems) = (0, 0, Vec::new());
         let mut reference: Option<Vec<DurableImage>> = None;
-        for down in 0..(1u32 << domains) {
-            states += 1;
-            let outcome = recover_and_verify(&images, down, cut_at, &run.txs, cfg.shards);
-            resolved_in_doubt += outcome.resolved;
-            saw_in_doubt |= outcome.any_in_doubt;
-            let mut bad = outcome.problems;
-            if let Some(reference) = &reference {
+        for down in 0..schedules as u32 {
+            let outcome = self.recover(images, down, false);
+            resolved += outcome.resolved;
+            let mut bad = self.check(&outcome.nodes, txs, acked);
+            let finals = outcome.finals();
+            match &reference {
                 // Convergence: recovery order must not change the media.
-                for (d, (got, want)) in outcome.finals.iter().zip(reference).enumerate() {
-                    if got.blocks != want.blocks {
-                        bad.push(format!("domain {d}: down-set {down:#b} diverged"));
+                Some(reference) => {
+                    for (d, (got, want)) in finals.iter().zip(reference).enumerate() {
+                        if got.blocks != want.blocks {
+                            bad.push(format!("domain {d} diverged"));
+                        }
                     }
                 }
+                None => reference = Some(finals),
             }
-            if bad.is_empty() {
-                clean += 1;
-            } else {
-                for b in bad.into_iter().take(2) {
-                    if failures.len() < 8 {
-                        failures.push(format!("cut@{cut_at} down={down:#b}: {b}"));
-                    }
-                }
-            }
-            if down == 0 {
-                reference = Some(outcome.finals);
-            }
+            clean += bad.is_empty() as usize;
+            problems.extend(bad.into_iter().map(|b| format!("down={down:#b}: {b}")));
         }
         // Byte-idempotent re-recovery: booting the converged image again
         // must find nothing in doubt and change nothing.
-        if let Some(reference) = reference {
-            let again = recover_and_verify(&reference, 0, cut_at, &run.txs, cfg.shards);
-            if (again.any_in_doubt || again.resolved != 0) && failures.len() < 8 {
-                failures.push(format!("cut@{cut_at}: re-recovery found new in-doubt work"));
-            }
-            for (d, (got, want)) in again.finals.iter().zip(&reference).enumerate() {
-                if got.blocks != want.blocks && failures.len() < 8 {
-                    failures.push(format!(
-                        "cut@{cut_at} domain {d}: re-recovery changed media"
-                    ));
-                }
+        let reference = reference.expect("the empty down-set ran");
+        let again = self.recover(&reference, 0, false);
+        if again.any_in_doubt || again.resolved != 0 {
+            problems.push("re-recovery found new in-doubt work".into());
+        }
+        for (d, (got, want)) in again.finals().iter().zip(&reference).enumerate() {
+            if got.blocks != want.blocks {
+                problems.push(format!("domain {d}: re-recovery changed media"));
             }
         }
+        Judgement {
+            schedules,
+            clean,
+            problems,
+            counters: vec![("resolved_in_doubt", resolved as u64)],
+        }
     }
-    // Coverage: a sweep that never cut through an in-doubt window did
-    // not actually test resolution.
-    if !saw_in_doubt && failures.len() < 8 {
-        failures.push("no cut ever produced an in-doubt intent — surface too coarse".into());
-    }
-    ClusterEnumReport {
-        shards: cfg.shards,
-        events: run.events,
-        cuts: cut_times.len(),
-        states,
-        clean,
-        resolved_in_doubt,
-        sanitizer_violations: run.sanitizer_violations,
-        failures,
-    }
-}
 
-/// Flattens a cluster enumeration report into the machine-readable
-/// `ccnvme-metrics/v1` document the bench binaries emit.
-pub fn cluster_enum_metrics(r: &ClusterEnumReport) -> ccnvme_obs::MetricsSnapshot {
-    let mut snap = ccnvme_obs::MetricsSnapshot::default();
-    let mut put = |field: &str, v: u64| {
-        snap.counters
-            .insert(format!("crashenum.cluster{}.{field}", r.shards), v);
-    };
-    put("events", r.events as u64);
-    put("cuts", r.cuts as u64);
-    put("states", r.states as u64);
-    put("clean", r.clean as u64);
-    put("resolved_in_doubt", r.resolved_in_doubt as u64);
-    put("sanitizer_violations", r.sanitizer_violations as u64);
-    put("failures", r.failures.len() as u64);
-    snap
+    fn settle(
+        &self,
+        images: &[DurableImage],
+        record: bool,
+    ) -> Result<Settled<Self::Witness>, String> {
+        let outcome = self.recover(images, 0, record);
+        let log = |n: &Arc<ClusterNode>| n.driver().controller().persist_log();
+        Ok(Settled {
+            witness: outcome.finals().into_iter().map(|f| f.blocks).collect(),
+            logs: outcome.nodes.iter().filter_map(log).collect(),
+        })
+    }
+
+    fn finish(&self, _: &Vec<TxRec>, _: &[Arc<PersistLog>], report: &mut SweepReport) {
+        if report.count("resolved_in_doubt") == 0 {
+            report.fail("no cut ever produced an in-doubt intent — surface too coarse".into());
+        }
+    }
 }

@@ -1,7 +1,7 @@
 //! Fault campaigns: deterministic device-error schedules composed with
 //! crash points.
 //!
-//! Where the crash campaign (the crate root) varies *when the power
+//! Where a crash sweep ([`crate::sweep`]) varies *when the power
 //! dies*, a fault campaign varies *when the hardware misbehaves*: each
 //! schedule arms exactly one fault — a kind plus a virtual-time window
 //! start derived from the campaign seed — runs a fixed file-system
@@ -17,13 +17,10 @@
 //!   transaction: surviving files are exactly the fully committed ones,
 //!   byte-for-byte.
 
-use std::sync::Arc;
-
 use ccnvme_fault::{FaultKind, FaultPlan, FaultRule, OpMask, Trigger};
-use ccnvme_sim::{Counter, DetRng, Ns, Sim};
+use ccnvme_sim::{DetRng, Ns, Sim};
 use ccnvme_ssd::{CrashMode, DurableImage};
-use mqfs::FsError;
-use parking_lot::Mutex;
+use mqfs::{FileSystem, FsError};
 
 use crate::{Stack, StackConfig};
 
@@ -68,6 +65,8 @@ pub struct FaultKindReport {
 
 /// What one schedule's instrumented run observed.
 struct RunOutcome {
+    /// Virtual times bracketing the script's transaction traffic.
+    window: (Ns, Ns),
     /// Per-file fsync result.
     fsync_ok: Vec<bool>,
     /// Read-back of every successfully fsynced file matched.
@@ -109,46 +108,24 @@ fn plan_for(kind: FaultKind, seed: u64, from: Ns) -> FaultPlan {
     )
 }
 
-/// Runs the fixed script once without faults and returns the virtual
-/// times bracketing its transaction traffic (used to place windows).
-fn measure_script(cfg: &StackConfig) -> (Ns, Ns) {
-    let begin = Arc::new(Counter::new());
-    let end = Arc::new(Counter::new());
-    let (b2, e2) = (Arc::clone(&begin), Arc::clone(&end));
-    let scfg = cfg.clone();
-    let mut sim = Sim::new(scfg.sim_cores());
-    sim.spawn("fault-probe", 0, move || {
-        let (_stack, fs) = Stack::format(&scfg);
-        fs.mkdir_path("/d").expect("mkdir");
-        let dir = fs.resolve("/d").expect("resolve");
-        fs.fsync(dir).expect("fsync dir");
-        b2.add(ccnvme_sim::now());
-        for k in 0..FILES {
-            let ino = fs.create_path(&format!("/d/f{k}")).expect("create");
-            fs.write(ino, 0, &vec![pattern(k); FILE_BLOCKS * 4096])
-                .expect("write");
-            fs.fsync(ino).expect("fsync");
-        }
-        e2.add(ccnvme_sim::now());
-    });
-    sim.run();
-    (begin.get(), end.get())
+/// Whether the first `len` bytes of script file `k` read back intact.
+fn reads_back(fs: &FileSystem, ino: u64, k: usize, len: usize) -> bool {
+    fs.read(ino, 0, len)
+        .is_ok_and(|d| d.len() == len && d.iter().all(|b| *b == pattern(k)))
 }
 
-/// Runs the script once under `plan` and captures the outcome plus a
-/// power-cut image for the recovery check.
-fn run_schedule(cfg: &StackConfig, plan: FaultPlan, crash_seed: u64) -> RunOutcome {
+/// Runs the script once under `plan` (none = healthy hardware) and
+/// captures the outcome plus a power-cut image for the recovery check.
+fn run_schedule(cfg: &StackConfig, plan: Option<FaultPlan>, crash_seed: u64) -> RunOutcome {
     let mut scfg = cfg.clone();
-    scfg.fault = Some(plan);
-    let out: Arc<Mutex<Option<RunOutcome>>> = Arc::new(Mutex::new(None));
-    let out2 = Arc::clone(&out);
-    let mut sim = Sim::new(scfg.sim_cores());
-    sim.spawn("fault-run", 0, move || {
+    scfg.fault = plan;
+    Sim::run_main(scfg.sim_cores(), move || {
         let (stack, fs) = Stack::format(&scfg);
         // Pre-window setup: must always succeed.
         fs.mkdir_path("/d").expect("mkdir");
         let dir = fs.resolve("/d").expect("resolve");
         fs.fsync(dir).expect("fsync dir");
+        let begin = ccnvme_sim::now();
         let mut fsync_ok = Vec::with_capacity(FILES);
         for k in 0..FILES {
             let ok = (|| {
@@ -159,21 +136,13 @@ fn run_schedule(cfg: &StackConfig, plan: FaultPlan, crash_seed: u64) -> RunOutco
             .is_ok();
             fsync_ok.push(ok);
         }
+        let window = (begin, ccnvme_sim::now());
         // Reads must keep working, degraded or not.
-        let mut readback_ok = true;
-        for (k, ok) in fsync_ok.iter().enumerate() {
-            if !ok {
-                continue;
-            }
-            let good = fs
+        let readback_ok = fsync_ok.iter().enumerate().all(|(k, ok)| {
+            !ok || fs
                 .resolve(&format!("/d/f{k}"))
-                .ok()
-                .and_then(|ino| fs.read(ino, 0, FILE_BLOCKS * 4096).ok())
-                .is_some_and(|d| {
-                    d.len() == FILE_BLOCKS * 4096 && d.iter().all(|b| *b == pattern(k))
-                });
-            readback_ok &= good;
-        }
+                .is_ok_and(|ino| reads_back(&fs, ino, k, FILE_BLOCKS * 4096))
+        });
         // Probe mutation: succeeds on a healthy stack, is rejected on a
         // degraded one.
         let probe = fs
@@ -193,7 +162,8 @@ fn run_schedule(cfg: &StackConfig, plan: FaultPlan, crash_seed: u64) -> RunOutco
             cache_keep_prob: 0.0,
             seed: crash_seed,
         });
-        *out2.lock() = Some(RunOutcome {
+        RunOutcome {
+            window,
             fsync_ok,
             readback_ok,
             probe,
@@ -202,11 +172,8 @@ fn run_schedule(cfg: &StackConfig, plan: FaultPlan, crash_seed: u64) -> RunOutco
             fired: stack.fault_stats().total(),
             err: stack.err_stats(),
             image,
-        });
-    });
-    sim.run();
-    let outcome = out.lock().take();
-    outcome.expect("schedule ran")
+        }
+    })
 }
 
 /// Boots the crash image on healthy hardware and verifies the
@@ -217,16 +184,10 @@ fn verify_recovery(cfg: &StackConfig, outcome: &RunOutcome) -> Vec<String> {
     let image = outcome.image.clone();
     let fsync_ok = outcome.fsync_ok.clone();
     let probe_ok = outcome.probe.is_ok();
-    let problems: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
-    let p2 = Arc::clone(&problems);
-    let mut sim = Sim::new(rcfg.sim_cores());
-    sim.spawn("fault-verify", 0, move || {
+    Sim::run_main(rcfg.sim_cores(), move || {
         let fs = match Stack::recover(&rcfg, &image) {
             Ok((_stack, fs)) => fs,
-            Err(e) => {
-                p2.lock().push(format!("remount failed: {e}"));
-                return;
-            }
+            Err(e) => return vec![format!("remount failed: {e}")],
         };
         let mut problems = fs.check();
         for (k, committed) in fsync_ok.iter().enumerate() {
@@ -235,12 +196,7 @@ fn verify_recovery(cfg: &StackConfig, outcome: &RunOutcome) -> Vec<String> {
             if *committed && !(k == 0 && probe_ok) {
                 // Durability: the fsync returned — the file must be
                 // intact (file 0 is exempt when the probe rewrote it).
-                let good = ino
-                    .and_then(|ino| fs.read(ino, 0, FILE_BLOCKS * 4096).ok())
-                    .is_some_and(|d| {
-                        d.len() == FILE_BLOCKS * 4096 && d.iter().all(|b| *b == pattern(k))
-                    });
-                if !good {
+                if !ino.is_some_and(|ino| reads_back(&fs, ino, k, FILE_BLOCKS * 4096)) {
                     problems.push(format!("{path}: fsynced content lost or damaged"));
                 }
             } else if let Some(ino) = ino {
@@ -249,20 +205,14 @@ fn verify_recovery(cfg: &StackConfig, outcome: &RunOutcome) -> Vec<String> {
                 let (size, _, _) = fs.stat(ino);
                 if size > 0 {
                     let len = (size as usize).min(FILE_BLOCKS * 4096);
-                    let good = fs
-                        .read(ino, 0, len)
-                        .is_ok_and(|d| d.iter().all(|b| *b == pattern(k)));
-                    if !good {
+                    if !reads_back(&fs, ino, k, len) {
                         problems.push(format!("{path}: failed tx replayed with torn content"));
                     }
                 }
             }
         }
-        p2.lock().extend(problems);
-    });
-    sim.run();
-    let found = std::mem::take(&mut *problems.lock());
-    found
+        problems
+    })
 }
 
 /// Checks one schedule's outcome against the error contract for `kind`.
@@ -345,7 +295,8 @@ pub fn campaign_metrics(reports: &[FaultKindReport]) -> ccnvme_obs::MetricsSnaps
 
 /// Runs `cfg.schedules` deterministic schedules of each kind in `kinds`.
 pub fn run_fault_campaign(kinds: &[FaultKind], cfg: &FaultCampaignConfig) -> Vec<FaultKindReport> {
-    let (t_begin, t_end) = measure_script(&cfg.stack);
+    // A healthy run brackets the traffic the fault windows are placed in.
+    let (t_begin, t_end) = run_schedule(&cfg.stack, None, 0).window;
     let mut reports = Vec::with_capacity(kinds.len());
     for (ki, &kind) in kinds.iter().enumerate() {
         let mut rep = FaultKindReport {
@@ -362,7 +313,7 @@ pub fn run_fault_campaign(kinds: &[FaultKind], cfg: &FaultCampaignConfig) -> Vec
             let mut rng = DetRng::derive(cfg.seed, (ki as u64) << 32 | i as u64);
             let from = rng.range(t_begin, t_end);
             let plan = plan_for(kind, rng.next_u64(), from);
-            let outcome = run_schedule(&cfg.stack, plan, rng.next_u64());
+            let outcome = run_schedule(&cfg.stack, Some(plan), rng.next_u64());
             rep.fired += (outcome.fired > 0) as usize;
             rep.degraded += outcome.degraded as usize;
             rep.retries += outcome.err.retries;

@@ -1,46 +1,76 @@
-//! Crash-consistency testing in the spirit of CrashMonkey (OSDI '18),
-//! reproducing the methodology of the paper's §7.6 / Table 4.
+//! Crash-consistency testing in the spirit of CrashMonkey (OSDI '18):
+//! the methodology of the paper's §7.6 / Table 4, taken to its limit.
+//!
+//! One engine ([`sweep`]) runs a surface's script once on instrumented
+//! devices, cuts the recorded persistence-event logs — at every event
+//! prefix, at every n-th instant, or at N instants spread over the run
+//! (the Table 4 campaign) — boots each cut's images into a fresh stack
+//! and holds the recovered state to the surface's oracle. Three
+//! surfaces plug in: the file system under a [`CrashWorkload`]
+//! ([`FsSurface`]), the ploc detectable structures ([`PlocSurface`])
+//! and the sharded 2PC cluster ([`ClusterSurface`]).
 //!
 //! A [`CrashWorkload`] is a deterministic script of file-system
 //! operations; after every *persistence point* (a returned `fsync`) it
-//! records a mark carrying the guarantee that point established. The
-//! harness runs the script once while a crasher thread takes
-//! non-destructive [`crash snapshots`](ccnvme_ssd::NvmeController::crash_snapshot)
-//! at many virtual-time instants — each snapshot is exactly the device
-//! state a power cut at that instant would leave (committed PMR bytes
-//! plus a prefix of in-flight posted writes; a seeded subset of the
-//! volatile cache). Every snapshot is then booted into a fresh stack,
-//! the file system remounts (journal recovery + ccNVMe unfinished-window
-//! handling), and two checks run:
+//! records a mark carrying the guarantee that point established. Every
+//! crash image is remounted (journal recovery + ccNVMe
+//! unfinished-window handling), and two checks run:
 //!
 //! 1. **Consistency** — `FileSystem::check` (an fsck) finds no
 //!    structural damage;
 //! 2. **Durability/atomicity oracle** — the workload's `verify` method
 //!    confirms every guarantee whose persistence point completed before
-//!    the snapshot instant.
+//!    the crash instant.
+//!
+//! [`faults`] composes the same stack with deterministic device-error
+//! schedules instead of power cuts.
 
 pub mod cluster;
-pub mod enumerate;
 pub mod faults;
+pub mod fs;
 pub mod ploc;
 pub mod stack;
+pub mod sweep;
 pub mod workloads;
 
 use std::{collections::HashSet, sync::Arc};
 
-use ccnvme_sim::{Ns, Sim};
-use ccnvme_ssd::{CrashMode, DurableImage};
+use ccnvme_sim::Ns;
+use ccnvme_ssd::{CrashMode, CtrlConfig, DurableImage, NvmeController, SsdProfile};
 use mqfs::FileSystem;
 use parking_lot::Mutex;
 
-pub use cluster::{
-    cluster_enum_metrics, enumerate_cluster_crash_surface, ClusterEnumConfig, ClusterEnumReport,
-};
-pub use enumerate::{enum_metrics, enumerate_crash_surface, EnumConfig, EnumReport, RecrashSweep};
+pub use cluster::ClusterSurface;
 pub use faults::{campaign_metrics, run_fault_campaign, FaultCampaignConfig, FaultKindReport};
-pub use ploc::{enumerate_ploc_crash_surface, ploc_enum_metrics, PlocEnumConfig, PlocEnumReport};
+pub use fs::FsSurface;
+pub use ploc::PlocSurface;
 pub use stack::{Stack, StackConfig};
+pub use sweep::{sweep, CrashSurface, Cuts, RecrashSweep, SweepPlan, SweepReport};
 pub use workloads::table4_workloads;
+
+/// The snapshot of a settled device: every posted write landed, the
+/// whole cache destaged — what a recovery converged to.
+pub(crate) const SETTLED: CrashMode = CrashMode {
+    pmr_extra_prefix: usize::MAX,
+    cache_keep_prob: 1.0,
+    seed: 0,
+};
+
+/// A bare Optane 905P controller with its daemons on `device_core`:
+/// fresh, or restored from a crash image.
+pub(crate) fn boot_ctrl(
+    device_core: usize,
+    image: Option<&DurableImage>,
+    record_persistence: bool,
+) -> NvmeController {
+    let mut cfg = CtrlConfig::new(SsdProfile::optane_905p());
+    cfg.device_core = device_core;
+    cfg.record_persistence = record_persistence;
+    match image {
+        Some(image) => NvmeController::from_image(cfg, image),
+        None => NvmeController::new(cfg),
+    }
+}
 
 /// Record of persistence points reached by a workload run.
 #[derive(Default)]
@@ -59,37 +89,19 @@ impl OpLog {
         self.marks.lock().push((op, ccnvme_sim::now()));
     }
 
-    /// Persistence points completed at or before `t`.
+    /// Persistence points completed strictly before `t`: a crash cut
+    /// *just before* the event at `t` must not credit a point
+    /// completing exactly at `t`.
     ///
     /// Marks arrive in virtual-time order (the simulation clock is
     /// monotone), so the completed set is the prefix up to the first
-    /// mark past `t` — found by binary search rather than filtering the
-    /// whole vector on every snapshot.
-    pub fn persisted_at(&self, t: Ns) -> HashSet<u64> {
-        let marks = self.marks.lock();
-        debug_assert!(marks.windows(2).all(|w| w[0].1 <= w[1].1));
-        let end = marks.partition_point(|&(_, m)| m <= t);
-        marks[..end].iter().map(|&(op, _)| op).collect()
-    }
-
-    /// Persistence points completed strictly before `t` (the form the
-    /// event-prefix enumerator needs: a crash cut *just before* the
-    /// event at `t` must not credit a point completing exactly at `t`).
+    /// mark at or past `t` — found by binary search rather than
+    /// filtering the whole vector on every cut.
     pub fn persisted_before(&self, t: Ns) -> HashSet<u64> {
         let marks = self.marks.lock();
         debug_assert!(marks.windows(2).all(|w| w[0].1 <= w[1].1));
         let end = marks.partition_point(|&(_, m)| m < t);
         marks[..end].iter().map(|&(op, _)| op).collect()
-    }
-
-    /// Total marks recorded.
-    pub fn len(&self) -> usize {
-        self.marks.lock().len()
-    }
-
-    /// Returns whether no marks were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -106,167 +118,32 @@ pub trait CrashWorkload: Send + Sync {
     fn verify(&self, fs: &Arc<FileSystem>, persisted: &HashSet<u64>) -> Vec<String>;
 }
 
-/// Result of a crash-testing campaign for one workload.
-#[derive(Debug, Clone)]
-pub struct CrashReport {
-    /// Workload name.
-    pub workload: &'static str,
-    /// Crash points exercised.
-    pub total: usize,
-    /// Crash points that recovered to a correct state.
-    pub passed: usize,
-    /// Descriptions of the first few failures.
-    pub failures: Vec<String>,
-}
-
-/// Harness configuration.
-#[derive(Clone)]
-pub struct CrashTestConfig {
-    /// Stack (variant, device, cores).
-    pub stack: StackConfig,
-    /// Number of crash points.
-    pub crash_points: usize,
-    /// Base seed for cache-subset decisions.
-    pub seed: u64,
-}
-
-/// One captured crash point: virtual time, durable image, and the set
-/// of persistence marks recorded when it was taken.
-type CrashSnapshot = (Ns, DurableImage, HashSet<u64>);
-
-/// Runs the campaign: one instrumented execution producing
-/// `crash_points` snapshots, each recovered and verified in isolation.
-pub fn run_crash_campaign(w: Arc<dyn CrashWorkload>, cfg: &CrashTestConfig) -> CrashReport {
-    // Pass 1: measure the run's duration (deterministic).
-    let duration = {
-        let scfg = cfg.stack.clone();
-        let wname = w.name();
-        let out = Arc::new(ccnvme_sim::Counter::new());
-        let out2 = Arc::clone(&out);
-        let mut sim = Sim::new(scfg.sim_cores());
-        let wref = Arc::clone(&w);
-        sim.spawn(&format!("{wname}-probe"), 0, move || {
-            let (_stack, fs) = Stack::format(&scfg);
-            let log = OpLog::new();
-            let t0 = ccnvme_sim::now();
-            wref.run(&fs, &log);
-            out2.add(ccnvme_sim::now() - t0);
-        });
-        sim.run();
-        out.get()
-    };
-    // Pass 2: same run, with snapshots spread over (0, duration].
-    let n = cfg.crash_points;
-    let snapshots: Arc<Mutex<Vec<CrashSnapshot>>> = Arc::new(Mutex::new(Vec::with_capacity(n)));
-    {
-        let scfg = cfg.stack.clone();
-        let seed = cfg.seed;
-        let snaps = Arc::clone(&snapshots);
-        let mut sim = Sim::new(scfg.sim_cores());
-        let wref = Arc::clone(&w);
-        sim.spawn("crash-run", 0, move || {
-            let (stack, fs) = Stack::format(&scfg);
-            let stack = Arc::new(stack);
-            let log = Arc::new(OpLog::new());
-            let t0 = ccnvme_sim::now();
-            // Crasher thread: snapshot at evenly spread instants.
-            let crasher = {
-                let stack = Arc::clone(&stack);
-                let log = Arc::clone(&log);
-                let snaps = Arc::clone(&snaps);
-                ccnvme_sim::spawn_daemon("crasher", 0, move || {
-                    for i in 0..n {
-                        // Strictly inside (0, duration): the final point
-                        // must fire before the workload's last event, or
-                        // the daemon is torn down first.
-                        let target = t0 + duration * (i as u64 + 1) / (n as u64 + 1);
-                        let now = ccnvme_sim::now();
-                        if target > now {
-                            ccnvme_sim::delay(target - now);
-                        }
-                        let t = ccnvme_sim::now();
-                        let mode = CrashMode {
-                            pmr_extra_prefix: 0,
-                            cache_keep_prob: if i % 3 == 0 { 0.0 } else { 0.5 },
-                            seed: seed.wrapping_add(i as u64),
-                        };
-                        let image = stack.crash_snapshot(mode);
-                        snaps.lock().push((t, image, log.persisted_at(t)));
-                    }
-                })
-            };
-            wref.run(&fs, &log);
-            let _ = crasher;
-        });
-        sim.run();
-    }
-    // Pass 3: recover + verify each snapshot in its own simulation.
-    let taken = std::mem::take(&mut *snapshots.lock());
-    let total_taken = taken.len();
-    let mut passed = 0;
-    let mut failures = Vec::new();
-    for (idx, (t, image, persisted)) in taken.into_iter().enumerate() {
-        let scfg = cfg.stack.clone();
-        let issues: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
-        let issues2 = Arc::clone(&issues);
-        let wref = Arc::clone(&w);
-        let mut sim = Sim::new(scfg.sim_cores());
-        sim.spawn("verify", 0, move || match Stack::recover(&scfg, &image) {
-            Ok((_stack, fs)) => {
-                let mut problems = fs.check();
-                problems.extend(wref.verify(&fs, &persisted));
-                *issues2.lock() = problems;
-            }
-            Err(e) => {
-                issues2.lock().push(format!("remount failed: {e}"));
-            }
-        });
-        sim.run();
-        let problems = std::mem::take(&mut *issues.lock());
-        if problems.is_empty() {
-            passed += 1;
-        } else if failures.len() < 8 {
-            failures.push(format!("crash #{idx} at t={t}ns: {}", problems.join("; ")));
-        }
-    }
-    CrashReport {
-        workload: w.name(),
-        total: total_taken,
-        passed,
-        failures,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ccnvme_sim::Sim;
 
     #[test]
-    fn persisted_at_returns_the_time_prefix() {
-        let log = Arc::new(OpLog::new());
-        let log2 = Arc::clone(&log);
-        let times: Arc<Mutex<Vec<Ns>>> = Arc::new(Mutex::new(Vec::new()));
-        let times2 = Arc::clone(&times);
-        let mut sim = Sim::new(1);
-        sim.spawn("marks", 0, move || {
+    fn persisted_before_returns_the_time_prefix() {
+        let (log, times) = Sim::run_main(1, || {
+            let log = OpLog::new();
+            let mut times = Vec::new();
             for op in 0..10u64 {
                 ccnvme_sim::delay(100);
-                log2.mark(op);
-                times2.lock().push(ccnvme_sim::now());
+                log.mark(op);
+                times.push(ccnvme_sim::now());
             }
+            (log, times)
         });
-        sim.run();
-        let times = times.lock().clone();
-        assert_eq!(log.len(), 10);
-        // Before the first mark: empty.
-        assert!(log.persisted_at(times[0] - 1).is_empty());
-        // Exactly at mark k (inclusive) and between marks: ops 0..=k.
+        // Up to and at the first mark: empty.
+        assert!(log.persisted_before(times[0]).is_empty());
+        // Just past mark k and up to mark k+1 (exclusive): ops 0..=k.
         for (k, &tk) in times.iter().enumerate() {
             let want: HashSet<u64> = (0..=k as u64).collect();
-            assert_eq!(log.persisted_at(tk), want, "at mark {k}");
-            assert_eq!(log.persisted_at(tk + 1), want, "after mark {k}");
+            assert_eq!(log.persisted_before(tk + 1), want, "after mark {k}");
+            assert_eq!(log.persisted_before(tk + 100), want, "at mark {}", k + 1);
         }
         // Far past the end: everything.
-        assert_eq!(log.persisted_at(Ns::MAX).len(), 10);
+        assert_eq!(log.persisted_before(Ns::MAX).len(), 10);
     }
 }

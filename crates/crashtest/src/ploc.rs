@@ -1,21 +1,18 @@
-//! Exhaustive crash-surface enumeration for the ploc detectable
-//! structures (`crates/ploc`) — the shared-state counterpart of
-//! [`enumerate`](crate::enumerate)'s file-system sweep.
+//! The ploc crash surface: the detectable structures of `crates/ploc`
+//! under a scripted multi-client workload — the shared-state
+//! counterpart of the file-system surface ([`crate::fs`]).
 //!
-//! A recorded pass runs a scripted multi-client workload against a
-//! [`PlocService`] on an instrumented device: every durable-effecting
-//! event lands in the [`PersistLog`] while the host records, per
-//! `(client, seq)`, the result each operation returned and the virtual
-//! time its ack became durable. Every prefix of the event log — plus
-//! torn posted-write extensions, FIFO-legal per §2.2 — is then booted
-//! into a fresh simulation, mounted, and held to the detectability
+//! The recorded pass runs the script against a [`PlocService`] on an
+//! instrumented device while the host records, per `(client, seq)`, the
+//! result each operation returned and the instant its ack became
+//! durable. Every crash image is mounted and held to the detectability
 //! contract:
 //!
 //! * the mount must succeed and yield a verdict for every client;
 //! * no acked operation is lost: the verdict's `next_seq` must cover
 //!   every ack whose flush preceded the cut, and a
 //!   [`RecoverVerdict::Completed`] verdict must carry the *same*
-//!   result the pass-1 execution returned (the cut is a prefix of
+//!   result the recorded execution returned (the cut is a prefix of
 //!   that very history, so evidence and result agree);
 //! * re-issuing the last completed sequence must replay from the
 //!   durable record, not re-execute;
@@ -27,10 +24,11 @@
 //! The workload can be driven locally (direct [`PlocService::op`]
 //! calls) or over the loopback fabric (`PLOC_OP` capsules through a
 //! [`FabricTarget`]), proving the exactly-once contract end to end
-//! across the wire. With a [`RecrashSweep`] policy, recovery itself is
-//! re-crashed at each of *its* persistence events: every cut through a
-//! mount must re-mount to the same per-client verdicts and converge to
-//! the same region bytes as an uninterrupted recovery.
+//! across the wire. The convergence witness is the per-client verdicts
+//! (evidence is never destroyed ahead of the verdict it supports) plus
+//! the region bytes a mount converges to. Counter `region_writes`: PMR
+//! posted writes that landed inside the ploc sub-region during the
+//! recorded run — the sweep actually cut through them.
 
 use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
@@ -38,69 +36,34 @@ use std::sync::Arc;
 use ccnvme_fabric::{Backend, ClientCfg, ClientStats, FabricClient, FabricConfig, FabricTarget};
 use ccnvme_obs::Obs;
 use ccnvme_ploc::{OpResult, PlocConfig, PlocOp, PlocService, RecoverVerdict};
-use ccnvme_sim::Sim;
-use ccnvme_ssd::{CacheSurvival, CtrlConfig, DurableImage, NvmeController, PersistLog, SsdProfile};
+use ccnvme_ssd::{DurableImage, NvmeController, PersistLog};
 use parking_lot::Mutex;
 
-use crate::enumerate::RecrashSweep;
-use crate::OpLog;
-
-/// A slot a simulation closure fills in and the caller drains.
-type Slot<T> = Arc<Mutex<Option<T>>>;
+use crate::boot_ctrl;
+use crate::sweep::{CrashSurface, Domain, Judgement, Settled, SweepReport, Tape};
 
 /// Host cores serving clients (and, in fabric mode, connections); the
 /// device daemons are pinned one past them.
 const CORES: usize = 2;
 
-/// Enumerator configuration.
+/// The scripted ploc workload.
 #[derive(Clone)]
-pub struct PlocEnumConfig {
+pub struct PlocSurface {
     /// Geometry of the region under test.
     pub ploc: PlocConfig,
     /// Scripted operations per client (sequences `1..=ops_per_client`).
     pub ops_per_client: u32,
-    /// Maximum in-flight posted-write extensions explored per boundary
-    /// (0 = committed prefixes only).
-    pub torn_depth: usize,
-    /// Crash-during-recovery exploration policy.
-    pub recrash: RecrashSweep,
     /// Drive the workload (and the post-crash resume) through loopback
     /// fabric sessions instead of direct service calls.
     pub fabric: bool,
 }
 
-impl Default for PlocEnumConfig {
-    fn default() -> Self {
-        PlocEnumConfig {
-            ploc: PlocConfig {
-                clients: 2,
-                pool: 32,
-                buckets: 4,
-            },
-            ops_per_client: 6,
-            torn_depth: 2,
-            recrash: RecrashSweep::None,
-            fabric: false,
-        }
-    }
-}
-
-/// What the enumeration found.
-#[derive(Debug, Clone)]
-pub struct PlocEnumReport {
-    /// Durable-effecting events the workload generated (after format).
-    pub events: usize,
-    /// Distinct crash states explored (prefixes × torn extensions).
-    pub states: usize,
-    /// States whose recovery satisfied the full exactly-once contract.
-    pub exactly_once: usize,
-    /// Crash points injected into recovery itself (re-crash sweep).
-    pub recovery_recrashes: usize,
-    /// PMR posted writes that landed inside the ploc sub-region during
-    /// the workload (coverage: the sweep actually cut through them).
-    pub region_writes: usize,
-    /// Descriptions of the first few failures.
-    pub failures: Vec<String>,
+/// What the oracle remembers of the recorded execution.
+pub struct PlocScript {
+    /// Every operation's returned result.
+    results: BTreeMap<(u16, u32), OpResult>,
+    /// Ploc sub-region bounds inside the PMR.
+    bounds: (u64, u64),
 }
 
 /// The deterministic per-client script. Clients cycle through all six
@@ -129,109 +92,57 @@ fn app_base() -> u64 {
     ccnvme::PmrLayout::new(1, 16).app_region_off()
 }
 
-fn ctrl_config(record: bool) -> CtrlConfig {
-    let mut cc = CtrlConfig::new(SsdProfile::optane_905p());
-    cc.device_core = CORES;
-    cc.record_persistence = record;
-    cc
+/// A device booted fresh or from a crash image.
+fn boot(image: Option<&DurableImage>, record: bool) -> Arc<NvmeController> {
+    Arc::new(boot_ctrl(CORES, image, record))
 }
 
-fn client_cfg() -> ClientCfg {
-    ClientCfg {
-        ack_timeout_ns: 2_000_000,
-        backoff_ns: 50_000,
-        max_reconnects: 50,
-        stats: ClientStats::detached(),
+/// One scripted client: direct service calls, or a loopback fabric
+/// session.
+struct Client {
+    c: u16,
+    svc: Arc<PlocService>,
+    remote: Option<FabricClient>,
+}
+
+impl Client {
+    fn attach(c: u16, svc: &Arc<PlocService>, target: Option<&Arc<FabricTarget>>) -> Self {
+        let cfg = ClientCfg {
+            ack_timeout_ns: 2_000_000,
+            backoff_ns: 50_000,
+            max_reconnects: 50,
+            stats: ClientStats::detached(),
+        };
+        Client {
+            c,
+            svc: Arc::clone(svc),
+            remote: target.map(|t| {
+                FabricClient::connect(c as u64, t.loopback_connector(c as u64), cfg)
+                    .expect("loopback connect")
+            }),
+        }
     }
-}
 
-/// Output of one instrumented execution.
-struct PlocRun {
-    log: Arc<PersistLog>,
-    /// Event count when the workload started (everything before is
-    /// format, whose durability is unconditional: format ends in a
-    /// flush).
-    base_events: usize,
-    /// Ack-durability marks, keyed by [`mark_key`].
-    marks: Arc<OpLog>,
-    /// Every operation's returned result from the recorded execution.
-    results: BTreeMap<(u16, u32), OpResult>,
-    /// Ploc sub-region bounds inside the PMR.
-    bounds: (u64, u64),
-}
-
-/// Runs the scripted workload once on an instrumented device and
-/// captures the full persistence-event log plus per-op results.
-fn record_workload(cfg: &PlocEnumConfig) -> PlocRun {
-    let captured: Slot<(Arc<PersistLog>, usize, (u64, u64))> = Arc::new(Mutex::new(None));
-    let marks = Arc::new(OpLog::new());
-    let results: Arc<Mutex<BTreeMap<(u16, u32), OpResult>>> = Arc::new(Mutex::new(BTreeMap::new()));
-    {
-        let cap = Arc::clone(&captured);
-        let marks = Arc::clone(&marks);
-        let results = Arc::clone(&results);
-        let cfg = cfg.clone();
-        let mut sim = Sim::new(CORES + 1);
-        sim.spawn("ploc-enum-record", 0, move || {
-            let ctrl = Arc::new(NvmeController::new(ctrl_config(true)));
-            let plog = ctrl.persist_log().expect("record_persistence was set");
-            let svc = PlocService::format(ctrl.pmr(), app_base(), cfg.ploc, Obs::new());
-            let base_events = plog.len();
-            let target = cfg.fabric.then(|| {
-                FabricTarget::new(Backend::Ploc(Arc::clone(&svc)), FabricConfig::new(CORES))
-            });
-            let mut joins = Vec::new();
-            for c in 0..cfg.ploc.clients {
-                let svc = Arc::clone(&svc);
-                let target = target.clone();
-                let marks = Arc::clone(&marks);
-                let results = Arc::clone(&results);
-                let ops = cfg.ops_per_client;
-                joins.push(ccnvme_sim::spawn(
-                    &format!("ploc-enum-client-{c}"),
-                    c as usize % CORES,
-                    move || {
-                        let mut remote = target.map(|t| {
-                            FabricClient::connect(
-                                c as u64,
-                                t.loopback_connector(c as u64),
-                                client_cfg(),
-                            )
-                            .expect("loopback connect")
-                        });
-                        for seq in 1..=ops {
-                            let op = scripted_op(c, seq);
-                            let r = match &mut remote {
-                                Some(fc) => fc.ploc_next(op).expect("fabric op"),
-                                None => svc.op(c, seq, op).expect("local op"),
-                            };
-                            // The result is durable before the ack
-                            // returns; the mark closes the oracle's
-                            // "this op may no longer be lost" window.
-                            results.lock().insert((c, seq), r);
-                            marks.mark(mark_key(c, seq));
-                        }
-                        if let Some(fc) = remote.take() {
-                            fc.bye();
-                        }
-                    },
-                ));
-            }
-            for j in joins {
-                j.join();
-            }
-            *cap.lock() = Some((plog, base_events, svc.region_bounds()));
-        });
-        sim.run();
+    /// Issues scripted operation `seq`.
+    fn op(&mut self, seq: u32) -> Result<OpResult, String> {
+        let op = scripted_op(self.c, seq);
+        match &mut self.remote {
+            Some(fc) => fc.ploc_op(seq, op).map_err(|e| e.to_string()),
+            None => self.svc.op(self.c, seq, op).map_err(|e| e.to_string()),
+        }
     }
-    let (log, base_events, bounds) = captured.lock().take().expect("instrumented run completed");
-    let results = std::mem::take(&mut *results.lock());
-    PlocRun {
-        log,
-        base_events,
-        marks,
-        results,
-        bounds,
+
+    fn resume(&mut self) -> RecoverVerdict {
+        match &mut self.remote {
+            Some(fc) => fc.ploc_resume().expect("fabric resume"),
+            None => self.svc.recover(self.c).expect("recover"),
+        }
+    }
+
+    fn bye(self) {
+        if let Some(fc) = self.remote {
+            fc.bye();
+        }
     }
 }
 
@@ -263,349 +174,208 @@ fn conserve(
     }
 }
 
-/// Boots `image` into a fresh simulation, mounts the service, and
-/// holds every client to the detectability contract (see the module
-/// docs). Returns the problems found (empty = exactly-once held).
-fn verify_image(
-    cfg: &PlocEnumConfig,
-    run: &PlocRun,
-    image: DurableImage,
-    persisted: HashSet<u64>,
-) -> Vec<String> {
-    let issues: Slot<Vec<String>> = Arc::new(Mutex::new(None));
-    {
-        let issues = Arc::clone(&issues);
-        let cfg = cfg.clone();
-        let results = run.results.clone();
-        let mut sim = Sim::new(CORES + 1);
-        sim.spawn("ploc-enum-verify", 0, move || {
-            let mut problems = Vec::new();
-            let ctrl = Arc::new(NvmeController::from_image(ctrl_config(false), &image));
-            let svc = match PlocService::mount(ctrl.pmr(), app_base(), Obs::new()) {
-                Ok(s) => s,
-                Err(e) => {
-                    *issues.lock() = Some(vec![format!("mount failed: {e}")]);
-                    return;
-                }
-            };
-            let target = cfg.fabric.then(|| {
-                FabricTarget::new(Backend::Ploc(Arc::clone(&svc)), FabricConfig::new(CORES))
-            });
-            // The definitive result of every (client, seq): completed
-            // ops keep their pass-1 result (the cut is a prefix of that
-            // history), everything past the verdict is re-driven.
-            let mut definitive: BTreeMap<(u16, u32), OpResult> = BTreeMap::new();
-            for c in 0..cfg.ploc.clients {
-                let mut remote = target.as_ref().map(|t| {
-                    FabricClient::connect(c as u64, t.loopback_connector(c as u64), client_cfg())
-                        .expect("loopback connect")
-                });
-                let verdict = match &mut remote {
-                    Some(fc) => fc.ploc_resume().expect("fabric resume"),
-                    None => svc.recover(c).expect("recover"),
-                };
-                let floor = verdict.next_seq() - 1;
-                let max_acked = (1..=cfg.ops_per_client)
-                    .rev()
-                    .find(|&s| persisted.contains(&mark_key(c, s)))
-                    .unwrap_or(0);
-                if floor < max_acked {
-                    problems.push(format!(
-                        "client {c}: acked op {max_acked} lost — verdict {verdict:?}"
-                    ));
-                }
-                if floor > cfg.ops_per_client {
-                    problems.push(format!("client {c}: verdict {verdict:?} beyond the script"));
-                    continue;
-                }
-                if let RecoverVerdict::Completed { seq, result } = verdict {
-                    match results.get(&(c, seq)) {
-                        Some(&r1) if r1 == result => {}
-                        Some(&r1) => problems.push(format!(
-                            "client {c}: op {seq} recovered as {result:?} but the \
-                             execution it prefixes returned {r1:?}"
-                        )),
-                        None => problems.push(format!(
-                            "client {c}: verdict for op {seq} the script never ran"
-                        )),
+impl PlocSurface {
+    fn target(&self, svc: &Arc<PlocService>) -> Option<Arc<FabricTarget>> {
+        self.fabric
+            .then(|| FabricTarget::new(Backend::Ploc(Arc::clone(svc)), FabricConfig::new(CORES)))
+    }
+}
+
+impl CrashSurface for PlocSurface {
+    type Script = PlocScript;
+    type Witness = (Vec<RecoverVerdict>, Vec<u8>);
+
+    fn name(&self) -> String {
+        "ploc".into()
+    }
+
+    fn cores(&self) -> usize {
+        CORES + 1
+    }
+
+    fn record(&self, tape: &mut Tape) -> PlocScript {
+        let ctrl = boot(None, true);
+        let svc = PlocService::format(ctrl.pmr(), app_base(), self.ploc, Obs::new());
+        // Format's durability is unconditional: it ends in a flush.
+        tape.start(vec![Domain {
+            log: ctrl.persist_log().expect("record_persistence was set"),
+            geometry: None,
+        }]);
+        let target = self.target(&svc);
+        let results = Arc::new(Mutex::new(BTreeMap::new()));
+        let clients: Vec<_> = (0..self.ploc.clients)
+            .map(|c| {
+                let (svc, target) = (Arc::clone(&svc), target.clone());
+                let marks = Arc::clone(tape.marks());
+                let results = Arc::clone(&results);
+                let ops = self.ops_per_client;
+                let name = format!("ploc-client-{c}");
+                ccnvme_sim::spawn(&name, c as usize % CORES, move || {
+                    let mut client = Client::attach(c, &svc, target.as_ref());
+                    for seq in 1..=ops {
+                        let r = client.op(seq).expect("scripted op");
+                        // The result is durable before the ack
+                        // returns; the mark closes the oracle's
+                        // "this op may no longer be lost" window.
+                        results.lock().insert((c, seq), r);
+                        marks.mark(mark_key(c, seq));
                     }
-                }
-                for seq in 1..=floor {
-                    definitive.insert((c, seq), results[&(c, seq)]);
-                }
-                // Re-issuing the last completed sequence must replay the
-                // recorded result, not execute a second time (a double
-                // would also trip the conservation check below).
-                if floor >= 1 {
-                    let replayed = match &mut remote {
-                        Some(fc) => fc
-                            .ploc_op(floor, scripted_op(c, floor))
-                            .map_err(|e| e.to_string()),
-                        None => svc
-                            .op(c, floor, scripted_op(c, floor))
-                            .map_err(|e| e.to_string()),
-                    };
-                    match replayed {
-                        Ok(r) if r == definitive[&(c, floor)] => {}
-                        Ok(r) => problems.push(format!(
-                            "client {c}: replay of op {floor} answered {r:?}, executed {:?}",
-                            definitive[&(c, floor)]
-                        )),
-                        Err(e) => problems.push(format!("client {c}: replay of op {floor}: {e}")),
-                    }
-                }
-                // Re-drive the rest of the script to its end.
-                for seq in floor + 1..=cfg.ops_per_client {
-                    let r = match &mut remote {
-                        Some(fc) => fc
-                            .ploc_op(seq, scripted_op(c, seq))
-                            .map_err(|e| e.to_string()),
-                        None => svc
-                            .op(c, seq, scripted_op(c, seq))
-                            .map_err(|e| e.to_string()),
-                    };
-                    match r {
-                        Ok(r) => {
-                            definitive.insert((c, seq), r);
-                        }
-                        Err(e) => problems.push(format!("client {c}: re-drive op {seq}: {e}")),
-                    }
-                }
-                if let Some(fc) = remote.take() {
-                    fc.bye();
-                }
+                    client.bye();
+                })
+            })
+            .collect();
+        for client in clients {
+            client.join();
+        }
+        let results = std::mem::take(&mut *results.lock());
+        PlocScript {
+            results,
+            bounds: svc.region_bounds(),
+        }
+    }
+
+    fn judge(
+        &self,
+        script: &PlocScript,
+        images: &[DurableImage],
+        acked: &HashSet<u64>,
+    ) -> Judgement {
+        let ctrl = boot(Some(&images[0]), false);
+        let svc = match PlocService::mount(ctrl.pmr(), app_base(), Obs::new()) {
+            Ok(svc) => svc,
+            Err(e) => return Judgement::single(vec![format!("mount failed: {e}")]),
+        };
+        let target = self.target(&svc);
+        let results = &script.results;
+        let mut problems = Vec::new();
+        // The definitive result of every (client, seq): completed ops
+        // keep their recorded result (the cut is a prefix of that
+        // history), everything past the verdict is re-driven.
+        let mut definitive: BTreeMap<(u16, u32), OpResult> = BTreeMap::new();
+        for c in 0..self.ploc.clients {
+            let mut client = Client::attach(c, &svc, target.as_ref());
+            let verdict = client.resume();
+            let floor = verdict.next_seq() - 1;
+            let max_acked = (1..=self.ops_per_client)
+                .rev()
+                .find(|&s| acked.contains(&mark_key(c, s)))
+                .unwrap_or(0);
+            if floor < max_acked {
+                problems.push(format!(
+                    "client {c}: acked op {max_acked} lost — verdict {verdict:?}"
+                ));
             }
-            // Conservation: with every sequence driven to a definitive
-            // result, each structure's books must balance exactly.
-            let (mut pushed, mut popped) = (Vec::new(), Vec::new());
-            let (mut enq, mut deq) = (Vec::new(), Vec::new());
-            let mut inserted = Vec::new();
-            for (&(c, seq), &r) in &definitive {
-                let op = scripted_op(c, seq);
-                match (op, r) {
-                    (PlocOp::Push(v), OpResult::Done) => pushed.push(v),
-                    (PlocOp::Enqueue(v), OpResult::Done) => enq.push(v),
-                    (PlocOp::Insert { key, val }, OpResult::Done) => inserted.push((key, val)),
-                    (
-                        PlocOp::Push(_) | PlocOp::Enqueue(_) | PlocOp::Insert { .. },
-                        OpResult::Full,
-                    ) => {}
-                    (PlocOp::Pop, OpResult::Value(v)) => popped.push(v),
-                    (PlocOp::Dequeue, OpResult::Value(v)) => deq.push(v),
-                    (PlocOp::Pop | PlocOp::Dequeue, OpResult::Empty) => {}
-                    (PlocOp::Lookup { .. }, _) => {}
-                    (op, r) => problems.push(format!(
-                        "client {c} op {seq}: {op:?} answered impossible {r:?}"
+            if floor > self.ops_per_client {
+                problems.push(format!("client {c}: verdict {verdict:?} beyond the script"));
+                continue;
+            }
+            if let RecoverVerdict::Completed { seq, result } = verdict {
+                match results.get(&(c, seq)) {
+                    Some(&r1) if r1 == result => {}
+                    Some(&r1) => problems.push(format!(
+                        "client {c}: op {seq} recovered as {result:?} but the \
+                         execution it prefixes returned {r1:?}"
+                    )),
+                    None => problems.push(format!(
+                        "client {c}: verdict for op {seq} the script never ran"
                     )),
                 }
             }
-            conserve(
-                "stack",
-                pushed,
-                &popped,
-                &svc.stack_contents(),
-                &mut problems,
-            );
-            conserve("queue", enq, &deq, &svc.queue_contents(), &mut problems);
-            inserted.sort_unstable();
-            let mut got = svc.hash_contents();
-            got.sort_unstable();
-            if inserted != got {
-                problems.push(format!("hash: inserted {inserted:?} but mounted {got:?}"));
+            for seq in 1..=floor {
+                definitive.insert((c, seq), results[&(c, seq)]);
             }
-            *issues.lock() = Some(problems);
-        });
-        sim.run();
-    }
-    let got = issues.lock().take();
-    got.expect("verify simulation completed")
-}
-
-/// Mounts `image` with persistence recording and returns the mount's
-/// own event log, the per-client verdicts it settled on, and the
-/// region bytes an uninterrupted recovery converges to.
-#[allow(clippy::type_complexity)]
-fn record_recovery(
-    cfg: &PlocEnumConfig,
-    image: &DurableImage,
-) -> Option<(Arc<PersistLog>, Vec<RecoverVerdict>, Vec<u8>)> {
-    let captured: Slot<(Arc<PersistLog>, Vec<RecoverVerdict>, Vec<u8>)> =
-        Arc::new(Mutex::new(None));
-    {
-        let cap = Arc::clone(&captured);
-        let image = image.clone();
-        let clients = cfg.ploc.clients;
-        let mut sim = Sim::new(CORES + 1);
-        sim.spawn("ploc-enum-recrash-record", 0, move || {
-            let ctrl = Arc::new(NvmeController::from_image(ctrl_config(true), &image));
-            let plog = ctrl.persist_log().expect("record_persistence was set");
-            if let Ok(svc) = PlocService::mount(ctrl.pmr(), app_base(), Obs::new()) {
-                let verdicts = (0..clients)
-                    .map(|c| svc.recover(c).expect("in-range client"))
-                    .collect();
-                let (lo, hi) = svc.region_bounds();
-                let bytes = ctrl.graceful_image().pmr[lo as usize..hi as usize].to_vec();
-                *cap.lock() = Some((plog, verdicts, bytes));
-            }
-        });
-        sim.run();
-    }
-    let got = captured.lock().take();
-    got
-}
-
-/// Re-mounts `image` (a cut through recovery itself) and returns its
-/// verdicts plus converged region bytes, or an error description.
-#[allow(clippy::type_complexity)]
-fn rerecover(
-    cfg: &PlocEnumConfig,
-    image: DurableImage,
-) -> Result<(Vec<RecoverVerdict>, Vec<u8>), String> {
-    let captured: Slot<Result<(Vec<RecoverVerdict>, Vec<u8>), String>> = Arc::new(Mutex::new(None));
-    {
-        let cap = Arc::clone(&captured);
-        let clients = cfg.ploc.clients;
-        let mut sim = Sim::new(CORES + 1);
-        sim.spawn("ploc-enum-rerecover", 0, move || {
-            let ctrl = Arc::new(NvmeController::from_image(ctrl_config(false), &image));
-            let out = match PlocService::mount(ctrl.pmr(), app_base(), Obs::new()) {
-                Ok(svc) => {
-                    let verdicts = (0..clients)
-                        .map(|c| svc.recover(c).expect("in-range client"))
-                        .collect();
-                    let (lo, hi) = svc.region_bounds();
-                    Ok((
-                        verdicts,
-                        ctrl.graceful_image().pmr[lo as usize..hi as usize].to_vec(),
-                    ))
-                }
-                Err(e) => Err(format!("re-mount after recovery crash failed: {e}")),
-            };
-            *cap.lock() = Some(out);
-        });
-        sim.run();
-    }
-    let got = captured.lock().take();
-    got.unwrap_or_else(|| Err("re-recovery simulation produced no result".into()))
-}
-
-/// Re-crashes the recovery of `image` at each of its persistence
-/// events: every cut must re-mount to the *same* per-client verdicts
-/// (evidence is never destroyed ahead of the verdict it supports) and
-/// converge to the same region bytes as the uninterrupted recovery.
-/// Returns the number of injected recovery crash points.
-fn recrash_sweep(cfg: &PlocEnumConfig, image: &DurableImage, failures: &mut Vec<String>) -> usize {
-    let Some((rec_log, verdicts, reference)) = record_recovery(cfg, image) else {
-        failures.push("recrash sweep: instrumented recovery failed to mount".into());
-        return 0;
-    };
-    let rec_events = rec_log.len();
-    let mut injected = 0;
-    for p in 0..=rec_events {
-        injected += 1;
-        let cut = rec_log.state_at(p, 0, CacheSurvival::DropAll);
-        match rerecover(cfg, cut) {
-            Ok((v, bytes)) => {
-                if v != verdicts && failures.len() < 8 {
-                    failures.push(format!(
-                        "recovery re-crashed at event {p}/{rec_events}: verdicts \
-                         {v:?} diverge from uninterrupted {verdicts:?}"
-                    ));
-                }
-                if bytes != reference && failures.len() < 8 {
-                    failures.push(format!(
-                        "recovery re-crashed at event {p}/{rec_events}: {} region \
-                         bytes diverge from the uninterrupted recovery",
-                        bytes
-                            .iter()
-                            .zip(reference.iter())
-                            .filter(|(a, b)| a != b)
-                            .count()
-                    ));
+            // Re-issuing the last completed sequence must replay the
+            // recorded result, not execute a second time (a double
+            // would also trip the conservation check below).
+            if floor >= 1 {
+                match client.op(floor) {
+                    Ok(r) if r == definitive[&(c, floor)] => {}
+                    Ok(r) => problems.push(format!(
+                        "client {c}: replay of op {floor} answered {r:?}, executed {:?}",
+                        definitive[&(c, floor)]
+                    )),
+                    Err(e) => problems.push(format!("client {c}: replay of op {floor}: {e}")),
                 }
             }
-            Err(e) => {
-                if failures.len() < 8 {
-                    failures.push(format!(
-                        "recovery re-crashed at event {p}/{rec_events}: {e}"
-                    ));
+            // Re-drive the rest of the script to its end.
+            for seq in floor + 1..=self.ops_per_client {
+                match client.op(seq) {
+                    Ok(r) => {
+                        definitive.insert((c, seq), r);
+                    }
+                    Err(e) => problems.push(format!("client {c}: re-drive op {seq}: {e}")),
                 }
+            }
+            client.bye();
+        }
+        // Conservation: with every sequence driven to a definitive
+        // result, each structure's books must balance exactly.
+        let (mut pushed, mut popped) = (Vec::new(), Vec::new());
+        let (mut enq, mut deq) = (Vec::new(), Vec::new());
+        let mut inserted = Vec::new();
+        for (&(c, seq), &r) in &definitive {
+            let op = scripted_op(c, seq);
+            match (op, r) {
+                (PlocOp::Push(v), OpResult::Done) => pushed.push(v),
+                (PlocOp::Enqueue(v), OpResult::Done) => enq.push(v),
+                (PlocOp::Insert { key, val }, OpResult::Done) => inserted.push((key, val)),
+                (PlocOp::Push(_) | PlocOp::Enqueue(_) | PlocOp::Insert { .. }, OpResult::Full) => {}
+                (PlocOp::Pop, OpResult::Value(v)) => popped.push(v),
+                (PlocOp::Dequeue, OpResult::Value(v)) => deq.push(v),
+                (PlocOp::Pop | PlocOp::Dequeue, OpResult::Empty) => {}
+                (PlocOp::Lookup { .. }, _) => {}
+                (op, r) => problems.push(format!(
+                    "client {c} op {seq}: {op:?} answered impossible {r:?}"
+                )),
             }
         }
+        conserve(
+            "stack",
+            pushed,
+            &popped,
+            &svc.stack_contents(),
+            &mut problems,
+        );
+        conserve("queue", enq, &deq, &svc.queue_contents(), &mut problems);
+        inserted.sort_unstable();
+        let mut got = svc.hash_contents();
+        got.sort_unstable();
+        if inserted != got {
+            problems.push(format!("hash: inserted {inserted:?} but mounted {got:?}"));
+        }
+        Judgement::single(problems)
     }
-    injected
-}
 
-/// Walks the complete crash surface of one scripted ploc workload.
-///
-/// Explores every event-prefix of the recorded persistence log (from
-/// the end of format to the end of the workload, inclusive —
-/// `events + 1` states at `torn_depth` 0), plus up to `torn_depth`
-/// posted-write FIFO extensions per boundary. Each state is mounted,
-/// held to the exactly-once contract, and re-driven to completion; the
-/// re-crash sweep then stresses recovery itself per
-/// [`PlocEnumConfig::recrash`].
-pub fn enumerate_ploc_crash_surface(cfg: &PlocEnumConfig) -> PlocEnumReport {
-    let run = record_workload(cfg);
-    let total_events = run.log.len();
-    let events = total_events - run.base_events;
-    let region_writes = run.log.pmr_writes_in_range(run.bounds.0, run.bounds.1);
-    let mut states = 0;
-    let mut exactly_once = 0;
-    let mut recovery_recrashes = 0;
-    let mut failures: Vec<String> = Vec::new();
-    if region_writes == 0 {
-        failures.push("no posted write ever landed in the ploc region — nothing was tested".into());
+    fn settle(
+        &self,
+        images: &[DurableImage],
+        record: bool,
+    ) -> Result<Settled<Self::Witness>, String> {
+        let ctrl = boot(Some(&images[0]), record);
+        let svc = PlocService::mount(ctrl.pmr(), app_base(), Obs::new())
+            .map_err(|e| format!("mount failed: {e}"))?;
+        let verdicts = (0..self.ploc.clients)
+            .map(|c| svc.recover(c).expect("in-range client"))
+            .collect();
+        let (lo, hi) = svc.region_bounds();
+        Ok(Settled {
+            witness: (
+                verdicts,
+                ctrl.graceful_image().pmr[lo as usize..hi as usize].to_vec(),
+            ),
+            logs: ctrl.persist_log().into_iter().collect(),
+        })
     }
-    let mut final_image: Option<DurableImage> = None;
-    for p in run.base_events..=total_events {
-        let torn_cap = cfg.torn_depth.min(run.log.max_torn_at(p));
-        for torn in 0..=torn_cap {
-            states += 1;
-            let image = run.log.state_at(p, torn, CacheSurvival::DropAll);
-            // A crash cut just before the event at the boundary: credit
-            // only acks whose flush completed strictly earlier.
-            let persisted = run.marks.persisted_before(run.log.boundary_time(p));
-            let problems = verify_image(cfg, &run, image.clone(), persisted);
-            if problems.is_empty() {
-                exactly_once += 1;
-            } else if failures.len() < 8 {
-                failures.push(format!("prefix {p} torn {torn}: {}", problems.join("; ")));
-            }
-            if cfg.recrash == RecrashSweep::EveryImage {
-                recovery_recrashes += recrash_sweep(cfg, &image, &mut failures);
-            } else if p == total_events && torn == 0 {
-                final_image = Some(image);
-            }
+
+    fn finish(&self, script: &PlocScript, logs: &[Arc<PersistLog>], report: &mut SweepReport) {
+        let (lo, hi) = script.bounds;
+        let region_writes = logs[0].pmr_writes_in_range(lo, hi);
+        report
+            .counters
+            .insert("region_writes", region_writes as u64);
+        if region_writes == 0 {
+            report
+                .fail("no posted write ever landed in the ploc region — nothing was tested".into());
         }
     }
-    if cfg.recrash == RecrashSweep::FinalImage {
-        if let Some(image) = final_image {
-            recovery_recrashes += recrash_sweep(cfg, &image, &mut failures);
-        }
-    }
-    PlocEnumReport {
-        events,
-        states,
-        exactly_once,
-        recovery_recrashes,
-        region_writes,
-        failures,
-    }
-}
-
-/// Flattens a ploc enumeration report into the machine-readable
-/// `ccnvme-metrics/v1` document the bench binaries emit.
-pub fn ploc_enum_metrics(r: &PlocEnumReport) -> ccnvme_obs::MetricsSnapshot {
-    let mut snap = ccnvme_obs::MetricsSnapshot::default();
-    let mut put = |field: &str, v: u64| {
-        snap.counters.insert(format!("crashenum.ploc.{field}"), v);
-    };
-    put("events", r.events as u64);
-    put("states", r.states as u64);
-    put("exactly_once", r.exactly_once as u64);
-    put("recovery_recrashes", r.recovery_recrashes as u64);
-    put("region_writes", r.region_writes as u64);
-    put("failures", r.failures.len() as u64);
-    snap
 }

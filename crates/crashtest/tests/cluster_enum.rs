@@ -2,9 +2,9 @@
 //! every down-subset recovery schedule, all-or-nothing and exactly-once
 //! asserted throughout (ISSUE 9 acceptance sweep).
 
-use ccnvme_crashtest::{enumerate_cluster_crash_surface, ClusterEnumConfig};
+use ccnvme_crashtest::{sweep, ClusterSurface, Cuts, RecrashSweep, SweepPlan, SweepReport};
 
-fn assert_clean(report: &ccnvme_crashtest::ClusterEnumReport) {
+fn assert_clean(report: &SweepReport) {
     assert_eq!(
         report.clean,
         report.states,
@@ -21,20 +21,35 @@ fn assert_clean(report: &ccnvme_crashtest::ClusterEnumReport) {
     );
     // The sweep must actually cut through prepared-but-undecided
     // windows, or it proved nothing about resolution.
-    assert!(report.resolved_in_doubt > 0, "no in-doubt work resolved");
+    assert!(
+        report.count("resolved_in_doubt") > 0,
+        "no in-doubt work resolved"
+    );
 }
 
 /// Smoke tier: two shards plus the coordinator, sampled cuts, every
 /// down-subset at each. Fast enough for the debug workspace test run.
 #[test]
 fn cluster_smoke_sweep_is_all_or_nothing() {
-    let report = enumerate_cluster_crash_surface(&ClusterEnumConfig {
-        shards: 2,
-        txs: 3,
-        boundary_stride: 9,
-    });
+    let plan = SweepPlan {
+        cuts: Cuts::EveryNthInstant(9),
+        ..SweepPlan::every()
+    };
+    let report = sweep(ClusterSurface { shards: 2, txs: 3 }, &plan);
     assert!(report.events > 0);
     assert!(report.cuts >= 8, "only {} cuts sampled", report.cuts);
+    // Exact: the run is deterministic, so a moved count means the
+    // script's persistence traffic (or the cut placement) changed.
+    assert_eq!(
+        (
+            report.events,
+            report.cuts,
+            report.states,
+            report.count("resolved_in_doubt")
+        ),
+        (81, 10, 80, 64),
+        "crash surface moved"
+    );
     assert_clean(&report);
 }
 
@@ -46,10 +61,32 @@ fn deep_cluster_full_sweep_is_all_or_nothing() {
         eprintln!("skipping deep cluster sweep (set CCNVME_ENUM_DEEP=1)");
         return;
     }
-    let report = enumerate_cluster_crash_surface(&ClusterEnumConfig {
-        shards: 3,
-        txs: 4,
-        boundary_stride: 1,
-    });
+    let plan = SweepPlan {
+        cuts: Cuts::EveryNthInstant(1),
+        ..SweepPlan::every()
+    };
+    let report = sweep(ClusterSurface { shards: 3, txs: 4 }, &plan);
+    assert_clean(&report);
+}
+
+/// Deep tier: the engine's re-crash sweep on several domains at once.
+/// The recovery of the nothing-lost image set is cut at every event
+/// prefix of its three merged logs (~900 cuts), and every cut must
+/// settle to the same media on every domain.
+#[test]
+fn deep_cluster_recovery_recrashed_at_each_of_its_events_converges() {
+    if std::env::var("CCNVME_ENUM_DEEP").is_err() {
+        return;
+    }
+    let plan = SweepPlan {
+        cuts: Cuts::EveryNthInstant(9),
+        recrash: RecrashSweep::FinalImage,
+        ..SweepPlan::every()
+    };
+    let report = sweep(ClusterSurface { shards: 2, txs: 3 }, &plan);
+    assert!(
+        report.recovery_recrashes > 1,
+        "recovery logged no events to cut at"
+    );
     assert_clean(&report);
 }

@@ -12,7 +12,7 @@
 use std::sync::Arc;
 
 use ccnvme_crashtest::{
-    enum_metrics, enumerate_crash_surface, workloads, EnumConfig, RecrashSweep, StackConfig,
+    sweep, workloads, CrashWorkload, FsSurface, RecrashSweep, StackConfig, SweepPlan, SweepReport,
 };
 use ccnvme_ssd::SsdProfile;
 use mqfs::FsVariant;
@@ -26,6 +26,14 @@ fn smoke_stack() -> StackConfig {
     cfg
 }
 
+fn sweep_fs(workload: impl CrashWorkload + 'static, plan: &SweepPlan) -> SweepReport {
+    let surface = FsSurface {
+        workload: Arc::new(workload),
+        stack: smoke_stack(),
+    };
+    sweep(surface, plan)
+}
+
 fn deep() -> bool {
     std::env::var("CCNVME_ENUM_DEEP")
         .map(|v| v == "1")
@@ -34,13 +42,7 @@ fn deep() -> bool {
 
 #[test]
 fn smoke_workload_explores_every_event_prefix() {
-    let w = Arc::new(workloads::CreateDelete { rounds: 1 });
-    let cfg = EnumConfig {
-        stack: smoke_stack(),
-        torn_depth: 0,
-        recrash: RecrashSweep::None,
-    };
-    let r = enumerate_crash_surface(w, &cfg);
+    let r = sweep_fs(workloads::CreateDelete { rounds: 1 }, &SweepPlan::every());
     assert!(r.events > 0, "instrumentation recorded no events");
     // Completeness, asserted exactly: one state per event boundary,
     // including the empty prefix (crash at t0) and the full log.
@@ -54,13 +56,15 @@ fn smoke_workload_explores_every_event_prefix() {
         "crash states failed recovery: {:?}",
         r.failures
     );
-    assert_eq!(r.repaired, r.states, "every state must recover clean");
+    assert_eq!((r.events, r.states), (50, 51), "crash surface moved");
+    assert_eq!(r.clean, r.states, "every state must recover clean");
     // Forensics coverage: the flight recorder mounted cleanly on every
     // explored image and no verdict contradicted the recovery scan
     // (contradictions and mount failures land in `failures`, asserted
     // empty above).
     assert_eq!(
-        r.forensics_images, r.states,
+        r.count("forensics_images"),
+        r.states,
         "every crash image must get a forensics pass"
     );
     // The runtime persist-order sanitizer replays the same recorded log
@@ -71,14 +75,18 @@ fn smoke_workload_explores_every_event_prefix() {
         "persist-order sanitizer flagged a doorbell-before-flush reorder"
     );
     // The campaign's machine-readable export carries the counters.
-    let snap = enum_metrics(&r);
+    let snap = r.metrics();
     assert_eq!(
         snap.counters["crashenum.create_delete.states"],
         r.states as u64
     );
     assert_eq!(
-        snap.counters["crashenum.create_delete.repaired"],
-        r.repaired as u64
+        snap.counters["crashenum.create_delete.clean"],
+        r.clean as u64
+    );
+    assert_eq!(
+        snap.counters["crashenum.create_delete.forensics_images"],
+        r.states as u64
     );
     assert_eq!(
         snap.counters["crashenum.create_delete.sanitizer_violations"],
@@ -90,12 +98,7 @@ fn smoke_workload_explores_every_event_prefix() {
 fn extent_life_cycle_recovers_at_every_event_prefix() {
     // In-place extent growth, a spill into a leaf block, unlink, and
     // reuse of the freed data and leaf blocks by a new file.
-    let cfg = EnumConfig {
-        stack: smoke_stack(),
-        torn_depth: 0,
-        recrash: RecrashSweep::None,
-    };
-    let r = enumerate_crash_surface(Arc::new(workloads::ExtentSpill), &cfg);
+    let r = sweep_fs(workloads::ExtentSpill, &SweepPlan::every());
     // Exact: the run is deterministic, so a moved count means the
     // workload's persistence traffic changed.
     assert_eq!((r.events, r.states), (183, 184), "crash surface moved");
@@ -104,23 +107,26 @@ fn extent_life_cycle_recovers_at_every_event_prefix() {
         "crash states failed recovery: {:?}",
         r.failures
     );
-    assert_eq!(r.repaired, r.states, "every state must recover clean");
-    assert_eq!(r.forensics_images, r.states);
+    assert_eq!(r.clean, r.states, "every state must recover clean");
+    assert_eq!(r.count("forensics_images"), r.states);
     assert_eq!(r.sanitizer_violations, 0);
 }
 
 #[test]
 fn recovery_recrashed_at_each_of_its_events_converges() {
-    let w = Arc::new(workloads::CreateDelete { rounds: 1 });
-    let cfg = EnumConfig {
-        stack: smoke_stack(),
-        torn_depth: 0,
+    let plan = SweepPlan {
         recrash: RecrashSweep::FinalImage,
+        ..SweepPlan::every()
     };
-    let r = enumerate_crash_surface(w, &cfg);
+    let r = sweep_fs(workloads::CreateDelete { rounds: 1 }, &plan);
     assert!(
         r.recovery_recrashes > 0,
         "re-crash sweep injected no crash points into recovery"
+    );
+    assert_eq!(
+        (r.events, r.states, r.recovery_recrashes),
+        (50, 51, 1689),
+        "crash surface moved"
     );
     assert!(
         r.failures.is_empty(),
@@ -134,13 +140,12 @@ fn deep_enumeration_with_torn_tails_and_full_recrash() {
     if !deep() {
         return; // Bounded tier: run with CCNVME_ENUM_DEEP=1.
     }
-    let w = Arc::new(workloads::CreateDelete { rounds: 2 });
-    let cfg = EnumConfig {
-        stack: smoke_stack(),
+    let plan = SweepPlan {
         torn_depth: 2,
         recrash: RecrashSweep::EveryImage,
+        ..SweepPlan::every()
     };
-    let r = enumerate_crash_surface(w, &cfg);
+    let r = sweep_fs(workloads::CreateDelete { rounds: 2 }, &plan);
     assert!(
         r.states > r.events + 1,
         "torn expansion explored no extra states"

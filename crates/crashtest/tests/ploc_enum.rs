@@ -17,9 +17,7 @@ use std::sync::Arc;
 
 use ccnvme::{CcNvmeDriver, PmrLayout};
 use ccnvme_block::BlockDevice;
-use ccnvme_crashtest::{
-    enumerate_ploc_crash_surface, ploc_enum_metrics, PlocEnumConfig, RecrashSweep,
-};
+use ccnvme_crashtest::{sweep, PlocSurface, RecrashSweep, SweepPlan};
 use ccnvme_obs::Obs;
 use ccnvme_ploc::{OpResult, PlocConfig, PlocOp, PlocService, RecoverVerdict};
 use ccnvme_sim::Sim;
@@ -33,28 +31,32 @@ fn deep() -> bool {
         .unwrap_or(false)
 }
 
-fn smoke_cfg() -> PlocEnumConfig {
-    PlocEnumConfig {
+fn smoke_surface() -> PlocSurface {
+    PlocSurface {
         ploc: PlocConfig {
             clients: 2,
             pool: 32,
             buckets: 4,
         },
         ops_per_client: 6,
-        torn_depth: 0,
-        recrash: RecrashSweep::None,
         fabric: false,
     }
 }
 
 #[test]
 fn smoke_local_sweep_explores_every_prefix() {
-    let cfg = smoke_cfg();
-    let r = enumerate_ploc_crash_surface(&cfg);
+    let r = sweep(smoke_surface(), &SweepPlan::every());
     assert!(r.events > 0, "instrumentation recorded no events");
     assert!(
-        r.region_writes > 0,
+        r.count("region_writes") > 0,
         "no posted write landed inside the ploc region"
+    );
+    // Exact: the run is deterministic, so a moved count means the
+    // script's persistence traffic changed.
+    assert_eq!(
+        (r.events, r.states, r.count("region_writes")),
+        (52, 53, 57),
+        "crash surface moved"
     );
     // Completeness, asserted exactly: one state per event boundary,
     // including the empty prefix (crash at format's end) and the full
@@ -69,21 +71,22 @@ fn smoke_local_sweep_explores_every_prefix() {
         "crash states broke exactly-once: {:?}",
         r.failures
     );
-    assert_eq!(r.exactly_once, r.states, "every state must verify clean");
-    let snap = ploc_enum_metrics(&r);
+    assert_eq!(r.clean, r.states, "every state must verify clean");
+    let snap = r.metrics();
     assert_eq!(snap.counters["crashenum.ploc.states"], r.states as u64);
-    assert_eq!(
-        snap.counters["crashenum.ploc.exactly_once"],
-        r.exactly_once as u64
-    );
+    assert_eq!(snap.counters["crashenum.ploc.clean"], r.clean as u64);
+    assert_eq!(snap.counters["crashenum.ploc.region_writes"], 57);
     assert_eq!(snap.counters["crashenum.ploc.failures"], 0);
 }
 
 #[test]
 fn torn_posted_write_tails_hold_exactly_once() {
-    let mut cfg = smoke_cfg();
-    cfg.torn_depth = 2;
-    let r = enumerate_ploc_crash_surface(&cfg);
+    let plan = SweepPlan {
+        torn_depth: 2,
+        ..SweepPlan::every()
+    };
+    let r = sweep(smoke_surface(), &plan);
+    assert_eq!((r.events, r.states), (52, 126), "crash surface moved");
     assert!(
         r.states > r.events + 1,
         "torn expansion explored no extra states"
@@ -97,9 +100,11 @@ fn torn_posted_write_tails_hold_exactly_once() {
 
 #[test]
 fn recovery_recrashed_at_each_of_its_events_converges() {
-    let mut cfg = smoke_cfg();
-    cfg.recrash = RecrashSweep::FinalImage;
-    let r = enumerate_ploc_crash_surface(&cfg);
+    let plan = SweepPlan {
+        recrash: RecrashSweep::FinalImage,
+        ..SweepPlan::every()
+    };
+    let r = sweep(smoke_surface(), &plan);
     assert!(
         r.recovery_recrashes > 0,
         "re-crash sweep injected no crash points into recovery"
@@ -113,12 +118,19 @@ fn recovery_recrashed_at_each_of_its_events_converges() {
 
 #[test]
 fn fabric_driven_sweep_holds_exactly_once_remotely() {
-    let mut cfg = smoke_cfg();
-    cfg.fabric = true;
-    cfg.ops_per_client = 4;
-    let r = enumerate_ploc_crash_surface(&cfg);
+    let surface = PlocSurface {
+        fabric: true,
+        ops_per_client: 4,
+        ..smoke_surface()
+    };
+    let r = sweep(surface, &SweepPlan::every());
     assert!(r.events > 0);
     assert_eq!(r.states, r.events + 1);
+    assert_eq!(
+        (r.events, r.states, r.count("region_writes")),
+        (37, 38, 42),
+        "crash surface moved"
+    );
     assert!(
         r.failures.is_empty(),
         "fabric-driven crash states broke exactly-once: {:?}",
@@ -131,11 +143,16 @@ fn deep_enumeration_with_torn_tails_and_full_recrash() {
     if !deep() {
         return; // Bounded tier: run with CCNVME_ENUM_DEEP=1.
     }
-    let mut cfg = smoke_cfg();
-    cfg.ops_per_client = 8;
-    cfg.torn_depth = 2;
-    cfg.recrash = RecrashSweep::EveryImage;
-    let r = enumerate_ploc_crash_surface(&cfg);
+    let plan = SweepPlan {
+        torn_depth: 2,
+        recrash: RecrashSweep::EveryImage,
+        ..SweepPlan::every()
+    };
+    let surface = PlocSurface {
+        ops_per_client: 8,
+        ..smoke_surface()
+    };
+    let r = sweep(surface, &plan);
     assert!(r.states > r.events + 1);
     assert!(r.recovery_recrashes > 0);
     assert!(
@@ -144,10 +161,15 @@ fn deep_enumeration_with_torn_tails_and_full_recrash() {
         r.failures
     );
 
-    let mut fcfg = smoke_cfg();
-    fcfg.fabric = true;
-    fcfg.torn_depth = 2;
-    let fr = enumerate_ploc_crash_surface(&fcfg);
+    let plan = SweepPlan {
+        torn_depth: 2,
+        ..SweepPlan::every()
+    };
+    let surface = PlocSurface {
+        fabric: true,
+        ..smoke_surface()
+    };
+    let fr = sweep(surface, &plan);
     assert!(
         fr.failures.is_empty(),
         "deep fabric enumeration failures: {:?}",

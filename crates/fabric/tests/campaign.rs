@@ -13,7 +13,6 @@ use ccnvme_fabric::{
 use ccnvme_fault::{FaultPlan, NetDir, NetFaultKind, NetFaultRule, Trigger};
 use ccnvme_sim::Sim;
 use ccnvme_ssd::{CrashMode, CtrlConfig, DurableImage, NvmeController, SsdProfile};
-use parking_lot::Mutex;
 
 const CORES: usize = 2;
 const COMMITS: u64 = 4;
@@ -23,15 +22,7 @@ where
     T: Send + 'static,
     F: FnOnce() -> T + Send + 'static,
 {
-    let out: Arc<Mutex<Option<T>>> = Arc::new(Mutex::new(None));
-    let out2 = Arc::clone(&out);
-    let mut sim = Sim::new(CORES + 1);
-    sim.spawn("campaign-main", 0, move || {
-        *out2.lock() = Some(f());
-    });
-    sim.run();
-    let v = out.lock().take().expect("campaign closure ran");
-    v
+    Sim::run_main(CORES + 1, f)
 }
 
 fn raw_target(

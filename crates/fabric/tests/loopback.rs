@@ -24,15 +24,7 @@ where
     T: Send + 'static,
     F: FnOnce() -> T + Send + 'static,
 {
-    let out: Arc<Mutex<Option<T>>> = Arc::new(Mutex::new(None));
-    let out2 = Arc::clone(&out);
-    let mut sim = Sim::new(CORES + 1);
-    sim.spawn("test-main", 0, move || {
-        *out2.lock() = Some(f());
-    });
-    sim.run();
-    let v = out.lock().take().expect("test closure ran");
-    v
+    Sim::run_main(CORES + 1, f)
 }
 
 /// Builds a raw ccNVMe backend on a fresh device.

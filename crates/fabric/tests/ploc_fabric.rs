@@ -11,7 +11,6 @@ use ccnvme_obs::Obs;
 use ccnvme_ploc::{OpResult, PlocConfig, PlocOp, PlocService, RecoverVerdict};
 use ccnvme_sim::Sim;
 use ccnvme_ssd::{CtrlConfig, NvmeController, SsdProfile};
-use parking_lot::Mutex;
 
 /// Host cores serving fabric connections in these tests.
 const CORES: usize = 2;
@@ -21,15 +20,7 @@ where
     T: Send + 'static,
     F: FnOnce() -> T + Send + 'static,
 {
-    let out: Arc<Mutex<Option<T>>> = Arc::new(Mutex::new(None));
-    let out2 = Arc::clone(&out);
-    let mut sim = Sim::new(CORES + 1);
-    sim.spawn("test-main", 0, move || {
-        *out2.lock() = Some(f());
-    });
-    sim.run();
-    let v = out.lock().take().expect("test closure ran");
-    v
+    Sim::run_main(CORES + 1, f)
 }
 
 /// A ploc service on a fresh device's PMR, behind a fabric target.

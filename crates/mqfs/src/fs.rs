@@ -729,6 +729,9 @@ impl FileSystem {
             let fb = pos / BLOCK_SIZE;
             let in_page = (pos % BLOCK_SIZE) as usize;
             let n = ((BLOCK_SIZE as usize - in_page) as u64).min(end - pos) as usize;
+            // Decided before allocating: a hole filled just below holds
+            // whatever its block's previous owner left on the media.
+            let was_mapped = self.bmap(&st, fb).is_some();
             if let Err(e) = self.bmap_alloc(&mut st, ino, fb) {
                 // Short write: the size below still has to cover the
                 // blocks mapped so far (fsck: no extent beyond EOF).
@@ -737,8 +740,7 @@ impl FileSystem {
             }
             // Read-modify-write for partial pages that exist on disk.
             if !st.pages.contains_key(&fb) {
-                let need_read =
-                    (in_page != 0 || n != BLOCK_SIZE as usize) && fb * BLOCK_SIZE < st.inode.size;
+                let need_read = (in_page != 0 || n != BLOCK_SIZE as usize) && was_mapped;
                 let page = if need_read {
                     self.read_page_from_disk(&st, fb)?
                 } else {

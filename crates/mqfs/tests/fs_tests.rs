@@ -448,6 +448,47 @@ fn holes_fill_in_any_order_and_merge() {
 }
 
 #[test]
+fn partial_write_into_a_hole_inside_eof_zero_fills() {
+    let mut sim = Sim::new(CORES + 2);
+    sim.spawn("host", 0, || {
+        let variant = FsVariant::Mqfs;
+        let stack = Stack::new(variant, SsdProfile::optane_p5800x());
+        let fs = FileSystem::format(Arc::clone(&stack.dev), fs_config(variant));
+        // Dirty the media under the blocks the next file will be handed:
+        // three durable blocks of 0xAA, then free them.
+        let old = fs.create_path("/f").expect("create");
+        fs.write(old, 0, &[0xAA; 3 * 4096]).expect("write");
+        fs.fsync(old).expect("fsync");
+        fs.unlink_path("/f").expect("unlink");
+        fs.fsync(fs.root()).expect("fsync the deletion");
+        // The same name gets the same inode number back, so the same
+        // block-group goal. Blocks 0 and 2, leaving block 1 a hole
+        // inside EOF.
+        let ino = fs.create_path("/f").expect("create");
+        assert_eq!(ino, old, "the new file must allocate where the old one did");
+        fs.write(ino, 0, &[0xB0; 4096]).expect("write block 0");
+        fs.write(ino, 2 * 4096, &[0xB2; 4096])
+            .expect("write block 2");
+        // A partial write allocates block 1 out of the freed, dirty
+        // blocks: everything around the written bytes must read zero.
+        fs.write(ino, 4096 + 100, &[0xB1; 10])
+            .expect("partial write");
+        let mut want = vec![0u8; 4096];
+        want[100..110].fill(0xB1);
+        let got = fs.read(ino, 4096, 4096).expect("read");
+        assert!(
+            got == want,
+            "stale media leaked into the hole: byte 0 = {:#x}, byte 4095 = {:#x}",
+            got[0],
+            got[4095]
+        );
+        fs.fsync(ino).expect("fsync");
+        assert!(fs.check().is_empty(), "fsck: {:?}", fs.check());
+    });
+    sim.run();
+}
+
+#[test]
 fn directory_grows_past_one_block() {
     let mut sim = Sim::new(CORES + 2);
     sim.spawn("host", 0, || {

@@ -23,7 +23,7 @@
 //! sort by sequence. Torn tails and lapped writers need no cursor word
 //! and no repair writes, so a mount is trivially byte-idempotent.
 
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 // ord: this module deliberately uses std atomics, not the loom shim:
 // the blackbox is never attached inside a loom model (it exists only
 // under a live PMR sink) and its single cursor has no cross-variable
@@ -156,7 +156,12 @@ fn decode_record(raw: &[u8; 64], epoch: u32) -> Option<BlackboxRecord> {
 /// the existing posted-write path. Strictly observational — see the
 /// module docs and the `persist-order` observer rule that enforces it.
 pub struct Blackbox {
-    sink: Arc<dyn BlackboxSink>,
+    /// Weak: the region's link owns the hub this recorder hangs off
+    /// (region → link → `Obs` → trace ring → recorder), so a strong
+    /// sink would close a cycle that keeps every booted stack's PMR
+    /// alive forever. A recorder that outlives its region records
+    /// nothing.
+    sink: Weak<dyn BlackboxSink>,
     base: u64,
     epoch: u32,
     /// Next global record sequence number. Critical atomic: sequence
@@ -213,7 +218,7 @@ impl Blackbox {
         seal(&mut h, epoch);
         sink.post(base, &h);
         Arc::new(Blackbox {
-            sink,
+            sink: Arc::downgrade(&sink),
             base,
             epoch,
             bb_cursor: AtomicU64::new(0),
@@ -232,6 +237,13 @@ impl Blackbox {
         self.base + RECORD_SIZE * (1 + seq % BLACKBOX_SLOTS as u64)
     }
 
+    /// Posts the records starting at sequence `start` as one write.
+    fn post(&self, start: u64, records: &[u8]) {
+        if let Some(sink) = self.sink.upgrade() {
+            sink.post(self.slot_off(start), records);
+        }
+    }
+
     /// Appends one record. Unbatched, that is a single posted write
     /// into the next ring slot; batched, the sealed record is staged
     /// and rides the next burst. Laps simply overwrite the oldest slot.
@@ -241,7 +253,7 @@ impl Blackbox {
         let seq = self.bb_cursor.fetch_add(1, Ordering::SeqCst);
         let raw = encode_record(seq, ev, self.epoch);
         if self.batch <= 1 {
-            self.sink.post(self.slot_off(seq), &raw);
+            self.post(seq, &raw);
             return;
         }
         // Stage under the lock, post after dropping it: the sink may
@@ -270,7 +282,7 @@ impl Blackbox {
             }
         }
         for (start, buf) in posts.into_iter().flatten() {
-            self.sink.post(self.slot_off(start), &buf);
+            self.post(start, &buf);
         }
     }
 
@@ -286,7 +298,7 @@ impl Blackbox {
             }
             (st.start_seq, std::mem::take(&mut st.buf))
         };
-        self.sink.post(self.slot_off(burst.0), &burst.1);
+        self.post(burst.0, &burst.1);
     }
 }
 

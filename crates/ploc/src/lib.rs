@@ -46,21 +46,8 @@ mod tests {
     use ccnvme_obs::Obs;
     use ccnvme_sim::Sim;
     use ccnvme_ssd::{CtrlConfig, NvmeController, SsdProfile};
-    use parking_lot::Mutex;
 
     use super::*;
-
-    fn in_sim<T: Send + 'static>(cores: usize, f: impl FnOnce() -> T + Send + 'static) -> T {
-        let out = Arc::new(Mutex::new(None));
-        let out2 = Arc::clone(&out);
-        let mut sim = Sim::new(cores);
-        sim.spawn("ploc-test", 0, move || {
-            *out2.lock() = Some(f());
-        });
-        sim.run();
-        let got = out.lock().take().expect("sim closure ran");
-        got
-    }
 
     fn fresh_service() -> (Arc<PlocService>, Arc<NvmeController>) {
         let ctrl = Arc::new(NvmeController::new(CtrlConfig::new(
@@ -82,7 +69,7 @@ mod tests {
 
     #[test]
     fn stack_queue_hash_basics() {
-        in_sim(2, || {
+        Sim::run_main(2, || {
             let (svc, _ctrl) = fresh_service();
             assert_eq!(svc.op(0, 1, PlocOp::Push(10)), Ok(OpResult::Done));
             assert_eq!(svc.op(0, 2, PlocOp::Push(20)), Ok(OpResult::Done));
@@ -119,7 +106,7 @@ mod tests {
 
     #[test]
     fn replay_cache_answers_repeats_and_rejects_gaps() {
-        in_sim(2, || {
+        Sim::run_main(2, || {
             let (svc, _ctrl) = fresh_service();
             assert_eq!(svc.op(0, 1, PlocOp::Push(5)), Ok(OpResult::Done));
             // Same sequence again: replayed, not re-executed.
@@ -142,7 +129,7 @@ mod tests {
 
     #[test]
     fn graceful_remount_preserves_contents_and_replay_floor() {
-        let image = in_sim(2, || {
+        let image = Sim::run_main(2, || {
             let (svc, ctrl) = fresh_service();
             for (i, v) in [3u64, 1, 4].iter().enumerate() {
                 svc.op(0, i as u32 + 1, PlocOp::Push(*v)).expect("push");
@@ -152,7 +139,7 @@ mod tests {
                 .expect("ins");
             ctrl.graceful_image()
         });
-        in_sim(2, move || {
+        Sim::run_main(2, move || {
             let ctrl = Arc::new(NvmeController::from_image(
                 CtrlConfig::new(SsdProfile::optane_905p()),
                 &image,
@@ -178,7 +165,7 @@ mod tests {
 
     #[test]
     fn pool_exhaustion_answers_full_and_frees_recycle() {
-        in_sim(2, || {
+        Sim::run_main(2, || {
             let ctrl = Arc::new(NvmeController::new(CtrlConfig::new(
                 SsdProfile::optane_905p(),
             )));
@@ -205,7 +192,7 @@ mod tests {
 
     #[test]
     fn contended_clients_conserve_values() {
-        in_sim(6, || {
+        Sim::run_main(6, || {
             let (svc, _ctrl) = fresh_service();
             let mut joins = Vec::new();
             for c in 0..4u16 {

@@ -60,8 +60,6 @@ pub use sync::{
 // channel error type from one place.
 pub use ccnvme_sim::{Ns, RecvError, MS, SEC, US};
 
-use std::sync::Arc;
-
 /// Which execution substrate a [`Runtime`] provides.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RuntimeKind {
@@ -142,15 +140,7 @@ impl Runtime for SimRuntime {
         T: Send + 'static,
         F: FnOnce() -> T + Send + 'static,
     {
-        let out: Arc<parking_lot::Mutex<Option<T>>> = Arc::new(parking_lot::Mutex::new(None));
-        let out2 = Arc::clone(&out);
-        let mut sim = ccnvme_sim::Sim::new(self.cores);
-        sim.spawn("rt-main", 0, move || {
-            *out2.lock() = Some(f());
-        });
-        sim.run();
-        let v = out.lock().take().expect("runtime main closure ran");
-        v
+        ccnvme_sim::Sim::run_main(self.cores, f)
     }
 }
 
@@ -170,6 +160,7 @@ where
 #[cfg(all(test, not(feature = "loom")))]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     #[test]
     fn sim_runtime_is_virtual_time() {

@@ -540,6 +540,28 @@ impl Sim {
         now
     }
 
+    /// Runs `f` as the main thread (core 0) of a fresh simulation with
+    /// `cores` simulated cores, drives the simulation to completion and
+    /// returns `f`'s value — the whole "new, spawn, run, take the
+    /// result" idiom in one call.
+    ///
+    /// # Panics
+    ///
+    /// As [`Sim::new`] and [`Sim::run`].
+    pub fn run_main<T, F>(cores: usize, f: F) -> T
+    where
+        T: Send + 'static,
+        F: FnOnce() -> T + Send + 'static,
+    {
+        let out = Arc::new(Mutex::new(None));
+        let slot = Arc::clone(&out);
+        let mut sim = Sim::new(cores);
+        sim.spawn("main", 0, move || *slot.lock() = Some(f()));
+        sim.run();
+        let value = out.lock().take();
+        value.expect("the main closure ran to completion")
+    }
+
     /// Returns the current virtual time (final time, after [`Sim::run`]).
     pub fn now(&self) -> Ns {
         self.kernel.st.lock().now

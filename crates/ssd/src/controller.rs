@@ -35,7 +35,7 @@ use parking_lot::Mutex;
 use crate::{
     command::{CompletionEntry, NvmeCommand, Opcode, Status},
     hostmem::HostMemory,
-    persist::{CacheSurvival, PersistEventKind, PersistLog},
+    persist::{PersistEventKind, PersistLog},
     profile::SsdProfile,
     store::{BlockStore, BLOCK_SIZE},
 };
@@ -548,23 +548,6 @@ impl NvmeController {
     /// [`CtrlConfig::record_persistence`] was set.
     pub fn persist_log(&self) -> Option<Arc<PersistLog>> {
         self.inner.persist.clone()
-    }
-
-    /// Materializes the exact [`DurableImage`] a power cut after the
-    /// first `prefix` persistence events would leave behind, plus the
-    /// first `torn` still-posted PMR writes (PCIe FIFO ordering makes
-    /// any legal torn subset a prefix, so a count suffices). Returns
-    /// `None` unless persistence recording was enabled.
-    pub fn crash_state_at(
-        &self,
-        prefix: usize,
-        torn: usize,
-        cache: CacheSurvival,
-    ) -> Option<DurableImage> {
-        self.inner
-            .persist
-            .as_ref()
-            .map(|p| p.state_at(prefix, torn, cache))
     }
 }
 

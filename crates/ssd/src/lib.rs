@@ -26,7 +26,7 @@ pub use controller::{
 };
 pub use hostmem::{DataBuf, HostMemory};
 pub use persist::{
-    CacheSurvival, PersistEvent, PersistEventKind, PersistLog, QueueWindow, SanitizerGeometry,
+    CacheSurvival, PersistCursor, PersistEventKind, PersistLog, QueueWindow, SanitizerGeometry,
     SanitizerViolation,
 };
 pub use profile::SsdProfile;

@@ -16,9 +16,12 @@
 //! * **`Flush`** — a cache drain making every cached block durable.
 //!
 //! Sorting the log by `(durable_at, seq)` yields a deterministic legal
-//! serialization of durability effects; [`PersistLog::state_at`] then
-//! materializes the exact [`DurableImage`] after any event prefix, plus
-//! any PCIe-ordering-legal set of still-posted PMR writes. Because PCIe
+//! serialization of durability effects (the log sorts itself once, on
+//! the first read after a recording, and never copies a payload to do
+//! so); a [`PersistCursor`] walks that order forwards over one running
+//! image and [`PersistLog::state_at`] materializes the exact
+//! [`DurableImage`] after any single event prefix, plus any
+//! PCIe-ordering-legal set of still-posted PMR writes. Because PCIe
 //! posted writes to one region arrive FIFO, the legal "torn" sets
 //! collapse to a *count*: the first `torn` still-in-flight PMR writes
 //! issued before the cut (see DESIGN.md §11).
@@ -36,11 +39,11 @@ use std::{
     collections::HashMap,
     sync::{
         atomic::{AtomicU64, Ordering},
-        Mutex,
+        Mutex, MutexGuard,
     },
 };
 
-use ccnvme_sim::Ns;
+use ccnvme_sim::{DetRng, Ns};
 
 use crate::controller::DurableImage;
 use crate::store::BLOCK_SIZE;
@@ -77,25 +80,35 @@ pub enum PersistEventKind {
 }
 
 /// A recorded event with its durability instant and tie-break sequence.
-#[derive(Debug, Clone)]
-pub struct PersistEvent {
+struct PersistEvent {
     /// Virtual time the effect became crash-durable.
-    pub at: Ns,
+    at: Ns,
     /// Recording sequence number (tie-break for equal times; recording
     /// order under the deterministic scheduler is itself deterministic).
-    pub seq: u64,
+    seq: u64,
     /// What happened.
-    pub kind: PersistEventKind,
+    kind: PersistEventKind,
 }
 
 /// What happens to blocks still sitting in the volatile cache at the
 /// crash instant (beyond the enumerated events).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum CacheSurvival {
     /// Adversarial: the whole residual cache is lost.
     DropAll,
     /// Benign: every residual cached block happened to be destaged.
     KeepAll,
+    /// Each residual cached block, taken in LBA order, was destaged
+    /// with probability `keep_prob` under a generator seeded with
+    /// `seed` — the subset
+    /// [`NvmeController::crash_snapshot`](crate::NvmeController::crash_snapshot)
+    /// keeps for the same seed.
+    Subset {
+        /// Seed of the subset decision.
+        seed: u64,
+        /// Probability that a cached block had reached the media.
+        keep_prob: f64,
+    },
 }
 
 /// A completed persistent-MMIO flush, recorded out-of-band: every PMR
@@ -165,7 +178,7 @@ impl std::fmt::Display for SanitizerViolation {
 /// Plain data once the run is over: every query method is pure and safe
 /// to call outside the simulation.
 pub struct PersistLog {
-    events: Mutex<Vec<PersistEvent>>,
+    events: Mutex<EventLog>,
     /// Event-log cursor: hands out recording sequence numbers.
     event_seq: AtomicU64,
     /// Completed MMIO flushes, kept out of `events` on purpose: a flush
@@ -176,12 +189,24 @@ pub struct PersistLog {
     base_blocks: Mutex<HashMap<u64, Vec<u8>>>,
 }
 
+/// The recorded events, and whether they currently stand in durability
+/// order `(at, seq)`. Recording appends; the first read after an
+/// out-of-order append sorts the vector in place — events move, their
+/// payloads do not.
+struct EventLog {
+    ev: Vec<PersistEvent>,
+    sorted: bool,
+}
+
 impl PersistLog {
     /// An empty log over a zeroed PMR of `pmr_size` bytes and empty
     /// media.
     pub fn new(pmr_size: usize) -> Self {
         PersistLog {
-            events: Mutex::new(Vec::new()),
+            events: Mutex::new(EventLog {
+                ev: Vec::new(),
+                sorted: true,
+            }),
             event_seq: AtomicU64::new(0),
             flush_marks: Mutex::new(Vec::new()),
             base_pmr: Mutex::new(vec![0u8; pmr_size]),
@@ -206,10 +231,21 @@ impl PersistLog {
         // events; a relaxed counter could give two racing recorders the
         // same tie-break and make the serialization ambiguous.
         let seq = self.event_seq.fetch_add(1, Ordering::SeqCst);
-        self.events
-            .lock()
-            .expect("poisoned")
-            .push(PersistEvent { at, seq, kind });
+        let mut log = self.events.lock().expect("poisoned");
+        if log.ev.last().is_some_and(|l| (l.at, l.seq) > (at, seq)) {
+            log.sorted = false;
+        }
+        log.ev.push(PersistEvent { at, seq, kind });
+    }
+
+    /// The events in durability order `(at, seq)`.
+    fn sorted(&self) -> MutexGuard<'_, EventLog> {
+        let mut log = self.events.lock().expect("poisoned");
+        if !log.sorted {
+            log.ev.sort_by_key(|e| (e.at, e.seq));
+            log.sorted = true;
+        }
+        log
     }
 
     /// Records a completed persistent-MMIO flush (the §4.3 `clflush` +
@@ -237,7 +273,7 @@ impl PersistLog {
     /// Number of recorded events (= number of enumerable boundaries - 1;
     /// prefixes run `0..=len()`).
     pub fn len(&self) -> usize {
-        self.events.lock().expect("poisoned").len()
+        self.events.lock().expect("poisoned").ev.len()
     }
 
     /// True when nothing durable happened.
@@ -255,6 +291,7 @@ impl PersistLog {
         self.events
             .lock()
             .expect("poisoned")
+            .ev
             .iter()
             .filter(|e| match &e.kind {
                 PersistEventKind::PmrWrite { off, data, .. } => {
@@ -265,76 +302,32 @@ impl PersistLog {
             .count()
     }
 
-    /// The events sorted into their durability order `(at, seq)`.
-    pub fn sorted_events(&self) -> Vec<PersistEvent> {
-        let mut ev = self.events.lock().expect("poisoned").clone();
-        ev.sort_by_key(|e| (e.at, e.seq));
-        ev
+    /// The durability instant of every event, in durability order — the
+    /// time axis crash cuts are placed on, without the payloads.
+    pub fn event_times(&self) -> Vec<Ns> {
+        self.sorted().ev.iter().map(|e| e.at).collect()
     }
 
-    /// The instant the event at sorted index `prefix` becomes durable —
-    /// i.e. the exclusive upper bound of crash instants covered by that
-    /// prefix. `Ns::MAX` past the end.
-    pub fn boundary_time(&self, prefix: usize) -> Ns {
-        let ev = self.sorted_events();
-        ev.get(prefix).map(|e| e.at).unwrap_or(Ns::MAX)
-    }
-
-    /// How many still-posted PMR writes may additionally survive a crash
-    /// at boundary `prefix`: those issued before the boundary instant
-    /// but not yet arrived. PCIe FIFO ordering makes any surviving set a
-    /// prefix of these, so the answer is a count.
-    pub fn max_torn_at(&self, prefix: usize) -> usize {
-        let ev = self.sorted_events();
-        let boundary = ev.get(prefix).map(|e| e.at).unwrap_or(Ns::MAX);
-        ev[prefix.min(ev.len())..]
-            .iter()
-            .filter(|e| match &e.kind {
-                PersistEventKind::PmrWrite { issued_at, .. } => *issued_at < boundary,
-                _ => false,
-            })
-            .count()
+    /// A cursor standing before the first event, over the base image.
+    pub fn cursor(&self) -> PersistCursor<'_> {
+        PersistCursor {
+            log: self,
+            pos: 0,
+            pmr: self.base_pmr.lock().expect("poisoned").clone(),
+            blocks: self.base_blocks.lock().expect("poisoned").clone(),
+            cached: HashMap::new(),
+        }
     }
 
     /// Materializes the exact [`DurableImage`] after the first `prefix`
     /// events plus the first `torn` still-posted PMR writes (clamped to
-    /// [`Self::max_torn_at`]), with `cache` deciding the fate of blocks
-    /// still in the volatile cache.
+    /// the FIFO-legal maximum), with `cache` deciding the fate of blocks
+    /// still in the volatile cache. Random access: replays from the base
+    /// image; a sweep over many prefixes walks a [`PersistCursor`].
     pub fn state_at(&self, prefix: usize, torn: usize, cache: CacheSurvival) -> DurableImage {
-        let ev = self.sorted_events();
-        let prefix = prefix.min(ev.len());
-        let boundary = ev.get(prefix).map(|e| e.at).unwrap_or(Ns::MAX);
-        let mut pmr = self.base_pmr.lock().expect("poisoned").clone();
-        let mut blocks = self.base_blocks.lock().expect("poisoned").clone();
-        let mut cached: HashMap<u64, Vec<u8>> = HashMap::new();
-        for e in &ev[..prefix] {
-            apply(&mut pmr, &mut blocks, &mut cached, &e.kind);
-        }
-        // The legal torn tail: a FIFO prefix of PMR writes that were
-        // posted before the cut but had not arrived.
-        let mut left = torn;
-        for e in &ev[prefix..] {
-            if left == 0 {
-                break;
-            }
-            if let PersistEventKind::PmrWrite {
-                off,
-                data,
-                issued_at,
-            } = &e.kind
-            {
-                if *issued_at >= boundary {
-                    break;
-                }
-                write_pmr(&mut pmr, *off, data);
-                left -= 1;
-            }
-        }
-        match cache {
-            CacheSurvival::DropAll => {}
-            CacheSurvival::KeepAll => blocks.extend(cached),
-        }
-        DurableImage { pmr, blocks }
+        let mut cursor = self.cursor();
+        cursor.advance_to(prefix);
+        cursor.image(cursor.next_at(), torn, cache)
     }
 
     /// Runs the persist-order sanitizer: replays every PMR write in host
@@ -371,7 +364,8 @@ impl PersistLog {
         // Program order, not durability order: the protocol promises the
         // *issue* sequence store → flush → ring, and PCIe FIFO delivery
         // then preserves it on the wire.
-        let mut ev = self.events.lock().expect("poisoned").clone();
+        let log = self.events.lock().expect("poisoned");
+        let mut ev: Vec<&PersistEvent> = log.ev.iter().collect();
         ev.sort_by_key(|e| e.seq);
         let mut marks = self.flush_marks.lock().expect("poisoned").clone();
         marks.sort_by_key(|m| m.upto_seq);
@@ -473,6 +467,106 @@ impl PersistLog {
             }
         }
         out
+    }
+}
+
+/// A forward walk over a [`PersistLog`]'s durability order: one running
+/// image that event `p` is applied to exactly once, so a sweep over
+/// every prefix costs one replay of the log instead of one per prefix.
+pub struct PersistCursor<'a> {
+    log: &'a PersistLog,
+    pos: usize,
+    pmr: Vec<u8>,
+    blocks: HashMap<u64, Vec<u8>>,
+    cached: HashMap<u64, Vec<u8>>,
+}
+
+impl PersistCursor<'_> {
+    /// Events applied so far.
+    pub fn pos(&self) -> usize {
+        self.pos
+    }
+
+    /// Applies events up to (excluding) sorted index `prefix`, clamped
+    /// to the end of the log.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `prefix` lies behind the cursor.
+    pub fn advance_to(&mut self, prefix: usize) {
+        let log = self.log.sorted();
+        let prefix = prefix.min(log.ev.len());
+        assert!(prefix >= self.pos, "a persist cursor only moves forwards");
+        for e in &log.ev[self.pos..prefix] {
+            apply(&mut self.pmr, &mut self.blocks, &mut self.cached, &e.kind);
+        }
+        self.pos = prefix;
+    }
+
+    /// The instant the next event becomes durable — the exclusive upper
+    /// bound of crash instants this position stands for. `Ns::MAX` at
+    /// the end of the log.
+    pub fn next_at(&self) -> Ns {
+        let log = self.log.sorted();
+        log.ev.get(self.pos).map_or(Ns::MAX, |e| e.at)
+    }
+
+    /// How many still-posted PMR writes may additionally survive a crash
+    /// at `crash_at` with the cursor's events applied: those issued
+    /// before the crash instant but not yet arrived. PCIe FIFO ordering
+    /// makes any surviving set a prefix of these, so the answer is a
+    /// count.
+    pub fn max_torn(&self, crash_at: Ns) -> usize {
+        let log = self.log.sorted();
+        log.ev[self.pos..]
+            .iter()
+            .filter(|e| matches!(&e.kind, PersistEventKind::PmrWrite { issued_at, .. } if *issued_at < crash_at))
+            .count()
+    }
+
+    /// The [`DurableImage`] a power cut at `crash_at` leaves with the
+    /// cursor's events applied, plus the first `torn` still-posted PMR
+    /// writes (clamped to [`Self::max_torn`]), with `cache` deciding the
+    /// fate of blocks still in the volatile cache.
+    pub fn image(&self, crash_at: Ns, torn: usize, cache: CacheSurvival) -> DurableImage {
+        let mut pmr = self.pmr.clone();
+        let mut blocks = self.blocks.clone();
+        // The legal torn tail: a FIFO prefix of PMR writes that were
+        // posted before the cut but had not arrived.
+        let log = self.log.sorted();
+        let in_flight = log.ev[self.pos..].iter().filter_map(|e| match &e.kind {
+            PersistEventKind::PmrWrite {
+                off,
+                data,
+                issued_at,
+            } => Some((*off, data, *issued_at)),
+            _ => None,
+        });
+        for (off, data, _) in in_flight
+            .take_while(|&(_, _, issued_at)| issued_at < crash_at)
+            .take(torn)
+        {
+            write_pmr(&mut pmr, off, data);
+        }
+        match cache {
+            CacheSurvival::DropAll => {}
+            CacheSurvival::KeepAll => {
+                blocks.extend(self.cached.iter().map(|(lba, b)| (*lba, b.clone())));
+            }
+            CacheSurvival::Subset { seed, keep_prob } => {
+                // Decide in LBA order so the surviving subset depends on
+                // the seed alone, not on HashMap iteration order.
+                let mut residual: Vec<(&u64, &Vec<u8>)> = self.cached.iter().collect();
+                residual.sort_by_key(|(lba, _)| **lba);
+                let mut rng = DetRng::new(seed);
+                for (lba, b) in residual {
+                    if rng.chance(keep_prob) {
+                        blocks.insert(*lba, b.clone());
+                    }
+                }
+            }
+        }
+        DurableImage { pmr, blocks }
     }
 }
 
@@ -578,7 +672,12 @@ mod tests {
                 issued_at: 35,
             },
         );
-        assert_eq!(log.max_torn_at(1), 2);
+        let mut cursor = log.cursor();
+        cursor.advance_to(1);
+        assert_eq!(cursor.max_torn(cursor.next_at()), 2);
+        // A crash earlier than the next arrival admits fewer: only the
+        // write issued at t=2 was in flight at t=3.
+        assert_eq!(cursor.max_torn(3), 1);
         let img = log.state_at(1, 1, CacheSurvival::DropAll);
         assert_eq!(&img.pmr[..4], &[1, 2, 0, 0]);
         let img = log.state_at(1, 2, CacheSurvival::DropAll);
@@ -632,6 +731,77 @@ mod tests {
         log.record(20, PersistEventKind::Flush);
         let flushed = log.state_at(2, 0, CacheSurvival::DropAll);
         assert_eq!(flushed.blocks.get(&7).map(|b| b[0]), Some(9));
+    }
+
+    #[test]
+    fn cursor_walks_every_prefix_state_at_materializes() {
+        let log = PersistLog::new(8);
+        log.record(
+            30,
+            PersistEventKind::MediaWrite {
+                lba: 1,
+                data: vec![3],
+            },
+        );
+        log.record(
+            10,
+            PersistEventKind::PmrWrite {
+                off: 0,
+                data: vec![1],
+                issued_at: 5,
+            },
+        );
+        // Read between recordings, then record out of order again: the
+        // log re-sorts on the next read.
+        assert_eq!(log.event_times(), vec![10, 30]);
+        log.record(
+            20,
+            PersistEventKind::CacheWrite {
+                lba: 2,
+                data: vec![2],
+            },
+        );
+        assert_eq!(log.event_times(), vec![10, 20, 30]);
+        let mut cursor = log.cursor();
+        for p in 0..=log.len() {
+            cursor.advance_to(p);
+            assert_eq!(cursor.pos(), p);
+            let walked = cursor.image(cursor.next_at(), 0, CacheSurvival::KeepAll);
+            let direct = log.state_at(p, 0, CacheSurvival::KeepAll);
+            assert_eq!(walked.pmr, direct.pmr, "prefix {p}");
+            assert_eq!(walked.blocks, direct.blocks, "prefix {p}");
+        }
+        assert_eq!(cursor.next_at(), Ns::MAX);
+    }
+
+    #[test]
+    fn subset_survival_is_a_seeded_choice_in_lba_order() {
+        let log = PersistLog::new(8);
+        for lba in 0..64u64 {
+            log.record(
+                10 + lba,
+                PersistEventKind::CacheWrite {
+                    lba,
+                    data: vec![lba as u8],
+                },
+            );
+        }
+        let subset = |seed| {
+            let policy = CacheSurvival::Subset {
+                seed,
+                keep_prob: 0.5,
+            };
+            let mut kept: Vec<u64> = log.state_at(64, 0, policy).blocks.into_keys().collect();
+            kept.sort_unstable();
+            kept
+        };
+        assert_eq!(subset(7), subset(7), "same seed, same subset");
+        assert_ne!(subset(7), subset(8), "the seed picks the subset");
+        assert!(!subset(7).is_empty() && subset(7).len() < 64);
+        // The same draw the live store makes for the same seed.
+        let mut rng = DetRng::new(7);
+        let want: Vec<u64> = (0..64).filter(|_| rng.chance(0.5)).collect();
+        assert_eq!(subset(7), want);
     }
 
     /// One-queue geometry: doorbell at 0, ring of 4 × 64 B slots at 64.

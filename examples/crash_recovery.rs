@@ -14,9 +14,7 @@ use std::sync::Arc;
 
 use ccnvme::CcNvmeDriver;
 use ccnvme_repro::block::{Bio, BioBuf, BioFlags, BioWaiter, BlockDevice};
-use ccnvme_repro::crashtest::{
-    enum_metrics, enumerate_crash_surface, workloads, EnumConfig, RecrashSweep, StackConfig,
-};
+use ccnvme_repro::crashtest::{sweep, workloads, FsSurface, RecrashSweep, StackConfig, SweepPlan};
 use ccnvme_repro::mqfs::FsVariant;
 use ccnvme_repro::sim::Sim;
 use ccnvme_repro::ssd::{CrashMode, CtrlConfig, NvmeController, SsdProfile};
@@ -118,24 +116,23 @@ fn main() {
     println!("\nenumerating the crash surface of create_delete(1 round) ...");
     let mut stack = StackConfig::new(FsVariant::Mqfs, SsdProfile::optane_905p(), 2);
     stack.journal_blocks = 256;
-    let cfg = EnumConfig {
-        stack,
-        torn_depth: 0,
+    let plan = SweepPlan {
         recrash: RecrashSweep::FinalImage,
+        ..SweepPlan::every()
     };
-    let w = Arc::new(workloads::CreateDelete { rounds: 1 });
-    let report = enumerate_crash_surface(w, &cfg);
+    let workload = Arc::new(workloads::CreateDelete { rounds: 1 });
+    let report = sweep(FsSurface { workload, stack }, &plan);
     println!("  durable events recorded : {}", report.events);
     println!("  crash states explored   : {}", report.states);
-    println!("  repaired (fsck+oracle)  : {}", report.repaired);
+    println!("  repaired (fsck+oracle)  : {}", report.clean);
     println!("  recovery re-crash points: {}", report.recovery_recrashes);
     for f in &report.failures {
         println!("  FAILURE: {f}");
     }
     assert!(report.failures.is_empty(), "crash surface has holes");
-    assert_eq!(report.repaired, report.states);
+    assert_eq!(report.clean, report.states);
     // The same numbers, as the machine-readable metrics document.
-    let snap = enum_metrics(&report);
+    let snap = report.metrics();
     let mut keys: Vec<_> = snap.counters.iter().collect();
     keys.sort();
     for (k, v) in keys {

@@ -4,21 +4,22 @@
 #   fast (always): formatting, clippy, the root test suite plus the
 #     mqfs and journal crate suites, the
 #     ccnvme-lint protocol-invariant analyzer over the workspace, the
-#     bench metrics-schema smoke run, the bounded crash-enumeration
-#     smoke (every event-prefix of a small workload, full re-crash
-#     sweep of the final image's recovery), the ploc smoke
-#     (detectable structures, remote exactly-once capsules, the
-#     bounded ploc crash-surface sweep), and the cluster smoke (the
-#     sharded 2PC suite plus the bounded cluster crash-surface sweep).
+#     bench metrics-schema smoke run, the crash-sweep suite (the
+#     engine's unit tests, the bounded sweep of all three surfaces at
+#     exact state counts — file system with a full re-crash sweep of
+#     the final image's recovery, ploc local and fabric-driven, cluster
+#     — the sampled Table 4 campaign and the fault campaigns), the ploc
+#     smoke (detectable structures, remote exactly-once capsules), and
+#     the cluster smoke (the sharded 2PC suite).
 #
 #   deep (CHECK_DEEP=1): the loom model-checking suites for the
 #     lock-free observability hot structures and DetectableCas,
 #     `cargo miri test` on the sim/obs crates when the miri component
 #     is installed (skipped with a notice otherwise — CI images
 #     without miri still run the loom tier), and the deep crash
-#     enumerations (CCNVME_ENUM_DEEP=1: torn posted-write expansion
-#     plus a crash-during-recovery sweep over every explored image,
-#     for the driver workload and the ploc surface, and the every-cut
+#     sweeps (CCNVME_ENUM_DEEP=1: torn posted-write expansion plus a
+#     crash-during-recovery sweep over every explored image, for the
+#     file-system workload and the ploc surface, and the every-cut
 #     cluster sweep).
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -46,13 +47,17 @@ for rule in persist-order static-race observer-purity; do
     cargo run -q -p ccnvme-lint -- --explain "$rule" > /dev/null
 done
 scripts/bench_smoke.sh
-# Crash-enumeration smoke: all event-prefixes of the small workload
-# recover clean, and recovery re-crashed at each of its own events
-# converges (release build: ~3000 simulated boots). Every recorded
-# workload also replays through the runtime persist-order sanitizer —
-# the dynamic dual of the ccnvme-lint persist-order rule — which must
-# report zero violations (EnumReport.sanitizer_violations).
-cargo test -q --release -p ccnvme-crashtest --test enumerate
+# Crash-sweep suite, one engine under all of it: every event-prefix of
+# the small file-system workload recovers clean and recovery re-crashed
+# at each of its own events converges (~3000 simulated boots); the ploc
+# surface holds exactly-once at every prefix, locally and over the
+# fabric; the cluster surface stays all-or-nothing at every sampled cut
+# under every down-subset; the sampled Table 4 campaign and the five
+# fault campaigns pass. State counts are asserted exactly, and every
+# recorded run also replays through the runtime persist-order sanitizer
+# — the dynamic dual of the ccnvme-lint persist-order rule — which must
+# report zero violations (SweepReport.sanitizer_violations).
+cargo test -q --release -p ccnvme-crashtest
 # Forensics smoke: crash a small stack, save the PMR wreckage, then
 # re-analyze the canned image from disk — the flight recorder must
 # mount and cross-check clean both times (exit is non-zero on any
@@ -65,21 +70,13 @@ rm -f "$FORENSICS_IMG"
 # faults, the connection-kill campaign, and the TCP smoke (the long TCP
 # soak runs in the deep tier).
 cargo test -q --release -p ccnvme-fabric
-# Ploc smoke: detectable-structure unit tests, the remote exactly-once
-# capsule path, and the bounded ploc crash-surface sweep (every
-# persistence-event prefix, local and fabric-driven, plus the recovery
-# re-crash convergence check on the final image).
+# Ploc smoke: detectable-structure unit tests and the remote
+# exactly-once capsule path.
 cargo test -q -p ccnvme-ploc
 cargo test -q --release -p ccnvme-fabric --test ploc_fabric
-cargo test -q --release -p ccnvme-crashtest --test ploc_enum
 # Cluster smoke: the sharded 2PC unit/integration suite (hash ring,
-# prepare/decide/verdict/resolve, degradation ladder) and the bounded
-# cluster crash-surface sweep — coordinator plus every shard subset
-# crashed at every persistence-event prefix, atomic visibility and
-# exactly-once checked after two-wave recovery (the every-cut deep
-# sweep runs in the deep tier).
+# prepare/decide/verdict/resolve, degradation ladder).
 cargo test -q -p ccnvme-cluster
-cargo test -q --release -p ccnvme-crashtest --test cluster_enum
 # Runtime smoke: the sim/OS differential test (same workload on both
 # substrates must reach the same durable state) and a short wall-clock
 # bench run proving the OS backend actually drives real threads. The
@@ -89,12 +86,8 @@ cargo test -q --release --test runtime_differential
 QUICK=1 timeout 300 cargo run -q --release -p ccnvme-bench --bin runtime -- --runtime os > /dev/null
 
 if [[ "${CHECK_DEEP:-0}" == "1" ]]; then
-    echo "== deep tier: crash enumeration (torn tails + full re-crash sweep) =="
-    CCNVME_ENUM_DEEP=1 cargo test -q --release -p ccnvme-crashtest --test enumerate deep_
-    echo "== deep tier: ploc crash surface (torn tails, every-image re-crash, fabric) =="
-    CCNVME_ENUM_DEEP=1 cargo test -q --release -p ccnvme-crashtest --test ploc_enum deep_
-    echo "== deep tier: cluster crash surface (every cut, coordinator x shard subsets) =="
-    CCNVME_ENUM_DEEP=1 cargo test -q --release -p ccnvme-crashtest --test cluster_enum deep_
+    echo "== deep tier: crash sweeps (fs + ploc: torn tails, every-image re-crash; cluster: every cut) =="
+    CCNVME_ENUM_DEEP=1 cargo test -q --release -p ccnvme-crashtest deep_
     echo "== deep tier: fabric TCP soak (real sockets, reconnect mid-commit) =="
     CCNVME_TCP_SOAK=1 cargo test -q --release -p ccnvme-fabric --test tcp
     echo "== deep tier: loom model checking =="

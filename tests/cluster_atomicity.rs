@@ -37,7 +37,6 @@ use ccnvme_repro::sim::{Ns, Sim};
 use ccnvme_repro::ssd::{
     CacheSurvival, CrashMode, CtrlConfig, DurableImage, NvmeController, PersistLog, SsdProfile,
 };
-use parking_lot::Mutex;
 use proptest::prelude::*;
 
 /// Host cores serving fabric handlers and the client.
@@ -55,22 +54,12 @@ fn sim_cores() -> usize {
     CORES + DOMAINS
 }
 
-type Slot<T> = Arc<Mutex<Option<T>>>;
-
 fn in_sim<T, F>(f: F) -> T
 where
     T: Send + 'static,
     F: FnOnce() -> T + Send + 'static,
 {
-    let out: Slot<T> = Arc::new(Mutex::new(None));
-    let out2 = Arc::clone(&out);
-    let mut sim = Sim::new(sim_cores());
-    sim.spawn("case", 0, move || {
-        *out2.lock() = Some(f());
-    });
-    sim.run();
-    let v = out.lock().take().expect("case closure ran");
-    v
+    Sim::run_main(sim_cores(), f)
 }
 
 fn ctrl_config(domain: usize, record: bool) -> CtrlConfig {
@@ -379,11 +368,11 @@ fn run_case(
         "persist-order violations: {}",
         run.sanitizer_violations
     );
-    let mut cut_times: Vec<Ns> = run
-        .logs
+    let times: Vec<Vec<Ns>> = run.logs.iter().map(|l| l.event_times()).collect();
+    let mut cut_times: Vec<Ns> = times
         .iter()
-        .flat_map(|l| l.sorted_events())
-        .map(|e| e.at)
+        .flatten()
+        .copied()
         .filter(|&at| at >= run.t0)
         .collect();
     cut_times.sort_unstable();
@@ -393,9 +382,9 @@ fn run_case(
     let images: Vec<DurableImage> = run
         .logs
         .iter()
-        .map(|l| {
-            let events = l.sorted_events();
-            let prefix = events.partition_point(|e| e.at < cut_at);
+        .zip(&times)
+        .map(|(l, t)| {
+            let prefix = t.partition_point(|&at| at < cut_at);
             l.state_at(prefix, 0, CacheSurvival::DropAll)
         })
         .collect();
