@@ -27,8 +27,8 @@ use ccnvme_fabric::{
     Backend, ClientCfg, ClientStats, ClusterBackend, Connector, FabricConfig, FabricTarget,
     ShardWrite,
 };
-use ccnvme_obs::Registry;
-use ccnvme_sim::{Histogram, Ns, Sim};
+use ccnvme_obs::{Histogram, Registry};
+use ccnvme_sim::{Ns, Sim};
 use ccnvme_ssd::{CtrlConfig, NvmeController, SsdProfile};
 
 /// Host cores serving fabric handler daemons and client threads.

@@ -475,7 +475,7 @@ mod tests {
     fn complete_runs_end_io_once() {
         let mut sim = Sim::new(1);
         sim.spawn("t", 0, || {
-            let hits = Arc::new(ccnvme_sim::Counter::new());
+            let hits = Arc::new(ccnvme_obs::Counter::new());
             let h = Arc::clone(&hits);
             let mut bio = Bio::flush();
             bio.end_io = Some(Box::new(move |_| h.inc()));

@@ -28,17 +28,16 @@ use std::{
 };
 
 use ccnvme_block::{Bio, BioOp, BioStatus, BlockDevice};
-use ccnvme_obs::{EventKind, Obs};
+use ccnvme_obs::{EventKind, Histogram, Obs};
 use ccnvme_pcie::MmioRegion;
-use ccnvme_runtime::{mpsc_channel, RtCondvar, RtMutex, Sender};
-use ccnvme_sim::{Histogram, Ns};
+use ccnvme_runtime::{mpsc_channel, Ns, RtCondvar, RtMutex, Sender};
 use ccnvme_ssd::{
     CompletionEntry, DoorbellLoc, HostMemory, NvmeCommand, NvmeController, Opcode, QueueParams,
     SqBacking, Status, TxFlags,
 };
 
 use crate::{
-    errpolicy::{map_status, retry_daemon, ErrPolicy, HostErrStats},
+    errpolicy::{map_status, retry_daemon, watchdog_daemon, Age, ErrPolicy, HostErrStats},
     layout::PmrLayout,
     recovery::{scan_pmr, RecoveryReport},
     DEFAULT_CAPACITY_BLOCKS, SUBMIT_CPU,
@@ -857,51 +856,40 @@ fn abort_slot(st: &mut CcqSt, q: &CcQueue, pmr: &MmioRegion, errctx: &Arc<CcErrC
 /// in-order pop advances the persistent head past it (recovery must not
 /// replay an aborted transaction anyway).
 fn cc_watchdog_loop(inner: Arc<CcInner>) {
-    let policy = inner.errctx.policy;
-    let period = (policy.kick_after / 2).max(1_000_000);
-    loop {
-        ccnvme_runtime::delay(period);
-        for q in &inner.queues {
-            let now = ccnvme_runtime::now();
-            let mut kick = false;
-            let mut aborted = false;
-            {
+    watchdog_daemon(
+        inner.errctx.policy,
+        &inner.errctx.stats,
+        &inner.queues,
+        |q, age| {
+            let aborted = {
                 let mut st = q.st.lock();
                 let mut to_abort: Vec<usize> = Vec::new();
                 for (i, s) in st.slots.iter_mut().enumerate() {
-                    if s.done {
-                        continue;
-                    }
-                    let age = now.saturating_sub(s.submitted_at);
-                    if age >= policy.timeout {
+                    if !s.done && age(s.submitted_at, &mut s.last_kick) == Age::Expired {
                         to_abort.push(i);
-                    } else if age >= policy.kick_after
-                        && now.saturating_sub(s.last_kick) >= policy.kick_after
-                    {
-                        s.last_kick = now;
-                        kick = true;
                     }
                 }
-                for i in to_abort {
+                for &i in &to_abort {
                     abort_slot(&mut st, q, &inner.pmr, &inner.errctx, i);
-                    aborted = true;
                 }
-            }
+                !to_abort.is_empty()
+            };
             if aborted {
                 let regs = inner.ctrl.regs();
                 advance_queue(q, &inner.pmr, &regs, &inner.hostmem);
-            } else if kick {
-                // Re-ring the last rung tail: recovers a dropped P-SQDB
-                // MMIO without exposing uncommitted transaction members.
-                inner.errctx.stats.doorbell_kicks.inc();
-                let tail = q.st.lock().last_rung;
-                // ccnvme-lint: allow(persist-order) — re-ring of
-                // `last_rung`, a tail whose entries were flushed before
-                // the original ring; no new SQE bytes are exposed.
-                inner.pmr.write(q.db_off, &tail.to_le_bytes());
             }
-        }
-    }
+            aborted
+        },
+        |q| {
+            // Re-ring the last rung tail: recovers a dropped P-SQDB
+            // MMIO without exposing uncommitted transaction members.
+            let tail = q.st.lock().last_rung;
+            // ccnvme-lint: allow(persist-order) — re-ring of
+            // `last_rung`, a tail whose entries were flushed before
+            // the original ring; no new SQE bytes are exposed.
+            inner.pmr.write(q.db_off, &tail.to_le_bytes());
+        },
+    )
 }
 
 /// Resubmits the command of `orig_cid` as a fresh retry-incarnation

@@ -18,20 +18,19 @@
 use std::{collections::HashMap, sync::Arc};
 
 use ccnvme_block::{Bio, BioOp, BioStatus, BioWaiter, BlockDevice};
-use ccnvme_obs::{EventKind, Obs};
-use ccnvme_runtime::{mpsc_channel, RtCondvar, RtMutex, Sender};
-use ccnvme_sim::{Histogram, Ns};
+use ccnvme_obs::{EventKind, Histogram, Obs};
+use ccnvme_runtime::{mpsc_channel, Ns, RtCondvar, RtMutex, Sender};
 use ccnvme_ssd::{
     CompletionEntry, DoorbellLoc, HostMemory, NvmeCommand, NvmeController, Opcode, QueueParams,
     SqBacking, Status, TxFlags,
 };
 use parking_lot::Mutex;
 
-use crate::errpolicy::{map_status, retry_daemon, ErrPolicy, HostErrStats};
+use crate::errpolicy::{map_status, retry_daemon, watchdog_daemon, Age, ErrPolicy, HostErrStats};
 use crate::{DEFAULT_CAPACITY_BLOCKS, QUEUE_DEPTH, SUBMIT_CPU};
 
 /// CPU cost of formatting one 64-byte SQE into host memory.
-const SQE_WRITE_CPU: ccnvme_sim::Ns = 100;
+const SQE_WRITE_CPU: Ns = 100;
 
 /// Base of the standard NVMe doorbell register array.
 const DB_BASE: u64 = 0x1000;
@@ -412,41 +411,30 @@ fn resubmit(inner: &DrvInner, q: &Arc<DrvQueue>, cid: u16) {
     inner.regs.write(q.sqdb_off, &new_tail.to_le_bytes());
 }
 
-/// Daemon: ages every in-flight command against the virtual clock.
+/// Daemon: ages every in-flight command against the clock.
 /// Stage 1 (`kick_after`): re-ring the SQ doorbell — recovers dropped
 /// doorbell MMIOs. Stage 2 (`timeout`): abort by draining and
 /// re-creating the hardware queue.
 fn watchdog_loop(inner: Arc<DrvInner>) {
-    let period = (inner.errctx.policy.kick_after / 2).max(1_000_000);
-    loop {
-        ccnvme_runtime::delay(period);
-        for q in &inner.queues {
-            let now = ccnvme_runtime::now();
-            let mut kick = false;
-            let mut reinit = false;
-            {
-                let mut st = q.st.lock();
-                for inf in st.inflight.values_mut() {
-                    let age = now.saturating_sub(inf.submitted_at);
-                    if age >= inner.errctx.policy.timeout {
-                        reinit = true;
-                    } else if age >= inner.errctx.policy.kick_after
-                        && now.saturating_sub(inf.last_kick) >= inner.errctx.policy.kick_after
-                    {
-                        inf.last_kick = now;
-                        kick = true;
-                    }
-                }
+    watchdog_daemon(
+        inner.errctx.policy,
+        &inner.errctx.stats,
+        &inner.queues,
+        |q, age| {
+            let mut expired = false;
+            for inf in q.st.lock().inflight.values_mut() {
+                expired |= age(inf.submitted_at, &mut inf.last_kick) == Age::Expired;
             }
-            if reinit {
+            if expired {
                 reinit_queue(&inner, q);
-            } else if kick {
-                inner.errctx.stats.doorbell_kicks.inc();
-                let tail = q.st.lock().tail;
-                inner.regs.write(q.sqdb_off, &tail.to_le_bytes());
             }
-        }
-    }
+            expired
+        },
+        |q| {
+            let tail = q.st.lock().tail;
+            inner.regs.write(q.sqdb_off, &tail.to_le_bytes());
+        },
+    )
 }
 
 /// Aborts every command on `q` and re-creates the hardware queue (the
@@ -765,7 +753,7 @@ mod tests {
     fn multi_queue_parallelism_scales_throughput() {
         fn run(cores: usize) -> u64 {
             let mut sim = Sim::new(cores + 1);
-            let done = Arc::new(ccnvme_sim::Counter::new());
+            let done = Arc::new(ccnvme_obs::Counter::new());
             let drv = Arc::new(Mutex::new(None::<Arc<NvmeDriver>>));
             let d2 = Arc::clone(&drv);
             let done2 = Arc::clone(&done);

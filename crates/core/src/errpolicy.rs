@@ -22,9 +22,8 @@
 use std::sync::Arc;
 
 use ccnvme_block::BioStatus;
-use ccnvme_obs::Registry;
-use ccnvme_runtime::Receiver;
-use ccnvme_sim::{Counter, Ns};
+use ccnvme_obs::{Counter, Registry};
+use ccnvme_runtime::{Ns, Receiver};
 use ccnvme_ssd::Status;
 
 /// Timeouts and retry budget of the host error path.
@@ -101,6 +100,69 @@ pub(crate) fn retry_daemon<R>(
                 if let Some(req) = rx.recv_timeout(next - now) {
                     pending.push(req);
                 }
+            }
+        }
+    }
+}
+
+/// What the watchdog makes of one in-flight command's age.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Age {
+    /// Younger than [`ErrPolicy::kick_after`], or kicked more recently
+    /// than that: left alone.
+    Fresh,
+    /// Silent for `kick_after` since its submission and since its last
+    /// kick: re-ring its doorbell.
+    Kick,
+    /// Silent for [`ErrPolicy::timeout`]: abort it.
+    Expired,
+}
+
+impl ErrPolicy {
+    /// Ages a command submitted at `submitted_at` against `now`; a
+    /// [`Age::Kick`] verdict stamps `last_kick`. Kicks repeat every
+    /// `kick_after` until the timeout: the kick MMIO is posted and may
+    /// itself be dropped.
+    pub(crate) fn age(&self, now: Ns, submitted_at: Ns, last_kick: &mut Ns) -> Age {
+        let age = now.saturating_sub(submitted_at);
+        if age >= self.timeout {
+            Age::Expired
+        } else if age >= self.kick_after && now.saturating_sub(*last_kick) >= self.kick_after {
+            *last_kick = now;
+            Age::Kick
+        } else {
+            Age::Fresh
+        }
+    }
+}
+
+/// The watchdog daemon both drivers run: twice per `kick_after` (at most
+/// every millisecond) it has `scan` age every in-flight command of each
+/// queue with the classifier it is handed. `scan` deals with expired
+/// commands its driver's way and reports whether there were any; a queue
+/// with none of those but a command due a kick gets its doorbell re-rung
+/// by `rering`. Never returns (a daemon: torn down with its runtime).
+pub(crate) fn watchdog_daemon<Q>(
+    policy: ErrPolicy,
+    stats: &HostErrStats,
+    queues: &[Q],
+    scan: impl Fn(&Q, &mut dyn FnMut(Ns, &mut Ns) -> Age) -> bool,
+    rering: impl Fn(&Q),
+) -> ! {
+    let period = (policy.kick_after / 2).max(1_000_000);
+    loop {
+        ccnvme_runtime::delay(period);
+        for q in queues {
+            let now = ccnvme_runtime::now();
+            let mut kick = false;
+            let expired = scan(q, &mut |submitted_at, last_kick| {
+                let age = policy.age(now, submitted_at, last_kick);
+                kick |= age == Age::Kick;
+                age
+            });
+            if !expired && kick {
+                stats.doorbell_kicks.inc();
+                rering(q);
             }
         }
     }
@@ -235,6 +297,18 @@ mod tests {
         assert_eq!(p.backoff(2), p.backoff_base * 2);
         assert_eq!(p.backoff(3), p.backoff_base * 4);
         assert_eq!(p.backoff(30), p.backoff_cap);
+    }
+
+    #[test]
+    fn age_kicks_once_per_kick_after_until_the_timeout() {
+        let p = ErrPolicy::default();
+        let mut last_kick = 0;
+        assert_eq!(p.age(p.kick_after - 1, 0, &mut last_kick), Age::Fresh);
+        assert_eq!(p.age(p.kick_after, 0, &mut last_kick), Age::Kick);
+        assert_eq!(last_kick, p.kick_after);
+        assert_eq!(p.age(p.kick_after + 1, 0, &mut last_kick), Age::Fresh);
+        assert_eq!(p.age(2 * p.kick_after, 0, &mut last_kick), Age::Kick);
+        assert_eq!(p.age(p.timeout, 0, &mut last_kick), Age::Expired);
     }
 
     #[test]

@@ -48,4 +48,4 @@ pub const QUEUE_DEPTH: u32 = 256;
 /// submission path (request allocation, mapping, command build). The
 /// paper's Figure 14 measures >1 µs per request through Linux's stack;
 /// ours is leaner but of the same order.
-pub const SUBMIT_CPU: ccnvme_sim::Ns = 600;
+pub const SUBMIT_CPU: ccnvme_runtime::Ns = 600;

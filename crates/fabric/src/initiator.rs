@@ -18,7 +18,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use ccnvme_obs::{Counter, Registry};
-use ccnvme_sim::Ns;
+use ccnvme_runtime::Ns;
 
 use ccnvme_ploc::{OpResult, PlocOp, RecoverVerdict};
 
@@ -74,7 +74,7 @@ pub struct ClientCfg {
 impl Default for ClientCfg {
     fn default() -> Self {
         ClientCfg {
-            ack_timeout_ns: 50 * ccnvme_sim::MS,
+            ack_timeout_ns: 50 * ccnvme_runtime::MS,
             backoff_ns: 100_000,
             max_reconnects: 50,
             stats: ClientStats::detached(),

@@ -26,8 +26,7 @@ use ccnvme_block::{Bio, BioFlags, BioStatus, BioWaiter, BlockDevice, BLOCK_SIZE}
 use ccnvme_fault::FaultInjector;
 use ccnvme_obs::{Counter, Obs};
 use ccnvme_ploc::{PlocError, PlocService, RecoverVerdict};
-use ccnvme_runtime::RtMutex;
-use ccnvme_sim::Ns;
+use ccnvme_runtime::{Ns, RtMutex};
 use mqfs::FileSystem;
 use parking_lot::Mutex;
 
@@ -55,7 +54,7 @@ pub const DEFAULT_TX_MEMBER_CAP: u32 = 24;
 
 /// How long an idle connection handler waits per receive before
 /// re-checking its wire (virtual ns for loopback handlers).
-const SERVE_IDLE_NS: Ns = 10 * ccnvme_sim::MS;
+const SERVE_IDLE_NS: Ns = 10 * ccnvme_runtime::MS;
 
 /// What a target serves.
 #[derive(Clone)]

@@ -20,7 +20,7 @@ use std::sync::mpsc as std_mpsc;
 use std::sync::Arc;
 use std::time::Duration;
 
-use ccnvme_sim::Ns;
+use ccnvme_runtime::Ns;
 use parking_lot::Mutex;
 
 use crate::error::FabricError;
@@ -260,8 +260,8 @@ impl TcpFabricServer {
                 // Handlers run on cores 0..cores; two extra cores host
                 // the backend's device thread and kjournald (the same
                 // layout as `StackConfig::sim_cores`).
-                let mut sim = ccnvme_sim::Sim::new(cores.max(1) + 2);
-                sim.spawn("fabric-main", 0, move || {
+                let sim_cores = cores.max(1) + 2;
+                ccnvme_runtime::run_on(ccnvme_runtime::RuntimeKind::Sim, sim_cores, move || {
                     let target = FabricTarget::new(build(), fcfg);
                     loop {
                         // ord: Relaxed — stop is a standalone shutdown
@@ -291,7 +291,6 @@ impl TcpFabricServer {
                         ccnvme_runtime::delay(ACCEPT_POLL_NS);
                     }
                 });
-                sim.run();
             })?;
 
         Ok(TcpFabricServer {

@@ -11,8 +11,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use ccnvme_fault::{FaultInjector, NetDir, NetFaultKind, NetOp};
-use ccnvme_runtime::{Receiver, Sender};
-use ccnvme_sim::Ns;
+use ccnvme_runtime::{Ns, Receiver, Sender};
 use parking_lot::Mutex;
 
 use crate::error::FabricError;

@@ -18,7 +18,8 @@
 
 use std::sync::Arc;
 
-use ccnvme_sim::{Counter, DetRng, Ns};
+use ccnvme_obs::Counter;
+use ccnvme_sim::{DetRng, Ns};
 use parking_lot::Mutex;
 
 /// What goes wrong when a rule fires.

@@ -24,8 +24,8 @@ use std::{
 };
 
 use ccnvme_block::{Bio, BioBuf, BioFlags, BioStatus, BioWaiter};
-use ccnvme_runtime::{RtCondvar, RtMutex};
-use ccnvme_sim::{Counter, Histogram, Ns};
+use ccnvme_obs::{Counter, Histogram};
+use ccnvme_runtime::{Ns, RtCondvar, RtMutex};
 
 use crate::{
     area::{AreaRing, AreaSpec},
@@ -250,47 +250,49 @@ fn commit_compound(inner: &Arc<ClassicInner>, batch: &mut [PendingTx]) -> Result
     }
     // Compounds larger than one descriptor (or than the hardware queue,
     // for the ccNVMe commit style) are split into chained chunks sharing
-    // the compound ID; the classic styles seal them all with one commit
-    // record, exactly like JBD2's multi-descriptor transactions.
+    // the compound ID, each sealed by its own commit record / ccNVMe
+    // commit request; the first carries the revoke list. A compound that
+    // fits one chunk thaws its pages as soon as their journal copies are
+    // on media, a chained one once the last chunk is sealed.
     const CHUNK: usize = 64;
-    if order.len() > CHUNK {
-        let mut rest: Vec<u64> = order;
-        let mut first = true;
-        while !rest.is_empty() {
-            let take = rest.len().min(CHUNK);
-            let chunk_order: Vec<u64> = rest.drain(..take).collect();
-            let chunk_batch: Vec<&crate::TxBlock> =
-                chunk_order.iter().map(|l| &merged[l]).collect();
-            let chunk_revokes = if first {
-                std::mem::take(&mut revokes)
-            } else {
-                Vec::new()
-            };
-            first = false;
-            commit_chunk(
-                inner,
-                compound_id,
-                &chunk_order,
-                &chunk_batch,
-                chunk_revokes,
-            )?;
-        }
-        // ord: SeqCst — the replay ceiling may only advance after the
-        // commit record is durable; reordering would let checkpoint
-        // overwrite journal blocks recovery still needs.
-        inner.max_committed.fetch_max(compound_id, Ordering::SeqCst);
-        unpin_batch(batch);
-        let mut pending = inner.pending.lock();
-        for (lba, blk) in merged {
-            pending.insert(
-                lba,
-                CheckpointEntry {
-                    buf: Arc::clone(&blk.buf),
-                },
-            );
-        }
-        return Ok(());
+    let chunks = order.len().div_ceil(CHUNK).max(1);
+    for i in 0..chunks {
+        let chunk = &order[i * CHUNK..order.len().min((i + 1) * CHUNK)];
+        let blocks: Vec<&crate::TxBlock> = chunk.iter().map(|l| &merged[l]).collect();
+        let chunk_revokes = if i == 0 { revokes.clone() } else { Vec::new() };
+        let thaw = (chunks == 1).then_some(&mut *batch);
+        commit_chunk(inner, compound_id, chunk, &blocks, chunk_revokes, thaw)?;
     }
+    // ord: SeqCst — the replay ceiling may only advance after the
+    // commit record is durable; reordering would let checkpoint
+    // overwrite journal blocks recovery still needs.
+    inner.max_committed.fetch_max(compound_id, Ordering::SeqCst);
+    unpin_batch(batch);
+    // Account the journaled blocks for checkpointing; a revoked block's
+    // journal copy is stale and must never be written home.
+    let mut pending = inner.pending.lock();
+    for (lba, blk) in merged {
+        pending.insert(lba, CheckpointEntry { buf: blk.buf });
+    }
+    for r in &revokes {
+        pending.remove(r);
+    }
+    Ok(())
+}
+
+/// Commits one chunk of a compound: journal blocks + JD, sealed by its
+/// own commit record / ccNVMe commit request. `thaw`, when given, is the
+/// batch whose frozen pages are released the moment the journal copies
+/// are on media.
+fn commit_chunk(
+    inner: &Arc<ClassicInner>,
+    compound_id: u64,
+    order: &[u64],
+    blocks: &[&crate::TxBlock],
+    revokes: Vec<u64>,
+    thaw: Option<&mut [PendingTx]>,
+) -> Result<(), BioStatus> {
+    let on_media = || thaw.into_iter().for_each(unpin_batch);
     // Journal space: JD + blocks (+ commit record for the classic styles).
     let need = order.len() as u64
         + if inner.style == CommitStyle::CcTx {
@@ -313,19 +315,18 @@ fn commit_compound(inner: &Arc<ClassicInner>, batch: &mut [PendingTx]) -> Result
     };
     let (jd_lba, block_lbas): (u64, &[u64]) = if inner.style == CommitStyle::CcTx {
         // ccNVMe style: the JD is the commit request and goes LAST.
-        let (jd, blocks) = lbas.split_last().expect("need >= 1");
-        (*jd, blocks)
+        let (jd, b) = lbas.split_last().expect("need >= 1");
+        (*jd, b)
     } else {
         let (jd, rest) = lbas.split_first().expect("need >= 2");
         (*jd, &rest[..rest.len() - 1])
     };
     // Build the descriptor.
     let mut entries = Vec::with_capacity(order.len());
-    for (i, final_lba) in order.iter().enumerate() {
-        let blk = &merged[final_lba];
+    for (i, blk) in blocks.iter().enumerate() {
         let sum = format::block_checksum(&blk.buf.lock());
         entries.push(JdEntry {
-            final_lba: *final_lba,
+            final_lba: order[i],
             journal_lba: block_lbas[i],
             checksum: sum,
         });
@@ -333,17 +334,15 @@ fn commit_compound(inner: &Arc<ClassicInner>, batch: &mut [PendingTx]) -> Result
     let jd = JdBlock {
         tx_id: compound_id,
         entries,
-        revokes: revokes.clone(),
+        revokes,
     };
     let jd_buf: BioBuf = Arc::new(parking_lot::Mutex::new(jd.encode()));
-
     let waiter = BioWaiter::new();
     match inner.style {
         CommitStyle::CcTx => {
             // Members first, the JD commit last; atomicity and implicit
             // durability barrier come from the ccNVMe transaction.
-            for (i, final_lba) in order.iter().enumerate() {
-                let blk = &merged[final_lba];
+            for (i, blk) in blocks.iter().enumerate() {
                 let mut bio = Bio::write(block_lbas[i], Arc::clone(&blk.buf), BioFlags::TX)
                     .with_tx_id(compound_id);
                 waiter.attach(&mut bio);
@@ -354,14 +353,13 @@ fn commit_compound(inner: &Arc<ClassicInner>, batch: &mut [PendingTx]) -> Result
             waiter.attach(&mut jd_bio);
             inner.dev.submit_bio(jd_bio);
             wait_ok(&waiter)?;
-            unpin_batch(batch);
+            on_media();
         }
         CommitStyle::Horae | CommitStyle::Classic => {
             let mut jd_bio = Bio::write(jd_lba, jd_buf, BioFlags::NONE);
             waiter.attach(&mut jd_bio);
             inner.dev.submit_bio(jd_bio);
-            for (i, final_lba) in order.iter().enumerate() {
-                let blk = &merged[final_lba];
+            for (i, blk) in blocks.iter().enumerate() {
                 let mut bio = Bio::write(block_lbas[i], Arc::clone(&blk.buf), BioFlags::NONE);
                 waiter.attach(&mut bio);
                 inner.dev.submit_bio(bio);
@@ -386,7 +384,7 @@ fn commit_compound(inner: &Arc<ClassicInner>, batch: &mut [PendingTx]) -> Result
                 waiter.attach(&mut commit_bio);
                 inner.dev.submit_bio(commit_bio);
                 wait_ok(&waiter)?;
-                unpin_batch(batch);
+                on_media();
                 // Durability (not ordering): one trailing cache drain so
                 // the journal blocks are stable before fsync returns.
                 // Horae's ordering layer guarantees this on real HW.
@@ -404,138 +402,7 @@ fn commit_compound(inner: &Arc<ClassicInner>, batch: &mut [PendingTx]) -> Result
                 // (JBD2 clears BJ_Shadow here), letting the next compound
                 // assemble during the commit-record wait.
                 wait_ok(&waiter)?;
-                unpin_batch(batch);
-                let commit_waiter = BioWaiter::new();
-                let mut commit_bio = Bio::write(commit_lba, commit_buf, BioFlags::PREFLUSH_FUA);
-                commit_waiter.attach(&mut commit_bio);
-                inner.dev.submit_bio(commit_bio);
-                wait_ok(&commit_waiter)?;
-            }
-        }
-    }
-    // ord: SeqCst — replay ceiling advances only after the commit
-    // record is durable (same contract as the compound path).
-    inner.max_committed.fetch_max(compound_id, Ordering::SeqCst);
-    // Account the journaled blocks for checkpointing.
-    {
-        let mut pending = inner.pending.lock();
-        for final_lba in &order {
-            let blk = &merged[final_lba];
-            pending.insert(
-                *final_lba,
-                CheckpointEntry {
-                    buf: Arc::clone(&blk.buf),
-                },
-            );
-        }
-        for r in &revokes {
-            pending.remove(r);
-        }
-    }
-    Ok(())
-}
-
-/// Commits one chunk of an oversized compound (journal blocks + JD; the
-/// chunk is sealed by its own commit record / ccNVMe commit request).
-fn commit_chunk(
-    inner: &Arc<ClassicInner>,
-    compound_id: u64,
-    order: &[u64],
-    blocks: &[&crate::TxBlock],
-    revokes: Vec<u64>,
-) -> Result<(), BioStatus> {
-    let need = order.len() as u64
-        + if inner.style == CommitStyle::CcTx {
-            1
-        } else {
-            2
-        };
-    let lbas = loop {
-        match inner.ring.alloc(need) {
-            Some(l) => break l,
-            None => {
-                checkpoint_now(inner);
-                // ord: SeqCst — pairs with the aborted stores; must see
-                // a checkpoint failure before retrying the ring alloc.
-                if inner.aborted.load(Ordering::SeqCst) {
-                    return Err(BioStatus::Error);
-                }
-            }
-        }
-    };
-    let (jd_lba, block_lbas): (u64, &[u64]) = if inner.style == CommitStyle::CcTx {
-        let (jd, b) = lbas.split_last().expect("need >= 1");
-        (*jd, b)
-    } else {
-        let (jd, rest) = lbas.split_first().expect("need >= 2");
-        (*jd, &rest[..rest.len() - 1])
-    };
-    let mut entries = Vec::with_capacity(order.len());
-    for (i, blk) in blocks.iter().enumerate() {
-        let sum = format::block_checksum(&blk.buf.lock());
-        entries.push(JdEntry {
-            final_lba: order[i],
-            journal_lba: block_lbas[i],
-            checksum: sum,
-        });
-    }
-    let jd = JdBlock {
-        tx_id: compound_id,
-        entries,
-        revokes,
-    };
-    let jd_buf: BioBuf = Arc::new(parking_lot::Mutex::new(jd.encode()));
-    let waiter = BioWaiter::new();
-    match inner.style {
-        CommitStyle::CcTx => {
-            for (i, blk) in blocks.iter().enumerate() {
-                let mut bio = Bio::write(block_lbas[i], Arc::clone(&blk.buf), BioFlags::TX)
-                    .with_tx_id(compound_id);
-                waiter.attach(&mut bio);
-                inner.dev.submit_bio(bio);
-            }
-            let mut jd_bio =
-                Bio::write(jd_lba, jd_buf, BioFlags::TX_COMMIT).with_tx_id(compound_id);
-            waiter.attach(&mut jd_bio);
-            inner.dev.submit_bio(jd_bio);
-            wait_ok(&waiter)?;
-        }
-        CommitStyle::Horae | CommitStyle::Classic => {
-            let mut jd_bio = Bio::write(jd_lba, jd_buf, BioFlags::NONE);
-            waiter.attach(&mut jd_bio);
-            inner.dev.submit_bio(jd_bio);
-            for (i, blk) in blocks.iter().enumerate() {
-                let mut bio = Bio::write(block_lbas[i], Arc::clone(&blk.buf), BioFlags::NONE);
-                waiter.attach(&mut bio);
-                inner.dev.submit_bio(bio);
-            }
-            let commit_lba = *lbas.last().expect("need >= 2");
-            let commit_buf: BioBuf = Arc::new(parking_lot::Mutex::new(
-                format::encode_commit_record(compound_id),
-            ));
-            if inner.style == CommitStyle::Horae {
-                let mut commit_bio = Bio::write(
-                    commit_lba,
-                    commit_buf,
-                    BioFlags {
-                        preflush: false,
-                        fua: true,
-                        tx: false,
-                        tx_commit: false,
-                    },
-                );
-                waiter.attach(&mut commit_bio);
-                inner.dev.submit_bio(commit_bio);
-                wait_ok(&waiter)?;
-                if inner.dev.has_volatile_cache() {
-                    let fw = BioWaiter::new();
-                    let mut flush = Bio::flush();
-                    fw.attach(&mut flush);
-                    inner.dev.submit_bio(flush);
-                    wait_ok(&fw)?;
-                }
-            } else {
-                wait_ok(&waiter)?;
+                on_media();
                 let commit_waiter = BioWaiter::new();
                 let mut commit_bio = Bio::write(commit_lba, commit_buf, BioFlags::PREFLUSH_FUA);
                 commit_waiter.attach(&mut commit_bio);

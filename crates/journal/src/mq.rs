@@ -46,8 +46,8 @@ use std::{
 };
 
 use ccnvme_block::{Bio, BioBuf, BioFlags, BioStatus, BioWaiter};
+use ccnvme_obs::{Counter, Histogram};
 use ccnvme_runtime::RtMutex;
-use ccnvme_sim::{Counter, Histogram};
 
 use crate::{
     area::{AreaRing, AreaSpec},

@@ -13,7 +13,7 @@ use ccnvme_sim::Sim;
 use ccnvme_ssd::{CrashMode, CtrlConfig, DurableImage, NvmeController, SsdProfile};
 use mqfs_journal::{
     recover_areas, AreaSpec, ClassicJournal, CommitStyle, Durability, Journal, MqJournal,
-    NoJournal, TxBlock, TxDescriptor,
+    NoJournal, ReuseAction, TxBlock, TxDescriptor,
 };
 use parking_lot::Mutex;
 
@@ -633,7 +633,7 @@ fn horae_mode_skips_ordering_points_but_recovers() {
 fn classic_is_slower_than_horae_is_slower_than_mq() {
     fn run_engine(which: &str) -> u64 {
         let mut sim = Sim::new(CORES + 2);
-        let total = Arc::new(ccnvme_sim::Counter::new());
+        let total = Arc::new(ccnvme_obs::Counter::new());
         let t2 = Arc::clone(&total);
         let which = which.to_string();
         sim.spawn("host", 0, move || {
@@ -833,6 +833,49 @@ fn classic_compound_larger_than_one_descriptor_chunks() {
         for (lba, byte) in metas {
             assert_eq!(read_lba(&dev2, lba), byte);
         }
+    });
+    sim.run();
+}
+
+/// A compound can hold a journal copy of a block next to the revoke of
+/// that very block: the copy was captured before the block was freed and
+/// reused as file data. The copy must not stay queued for checkpoint —
+/// however many chunks the compound takes (the chained path forgot).
+#[test]
+fn classic_chunked_compound_drops_revoked_copies_from_checkpoint() {
+    let mut sim = Sim::new(CORES + 2);
+    sim.spawn("host", 0, || {
+        let (_drv, dev) = nvme_stack(SsdProfile::optane_905p());
+        let area = AreaSpec {
+            start: JOURNAL_START,
+            len: 512,
+        };
+        let journal = ClassicJournal::new(
+            Arc::clone(&dev),
+            area,
+            HORIZON_LBA,
+            CommitStyle::Classic,
+            CORES + 1,
+        );
+        let tx = tx_with(&journal, &[(50, 0xd1)], &[]);
+        journal
+            .commit_tx(tx, Durability::Durable)
+            .expect("commit ok");
+        assert_eq!(journal.note_block_reuse(50), ReuseAction::Revoked);
+        // 71 blocks: two chunks, the stale copy of 50 in the second.
+        let mut metas: Vec<(u64, u8)> = (0..70).map(|i| (2_000 + i, 1)).collect();
+        metas.push((50, 0xd1));
+        let mut tx = tx_with(&journal, &metas, &[(50, 0x42)]);
+        tx.revokes.push(50);
+        journal
+            .commit_tx(tx, Durability::Durable)
+            .expect("commit ok");
+        journal.checkpoint_all();
+        assert_eq!(
+            read_lba(&dev, 50),
+            0x42,
+            "checkpoint wrote the revoked copy over file data"
+        );
     });
     sim.run();
 }

@@ -239,7 +239,7 @@ fn lint_sources_with(
             let path_is_test = path
                 .components()
                 .any(|c| c.as_os_str() == "tests" || c.as_os_str() == "benches");
-            let model = model::build(path_is_test, src, &lexed, cfg);
+            let model = model::build(path_is_test, src, &lexed);
             rules::Unit {
                 path: path.display().to_string(),
                 src: src.clone(),

@@ -1,48 +1,12 @@
-//! Source model: per-file function extraction with, for each function,
-//! the ordered sequence of persistence events (P-SQ region stores,
-//! flushes, doorbell rings) and outgoing calls.
+//! Source model: per-file function extraction (name, body range, test
+//! and `commit_path` status), the suppression-directive grammar, and the
+//! token-shape helpers [`crate::ir`] lowers function bodies with.
 //!
 //! This is a token-shape model over the masked source from
-//! [`crate::lexer`], not a real parse. The shapes it keys on are
-//! narrow and stable in this codebase:
-//!
-//! * a P-SQ store is `<recv>.write(<args>)` where `<recv>`'s final
-//!   path segment is a configured PMR receiver (`pmr`);
-//! * a doorbell ring is a P-SQ store whose first argument mentions a
-//!   configured doorbell token (`db_off`) as a whole identifier;
-//! * a flush is `<recv>.flush(...)` on a PMR receiver;
-//! * a call is any `ident(` not preceded by `.` (free/assoc call) or
-//!   `.ident(` (method call) that is not a keyword.
+//! [`crate::lexer`], not a real parse.
 
 use crate::config::Config;
 use crate::lexer::Lexed;
-
-/// A persistence-relevant event or an outgoing call, in source order.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Event {
-    /// Store to the persistent MMIO region (not a doorbell).
-    PmrStore {
-        /// 1-based line of the call.
-        line: usize,
-    },
-    /// `pmr.flush()` — write-combining buffer drain.
-    Flush {
-        /// 1-based line of the call.
-        line: usize,
-    },
-    /// Doorbell ring: P-SQ store whose offset is a doorbell register.
-    Doorbell {
-        /// 1-based line of the call.
-        line: usize,
-    },
-    /// Outgoing call to a named function/method.
-    Call {
-        /// Callee identifier (method or function name).
-        name: String,
-        /// 1-based line of the call.
-        line: usize,
-    },
-}
 
 /// One function found in a source file.
 #[derive(Debug)]
@@ -56,8 +20,6 @@ pub struct Func {
     pub in_test: bool,
     /// True if a `// ccnvme-lint: commit_path` marker precedes the fn.
     pub commit_path: bool,
-    /// Ordered events and calls in the body.
-    pub events: Vec<Event>,
     /// Body byte range in the file (after the opening brace, to the
     /// closing brace).
     pub body: (usize, usize),
@@ -171,7 +133,7 @@ pub(crate) fn match_delim(b: &[u8], open: usize, oc: u8, cc: u8) -> Option<usize
 }
 
 /// Builds the model for one file.
-pub fn build(path_is_test: bool, src: &str, lexed: &Lexed, cfg: &Config) -> FileModel {
+pub fn build(path_is_test: bool, src: &str, lexed: &Lexed) -> FileModel {
     let masked = lexed.masked.as_bytes();
     let test_regions = find_test_regions(masked);
     let mut funcs = Vec::new();
@@ -264,13 +226,11 @@ pub fn build(path_is_test: bool, src: &str, lexed: &Lexed, cfg: &Config) -> File
         let fn_line = lexed.line_of(i);
         let in_test = path_is_test || test_regions.iter().any(|&(s, e)| i >= s && i < e);
         let commit_path = has_marker_above(lexed, src, i, "commit_path");
-        let events = scan_body(src, lexed, body_open + 1, body_close, cfg);
         funcs.push(Func {
             name,
             line: fn_line,
             in_test,
             commit_path,
-            events,
             body: (body_open + 1, body_close),
         });
         // Continue scanning inside the body too (nested fns) — resume
@@ -442,77 +402,6 @@ fn comment_block_matches(lexed: &Lexed, line1: usize, pred: &dyn Fn(&str) -> boo
     false
 }
 
-/// Scans a function body for events and calls.
-fn scan_body(src: &str, lexed: &Lexed, start: usize, end: usize, cfg: &Config) -> Vec<Event> {
-    let masked = lexed.masked.as_bytes();
-    let mut out = Vec::new();
-    let mut i = start;
-    while i < end {
-        if masked[i] != b'(' {
-            i += 1;
-            continue;
-        }
-        // `ident(` — read the identifier before the paren.
-        let Some((id_start, name)) = ident_before(masked, i) else {
-            i += 1;
-            continue;
-        };
-        let line = lexed.line_of(i);
-        // What precedes the identifier?
-        let mut p = id_start;
-        while p > 0 && masked[p - 1] == b' ' {
-            p -= 1;
-        }
-        let prev = if p > 0 { masked[p - 1] } else { b' ' };
-        if prev == b'.' {
-            // Method call: find the receiver's final segment.
-            let recv = receiver_ident(masked, p - 1);
-            let is_pmr = recv
-                .as_deref()
-                .map(|r| cfg.pmr_receivers.iter().any(|x| x == r))
-                .unwrap_or(false);
-            match (is_pmr, name) {
-                (true, "write") => {
-                    if first_arg_has_doorbell_token(masked, i, end, cfg) {
-                        out.push(Event::Doorbell { line });
-                    } else {
-                        out.push(Event::PmrStore { line });
-                    }
-                }
-                (true, "flush") => out.push(Event::Flush { line }),
-                _ => {
-                    if !KEYWORDS.contains(&name) {
-                        out.push(Event::Call {
-                            name: name.to_string(),
-                            line,
-                        });
-                    }
-                }
-            }
-        } else if prev != b':' || (p >= 2 && masked[p - 2] == b':') {
-            // Free or associated call (`foo(` or `Path::foo(`); plain
-            // `:foo(` (type ascription-ish) is skipped.
-            if !KEYWORDS.contains(&name) && !name.is_empty() {
-                // Skip definition sites (`fn name(`); macro calls never
-                // reach here because `!` is not an identifier byte.
-                let is_def = {
-                    let before = &lexed.masked[..id_start];
-                    before.trim_end().ends_with("fn")
-                };
-                if !is_def {
-                    out.push(Event::Call {
-                        name: name.to_string(),
-                        line,
-                    });
-                }
-            }
-        }
-        let _ = src;
-        i += 1;
-    }
-    out
-}
-
 /// Walks back from the `.` at byte `dot` to the receiver's final path
 /// segment identifier (e.g. `self.inner.pmr` → `pmr`).
 pub(crate) fn receiver_ident(masked: &[u8], dot: usize) -> Option<String> {
@@ -592,11 +481,11 @@ mod tests {
 
     fn model(src: &str) -> FileModel {
         let l = lex(src);
-        build(false, src, &l, &Config::default())
+        build(false, src, &l)
     }
 
     #[test]
-    fn finds_functions_and_events() {
+    fn finds_functions() {
         let src = r#"
 impl D {
     // ccnvme-lint: commit_path
@@ -613,41 +502,8 @@ impl D {
         let f = &m.funcs[0];
         assert_eq!(f.name, "enqueue");
         assert!(f.commit_path);
-        let kinds: Vec<_> = f
-            .events
-            .iter()
-            .map(|e| match e {
-                Event::PmrStore { .. } => "store",
-                Event::Flush { .. } => "flush",
-                Event::Doorbell { .. } => "bell",
-                Event::Call { .. } => "call",
-            })
-            .collect();
-        // The trailing "call" is `to_le_bytes(` — harmless, unresolvable.
-        assert_eq!(kinds, vec!["store", "flush", "bell", "call"]);
+        assert_eq!(m.funcs[1].name, "other");
         assert!(!m.funcs[1].commit_path);
-        assert!(matches!(&m.funcs[1].events[0], Event::Call { name, .. } if name == "helper"));
-    }
-
-    #[test]
-    fn doorbell_requires_whole_token() {
-        // `cqdb_off` must NOT match the `db_off` doorbell token.
-        let src = "fn f(&self) { self.pmr.write(q.cqdb_off, &x); }";
-        let m = model(src);
-        assert!(matches!(m.funcs[0].events[0], Event::PmrStore { .. }));
-        let src2 = "fn f(&self) { self.pmr.write(layout.db_off(q), &x); }";
-        let m2 = model(src2);
-        assert!(matches!(m2.funcs[0].events[0], Event::Doorbell { .. }));
-    }
-
-    #[test]
-    fn non_pmr_receiver_is_a_plain_call() {
-        let src = "fn f(&self) { self.regs.write(q.cqdb_off, &x); }";
-        let m = model(src);
-        assert!(m.funcs[0]
-            .events
-            .iter()
-            .all(|e| !matches!(e, Event::PmrStore { .. } | Event::Doorbell { .. })));
     }
 
     #[test]
@@ -705,7 +561,7 @@ impl D {
         assert!(!m.funcs[0].commit_path);
         let ok = "// ccnvme-lint: commit_path (tx commit entry)\nfn go() {}\n";
         let l = lex(ok);
-        let m2 = build(false, ok, &l, &Config::default());
+        let m2 = build(false, ok, &l);
         assert!(m2.funcs[0].commit_path);
     }
 }

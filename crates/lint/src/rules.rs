@@ -767,9 +767,8 @@ mod tests {
 
     fn unit(path: &str, src: &str) -> Unit {
         let lexed = lex(src);
-        let cfg = Config::default();
         let path_is_test = path.split('/').any(|c| c == "tests");
-        let model = build(path_is_test, src, &lexed, &cfg);
+        let model = build(path_is_test, src, &lexed);
         Unit {
             path: path.to_string(),
             src: src.to_string(),
@@ -808,6 +807,32 @@ fn enqueue(&self) {
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].rule, RuleId::PersistOrder);
         assert_eq!(f[0].line, 5);
+    }
+
+    #[test]
+    fn doorbell_is_a_whole_token_on_a_pmr_receiver() {
+        // `cqdb_off` is not the `db_off` token and `regs` is not a PMR
+        // receiver: neither write is a doorbell ring, flushed or not.
+        let src = r#"
+// ccnvme-lint: commit_path
+fn complete(&self) {
+    self.pmr.write(q.ring_off, &sqe);
+    self.pmr.write(q.cqdb_off, &head);
+    self.regs.write(q.db_off, &tail);
+}
+"#;
+        assert!(lint_one("crates/x/src/a.rs", src).is_empty());
+        // A call in the offset expression still names the token.
+        let src = r#"
+// ccnvme-lint: commit_path
+fn enqueue(&self) {
+    self.pmr.write(q.ring_off, &sqe);
+    self.pmr.write(layout.db_off(q), &tail);
+}
+"#;
+        let f = lint_one("crates/x/src/a.rs", src);
+        assert_eq!(f.len(), 1);
+        assert_eq!(f[0].rule, RuleId::PersistOrder);
     }
 
     #[test]

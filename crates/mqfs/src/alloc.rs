@@ -1,17 +1,17 @@
 //! Block and inode allocators, backed by journaled bitmap blocks.
 //!
 //! The in-memory bitmaps are authoritative at runtime; every change also
-//! updates the corresponding bitmap block in the buffer cache and marks
-//! it dirty, so the next transaction that depends on the allocation
-//! journals it. After a crash, recovery replays the journaled bitmap
-//! blocks and the allocators reload from disk.
+//! updates the corresponding bitmap block in the buffer cache through
+//! the caller's [`WriteSet`], so the transaction that depends on the
+//! allocation journals it. After a crash, recovery replays the journaled
+//! bitmap blocks and the allocators reload from disk.
 
 use std::sync::Arc;
 
 use ccnvme_runtime::RtMutex;
 
 use crate::{
-    buffer::BufferCache,
+    buffer::{BufferCache, WriteSet},
     error::{FsError, FsResult},
     layout::{Layout, BITS_PER_BLOCK},
 };
@@ -85,8 +85,8 @@ pub struct Allocator {
 impl Allocator {
     /// Creates an allocator for a freshly formatted volume: all metadata
     /// regions and the root inode are pre-reserved, and the bitmap blocks
-    /// in the cache reflect that.
-    pub fn format(layout: Layout, cache: Arc<BufferCache>) -> Self {
+    /// in the cache reflect that (recorded in `ws` for mkfs to write out).
+    pub fn format(layout: Layout, cache: Arc<BufferCache>, ws: &mut WriteSet) -> Self {
         let alloc = Allocator {
             layout,
             cache: Arc::clone(&cache),
@@ -100,24 +100,17 @@ impl Allocator {
             for lba in 0..layout.data_start() {
                 st.blocks.set(lba);
             }
-            st.inodes.set(0); // Inode numbers are 1-based; bit 0 = ino 1 (root).
-        }
-        // Materialize the initial bitmap blocks as dirty cache entries.
-        for b in 0..layout.block_bitmap_len() {
-            let blk = cache.get_zeroed(layout.block_bitmap_start() + b);
-            let st = alloc.st.lock();
-            blk.with_data(|d| {
-                write_bitmap_window(&st.blocks, b, &mut d.data);
-                d.dirty = true;
-            });
-        }
-        for b in 0..layout.inode_bitmap_len() {
-            let blk = cache.get_zeroed(layout.inode_bitmap_start() + b);
-            let st = alloc.st.lock();
-            blk.with_data(|d| {
-                write_bitmap_window(&st.inodes, b, &mut d.data);
-                d.dirty = true;
-            });
+            // Inode numbers are 1-based; bit 0 = ino 1 (root).
+            st.inodes.set(0);
+            // Materialize the initial bitmap blocks as dirty cache entries.
+            for b in 0..layout.block_bitmap_len() {
+                let blk = cache.get_zeroed(layout.block_bitmap_start() + b);
+                ws.update(&blk, |d| write_bitmap_window(&st.blocks, b, d));
+            }
+            for b in 0..layout.inode_bitmap_len() {
+                let blk = cache.get_zeroed(layout.inode_bitmap_start() + b);
+                ws.update(&blk, |d| write_bitmap_window(&st.inodes, b, d));
+            }
         }
         alloc
     }
@@ -129,11 +122,11 @@ impl Allocator {
         let mut inodes = Bitmap::new(layout.ninodes);
         for b in 0..layout.block_bitmap_len() {
             let blk = cache.get(layout.block_bitmap_start() + b);
-            blk.with_data(|d| read_bitmap_window(&mut blocks, b, &d.data));
+            blk.read(|d| read_bitmap_window(&mut blocks, b, d));
         }
         for b in 0..layout.inode_bitmap_len() {
             let blk = cache.get(layout.inode_bitmap_start() + b);
-            blk.with_data(|d| read_bitmap_window(&mut inodes, b, &d.data));
+            blk.read(|d| read_bitmap_window(&mut inodes, b, d));
         }
         blocks.hint = layout.data_start();
         Allocator {
@@ -143,17 +136,10 @@ impl Allocator {
         }
     }
 
-    /// Allocates one data/metadata block; returns `(lba, bitmap_lba)` so
-    /// the caller can add the bitmap block to its transaction deps.
-    pub fn alloc_block(&self) -> FsResult<(u64, u64)> {
-        let goal = self.layout.data_start();
-        self.alloc_block_near(goal)
-    }
-
     /// Allocates a block searching from `goal` (ext4-style goal
     /// allocation: a file's blocks stay near its block group, and
     /// unrelated files dirty *different* bitmap blocks).
-    pub fn alloc_block_near(&self, goal: u64) -> FsResult<(u64, u64)> {
+    pub fn alloc_block_near(&self, goal: u64, ws: &mut WriteSet) -> FsResult<u64> {
         ccnvme_runtime::cpu(500);
         let goal = goal.clamp(self.layout.data_start(), self.layout.capacity - 1);
         let lba = {
@@ -162,43 +148,34 @@ impl Allocator {
             st.blocks.set(lba);
             lba
         };
-        Ok((lba, self.mark_block_bit(lba, true)))
+        self.mark_bit(self.layout.block_bitmap_start(), lba, true, ws);
+        Ok(lba)
     }
 
-    /// Frees a block; returns the dirtied bitmap block.
-    pub fn free_block(&self, lba: u64) -> u64 {
-        {
-            let mut st = self.st.lock();
-            st.blocks.clear(lba);
-        }
-        self.mark_block_bit(lba, false)
-    }
-
-    /// Allocates an inode number; returns `(ino, bitmap_lba)`.
-    pub fn alloc_inode(&self) -> FsResult<(u64, u64)> {
-        self.alloc_inode_near(0)
+    /// Frees a block.
+    pub fn free_block(&self, lba: u64, ws: &mut WriteSet) {
+        self.st.lock().blocks.clear(lba);
+        self.mark_bit(self.layout.block_bitmap_start(), lba, false, ws);
     }
 
     /// Allocates an inode searching from `goal` (spreads unrelated files
     /// over distinct inode-table blocks, like ext4's Orlov allocator).
-    pub fn alloc_inode_near(&self, goal: u64) -> FsResult<(u64, u64)> {
+    pub fn alloc_inode_near(&self, goal: u64, ws: &mut WriteSet) -> FsResult<u64> {
         let idx = {
             let mut st = self.st.lock();
             let idx = st.inodes.find_free_from(goal).ok_or(FsError::NoSpace)?;
             st.inodes.set(idx);
             idx
         };
-        Ok((idx + 1, self.mark_inode_bit(idx, true)))
+        self.mark_bit(self.layout.inode_bitmap_start(), idx, true, ws);
+        Ok(idx + 1)
     }
 
-    /// Frees an inode; returns the dirtied bitmap block.
-    pub fn free_inode(&self, ino: u64) -> u64 {
+    /// Frees an inode.
+    pub fn free_inode(&self, ino: u64, ws: &mut WriteSet) {
         let idx = ino - 1;
-        {
-            let mut st = self.st.lock();
-            st.inodes.clear(idx);
-        }
-        self.mark_inode_bit(idx, false)
+        self.st.lock().inodes.clear(idx);
+        self.mark_bit(self.layout.inode_bitmap_start(), idx, false, ws);
     }
 
     /// Free data blocks remaining.
@@ -221,42 +198,19 @@ impl Allocator {
         self.st.lock().inodes.test(ino - 1)
     }
 
-    fn mark_block_bit(&self, lba: u64, set: bool) -> u64 {
-        let bitmap_lba = self.layout.block_bitmap_start() + lba / BITS_PER_BLOCK;
-        let blk = self.cache.get(bitmap_lba);
-        blk.acquire();
-        blk.with_data(|d| {
-            let bit = lba % BITS_PER_BLOCK;
-            let byte = (bit / 8) as usize;
-            let mask = 1u8 << (bit % 8);
-            if set {
-                d.data[byte] |= mask;
-            } else {
-                d.data[byte] &= !mask;
-            }
-            d.dirty = true;
-        });
-        blk.release();
-        bitmap_lba
-    }
-
-    fn mark_inode_bit(&self, idx: u64, set: bool) -> u64 {
-        let bitmap_lba = self.layout.inode_bitmap_start() + idx / BITS_PER_BLOCK;
-        let blk = self.cache.get(bitmap_lba);
-        blk.acquire();
-        blk.with_data(|d| {
+    /// Flips bit `idx` of the on-disk bitmap starting at block `start`.
+    fn mark_bit(&self, start: u64, idx: u64, set: bool, ws: &mut WriteSet) {
+        let blk = self.cache.get(start + idx / BITS_PER_BLOCK);
+        ws.update(&blk, |d| {
             let bit = idx % BITS_PER_BLOCK;
             let byte = (bit / 8) as usize;
             let mask = 1u8 << (bit % 8);
             if set {
-                d.data[byte] |= mask;
+                d[byte] |= mask;
             } else {
-                d.data[byte] &= !mask;
+                d[byte] &= !mask;
             }
-            d.dirty = true;
         });
-        blk.release();
-        bitmap_lba
     }
 }
 
@@ -345,19 +299,22 @@ pub(crate) mod tests {
         })
     }
 
-    fn setup() -> (Layout, Arc<BufferCache>) {
+    /// A formatted allocator over a fresh device, and the set its
+    /// callers record into.
+    fn setup() -> (Layout, Arc<BufferCache>, Allocator, WriteSet) {
         let layout = Layout::new(1 << 16, 1_024);
-        let dev: mqfs_journal::Dev = memdev();
-        (layout, Arc::new(BufferCache::new(dev)))
+        let cache = Arc::new(BufferCache::new(memdev()));
+        let mut ws = WriteSet::default();
+        let alloc = Allocator::format(layout, Arc::clone(&cache), &mut ws);
+        (layout, cache, alloc, ws)
     }
 
     #[test]
     fn format_reserves_metadata_regions() {
         let mut sim = Sim::new(1);
         sim.spawn("t", 0, || {
-            let (layout, cache) = setup();
-            let alloc = Allocator::format(layout, cache);
-            let (lba, _) = alloc.alloc_block().expect("space");
+            let (layout, _, alloc, mut ws) = setup();
+            let lba = alloc.alloc_block_near(0, &mut ws).expect("space");
             assert!(
                 lba >= layout.data_start(),
                 "first allocation in the data area"
@@ -371,12 +328,11 @@ pub(crate) mod tests {
     fn alloc_free_roundtrip() {
         let mut sim = Sim::new(1);
         sim.spawn("t", 0, || {
-            let (layout, cache) = setup();
-            let alloc = Allocator::format(layout, cache);
+            let (_, _, alloc, mut ws) = setup();
             let before = alloc.free_blocks();
-            let (lba, _) = alloc.alloc_block().expect("space");
+            let lba = alloc.alloc_block_near(0, &mut ws).expect("space");
             assert_eq!(alloc.free_blocks(), before - 1);
-            alloc.free_block(lba);
+            alloc.free_block(lba, &mut ws);
             assert_eq!(alloc.free_blocks(), before);
         });
         sim.run();
@@ -386,10 +342,8 @@ pub(crate) mod tests {
     fn inode_numbers_start_at_two_after_root() {
         let mut sim = Sim::new(1);
         sim.spawn("t", 0, || {
-            let (layout, cache) = setup();
-            let alloc = Allocator::format(layout, cache);
-            let (ino, _) = alloc.alloc_inode().expect("space");
-            assert_eq!(ino, 2);
+            let (_, _, alloc, mut ws) = setup();
+            assert_eq!(alloc.alloc_inode_near(0, &mut ws), Ok(2));
         });
         sim.run();
     }
@@ -398,10 +352,9 @@ pub(crate) mod tests {
     fn load_reconstructs_state_from_bitmap_blocks() {
         let mut sim = Sim::new(1);
         sim.spawn("t", 0, || {
-            let (layout, cache) = setup();
-            let alloc = Allocator::format(layout, Arc::clone(&cache));
-            let (lba, _) = alloc.alloc_block().expect("space");
-            let (ino, _) = alloc.alloc_inode().expect("space");
+            let (layout, cache, alloc, mut ws) = setup();
+            let lba = alloc.alloc_block_near(0, &mut ws).expect("space");
+            let ino = alloc.alloc_inode_near(0, &mut ws).expect("space");
             // Reload from the same cache content (bitmap blocks updated).
             let alloc2 = Allocator::load(layout, cache);
             assert!(alloc2.block_allocated(lba));
@@ -416,11 +369,10 @@ pub(crate) mod tests {
     fn double_free_panics() {
         let mut sim = Sim::new(1);
         sim.spawn("t", 0, || {
-            let (layout, cache) = setup();
-            let alloc = Allocator::format(layout, cache);
-            let (lba, _) = alloc.alloc_block().expect("space");
-            alloc.free_block(lba);
-            alloc.free_block(lba);
+            let (_, _, alloc, mut ws) = setup();
+            let lba = alloc.alloc_block_near(0, &mut ws).expect("space");
+            alloc.free_block(lba, &mut ws);
+            alloc.free_block(lba, &mut ws);
         });
         sim.run();
     }
@@ -429,14 +381,13 @@ pub(crate) mod tests {
     fn exhaustion_returns_no_space() {
         let mut sim = Sim::new(1);
         sim.spawn("t", 0, || {
-            let (layout, cache) = setup();
-            let alloc = Allocator::format(layout, cache);
+            let (layout, _, alloc, mut ws) = setup();
             let mut n = 0u64;
-            while alloc.alloc_block().is_ok() {
+            while alloc.alloc_block_near(0, &mut ws).is_ok() {
                 n += 1;
             }
             assert_eq!(n, layout.capacity - layout.data_start());
-            assert_eq!(alloc.alloc_block(), Err(FsError::NoSpace));
+            assert_eq!(alloc.alloc_block_near(0, &mut ws), Err(FsError::NoSpace));
         });
         sim.run();
     }
@@ -456,13 +407,20 @@ mod goal_tests {
             let layout = Layout::new(1 << 18, 1_024); // 8 bitmap blocks.
             let dev = memdev();
             let cache = Arc::new(crate::buffer::BufferCache::new(dev));
-            let alloc = Allocator::format(layout, cache);
+            let alloc = Allocator::format(layout, cache, &mut WriteSet::default());
             // Allocations with different group goals dirty different
             // bitmap blocks.
-            let (_, bm_a) = alloc.alloc_block_near(layout.data_start()).expect("space");
+            let (mut bm_a, mut bm_b) = (WriteSet::default(), WriteSet::default());
+            alloc
+                .alloc_block_near(layout.data_start(), &mut bm_a)
+                .expect("space");
             let far_goal = layout.data_start() + 2 * BITS_PER_BLOCK;
-            let (lba_b, bm_b) = alloc.alloc_block_near(far_goal).expect("space");
-            assert_ne!(bm_a, bm_b, "goals landed in the same bitmap block");
+            let lba_b = alloc.alloc_block_near(far_goal, &mut bm_b).expect("space");
+            assert_ne!(
+                bm_a.lbas(),
+                bm_b.lbas(),
+                "goals landed in the same bitmap block"
+            );
             assert!(lba_b >= far_goal);
         });
         sim.run();
@@ -475,9 +433,12 @@ mod goal_tests {
             let layout = Layout::new(1 << 16, 512);
             let dev = memdev();
             let cache = Arc::new(crate::buffer::BufferCache::new(dev));
-            let alloc = Allocator::format(layout, cache);
+            let mut ws = WriteSet::default();
+            let alloc = Allocator::format(layout, cache, &mut ws);
             // A goal near the very end of the volume must wrap around.
-            let (lba, _) = alloc.alloc_block_near(layout.capacity - 1).expect("space");
+            let lba = alloc
+                .alloc_block_near(layout.capacity - 1, &mut ws)
+                .expect("space");
             assert!(lba == layout.capacity - 1 || lba >= layout.data_start());
         });
         sim.run();
@@ -490,9 +451,10 @@ mod goal_tests {
             let layout = Layout::new(1 << 18, 1_024);
             let dev = memdev();
             let cache = Arc::new(crate::buffer::BufferCache::new(dev));
-            let alloc = Allocator::format(layout, cache);
-            let (a, _) = alloc.alloc_inode_near(0).expect("space");
-            let (b, _) = alloc.alloc_inode_near(200).expect("space");
+            let mut ws = WriteSet::default();
+            let alloc = Allocator::format(layout, cache, &mut ws);
+            let a = alloc.alloc_inode_near(0, &mut ws).expect("space");
+            let b = alloc.alloc_inode_near(200, &mut ws).expect("space");
             let (blk_a, _) = layout.inode_pos(a);
             let (blk_b, _) = layout.inode_pos(b);
             assert_ne!(blk_a, blk_b, "inode goals share a table block");

@@ -1,13 +1,20 @@
 //! Buffer cache for metadata blocks (inode table, bitmaps, directory
 //! and extent-leaf blocks).
 //!
-//! Each cached block carries a *page lock* ([`MetaBlock::acquire`]): the
-//! serialization point the paper's §5.3 identifies — threads updating
-//! disjoint inodes in the same table block still contend on it. In the
-//! classic variants the lock is held for the whole journal commit; MQFS's
-//! metadata shadow paging holds it only long enough to copy the block.
+//! Each cached block carries a *page lock*: the serialization point the
+//! paper's §5.3 identifies — threads updating disjoint inodes in the same
+//! table block still contend on it. In the classic variants the lock is
+//! held for the whole journal commit; MQFS's metadata shadow paging holds
+//! it only long enough to copy the block.
+//!
+//! Content changes only through [`WriteSet::update`], which notes the
+//! block it wrote: the journal set of an operation (§5.2) is the set of
+//! blocks it wrote, by construction rather than by bookkeeping.
 
-use std::{collections::HashMap, sync::Arc};
+use std::{
+    collections::{BTreeSet, HashMap},
+    sync::Arc,
+};
 
 use ccnvme_block::{submit_and_wait, Bio, BioBuf, BioStatus, BLOCK_SIZE};
 use ccnvme_runtime::{RtCondvar, RtMutex};
@@ -15,11 +22,11 @@ use mqfs_journal::Dev;
 use parking_lot::Mutex;
 
 /// Content and state of one cached metadata block.
-pub struct MetaData {
+struct MetaData {
     /// Block content (always `BLOCK_SIZE` bytes once loaded).
-    pub data: Vec<u8>,
+    data: Vec<u8>,
     /// Dirty since the last journal commit that included it.
-    pub dirty: bool,
+    dirty: bool,
     loaded: bool,
 }
 
@@ -64,7 +71,7 @@ impl MetaBlock {
     /// Takes the page lock for modification (blocking in virtual time
     /// while another modifier holds it or journal commits have it
     /// frozen — the serialization shadow paging removes, §5.3).
-    pub fn acquire(&self) {
+    fn acquire(&self) {
         let mut gate = self.gate.lock();
         while gate.modifying || gate.frozen > 0 {
             gate = self.gate_cv.wait(gate);
@@ -73,7 +80,7 @@ impl MetaBlock {
     }
 
     /// Releases the modification lock.
-    pub fn release(&self) {
+    fn release(&self) {
         let mut gate = self.gate.lock();
         assert!(gate.modifying, "releasing an unheld page lock");
         gate.modifying = false;
@@ -103,11 +110,21 @@ impl MetaBlock {
         }
     }
 
-    /// Runs `f` on the block content (the caller holds the page lock when
-    /// mutating shared state; reads during recovery tooling may skip it).
-    pub fn with_data<R>(&self, f: impl FnOnce(&mut MetaData) -> R) -> R {
-        let mut d = self.data.lock();
-        f(&mut d)
+    /// Runs `f` on the block content.
+    pub fn read<R>(&self, f: impl FnOnce(&[u8]) -> R) -> R {
+        f(&self.data.lock().data)
+    }
+
+    /// The metadata write path: page lock, mutate, mark dirty, unlock.
+    /// Private — callers go through [`WriteSet::update`].
+    fn update(&self, f: impl FnOnce(&mut [u8])) {
+        self.acquire();
+        {
+            let mut d = self.data.lock();
+            f(&mut d.data);
+            d.dirty = true;
+        }
+        self.release();
     }
 
     /// Copies the content into a fresh bio buffer (the shadow copy of
@@ -116,6 +133,30 @@ impl MetaBlock {
         let mut d = self.data.lock();
         d.dirty = false;
         Arc::new(Mutex::new(d.data.clone()))
+    }
+}
+
+/// The metadata blocks an operation wrote — its journal set. Recording
+/// is not optional: [`WriteSet::update`] is the only way to change a
+/// cached block.
+#[derive(Debug, Default)]
+pub struct WriteSet(BTreeSet<u64>);
+
+impl WriteSet {
+    /// Changes `blk`'s content under its page lock and records it.
+    pub fn update(&mut self, blk: &MetaBlock, f: impl FnOnce(&mut [u8])) {
+        blk.update(f);
+        self.0.insert(blk.lba);
+    }
+
+    /// Adds everything `other` recorded.
+    pub fn merge(&mut self, other: &WriteSet) {
+        self.0.extend(&other.0);
+    }
+
+    /// The recorded LBAs, ascending.
+    pub fn lbas(&self) -> &BTreeSet<u64> {
+        &self.0
     }
 }
 
@@ -144,10 +185,10 @@ impl BufferCache {
             )
         };
         // Load outside the map lock; the page lock serializes loaders.
-        let needs_load = blk.with_data(|d| !d.loaded);
+        let needs_load = !blk.data.lock().loaded;
         if needs_load {
             blk.acquire();
-            let still_needs = blk.with_data(|d| !d.loaded);
+            let still_needs = !blk.data.lock().loaded;
             if still_needs {
                 let buf: BioBuf = Arc::new(Mutex::new(vec![0u8; BLOCK_SIZE as usize]));
                 let status = submit_and_wait(&*self.dev, Bio::read(lba, Arc::clone(&buf)));
@@ -157,10 +198,9 @@ impl BufferCache {
                 // bitmap/pointer access is not worth it for the model.
                 // Data-block read errors DO propagate as EIO (fs.rs).
                 assert_eq!(status, BioStatus::Ok, "metadata read failed at lba {lba}");
-                blk.with_data(|d| {
-                    d.data.copy_from_slice(&buf.lock());
-                    d.loaded = true;
-                });
+                let mut d = blk.data.lock();
+                d.data.copy_from_slice(&buf.lock());
+                d.loaded = true;
             }
             blk.release();
         }
@@ -177,6 +217,12 @@ impl BufferCache {
         )
     }
 
+    /// The cached block, if there is one. A block that is not cached
+    /// has no unjournaled change.
+    pub fn peek(&self, lba: u64) -> Option<Arc<MetaBlock>> {
+        self.map.lock().get(&lba).cloned()
+    }
+
     /// Drops a block from the cache (the block was freed).
     pub fn evict(&self, lba: u64) {
         self.map.lock().remove(&lba);
@@ -186,7 +232,7 @@ impl BufferCache {
     pub fn dirty_blocks(&self) -> Vec<Arc<MetaBlock>> {
         let map = self.map.lock();
         map.values()
-            .filter(|b| b.with_data(|d| d.dirty))
+            .filter(|b| b.data.lock().dirty)
             .cloned()
             .collect()
     }
@@ -254,7 +300,7 @@ mod tests {
         sim.spawn("t", 0, || {
             let cache = BufferCache::new(memdev_with(7, 0xee));
             let blk = cache.get(7);
-            assert_eq!(blk.with_data(|d| d.data[0]), 0xee);
+            assert_eq!(blk.read(|d| d[0]), 0xee);
         });
         sim.run();
     }
@@ -298,15 +344,14 @@ mod tests {
         sim.spawn("t", 0, || {
             let cache = BufferCache::new(memdev_with(9, 0xaa));
             let blk = cache.get(9);
-            blk.with_data(|d| {
-                d.data[0] = 0xbb;
-                d.dirty = true;
-            });
+            let mut ws = WriteSet::default();
+            ws.update(&blk, |d| d[0] = 0xbb);
+            assert!(ws.lbas().contains(&9), "the write recorded its block");
             let copy = blk.shadow_copy();
             assert_eq!(copy.lock()[0], 0xbb);
-            assert!(!blk.with_data(|d| d.dirty));
+            assert!(cache.dirty_blocks().is_empty());
             // Later mutation does not affect the shadow.
-            blk.with_data(|d| d.data[0] = 0xcc);
+            ws.update(&blk, |d| d[0] = 0xcc);
             assert_eq!(copy.lock()[0], 0xbb);
         });
         sim.run();
@@ -318,11 +363,7 @@ mod tests {
         sim.spawn("t", 0, || {
             let cache = BufferCache::new(memdev_with(5, 0xff));
             let blk = cache.get_zeroed(5);
-            assert_eq!(
-                blk.with_data(|d| d.data[0]),
-                0,
-                "fresh block, not device content"
-            );
+            assert_eq!(blk.read(|d| d[0]), 0, "fresh block, not device content");
         });
         sim.run();
     }
@@ -347,7 +388,7 @@ mod tests {
             let cache = BufferCache::new(memdev_with(1, 0));
             let a = cache.get(1);
             let _b = cache.get(2);
-            a.with_data(|d| d.dirty = true);
+            WriteSet::default().update(&a, |_| {});
             let dirty = cache.dirty_blocks();
             assert_eq!(dirty.len(), 1);
             assert_eq!(dirty[0].lba(), 1);

@@ -2,11 +2,13 @@
 //! and the `fsync`/`fatomic` family (§5.1).
 //!
 //! All metadata — bitmap blocks, inode-table blocks, directory blocks and
-//! extent-leaf blocks — lives in the [`BufferCache`] keyed by device LBA.
-//! Namespace operations mutate those blocks under their page locks and
-//! record the dirtied LBAs in the *dependency set* of every inode whose
-//! later `fsync` must persist the operation ("MQFS always packs the
-//! target files of a file operation into a single transaction", §7.6).
+//! extent-leaf blocks — lives in the [`BufferCache`] keyed by device LBA
+//! and changes only through [`WriteSet::update`], which records the block
+//! it wrote. The journal set of an operation is therefore the set of
+//! blocks it wrote: the operation's closing `finish` hands it to the
+//! *dependency set* of every inode whose later `fsync` must persist the
+//! operation ("MQFS always packs the target files of a file operation
+//! into a single transaction", §7.6).
 //!
 //! `fsync` assembles one transaction: the file's dirty data pages
 //! (ordered-mode data), the dependent metadata blocks and — through the
@@ -28,8 +30,8 @@ use std::{
 };
 
 use ccnvme_block::{submit_and_wait, Bio, BioBuf, BioStatus, BLOCK_SIZE};
-use ccnvme_runtime::{RtMutex, RtRwLock};
-use ccnvme_sim::{Counter, Histogram, Ns};
+use ccnvme_obs::{Counter, Histogram};
+use ccnvme_runtime::{Ns, RtMutex, RtRwLock};
 use mqfs_journal::{
     AreaSpec, ClassicJournal, CommitStyle, Dev, Durability, Journal, MqJournal, NoJournal,
     ReuseAction, TxBlock, TxDescriptor,
@@ -38,7 +40,7 @@ use parking_lot::Mutex;
 
 use crate::{
     alloc::Allocator,
-    buffer::BufferCache,
+    buffer::{BufferCache, WriteSet},
     dir::{self, DirState},
     error::{FsError, FsResult},
     inode::{ExtentMap, Inode, InodeKind, MAX_BLOCKS},
@@ -207,8 +209,8 @@ struct InodeSt {
     pages: HashMap<u64, Page>,
     dirty_pages: BTreeSet<u64>,
     meta_dirty: MetaDirty,
-    /// Metadata block LBAs the next fsync must journal.
-    dep_meta: BTreeSet<u64>,
+    /// Metadata blocks the next fsync must journal.
+    dep_meta: WriteSet,
     /// Directory index (directories only).
     dir: Option<DirState>,
 }
@@ -328,47 +330,20 @@ impl FileSystem {
             &*dev,
             Bio::write(layout.horizon(), hz, ccnvme_block::BioFlags::NONE),
         );
+        // mkfs sends the blocks it wrote — the bitmaps and the root
+        // inode's table block — straight to the device (formatting is not
+        // crash-protected), ending with a durability barrier.
+        let mut ws = WriteSet::default();
         let cache = Arc::new(BufferCache::new(Arc::clone(&dev)));
-        let alloc = Allocator::format(layout, Arc::clone(&cache));
+        let alloc = Allocator::format(layout, Arc::clone(&cache), &mut ws);
         let journal = build_journal(&cfg, &dev, &layout);
-        let sys = SyscallHists::registered(&ccnvme_block::obs_of(dev.as_ref()).metrics);
-        let fs = Arc::new(FileSystem {
-            dev,
-            cfg,
-            layout,
-            cache,
-            alloc,
-            journal,
-            icache: RtMutex::new(HashMap::new()),
-            ops: RtMutex::new(OpIndex::default()),
-            op_barrier: RtRwLock::new(()),
-            stats: FsStats::default(),
-            sys,
-            trace_enabled: AtomicBool::new(false),
-            traces: Mutex::new(Vec::new()),
-            degraded: AtomicBool::new(false),
-            degrade_reason: Mutex::new(None),
-        });
-        // Root inode: an empty directory. mkfs writes the initial
-        // metadata directly (formatting is not crash-protected), ending
-        // with a durability barrier.
-        let root = Inode::new(InodeKind::Dir);
-        let (iblk_lba, off) = fs.layout.inode_pos(ROOT_INO);
-        let blk = fs.cache.get_zeroed(iblk_lba);
-        blk.with_data(|d| {
-            d.data[off..off + 256].copy_from_slice(&root.encode());
-            d.dirty = true;
-        });
-        let mut lbas: BTreeSet<u64> = BTreeSet::new();
-        lbas.insert(iblk_lba);
-        for b in 0..layout.block_bitmap_len() {
-            lbas.insert(layout.block_bitmap_start() + b);
-        }
-        for b in 0..layout.inode_bitmap_len() {
-            lbas.insert(layout.inode_bitmap_start() + b);
-        }
+        let fs = Self::assemble(dev, cfg, layout, cache, alloc, journal);
+        // Root inode: an empty directory in a table block nobody has
+        // written yet, so there is nothing to read.
+        fs.cache.get_zeroed(layout.inode_pos(ROOT_INO).0);
+        fs.write_inode(&mut ws, ROOT_INO, &Inode::new(InodeKind::Dir));
         let waiter = ccnvme_block::BioWaiter::new();
-        for lba in lbas {
+        for &lba in ws.lbas() {
             let blk = fs.cache.get(lba);
             let mut bio = Bio::write(lba, blk.shadow_copy(), ccnvme_block::BioFlags::NONE);
             waiter.attach(&mut bio);
@@ -415,8 +390,27 @@ impl FileSystem {
         }
         let cache = Arc::new(BufferCache::new(Arc::clone(&dev)));
         let alloc = Allocator::load(layout, Arc::clone(&cache));
+        let fs = Self::assemble(dev, cfg, layout, cache, alloc, journal);
+        if let Err(status) = replayed {
+            // Replay exhausted its retry budget on a media error: mount
+            // read-only rather than present a half-replayed file system
+            // as healthy. The journal content stays intact for a later
+            // repair mount.
+            fs.degrade(&format!("journal replay failed: {status:?}"));
+        }
+        Ok(fs)
+    }
+
+    fn assemble(
+        dev: Dev,
+        cfg: FsConfig,
+        layout: Layout,
+        cache: Arc<BufferCache>,
+        alloc: Allocator,
+        journal: Arc<dyn Journal>,
+    ) -> Arc<FileSystem> {
         let sys = SyscallHists::registered(&ccnvme_block::obs_of(dev.as_ref()).metrics);
-        let fs = Arc::new(FileSystem {
+        Arc::new(FileSystem {
             dev,
             cfg,
             layout,
@@ -432,15 +426,7 @@ impl FileSystem {
             traces: Mutex::new(Vec::new()),
             degraded: AtomicBool::new(false),
             degrade_reason: Mutex::new(None),
-        });
-        if let Err(status) = replayed {
-            // Replay exhausted its retry budget on a media error: mount
-            // read-only rather than present a half-replayed file system
-            // as healthy. The journal content stays intact for a later
-            // repair mount.
-            fs.degrade(&format!("journal replay failed: {status:?}"));
-        }
-        Ok(fs)
+        })
     }
 
     /// The block device this file system is mounted on.
@@ -518,10 +504,10 @@ impl FileSystem {
         // Load outside the icache lock, then race to insert.
         let (iblk_lba, off) = self.layout.inode_pos(ino);
         let blk = self.cache.get(iblk_lba);
-        let (mut inode, mut leaf) = blk.with_data(|d| Inode::decode(&d.data[off..off + 256]));
+        let (mut inode, mut leaf) = blk.read(|d| Inode::decode(&d[off..off + 256]));
         while leaf != 0 {
             let blk = self.cache.get(leaf);
-            leaf = blk.with_data(|d| inode.map.load_leaf(leaf, &d.data));
+            leaf = blk.read(|d| inode.map.load_leaf(leaf, d));
         }
         let handle = Arc::new(InodeHandle {
             st: RtMutex::new(InodeSt {
@@ -529,7 +515,7 @@ impl FileSystem {
                 pages: HashMap::new(),
                 dirty_pages: BTreeSet::new(),
                 meta_dirty: MetaDirty::Clean,
-                dep_meta: BTreeSet::new(),
+                dep_meta: WriteSet::default(),
                 dir: None,
             }),
         });
@@ -548,7 +534,7 @@ impl FileSystem {
         for b in 0..nblocks {
             let lba = self.bmap(st, b).expect("directory block mapped");
             let blk = self.cache.get(lba);
-            blocks.push(blk.with_data(|d| dir::decode_block(&d.data)));
+            blocks.push(blk.read(dir::decode_block));
         }
         st.dir = Some(DirState::from_blocks(&blocks));
     }
@@ -562,12 +548,17 @@ impl FileSystem {
         st.inode.map.lookup(file_block)
     }
 
-    /// Maps a file block, allocating its data block if it is a hole;
-    /// dirtied metadata LBAs are added to the inode's dependency set.
+    /// Maps a file block, allocating its data block if it is a hole.
     /// When the allocator hands back the LBA after the previous file
     /// block's — what the goal asks for — the last extent grows in place
     /// and the inode is the only mapping metadata that changes.
-    fn bmap_alloc(&self, st: &mut InodeSt, ino: u64, file_block: u64) -> FsResult<u64> {
+    fn bmap_alloc(
+        &self,
+        ws: &mut WriteSet,
+        st: &mut InodeSt,
+        ino: u64,
+        file_block: u64,
+    ) -> FsResult<u64> {
         if let Some(lba) = self.bmap(st, file_block) {
             return Ok(lba);
         }
@@ -580,15 +571,14 @@ impl FileSystem {
             .checked_sub(1)
             .and_then(|prev| self.bmap(st, prev))
             .map_or_else(|| self.group_goal(ino), |l| l + 1);
-        let (lba, bitmap) = self.alloc.alloc_block_near(goal)?;
-        st.dep_meta.insert(bitmap);
+        let lba = self.alloc.alloc_block_near(goal, ws)?;
         st.meta_dirty = MetaDirty::Full;
         let changed = st.inode.map.insert(file_block, lba);
-        if let Err(e) = self.sync_leaves(st, ino, changed.clone()) {
+        if let Err(e) = self.sync_leaves(ws, st, ino, changed.clone()) {
             // Only a newly opened extent can need one more leaf than the
             // volume has room for: take it back out.
             st.inode.map.remove(changed.start);
-            self.alloc.free_block(lba);
+            self.alloc.free_block(lba, ws);
             return Err(e);
         }
         Ok(lba)
@@ -599,11 +589,11 @@ impl FileSystem {
     /// longer fits (failing, before touching anything, when the volume
     /// is full) and rewrites the leaves that store a changed slot.
     /// Leaves live in the inode's block group and are journaled
-    /// metadata: every block dirtied here joins the dependency set, and
-    /// a stale journal copy from a block's previous life is superseded
-    /// by transaction-ID order at replay.
+    /// metadata; a stale journal copy from a block's previous life is
+    /// superseded by transaction-ID order at replay.
     fn sync_leaves(
         &self,
+        ws: &mut WriteSet,
         st: &mut InodeSt,
         ino: u64,
         changed: std::ops::Range<usize>,
@@ -611,8 +601,7 @@ impl FileSystem {
         let had = st.inode.map.leaves().len();
         let need = st.inode.map.leaves_needed();
         for _ in had..need {
-            let (leaf, bm) = self.alloc.alloc_block_near(self.group_goal(ino))?;
-            st.dep_meta.insert(bm);
+            let leaf = self.alloc.alloc_block_near(self.group_goal(ino), ws)?;
             self.cache.get_zeroed(leaf);
             st.inode.map.push_leaf(leaf);
         }
@@ -624,14 +613,7 @@ impl FileSystem {
         for k in span.start..span.end {
             let lba = st.inode.map.leaves()[k];
             let encoded = st.inode.map.encode_leaf(k);
-            let blk = self.cache.get(lba);
-            blk.acquire();
-            blk.with_data(|d| {
-                d.data.copy_from_slice(&encoded);
-                d.dirty = true;
-            });
-            blk.release();
-            st.dep_meta.insert(lba);
+            ws.update(&self.cache.get(lba), |d| d.copy_from_slice(&encoded));
         }
         Ok(())
     }
@@ -732,7 +714,12 @@ impl FileSystem {
             // Decided before allocating: a hole filled just below holds
             // whatever its block's previous owner left on the media.
             let was_mapped = self.bmap(&st, fb).is_some();
-            if let Err(e) = self.bmap_alloc(&mut st, ino, fb) {
+            // A plain write is no namespace operation: what the
+            // allocation wrote only joins this file's dependency set.
+            let mut ws = WriteSet::default();
+            let mapped = self.bmap_alloc(&mut ws, &mut st, ino, fb);
+            st.dep_meta.merge(&ws);
+            if let Err(e) = mapped {
                 // Short write: the size below still has to cover the
                 // blocks mapped so far (fsck: no extent beyond EOF).
                 result = Err(e);
@@ -886,19 +873,11 @@ impl FileSystem {
         st.dirty_pages.clear();
         let t_data = ccnvme_runtime::now();
         // --- S-iM: serialize the inode into its table block. ---
-        let mut seed: BTreeSet<u64> = std::mem::take(&mut st.dep_meta);
-        let skip_inode = data_only && st.meta_dirty != MetaDirty::Full && seed.is_empty();
+        let mut seed = std::mem::take(&mut st.dep_meta);
+        let skip_inode = data_only && st.meta_dirty != MetaDirty::Full && seed.lbas().is_empty();
         if !skip_inode {
             ccnvme_runtime::cpu(INODE_SER_CPU);
-            let (iblk_lba, off) = self.layout.inode_pos(ino);
-            let blk = self.cache.get(iblk_lba);
-            blk.acquire();
-            blk.with_data(|d| {
-                d.data[off..off + 256].copy_from_slice(&st.inode.encode());
-                d.dirty = true;
-            });
-            blk.release();
-            seed.insert(iblk_lba);
+            self.write_inode(&mut seed, ino, &st.inode);
         }
         st.meta_dirty = MetaDirty::Clean;
         // Operation-atomicity closure: every open namespace operation
@@ -906,13 +885,17 @@ impl FileSystem {
         // table block) contributes all of its blocks.
         let (meta_lbas, gids) = {
             let ops = self.ops.lock();
-            ops.closure(&seed)
+            ops.closure(seed.lbas())
         };
         let t_inode = ccnvme_runtime::now();
         // --- S-pM + S-JH: capture the dependent metadata blocks. ---
         for lba in &meta_lbas {
+            // A block freed since it was written left the cache: there is
+            // nothing of it to journal, and its LBA may be file data now.
+            let Some(blk) = self.cache.peek(*lba) else {
+                continue;
+            };
             ccnvme_runtime::cpu(META_COPY_CPU);
-            let blk = self.cache.get(*lba);
             if self.cfg.variant.shadow_paging() {
                 // Shadow paging: freeze, copy, thaw (§5.3). Writers can
                 // touch the page again immediately.
@@ -1029,19 +1012,13 @@ impl FileSystem {
             h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
         }
         let goal = (h ^ parent.wrapping_mul(0x9e37)) % self.layout.ninodes;
-        let (ino, ibm) = self.alloc.alloc_inode_near(goal)?;
+        let mut ws = WriteSet::default();
+        let ino = self.alloc.alloc_inode_near(goal, &mut ws)?;
         // Initialize the child inode in memory and in its table block.
         let child = Inode::new(kind);
-        let (iblk_lba, off) = self.layout.inode_pos(ino);
-        let blk = self.cache.get(iblk_lba);
-        blk.acquire();
-        blk.with_data(|d| {
-            d.data[off..off + 256].copy_from_slice(&child.encode());
-            d.dirty = true;
-        });
-        blk.release();
+        self.write_inode(&mut ws, ino, &child);
         // Directory entry.
-        let deps = self.dir_insert(&mut pst, parent, name, ino)?;
+        self.dir_insert(&mut ws, &mut pst, parent, name, ino)?;
         if kind == InodeKind::Dir {
             pst.inode.nlink += 1;
         }
@@ -1050,96 +1027,77 @@ impl FileSystem {
             pst.meta_dirty = MetaDirty::Timestamps;
         }
         // Parent inode block must be journaled too (size/nlink/mtime).
-        let (pblk, _) = self.layout.inode_pos(parent);
-        self.serialize_inode_locked(&pst, parent);
-        // Dependency bookkeeping: fsync(child) or fsync(parent) persists
-        // this create.
-        let mut all_deps: BTreeSet<u64> = deps;
-        all_deps.insert(ibm);
-        all_deps.insert(iblk_lba);
-        all_deps.insert(pblk);
-        self.ops.lock().register(&all_deps);
-        pst.dep_meta.extend(all_deps.iter().copied());
-        drop(pst);
-        // Install the child handle (fresh inode) and record its deps.
-        let h = self.handle(ino);
-        let mut cst = h.st.lock();
+        self.write_inode(&mut ws, parent, &pst.inode);
+        // Install the child handle (fresh inode); fsync(child) or
+        // fsync(parent) persists this create.
+        let ch = self.handle(ino);
+        let mut cst = ch.st.lock();
         cst.inode = child;
-        cst.dep_meta.extend(all_deps);
         cst.meta_dirty = MetaDirty::Full;
         if kind == InodeKind::Dir {
             cst.dir = Some(DirState::default());
         }
+        self.finish(ws, [&mut *pst, &mut *cst]);
         Ok(ino)
     }
 
-    /// Writes the current in-memory inode into its table block (caller
-    /// holds the inode's handle lock).
-    fn serialize_inode_locked(&self, st: &InodeSt, ino: u64) {
+    /// Writes `inode` into its 256-byte slot of the inode table.
+    fn write_inode(&self, ws: &mut WriteSet, ino: u64, inode: &Inode) {
         let (lba, off) = self.layout.inode_pos(ino);
-        let blk = self.cache.get(lba);
-        blk.acquire();
-        blk.with_data(|d| {
-            d.data[off..off + 256].copy_from_slice(&st.inode.encode());
-            d.dirty = true;
+        ws.update(&self.cache.get(lba), |d| {
+            d[off..off + 256].copy_from_slice(&inode.encode())
         });
-        blk.release();
     }
 
-    /// Inserts a directory entry; returns the dirtied metadata LBAs.
+    /// Ends a namespace operation: the blocks it wrote become one open
+    /// group (see [`OpIndex`]) and join the dependency set of every inode
+    /// in `holders`, so an fsync of any of them persists the operation
+    /// whole.
+    fn finish<'a>(&self, ws: WriteSet, holders: impl IntoIterator<Item = &'a mut InodeSt>) {
+        self.ops.lock().register(ws.lbas());
+        for st in holders {
+            st.dep_meta.merge(&ws);
+        }
+    }
+
+    /// Inserts a directory entry, growing the directory by one block
+    /// when no block has room.
     fn dir_insert(
         &self,
+        ws: &mut WriteSet,
         pst: &mut InodeSt,
         parent: u64,
         name: &str,
         ino: u64,
-    ) -> FsResult<BTreeSet<u64>> {
+    ) -> FsResult<()> {
         ccnvme_runtime::cpu(DIRENT_CPU);
-        let mut deps = BTreeSet::new();
-        // Capture only the metadata THIS operation dirties: stash the
-        // parent's accumulated dependency set aside so a directory-grow
-        // allocation records its bitmap/leaf blocks into a fresh one.
-        let saved = std::mem::take(&mut pst.dep_meta);
         let blk_idx = match pst.dir.as_ref().expect("dir loaded").block_with_space(name) {
             Some(b) => b,
             None => {
-                // Grow the directory by one block.
                 let nb = pst.inode.nblocks();
-                if let Err(e) = self.bmap_alloc(pst, parent, nb) {
-                    pst.dep_meta.extend(saved);
-                    return Err(e);
-                }
+                self.bmap_alloc(ws, pst, parent, nb)?;
                 pst.inode.size = (nb + 1) * BLOCK_SIZE;
                 pst.meta_dirty = MetaDirty::Full;
                 nb as u32
             }
         };
-        deps.extend(pst.dep_meta.iter().copied());
-        pst.dep_meta.extend(saved);
-        let dir_lba = self.bmap(pst, blk_idx as u64).expect("dir block mapped");
         pst.dir
             .as_mut()
             .expect("dir loaded")
             .insert(name, ino, blk_idx);
-        self.rewrite_dir_block(pst, blk_idx, dir_lba);
-        deps.insert(dir_lba);
-        Ok(deps)
+        self.rewrite_dir_block(ws, pst, blk_idx);
+        Ok(())
     }
 
-    fn rewrite_dir_block(&self, pst: &InodeSt, blk_idx: u32, dir_lba: u64) {
+    fn rewrite_dir_block(&self, ws: &mut WriteSet, pst: &InodeSt, blk_idx: u32) {
         let entries = pst
             .dir
             .as_ref()
             .expect("dir loaded")
             .entries_in_block(blk_idx);
         let encoded = dir::encode_block(&entries);
-        let blk = self.cache.get(dir_lba);
-        blk.acquire();
-        blk.with_data(|d| {
-            d.data.copy_from_slice(&encoded);
-            d.dirty = true;
-        });
-        blk.release();
+        let lba = self.bmap(pst, blk_idx as u64).expect("dir block mapped");
+        ws.update(&self.cache.get(lba), |d| d.copy_from_slice(&encoded));
     }
 
     /// Looks up `name` in directory `parent`.
@@ -1193,7 +1151,6 @@ impl FileSystem {
         self.ensure_writable()?;
         ccnvme_runtime::cpu(CREATE_CPU);
         let _op = self.op_barrier.read();
-        let mut op_lbas: BTreeSet<u64> = BTreeSet::new();
         let ph = self.handle(parent);
         let mut pst = ph.st.lock();
         self.load_dir(&mut pst);
@@ -1210,54 +1167,42 @@ impl FileSystem {
             pst.dir.as_mut().expect("loaded").insert(name, ino, blk_idx);
             return Err(FsError::IsADirectory);
         }
-        let dir_lba = self.bmap(&pst, blk_idx as u64).expect("dir block mapped");
-        self.rewrite_dir_block(&pst, blk_idx, dir_lba);
+        let mut ws = WriteSet::default();
+        self.rewrite_dir_block(&mut ws, &pst, blk_idx);
         pst.inode.mtime = ccnvme_runtime::now();
-        self.serialize_inode_locked(&pst, parent);
-        let (pblk, _) = self.layout.inode_pos(parent);
-        op_lbas.insert(dir_lba);
-        op_lbas.insert(pblk);
+        self.write_inode(&mut ws, parent, &pst.inode);
         cst.inode.nlink -= 1;
         if cst.inode.nlink == 0 {
-            let freed = self.free_inode_blocks(&mut cst);
-            op_lbas.extend(freed);
-            let ibm = self.alloc.free_inode(ino);
-            op_lbas.insert(ibm);
-            cst.inode.kind = InodeKind::Free;
-            let (iblk, _) = self.layout.inode_pos(ino);
-            self.serialize_inode_locked(&cst, ino);
-            op_lbas.insert(iblk);
-            self.ops.lock().register(&op_lbas);
-            pst.dep_meta.extend(op_lbas.iter().copied());
-            drop(cst);
-            self.icache.lock().remove(&ino);
+            self.free_inode(&mut ws, ino, &mut cst);
+            self.finish(ws, [&mut *pst]);
         } else {
-            self.serialize_inode_locked(&cst, ino);
-            let (iblk, _) = self.layout.inode_pos(ino);
-            op_lbas.insert(iblk);
-            self.ops.lock().register(&op_lbas);
-            pst.dep_meta.extend(op_lbas.iter().copied());
-            cst.dep_meta.extend(op_lbas.iter().copied());
+            self.write_inode(&mut ws, ino, &cst.inode);
+            self.finish(ws, [&mut *pst, &mut *cst]);
         }
         Ok(())
     }
 
-    /// Frees every data block and extent-leaf block of an inode; returns
-    /// the dirtied bitmap LBAs.
-    fn free_inode_blocks(&self, st: &mut InodeSt) -> BTreeSet<u64> {
-        let mut bitmaps = BTreeSet::new();
+    /// Frees an inode whose last link is gone: its data and extent-leaf
+    /// blocks, its number, its slot in the table and its handle. Every
+    /// freed block also leaves the buffer cache — a directory's content
+    /// and the leaves were cached metadata — so an open group or a
+    /// dependency set that still names one finds nothing to journal
+    /// there when the LBA lives on as file data (see `sync_inner`).
+    fn free_inode(&self, ws: &mut WriteSet, ino: u64, st: &mut InodeSt) {
         let map = std::mem::take(&mut st.inode.map);
-        for lba in map.extents().iter().flat_map(|e| e.lbas()) {
-            bitmaps.insert(self.alloc.free_block(lba));
-        }
-        for leaf in map.leaves() {
-            bitmaps.insert(self.alloc.free_block(*leaf));
-            self.cache.evict(*leaf);
+        let leaves = map.leaves().iter().copied();
+        for lba in map.extents().iter().flat_map(|e| e.lbas()).chain(leaves) {
+            self.alloc.free_block(lba, ws);
+            self.cache.evict(lba);
         }
         st.inode.size = 0;
         st.pages.clear();
         st.dirty_pages.clear();
-        bitmaps
+        self.alloc.free_inode(ino, ws);
+        st.inode.kind = InodeKind::Free;
+        st.inode.nlink = 0;
+        self.write_inode(ws, ino, &st.inode);
+        self.icache.lock().remove(&ino);
     }
 
     /// Removes an empty directory.
@@ -1265,7 +1210,6 @@ impl FileSystem {
         self.ensure_writable()?;
         ccnvme_runtime::cpu(CREATE_CPU);
         let _op = self.op_barrier.read();
-        let mut op_lbas: BTreeSet<u64> = BTreeSet::new();
         let ph = self.handle(parent);
         let mut pst = ph.st.lock();
         self.load_dir(&mut pst);
@@ -1286,28 +1230,13 @@ impl FileSystem {
             return Err(FsError::NotEmpty);
         }
         pst.dir.as_mut().expect("loaded").remove(name);
-        let dir_lba = self.bmap(&pst, blk_idx as u64).expect("dir block mapped");
-        self.rewrite_dir_block(&pst, blk_idx, dir_lba);
+        let mut ws = WriteSet::default();
+        self.rewrite_dir_block(&mut ws, &pst, blk_idx);
         pst.inode.nlink -= 1;
         pst.inode.mtime = ccnvme_runtime::now();
-        self.serialize_inode_locked(&pst, parent);
-        let (pblk, _) = self.layout.inode_pos(parent);
-        op_lbas.insert(dir_lba);
-        op_lbas.insert(pblk);
-        // Free the child directory.
-        let freed = self.free_inode_blocks(&mut cst);
-        op_lbas.extend(freed);
-        let ibm = self.alloc.free_inode(ino);
-        op_lbas.insert(ibm);
-        cst.inode.kind = InodeKind::Free;
-        cst.inode.nlink = 0;
-        self.serialize_inode_locked(&cst, ino);
-        let (iblk, _) = self.layout.inode_pos(ino);
-        op_lbas.insert(iblk);
-        self.ops.lock().register(&op_lbas);
-        pst.dep_meta.extend(op_lbas.iter().copied());
-        drop(cst);
-        self.icache.lock().remove(&ino);
+        self.write_inode(&mut ws, parent, &pst.inode);
+        self.free_inode(&mut ws, ino, &mut cst);
+        self.finish(ws, [&mut *pst]);
         Ok(())
     }
 
@@ -1329,18 +1258,12 @@ impl FileSystem {
             return Err(FsError::IsADirectory);
         }
         cst.inode.nlink += 1;
-        self.serialize_inode_locked(&cst, ino);
-        let deps = self.dir_insert(&mut pst, parent, name, ino)?;
+        let mut ws = WriteSet::default();
+        self.write_inode(&mut ws, ino, &cst.inode);
+        self.dir_insert(&mut ws, &mut pst, parent, name, ino)?;
         pst.inode.mtime = ccnvme_runtime::now();
-        self.serialize_inode_locked(&pst, parent);
-        let (pblk, _) = self.layout.inode_pos(parent);
-        let (iblk, _) = self.layout.inode_pos(ino);
-        let mut op_lbas = deps;
-        op_lbas.insert(pblk);
-        op_lbas.insert(iblk);
-        self.ops.lock().register(&op_lbas);
-        pst.dep_meta.extend(op_lbas.iter().copied());
-        cst.dep_meta.extend(op_lbas.iter().copied());
+        self.write_inode(&mut ws, parent, &pst.inode);
+        self.finish(ws, [&mut *pst, &mut *cst]);
         Ok(())
     }
 
@@ -1424,7 +1347,7 @@ impl FileSystem {
                 }
             }
         }
-        let mut deps: BTreeSet<u64> = BTreeSet::new();
+        let mut ws = WriteSet::default();
         // Remove the source entry.
         let (_, src_blk) = pst1
             .dir
@@ -1432,56 +1355,33 @@ impl FileSystem {
             .expect("loaded")
             .remove(src_name)
             .expect("checked above");
-        let src_lba = self.bmap(&pst1, src_blk as u64).expect("dir block mapped");
-        self.rewrite_dir_block(&pst1, src_blk, src_lba);
-        deps.insert(src_lba);
+        self.rewrite_dir_block(&mut ws, &pst1, src_blk);
         // Drop the old destination target, if any.
         if let Some(old_ino) = old_target {
-            let dst_st: &mut InodeSt = match pst2_opt.as_mut() {
-                Some(p) => p,
-                None => &mut pst1,
-            };
-            let (_, old_blk) = dst_st
+            let dst_st: &mut InodeSt = pst2_opt.as_deref_mut().unwrap_or(&mut pst1);
+            dst_st
                 .dir
                 .as_mut()
                 .expect("loaded")
                 .remove(dst_name)
                 .expect("present");
-            let _ = old_blk;
             let oh = self.handle(old_ino);
             let mut ost = oh.st.lock();
-            let was_dir = ost.inode.kind == InodeKind::Dir;
-            if was_dir {
+            if ost.inode.kind == InodeKind::Dir {
                 ost.inode.nlink = 0;
                 dst_st.inode.nlink -= 1; // The dir's ".." link on its parent.
             } else {
                 ost.inode.nlink = ost.inode.nlink.saturating_sub(1);
             }
             if ost.inode.nlink == 0 {
-                for bm in self.free_inode_blocks(&mut ost) {
-                    deps.insert(bm);
-                }
-                deps.insert(self.alloc.free_inode(old_ino));
-                ost.inode.kind = InodeKind::Free;
-            }
-            self.serialize_inode_locked(&ost, old_ino);
-            let (oblk, _) = self.layout.inode_pos(old_ino);
-            deps.insert(oblk);
-            let gone = ost.inode.kind == InodeKind::Free;
-            drop(ost);
-            if gone {
-                self.icache.lock().remove(&old_ino);
+                self.free_inode(&mut ws, old_ino, &mut ost);
+            } else {
+                self.write_inode(&mut ws, old_ino, &ost.inode);
             }
         }
         // Insert at the destination.
-        {
-            let dst_st: &mut InodeSt = match pst2_opt.as_mut() {
-                Some(p) => p,
-                None => &mut pst1,
-            };
-            let d = self.dir_insert_any(dst_st, dst_parent, dst_name, ino)?;
-            deps.extend(d);
-        }
+        let dst_st: &mut InodeSt = pst2_opt.as_deref_mut().unwrap_or(&mut pst1);
+        self.dir_insert(&mut ws, dst_st, dst_parent, dst_name, ino)?;
         // Moving a directory across parents moves its ".." link.
         if moving_dir && !same {
             pst1.inode.nlink -= 1;
@@ -1489,61 +1389,17 @@ impl FileSystem {
         }
         // Serialize both parents.
         pst1.inode.mtime = ccnvme_runtime::now();
-        self.serialize_inode_locked(&pst1, src_parent);
-        let (p1blk, _) = self.layout.inode_pos(src_parent);
-        deps.insert(p1blk);
+        self.write_inode(&mut ws, src_parent, &pst1.inode);
         if let Some(pst2) = pst2_opt.as_mut() {
             pst2.inode.mtime = ccnvme_runtime::now();
-            self.serialize_inode_locked(pst2, dst_parent);
-            let (p2blk, _) = self.layout.inode_pos(dst_parent);
-            deps.insert(p2blk);
-            pst2.dep_meta.extend(deps.iter().copied());
+            self.write_inode(&mut ws, dst_parent, &pst2.inode);
         }
-        self.ops.lock().register(&deps);
-        pst1.dep_meta.extend(deps.iter().copied());
         // The moved child also depends on this operation.
-        drop(pst1);
-        drop(pst2_opt);
         let ch = self.handle(ino);
-        ch.st.lock().dep_meta.extend(deps);
+        let mut cst = ch.st.lock();
+        let holders = [&mut *pst1, &mut *cst];
+        self.finish(ws, holders.into_iter().chain(pst2_opt.as_deref_mut()));
         Ok(())
-    }
-
-    /// `dir_insert` without the parent-ino bookkeeping (rename path).
-    fn dir_insert_any(
-        &self,
-        pst: &mut InodeSt,
-        parent: u64,
-        name: &str,
-        ino: u64,
-    ) -> FsResult<BTreeSet<u64>> {
-        ccnvme_runtime::cpu(DIRENT_CPU);
-        let mut deps = BTreeSet::new();
-        // Only the metadata THIS operation dirties (see `dir_insert`).
-        let saved = std::mem::take(&mut pst.dep_meta);
-        let blk_idx = match pst.dir.as_ref().expect("dir loaded").block_with_space(name) {
-            Some(b) => b,
-            None => {
-                let nb = pst.inode.nblocks();
-                if let Err(e) = self.bmap_alloc(pst, parent, nb) {
-                    pst.dep_meta.extend(saved);
-                    return Err(e);
-                }
-                pst.inode.size = (nb + 1) * BLOCK_SIZE;
-                pst.meta_dirty = MetaDirty::Full;
-                nb as u32
-            }
-        };
-        deps.extend(pst.dep_meta.iter().copied());
-        pst.dep_meta.extend(saved);
-        let dir_lba = self.bmap(pst, blk_idx as u64).expect("dir block mapped");
-        pst.dir
-            .as_mut()
-            .expect("dir loaded")
-            .insert(name, ino, blk_idx);
-        self.rewrite_dir_block(pst, blk_idx, dir_lba);
-        deps.insert(dir_lba);
-        Ok(deps)
     }
 
     // ------------------------------------------------------------------

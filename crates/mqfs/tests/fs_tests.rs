@@ -95,6 +95,28 @@ fn block_groups(fs: &FileSystem) -> u64 {
     (layout.capacity - layout.data_start()) / mqfs::layout::BITS_PER_BLOCK + 1
 }
 
+/// Creates `/d<i>` and `/f<i>` until a directory and a file have their
+/// first blocks in one block group — the file's data will land where the
+/// directory's block was. Returns the directory's index and the file's
+/// `(index, ino)`.
+fn dir_and_file_in_one_group(fs: &FileSystem) -> (u64, (u64, u64)) {
+    let groups = block_groups(fs);
+    let (mut dirs, mut files) = (
+        std::collections::HashMap::new(),
+        std::collections::HashMap::new(),
+    );
+    (0..)
+        .find_map(|i| {
+            let d = fs.mkdir_path(&format!("/d{i}")).expect("mkdir");
+            let f = fs.create_path(&format!("/f{i}")).expect("create");
+            dirs.insert(d % groups, i);
+            files.insert(f % groups, (i, f));
+            dirs.keys()
+                .find_map(|g| files.get(g).map(|f| (dirs[g], *f)))
+        })
+        .expect("a directory and a file in one group")
+}
+
 fn all_variants() -> Vec<FsVariant> {
     vec![
         FsVariant::Mqfs,
@@ -667,23 +689,7 @@ fn reuse_of_a_released_dir_block_under_a_pinned_horizon_survives_crash() {
                 });
             }
         };
-        // A directory and a file whose first blocks share a block group:
-        // the file's data will land where the directory's block was.
-        let groups = block_groups(&fs);
-        let (mut dirs, mut files) = (
-            std::collections::HashMap::new(),
-            std::collections::HashMap::new(),
-        );
-        let (victim, file) = (0..)
-            .find_map(|i| {
-                let d = fs.mkdir_path(&format!("/d{i}")).expect("mkdir");
-                let f = fs.create_path(&format!("/f{i}")).expect("create");
-                dirs.insert(d % groups, i);
-                files.insert(f % groups, (i, f));
-                dirs.keys()
-                    .find_map(|g| files.get(g).map(|f| (dirs[g], *f)))
-            })
-            .expect("a directory and a file in one group");
+        let (victim, file) = dir_and_file_in_one_group(&fs);
         let core1 = |name: &str, f: Box<dyn FnOnce() + Send>| ccnvme_sim::spawn(name, 1, f).join();
         tick(pin, 0); // Allocates the block the pinning overwrite rewrites.
                       // Core 1 settles the namespace (its first release drags area 0
@@ -743,6 +749,43 @@ fn reuse_of_a_released_dir_block_under_a_pinned_horizon_survives_crash() {
             fs2.read(f2, 0, 4096).expect("read"),
             vec![0x42; 4096],
             "stale directory block replayed over fsynced file data"
+        );
+        assert!(fs2.check().is_empty(), "fsck: {:?}", fs2.check());
+    });
+    sim.run();
+}
+
+#[test]
+fn freed_dir_block_reused_as_file_data_is_not_journaled_over_it() {
+    // ROADMAP 4(c): rmdir left the directory's content block in the
+    // buffer cache, and the still-open groups of the create and unlink
+    // that wrote it went on naming it. Once the block is file data, the
+    // next fsync's closure over those groups journaled the stale
+    // directory block under the file's LBA, and replay put it there.
+    let variant = FsVariant::Mqfs;
+    let mut sim = Sim::new(CORES + 2);
+    sim.spawn("host", 0, move || {
+        let profile = SsdProfile::optane_905p();
+        let stack = Stack::new(variant, profile.clone());
+        let fs = FileSystem::format(Arc::clone(&stack.dev), fs_config(variant));
+        let (victim, file) = dir_and_file_in_one_group(&fs);
+        fs.fsync(fs.root()).expect("fsync");
+        // The directory's block is written twice and freed, none of it
+        // synced...
+        fs.create_path(&format!("/d{victim}/child"))
+            .expect("create");
+        fs.unlink_path(&format!("/d{victim}/child"))
+            .expect("unlink");
+        fs.rmdir(fs.root(), &format!("d{victim}")).expect("rmdir");
+        // ...and reused as file data.
+        fs.write(file.1, 0, &[0x42; 4096]).expect("write");
+        fs.fsync(file.1).expect("fsync");
+        let image = stack.power_fail(3);
+        let (_s2, fs2) = Stack::reboot(variant, &image, profile);
+        let f2 = fs2.resolve(&format!("/f{}", file.0)).expect("resolve");
+        assert!(
+            fs2.read(f2, 0, 4096).expect("read") == [0x42; 4096],
+            "stale directory block journaled over fsynced file data"
         );
         assert!(fs2.check().is_empty(), "fsck: {:?}", fs2.check());
     });

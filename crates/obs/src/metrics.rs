@@ -1,9 +1,8 @@
 //! Lock-free metric primitives: counters, gauges and latency histograms.
 //!
-//! These are the canonical types behind `ccnvme_sim::stats` (which
-//! re-exports them): one implementation shared by the PCIe traffic
-//! counters, the host error ladder, the fault injector and every
-//! workload's latency accounting.
+//! One implementation shared by the PCIe traffic counters, the host
+//! error ladder, the fault injector and every workload's latency
+//! accounting.
 
 use crate::sync_shim::{AtomicI64, AtomicU64, Ordering};
 use crate::Ns;

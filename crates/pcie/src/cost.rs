@@ -6,7 +6,7 @@
 //! two converge once the MMIO size exceeds ~512 B because link drain time
 //! dominates both.
 
-use ccnvme_sim::Ns;
+use ccnvme_runtime::Ns;
 
 /// CPU cost to set up one MMIO operation (address computation, fences
 /// around uncacheable access, write-combining buffer eviction).

@@ -2,7 +2,8 @@
 
 use std::sync::Arc;
 
-use ccnvme_sim::{Counter, Ns};
+use ccnvme_obs::Counter;
+use ccnvme_runtime::Ns;
 use parking_lot::Mutex;
 
 use crate::cost::transfer_ns;

@@ -18,7 +18,8 @@
 //!   of the in-flight writes. The crash-consistency harness exploits this
 //!   to enumerate crash states.
 //!
-//! All timing is in virtual nanoseconds on the [`ccnvme_sim`] clock.
+//! All timing is in nanoseconds on the ambient `ccnvme_runtime` clock
+//! (virtual under the simulator).
 
 pub mod cost;
 pub mod gate;

@@ -4,7 +4,7 @@
 use std::sync::Arc;
 
 use ccnvme_obs::Obs;
-use ccnvme_sim::Ns;
+use ccnvme_runtime::Ns;
 
 use crate::{cost, gate::BandwidthGate, traffic::TrafficCounters};
 

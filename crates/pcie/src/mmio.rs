@@ -21,7 +21,7 @@
 
 use std::{collections::VecDeque, sync::Arc};
 
-use ccnvme_sim::Ns;
+use ccnvme_runtime::Ns;
 use parking_lot::Mutex;
 
 use crate::{cost, link::PcieLink};
@@ -70,7 +70,7 @@ pub struct MmioRegion {
     st: Mutex<MmioState>,
     hook: Mutex<Option<WriteHook>>,
     flush_hook: Mutex<Option<FlushHook>>,
-    flush_hist: Arc<ccnvme_sim::Histogram>,
+    flush_hist: Arc<ccnvme_obs::Histogram>,
 }
 
 impl MmioRegion {
@@ -435,7 +435,7 @@ mod tests {
         let mut sim = Sim::new(1);
         sim.spawn("t", 0, || {
             let (link, r) = region(RegionKind::Registers);
-            let hits = Arc::new(ccnvme_sim::Counter::new());
+            let hits = Arc::new(ccnvme_obs::Counter::new());
             let h2 = Arc::clone(&hits);
             r.set_write_hook(Box::new(move |off, data, arrive_at| {
                 assert_eq!(off, 4);
@@ -482,7 +482,7 @@ mod tests {
         // they converge (link drain dominates both).
         fn measure(size: u64, persistent: bool) -> u64 {
             let mut sim = Sim::new(1);
-            let out = Arc::new(ccnvme_sim::Counter::new());
+            let out = Arc::new(ccnvme_obs::Counter::new());
             let out2 = Arc::clone(&out);
             sim.spawn("t", 0, move || {
                 let (_link, r) = region(RegionKind::Pmr);

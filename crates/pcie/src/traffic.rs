@@ -15,8 +15,7 @@
 
 use std::sync::Arc;
 
-use ccnvme_obs::Registry;
-use ccnvme_sim::Counter;
+use ccnvme_obs::{Counter, Registry};
 
 /// Shared traffic counters for one PCIe function (device).
 #[derive(Debug, Default)]

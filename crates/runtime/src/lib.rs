@@ -56,9 +56,9 @@ pub use sync::{
     RtCondvar, RtMutex, RtMutexGuard, RtRwLock, RtRwReadGuard, RtRwWriteGuard, WaitTimeoutResult,
 };
 
-// Re-exported so runtime-ported code can take its time units and the
-// channel error type from one place.
-pub use ccnvme_sim::{Ns, RecvError, MS, SEC, US};
+// Re-exported so runtime-ported code can take its time units, the
+// deterministic RNG and the channel error type from one place.
+pub use ccnvme_sim::{DetRng, Ns, RecvError, MS, SEC, US};
 
 /// Which execution substrate a [`Runtime`] provides.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

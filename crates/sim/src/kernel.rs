@@ -644,20 +644,6 @@ pub fn current_core() -> usize {
     st.threads[tid].core
 }
 
-/// Returns the current thread's name.
-pub fn current_thread_name() -> String {
-    let (kernel, tid) = ctx();
-    let st = kernel.st.lock();
-    st.threads[tid].name.clone()
-}
-
-/// Returns the time until which `core` is busy with already-issued CPU work.
-pub fn core_busy_until(core: usize) -> Ns {
-    let (kernel, _) = ctx();
-    let st = kernel.st.lock();
-    st.cores[core]
-}
-
 // Crate-internal access for the sync primitives.
 pub(crate) fn current() -> (Arc<Kernel>, usize) {
     ctx()

@@ -46,18 +46,16 @@
 
 pub mod kernel;
 pub mod rng;
-pub mod stats;
 pub mod sync;
 pub mod time;
 
 pub use kernel::{
-    core_busy_until, cpu, current_core, current_thread_name, delay, in_sim, now, spawn,
-    spawn_daemon, yield_now, Sim, SimJoinHandle, ThreadId,
+    cpu, current_core, delay, in_sim, now, spawn, spawn_daemon, yield_now, Sim, SimJoinHandle,
+    ThreadId,
 };
 pub use rng::DetRng;
-pub use stats::{Counter, Gauge, Histogram, Summary};
 pub use sync::{
-    mpsc_channel, Receiver, RecvError, Sender, SimBarrier, SimCondvar, SimMutex, SimMutexGuard,
-    SimRwLock, WaitTimeoutResult,
+    mpsc_channel, Receiver, RecvError, Sender, SimCondvar, SimMutex, SimMutexGuard, SimRwLock,
+    WaitTimeoutResult,
 };
 pub use time::{Ns, MS, SEC, US};

@@ -3,7 +3,7 @@
 //! Simulated threads must never block on ordinary OS primitives across a
 //! scheduling point — the scheduler would believe the thread is still
 //! running and the simulation would deadlock in real time. The types here
-//! ([`SimMutex`], [`SimCondvar`], [`SimRwLock`], [`SimBarrier`] and the
+//! ([`SimMutex`], [`SimCondvar`], [`SimRwLock`] and the
 //! [`mpsc_channel`] pair) block in *virtual* time instead, parking the
 //! simulated thread through the kernel and waking it with a scheduled
 //! event.
@@ -400,72 +400,6 @@ impl<T: ?Sized> Drop for SimRwWriteGuard<'_, T> {
             st.writer = false;
         }
         self.lock.cv.notify_all();
-    }
-}
-
-// ---------------------------------------------------------------------------
-// SimBarrier
-// ---------------------------------------------------------------------------
-
-struct BarrierState {
-    count: usize,
-    generation: u64,
-    waiters: Vec<usize>,
-}
-
-/// A cyclic barrier: `n` simulated threads rendezvous, then all proceed.
-pub struct SimBarrier {
-    n: usize,
-    st: Mutex<BarrierState>,
-}
-
-impl SimBarrier {
-    /// Creates a barrier for `n` threads.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero.
-    pub fn new(n: usize) -> Self {
-        assert!(n > 0, "barrier needs at least one participant");
-        SimBarrier {
-            n,
-            st: Mutex::new(BarrierState {
-                count: 0,
-                generation: 0,
-                waiters: Vec::new(),
-            }),
-        }
-    }
-
-    /// Blocks until `n` threads have called `wait`; returns `true` for
-    /// exactly one of them (the "leader").
-    pub fn wait(&self) -> bool {
-        let (kernel, me) = kernel::current();
-        let is_leader = {
-            let mut st = self.st.lock();
-            st.count += 1;
-            if st.count == self.n {
-                st.count = 0;
-                st.generation += 1;
-                let waiters = std::mem::take(&mut st.waiters);
-                drop(st);
-                for w in waiters {
-                    kernel.wake(w);
-                }
-                return true;
-            }
-            let gen = st.generation;
-            st.waiters.push(me);
-            drop(st);
-            loop {
-                kernel.block_current();
-                if self.st.lock().generation != gen {
-                    break;
-                }
-            }
-            false
-        };
-        is_leader
     }
 }
 
@@ -874,27 +808,6 @@ mod tests {
             *g = 9;
         });
         sim.run();
-    }
-
-    #[test]
-    fn barrier_releases_all() {
-        let mut sim = Sim::new(4);
-        let bar = Arc::new(SimBarrier::new(4));
-        let leaders = Arc::new(Mutex::new(0));
-        for i in 0..4 {
-            let bar = Arc::clone(&bar);
-            let leaders = Arc::clone(&leaders);
-            sim.spawn(&format!("t{i}"), i, move || {
-                delay((i as u64 + 1) * 50);
-                if bar.wait() {
-                    *leaders.lock() += 1;
-                }
-                // All released at the last arrival (t=200).
-                assert_eq!(now(), 200);
-            });
-        }
-        sim.run();
-        assert_eq!(*leaders.lock(), 1);
     }
 
     #[test]

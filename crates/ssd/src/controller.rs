@@ -24,12 +24,11 @@ use std::{
 };
 
 use ccnvme_fault::{FaultInjector, FaultKind, FaultOp, OpClass};
-use ccnvme_obs::EventKind;
+use ccnvme_obs::{EventKind, Histogram};
 use ccnvme_pcie::{
     cost, mmio::RegionKind, BandwidthGate, ChannelBank, DmaKind, MmioRegion, PcieLink,
 };
-use ccnvme_runtime::{RtCondvar, RtMutex};
-use ccnvme_sim::{Histogram, Ns};
+use ccnvme_runtime::{Ns, RtCondvar, RtMutex};
 use parking_lot::Mutex;
 
 use crate::{

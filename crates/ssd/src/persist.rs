@@ -43,7 +43,7 @@ use std::{
     },
 };
 
-use ccnvme_sim::{DetRng, Ns};
+use ccnvme_runtime::{DetRng, Ns};
 
 use crate::controller::DurableImage;
 use crate::store::BLOCK_SIZE;

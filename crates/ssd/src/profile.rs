@@ -1,6 +1,6 @@
 //! Device performance profiles reproducing Table 3 of the paper.
 
-use ccnvme_sim::{Ns, US};
+use ccnvme_runtime::{Ns, US};
 
 /// Performance envelope and behaviour of one SSD model.
 #[derive(Debug, Clone)]

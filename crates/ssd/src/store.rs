@@ -10,7 +10,7 @@
 
 use std::collections::HashMap;
 
-use ccnvme_sim::DetRng;
+use ccnvme_runtime::DetRng;
 use parking_lot::Mutex;
 
 /// Logical block size in bytes.

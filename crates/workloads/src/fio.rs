@@ -2,7 +2,8 @@
 
 use std::sync::Arc;
 
-use ccnvme_sim::{Histogram, Ns, Summary};
+use ccnvme_obs::{Histogram, Summary};
+use ccnvme_runtime::Ns;
 use mqfs::FileSystem;
 
 /// How each write is persisted.

@@ -12,8 +12,8 @@
 
 use std::{collections::BTreeMap, sync::Arc};
 
-use ccnvme_runtime::{RtCondvar, RtMutex};
-use ccnvme_sim::{DetRng, Histogram};
+use ccnvme_obs::Histogram;
+use ccnvme_runtime::{DetRng, RtCondvar, RtMutex};
 use mqfs::FileSystem;
 
 use crate::fio::WorkloadResult;
@@ -46,9 +46,9 @@ pub struct MiniKv {
     st: RtMutex<KvSt>,
     cv: RtCondvar,
     /// Completed puts.
-    pub puts: ccnvme_sim::Counter,
+    pub puts: ccnvme_obs::Counter,
     /// Memtable flushes performed.
-    pub flushes: ccnvme_sim::Counter,
+    pub flushes: ccnvme_obs::Counter,
 }
 
 fn encode_record(key: &[u8], value: &[u8]) -> Vec<u8> {
@@ -115,8 +115,8 @@ impl MiniKv {
                 committing: false,
             }),
             cv: RtCondvar::new(),
-            puts: ccnvme_sim::Counter::new(),
-            flushes: ccnvme_sim::Counter::new(),
+            puts: ccnvme_obs::Counter::new(),
+            flushes: ccnvme_obs::Counter::new(),
         })
     }
 

@@ -13,7 +13,8 @@
 
 use std::sync::Arc;
 
-use ccnvme_sim::{DetRng, Histogram};
+use ccnvme_obs::Histogram;
+use ccnvme_runtime::DetRng;
 use mqfs::{FileSystem, FsError};
 
 use crate::fio::WorkloadResult;
@@ -65,8 +66,8 @@ pub fn run_varmail(fs: &Arc<FileSystem>, cfg: &VarmailConfig) -> WorkloadResult 
     fs.fsync(root_syncs).expect("persist population");
 
     let hist = Arc::new(Histogram::new());
-    let ops = Arc::new(ccnvme_sim::Counter::new());
-    let bytes = Arc::new(ccnvme_sim::Counter::new());
+    let ops = Arc::new(ccnvme_obs::Counter::new());
+    let bytes = Arc::new(ccnvme_obs::Counter::new());
     let t0 = ccnvme_runtime::now();
     let mut handles = Vec::with_capacity(cfg.threads);
     for t in 0..cfg.threads {

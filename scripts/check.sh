@@ -2,7 +2,9 @@
 # Repo gate, two tiers (documented in README and DESIGN.md §10):
 #
 #   fast (always): formatting, clippy, the root test suite plus the
-#     mqfs and journal crate suites, the
+#     mqfs and journal crate suites and the unit suites of the layers
+#     under them (sim, runtime, pcie, ssd, block, core, fault,
+#     workloads), the
 #     ccnvme-lint protocol-invariant analyzer over the workspace, the
 #     bench metrics-schema smoke run, the crash-sweep suite (the
 #     engine's unit tests, the bounded sweep of all three surfaces at
@@ -33,6 +35,11 @@ cargo test -q -p ccnvme-obs
 # own suites (mapping, fsck, crash/remount per variant, revocation and
 # release gating of the multi-queue journal) gate here too.
 cargo test -q --release -p mqfs -p mqfs-journal
+# The layers under them — simulator, runtime seam, PCIe and SSD models,
+# block layer, both drivers (retry/watchdog ladder, P-SQ recovery), the
+# fault planner and the workload generators (215 unit tests, seconds).
+cargo test -q -p ccnvme-sim -p ccnvme-runtime -p ccnvme-pcie -p ccnvme-block -p ccnvme-fault \
+    -p ccnvme-workloads -p ccnvme -p ccnvme-ssd
 # Protocol-invariant gate: the interprocedural persistence-effect
 # analyzer — persist-order (§4.3 flush-before-doorbell, path-sensitive
 # over branches/loops/closures), static-race, observer-purity — plus
