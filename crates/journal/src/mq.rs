@@ -38,7 +38,7 @@
 //! transaction, so the record outlives every copy it revokes.
 
 use std::{
-    collections::{HashMap, HashSet, VecDeque},
+    collections::{BTreeSet, HashMap, HashSet, VecDeque},
     sync::{
         atomic::{AtomicBool, AtomicU64, Ordering},
         Arc,
@@ -437,12 +437,15 @@ impl MqJournal {
     }
 
     /// Finds which areas hold versions older than the front of
-    /// `area_idx`'s log (the areas blocking its release).
+    /// `area_idx`'s log (the areas blocking its release), in ascending
+    /// index: the caller checkpoints — takes the `st` lock of — each in
+    /// turn, and lock hand-off order decides persist order, so a hash
+    /// set's per-process iteration order here made runs irreproducible.
     fn blocking_areas(&self, area_idx: usize) -> Vec<usize> {
         let inner = &self.inner;
         let area = &inner.areas[area_idx];
         let st = area.st.lock();
-        let mut blockers = HashSet::new();
+        let mut blockers = BTreeSet::new();
         if let Some(front) = st.logged.front() {
             if front.revoking {
                 blockers.extend(self.areas_older_than(area_idx, front.tx_id));
@@ -755,5 +758,45 @@ mod tests {
     fn same_group_same_tree() {
         assert_eq!(tree_index(5), tree_index(6));
         assert_eq!(tree_index(0), tree_index(BLOCKS_PER_GROUP - 1));
+    }
+
+    /// The committer checkpoints its blockers in the order this returns,
+    /// so the order must not depend on a hasher's per-process seed.
+    #[test]
+    fn blocking_areas_come_in_ascending_index() {
+        use ccnvme::CcNvmeDriver;
+        use ccnvme_sim::{spawn, Sim};
+        use ccnvme_ssd::{CtrlConfig, NvmeController, SsdProfile};
+
+        use crate::TxBlock;
+
+        const AREAS: usize = 5;
+        for _ in 0..16 {
+            let order = Sim::run_main(AREAS + 1, || {
+                let mut cfg = CtrlConfig::new(SsdProfile::optane_905p());
+                cfg.device_core = AREAS;
+                let ctrl = NvmeController::new(cfg);
+                let dev: Dev = Arc::new(CcNvmeDriver::new(ctrl, AREAS as u16, 64));
+                let areas = AreaSpec::split(1_000, 64 * AREAS as u64, AREAS);
+                let journal = Arc::new(MqJournal::new(dev, areas, 999));
+                let commit = |j: &MqJournal, lbas: &[u64]| {
+                    let mut tx = TxDescriptor::new(j.alloc_tx_id());
+                    tx.meta.extend(lbas.iter().map(|&final_lba| TxBlock {
+                        final_lba,
+                        buf: Arc::new(parking_lot::Mutex::new(vec![0u8; 4096])),
+                    }));
+                    j.commit_tx(tx, Durability::Durable).expect("commit");
+                };
+                // Areas 4, 3, 2, 1 each log one older copy of a block...
+                for core in (1..AREAS).rev() {
+                    let j = Arc::clone(&journal);
+                    spawn("w", core, move || commit(&j, &[10 + core as u64])).join();
+                }
+                // ...that area 0's front transaction then overwrites.
+                commit(&journal, &[11, 12, 13, 14]);
+                journal.blocking_areas(0)
+            });
+            assert_eq!(order, vec![1, 2, 3, 4]);
+        }
     }
 }

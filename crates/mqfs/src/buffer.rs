@@ -227,15 +227,6 @@ impl BufferCache {
     pub fn evict(&self, lba: u64) {
         self.map.lock().remove(&lba);
     }
-
-    /// Every dirty block currently cached (unmount writeback).
-    pub fn dirty_blocks(&self) -> Vec<Arc<MetaBlock>> {
-        let map = self.map.lock();
-        map.values()
-            .filter(|b| b.data.lock().dirty)
-            .cloned()
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -349,7 +340,7 @@ mod tests {
             assert!(ws.lbas().contains(&9), "the write recorded its block");
             let copy = blk.shadow_copy();
             assert_eq!(copy.lock()[0], 0xbb);
-            assert!(cache.dirty_blocks().is_empty());
+            assert!(!blk.data.lock().dirty, "the shadow copy cleaned it");
             // Later mutation does not affect the shadow.
             ws.update(&blk, |d| d[0] = 0xcc);
             assert_eq!(copy.lock()[0], 0xbb);
@@ -377,21 +368,6 @@ mod tests {
             cache.evict(4);
             let b = cache.get(4);
             assert!(!Arc::ptr_eq(&a, &b));
-        });
-        sim.run();
-    }
-
-    #[test]
-    fn dirty_blocks_lists_only_dirty() {
-        let mut sim = Sim::new(1);
-        sim.spawn("t", 0, || {
-            let cache = BufferCache::new(memdev_with(1, 0));
-            let a = cache.get(1);
-            let _b = cache.get(2);
-            WriteSet::default().update(&a, |_| {});
-            let dirty = cache.dirty_blocks();
-            assert_eq!(dirty.len(), 1);
-            assert_eq!(dirty[0].lba(), 1);
         });
         sim.run();
     }

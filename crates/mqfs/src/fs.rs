@@ -1269,7 +1269,8 @@ impl FileSystem {
 
     /// Renames `src_parent/src_name` to `dst_parent/dst_name`.
     /// An existing destination file (or empty directory) is replaced,
-    /// POSIX-style.
+    /// POSIX-style. Moving a directory into itself is refused with
+    /// [`FsError::InvalidName`].
     pub fn rename(
         &self,
         src_parent: u64,
@@ -1320,6 +1321,11 @@ impl FileSystem {
             .map
             .get(src_name)
             .ok_or(FsError::NotFound)?;
+        if ino == dst_parent {
+            // A directory cannot move into itself (POSIX EINVAL), and
+            // its handle lock is already held above as the destination.
+            return Err(FsError::InvalidName);
+        }
         let moving_dir = self.handle(ino).st.lock().inode.kind == InodeKind::Dir;
         let old_target: Option<u64> = {
             let dst_st: &InodeSt = match pst2_opt.as_ref() {

@@ -978,6 +978,26 @@ fn rename_onto_itself_is_a_noop() {
 }
 
 #[test]
+fn rename_directory_into_itself_is_refused() {
+    let mut sim = Sim::new(CORES + 2);
+    sim.spawn("host", 0, || {
+        let variant = FsVariant::Mqfs;
+        let stack = Stack::new(variant, SsdProfile::optane_p5800x());
+        let fs = FileSystem::format(Arc::clone(&stack.dev), fs_config(variant));
+        let d = fs.mkdir_path("/d").expect("mkdir");
+        // Used to relock `d`'s handle (held as the destination parent)
+        // to read the moved inode's kind: a simulation deadlock.
+        assert_eq!(
+            fs.rename(fs.root(), "d", d, "inner"),
+            Err(FsError::InvalidName)
+        );
+        assert_eq!(fs.resolve("/d"), Ok(d));
+        assert!(fs.check().is_empty(), "{:?}", fs.check());
+    });
+    sim.run();
+}
+
+#[test]
 fn rename_directory_across_parents_fixes_link_counts() {
     let mut sim = Sim::new(CORES + 2);
     sim.spawn("host", 0, || {

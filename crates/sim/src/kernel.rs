@@ -1,16 +1,31 @@
-//! The discrete-event scheduler and simulated-thread runtime.
+//! The discrete-event kernel and simulated-thread runtime.
 //!
-//! One OS thread backs each simulated thread, but the scheduler guarantees
-//! that at most one simulated thread executes at a time. Control transfers
-//! through park/unpark handoffs: the scheduler pops the earliest event from
-//! a binary heap, unparks the owning thread and parks itself; the thread
-//! runs until it yields (advancing the clock, or blocking on a primitive
-//! from [`crate::sync`]) and then unparks the scheduler.
+//! One OS thread backs each simulated thread, and the simulation
+//! dispatches its own events: there is no scheduler thread. A thread that
+//! yields (advancing the clock, blocking on a primitive from
+//! [`crate::sync`], or exiting) pops the earliest live event from the
+//! binary heap itself, under the one [`KState`] lock. If that event is its
+//! own it simply keeps running — no parker is touched; otherwise it
+//! unparks the owning thread directly and parks, one wake per
+//! cross-thread event. The caller of [`Sim::run`] only starts the first
+//! event's thread and sleeps until the run is over.
 //!
-//! Because execution is serialized, all simulation-visible state is free
-//! of data races by construction; the internal `parking_lot` mutexes exist
-//! only to satisfy Rust's `Send`/`Sync` rules and are never contended for
-//! longer than a handoff.
+//! Two invariants carry the design:
+//!
+//! * **One runnable thread.** Exactly one simulated thread is between
+//!   "dispatched" and "yielded" at any instant, and only that thread
+//!   dispatches, so event order is the heap's `(time, seq)` and all
+//!   simulation-visible state is free of data races by construction. The
+//!   internal mutexes exist to satisfy Rust's `Send`/`Sync` rules and to
+//!   publish that state from one OS thread to the next; they are never
+//!   held across a hand-off.
+//! * **The wake token is never lost.** A hand-off unparks its target
+//!   *before* the yielding thread parks, so the target may run — and
+//!   dispatch the yielder again — before the yielder sleeps; [`Parker`]
+//!   remembers an unpark that precedes its park.
+//!
+//! Both are model-checked by the `loom_` tests below (`--features loom`
+//! swaps the primitives in [`shim`] for the vendored model checker's).
 
 use std::{
     cell::RefCell,
@@ -20,9 +35,89 @@ use std::{
     sync::Arc,
 };
 
-use parking_lot::{Condvar, Mutex};
+#[cfg(test)]
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
+use self::shim::{spawn_os, Condvar, Mutex, MutexGuard, OsJoinHandle};
 use crate::time::Ns;
+
+/// The blocking primitives under the kernel, as one indirection so the
+/// `loom` feature can swap them for the vendored model checker's (the
+/// `ccnvme-runtime` convention: a cargo feature instead of `--cfg loom`).
+/// Both sides have the `parking_lot` calling convention.
+#[cfg(not(feature = "loom"))]
+mod shim {
+    pub(super) use parking_lot::{Condvar, Mutex, MutexGuard};
+
+    pub(super) type OsJoinHandle = std::thread::JoinHandle<()>;
+
+    /// Starts the OS thread backing a simulated thread.
+    pub(super) fn spawn_os(name: String, f: impl FnOnce() + Send + 'static) -> OsJoinHandle {
+        std::thread::Builder::new()
+            .name(name)
+            .spawn(f)
+            .expect("failed to spawn OS thread backing a simulated thread")
+    }
+}
+
+#[cfg(feature = "loom")]
+mod shim {
+    use std::ops::{Deref, DerefMut};
+
+    const UNPOISONED: &str = "loom mutex cannot be poisoned";
+
+    pub(super) struct Mutex<T>(loom::sync::Mutex<T>);
+
+    impl<T> Mutex<T> {
+        pub(super) fn new(v: T) -> Self {
+            Mutex(loom::sync::Mutex::new(v))
+        }
+
+        pub(super) fn lock(&self) -> MutexGuard<'_, T> {
+            MutexGuard(Some(self.0.lock().expect(UNPOISONED)))
+        }
+    }
+
+    /// The inner `Option` lets [`Condvar::wait`] hand the loom guard over
+    /// by value; it is `Some` at every other moment.
+    pub(super) struct MutexGuard<'a, T>(Option<loom::sync::MutexGuard<'a, T>>);
+
+    impl<T> Deref for MutexGuard<'_, T> {
+        type Target = T;
+        fn deref(&self) -> &T {
+            self.0.as_ref().expect("guard vacated")
+        }
+    }
+
+    impl<T> DerefMut for MutexGuard<'_, T> {
+        fn deref_mut(&mut self) -> &mut T {
+            self.0.as_mut().expect("guard vacated")
+        }
+    }
+
+    pub(super) struct Condvar(loom::sync::Condvar);
+
+    impl Condvar {
+        pub(super) fn new() -> Self {
+            Condvar(loom::sync::Condvar::new())
+        }
+
+        pub(super) fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
+            let g = guard.0.take().expect("guard vacated");
+            guard.0 = Some(self.0.wait(g).expect(UNPOISONED));
+        }
+
+        pub(super) fn notify_one(&self) {
+            self.0.notify_one();
+        }
+    }
+
+    pub(super) type OsJoinHandle = loom::thread::JoinHandle<()>;
+
+    pub(super) fn spawn_os(_name: String, f: impl FnOnce() + Send + 'static) -> OsJoinHandle {
+        loom::thread::spawn(f)
+    }
+}
 
 /// Identifier of a simulated thread, unique within one [`Sim`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -60,6 +155,12 @@ fn install_quiet_shutdown_hook() {
 struct Parker {
     flag: Mutex<bool>,
     cv: Condvar,
+    /// Calls to [`Parker::park`] / [`Parker::unpark`], for the tests that
+    /// pin "the self path never parks" and "the runner is woken once".
+    #[cfg(test)]
+    parks: AtomicU64,
+    #[cfg(test)]
+    unparks: AtomicU64,
 }
 
 impl Parker {
@@ -67,10 +168,16 @@ impl Parker {
         Parker {
             flag: Mutex::new(false),
             cv: Condvar::new(),
+            #[cfg(test)]
+            parks: Default::default(),
+            #[cfg(test)]
+            unparks: Default::default(),
         }
     }
 
     fn park(&self) {
+        #[cfg(test)]
+        self.parks.fetch_add(1, Relaxed);
         let mut flag = self.flag.lock();
         while !*flag {
             self.cv.wait(&mut flag);
@@ -78,9 +185,15 @@ impl Parker {
         *flag = false;
     }
 
+    /// Sets the token and wakes the parked thread, if any. The flag lock
+    /// is released *before* the notify: a thread woken while the waker
+    /// still held it would block a second time on its way out of `wait`.
+    /// No wake is lost by that — a parker that has not seen the token yet
+    /// is either before its `lock` (and will see it) or inside `wait`.
     fn unpark(&self) {
-        let mut flag = self.flag.lock();
-        *flag = true;
+        #[cfg(test)]
+        self.unparks.fetch_add(1, Relaxed);
+        *self.flag.lock() = true;
         self.cv.notify_one();
     }
 }
@@ -89,7 +202,7 @@ impl Parker {
 enum ThreadState {
     /// Has a pending event in the heap.
     Ready,
-    /// Currently executing (the scheduler is parked).
+    /// Currently executing; every other thread is parked.
     Running,
     /// Waiting on a primitive; no event, unless a timeout is armed.
     Blocked,
@@ -107,7 +220,7 @@ struct ThreadSlot {
     /// Any popped event with a different sequence is stale and dropped.
     expected_seq: u64,
     wake_reason: WakeReason,
-    os_handle: Option<std::thread::JoinHandle<()>>,
+    os_handle: Option<OsJoinHandle>,
 }
 
 #[derive(PartialEq, Eq, PartialOrd, Ord)]
@@ -133,7 +246,8 @@ struct KState {
 
 pub(crate) struct Kernel {
     st: Mutex<KState>,
-    sched_parker: Parker,
+    /// Where the caller of [`Sim::run`] sleeps while the threads run.
+    runner: Arc<Parker>,
 }
 
 thread_local! {
@@ -162,7 +276,7 @@ impl Kernel {
                 events_processed: 0,
                 panic_payload: None,
             }),
-            sched_parker: Parker::new(),
+            runner: Arc::new(Parker::new()),
         }
     }
 
@@ -175,15 +289,46 @@ impl Kernel {
         st.heap.push(Reverse(Event { time, seq, tid }));
     }
 
-    /// Parks the current thread until the scheduler dispatches it again.
-    /// The caller must already have arranged the wakeup (heap event or
-    /// waitlist registration).
-    fn yield_current(self: &Arc<Self>, tid: usize) {
-        let parker = {
-            let st = self.st.lock();
-            Arc::clone(&st.threads[tid].parker)
+    /// The one dispatch step, run by whichever thread just stopped
+    /// running (`me`; `None` for the caller of [`Sim::run`]): pops the
+    /// earliest live event, advances the clock to it and marks its owner
+    /// running. Returns whom the caller must unpark — the owner, or the
+    /// runner when the run is over — and `None` when the event is the
+    /// caller's own and it simply keeps running.
+    fn dispatch(&self, st: &mut KState, me: Option<usize>) -> Option<Arc<Parker>> {
+        if st.panic_payload.is_some() || st.live == 0 {
+            // Daemon threads may still have pending wakeups; they are
+            // torn down by `shutdown_all`.
+            return Some(Arc::clone(&self.runner));
+        }
+        while let Some(Reverse(ev)) = st.heap.pop() {
+            let slot = &mut st.threads[ev.tid];
+            if slot.state == ThreadState::Finished || slot.expected_seq != ev.seq {
+                continue; // Stale event.
+            }
+            slot.state = ThreadState::Running;
+            let owner = (me != Some(ev.tid)).then(|| Arc::clone(&slot.parker));
+            debug_assert!(ev.time >= st.now, "time went backwards");
+            st.now = ev.time;
+            st.events_processed += 1;
+            return owner;
+        }
+        // Live threads are blocked with no pending event: a deadlock,
+        // which `Sim::run` raises on its caller's thread.
+        Some(Arc::clone(&self.runner))
+    }
+
+    /// Gives up the CPU: dispatches the next event and, unless it is the
+    /// caller's own, hands over and parks until dispatched again. The
+    /// caller must already have arranged its wakeup (heap event or
+    /// waitlist registration) under the `st` lock it passes in.
+    fn yield_current(&self, mut st: MutexGuard<'_, KState>, tid: usize) {
+        let Some(next) = self.dispatch(&mut st, Some(tid)) else {
+            return;
         };
-        self.sched_parker.unpark();
+        let parker = Arc::clone(&st.threads[tid].parker);
+        drop(st);
+        next.unpark();
         parker.park();
         if self.st.lock().shutdown {
             // Unwind this thread's stack; the runner catches the token.
@@ -193,61 +338,53 @@ impl Kernel {
 
     /// Models `ns` of CPU work on the current thread's core, serializing
     /// with other work on the same core.
-    fn cpu_current(self: &Arc<Self>, tid: usize, ns: Ns) {
-        {
-            let mut st = self.st.lock();
-            let core = st.threads[tid].core;
-            let start = st.now.max(st.cores[core]);
-            let end = start + ns;
-            st.cores[core] = end;
-            Self::schedule(&mut st, end, tid);
-            st.threads[tid].state = ThreadState::Ready;
-        }
-        self.yield_current(tid);
+    fn cpu_current(&self, tid: usize, ns: Ns) {
+        let mut st = self.st.lock();
+        let core = st.threads[tid].core;
+        let start = st.now.max(st.cores[core]);
+        let end = start + ns;
+        st.cores[core] = end;
+        Self::schedule(&mut st, end, tid);
+        st.threads[tid].state = ThreadState::Ready;
+        self.yield_current(st, tid);
     }
 
     /// Advances the current thread's clock by `ns` without occupying a core.
-    fn delay_current(self: &Arc<Self>, tid: usize, ns: Ns) {
-        {
-            let mut st = self.st.lock();
-            let when = st.now + ns;
-            Self::schedule(&mut st, when, tid);
-            st.threads[tid].state = ThreadState::Ready;
-        }
-        self.yield_current(tid);
+    fn delay_current(&self, tid: usize, ns: Ns) {
+        let mut st = self.st.lock();
+        let when = st.now + ns;
+        Self::schedule(&mut st, when, tid);
+        st.threads[tid].state = ThreadState::Ready;
+        self.yield_current(st, tid);
     }
 
     /// Blocks the current thread until [`Kernel::wake`] is called for it.
-    pub(crate) fn block_current(self: &Arc<Self>) {
+    pub(crate) fn block_current(&self) {
         let (_, tid) = ctx();
-        {
-            let mut st = self.st.lock();
-            let slot = &mut st.threads[tid];
-            slot.state = ThreadState::Blocked;
-            slot.wake_reason = WakeReason::TimedOut;
-        }
-        self.yield_current(tid);
+        let mut st = self.st.lock();
+        let slot = &mut st.threads[tid];
+        slot.state = ThreadState::Blocked;
+        slot.wake_reason = WakeReason::TimedOut;
+        self.yield_current(st, tid);
     }
 
     /// Blocks the current thread until woken or until `ns` virtual time
     /// elapses, whichever happens first.
-    pub(crate) fn block_current_timeout(self: &Arc<Self>, ns: Ns) -> WakeReason {
+    pub(crate) fn block_current_timeout(&self, ns: Ns) -> WakeReason {
         let (_, tid) = ctx();
-        {
-            let mut st = self.st.lock();
-            let when = st.now + ns;
-            Self::schedule(&mut st, when, tid);
-            let slot = &mut st.threads[tid];
-            slot.state = ThreadState::Blocked;
-            slot.wake_reason = WakeReason::TimedOut;
-        }
-        self.yield_current(tid);
+        let mut st = self.st.lock();
+        let when = st.now + ns;
+        Self::schedule(&mut st, when, tid);
+        let slot = &mut st.threads[tid];
+        slot.state = ThreadState::Blocked;
+        slot.wake_reason = WakeReason::TimedOut;
+        self.yield_current(st, tid);
         let st = self.st.lock();
         st.threads[tid].wake_reason
     }
 
     /// Wakes `tid` if it is blocked; a no-op otherwise. Idempotent.
-    pub(crate) fn wake(self: &Arc<Self>, tid: usize) {
+    pub(crate) fn wake(&self, tid: usize) {
         let mut st = self.st.lock();
         if st.threads[tid].state == ThreadState::Blocked {
             let now = st.now;
@@ -258,69 +395,59 @@ impl Kernel {
         }
     }
 
-    /// Scheduler loop: dispatch events until no live (non-daemon) thread
-    /// remains or a simulated thread panics.
-    fn dispatch_loop(self: &Arc<Self>) {
-        loop {
-            let parker = {
-                let mut st = self.st.lock();
-                if st.panic_payload.is_some() || st.live == 0 {
-                    // Done: every non-daemon thread finished (daemon
-                    // threads may still have pending wakeups; they are
-                    // torn down by `shutdown_all`), or a thread panicked.
-                    return;
-                }
-                let tid = loop {
-                    match st.heap.pop() {
-                        Some(Reverse(ev)) => {
-                            let slot = &st.threads[ev.tid];
-                            if slot.state == ThreadState::Finished || slot.expected_seq != ev.seq {
-                                continue; // Stale event.
-                            }
-                            debug_assert!(ev.time >= st.now, "time went backwards");
-                            st.now = ev.time;
-                            st.events_processed += 1;
-                            st.threads[ev.tid].state = ThreadState::Running;
-                            break ev.tid;
-                        }
-                        None => {
-                            let blocked: Vec<&str> = st
-                                .threads
-                                .iter()
-                                .filter(|t| t.state == ThreadState::Blocked && !t.daemon)
-                                .map(|t| t.name.as_str())
-                                .collect();
-                            panic!(
-                                "simulation deadlock at t={} ns: {} live thread(s) blocked \
-                                 with no pending event: {:?}",
-                                st.now, st.live, blocked
-                            );
-                        }
-                    }
-                };
-                Arc::clone(&st.threads[tid].parker)
-            };
-            parker.unpark();
-            self.sched_parker.park();
+    /// Last act of a simulated thread's OS thread: marks it finished and
+    /// dispatches the next event on its way out.
+    fn exit_current(&self, tid: usize) {
+        let mut st = self.st.lock();
+        st.threads[tid].state = ThreadState::Finished;
+        if st.shutdown {
+            return; // Unwound by `shutdown_all`: nothing left to dispatch.
         }
+        if !st.threads[tid].daemon {
+            st.live -= 1;
+        }
+        let next = self.dispatch(&mut st, Some(tid));
+        drop(st);
+        next.expect("a finished thread owns no live event").unpark();
     }
 
-    /// Unwinds every unfinished thread and joins its OS thread.
-    fn shutdown_all(self: &Arc<Self>) {
-        let pending: Vec<(Arc<Parker>, std::thread::JoinHandle<()>)> = {
+    /// Starts the first event's thread and sleeps until the run is over.
+    /// Returns the deadlock report if that is how it ended.
+    fn run_to_stop(&self) -> Option<String> {
+        let first = self.dispatch(&mut self.st.lock(), None);
+        // With nothing to run this is the runner's own parker, and the
+        // park below returns at once.
+        first.expect("the runner owns no event").unpark();
+        self.runner.park();
+        let st = self.st.lock();
+        if st.panic_payload.is_some() || st.live == 0 {
+            return None;
+        }
+        let blocked: Vec<&str> = st
+            .threads
+            .iter()
+            .filter(|t| t.state == ThreadState::Blocked && !t.daemon)
+            .map(|t| t.name.as_str())
+            .collect();
+        Some(format!(
+            "simulation deadlock at t={} ns: {} live thread(s) blocked \
+             with no pending event: {:?}",
+            st.now, st.live, blocked
+        ))
+    }
+
+    /// Unwinds every unfinished thread and joins every OS thread.
+    fn shutdown_all(&self) {
+        let pending: Vec<(Arc<Parker>, OsJoinHandle)> = {
             let mut st = self.st.lock();
             st.shutdown = true;
-            let mut v = Vec::new();
-            for slot in st.threads.iter_mut() {
-                if slot.state != ThreadState::Finished {
-                    if let Some(h) = slot.os_handle.take() {
-                        v.push((Arc::clone(&slot.parker), h));
-                    }
-                }
-            }
-            v
+            st.threads
+                .iter_mut()
+                .filter_map(|slot| Some((Arc::clone(&slot.parker), slot.os_handle.take()?)))
+                .collect()
         };
         for (parker, handle) in pending {
+            // A finished thread never parks again: the token is unused.
             parker.unpark();
             let _ = handle.join();
         }
@@ -423,51 +550,36 @@ where
 
     let k2 = Arc::clone(kernel);
     let js2 = Arc::clone(&join_st);
-    let thread_name = name.to_string();
-    let handle = std::thread::Builder::new()
-        .name(format!("sim:{thread_name}"))
-        .spawn(move || {
-            CTX.with(|c| *c.borrow_mut() = Some((Arc::clone(&k2), tid)));
-            parker.park();
-            if !k2.st.lock().shutdown {
-                let outcome = panic::catch_unwind(AssertUnwindSafe(f));
-                match outcome {
-                    Ok(value) => {
-                        let waiters: Vec<usize> = {
-                            let mut js = js2.lock();
-                            js.result = Some(value);
-                            js.finished = true;
-                            std::mem::take(&mut js.waiters)
-                        };
-                        for w in waiters {
-                            k2.wake(w);
-                        }
-                    }
-                    Err(payload) => {
-                        if !payload.is::<SimShutdown>() {
-                            let mut st = k2.st.lock();
-                            if st.panic_payload.is_none() {
-                                st.panic_payload = Some(payload);
-                            }
-                        }
-                        js2.lock().finished = true;
+    let handle = spawn_os(format!("sim:{name}"), move || {
+        CTX.with(|c| *c.borrow_mut() = Some((Arc::clone(&k2), tid)));
+        parker.park();
+        if !k2.st.lock().shutdown {
+            let outcome = panic::catch_unwind(AssertUnwindSafe(f));
+            match outcome {
+                Ok(value) => {
+                    let waiters: Vec<usize> = {
+                        let mut js = js2.lock();
+                        js.result = Some(value);
+                        js.finished = true;
+                        std::mem::take(&mut js.waiters)
+                    };
+                    for w in waiters {
+                        k2.wake(w);
                     }
                 }
-            }
-            // Mark finished and hand control back to the scheduler.
-            {
-                let mut st = k2.st.lock();
-                let slot = &mut st.threads[tid];
-                if slot.state != ThreadState::Finished {
-                    slot.state = ThreadState::Finished;
-                    if !slot.daemon && !st.shutdown {
-                        st.live -= 1;
+                Err(payload) => {
+                    if !payload.is::<SimShutdown>() {
+                        let mut st = k2.st.lock();
+                        if st.panic_payload.is_none() {
+                            st.panic_payload = Some(payload);
+                        }
                     }
+                    js2.lock().finished = true;
                 }
             }
-            k2.sched_parker.unpark();
-        })
-        .expect("failed to spawn OS thread backing a simulated thread");
+        }
+        k2.exit_current(tid);
+    });
     kernel.st.lock().threads[tid].os_handle = Some(handle);
     SimJoinHandle {
         kernel: Arc::clone(kernel),
@@ -528,7 +640,7 @@ impl Sim {
     pub fn run(&mut self) -> Ns {
         assert!(!self.ran, "a Sim can only be run once");
         self.ran = true;
-        self.kernel.dispatch_loop();
+        let deadlock = self.kernel.run_to_stop();
         self.kernel.shutdown_all();
         let (now, payload) = {
             let mut st = self.kernel.st.lock();
@@ -536,6 +648,9 @@ impl Sim {
         };
         if let Some(p) = payload {
             panic::resume_unwind(p);
+        }
+        if let Some(report) = deadlock {
+            panic!("{report}");
         }
         now
     }
@@ -567,7 +682,7 @@ impl Sim {
         self.kernel.st.lock().now
     }
 
-    /// Returns the number of events the scheduler has dispatched.
+    /// Returns the number of events the simulation has dispatched.
     pub fn events_processed(&self) -> u64 {
         self.kernel.st.lock().events_processed
     }
@@ -649,7 +764,7 @@ pub(crate) fn current() -> (Arc<Kernel>, usize) {
     ctx()
 }
 
-#[cfg(test)]
+#[cfg(all(test, not(feature = "loom")))]
 mod tests {
     use super::*;
 
@@ -808,9 +923,113 @@ mod tests {
         sim.run();
         assert!(sim.events_processed() >= 10);
     }
+
+    #[test]
+    fn same_instant_threads_run_in_spawn_order() {
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let mut sim = Sim::new(3);
+        // Spawned out of core order on purpose: the tie-break is the
+        // event's sequence number, nothing else.
+        for (i, core) in [(0usize, 2usize), (1, 0), (2, 1)] {
+            let log = Arc::clone(&log);
+            sim.spawn(&format!("t{i}"), core, move || {
+                log.lock().push((now(), i));
+                delay(10);
+                log.lock().push((now(), i));
+            });
+        }
+        sim.run();
+        let expect: Vec<(Ns, usize)> = vec![(0, 0), (0, 1), (0, 2), (10, 0), (10, 1), (10, 2)];
+        assert_eq!(*log.lock(), expect);
+    }
+
+    #[test]
+    fn own_next_event_is_taken_without_parking() {
+        let mut sim = Sim::new(1);
+        let h = sim.spawn("t", 0, || {
+            for _ in 0..10_000 {
+                cpu(1);
+            }
+        });
+        assert_eq!(sim.run(), 10_000);
+        // One dispatch starts the thread, one per `cpu` call.
+        assert_eq!(sim.events_processed(), 10_001);
+        let st = sim.kernel.st.lock();
+        // The thread parked once, waiting to be started; the runner
+        // parked once and was woken once.
+        assert_eq!(st.threads[h.id().0].parker.parks.load(Relaxed), 1);
+        assert_eq!(sim.kernel.runner.parks.load(Relaxed), 1);
+        assert_eq!(sim.kernel.runner.unparks.load(Relaxed), 1);
+    }
+
+    #[test]
+    fn deadlock_found_by_a_simulated_thread_is_raised_from_run() {
+        let mut sim = Sim::new(2);
+        sim.spawn_daemon("d", 1, || loop {
+            ctx().0.block_current();
+        });
+        sim.spawn("stuck", 0, || {
+            cpu(5);
+            // Nobody will ever wake this thread, and it is the one that
+            // finds the heap empty.
+            ctx().0.block_current();
+        });
+        // `catch_unwind` on this thread: the panic comes out of `run`
+        // itself, not out of a simulated thread's OS thread.
+        let err = panic::catch_unwind(AssertUnwindSafe(|| sim.run())).unwrap_err();
+        assert_eq!(
+            err.downcast_ref::<String>().map(String::as_str),
+            Some(
+                "simulation deadlock at t=5 ns: 1 live thread(s) blocked \
+                 with no pending event: [\"stuck\"]"
+            )
+        );
+    }
+
+    #[test]
+    fn concurrent_sims_share_nothing() {
+        // Both simulations are provably mid-run at once: a thread of each
+        // meets the other at a host barrier half-way through.
+        let meet = Arc::new(std::sync::Barrier::new(2));
+        let hosts: Vec<_> = [3u64, 7]
+            .into_iter()
+            .map(|step| {
+                let meet = Arc::clone(&meet);
+                std::thread::spawn(move || {
+                    let mut sim = Sim::new(2);
+                    sim.spawn_daemon("tick", 1, || loop {
+                        delay(1);
+                    });
+                    sim.spawn("t", 0, move || {
+                        for i in 0..1_000 {
+                            if i == 500 {
+                                meet.wait();
+                            }
+                            cpu(step);
+                        }
+                    });
+                    let end = sim.run();
+                    let runner = &sim.kernel.runner;
+                    (
+                        end,
+                        sim.events_processed(),
+                        runner.parks.load(Relaxed),
+                        runner.unparks.load(Relaxed),
+                    )
+                })
+            })
+            .collect();
+        let got: Vec<_> = hosts.into_iter().map(|h| h.join().unwrap()).collect();
+        // Each clock is its own thread's work; each event count is that
+        // plus the daemon's ticks before the end (the tick due at the
+        // final instant was scheduled after the thread's last event, so
+        // sorts behind it), plus the two first dispatches.
+        assert_eq!(got[0], (3_000, 1_000 + 2_999 + 2, 1, 1));
+        assert_eq!(got[1], (7_000, 1_000 + 6_999 + 2, 1, 1));
+    }
 }
 
-#[cfg(test)]
+#[cfg(all(test, not(feature = "loom")))]
 mod prop_tests {
     use std::sync::Arc;
 
@@ -863,5 +1082,97 @@ mod prop_tests {
             }
             prop_assert_eq!(run(&script), run(&script));
         }
+    }
+}
+
+// The loom tier: every interleaving of the hand-off's OS-level steps —
+// the `st` lock, the parker's flag lock, its condvar — for small runs of
+// the real kernel. Run with:
+//   cargo test -p ccnvme-sim --features loom --lib loom_
+#[cfg(all(test, feature = "loom"))]
+mod loom_tests {
+    use loom::sync::atomic::{AtomicUsize, Ordering::SeqCst};
+
+    use super::*;
+
+    /// Asserts, from inside a simulated thread, that it is the only one
+    /// between "dispatched" and "yielded".
+    fn assert_alone(running: &AtomicUsize) {
+        assert_eq!(running.fetch_add(1, SeqCst), 0, "two threads ran at once");
+        let (kernel, me) = ctx();
+        let st = kernel.st.lock();
+        let is_running = |t: &ThreadSlot| t.state == ThreadState::Running;
+        assert!(is_running(&st.threads[me]));
+        assert_eq!(st.threads.iter().filter(|t| is_running(t)).count(), 1);
+        drop(st);
+        running.fetch_sub(1, SeqCst);
+    }
+
+    #[test]
+    fn loom_unpark_before_park_is_not_lost() {
+        loom::model(|| {
+            let parker = Arc::new(Parker::new());
+            let waker = {
+                let parker = Arc::clone(&parker);
+                loom::thread::spawn(move || parker.unpark())
+            };
+            // Deadlocks (and loom reports it) in any schedule that loses
+            // the token, whichever side gets there first.
+            parker.park();
+            waker.join().expect("waker finished");
+            assert!(!*parker.flag.lock(), "the token is consumed by the park");
+        });
+    }
+
+    #[test]
+    fn loom_handoff_runs_one_thread_at_a_time_and_wakes_the_runner_once() {
+        loom::model(|| {
+            let running = Arc::new(AtomicUsize::new(0));
+            let mut sim = Sim::new(2);
+            for core in 0..2 {
+                let running = Arc::clone(&running);
+                sim.spawn("t", core, move || {
+                    // Both threads are due at the same instants, so every
+                    // `cpu` is a cross-thread hand-off whose target may
+                    // dispatch the yielder back before it has parked.
+                    for _ in 0..2 {
+                        assert_alone(&running);
+                        cpu(10);
+                    }
+                    assert_alone(&running);
+                });
+            }
+            assert_eq!(sim.run(), 20);
+            assert_eq!(sim.events_processed(), 6);
+            assert_eq!(sim.kernel.runner.unparks.load(Relaxed), 1);
+        });
+    }
+
+    #[test]
+    fn loom_block_wake_and_exit_dispatch_across_three_threads() {
+        loom::model(|| {
+            let running = Arc::new(AtomicUsize::new(0));
+            let mut sim = Sim::new(2);
+            let r = Arc::clone(&running);
+            sim.spawn_daemon("daemon", 1, move || loop {
+                assert_alone(&r);
+                delay(7);
+            });
+            let r = Arc::clone(&running);
+            sim.spawn("main", 0, move || {
+                let r2 = Arc::clone(&r);
+                let worker = spawn("worker", 1, move || {
+                    assert_alone(&r2);
+                    delay(5);
+                    3u8
+                });
+                // Blocks; the worker's exit wakes it and dispatches it
+                // from a thread that is on its way out.
+                assert_eq!(worker.join(), 3);
+                assert_alone(&r);
+            });
+            assert_eq!(sim.run(), 5);
+            assert_eq!(sim.kernel.runner.unparks.load(Relaxed), 1);
+        });
     }
 }

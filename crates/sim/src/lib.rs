@@ -10,9 +10,10 @@
 //! # Execution model
 //!
 //! * Every *simulated thread* is backed by a real OS thread, but **exactly
-//!   one simulated thread executes at any instant**. A scheduler hands
-//!   control to the thread owning the earliest pending event, and the
-//!   thread hands control back whenever it advances the clock or blocks.
+//!   one simulated thread executes at any instant**. Whenever the running
+//!   thread advances the clock or blocks it dispatches the earliest
+//!   pending event itself: it keeps running if the event is its own, and
+//!   otherwise wakes the owning thread and sleeps (see [`kernel`]).
 //!   Simulated state is therefore free of data races by construction.
 //! * Time is virtual, in nanoseconds ([`Ns`]). Threads spend time
 //!   explicitly: [`cpu`] models CPU work (and contends for the thread's

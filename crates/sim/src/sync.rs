@@ -1,7 +1,7 @@
 //! Simulation-aware synchronization primitives.
 //!
 //! Simulated threads must never block on ordinary OS primitives across a
-//! scheduling point — the scheduler would believe the thread is still
+//! scheduling point — the kernel would believe the thread is still
 //! running and the simulation would deadlock in real time. The types here
 //! ([`SimMutex`], [`SimCondvar`], [`SimRwLock`] and the
 //! [`mpsc_channel`] pair) block in *virtual* time instead, parking the
@@ -643,7 +643,7 @@ impl<T> Drop for Receiver<T> {
     }
 }
 
-#[cfg(test)]
+#[cfg(all(test, not(feature = "loom")))]
 mod tests {
     use std::sync::Arc;
 

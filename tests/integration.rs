@@ -194,6 +194,50 @@ fn full_stack_runs_are_deterministic() {
     assert_eq!(run_once(), run_once());
 }
 
+/// Four threads churning one shared directory on a small journal — so
+/// committers run out of ring space and checkpoint the other areas that
+/// block them — dispatch exactly the same events twice. (The order of
+/// those checkpoints once came out of a `HashSet`: ROADMAP 4(d).)
+#[test]
+fn shared_directory_churn_repeats_exactly() {
+    fn run_once() -> (u64, u64) {
+        let mut cfg = StackConfig::new(FsVariant::Mqfs, SsdProfile::optane_905p(), CORES);
+        cfg.journal_blocks = 256;
+        let mut sim = Sim::new(cfg.sim_cores());
+        sim.spawn("main", 0, move || {
+            let (_stack, fs) = Stack::format(&cfg);
+            let dir = fs.mkdir_path("/mail").expect("mkdir");
+            let workers: Vec<_> = (0..CORES)
+                .map(|t| {
+                    let fs = Arc::clone(&fs);
+                    ccnvme_repro::sim::spawn(&format!("mail-{t}"), t, move || {
+                        for i in 0..40usize {
+                            let ino = fs.create(dir, &format!("m{t}-{i}")).expect("create");
+                            fs.write(ino, 0, &vec![t as u8; 4096 * (1 + (i + t) % 4)])
+                                .expect("write");
+                            fs.fsync(ino).expect("fsync");
+                            if i >= 4 {
+                                fs.unlink(dir, &format!("m{t}-{}", i - 4)).expect("unlink");
+                                fs.fsync(dir).expect("fsync dir");
+                            }
+                        }
+                    })
+                })
+                .collect();
+            for w in workers {
+                w.join();
+            }
+            assert!(fs.check().is_empty(), "{:?}", fs.check());
+        });
+        let end = sim.run();
+        (end, sim.events_processed())
+    }
+    let first = run_once();
+    for _ in 0..3 {
+        assert_eq!(run_once(), first);
+    }
+}
+
 /// Every device profile supports the full MQFS stack.
 #[test]
 fn all_profiles_support_the_stack() {
