@@ -477,6 +477,146 @@ impl CrashWorkload for ExtentSpill {
     }
 }
 
+// ---------------------------------------------------------------------------
+// patch_chain: sub-block journal records across two areas
+// ---------------------------------------------------------------------------
+
+/// The crash surface of the journal's *patch* record (not a Table 4
+/// row). One scripted thread hops between two cores — two journal
+/// areas — appending to and fsyncing three files: `a` and `b`, whose
+/// inodes share one inode-table block, and `c`, whose inode lives
+/// elsewhere. Every append journals the file's 256-byte inode slot and
+/// one bitmap byte as patches inside the JD. Run on a journal of four
+/// blocks per area ([`PatchChain::JOURNAL_BLOCKS`]) the script builds,
+/// twice and mirrored, the one shape in which "a newer version exists
+/// elsewhere" must not release an older record:
+///
+/// 1. one area logs a patch of `a`'s slot, the other a *newer* patch of
+///    `b`'s slot in the same table block — and goes idle, its patch
+///    live and not yet home;
+/// 2. the first area wraps its ring on appends to `c`, which touch
+///    neither. Its old patch may leave the ring only once its bytes are
+///    home: the newer patch elsewhere does not contain them.
+///
+/// `a`'s own slot and bitmap byte also collect patches of the *same*
+/// range from both areas. (Two files cannot share both a table block
+/// and a bitmap byte: data goes to the block group of its inode, and
+/// inodes one table block apart are in different groups.)
+pub struct PatchChain;
+
+impl PatchChain {
+    /// Journal region to run on: two areas of four blocks. A create's
+    /// transaction takes two (directory block + JD), an append's one.
+    pub const JOURNAL_BLOCKS: u64 = 8;
+
+    /// `a` and `b`: names whose hashed inode goals fall into one
+    /// inode-table block; `c`: one that falls elsewhere.
+    const FILES: [&'static str; 3] = ["/p29", "/q12", "/c"];
+
+    /// `(core, file)` of every append + `fsync` after the three creates
+    /// (core 0; they wrap area 0 once and leave two blocks of it used).
+    const STEPS: [(usize, usize); 11] = [
+        (0, 0), // Area 0: a patch of a's slot.
+        (1, 1), // Area 1: a newer patch of b's slot; area 1 idles.
+        (0, 2), // Area 0 is full...
+        (0, 2), // ...and wraps past the patch of a's slot.
+        (0, 0), // Area 0: a newer patch of a's slot; area 0 idles.
+        (1, 2),
+        (1, 2),
+        (1, 2), // Area 1 is full...
+        (1, 2), // ...and wraps past the patch of b's slot.
+        (1, 1),
+        (0, 0),
+    ];
+
+    /// Mark: file `f` created with its first block.
+    const CREATED: u64 = 1_000;
+
+    fn byte(file: usize, block: u64) -> u8 {
+        (0x10 + 0x40 * file as u8) + block as u8
+    }
+}
+
+// Marks: CREATED + f = file f and its first block persisted; s = append
+// step s persisted.
+impl CrashWorkload for PatchChain {
+    fn name(&self) -> &'static str {
+        "patch_chain"
+    }
+
+    fn run(&self, fs: &Arc<FileSystem>, log: &OpLog) {
+        let append = |core: usize, file: usize, ino: u64, block: u64| {
+            let fs = Arc::clone(fs);
+            ccnvme_sim::spawn("hop", core, move || {
+                fs.write(ino, block * 4096, &vec![Self::byte(file, block); 4096])
+                    .expect("write");
+                fs.fsync(ino).expect("fsync");
+            })
+            .join();
+        };
+        let mut inos = [0u64; 3];
+        let mut blocks = [0u64; 3];
+        for (f, path) in Self::FILES.iter().enumerate() {
+            inos[f] = fs.create_path(path).expect("create");
+            append(0, f, inos[f], 0);
+            blocks[f] = 1;
+            log.mark(Self::CREATED + f as u64);
+        }
+        let table_block = |ino: u64| fs.layout().inode_pos(ino).0;
+        assert!(
+            table_block(inos[0]) == table_block(inos[1])
+                && table_block(inos[0]) != table_block(inos[2]),
+            "a and b must share an inode-table block and c sit elsewhere \
+             (did the name hash or the layout change?)"
+        );
+        for (s, &(core, f)) in Self::STEPS.iter().enumerate() {
+            append(core, f, inos[f], blocks[f]);
+            blocks[f] += 1;
+            log.mark(s as u64);
+        }
+    }
+
+    fn verify(&self, fs: &Arc<FileSystem>, persisted: &HashSet<u64>) -> Vec<String> {
+        let mut problems = Vec::new();
+        for (f, path) in Self::FILES.iter().enumerate() {
+            let appended = |upto: &dyn Fn(usize) -> bool| {
+                let steps = Self::STEPS.iter().enumerate();
+                steps
+                    .filter(|(s, (_, file))| *file == f && upto(*s))
+                    .count() as u64
+            };
+            let created = persisted.contains(&(Self::CREATED + f as u64));
+            // Blocks that must be there, and blocks there can be at most.
+            let floor = created as u64 + appended(&|s| persisted.contains(&(s as u64)));
+            let ceiling = 1 + appended(&|_| true);
+            let Some(ino) = exists(fs, path) else {
+                if floor > 0 {
+                    problems.push(format!("{path}: fsynced file lost"));
+                }
+                continue;
+            };
+            let size = fs.stat(ino).0;
+            let whole = size.is_multiple_of(4096) && (floor..=ceiling).contains(&(size / 4096));
+            // A create that beat its first fsync is an empty file.
+            if !(whole || (floor == 0 && size == 0)) {
+                problems.push(format!(
+                    "{path}: size {size}, expected {floor}..={ceiling} whole blocks"
+                ));
+                continue;
+            }
+            for b in 0..size / 4096 {
+                if !fs
+                    .read(ino, b * 4096, 4096)
+                    .is_ok_and(|d| d.len() == 4096 && d.iter().all(|x| *x == Self::byte(f, b)))
+                {
+                    problems.push(format!("{path}: block {b} damaged"));
+                }
+            }
+        }
+        problems
+    }
+}
+
 /// The four Table 4 workloads with the paper's row order.
 pub fn table4_workloads() -> Vec<Arc<dyn CrashWorkload>> {
     vec![

@@ -56,7 +56,7 @@ fn smoke_workload_explores_every_event_prefix() {
         "crash states failed recovery: {:?}",
         r.failures
     );
-    assert_eq!((r.events, r.states), (50, 51), "crash surface moved");
+    assert_eq!((r.events, r.states), (32, 33), "crash surface moved");
     assert_eq!(r.clean, r.states, "every state must recover clean");
     // Forensics coverage: the flight recorder mounted cleanly on every
     // explored image and no verdict contradicted the recovery scan
@@ -101,7 +101,7 @@ fn extent_life_cycle_recovers_at_every_event_prefix() {
     let r = sweep_fs(workloads::ExtentSpill, &SweepPlan::every());
     // Exact: the run is deterministic, so a moved count means the
     // workload's persistence traffic changed.
-    assert_eq!((r.events, r.states), (183, 184), "crash surface moved");
+    assert_eq!((r.events, r.states), (135, 136), "crash surface moved");
     assert!(
         r.failures.is_empty(),
         "crash states failed recovery: {:?}",
@@ -125,7 +125,7 @@ fn recovery_recrashed_at_each_of_its_events_converges() {
     );
     assert_eq!(
         (r.events, r.states, r.recovery_recrashes),
-        (50, 51, 1689),
+        (32, 33, 1681),
         "crash surface moved"
     );
     assert!(
@@ -156,4 +156,68 @@ fn deep_enumeration_with_torn_tails_and_full_recrash() {
         "deep enumeration failures: {:?}",
         r.failures
     );
+}
+
+/// The stack [`workloads::PatchChain`] is written for: two cores, a
+/// journal of four blocks per area, and hardware queues just deep enough
+/// — the re-crash sweep cuts every recovery at each of its persistence
+/// events, most of which are the probe re-sealing queue slots.
+fn patch_chain_stack() -> StackConfig {
+    let mut cfg = smoke_stack();
+    cfg.journal_blocks = workloads::PatchChain::JOURNAL_BLOCKS;
+    cfg.queue_depth = 16;
+    cfg
+}
+
+fn sweep_patch_chain(recrash: RecrashSweep) -> SweepReport {
+    let surface = FsSurface {
+        workload: Arc::new(workloads::PatchChain),
+        stack: patch_chain_stack(),
+    };
+    let plan = SweepPlan {
+        recrash,
+        ..SweepPlan::every()
+    };
+    let r = sweep(surface, &plan);
+    assert!(
+        r.failures.is_empty(),
+        "crash states failed recovery: {:?}",
+        r.failures
+    );
+    // Exact: the run is deterministic, so a moved count means the
+    // patch path's persistence traffic changed.
+    assert_eq!((r.events, r.states), (230, 231), "crash surface moved");
+    assert_eq!(r.clean, r.states, "every state must recover clean");
+    assert_eq!(r.count("forensics_images"), r.states);
+    assert_eq!(r.sanitizer_violations, 0);
+    r
+}
+
+/// The patch record's crash surface: every event prefix of
+/// [`workloads::PatchChain`] through remount, fsck, the durability
+/// oracle, forensics and the persist-order sanitizer, and the recovery
+/// of the final image re-crashed at each of its own events.
+///
+/// Mutation-checked: with the release rule weakened to "skip when a
+/// newer version exists elsewhere, release anyway" (`Chain::settled`
+/// accepting a newer *patch*) the sweep reports 186 clean states of
+/// 227 — `/p29: size 4096, expected 2..=4 whole blocks` from prefix 818
+/// on: the first area wrapped past its patch of that inode's slot, and
+/// the newer patch in the idle area only holds the neighbour's.
+#[test]
+fn patch_chain_recovers_at_every_event_prefix() {
+    let r = sweep_patch_chain(RecrashSweep::FinalImage);
+    assert_eq!(r.recovery_recrashes, 635, "crash surface moved");
+}
+
+/// Every image of the patch surface re-crashed at every event of its
+/// recovery: a block rebuilt from patches over the device's own copy
+/// must converge however often replay is cut (about 25 minutes).
+#[test]
+fn deep_patch_chain_recrashes_every_image() {
+    if !deep() {
+        return; // Bounded tier: run with CCNVME_ENUM_DEEP=1.
+    }
+    let r = sweep_patch_chain(RecrashSweep::EveryImage);
+    assert!(r.recovery_recrashes > r.states * 100);
 }

@@ -29,7 +29,7 @@ use ccnvme_runtime::{Ns, RtCondvar, RtMutex};
 
 use crate::{
     area::{AreaRing, AreaSpec},
-    format::{self, JdBlock, JdEntry},
+    format::{self, JdBlock, JdEntry, CHUNK_BLOCKS, CHUNK_REVOKES},
     recover::{recover_areas, RecoverMode, RecoveredUpdate},
     CommitError, Dev, Durability, Journal, ReuseAction, TxDescriptor,
 };
@@ -244,22 +244,24 @@ fn commit_compound(inner: &Arc<ClassicInner>, batch: &mut [PendingTx]) -> Result
     for p in batch.iter() {
         revokes.extend_from_slice(&p.tx.revokes);
     }
-    revokes.truncate(format::MAX_REVOKES);
     if merged.is_empty() && revokes.is_empty() {
         return Ok(());
     }
     // Compounds larger than one descriptor (or than the hardware queue,
     // for the ccNVMe commit style) are split into chained chunks sharing
     // the compound ID, each sealed by its own commit record / ccNVMe
-    // commit request; the first carries the revoke list. A compound that
-    // fits one chunk thaws its pages as soon as their journal copies are
-    // on media, a chained one once the last chunk is sealed.
-    const CHUNK: usize = 64;
-    let chunks = order.len().div_ceil(CHUNK).max(1);
+    // commit request; blocks and revokes alike spill from one chunk's JD
+    // into the next. A compound that fits one chunk thaws its pages as
+    // soon as their journal copies are on media, a chained one once the
+    // last chunk is sealed.
+    let chunks = (order.len().div_ceil(CHUNK_BLOCKS))
+        .max(revokes.len().div_ceil(CHUNK_REVOKES))
+        .max(1);
     for i in 0..chunks {
-        let chunk = &order[i * CHUNK..order.len().min((i + 1) * CHUNK)];
+        let part = |len: usize, per: usize| (i * per).min(len)..((i + 1) * per).min(len);
+        let chunk = &order[part(order.len(), CHUNK_BLOCKS)];
         let blocks: Vec<&crate::TxBlock> = chunk.iter().map(|l| &merged[l]).collect();
-        let chunk_revokes = if i == 0 { revokes.clone() } else { Vec::new() };
+        let chunk_revokes = revokes[part(revokes.len(), CHUNK_REVOKES)].to_vec();
         let thaw = (chunks == 1).then_some(&mut *batch);
         commit_chunk(inner, compound_id, chunk, &blocks, chunk_revokes, thaw)?;
     }
@@ -335,6 +337,7 @@ fn commit_chunk(
         tx_id: compound_id,
         entries,
         revokes,
+        patches: Vec::new(),
     };
     let jd_buf: BioBuf = Arc::new(parking_lot::Mutex::new(jd.encode()));
     let waiter = BioWaiter::new();

@@ -30,9 +30,13 @@ pub mod classic;
 pub mod format;
 pub mod mq;
 pub mod nojournal;
+pub mod ranges;
 pub mod recover;
 
-use std::{collections::HashSet, sync::Arc};
+use std::{
+    collections::{BTreeMap, HashSet},
+    sync::Arc,
+};
 
 use ccnvme_block::BioBuf;
 
@@ -42,6 +46,7 @@ pub use classic::{ClassicJournal, CommitStyle};
 pub use format::block_checksum;
 pub use mq::MqJournal;
 pub use nojournal::NoJournal;
+pub use ranges::ByteRanges;
 pub use recover::{recover_areas, RecoveredUpdate};
 
 /// Durability demanded from a commit.
@@ -82,6 +87,12 @@ pub struct TxDescriptor {
     /// Blocks revoked by this transaction (freed metadata whose stale
     /// journal copies must not be replayed).
     pub revokes: Vec<u64>,
+    /// For a `meta` block whose writers touched only part of it: the
+    /// byte ranges they declared written, keyed by home LBA. The `buf`
+    /// is still the whole block; an engine that can journal less than a
+    /// block ([`MqJournal`]) may carry just these bytes. A `meta` block
+    /// with no entry here was written whole.
+    pub written: BTreeMap<u64, ByteRanges>,
     /// Page-unfreeze callbacks, invoked once the journal copies are
     /// written (empty when the file system uses shadow paging).
     pub unpin: Vec<UnpinFn>,
@@ -95,6 +106,7 @@ impl TxDescriptor {
             data: Vec::new(),
             meta: Vec::new(),
             revokes: Vec::new(),
+            written: BTreeMap::new(),
             unpin: Vec::new(),
         }
     }
@@ -153,7 +165,10 @@ pub trait Journal: Send + Sync {
     /// the journal (graceful unmount).
     fn checkpoint_all(&self);
 
-    /// Allocates the next transaction ID.
+    /// Allocates the next transaction ID. Hand every allocated ID to
+    /// [`Journal::commit_tx`], an empty transaction included: an engine
+    /// with a replay horizon keeps it at or below IDs it still expects
+    /// to log.
     fn alloc_tx_id(&self) -> u64;
 
     /// Ensures future transaction IDs exceed `floor` (called after

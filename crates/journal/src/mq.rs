@@ -1,44 +1,61 @@
-//! Multi-queue journaling (§5.2) with selective revocation (§5.4).
+//! Multi-queue journaling (§5.2) with selective revocation (§5.4) and
+//! sub-block records.
 //!
 //! Each core owns a journal area mapped to its ccNVMe hardware queue and
 //! commits transactions *in the application's context*: the ordered data
-//! blocks, the journaled metadata copies and the journal description
-//! block go out as one ccNVMe transaction (`REQ_TX` members + a
-//! `REQ_TX_COMMIT` JD). There is no commit record — ringing the P-SQDB
-//! plays that role — and no FLUSH ordering points.
+//! blocks, the journaled metadata and the journal description block go
+//! out as one ccNVMe transaction (`REQ_TX` members + a `REQ_TX_COMMIT`
+//! JD). There is no commit record — ringing the P-SQDB plays that role —
+//! and no FLUSH ordering points.
+//!
+//! A journaled block travels in one of two forms. A *full copy* is the
+//! whole block in a ring slot, mapped by a JD entry. A block whose
+//! writers declared only a few bytes written ([`TxDescriptor::written`])
+//! travels as *patches* — `(home LBA, offset, bytes)` records inside the
+//! JD that is written anyway — while the JD's byte budget lasts; the
+//! smallest go first and the rest spill as full copies. The one
+//! definition everything below follows from: **a version is superseded
+//! only by a newer live full copy; a patch patches.**
 //!
 //! Cross-core coordination happens through in-memory *version trees*
 //! (the paper's per-core radix trees): every journaled block registers a
-//! `(tx_id, area)` version keyed by its home LBA. Checkpointing one area
-//! never suspends logging on the others; conflicts resolve by
-//! transaction ID:
+//! `(tx_id, area)` version keyed by its home LBA, with the whole block as
+//! the transaction saw it (its *image*). Images are cumulative — the
+//! file system allocates IDs and takes snapshots under one barrier, so a
+//! newer image holds every older transaction's bytes — which is why an
+//! area needs only the newest one. Checkpointing one area never
+//! suspends logging on the others; conflicts resolve by transaction ID:
 //!
-//! * a checkpoint writes a block home only if it holds the globally
-//!   newest version; superseded copies are skipped ("another journal
-//!   area contains a newer block", §5.2);
-//! * a per-LBA *floor* remembers the newest version already written
-//!   home, so a slower area never overwrites newer data with a stale
-//!   copy;
+//! * a checkpoint writes home the newest image whose transaction is
+//!   completely on media, whichever area logged it — never at or below
+//!   the per-LBA *floor* (the newest image already home), never while
+//!   another home write of the same block is in flight;
+//! * a logged transaction leaves its ring only when every block it
+//!   carries is superseded by a newer live full copy or has `floor >=`
+//!   its ID — a newer *patch* elsewhere does not stand in for it;
 //! * journal ring space is released FIFO, and only once no *older* live
 //!   version of any contained block remains in another area — this keeps
-//!   the newest journal copy replayable for as long as any older copy
+//!   the newest journal record replayable for as long as any older one
 //!   is, which recovery's ID-ordered replay relies on;
 //! * before any released space can be reused, the global *horizon*
-//!   (replay floor) is persisted with FUA.
+//!   (replay floor) is persisted with FUA. It never passes a transaction
+//!   that is still to be logged: IDs handed out by `alloc_tx_id` pin it
+//!   until their commit logged them (or turned out empty).
 //!
-//! Block reuse across queues follows §5.4: if the stale copy is mid-
-//! checkpoint the writer must journal the new content (case 1,
-//! [`ReuseAction::MustJournal`]); otherwise the copy is dropped from the
-//! trees and a revoke record rides in the next JD (case 2). "Stale copy"
-//! means every copy recovery could still replay, not just the live ones:
-//! a released copy stays intact in its ring until overwritten and stays
-//! at or above the horizon for as long as a slower area pins it, so it is
-//! revoked too; a revoked copy is never written home; and the revoking
-//! transaction keeps its ring space until no other area holds an older
-//! transaction, so the record outlives every copy it revokes.
+//! Block reuse across queues follows §5.4: if the block is being written
+//! home right now the writer must journal the new content (case 1,
+//! [`ReuseAction::MustJournal`]); otherwise its versions are dropped
+//! from the trees and a revoke record rides in the next JD (case 2).
+//! "Stale record" means every record recovery could still replay, not
+//! just the live ones: a released one stays intact in its ring until
+//! overwritten and stays at or above the horizon for as long as a slower
+//! area pins it, so it is revoked too; a revoked block is never written
+//! home; and the revoking transaction keeps its ring space until no
+//! other area holds an older transaction, so the record outlives every
+//! record it revokes.
 
 use std::{
-    collections::{BTreeSet, HashMap, HashSet, VecDeque},
+    collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque},
     sync::{
         atomic::{AtomicBool, AtomicU64, Ordering},
         Arc,
@@ -46,14 +63,14 @@ use std::{
 };
 
 use ccnvme_block::{Bio, BioBuf, BioFlags, BioStatus, BioWaiter};
-use ccnvme_obs::{Counter, Histogram};
+use ccnvme_obs::{Counter, EventKind, Histogram, Obs, TraceEvent};
 use ccnvme_runtime::RtMutex;
 
 use crate::{
     area::{AreaRing, AreaSpec},
-    format::{self, JdBlock, JdEntry},
+    format::{self, JdBlock, JdEntry, JdPatch, CHUNK_BLOCKS, CHUNK_REVOKES},
     recover::{read_horizon, recover_areas, RecoverMode, RecoveredUpdate},
-    CommitError, Dev, Durability, Journal, ReuseAction, TxDescriptor,
+    ByteRanges, CommitError, Dev, Durability, Journal, ReuseAction, TxBlock, TxDescriptor,
 };
 
 /// Number of version trees (the paper shards its radix trees similarly).
@@ -63,42 +80,89 @@ const NTREES: usize = 16;
 /// mode (§5.2: "hashing the block group ID of the journaled metadata").
 const BLOCKS_PER_GROUP: u64 = 32_768;
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum VerState {
-    /// Journaled, awaiting checkpoint ("log"/"logged" in Figure 6).
-    Logged,
-    /// Being written home right now ("chp" in Figure 6).
-    Chp,
-}
+/// Maximum total blocks (data + journaled) per chunk.
+const CHUNK_TOTAL: usize = 96;
 
+/// One live journal record of a home block.
 #[derive(Debug, Clone, Copy)]
 struct Version {
     tx_id: u64,
     area: usize,
-    state: VerState,
+    /// A whole-block copy in the ring (supersedes every older version);
+    /// otherwise byte-range patches inside the JD.
+    full: bool,
+}
+
+/// A home block as one transaction saw it, whole.
+struct Image {
+    tx_id: u64,
+    buf: BioBuf,
+    /// The transaction's journal writes.
+    waiter: BioWaiter,
+}
+
+impl Image {
+    /// Whether the transaction is completely, and successfully, on
+    /// media — only then may anything of it be written home.
+    fn on_media(&self) -> bool {
+        self.waiter.outstanding() == 0 && self.waiter.first_error().is_none()
+    }
 }
 
 #[derive(Default)]
 struct Chain {
-    /// Live journal copies of this block, ascending `tx_id`.
+    /// Live journal records of this block.
     versions: Vec<Version>,
-    /// Newest version already checkpointed home or revoked: no copy at
-    /// or below it is ever written home.
+    /// Images of live versions that may still be the one to write home,
+    /// ascending `tx_id`: the newest one on media and those after it.
+    images: Vec<Image>,
+    /// Newest image already checkpointed home, or the revoke that ended
+    /// the block's life as metadata: no image at or below it is ever
+    /// written home, and no record at or below it needs its ring space.
     floor: u64,
+    /// A checkpoint is writing an image of this block home right now
+    /// ("chp" in Figure 6): nobody else may, and a writer reusing the
+    /// block must journal its content (§5.4 case 1).
+    going_home: bool,
+}
+
+impl Chain {
+    /// Whether the record transaction `tx_id` logged of this block no
+    /// longer needs to stay replayable: an image at least as new is
+    /// home (or the block was revoked), or a newer live full copy
+    /// stands in for it. A newer patch does not.
+    fn settled(&self, tx_id: u64) -> bool {
+        self.floor >= tx_id || self.versions.iter().any(|v| v.full && v.tx_id > tx_id)
+    }
+
+    /// The newest image whose transaction is on media.
+    fn newest_image_on_media(&self) -> Option<&Image> {
+        self.images.iter().rev().find(|i| i.on_media())
+    }
+
+    /// Drops every image that will never be the one written home:
+    /// those older than the newest on media (images are cumulative) and
+    /// those at or below the floor.
+    fn drop_covered_images(&mut self) {
+        let covered = self.images.iter().rposition(Image::on_media).unwrap_or(0);
+        self.images.drain(..covered);
+        let floor = self.floor;
+        self.images.retain(|i| i.tx_id > floor);
+    }
 }
 
 type Tree = RtMutex<HashMap<u64, Chain>>;
 
 struct LoggedTx {
     tx_id: u64,
-    /// Ring blocks consumed (meta blocks + the JD).
+    /// Ring blocks consumed (full copies + the JD).
     ring_blocks: u64,
-    /// (home LBA, shadow copy) of every journaled block.
-    blocks: Vec<(u64, BioBuf)>,
+    /// Home LBA of every journaled block, full copy or patched.
+    blocks: Vec<u64>,
     /// The JD carries revoke records.
     revoking: bool,
     /// Completion tracker for the transaction's journal writes; a tx can
-    /// only be checkpointed once its journal copies are on media.
+    /// only be checkpointed once its journal records are on media.
     waiter: BioWaiter,
 }
 
@@ -116,9 +180,15 @@ struct MqArea {
 
 struct MqInner {
     dev: Dev,
+    obs: Arc<Obs>,
     areas: Vec<Arc<MqArea>>,
     trees: Vec<Tree>,
     next_tx: AtomicU64,
+    /// IDs handed out by `alloc_tx_id` whose transaction has not been
+    /// logged yet. The horizon stays at or below the oldest: such a
+    /// transaction will still be logged under its ID, however many
+    /// checkpoints — its own committer's included — run before that.
+    unlogged: parking_lot::Mutex<BTreeSet<u64>>,
     horizon_lba: u64,
     /// Last horizon value persisted (avoid redundant FUA writes).
     horizon_written: AtomicU64,
@@ -135,6 +205,14 @@ struct MqInner {
     checkpoints: Arc<Counter>,
     /// Duration of one checkpoint pass (`journal.mq.checkpoint_ns`).
     checkpoint_hist: Arc<Histogram>,
+    /// Patch records written into JDs (`journal.mq.patches`).
+    patches: Arc<Counter>,
+    /// Payload bytes of those records (`journal.mq.patch_bytes`).
+    patch_bytes: Arc<Counter>,
+    /// Journaled blocks written to the ring as whole copies — declared
+    /// whole, or too large for what was left of the JD
+    /// (`journal.mq.spilled_copies`).
+    spilled_copies: Arc<Counter>,
 }
 
 /// The multi-queue journal engine.
@@ -149,6 +227,34 @@ fn tree_index(final_lba: u64) -> usize {
     (z >> 33) as usize % NTREES
 }
 
+/// A FUA write of the replay floor `h`.
+fn horizon_bio(horizon_lba: u64, h: u64) -> Bio {
+    let buf: BioBuf = Arc::new(parking_lot::Mutex::new(format::encode_horizon(h)));
+    let flags = BioFlags {
+        preflush: false,
+        fua: true,
+        tx: false,
+        tx_commit: false,
+    };
+    Bio::write(horizon_lba, buf, flags)
+}
+
+/// One chunk of a transaction: what one JD describes.
+#[derive(Default)]
+struct Chunk {
+    data: Vec<TxBlock>,
+    meta: Vec<TxBlock>,
+    revokes: Vec<u64>,
+}
+
+/// Bytes the patches for `ranges` take in a JD.
+fn patch_cost(ranges: &ByteRanges) -> usize {
+    ranges
+        .iter()
+        .map(|r| format::PATCH_HEADER_BYTES + r.len())
+        .sum()
+}
+
 impl MqJournal {
     /// Creates the engine over one journal area per core. `horizon_lba`
     /// holds the persistent replay floor.
@@ -157,9 +263,7 @@ impl MqJournal {
         let obs = ccnvme_block::obs_of(dev.as_ref());
         let areas = areas
             .into_iter()
-            .enumerate()
-            .map(|(idx, spec)| {
-                let _ = idx;
+            .map(|spec| {
                 Arc::new(MqArea {
                     ring: AreaRing::new(spec),
                     st: RtMutex::new(AreaSt {
@@ -169,19 +273,25 @@ impl MqJournal {
                 })
             })
             .collect();
+        let metrics = &obs.metrics;
         MqJournal {
             inner: Arc::new(MqInner {
                 dev,
                 areas,
                 trees: (0..NTREES).map(|_| RtMutex::new(HashMap::new())).collect(),
                 next_tx: AtomicU64::new(1),
+                unlogged: parking_lot::Mutex::new(BTreeSet::new()),
                 horizon_lba,
                 horizon_written: AtomicU64::new(0),
                 aborted: AtomicBool::new(false),
-                commits: obs.metrics.counter("journal.mq.commits"),
-                commit_hist: obs.metrics.histogram("journal.mq.commit_ns"),
-                checkpoints: obs.metrics.counter("journal.mq.checkpoints"),
-                checkpoint_hist: obs.metrics.histogram("journal.mq.checkpoint_ns"),
+                commits: metrics.counter("journal.mq.commits"),
+                commit_hist: metrics.histogram("journal.mq.commit_ns"),
+                checkpoints: metrics.counter("journal.mq.checkpoints"),
+                checkpoint_hist: metrics.histogram("journal.mq.checkpoint_ns"),
+                patches: metrics.counter("journal.mq.patches"),
+                patch_bytes: metrics.counter("journal.mq.patch_bytes"),
+                spilled_copies: metrics.counter("journal.mq.spilled_copies"),
+                obs,
             }),
         }
     }
@@ -195,77 +305,224 @@ impl MqJournal {
         ccnvme_runtime::current_core() % self.inner.areas.len()
     }
 
-    /// Splits an oversized transaction into chained chunks sharing its
-    /// transaction ID and commits them back to back. Revokes ride in the
-    /// first chunk. Durability waits for every chunk at the end.
-    fn commit_chunked(&self, tx: TxDescriptor, durability: Durability) -> Result<(), CommitError> {
-        let TxDescriptor {
-            tx_id,
-            mut data,
-            mut meta,
-            revokes,
-            unpin,
-        } = tx;
-        let mut unpin = Some(unpin);
-        let mut first = true;
-        while !data.is_empty() || !meta.is_empty() || (first && !revokes.is_empty()) {
-            let mut chunk = TxDescriptor::new(tx_id);
-            if first {
-                chunk.revokes = revokes.clone();
-                first = false;
+    /// Reserves `need` blocks of `area_idx`'s ring, checkpointing our own
+    /// area as needed — and, if release is blocked by older records in
+    /// other areas, checkpointing those too (rare cross-queue conflict).
+    fn reserve(&self, area_idx: usize, need: u64) -> Vec<u64> {
+        let area = &self.inner.areas[area_idx];
+        assert!(
+            need <= area.ring.spec().len,
+            "transaction larger than the whole journal area"
+        );
+        let mut attempts = 0u32;
+        loop {
+            if let Some(l) = area.ring.alloc(need) {
+                return l;
             }
-            while chunk.meta.len() < CHUNK_META
-                && chunk.meta.len() + chunk.data.len() < CHUNK_TOTAL
-                && !meta.is_empty()
-            {
-                chunk.meta.push(meta.pop().expect("non-empty"));
+            attempts += 1;
+            self.checkpoint_area(area_idx);
+            if area.ring.free() >= need {
+                continue;
             }
-            while chunk.meta.len() + chunk.data.len() < CHUNK_TOTAL && !data.is_empty() {
-                chunk.data.push(data.pop().expect("non-empty"));
+            for b in self.blocking_areas(area_idx) {
+                self.checkpoint_area(b);
             }
-            let last = data.is_empty() && meta.is_empty();
-            let d = if last { durability } else { Durability::Atomic };
-            let mut chunk = chunk;
-            if last {
-                chunk.unpin = unpin.take().unwrap_or_default();
+            self.checkpoint_area(area_idx);
+            if area.ring.free() >= need {
+                continue;
             }
-            if let Err(e) = self.commit_tx(chunk, d) {
-                // Thaw anything a later chunk would have thawed.
-                for f in unpin.take().unwrap_or_default() {
-                    f();
+            if attempts >= 2 {
+                // Release-gating chains can span several areas (A's
+                // front blocked by B, B's by C, ...). Checkpointing
+                // everything resolves any chain: release order follows
+                // transaction IDs, which are acyclic.
+                self.checkpoint_all();
+                if area.ring.free() >= need {
+                    continue;
                 }
-                return Err(e);
             }
-        }
-        if durability == Durability::Durable {
-            // The final chunk's Durable wait covered only itself; wait
-            // for the rest by quiescing this area's outstanding I/O.
-            let area = &self.inner.areas[self.area_for_current_core()];
-            let waiters: Vec<ccnvme_block::BioWaiter> = {
+            // Still full: the front transaction's journal I/O has not
+            // completed yet (e.g. a large fatomic burst). Wait for it so
+            // the next checkpoint can release its space, and let the
+            // virtual clock advance so this loop cannot spin in real
+            // time while other threads make progress.
+            let front_waiter = {
                 let st = area.st.lock();
-                st.logged
-                    .iter()
-                    .filter(|t| t.tx_id == tx_id)
-                    .map(|t| t.waiter.clone_handle())
-                    .collect()
+                st.logged.front().map(|t| t.waiter.clone_handle())
             };
-            for w in waiters {
-                if w.wait().is_err() {
-                    let status = w.first_error().unwrap_or(BioStatus::Error);
-                    // ord: SeqCst — abort must publish before any later
-                    // commit on another queue can report success.
-                    self.inner.aborted.store(true, Ordering::SeqCst);
-                    return Err(CommitError::Io(status));
-                }
+            if let Some(w) = front_waiter {
+                let _ = w.wait();
             }
+            ccnvme_runtime::delay(1_000);
         }
-        Ok(())
     }
 
-    /// Checkpoints `area_idx`: writes home the globally newest copies,
-    /// releases the FIFO-safe prefix of the ring and advances the
-    /// persistent horizon. Runs in the caller's context; other areas keep
-    /// logging throughout (§5.2).
+    /// Commits one chunk as one ccNVMe transaction: data to home
+    /// locations, full copies to the ring, the JD — patches and revokes
+    /// inside — as the commit request. In the application's context, no
+    /// handoff. `last` chunks un-pin the transaction's ID from the
+    /// horizon once logged. Returns the tracker of everything submitted.
+    fn commit_chunk(
+        &self,
+        tx_id: u64,
+        chunk: Chunk,
+        written: &BTreeMap<u64, ByteRanges>,
+        last: bool,
+    ) -> BioWaiter {
+        let inner = &self.inner;
+        let area_idx = self.area_for_current_core();
+        let area = &inner.areas[area_idx];
+        // Which blocks ride inside the JD: cheapest patches first, while
+        // the bytes left beside the revokes and the entries last (a
+        // block that moves inline gives its entry's bytes back).
+        let mut left = format::JD_BUDGET
+            - chunk.revokes.len() * format::REVOKE_BYTES
+            - chunk.meta.len() * format::ENTRY_BYTES;
+        let mut by_cost: Vec<(usize, u64)> = chunk
+            .meta
+            .iter()
+            .filter_map(|b| Some((patch_cost(written.get(&b.final_lba)?), b.final_lba)))
+            .collect();
+        by_cost.sort_unstable();
+        let mut inline: HashSet<u64> = HashSet::new();
+        for (cost, lba) in by_cost {
+            if cost <= left + format::ENTRY_BYTES {
+                left = left + format::ENTRY_BYTES - cost;
+                inline.insert(lba);
+            }
+        }
+        let copies = chunk.meta.len() - inline.len();
+        let need = copies as u64 + 1;
+        let lbas = self.reserve(area_idx, need);
+        let (jd_lba, copy_lbas) = lbas.split_last().expect("need >= 1");
+        // Build every bio first, so the tracker is complete before
+        // anybody can see it: a checkpoint on another core reads it
+        // through the versions registered below.
+        let waiter = BioWaiter::new();
+        let mut jd = JdBlock {
+            tx_id,
+            revokes: chunk.revokes,
+            ..JdBlock::default()
+        };
+        let member = |lba: u64, buf: &BioBuf| {
+            let mut bio = Bio::write(lba, Arc::clone(buf), BioFlags::TX).with_tx_id(tx_id);
+            waiter.attach(&mut bio);
+            bio
+        };
+        let mut members: Vec<Bio> = Vec::with_capacity(chunk.data.len() + copies);
+        members.extend(chunk.data.iter().map(|b| member(b.final_lba, &b.buf)));
+        let mut copy_lbas = copy_lbas.iter();
+        for blk in &chunk.meta {
+            if inline.contains(&blk.final_lba) {
+                let image = blk.buf.lock();
+                let ranges = written[&blk.final_lba].iter();
+                jd.patches.extend(ranges.map(|r| JdPatch {
+                    final_lba: blk.final_lba,
+                    offset: r.start as u16,
+                    bytes: image[r].to_vec(),
+                }));
+                continue;
+            }
+            let journal_lba = *copy_lbas.next().expect("one ring block per copy");
+            jd.entries.push(JdEntry {
+                final_lba: blk.final_lba,
+                journal_lba,
+                checksum: format::block_checksum(&blk.buf.lock()),
+            });
+            members.push(member(journal_lba, &blk.buf));
+        }
+        inner.spilled_copies.add(copies as u64);
+        inner.patches.add(jd.patches.len() as u64);
+        let patch_bytes = jd.patches.iter().map(|p| p.bytes.len() as u64).sum();
+        inner.patch_bytes.add(patch_bytes);
+        let revoking = !jd.revokes.is_empty();
+        let jd_buf: BioBuf = Arc::new(parking_lot::Mutex::new(jd.encode()));
+        let mut jd_bio = Bio::write(*jd_lba, jd_buf, BioFlags::TX_COMMIT).with_tx_id(tx_id);
+        waiter.attach(&mut jd_bio);
+        // Register versions before any I/O so concurrent checkpoints and
+        // reuse checks see the transaction.
+        for blk in &chunk.meta {
+            let mut tree = inner.trees[tree_index(blk.final_lba)].lock();
+            let chain = tree.entry(blk.final_lba).or_default();
+            chain.versions.push(Version {
+                tx_id,
+                area: area_idx,
+                full: !inline.contains(&blk.final_lba),
+            });
+            let at = chain.images.partition_point(|i| i.tx_id < tx_id);
+            chain.images.insert(
+                at,
+                Image {
+                    tx_id,
+                    buf: Arc::clone(&blk.buf),
+                    waiter: waiter.clone_handle(),
+                },
+            );
+            chain.drop_covered_images();
+        }
+        inner.obs.trace.event(
+            ccnvme_runtime::now(),
+            EventKind::JournalCommit,
+            area_idx as u16 + 1,
+            tx_id,
+            TraceEvent::journal_commit_arg(copies, inline.len()),
+        );
+        for bio in members {
+            inner.dev.submit_bio(bio);
+        }
+        // Log the transaction before the commit goes out so a same-core
+        // checkpoint triggered later sees it (it skips until I/O done).
+        {
+            let mut st = area.st.lock();
+            st.logged.push_back(LoggedTx {
+                tx_id,
+                ring_blocks: need,
+                blocks: chunk.meta.iter().map(|b| b.final_lba).collect(),
+                revoking,
+                waiter: waiter.clone_handle(),
+            });
+            if st.logged.len() == 1 {
+                // ord: SeqCst — first live entry resets the area's
+                // replay floor; checkpoint horizon math reads it.
+                area.oldest_live.store(tx_id, Ordering::SeqCst);
+            }
+        }
+        if last {
+            // Only now: the area's `oldest_live` covers the ID from here
+            // on, and the horizon reads `unlogged` before `oldest_live`.
+            inner.unlogged.lock().remove(&tx_id);
+        }
+        inner.dev.submit_bio(jd_bio);
+        waiter
+    }
+
+    /// The replay floor to publish: below every live transaction and
+    /// every transaction still to be logged.
+    fn horizon(&self) -> u64 {
+        let inner = &self.inner;
+        // Read under the `unlogged` lock, where IDs are handed out, and
+        // before the areas: a commit logs its transaction first and
+        // un-pins its ID second.
+        let unlogged = {
+            let unlogged = inner.unlogged.lock();
+            // ord: SeqCst — clamp to the allocation frontier so an
+            // all-idle journal never publishes a horizon above next_tx.
+            let next = inner.next_tx.load(Ordering::SeqCst);
+            unlogged.first().copied().unwrap_or(next)
+        };
+        inner
+            .areas
+            .iter()
+            // ord: SeqCst — pairs with the oldest_live stores; the
+            // horizon must not pass a still-live transaction.
+            .map(|a| a.oldest_live.load(Ordering::SeqCst))
+            .fold(unlogged, u64::min)
+    }
+
+    /// Checkpoints `area_idx`: writes home the newest images on media of
+    /// the blocks its transactions carry, releases the FIFO-safe prefix
+    /// of the ring and advances the persistent horizon. Runs in the
+    /// caller's context; other areas keep logging throughout (§5.2).
     fn checkpoint_area(&self, area_idx: usize) {
         let t0 = ccnvme_runtime::now();
         let inner = &self.inner;
@@ -274,47 +531,46 @@ impl MqJournal {
         // Phase 1: decide what to write home. Only transactions whose
         // journal writes completed are eligible (a running transaction is
         // never checkpointed).
-        let mut to_write: Vec<(u64, u64, BioBuf)> = Vec::new(); // (lba, tx, buf)
+        let mut to_write: Vec<(u64, u64, BioBuf)> = Vec::new(); // (lba, tx, image)
         for tx in st.logged.iter() {
             if tx.waiter.outstanding() != 0 {
                 break; // FIFO: later txs are at least as young.
             }
             if tx.waiter.first_error().is_some() {
-                // This transaction's journal copies are unreliable (the
+                // This transaction's journal records are unreliable (the
                 // driver failed the whole ccNVMe transaction); never
                 // write them home. The journal is aborted.
                 // ord: SeqCst — abort publication (see commit_tx).
                 inner.aborted.store(true, Ordering::SeqCst);
                 continue;
             }
-            for (lba, buf) in &tx.blocks {
+            for lba in &tx.blocks {
                 let mut tree = inner.trees[tree_index(*lba)].lock();
-                let chain = match tree.get_mut(lba) {
-                    Some(c) => c,
-                    None => continue,
+                let Some(chain) = tree.get_mut(lba) else {
+                    continue;
                 };
-                if chain.floor >= tx.tx_id {
-                    continue; // Stale: a newer copy already went home.
+                if chain.going_home || chain.settled(tx.tx_id) {
+                    // Somebody is doing it — one home write of a block
+                    // at a time, or the device may land an older image
+                    // last — or there is nothing to do.
+                    continue;
                 }
-                let newest = chain.versions.iter().map(|v| v.tx_id).max().unwrap_or(0);
-                if newest > tx.tx_id {
-                    continue; // Another area holds a newer copy; skip.
-                }
-                // Globally newest: mark `chp` so concurrent block reuse
-                // takes the MustJournal path (§5.4 case 1).
-                for v in chain.versions.iter_mut() {
-                    if v.tx_id == tx.tx_id && v.area == area_idx {
-                        v.state = VerState::Chp;
-                    }
-                }
-                to_write.push((*lba, tx.tx_id, Arc::clone(buf)));
+                // The newest image on media, whichever area logged it:
+                // it holds this transaction's bytes and everything
+                // since. `going_home` also sends concurrent block reuse
+                // down the MustJournal path (§5.4 case 1).
+                let image = chain
+                    .newest_image_on_media()
+                    .expect("an unsettled record on media keeps an image at or above it");
+                to_write.push((*lba, image.tx_id, Arc::clone(&image.buf)));
+                chain.going_home = true;
             }
         }
         // Phase 2: write home + flush.
         if !to_write.is_empty() {
             let waiter = BioWaiter::new();
-            for (lba, _tx, buf) in &to_write {
-                let mut bio = Bio::write(*lba, Arc::clone(buf), BioFlags::NONE);
+            for (lba, _tx, image) in &to_write {
+                let mut bio = Bio::write(*lba, Arc::clone(image), BioFlags::NONE);
                 waiter.attach(&mut bio);
                 inner.dev.submit_bio(bio);
             }
@@ -327,49 +583,52 @@ impl MqJournal {
                 let _ = fw.wait();
             }
             // Record the new floors.
-            for (lba, tx_id, _buf) in &to_write {
+            for (lba, tx_id, _image) in &to_write {
                 let mut tree = inner.trees[tree_index(*lba)].lock();
                 if let Some(chain) = tree.get_mut(lba) {
                     chain.floor = chain.floor.max(*tx_id);
+                    chain.going_home = false;
+                    chain.drop_covered_images();
                 }
             }
         }
         // Phase 3: release the safe FIFO prefix. A transaction's space
-        // (and its tree versions) may go only when no OLDER live version
-        // of any of its blocks remains elsewhere — that keeps the newest
-        // replayable copy alive as long as any older one is.
+        // (and its tree versions) may go only when every block it
+        // carries is settled — home, revoked, or under a newer live full
+        // copy — and no OLDER live version of any of them remains
+        // elsewhere: that keeps the newest replayable record alive as
+        // long as any older one is.
         let mut released_blocks = 0u64;
         while let Some(front) = st.logged.front() {
             if front.waiter.outstanding() != 0 {
                 break;
             }
             let tx_id = front.tx_id;
-            // A revoke record suppresses copies from older transactions;
+            // A failed transaction has nothing worth keeping.
+            let dead = front.waiter.first_error().is_some();
+            // A revoke record suppresses records from older transactions;
             // it may go only when no other area still holds one (they
             // are all below the horizon this release then persists).
             let mut safe =
                 !(front.revoking && self.areas_older_than(area_idx, tx_id).next().is_some());
-            'blocks: for (lba, _) in &front.blocks {
+            for lba in &front.blocks {
                 let tree = inner.trees[tree_index(*lba)].lock();
                 if let Some(chain) = tree.get(lba) {
-                    for v in &chain.versions {
-                        if v.tx_id < tx_id {
-                            safe = false;
-                            break 'blocks;
-                        }
-                    }
+                    safe &= (dead || chain.settled(tx_id))
+                        && chain.versions.iter().all(|v| v.tx_id >= tx_id);
                 }
             }
             if !safe {
                 break;
             }
             let tx = st.logged.pop_front().expect("front checked");
-            for (lba, _) in &tx.blocks {
+            for lba in &tx.blocks {
                 let mut tree = inner.trees[tree_index(*lba)].lock();
                 if let Some(chain) = tree.get_mut(lba) {
                     chain
                         .versions
                         .retain(|v| !(v.tx_id == tx.tx_id && v.area == area_idx));
+                    chain.images.retain(|i| i.tx_id != tx.tx_id);
                     if chain.versions.is_empty() && chain.floor == 0 {
                         tree.remove(lba);
                     }
@@ -386,32 +645,12 @@ impl MqJournal {
         if released_blocks > 0 {
             // Phase 4: persist the horizon before the freed space can be
             // overwritten by future commits.
-            let h = inner
-                .areas
-                .iter()
-                // ord: SeqCst — pairs with the oldest_live stores above;
-                // the horizon must not pass a still-live transaction.
-                .map(|a| a.oldest_live.load(Ordering::SeqCst))
-                .min()
-                .unwrap_or(u64::MAX);
-            // ord: SeqCst — clamp to the allocation frontier so an
-            // all-idle journal never publishes a horizon above next_tx.
-            let h = h.min(inner.next_tx.load(Ordering::SeqCst));
+            let h = self.horizon();
             // ord: SeqCst — monotone horizon; racing checkpointers must
             // agree on who writes the higher floor.
             if h > inner.horizon_written.load(Ordering::SeqCst) {
                 let hw = BioWaiter::new();
-                let hbuf: BioBuf = Arc::new(parking_lot::Mutex::new(format::encode_horizon(h)));
-                let mut hbio = Bio::write(
-                    inner.horizon_lba,
-                    hbuf,
-                    BioFlags {
-                        preflush: false,
-                        fua: true,
-                        tx: false,
-                        tx_commit: false,
-                    },
-                );
+                let mut hbio = horizon_bio(inner.horizon_lba, h);
                 hw.attach(&mut hbio);
                 inner.dev.submit_bio(hbio);
                 let _ = hw.wait();
@@ -450,7 +689,7 @@ impl MqJournal {
             if front.revoking {
                 blockers.extend(self.areas_older_than(area_idx, front.tx_id));
             }
-            for (lba, _) in &front.blocks {
+            for lba in &front.blocks {
                 let tree = inner.trees[tree_index(*lba)].lock();
                 if let Some(chain) = tree.get(lba) {
                     for v in &chain.versions {
@@ -465,172 +704,65 @@ impl MqJournal {
     }
 }
 
-/// Maximum journaled blocks per sub-transaction chunk. Transactions
-/// larger than this are split into chained chunks sharing one ID — the
-/// same strategy JBD2 uses for compounds larger than one descriptor, and
-/// also what keeps a transaction smaller than the hardware queue (a
-/// ccNVMe transaction cannot exceed the ring: its members may only
-/// complete after the commit request).
-const CHUNK_META: usize = 64;
-
-/// Maximum total blocks (data + meta) per chunk.
-const CHUNK_TOTAL: usize = 96;
-
 impl Journal for MqJournal {
     fn commit_tx(&self, mut tx: TxDescriptor, durability: Durability) -> Result<(), CommitError> {
         // ord: SeqCst — pairs with abort stores; a commit must never
         // succeed after the journal declared itself dead.
         if self.inner.aborted.load(Ordering::SeqCst) {
+            self.inner.unlogged.lock().remove(&tx.tx_id);
             tx.run_unpin();
             return Err(CommitError::Aborted);
         }
         if tx.is_empty() {
+            // Nothing will be logged under this ID.
+            self.inner.unlogged.lock().remove(&tx.tx_id);
+            tx.run_unpin();
             return Ok(());
         }
-        if tx.meta.len() > CHUNK_META || tx.data.len() + tx.meta.len() > CHUNK_TOTAL {
-            return self.commit_chunked(tx, durability);
-        }
         let t0 = ccnvme_runtime::now();
-        let inner = &self.inner;
-        let area_idx = self.area_for_current_core();
-        let area = &inner.areas[area_idx];
-        let need = tx.meta.len() as u64 + 1;
-        assert!(
-            need <= area.ring.spec().len,
-            "transaction larger than the whole journal area"
-        );
-        // Reserve journal space, checkpointing our own area as needed —
-        // and, if release is blocked by older copies in other areas,
-        // checkpointing those too (rare cross-queue conflict).
-        let mut attempts = 0u32;
-        let lbas = loop {
-            if let Some(l) = area.ring.alloc(need) {
-                break l;
-            }
-            attempts += 1;
-            self.checkpoint_area(area_idx);
-            if area.ring.free() >= need {
-                continue;
-            }
-            for b in self.blocking_areas(area_idx) {
-                self.checkpoint_area(b);
-            }
-            self.checkpoint_area(area_idx);
-            if area.ring.free() >= need {
-                continue;
-            }
-            if attempts >= 2 {
-                // Release-gating chains can span several areas (A's
-                // front blocked by B, B's by C, ...). Checkpointing
-                // everything resolves any chain: release order follows
-                // transaction IDs, which are acyclic.
-                self.checkpoint_all();
-                if area.ring.free() >= need {
-                    continue;
-                }
-            }
-            // Still full: the front transaction's journal I/O has not
-            // completed yet (e.g. a large fatomic burst). Wait for it so
-            // the next checkpoint can release its space, and let the
-            // virtual clock advance so this loop cannot spin in real
-            // time while other threads make progress.
-            let front_waiter = {
-                let st = area.st.lock();
-                st.logged.front().map(|t| t.waiter.clone_handle())
-            };
-            if let Some(w) = front_waiter {
-                let _ = w.wait();
-            }
-            ccnvme_runtime::delay(1_000);
-        };
-        let (jd_lba, block_lbas) = lbas.split_last().expect("need >= 1");
-        // Register versions before any I/O so concurrent checkpoints and
-        // reuse checks see the transaction.
-        for blk in &tx.meta {
-            let mut tree = inner.trees[tree_index(blk.final_lba)].lock();
-            let chain = tree.entry(blk.final_lba).or_default();
-            chain.versions.push(Version {
-                tx_id: tx.tx_id,
-                area: area_idx,
-                state: VerState::Logged,
-            });
-        }
-        // Submit everything as one ccNVMe transaction: data to home
-        // locations, metadata copies to the journal, the JD as the
-        // commit request. In the application's context — no handoff.
-        let waiter = BioWaiter::new();
-        for blk in &tx.data {
-            let mut bio =
-                Bio::write(blk.final_lba, Arc::clone(&blk.buf), BioFlags::TX).with_tx_id(tx.tx_id);
-            waiter.attach(&mut bio);
-            inner.dev.submit_bio(bio);
-        }
-        let mut entries = Vec::with_capacity(tx.meta.len());
-        for (i, blk) in tx.meta.iter().enumerate() {
-            let sum = format::block_checksum(&blk.buf.lock());
-            entries.push(JdEntry {
-                final_lba: blk.final_lba,
-                journal_lba: block_lbas[i],
-                checksum: sum,
-            });
-            let mut bio =
-                Bio::write(block_lbas[i], Arc::clone(&blk.buf), BioFlags::TX).with_tx_id(tx.tx_id);
-            waiter.attach(&mut bio);
-            inner.dev.submit_bio(bio);
-        }
-        let jd = JdBlock {
-            tx_id: tx.tx_id,
-            entries,
-            revokes: tx.revokes.clone(),
-        };
-        let jd_buf: BioBuf = Arc::new(parking_lot::Mutex::new(jd.encode()));
-        let mut jd_bio = Bio::write(*jd_lba, jd_buf, BioFlags::TX_COMMIT).with_tx_id(tx.tx_id);
-        waiter.attach(&mut jd_bio);
-        // Log the transaction before the commit goes out so a same-core
-        // checkpoint triggered later sees it (it skips until I/O done).
-        {
-            let mut st = area.st.lock();
-            st.logged.push_back(LoggedTx {
-                tx_id: tx.tx_id,
-                ring_blocks: need,
-                blocks: tx
-                    .meta
-                    .iter()
-                    .map(|b| (b.final_lba, Arc::clone(&b.buf)))
-                    .collect(),
-                revoking: !tx.revokes.is_empty(),
-                waiter: waiter.clone_handle(),
-            });
-            if st.logged.len() == 1 {
-                // ord: SeqCst — first live entry resets the area's
-                // replay floor; checkpoint horizon math reads it.
-                area.oldest_live.store(tx.tx_id, Ordering::SeqCst);
+        // One JD describes at most a chunk: transactions with more
+        // blocks, or more revokes, than one holds go out as chained
+        // chunks sharing the ID, back to back; all but the last only
+        // need to be atomic.
+        let mut data = std::mem::take(&mut tx.data).into_iter().peekable();
+        let mut meta = std::mem::take(&mut tx.meta).into_iter().peekable();
+        let mut revokes = std::mem::take(&mut tx.revokes).into_iter().peekable();
+        let mut waiters: Vec<BioWaiter> = Vec::new();
+        loop {
+            let mut chunk = Chunk::default();
+            chunk.revokes.extend(revokes.by_ref().take(CHUNK_REVOKES));
+            chunk.meta.extend(meta.by_ref().take(CHUNK_BLOCKS));
+            let room = CHUNK_TOTAL - chunk.meta.len();
+            chunk.data.extend(data.by_ref().take(room));
+            let last = data.peek().is_none() && meta.peek().is_none() && revokes.peek().is_none();
+            waiters.push(self.commit_chunk(tx.tx_id, chunk, &tx.written, last));
+            if last {
+                break;
             }
         }
-        inner.dev.submit_bio(jd_bio);
         // Atomicity is reached the moment submit_bio returned for the
-        // commit (the two MMIOs of §4). Durability waits for completion.
-        let failed = if durability == Durability::Durable {
-            waiter.wait().is_err()
-        } else {
+        // last commit request (the two MMIOs of §4). Durability waits
+        // for completion of every chunk.
+        let failed = waiters.iter().find(|w| match durability {
+            Durability::Durable => w.wait().is_err(),
             // fatomic: errors normally surface asynchronously (at the
             // next checkpoint), but pick up anything already known.
-            waiter.first_error().is_some()
-        };
+            Durability::Atomic => w.first_error().is_some(),
+        });
         // Without shadow paging the frozen pages thaw only now — after
         // the journal writes (the +MQJournal ablation's remaining cost).
         tx.run_unpin();
-        if failed {
+        if let Some(w) = failed {
             // The driver failed the whole ccNVMe transaction (one member
-            // hit an unrecoverable error). Its journal copies are dead;
+            // hit an unrecoverable error). Its journal records are dead;
             // abort the journal.
-            let status = waiter.first_error().unwrap_or(BioStatus::Error);
-            // ord: SeqCst — abort publication (journal copies are dead).
-            inner.aborted.store(true, Ordering::SeqCst);
-            return Err(CommitError::Io(status));
+            // ord: SeqCst — abort must publish before any later commit
+            // on another queue can report success.
+            self.inner.aborted.store(true, Ordering::SeqCst);
+            return Err(CommitError::Io(w.first_error().unwrap_or(BioStatus::Error)));
         }
-        inner.commits.inc();
-        inner.commit_hist.record(ccnvme_runtime::now() - t0);
+        self.inner.commits.inc();
+        self.inner.commit_hist.record(ccnvme_runtime::now() - t0);
         Ok(())
     }
 
@@ -644,7 +776,7 @@ impl Journal for MqJournal {
         let Some(chain) = tree.get_mut(&lba) else {
             return ReuseAction::None;
         };
-        if chain.versions.iter().any(|v| v.state == VerState::Chp) {
+        if chain.going_home {
             // §5.4 case 1: mid-checkpoint — the caller must journal the
             // new content (regress to data journaling for this block).
             return ReuseAction::MustJournal;
@@ -656,17 +788,18 @@ impl Journal for MqJournal {
             .fold(chain.floor, u64::max);
         // ord: SeqCst — pairs with the horizon_written updates.
         if newest == 0 || newest < self.inner.horizon_written.load(Ordering::SeqCst) {
-            // Every copy ever journaled is below the persisted horizon:
+            // Every record ever journaled is below the persisted horizon:
             // recovery skips them without help.
             return ReuseAction::None;
         }
-        // §5.4 case 2: some copy may still be replayed — a live one, or
+        // §5.4 case 2: some record may still be replayed — a live one, or
         // a released one whose JD is intact and at or above a horizon
-        // that a slower area pins. Drop the live copies from the trees,
-        // raise the floor so no checkpoint writes them home over the new
-        // content, and have the caller ride a revoke record in its next
-        // transaction.
+        // that a slower area pins. Drop the live versions from the
+        // trees, raise the floor so no checkpoint writes an image home
+        // over the new content, and have the caller ride a revoke record
+        // in its next transaction.
         chain.versions.clear();
+        chain.images.clear();
         chain.floor = newest;
         ReuseAction::Revoked
     }
@@ -682,8 +815,11 @@ impl Journal for MqJournal {
     }
 
     fn alloc_tx_id(&self) -> u64 {
+        let mut unlogged = self.inner.unlogged.lock();
         // ord: SeqCst — tx IDs are the global commit order (§5.1).
-        self.inner.next_tx.fetch_add(1, Ordering::SeqCst)
+        let id = self.inner.next_tx.fetch_add(1, Ordering::SeqCst);
+        unlogged.insert(id);
+        id
     }
 
     fn set_tx_floor(&self, floor: u64) {
@@ -712,17 +848,7 @@ impl Journal for MqJournal {
             return;
         }
         let hw = BioWaiter::new();
-        let hbuf: BioBuf = Arc::new(parking_lot::Mutex::new(format::encode_horizon(floor)));
-        let mut hbio = Bio::write(
-            inner.horizon_lba,
-            hbuf,
-            BioFlags {
-                preflush: false,
-                fua: true,
-                tx: false,
-                tx_commit: false,
-            },
-        );
+        let mut hbio = horizon_bio(inner.horizon_lba, floor);
         hw.attach(&mut hbio);
         inner.dev.submit_bio(hbio);
         if hw.wait().is_ok() {

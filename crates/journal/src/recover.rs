@@ -13,11 +13,16 @@
 //!
 //! Replayable transactions are applied in transaction-ID order — the
 //! global persistence order that MQFS embeds in the ccNVMe command
-//! (§4.4) — with revocation records suppressing older copies of reused
-//! blocks (§5.4).
+//! (§4.4) — with revocation records suppressing older records of reused
+//! blocks (§5.4). A transaction describes a home block either by a
+//! whole-block copy in the ring or by byte-range *patches* inside its
+//! JD; only a full copy supersedes what came before, a patch patches.
+//! What replay writes is always a whole block: the newest surviving
+//! full copy (else the block as the device holds it) with the surviving
+//! patches above it applied in order.
 
 use std::{
-    collections::{HashMap, HashSet},
+    collections::{BTreeMap, HashMap, HashSet},
     sync::Arc,
 };
 
@@ -25,7 +30,7 @@ use ccnvme_block::{submit_and_wait, Bio, BioBuf, BLOCK_SIZE};
 
 use crate::{
     area::AreaSpec,
-    format::{self, JdBlock},
+    format::{self, JdBlock, JdPatch},
     Dev,
 };
 
@@ -104,9 +109,12 @@ pub fn recover_areas(
         }
         valid.push((jd, contents));
     }
-    // Pass 3: order by transaction ID and apply, honouring revokes: a
-    // revoke in transaction R suppresses copies of that block from
-    // transactions <= R.
+    // Pass 3: order by transaction ID and build each home block. A
+    // revoke in transaction R suppresses every record of that block,
+    // full copy or patch, from transactions <= R. Of what is left, only
+    // a full copy supersedes: the block is the newest surviving full
+    // copy — or, when there is none, what the device holds at home —
+    // with every surviving patch above it applied in transaction order.
     valid.sort_by_key(|(jd, _)| jd.tx_id);
     let mut max_revoke: HashMap<u64, u64> = HashMap::new();
     for (jd, _) in &valid {
@@ -115,28 +123,44 @@ pub fn recover_areas(
             *e = (*e).max(jd.tx_id);
         }
     }
-    let mut newest: HashMap<u64, (u64, Vec<u8>)> = HashMap::new();
+    let revoked = |lba: u64, tx_id: u64| max_revoke.get(&lba).is_some_and(|&r| tx_id <= r);
+    #[derive(Default)]
+    struct Home {
+        /// Newest surviving full copy and its transaction.
+        base: Option<(u64, Vec<u8>)>,
+        /// Surviving patches, ascending transaction ID.
+        patches: Vec<(u64, JdPatch)>,
+    }
+    let mut homes: BTreeMap<u64, Home> = BTreeMap::new();
     for (jd, contents) in valid {
         for (e, data) in jd.entries.iter().zip(contents) {
-            if let Some(&r) = max_revoke.get(&e.final_lba) {
-                if jd.tx_id <= r {
-                    continue; // Revoked: never replay this copy.
-                }
+            if !revoked(e.final_lba, jd.tx_id) {
+                homes.entry(e.final_lba).or_default().base = Some((jd.tx_id, data));
             }
-            match newest.get(&e.final_lba) {
-                Some((t, _)) if *t >= jd.tx_id => {}
-                _ => {
-                    newest.insert(e.final_lba, (jd.tx_id, data));
-                }
+        }
+        for p in jd.patches {
+            if !revoked(p.final_lba, jd.tx_id) {
+                let home = homes.entry(p.final_lba).or_default();
+                home.patches.push((jd.tx_id, p));
             }
         }
     }
-    let mut updates: Vec<RecoveredUpdate> = newest
+    let mut updates: Vec<RecoveredUpdate> = homes
         .into_iter()
-        .map(|(final_lba, (tx_id, data))| RecoveredUpdate {
-            final_lba,
-            data,
-            tx_id,
+        .map(|(final_lba, home)| {
+            let (mut tx_id, mut data) =
+                home.base.unwrap_or_else(|| (0, read_block(dev, final_lba)));
+            let base_tx = tx_id;
+            for (t, p) in home.patches.iter().filter(|(t, _)| *t > base_tx) {
+                let at = p.offset as usize;
+                data[at..at + p.bytes.len()].copy_from_slice(&p.bytes);
+                tx_id = *t;
+            }
+            RecoveredUpdate {
+                final_lba,
+                data,
+                tx_id,
+            }
         })
         .collect();
     updates.sort_by_key(|u| (u.tx_id, u.final_lba));
@@ -172,7 +196,10 @@ fn write_with_retry(dev: &Dev, lba: u64, data: &[u8]) -> Result<(), ccnvme_block
 /// of validated journal content to its home location, so applying the
 /// list once, twice, or resuming it after a crash in the middle always
 /// converges on the same media bytes (`tests/recovery_idempotence.rs`
-/// proves this property). Each write is retried up to
+/// proves this property). That holds for a block built from patches
+/// over the device's own copy too: a re-run reads back either the old
+/// block or the patched one, and the same byte-range overwrites take
+/// both to the same result. Each write is retried up to
 /// [`REPLAY_ATTEMPTS`] times; an exhausted retry budget returns the
 /// failing status so the mount can degrade to read-only instead of
 /// presenting a half-replayed file system as healthy.

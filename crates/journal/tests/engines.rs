@@ -43,21 +43,32 @@ fn tx_with(journal: &dyn Journal, metas: &[(u64, u8)], datas: &[(u64, u8)]) -> T
     tx
 }
 
-fn read_lba(dev: &Arc<dyn BlockDevice>, lba: u64) -> u8 {
+fn read_block(dev: &Arc<dyn BlockDevice>, lba: u64) -> Vec<u8> {
     let buf = block(0);
     submit_and_wait(&**dev, Bio::read(lba, Arc::clone(&buf)));
-    let b = buf.lock()[0];
-    b
+    let data = buf.lock().clone();
+    data
+}
+
+/// First byte of a block (the tests fill whole blocks with one byte).
+fn read_lba(dev: &Arc<dyn BlockDevice>, lba: u64) -> u8 {
+    read_block(dev, lba)[0]
 }
 
 /// Builds a ccNVMe stack on the given profile; returns driver handle.
 fn cc_stack(profile: SsdProfile) -> (Arc<CcNvmeDriver>, Arc<dyn BlockDevice>) {
+    cc_stack_deep(profile, 64)
+}
+
+/// [`cc_stack`] with hardware queues of `depth` entries: a chunk of a
+/// chained transaction (up to 96 members and the JD) must fit the queue.
+fn cc_stack_deep(profile: SsdProfile, depth: u32) -> (Arc<CcNvmeDriver>, Arc<dyn BlockDevice>) {
     let mut cfg = CtrlConfig::new(profile);
     cfg.device_core = CORES;
     let drv = Arc::new(CcNvmeDriver::new(
         NvmeController::new(cfg),
         CORES as u16,
-        64,
+        depth,
     ));
     let dev: Arc<dyn BlockDevice> = Arc::clone(&drv) as Arc<dyn BlockDevice>;
     (drv, dev)
@@ -876,6 +887,403 @@ fn classic_chunked_compound_drops_revoked_copies_from_checkpoint() {
             0x42,
             "checkpoint wrote the revoked copy over file data"
         );
+    });
+    sim.run();
+}
+
+/// Regression (ROADMAP 4(c), first defect): a commit that finds its ring
+/// full checkpoints, releases everything and publishes a horizon — and is
+/// itself only logged afterwards. The horizon it publishes must not pass
+/// its own ID, or recovery skips the transaction that wrapped the ring.
+#[test]
+fn mq_commit_that_wraps_its_ring_stays_at_or_above_the_horizon() {
+    let mut sim = Sim::new(CORES + 1);
+    sim.spawn("host", 0, || {
+        let (drv, dev) = cc_stack(SsdProfile::optane_905p());
+        let areas = AreaSpec::split(JOURNAL_START, 16, CORES); // 8 blocks each.
+        let journal = MqJournal::new(Arc::clone(&dev), areas.clone(), HORIZON_LBA);
+        // Four two-block transactions fill area 0; the fifth wraps it.
+        fill(&journal, 70, 4);
+        let tx = tx_with(&journal, &[(50, 0xd1)], &[]);
+        let id = tx.tx_id;
+        journal
+            .commit_tx(tx, Durability::Durable)
+            .expect("commit ok");
+        let horizon = mqfs_journal::recover::read_horizon(&dev, HORIZON_LBA);
+        assert!(
+            horizon <= id,
+            "id {id} horizon {horizon}: the commit that wrapped the ring is never replayed"
+        );
+        let dev2 = crash_and_replay(&drv, areas, 23);
+        assert_eq!(read_lba(&dev2, 50), 0xd1, "durable transaction lost");
+    });
+    sim.run();
+}
+
+/// The same defect across areas: an ID is allocated on one core, and
+/// before its transaction is logged another area commits, checkpoints
+/// and publishes a horizon. The older ID must still be replayable when
+/// its commit finally lands.
+#[test]
+fn mq_horizon_waits_for_an_allocated_id_that_is_not_logged_yet() {
+    let mut sim = Sim::new(CORES + 1);
+    sim.spawn("host", 0, || {
+        let (drv, dev) = cc_stack(SsdProfile::optane_905p());
+        let areas = AreaSpec::split(JOURNAL_START, JOURNAL_LEN, CORES);
+        let journal = Arc::new(MqJournal::new(Arc::clone(&dev), areas.clone(), HORIZON_LBA));
+        // Area 0 takes its ID, then is slow to commit.
+        let tx = tx_with(&*journal, &[(50, 0xd1)], &[]);
+        let id = tx.tx_id;
+        let j = Arc::clone(&journal);
+        ccnvme_sim::spawn("w1", 1, move || {
+            fill(&j, 70, 1);
+            j.checkpoint_all();
+        })
+        .join();
+        journal
+            .commit_tx(tx, Durability::Durable)
+            .expect("commit ok");
+        let horizon = mqfs_journal::recover::read_horizon(&dev, HORIZON_LBA);
+        assert!(
+            horizon <= id,
+            "id {id} horizon {horizon}: published past an unlogged transaction"
+        );
+        let dev2 = crash_and_replay(&drv, areas, 24);
+        assert_eq!(read_lba(&dev2, 50), 0xd1, "durable transaction lost");
+    });
+    sim.run();
+}
+
+/// Journals `n` blocks as metadata, then reuses every one of them for
+/// file data in ONE transaction carrying `n` revokes, crashes, replays,
+/// and returns what the reused blocks hold. None of the stale journal
+/// copies (`0xd1`) may come back over the data (`0x42`).
+fn reuse_many_then_crash(journal: &dyn Journal, n: u64) {
+    const FIRST: u64 = 5_000;
+    let stale: Vec<(u64, u8)> = (0..n).map(|i| (FIRST + i, 0xd1)).collect();
+    journal
+        .commit_tx(tx_with(journal, &stale, &[]), Durability::Durable)
+        .expect("commit ok");
+    let data: Vec<(u64, u8)> = (0..n).map(|i| (FIRST + i, 0x42)).collect();
+    let mut tx = tx_with(journal, &[(4_999, 0x99)], &data);
+    for (lba, _) in &data {
+        assert_eq!(journal.note_block_reuse(*lba), ReuseAction::Revoked);
+        tx.revokes.push(*lba);
+    }
+    journal
+        .commit_tx(tx, Durability::Durable)
+        .expect("a transaction may revoke any number of blocks");
+}
+
+fn assert_no_stale_copy(dev: &Arc<dyn BlockDevice>, n: u64) {
+    let stale: Vec<u64> = (5_000..5_000 + n)
+        .filter(|lba| read_lba(dev, *lba) != 0x42)
+        .collect();
+    assert!(
+        stale.is_empty(),
+        "{} of {n} revoked journal copies replayed over file data: {stale:?}",
+        stale.len()
+    );
+    assert_eq!(read_lba(dev, 4_999), 0x99);
+}
+
+/// Regression: `JdBlock::encode` asserted at most 100 revokes and
+/// `commit_chunked` put them all in the first chunk, so one fsync whose
+/// dirty pages reused more than 100 formerly journaled blocks panicked.
+#[test]
+fn mq_transaction_with_150_revokes_commits_and_none_is_replayed() {
+    let mut sim = Sim::new(CORES + 1);
+    sim.spawn("host", 0, || {
+        let (drv, dev) = cc_stack_deep(SsdProfile::optane_905p(), 256);
+        let areas = AreaSpec::split(JOURNAL_START, 1_024, CORES);
+        let journal = MqJournal::new(Arc::clone(&dev), areas.clone(), HORIZON_LBA);
+        reuse_many_then_crash(&journal, 150);
+        assert_no_stale_copy(&crash_and_replay(&drv, areas, 25), 150);
+    });
+    sim.run();
+}
+
+/// More revokes than one JD holds beside its entries spill into further
+/// chained chunks of the same ID, like blocks do.
+#[test]
+fn mq_revokes_beyond_one_jd_spill_into_chained_chunks() {
+    let mut sim = Sim::new(CORES + 1);
+    sim.spawn("host", 0, || {
+        let (drv, dev) = cc_stack_deep(SsdProfile::optane_905p(), 256);
+        let areas = AreaSpec::split(JOURNAL_START, 2_048, CORES);
+        let journal = MqJournal::new(Arc::clone(&dev), areas.clone(), HORIZON_LBA);
+        reuse_many_then_crash(&journal, 700);
+        assert_no_stale_copy(&crash_and_replay(&drv, areas, 26), 700);
+    });
+    sim.run();
+}
+
+/// Regression: the classic engine cut the compound's revoke list at 100
+/// — silently — and the journal copies of the rest were replayed over
+/// the user data written in their place.
+#[test]
+fn classic_transaction_with_150_revokes_commits_and_none_is_replayed() {
+    let mut sim = Sim::new(CORES + 2);
+    sim.spawn("host", 0, || {
+        let profile = SsdProfile::optane_905p();
+        let (drv, dev) = nvme_stack(profile.clone());
+        let area = AreaSpec {
+            start: JOURNAL_START,
+            len: 1_024,
+        };
+        let classic = |dev: &Arc<dyn BlockDevice>| {
+            ClassicJournal::new(
+                Arc::clone(dev),
+                area,
+                HORIZON_LBA,
+                CommitStyle::Classic,
+                CORES + 1,
+            )
+        };
+        reuse_many_then_crash(&classic(&dev), 150);
+        let image = drv.controller().power_fail(CrashMode::adversarial(27));
+        let mut cfg = CtrlConfig::new(profile);
+        cfg.device_core = CORES;
+        let drv2 = Arc::new(NvmeDriver::new(
+            NvmeController::from_image(cfg, &image),
+            CORES,
+        ));
+        let dev2: Arc<dyn BlockDevice> = Arc::clone(&drv2) as Arc<dyn BlockDevice>;
+        let updates = classic(&dev2).recover(&HashSet::new());
+        mqfs_journal::recover::replay_updates(&dev2, &updates).expect("replay ok");
+        assert_no_stale_copy(&dev2, 150);
+    });
+    sim.run();
+}
+
+// ---------------------------------------------------------------------------
+// Sub-block records: patches inside the JD
+// ---------------------------------------------------------------------------
+
+/// A block of `base` with `fill` over each of `ranges`.
+fn image(base: u8, ranges: &[(std::ops::Range<usize>, u8)]) -> Vec<u8> {
+    let mut data = vec![base; 4096];
+    for (r, fill) in ranges {
+        data[r.clone()].fill(*fill);
+    }
+    data
+}
+
+/// A home LBA, the whole block as its writer holds it, and the
+/// `(start, end)` byte ranges of it the writer declares written.
+type PatchedBlock<'a> = (u64, Vec<u8>, &'a [(usize, usize)]);
+
+/// A transaction journaling each block's image, of which it declares
+/// only the given ranges written.
+fn patch_tx(journal: &dyn Journal, blocks: &[PatchedBlock]) -> TxDescriptor {
+    let mut tx = TxDescriptor::new(journal.alloc_tx_id());
+    for (lba, data, ranges) in blocks {
+        tx.meta.push(TxBlock {
+            final_lba: *lba,
+            buf: Arc::new(Mutex::new(data.clone())),
+        });
+        let written = ranges.iter().map(|&(start, end)| start..end);
+        tx.written.insert(*lba, written.collect());
+    }
+    tx
+}
+
+fn mq_counter(dev: &Arc<dyn BlockDevice>, name: &str) -> u64 {
+    ccnvme_block::obs_of(&**dev)
+        .metrics
+        .snapshot()
+        .counter(&format!("journal.mq.{name}"))
+}
+
+/// A block written in few places travels as patches inside the JD — no
+/// ring block of its own — and replays over whatever base survives: the
+/// device's home block, or a full copy from an older transaction.
+#[test]
+fn mq_patches_ride_in_the_jd_and_replay_over_home_or_a_full_copy() {
+    let mut sim = Sim::new(CORES + 1);
+    sim.spawn("host", 0, || {
+        let (drv, dev) = cc_stack(SsdProfile::optane_905p());
+        let areas = AreaSpec::split(JOURNAL_START, JOURNAL_LEN, CORES);
+        let journal = MqJournal::new(Arc::clone(&dev), areas.clone(), HORIZON_LBA);
+        // Block 300 is at home already; block 301 is first journaled whole.
+        submit_and_wait(
+            &*dev,
+            Bio::write(300, block(0x11), ccnvme_block::BioFlags::NONE),
+        );
+        let whole = tx_with(&journal, &[(301, 0x22)], &[]);
+        journal
+            .commit_tx(whole, Durability::Durable)
+            .expect("commit ok");
+        let over_home = image(0x11, &[(256..512, 0xaa)]);
+        let over_copy = image(0x22, &[(0..8, 0xbb), (4_095..4_096, 0xcc)]);
+        let tx = patch_tx(
+            &journal,
+            &[
+                (300, over_home.clone(), &[(256, 512)]),
+                (301, over_copy.clone(), &[(0, 8), (4_095, 4_096)]),
+            ],
+        );
+        journal
+            .commit_tx(tx, Durability::Durable)
+            .expect("commit ok");
+        assert_eq!(
+            mq_counter(&dev, "spilled_copies"),
+            1,
+            "only block 301, once"
+        );
+        assert_eq!(mq_counter(&dev, "patches"), 3);
+        assert_eq!(mq_counter(&dev, "patch_bytes"), 256 + 8 + 1);
+        let dev2 = crash_and_replay(&drv, areas, 31);
+        assert_eq!(read_block(&dev2, 300), over_home);
+        assert_eq!(read_block(&dev2, 301), over_copy);
+    });
+    sim.run();
+}
+
+/// Patches that do not fit what is left of the JD spill as full copies,
+/// cheapest inline first; either way the block replays.
+#[test]
+fn mq_patches_beyond_the_jd_budget_spill_as_full_copies() {
+    let mut sim = Sim::new(CORES + 1);
+    sim.spawn("host", 0, || {
+        let (drv, dev) = cc_stack(SsdProfile::optane_905p());
+        let areas = AreaSpec::split(JOURNAL_START, JOURNAL_LEN, CORES);
+        let journal = MqJournal::new(Arc::clone(&dev), areas.clone(), HORIZON_LBA);
+        // Twenty blocks, each with one 256-byte slot written; block 319
+        // also declares a range too large for any JD.
+        let slot = [(512, 768)];
+        let big = [(0, 4_000)];
+        let images: Vec<Vec<u8>> = (0..20).map(|i| image(i, &[(512..768, 0xe0 + i)])).collect();
+        let blocks: Vec<PatchedBlock> = images
+            .iter()
+            .enumerate()
+            .map(|(i, data)| {
+                let ranges: &[_] = if i == 19 { &big } else { &slot };
+                (300 + i as u64, data.clone(), ranges)
+            })
+            .collect();
+        let tx = patch_tx(&journal, &blocks);
+        journal
+            .commit_tx(tx, Durability::Durable)
+            .expect("commit ok");
+        // 4056 bytes less 20 entries leave 3576; a slot patch costs 268
+        // and gives its entry's 24 back: 14 go inline, 6 spill.
+        assert_eq!(mq_counter(&dev, "patches"), 14);
+        assert_eq!(mq_counter(&dev, "spilled_copies"), 6);
+        let dev2 = crash_and_replay(&drv, areas, 32);
+        for (i, data) in images.iter().enumerate() {
+            // Home was zero: an inlined block comes back as its patch
+            // over zeroes, a spilled one whole.
+            let got = read_block(&dev2, 300 + i as u64);
+            assert_eq!(got[512..768], data[512..768], "block {i}");
+            assert!(got == *data || got == image(0, &[(512..768, 0xe0 + i as u8)]));
+        }
+    });
+    sim.run();
+}
+
+/// The release rule: a record is superseded only by a newer live *full*
+/// copy. Area 0 patches one slot of a block, area 1 a newer patch of
+/// another slot; area 0 then wraps its ring while area 1 idles. Area 0's
+/// record may leave its ring only once its bytes are home — under
+/// "another area holds a newer version, skip, release anyway" they are
+/// gone: the newer version is a patch and does not contain them.
+#[test]
+fn mq_a_newer_patch_elsewhere_does_not_stand_in_for_an_older_one() {
+    let mut sim = Sim::new(CORES + 1);
+    sim.spawn("host", 0, || {
+        let (drv, dev) = cc_stack(SsdProfile::optane_905p());
+        let areas = AreaSpec::split(JOURNAL_START, 16, CORES); // 8 blocks each.
+        let journal = Arc::new(MqJournal::new(Arc::clone(&dev), areas.clone(), HORIZON_LBA));
+        let first = image(0, &[(0..256, 0xa1)]);
+        let both = image(0, &[(0..256, 0xa1), (256..512, 0xb2)]);
+        let tx = patch_tx(&*journal, &[(300, first, &[(0, 256)])]);
+        journal
+            .commit_tx(tx, Durability::Durable)
+            .expect("commit ok");
+        let (j, later) = (Arc::clone(&journal), both.clone());
+        ccnvme_sim::spawn("w1", 1, move || {
+            let tx = patch_tx(&*j, &[(300, later, &[(256, 512)])]);
+            j.commit_tx(tx, Durability::Durable).expect("commit ok");
+        })
+        .join();
+        // Seven ring blocks left in area 0: the fourth filler wraps it
+        // and overwrites the first patch's JD.
+        fill(&journal, 70, 4);
+        let dev2 = crash_and_replay(&drv, areas, 33);
+        assert_eq!(
+            read_block(&dev2, 300),
+            both,
+            "the older patch left its ring without its bytes going home"
+        );
+    });
+    sim.run();
+}
+
+/// A revoke suppresses patches like it suppresses copies, and a revoked
+/// block's image is never checkpointed home.
+#[test]
+fn mq_revoke_suppresses_patches_too() {
+    let mut sim = Sim::new(CORES + 1);
+    sim.spawn("host", 0, || {
+        let (drv, dev) = cc_stack(SsdProfile::optane_905p());
+        let areas = AreaSpec::split(JOURNAL_START, JOURNAL_LEN, CORES);
+        let journal = MqJournal::new(Arc::clone(&dev), areas.clone(), HORIZON_LBA);
+        let tx = patch_tx(&journal, &[(50, image(0, &[(0..64, 0xd1)]), &[(0, 64)])]);
+        journal
+            .commit_tx(tx, Durability::Durable)
+            .expect("commit ok");
+        reuse_as_data(&journal, 50, 0x42);
+        journal.checkpoint_all();
+        assert_eq!(
+            read_block(&dev, 50),
+            vec![0x42; 4096],
+            "checkpointed over data"
+        );
+        let dev2 = crash_and_replay(&drv, areas, 34);
+        assert_eq!(
+            read_block(&dev2, 50),
+            vec![0x42; 4096],
+            "patch replayed over data"
+        );
+    });
+    sim.run();
+}
+
+/// Checkpoint writes home the newest image on media, once: two areas
+/// patch the same block alternately, everything is checkpointed, and
+/// home holds the cumulative image — no older image landed last.
+#[test]
+fn mq_checkpoint_writes_the_newest_image_home() {
+    let mut sim = Sim::new(CORES + 1);
+    sim.spawn("main", 0, || {
+        let (_drv, dev) = cc_stack(SsdProfile::optane_p5800x());
+        let areas = AreaSpec::split(JOURNAL_START, 16, CORES); // Wraps often.
+        let journal = Arc::new(MqJournal::new(Arc::clone(&dev), areas, HORIZON_LBA));
+        // One shared, cumulative image: slot `core` holds that core's
+        // latest round. Images are taken and IDs allocated together, as
+        // the file system does under its capture barrier.
+        let shared = Arc::new(Mutex::new(vec![0u8; 4096]));
+        let mut handles = Vec::new();
+        for core in 0..CORES {
+            let (j, shared) = (Arc::clone(&journal), Arc::clone(&shared));
+            handles.push(ccnvme_sim::spawn(&format!("w{core}"), core, move || {
+                let slot = (core * 256, core * 256 + 256);
+                for round in 1..=20u8 {
+                    let tx = {
+                        let mut img = shared.lock();
+                        img[slot.0..slot.1].fill(round);
+                        patch_tx(&*j, &[(300, img.clone(), &[slot])])
+                    };
+                    j.commit_tx(tx, Durability::Durable).expect("commit ok");
+                }
+            }));
+        }
+        for h in handles {
+            h.join();
+        }
+        journal.checkpoint_all();
+        assert_eq!(read_block(&dev, 300), image(0, &[(0..512, 20)]));
     });
     sim.run();
 }

@@ -11,7 +11,7 @@ use std::sync::Arc;
 use ccnvme_runtime::RtMutex;
 
 use crate::{
-    buffer::{BufferCache, WriteSet},
+    buffer::{BufferCache, WriteSet, WHOLE},
     error::{FsError, FsResult},
     layout::{Layout, BITS_PER_BLOCK},
 };
@@ -105,11 +105,11 @@ impl Allocator {
             // Materialize the initial bitmap blocks as dirty cache entries.
             for b in 0..layout.block_bitmap_len() {
                 let blk = cache.get_zeroed(layout.block_bitmap_start() + b);
-                ws.update(&blk, |d| write_bitmap_window(&st.blocks, b, d));
+                ws.update(&blk, WHOLE, |d| write_bitmap_window(&st.blocks, b, d));
             }
             for b in 0..layout.inode_bitmap_len() {
                 let blk = cache.get_zeroed(layout.inode_bitmap_start() + b);
-                ws.update(&blk, |d| write_bitmap_window(&st.inodes, b, d));
+                ws.update(&blk, WHOLE, |d| write_bitmap_window(&st.inodes, b, d));
             }
         }
         alloc
@@ -198,17 +198,18 @@ impl Allocator {
         self.st.lock().inodes.test(ino - 1)
     }
 
-    /// Flips bit `idx` of the on-disk bitmap starting at block `start`.
+    /// Flips bit `idx` of the on-disk bitmap starting at block `start`:
+    /// a one-byte write, as far as the journal is concerned.
     fn mark_bit(&self, start: u64, idx: u64, set: bool, ws: &mut WriteSet) {
         let blk = self.cache.get(start + idx / BITS_PER_BLOCK);
-        ws.update(&blk, |d| {
-            let bit = idx % BITS_PER_BLOCK;
-            let byte = (bit / 8) as usize;
+        let bit = idx % BITS_PER_BLOCK;
+        let byte = (bit / 8) as usize;
+        ws.update(&blk, byte..byte + 1, |d| {
             let mask = 1u8 << (bit % 8);
             if set {
-                d[byte] |= mask;
+                d[0] |= mask;
             } else {
-                d[byte] &= !mask;
+                d[0] &= !mask;
             }
         });
     }
@@ -417,8 +418,8 @@ mod goal_tests {
             let far_goal = layout.data_start() + 2 * BITS_PER_BLOCK;
             let lba_b = alloc.alloc_block_near(far_goal, &mut bm_b).expect("space");
             assert_ne!(
-                bm_a.lbas(),
-                bm_b.lbas(),
+                bm_a.lbas().collect::<Vec<_>>(),
+                bm_b.lbas().collect::<Vec<_>>(),
                 "goals landed in the same bitmap block"
             );
             assert!(lba_b >= far_goal);

@@ -7,18 +7,21 @@
 //! held for the whole journal commit; MQFS's metadata shadow paging holds
 //! it only long enough to copy the block.
 //!
-//! Content changes only through [`WriteSet::update`], which notes the
-//! block it wrote: the journal set of an operation (§5.2) is the set of
-//! blocks it wrote, by construction rather than by bookkeeping.
+//! Content changes only through [`WriteSet::update`], which takes the
+//! byte range the caller may touch, hands it that sub-slice and nothing
+//! else, and notes block and range: the journal set of an operation
+//! (§5.2) is the bytes it wrote, by construction rather than by
+//! bookkeeping.
 
 use std::{
-    collections::{BTreeSet, HashMap},
+    collections::{BTreeMap, HashMap},
+    ops::Range,
     sync::Arc,
 };
 
 use ccnvme_block::{submit_and_wait, Bio, BioBuf, BioStatus, BLOCK_SIZE};
 use ccnvme_runtime::{RtCondvar, RtMutex};
-use mqfs_journal::Dev;
+use mqfs_journal::{ByteRanges, Dev};
 use parking_lot::Mutex;
 
 /// Content and state of one cached metadata block.
@@ -28,6 +31,11 @@ struct MetaData {
     /// Dirty since the last journal commit that included it.
     dirty: bool,
     loaded: bool,
+    /// Created zero-filled and not captured for a transaction since:
+    /// what the device holds at this LBA is somebody else's old block,
+    /// no base to patch, so every write until then counts as a write
+    /// of the whole block.
+    unbased: bool,
 }
 
 /// Page-lock state: one modifier at a time, any number of freezers.
@@ -50,7 +58,9 @@ pub struct MetaBlock {
 }
 
 impl MetaBlock {
-    fn new(lba: u64, loaded: bool) -> Self {
+    /// A block to be read from the device on first use, or — `zeroed` —
+    /// a fresh one that replaces whatever the device holds there.
+    fn new(lba: u64, zeroed: bool) -> Self {
         MetaBlock {
             lba,
             gate: RtMutex::new(Gate::default()),
@@ -58,7 +68,8 @@ impl MetaBlock {
             data: Mutex::new(MetaData {
                 data: vec![0; BLOCK_SIZE as usize],
                 dirty: false,
-                loaded,
+                loaded: zeroed,
+                unbased: zeroed,
             }),
         }
     }
@@ -115,48 +126,82 @@ impl MetaBlock {
         f(&self.data.lock().data)
     }
 
-    /// The metadata write path: page lock, mutate, mark dirty, unlock.
+    /// The metadata write path: page lock, mutate `range`, mark dirty,
+    /// unlock. Returns the range a journal must carry for the write.
     /// Private — callers go through [`WriteSet::update`].
-    fn update(&self, f: impl FnOnce(&mut [u8])) {
+    fn update(&self, range: Range<usize>, f: impl FnOnce(&mut [u8])) -> Range<usize> {
         self.acquire();
-        {
+        let journal = {
             let mut d = self.data.lock();
-            f(&mut d.data);
+            f(&mut d.data[range.clone()]);
             d.dirty = true;
-        }
+            if d.unbased {
+                0..d.data.len()
+            } else {
+                range
+            }
+        };
         self.release();
+        journal
     }
 
     /// Copies the content into a fresh bio buffer (the shadow copy of
-    /// §5.3) and clears the dirty flag.
+    /// §5.3) and clears the dirty flag. The copy is what a transaction
+    /// journals or mkfs writes out, so from here on the block has a
+    /// base that sub-block writes can patch.
     pub fn shadow_copy(&self) -> BioBuf {
         let mut d = self.data.lock();
         d.dirty = false;
+        d.unbased = false;
         Arc::new(Mutex::new(d.data.clone()))
     }
 }
 
-/// The metadata blocks an operation wrote — its journal set. Recording
-/// is not optional: [`WriteSet::update`] is the only way to change a
-/// cached block.
-#[derive(Debug, Default)]
-pub struct WriteSet(BTreeSet<u64>);
+/// The range of a write that replaces a whole block.
+pub const WHOLE: Range<usize> = 0..BLOCK_SIZE as usize;
+
+/// The bytes of metadata blocks an operation wrote — its journal set,
+/// as byte ranges per block. Recording is not optional, and cannot be
+/// wrong: [`WriteSet::update`] is the only way to change a cached block
+/// and its closure sees only the range that gets recorded. Ranges are
+/// what the writer *declared*, not what a comparison found changed.
+#[derive(Debug, Default, Clone)]
+pub struct WriteSet(BTreeMap<u64, ByteRanges>);
 
 impl WriteSet {
-    /// Changes `blk`'s content under its page lock and records it.
-    pub fn update(&mut self, blk: &MetaBlock, f: impl FnOnce(&mut [u8])) {
-        blk.update(f);
-        self.0.insert(blk.lba);
+    /// Hands `f` the bytes `range` of `blk` to change, under the page
+    /// lock, and records block and range (the whole block while it has
+    /// no base on the device to patch — see [`BufferCache::get_zeroed`]).
+    pub fn update(&mut self, blk: &MetaBlock, range: Range<usize>, f: impl FnOnce(&mut [u8])) {
+        let journal = blk.update(range, f);
+        self.0.entry(blk.lba).or_default().insert(journal);
     }
 
     /// Adds everything `other` recorded.
     pub fn merge(&mut self, other: &WriteSet) {
-        self.0.extend(&other.0);
+        for (lba, ranges) in &other.0 {
+            self.0.entry(*lba).or_default().extend(ranges);
+        }
+    }
+
+    /// The recorded blocks, ascending, each with its written ranges.
+    pub fn iter(&self) -> impl Iterator<Item = (u64, &ByteRanges)> {
+        self.0.iter().map(|(lba, ranges)| (*lba, ranges))
     }
 
     /// The recorded LBAs, ascending.
-    pub fn lbas(&self) -> &BTreeSet<u64> {
-        &self.0
+    pub fn lbas(&self) -> impl Iterator<Item = u64> + '_ {
+        self.0.keys().copied()
+    }
+
+    /// The ranges recorded for `lba`, if any were.
+    pub fn ranges(&self, lba: u64) -> Option<&ByteRanges> {
+        self.0.get(&lba)
+    }
+
+    /// Whether nothing was recorded.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
     }
 }
 
@@ -208,7 +253,9 @@ impl BufferCache {
     }
 
     /// Returns a zero-filled cached block without touching the device
-    /// (for freshly allocated metadata such as extent-leaf blocks).
+    /// (for freshly allocated metadata such as extent-leaf blocks). Its
+    /// first journaling is a full copy however few bytes were written:
+    /// the device holds nothing at this LBA that a patch could patch.
     pub fn get_zeroed(&self, lba: u64) -> Arc<MetaBlock> {
         let mut map = self.map.lock();
         Arc::clone(
@@ -336,13 +383,14 @@ mod tests {
             let cache = BufferCache::new(memdev_with(9, 0xaa));
             let blk = cache.get(9);
             let mut ws = WriteSet::default();
-            ws.update(&blk, |d| d[0] = 0xbb);
-            assert!(ws.lbas().contains(&9), "the write recorded its block");
+            ws.update(&blk, 0..1, |d| d[0] = 0xbb);
+            let recorded = ws.ranges(9).expect("the write recorded its block");
+            assert_eq!(recorded.iter().collect::<Vec<_>>(), vec![0..1]);
             let copy = blk.shadow_copy();
             assert_eq!(copy.lock()[0], 0xbb);
             assert!(!blk.data.lock().dirty, "the shadow copy cleaned it");
             // Later mutation does not affect the shadow.
-            ws.update(&blk, |d| d[0] = 0xcc);
+            ws.update(&blk, 0..1, |d| d[0] = 0xcc);
             assert_eq!(copy.lock()[0], 0xbb);
         });
         sim.run();

@@ -4,14 +4,16 @@
 //! All metadata — bitmap blocks, inode-table blocks, directory blocks and
 //! extent-leaf blocks — lives in the [`BufferCache`] keyed by device LBA
 //! and changes only through [`WriteSet::update`], which records the block
-//! it wrote. The journal set of an operation is therefore the set of
-//! blocks it wrote: the operation's closing `finish` hands it to the
-//! *dependency set* of every inode whose later `fsync` must persist the
-//! operation ("MQFS always packs the target files of a file operation
-//! into a single transaction", §7.6).
+//! and the byte range it wrote. The journal set of an operation is
+//! therefore the bytes it wrote: the operation's closing `finish` hands
+//! it to the *dependency set* of every inode whose later `fsync` must
+//! persist the operation ("MQFS always packs the target files of a file
+//! operation into a single transaction", §7.6).
 //!
 //! `fsync` assembles one transaction: the file's dirty data pages
-//! (ordered-mode data), the dependent metadata blocks and — through the
+//! (ordered-mode data), a snapshot of each dependent metadata block
+//! with the ranges written in it (the multi-queue engine journals a
+//! block written in few places as those bytes alone) and — through the
 //! journal engine — a journal description block. The variants differ in
 //! how the shared metadata blocks are captured:
 //!
@@ -40,7 +42,7 @@ use parking_lot::Mutex;
 
 use crate::{
     alloc::Allocator,
-    buffer::{BufferCache, WriteSet},
+    buffer::{BufferCache, WriteSet, WHOLE},
     dir::{self, DirState},
     error::{FsError, FsResult},
     inode::{ExtentMap, Inode, InodeKind, MAX_BLOCKS},
@@ -229,39 +231,38 @@ struct InodeHandle {
 /// single transaction", §7.6).
 #[derive(Default)]
 struct OpIndex {
-    groups: HashMap<u64, BTreeSet<u64>>,
+    groups: HashMap<u64, WriteSet>,
     by_lba: HashMap<u64, Vec<u64>>,
     next: u64,
 }
 
 impl OpIndex {
-    fn register(&mut self, lbas: &BTreeSet<u64>) {
+    fn register(&mut self, ws: &WriteSet) {
         let gid = self.next;
         self.next += 1;
-        for lba in lbas {
-            self.by_lba.entry(*lba).or_default().push(gid);
+        for lba in ws.lbas() {
+            self.by_lba.entry(lba).or_default().push(gid);
         }
-        self.groups.insert(gid, lbas.clone());
+        self.groups.insert(gid, ws.clone());
     }
 
     /// Expands `seed` to the closure over open groups; returns the
-    /// closed set and the group ids it absorbed.
-    fn closure(&self, seed: &BTreeSet<u64>) -> (BTreeSet<u64>, Vec<u64>) {
+    /// closed set and the group ids it absorbed. Closure is per block,
+    /// not per byte — eight data blocks share a bitmap byte, sixteen
+    /// inodes a table block: an open group that wrote anywhere in a
+    /// block of the set is absorbed whole, ranges and all.
+    fn closure(&self, seed: &WriteSet) -> (WriteSet, Vec<u64>) {
         let mut out = seed.clone();
         let mut gids = Vec::new();
-        let mut frontier: Vec<u64> = seed.iter().copied().collect();
-        let mut seen_gids: std::collections::HashSet<u64> = std::collections::HashSet::new();
+        let mut frontier: Vec<u64> = seed.lbas().collect();
+        let mut seen_gids: HashSet<u64> = HashSet::new();
         while let Some(lba) = frontier.pop() {
-            if let Some(groups) = self.by_lba.get(&lba) {
-                for gid in groups {
-                    if seen_gids.insert(*gid) {
-                        gids.push(*gid);
-                        for l in &self.groups[gid] {
-                            if out.insert(*l) {
-                                frontier.push(*l);
-                            }
-                        }
-                    }
+            for gid in self.by_lba.get(&lba).into_iter().flatten() {
+                if seen_gids.insert(*gid) {
+                    gids.push(*gid);
+                    let group = &self.groups[gid];
+                    frontier.extend(group.lbas().filter(|l| out.ranges(*l).is_none()));
+                    out.merge(group);
                 }
             }
         }
@@ -270,8 +271,8 @@ impl OpIndex {
 
     fn close(&mut self, gids: &[u64]) {
         for gid in gids {
-            if let Some(lbas) = self.groups.remove(gid) {
-                for lba in lbas {
+            if let Some(group) = self.groups.remove(gid) {
+                for lba in group.lbas() {
                     if let Some(v) = self.by_lba.get_mut(&lba) {
                         v.retain(|g| g != gid);
                         if v.is_empty() {
@@ -343,7 +344,7 @@ impl FileSystem {
         fs.cache.get_zeroed(layout.inode_pos(ROOT_INO).0);
         fs.write_inode(&mut ws, ROOT_INO, &Inode::new(InodeKind::Dir));
         let waiter = ccnvme_block::BioWaiter::new();
-        for &lba in ws.lbas() {
+        for lba in ws.lbas() {
             let blk = fs.cache.get(lba);
             let mut bio = Bio::write(lba, blk.shadow_copy(), ccnvme_block::BioFlags::NONE);
             waiter.attach(&mut bio);
@@ -613,7 +614,7 @@ impl FileSystem {
         for k in span.start..span.end {
             let lba = st.inode.map.leaves()[k];
             let encoded = st.inode.map.encode_leaf(k);
-            ws.update(&self.cache.get(lba), |d| d.copy_from_slice(&encoded));
+            ws.update(&self.cache.get(lba), WHOLE, |d| d.copy_from_slice(&encoded));
         }
         Ok(())
     }
@@ -874,7 +875,7 @@ impl FileSystem {
         let t_data = ccnvme_runtime::now();
         // --- S-iM: serialize the inode into its table block. ---
         let mut seed = std::mem::take(&mut st.dep_meta);
-        let skip_inode = data_only && st.meta_dirty != MetaDirty::Full && seed.lbas().is_empty();
+        let skip_inode = data_only && st.meta_dirty != MetaDirty::Full && seed.is_empty();
         if !skip_inode {
             ccnvme_runtime::cpu(INODE_SER_CPU);
             self.write_inode(&mut seed, ino, &st.inode);
@@ -883,43 +884,40 @@ impl FileSystem {
         // Operation-atomicity closure: every open namespace operation
         // that touched one of these blocks (including this inode's
         // table block) contributes all of its blocks.
-        let (meta_lbas, gids) = {
+        let (meta, gids) = {
             let ops = self.ops.lock();
-            ops.closure(seed.lbas())
+            ops.closure(&seed)
         };
         let t_inode = ccnvme_runtime::now();
-        // --- S-pM + S-JH: capture the dependent metadata blocks. ---
-        for lba in &meta_lbas {
+        // --- S-pM + S-JH: capture the dependent metadata blocks: the
+        // whole block as it stands (a checkpoint writes that home) and,
+        // beside it, the ranges this transaction's operations wrote. ---
+        for (lba, ranges) in meta.iter() {
             // A block freed since it was written left the cache: there is
             // nothing of it to journal, and its LBA may be file data now.
-            let Some(blk) = self.cache.peek(*lba) else {
+            let Some(blk) = self.cache.peek(lba) else {
                 continue;
             };
             ccnvme_runtime::cpu(META_COPY_CPU);
+            blk.freeze();
+            let buf = blk.shadow_copy();
             if self.cfg.variant.shadow_paging() {
                 // Shadow paging: freeze, copy, thaw (§5.3). Writers can
                 // touch the page again immediately.
-                blk.freeze();
-                let buf = blk.shadow_copy();
                 blk.thaw();
-                tx.meta.push(TxBlock {
-                    final_lba: *lba,
-                    buf,
-                });
             } else {
                 // Lock-based (JBD2 shadow-buffer discipline): the page
                 // stays frozen until its journal copy is on media; the
                 // engine thaws it via the unpin hook. Freezes stack, so
                 // concurrent fsyncs still join one compound commit.
-                blk.freeze();
-                let buf = blk.shadow_copy();
-                tx.meta.push(TxBlock {
-                    final_lba: *lba,
-                    buf,
-                });
                 let blk2 = Arc::clone(&blk);
                 tx.unpin.push(Box::new(move || blk2.thaw()));
             }
+            tx.meta.push(TxBlock {
+                final_lba: lba,
+                buf,
+            });
+            tx.written.insert(lba, ranges.clone());
         }
         let t_parent = ccnvme_runtime::now();
         // Snapshots taken; operations may proceed during the commit.
@@ -928,25 +926,21 @@ impl FileSystem {
         if !gids.is_empty() {
             self.ops.lock().close(&gids);
         }
-        // --- Commit. ---
-        let committed = !tx.is_empty();
-        let mut commit_failed = false;
-        if committed {
-            if let Err(e) = self.journal.commit_tx(tx, durability) {
+        // --- Commit. An empty transaction goes to the journal too: it
+        // costs nothing there, and the engine learns that nothing will
+        // ever be logged under the ID it handed out. ---
+        let empty = tx.is_empty();
+        let committed = self.journal.commit_tx(tx, durability);
+        drop(st);
+        match committed {
+            Ok(()) if empty => {}
+            Ok(()) => self.stats.txs.inc(),
+            Err(e) => {
                 // The whole transaction failed atomically (nothing of it
                 // will be replayed after a crash); degrade to read-only.
                 self.degrade(&format!("transaction commit failed: {e:?}"));
-                commit_failed = true;
-            } else {
-                self.stats.txs.inc();
+                return Err(FsError::Io);
             }
-        } else {
-            let mut tx = tx;
-            tx.run_unpin();
-        }
-        drop(st);
-        if commit_failed {
-            return Err(FsError::Io);
         }
         let now = ccnvme_runtime::now();
         match durability {
@@ -1044,8 +1038,8 @@ impl FileSystem {
     /// Writes `inode` into its 256-byte slot of the inode table.
     fn write_inode(&self, ws: &mut WriteSet, ino: u64, inode: &Inode) {
         let (lba, off) = self.layout.inode_pos(ino);
-        ws.update(&self.cache.get(lba), |d| {
-            d[off..off + 256].copy_from_slice(&inode.encode())
+        ws.update(&self.cache.get(lba), off..off + 256, |slot| {
+            slot.copy_from_slice(&inode.encode())
         });
     }
 
@@ -1054,7 +1048,7 @@ impl FileSystem {
     /// in `holders`, so an fsync of any of them persists the operation
     /// whole.
     fn finish<'a>(&self, ws: WriteSet, holders: impl IntoIterator<Item = &'a mut InodeSt>) {
-        self.ops.lock().register(ws.lbas());
+        self.ops.lock().register(&ws);
         for st in holders {
             st.dep_meta.merge(&ws);
         }
@@ -1097,7 +1091,7 @@ impl FileSystem {
             .entries_in_block(blk_idx);
         let encoded = dir::encode_block(&entries);
         let lba = self.bmap(pst, blk_idx as u64).expect("dir block mapped");
-        ws.update(&self.cache.get(lba), |d| d.copy_from_slice(&encoded));
+        ws.update(&self.cache.get(lba), WHOLE, |d| d.copy_from_slice(&encoded));
     }
 
     /// Looks up `name` in directory `parent`.

@@ -1061,3 +1061,76 @@ fn deep_paths_resolve() {
     });
     sim.run();
 }
+
+/// A block created zero-filled has nothing on the device a patch could
+/// patch — whatever sits at its LBA is a previous owner's — so until it
+/// has been captured once (journaled whole, or written out by mkfs)
+/// every write into it is recorded as a write of the whole block,
+/// however few bytes the writer touched.
+#[test]
+fn zero_filled_block_is_journaled_whole_the_first_time() {
+    use mqfs::buffer::{BufferCache, WriteSet, WHOLE};
+    let mut sim = Sim::new(CORES + 2);
+    sim.spawn("host", 0, || {
+        let stack = Stack::new(FsVariant::Mqfs, SsdProfile::optane_905p());
+        let cache = BufferCache::new(Arc::clone(&stack.dev));
+        let recorded =
+            |ws: &WriteSet, lba| ws.ranges(lba).expect("recorded").iter().collect::<Vec<_>>();
+        let fresh = cache.get_zeroed(7_000);
+        let mut first = WriteSet::default();
+        first.update(&fresh, 8..16, |d| d.fill(0xee));
+        assert_eq!(
+            fresh.read(|d| (d[7], d[8], d[15], d[16])),
+            (0, 0xee, 0xee, 0)
+        );
+        assert_eq!(recorded(&first, 7_000), [WHOLE], "no base to patch yet");
+        // Captured for a transaction: from here on it has a base.
+        let copy = fresh.shadow_copy();
+        assert_eq!(copy.lock()[8], 0xee);
+        let mut second = WriteSet::default();
+        second.update(&fresh, 8..16, |d| d.fill(0xdd));
+        second.update(&fresh, 300..301, |d| d[0] = 1);
+        assert_eq!(recorded(&second, 7_000), [8..16, 300..301]);
+        // A block read from the device has its base from the start.
+        let loaded = cache.get(7_001);
+        let mut third = WriteSet::default();
+        third.update(&loaded, 0..4, |d| d.fill(9));
+        assert_eq!(recorded(&third, 7_001), vec![0..4]);
+    });
+    sim.run();
+}
+
+/// An `fdatasync` of a clean file commits nothing, but it did take a
+/// transaction ID. A thousand of them must not leave a thousand IDs
+/// "still to be logged" holding the journal's replay horizon down.
+#[test]
+fn syncs_that_commit_nothing_do_not_pin_the_horizon() {
+    let variant = FsVariant::Mqfs;
+    let mut sim = Sim::new(CORES + 2);
+    sim.spawn("host", 0, move || {
+        let stack = Stack::new(variant, SsdProfile::optane_905p());
+        let mut cfg = fs_config(variant);
+        cfg.journal_blocks = 64;
+        cfg.queues = 2;
+        let fs = FileSystem::format(Arc::clone(&stack.dev), cfg);
+        let ino = fs.create_path("/clean").expect("create");
+        fs.write(ino, 0, &[1u8; 4096]).expect("write");
+        fs.fsync(ino).expect("fsync");
+        let txs = fs.stats.txs.get();
+        for _ in 0..1_000 {
+            fs.fdatasync(ino).expect("fdatasync of a clean file");
+        }
+        assert_eq!(fs.stats.txs.get(), txs, "a clean file committed something");
+        // Wrap the 32-block area a few times over.
+        for i in 0..100u64 {
+            fs.write(ino, 0, &[i as u8; 4096]).expect("overwrite");
+            fs.fsync(ino).expect("fsync");
+        }
+        let horizon = mqfs_journal::recover::read_horizon(&stack.dev, fs.layout().horizon());
+        assert!(
+            horizon > 1_000,
+            "horizon {horizon}: IDs of empty transactions still pin it"
+        );
+    });
+    sim.run();
+}

@@ -31,6 +31,10 @@ pub const DEFAULT_CAPACITY: usize = 8192;
 /// The traced points of a transaction's life, in pipeline order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum EventKind {
+    /// The journal handed a transaction (one chunk of it) to the driver.
+    /// `arg` says what it put on the wire besides the descriptor block:
+    /// see [`TraceEvent::journal_commit_blocks`].
+    JournalCommit,
     /// The driver accepted the first member of a transaction.
     TxBegin,
     /// One 64 B submission entry was stored into the P-SQ (or host SQ).
@@ -59,6 +63,7 @@ impl EventKind {
     /// Stable lowercase name used in reports and JSON.
     pub fn name(self) -> &'static str {
         match self {
+            EventKind::JournalCommit => "journal_commit",
             EventKind::TxBegin => "tx_begin",
             EventKind::SqeStore => "sqe_store",
             EventKind::MmioFlush => "mmio_flush",
@@ -86,6 +91,7 @@ impl EventKind {
             EventKind::Irq => 8,
             EventKind::Completion => 9,
             EventKind::TxAbort => 10,
+            EventKind::JournalCommit => 11,
         }
     }
 
@@ -102,6 +108,7 @@ impl EventKind {
             8 => EventKind::Irq,
             9 => EventKind::Completion,
             10 => EventKind::TxAbort,
+            11 => EventKind::JournalCommit,
             _ => return None,
         })
     }
@@ -119,11 +126,26 @@ pub struct TraceEvent {
     /// ccNVMe transaction ID (0 for non-transactional requests).
     pub tx_id: u64,
     /// Event-specific detail: command ID for queue events, bytes for
-    /// data movement, 0 otherwise.
+    /// data movement, the block counts of a `JournalCommit`, 0 otherwise.
     pub arg: u64,
     /// The originating request's trace context ([`TraceCtx::ZERO`] for
     /// untraced work).
     pub ctx: TraceCtx,
+}
+
+impl TraceEvent {
+    /// The `arg` of a [`EventKind::JournalCommit`]: journaled blocks that
+    /// rode as whole copies in the ring, and journaled blocks that rode
+    /// as byte-range patches inside the descriptor.
+    pub fn journal_commit_arg(copies: usize, patched: usize) -> u64 {
+        (copies as u64) << 32 | patched as u64 & 0xffff_ffff
+    }
+
+    /// `(copies, patched)` of a `JournalCommit` event — "why did this
+    /// fsync write three blocks" — `None` for every other kind.
+    pub fn journal_commit_blocks(&self) -> Option<(u64, u64)> {
+        (self.kind == EventKind::JournalCommit).then_some((self.arg >> 32, self.arg & 0xffff_ffff))
+    }
 }
 
 struct Slot {

@@ -2,8 +2,8 @@
 //!
 //! Runs a single `fsync` on MQFS/ccNVMe and pretty-prints the
 //! transaction's full lifecycle from the observability trace ring:
-//! every event (driver submission, device DMA/media work, completion)
-//! with its simulated timestamp, then the derived per-phase durations,
+//! every event (journal commit, driver submission, device DMA/media
+//! work, completion) with its simulated timestamp, then the derived per-phase durations,
 //! which sum exactly to the traced span.
 //!
 //! ```sh
@@ -47,12 +47,19 @@ fn main() {
         println!("transaction {tx_id} lifecycle ({} events):", events.len());
         let first = events.iter().map(|e| e.at).min().unwrap();
         for e in &events {
+            // The journal's commit event says what the transaction put
+            // on the wire besides its descriptor block.
+            let detail = match e.journal_commit_blocks() {
+                Some((copies, patched)) => {
+                    format!("{copies} journaled as copies, {patched} as patches in the JD")
+                }
+                None => format!("arg={}", e.arg),
+            };
             println!(
-                "  +{:>7} ns  q{:<2} {:<12} arg={}",
+                "  +{:>7} ns  q{:<2} {:<14} {detail}",
                 e.at - first,
                 e.qid,
                 e.kind.name(),
-                e.arg
             );
         }
 

@@ -35,7 +35,9 @@ cargo test -q
 #  * the crash-sweep suite, one engine under all of it: every
 #    event-prefix of the small file-system workload recovers clean and
 #    recovery re-crashed at each of its own events converges (~3000
-#    simulated boots); the ploc surface holds exactly-once at every
+#    simulated boots); the same for PatchChain, the journal's
+#    patch-record surface (two areas wrapping over each other's live
+#    patches of one inode-table block); the ploc surface holds exactly-once at every
 #    prefix, locally and over the fabric; the cluster surface stays
 #    all-or-nothing at every sampled cut under every down-subset; the
 #    sampled Table 4 campaign and the five fault campaigns pass. State
@@ -63,8 +65,12 @@ for rule in persist-order static-race observer-purity; do
 done
 scripts/bench_smoke.sh
 # The deep ploc and cluster crash sweeps (torn tails and every-image
-# re-crash; every cut, three shards). The file-system one takes about
-# an hour and stays in the deep tier.
+# re-crash; every cut, three shards). The file-system ones take from
+# 25 minutes to an hour each and stay in the deep tier; the journal's patch-record
+# surface (PatchChain: every event prefix through remount, fsck, oracle,
+# forensics and sanitizer, plus the final image's recovery re-crashed at
+# each of its events, exact counts) already ran above, inside
+# `--workspace`, as enumerate::patch_chain_recovers_at_every_event_prefix.
 CCNVME_ENUM_DEEP=1 cargo test -q --release -p ccnvme-crashtest \
     --test ploc_enum --test cluster_enum deep_
 # Forensics smoke: crash a small stack, save the PMR wreckage, then
@@ -108,7 +114,7 @@ if [[ "$first" != "$second" ]]; then
 fi
 
 if [[ "${CHECK_DEEP:-0}" == "1" ]]; then
-    echo "== deep tier: file-system crash sweep (torn tails, every-image re-crash) =="
+    echo "== deep tier: file-system crash sweeps (torn tails, every-image re-crash; PatchChain every-image) =="
     CCNVME_ENUM_DEEP=1 cargo test -q --release -p ccnvme-crashtest --test enumerate deep_
     echo "== deep tier: fabric TCP soak (real sockets, reconnect mid-commit) =="
     CCNVME_TCP_SOAK=1 cargo test -q --release -p ccnvme-fabric --test tcp

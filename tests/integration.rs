@@ -295,13 +295,14 @@ fn irq_coalescing_preserves_correctness_and_cuts_interrupts() {
     );
 }
 
-/// A steady-state 4 KB append + `fsync` puts four blocks on the wire —
-/// data, inode-table block, block bitmap, JD — and no mapping block:
-/// growing a file contiguously extends its last extent inside the inode.
-/// (With a pointer tree every append past the 12 direct blocks journaled
-/// a fifth block to record one pointer.)
+/// A steady-state 4 KB append + `fsync` puts two blocks on the wire —
+/// the data and the JD: the inode's 256-byte slot and the one bitmap
+/// byte ride inside the JD as patches, and growing a file contiguously
+/// extends its last extent inside the inode, so there is no mapping
+/// block either. (Whole-block journaling of the inode-table and bitmap
+/// blocks made it four; a pointer tree, before extents, five.)
 #[test]
-fn steady_state_append_fsync_is_four_block_ios() {
+fn steady_state_append_fsync_is_two_block_ios() {
     let cfg = StackConfig::new(FsVariant::Mqfs, SsdProfile::optane_905p(), 1);
     let mut sim = Sim::new(cfg.sim_cores());
     sim.spawn("main", 0, move || {
@@ -315,9 +316,9 @@ fn steady_state_append_fsync_is_four_block_ios() {
         let before = stack.controller().link().traffic.block_ios.get();
         (16..116).for_each(append);
         let ios = stack.controller().link().traffic.block_ios.get() - before;
-        // Four per commit, plus whatever checkpoint falls in the window.
+        // Two per commit, plus whatever checkpoint falls in the window.
         assert!(
-            (400..=405).contains(&ios),
+            (200..=205).contains(&ios),
             "100 appends cost {ios} block I/Os"
         );
     });
