@@ -28,16 +28,17 @@ use std::{
 };
 
 use ccnvme_block::{Bio, BioOp, BioStatus, BlockDevice};
-use ccnvme_obs::{EventKind, Histogram, Obs};
+use ccnvme_obs::{EventKind, Obs};
 use ccnvme_pcie::MmioRegion;
-use ccnvme_runtime::{mpsc_channel, Ns, RtCondvar, RtMutex, Sender};
+use ccnvme_runtime::{RtCondvar, RtMutex};
 use ccnvme_ssd::{
-    CompletionEntry, DoorbellLoc, HostMemory, NvmeCommand, NvmeController, Opcode, QueueParams,
-    SqBacking, Status, TxFlags,
+    CompletionEntry, DoorbellLoc, HostMemory, NvmeCommand, NvmeController, QueueParams, SqBacking,
+    Status,
 };
 
 use crate::{
-    errpolicy::{map_status, retry_daemon, watchdog_daemon, Age, ErrPolicy, HostErrStats},
+    errpolicy::{Age, ErrPolicy},
+    hostq::{spawn_daemons, watchdog_daemon, Attempt, ErrPath, QueueObs},
     layout::PmrLayout,
     recovery::{scan_pmr, RecoveryReport},
     DEFAULT_CAPACITY_BLOCKS, SUBMIT_CPU,
@@ -49,7 +50,8 @@ const DB_BASE: u64 = 0x1000;
 
 struct Slot {
     bio: Option<Bio>,
-    token: u64,
+    /// The slot's command and the state of its latest attempt.
+    attempt: Attempt,
     done: bool,
     status: BioStatus,
     /// Transaction boundary: a commit request or a non-transactional
@@ -58,17 +60,6 @@ struct Slot {
     /// Transaction membership, for transaction-atomic error handling.
     is_tx: bool,
     tx_id: u64,
-    /// The encoded command (for transparent resubmission). `None` for
-    /// retry-incarnation slots.
-    cmd: Option<NvmeCommand>,
-    /// When this slot's latest attempt became device-visible.
-    submitted_at: Ns,
-    /// Resubmissions performed so far.
-    attempts: u32,
-    /// When the watchdog last re-rang the doorbell for this attempt
-    /// (0 = never). Kicks repeat every `kick_after` until the timeout:
-    /// the kick MMIO is posted and may itself be lost.
-    last_kick: Ns,
     /// `Some(orig_ring_idx)`: this slot is a retry incarnation; its
     /// completion resolves the original slot at that ring index. A
     /// retried command cannot be re-fetched in place (the device's head
@@ -99,60 +90,167 @@ struct CcqSt {
 }
 
 struct CcQueue {
-    qid: u16,
-    depth: u32,
+    /// 0-based index into the PMR layout (`obs.qid` is this plus one).
+    idx: u16,
     ring_off: u64,
     db_off: u64,
     head_off: u64,
     cqdb_off: u64,
-    abort_cnt_off: u64,
-    abort_base_off: u64,
-    abort_cap: u32,
-    /// The stack's observability hub (shared with the link/controller);
-    /// lifecycle events record here.
-    obs: Arc<Obs>,
-    /// Submit-to-complete latency of this queue's bios
-    /// (`ccnvme.q{qid}.complete_ns`).
-    complete_hist: Arc<Histogram>,
+    /// Lifecycle events and `ccnvme.q{qid}.complete_ns`.
+    obs: QueueObs,
+    dev: Arc<CcDev>,
     st: RtMutex<CcqSt>,
     cv: RtCondvar,
 }
 
-/// A command scheduled for resubmission once its backoff elapses.
-struct CcRetryReq {
-    q: Arc<CcQueue>,
-    /// Ring index of the original (not the retry) slot.
-    cid: u16,
-    due: Ns,
-}
-
-/// Error-path state shared by completion callbacks and daemons.
-struct CcErrCtx {
-    policy: ErrPolicy,
-    stats: HostErrStats,
-    retry_tx: Sender<CcRetryReq>,
-}
-
-struct CcInner {
-    ctrl: NvmeController,
-    pmr: Arc<MmioRegion>,
-    hostmem: Arc<HostMemory>,
+/// The device as a queue sees it. The controller holds the completion
+/// callbacks, so they reach what the driver shares through their queue,
+/// never through the driver.
+struct CcDev {
     layout: PmrLayout,
-    queues: Vec<Arc<CcQueue>>,
-    capacity: u64,
-    volatile_cache: bool,
-    next_tx: AtomicU64,
+    pmr: Arc<MmioRegion>,
+    regs: Arc<MmioRegion>,
+    hostmem: Arc<HostMemory>,
     /// Recovery-generation counter: the ring epoch every SQE is sealed
     /// under. Bumped (in the PMR header) on each probe so slots from a
     /// previous life of the ring fail epoch validation during recovery.
     generation: AtomicU32,
-    errctx: Arc<CcErrCtx>,
+    err: ErrPath<CcQueue>,
+}
+
+impl CcQueue {
+    /// Position in `st.slots` of the slot at `ring_idx`, if it is still
+    /// outstanding.
+    fn pos_of(&self, st: &CcqSt, ring_idx: u16) -> Option<usize> {
+        let depth = self.dev.layout.depth;
+        let pos = ((ring_idx as u32 + depth - st.head_idx) % depth) as usize;
+        (pos < st.slots.len()).then_some(pos)
+    }
+
+    /// Position of the original slot the outcome of the slot at `pos`
+    /// belongs to: `pos` itself unless that is a retry incarnation,
+    /// whose original may be gone already (popped after an abort).
+    fn original_of(&self, st: &CcqSt, pos: usize) -> Option<usize> {
+        match st.slots[pos].retry_for {
+            None => Some(pos),
+            Some(orig) => self
+                .pos_of(st, orig)
+                .filter(|&o| st.slots[o].retry_for.is_none()),
+        }
+    }
+
+    /// Claims the next ring slot (the caller made sure there is room).
+    fn claim_slot(&self, st: &mut CcqSt) -> u16 {
+        let slot = st.tail;
+        st.tail = (st.tail + 1) % self.dev.layout.depth;
+        slot as u16
+    }
+
+    /// Whether the ring has no free slot (one stays empty so a full
+    /// ring never reads as an empty one).
+    fn is_full(&self, st: &CcqSt) -> bool {
+        st.slots.len() as u32 >= self.dev.layout.depth - 1
+    }
+}
+
+struct CcInner {
+    ctrl: NvmeController,
+    dev: Arc<CcDev>,
+    queues: Vec<Arc<CcQueue>>,
+    capacity: u64,
+    volatile_cache: bool,
+    next_tx: AtomicU64,
     obs: Arc<Obs>,
 }
 
 /// The ccNVMe host driver.
 pub struct CcNvmeDriver {
     inner: Arc<CcInner>,
+}
+
+/// Crash-safe, re-entrant (re-)format of the PMR for `layout` (DESIGN.md
+/// §11), carrying the discard set of `report` over in the abort logs.
+/// Returns the new ring generation and each queue's abort-log count.
+///
+/// Probe may itself be cut by a crash at any posted write; the ordering
+/// below keeps the discard set derivable at every cut:
+///
+///   1. append the window's tx IDs to the persistent abort logs (old
+///      entries stay byte-identical in place — a partial append can only
+///      lose *new* entries, and those are then still in the window of
+///      the still-current old header);
+///   2. publish the new counts (entries before counts: a crash between
+///      them leaves appended entries invisible, never garbage);
+///   3. on a same-geometry PMR, write the bumped-generation header
+///      *before* touching the windows: a cut while the heads/doorbells
+///      are being zeroed can resurrect a stale window ([0, old-db) once
+///      a head is zeroed but its doorbell is not), and only the
+///      already-durable new generation makes those slots fail epoch
+///      validation instead of being replayed — their IDs are safe in the
+///      abort logs by FIFO ordering;
+///   4. zero the heads and doorbells (emptying the windows);
+///   5. on a fresh or re-laid-out PMR the header instead goes LAST, so a
+///      cut mid-format reads as unformatted rather than as a formatted
+///      PMR over garbage structures;
+///   6. one flush for the whole sequence (the caller's, after it posted
+///      the flight-recorder header behind these writes).
+fn reformat(pmr: &MmioRegion, layout: PmrLayout, report: &RecoveryReport) -> (u32, Vec<u32>) {
+    let generation = report.generation.wrapping_add(1);
+    let cap = layout.abort_capacity();
+    let nq = layout.nqueues as usize;
+    let mut counts: Vec<u32> = vec![0; nq];
+    let mut present: HashSet<u64> = HashSet::new();
+    // Old per-queue log prefixes can only be preserved in place when
+    // the previous incarnation used the same geometry (it always does
+    // in practice; a geometry change rewrites the logs from the scanned
+    // report instead).
+    let same_geometry = PmrLayout::decode_header(&pmr.read(0, 64)) == Some(layout);
+    let mut additions: Vec<(u16, u64)> = Vec::new();
+    if same_geometry {
+        for q in 0..layout.nqueues {
+            let old = layout.read_abort_log(q, &|off, len| pmr.read(off, len));
+            counts[q as usize] = old.len() as u32;
+            present.extend(old);
+        }
+    } else {
+        let mut old: Vec<u64> = report.aborted.iter().copied().collect();
+        old.sort_unstable();
+        additions.extend(old.into_iter().map(|id| (0u16, id)));
+    }
+    additions.extend(report.unfinished.iter().map(|t| (t.queue, t.tx_id)));
+    for (tq, id) in additions {
+        if !present.insert(id) {
+            continue;
+        }
+        // Prefer the transaction's own queue; spill to the next one
+        // with space (a full log needs a pathological number of
+        // failures — the FS degrades read-only long before).
+        let start = tq as usize % nq;
+        if let Some(qi) = (0..nq)
+            .map(|k| (start + k) % nq)
+            .find(|&qi| counts[qi] < cap)
+        {
+            layout.write_abort_entry(pmr, qi as u16, counts[qi], id);
+            counts[qi] += 1;
+        }
+    }
+    for q in 0..layout.nqueues {
+        layout.publish_abort_count(pmr, q, counts[q as usize]);
+    }
+    if same_geometry {
+        pmr.write(0, &layout.encode_header_with_generation(generation));
+    }
+    for q in 0..layout.nqueues {
+        pmr.write(layout.head_off(q), &0u32.to_le_bytes());
+        // ccnvme-lint: allow(persist-order) — format path: zeroing a
+        // doorbell before the queue is live exposes nothing; the
+        // caller's flush makes the whole layout durable at once.
+        pmr.write(layout.db_off(q), &0u32.to_le_bytes());
+    }
+    if !same_geometry {
+        pmr.write(0, &layout.encode_header_with_generation(generation));
+    }
+    (generation, counts)
 }
 
 impl CcNvmeDriver {
@@ -181,8 +279,6 @@ impl CcNvmeDriver {
     ) -> (Self, RecoveryReport) {
         assert!(num_queues > 0 && depth > 1, "need queues with capacity");
         let pmr = ctrl.pmr();
-        let regs = ctrl.regs();
-        let hostmem = ctrl.hostmem();
         let volatile_cache = ctrl.profile().volatile_cache;
         let layout = PmrLayout::new(num_queues, depth);
         assert!(
@@ -193,93 +289,7 @@ impl CcNvmeDriver {
         );
         // Recovery scan happens before re-formatting.
         let report = scan_pmr(&pmr).unwrap_or_default();
-        // Crash-safe, re-entrant (re-)format (DESIGN.md §11). Probe may
-        // itself be cut by a crash at any posted write; the ordering
-        // below keeps the discard set derivable at every cut:
-        //
-        //   1. append the window's tx IDs to the persistent abort logs
-        //      (old entries stay byte-identical in place — a partial
-        //      append can only lose *new* entries, and those are then
-        //      still in the window of the still-current old header);
-        //   2. publish the new counts (entries before counts: a crash
-        //      between them leaves appended entries invisible, never
-        //      garbage);
-        //   3. on a same-geometry PMR, write the bumped-generation
-        //      header *before* touching the windows: a cut while the
-        //      heads/doorbells are being zeroed can resurrect a stale
-        //      window ([0, old-db) once a head is zeroed but its
-        //      doorbell is not), and only the already-durable new
-        //      generation makes those slots fail epoch validation
-        //      instead of being replayed — their IDs are safe in the
-        //      abort logs by FIFO ordering;
-        //   4. zero the heads and doorbells (emptying the windows);
-        //   5. on a fresh or re-laid-out PMR the header instead goes
-        //      LAST, so a cut mid-format reads as unformatted rather
-        //      than as a formatted PMR over garbage structures;
-        //   6. one flush for the whole sequence.
-        let generation = report.generation.wrapping_add(1);
-        let cap = layout.abort_capacity();
-        let nq = num_queues as usize;
-        let mut counts: Vec<u32> = vec![0; nq];
-        let mut present: HashSet<u64> = HashSet::new();
-        // Old per-queue log prefixes can only be preserved in place when
-        // the previous incarnation used the same geometry (it always
-        // does in practice; a geometry change rewrites the logs from the
-        // scanned report instead).
-        let same_geometry = PmrLayout::decode_header(&pmr.read(0, 64)) == Some(layout);
-        let mut additions: Vec<(u16, u64)> = Vec::new();
-        if same_geometry {
-            for q in 0..num_queues {
-                let cnt_bytes = pmr.read(layout.abort_count_off(q), 4);
-                let cnt = u32::from_le_bytes(cnt_bytes.try_into().expect("4 bytes")).min(cap);
-                counts[q as usize] = cnt;
-                for i in 0..cnt {
-                    let id_bytes = pmr.read(layout.abort_entry_off(q, i), 8);
-                    present.insert(u64::from_le_bytes(id_bytes.try_into().expect("8 bytes")));
-                }
-            }
-        } else {
-            let mut old: Vec<u64> = report.aborted.iter().copied().collect();
-            old.sort_unstable();
-            additions.extend(old.into_iter().map(|id| (0u16, id)));
-        }
-        additions.extend(report.unfinished.iter().map(|t| (t.queue, t.tx_id)));
-        for (tq, id) in additions {
-            if !present.insert(id) {
-                continue;
-            }
-            // Prefer the transaction's own queue; spill to the next one
-            // with space (a full log needs a pathological number of
-            // failures — the FS degrades read-only long before).
-            let start = tq as usize % nq;
-            for k in 0..nq {
-                let qi = (start + k) % nq;
-                if counts[qi] < cap {
-                    pmr.write(
-                        layout.abort_entry_off(qi as u16, counts[qi]),
-                        &id.to_le_bytes(),
-                    );
-                    counts[qi] += 1;
-                    break;
-                }
-            }
-        }
-        for q in 0..num_queues {
-            pmr.write(layout.abort_count_off(q), &counts[q as usize].to_le_bytes());
-        }
-        if same_geometry {
-            pmr.write(0, &layout.encode_header_with_generation(generation));
-        }
-        for q in 0..num_queues {
-            pmr.write(layout.head_off(q), &0u32.to_le_bytes());
-            // ccnvme-lint: allow(persist-order) — format path: zeroing a
-            // doorbell before the queue is live exposes nothing; the
-            // flush below makes the whole layout durable at once.
-            pmr.write(layout.db_off(q), &0u32.to_le_bytes());
-        }
-        if !same_geometry {
-            pmr.write(0, &layout.encode_header_with_generation(generation));
-        }
+        let (generation, abort_counts) = reformat(&pmr, layout, &report);
         // Format the flight-recorder region under the new generation.
         // The sealed blackbox header is one more posted write riding the
         // format's single flush below — the recorder itself never
@@ -300,27 +310,26 @@ impl CcNvmeDriver {
         if let Some(bb) = blackbox {
             obs.trace.attach_blackbox(bb);
         }
-        let (retry_tx, retry_rx) = mpsc_channel(None);
-        let errctx = Arc::new(CcErrCtx {
-            policy,
-            stats: HostErrStats::registered(&obs.metrics),
-            retry_tx,
+        let (err, retry_rx) = ErrPath::new(policy, &obs);
+        let dev = Arc::new(CcDev {
+            layout,
+            pmr,
+            regs: ctrl.regs(),
+            hostmem: ctrl.hostmem(),
+            generation: AtomicU32::new(generation),
+            err,
         });
         let mut queues = Vec::with_capacity(num_queues as usize);
         for i in 0..num_queues {
             let qid = i + 1;
             let q = Arc::new(CcQueue {
-                qid,
-                depth,
+                idx: i,
                 ring_off: layout.ring_off(i),
                 db_off: layout.db_off(i),
                 head_off: layout.head_off(i),
                 cqdb_off: DB_BASE + qid as u64 * 8 + 4,
-                abort_cnt_off: layout.abort_count_off(i),
-                abort_base_off: layout.abort_entry_off(i, 0),
-                abort_cap: layout.abort_capacity(),
-                obs: Arc::clone(&obs),
-                complete_hist: obs.metrics.histogram(&format!("ccnvme.q{qid}.complete_ns")),
+                obs: QueueObs::new(&obs, qid, &format!("ccnvme.q{qid}.complete_ns")),
+                dev: Arc::clone(&dev),
                 st: RtMutex::new(CcqSt {
                     tail: 0,
                     head_idx: 0,
@@ -329,55 +338,43 @@ impl CcNvmeDriver {
                     failed_txs: HashMap::new(),
                     // The merged log survives the probe; appends must
                     // land after the preserved prefix.
-                    abort_logged: counts[i as usize],
+                    abort_logged: abort_counts[i as usize],
                 }),
                 cv: RtCondvar::new(),
             });
             let cb_q = Arc::clone(&q);
-            let cb_pmr = Arc::clone(&pmr);
-            let cb_regs = Arc::clone(&regs);
-            let cb_hostmem = Arc::clone(&hostmem);
-            let cb_err = Arc::clone(&errctx);
             ctrl.create_io_queue(QueueParams {
                 qid,
                 depth,
                 sq: SqBacking::Pmr { offset: q.ring_off },
                 sqdb: DoorbellLoc::Pmr { offset: q.db_off },
-                on_complete: Arc::new(move |entry: CompletionEntry| {
-                    complete_in_order(&cb_q, &cb_pmr, &cb_regs, &cb_hostmem, &cb_err, entry);
-                }),
+                on_complete: Arc::new(move |entry| complete_in_order(&cb_q, entry)),
             });
             queues.push(q);
         }
-        let _ = regs;
-        let driver = CcNvmeDriver {
-            inner: Arc::new(CcInner {
-                ctrl,
-                pmr,
-                hostmem,
-                layout,
-                queues,
-                capacity: DEFAULT_CAPACITY_BLOCKS,
-                volatile_cache,
-                next_tx: AtomicU64::new(1),
-                generation: AtomicU32::new(generation),
-                errctx,
-                obs,
-            }),
-        };
-        let wd = Arc::clone(&driver.inner);
-        ccnvme_runtime::spawn_daemon("ccnvme-wdog", 0, move || cc_watchdog_loop(wd));
-        let rt = Arc::clone(&driver.inner);
-        ccnvme_runtime::spawn_daemon("ccnvme-errd", 0, move || {
-            retry_daemon(retry_rx, |r| r.due, |r| cc_resubmit(&rt, &r.q, r.cid))
+        let inner = Arc::new(CcInner {
+            ctrl,
+            dev,
+            queues,
+            capacity: DEFAULT_CAPACITY_BLOCKS,
+            volatile_cache,
+            next_tx: AtomicU64::new(1),
+            obs,
         });
-        (driver, report)
+        let wd = Arc::clone(&inner);
+        spawn_daemons(
+            "ccnvme",
+            retry_rx,
+            move || cc_watchdog_loop(wd),
+            cc_resubmit,
+        );
+        (CcNvmeDriver { inner }, report)
     }
 
     /// Host error-path counters (retries, kicks, timeouts, whole-tx
     /// failures).
     pub fn err_stats(&self) -> crate::HostErrSnapshot {
-        self.inner.errctx.stats.snapshot()
+        self.inner.dev.err.stats.snapshot()
     }
 
     /// The underlying controller (power-fail injection, traffic).
@@ -387,7 +384,7 @@ impl CcNvmeDriver {
 
     /// The PMR layout in use.
     pub fn layout(&self) -> PmrLayout {
-        self.inner.layout
+        self.inner.dev.layout
     }
 
     /// Allocates a fresh, globally ordered transaction ID (the
@@ -418,9 +415,9 @@ impl CcNvmeDriver {
         for q in &inner.queues {
             let mut st = q.st.lock();
             st.abort_logged = 0;
-            inner.pmr.write(q.abort_cnt_off, &0u32.to_le_bytes());
+            q.dev.layout.publish_abort_count(&q.dev.pmr, q.idx, 0);
         }
-        inner.pmr.flush();
+        inner.dev.pmr.flush();
     }
 
     /// Waits until every outstanding request on every queue completed
@@ -439,136 +436,87 @@ impl CcNvmeDriver {
         let core = ccnvme_runtime::current_core();
         &self.inner.queues[core % self.inner.queues.len()]
     }
+}
 
-    // ccnvme-lint: commit_path
-    fn enqueue(&self, q: &Arc<CcQueue>, opcode: Opcode, bio: Bio, ring: bool, flush_first: bool) {
-        let lba = bio.lba;
-        let nblocks = bio.nblocks;
-        let fua = bio.flags.fua;
-        let tx_flags = TxFlags {
-            tx: bio.flags.tx,
-            tx_commit: bio.flags.tx_commit,
-        };
-        let tx_id = bio.tx_id;
-        let trace = bio.ctx;
-        let boundary = bio.flags.tx_commit || !bio.flags.tx;
-        let token = match &bio.data {
-            Some(buf) => self.inner.hostmem.register(Arc::clone(buf)),
-            None => 0,
-        };
-        // Persist the begin witness only for the transaction's commit
-        // boundary: one record per tx in the flight recorder instead of
-        // one per bio keeps the recorder's posted-write tax off the
-        // per-bio hot path. The volatile ring still sees every bio.
-        q.obs.trace.event_ctx_persist(
-            ccnvme_runtime::now(),
-            EventKind::TxBegin,
-            q.qid,
-            tx_id,
-            0,
-            trace,
-            bio.flags.tx_commit,
-        );
-        // Reserve the next ring slot (block while the ring is full). The
-        // slot index doubles as the command id; it stays unique because a
-        // slot is only reused after its in-order completion.
-        let cmd = {
-            let mut st = q.st.lock();
-            while st.slots.len() as u32 >= q.depth - 1 {
-                st = q.cv.wait(st);
-            }
-            let slot = st.tail;
-            st.tail = (st.tail + 1) % q.depth;
-            let cmd = NvmeCommand {
-                opcode,
-                cid: slot as u16,
-                nsid: 1,
-                lba,
-                nblocks: if opcode == Opcode::Flush { 0 } else { nblocks },
-                fua,
-                tx_id,
-                tx_flags,
-                data_token: token,
-                ctx: trace,
-            };
-            st.slots.push_back(Slot {
-                bio: Some(bio),
-                token,
-                done: false,
-                status: BioStatus::Ok,
-                boundary,
-                is_tx: tx_flags.tx || tx_flags.tx_commit,
-                tx_id,
-                cmd: Some(cmd.clone()),
-                submitted_at: ccnvme_runtime::now(),
-                attempts: 0,
-                last_kick: 0,
-                retry_for: None,
-            });
-            cmd
-        };
-        // Insert the entry into the P-SQ with posted write-combining
-        // stores (step 1 of Figure 3), sealed with the ring epoch and a
-        // slot checksum so recovery discards torn or stale slots.
-        let mut raw = cmd.encode();
-        // ord: SeqCst — the ring epoch is written once at probe; a
-        // stale read here would seal slots recovery then rejects.
-        crate::layout::seal_sqe(&mut raw, self.inner.generation.load(Ordering::SeqCst));
-        self.inner.pmr.write(q.ring_off + cmd.cid as u64 * 64, &raw);
-        q.obs.trace.event_ctx(
-            ccnvme_runtime::now(),
-            EventKind::SqeStore,
-            q.qid,
-            tx_id,
-            cmd.cid as u64,
-            trace,
-        );
-        if ring {
-            if flush_first {
-                // Persistent-MMIO flush: clflush + mfence + zero-byte
-                // read. After this, every entry of the transaction is in
-                // the PMR (step 2a).
-                self.inner.pmr.flush();
-                q.obs.trace.event_ctx(
-                    ccnvme_runtime::now(),
-                    EventKind::MmioFlush,
-                    q.qid,
-                    tx_id,
-                    0,
-                    trace,
-                );
-                self.ring_doorbell(q, tx_id, trace);
-            } else {
-                // ccnvme-lint: allow(persist-order) — non-boundary ring:
-                // the SQE is sealed with the ring epoch and an FNV slot
-                // checksum, so recovery discards a torn or stale slot;
-                // durability is only promised at the commit boundary,
-                // whose ring takes the flush_first arm above.
-                self.ring_doorbell(q, tx_id, trace);
-            }
+// ccnvme-lint: commit_path
+fn enqueue(q: &Arc<CcQueue>, bio: Bio, ring: bool, flush_first: bool) {
+    let tx_id = bio.tx_id;
+    let trace = bio.ctx;
+    let flags = bio.flags;
+    let mut attempt = Attempt::from_bio(&q.dev.hostmem, &bio);
+    // Persist the begin witness only for the transaction's commit
+    // boundary: one record per tx in the flight recorder instead of one
+    // per bio keeps the recorder's posted-write tax off the per-bio hot
+    // path. The volatile ring still sees every bio.
+    q.obs
+        .event_persist(EventKind::TxBegin, tx_id, 0, trace, flags.tx_commit);
+    // Reserve the next ring slot (block while the ring is full). The
+    // slot index doubles as the command id; it stays unique because a
+    // slot is only reused after its in-order completion.
+    let cmd = {
+        let mut st = q.st.lock();
+        while q.is_full(&st) {
+            st = q.cv.wait(st);
         }
-    }
-
-    /// Rings the persistent doorbell (step 2b of Figure 3). Ringing
-    /// with the current tail also exposes any entries queued after ours
-    /// by sibling threads on this core, which is safe: the doorbell
-    /// value is a queue position, not a transaction boundary.
-    fn ring_doorbell(&self, q: &Arc<CcQueue>, tx_id: u64, trace: ccnvme_obs::TraceCtx) {
-        let tail_now = {
-            let mut st = q.st.lock();
-            st.last_rung = st.tail;
-            st.tail
-        };
-        self.inner.pmr.write(q.db_off, &tail_now.to_le_bytes());
-        q.obs.trace.event_ctx(
-            ccnvme_runtime::now(),
-            EventKind::Doorbell,
-            q.qid,
+        let cmd = attempt.start(q.claim_slot(&mut st));
+        st.slots.push_back(Slot {
+            bio: Some(bio),
+            attempt,
+            done: false,
+            status: BioStatus::Ok,
+            boundary: flags.tx_commit || !flags.tx,
+            is_tx: flags.tx || flags.tx_commit,
             tx_id,
-            tail_now as u64,
-            trace,
-        );
+            retry_for: None,
+        });
+        cmd
+    };
+    store_sqe(q, &cmd);
+    q.obs
+        .event(EventKind::SqeStore, tx_id, cmd.cid as u64, trace);
+    if ring {
+        let tail = if flush_first {
+            // Persistent-MMIO flush: clflush + mfence + zero-byte read.
+            // After this, every entry of the transaction is in the PMR
+            // (step 2a).
+            q.dev.pmr.flush();
+            q.obs.event(EventKind::MmioFlush, tx_id, 0, trace);
+            ring_doorbell(q)
+        } else {
+            // ccnvme-lint: allow(persist-order) — non-boundary ring:
+            // the SQE is sealed with the ring epoch and an FNV slot
+            // checksum, so recovery discards a torn or stale slot;
+            // durability is only promised at the commit boundary,
+            // whose ring takes the flush_first arm above.
+            ring_doorbell(q)
+        };
+        q.obs.event(EventKind::Doorbell, tx_id, tail as u64, trace);
     }
+}
+
+/// Inserts `cmd` into its P-SQ slot with posted write-combining stores
+/// (step 1 of Figure 3), sealed with the ring epoch and a slot checksum
+/// so recovery discards torn or stale slots.
+fn store_sqe(q: &CcQueue, cmd: &NvmeCommand) {
+    let mut raw = cmd.encode();
+    // ord: SeqCst — the ring epoch is written once at probe; a stale
+    // read here would seal slots recovery then rejects.
+    crate::layout::seal_sqe(&mut raw, q.dev.generation.load(Ordering::SeqCst));
+    q.dev.pmr.write(q.ring_off + cmd.cid as u64 * 64, &raw);
+}
+
+/// Rings the persistent doorbell (step 2b of Figure 3) and returns the
+/// tail it rang. Ringing with the current tail also exposes any entries
+/// queued after ours by sibling threads on this core, which is safe: the
+/// doorbell value is a queue position, not a transaction boundary.
+fn ring_doorbell(q: &CcQueue) -> u32 {
+    let tail_now = {
+        let mut st = q.st.lock();
+        st.last_rung = st.tail;
+        st.tail
+    };
+    q.dev.pmr.write(q.db_off, &tail_now.to_le_bytes());
+    tail_now
 }
 
 /// Completion-side logic: first-come-first-complete per queue, in
@@ -576,144 +524,90 @@ impl CcNvmeDriver {
 /// host error ladder first: transient busy schedules a transparent
 /// retry, retry incarnations forward their result to the original slot,
 /// and everything else records a typed status for the in-order pop.
-fn complete_in_order(
-    q: &Arc<CcQueue>,
-    pmr: &Arc<MmioRegion>,
-    regs: &Arc<MmioRegion>,
-    hostmem: &Arc<HostMemory>,
-    errctx: &Arc<CcErrCtx>,
-    entry: CompletionEntry,
-) {
+fn complete_in_order(q: &Arc<CcQueue>, entry: CompletionEntry) {
     {
         let mut st = q.st.lock();
-        let pos = (entry.cid as u32 + q.depth - st.head_idx) % q.depth;
-        if (pos as usize) < st.slots.len() {
-            match st.slots[pos as usize].retry_for {
-                None => apply_result(&mut st, q, pmr, errctx, pos as usize, entry.status),
-                Some(orig) => {
-                    // Retry incarnation: it is done either way; its
-                    // result resolves the original slot (which may
-                    // schedule yet another retry).
-                    st.slots[pos as usize].done = true;
-                    let opos = ((orig as u32 + q.depth - st.head_idx) % q.depth) as usize;
-                    if opos < st.slots.len() && st.slots[opos].retry_for.is_none() {
-                        apply_result(&mut st, q, pmr, errctx, opos, entry.status);
-                    }
-                }
+        if let Some(pos) = q.pos_of(&st, entry.cid) {
+            // A retry incarnation is done either way; its result
+            // resolves the original slot (which may schedule yet
+            // another retry).
+            if st.slots[pos].retry_for.is_some() {
+                st.slots[pos].done = true;
+            }
+            if let Some(orig) = q.original_of(&st, pos) {
+                apply_result(&mut st, q, orig, entry.status);
             }
         }
     }
-    advance_queue(q, pmr, regs, hostmem);
-}
-
-/// Persists `tx_id` into the queue's abort log in the PMR. Posted MMIO
-/// writes stay ordered, and the log entry is written before the
-/// in-order pop advances the P-SQ-head — so after any crash a failed
-/// transaction is visible either inside the unfinished window or in the
-/// abort log, and recovery discards it. Without this, a transaction
-/// whose only failed member was an ordered-data write would leave
-/// intact, checksummed journal content that recovery would replay.
-/// Caller holds the queue lock.
-fn log_aborted_tx(
-    st: &mut CcqSt,
-    q: &CcQueue,
-    pmr: &MmioRegion,
-    tx_id: u64,
-    trace: ccnvme_obs::TraceCtx,
-) {
-    if st.abort_logged >= q.abort_cap {
-        // Cannot happen in practice: the file system degrades to
-        // read-only at the first unrecoverable failure, bounding failed
-        // transactions by the in-flight count (< one ring of slots).
-        return;
-    }
-    pmr.write(
-        q.abort_base_off + st.abort_logged as u64 * 8,
-        &tx_id.to_le_bytes(),
-    );
-    st.abort_logged += 1;
-    pmr.write(q.abort_cnt_off, &st.abort_logged.to_le_bytes());
-    // Posted after the log entry + count: a durable tx_abort record is
-    // proof the abort-log append itself is durable.
-    q.obs.trace.event_ctx(
-        ccnvme_runtime::now(),
-        EventKind::TxAbort,
-        q.qid,
-        tx_id,
-        st.abort_logged as u64,
-        trace,
-    );
+    advance_queue(q);
 }
 
 /// Records the outcome of one command attempt on its (original) slot:
 /// transparent retry for transient busy, typed terminal status
 /// otherwise. Caller holds the queue lock.
-fn apply_result(
-    st: &mut CcqSt,
-    q: &Arc<CcQueue>,
-    pmr: &MmioRegion,
-    errctx: &Arc<CcErrCtx>,
-    pos: usize,
-    status: Status,
-) {
-    let ring_idx = (st.head_idx + pos as u32) % q.depth;
-    {
-        let s = &mut st.slots[pos];
-        if s.done {
-            return;
-        }
-        if status == Status::Busy && s.attempts < errctx.policy.max_retries {
-            s.attempts += 1;
-            s.last_kick = 0;
-            s.submitted_at = ccnvme_runtime::now();
-            errctx.stats.busy_completions.inc();
-            let due = ccnvme_runtime::now() + errctx.policy.backoff(s.attempts);
-            let _ = errctx.retry_tx.send(CcRetryReq {
-                q: Arc::clone(q),
-                cid: ring_idx as u16,
-                due,
-            });
-            return;
-        }
-        s.done = true;
-        let mapped = map_status(status);
-        if mapped == BioStatus::Busy {
-            errctx.stats.busy_completions.inc();
-            errctx.stats.retries_exhausted.inc();
-        }
-        if mapped == BioStatus::Media {
-            errctx.stats.media_errors.inc();
-        }
-        if mapped.is_ok() {
-            return;
-        }
-        s.status = mapped;
+fn apply_result(st: &mut CcqSt, q: &Arc<CcQueue>, pos: usize, status: Status) {
+    let ring_idx = (st.head_idx + pos as u32) % q.dev.layout.depth;
+    let s = &mut st.slots[pos];
+    if s.done {
+        return;
     }
-    let (is_tx, tx_id, failed, trace) = {
-        let s = &st.slots[pos];
-        let trace = s
-            .cmd
-            .as_ref()
-            .map(|c| c.ctx)
-            .unwrap_or(ccnvme_obs::TraceCtx::ZERO);
-        (s.is_tx, s.tx_id, s.status, trace)
-    };
-    if is_tx && !st.failed_txs.contains_key(&tx_id) {
-        st.failed_txs.insert(tx_id, failed);
-        errctx.stats.tx_failures.inc();
-        log_aborted_tx(st, q, pmr, tx_id, trace);
+    if let Some(backoff) = s.attempt.on_busy(status) {
+        // The backoff is not device time: age the slot from here.
+        s.attempt.submitted_at = ccnvme_runtime::now();
+        q.dev.err.retry_after(q, ring_idx as u16, backoff);
+        return;
     }
+    match q.dev.err.terminal(status) {
+        BioStatus::Ok => s.done = true,
+        failed => {
+            fail_slot(st, q, pos, failed);
+        }
+    }
+}
+
+/// The one way a slot ends unsuccessfully — error completion and
+/// watchdog timeout alike: marks the slot at `pos` done with `status`
+/// and, the first time a member of its transaction fails, dooms the
+/// whole transaction. Returns `false`, changing nothing, when the slot
+/// had already ended. Caller holds the queue lock.
+///
+/// Dooming persists the transaction ID into the queue's abort log in the
+/// PMR. Posted MMIO writes stay ordered, and the log entry is written
+/// before the in-order pop advances the P-SQ-head — so after any crash a
+/// failed transaction is visible either inside the unfinished window or
+/// in the abort log, and recovery discards it. Without this, a
+/// transaction whose only failed member was an ordered-data write would
+/// leave intact, checksummed journal content that recovery would replay.
+fn fail_slot(st: &mut CcqSt, q: &CcQueue, pos: usize, status: BioStatus) -> bool {
+    let s = &mut st.slots[pos];
+    if s.done {
+        return false;
+    }
+    s.done = true;
+    s.status = status;
+    let (tx_id, trace) = (s.tx_id, s.attempt.cmd.ctx);
+    if s.is_tx && !st.failed_txs.contains_key(&tx_id) {
+        st.failed_txs.insert(tx_id, status);
+        q.dev.err.stats.tx_failures.inc();
+        let dev = &q.dev;
+        if dev
+            .layout
+            .append_abort_entry(&dev.pmr, q.idx, st.abort_logged, tx_id)
+        {
+            st.abort_logged += 1;
+            // Posted after the log entry + count: a durable tx_abort
+            // record is proof the abort-log append itself is durable.
+            q.obs
+                .event(EventKind::TxAbort, tx_id, st.abort_logged as u64, trace);
+        }
+    }
+    true
 }
 
 /// Pops the longest done-prefix that ends at a transaction boundary,
 /// persists the new P-SQ-head and rings the CQ doorbell, completing the
 /// popped bios (a failed transaction fails every one of its bios).
-fn advance_queue(
-    q: &Arc<CcQueue>,
-    pmr: &Arc<MmioRegion>,
-    regs: &Arc<MmioRegion>,
-    hostmem: &Arc<HostMemory>,
-) {
+fn advance_queue(q: &CcQueue) {
     let mut finished: Vec<(Bio, BioStatus)> = Vec::new();
     let mut tokens: Vec<u64> = Vec::new();
     let new_head = {
@@ -746,9 +640,9 @@ fn advance_queue(
         } else {
             for _ in 0..boundary_len {
                 let mut s = st.slots.pop_front().expect("prefix length checked");
-                st.head_idx = (st.head_idx + 1) % q.depth;
-                if s.token != 0 {
-                    tokens.push(s.token);
+                st.head_idx = (st.head_idx + 1) % q.dev.layout.depth;
+                if s.attempt.token != 0 {
+                    tokens.push(s.attempt.token);
                 }
                 // Transaction-atomic error handling: one failed member
                 // fails the whole transaction.
@@ -761,8 +655,7 @@ fn advance_queue(
                     st.failed_txs.remove(&s.tx_id);
                 }
                 if let Some(bio) = s.bio.take() {
-                    q.complete_hist
-                        .record(ccnvme_runtime::now().saturating_sub(s.submitted_at));
+                    q.obs.completed(s.attempt.submitted_at);
                     finished.push((bio, status));
                 }
             }
@@ -771,7 +664,7 @@ fn advance_queue(
     };
     let Some(new_head) = new_head else { return };
     for token in tokens {
-        hostmem.unregister(token);
+        q.dev.hostmem.unregister(token);
     }
     // Chained completion doorbell (§4.4): persist the new P-SQ-head
     // (posted MMIO into the PMR — a lost update only widens the recovery
@@ -779,17 +672,14 @@ fn advance_queue(
     // per request: two of Table 1's four MMIOs. The head also advances
     // past failed or aborted transactions — they were completed to the
     // upper layer as failures, so recovery must never replay them.
-    pmr.write(q.head_off, &new_head.to_le_bytes());
-    regs.write(q.cqdb_off, &new_head.to_le_bytes());
-    let done_at = ccnvme_runtime::now();
+    q.dev.pmr.write(q.head_off, &new_head.to_le_bytes());
+    q.dev.regs.write(q.cqdb_off, &new_head.to_le_bytes());
     for (mut bio, status) in finished {
         // Same thinning as TxBegin: the commit bio's completion is the
         // one durable witness per transaction (it rides right after the
         // head-advance write above, which it proves).
-        q.obs.trace.event_ctx_persist(
-            done_at,
+        q.obs.event_persist(
             EventKind::Completion,
-            q.qid,
             bio.tx_id,
             0,
             bio.ctx,
@@ -805,48 +695,8 @@ fn advance_queue(
     // woke, the burst's MMIO cost and link time overlap the caller's
     // next operation instead of extending this one (and the next
     // commit's flush no longer finds it in flight).
-    if let Some(bb) = q.obs.trace.blackbox() {
+    if let Some(bb) = q.obs.hub.trace.blackbox() {
         bb.publish();
-    }
-}
-
-/// Marks a silent slot as timed out. A timed-out retry incarnation
-/// forwards the abort to its original; a timed-out transaction member
-/// dooms its whole transaction. Caller holds the queue lock.
-fn abort_slot(st: &mut CcqSt, q: &CcQueue, pmr: &MmioRegion, errctx: &Arc<CcErrCtx>, pos: usize) {
-    let target = match st.slots[pos].retry_for {
-        None => pos,
-        Some(orig) => {
-            st.slots[pos].done = true;
-            let opos = ((orig as u32 + q.depth - st.head_idx) % q.depth) as usize;
-            if opos >= st.slots.len() || st.slots[opos].retry_for.is_some() {
-                return;
-            }
-            opos
-        }
-    };
-    {
-        let s = &mut st.slots[target];
-        if s.done {
-            return;
-        }
-        s.done = true;
-        s.status = BioStatus::Timeout;
-    }
-    errctx.stats.timeouts.inc();
-    let (is_tx, tx_id, trace) = {
-        let s = &st.slots[target];
-        let trace = s
-            .cmd
-            .as_ref()
-            .map(|c| c.ctx)
-            .unwrap_or(ccnvme_obs::TraceCtx::ZERO);
-        (s.is_tx, s.tx_id, trace)
-    };
-    if is_tx && !st.failed_txs.contains_key(&tx_id) {
-        st.failed_txs.insert(tx_id, BioStatus::Timeout);
-        errctx.stats.tx_failures.inc();
-        log_aborted_tx(st, q, pmr, tx_id, trace);
     }
 }
 
@@ -857,26 +707,34 @@ fn abort_slot(st: &mut CcqSt, q: &CcQueue, pmr: &MmioRegion, errctx: &Arc<CcErrC
 /// replay an aborted transaction anyway).
 fn cc_watchdog_loop(inner: Arc<CcInner>) {
     watchdog_daemon(
-        inner.errctx.policy,
-        &inner.errctx.stats,
+        &inner.dev.err,
         &inner.queues,
         |q, age| {
             let aborted = {
                 let mut st = q.st.lock();
                 let mut to_abort: Vec<usize> = Vec::new();
                 for (i, s) in st.slots.iter_mut().enumerate() {
-                    if !s.done && age(s.submitted_at, &mut s.last_kick) == Age::Expired {
+                    if !s.done && age(&mut s.attempt) == Age::Expired {
                         to_abort.push(i);
                     }
                 }
                 for &i in &to_abort {
-                    abort_slot(&mut st, q, &inner.pmr, &inner.errctx, i);
+                    // A timed-out retry incarnation forwards the abort
+                    // to its original; a timed-out transaction member
+                    // dooms its whole transaction.
+                    if st.slots[i].retry_for.is_some() {
+                        st.slots[i].done = true;
+                    }
+                    if let Some(orig) = q.original_of(&st, i) {
+                        if fail_slot(&mut st, q, orig, BioStatus::Timeout) {
+                            q.dev.err.stats.timeouts.inc();
+                        }
+                    }
                 }
                 !to_abort.is_empty()
             };
             if aborted {
-                let regs = inner.ctrl.regs();
-                advance_queue(q, &inner.pmr, &regs, &inner.hostmem);
+                advance_queue(q);
             }
             aborted
         },
@@ -887,7 +745,7 @@ fn cc_watchdog_loop(inner: Arc<CcInner>) {
             // ccnvme-lint: allow(persist-order) — re-ring of
             // `last_rung`, a tail whose entries were flushed before
             // the original ring; no new SQE bytes are exposed.
-            inner.pmr.write(q.db_off, &tail.to_le_bytes());
+            q.dev.pmr.write(q.db_off, &tail.to_le_bytes());
         },
     )
 }
@@ -896,66 +754,44 @@ fn cc_watchdog_loop(inner: Arc<CcInner>) {
 /// P-SQ entry (the device's fetch head is already past the original
 /// slot, so in-place resubmission is impossible).
 // ccnvme-lint: commit_path
-fn cc_resubmit(inner: &Arc<CcInner>, q: &Arc<CcQueue>, orig_cid: u16) {
-    let (slot, cmd) = {
+fn cc_resubmit(q: &Arc<CcQueue>, orig_cid: u16) {
+    let cmd = {
         let mut st = q.st.lock();
-        loop {
-            let opos = ((orig_cid as u32 + q.depth - st.head_idx) % q.depth) as usize;
-            if opos >= st.slots.len() {
+        let opos = loop {
+            let Some(opos) = q.pos_of(&st, orig_cid) else {
                 return; // popped (e.g. aborted by the watchdog) meanwhile
+            };
+            if st.slots[opos].done || st.slots[opos].retry_for.is_some() {
+                return;
             }
-            {
-                let o = &st.slots[opos];
-                if o.done || o.retry_for.is_some() {
-                    return;
-                }
-            }
-            if (st.slots.len() as u32) < q.depth - 1 {
-                let slot = st.tail;
-                st.tail = (st.tail + 1) % q.depth;
-                let (mut cmd, tx_id) = {
-                    let o = &mut st.slots[opos];
-                    o.submitted_at = ccnvme_runtime::now();
-                    o.last_kick = 0;
-                    (
-                        o.cmd.clone().expect("original slots carry their command"),
-                        o.tx_id,
-                    )
-                };
-                cmd.cid = slot as u16;
-                st.slots.push_back(Slot {
-                    bio: None,
-                    token: 0,
-                    done: false,
-                    status: BioStatus::Ok,
-                    boundary: true,
-                    is_tx: false,
-                    tx_id,
-                    cmd: None,
-                    submitted_at: ccnvme_runtime::now(),
-                    attempts: 0,
-                    last_kick: 0,
-                    retry_for: Some(orig_cid),
-                });
-                break (slot, cmd);
+            if !q.is_full(&st) {
+                break opos;
             }
             st = q.cv.wait(st);
-        }
+        };
+        let slot = q.claim_slot(&mut st);
+        let orig = &mut st.slots[opos];
+        orig.attempt.restart();
+        let retry = Slot {
+            bio: None,
+            attempt: Attempt::retry_of(&orig.attempt, slot),
+            done: false,
+            status: BioStatus::Ok,
+            boundary: true,
+            is_tx: false,
+            tx_id: orig.tx_id,
+            retry_for: Some(orig_cid),
+        };
+        let cmd = retry.attempt.cmd.clone();
+        st.slots.push_back(retry);
+        cmd
     };
     // The retry entry must be durable before the doorbell exposes it —
     // same discipline as a commit.
-    let mut raw = cmd.encode();
-    // ord: SeqCst — seal under the current ring epoch (see enqueue).
-    crate::layout::seal_sqe(&mut raw, inner.generation.load(Ordering::SeqCst));
-    inner.pmr.write(q.ring_off + slot as u64 * 64, &raw);
-    inner.pmr.flush();
-    inner.errctx.stats.retries.inc();
-    let tail_now = {
-        let mut st = q.st.lock();
-        st.last_rung = st.tail;
-        st.tail
-    };
-    inner.pmr.write(q.db_off, &tail_now.to_le_bytes());
+    store_sqe(q, &cmd);
+    q.dev.pmr.flush();
+    q.dev.err.stats.retries.inc();
+    ring_doorbell(q);
 }
 
 impl BlockDevice for CcNvmeDriver {
@@ -963,22 +799,15 @@ impl BlockDevice for CcNvmeDriver {
         ccnvme_runtime::cpu(SUBMIT_CPU);
         let q = Arc::clone(self.queue_for_current_core());
         match bio.op {
-            BioOp::Flush => {
-                if !self.inner.volatile_cache {
-                    bio.complete(BioStatus::Ok);
-                    return;
-                }
-                self.enqueue(&q, Opcode::Flush, bio, true, false);
-            }
+            BioOp::Flush if !self.inner.volatile_cache => bio.complete(BioStatus::Ok),
             BioOp::Write => {
-                let commit = bio.flags.tx_commit;
-                let is_tx = bio.flags.tx;
                 // Transaction-aware MMIO and doorbell: members are only
                 // stored; the commit flushes once and rings once.
-                let ring = commit || !is_tx;
-                self.enqueue(&q, Opcode::Write, bio, ring, commit);
+                let commit = bio.flags.tx_commit;
+                let ring = commit || !bio.flags.tx;
+                enqueue(&q, bio, ring, commit);
             }
-            BioOp::Read => self.enqueue(&q, Opcode::Read, bio, true, false),
+            BioOp::Flush | BioOp::Read => enqueue(&q, bio, true, false),
         }
     }
 
@@ -1380,6 +1209,41 @@ mod tests {
                 assert!(report.aborted.contains(&tx), "abort log persisted");
                 assert!(report.unfinished_tx_ids().contains(&tx));
                 assert!(!report.unfinished_tx_ids().contains(&ok_tx));
+            });
+            sim.run();
+        }
+
+        #[test]
+        fn fail_slot_ends_a_slot_once_and_dooms_its_transaction_once() {
+            let mut sim = Sim::new(2);
+            sim.spawn("host", 0, || {
+                let drv = driver_on(SsdProfile::optane_p5800x(), 1);
+                let tx = drv.alloc_tx_id();
+                // Two members, no commit: stored, never rung, so both
+                // slots stay outstanding.
+                for lba in 0..2u64 {
+                    drv.submit_bio(Bio::write(lba, buf(1), BioFlags::TX).with_tx_id(tx));
+                }
+                let q = &drv.inner.queues[0];
+                {
+                    let mut st = q.st.lock();
+                    // Retry budget exhausted on member 0, which the
+                    // watchdog then ages out as well; member 1 times out.
+                    assert!(fail_slot(&mut st, q, 0, BioStatus::Busy));
+                    assert!(!fail_slot(&mut st, q, 0, BioStatus::Timeout));
+                    assert!(fail_slot(&mut st, q, 1, BioStatus::Timeout));
+                    assert_eq!(st.slots[0].status, BioStatus::Busy);
+                    assert_eq!(st.failed_txs.get(&tx), Some(&BioStatus::Busy));
+                    assert_eq!(st.abort_logged, 1);
+                }
+                assert_eq!(drv.err_stats().tx_failures, 1);
+                let pmr = &q.dev.pmr;
+                pmr.flush();
+                let log = q
+                    .dev
+                    .layout
+                    .read_abort_log(q.idx, &|off, len| pmr.read(off, len));
+                assert_eq!(log, vec![tx]);
             });
             sim.run();
         }

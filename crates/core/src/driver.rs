@@ -18,15 +18,15 @@
 use std::{collections::HashMap, sync::Arc};
 
 use ccnvme_block::{Bio, BioOp, BioStatus, BioWaiter, BlockDevice};
-use ccnvme_obs::{EventKind, Histogram, Obs};
-use ccnvme_runtime::{mpsc_channel, Ns, RtCondvar, RtMutex, Sender};
+use ccnvme_obs::{EventKind, Obs};
+use ccnvme_runtime::{Ns, RtCondvar, RtMutex};
 use ccnvme_ssd::{
-    CompletionEntry, DoorbellLoc, HostMemory, NvmeCommand, NvmeController, Opcode, QueueParams,
-    SqBacking, Status, TxFlags,
+    CompletionEntry, DoorbellLoc, HostMemory, NvmeCommand, NvmeController, QueueParams, SqBacking,
 };
 use parking_lot::Mutex;
 
-use crate::errpolicy::{map_status, retry_daemon, watchdog_daemon, Age, ErrPolicy, HostErrStats};
+use crate::errpolicy::{Age, ErrPolicy, HostErrStats};
+use crate::hostq::{spawn_daemons, watchdog_daemon, Attempt, ErrPath, QueueObs};
 use crate::{DEFAULT_CAPACITY_BLOCKS, QUEUE_DEPTH, SUBMIT_CPU};
 
 /// CPU cost of formatting one 64-byte SQE into host memory.
@@ -37,18 +37,7 @@ const DB_BASE: u64 = 0x1000;
 
 struct Inflight {
     bio: Bio,
-    token: u64,
-    /// The encoded command, kept for transparent resubmission.
-    cmd: NvmeCommand,
-    /// When this attempt was made device-visible (watchdog reference).
-    submitted_at: Ns,
-    /// Resubmissions performed so far.
-    attempts: u32,
-    /// When the watchdog last re-rang the doorbell for this attempt
-    /// (0 = never; stage 1 of the timeout ladder). Kicks repeat every
-    /// `kick_after` until the timeout: the kick MMIO is posted and may
-    /// itself be lost.
-    last_kick: Ns,
+    attempt: Attempt,
 }
 
 struct DqSt {
@@ -60,43 +49,42 @@ struct DqSt {
     epoch: u64,
 }
 
+impl DqSt {
+    /// Claims the next SQ slot; returns it and the tail to ring.
+    fn next_slot(&mut self, depth: u32) -> (u32, u32) {
+        let slot = self.tail;
+        self.tail = (self.tail + 1) % depth;
+        (slot, self.tail)
+    }
+}
+
 struct DrvQueue {
-    qid: u16,
     depth: u32,
     sqmem: Arc<Mutex<Vec<u8>>>,
     sqdb_off: u64,
     cqdb_off: u64,
-    /// The stack's observability hub (lifecycle events record here).
-    obs: Arc<Obs>,
-    /// Submit-to-complete latency of this queue's bios
-    /// (`nvme.q{qid}.complete_ns`).
-    complete_hist: Arc<Histogram>,
+    /// Lifecycle events and `nvme.q{qid}.complete_ns`.
+    obs: QueueObs,
+    dev: Arc<DrvDev>,
     st: RtMutex<DqSt>,
     cv: RtCondvar,
 }
 
-/// A command scheduled for resubmission after its backoff elapses.
-struct RetryReq {
-    q: Arc<DrvQueue>,
-    cid: u16,
-    due: Ns,
-}
-
-/// Error-path state shared by completion callbacks and daemons.
-struct ErrCtx {
-    policy: ErrPolicy,
-    stats: HostErrStats,
-    retry_tx: Sender<RetryReq>,
+/// The device as a queue sees it. The controller holds the completion
+/// callbacks, so they reach what the driver shares through their queue,
+/// never through the driver.
+struct DrvDev {
+    regs: Arc<ccnvme_pcie::MmioRegion>,
+    hostmem: Arc<HostMemory>,
+    err: ErrPath<DrvQueue>,
 }
 
 struct DrvInner {
     ctrl: NvmeController,
-    regs: Arc<ccnvme_pcie::MmioRegion>,
-    hostmem: Arc<HostMemory>,
+    dev: Arc<DrvDev>,
     queues: Vec<Arc<DrvQueue>>,
     capacity: u64,
     volatile_cache: bool,
-    errctx: Arc<ErrCtx>,
     obs: Arc<Obs>,
 }
 
@@ -116,29 +104,25 @@ impl NvmeDriver {
     /// Like [`NvmeDriver::new`] with an explicit error policy.
     pub fn with_policy(ctrl: NvmeController, num_queues: usize, policy: ErrPolicy) -> Self {
         assert!(num_queues > 0, "need at least one queue");
-        let regs = ctrl.regs();
-        let hostmem = ctrl.hostmem();
         let volatile_cache = ctrl.profile().volatile_cache;
         let obs = ctrl.link().obs.clone();
-        let (retry_tx, retry_rx) = mpsc_channel::<RetryReq>(None);
-        let errctx = Arc::new(ErrCtx {
-            policy,
-            stats: HostErrStats::registered(&obs.metrics),
-            retry_tx,
+        let (err, retry_rx) = ErrPath::new(policy, &obs);
+        let dev = Arc::new(DrvDev {
+            regs: ctrl.regs(),
+            hostmem: ctrl.hostmem(),
+            err,
         });
         let mut queues = Vec::with_capacity(num_queues);
         for i in 0..num_queues {
             let qid = (i + 1) as u16;
             let depth = QUEUE_DEPTH;
-            let sqmem = Arc::new(Mutex::new(vec![0u8; depth as usize * 64]));
             let q = Arc::new(DrvQueue {
-                qid,
                 depth,
-                sqmem: Arc::clone(&sqmem),
+                sqmem: Arc::new(Mutex::new(vec![0u8; depth as usize * 64])),
                 sqdb_off: DB_BASE + qid as u64 * 8,
                 cqdb_off: DB_BASE + qid as u64 * 8 + 4,
-                obs: Arc::clone(&obs),
-                complete_hist: obs.metrics.histogram(&format!("nvme.q{qid}.complete_ns")),
+                obs: QueueObs::new(&obs, qid, &format!("nvme.q{qid}.complete_ns")),
+                dev: Arc::clone(&dev),
                 st: RtMutex::new(DqSt {
                     tail: 0,
                     inflight: HashMap::new(),
@@ -147,25 +131,19 @@ impl NvmeDriver {
                 }),
                 cv: RtCondvar::new(),
             });
-            attach_queue(&ctrl, &regs, &hostmem, &errctx, &q, 0);
+            attach_queue(&ctrl, &q, 0);
             queues.push(q);
         }
         let inner = Arc::new(DrvInner {
             ctrl,
-            regs,
-            hostmem,
+            dev,
             queues,
             capacity: DEFAULT_CAPACITY_BLOCKS,
             volatile_cache,
-            errctx,
             obs,
         });
         let wd = Arc::clone(&inner);
-        ccnvme_runtime::spawn_daemon("nvme-wdog", 0, move || watchdog_loop(wd));
-        let rd = Arc::clone(&inner);
-        ccnvme_runtime::spawn_daemon("nvme-errd", 0, move || {
-            retry_daemon(retry_rx, |r| r.due, |r| resubmit(&rd, &r.q, r.cid))
-        });
+        spawn_daemons("nvme", retry_rx, move || watchdog_loop(wd), resubmit);
         NvmeDriver { inner }
     }
 
@@ -176,7 +154,7 @@ impl NvmeDriver {
 
     /// Host error-path counters (retries, kicks, timeouts, reinits).
     pub fn err_stats(&self) -> &HostErrStats {
-        &self.inner.errctx.stats
+        &self.inner.dev.err.stats
     }
 
     fn queue_for_current_core(&self) -> &Arc<DrvQueue> {
@@ -191,24 +169,14 @@ impl NvmeDriver {
         let waiter = BioWaiter::new();
         let mut bio = Bio::flush();
         waiter.attach(&mut bio);
-        self.submit_cmd(q, Opcode::Flush, bio);
+        self.submit_cmd(q, bio);
         waiter.wait().is_ok()
     }
 
-    fn submit_cmd(&self, q: &Arc<DrvQueue>, opcode: Opcode, bio: Bio) {
-        let lba = bio.lba;
-        let nblocks = bio.nblocks;
-        let fua = bio.flags.fua;
-        let tx_flags = TxFlags {
-            tx: bio.flags.tx,
-            tx_commit: bio.flags.tx_commit,
-        };
+    fn submit_cmd(&self, q: &Arc<DrvQueue>, bio: Bio) {
         let tx_id = bio.tx_id;
         let trace = bio.ctx;
-        let token = match &bio.data {
-            Some(buf) => self.inner.hostmem.register(Arc::clone(buf)),
-            None => 0,
-        };
+        let mut attempt = Attempt::from_bio(&q.dev.hostmem, &bio);
         // Reserve a slot and a command id (block while the ring is full).
         let (cmd, slot, new_tail) = {
             let mut st = q.st.lock();
@@ -216,104 +184,50 @@ impl NvmeDriver {
                 st = q.cv.wait(st);
             }
             let cid = st.free_cids.pop().expect("cid pool tracks inflight");
-            let slot = st.tail;
-            st.tail = (st.tail + 1) % q.depth;
-            let cmd = NvmeCommand {
-                opcode,
-                cid,
-                nsid: 1,
-                lba,
-                nblocks: if opcode == Opcode::Flush { 0 } else { nblocks },
-                fua,
-                tx_id,
-                tx_flags,
-                data_token: token,
-                ctx: trace,
-            };
-            st.inflight.insert(
-                cid,
-                Inflight {
-                    bio,
-                    token,
-                    cmd: cmd.clone(),
-                    submitted_at: ccnvme_runtime::now(),
-                    attempts: 0,
-                    last_kick: 0,
-                },
-            );
-            (cmd, slot, st.tail)
+            let (slot, new_tail) = st.next_slot(q.depth);
+            let cmd = attempt.start(cid);
+            st.inflight.insert(cid, Inflight { bio, attempt });
+            (cmd, slot, new_tail)
         };
-        q.obs.trace.event_ctx(
-            ccnvme_runtime::now(),
-            EventKind::TxBegin,
-            q.qid,
-            tx_id,
-            0,
-            trace,
-        );
-        // Write the SQE into host memory (plain stores, no PCIe traffic).
-        ccnvme_runtime::cpu(SQE_WRITE_CPU);
-        {
-            let mut mem = q.sqmem.lock();
-            let off = slot as usize * 64;
-            mem[off..off + 64].copy_from_slice(&cmd.encode());
-        }
-        q.obs.trace.event_ctx(
-            ccnvme_runtime::now(),
-            EventKind::SqeStore,
-            q.qid,
-            tx_id,
-            cmd.cid as u64,
-            trace,
-        );
+        q.obs.event(EventKind::TxBegin, tx_id, 0, trace);
+        write_sqe(q, slot, &cmd);
+        q.obs
+            .event(EventKind::SqeStore, tx_id, cmd.cid as u64, trace);
         // Eager per-request doorbell — original NVMe behaviour.
-        self.inner.regs.write(q.sqdb_off, &new_tail.to_le_bytes());
-        q.obs.trace.event_ctx(
-            ccnvme_runtime::now(),
-            EventKind::Doorbell,
-            q.qid,
-            tx_id,
-            new_tail as u64,
-            trace,
-        );
+        q.dev.regs.write(q.sqdb_off, &new_tail.to_le_bytes());
+        q.obs
+            .event(EventKind::Doorbell, tx_id, new_tail as u64, trace);
     }
+}
+
+/// Writes `cmd` into SQ slot `slot` in host memory (plain stores, no
+/// PCIe traffic).
+fn write_sqe(q: &DrvQueue, slot: u32, cmd: &NvmeCommand) {
+    ccnvme_runtime::cpu(SQE_WRITE_CPU);
+    let mut mem = q.sqmem.lock();
+    let off = slot as usize * 64;
+    mem[off..off + 64].copy_from_slice(&cmd.encode());
 }
 
 /// Registers `q` (at `epoch`) with the controller and starts its fetch
 /// worker. Called at driver bring-up and again after a queue drain.
-fn attach_queue(
-    ctrl: &NvmeController,
-    regs: &Arc<ccnvme_pcie::MmioRegion>,
-    hostmem: &Arc<HostMemory>,
-    errctx: &Arc<ErrCtx>,
-    q: &Arc<DrvQueue>,
-    epoch: u64,
-) {
+fn attach_queue(ctrl: &NvmeController, q: &Arc<DrvQueue>, epoch: u64) {
     let cb_q = Arc::clone(q);
-    let cb_regs = Arc::clone(regs);
-    let cb_hostmem = Arc::clone(hostmem);
-    let cb_ctx = Arc::clone(errctx);
     ctrl.create_io_queue(QueueParams {
-        qid: q.qid,
+        qid: q.obs.qid,
         depth: q.depth,
         sq: SqBacking::Host(Arc::clone(&q.sqmem)),
         sqdb: DoorbellLoc::Register { offset: q.sqdb_off },
         on_complete: Arc::new(move |entry: CompletionEntry| {
-            complete_one(&cb_ctx, &cb_q, &cb_regs, &cb_hostmem, epoch, entry);
+            complete_one(&cb_q, epoch, entry);
         }),
     });
 }
 
-fn complete_one(
-    ctx: &ErrCtx,
-    q: &Arc<DrvQueue>,
-    regs: &Arc<ccnvme_pcie::MmioRegion>,
-    hostmem: &Arc<HostMemory>,
-    epoch: u64,
-    entry: CompletionEntry,
-) {
+fn complete_one(q: &Arc<DrvQueue>, epoch: u64, entry: CompletionEntry) {
+    let dev = &q.dev;
     enum Next {
-        Retry(u32),
+        Retry(Ns),
         Done(Inflight),
         Ignore,
     }
@@ -326,89 +240,59 @@ fn complete_one(
         }
         match st.inflight.get_mut(&entry.cid) {
             None => Next::Ignore,
-            Some(inf) => {
-                if entry.status == Status::Busy && inf.attempts < ctx.policy.max_retries {
-                    // Transient failure within budget: keep the slot and
-                    // resubmit after backoff.
-                    inf.attempts += 1;
-                    inf.last_kick = 0;
-                    Next::Retry(inf.attempts)
-                } else {
+            // Transient failure within budget: keep the slot and
+            // resubmit after backoff.
+            Some(inf) => match inf.attempt.on_busy(entry.status) {
+                Some(backoff) => Next::Retry(backoff),
+                None => {
                     let inf = st.inflight.remove(&entry.cid).expect("present");
                     st.free_cids.push(entry.cid);
                     Next::Done(inf)
                 }
-            }
+            },
         }
     };
     // Acknowledge the CQE: ring the CQ head doorbell (the second MMIO of
     // the per-request pair in Table 1).
-    regs.write(q.cqdb_off, &entry.sq_head.to_le_bytes());
+    dev.regs.write(q.cqdb_off, &entry.sq_head.to_le_bytes());
     match next {
         Next::Ignore => {}
-        Next::Retry(attempt) => {
-            ctx.stats.busy_completions.inc();
-            let due = ccnvme_runtime::now() + ctx.policy.backoff(attempt);
-            let _ = ctx.retry_tx.send(RetryReq {
-                q: Arc::clone(q),
-                cid: entry.cid,
-                due,
-            });
-        }
+        Next::Retry(backoff) => dev.err.retry_after(q, entry.cid, backoff),
         Next::Done(inf) => {
             q.cv.notify_all();
-            let done_at = ccnvme_runtime::now();
-            q.complete_hist
-                .record(done_at.saturating_sub(inf.submitted_at));
-            q.obs.trace.event_ctx(
-                done_at,
-                EventKind::Completion,
-                q.qid,
-                inf.bio.tx_id,
-                0,
-                inf.bio.ctx,
-            );
-            if inf.token != 0 {
-                hostmem.unregister(inf.token);
-            }
-            if entry.status == Status::Busy {
-                ctx.stats.busy_completions.inc();
-                ctx.stats.retries_exhausted.inc();
-            }
-            let mapped = map_status(entry.status);
-            if mapped == BioStatus::Media {
-                ctx.stats.media_errors.inc();
-            }
-            let mut bio = inf.bio;
-            bio.complete(mapped);
+            q.obs.completed(inf.attempt.submitted_at);
+            q.obs
+                .event(EventKind::Completion, inf.bio.tx_id, 0, inf.bio.ctx);
+            finish(&dev.hostmem, inf, dev.err.terminal(entry.status));
         }
     }
 }
 
+/// Releases the payload registration and completes the bio.
+fn finish(hostmem: &HostMemory, inf: Inflight, status: BioStatus) {
+    if inf.attempt.token != 0 {
+        hostmem.unregister(inf.attempt.token);
+    }
+    let mut bio = inf.bio;
+    bio.complete(status);
+}
+
 /// Resubmits a backed-off command at the queue tail (same cid, same
 /// payload token, fresh submission timestamp).
-fn resubmit(inner: &DrvInner, q: &Arc<DrvQueue>, cid: u16) {
+fn resubmit(q: &Arc<DrvQueue>, cid: u16) {
     let (cmd, slot, new_tail) = {
         let mut st = q.st.lock();
-        let now = ccnvme_runtime::now();
         let Some(inf) = st.inflight.get_mut(&cid) else {
             // Aborted (queue drained) while waiting out the backoff.
             return;
         };
-        inf.submitted_at = now;
-        let cmd = inf.cmd.clone();
-        let slot = st.tail;
-        st.tail = (st.tail + 1) % q.depth;
-        (cmd, slot, st.tail)
+        let cmd = inf.attempt.restart();
+        let (slot, new_tail) = st.next_slot(q.depth);
+        (cmd, slot, new_tail)
     };
-    ccnvme_runtime::cpu(SQE_WRITE_CPU);
-    {
-        let mut mem = q.sqmem.lock();
-        let off = slot as usize * 64;
-        mem[off..off + 64].copy_from_slice(&cmd.encode());
-    }
-    inner.errctx.stats.retries.inc();
-    inner.regs.write(q.sqdb_off, &new_tail.to_le_bytes());
+    write_sqe(q, slot, &cmd);
+    q.dev.err.stats.retries.inc();
+    q.dev.regs.write(q.sqdb_off, &new_tail.to_le_bytes());
 }
 
 /// Daemon: ages every in-flight command against the clock.
@@ -417,13 +301,12 @@ fn resubmit(inner: &DrvInner, q: &Arc<DrvQueue>, cid: u16) {
 /// re-creating the hardware queue.
 fn watchdog_loop(inner: Arc<DrvInner>) {
     watchdog_daemon(
-        inner.errctx.policy,
-        &inner.errctx.stats,
+        &inner.dev.err,
         &inner.queues,
         |q, age| {
             let mut expired = false;
             for inf in q.st.lock().inflight.values_mut() {
-                expired |= age(inf.submitted_at, &mut inf.last_kick) == Age::Expired;
+                expired |= age(&mut inf.attempt) == Age::Expired;
             }
             if expired {
                 reinit_queue(&inner, q);
@@ -432,7 +315,7 @@ fn watchdog_loop(inner: Arc<DrvInner>) {
         },
         |q| {
             let tail = q.st.lock().tail;
-            inner.regs.write(q.sqdb_off, &tail.to_le_bytes());
+            q.dev.regs.write(q.sqdb_off, &tail.to_le_bytes());
         },
     )
 }
@@ -442,7 +325,7 @@ fn watchdog_loop(inner: Arc<DrvInner>) {
 /// complete with [`BioStatus::Timeout`]; completions still in flight
 /// from the old incarnation are fenced off by the epoch bump.
 fn reinit_queue(inner: &Arc<DrvInner>, q: &Arc<DrvQueue>) {
-    inner.ctrl.delete_io_queue(q.qid);
+    inner.ctrl.delete_io_queue(q.obs.qid);
     let (aborted, epoch) = {
         let mut st = q.st.lock();
         st.epoch += 1;
@@ -451,22 +334,11 @@ fn reinit_queue(inner: &Arc<DrvInner>, q: &Arc<DrvQueue>) {
         st.tail = 0;
         (aborted, st.epoch)
     };
-    attach_queue(
-        &inner.ctrl,
-        &inner.regs,
-        &inner.hostmem,
-        &inner.errctx,
-        q,
-        epoch,
-    );
-    inner.errctx.stats.queue_reinits.inc();
+    attach_queue(&inner.ctrl, q, epoch);
+    q.dev.err.stats.queue_reinits.inc();
     for inf in aborted {
-        inner.errctx.stats.timeouts.inc();
-        if inf.token != 0 {
-            inner.hostmem.unregister(inf.token);
-        }
-        let mut bio = inf.bio;
-        bio.complete(BioStatus::Timeout);
+        q.dev.err.stats.timeouts.inc();
+        finish(&q.dev.hostmem, inf, BioStatus::Timeout);
     }
     q.cv.notify_all();
 }
@@ -482,19 +354,13 @@ impl BlockDevice for NvmeDriver {
             bio.complete(BioStatus::Error);
             return;
         }
-        match bio.op {
-            BioOp::Flush => {
-                if !self.inner.volatile_cache {
-                    // Power-protected device: FLUSH is a no-op (the block
-                    // layer elides it, per the paper's Figure 14 note).
-                    bio.complete(BioStatus::Ok);
-                    return;
-                }
-                self.submit_cmd(&q, Opcode::Flush, bio);
-            }
-            BioOp::Write => self.submit_cmd(&q, Opcode::Write, bio),
-            BioOp::Read => self.submit_cmd(&q, Opcode::Read, bio),
+        if bio.op == BioOp::Flush && !self.inner.volatile_cache {
+            // Power-protected device: FLUSH is a no-op (the block
+            // layer elides it, per the paper's Figure 14 note).
+            bio.complete(BioStatus::Ok);
+            return;
         }
+        self.submit_cmd(&q, bio);
     }
 
     fn num_queues(&self) -> usize {
@@ -676,7 +542,7 @@ mod tests {
             let status = submit_and_status(&drv, Bio::write(1, buf(1, 1), BioFlags::NONE));
             assert_eq!(status, BioStatus::Busy);
             let s = drv.err_stats().snapshot();
-            assert_eq!(s.retries, ErrPolicy::default().max_retries as u64);
+            assert_eq!(s.retries, crate::errpolicy::MAX_RETRIES as u64);
             assert_eq!(s.retries_exhausted, 1);
         });
         sim.run();

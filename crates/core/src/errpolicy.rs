@@ -4,7 +4,8 @@
 //! host's `nvme_timeout`/requeue machinery:
 //!
 //! 1. **Transient busy** completions are retried transparently with
-//!    capped exponential backoff, up to [`ErrPolicy::max_retries`].
+//!    capped exponential backoff ([`ErrPolicy::backoff`]), up to
+//!    `MAX_RETRIES` times.
 //! 2. A command that produces no completion is first *kicked*: after
 //!    [`ErrPolicy::kick_after`] the watchdog re-rings the SQ tail
 //!    doorbell, which recovers a dropped doorbell MMIO for free.
@@ -23,10 +24,10 @@ use std::sync::Arc;
 
 use ccnvme_block::BioStatus;
 use ccnvme_obs::{Counter, Registry};
-use ccnvme_runtime::{Ns, Receiver};
+use ccnvme_runtime::Ns;
 use ccnvme_ssd::Status;
 
-/// Timeouts and retry budget of the host error path.
+/// Timeouts of the host error path.
 #[derive(Debug, Clone, Copy)]
 pub struct ErrPolicy {
     /// Age at which a silent command gets its doorbell re-rung.
@@ -34,12 +35,6 @@ pub struct ErrPolicy {
     /// Age at which a silent command is aborted (and, on the baseline
     /// driver, its queue drained and re-created).
     pub timeout: Ns,
-    /// Transparent resubmissions of a transiently-failing command.
-    pub max_retries: u32,
-    /// First retry backoff; doubles per attempt.
-    pub backoff_base: Ns,
-    /// Backoff ceiling.
-    pub backoff_cap: Ns,
 }
 
 impl Default for ErrPolicy {
@@ -52,56 +47,23 @@ impl Default for ErrPolicy {
         ErrPolicy {
             kick_after: 10_000_000, // 10 ms
             timeout: 50_000_000,    // 50 ms
-            max_retries: 6,
-            backoff_base: 20_000,   // 20 µs
-            backoff_cap: 2_000_000, // 2 ms
         }
     }
 }
+
+/// Transparent resubmissions of a transiently-failing command.
+pub(crate) const MAX_RETRIES: u32 = 6;
+/// First retry backoff (20 µs); doubles per attempt.
+const BACKOFF_BASE: Ns = 20_000;
+/// Backoff ceiling (2 ms).
+const BACKOFF_CAP: Ns = 2_000_000;
 
 impl ErrPolicy {
     /// Backoff before retry number `attempt` (1-based), exponential with
     /// a cap.
-    pub fn backoff(&self, attempt: u32) -> Ns {
+    pub fn backoff(attempt: u32) -> Ns {
         let shift = attempt.saturating_sub(1).min(20);
-        (self.backoff_base << shift).min(self.backoff_cap)
-    }
-}
-
-/// The retry daemon both drivers run: holds each request from `rx`
-/// until the instant `due` names for it, then hands it to `resubmit`.
-/// Returns when every sender is gone (the driver was dropped).
-pub(crate) fn retry_daemon<R>(
-    rx: Receiver<R>,
-    due: impl Fn(&R) -> Ns,
-    mut resubmit: impl FnMut(R),
-) {
-    let mut pending: Vec<R> = Vec::new();
-    loop {
-        let now = ccnvme_runtime::now();
-        let mut i = 0;
-        while i < pending.len() {
-            if due(&pending[i]) <= now {
-                resubmit(pending.swap_remove(i));
-            } else {
-                i += 1;
-            }
-        }
-        match pending.iter().map(&due).min() {
-            None => match rx.recv() {
-                Ok(req) => pending.push(req),
-                Err(_) => return,
-            },
-            Some(next) => {
-                let now = ccnvme_runtime::now();
-                if next <= now {
-                    continue;
-                }
-                if let Some(req) = rx.recv_timeout(next - now) {
-                    pending.push(req);
-                }
-            }
-        }
+        (BACKOFF_BASE << shift).min(BACKOFF_CAP)
     }
 }
 
@@ -132,38 +94,6 @@ impl ErrPolicy {
             Age::Kick
         } else {
             Age::Fresh
-        }
-    }
-}
-
-/// The watchdog daemon both drivers run: twice per `kick_after` (at most
-/// every millisecond) it has `scan` age every in-flight command of each
-/// queue with the classifier it is handed. `scan` deals with expired
-/// commands its driver's way and reports whether there were any; a queue
-/// with none of those but a command due a kick gets its doorbell re-rung
-/// by `rering`. Never returns (a daemon: torn down with its runtime).
-pub(crate) fn watchdog_daemon<Q>(
-    policy: ErrPolicy,
-    stats: &HostErrStats,
-    queues: &[Q],
-    scan: impl Fn(&Q, &mut dyn FnMut(Ns, &mut Ns) -> Age) -> bool,
-    rering: impl Fn(&Q),
-) -> ! {
-    let period = (policy.kick_after / 2).max(1_000_000);
-    loop {
-        ccnvme_runtime::delay(period);
-        for q in queues {
-            let now = ccnvme_runtime::now();
-            let mut kick = false;
-            let expired = scan(q, &mut |submitted_at, last_kick| {
-                let age = policy.age(now, submitted_at, last_kick);
-                kick |= age == Age::Kick;
-                age
-            });
-            if !expired && kick {
-                stats.doorbell_kicks.inc();
-                rering(q);
-            }
         }
     }
 }
@@ -292,11 +222,10 @@ mod tests {
 
     #[test]
     fn backoff_is_exponential_and_capped() {
-        let p = ErrPolicy::default();
-        assert_eq!(p.backoff(1), p.backoff_base);
-        assert_eq!(p.backoff(2), p.backoff_base * 2);
-        assert_eq!(p.backoff(3), p.backoff_base * 4);
-        assert_eq!(p.backoff(30), p.backoff_cap);
+        assert_eq!(ErrPolicy::backoff(1), BACKOFF_BASE);
+        assert_eq!(ErrPolicy::backoff(2), BACKOFF_BASE * 2);
+        assert_eq!(ErrPolicy::backoff(3), BACKOFF_BASE * 4);
+        assert_eq!(ErrPolicy::backoff(30), BACKOFF_CAP);
     }
 
     #[test]

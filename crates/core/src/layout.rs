@@ -7,6 +7,8 @@
 //! cycles. Doorbells and head pointers live on separate 64-byte lines so
 //! write-combining of ring entries never merges with doorbell updates.
 
+use ccnvme_pcie::MmioRegion;
+
 /// Magic value identifying a ccNVMe-formatted PMR.
 pub const PMR_MAGIC: u64 = 0x6363_4e56_4d65_3031; // "ccNVMe01"
 
@@ -66,20 +68,13 @@ impl PmrLayout {
     }
 
     /// Offset of the abort-log entry count of queue `q`.
-    ///
-    /// The abort log records the transaction IDs of failed or timed-out
-    /// transactions *before* the P-SQ-head advances past them. Recovery
-    /// adds these IDs to the discard set: a failed transaction may have
-    /// left intact, checksummed journal content (e.g. only an
-    /// ordered-data member failed) that must nonetheless never be
-    /// replayed.
-    pub fn abort_count_off(&self, q: u16) -> u64 {
+    fn abort_count_off(&self, q: u16) -> u64 {
         assert!(q < self.nqueues);
         self.rings_end() + q as u64 * (META_LINE + self.depth as u64 * 8)
     }
 
     /// Offset of abort-log entry `i` of queue `q`.
-    pub fn abort_entry_off(&self, q: u16, i: u32) -> u64 {
+    fn abort_entry_off(&self, q: u16, i: u32) -> u64 {
         assert!(i < self.abort_capacity());
         self.abort_count_off(q) + META_LINE + i as u64 * 8
     }
@@ -114,6 +109,65 @@ impl PmrLayout {
     /// never alias.
     pub fn app_region_off(&self) -> u64 {
         self.blackbox_off() + ccnvme_obs::blackbox::BLACKBOX_BYTES
+    }
+
+    /// Reads queue `q`'s abort log through `read(offset, len)`.
+    ///
+    /// The abort log records the transaction IDs of failed or timed-out
+    /// transactions *before* the P-SQ-head advances past them. Recovery
+    /// adds these IDs to the discard set: a failed transaction may have
+    /// left intact, checksummed journal content (e.g. only an
+    /// ordered-data member failed) that must nonetheless never be
+    /// replayed.
+    ///
+    /// Format — this `impl` is its only reader and writer: a 4-byte
+    /// entry count on a line of its own, then 8-byte little-endian
+    /// transaction IDs. The count is clamped to the capacity, so a
+    /// garbage count word reads as a full log, never past it; an entry
+    /// whose count did not land (a torn append) is not there.
+    pub(crate) fn read_abort_log(&self, q: u16, read: &dyn Fn(u64, u64) -> Vec<u8>) -> Vec<u64> {
+        let count = read(self.abort_count_off(q), 4);
+        let count = u32::from_le_bytes(count.try_into().expect("4 bytes"));
+        (0..count.min(self.abort_capacity()))
+            .map(|i| {
+                let id = read(self.abort_entry_off(q, i), 8);
+                u64::from_le_bytes(id.try_into().expect("8 bytes"))
+            })
+            .collect()
+    }
+
+    /// Stores `tx_id` as entry `i` of queue `q`'s abort log. Invisible
+    /// to readers until [`PmrLayout::publish_abort_count`] covers it.
+    pub(crate) fn write_abort_entry(&self, pmr: &MmioRegion, q: u16, i: u32, tx_id: u64) {
+        pmr.write(self.abort_entry_off(q, i), &tx_id.to_le_bytes());
+    }
+
+    /// Publishes `count` entries of queue `q`'s abort log (0 clears it).
+    /// Entries go before the count that covers them — posted writes
+    /// stay ordered, so a cut between the two loses the new entries,
+    /// never exposes garbage.
+    pub(crate) fn publish_abort_count(&self, pmr: &MmioRegion, q: u16, count: u32) {
+        pmr.write(self.abort_count_off(q), &count.to_le_bytes());
+    }
+
+    /// Appends `tx_id` to queue `q`'s abort log after its `logged`
+    /// published entries; `false` when the log is full. That cannot
+    /// happen in practice: the file system degrades to read-only at the
+    /// first unrecoverable failure, bounding failed transactions by the
+    /// in-flight count (< one ring of slots).
+    pub(crate) fn append_abort_entry(
+        &self,
+        pmr: &MmioRegion,
+        q: u16,
+        logged: u32,
+        tx_id: u64,
+    ) -> bool {
+        if logged >= self.abort_capacity() {
+            return false;
+        }
+        self.write_abort_entry(pmr, q, logged, tx_id);
+        self.publish_abort_count(pmr, q, logged + 1);
+        true
     }
 
     /// The geometry the runtime persist-order sanitizer replays against:
@@ -236,6 +290,43 @@ mod tests {
         for w in regions.windows(2) {
             assert!(w[0].0 + w[0].1 <= w[1].0, "overlap: {w:?}");
         }
+    }
+
+    #[test]
+    fn abort_log_round_trips_and_survives_garbage_and_torn_appends() {
+        use ccnvme_pcie::{mmio::RegionKind, PcieLink};
+        ccnvme_sim::Sim::run_main(1, || {
+            let l = PmrLayout::new(2, 4);
+            let link = std::sync::Arc::new(PcieLink::new(3_300_000_000));
+            let pmr = MmioRegion::new("pmr", RegionKind::Pmr, 2 << 20, link);
+            let log = |q| l.read_abort_log(q, &|off, len| pmr.read(off, len));
+            // Append, read back, per queue.
+            assert!(l.append_abort_entry(&pmr, 0, 0, 11));
+            assert!(l.append_abort_entry(&pmr, 0, 1, 12));
+            assert!(l.append_abort_entry(&pmr, 1, 0, 21));
+            pmr.flush();
+            assert_eq!((log(0), log(1)), (vec![11, 12], vec![21]));
+            // A torn append — the entry landed, its count did not — is
+            // not there; the next append takes its place.
+            l.write_abort_entry(&pmr, 0, 2, 13);
+            pmr.flush();
+            assert_eq!(log(0), vec![11, 12]);
+            assert!(l.append_abort_entry(&pmr, 0, 2, 14));
+            // Full: refused, nothing written.
+            assert!(l.append_abort_entry(&pmr, 0, 3, 15));
+            assert!(!l.append_abort_entry(&pmr, 0, 4, 16));
+            pmr.flush();
+            assert_eq!(log(0), vec![11, 12, 14, 15]);
+            // A garbage count word reads as a full log, never past it.
+            l.publish_abort_count(&pmr, 1, 0xdead_beef);
+            pmr.flush();
+            assert_eq!(log(1).len(), l.abort_capacity() as usize);
+            assert_eq!(log(1)[0], 21);
+            // Clear.
+            l.publish_abort_count(&pmr, 0, 0);
+            pmr.flush();
+            assert!(log(0).is_empty());
+        });
     }
 
     #[test]

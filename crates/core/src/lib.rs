@@ -19,6 +19,10 @@
 //!   entries between P-SQ-head and P-SQDB are the unfinished
 //!   transactions, handed to the upper layer (§4.4, §5.5).
 //!
+//! The drivers differ in their queue state machine only; what a host
+//! queue does under either protocol — command building, the error
+//! ladder and its daemons, tracing — is one private module, `hostq`.
+//!
 //! Both drivers implement [`ccnvme_block::BlockDevice`], so file systems
 //! are agnostic to which one they run on — exactly the pluggability the
 //! paper claims (§4.5: tag bios with `REQ_TX`/`REQ_TX_COMMIT` and a
@@ -28,6 +32,7 @@ pub mod ccdriver;
 pub mod driver;
 pub mod errpolicy;
 pub mod forensics;
+mod hostq;
 pub mod layout;
 pub mod recovery;
 

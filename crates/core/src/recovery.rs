@@ -161,14 +161,7 @@ fn scan_with(read: &dyn Fn(u64, u64) -> Vec<u8>) -> Option<RecoveryReport> {
         }
         // The queue's abort log: failed transactions the head already
         // advanced past.
-        let cnt_bytes = read(layout.abort_count_off(q), 4);
-        let cnt =
-            u32::from_le_bytes(cnt_bytes.try_into().expect("4 bytes")).min(layout.abort_capacity());
-        for i in 0..cnt {
-            let id_bytes = read(layout.abort_entry_off(q, i), 8);
-            let id = u64::from_le_bytes(id_bytes.try_into().expect("8 bytes"));
-            report.aborted.insert(id);
-        }
+        report.aborted.extend(layout.read_abort_log(q, read));
     }
     Some(report)
 }
@@ -364,10 +357,14 @@ mod robustness_tests {
             // Garbage head/doorbell values far beyond the ring depth.
             pmr.write(layout.head_off(0), &0xdead_beefu32.to_le_bytes());
             pmr.write(layout.db_off(0), &0xffff_ffffu32.to_le_bytes());
+            // And a garbage abort-log count.
+            layout.publish_abort_count(&pmr, 1, 0xffff_ffff);
             pmr.flush();
-            // The scan clamps modulo the depth and terminates.
+            // The scan clamps modulo the depth — the abort log to its
+            // capacity — and terminates.
             let report = scan_pmr(&pmr).expect("formatted");
             assert!(report.unfinished.len() <= 16);
+            assert!(report.aborted.len() <= 16);
         });
         sim.run();
     }

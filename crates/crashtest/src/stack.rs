@@ -35,8 +35,6 @@ pub struct StackConfig {
     pub journal_blocks: u64,
     /// Transaction-aware interrupt coalescing (§4.6 device extension).
     pub irq_coalesce_tx: bool,
-    /// Data journaling instead of ordered metadata journaling (§5.2).
-    pub data_journaling: bool,
     /// Deterministic fault plan injected into the device (none = healthy
     /// hardware). A fresh injector is built per stack, so `Nth` counters
     /// restart with each `format`/`recover`.
@@ -57,7 +55,6 @@ impl StackConfig {
             queue_depth: 256,
             journal_blocks: 4_096,
             irq_coalesce_tx: false,
-            data_journaling: false,
             fault: None,
             record_persistence: false,
         }
@@ -81,7 +78,6 @@ impl StackConfig {
             journal_blocks: self.journal_blocks,
             queues: self.cores,
             journald_core: self.cores + 1,
-            data_journaling: self.data_journaling,
         }
     }
 

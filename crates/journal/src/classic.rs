@@ -30,7 +30,7 @@ use ccnvme_runtime::{Ns, RtCondvar, RtMutex};
 use crate::{
     area::{AreaRing, AreaSpec},
     format::{self, JdBlock, JdEntry, CHUNK_BLOCKS, CHUNK_REVOKES},
-    recover::{recover_areas, RecoverMode, RecoveredUpdate},
+    recover::{recover_areas, write_horizon, RecoverMode, RecoveredUpdate},
     CommitError, Dev, Durability, Journal, ReuseAction, TxDescriptor,
 };
 
@@ -459,21 +459,13 @@ fn checkpoint_now(inner: &Arc<ClassicInner>) {
     // ord: SeqCst — the horizon written to disk must reflect every
     // commit whose checkpoint writes we just waited on.
     let h = inner.max_committed.load(Ordering::SeqCst) + 1;
-    let hw = BioWaiter::new();
-    let hbuf: BioBuf = Arc::new(parking_lot::Mutex::new(format::encode_horizon(h)));
-    let mut hbio = Bio::write(
-        inner.horizon_lba,
-        hbuf,
-        BioFlags {
-            preflush: false,
-            fua: true,
-            tx: false,
-            tx_commit: false,
-        },
-    );
-    hw.attach(&mut hbio);
-    inner.dev.submit_bio(hbio);
-    let _ = hw.wait();
+    if write_horizon(&inner.dev, inner.horizon_lba, h).is_err() {
+        // The old floor may still be the one on media: replay would
+        // walk journal space this release hands out for overwriting.
+        // ord: SeqCst — abort publication (see above).
+        inner.aborted.store(true, Ordering::SeqCst);
+        return;
+    }
     inner.ring.release_all();
     inner.checkpoint_hist.record(ccnvme_runtime::now() - t0);
 }
@@ -616,21 +608,9 @@ impl Journal for ClassicJournal {
         if floor <= crate::recover::read_horizon(&self.inner.dev, self.inner.horizon_lba) {
             return;
         }
-        let hw = BioWaiter::new();
-        let hbuf: BioBuf = Arc::new(parking_lot::Mutex::new(format::encode_horizon(floor)));
-        let mut hbio = Bio::write(
-            self.inner.horizon_lba,
-            hbuf,
-            BioFlags {
-                preflush: false,
-                fua: true,
-                tx: false,
-                tx_commit: false,
-            },
-        );
-        hw.attach(&mut hbio);
-        self.inner.dev.submit_bio(hbio);
-        let _ = hw.wait();
+        // Nothing here remembers the floor: one that did not land is
+        // re-read as the old one, and replay starts that much earlier.
+        let _ = write_horizon(&self.inner.dev, self.inner.horizon_lba, floor);
     }
 
     fn shutdown(&self) {

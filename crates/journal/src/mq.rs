@@ -69,7 +69,7 @@ use ccnvme_runtime::RtMutex;
 use crate::{
     area::{AreaRing, AreaSpec},
     format::{self, JdBlock, JdEntry, JdPatch, CHUNK_BLOCKS, CHUNK_REVOKES},
-    recover::{read_horizon, recover_areas, RecoverMode, RecoveredUpdate},
+    recover::{read_horizon, recover_areas, write_horizon, RecoverMode, RecoveredUpdate},
     ByteRanges, CommitError, Dev, Durability, Journal, ReuseAction, TxBlock, TxDescriptor,
 };
 
@@ -227,18 +227,6 @@ fn tree_index(final_lba: u64) -> usize {
     (z >> 33) as usize % NTREES
 }
 
-/// A FUA write of the replay floor `h`.
-fn horizon_bio(horizon_lba: u64, h: u64) -> Bio {
-    let buf: BioBuf = Arc::new(parking_lot::Mutex::new(format::encode_horizon(h)));
-    let flags = BioFlags {
-        preflush: false,
-        fua: true,
-        tx: false,
-        tx_commit: false,
-    };
-    Bio::write(horizon_lba, buf, flags)
-}
-
 /// One chunk of a transaction: what one JD describes.
 #[derive(Default)]
 struct Chunk {
@@ -308,7 +296,9 @@ impl MqJournal {
     /// Reserves `need` blocks of `area_idx`'s ring, checkpointing our own
     /// area as needed — and, if release is blocked by older records in
     /// other areas, checkpointing those too (rare cross-queue conflict).
-    fn reserve(&self, area_idx: usize, need: u64) -> Vec<u64> {
+    /// `None` once the journal is aborted and the ring stays full: a
+    /// failed checkpoint releases nothing, ever.
+    fn reserve(&self, area_idx: usize, need: u64) -> Option<Vec<u64>> {
         let area = &self.inner.areas[area_idx];
         assert!(
             need <= area.ring.spec().len,
@@ -317,7 +307,7 @@ impl MqJournal {
         let mut attempts = 0u32;
         loop {
             if let Some(l) = area.ring.alloc(need) {
-                return l;
+                return Some(l);
             }
             attempts += 1;
             self.checkpoint_area(area_idx);
@@ -341,6 +331,11 @@ impl MqJournal {
                     continue;
                 }
             }
+            // ord: SeqCst — pairs with the abort stores; must see a
+            // checkpoint failure before waiting for space again.
+            if self.inner.aborted.load(Ordering::SeqCst) {
+                return None;
+            }
             // Still full: the front transaction's journal I/O has not
             // completed yet (e.g. a large fatomic burst). Wait for it so
             // the next checkpoint can release its space, and let the
@@ -361,14 +356,16 @@ impl MqJournal {
     /// locations, full copies to the ring, the JD — patches and revokes
     /// inside — as the commit request. In the application's context, no
     /// handoff. `last` chunks un-pin the transaction's ID from the
-    /// horizon once logged. Returns the tracker of everything submitted.
+    /// horizon once logged. Returns the tracker of everything submitted,
+    /// or `None` — nothing submitted — when the journal aborted with no
+    /// ring space left.
     fn commit_chunk(
         &self,
         tx_id: u64,
         chunk: Chunk,
         written: &BTreeMap<u64, ByteRanges>,
         last: bool,
-    ) -> BioWaiter {
+    ) -> Option<BioWaiter> {
         let inner = &self.inner;
         let area_idx = self.area_for_current_core();
         let area = &inner.areas[area_idx];
@@ -393,7 +390,7 @@ impl MqJournal {
         }
         let copies = chunk.meta.len() - inline.len();
         let need = copies as u64 + 1;
-        let lbas = self.reserve(area_idx, need);
+        let lbas = self.reserve(area_idx, need)?;
         let (jd_lba, copy_lbas) = lbas.split_last().expect("need >= 1");
         // Build every bio first, so the tracker is complete before
         // anybody can see it: a checkpoint on another core reads it
@@ -493,7 +490,7 @@ impl MqJournal {
             inner.unlogged.lock().remove(&tx_id);
         }
         inner.dev.submit_bio(jd_bio);
-        waiter
+        Some(waiter)
     }
 
     /// The replay floor to publish: below every live transaction and
@@ -574,22 +571,32 @@ impl MqJournal {
                 waiter.attach(&mut bio);
                 inner.dev.submit_bio(bio);
             }
-            let _ = waiter.wait();
-            if inner.dev.has_volatile_cache() {
+            let mut landed = waiter.wait().is_ok();
+            if landed && inner.dev.has_volatile_cache() {
                 let fw = BioWaiter::new();
                 let mut flush = Bio::flush();
                 fw.attach(&mut flush);
                 inner.dev.submit_bio(flush);
-                let _ = fw.wait();
+                landed = fw.wait().is_ok();
             }
-            // Record the new floors.
+            // Record the new floors — of images that are home for sure.
             for (lba, tx_id, _image) in &to_write {
                 let mut tree = inner.trees[tree_index(*lba)].lock();
                 if let Some(chain) = tree.get_mut(lba) {
-                    chain.floor = chain.floor.max(*tx_id);
                     chain.going_home = false;
-                    chain.drop_covered_images();
+                    if landed {
+                        chain.floor = chain.floor.max(*tx_id);
+                        chain.drop_covered_images();
+                    }
                 }
+            }
+            if !landed {
+                // Abort WITHOUT releasing anything: the journal copies
+                // are now the only good ones, and replay after remount
+                // will need them.
+                // ord: SeqCst — abort publication (see commit_tx).
+                inner.aborted.store(true, Ordering::SeqCst);
+                return;
             }
         }
         // Phase 3: release the safe FIFO prefix. A transaction's space
@@ -649,11 +656,14 @@ impl MqJournal {
             // ord: SeqCst — monotone horizon; racing checkpointers must
             // agree on who writes the higher floor.
             if h > inner.horizon_written.load(Ordering::SeqCst) {
-                let hw = BioWaiter::new();
-                let mut hbio = horizon_bio(inner.horizon_lba, h);
-                hw.attach(&mut hbio);
-                inner.dev.submit_bio(hbio);
-                let _ = hw.wait();
+                if write_horizon(&inner.dev, inner.horizon_lba, h).is_err() {
+                    // The floor on media still admits the records this
+                    // release would let commits overwrite: keep the
+                    // ring and stop taking commits.
+                    // ord: SeqCst — abort publication (see commit_tx).
+                    inner.aborted.store(true, Ordering::SeqCst);
+                    return;
+                }
                 // ord: SeqCst — only advances after the horizon block is
                 // durable; fetch_max keeps racing checkpointers monotone.
                 inner.horizon_written.fetch_max(h, Ordering::SeqCst);
@@ -735,7 +745,12 @@ impl Journal for MqJournal {
             let room = CHUNK_TOTAL - chunk.meta.len();
             chunk.data.extend(data.by_ref().take(room));
             let last = data.peek().is_none() && meta.peek().is_none() && revokes.peek().is_none();
-            waiters.push(self.commit_chunk(tx.tx_id, chunk, &tx.written, last));
+            let Some(waiter) = self.commit_chunk(tx.tx_id, chunk, &tx.written, last) else {
+                self.inner.unlogged.lock().remove(&tx.tx_id);
+                tx.run_unpin();
+                return Err(CommitError::Aborted);
+            };
+            waiters.push(waiter);
             if last {
                 break;
             }
@@ -847,11 +862,7 @@ impl Journal for MqJournal {
         if floor <= inner.horizon_written.load(Ordering::SeqCst) {
             return;
         }
-        let hw = BioWaiter::new();
-        let mut hbio = horizon_bio(inner.horizon_lba, floor);
-        hw.attach(&mut hbio);
-        inner.dev.submit_bio(hbio);
-        if hw.wait().is_ok() {
+        if write_horizon(&inner.dev, inner.horizon_lba, floor).is_ok() {
             // ord: SeqCst — only advances after the horizon block is
             // durable; fetch_max keeps racing writers monotone.
             inner.horizon_written.fetch_max(floor, Ordering::SeqCst);

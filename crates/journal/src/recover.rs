@@ -26,7 +26,7 @@ use std::{
     sync::Arc,
 };
 
-use ccnvme_block::{submit_and_wait, Bio, BioBuf, BLOCK_SIZE};
+use ccnvme_block::{submit_and_wait, Bio, BioBuf, BioFlags, BioStatus, BioWaiter, BLOCK_SIZE};
 
 use crate::{
     area::AreaSpec,
@@ -66,6 +66,27 @@ fn read_block(dev: &Dev, lba: u64) -> Vec<u8> {
 /// Reads the persistent replay floor at `horizon_lba`.
 pub fn read_horizon(dev: &Dev, horizon_lba: u64) -> u64 {
     format::decode_horizon(&read_block(dev, horizon_lba))
+}
+
+/// Writes `h` as the persistent replay floor at `horizon_lba` (FUA) and
+/// waits for it. On `Err` the old floor may still be the one on media:
+/// the caller must neither remember `h` as written nor reuse journal
+/// space that only `h` protects.
+pub(crate) fn write_horizon(dev: &Dev, horizon_lba: u64, h: u64) -> Result<(), BioStatus> {
+    let buf: BioBuf = Arc::new(parking_lot::Mutex::new(format::encode_horizon(h)));
+    let flags = BioFlags {
+        preflush: false,
+        fua: true,
+        tx: false,
+        tx_commit: false,
+    };
+    let waiter = BioWaiter::new();
+    let mut bio = Bio::write(horizon_lba, buf, flags);
+    waiter.attach(&mut bio);
+    dev.submit_bio(bio);
+    waiter
+        .wait()
+        .map_err(|_| waiter.first_error().unwrap_or(BioStatus::Error))
 }
 
 /// Scans `areas` and produces the ordered, validated update list.

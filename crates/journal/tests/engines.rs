@@ -1287,3 +1287,73 @@ fn mq_checkpoint_writes_the_newest_image_home() {
     });
     sim.run();
 }
+
+/// A checkpoint that cannot write a block home must keep the journal
+/// copy — by then the only good one — replayable: no new floor, no
+/// release, no horizon, and no further commits over the ring.
+#[test]
+fn mq_failed_home_write_aborts_the_checkpoint_and_keeps_the_journal_copy() {
+    use ccnvme_fault::{FaultKind, FaultPlan, FaultRule, Trigger};
+    let mut sim = Sim::new(CORES + 1);
+    sim.spawn("host", 0, || {
+        // Every write to home block 50 fails; the ring takes writes.
+        let plan = FaultPlan::new(21).rule(FaultRule::new(
+            FaultKind::MediaWrite,
+            Trigger::LbaRange { start: 50, end: 51 },
+        ));
+        let mut cfg =
+            CtrlConfig::new(SsdProfile::optane_905p()).with_fault(Arc::new(plan.injector()));
+        cfg.device_core = CORES;
+        let drv = Arc::new(CcNvmeDriver::new(
+            NvmeController::new(cfg),
+            CORES as u16,
+            64,
+        ));
+        let dev: Arc<dyn BlockDevice> = Arc::clone(&drv) as Arc<dyn BlockDevice>;
+        let areas = AreaSpec::split(JOURNAL_START, JOURNAL_LEN, CORES);
+        let journal = MqJournal::new(dev, areas.clone(), HORIZON_LBA);
+        let tx = tx_with(&journal, &[(50, 0xd1)], &[]);
+        journal
+            .commit_tx(tx, Durability::Durable)
+            .expect("the commit only writes the ring");
+        // Fill the area until a commit has to checkpoint block 50 home.
+        let refused = (0..JOURNAL_LEN).find_map(|i| {
+            let filler = tx_with(&journal, &[(100 + i, 0xf0)], &[]);
+            journal.commit_tx(filler, Durability::Durable).err()
+        });
+        assert!(journal.is_aborted(), "failed checkpoint aborts the journal");
+        assert!(
+            matches!(refused, Some(mqfs_journal::CommitError::Aborted)),
+            "no commit may reuse the ring: {refused:?}"
+        );
+        // Power-cycle onto a healthy device: replay restores the block.
+        let dev2 = crash_and_replay(&drv, areas, 3);
+        assert_eq!(read_lba(&dev2, 50), 0xd1, "journal copy survived");
+    });
+    sim.run();
+}
+
+/// §5.4 case 1: a block reused while a checkpoint is writing its stale
+/// copy home regresses to data journaling — it must ride the journal,
+/// not be written in place under the home write.
+#[test]
+fn mq_block_reused_mid_checkpoint_must_be_journaled() {
+    let mut sim = Sim::new(CORES + 1);
+    sim.spawn("host", 0, || {
+        let (_drv, dev) = cc_stack(SsdProfile::optane_905p());
+        let areas = AreaSpec::split(JOURNAL_START, JOURNAL_LEN, CORES);
+        let journal = Arc::new(MqJournal::new(dev, areas, HORIZON_LBA));
+        let tx = tx_with(&*journal, &[(50, 0xd1)], &[]);
+        journal
+            .commit_tx(tx, Durability::Durable)
+            .expect("commit ok");
+        let j = Arc::clone(&journal);
+        let checkpointer = ccnvme_sim::spawn("checkpointer", 1, move || j.checkpoint_all());
+        // A device write takes ~10 µs: 3 µs in, block 50 is going home.
+        ccnvme_sim::delay(3_000);
+        assert_eq!(journal.note_block_reuse(50), ReuseAction::MustJournal);
+        checkpointer.join();
+        assert_ne!(journal.note_block_reuse(50), ReuseAction::MustJournal);
+    });
+    sim.run();
+}

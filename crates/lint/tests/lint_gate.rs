@@ -207,10 +207,10 @@ fn deleting_commit_path_flush_breaks_persist_order() {
     let path = root.join("crates/core/src/ccdriver.rs");
     let src = std::fs::read_to_string(&path).expect("driver source");
     assert!(
-        src.contains("self.inner.pmr.flush();"),
+        src.contains("q.dev.pmr.flush();"),
         "enqueue's flush moved — update this test"
     );
-    let broken = src.replacen("self.inner.pmr.flush();", "", 1);
+    let broken = src.replacen("q.dev.pmr.flush();", "", 1);
     let cfg = workspace_config();
     let findings = lint_sources(
         &[(PathBuf::from("crates/core/src/ccdriver.rs"), broken)],

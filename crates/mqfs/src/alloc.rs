@@ -183,11 +183,6 @@ impl Allocator {
         self.st.lock().blocks.free
     }
 
-    /// Free inodes remaining.
-    pub fn free_inodes(&self) -> u64 {
-        self.st.lock().inodes.free
-    }
-
     /// Returns whether `lba` is currently allocated (fsck support).
     pub fn block_allocated(&self, lba: u64) -> bool {
         self.st.lock().blocks.test(lba)

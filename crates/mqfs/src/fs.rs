@@ -116,10 +116,6 @@ pub struct FsConfig {
     pub queues: usize,
     /// Core for the dedicated commit thread of the classic engines.
     pub journald_core: usize,
-    /// Data journaling (§5.2): journal user data blocks too, instead of
-    /// the default ordered metadata journaling. Data writes become
-    /// atomic at the cost of double-writing them.
-    pub data_journaling: bool,
 }
 
 impl FsConfig {
@@ -130,12 +126,11 @@ impl FsConfig {
             journal_blocks: 4_096,
             queues: 1,
             journald_core: 0,
-            data_journaling: false,
         }
     }
 }
 
-/// Operation counters (exported to the benchmarks).
+/// Operation counters (read by the file-system test suite).
 #[derive(Debug, Default)]
 pub struct FsStats {
     /// `fsync`/`fdatasync` calls completed.
@@ -471,12 +466,6 @@ impl FileSystem {
     /// Root directory inode number.
     pub fn root(&self) -> u64 {
         ROOT_INO
-    }
-
-    /// Number of open (uncommitted) namespace-operation groups
-    /// (diagnostics).
-    pub fn open_op_groups(&self) -> usize {
-        self.ops.lock().groups.len()
     }
 
     /// Enables per-fsync latency tracing (Figure 14).

@@ -18,7 +18,6 @@ fn fs_config(variant: FsVariant) -> FsConfig {
         queues: CORES,
         // kjournald and the device share the spare cores.
         journald_core: CORES,
-        data_journaling: false,
     }
 }
 
@@ -880,56 +879,6 @@ fn tracing_produces_figure14_segments() {
         );
     });
     sim.run();
-}
-
-#[test]
-fn data_journaling_mode_keeps_data_atomic_across_crash() {
-    // §5.2: in data-journaling mode user data rides in the journal, so a
-    // multi-block overwrite is all-or-nothing even for file CONTENT.
-    let variant = FsVariant::Mqfs;
-    for seed in 0..3u64 {
-        let mut sim = Sim::new(CORES + 2);
-        sim.spawn("host", 0, move || {
-            let profile = SsdProfile::optane_905p();
-            let stack = Stack::new(variant, profile.clone());
-            let mut cfg = fs_config(variant);
-            cfg.data_journaling = true;
-            let fs = FileSystem::format(Arc::clone(&stack.dev), cfg);
-            let ino = fs.create_path("/dj").expect("create");
-            fs.write(ino, 0, &[0xAAu8; 4 * 4096]).expect("write");
-            fs.fsync(ino).expect("fsync v1");
-            // Overwrite all four blocks, fatomic, crash immediately.
-            fs.write(ino, 0, &[0xBBu8; 4 * 4096]).expect("write");
-            fs.fatomic(ino).expect("fatomic");
-            let image = stack.power_fail(seed);
-            let mut cfg2 = fs_config(variant);
-            cfg2.data_journaling = true;
-            let mut ctrl_cfg = ccnvme_ssd::CtrlConfig::new(profile);
-            ctrl_cfg.device_core = CORES + 1;
-            let (drv, report) = CcNvmeDriver::probe(
-                NvmeController::from_image(ctrl_cfg, &image),
-                (CORES + 2) as u16,
-                128,
-            );
-            let drv = Arc::new(drv);
-            let fs2 = FileSystem::mount(
-                Arc::clone(&drv) as Arc<dyn BlockDevice>,
-                cfg2,
-                &report.unfinished_tx_ids(),
-            )
-            .expect("mount");
-            let ino2 = fs2.resolve("/dj").expect("resolve");
-            let data = fs2.read(ino2, 0, 4 * 4096).expect("read");
-            let all_old = data.iter().all(|b| *b == 0xAA);
-            let all_new = data.iter().all(|b| *b == 0xBB);
-            assert!(
-                all_old || all_new,
-                "seed {seed}: torn data write in data-journaling mode"
-            );
-            assert!(fs2.check().is_empty());
-        });
-        sim.run();
-    }
 }
 
 #[test]

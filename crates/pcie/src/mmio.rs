@@ -250,19 +250,6 @@ impl MmioRegion {
         st.committed[off as usize..(off + len) as usize].to_vec()
     }
 
-    /// Device-side write (controller updating its own memory), immediate.
-    pub fn device_write(&self, off: u64, data: &[u8]) {
-        self.commit_arrived();
-        let mut st = self.st.lock();
-        assert!(
-            off as usize + data.len() <= st.committed.len(),
-            "device write out of bounds in region {}",
-            self.name
-        );
-        let off = off as usize;
-        st.committed[off..off + data.len()].copy_from_slice(data);
-    }
-
     /// Applies every in-flight write whose arrival time has passed.
     pub fn commit_arrived(&self) {
         let now = ccnvme_runtime::now();

@@ -138,11 +138,11 @@ impl<T> Drop for Receiver<T> {
 #[cfg(all(test, not(feature = "loom")))]
 mod tests {
     use super::*;
-    use crate::{OsRuntime, Runtime};
+    use crate::{run_on, RuntimeKind};
 
     #[test]
     fn os_channel_round_trip() {
-        OsRuntime::new(2).run(|| {
+        run_on(RuntimeKind::Os, 2, || {
             let (tx, rx) = mpsc_channel::<u32>(None);
             let h = crate::spawn("producer", 1, move || {
                 for i in 0..100 {
@@ -159,7 +159,7 @@ mod tests {
 
     #[test]
     fn os_channel_bounded_backpressure() {
-        OsRuntime::new(2).run(|| {
+        run_on(RuntimeKind::Os, 2, || {
             let (tx, rx) = mpsc_channel::<u32>(Some(1));
             tx.send(1).unwrap();
             assert_eq!(tx.try_send(2), Err(2)); // Full.
@@ -171,7 +171,7 @@ mod tests {
 
     #[test]
     fn os_channel_recv_timeout() {
-        OsRuntime::new(1).run(|| {
+        run_on(RuntimeKind::Os, 1, || {
             let (tx, rx) = mpsc_channel::<u32>(None);
             assert_eq!(rx.recv_timeout(3_000_000), None);
             tx.send(9).unwrap();
@@ -181,7 +181,7 @@ mod tests {
 
     #[test]
     fn sim_channel_still_virtual_time() {
-        crate::SimRuntime::new(2).run(|| {
+        run_on(RuntimeKind::Sim, 2, || {
             let (tx, rx) = mpsc_channel::<u32>(None);
             crate::spawn("producer", 1, move || {
                 crate::delay(500);

@@ -5,9 +5,10 @@
 //! the seam that un-welds them: the same protocol code (drivers,
 //! journal, file system, fabric handlers, workloads) now calls the
 //! ambient functions and primitives defined here, and those dispatch to
-//! one of two substrates:
+//! one of two substrates ([`RuntimeKind`]; a harness picks one by
+//! entering through [`run_on`]):
 //!
-//! * **[`SimRuntime`]** — the existing deterministic kernel. Inside a
+//! * **`Sim`** — the deterministic kernel (`ccnvme_sim::Sim`). Inside a
 //!   simulated thread every call delegates 1:1 to `ccnvme_sim`, so
 //!   virtual-time semantics, event ordering and the crash-surface
 //!   enumerator's state counts are byte-identical to the pre-seam code.
@@ -20,8 +21,9 @@
 //!
 //! # Dispatch model
 //!
-//! Rather than threading a generic `R: Runtime` parameter through every
-//! struct in seven crates, the runtime is *ambient*: free functions
+//! Rather than threading a generic runtime parameter through every
+//! struct in seven crates (or naming the substrates by a trait that only
+//! this crate would call), the runtime is *ambient*: free functions
 //! ([`now`], [`cpu`], [`delay`], [`spawn`], [`spawn_daemon`], ...)
 //! check whether the calling thread is a simulated thread
 //! (`ccnvme_sim::in_sim()`) and fall back to the OS context installed
@@ -51,7 +53,7 @@ mod sync;
 
 pub use api::{cpu, current_core, delay, in_sim, now, spawn, spawn_daemon, yield_now, JoinHandle};
 pub use chan::{mpsc_channel, Receiver, Sender};
-pub use os::{EnterGuard, OsRuntime};
+pub use os::OsRuntime;
 pub use sync::{
     RtCondvar, RtMutex, RtMutexGuard, RtRwLock, RtRwReadGuard, RtRwWriteGuard, WaitTimeoutResult,
 };
@@ -60,7 +62,7 @@ pub use sync::{
 // deterministic RNG and the channel error type from one place.
 pub use ccnvme_sim::{DetRng, Ns, RecvError, MS, SEC, US};
 
-/// Which execution substrate a [`Runtime`] provides.
+/// Which execution substrate [`run_on`] runs a closure on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RuntimeKind {
     /// Deterministic virtual time on the discrete-event kernel.
@@ -92,68 +94,20 @@ impl std::fmt::Display for RuntimeKind {
     }
 }
 
-/// An execution substrate: somewhere a "main" closure (and the threads
-/// and daemons it spawns through the ambient API) can run to
-/// completion.
-pub trait Runtime {
-    /// Which substrate this is.
-    fn kind(&self) -> RuntimeKind;
-
-    /// Number of cores the runtime was configured with. On the sim
-    /// backend this bounds thread placement; on the OS backend it is
-    /// advisory (threads are scheduled by the OS).
-    fn cores(&self) -> usize;
-
-    /// Runs `f` as the runtime's main thread (core 0) to completion,
-    /// then tears the runtime down — daemons are unwound and joined —
-    /// and returns `f`'s result.
-    fn run<T, F>(self, f: F) -> T
-    where
-        T: Send + 'static,
-        F: FnOnce() -> T + Send + 'static;
-}
-
-/// The deterministic virtual-time backend: a thin harness over
-/// [`ccnvme_sim::Sim`].
-pub struct SimRuntime {
-    cores: usize,
-}
-
-impl SimRuntime {
-    /// Creates a sim runtime with `cores` simulated cores.
-    pub fn new(cores: usize) -> Self {
-        SimRuntime { cores }
-    }
-}
-
-impl Runtime for SimRuntime {
-    fn kind(&self) -> RuntimeKind {
-        RuntimeKind::Sim
-    }
-
-    fn cores(&self) -> usize {
-        self.cores
-    }
-
-    fn run<T, F>(self, f: F) -> T
-    where
-        T: Send + 'static,
-        F: FnOnce() -> T + Send + 'static,
-    {
-        ccnvme_sim::Sim::run_main(self.cores, f)
-    }
-}
-
-/// Runs `f` on a fresh runtime of the given kind — the one-line entry
-/// point for harnesses that take a `--runtime sim|os` flag.
+/// Runs `f` as the main thread (core 0) of a fresh runtime of the given
+/// kind to completion, then tears the runtime down — daemons are
+/// unwound and joined — and returns `f`'s result: the entry point of
+/// every harness, `--runtime sim|os` flag or not. `cores` bounds thread
+/// placement on the sim backend and must be positive; on the OS backend
+/// threads are placed by the OS scheduler.
 pub fn run_on<T, F>(kind: RuntimeKind, cores: usize, f: F) -> T
 where
     T: Send + 'static,
     F: FnOnce() -> T + Send + 'static,
 {
     match kind {
-        RuntimeKind::Sim => SimRuntime::new(cores).run(f),
-        RuntimeKind::Os => OsRuntime::new(cores).run(f),
+        RuntimeKind::Sim => ccnvme_sim::Sim::run_main(cores, f),
+        RuntimeKind::Os => OsRuntime::default().run(f),
     }
 }
 
@@ -164,7 +118,7 @@ mod tests {
 
     #[test]
     fn sim_runtime_is_virtual_time() {
-        let elapsed = SimRuntime::new(2).run(|| {
+        let elapsed = run_on(RuntimeKind::Sim, 2, || {
             let t0 = now();
             delay(1_000_000);
             now() - t0
@@ -174,7 +128,7 @@ mod tests {
 
     #[test]
     fn os_runtime_spawns_real_threads() {
-        let ids = OsRuntime::new(4).run(|| {
+        let ids = run_on(RuntimeKind::Os, 4, || {
             let me = std::thread::current().id();
             let h = spawn("worker", 1, move || {
                 assert_ne!(std::thread::current().id(), me);
@@ -187,7 +141,7 @@ mod tests {
 
     #[test]
     fn os_runtime_wall_clock_advances() {
-        OsRuntime::new(1).run(|| {
+        run_on(RuntimeKind::Os, 1, || {
             let t0 = now();
             delay(2_000_000); // 2 ms real sleep.
             assert!(now() - t0 >= 2_000_000);
@@ -196,7 +150,7 @@ mod tests {
 
     #[test]
     fn os_cpu_is_a_noop() {
-        OsRuntime::new(1).run(|| {
+        run_on(RuntimeKind::Os, 1, || {
             let t0 = std::time::Instant::now();
             cpu(10 * SEC); // Would be 10 wall seconds if it slept.
             assert!(t0.elapsed() < std::time::Duration::from_secs(1));
@@ -207,7 +161,7 @@ mod tests {
     fn os_daemon_is_torn_down_at_shutdown() {
         let hits = Arc::new(std::sync::atomic::AtomicU64::new(0));
         let h2 = Arc::clone(&hits);
-        OsRuntime::new(1).run(move || {
+        run_on(RuntimeKind::Os, 1, move || {
             spawn_daemon("ticker", 0, move || loop {
                 // ord: Relaxed — test-only counter, no ordering needed.
                 h2.fetch_add(1, std::sync::atomic::Ordering::Relaxed);

@@ -60,7 +60,6 @@ pub(crate) struct OsShared {
     /// (the sim kernel re-raises daemon panics from `Sim::run` the same
     /// way).
     panic: parking_lot::Mutex<Option<Box<dyn std::any::Any + Send>>>,
-    cores: usize,
 }
 
 /// Per-thread handle to the runtime: the shared state plus the core the
@@ -194,38 +193,22 @@ pub struct OsRuntime {
     shared: Arc<OsShared>,
 }
 
-impl OsRuntime {
-    /// Creates an OS runtime. `cores` is advisory (reported by
-    /// [`crate::Runtime::cores`] and used as the default modulus for
-    /// per-core resource selection); threads are placed by the OS
-    /// scheduler.
-    pub fn new(cores: usize) -> Self {
-        assert!(cores > 0, "a runtime needs at least one core");
+impl Default for OsRuntime {
+    /// A runtime with no threads yet. There is no core count: threads
+    /// are placed by the OS scheduler.
+    fn default() -> Self {
         install_quiet_shutdown_hook();
         OsRuntime {
             shared: Arc::new(OsShared {
                 shutdown: AtomicBool::new(false),
                 daemons: parking_lot::Mutex::new(Vec::new()),
                 panic: parking_lot::Mutex::new(None),
-                cores,
             }),
         }
     }
+}
 
-    /// Installs this runtime's context on the *calling* thread until
-    /// the returned guard drops. For bridge threads (e.g. real TCP
-    /// acceptors) that must use the ambient API without having been
-    /// spawned through the runtime.
-    pub fn enter(&self, core: usize) -> EnterGuard {
-        let prev = OS_CTX.with(|c| {
-            c.borrow_mut().replace(OsCtx {
-                shared: Arc::clone(&self.shared),
-                core,
-            })
-        });
-        EnterGuard { prev }
-    }
-
+impl OsRuntime {
     /// Requests shutdown and joins every daemon. Re-raises the first
     /// non-shutdown daemon panic, mirroring `Sim::run`.
     pub fn shutdown(&self) {
@@ -249,16 +232,11 @@ impl OsRuntime {
     }
 }
 
-impl crate::Runtime for OsRuntime {
-    fn kind(&self) -> crate::RuntimeKind {
-        crate::RuntimeKind::Os
-    }
-
-    fn cores(&self) -> usize {
-        self.shared.cores
-    }
-
-    fn run<T, F>(self, f: F) -> T
+impl OsRuntime {
+    /// Runs `f` as the runtime's main thread to completion, then tears
+    /// the runtime down — daemons are unwound and joined — and returns
+    /// `f`'s result.
+    pub fn run<T, F>(self, f: F) -> T
     where
         T: Send + 'static,
         F: FnOnce() -> T + Send + 'static,
@@ -291,18 +269,5 @@ impl Drop for OsRuntime {
             // re-raises it on the normal path.
             let _ = panic::catch_unwind(AssertUnwindSafe(|| self.shutdown()));
         }
-    }
-}
-
-/// Reverts [`OsRuntime::enter`] on drop, restoring whatever context the
-/// thread had before.
-pub struct EnterGuard {
-    prev: Option<OsCtx>,
-}
-
-impl Drop for EnterGuard {
-    fn drop(&mut self) {
-        let prev = self.prev.take();
-        OS_CTX.with(|c| *c.borrow_mut() = prev);
     }
 }

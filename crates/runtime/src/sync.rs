@@ -409,7 +409,7 @@ mod tests {
     use std::sync::Arc;
 
     use super::*;
-    use crate::{OsRuntime, Runtime};
+    use crate::{run_on, RuntimeKind};
 
     #[test]
     fn sim_backed_mutex_outside_sim_then_inside() {
@@ -428,7 +428,7 @@ mod tests {
 
     #[test]
     fn os_backed_condvar_wait_notify() {
-        OsRuntime::new(2).run(|| {
+        run_on(RuntimeKind::Os, 2, || {
             let pair = Arc::new((RtMutex::new(false), RtCondvar::new()));
             let p2 = Arc::clone(&pair);
             let h = crate::spawn("waiter", 1, move || {
@@ -448,7 +448,7 @@ mod tests {
 
     #[test]
     fn os_backed_condvar_wait_timeout_expires() {
-        OsRuntime::new(1).run(|| {
+        run_on(RuntimeKind::Os, 1, || {
             let mx = RtMutex::new(());
             let cv = RtCondvar::new();
             let g = mx.lock();
@@ -459,7 +459,7 @@ mod tests {
 
     #[test]
     fn os_backed_rwlock_read_write() {
-        OsRuntime::new(2).run(|| {
+        run_on(RuntimeKind::Os, 2, || {
             let rw = Arc::new(RtRwLock::new(7u32));
             {
                 let r = rw.read();

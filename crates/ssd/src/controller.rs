@@ -533,11 +533,6 @@ impl NvmeController {
         }
     }
 
-    /// Number of jobs waiting in the completer (test instrumentation).
-    pub fn pending_completions(&self) -> usize {
-        self.inner.completer.st.lock().heap.len()
-    }
-
     /// The attached fault injector, if any (for reading its counters).
     pub fn fault_injector(&self) -> Option<Arc<FaultInjector>> {
         self.inner.cfg.fault.clone()

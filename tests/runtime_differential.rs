@@ -1,6 +1,6 @@
 //! Differential test of the execution runtimes: the same single-thread
 //! fio workload runs once on the deterministic virtual-time substrate
-//! (`SimRuntime`) and once on real OS threads (`OsRuntime`), and both
+//! (`RuntimeKind::Sim`) and once on real OS threads (`OsRuntime`), and both
 //! must shut down into the *same* durable state.
 //!
 //! What "same" means here, and why:
