@@ -602,15 +602,15 @@ impl Journal for ClassicJournal {
         )
     }
 
-    fn persist_replay_floor(&self, floor: u64) {
+    fn persist_replay_floor(&self, floor: u64) -> Result<(), BioStatus> {
         // Guard against regressing a horizon a prior checkpoint already
         // pushed further (classic checkpoints persist max_committed + 1).
         if floor <= crate::recover::read_horizon(&self.inner.dev, self.inner.horizon_lba) {
-            return;
+            return Ok(());
         }
         // Nothing here remembers the floor: one that did not land is
         // re-read as the old one, and replay starts that much earlier.
-        let _ = write_horizon(&self.inner.dev, self.inner.horizon_lba, floor);
+        write_horizon(&self.inner.dev, self.inner.horizon_lba, floor)
     }
 
     fn shutdown(&self) {

@@ -187,9 +187,13 @@ pub trait Journal: Send + Sync {
     /// Mount calls it once replay completed *and* the discard set has
     /// been honoured — only then is it safe to clear the PMR abort logs
     /// (a crash before the floor is durable must re-discover the
-    /// discarded IDs from those logs). Engines without a persistent
-    /// horizon (e.g. [`NoJournal`]) keep the default no-op.
-    fn persist_replay_floor(&self, _floor: u64) {}
+    /// discarded IDs from those logs). On `Err` the floor did not land
+    /// and the caller must keep everything the old one still needs.
+    /// Engines without a persistent horizon (e.g. [`NoJournal`]) keep
+    /// the default no-op.
+    fn persist_replay_floor(&self, _floor: u64) -> Result<(), BioStatus> {
+        Ok(())
+    }
 
     /// Stops any background threads (graceful detach).
     fn shutdown(&self);

@@ -855,18 +855,18 @@ impl Journal for MqJournal {
         )
     }
 
-    fn persist_replay_floor(&self, floor: u64) {
+    fn persist_replay_floor(&self, floor: u64) -> Result<(), BioStatus> {
         let inner = &self.inner;
         // ord: SeqCst — monotone horizon; never regress a floor a
         // checkpointer already persisted.
         if floor <= inner.horizon_written.load(Ordering::SeqCst) {
-            return;
+            return Ok(());
         }
-        if write_horizon(&inner.dev, inner.horizon_lba, floor).is_ok() {
-            // ord: SeqCst — only advances after the horizon block is
-            // durable; fetch_max keeps racing writers monotone.
-            inner.horizon_written.fetch_max(floor, Ordering::SeqCst);
-        }
+        write_horizon(&inner.dev, inner.horizon_lba, floor)?;
+        // ord: SeqCst — only advances after the horizon block is
+        // durable; fetch_max keeps racing writers monotone.
+        inner.horizon_written.fetch_max(floor, Ordering::SeqCst);
+        Ok(())
     }
 
     fn shutdown(&self) {}

@@ -373,6 +373,7 @@ impl FileSystem {
         let max_discard = discard.iter().copied().max().unwrap_or(0);
         let replayed = mqfs_journal::recover::replay_updates(&dev, &updates);
         journal.set_tx_floor(max_tx.max(max_discard));
+        let mut floored = Ok(());
         if replayed.is_ok() {
             // Every replayed and discarded transaction is settled: push
             // the durable replay floor past all of them so a crash during
@@ -381,7 +382,7 @@ impl FileSystem {
             // landed.
             let floor = max_tx.max(max_discard);
             if floor > 0 {
-                journal.persist_replay_floor(floor + 1);
+                floored = journal.persist_replay_floor(floor + 1);
             }
         }
         let cache = Arc::new(BufferCache::new(Arc::clone(&dev)));
@@ -393,6 +394,12 @@ impl FileSystem {
             // as healthy. The journal content stays intact for a later
             // repair mount.
             fs.degrade(&format!("journal replay failed: {status:?}"));
+        }
+        if floored.is_err() {
+            // The discarded transactions' journal copies are intact and
+            // still above the floor on media: whoever holds the list of
+            // them (the PMR abort logs) must keep it for the next mount.
+            fs.degrade("replay floor not durable");
         }
         Ok(fs)
     }

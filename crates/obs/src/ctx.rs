@@ -10,14 +10,14 @@
 //! retransmits, the target's restarts, and the `media_write` that made
 //! the data durable.
 //!
-//! Propagation is thread-local: the simulator runs every simulated
-//! thread on its own OS thread, so a plain `std` thread-local scopes a
-//! context exactly to one simulated execution. Crossing a thread
-//! boundary (a daemon picking up another thread's work) requires an
-//! explicit carry: capture [`current`] on one side, [`scoped`] (or
-//! [`set_current`]) on the other.
-
-use std::cell::Cell;
+//! Propagation is per simulated thread: the simulator runs all of them
+//! on one OS thread, so the context lives in the two ambient words the
+//! kernel carries with each ([`ccnvme_sim::ambient`]), not in a `std`
+//! thread-local of its own; on an OS-runtime or bare thread those words
+//! are simply per OS thread. Crossing a thread boundary (a daemon
+//! picking up another thread's work) requires an explicit carry:
+//! capture [`current`] on one side, [`scoped`] (or [`set_current`]) on
+//! the other.
 
 /// A 16-byte trace context: who originated a request and which causal
 /// span of that origin's work it belongs to.
@@ -66,21 +66,34 @@ impl TraceCtx {
     }
 }
 
-std::thread_local! {
-    static CURRENT: Cell<TraceCtx> = const { Cell::new(TraceCtx::ZERO) };
+impl TraceCtx {
+    fn to_words(self) -> [u64; 2] {
+        [
+            self.trace_id,
+            u64::from(self.span) | u64::from(self.origin) << 32,
+        ]
+    }
+
+    fn from_words([trace_id, rest]: [u64; 2]) -> TraceCtx {
+        TraceCtx {
+            trace_id,
+            span: rest as u32,
+            origin: (rest >> 32) as u32,
+        }
+    }
 }
 
 /// The calling thread's current trace context ([`TraceCtx::ZERO`] when
 /// none was established).
 pub fn current() -> TraceCtx {
-    CURRENT.with(|c| c.get())
+    TraceCtx::from_words(ccnvme_sim::ambient())
 }
 
 /// Replaces the calling thread's current context, returning the
 /// previous one. Prefer [`scoped`] so the previous context is restored
 /// automatically.
 pub fn set_current(ctx: TraceCtx) -> TraceCtx {
-    CURRENT.with(|c| c.replace(ctx))
+    TraceCtx::from_words(ccnvme_sim::set_ambient(ctx.to_words()))
 }
 
 /// Establishes `ctx` as the thread's current context for the lifetime
@@ -143,5 +156,33 @@ mod tests {
             assert_eq!(current(), inner);
         }
         assert_eq!(current(), outer);
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore = "the simulator's context switch is assembly")]
+    fn context_follows_the_simulated_thread_not_the_os_thread() {
+        use ccnvme_sim::{delay, Sim};
+
+        let id = |i: u32| TraceCtx {
+            trace_id: u64::MAX - u64::from(i),
+            span: i,
+            origin: u32::MAX - i,
+        };
+        let _mine = scoped(id(9));
+        let mut sim = Sim::new(2);
+        for i in 0..2u32 {
+            sim.spawn("t", i as usize, move || {
+                assert_eq!(current(), TraceCtx::ZERO, "a new thread starts untraced");
+                let _s = scoped(id(i));
+                // Both are due at the same instants: every `delay` hands
+                // the OS thread to the other one and gets it back.
+                for _ in 0..100 {
+                    delay(1);
+                    assert_eq!(current(), id(i));
+                }
+            });
+        }
+        assert_eq!(sim.run(), 100);
+        assert_eq!(current(), id(9), "the caller's context is back");
     }
 }

@@ -1,123 +1,41 @@
 //! The discrete-event kernel and simulated-thread runtime.
 //!
-//! One OS thread backs each simulated thread, and the simulation
-//! dispatches its own events: there is no scheduler thread. A thread that
-//! yields (advancing the clock, blocking on a primitive from
-//! [`crate::sync`], or exiting) pops the earliest live event from the
-//! binary heap itself, under the one [`KState`] lock. If that event is its
-//! own it simply keeps running — no parker is touched; otherwise it
-//! unparks the owning thread directly and parks, one wake per
-//! cross-thread event. The caller of [`Sim::run`] only starts the first
-//! event's thread and sleeps until the run is over.
+//! Every simulated thread is a stackful fiber ([`crate::fiber`]) on the
+//! OS thread that called [`Sim::run`], and the simulation dispatches its
+//! own events: there is no scheduler. A thread that yields (advancing the
+//! clock, blocking on a primitive from [`crate::sync`], or exiting) pops
+//! the earliest live event from the binary heap itself, under the one
+//! [`KState`] lock. If that event is its own it simply keeps running;
+//! otherwise [`Kernel::switch_to`] swaps registers with the owning
+//! thread's stack — the one hand-off, no system call. The caller of
+//! [`Sim::run`] switches to the first event's thread and is switched back
+//! to when the run is over.
 //!
-//! Two invariants carry the design:
-//!
-//! * **One runnable thread.** Exactly one simulated thread is between
-//!   "dispatched" and "yielded" at any instant, and only that thread
-//!   dispatches, so event order is the heap's `(time, seq)` and all
-//!   simulation-visible state is free of data races by construction. The
-//!   internal mutexes exist to satisfy Rust's `Send`/`Sync` rules and to
-//!   publish that state from one OS thread to the next; they are never
-//!   held across a hand-off.
-//! * **The wake token is never lost.** A hand-off unparks its target
-//!   *before* the yielding thread parks, so the target may run — and
-//!   dispatch the yielder again — before the yielder sleeps; [`Parker`]
-//!   remembers an unpark that precedes its park.
-//!
-//! Both are model-checked by the `loom_` tests below (`--features loom`
-//! swaps the primitives in [`shim`] for the vendored model checker's).
+//! **One runnable context.** There is one OS thread, so exactly one
+//! simulated thread is between "dispatched" and "yielded" at any instant:
+//! event order is the heap's `(time, seq)` and all simulation-visible
+//! state is free of data races by construction. The internal mutexes
+//! exist to satisfy Rust's `Send`/`Sync` rules — a [`Sim`] may be built on
+//! one OS thread and run on another — and are never held across a
+//! hand-off. What is per OS thread and has to follow the simulated thread
+//! instead is swapped at the hand-off: [`CTX`] and the two [`ambient`]
+//! words.
 
 use std::{
-    cell::RefCell,
+    cell::{Cell, RefCell},
     cmp::Reverse,
     collections::BinaryHeap,
+    ops::Deref,
     panic::{self, AssertUnwindSafe},
     sync::Arc,
 };
 
-#[cfg(test)]
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use parking_lot::{Mutex, MutexGuard};
 
-use self::shim::{spawn_os, Condvar, Mutex, MutexGuard, OsJoinHandle};
-use crate::time::Ns;
-
-/// The blocking primitives under the kernel, as one indirection so the
-/// `loom` feature can swap them for the vendored model checker's (the
-/// `ccnvme-runtime` convention: a cargo feature instead of `--cfg loom`).
-/// Both sides have the `parking_lot` calling convention.
-#[cfg(not(feature = "loom"))]
-mod shim {
-    pub(super) use parking_lot::{Condvar, Mutex, MutexGuard};
-
-    pub(super) type OsJoinHandle = std::thread::JoinHandle<()>;
-
-    /// Starts the OS thread backing a simulated thread.
-    pub(super) fn spawn_os(name: String, f: impl FnOnce() + Send + 'static) -> OsJoinHandle {
-        std::thread::Builder::new()
-            .name(name)
-            .spawn(f)
-            .expect("failed to spawn OS thread backing a simulated thread")
-    }
-}
-
-#[cfg(feature = "loom")]
-mod shim {
-    use std::ops::{Deref, DerefMut};
-
-    const UNPOISONED: &str = "loom mutex cannot be poisoned";
-
-    pub(super) struct Mutex<T>(loom::sync::Mutex<T>);
-
-    impl<T> Mutex<T> {
-        pub(super) fn new(v: T) -> Self {
-            Mutex(loom::sync::Mutex::new(v))
-        }
-
-        pub(super) fn lock(&self) -> MutexGuard<'_, T> {
-            MutexGuard(Some(self.0.lock().expect(UNPOISONED)))
-        }
-    }
-
-    /// The inner `Option` lets [`Condvar::wait`] hand the loom guard over
-    /// by value; it is `Some` at every other moment.
-    pub(super) struct MutexGuard<'a, T>(Option<loom::sync::MutexGuard<'a, T>>);
-
-    impl<T> Deref for MutexGuard<'_, T> {
-        type Target = T;
-        fn deref(&self) -> &T {
-            self.0.as_ref().expect("guard vacated")
-        }
-    }
-
-    impl<T> DerefMut for MutexGuard<'_, T> {
-        fn deref_mut(&mut self) -> &mut T {
-            self.0.as_mut().expect("guard vacated")
-        }
-    }
-
-    pub(super) struct Condvar(loom::sync::Condvar);
-
-    impl Condvar {
-        pub(super) fn new() -> Self {
-            Condvar(loom::sync::Condvar::new())
-        }
-
-        pub(super) fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
-            let g = guard.0.take().expect("guard vacated");
-            guard.0 = Some(self.0.wait(g).expect(UNPOISONED));
-        }
-
-        pub(super) fn notify_one(&self) {
-            self.0.notify_one();
-        }
-    }
-
-    pub(super) type OsJoinHandle = loom::thread::JoinHandle<()>;
-
-    pub(super) fn spawn_os(_name: String, f: impl FnOnce() + Send + 'static) -> OsJoinHandle {
-        loom::thread::spawn(f)
-    }
-}
+use crate::{
+    fiber::{self, Stack},
+    time::Ns,
+};
 
 /// Identifier of a simulated thread, unique within one [`Sim`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -150,59 +68,11 @@ fn install_quiet_shutdown_hook() {
     });
 }
 
-/// A park/unpark flag with no token loss: an unpark delivered before the
-/// park is remembered.
-struct Parker {
-    flag: Mutex<bool>,
-    cv: Condvar,
-    /// Calls to [`Parker::park`] / [`Parker::unpark`], for the tests that
-    /// pin "the self path never parks" and "the runner is woken once".
-    #[cfg(test)]
-    parks: AtomicU64,
-    #[cfg(test)]
-    unparks: AtomicU64,
-}
-
-impl Parker {
-    fn new() -> Self {
-        Parker {
-            flag: Mutex::new(false),
-            cv: Condvar::new(),
-            #[cfg(test)]
-            parks: Default::default(),
-            #[cfg(test)]
-            unparks: Default::default(),
-        }
-    }
-
-    fn park(&self) {
-        #[cfg(test)]
-        self.parks.fetch_add(1, Relaxed);
-        let mut flag = self.flag.lock();
-        while !*flag {
-            self.cv.wait(&mut flag);
-        }
-        *flag = false;
-    }
-
-    /// Sets the token and wakes the parked thread, if any. The flag lock
-    /// is released *before* the notify: a thread woken while the waker
-    /// still held it would block a second time on its way out of `wait`.
-    /// No wake is lost by that — a parker that has not seen the token yet
-    /// is either before its `lock` (and will see it) or inside `wait`.
-    fn unpark(&self) {
-        #[cfg(test)]
-        self.unparks.fetch_add(1, Relaxed);
-        *self.flag.lock() = true;
-        self.cv.notify_one();
-    }
-}
-
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ThreadState {
     /// Has a pending event in the heap.
     Ready,
-    /// Currently executing; every other thread is parked.
+    /// Currently executing; every other thread is suspended.
     Running,
     /// Waiting on a primitive; no event, unless a timeout is armed.
     Blocked,
@@ -210,17 +80,33 @@ enum ThreadState {
     Finished,
 }
 
+/// Whom a hand-off resumes, or suspends.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Next {
+    Thread(usize),
+    /// The caller of [`Sim::run`].
+    Runner,
+}
+
 struct ThreadSlot {
     name: String,
     core: usize,
     daemon: bool,
-    parker: Arc<Parker>,
     state: ThreadState,
     /// Sequence number of the single event that may dispatch this thread.
     /// Any popped event with a different sequence is stale and dropped.
     expected_seq: u64,
     wake_reason: WakeReason,
-    os_handle: Option<OsJoinHandle>,
+    /// What the thread runs; its first dispatch takes it.
+    body: Option<Box<dyn FnOnce() + Send>>,
+    /// Mapped at the first dispatch, given up when the thread finishes.
+    stack: Option<Stack>,
+    /// Where [`fiber::switch`] left the suspended thread's stack pointer.
+    /// Boxed: the switch stores it after the state lock is gone, when
+    /// `threads` may have moved.
+    sp: Box<Cell<usize>>,
+    /// The thread's [`ambient`] words while it is suspended.
+    ambient: [u64; 2],
 }
 
 #[derive(PartialEq, Eq, PartialOrd, Ord)]
@@ -242,24 +128,47 @@ struct KState {
     shutdown: bool,
     events_processed: u64,
     panic_payload: Option<Box<dyn std::any::Any + Send>>,
+    /// The caller of [`Sim::run`] while threads run: its stack pointer
+    /// and its [`ambient`] words.
+    runner_sp: Cell<usize>,
+    runner_ambient: [u64; 2],
+    /// The stack of the thread that finished last. It was still standing
+    /// on it when it switched away, so the *next* hand-off recycles it.
+    zombie: Option<Stack>,
+    /// Stacks of finished threads, for the next first dispatch; unmapped
+    /// at shutdown.
+    free: Vec<Stack>,
+    #[cfg(test)]
+    switches: u64,
 }
 
 pub(crate) struct Kernel {
     st: Mutex<KState>,
-    /// Where the caller of [`Sim::run`] sleeps while the threads run.
-    runner: Arc<Parker>,
 }
 
 thread_local! {
-    static CTX: RefCell<Option<(Arc<Kernel>, usize)>> = const { RefCell::new(None) };
+    /// The kernel running on this OS thread and who of it is executing:
+    /// installed by [`Kernel::as_runner`], retargeted at every hand-off.
+    static CTX: RefCell<Option<(Arc<Kernel>, Next)>> = const { RefCell::new(None) };
+    static AMBIENT: Cell<[u64; 2]> = const { Cell::new([0; 2]) };
 }
 
 fn ctx() -> (Arc<Kernel>, usize) {
-    CTX.with(|c| {
-        c.borrow()
-            .clone()
-            .expect("this operation must be called from inside a simulated thread")
+    CTX.with(|c| match &*c.borrow() {
+        Some((kernel, Next::Thread(tid))) => (Arc::clone(kernel), *tid),
+        _ => panic!("this operation must be called from inside a simulated thread"),
     })
+}
+
+fn set_current(who: Next) {
+    CTX.with(|c| c.borrow_mut().as_mut().expect("a run is in progress").1 = who);
+}
+
+/// Entry point of every fiber: runs the thread's body, then leaves for good.
+extern "sysv64" fn fiber_main(tid: usize) -> ! {
+    let body = ctx().0.st.lock().threads[tid].body.take();
+    body.expect("a thread is started once")();
+    ctx().0.exit_current(tid)
 }
 
 impl Kernel {
@@ -275,8 +184,13 @@ impl Kernel {
                 shutdown: false,
                 events_processed: 0,
                 panic_payload: None,
+                runner_sp: Cell::new(0),
+                runner_ambient: [0; 2],
+                zombie: None,
+                free: Vec::new(),
+                #[cfg(test)]
+                switches: 0,
             }),
-            runner: Arc::new(Parker::new()),
         }
     }
 
@@ -289,17 +203,15 @@ impl Kernel {
         st.heap.push(Reverse(Event { time, seq, tid }));
     }
 
-    /// The one dispatch step, run by whichever thread just stopped
-    /// running (`me`; `None` for the caller of [`Sim::run`]): pops the
-    /// earliest live event, advances the clock to it and marks its owner
-    /// running. Returns whom the caller must unpark — the owner, or the
-    /// runner when the run is over — and `None` when the event is the
-    /// caller's own and it simply keeps running.
-    fn dispatch(&self, st: &mut KState, me: Option<usize>) -> Option<Arc<Parker>> {
+    /// The one dispatch step, run by whoever just stopped running: pops
+    /// the earliest live event, advances the clock to it and marks its
+    /// owner running. Returns whom to resume — the owner, which may be
+    /// the caller itself, or the runner when the run is over.
+    fn dispatch(st: &mut KState) -> Next {
         if st.panic_payload.is_some() || st.live == 0 {
             // Daemon threads may still have pending wakeups; they are
             // torn down by `shutdown_all`.
-            return Some(Arc::clone(&self.runner));
+            return Next::Runner;
         }
         while let Some(Reverse(ev)) = st.heap.pop() {
             let slot = &mut st.threads[ev.tid];
@@ -307,31 +219,87 @@ impl Kernel {
                 continue; // Stale event.
             }
             slot.state = ThreadState::Running;
-            let owner = (me != Some(ev.tid)).then(|| Arc::clone(&slot.parker));
             debug_assert!(ev.time >= st.now, "time went backwards");
             st.now = ev.time;
             st.events_processed += 1;
-            return owner;
+            return Next::Thread(ev.tid);
         }
         // Live threads are blocked with no pending event: a deadlock,
         // which `Sim::run` raises on its caller's thread.
-        Some(Arc::clone(&self.runner))
+        Next::Runner
+    }
+
+    /// The one hand-off: suspends `me`, which is executing this, and
+    /// resumes `next`; returns when something hands back to `me`. A
+    /// finishing thread passes its own `Arc`, so that nothing stays owned
+    /// by a stack that is never resumed.
+    fn switch_to(this: impl Deref<Target = Kernel>, me: Next, next: Next) {
+        let (save, to) = {
+            let st = &mut *this.st.lock();
+            #[cfg(test)]
+            {
+                st.switches += 1;
+            }
+            st.free.extend(st.zombie.take());
+            let save = match me {
+                Next::Runner => {
+                    st.runner_ambient = AMBIENT.get();
+                    st.runner_sp.as_ptr()
+                }
+                Next::Thread(tid) => {
+                    let slot = &mut st.threads[tid];
+                    slot.ambient = AMBIENT.get();
+                    if slot.state == ThreadState::Finished {
+                        st.zombie = slot.stack.take();
+                    }
+                    slot.sp.as_ptr()
+                }
+            };
+            let (to, ambient) = match next {
+                Next::Runner => (st.runner_sp.get(), st.runner_ambient),
+                Next::Thread(tid) => {
+                    let slot = &mut st.threads[tid];
+                    if slot.stack.is_none() {
+                        let mut stack = st.free.pop().unwrap_or_else(Stack::new);
+                        slot.sp.set(fiber::prepare(&mut stack, fiber_main, tid));
+                        slot.stack = Some(stack);
+                    }
+                    (slot.sp.get(), slot.ambient)
+                }
+            };
+            AMBIENT.set(ambient);
+            (save, to)
+        };
+        set_current(next);
+        drop(this);
+        // SAFETY: `to` is the stack pointer of a suspended context that
+        // nobody else resumes: `prepare`d just above, or stored by the
+        // `switch` that suspended `next`, which has not run since (only
+        // the executing context gets here, and it resumes one target).
+        // That context's stack is mapped: a stack leaves its slot only
+        // when its thread is finished, and neither `dispatch` nor
+        // `shutdown_all` names a finished thread. `save` points into the
+        // `Sim`'s kernel, which the frame of `Sim::run` or `drop` on the
+        // runner's stack keeps alive across every hand-off, and nothing
+        // locks `st` again before the store. A thread starts and is
+        // resumed only inside `Sim::run`, which happens once: a context
+        // never continues on another OS thread than it started on.
+        unsafe { fiber::switch(save, to) }
     }
 
     /// Gives up the CPU: dispatches the next event and, unless it is the
-    /// caller's own, hands over and parks until dispatched again. The
-    /// caller must already have arranged its wakeup (heap event or
-    /// waitlist registration) under the `st` lock it passes in.
+    /// caller's own, hands over until dispatched again. The caller must
+    /// already have arranged its wakeup (heap event or waitlist
+    /// registration) under the `st` lock it passes in.
     fn yield_current(&self, mut st: MutexGuard<'_, KState>, tid: usize) {
-        let Some(next) = self.dispatch(&mut st, Some(tid)) else {
-            return;
-        };
-        let parker = Arc::clone(&st.threads[tid].parker);
+        let next = Self::dispatch(&mut st);
         drop(st);
-        next.unpark();
-        parker.park();
+        if next == Next::Thread(tid) {
+            return;
+        }
+        Self::switch_to(self, Next::Thread(tid), next);
         if self.st.lock().shutdown {
-            // Unwind this thread's stack; the runner catches the token.
+            // Unwind this thread's stack; its body catches the token.
             panic::panic_any(SimShutdown);
         }
     }
@@ -395,30 +363,41 @@ impl Kernel {
         }
     }
 
-    /// Last act of a simulated thread's OS thread: marks it finished and
-    /// dispatches the next event on its way out.
-    fn exit_current(&self, tid: usize) {
-        let mut st = self.st.lock();
-        st.threads[tid].state = ThreadState::Finished;
-        if st.shutdown {
-            return; // Unwound by `shutdown_all`: nothing left to dispatch.
-        }
-        if !st.threads[tid].daemon {
-            st.live -= 1;
-        }
-        let next = self.dispatch(&mut st, Some(tid));
-        drop(st);
-        next.expect("a finished thread owns no live event").unpark();
+    /// Last act of a simulated thread: marks it finished and hands off
+    /// to the next event's owner.
+    fn exit_current(self: Arc<Self>, tid: usize) -> ! {
+        let next = {
+            let mut st = self.st.lock();
+            st.threads[tid].state = ThreadState::Finished;
+            if st.shutdown {
+                Next::Runner // Unwound by `shutdown_all`, which goes on.
+            } else {
+                if !st.threads[tid].daemon {
+                    st.live -= 1;
+                }
+                Self::dispatch(&mut st)
+            }
+        };
+        Self::switch_to(self, Next::Thread(tid), next);
+        unreachable!("a finished thread is never resumed")
     }
 
-    /// Starts the first event's thread and sleeps until the run is over.
-    /// Returns the deadlock report if that is how it ended.
+    /// Runs `f` — the runner's side of a run — with this kernel as the
+    /// OS thread's current one; the caller's own context is back after.
+    fn as_runner<R>(self: &Arc<Self>, f: impl FnOnce(&Kernel) -> R) -> R {
+        let outer = CTX.replace(Some((Arc::clone(self), Next::Runner)));
+        let out = f(self);
+        CTX.set(outer);
+        out
+    }
+
+    /// Runs the threads until the run is over. Returns the deadlock
+    /// report if that is how it ended.
     fn run_to_stop(&self) -> Option<String> {
-        let first = self.dispatch(&mut self.st.lock(), None);
-        // With nothing to run this is the runner's own parker, and the
-        // park below returns at once.
-        first.expect("the runner owns no event").unpark();
-        self.runner.park();
+        let first = Self::dispatch(&mut self.st.lock());
+        if first != Next::Runner {
+            Self::switch_to(self, Next::Runner, first);
+        }
         let st = self.st.lock();
         if st.panic_payload.is_some() || st.live == 0 {
             return None;
@@ -436,21 +415,40 @@ impl Kernel {
         ))
     }
 
-    /// Unwinds every unfinished thread and joins every OS thread.
+    /// Ends every unfinished thread, one at a time in spawn order, and
+    /// unmaps the stacks.
     fn shutdown_all(&self) {
-        let pending: Vec<(Arc<Parker>, OsJoinHandle)> = {
+        self.st.lock().shutdown = true;
+        for tid in 0.. {
             let mut st = self.st.lock();
-            st.shutdown = true;
-            st.threads
-                .iter_mut()
-                .filter_map(|slot| Some((Arc::clone(&slot.parker), slot.os_handle.take()?)))
-                .collect()
-        };
-        for (parker, handle) in pending {
-            // A finished thread never parks again: the token is unused.
-            parker.unpark();
-            let _ = handle.join();
+            let Some(slot) = st.threads.get_mut(tid) else {
+                break;
+            };
+            if slot.state == ThreadState::Finished {
+                continue;
+            }
+            if slot.stack.is_some() {
+                // Suspended inside its body: resumed, it unwinds with
+                // `SimShutdown`, which runs its destructors. One of them
+                // yielding does not get it a second turn.
+                drop(st);
+                Self::switch_to(self, Next::Runner, Next::Thread(tid));
+                self.st.lock().threads[tid].state = ThreadState::Finished;
+            } else {
+                // Never started. Its captures are dropped as the thread
+                // they were handed to, which is where their destructors
+                // (a `Sender`'s wake-up of its receiver) expect to run.
+                slot.state = ThreadState::Finished;
+                let body = slot.body.take();
+                drop(st);
+                set_current(Next::Thread(tid));
+                drop(body);
+                set_current(Next::Runner);
+            }
         }
+        let mut st = self.st.lock();
+        st.zombie = None;
+        st.free.clear();
     }
 }
 
@@ -520,7 +518,32 @@ where
         finished: false,
         waiters: Vec::new(),
     }));
-    let parker = Arc::new(Parker::new());
+    let js2 = Arc::clone(&join_st);
+    // Runs as the thread, so the kernel it reports to is the current one.
+    let body = move || match panic::catch_unwind(AssertUnwindSafe(f)) {
+        Ok(value) => {
+            let waiters: Vec<usize> = {
+                let mut js = js2.lock();
+                js.result = Some(value);
+                js.finished = true;
+                std::mem::take(&mut js.waiters)
+            };
+            let (kernel, _) = ctx();
+            for w in waiters {
+                kernel.wake(w);
+            }
+        }
+        Err(payload) => {
+            if !payload.is::<SimShutdown>() {
+                let (kernel, _) = ctx();
+                let mut st = kernel.st.lock();
+                if st.panic_payload.is_none() {
+                    st.panic_payload = Some(payload);
+                }
+            }
+            js2.lock().finished = true;
+        }
+    };
     let tid = {
         let mut st = kernel.st.lock();
         assert!(
@@ -534,11 +557,13 @@ where
             name: name.to_string(),
             core,
             daemon,
-            parker: Arc::clone(&parker),
             state: ThreadState::Ready,
             expected_seq: 0,
             wake_reason: WakeReason::TimedOut,
-            os_handle: None,
+            body: Some(Box::new(body)),
+            stack: None,
+            sp: Box::default(),
+            ambient: [0; 2],
         });
         if !daemon {
             st.live += 1;
@@ -547,40 +572,6 @@ where
         Kernel::schedule(&mut st, now, tid);
         tid
     };
-
-    let k2 = Arc::clone(kernel);
-    let js2 = Arc::clone(&join_st);
-    let handle = spawn_os(format!("sim:{name}"), move || {
-        CTX.with(|c| *c.borrow_mut() = Some((Arc::clone(&k2), tid)));
-        parker.park();
-        if !k2.st.lock().shutdown {
-            let outcome = panic::catch_unwind(AssertUnwindSafe(f));
-            match outcome {
-                Ok(value) => {
-                    let waiters: Vec<usize> = {
-                        let mut js = js2.lock();
-                        js.result = Some(value);
-                        js.finished = true;
-                        std::mem::take(&mut js.waiters)
-                    };
-                    for w in waiters {
-                        k2.wake(w);
-                    }
-                }
-                Err(payload) => {
-                    if !payload.is::<SimShutdown>() {
-                        let mut st = k2.st.lock();
-                        if st.panic_payload.is_none() {
-                            st.panic_payload = Some(payload);
-                        }
-                    }
-                    js2.lock().finished = true;
-                }
-            }
-        }
-        k2.exit_current(tid);
-    });
-    kernel.st.lock().threads[tid].os_handle = Some(handle);
     SimJoinHandle {
         kernel: Arc::clone(kernel),
         st: join_st,
@@ -640,8 +631,11 @@ impl Sim {
     pub fn run(&mut self) -> Ns {
         assert!(!self.ran, "a Sim can only be run once");
         self.ran = true;
-        let deadlock = self.kernel.run_to_stop();
-        self.kernel.shutdown_all();
+        let deadlock = self.kernel.as_runner(|kernel| {
+            let deadlock = kernel.run_to_stop();
+            kernel.shutdown_all();
+            deadlock
+        });
         let (now, payload) = {
             let mut st = self.kernel.st.lock();
             (st.now, st.panic_payload.take())
@@ -690,9 +684,8 @@ impl Sim {
 
 impl Drop for Sim {
     fn drop(&mut self) {
-        // Make sure no OS threads outlive the simulation even if `run`
-        // was never called or panicked mid-way.
-        self.kernel.shutdown_all();
+        // Nothing of a simulation that was never run is left behind.
+        self.kernel.as_runner(Kernel::shutdown_all);
     }
 }
 
@@ -702,7 +695,19 @@ impl Drop for Sim {
 
 /// Returns whether the caller is a simulated thread.
 pub fn in_sim() -> bool {
-    CTX.with(|c| c.borrow().is_some())
+    CTX.with(|c| matches!(*c.borrow(), Some((_, Next::Thread(_)))))
+}
+
+/// Two words that belong to the calling thread and follow it: each
+/// simulated thread has its own (zero until set), as has each OS thread
+/// outside a simulation. The kernel does not interpret them.
+pub fn ambient() -> [u64; 2] {
+    AMBIENT.get()
+}
+
+/// Replaces the calling thread's [`ambient`] words, returning the old ones.
+pub fn set_ambient(words: [u64; 2]) -> [u64; 2] {
+    AMBIENT.replace(words)
 }
 
 /// Returns the current virtual time in nanoseconds.
@@ -764,7 +769,7 @@ pub(crate) fn current() -> (Arc<Kernel>, usize) {
     ctx()
 }
 
-#[cfg(all(test, not(feature = "loom")))]
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -946,7 +951,7 @@ mod tests {
     #[test]
     fn own_next_event_is_taken_without_parking() {
         let mut sim = Sim::new(1);
-        let h = sim.spawn("t", 0, || {
+        sim.spawn("t", 0, || {
             for _ in 0..10_000 {
                 cpu(1);
             }
@@ -954,12 +959,9 @@ mod tests {
         assert_eq!(sim.run(), 10_000);
         // One dispatch starts the thread, one per `cpu` call.
         assert_eq!(sim.events_processed(), 10_001);
-        let st = sim.kernel.st.lock();
-        // The thread parked once, waiting to be started; the runner
-        // parked once and was woken once.
-        assert_eq!(st.threads[h.id().0].parker.parks.load(Relaxed), 1);
-        assert_eq!(sim.kernel.runner.parks.load(Relaxed), 1);
-        assert_eq!(sim.kernel.runner.unparks.load(Relaxed), 1);
+        // The runner switched to the thread and the thread, finished,
+        // back: nothing in between.
+        assert_eq!(sim.kernel.st.lock().switches, 2);
     }
 
     #[test]
@@ -974,8 +976,8 @@ mod tests {
             // finds the heap empty.
             ctx().0.block_current();
         });
-        // `catch_unwind` on this thread: the panic comes out of `run`
-        // itself, not out of a simulated thread's OS thread.
+        // `catch_unwind` around `run`: the panic comes out of `run`
+        // itself, not out of a simulated thread's stack.
         let err = panic::catch_unwind(AssertUnwindSafe(|| sim.run())).unwrap_err();
         assert_eq!(
             err.downcast_ref::<String>().map(String::as_str),
@@ -1009,13 +1011,8 @@ mod tests {
                         }
                     });
                     let end = sim.run();
-                    let runner = &sim.kernel.runner;
-                    (
-                        end,
-                        sim.events_processed(),
-                        runner.parks.load(Relaxed),
-                        runner.unparks.load(Relaxed),
-                    )
+                    let switches = sim.kernel.st.lock().switches;
+                    (end, sim.events_processed(), switches)
                 })
             })
             .collect();
@@ -1023,13 +1020,16 @@ mod tests {
         // Each clock is its own thread's work; each event count is that
         // plus the daemon's ticks before the end (the tick due at the
         // final instant was scheduled after the thread's last event, so
-        // sorts behind it), plus the two first dispatches.
-        assert_eq!(got[0], (3_000, 1_000 + 2_999 + 2, 1, 1));
-        assert_eq!(got[1], (7_000, 1_000 + 6_999 + 2, 1, 1));
+        // sorts behind it), plus the two first dispatches. Each `cpu` is
+        // a hand-off to the daemon and one back, whatever the daemon
+        // ticks in between; add the two first ones, the last one to the
+        // runner, and shutdown's visit to the daemon and back.
+        assert_eq!(got[0], (3_000, 1_000 + 2_999 + 2, 2 * 1_000 + 5));
+        assert_eq!(got[1], (7_000, 1_000 + 6_999 + 2, 2 * 1_000 + 5));
     }
 }
 
-#[cfg(all(test, not(feature = "loom")))]
+#[cfg(test)]
 mod prop_tests {
     use std::sync::Arc;
 
@@ -1082,97 +1082,5 @@ mod prop_tests {
             }
             prop_assert_eq!(run(&script), run(&script));
         }
-    }
-}
-
-// The loom tier: every interleaving of the hand-off's OS-level steps —
-// the `st` lock, the parker's flag lock, its condvar — for small runs of
-// the real kernel. Run with:
-//   cargo test -p ccnvme-sim --features loom --lib loom_
-#[cfg(all(test, feature = "loom"))]
-mod loom_tests {
-    use loom::sync::atomic::{AtomicUsize, Ordering::SeqCst};
-
-    use super::*;
-
-    /// Asserts, from inside a simulated thread, that it is the only one
-    /// between "dispatched" and "yielded".
-    fn assert_alone(running: &AtomicUsize) {
-        assert_eq!(running.fetch_add(1, SeqCst), 0, "two threads ran at once");
-        let (kernel, me) = ctx();
-        let st = kernel.st.lock();
-        let is_running = |t: &ThreadSlot| t.state == ThreadState::Running;
-        assert!(is_running(&st.threads[me]));
-        assert_eq!(st.threads.iter().filter(|t| is_running(t)).count(), 1);
-        drop(st);
-        running.fetch_sub(1, SeqCst);
-    }
-
-    #[test]
-    fn loom_unpark_before_park_is_not_lost() {
-        loom::model(|| {
-            let parker = Arc::new(Parker::new());
-            let waker = {
-                let parker = Arc::clone(&parker);
-                loom::thread::spawn(move || parker.unpark())
-            };
-            // Deadlocks (and loom reports it) in any schedule that loses
-            // the token, whichever side gets there first.
-            parker.park();
-            waker.join().expect("waker finished");
-            assert!(!*parker.flag.lock(), "the token is consumed by the park");
-        });
-    }
-
-    #[test]
-    fn loom_handoff_runs_one_thread_at_a_time_and_wakes_the_runner_once() {
-        loom::model(|| {
-            let running = Arc::new(AtomicUsize::new(0));
-            let mut sim = Sim::new(2);
-            for core in 0..2 {
-                let running = Arc::clone(&running);
-                sim.spawn("t", core, move || {
-                    // Both threads are due at the same instants, so every
-                    // `cpu` is a cross-thread hand-off whose target may
-                    // dispatch the yielder back before it has parked.
-                    for _ in 0..2 {
-                        assert_alone(&running);
-                        cpu(10);
-                    }
-                    assert_alone(&running);
-                });
-            }
-            assert_eq!(sim.run(), 20);
-            assert_eq!(sim.events_processed(), 6);
-            assert_eq!(sim.kernel.runner.unparks.load(Relaxed), 1);
-        });
-    }
-
-    #[test]
-    fn loom_block_wake_and_exit_dispatch_across_three_threads() {
-        loom::model(|| {
-            let running = Arc::new(AtomicUsize::new(0));
-            let mut sim = Sim::new(2);
-            let r = Arc::clone(&running);
-            sim.spawn_daemon("daemon", 1, move || loop {
-                assert_alone(&r);
-                delay(7);
-            });
-            let r = Arc::clone(&running);
-            sim.spawn("main", 0, move || {
-                let r2 = Arc::clone(&r);
-                let worker = spawn("worker", 1, move || {
-                    assert_alone(&r2);
-                    delay(5);
-                    3u8
-                });
-                // Blocks; the worker's exit wakes it and dispatches it
-                // from a thread that is on its way out.
-                assert_eq!(worker.join(), 3);
-                assert_alone(&r);
-            });
-            assert_eq!(sim.run(), 5);
-            assert_eq!(sim.kernel.runner.unparks.load(Relaxed), 1);
-        });
     }
 }

@@ -9,12 +9,15 @@
 //!
 //! # Execution model
 //!
-//! * Every *simulated thread* is backed by a real OS thread, but **exactly
+//! * Every *simulated thread* is a fiber — its own stack, no OS thread of
+//!   its own — on the OS thread that called [`Sim::run`], so **exactly
 //!   one simulated thread executes at any instant**. Whenever the running
 //!   thread advances the clock or blocks it dispatches the earliest
 //!   pending event itself: it keeps running if the event is its own, and
-//!   otherwise wakes the owning thread and sleeps (see [`kernel`]).
+//!   otherwise switches to the owning thread's stack (see [`kernel`]).
 //!   Simulated state is therefore free of data races by construction.
+//!   What `std` keeps per OS thread is shared by all of them; the two
+//!   [`ambient`] words are what follows a simulated thread instead.
 //! * Time is virtual, in nanoseconds ([`Ns`]). Threads spend time
 //!   explicitly: [`cpu`] models CPU work (and contends for the thread's
 //!   simulated core), [`delay`] models pure waiting (I/O latency, link
@@ -45,14 +48,15 @@
 //! sim.run();
 //! ```
 
+mod fiber;
 pub mod kernel;
 pub mod rng;
 pub mod sync;
 pub mod time;
 
 pub use kernel::{
-    cpu, current_core, delay, in_sim, now, spawn, spawn_daemon, yield_now, Sim, SimJoinHandle,
-    ThreadId,
+    ambient, cpu, current_core, delay, in_sim, now, set_ambient, spawn, spawn_daemon, yield_now,
+    Sim, SimJoinHandle, ThreadId,
 };
 pub use rng::DetRng;
 pub use sync::{

@@ -643,7 +643,7 @@ impl<T> Drop for Receiver<T> {
     }
 }
 
-#[cfg(all(test, not(feature = "loom")))]
+#[cfg(test)]
 mod tests {
     use std::sync::Arc;
 

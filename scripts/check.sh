@@ -13,13 +13,12 @@
 #
 #   deep (CHECK_DEEP=1): the deep file-system crash sweep
 #     (CCNVME_ENUM_DEEP=1: torn posted-write expansion plus a
-#     crash-during-recovery sweep over every explored image — about an
-#     hour), the fabric TCP soak, the loom model-checking suites (the
+#     crash-during-recovery sweep over every explored image — about 25
+#     minutes), the fabric TCP soak, the loom model-checking suites (the
 #     lock-free observability hot structures, DetectableCas, the OS
-#     runtime's channel, the sim kernel's hand-off), and `cargo miri
-#     test` on the sim/obs crates when the miri component is installed
-#     (skipped with a notice otherwise — CI images without miri still
-#     run the loom tier).
+#     runtime's channel), and `cargo miri test` on the obs crate when
+#     the miri component is installed (skipped with a notice otherwise —
+#     CI images without miri still run the loom tier).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -65,8 +64,8 @@ for rule in persist-order static-race observer-purity; do
 done
 scripts/bench_smoke.sh
 # The deep ploc and cluster crash sweeps (torn tails and every-image
-# re-crash; every cut, three shards). The file-system ones take from
-# 25 minutes to an hour each and stay in the deep tier; the journal's patch-record
+# re-crash; every cut, three shards). The file-system ones take
+# tens of minutes each and stay in the deep tier; the journal's patch-record
 # surface (PatchChain: every event prefix through remount, fsck, oracle,
 # forensics and sanitizer, plus the final image's recovery re-crashed at
 # each of its events, exact counts) already ran above, inside
@@ -128,12 +127,11 @@ if [[ "${CHECK_DEEP:-0}" == "1" ]]; then
     # The OS runtime's MPSC channel: no lost wakeups / lost messages
     # under every interleaving of its mutex+condvar internals.
     cargo test -q -p ccnvme-runtime --features loom --lib loom_
-    # The sim kernel's hand-off, on the real kernel: no lost wake token,
-    # one simulated thread running at a time, the runner woken once.
-    cargo test -q -p ccnvme-sim --features loom --lib loom_
     echo "== deep tier: miri =="
     if rustup component list 2>/dev/null | grep -q "^miri.*(installed)"; then
-        cargo miri test -q -p ccnvme-sim -p ccnvme-obs
+        # Not ccnvme-sim: every test of it crosses `fiber::switch`, a
+        # `naked_asm!` body miri cannot execute.
+        cargo miri test -q -p ccnvme-obs
     else
         echo "miri not installed; skipping (rustup component add miri)"
     fi

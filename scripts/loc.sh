@@ -3,8 +3,10 @@
 # rule every "lines removed" figure in CHANGES.md uses (PR 17's):
 #
 #   * blank lines and lines that start with `//` do not count;
-#   * a file stops counting at its first `#[cfg(test)]` / `#[cfg(all(test`
-#     line (the unit-test module and whatever follows it);
+#   * a file stops counting at the first `#[cfg(test)]` / `#[cfg(all(test`
+#     line that is followed by a `mod` (the unit-test module and whatever
+#     follows it); the attribute on a `use`, a field or a helper does not
+#     end the count;
 #   * `tests/` directories, `target/` and `compat/` are skipped.
 #
 #   scripts/loc.sh                    the workspace: crates/ src/ examples/
@@ -24,9 +26,11 @@ fi
 
 find "$@" -name '*.rs' -not -path '*/tests/*' -not -path '*/target/*' \
     -not -path 'compat/*' | sort | while read -r f; do
-    n=$(awk '/^[[:space:]]*#\[cfg\((all\()?test/ { exit }
+    n=$(awk 'held && /^[[:space:]]*(pub(\([a-z]+\))?[[:space:]]+)?mod[[:space:]]/ { exit }
+             { n += held; held = 0 }
              /^[[:space:]]*$/ || /^[[:space:]]*\/\// { next }
-             { n++ } END { print n + 0 }' "$f")
+             /^[[:space:]]*#\[cfg\((all\()?test/ { held = 1; next }
+             { n++ } END { print n + held }' "$f")
     d=$(dirname "$f")
     while [ "$d" != . ] && [ ! -f "$d/Cargo.toml" ]; do d=$(dirname "$d"); done
     printf '%s\t%s\t%s\n' "$n" "$d" "$f"
