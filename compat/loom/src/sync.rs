@@ -258,6 +258,12 @@ impl<T> Mutex<T> {
     pub fn into_inner(self) -> std::sync::LockResult<T> {
         Ok(self.data.into_inner())
     }
+
+    /// Returns a mutable reference to the data; `&mut self` proves no
+    /// guard is alive.
+    pub fn get_mut(&mut self) -> std::sync::LockResult<&mut T> {
+        Ok(self.data.get_mut())
+    }
 }
 
 /// RAII guard for [`Mutex`]; releasing is not a scheduling point.

@@ -22,7 +22,7 @@
 use std::{
     collections::{HashMap, HashSet, VecDeque},
     sync::{
-        atomic::{AtomicU32, AtomicU64, Ordering},
+        atomic::{AtomicU64, Ordering},
         Arc,
     },
 };
@@ -114,7 +114,7 @@ struct CcDev {
     /// Recovery-generation counter: the ring epoch every SQE is sealed
     /// under. Bumped (in the PMR header) on each probe so slots from a
     /// previous life of the ring fail epoch validation during recovery.
-    generation: AtomicU32,
+    generation: u32,
     err: ErrPath<CcQueue>,
 }
 
@@ -316,7 +316,7 @@ impl CcNvmeDriver {
             pmr,
             regs: ctrl.regs(),
             hostmem: ctrl.hostmem(),
-            generation: AtomicU32::new(generation),
+            generation,
             err,
         });
         let mut queues = Vec::with_capacity(num_queues as usize);
@@ -499,9 +499,7 @@ fn enqueue(q: &Arc<CcQueue>, bio: Bio, ring: bool, flush_first: bool) {
 /// so recovery discards torn or stale slots.
 fn store_sqe(q: &CcQueue, cmd: &NvmeCommand) {
     let mut raw = cmd.encode();
-    // ord: SeqCst — the ring epoch is written once at probe; a stale
-    // read here would seal slots recovery then rejects.
-    crate::layout::seal_sqe(&mut raw, q.dev.generation.load(Ordering::SeqCst));
+    crate::layout::seal_sqe(&mut raw, q.dev.generation);
     q.dev.pmr.write(q.ring_off + cmd.cid as u64 * 64, &raw);
 }
 

@@ -29,9 +29,10 @@
 //! * [`forensics`] — post-crash timeline reconstruction and per-tx
 //!   verdicts over a mounted blackbox ring.
 //!
-//! The crate is deliberately dependency-free (time stamps are passed in
-//! by callers as plain nanosecond integers) so every layer of the stack,
-//! including the simulator itself, can depend on it.
+//! Time stamps are passed in by callers as plain nanosecond integers, so
+//! every layer of the stack can report into the crate. Its one dependency
+//! is `ccnvme-sim`, for the per-thread [`ctx`] words that follow a
+//! simulated thread across hand-offs (`ccnvme_sim::ambient`).
 
 #![warn(missing_docs)]
 
@@ -53,9 +54,7 @@ pub use trace::{tx_phases, EventKind, TraceEvent, TraceRing};
 
 use std::sync::Arc;
 
-/// Nanoseconds of (simulated) time. Mirrors `ccnvme_sim::Ns` without
-/// depending on the simulator, so the dependency arrow points the right
-/// way: the simulator re-exports this crate's metric types.
+/// Nanoseconds of (simulated) time; the same type as `ccnvme_sim::Ns`.
 pub type Ns = u64;
 
 /// One observability hub: a metrics registry plus a lifecycle trace ring.

@@ -35,17 +35,6 @@ impl Counter {
         // ord: Relaxed — monotone read; readers tolerate staleness.
         self.value.load(Ordering::Relaxed)
     }
-
-    /// Resets the counter to zero and returns the previous value.
-    ///
-    /// Prefer subtracting [`crate::MetricsSnapshot`]s for measurement
-    /// windows: a reset interleaved with concurrent recorders tears the
-    /// aggregate (some counters cleared before the window, some after).
-    /// This remains for tests and single-owner use.
-    pub fn reset(&self) -> u64 {
-        // ord: Relaxed — single-owner reset; races are documented above.
-        self.value.swap(0, Ordering::Relaxed)
-    }
 }
 
 /// A point-in-time level (queue depth, bytes in flight, degraded flag).
@@ -297,28 +286,6 @@ impl Histogram {
             sum: self.sum.load(Ordering::Relaxed),
         }
     }
-
-    /// Clears all recorded samples.
-    ///
-    /// As with [`Counter::reset`], prefer snapshot subtraction for
-    /// measurement windows; reset is not atomic against concurrent
-    /// recorders.
-    pub fn reset(&self) {
-        for b in self.buckets.iter() {
-            // ord: Relaxed — single-owner reset; races documented above.
-            b.store(0, Ordering::Relaxed);
-        }
-        // ord: Relaxed — single-owner reset; races documented above.
-        self.count.store(0, Ordering::Relaxed);
-        // ord: Relaxed — single-owner reset; races documented above.
-        self.sum.store(0, Ordering::Relaxed);
-        // ord: Relaxed — single-owner reset; races documented above.
-        self.sum_sq.store(0f64.to_bits(), Ordering::Relaxed);
-        // ord: Relaxed — single-owner reset; races documented above.
-        self.min.store(u64::MAX, Ordering::Relaxed);
-        // ord: Relaxed — single-owner reset; races documented above.
-        self.max.store(0, Ordering::Relaxed);
-    }
 }
 
 impl Default for Histogram {
@@ -340,13 +307,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counter_add_reset() {
+    fn counter_add() {
         let c = Counter::new();
         c.inc();
         c.add(4);
         assert_eq!(c.get(), 5);
-        assert_eq!(c.reset(), 5);
-        assert_eq!(c.get(), 0);
     }
 
     #[test]
@@ -491,15 +456,6 @@ mod tests {
         let s = h.summary();
         assert_eq!(s.count, 0);
         assert_eq!(s.p99, 0);
-    }
-
-    #[test]
-    fn reset_clears() {
-        let h = Histogram::new();
-        h.record(5);
-        h.reset();
-        assert_eq!(h.count(), 0);
-        assert_eq!(h.summary(), Summary::empty());
     }
 
     #[test]

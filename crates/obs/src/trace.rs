@@ -346,14 +346,6 @@ impl TraceRing {
             .filter(|e| e.tx_id == tx_id)
             .collect()
     }
-
-    /// Retained events of one hardware queue, oldest first.
-    pub fn events_for_queue(&self, qid: u16) -> Vec<TraceEvent> {
-        self.snapshot()
-            .into_iter()
-            .filter(|e| e.qid == qid)
-            .collect()
-    }
 }
 
 impl std::fmt::Debug for TraceRing {
@@ -454,8 +446,6 @@ mod tests {
         assert_eq!(tx7.len(), 2);
         assert_eq!(tx7[0].kind, EventKind::TxBegin);
         assert_eq!(tx7[1].kind, EventKind::Doorbell);
-        assert_eq!(r.events_for_queue(1).len(), 3);
-        assert_eq!(r.events_for_queue(2).len(), 0);
     }
 
     #[test]

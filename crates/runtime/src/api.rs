@@ -48,15 +48,6 @@ pub fn delay(ns: Ns) {
     }
 }
 
-/// Yields to any other runnable thread.
-pub fn yield_now() {
-    if ccnvme_sim::in_sim() {
-        ccnvme_sim::yield_now();
-    } else {
-        std::thread::yield_now();
-    }
-}
-
 /// Returns the core the current thread is pinned to (sim) or was
 /// spawned on (OS, advisory). Bare threads report core 0, so per-core
 /// resource selection (hardware queues, journal areas) stays in range.
@@ -90,14 +81,6 @@ impl<T> JoinHandle<T> {
                 Ok(v) => v,
                 Err(p) => std::panic::resume_unwind(p),
             },
-        }
-    }
-
-    /// Returns whether the thread has finished.
-    pub fn is_finished(&self) -> bool {
-        match &self.inner {
-            JoinInner::Sim(h) => h.is_finished(),
-            JoinInner::Os(h) => h.is_finished(),
         }
     }
 }

@@ -27,12 +27,13 @@
 //! ([`now`], [`cpu`], [`delay`], [`spawn`], [`spawn_daemon`], ...)
 //! check whether the calling thread is a simulated thread
 //! (`ccnvme_sim::in_sim()`) and fall back to the OS context installed
-//! by [`OsRuntime`] otherwise. Primitives ([`RtMutex`], [`RtCondvar`],
-//! [`RtRwLock`], [`mpsc_channel`]) bind their backend at construction
+//! by [`OsRuntime`] otherwise. The two primitives that park
+//! ([`RtMutex`], [`RtCondvar`]) bind their backend at construction
 //! from the same ambient mode, defaulting to the sim backend when
 //! constructed outside any runtime — preserving the long-standing
 //! pattern of building a stack on the test's main thread and running it
-//! inside a `Sim`.
+//! inside a `Sim`. [`RtRwLock`] and [`mpsc_channel`] are written once
+//! over those two and have no backend of their own.
 //!
 //! # Teardown
 //!
@@ -48,19 +49,18 @@
 mod api;
 mod chan;
 mod os;
-mod oschan;
 mod sync;
 
-pub use api::{cpu, current_core, delay, in_sim, now, spawn, spawn_daemon, yield_now, JoinHandle};
-pub use chan::{mpsc_channel, Receiver, Sender};
+pub use api::{cpu, current_core, delay, in_sim, now, spawn, spawn_daemon, JoinHandle};
+pub use chan::{mpsc_channel, Receiver, RecvError, Sender};
 pub use os::OsRuntime;
 pub use sync::{
     RtCondvar, RtMutex, RtMutexGuard, RtRwLock, RtRwReadGuard, RtRwWriteGuard, WaitTimeoutResult,
 };
 
-// Re-exported so runtime-ported code can take its time units, the
-// deterministic RNG and the channel error type from one place.
-pub use ccnvme_sim::{DetRng, Ns, RecvError, MS, SEC, US};
+// Re-exported so runtime-ported code can take its time units and the
+// deterministic RNG from one place.
+pub use ccnvme_sim::{DetRng, Ns, MS, SEC, US};
 
 /// Which execution substrate [`run_on`] runs a closure on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

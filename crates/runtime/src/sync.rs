@@ -1,30 +1,80 @@
-//! Runtime-dispatched synchronization primitives.
+//! The two substrate-specific blocking primitives, and the rwlock
+//! written once over them.
 //!
-//! Each primitive binds its backend at construction from the ambient
-//! mode: sim-backed when constructed on a simulated thread (or on a
-//! bare thread, preserving the construct-outside/run-inside-`Sim`
-//! pattern used throughout the tests), OS-backed when constructed on
-//! an [`crate::OsRuntime`] thread.
+//! Only *parking* differs per substrate, so [`RtMutex`] and
+//! [`RtCondvar`] are the whole `Sim | Os` seam: each binds its backend
+//! at construction from the ambient mode — sim-backed when constructed
+//! on a simulated thread (or on a bare thread, preserving the
+//! construct-outside/run-inside-`Sim` pattern used throughout the
+//! tests; `ccnvme_sim::sync` says what a bare thread may do with one),
+//! OS-backed when constructed on an [`crate::OsRuntime`] thread.
+//! Everything else that blocks — [`RtRwLock`] here, the channel in
+//! [`crate::chan`] — is generic code over the pair.
 //!
-//! Sim-backed variants delegate 1:1 to `ccnvme_sim`'s primitives, so
-//! virtual-time behavior is byte-identical to the pre-runtime code.
-//! OS-backed variants sit on `std::sync`; their indefinite condvar
-//! waits are sliced so a parked daemon notices runtime shutdown, which
-//! also means they may wake *spuriously* — callers must (and do) wait
-//! in predicate loops, the standard condvar discipline.
+//! Sim-backed variants delegate 1:1 to `SimMutex` / `SimCondvar`: what
+//! the generic code costs in virtual time is the `Kernel::schedule`
+//! calls those two make, nothing else. OS-backed variants sit on
+//! `std::sync` (on the vendored loom model checker under
+//! `--features loom`, so the `loom_*` tests interleave the generic
+//! code itself); their indefinite condvar waits are sliced so a parked
+//! daemon notices runtime shutdown, which also means they may wake
+//! *spuriously* — callers must (and do) wait in predicate loops, the
+//! standard condvar discipline.
 
+use std::cell::UnsafeCell;
 use std::ops::{Deref, DerefMut};
 use std::sync::PoisonError;
 use std::time::{Duration, Instant};
 
-use ccnvme_sim::{Ns, SimCondvar, SimMutex, SimMutexGuard, SimRwLock};
+use ccnvme_sim::{Ns, SimCondvar, SimMutex, SimMutexGuard};
 
 use crate::os;
+
+/// What the `Os` arms are made of: `std::sync`, or the model checker's
+/// scheduler-aware twins (a cargo feature instead of `--cfg loom`,
+/// following the `ccnvme-obs` convention).
+mod shim {
+    #[cfg(feature = "loom")]
+    pub(super) use loom::sync::{Condvar, Mutex, MutexGuard};
+    #[cfg(not(feature = "loom"))]
+    pub(super) use std::sync::{Condvar, Mutex, MutexGuard};
+
+    use std::time::Duration;
+
+    /// Releases the guard and waits for a notification or for `slice`
+    /// to pass, then re-acquires; returns whether it was the latter.
+    #[cfg(not(feature = "loom"))]
+    pub(super) fn wait_slice<'a, T>(
+        cv: &Condvar,
+        guard: MutexGuard<'a, T>,
+        slice: Duration,
+    ) -> (MutexGuard<'a, T>, bool) {
+        let (guard, res) = cv
+            .wait_timeout(guard, slice)
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        (guard, res.timed_out())
+    }
+
+    /// A model has no clock and no shutdown to slice for: the waiter
+    /// genuinely parks (the explorer never spins it through scheduling
+    /// points) and only a notify wakes it.
+    #[cfg(feature = "loom")]
+    pub(super) fn wait_slice<'a, T>(
+        cv: &Condvar,
+        guard: MutexGuard<'a, T>,
+        _slice: Duration,
+    ) -> (MutexGuard<'a, T>, bool) {
+        let guard = cv.wait(guard).expect("loom mutex cannot be poisoned");
+        (guard, false)
+    }
+}
 
 fn construct_os_backed() -> bool {
     // Sim wins if both could apply (a simulated thread can never also
     // carry an OS context, but the check order documents the intent).
-    !ccnvme_sim::in_sim() && os::in_os()
+    // A loom model's threads carry neither and are what the model is
+    // there to check: the `Os` arm.
+    cfg!(feature = "loom") || (!ccnvme_sim::in_sim() && os::in_os())
 }
 
 // ---------------------------------------------------------------------------
@@ -42,14 +92,14 @@ pub struct RtMutex<T> {
 
 enum MxInner<T> {
     Sim(SimMutex<T>),
-    Os(std::sync::Mutex<T>),
+    Os(shim::Mutex<T>),
 }
 
 impl<T> RtMutex<T> {
     /// Creates a new unlocked mutex bound to the ambient backend.
     pub fn new(value: T) -> Self {
         let inner = if construct_os_backed() {
-            MxInner::Os(std::sync::Mutex::new(value))
+            MxInner::Os(shim::Mutex::new(value))
         } else {
             MxInner::Sim(SimMutex::new(value))
         };
@@ -64,24 +114,6 @@ impl<T> RtMutex<T> {
             },
             MxInner::Os(m) => RtMutexGuard {
                 inner: GuardInner::Os(m.lock().unwrap_or_else(PoisonError::into_inner)),
-            },
-        }
-    }
-
-    /// Attempts to acquire the lock without blocking.
-    pub fn try_lock(&self) -> Option<RtMutexGuard<'_, T>> {
-        match &self.inner {
-            MxInner::Sim(m) => m.try_lock().map(|g| RtMutexGuard {
-                inner: GuardInner::Sim(g),
-            }),
-            MxInner::Os(m) => match m.try_lock() {
-                Ok(g) => Some(RtMutexGuard {
-                    inner: GuardInner::Os(g),
-                }),
-                Err(std::sync::TryLockError::Poisoned(p)) => Some(RtMutexGuard {
-                    inner: GuardInner::Os(p.into_inner()),
-                }),
-                Err(std::sync::TryLockError::WouldBlock) => None,
             },
         }
     }
@@ -122,7 +154,7 @@ pub struct RtMutexGuard<'a, T> {
 
 enum GuardInner<'a, T> {
     Sim(SimMutexGuard<'a, T>),
-    Os(std::sync::MutexGuard<'a, T>),
+    Os(shim::MutexGuard<'a, T>),
 }
 
 impl<T> Deref for RtMutexGuard<'_, T> {
@@ -171,14 +203,14 @@ pub struct RtCondvar {
 
 enum CvInner {
     Sim(SimCondvar),
-    Os(std::sync::Condvar),
+    Os(shim::Condvar),
 }
 
 impl RtCondvar {
     /// Creates a condition variable with no waiters.
     pub fn new() -> Self {
         let inner = if construct_os_backed() {
-            CvInner::Os(std::sync::Condvar::new())
+            CvInner::Os(shim::Condvar::new())
         } else {
             CvInner::Sim(SimCondvar::new())
         };
@@ -195,9 +227,7 @@ impl RtCondvar {
                 inner: GuardInner::Sim(cv.wait(g)),
             },
             (CvInner::Os(cv), GuardInner::Os(g)) => {
-                let (g, _res) = cv
-                    .wait_timeout(g, os::SHUTDOWN_SLICE)
-                    .unwrap_or_else(PoisonError::into_inner);
+                let (g, _timed_out) = shim::wait_slice(cv, g, os::SHUTDOWN_SLICE);
                 os::check_shutdown();
                 RtMutexGuard {
                     inner: GuardInner::Os(g),
@@ -239,12 +269,10 @@ impl RtCondvar {
                         );
                     }
                     let slice = (deadline - now).min(os::SHUTDOWN_SLICE);
-                    let (g2, res) = cv
-                        .wait_timeout(g, slice)
-                        .unwrap_or_else(PoisonError::into_inner);
+                    let (g2, timed_out) = shim::wait_slice(cv, g, slice);
                     g = g2;
                     os::check_shutdown();
-                    if !res.timed_out() {
+                    if !timed_out {
                         return (
                             RtMutexGuard {
                                 inner: GuardInner::Os(g),
@@ -291,59 +319,69 @@ impl std::fmt::Debug for RtCondvar {
 // RtRwLock
 // ---------------------------------------------------------------------------
 
-/// A readers-writer lock bound to the ambient backend at construction.
-/// Like `SimRwLock`, acquisition is not writer-preferring on the sim
-/// backend; the std backend follows the platform policy.
-pub struct RtRwLock<T> {
-    inner: RwInner<T>,
+#[derive(Default)]
+struct RwCount {
+    readers: usize,
+    writer: bool,
 }
 
-enum RwInner<T> {
-    Sim(SimRwLock<T>),
-    Os(std::sync::RwLock<T>),
+/// A readers-writer lock over an [`RtMutex`] and an [`RtCondvar`]: the
+/// same reader count and writer flag, so the same hand-off order, on
+/// both substrates.
+///
+/// Acquisition is not writer-preferring: a waiting writer does not block
+/// new readers, so sustained reader traffic can delay it. The workspace
+/// uses writers only for short, frequent critical sections (the fsync
+/// capture barrier) where the reader side always drains.
+pub struct RtRwLock<T> {
+    st: RtMutex<RwCount>,
+    cv: RtCondvar,
+    data: UnsafeCell<T>,
 }
+
+// SAFETY: `data` is reached only through a guard, and a guard exists
+// only while `st` — updated under its mutex, whose lock and unlock
+// order the accesses of successive holders on real threads — counts it:
+// any number of readers XOR one writer. Moving the lock moves `T`.
+unsafe impl<T: Send> Send for RtRwLock<T> {}
+// SAFETY: See `Send`. Threads sharing the lock share `&T` under read
+// guards (`T: Sync`) and take turns at `&mut T` under the write guard
+// (`T: Send`).
+unsafe impl<T: Send + Sync> Sync for RtRwLock<T> {}
 
 impl<T> RtRwLock<T> {
     /// Creates an unlocked lock holding `value`.
     pub fn new(value: T) -> Self {
-        let inner = if construct_os_backed() {
-            RwInner::Os(std::sync::RwLock::new(value))
-        } else {
-            RwInner::Sim(SimRwLock::new(value))
-        };
-        RtRwLock { inner }
+        RtRwLock {
+            st: RtMutex::new(RwCount::default()),
+            cv: RtCondvar::new(),
+            data: UnsafeCell::new(value),
+        }
     }
 
     /// Acquires shared (read) access.
     pub fn read(&self) -> RtRwReadGuard<'_, T> {
-        match &self.inner {
-            RwInner::Sim(l) => RtRwReadGuard {
-                inner: ReadInner::Sim(l.read()),
-            },
-            RwInner::Os(l) => RtRwReadGuard {
-                inner: ReadInner::Os(l.read().unwrap_or_else(PoisonError::into_inner)),
-            },
+        let mut st = self.st.lock();
+        while st.writer {
+            st = self.cv.wait(st);
         }
+        st.readers += 1;
+        RtRwReadGuard { lock: self }
     }
 
     /// Acquires exclusive (write) access.
     pub fn write(&self) -> RtRwWriteGuard<'_, T> {
-        match &self.inner {
-            RwInner::Sim(l) => RtRwWriteGuard {
-                inner: WriteInner::Sim(l.write()),
-            },
-            RwInner::Os(l) => RtRwWriteGuard {
-                inner: WriteInner::Os(l.write().unwrap_or_else(PoisonError::into_inner)),
-            },
+        let mut st = self.st.lock();
+        while st.writer || st.readers > 0 {
+            st = self.cv.wait(st);
         }
+        st.writer = true;
+        RtRwWriteGuard { lock: self }
     }
 
     /// Returns a mutable reference to the data without locking.
     pub fn get_mut(&mut self) -> &mut T {
-        match &mut self.inner {
-            RwInner::Sim(l) => l.get_mut(),
-            RwInner::Os(l) => l.get_mut().unwrap_or_else(PoisonError::into_inner),
-        }
+        self.data.get_mut()
     }
 }
 
@@ -355,52 +393,57 @@ impl<T> std::fmt::Debug for RtRwLock<T> {
 
 /// Shared-access guard for [`RtRwLock`].
 pub struct RtRwReadGuard<'a, T> {
-    inner: ReadInner<'a, T>,
-}
-
-enum ReadInner<'a, T> {
-    Sim(ccnvme_sim::sync::SimRwReadGuard<'a, T>),
-    Os(std::sync::RwLockReadGuard<'a, T>),
+    lock: &'a RtRwLock<T>,
 }
 
 impl<T> Deref for RtRwReadGuard<'_, T> {
     type Target = T;
 
     fn deref(&self) -> &T {
-        match &self.inner {
-            ReadInner::Sim(g) => g,
-            ReadInner::Os(g) => g,
+        // SAFETY: This guard is counted in `readers`, and no writer sets
+        // its flag while the count is positive.
+        unsafe { &*self.lock.data.get() }
+    }
+}
+
+impl<T> Drop for RtRwReadGuard<'_, T> {
+    fn drop(&mut self) {
+        let mut st = self.lock.st.lock();
+        st.readers -= 1;
+        if st.readers == 0 {
+            drop(st);
+            self.lock.cv.notify_all();
         }
     }
 }
 
 /// Exclusive-access guard for [`RtRwLock`].
 pub struct RtRwWriteGuard<'a, T> {
-    inner: WriteInner<'a, T>,
-}
-
-enum WriteInner<'a, T> {
-    Sim(ccnvme_sim::sync::SimRwWriteGuard<'a, T>),
-    Os(std::sync::RwLockWriteGuard<'a, T>),
+    lock: &'a RtRwLock<T>,
 }
 
 impl<T> Deref for RtRwWriteGuard<'_, T> {
     type Target = T;
 
     fn deref(&self) -> &T {
-        match &self.inner {
-            WriteInner::Sim(g) => g,
-            WriteInner::Os(g) => g,
-        }
+        // SAFETY: The writer flag is this guard's: no reader is counted
+        // and no second writer gets past it until the guard drops.
+        unsafe { &*self.lock.data.get() }
     }
 }
 
 impl<T> DerefMut for RtRwWriteGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
-        match &mut self.inner {
-            WriteInner::Sim(g) => g,
-            WriteInner::Os(g) => g,
-        }
+        // SAFETY: As `deref`; `&mut self` makes this the guard's only
+        // live borrow of the data.
+        unsafe { &mut *self.lock.data.get() }
+    }
+}
+
+impl<T> Drop for RtRwWriteGuard<'_, T> {
+    fn drop(&mut self) {
+        self.lock.st.lock().writer = false;
+        self.lock.cv.notify_all();
     }
 }
 
@@ -458,6 +501,36 @@ mod tests {
     }
 
     #[test]
+    fn rwlock_parallel_readers_exclusive_writer() {
+        run_on(RuntimeKind::Sim, 3, || {
+            let rw = Arc::new(RtRwLock::new(7u32));
+            let readers: Vec<_> = (0..2)
+                .map(|i| {
+                    let rw = Arc::clone(&rw);
+                    crate::spawn(&format!("r{i}"), i, move || {
+                        let g = rw.read();
+                        assert_eq!(*g, 7);
+                        crate::delay(100);
+                        // Both readers were in at t=0: neither waited.
+                        assert_eq!(crate::now(), 100);
+                    })
+                })
+                .collect();
+            let w = Arc::clone(&rw);
+            let writer = crate::spawn("w", 2, move || {
+                crate::delay(10);
+                let mut g = w.write();
+                // Writer only proceeds once both readers released at t=100.
+                assert!(crate::now() >= 100);
+                *g = 9;
+            });
+            readers.into_iter().for_each(|h| h.join());
+            writer.join();
+            assert_eq!(*rw.read(), 9);
+        });
+    }
+
+    #[test]
     fn os_backed_rwlock_read_write() {
         run_on(RuntimeKind::Os, 2, || {
             let rw = Arc::new(RtRwLock::new(7u32));
@@ -467,6 +540,47 @@ mod tests {
             }
             *rw.write() = 9;
             assert_eq!(*rw.read(), 9);
+        });
+    }
+}
+
+// The loom tier for the rwlock, as `chan::loom_tests` for the channel.
+#[cfg(all(test, feature = "loom"))]
+mod loom_tests {
+    use std::sync::Arc;
+
+    use super::*;
+
+    /// The writer updates the pair one half at a time and a reader reads
+    /// it one half at a time, so any overlap shows as halves that differ;
+    /// and every thread parks on the one condvar, so a lost wake-up is a
+    /// deadlock the explorer reports.
+    #[test]
+    fn loom_rwlock_writer_excludes_readers_and_loses_no_wakeup() {
+        loom::model(|| {
+            let rw = Arc::new(RtRwLock::new((0u32, 0u32)));
+            let mut threads: Vec<_> = (0..2)
+                .map(|_| {
+                    let rw = Arc::clone(&rw);
+                    loom::thread::spawn(move || {
+                        let g = rw.read();
+                        let first = g.0;
+                        loom::thread::yield_now();
+                        assert_eq!(first, g.1, "a reader overlapped the writer");
+                    })
+                })
+                .collect();
+            let w = Arc::clone(&rw);
+            threads.push(loom::thread::spawn(move || {
+                let mut g = w.write();
+                g.0 += 1;
+                loom::thread::yield_now();
+                g.1 += 1;
+            }));
+            for t in threads {
+                t.join().unwrap();
+            }
+            assert_eq!(*rw.read(), (1, 1));
         });
     }
 }

@@ -37,10 +37,6 @@ use crate::{
     time::Ns,
 };
 
-/// Identifier of a simulated thread, unique within one [`Sim`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct ThreadId(pub usize);
-
 /// Why a blocked thread resumed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum WakeReason {
@@ -54,7 +50,9 @@ pub(crate) enum WakeReason {
 struct SimShutdown;
 
 /// Installs (once per process) a panic hook that silences the expected
-/// [`SimShutdown`] unwinds used to tear down daemon threads.
+/// [`SimShutdown`] unwinds used to tear down daemon threads, and says
+/// which simulated thread a real panic came from: fibers share the OS
+/// thread's name.
 fn install_quiet_shutdown_hook() {
     use std::sync::Once;
     static ONCE: Once = Once::new();
@@ -62,6 +60,17 @@ fn install_quiet_shutdown_hook() {
         let default = std::panic::take_hook();
         std::panic::set_hook(Box::new(move |info| {
             if info.payload().downcast_ref::<SimShutdown>().is_none() {
+                with_current(|kernel, tid| {
+                    // `try_lock`: a panic under the state lock must not
+                    // hang the report of itself.
+                    if let Some(st) = kernel.st.try_lock() {
+                        let slot = &st.threads[tid];
+                        eprintln!(
+                            "simulated thread {:?} on core {} at t={} ns",
+                            slot.name, slot.core, st.now
+                        );
+                    }
+                });
                 default(info);
             }
         }));
@@ -153,11 +162,31 @@ thread_local! {
     static AMBIENT: Cell<[u64; 2]> = const { Cell::new([0; 2]) };
 }
 
-fn ctx() -> (Arc<Kernel>, usize) {
+/// Runs `f` on the running simulation and the calling thread's id in it;
+/// `None` when the caller is not a simulated thread. `f` must not hand
+/// off: the context stays borrowed while it runs.
+fn with_current<R>(f: impl FnOnce(&Arc<Kernel>, usize) -> R) -> Option<R> {
     CTX.with(|c| match &*c.borrow() {
-        Some((kernel, Next::Thread(tid))) => (Arc::clone(kernel), *tid),
-        _ => panic!("this operation must be called from inside a simulated thread"),
+        Some((kernel, Next::Thread(tid))) => Some(f(kernel, *tid)),
+        _ => None,
     })
+}
+
+fn ctx() -> (Arc<Kernel>, usize) {
+    with_current(|kernel, tid| (Arc::clone(kernel), tid))
+        .expect("this operation must be called from inside a simulated thread")
+}
+
+/// The calling simulated thread's id; `None` on any other thread.
+pub(crate) fn current_tid() -> Option<usize> {
+    with_current(|_, tid| tid)
+}
+
+/// Wakes `tid` of the simulation the caller runs in. Outside one nobody
+/// can run — `tid` is left over from a simulation that is over — and this
+/// does nothing.
+pub(crate) fn wake(tid: usize) {
+    with_current(|kernel, _| kernel.wake(tid));
 }
 
 fn set_current(who: Next) {
@@ -463,20 +492,9 @@ struct JoinState<T> {
 pub struct SimJoinHandle<T> {
     kernel: Arc<Kernel>,
     st: Arc<Mutex<JoinState<T>>>,
-    tid: ThreadId,
 }
 
 impl<T> SimJoinHandle<T> {
-    /// Returns the simulated thread's id.
-    pub fn id(&self) -> ThreadId {
-        self.tid
-    }
-
-    /// Returns whether the thread has finished.
-    pub fn is_finished(&self) -> bool {
-        self.st.lock().finished
-    }
-
     /// Blocks (in virtual time) until the thread finishes and returns its
     /// result.
     ///
@@ -544,7 +562,7 @@ where
             js2.lock().finished = true;
         }
     };
-    let tid = {
+    {
         let mut st = kernel.st.lock();
         assert!(
             core < st.cores.len(),
@@ -570,12 +588,10 @@ where
         }
         let now = st.now;
         Kernel::schedule(&mut st, now, tid);
-        tid
-    };
+    }
     SimJoinHandle {
         kernel: Arc::clone(kernel),
         st: join_st,
-        tid: ThreadId(tid),
     }
 }
 
@@ -695,7 +711,7 @@ impl Drop for Sim {
 
 /// Returns whether the caller is a simulated thread.
 pub fn in_sim() -> bool {
-    CTX.with(|c| matches!(*c.borrow(), Some((_, Next::Thread(_)))))
+    current_tid().is_some()
 }
 
 /// Two words that belong to the calling thread and follow it: each
@@ -729,12 +745,6 @@ pub fn cpu(ns: Ns) {
 pub fn delay(ns: Ns) {
     let (kernel, tid) = ctx();
     kernel.delay_current(tid, ns);
-}
-
-/// Yields to any other thread runnable at the current instant.
-pub fn yield_now() {
-    let (kernel, tid) = ctx();
-    kernel.delay_current(tid, 0);
 }
 
 /// Spawns a simulated thread from inside the simulation.
@@ -898,21 +908,6 @@ mod tests {
                 h2.join() + 1
             });
             assert_eq!(h1.join(), 3);
-        });
-        sim.run();
-    }
-
-    #[test]
-    fn yield_now_lets_same_time_threads_run() {
-        let mut sim = Sim::new(2);
-        let hit = Arc::new(Mutex::new(false));
-        let hit2 = Arc::clone(&hit);
-        sim.spawn("setter", 1, move || {
-            *hit2.lock() = true;
-        });
-        sim.spawn("checker", 0, move || {
-            yield_now();
-            assert!(*hit.lock());
         });
         sim.run();
     }

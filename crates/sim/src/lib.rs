@@ -22,10 +22,10 @@
 //!   explicitly: [`cpu`] models CPU work (and contends for the thread's
 //!   simulated core), [`delay`] models pure waiting (I/O latency, link
 //!   propagation) that occupies no core.
-//! * Blocking must go through the sim-aware primitives in [`sync`]
-//!   ([`SimMutex`], [`SimCondvar`], [`mpsc_channel`], ...). Blocking on a
-//!   plain [`std::sync::Mutex`] across a yield would deadlock the
-//!   simulation.
+//! * Blocking must go through the two sim-aware primitives in [`sync`],
+//!   [`SimMutex`] and [`SimCondvar`], or what `ccnvme-runtime` builds over
+//!   them (rwlock, channel). Blocking on a plain [`std::sync::Mutex`]
+//!   across a yield would deadlock the simulation.
 //! * Runs are fully deterministic: ties in the event heap are broken by a
 //!   monotone sequence number, so the same program and seed always produce
 //!   the same interleaving and the same final clock.
@@ -55,12 +55,9 @@ pub mod sync;
 pub mod time;
 
 pub use kernel::{
-    ambient, cpu, current_core, delay, in_sim, now, set_ambient, spawn, spawn_daemon, yield_now,
-    Sim, SimJoinHandle, ThreadId,
+    ambient, cpu, current_core, delay, in_sim, now, set_ambient, spawn, spawn_daemon, Sim,
+    SimJoinHandle,
 };
 pub use rng::DetRng;
-pub use sync::{
-    mpsc_channel, Receiver, RecvError, Sender, SimCondvar, SimMutex, SimMutexGuard, SimRwLock,
-    WaitTimeoutResult,
-};
+pub use sync::{SimCondvar, SimMutex, SimMutexGuard, WaitTimeoutResult};
 pub use time::{Ns, MS, SEC, US};

@@ -70,7 +70,13 @@ fn registers_and_stacks_survive_interleaving() {
 /// Runs one `#[ignore]`d test of this binary in a process of its own.
 fn rerun(test: &str) -> Output {
     Command::new(std::env::current_exe().expect("the test binary's own path"))
-        .args([test, "--exact", "--ignored", "--test-threads=1"])
+        .args([
+            test,
+            "--exact",
+            "--ignored",
+            "--test-threads=1",
+            "--nocapture",
+        ])
         .env("RUST_BACKTRACE", "1")
         .output()
         .expect("the test binary runs")
@@ -139,4 +145,9 @@ fn a_panic_on_a_fiber_is_reraised_from_run() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(out.status.success(), "{:?}\n{stdout}\n{stderr}", out.status);
     assert!(stdout.contains("1 passed"), "{stdout}");
+    // Fibers share the OS thread's name: the hook says who panicked.
+    assert!(
+        stderr.contains(r#"simulated thread "main" on core 0 at t=10 ns"#),
+        "{stderr}"
+    );
 }

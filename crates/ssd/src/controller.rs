@@ -156,16 +156,6 @@ impl CrashMode {
             seed,
         }
     }
-
-    /// A randomized crash: half the volatile cache happens to have been
-    /// destaged.
-    pub fn randomized(seed: u64) -> Self {
-        CrashMode {
-            pmr_extra_prefix: 0,
-            cache_keep_prob: 0.5,
-            seed,
-        }
-    }
 }
 
 /// The device state that survives a power cycle.
@@ -996,7 +986,8 @@ fn fire(inner: &CtrlInner, job: Job) {
 
 #[cfg(test)]
 mod tests {
-    use ccnvme_sim::{mpsc_channel, Sim};
+    use ccnvme_runtime::mpsc_channel;
+    use ccnvme_sim::Sim;
 
     use super::*;
     use crate::command::TxFlags;
@@ -1006,7 +997,7 @@ mod tests {
     struct Harness {
         ctrl: NvmeController,
         sqmem: Arc<Mutex<Vec<u8>>>,
-        rx: ccnvme_sim::Receiver<CompletionEntry>,
+        rx: ccnvme_runtime::Receiver<CompletionEntry>,
         tail: u32,
         next_cid: u16,
     }
@@ -1507,7 +1498,8 @@ mod tests {
 
 #[cfg(test)]
 mod extra_tests {
-    use ccnvme_sim::{mpsc_channel, Sim};
+    use ccnvme_runtime::mpsc_channel;
+    use ccnvme_sim::Sim;
     use parking_lot::Mutex;
 
     use super::*;

@@ -264,12 +264,6 @@ impl PersistLog {
             .push(FlushMark { at, upto_seq });
     }
 
-    /// Number of recorded MMIO flush marks (coverage check: a workload
-    /// that commits transactions must have flushed at least once).
-    pub fn flush_mark_count(&self) -> usize {
-        self.flush_marks.lock().expect("poisoned").len()
-    }
-
     /// Number of recorded events (= number of enumerable boundaries - 1;
     /// prefixes run `0..=len()`).
     pub fn len(&self) -> usize {
@@ -918,7 +912,6 @@ mod tests {
         pmr_write(&log, 10, 400, vec![9; 16]); // App region: no slot.
         pmr_write(&log, 20, 0, 1u32.to_le_bytes().to_vec());
         assert!(log.sanitize(&geo1()).is_empty());
-        assert_eq!(log.flush_mark_count(), 0);
     }
 
     #[test]

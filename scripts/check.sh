@@ -15,10 +15,11 @@
 #     (CCNVME_ENUM_DEEP=1: torn posted-write expansion plus a
 #     crash-during-recovery sweep over every explored image — about 25
 #     minutes), the fabric TCP soak, the loom model-checking suites (the
-#     lock-free observability hot structures, DetectableCas, the OS
-#     runtime's channel), and `cargo miri test` on the obs crate when
-#     the miri component is installed (skipped with a notice otherwise —
-#     CI images without miri still run the loom tier).
+#     lock-free observability hot structures, DetectableCas, the
+#     runtime's channel and rwlock), and `cargo miri test` on the obs
+#     crate and the runtime's OS-backed tests when the miri component is
+#     installed (skipped with a notice otherwise — CI images without
+#     miri still run the loom tier).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -124,14 +125,18 @@ if [[ "${CHECK_DEEP:-0}" == "1" ]]; then
     # DetectableCas interleavings: owner evidence is durable before the
     # overwritten value becomes visible, under every schedule.
     cargo test -q -p ccnvme-ploc --features loom --lib loom_
-    # The OS runtime's MPSC channel: no lost wakeups / lost messages
-    # under every interleaving of its mutex+condvar internals.
+    # The runtime's MPSC channel and rwlock, each written once over
+    # RtMutex + RtCondvar, on the loom-backed Os arm: no lost wakeup, no
+    # lost message, no reader beside the writer under every interleaving.
     cargo test -q -p ccnvme-runtime --features loom --lib loom_
     echo "== deep tier: miri =="
     if rustup component list 2>/dev/null | grep -q "^miri.*(installed)"; then
         # Not ccnvme-sim: every test of it crosses `fiber::switch`, a
         # `naked_asm!` body miri cannot execute.
         cargo miri test -q -p ccnvme-obs
+        # The OS-backed runtime tests (`os_*`) cross no fiber switch and
+        # cover RtRwLock's UnsafeCell, the runtime crate's one `unsafe`.
+        cargo miri test -q -p ccnvme-runtime os_
     else
         echo "miri not installed; skipping (rustup component add miri)"
     fi
