@@ -1,11 +1,13 @@
 //! Directory-content encoding.
 //!
 //! Directory data blocks hold packed entries: `[ino u64][len u8][name]`
-//! behind a 4-byte header (`count u16`, `used u16`). A directory's
-//! in-memory state indexes entries by name and tracks per-block usage so
-//! a single create/unlink rewrites exactly one block.
+//! behind a 4-byte header (`count u16`, `used u16`), sorted by name. A
+//! directory's in-memory state ([`DirState`]) indexes entries by name and
+//! keeps each block's own entries in that order, so a single
+//! create/unlink re-encodes exactly one block from exactly its entries —
+//! the cost of an operation does not grow with the directory.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use ccnvme_block::BLOCK_SIZE;
 
@@ -30,8 +32,8 @@ pub fn check_name(name: &str) -> FsResult<()> {
     Ok(())
 }
 
-/// Serializes the given entries into one directory block.
-pub fn encode_block(entries: &[(String, u64)]) -> Vec<u8> {
+/// Serializes entries, in the order given, into one directory block.
+fn encode_entries<'a>(entries: impl ExactSizeIterator<Item = (&'a String, &'a u64)>) -> Vec<u8> {
     let mut b = vec![0u8; BLOCK_SIZE as usize];
     b[0..2].copy_from_slice(&(entries.len() as u16).to_le_bytes());
     let mut off = HEADER;
@@ -43,6 +45,11 @@ pub fn encode_block(entries: &[(String, u64)]) -> Vec<u8> {
     }
     b[2..4].copy_from_slice(&(off as u16).to_le_bytes());
     b
+}
+
+/// Serializes the given entries into one directory block.
+pub fn encode_block(entries: &[(String, u64)]) -> Vec<u8> {
+    encode_entries(entries.iter().map(|(name, ino)| (name, ino)))
 }
 
 /// Parses one directory block (best-effort: a corrupt block yields the
@@ -72,13 +79,20 @@ pub fn decode_block(b: &[u8]) -> Vec<(String, u64)> {
     entries
 }
 
-/// In-memory index of a directory.
+/// In-memory index of a directory: every entry by name, and every
+/// block's entries in the order they are encoded (sorted by name), so a
+/// lookup is one hash probe and re-encoding a block reads that block's
+/// entries and nothing else. The three fields are private because they
+/// move together: `insert`, `remove` and `from_blocks` are the only code
+/// that touches them.
 #[derive(Default)]
 pub struct DirState {
     /// name → (child ino, block index within the directory file).
-    pub map: HashMap<String, (u64, u32)>,
+    map: HashMap<String, (u64, u32)>,
+    /// Per directory block: name → child ino.
+    blocks: Vec<BTreeMap<String, u64>>,
     /// Bytes used per directory block.
-    pub used: Vec<usize>,
+    used: Vec<usize>,
 }
 
 impl DirState {
@@ -86,12 +100,10 @@ impl DirState {
     pub fn from_blocks(blocks: &[Vec<(String, u64)>]) -> DirState {
         let mut st = DirState::default();
         for (blk, entries) in blocks.iter().enumerate() {
-            let mut used = HEADER;
+            st.grow_to(blk as u32);
             for (name, ino) in entries {
-                used += entry_size(name);
-                st.map.insert(name.clone(), (*ino, blk as u32));
+                st.insert(name, *ino, blk as u32);
             }
-            st.used.push(used);
         }
         st
     }
@@ -106,24 +118,27 @@ impl DirState {
             .map(|i| i as u32)
     }
 
-    /// Entries living in directory block `blk` (for re-encoding it).
-    pub fn entries_in_block(&self, blk: u32) -> Vec<(String, u64)> {
-        let mut v: Vec<(String, u64)> = self
-            .map
-            .iter()
-            .filter(|(_, (_, b))| *b == blk)
-            .map(|(n, (i, _))| (n.clone(), *i))
-            .collect();
-        v.sort();
-        v
+    /// The bytes of directory block `blk`: what [`encode_block`] makes of
+    /// its entries sorted by name.
+    pub fn encode_block(&self, blk: u32) -> Vec<u8> {
+        encode_entries(self.blocks[blk as usize].iter())
     }
 
-    /// Inserts an entry into `blk`, updating usage.
-    pub fn insert(&mut self, name: &str, ino: u64, blk: u32) {
+    fn grow_to(&mut self, blk: u32) {
         while self.used.len() <= blk as usize {
             self.used.push(HEADER);
+            self.blocks.push(BTreeMap::new());
         }
+    }
+
+    /// Inserts an entry into `blk`, updating usage. A name that is
+    /// already present is replaced: its old entry leaves the block it was
+    /// in.
+    pub fn insert(&mut self, name: &str, ino: u64, blk: u32) {
+        self.remove(name);
+        self.grow_to(blk);
         self.used[blk as usize] += entry_size(name);
+        self.blocks[blk as usize].insert(name.to_string(), ino);
         self.map.insert(name.to_string(), (ino, blk));
     }
 
@@ -131,7 +146,25 @@ impl DirState {
     pub fn remove(&mut self, name: &str) -> Option<(u64, u32)> {
         let (ino, blk) = self.map.remove(name)?;
         self.used[blk as usize] -= entry_size(name);
+        self.blocks[blk as usize].remove(name);
         Some((ino, blk))
+    }
+
+    /// The entry called `name`: its `(ino, blk)`.
+    pub fn get(&self, name: &str) -> Option<(u64, u32)> {
+        self.map.get(name).copied()
+    }
+
+    /// Returns whether an entry is called `name`.
+    pub fn contains(&self, name: &str) -> bool {
+        self.map.contains_key(name)
+    }
+
+    /// Every entry as `(name, ino)`, in no particular order.
+    pub fn iter(&self) -> impl Iterator<Item = (&str, u64)> {
+        self.map
+            .iter()
+            .map(|(name, (ino, _))| (name.as_str(), *ino))
     }
 
     /// Number of live entries.
@@ -182,7 +215,55 @@ mod tests {
         assert_eq!(st.len(), 2);
         assert_eq!(st.remove("a"), Some((2, 0)));
         assert_eq!(st.remove("a"), None);
-        assert_eq!(st.entries_in_block(0), vec![("b".to_string(), 3)]);
+        assert_eq!(st.encode_block(0), encode_block(&[("b".to_string(), 3)]));
+    }
+
+    #[test]
+    fn insert_of_a_present_name_replaces_it() {
+        let mut st = DirState::default();
+        st.insert("a", 2, 0);
+        st.insert("b", 3, 0);
+        st.insert("a", 9, 1);
+        assert_eq!((st.len(), st.get("a")), (2, Some((9, 1))));
+        assert_eq!(
+            st.used,
+            [HEADER + entry_size("b"), HEADER + entry_size("a")]
+        );
+        assert_eq!(st.encode_block(0), encode_block(&[("b".to_string(), 3)]));
+        assert_eq!(st.encode_block(1), encode_block(&[("a".to_string(), 9)]));
+    }
+
+    #[test]
+    fn create_and_unlink_in_the_last_block_change_only_its_bytes() {
+        let mut st = DirState::default();
+        for i in 0..1_000u64 {
+            let name = format!("f{i:04}xyz");
+            let blk = st.block_with_space(&name).unwrap_or(st.used.len() as u32);
+            st.insert(&name, 100 + i, blk);
+        }
+        let last = st.used.len() as u32 - 1;
+        assert_eq!(last, 4, "240 entries of 17 bytes fill a block");
+        let encode_all = |st: &DirState| -> Vec<Vec<u8>> {
+            (0..=last).map(|blk| st.encode_block(blk)).collect()
+        };
+        let before = encode_all(&st);
+        st.insert(
+            "a-new-file",
+            7,
+            st.block_with_space("a-new-file").expect("room"),
+        );
+        let created = encode_all(&st);
+        assert_eq!(st.remove("f0999xyz"), Some((1_099, last)));
+        let unlinked = encode_all(&st);
+        for blk in 0..last as usize {
+            assert_eq!(before[blk], created[blk]);
+            assert_eq!(before[blk], unlinked[blk]);
+        }
+        let mut model = decode_block(&before[last as usize]);
+        model.insert(0, ("a-new-file".to_string(), 7));
+        assert_eq!(created[last as usize], encode_block(&model));
+        assert_eq!(model.pop(), Some(("f0999xyz".to_string(), 1_099)));
+        assert_eq!(unlinked[last as usize], encode_block(&model));
     }
 
     #[test]
@@ -207,9 +288,10 @@ mod tests {
             vec![("y".to_string(), 6), ("z".to_string(), 7)],
         ];
         let st = DirState::from_blocks(&blocks);
-        assert_eq!(st.map["x"], (5, 0));
-        assert_eq!(st.map["z"], (7, 1));
-        assert_eq!(st.used.len(), 2);
+        assert_eq!(st.get("x"), Some((5, 0)));
+        assert_eq!(st.get("z"), Some((7, 1)));
+        assert_eq!(st.used, [HEADER + 10, HEADER + 20]);
+        assert_eq!(st.encode_block(1), encode_block(&blocks[1]));
     }
 }
 
@@ -225,38 +307,52 @@ mod prop_tests {
         #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
         /// DirState under random insert/remove sequences always agrees
-        /// with a plain map, and per-block re-encoding round-trips.
+        /// with a plain map, after every step: the name index, each
+        /// block's bytes (those of the model's entries for that block,
+        /// sorted), and what decoding those bytes rebuilds.
         #[test]
         fn dir_state_matches_model(
             ops in proptest::collection::vec((any::<bool>(), 0u8..24, 1u64..1000), 1..120),
         ) {
             let mut st = DirState::default();
-            let mut model: HashMap<String, u64> = HashMap::new();
+            // name → (ino, blk), the block being the one picked at insert.
+            let mut model: HashMap<String, (u64, u32)> = HashMap::new();
             for (insert, name_id, ino) in ops {
-                let name = format!("file-{name_id}");
+                // Long enough that 24 names need more than one block.
+                let name = format!("file-{name_id}-{}", "n".repeat(200));
                 if insert {
                     if let std::collections::hash_map::Entry::Vacant(slot) =
                         model.entry(name.clone())
                     {
                         let blk = st.block_with_space(&name).unwrap_or(st.used.len() as u32);
                         st.insert(&name, ino, blk);
-                        slot.insert(ino);
+                        slot.insert((ino, blk));
                     }
                 } else {
-                    let removed = st.remove(&name);
-                    prop_assert_eq!(removed.map(|(i, _)| i), model.remove(&name));
+                    prop_assert_eq!(st.remove(&name), model.remove(&name));
                 }
-            }
-            prop_assert_eq!(st.len(), model.len());
-            for (name, ino) in &model {
-                prop_assert_eq!(st.map.get(name).map(|(i, _)| *i), Some(*ino));
-            }
-            // Every block's encoding round-trips and respects capacity.
-            for blk in 0..st.used.len() as u32 {
-                let entries = st.entries_in_block(blk);
-                let bytes: usize = 4 + entries.iter().map(|(n, _)| entry_size(n)).sum::<usize>();
-                prop_assert!(bytes <= 4096);
-                prop_assert_eq!(decode_block(&encode_block(&entries)), entries);
+                prop_assert_eq!(st.len(), model.len());
+                for (name, entry) in &model {
+                    prop_assert_eq!(st.get(name), Some(*entry));
+                }
+                let mut decoded = Vec::new();
+                for blk in 0..st.used.len() as u32 {
+                    let mut entries: Vec<(String, u64)> = model
+                        .iter()
+                        .filter(|(_, (_, b))| *b == blk)
+                        .map(|(n, (i, _))| (n.clone(), *i))
+                        .collect();
+                    entries.sort();
+                    let bytes = st.encode_block(blk);
+                    prop_assert_eq!(&bytes, &encode_block(&entries));
+                    prop_assert!(st.used[blk as usize] <= 4096);
+                    prop_assert_eq!(decode_block(&bytes), entries);
+                    decoded.push(decode_block(&bytes));
+                }
+                let back = DirState::from_blocks(&decoded);
+                prop_assert_eq!(&back.map, &st.map);
+                prop_assert_eq!(&back.blocks, &st.blocks);
+                prop_assert_eq!(&back.used, &st.used);
             }
         }
     }

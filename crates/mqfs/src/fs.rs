@@ -994,7 +994,7 @@ impl FileSystem {
             return Err(FsError::NotADirectory);
         }
         self.load_dir(&mut pst);
-        if pst.dir.as_ref().expect("loaded").map.contains_key(name) {
+        if pst.dir.as_ref().expect("loaded").contains(name) {
             return Err(FsError::Exists);
         }
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -1051,7 +1051,7 @@ impl FileSystem {
     }
 
     /// Inserts a directory entry, growing the directory by one block
-    /// when no block has room.
+    /// when no block has room; returns the block it went into.
     fn dir_insert(
         &self,
         ws: &mut WriteSet,
@@ -1059,7 +1059,7 @@ impl FileSystem {
         parent: u64,
         name: &str,
         ino: u64,
-    ) -> FsResult<()> {
+    ) -> FsResult<u32> {
         ccnvme_runtime::cpu(DIRENT_CPU);
         let blk_idx = match pst.dir.as_ref().expect("dir loaded").block_with_space(name) {
             Some(b) => b,
@@ -1076,16 +1076,11 @@ impl FileSystem {
             .expect("dir loaded")
             .insert(name, ino, blk_idx);
         self.rewrite_dir_block(ws, pst, blk_idx);
-        Ok(())
+        Ok(blk_idx)
     }
 
     fn rewrite_dir_block(&self, ws: &mut WriteSet, pst: &InodeSt, blk_idx: u32) {
-        let entries = pst
-            .dir
-            .as_ref()
-            .expect("dir loaded")
-            .entries_in_block(blk_idx);
-        let encoded = dir::encode_block(&entries);
+        let encoded = pst.dir.as_ref().expect("dir loaded").encode_block(blk_idx);
         let lba = self.bmap(pst, blk_idx as u64).expect("dir block mapped");
         ws.update(&self.cache.get(lba), WHOLE, |d| d.copy_from_slice(&encoded));
     }
@@ -1102,9 +1097,8 @@ impl FileSystem {
         pst.dir
             .as_ref()
             .expect("loaded")
-            .map
             .get(name)
-            .map(|(ino, _)| *ino)
+            .map(|(ino, _)| ino)
             .ok_or(FsError::NotFound)
     }
 
@@ -1120,9 +1114,8 @@ impl FileSystem {
             .dir
             .as_ref()
             .expect("loaded")
-            .map
             .iter()
-            .map(|(n, (i, _))| (n.clone(), *i))
+            .map(|(n, i)| (n.to_string(), i))
             .collect();
         v.sort();
         Ok(v)
@@ -1203,11 +1196,10 @@ impl FileSystem {
         let ph = self.handle(parent);
         let mut pst = ph.st.lock();
         self.load_dir(&mut pst);
-        let (ino, blk_idx) = *pst
+        let (ino, blk_idx) = pst
             .dir
             .as_ref()
             .expect("loaded")
-            .map
             .get(name)
             .ok_or(FsError::NotFound)?;
         let ch = self.handle(ino);
@@ -1239,7 +1231,7 @@ impl FileSystem {
         let ph = self.handle(parent);
         let mut pst = ph.st.lock();
         self.load_dir(&mut pst);
-        if pst.dir.as_ref().expect("loaded").map.contains_key(name) {
+        if pst.dir.as_ref().expect("loaded").contains(name) {
             return Err(FsError::Exists);
         }
         let ch = self.handle(ino);
@@ -1304,11 +1296,10 @@ impl FileSystem {
             self.load_dir(pst2);
         }
         // Validate source and destination before mutating anything.
-        let (ino, _src_blk) = *pst1
+        let (ino, _src_blk) = pst1
             .dir
             .as_ref()
             .expect("loaded")
-            .map
             .get(src_name)
             .ok_or(FsError::NotFound)?;
         if ino == dst_parent {
@@ -1326,9 +1317,8 @@ impl FileSystem {
                 .dir
                 .as_ref()
                 .expect("loaded")
-                .map
                 .get(dst_name)
-                .map(|(i, _)| *i)
+                .map(|(i, _)| i)
         };
         if let Some(old_ino) = old_target {
             if old_ino == ino {
@@ -1353,14 +1343,16 @@ impl FileSystem {
             .expect("checked above");
         self.rewrite_dir_block(&mut ws, &pst1, src_blk);
         // Drop the old destination target, if any.
+        let mut old_dst_blk = None;
         if let Some(old_ino) = old_target {
             let dst_st: &mut InodeSt = pst2_opt.as_deref_mut().unwrap_or(&mut pst1);
-            dst_st
+            let (_, blk) = dst_st
                 .dir
                 .as_mut()
                 .expect("loaded")
                 .remove(dst_name)
                 .expect("present");
+            old_dst_blk = Some(blk);
             let oh = self.handle(old_ino);
             let mut ost = oh.st.lock();
             if ost.inode.kind == InodeKind::Dir {
@@ -1377,7 +1369,13 @@ impl FileSystem {
         }
         // Insert at the destination.
         let dst_st: &mut InodeSt = pst2_opt.as_deref_mut().unwrap_or(&mut pst1);
-        self.dir_insert(&mut ws, dst_st, dst_parent, dst_name, ino)?;
+        let dst_blk = self.dir_insert(&mut ws, dst_st, dst_parent, dst_name, ino)?;
+        // The new entry goes where there is room first, which need not be
+        // the block the replaced one left: that block loses it on media
+        // in the same group, or a remount finds the name twice.
+        if let Some(blk) = old_dst_blk.filter(|&blk| blk != dst_blk) {
+            self.rewrite_dir_block(&mut ws, dst_st, blk);
+        }
         // Moving a directory across parents moves its ".." link.
         if moving_dir && !same {
             pst1.inode.nlink -= 1;
@@ -1474,9 +1472,8 @@ impl FileSystem {
                 st.dir
                     .as_ref()
                     .expect("loaded")
-                    .map
-                    .values()
-                    .map(|(child, _)| *child)
+                    .iter()
+                    .map(|(_, child)| child)
                     .collect()
             } else {
                 Vec::new()

@@ -347,6 +347,75 @@ fn rename_overwrite_is_atomic_across_crash() {
     sim.run();
 }
 
+/// `n` files `f0000xyz`… in `dir`, each holding its own number and
+/// fsynced: 17-byte entries, so 240 fill directory block 0 and the rest
+/// live in block 1.
+fn numbered_files(fs: &FileSystem, dir: &str, n: usize) {
+    for i in 0..n {
+        let f = fs
+            .create_path(&format!("{dir}/f{i:04}xyz"))
+            .expect("create");
+        fs.write(f, 0, i.to_string().as_bytes()).expect("write");
+        fs.fsync(f).expect("fsync");
+    }
+}
+
+/// Crashes, reboots and checks that `path` is the file that held "3" and
+/// that the image is consistent.
+fn renamed_file_survives(stack: &Stack, profile: SsdProfile, path: &str) {
+    let variant = FsVariant::Mqfs;
+    let image = stack.power_fail(11);
+    let (_s2, fs2) = Stack::reboot(variant, &image, profile);
+    let t = fs2.resolve(path).expect("destination exists");
+    // One assertion, so that a failure shows both symptoms.
+    assert_eq!(
+        (fs2.read(t, 0, 8).expect("read"), fs2.check()),
+        (b"3".to_vec(), Vec::new()),
+        "the moved file's content, and fsck"
+    );
+}
+
+#[test]
+fn rename_over_an_entry_in_another_block_drops_it_from_media() {
+    let variant = FsVariant::Mqfs;
+    let mut sim = Sim::new(CORES + 2);
+    sim.spawn("host", 0, move || {
+        let profile = SsdProfile::optane_905p();
+        let stack = Stack::new(variant, profile.clone());
+        let fs = FileSystem::format(Arc::clone(&stack.dev), fs_config(variant));
+        numbered_files(&fs, "", 300);
+        // The source leaves block 0, which is then the first with room;
+        // the entry it replaces lives in block 1.
+        fs.rename(fs.root(), "f0003xyz", fs.root(), "f0290xyz")
+            .expect("rename");
+        fs.fsync(fs.root()).expect("fsync dir persists the rename");
+        renamed_file_survives(&stack, profile, "/f0290xyz");
+    });
+    sim.run();
+}
+
+#[test]
+fn rename_across_directories_over_an_entry_in_another_block() {
+    let variant = FsVariant::Mqfs;
+    let mut sim = Sim::new(CORES + 2);
+    sim.spawn("host", 0, move || {
+        let profile = SsdProfile::optane_905p();
+        let stack = Stack::new(variant, profile.clone());
+        let fs = FileSystem::format(Arc::clone(&stack.dev), fs_config(variant));
+        let src = fs.mkdir_path("/src").expect("mkdir");
+        let dst = fs.mkdir_path("/dst").expect("mkdir");
+        numbered_files(&fs, "/src", 4);
+        numbered_files(&fs, "/dst", 300);
+        // Room in the destination's block 0; the replaced entry lives in
+        // its block 1.
+        fs.unlink(dst, "f0005xyz").expect("unlink");
+        fs.rename(src, "f0003xyz", dst, "f0290xyz").expect("rename");
+        fs.fsync(dst).expect("fsync dir persists the rename");
+        renamed_file_survives(&stack, profile, "/dst/f0290xyz");
+    });
+    sim.run();
+}
+
 #[test]
 fn hard_links_share_content_and_count() {
     let mut sim = Sim::new(CORES + 2);

@@ -21,11 +21,7 @@ pub fn in_sim() -> bool {
 /// Current time in nanoseconds: virtual time on the sim backend, time
 /// since the process's first runtime call on the OS backend.
 pub fn now() -> Ns {
-    if ccnvme_sim::in_sim() {
-        ccnvme_sim::now()
-    } else {
-        os::os_now()
-    }
+    ccnvme_sim::try_now().unwrap_or_else(os::os_now)
 }
 
 /// Models `ns` of CPU work. On the sim backend this advances the

@@ -5,7 +5,7 @@
 //! own events: there is no scheduler. A thread that yields (advancing the
 //! clock, blocking on a primitive from [`crate::sync`], or exiting) pops
 //! the earliest live event from the binary heap itself, under the one
-//! [`KState`] lock. If that event is its own it simply keeps running;
+//! [`KState`] lock, and advances the clock to it. If that event is its own it simply keeps running;
 //! otherwise [`Kernel::switch_to`] swaps registers with the owning
 //! thread's stack — the one hand-off, no system call. The caller of
 //! [`Sim::run`] switches to the first event's thread and is switched back
@@ -20,14 +20,23 @@
 //! hand-off. What is per OS thread and has to follow the simulated thread
 //! instead is swapped at the hand-off: [`CTX`] and the two [`ambient`]
 //! words.
+//!
+//! **What a thread pays for asking.** The two things model code reads all
+//! the time are outside the lock: the clock is one atomic word on
+//! [`Kernel`] that only [`Kernel::dispatch`] writes, so [`now`] is a
+//! thread-local lookup and a load, and a thread reaches its kernel
+//! through a borrow of [`CTX`] ([`ctx`]) rather than a clone of the
+//! `Arc` in it.
 
 use std::{
     cell::{Cell, RefCell},
     cmp::Reverse,
     collections::BinaryHeap,
-    ops::Deref,
     panic::{self, AssertUnwindSafe},
-    sync::Arc,
+    sync::{
+        atomic::{AtomicBool, AtomicU64, Ordering},
+        Arc,
+    },
 };
 
 use parking_lot::{Mutex, MutexGuard};
@@ -67,7 +76,9 @@ fn install_quiet_shutdown_hook() {
                         let slot = &st.threads[tid];
                         eprintln!(
                             "simulated thread {:?} on core {} at t={} ns",
-                            slot.name, slot.core, st.now
+                            slot.name,
+                            slot.core,
+                            kernel.clock()
                         );
                     }
                 });
@@ -126,7 +137,6 @@ struct Event {
 }
 
 struct KState {
-    now: Ns,
     seq: u64,
     heap: BinaryHeap<Reverse<Event>>,
     threads: Vec<ThreadSlot>,
@@ -134,7 +144,6 @@ struct KState {
     cores: Vec<Ns>,
     /// Unfinished non-daemon threads.
     live: usize,
-    shutdown: bool,
     events_processed: u64,
     panic_payload: Option<Box<dyn std::any::Any + Send>>,
     /// The caller of [`Sim::run`] while threads run: its stack pointer
@@ -152,6 +161,13 @@ struct KState {
 }
 
 pub(crate) struct Kernel {
+    /// The virtual clock: the time of the event dispatched last. Only
+    /// [`Kernel::dispatch`] writes it, under the `st` lock; [`now`] reads
+    /// it without.
+    now: AtomicU64,
+    /// Set by [`Kernel::shutdown_all`]: a thread resumed from now on is
+    /// resumed to unwind.
+    shutdown: AtomicBool,
     st: Mutex<KState>,
 }
 
@@ -165,6 +181,8 @@ thread_local! {
 /// Runs `f` on the running simulation and the calling thread's id in it;
 /// `None` when the caller is not a simulated thread. `f` must not hand
 /// off: the context stays borrowed while it runs.
+const NOT_IN_SIM: &str = "this operation must be called from inside a simulated thread";
+
 fn with_current<R>(f: impl FnOnce(&Arc<Kernel>, usize) -> R) -> Option<R> {
     CTX.with(|c| match &*c.borrow() {
         Some((kernel, Next::Thread(tid))) => Some(f(kernel, *tid)),
@@ -172,9 +190,23 @@ fn with_current<R>(f: impl FnOnce(&Arc<Kernel>, usize) -> R) -> Option<R> {
     })
 }
 
-fn ctx() -> (Arc<Kernel>, usize) {
-    with_current(|kernel, tid| (Arc::clone(kernel), tid))
-        .expect("this operation must be called from inside a simulated thread")
+/// The running simulation, borrowed, and the calling thread's id in it.
+/// The borrow is for the caller's own use while it runs (hand-offs
+/// included) and must not be kept anywhere that outlives the thread.
+pub(crate) fn ctx<'a>() -> (&'a Kernel, usize) {
+    let (kernel, tid) = with_current(|kernel, tid| (Arc::as_ptr(kernel), tid)).expect(NOT_IN_SIM);
+    // SAFETY: the caller is a simulated thread, and one executes only
+    // inside `as_runner`, whose frame on the runner's stack holds an `Arc`
+    // of this kernel in `CTX` (in `outer`, while a nested simulation has
+    // `CTX`) until every thread is finished or unwound — the liveness
+    // `switch_to` relies on for `save`. A suspended thread does not run,
+    // and a finished one never again, so no use of the borrow is later.
+    (unsafe { &*kernel }, tid)
+}
+
+/// The running simulation, to keep: what a spawned thread's handle holds.
+fn current_kernel() -> Arc<Kernel> {
+    with_current(|kernel, _| Arc::clone(kernel)).expect(NOT_IN_SIM)
 }
 
 /// The calling simulated thread's id; `None` on any other thread.
@@ -195,22 +227,23 @@ fn set_current(who: Next) {
 
 /// Entry point of every fiber: runs the thread's body, then leaves for good.
 extern "sysv64" fn fiber_main(tid: usize) -> ! {
-    let body = ctx().0.st.lock().threads[tid].body.take();
+    let (kernel, _) = ctx();
+    let body = kernel.st.lock().threads[tid].body.take();
     body.expect("a thread is started once")();
-    ctx().0.exit_current(tid)
+    kernel.exit_current(tid)
 }
 
 impl Kernel {
     fn new(cores: usize) -> Self {
         Kernel {
+            now: AtomicU64::new(0),
+            shutdown: AtomicBool::new(false),
             st: Mutex::new(KState {
-                now: 0,
                 seq: 0,
                 heap: BinaryHeap::new(),
                 threads: Vec::new(),
                 cores: vec![0; cores],
                 live: 0,
-                shutdown: false,
                 events_processed: 0,
                 panic_payload: None,
                 runner_sp: Cell::new(0),
@@ -221,6 +254,15 @@ impl Kernel {
                 switches: 0,
             }),
         }
+    }
+
+    /// The virtual clock.
+    fn clock(&self) -> Ns {
+        // ord: Relaxed — written (`dispatch`) and read on the one OS
+        // thread that runs the simulation; a reader on another thread
+        // (`Sim::now` after `run`) got the `Sim` through something that
+        // orders it after the run.
+        self.now.load(Ordering::Relaxed)
     }
 
     /// Pushes a dispatch event for `tid` at `time`, superseding any other
@@ -236,7 +278,7 @@ impl Kernel {
     /// the earliest live event, advances the clock to it and marks its
     /// owner running. Returns whom to resume — the owner, which may be
     /// the caller itself, or the runner when the run is over.
-    fn dispatch(st: &mut KState) -> Next {
+    fn dispatch(&self, st: &mut KState) -> Next {
         if st.panic_payload.is_some() || st.live == 0 {
             // Daemon threads may still have pending wakeups; they are
             // torn down by `shutdown_all`.
@@ -248,8 +290,9 @@ impl Kernel {
                 continue; // Stale event.
             }
             slot.state = ThreadState::Running;
-            debug_assert!(ev.time >= st.now, "time went backwards");
-            st.now = ev.time;
+            debug_assert!(ev.time >= self.clock(), "time went backwards");
+            // ord: Relaxed — see `clock`.
+            self.now.store(ev.time, Ordering::Relaxed);
             st.events_processed += 1;
             return Next::Thread(ev.tid);
         }
@@ -259,12 +302,13 @@ impl Kernel {
     }
 
     /// The one hand-off: suspends `me`, which is executing this, and
-    /// resumes `next`; returns when something hands back to `me`. A
-    /// finishing thread passes its own `Arc`, so that nothing stays owned
-    /// by a stack that is never resumed.
-    fn switch_to(this: impl Deref<Target = Kernel>, me: Next, next: Next) {
+    /// resumes `next`; returns when something hands back to `me`. Takes
+    /// the state lock the caller decided `next` under and gives it up
+    /// before the switch. Nothing a stack owns is live across it: a
+    /// finishing thread's is never resumed.
+    fn switch_to(&self, mut st: MutexGuard<'_, KState>, me: Next, next: Next) {
         let (save, to) = {
-            let st = &mut *this.st.lock();
+            let st = &mut *st;
             #[cfg(test)]
             {
                 st.switches += 1;
@@ -299,8 +343,8 @@ impl Kernel {
             AMBIENT.set(ambient);
             (save, to)
         };
+        drop(st);
         set_current(next);
-        drop(this);
         // SAFETY: `to` is the stack pointer of a suspended context that
         // nobody else resumes: `prepare`d just above, or stored by the
         // `switch` that suspended `next`, which has not run since (only
@@ -321,13 +365,14 @@ impl Kernel {
     /// already have arranged its wakeup (heap event or waitlist
     /// registration) under the `st` lock it passes in.
     fn yield_current(&self, mut st: MutexGuard<'_, KState>, tid: usize) {
-        let next = Self::dispatch(&mut st);
-        drop(st);
+        let next = self.dispatch(&mut st);
         if next == Next::Thread(tid) {
             return;
         }
-        Self::switch_to(self, Next::Thread(tid), next);
-        if self.st.lock().shutdown {
+        self.switch_to(st, Next::Thread(tid), next);
+        // ord: Relaxed — set by the runner on this OS thread, before the
+        // hand-off that got here.
+        if self.shutdown.load(Ordering::Relaxed) {
             // Unwind this thread's stack; its body catches the token.
             panic::panic_any(SimShutdown);
         }
@@ -338,7 +383,7 @@ impl Kernel {
     fn cpu_current(&self, tid: usize, ns: Ns) {
         let mut st = self.st.lock();
         let core = st.threads[tid].core;
-        let start = st.now.max(st.cores[core]);
+        let start = self.clock().max(st.cores[core]);
         let end = start + ns;
         st.cores[core] = end;
         Self::schedule(&mut st, end, tid);
@@ -349,15 +394,14 @@ impl Kernel {
     /// Advances the current thread's clock by `ns` without occupying a core.
     fn delay_current(&self, tid: usize, ns: Ns) {
         let mut st = self.st.lock();
-        let when = st.now + ns;
-        Self::schedule(&mut st, when, tid);
+        Self::schedule(&mut st, self.clock() + ns, tid);
         st.threads[tid].state = ThreadState::Ready;
         self.yield_current(st, tid);
     }
 
-    /// Blocks the current thread until [`Kernel::wake`] is called for it.
-    pub(crate) fn block_current(&self) {
-        let (_, tid) = ctx();
+    /// Blocks the current thread, `tid`, until [`Kernel::wake`] is called
+    /// for it.
+    pub(crate) fn block_current(&self, tid: usize) {
         let mut st = self.st.lock();
         let slot = &mut st.threads[tid];
         slot.state = ThreadState::Blocked;
@@ -365,13 +409,11 @@ impl Kernel {
         self.yield_current(st, tid);
     }
 
-    /// Blocks the current thread until woken or until `ns` virtual time
-    /// elapses, whichever happens first.
-    pub(crate) fn block_current_timeout(&self, ns: Ns) -> WakeReason {
-        let (_, tid) = ctx();
+    /// Blocks the current thread, `tid`, until woken or until `ns` virtual
+    /// time elapses, whichever happens first.
+    pub(crate) fn block_current_timeout(&self, tid: usize, ns: Ns) -> WakeReason {
         let mut st = self.st.lock();
-        let when = st.now + ns;
-        Self::schedule(&mut st, when, tid);
+        Self::schedule(&mut st, self.clock() + ns, tid);
         let slot = &mut st.threads[tid];
         slot.state = ThreadState::Blocked;
         slot.wake_reason = WakeReason::TimedOut;
@@ -384,8 +426,7 @@ impl Kernel {
     pub(crate) fn wake(&self, tid: usize) {
         let mut st = self.st.lock();
         if st.threads[tid].state == ThreadState::Blocked {
-            let now = st.now;
-            Self::schedule(&mut st, now, tid);
+            Self::schedule(&mut st, self.clock(), tid);
             let slot = &mut st.threads[tid];
             slot.state = ThreadState::Ready;
             slot.wake_reason = WakeReason::Notified;
@@ -394,20 +435,19 @@ impl Kernel {
 
     /// Last act of a simulated thread: marks it finished and hands off
     /// to the next event's owner.
-    fn exit_current(self: Arc<Self>, tid: usize) -> ! {
-        let next = {
-            let mut st = self.st.lock();
-            st.threads[tid].state = ThreadState::Finished;
-            if st.shutdown {
-                Next::Runner // Unwound by `shutdown_all`, which goes on.
-            } else {
-                if !st.threads[tid].daemon {
-                    st.live -= 1;
-                }
-                Self::dispatch(&mut st)
+    fn exit_current(&self, tid: usize) -> ! {
+        let mut st = self.st.lock();
+        st.threads[tid].state = ThreadState::Finished;
+        // ord: Relaxed — set by the runner on this OS thread.
+        let next = if self.shutdown.load(Ordering::Relaxed) {
+            Next::Runner // Unwound by `shutdown_all`, which goes on.
+        } else {
+            if !st.threads[tid].daemon {
+                st.live -= 1;
             }
+            self.dispatch(&mut st)
         };
-        Self::switch_to(self, Next::Thread(tid), next);
+        self.switch_to(st, Next::Thread(tid), next);
         unreachable!("a finished thread is never resumed")
     }
 
@@ -423,11 +463,12 @@ impl Kernel {
     /// Runs the threads until the run is over. Returns the deadlock
     /// report if that is how it ended.
     fn run_to_stop(&self) -> Option<String> {
-        let first = Self::dispatch(&mut self.st.lock());
+        let mut st = self.st.lock();
+        let first = self.dispatch(&mut st);
         if first != Next::Runner {
-            Self::switch_to(self, Next::Runner, first);
+            self.switch_to(st, Next::Runner, first);
+            st = self.st.lock();
         }
-        let st = self.st.lock();
         if st.panic_payload.is_some() || st.live == 0 {
             return None;
         }
@@ -440,14 +481,18 @@ impl Kernel {
         Some(format!(
             "simulation deadlock at t={} ns: {} live thread(s) blocked \
              with no pending event: {:?}",
-            st.now, st.live, blocked
+            self.clock(),
+            st.live,
+            blocked
         ))
     }
 
     /// Ends every unfinished thread, one at a time in spawn order, and
     /// unmaps the stacks.
     fn shutdown_all(&self) {
-        self.st.lock().shutdown = true;
+        // ord: Relaxed — read by the threads resumed below, on this OS
+        // thread.
+        self.shutdown.store(true, Ordering::Relaxed);
         for tid in 0.. {
             let mut st = self.st.lock();
             let Some(slot) = st.threads.get_mut(tid) else {
@@ -460,8 +505,7 @@ impl Kernel {
                 // Suspended inside its body: resumed, it unwinds with
                 // `SimShutdown`, which runs its destructors. One of them
                 // yielding does not get it a second turn.
-                drop(st);
-                Self::switch_to(self, Next::Runner, Next::Thread(tid));
+                self.switch_to(st, Next::Runner, Next::Thread(tid));
                 self.st.lock().threads[tid].state = ThreadState::Finished;
             } else {
                 // Never started. Its captures are dropped as the thread
@@ -504,7 +548,7 @@ impl<T> SimJoinHandle<T> {
     pub fn join(self) -> T {
         let (kernel, me) = ctx();
         debug_assert!(
-            Arc::ptr_eq(&kernel, &self.kernel),
+            std::ptr::eq(kernel, &*self.kernel),
             "join across simulations"
         );
         loop {
@@ -515,7 +559,7 @@ impl<T> SimJoinHandle<T> {
                 }
                 js.waiters.push(me);
             }
-            kernel.block_current();
+            kernel.block_current(me);
         }
     }
 }
@@ -586,8 +630,7 @@ where
         if !daemon {
             st.live += 1;
         }
-        let now = st.now;
-        Kernel::schedule(&mut st, now, tid);
+        Kernel::schedule(&mut st, kernel.clock(), tid);
     }
     SimJoinHandle {
         kernel: Arc::clone(kernel),
@@ -652,17 +695,14 @@ impl Sim {
             kernel.shutdown_all();
             deadlock
         });
-        let (now, payload) = {
-            let mut st = self.kernel.st.lock();
-            (st.now, st.panic_payload.take())
-        };
+        let payload = self.kernel.st.lock().panic_payload.take();
         if let Some(p) = payload {
             panic::resume_unwind(p);
         }
         if let Some(report) = deadlock {
             panic!("{report}");
         }
-        now
+        self.now()
     }
 
     /// Runs `f` as the main thread (core 0) of a fresh simulation with
@@ -689,7 +729,7 @@ impl Sim {
 
     /// Returns the current virtual time (final time, after [`Sim::run`]).
     pub fn now(&self) -> Ns {
-        self.kernel.st.lock().now
+        self.kernel.clock()
     }
 
     /// Returns the number of events the simulation has dispatched.
@@ -728,9 +768,13 @@ pub fn set_ambient(words: [u64; 2]) -> [u64; 2] {
 
 /// Returns the current virtual time in nanoseconds.
 pub fn now() -> Ns {
-    let (kernel, _) = ctx();
-    let st = kernel.st.lock();
-    st.now
+    try_now().expect(NOT_IN_SIM)
+}
+
+/// [`now`] on a simulated thread, `None` on any other: [`in_sim`] and
+/// [`now`] in one lookup.
+pub fn try_now() -> Option<Ns> {
+    with_current(|kernel, _| kernel.clock())
 }
 
 /// Spends `ns` of CPU time on the current thread's core, contending with
@@ -753,8 +797,7 @@ where
     T: Send + 'static,
     F: FnOnce() -> T + Send + 'static,
 {
-    let (kernel, _) = ctx();
-    spawn_inner(&kernel, name, core, false, f)
+    spawn_inner(&current_kernel(), name, core, false, f)
 }
 
 /// Spawns a daemon thread from inside the simulation.
@@ -763,8 +806,7 @@ where
     T: Send + 'static,
     F: FnOnce() -> T + Send + 'static,
 {
-    let (kernel, _) = ctx();
-    spawn_inner(&kernel, name, core, true, f)
+    spawn_inner(&current_kernel(), name, core, true, f)
 }
 
 /// Returns the simulated core the current thread is pinned to.
@@ -772,11 +814,6 @@ pub fn current_core() -> usize {
     let (kernel, tid) = ctx();
     let st = kernel.st.lock();
     st.threads[tid].core
-}
-
-// Crate-internal access for the sync primitives.
-pub(crate) fn current() -> (Arc<Kernel>, usize) {
-    ctx()
 }
 
 #[cfg(test)]
@@ -794,6 +831,35 @@ mod tests {
             assert_eq!(now(), 150);
         });
         assert_eq!(sim.run(), 150);
+    }
+
+    #[test]
+    fn now_is_the_dispatch_clock_however_time_advanced() {
+        use crate::sync::{SimCondvar, SimMutex};
+        let mut sim = Sim::new(2);
+        sim.spawn("main", 0, || {
+            cpu(7);
+            assert_eq!(now(), 7);
+            delay(3);
+            assert_eq!(now(), 10);
+            // A thread spawned inside starts at its parent's instant, and
+            // block + wake resumes the parent at the waker's.
+            let child = spawn("child", 1, || {
+                assert_eq!(now(), 10);
+                delay(15);
+                now()
+            });
+            assert_eq!(child.join(), 25);
+            assert_eq!(now(), 25);
+            let (mx, cv) = (SimMutex::new(()), SimCondvar::new());
+            let (_g, res) = cv.wait_timeout(mx.lock(), 100);
+            assert!(res.timed_out());
+            assert_eq!((now(), try_now()), (125, Some(125)));
+        });
+        assert_eq!(sim.now(), 0);
+        assert_eq!(sim.run(), 125);
+        assert_eq!(sim.now(), 125);
+        assert_eq!(try_now(), None);
     }
 
     #[test]
@@ -963,13 +1029,15 @@ mod tests {
     fn deadlock_found_by_a_simulated_thread_is_raised_from_run() {
         let mut sim = Sim::new(2);
         sim.spawn_daemon("d", 1, || loop {
-            ctx().0.block_current();
+            let (kernel, me) = ctx();
+            kernel.block_current(me);
         });
         sim.spawn("stuck", 0, || {
             cpu(5);
             // Nobody will ever wake this thread, and it is the one that
             // finds the heap empty.
-            ctx().0.block_current();
+            let (kernel, me) = ctx();
+            kernel.block_current(me);
         });
         // `catch_unwind` around `run`: the panic comes out of `run`
         // itself, not out of a simulated thread's stack.

@@ -55,7 +55,7 @@ pub mod sync;
 pub mod time;
 
 pub use kernel::{
-    ambient, cpu, current_core, delay, in_sim, now, set_ambient, spawn, spawn_daemon, Sim,
+    ambient, cpu, current_core, delay, in_sim, now, set_ambient, spawn, spawn_daemon, try_now, Sim,
     SimJoinHandle,
 };
 pub use rng::DetRng;

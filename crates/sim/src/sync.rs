@@ -11,7 +11,10 @@
 //!
 //! Both rely on the kernel's guarantee that at most one simulated thread
 //! executes at a time, which makes their internal critical sections
-//! race-free; the `parking_lot` mutexes inside only satisfy `Send`/`Sync`.
+//! race-free and leaves nothing to wait for on the host; the
+//! `parking_lot` mutexes around the wait lists only satisfy `Send`/`Sync`,
+//! and a [`SimMutex`] nobody waits for never touches its own: taking and
+//! releasing it is one compare-exchange on its state word each.
 //!
 //! **Outside a simulation** (a bare thread: no [`crate::Sim`] is running
 //! on it) nothing can park and nothing is parked, so there is one rule: a
@@ -25,6 +28,7 @@ use std::{
     collections::VecDeque,
     fmt,
     ops::{Deref, DerefMut},
+    sync::atomic::{AtomicUsize, Ordering},
 };
 
 use parking_lot::Mutex;
@@ -39,12 +43,14 @@ use crate::{
 // ---------------------------------------------------------------------------
 
 /// The owner recorded for a holder that is not a simulated thread.
-const BARE: usize = usize::MAX;
+const BARE: usize = usize::MAX >> 2;
 
-struct MxState {
-    locked: bool,
-    owner: usize,
-    waiters: VecDeque<usize>,
+/// Set in the state word while `waiters` is not empty.
+const QUEUED: usize = 1;
+
+/// The state word of a mutex `owner` holds and nobody waits for.
+const fn held_by(owner: usize) -> usize {
+    (owner + 1) << 1
 }
 
 /// A mutual-exclusion lock that blocks in virtual time.
@@ -54,14 +60,21 @@ struct MxState {
 /// ...); contending threads park in the simulation and resume
 /// deterministically, with FIFO handoff.
 pub struct SimMutex<T: ?Sized> {
-    st: Mutex<MxState>,
+    /// `0` when free, else `held_by(owner)`, with [`QUEUED`] or-ed in
+    /// while somebody waits. Free ↔ held is a compare-exchange; every
+    /// change that involves a waiter is made under the `waiters` lock.
+    state: AtomicUsize,
+    waiters: Mutex<VecDeque<usize>>,
     data: UnsafeCell<T>,
 }
 
 // SAFETY: `SimMutex` provides mutual exclusion for `data`: only the lock
-// owner creates a guard — `locked` changes under `st`, a real mutex, also
-// for a bare thread — and the simulation kernel serializes execution so
-// at most one simulated thread touches `data` at any real-time instant.
+// owner creates a guard, and `state` names one owner at a time — it
+// leaves `0` by a compare-exchange only (also for a bare thread, which is
+// what holds it to "a free one or none"), and an owner is replaced only by
+// itself, by `0` or by the longest waiter. Those are real atomics with
+// acquire/release pairs, so this holds on any mix of OS threads, beside
+// the kernel letting one simulated thread run at any real-time instant.
 unsafe impl<T: ?Sized + Send> Send for SimMutex<T> {}
 // SAFETY: See the `Send` justification; `&SimMutex` only allows access to
 // `data` through the ownership-checked guard.
@@ -71,11 +84,8 @@ impl<T> SimMutex<T> {
     /// Creates a new unlocked mutex holding `value`.
     pub fn new(value: T) -> Self {
         SimMutex {
-            st: Mutex::new(MxState {
-                locked: false,
-                owner: 0,
-                waiters: VecDeque::new(),
-            }),
+            state: AtomicUsize::new(0),
+            waiters: Mutex::new(VecDeque::new()),
             data: UnsafeCell::new(value),
         }
     }
@@ -87,6 +97,15 @@ impl<T> SimMutex<T> {
 }
 
 impl<T: ?Sized> SimMutex<T> {
+    /// Moves the state word from `from` to `to`; says what it held if
+    /// not `from`.
+    fn swing(&self, from: usize, to: usize, success: Ordering) -> Result<usize, usize> {
+        // ord: Relaxed on failure — nothing is learnt from it but whom
+        // to wait for; `success` is the caller's.
+        let failure = Ordering::Relaxed;
+        self.state.compare_exchange(from, to, success, failure)
+    }
+
     /// Acquires the lock, parking the simulated thread if it is held.
     ///
     /// # Panics
@@ -96,31 +115,56 @@ impl<T: ?Sized> SimMutex<T> {
     /// thread (see the module docs).
     pub fn lock(&self) -> SimMutexGuard<'_, T> {
         let me = kernel::current_tid().unwrap_or(BARE);
-        {
-            let mut st = self.st.lock();
-            if !st.locked {
-                st.locked = true;
-                st.owner = me;
-                return SimMutexGuard { mx: self };
-            }
-            assert!(
-                me != BARE,
-                "SimMutex locked from outside a simulation while held: \
-                 a bare thread cannot park, it may only take a free mutex"
-            );
-            assert!(
-                st.owner != me,
-                "SimMutex self-deadlock: thread relocked a held mutex"
-            );
-            st.waiters.push_back(me);
+        // ord: Acquire — pairs with the Release that freed the mutex, so
+        // the last holder's writes to `data` are visible.
+        if let Err(seen) = self.swing(0, held_by(me), Ordering::Acquire) {
+            self.lock_contended(me, seen);
         }
-        let (kernel, _) = kernel::current();
-        loop {
-            kernel.block_current();
-            let st = self.st.lock();
-            if st.locked && st.owner == me {
-                return SimMutexGuard { mx: self };
+        SimMutexGuard { mx: self }
+    }
+
+    /// The rest of [`SimMutex::lock`] when the mutex was not free: queues
+    /// behind the holder seen in `seen` and parks until handed the lock.
+    #[cold]
+    fn lock_contended(&self, me: usize, mut seen: usize) {
+        assert!(
+            me != BARE,
+            "SimMutex locked from outside a simulation while held: \
+             a bare thread cannot park, it may only take a free mutex"
+        );
+        assert!(
+            seen & !QUEUED != held_by(me),
+            "SimMutex self-deadlock: thread relocked a held mutex"
+        );
+        {
+            let mut waiters = self.waiters.lock();
+            // Under the queue's lock: a holder that finds `QUEUED` set
+            // finds this thread in the queue. One that is not simulated
+            // (see the module docs) may have let go in between.
+            loop {
+                let (want, queue) = match seen {
+                    0 => (held_by(me), false),
+                    held => (held | QUEUED, true),
+                };
+                // ord: Acquire — as in `lock` when the mutex turned out
+                // free; publishing `QUEUED` orders nothing, the queue has
+                // its own lock.
+                match self.swing(seen, want, Ordering::Acquire) {
+                    Ok(_) if queue => {
+                        waiters.push_back(me);
+                        break;
+                    }
+                    Ok(_) => return,
+                    Err(now) => seen = now,
+                }
             }
+        }
+        let (kernel, _) = kernel::ctx();
+        // ord: Acquire — pairs with the Release store of the hand-off in
+        // `unlock_contended`. Any other wake-up (a stale condvar entry)
+        // finds another owner and parks again.
+        while self.state.load(Ordering::Acquire) & !QUEUED != held_by(me) {
+            kernel.block_current(me);
         }
     }
 
@@ -130,22 +174,29 @@ impl<T: ?Sized> SimMutex<T> {
     }
 
     fn unlock(&self) {
-        let next = {
-            let mut st = self.st.lock();
-            match st.waiters.pop_front() {
-                Some(next) => {
-                    st.owner = next; // Direct handoff; stays locked.
-                    Some(next)
-                }
-                None => {
-                    st.locked = false;
-                    None
-                }
-            }
-        };
-        if let Some(next) = next {
-            kernel::wake(next);
+        // ord: Relaxed — the holder reads back its own word; only
+        // `QUEUED` can have been added to it.
+        let held = self.state.load(Ordering::Relaxed);
+        // ord: Release — publishes the critical section to the next
+        // `lock`; a failure means a waiter queued just now.
+        if held & QUEUED != 0 || self.swing(held, 0, Ordering::Release).is_err() {
+            self.unlock_contended();
         }
+    }
+
+    /// Direct hand-off to the longest waiter: the mutex stays locked.
+    #[cold]
+    fn unlock_contended(&self) {
+        let next = {
+            let mut waiters = self.waiters.lock();
+            let next = waiters.pop_front().expect("QUEUED means a waiter");
+            let queued = if waiters.is_empty() { 0 } else { QUEUED };
+            // ord: Release — publishes the critical section to `next`,
+            // whose Acquire load in `lock_contended` sees itself as owner.
+            self.state.store(held_by(next) | queued, Ordering::Release);
+            next
+        };
+        kernel::wake(next);
     }
 }
 
@@ -222,11 +273,11 @@ impl SimCondvar {
     /// Atomically releases `guard` and parks until notified, then
     /// re-acquires the mutex.
     pub fn wait<'a, T: ?Sized>(&self, guard: SimMutexGuard<'a, T>) -> SimMutexGuard<'a, T> {
-        let (kernel, me) = kernel::current();
+        let (kernel, me) = kernel::ctx();
         let mx = guard.mx;
         self.waiters.lock().push_back(me);
         drop(guard);
-        kernel.block_current();
+        kernel.block_current(me);
         mx.lock()
     }
 
@@ -237,11 +288,11 @@ impl SimCondvar {
         guard: SimMutexGuard<'a, T>,
         timeout: Ns,
     ) -> (SimMutexGuard<'a, T>, WaitTimeoutResult) {
-        let (kernel, me) = kernel::current();
+        let (kernel, me) = kernel::ctx();
         let mx = guard.mx;
         self.waiters.lock().push_back(me);
         drop(guard);
-        let reason = kernel.block_current_timeout(timeout);
+        let reason = kernel.block_current_timeout(me, timeout);
         let timed_out = reason == WakeReason::TimedOut;
         if timed_out {
             // The notifier did not pick this thread; deregister so a later
@@ -314,17 +365,71 @@ mod tests {
             let _g = m0.lock();
             delay(1_000);
         });
-        for i in 1..4usize {
+        // Queued out of spawn and core order: the hand-off follows the
+        // queue, nothing else.
+        for (i, at) in [(1usize, 30u64), (2, 10), (3, 20)] {
             let mx = Arc::clone(&mx);
             let order = Arc::clone(&order);
             sim.spawn(&format!("w{i}"), i, move || {
-                delay(i as u64 * 10); // Queue in a known order.
+                delay(at);
                 let _g = mx.lock();
-                order.lock().push(i);
+                order.lock().push((i, now()));
             });
         }
         sim.run();
-        assert_eq!(*order.lock(), vec![1, 2, 3]);
+        assert_eq!(*order.lock(), vec![(2, 1_000), (3, 1_000), (1, 1_000)]);
+        // The last hand-off found the queue empty and said so in the
+        // state word: the mutex is free, also for a bare thread.
+        drop(mx.lock());
+        assert_eq!(mx.state.load(Ordering::Relaxed), 0);
+    }
+
+    /// Runs `body` as the one non-daemon thread of a two-core simulation
+    /// beside `other` on core 1; returns the events dispatched.
+    fn events(body: impl FnOnce() + Send + 'static, other: impl FnOnce() + Send + 'static) -> u64 {
+        let mut sim = Sim::new(2);
+        sim.spawn("body", 0, body);
+        sim.spawn("other", 1, other);
+        sim.run();
+        sim.events_processed()
+    }
+
+    #[test]
+    fn uncontended_lock_costs_no_event_and_a_contended_one_a_wake() {
+        let base = events(|| delay(100), || delay(10));
+        // The two first dispatches and one per `delay`.
+        assert_eq!(base, 4);
+        let mx = Arc::new(SimMutex::new(0u64));
+        let (m0, m1) = (Arc::clone(&mx), Arc::clone(&mx));
+        let uncontended = events(
+            move || {
+                for _ in 0..1_000 {
+                    *m0.lock() += 1;
+                }
+                delay(100);
+            },
+            move || {
+                delay(10);
+                *m1.lock() += 1;
+            },
+        );
+        assert_eq!(uncontended, base);
+        let (m0, m1) = (Arc::clone(&mx), Arc::clone(&mx));
+        let contended = events(
+            move || {
+                let _g = m0.lock();
+                delay(100);
+            },
+            move || {
+                delay(10);
+                *m1.lock() += 1; // Parks at 10, handed the lock at 100.
+                assert_eq!(now(), 100);
+            },
+        );
+        // Parking dispatches nothing new (the holder's `delay` was going
+        // to be dispatched anyway); the hand-off's wake is one event.
+        assert_eq!(contended, base + 1);
+        assert_eq!(*mx.lock(), 1_002);
     }
 
     #[test]
@@ -426,12 +531,28 @@ mod tests {
         assert!(v[1] >= v[0] + 100);
     }
 
+    // The two `bare_mutex_*` tests boot no `Sim`, so they cross no fiber
+    // switch and miri can run them (`scripts/check.sh`, deep tier).
+
     #[test]
     #[should_panic(expected = "outside a simulation while held")]
-    fn bare_thread_cannot_take_a_held_mutex() {
+    fn bare_mutex_held_panics() {
         let mx = SimMutex::new(());
         let _g = mx.lock();
         let _g2 = mx.lock();
+    }
+
+    #[test]
+    fn bare_mutex_lock_write_unlock_relock_into_inner() {
+        let mut mx = SimMutex::new(vec![1u8]);
+        mx.lock().push(2);
+        {
+            let mut g = mx.lock();
+            g.push(3);
+            assert_eq!(*g, [1, 2, 3]);
+        }
+        mx.get_mut().push(4);
+        assert_eq!(mx.into_inner(), [1, 2, 3, 4]);
     }
 
     #[test]

@@ -17,7 +17,8 @@
 #     minutes), the fabric TCP soak, the loom model-checking suites (the
 #     lock-free observability hot structures, DetectableCas, the
 #     runtime's channel and rwlock), and `cargo miri test` on the obs
-#     crate and the runtime's OS-backed tests when the miri component is
+#     crate, the runtime's OS-backed tests and the simulator's bare-thread
+#     mutex tests when the miri component is
 #     installed (skipped with a notice otherwise — CI images without
 #     miri still run the loom tier).
 set -euo pipefail
@@ -131,8 +132,11 @@ if [[ "${CHECK_DEEP:-0}" == "1" ]]; then
     cargo test -q -p ccnvme-runtime --features loom --lib loom_
     echo "== deep tier: miri =="
     if rustup component list 2>/dev/null | grep -q "^miri.*(installed)"; then
-        # Not ccnvme-sim: every test of it crosses `fiber::switch`, a
-        # `naked_asm!` body miri cannot execute.
+        # Of ccnvme-sim only the tests that boot no `Sim`: every other
+        # one crosses `fiber::switch`, a `naked_asm!` body miri cannot
+        # execute. These two cover `SimMutex`'s `UnsafeCell` and state
+        # word on the path a bare thread takes.
+        cargo miri test -q -p ccnvme-sim --lib sync::tests::bare_mutex_
         cargo miri test -q -p ccnvme-obs
         # The OS-backed runtime tests (`os_*`) cross no fiber switch and
         # cover RtRwLock's UnsafeCell, the runtime crate's one `unsafe`.
