@@ -11,7 +11,10 @@
 //! * anything in between may go either way (the crash caught the
 //!   operation mid-flight), but the file system must stay consistent.
 
-use std::{collections::HashSet, sync::Arc};
+use std::{
+    collections::{BTreeSet, HashSet},
+    sync::Arc,
+};
 
 use mqfs::FileSystem;
 
@@ -505,8 +508,10 @@ impl CrashWorkload for ExtentSpill {
 pub struct PatchChain;
 
 impl PatchChain {
-    /// Journal region to run on: two areas of four blocks. A create's
-    /// transaction takes two (directory block + JD), an append's one.
+    /// Journal region to run on: two areas of four blocks. The first
+    /// create's transaction takes two (the root directory's new block,
+    /// written whole, + JD); every other transaction here is one JD,
+    /// its directory record and inode slots inside it as patches.
     pub const JOURNAL_BLOCKS: u64 = 8;
 
     /// `a` and `b`: names whose hashed inode goals fall into one
@@ -514,10 +519,12 @@ impl PatchChain {
     const FILES: [&'static str; 3] = ["/p29", "/q12", "/c"];
 
     /// `(core, file)` of every append + `fsync` after the three creates
-    /// (core 0; they wrap area 0 once and leave two blocks of it used).
-    const STEPS: [(usize, usize); 11] = [
-        (0, 0), // Area 0: a patch of a's slot.
+    /// (core 0; they fill area 0 exactly, so the first step wraps it).
+    const STEPS: [(usize, usize); 13] = [
+        (0, 0), // Area 0, wrapped: a patch of a's slot.
         (1, 1), // Area 1: a newer patch of b's slot; area 1 idles.
+        (0, 2),
+        (0, 2),
         (0, 2), // Area 0 is full...
         (0, 2), // ...and wraps past the patch of a's slot.
         (0, 0), // Area 0: a newer patch of a's slot; area 0 idles.
@@ -614,6 +621,124 @@ impl CrashWorkload for PatchChain {
             }
         }
         problems
+    }
+}
+
+// ---------------------------------------------------------------------------
+// dir_records: a two-block directory's record chain, shape by shape
+// ---------------------------------------------------------------------------
+
+/// The crash surface of the directory record format (not a Table 4
+/// row): a directory of two blocks taken, one `fsync`ed step at a time,
+/// through every way a create or an unlink edits a record chain — each
+/// a few bytes patched in place (`mqfs::dir`). The 200-byte names make
+/// 211-byte records, 19 to a block: the set-up fills block 0 with
+/// `00…`–`18…`, and `19…`, `20…` open block 1.
+///
+/// 1. create `s`: block 0's last record has 87 bytes of slack — split,
+///    its `rec_len` shrinks and `s` takes the rest;
+/// 2. unlink `20…`: folded into its predecessor's `rec_len`;
+/// 3. unlink `19…`, block 1's first record: its `ino` zeroed;
+/// 4. create `21…`: too long for block 0's slack, it fills block 1's
+///    free first record;
+/// 5. rename `05…` over `21…`: the removals leave block 0 the first
+///    with room, so the new entry lands there while the replaced one
+///    lives in block 1 — which must lose it on media in the same
+///    transaction, or a remount finds the name twice.
+pub struct DirRecords;
+
+impl DirRecords {
+    const DIR: &'static str = "/dr";
+
+    /// The `k`-th long name.
+    fn long(k: u32) -> String {
+        format!("{k:02}{}", "l".repeat(198))
+    }
+
+    /// The directory's names once step `step` is done (0 = set-up).
+    fn names_after(step: u64) -> BTreeSet<String> {
+        let mut names: BTreeSet<String> = (0..=20).map(Self::long).collect();
+        let edits: [(bool, String); 5] = [
+            (true, "s".into()),
+            (false, Self::long(20)),
+            (false, Self::long(19)),
+            (true, Self::long(21)),
+            (false, Self::long(5)),
+        ];
+        for (add, name) in edits.into_iter().take(step as usize) {
+            if add {
+                names.insert(name);
+            } else {
+                names.remove(&name);
+            }
+        }
+        names
+    }
+}
+
+// Marks: 0 = set-up persisted; s = step s persisted.
+impl CrashWorkload for DirRecords {
+    fn name(&self) -> &'static str {
+        "dir_records"
+    }
+
+    fn run(&self, fs: &Arc<FileSystem>, log: &OpLog) {
+        let dir = fs.mkdir_path(Self::DIR).expect("mkdir");
+        for k in 0..=20 {
+            fs.create(dir, &Self::long(k)).expect("create");
+        }
+        fs.fsync(dir).expect("fsync set-up");
+        log.mark(0);
+        let s = fs.create(dir, "s").expect("create s");
+        fs.fsync(s).expect("fsync s");
+        log.mark(1);
+        fs.unlink(dir, &Self::long(20)).expect("unlink");
+        fs.fsync(dir).expect("fsync dir");
+        log.mark(2);
+        fs.unlink(dir, &Self::long(19)).expect("unlink");
+        fs.fsync(dir).expect("fsync dir");
+        log.mark(3);
+        let f = fs.create(dir, &Self::long(21)).expect("create");
+        fs.fsync(f).expect("fsync");
+        log.mark(4);
+        fs.rename(dir, &Self::long(5), dir, &Self::long(21))
+            .expect("rename");
+        fs.fsync(dir).expect("fsync dir");
+        log.mark(5);
+    }
+
+    fn verify(&self, fs: &Arc<FileSystem>, persisted: &HashSet<u64>) -> Vec<String> {
+        // Each step is one transaction, issued once the one before is
+        // persisted: the namespace is the last persisted step's or the
+        // next one's.
+        let done = (0..=5u64).rev().find(|s| persisted.contains(s));
+        let after = |step: Option<u64>| step.map(Self::names_after);
+        let got = exists(fs, Self::DIR).map(|d| {
+            fs.readdir(d)
+                .expect("readdir")
+                .into_iter()
+                .map(|(n, _)| n)
+                .collect()
+        });
+        let next = done.map_or(0, |s| (s + 1).min(5));
+        if got == after(done) || got == after(Some(next)) {
+            return Vec::new();
+        }
+        let want = after(done).unwrap_or_default();
+        let got = got.unwrap_or_default();
+        let short = |names: Vec<&String>| -> Vec<String> {
+            names
+                .into_iter()
+                .map(|n| n.chars().take(3).collect())
+                .collect()
+        };
+        vec![format!(
+            "{}: lacks {:?} and holds {:?} against {}, and is not step {next}",
+            Self::DIR,
+            short(want.difference(&got).collect()),
+            short(got.difference(&want).collect()),
+            done.map_or("nothing".into(), |s| format!("step {s}")),
+        )]
     }
 }
 

@@ -101,12 +101,40 @@ fn extent_life_cycle_recovers_at_every_event_prefix() {
     let r = sweep_fs(workloads::ExtentSpill, &SweepPlan::every());
     // Exact: the run is deterministic, so a moved count means the
     // workload's persistence traffic changed.
-    assert_eq!((r.events, r.states), (135, 136), "crash surface moved");
+    assert_eq!((r.events, r.states), (133, 134), "crash surface moved");
     assert!(
         r.failures.is_empty(),
         "crash states failed recovery: {:?}",
         r.failures
     );
+    assert_eq!(r.clean, r.states, "every state must recover clean");
+    assert_eq!(r.count("forensics_images"), r.states);
+    assert_eq!(r.sanitizer_violations, 0);
+}
+
+/// Every way a create or an unlink edits a directory's record chain,
+/// on a directory of two blocks, through remount, fsck, the durability
+/// oracle, forensics and the persist-order sanitizer at every event
+/// prefix.
+///
+/// Mutation-checked: with `write_dirents` writing a split record's
+/// `rec_len` into the cached block through a `WriteSet` nobody journals
+/// (the new record declared, its predecessor's `rec_len` not), the
+/// sweep reports 142 clean states of 167 — `/dr: lacks ["s"] and holds
+/// [] against step 1, and is not step 2` from prefix 813 on: on media
+/// the old `rec_len` of block 0's last record still spans the bytes the
+/// patch put `s` in, so the chain skips it.
+#[test]
+fn dir_records_recover_at_every_event_prefix() {
+    let r = sweep_fs(workloads::DirRecords, &SweepPlan::every());
+    assert!(
+        r.failures.is_empty(),
+        "crash states failed recovery: {:?}",
+        r.failures
+    );
+    // Exact: the run is deterministic, so a moved count means the
+    // directory path's persistence traffic changed.
+    assert_eq!((r.events, r.states), (166, 167), "crash surface moved");
     assert_eq!(r.clean, r.states, "every state must recover clean");
     assert_eq!(r.count("forensics_images"), r.states);
     assert_eq!(r.sanitizer_violations, 0);
@@ -186,7 +214,7 @@ fn sweep_patch_chain(recrash: RecrashSweep) -> SweepReport {
     );
     // Exact: the run is deterministic, so a moved count means the
     // patch path's persistence traffic changed.
-    assert_eq!((r.events, r.states), (230, 231), "crash surface moved");
+    assert_eq!((r.events, r.states), (241, 242), "crash surface moved");
     assert_eq!(r.clean, r.states, "every state must recover clean");
     assert_eq!(r.count("forensics_images"), r.states);
     assert_eq!(r.sanitizer_violations, 0);
@@ -200,8 +228,8 @@ fn sweep_patch_chain(recrash: RecrashSweep) -> SweepReport {
 ///
 /// Mutation-checked: with the release rule weakened to "skip when a
 /// newer version exists elsewhere, release anyway" (`Chain::settled`
-/// accepting a newer *patch*) the sweep reports 186 clean states of
-/// 227 — `/p29: size 4096, expected 2..=4 whole blocks` from prefix 818
+/// accepting a newer *patch*) the sweep reports 197 clean states of
+/// 238 — `/p29: size 4096, expected 2..=4 whole blocks` from prefix 829
 /// on: the first area wrapped past its patch of that inode's slot, and
 /// the newer patch in the idle area only holds the neighbour's.
 #[test]

@@ -210,32 +210,37 @@ impl Allocator {
     }
 }
 
-/// Copies the `window`-th bitmap-block worth of bits into `out`.
-fn write_bitmap_window(bm: &Bitmap, window: u64, out: &mut [u8]) {
-    let start_bit = window * BITS_PER_BLOCK;
-    for byte in 0..out.len() as u64 {
-        let mut v = 0u8;
-        for bit in 0..8 {
-            let idx = start_bit + byte * 8 + bit;
-            if idx < bm.limit && bm.test(idx) {
-                v |= 1 << bit;
-            }
-        }
-        out[byte as usize] = v;
+/// The bits of word `w` below `limit`: bit `i` of a bitmap is bit
+/// `i % 64` of word `i / 64`, and a bitmap block is those words in
+/// order, little-endian.
+fn word_mask(limit: u64, w: usize) -> u64 {
+    match limit.saturating_sub(w as u64 * 64) {
+        64.. => !0,
+        n => (1 << n) - 1,
     }
 }
 
-/// Loads the `window`-th bitmap-block worth of bits from `data`.
+/// Copies the `window`-th bitmap-block worth of bits into `out`, a word
+/// at a time; bits at or past the limit read as zero.
+fn write_bitmap_window(bm: &Bitmap, window: u64, out: &mut [u8]) {
+    let first = (window * BITS_PER_BLOCK / 64) as usize;
+    for (w, bytes) in (first..).zip(out.chunks_exact_mut(8)) {
+        let word = bm.words.get(w).map_or(0, |v| v & word_mask(bm.limit, w));
+        bytes.copy_from_slice(&word.to_le_bytes());
+    }
+}
+
+/// Loads the `window`-th bitmap-block worth of bits from `data`, a word
+/// at a time; bits at or past the limit are ignored.
 fn read_bitmap_window(bm: &mut Bitmap, window: u64, data: &[u8]) {
-    let start_bit = window * BITS_PER_BLOCK;
-    for byte in 0..data.len() as u64 {
-        let v = data[byte as usize];
-        for bit in 0..8 {
-            let idx = start_bit + byte * 8 + bit;
-            if idx < bm.limit && v >> bit & 1 == 1 {
-                bm.set(idx);
-            }
-        }
+    let first = (window * BITS_PER_BLOCK / 64) as usize;
+    for (w, bytes) in (first..).zip(data.chunks_exact(8)) {
+        let Some(slot) = bm.words.get_mut(w) else {
+            break;
+        };
+        let word = u64::from_le_bytes(bytes.try_into().expect("8 bytes")) & word_mask(bm.limit, w);
+        bm.free -= u64::from((word & !*slot).count_ones());
+        *slot |= word;
     }
 }
 
@@ -386,6 +391,77 @@ pub(crate) mod tests {
             assert_eq!(alloc.alloc_block_near(0, &mut ws), Err(FsError::NoSpace));
         });
         sim.run();
+    }
+}
+
+#[cfg(test)]
+mod window_tests {
+    use proptest::prelude::*;
+
+    use super::*;
+
+    /// Reference: the same window, one bit at a time.
+    fn write_bits(bm: &Bitmap, window: u64, out: &mut [u8]) {
+        let start_bit = window * BITS_PER_BLOCK;
+        for byte in 0..out.len() as u64 {
+            let mut v = 0u8;
+            for bit in 0..8 {
+                let idx = start_bit + byte * 8 + bit;
+                if idx < bm.limit && bm.test(idx) {
+                    v |= 1 << bit;
+                }
+            }
+            out[byte as usize] = v;
+        }
+    }
+
+    fn read_bits(bm: &mut Bitmap, window: u64, data: &[u8]) {
+        let start_bit = window * BITS_PER_BLOCK;
+        for byte in 0..data.len() as u64 {
+            let v = data[byte as usize];
+            for bit in 0..8 {
+                let idx = start_bit + byte * 8 + bit;
+                if idx < bm.limit && v >> bit & 1 == 1 {
+                    bm.set(idx);
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+        /// Against the bit loop, for limits on and off byte and word
+        /// boundaries: the same bytes out of every window, and the same
+        /// words and free count back in, garbage past the limit included.
+        #[test]
+        fn word_copy_matches_the_bit_loop(
+            limit in prop_oneof![1u64..200, 1u64..3 * BITS_PER_BLOCK],
+            bits in proptest::collection::vec(any::<u64>(), 0..300),
+            garbage in any::<u8>(),
+        ) {
+            let mut bm = Bitmap::new(limit);
+            for b in bits {
+                if !bm.test(b % limit) {
+                    bm.set(b % limit);
+                }
+            }
+            for window in 0..limit.div_ceil(BITS_PER_BLOCK) {
+                let (mut words, mut reference) = (vec![garbage; 4096], vec![!garbage; 4096]);
+                write_bitmap_window(&bm, window, &mut words);
+                write_bits(&bm, window, &mut reference);
+                prop_assert_eq!(&words, &reference);
+                // What mkfs wrote, with the tail past the limit dirtied.
+                let tail = (limit - window * BITS_PER_BLOCK).min(BITS_PER_BLOCK) as usize;
+                for bit in tail..BITS_PER_BLOCK as usize {
+                    words[bit / 8] |= garbage & 1 << (bit % 8);
+                }
+                let (mut a, mut b) = (Bitmap::new(limit), Bitmap::new(limit));
+                read_bitmap_window(&mut a, window, &words);
+                read_bits(&mut b, window, &words);
+                prop_assert_eq!((&a.words, a.free), (&b.words, b.free));
+            }
+        }
     }
 }
 

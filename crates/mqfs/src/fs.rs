@@ -531,7 +531,9 @@ impl FileSystem {
         for b in 0..nblocks {
             let lba = self.bmap(st, b).expect("directory block mapped");
             let blk = self.cache.get(lba);
-            blocks.push(blk.read(dir::decode_block));
+            // Like a failed metadata read: a kernel panic, not a guess.
+            let recs = blk.read(dir::decode_block);
+            blocks.push(recs.unwrap_or_else(|e| panic!("directory block at lba {lba}: {e}")));
         }
         st.dir = Some(DirState::from_blocks(&blocks));
     }
@@ -1051,7 +1053,7 @@ impl FileSystem {
     }
 
     /// Inserts a directory entry, growing the directory by one block
-    /// when no block has room; returns the block it went into.
+    /// when no block has room.
     fn dir_insert(
         &self,
         ws: &mut WriteSet,
@@ -1059,30 +1061,46 @@ impl FileSystem {
         parent: u64,
         name: &str,
         ino: u64,
-    ) -> FsResult<u32> {
+    ) -> FsResult<()> {
         ccnvme_runtime::cpu(DIRENT_CPU);
         let blk_idx = match pst.dir.as_ref().expect("dir loaded").block_with_space(name) {
             Some(b) => b,
             None => {
                 let nb = pst.inode.nblocks();
-                self.bmap_alloc(ws, pst, parent, nb)?;
+                let lba = self.bmap_alloc(ws, pst, parent, nb)?;
                 pst.inode.size = (nb + 1) * BLOCK_SIZE;
                 pst.meta_dirty = MetaDirty::Full;
-                nb as u32
+                // The device holds the block's previous owner's bytes at
+                // this LBA: nothing a patch could patch, so it is written
+                // whole (read first, as every variant always has).
+                ws.update(&self.cache.get(lba), WHOLE, dir::init_block);
+                pst.dir.as_mut().expect("dir loaded").push_block()
             }
         };
-        pst.dir
+        let edits = pst
+            .dir
             .as_mut()
             .expect("dir loaded")
             .insert(name, ino, blk_idx);
-        self.rewrite_dir_block(ws, pst, blk_idx);
-        Ok(blk_idx)
+        self.write_dirents(ws, pst, blk_idx, edits);
+        Ok(())
     }
 
-    fn rewrite_dir_block(&self, ws: &mut WriteSet, pst: &InodeSt, blk_idx: u32) {
-        let encoded = pst.dir.as_ref().expect("dir loaded").encode_block(blk_idx);
+    /// Writes a directory operation's edits, in place, into directory
+    /// block `blk_idx`: the journal carries those bytes and no others.
+    fn write_dirents(&self, ws: &mut WriteSet, pst: &InodeSt, blk_idx: u32, edits: Vec<dir::Edit>) {
         let lba = self.bmap(pst, blk_idx as u64).expect("dir block mapped");
-        ws.update(&self.cache.get(lba), WHOLE, |d| d.copy_from_slice(&encoded));
+        let blk = self.cache.get(lba);
+        for e in edits {
+            ws.update(&blk, e.range(), |d| d.copy_from_slice(&e.bytes));
+        }
+    }
+
+    /// Removes `name` from a loaded directory and writes the change.
+    fn dir_remove(&self, ws: &mut WriteSet, pst: &mut InodeSt, name: &str) -> Option<u64> {
+        let (ino, blk_idx, edits) = pst.dir.as_mut().expect("dir loaded").remove(name)?;
+        self.write_dirents(ws, pst, blk_idx, edits);
+        Some(ino)
     }
 
     /// Looks up `name` in directory `parent`.
@@ -1098,7 +1116,6 @@ impl FileSystem {
             .as_ref()
             .expect("loaded")
             .get(name)
-            .map(|(ino, _)| ino)
             .ok_or(FsError::NotFound)
     }
 
@@ -1137,21 +1154,19 @@ impl FileSystem {
         let ph = self.handle(parent);
         let mut pst = ph.st.lock();
         self.load_dir(&mut pst);
-        let (ino, blk_idx) = pst
+        let ino = pst
             .dir
-            .as_mut()
+            .as_ref()
             .expect("loaded")
-            .remove(name)
+            .get(name)
             .ok_or(FsError::NotFound)?;
         let ch = self.handle(ino);
         let mut cst = ch.st.lock();
         if cst.inode.kind == InodeKind::Dir {
-            // Restore the entry; use rmdir for directories.
-            pst.dir.as_mut().expect("loaded").insert(name, ino, blk_idx);
-            return Err(FsError::IsADirectory);
+            return Err(FsError::IsADirectory); // That is rmdir's job.
         }
         let mut ws = WriteSet::default();
-        self.rewrite_dir_block(&mut ws, &pst, blk_idx);
+        self.dir_remove(&mut ws, &mut pst, name);
         pst.inode.mtime = ccnvme_runtime::now();
         self.write_inode(&mut ws, parent, &pst.inode);
         cst.inode.nlink -= 1;
@@ -1196,7 +1211,7 @@ impl FileSystem {
         let ph = self.handle(parent);
         let mut pst = ph.st.lock();
         self.load_dir(&mut pst);
-        let (ino, blk_idx) = pst
+        let ino = pst
             .dir
             .as_ref()
             .expect("loaded")
@@ -1211,9 +1226,8 @@ impl FileSystem {
         if !cst.dir.as_ref().expect("loaded").is_empty() {
             return Err(FsError::NotEmpty);
         }
-        pst.dir.as_mut().expect("loaded").remove(name);
         let mut ws = WriteSet::default();
-        self.rewrite_dir_block(&mut ws, &pst, blk_idx);
+        self.dir_remove(&mut ws, &mut pst, name);
         pst.inode.nlink -= 1;
         pst.inode.mtime = ccnvme_runtime::now();
         self.write_inode(&mut ws, parent, &pst.inode);
@@ -1296,7 +1310,7 @@ impl FileSystem {
             self.load_dir(pst2);
         }
         // Validate source and destination before mutating anything.
-        let (ino, _src_blk) = pst1
+        let ino = pst1
             .dir
             .as_ref()
             .expect("loaded")
@@ -1313,12 +1327,7 @@ impl FileSystem {
                 Some(p) => p,
                 None => &pst1,
             };
-            dst_st
-                .dir
-                .as_ref()
-                .expect("loaded")
-                .get(dst_name)
-                .map(|(i, _)| i)
+            dst_st.dir.as_ref().expect("loaded").get(dst_name)
         };
         if let Some(old_ino) = old_target {
             if old_ino == ino {
@@ -1334,25 +1343,14 @@ impl FileSystem {
             }
         }
         let mut ws = WriteSet::default();
-        // Remove the source entry.
-        let (_, src_blk) = pst1
-            .dir
-            .as_mut()
-            .expect("loaded")
-            .remove(src_name)
+        // Remove the source entry, and the old destination's: each
+        // writes the block its record is in, whichever block the new
+        // entry goes to.
+        self.dir_remove(&mut ws, &mut pst1, src_name)
             .expect("checked above");
-        self.rewrite_dir_block(&mut ws, &pst1, src_blk);
-        // Drop the old destination target, if any.
-        let mut old_dst_blk = None;
         if let Some(old_ino) = old_target {
             let dst_st: &mut InodeSt = pst2_opt.as_deref_mut().unwrap_or(&mut pst1);
-            let (_, blk) = dst_st
-                .dir
-                .as_mut()
-                .expect("loaded")
-                .remove(dst_name)
-                .expect("present");
-            old_dst_blk = Some(blk);
+            self.dir_remove(&mut ws, dst_st, dst_name).expect("present");
             let oh = self.handle(old_ino);
             let mut ost = oh.st.lock();
             if ost.inode.kind == InodeKind::Dir {
@@ -1369,13 +1367,7 @@ impl FileSystem {
         }
         // Insert at the destination.
         let dst_st: &mut InodeSt = pst2_opt.as_deref_mut().unwrap_or(&mut pst1);
-        let dst_blk = self.dir_insert(&mut ws, dst_st, dst_parent, dst_name, ino)?;
-        // The new entry goes where there is room first, which need not be
-        // the block the replaced one left: that block loses it on media
-        // in the same group, or a remount finds the name twice.
-        if let Some(blk) = old_dst_blk.filter(|&blk| blk != dst_blk) {
-            self.rewrite_dir_block(&mut ws, dst_st, blk);
-        }
+        self.dir_insert(&mut ws, dst_st, dst_parent, dst_name, ino)?;
         // Moving a directory across parents moves its ".." link.
         if moving_dir && !same {
             pst1.inode.nlink -= 1;
@@ -1463,18 +1455,11 @@ impl FileSystem {
                 problems.push(format!("inode {ino} reachable but not allocated"));
             }
             let h = self.handle(ino);
-            let mut st = h.st.lock();
-            let kind = st.inode.kind;
+            let st = h.st.lock();
             self.check_mapping(ino, &st.inode, &mut seen_blocks, &mut problems);
-            let children: Vec<u64> = if kind == InodeKind::Dir {
-                self.load_dir(&mut st);
+            let children = if st.inode.kind == InodeKind::Dir {
                 *link_counts.entry(ino).or_insert(0) += 1; // its own "."
-                st.dir
-                    .as_ref()
-                    .expect("loaded")
-                    .iter()
-                    .map(|(_, child)| child)
-                    .collect()
+                self.check_dir(ino, &st, &mut problems)
             } else {
                 Vec::new()
             };
@@ -1496,6 +1481,38 @@ impl FileSystem {
             }
         }
         problems
+    }
+
+    /// The directory half of [`FileSystem::check`]: every block's record
+    /// chain is well-formed (see [`dir::decode_block`]) and every name is
+    /// unique in the directory and names an inode that exists. Returns
+    /// the children.
+    fn check_dir(&self, ino: u64, st: &InodeSt, problems: &mut Vec<String>) -> Vec<u64> {
+        let mut names = HashSet::new();
+        let mut children = Vec::new();
+        for b in 0..st.inode.nblocks() {
+            let Some(lba) = self.bmap(st, b) else {
+                problems.push(format!("directory {ino}: block {b} is a hole"));
+                continue;
+            };
+            let recs = match self.cache.get(lba).read(dir::decode_block) {
+                Ok(recs) => recs,
+                Err(e) => {
+                    problems.push(format!("directory {ino} block {b}: {e}"));
+                    continue;
+                }
+            };
+            for d in recs.into_iter().filter(|d| d.ino != 0) {
+                if d.ino > self.layout.ninodes {
+                    problems.push(format!("{ino}/{}: inode {} out of range", d.name, d.ino));
+                } else if !names.insert(d.name.clone()) {
+                    problems.push(format!("directory {ino}: {} twice", d.name));
+                } else {
+                    children.push(d.ino);
+                }
+            }
+        }
+        children
     }
 
     /// The mapping half of [`FileSystem::check`]: the extent list is

@@ -16,10 +16,11 @@
 
 use ccnvme_block::BLOCK_SIZE;
 
-/// Superblock magic ("MQFSv2\0\0"). The version byte names the inode
-/// format: v1 mapped files with a pointer tree, v2 maps them with
-/// extents (`inode.rs`), and neither mounts the other.
-pub const SB_MAGIC: u64 = 0x4d51_4653_7632_0000;
+/// Superblock magic ("MQFSv3\0\0"). The version byte names the on-disk
+/// format: v1 mapped files with a pointer tree, v2 with extents
+/// (`inode.rs`) and packed sorted directory entries, v3 keeps the
+/// extents and links directory records (`dir.rs`); none mounts another.
+pub const SB_MAGIC: u64 = 0x4d51_4653_7633_0000;
 
 /// Bytes per on-disk inode.
 pub const INODE_SIZE: u64 = 256;

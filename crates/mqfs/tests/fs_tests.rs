@@ -71,6 +71,20 @@ impl Stack {
         }
     }
 
+    /// Unmounts `fs` gracefully and returns the device's image: everything
+    /// durable, the journal checkpointed home.
+    fn unmounted_image(&self, fs: &FileSystem) -> DurableImage {
+        fs.unmount();
+        if let Some(cc) = &self.cc {
+            cc.quiesce();
+        }
+        match (&self.cc, &self.nv) {
+            (Some(d), _) => d.controller().graceful_image(),
+            (_, Some(d)) => d.controller().graceful_image(),
+            _ => unreachable!(),
+        }
+    }
+
     /// Reboot: new controller from the image, fresh driver, remount.
     fn reboot(
         variant: FsVariant,
@@ -348,7 +362,7 @@ fn rename_overwrite_is_atomic_across_crash() {
 }
 
 /// `n` files `f0000xyz`… in `dir`, each holding its own number and
-/// fsynced: 17-byte entries, so 240 fill directory block 0 and the rest
+/// fsynced: 19-byte records, so 215 fill directory block 0 and the rest
 /// live in block 1.
 fn numbered_files(fs: &FileSystem, dir: &str, n: usize) {
     for i in 0..n {
@@ -651,20 +665,70 @@ fn graceful_unmount_then_clean_remount() {
         let ino = fs.create_path("/persist").expect("create");
         fs.write(ino, 0, b"across unmount").expect("write");
         fs.fsync(ino).expect("fsync");
-        fs.unmount();
-        if let Some(cc) = &stack.cc {
-            cc.quiesce();
-        }
-        // Graceful image: everything durable.
-        let image = match (&stack.cc, &stack.nv) {
-            (Some(d), _) => d.controller().graceful_image(),
-            (_, Some(d)) => d.controller().graceful_image(),
-            _ => unreachable!(),
-        };
+        let image = stack.unmounted_image(&fs);
         let (_s2, fs2) = Stack::reboot(variant, &image, profile);
         let ino2 = fs2.resolve("/persist").expect("resolve");
         assert_eq!(fs2.read(ino2, 0, 14).expect("read"), b"across unmount");
         assert!(fs2.check().is_empty());
+    });
+    sim.run();
+}
+
+/// A directory block whose record chain is broken on media — here the
+/// first record's `rec_len` shorter than the record itself — is an fsck
+/// finding, not a directory that silently lists fewer names.
+#[test]
+fn a_corrupted_rec_len_on_media_is_an_fsck_finding() {
+    let variant = FsVariant::Mqfs;
+    let mut sim = Sim::new(CORES + 2);
+    sim.spawn("host", 0, move || {
+        let profile = SsdProfile::optane_905p();
+        let stack = Stack::new(variant, profile.clone());
+        let fs = FileSystem::format(Arc::clone(&stack.dev), fs_config(variant));
+        fs.create_path("/first").expect("create");
+        fs.create_path("/second").expect("create");
+        fs.fsync(fs.root()).expect("fsync");
+        let data_start = fs.layout().data_start();
+        let mut image = stack.unmounted_image(&fs);
+        // The root's block at home (the journal holds a copy too).
+        let (_, block) = image
+            .blocks
+            .iter_mut()
+            .find(|(lba, b)| {
+                **lba >= data_start
+                    && mqfs::dir::decode_block(b)
+                        .is_ok_and(|r| r.iter().any(|d| d.name == "second"))
+            })
+            .expect("the root directory's block");
+        block[8..10].copy_from_slice(&5u16.to_le_bytes());
+        let (_s2, fs2) = Stack::reboot(variant, &image, profile);
+        assert_eq!(
+            fs2.check(),
+            ["directory 1 block 0: record at 0: rec_len 5 with a 5-byte name"]
+        );
+    });
+    sim.run();
+}
+
+/// The superblock names the format: an `MQFSv2` volume — extents, and
+/// directory blocks of packed sorted entries — is refused, not misread.
+#[test]
+fn an_mqfs_v2_superblock_refuses_to_mount() {
+    let variant = FsVariant::Mqfs;
+    let mut sim = Sim::new(CORES + 2);
+    sim.spawn("host", 0, move || {
+        let profile = SsdProfile::optane_905p();
+        let stack = Stack::new(variant, profile.clone());
+        let fs = FileSystem::format(Arc::clone(&stack.dev), fs_config(variant));
+        let mut image = stack.unmounted_image(&fs);
+        let sb = image.blocks.get_mut(&0).expect("superblock");
+        assert_eq!(&sb[2..8], b"3vSFQM", "an MQFSv3 volume");
+        sb[2] = b'2';
+        let mut cfg = CtrlConfig::new(profile);
+        cfg.device_core = CORES + 1;
+        let (stack2, discard) = Stack::from_ctrl(variant, NvmeController::from_image(cfg, &image));
+        let mounted = FileSystem::mount(stack2.dev, fs_config(variant), &discard);
+        assert_eq!(mounted.err(), Some(FsError::Io));
     });
     sim.run();
 }

@@ -1,7 +1,10 @@
 // SIGPROF sampler for scripts/hostprof.sh: preloaded into the benchmark,
 // it records where the process is every 4 ms of CPU time (250 Hz) — the
-// instruction pointer and the frame-pointer chain above it — and writes
-// the samples and /proc/self/maps to $HOSTPROF_OUT when the process exits.
+// word at the top of the stack, the instruction pointer and the
+// frame-pointer chain above it — and writes the samples and
+// /proc/self/maps to $HOSTPROF_OUT when the process exits. The top-of-
+// stack word is the return address while a leaf without a frame (libc's
+// memcpy, say) has pushed nothing: the caller the frame walk skips.
 // Needs the program built with -C force-frame-pointers=yes. x86-64 Linux.
 #define _GNU_SOURCE
 #include <signal.h>
@@ -29,6 +32,7 @@ static void on_prof(int sig, siginfo_t *info, void *uc) {
     uintptr_t sp = r[REG_RSP], fp = r[REG_RBP], limit = sp + STACK_BYTES;
     uintptr_t *pcs = samples[taken];
     int n = 0;
+    pcs[n++] = *(uintptr_t *)sp;
     pcs[n++] = r[REG_RIP];
     // A frame is [saved rbp][return address]; each lies above the one
     // before. Code without frame pointers (libc) leaves something else in
@@ -50,8 +54,11 @@ static void dump(void) {
     const char *path = getenv("HOSTPROF_OUT");
     FILE *out = path ? fopen(path, "w") : NULL, *maps = fopen("/proc/self/maps", "r");
     if (!out || !maps) return;
+    // One line per sample: the top-of-stack word (any value, 0 included),
+    // then the instruction pointer and the return addresses.
     for (int i = 0; i < taken; i++) {
-        for (int d = 0; samples[i][d]; d++) fprintf(out, "%lu ", (unsigned long)samples[i][d]);
+        fprintf(out, "%lu", (unsigned long)samples[i][0]);
+        for (int d = 1; samples[i][d]; d++) fprintf(out, " %lu", (unsigned long)samples[i][d]);
         fputc('\n', out);
     }
     fputs("maps\n", out);

@@ -5,19 +5,33 @@
 #   scripts/hostprof.sh <workload> [seconds]      (default 15; seed 1)
 #
 # Builds the benchmark — unmodified — into target/hostprof with frame
-# pointers and debuginfo, preloads scripts/hostprof.c (SIGPROF at 250 Hz
-# of CPU time, frame-pointer walk, fiber stacks included) and prints flat
-# shares (where the instruction pointer was) and inclusive shares (on the
-# stack at all) per function, and flat shares per crate. Symbols are the
-# binary's own (`nm`): code inlined into a function counts as that
-# function, and a generic function counts for the crate that wrote it.
-# Needs cc, nm and awk; x86-64 Linux. Not part of scripts/check.sh.
+# pointers and line tables (the release profile strips debuginfo unless
+# told otherwise), preloads scripts/hostprof.c (SIGPROF at 250 Hz of CPU
+# time, frame-pointer walk, fiber stacks included) and prints:
+#
+#   * flat shares (where the instruction pointer was) and inclusive shares
+#     (on the stack at all) per function, resolved with the binary's own
+#     symbols (`nm`): code inlined into a function counts as that function;
+#   * flat shares per innermost *inlined* function (`addr2line -i`; LLVM's
+#     if installed — GNU's names the innermost frame after the symbol),
+#     `core` helpers skipped, so the futex lock inlined through `std`'s
+#     and `parking_lot`'s `Mutex` into its caller shows as itself;
+#   * flat shares per crate — a generic function counts for the crate that
+#     wrote it.
+#
+# A sample in a library leaf without a frame (libc's memcpy, malloc) is
+# charged to its caller, read from the top of the stack, as
+# "caller → [libc.so.6]" — the frame walk alone skips that caller. Needs
+# cc, nm, (llvm-)addr2line and awk; x86-64 Linux. Not part of
+# scripts/check.sh.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 workload="${1:?usage: scripts/hostprof.sh <workload> [seconds]}"
 seconds="${2:-15}"
 command -v cc > /dev/null || { echo "hostprof: no C compiler (cc) to build the sampler with" >&2; exit 1; }
+a2l="$(command -v llvm-addr2line || command -v addr2line)" ||
+    { echo "hostprof: no addr2line to resolve inlined code with" >&2; exit 1; }
 
 dir=target/hostprof
 mkdir -p "$dir"
@@ -26,27 +40,30 @@ cc -O2 -shared -fPIC -o "$dir/hostprof.so" scripts/hostprof.c
 lock_keep="$(mktemp)"
 cp benchmark/Cargo.lock "$lock_keep"
 trap 'cp "$lock_keep" benchmark/Cargo.lock; rm -f "$lock_keep"' EXIT
-CARGO_TARGET_DIR="$dir" RUSTFLAGS="-C force-frame-pointers=yes -g" \
+CARGO_TARGET_DIR="$dir" RUSTFLAGS="-C force-frame-pointers=yes" \
+    CARGO_PROFILE_RELEASE_DEBUG=line-tables-only CARGO_PROFILE_RELEASE_STRIP=none \
     cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml
 bin="$dir/release/ccnvme-benchmark"
 
 HOSTPROF_OUT="$dir/samples" LD_PRELOAD="$PWD/$dir/hostprof.so" BENCH_OUT="$dir/out" \
     "$bin" --workload "$workload" --seed 1 --seconds "$seconds" --trace 0 > /dev/null
 
-nm -n -C --defined-only "$bin" | awk -v bin="$(realpath "$bin")" -v samples="$dir/samples" '
+nm -n -C --defined-only "$bin" | awk -v bin="$(realpath "$bin")" -v samples="$dir/samples" \
+    -v pcs="$dir/inlined.pcs" -v a2l="$a2l" '
 function hex(s,    n, i) {
     n = 0
     for (i = 1; i <= length(s); i++) n = n * 16 + index("0123456789abcdef", substr(s, i, 1)) - 1
     return n
 }
+function in_bin(pc) { return pc >= bin_lo && pc < bin_hi }
 # The function `pc` is in: the last symbol at or below it, or the name of
 # the mapping when `pc` is outside the binary (libc, the vdso).
 function resolve(pc,    lo, hi, mid, i) {
-    if (pc < base || pc >= top) {
+    if (!in_bin(pc)) {
         for (i = 0; i < nmaps; i++) if (pc >= map_lo[i] && pc < map_hi[i]) return "[" map_name[i] "]"
         return "[unmapped]"
     }
-    pc -= base
+    pc -= bin_lo
     lo = 0; hi = nsyms - 1
     while (lo < hi) {
         mid = int((lo + hi + 1) / 2)
@@ -67,7 +84,7 @@ function report(title, count, top,    cmd, name) {
     for (name in count) printf "%6.2f%%  %s\n", 100 * count[name] / total, name | cmd
     close(cmd)
 }
-BEGIN { nsyms = nmaps = total = base = 0 }
+BEGIN { nsyms = nmaps = total = bin_lo = 0 }
 # The symbol table, on stdin: address, type, demangled name.
 $2 ~ /^[tTwW]$/ {
     sym_addr[nsyms] = hex($1)
@@ -83,25 +100,68 @@ END {
             split(f[1], range, "-")
             map_lo[nmaps] = hex(range[1]); map_hi[nmaps] = hex(range[2])
             map_name[nmaps] = n >= 6 ? f[6] : "anon"
-            if (f[6] == bin) { if (!base) base = map_lo[nmaps]; top = map_hi[nmaps] }
+            if (f[6] == bin) { if (!bin_lo) bin_lo = map_lo[nmaps]; bin_hi = map_hi[nmaps] }
             sub(/.*\//, "", map_name[nmaps]); nmaps++
-        } else {
+        } else if (n >= 2) {
             stack[total++] = line
         }
     }
-    if (!total || !base) { print "hostprof: no samples in " samples > "/dev/stderr"; exit 1 }
+    if (!total || !bin_lo) { print "hostprof: no samples in " samples > "/dev/stderr"; exit 1 }
     for (s = 0; s < total; s++) {
+        # Top-of-stack word, instruction pointer, return addresses.
         n = split(stack[s], f, " ")
         split("", seen)
-        for (d = 1; d <= n; d++) {
-            # A return address is the instruction after the call.
-            name = resolve(d == 1 ? f[d] : f[d] - 1)
-            if (d == 1) { flat[name]++; crates[crate_of(name)]++ }
+        leaf = resolve(f[2])
+        crates[crate_of(leaf)]++
+        # Where the inlined table looks the sample up: the instruction
+        # pointer, or for a frameless library leaf the call site in its
+        # caller; a return address is the instruction after the call.
+        site = in_bin(f[2]) ? f[2] : (in_bin(f[1]) ? f[1] - 1 : 0)
+        if (!in_bin(f[2]) && site) {
+            caller = resolve(site)
+            seen[caller] = 1; incl[caller]++
+            leaf = caller " → " leaf
+            suffix[s] = " → " resolve(f[2])
+        }
+        flat[leaf]++
+        if (site) { key[s] = sprintf("%x", site - bin_lo); want[key[s]] = 1 } else inlined[leaf]++
+        for (d = 2; d <= n; d++) {
+            name = resolve(d == 2 ? f[d] : f[d] - 1)
             if (!(name in seen)) { seen[name] = 1; incl[name]++ }
         }
     }
+    # Innermost inlined function per site: addr2line -a -i -f prints the
+    # address, then function / file:line pairs from the innermost frame
+    # out. The frames in `core` (atomics, pointer reads, integer helpers)
+    # are skipped for the first one outside it, named with its source
+    # file: `lock [std/src/sys/sync/mutex/futex.rs]`. A site whose only
+    # frame outside `core` is the function itself keeps its symbol name.
+    for (k in want) print "0x" k > pcs
+    close(pcs)
+    cmd = a2l " -a -i -f -C -e \"" bin "\" < \"" pcs "\""
+    while ((cmd | getline line) > 0) {
+        if (line ~ /^0x[0-9a-f]+$/) { sub(/^0x0*/, "", line); at = line; k = 0; continue }
+        if (k++ % 2 == 0) { fn = line; continue }
+        frames[at]++
+        frame_fn[at, frames[at]] = fn
+        frame_file[at, frames[at]] = line
+    }
+    close(cmd)
+    for (at in frames) {
+        innermost[at] = resolve(hex(at) + bin_lo)
+        for (i = 1; i < frames[at]; i++) {
+            file = frame_file[at, i]
+            if (file ~ /\/library\/core\//) continue
+            sub(/:[0-9]+( \(discriminator [0-9]+\))?$/, "", file)
+            sub(/^.*\/(library|crates|deps)\//, "", file)
+            innermost[at] = frame_fn[at, i] " [" file "]"
+            break
+        }
+    }
+    for (s = 0; s < total; s++) if (s in key) inlined[innermost[key[s]] suffix[s]]++
     printf "%d samples (250 Hz of CPU time)\n", total
     report("flat, by function", flat, 30)
     report("inclusive, by function", incl, 30)
+    report("flat, by innermost inlined function", inlined, 30)
     report("flat, by crate", crates, 20)
 }'

@@ -324,3 +324,32 @@ fn steady_state_append_fsync_is_two_block_ios() {
     });
     sim.run();
 }
+
+/// Fig. 14's operation — create a file, write 4 KB, `fsync` — puts two
+/// blocks on the wire too: the new directory record and the `rec_len`
+/// it split travel as patches inside the JD beside the two inode slots
+/// and two bitmap bytes. (A directory block of sorted entries, rewritten
+/// and journaled whole on every create, made it three.) Measured once
+/// the directory's block exists: a block's first write is whole.
+#[test]
+fn create_write_fsync_is_two_block_ios() {
+    let cfg = StackConfig::new(FsVariant::Mqfs, SsdProfile::optane_905p(), 1);
+    let mut sim = Sim::new(cfg.sim_cores());
+    sim.spawn("main", 0, move || {
+        let (stack, fs) = Stack::format(&cfg);
+        let create = |i: u64| {
+            let ino = fs.create_path(&format!("/f{i}")).expect("create");
+            fs.write(ino, 0, &[i as u8; 4096]).expect("write");
+            fs.fsync(ino).expect("fsync");
+        };
+        (0..16).for_each(create);
+        let before = stack.controller().link().traffic.block_ios.get();
+        (16..116).for_each(create);
+        let ios = stack.controller().link().traffic.block_ios.get() - before;
+        assert!(
+            (200..=205).contains(&ios),
+            "100 creates cost {ios} block I/Os"
+        );
+    });
+    sim.run();
+}
