@@ -1,7 +1,7 @@
 //! Criterion micro-benchmarks of the simulation stack itself.
 //!
 //! The figure/table reproductions measure *virtual* time and live in the
-//! `fig*`/`table*` binaries (`cargo run -p ccnvme-bench --bin all`).
+//! `fig*`/`table*` binaries (`./run_benches.sh` runs them all).
 //! These benches measure the *host* cost of running the simulator — how
 //! fast the discrete-event kernel, the ccNVMe transaction path and a
 //! full MQFS fsync execute in wall-clock time.

@@ -100,7 +100,7 @@ fn measure(profile: SsdProfile) -> RawPoint {
                 } else {
                     Bio::read(i, buf(1))
                 };
-                submit_and_wait(&*drv, bio);
+                submit_and_wait(&*drv, bio).expect("table3 I/O");
             }
             (ccnvme_sim::now() - t0) as f64 / n as f64 / 1e3
         };

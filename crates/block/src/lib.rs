@@ -268,10 +268,10 @@ pub fn obs_of(dev: &dyn BlockDevice) -> std::sync::Arc<ccnvme_obs::Obs> {
 /// Waits for a group of bios to complete (in virtual time).
 ///
 /// Attach to any number of bios before submission, then call
-/// [`BioWaiter::wait`]; it returns once every attached bio completed and
-/// reports whether all succeeded. Waking from the wait pays the
-/// context-switch plus interrupt-handler CPU cost on the caller's core —
-/// the cost that ccNVMe's atomicity path avoids.
+/// [`BioWaiter::wait`]; it returns once every attached bio completed,
+/// with the typed status of the first one that failed. Waking from the
+/// wait pays the context-switch plus interrupt-handler CPU cost on the
+/// caller's core — the cost that ccNVMe's atomicity path avoids.
 pub struct BioWaiter {
     inner: Arc<WaiterInner>,
 }
@@ -283,7 +283,6 @@ struct WaiterInner {
 
 struct WaitSt {
     outstanding: usize,
-    errors: usize,
     irq_wakeups: usize,
     first_error: Option<BioStatus>,
 }
@@ -295,7 +294,6 @@ impl BioWaiter {
             inner: Arc::new(WaiterInner {
                 st: RtMutex::new(WaitSt {
                     outstanding: 0,
-                    errors: 0,
                     irq_wakeups: 0,
                     first_error: None,
                 }),
@@ -318,7 +316,6 @@ impl BioWaiter {
             st.outstanding -= 1;
             st.irq_wakeups += 1;
             if status.failed() {
-                st.errors += 1;
                 st.first_error.get_or_insert(status);
             }
             let done = st.outstanding == 0;
@@ -348,10 +345,11 @@ impl BioWaiter {
         }
     }
 
-    /// Blocks until every attached bio completes; `Ok` if none failed.
-    pub fn wait(&self) -> Result<(), usize> {
+    /// Blocks until every attached bio completes; `Ok` if none failed,
+    /// else the status of the first that did.
+    pub fn wait(&self) -> Result<(), BioStatus> {
         let mut blocked = false;
-        let errors;
+        let first_error;
         let wakeups;
         {
             let mut st = self.inner.st.lock();
@@ -359,7 +357,7 @@ impl BioWaiter {
                 blocked = true;
                 st = self.inner.cv.wait(st);
             }
-            errors = st.errors;
+            first_error = st.first_error;
             wakeups = std::mem::take(&mut st.irq_wakeups);
         }
         if blocked {
@@ -371,11 +369,7 @@ impl BioWaiter {
                     + ccnvme_pcie::cost::IRQ_HANDLER_CPU * wakeups.max(1) as u64,
             );
         }
-        if errors == 0 {
-            Ok(())
-        } else {
-            Err(errors)
-        }
+        first_error.map_or(Ok(()), Err)
     }
 }
 
@@ -386,14 +380,28 @@ impl Default for BioWaiter {
 }
 
 /// Submits one bio and waits for it.
-pub fn submit_and_wait(dev: &dyn BlockDevice, mut bio: Bio) -> BioStatus {
+pub fn submit_and_wait(dev: &dyn BlockDevice, mut bio: Bio) -> Result<(), BioStatus> {
     let waiter = BioWaiter::new();
     waiter.attach(&mut bio);
     dev.submit_bio(bio);
-    match waiter.wait() {
-        Ok(()) => BioStatus::Ok,
-        Err(_) => BioStatus::Error,
+    waiter.wait()
+}
+
+/// Reads the block at `lba` and waits for it.
+pub fn read_block(dev: &dyn BlockDevice, lba: u64) -> Result<Vec<u8>, BioStatus> {
+    let buf: BioBuf = Arc::new(Mutex::new(vec![0u8; BLOCK_SIZE as usize]));
+    submit_and_wait(dev, Bio::read(lba, Arc::clone(&buf)))?;
+    let data = buf.lock().clone();
+    Ok(data)
+}
+
+/// Drains the device's volatile write cache and waits for it; no I/O at
+/// all when the device has none.
+pub fn flush_cache(dev: &dyn BlockDevice) -> Result<(), BioStatus> {
+    if !dev.has_volatile_cache() {
+        return Ok(());
     }
+    submit_and_wait(dev, Bio::flush())
 }
 
 #[cfg(test)]
@@ -466,7 +474,7 @@ mod tests {
             let mut b = Bio::flush();
             w.attach(&mut b);
             b.complete(BioStatus::Error);
-            assert_eq!(w.wait(), Err(1));
+            assert_eq!(w.wait(), Err(BioStatus::Error));
         });
         sim.run();
     }
@@ -497,11 +505,77 @@ mod tests {
             w.attach(&mut b);
             a.complete(BioStatus::Media);
             b.complete(BioStatus::Timeout);
-            assert_eq!(w.wait(), Err(2));
+            assert_eq!(w.wait(), Err(BioStatus::Media));
             assert_eq!(w.first_error(), Some(BioStatus::Media));
             assert!(BioStatus::Media.failed() && !BioStatus::Media.is_ok());
         });
         sim.run();
+    }
+
+    /// A device that completes every bio inline with `status`, filling
+    /// a successful read with `0xab`, and counts what it was sent.
+    struct StubDev {
+        status: BioStatus,
+        volatile_cache: bool,
+        submitted: Mutex<Vec<BioOp>>,
+    }
+
+    impl StubDev {
+        fn new(status: BioStatus, volatile_cache: bool) -> StubDev {
+            StubDev {
+                status,
+                volatile_cache,
+                submitted: Mutex::new(Vec::new()),
+            }
+        }
+    }
+
+    impl BlockDevice for StubDev {
+        fn submit_bio(&self, mut bio: Bio) {
+            self.submitted.lock().push(bio.op);
+            if let (BioOp::Read, BioStatus::Ok) = (bio.op, self.status) {
+                bio.data.as_ref().expect("read buffer").lock().fill(0xab);
+            }
+            bio.complete(self.status);
+        }
+
+        fn num_queues(&self) -> usize {
+            1
+        }
+
+        fn has_volatile_cache(&self) -> bool {
+            self.volatile_cache
+        }
+
+        fn capacity_blocks(&self) -> u64 {
+            16
+        }
+    }
+
+    #[test]
+    fn helpers_return_the_typed_status() {
+        Sim::run_main(1, || {
+            for status in [BioStatus::Media, BioStatus::Timeout, BioStatus::Busy] {
+                let dev = StubDev::new(status, true);
+                let write = Bio::write(3, Arc::new(Mutex::new(vec![0u8; 4096])), BioFlags::NONE);
+                assert_eq!(submit_and_wait(&dev, write), Err(status));
+                assert_eq!(read_block(&dev, 3), Err(status));
+                assert_eq!(flush_cache(&dev), Err(status));
+            }
+            let ok = StubDev::new(BioStatus::Ok, true);
+            assert_eq!(read_block(&ok, 3), Ok(vec![0xab; 4096]));
+            assert_eq!(flush_cache(&ok), Ok(()));
+            assert_eq!(*ok.submitted.lock(), [BioOp::Read, BioOp::Flush]);
+        });
+    }
+
+    #[test]
+    fn flush_cache_without_a_volatile_cache_does_no_io() {
+        Sim::run_main(1, || {
+            let dev = StubDev::new(BioStatus::Media, false);
+            assert_eq!(flush_cache(&dev), Ok(()));
+            assert!(dev.submitted.lock().is_empty());
+        });
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! fall into the new shard's arcs — roughly `1/(n+1)` of them — which
 //! is what lets a cluster grow without rehashing the world.
 
-use ccnvme_fabric::capsule::fnv64;
+use ccnvme_obs::seal::fnv1a64;
 
 /// A consistent-hash ring over `shards` shards.
 #[derive(Debug, Clone)]
@@ -29,7 +29,7 @@ impl HashRing {
                 let mut key = [0u8; 16];
                 key[..8].copy_from_slice(&(s as u64).to_le_bytes());
                 key[8..].copy_from_slice(&(v as u64).to_le_bytes());
-                points.push((fnv64(&key), s));
+                points.push((fnv1a64(&key), s));
             }
         }
         points.sort_unstable();
@@ -43,7 +43,7 @@ impl HashRing {
 
     /// Routes `key` to its owning shard.
     pub fn shard_of(&self, key: &[u8]) -> usize {
-        let h = fnv64(key);
+        let h = fnv1a64(key);
         let i = self.points.partition_point(|&(p, _)| p < h);
         let (_, shard) = self.points[i % self.points.len()];
         shard

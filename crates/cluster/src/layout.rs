@@ -18,7 +18,7 @@
 //! decoder still refuses one defensively.
 
 use ccnvme_block::BLOCK_SIZE;
-use ccnvme_fabric::capsule::fnv64;
+use ccnvme_obs::seal::fnv1a64;
 
 /// Magic of a live intent-slot header block.
 pub const INTENT_MAGIC: u64 = 0x4343_5458_5052_4550; // "CCTXPREP"
@@ -127,7 +127,7 @@ pub fn encode_intent(gtx: u64, lbas: &[u64]) -> Vec<u8> {
     for &lba in lbas {
         p.extend_from_slice(&lba.to_le_bytes());
     }
-    let sum = fnv64(&p);
+    let sum = fnv1a64(&p);
     p.extend_from_slice(&sum.to_le_bytes());
     block_with(&p)
 }
@@ -149,7 +149,7 @@ pub fn decode_intent(block: &[u8]) -> Option<(u64, Vec<u64>)> {
     }
     let body = 18 + 8 * count;
     let stored = u64::from_le_bytes(block[body..body + 8].try_into().unwrap());
-    if fnv64(&block[..body]) != stored {
+    if fnv1a64(&block[..body]) != stored {
         return None;
     }
     let lbas = (0..count)
@@ -163,7 +163,7 @@ pub fn encode_gtx_hwm(hwm: u64) -> Vec<u8> {
     let mut p = Vec::with_capacity(24);
     p.extend_from_slice(&GTX_HWM_MAGIC.to_le_bytes());
     p.extend_from_slice(&hwm.to_le_bytes());
-    let sum = fnv64(&p);
+    let sum = fnv1a64(&p);
     p.extend_from_slice(&sum.to_le_bytes());
     block_with(&p)
 }
@@ -179,7 +179,7 @@ pub fn decode_gtx_hwm(block: &[u8]) -> Option<u64> {
         return None;
     }
     let stored = u64::from_le_bytes(block[16..24].try_into().unwrap());
-    if fnv64(&block[..16]) != stored {
+    if fnv1a64(&block[..16]) != stored {
         return None;
     }
     Some(u64::from_le_bytes(block[8..16].try_into().unwrap()))
@@ -195,7 +195,7 @@ pub fn encode_decision(gtx: u64, commit: bool) -> Vec<u8> {
     } else {
         DECISION_ABORT as u8
     });
-    let sum = fnv64(&p);
+    let sum = fnv1a64(&p);
     p.extend_from_slice(&sum.to_le_bytes());
     block_with(&p)
 }
@@ -210,7 +210,7 @@ pub fn decode_decision(block: &[u8]) -> Option<(u64, bool)> {
         return None;
     }
     let stored = u64::from_le_bytes(block[17..25].try_into().unwrap());
-    if fnv64(&block[..17]) != stored {
+    if fnv1a64(&block[..17]) != stored {
         return None;
     }
     let gtx = u64::from_le_bytes(block[8..16].try_into().unwrap());

@@ -29,7 +29,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use ccnvme::CcNvmeDriver;
-use ccnvme_block::{submit_and_wait, Bio, BioFlags, BioStatus, BioWaiter, BlockDevice, BLOCK_SIZE};
+use ccnvme_block::{read_block, Bio, BioFlags, BioWaiter, BlockDevice, BLOCK_SIZE};
 use ccnvme_fabric::{ClusterBackend, FabricClient, FabricError, ShardWrite, Status};
 use ccnvme_obs::{Counter, Gauge, Obs};
 use ccnvme_runtime::RtMutex;
@@ -112,16 +112,6 @@ pub struct ClusterNode {
     stats: NodeStats,
 }
 
-fn bio_status(s: BioStatus) -> Status {
-    match s {
-        BioStatus::Ok => Status::Ok,
-        BioStatus::Media => Status::BioMedia,
-        BioStatus::Timeout => Status::BioTimeout,
-        BioStatus::Busy => Status::BioBusy,
-        _ => Status::BioError,
-    }
-}
-
 fn pad_block(data: &[u8]) -> Vec<u8> {
     let mut b = data.to_vec();
     b.resize(BLOCK_SIZE as usize, 0);
@@ -141,11 +131,15 @@ impl ClusterNode {
     pub fn mount(drv: Arc<CcNvmeDriver>, layout: ShardLayout) -> (Arc<ClusterNode>, Vec<u64>) {
         let obs = ccnvme_block::obs_of(&*drv);
         let stats = NodeStats::registered(&obs);
+        let read = |lba| {
+            read_block(&*drv, lba)
+                .unwrap_or_else(|st| panic!("mount scan read failed at lba {lba}: {st:?}"))
+        };
         let mut decisions = HashMap::new();
         let mut max_gtx = 0u64;
         let mut cursor = 0u64;
         for i in 0..layout.decision_slots {
-            if let Some((gtx, commit)) = decode_decision(&read_abs(&drv, layout.decision_lba(i))) {
+            if let Some((gtx, commit)) = decode_decision(&read(layout.decision_lba(i))) {
                 decisions.insert(gtx, commit);
                 max_gtx = max_gtx.max(gtx);
                 cursor = i + 1;
@@ -154,12 +148,12 @@ impl ClusterNode {
         let mut prepared = HashMap::new();
         let mut free_slots = Vec::new();
         for slot in 0..layout.intent_slots {
-            match decode_intent(&read_abs(&drv, layout.slot_header(slot))) {
+            match decode_intent(&read(layout.slot_header(slot))) {
                 Some((gtx, lbas)) => {
                     let writes = lbas
                         .iter()
                         .enumerate()
-                        .map(|(j, &lba)| (lba, read_abs(&drv, layout.slot_data(slot, j as u64))))
+                        .map(|(j, &lba)| (lba, read(layout.slot_data(slot, j as u64))))
                         .collect();
                     prepared.insert(gtx, PreparedTx { slot, writes });
                     max_gtx = max_gtx.max(gtx);
@@ -176,7 +170,7 @@ impl ClusterNode {
         // makes allocation crash-unique — including for gtxs whose only
         // traces live on remote shards. The scan maximum is a
         // defensive floor for pre-mark media.
-        let hwm = decode_gtx_hwm(&read_abs(&drv, layout.gtx_hwm_lba())).unwrap_or(0);
+        let hwm = decode_gtx_hwm(&read(layout.gtx_hwm_lba())).unwrap_or(0);
         let node = Arc::new(ClusterNode {
             drv,
             layout,
@@ -231,13 +225,7 @@ impl ClusterNode {
         let mut bio = Bio::write(lba, buf, BioFlags::TX_COMMIT).with_tx_id(tx_id);
         waiter.attach(&mut bio);
         self.drv.submit_bio(bio);
-        match waiter.wait() {
-            Ok(()) => Status::Ok,
-            Err(_) => waiter
-                .first_error()
-                .map(bio_status)
-                .unwrap_or(Status::BioError),
-        }
+        waiter.wait().map_or_else(Status::from, |()| Status::Ok)
     }
 
     fn record_decision(&self, gtx: u64, commit: bool) -> Status {
@@ -258,14 +246,6 @@ impl ClusterNode {
         }
         st
     }
-}
-
-fn read_abs(drv: &Arc<CcNvmeDriver>, lba: u64) -> Vec<u8> {
-    let buf = Arc::new(Mutex::new(vec![0u8; BLOCK_SIZE as usize]));
-    let st = submit_and_wait(&**drv, Bio::read(lba, Arc::clone(&buf)));
-    debug_assert_eq!(st, BioStatus::Ok, "mount scan read lba {lba}");
-    let v = buf.lock().clone();
-    v
 }
 
 impl ClusterBackend for ClusterNode {
@@ -452,17 +432,7 @@ impl ClusterBackend for ClusterNode {
         if lba >= self.layout.data_blocks {
             return Err(Status::Protocol);
         }
-        let buf = Arc::new(Mutex::new(vec![0u8; BLOCK_SIZE as usize]));
-        match submit_and_wait(
-            &*self.drv,
-            Bio::read(self.layout.base + lba, Arc::clone(&buf)),
-        ) {
-            BioStatus::Ok => {
-                let v = buf.lock().clone();
-                Ok(v)
-            }
-            other => Err(bio_status(other)),
-        }
+        read_block(&*self.drv, self.layout.base + lba).map_err(Status::from)
     }
 }
 

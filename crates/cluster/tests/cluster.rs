@@ -8,8 +8,8 @@ use ccnvme::CcNvmeDriver;
 use ccnvme_block::BLOCK_SIZE;
 use ccnvme_cluster::{resolve_in_doubt_local, ClusterCfg, ClusterClient, ClusterNode, ShardLayout};
 use ccnvme_fabric::{
-    Backend, ClientCfg, ClientStats, ClusterBackend, Connector, FabricConfig, FabricTarget,
-    ShardWrite,
+    Backend, ClientCfg, ClientStats, ClusterBackend, Connector, FabricClient, FabricConfig,
+    FabricError, FabricTarget, ShardWrite, Status,
 };
 use ccnvme_fault::{FaultKind, FaultPlan, FaultRule, Trigger};
 use ccnvme_obs::Registry;
@@ -353,5 +353,45 @@ fn prepare_surfaces_injected_media_errors() {
         assert!(!st.is_ok(), "prepare acked Ok over a failing medium");
         assert_eq!(node.stats().prepares.get(), 0, "failed prepare counted");
         assert_eq!(node.stats().in_doubt.get(), 0, "failed prepare left doubt");
+    });
+}
+
+/// A media error under a node's data window reaches a fabric client's
+/// `BlkRead` as `BioMedia`, the status the device reported.
+#[test]
+fn blk_read_reports_the_media_error_it_hit() {
+    in_sim(|| {
+        let layout = ShardLayout::small(0);
+        let plan = FaultPlan::new(1).rule(FaultRule::new(
+            FaultKind::MediaRead,
+            Trigger::LbaRange {
+                start: layout.base + 3,
+                end: layout.base + 4,
+            },
+        ));
+        let mut cc = CtrlConfig::new(SsdProfile::optane_905p());
+        cc.device_core = CORES;
+        cc.fault = Some(Arc::new(plan.injector()));
+        let ctrl = NvmeController::new(cc);
+        let (drv, _report) = CcNvmeDriver::probe(ctrl, sim_cores() as u16, 64);
+        let (node, _) = ClusterNode::mount(Arc::new(drv), layout);
+        let target = FabricTarget::new(
+            Backend::Cluster(node as Arc<dyn ClusterBackend>),
+            FabricConfig::new(CORES),
+        );
+        let cfg = ClientCfg {
+            ack_timeout_ns: 2_000_000,
+            backoff_ns: 50_000,
+            max_reconnects: 3,
+            stats: ClientStats::detached(),
+        };
+        let mut client =
+            FabricClient::connect(1, target.loopback_connector(1), cfg).expect("connect");
+        assert_eq!(
+            client.blk_read(3),
+            Err(FabricError::Remote(Status::BioMedia))
+        );
+        assert_block(&client.blk_read(4).expect("healthy block"), &[0; 32]);
+        client.bye();
     });
 }

@@ -499,7 +499,7 @@ fn enqueue(q: &Arc<CcQueue>, bio: Bio, ring: bool, flush_first: bool) {
 /// so recovery discards torn or stale slots.
 fn store_sqe(q: &CcQueue, cmd: &NvmeCommand) {
     let mut raw = cmd.encode();
-    crate::layout::seal_sqe(&mut raw, q.dev.generation);
+    ccnvme_obs::seal::seal_line(&mut raw, q.dev.generation);
     q.dev.pmr.write(q.ring_off + cmd.cid as u64 * 64, &raw);
 }
 
@@ -828,7 +828,7 @@ impl BlockDevice for CcNvmeDriver {
 
 #[cfg(test)]
 mod tests {
-    use ccnvme_block::{submit_and_wait, BioBuf, BioFlags, BioWaiter};
+    use ccnvme_block::{read_block, submit_and_wait, BioBuf, BioFlags, BioWaiter};
     use ccnvme_sim::Sim;
     use ccnvme_ssd::{CrashMode, CtrlConfig, SsdProfile};
     use parking_lot::Mutex;
@@ -1024,10 +1024,8 @@ mod tests {
         sim.spawn("host", 0, || {
             let drv = driver_on(SsdProfile::optane_p5800x(), 1);
             let data = buf(0x42);
-            submit_and_wait(&drv, Bio::write(500, data, BioFlags::NONE));
-            let out = buf(0);
-            submit_and_wait(&drv, Bio::read(500, Arc::clone(&out)));
-            assert_eq!(out.lock()[0], 0x42);
+            submit_and_wait(&drv, Bio::write(500, data, BioFlags::NONE)).expect("write");
+            assert_eq!(read_block(&drv, 500).expect("read")[0], 0x42);
         });
         sim.run();
     }

@@ -98,15 +98,10 @@ impl NvmeDriver {
     /// (`num_queues`), each [`QUEUE_DEPTH`] deep, using the default
     /// [`ErrPolicy`].
     pub fn new(ctrl: NvmeController, num_queues: usize) -> Self {
-        NvmeDriver::with_policy(ctrl, num_queues, ErrPolicy::default())
-    }
-
-    /// Like [`NvmeDriver::new`] with an explicit error policy.
-    pub fn with_policy(ctrl: NvmeController, num_queues: usize, policy: ErrPolicy) -> Self {
         assert!(num_queues > 0, "need at least one queue");
         let volatile_cache = ctrl.profile().volatile_cache;
         let obs = ctrl.link().obs.clone();
-        let (err, retry_rx) = ErrPath::new(policy, &obs);
+        let (err, retry_rx) = ErrPath::new(ErrPolicy::default(), &obs);
         let dev = Arc::new(DrvDev {
             regs: ctrl.regs(),
             hostmem: ctrl.hostmem(),
@@ -382,7 +377,7 @@ impl BlockDevice for NvmeDriver {
 
 #[cfg(test)]
 mod tests {
-    use ccnvme_block::{submit_and_wait, BioBuf, BioFlags};
+    use ccnvme_block::{read_block, submit_and_wait, BioBuf, BioFlags};
     use ccnvme_sim::Sim;
     use ccnvme_ssd::{CrashMode, CtrlConfig, SsdProfile};
 
@@ -404,10 +399,8 @@ mod tests {
         sim.spawn("host", 0, || {
             let drv = driver_on(SsdProfile::optane_p5800x(), 1);
             let data = buf(0x5c, 1);
-            submit_and_wait(&drv, Bio::write(42, data, BioFlags::NONE));
-            let out = buf(0, 1);
-            submit_and_wait(&drv, Bio::read(42, Arc::clone(&out)));
-            assert_eq!(out.lock()[0], 0x5c);
+            submit_and_wait(&drv, Bio::write(42, data, BioFlags::NONE)).expect("write");
+            assert_eq!(read_block(&drv, 42).expect("read")[0], 0x5c);
         });
         sim.run();
     }
@@ -443,8 +436,9 @@ mod tests {
         sim.spawn("host", 0, || {
             let drv = driver_on(SsdProfile::intel_750(), 1);
             // A cached write, then a PREFLUSH|FUA commit-style write.
-            submit_and_wait(&drv, Bio::write(1, buf(1, 1), BioFlags::NONE));
-            submit_and_wait(&drv, Bio::write(2, buf(2, 1), BioFlags::PREFLUSH_FUA));
+            submit_and_wait(&drv, Bio::write(1, buf(1, 1), BioFlags::NONE)).expect("write");
+            submit_and_wait(&drv, Bio::write(2, buf(2, 1), BioFlags::PREFLUSH_FUA))
+                .expect("commit");
             // After the barrier, both must survive an adversarial crash.
             let image = drv.controller().power_fail(CrashMode::adversarial(3));
             assert_eq!(image.blocks.get(&1).map(|b| b[0]), Some(1));
@@ -459,7 +453,7 @@ mod tests {
         sim.spawn("host", 0, || {
             let drv = driver_on(SsdProfile::optane_905p(), 1);
             let t0 = ccnvme_sim::now();
-            submit_and_wait(&drv, Bio::flush());
+            submit_and_wait(&drv, Bio::flush()).expect("flush");
             // Only the submission-path CPU cost, no device round trip.
             assert!(ccnvme_sim::now() - t0 <= 2 * crate::SUBMIT_CPU);
         });
@@ -495,21 +489,6 @@ mod tests {
         NvmeDriver::new(NvmeController::new(cfg), host_cores)
     }
 
-    /// Submits `bio` and parks until its completion, returning the typed
-    /// status (unlike `submit_and_wait`, which collapses errors).
-    fn submit_and_status(drv: &NvmeDriver, mut bio: Bio) -> BioStatus {
-        let got: Arc<Mutex<Option<BioStatus>>> = Arc::new(Mutex::new(None));
-        let g = Arc::clone(&got);
-        bio.end_io = Some(Box::new(move |s| *g.lock() = Some(s)));
-        drv.submit_bio(bio);
-        loop {
-            if let Some(s) = *got.lock() {
-                return s;
-            }
-            ccnvme_sim::delay(100_000);
-        }
-    }
-
     #[test]
     fn busy_completions_are_retried_transparently() {
         use ccnvme_fault::{FaultKind, FaultPlan, FaultRule, Trigger};
@@ -517,16 +496,14 @@ mod tests {
         sim.spawn("host", 0, || {
             let plan = FaultPlan::new(11).rule(FaultRule::new(FaultKind::Busy, Trigger::Nth(1)));
             let drv = driver_on_faulty(SsdProfile::optane_p5800x(), 1, plan);
-            let status = submit_and_status(&drv, Bio::write(7, buf(7, 1), BioFlags::NONE));
-            assert_eq!(status, BioStatus::Ok);
+            let status = submit_and_wait(&drv, Bio::write(7, buf(7, 1), BioFlags::NONE));
+            assert_eq!(status, Ok(()));
             let s = drv.err_stats().snapshot();
             assert_eq!(s.busy_completions, 1);
             assert_eq!(s.retries, 1);
             assert_eq!(s.retries_exhausted, 0);
             // The retried write really landed.
-            let out = buf(0, 1);
-            submit_and_wait(&drv, Bio::read(7, Arc::clone(&out)));
-            assert_eq!(out.lock()[0], 7);
+            assert_eq!(read_block(&drv, 7).expect("read")[0], 7);
         });
         sim.run();
     }
@@ -539,8 +516,8 @@ mod tests {
             // Every write attempt is rejected busy: the budget runs out.
             let plan = FaultPlan::new(12).rule(FaultRule::new(FaultKind::Busy, Trigger::Always));
             let drv = driver_on_faulty(SsdProfile::optane_p5800x(), 1, plan);
-            let status = submit_and_status(&drv, Bio::write(1, buf(1, 1), BioFlags::NONE));
-            assert_eq!(status, BioStatus::Busy);
+            let status = submit_and_wait(&drv, Bio::write(1, buf(1, 1), BioFlags::NONE));
+            assert_eq!(status, Err(BioStatus::Busy));
             let s = drv.err_stats().snapshot();
             assert_eq!(s.retries, crate::errpolicy::MAX_RETRIES as u64);
             assert_eq!(s.retries_exhausted, 1);
@@ -556,8 +533,8 @@ mod tests {
             let plan = FaultPlan::new(13).rule(FaultRule::new(FaultKind::Stall, Trigger::Nth(1)));
             let drv = driver_on_faulty(SsdProfile::optane_p5800x(), 1, plan);
             let t0 = ccnvme_sim::now();
-            let status = submit_and_status(&drv, Bio::write(3, buf(3, 1), BioFlags::NONE));
-            assert_eq!(status, BioStatus::Timeout);
+            let status = submit_and_wait(&drv, Bio::write(3, buf(3, 1), BioFlags::NONE));
+            assert_eq!(status, Err(BioStatus::Timeout));
             let elapsed = ccnvme_sim::now() - t0;
             let policy = ErrPolicy::default();
             assert!(elapsed >= policy.timeout, "aborted too early: {elapsed}");
@@ -565,11 +542,9 @@ mod tests {
             assert_eq!(s.timeouts, 1);
             assert_eq!(s.queue_reinits, 1);
             // The re-created queue serves I/O normally.
-            let status = submit_and_status(&drv, Bio::write(4, buf(4, 1), BioFlags::NONE));
-            assert_eq!(status, BioStatus::Ok);
-            let out = buf(0, 1);
-            submit_and_wait(&drv, Bio::read(4, Arc::clone(&out)));
-            assert_eq!(out.lock()[0], 4);
+            let status = submit_and_wait(&drv, Bio::write(4, buf(4, 1), BioFlags::NONE));
+            assert_eq!(status, Ok(()));
+            assert_eq!(read_block(&drv, 4).expect("read")[0], 4);
         });
         sim.run();
     }
@@ -583,9 +558,9 @@ mod tests {
                 FaultPlan::new(14).rule(FaultRule::new(FaultKind::DoorbellDrop, Trigger::Nth(1)));
             let drv = driver_on_faulty(SsdProfile::optane_p5800x(), 1, plan);
             let t0 = ccnvme_sim::now();
-            let status = submit_and_status(&drv, Bio::write(9, buf(9, 1), BioFlags::NONE));
+            let status = submit_and_wait(&drv, Bio::write(9, buf(9, 1), BioFlags::NONE));
             // Recovered transparently — no error surfaces.
-            assert_eq!(status, BioStatus::Ok);
+            assert_eq!(status, Ok(()));
             let elapsed = ccnvme_sim::now() - t0;
             let policy = ErrPolicy::default();
             assert!(
@@ -608,8 +583,8 @@ mod tests {
             let plan =
                 FaultPlan::new(15).rule(FaultRule::new(FaultKind::MediaWrite, Trigger::Nth(1)));
             let drv = driver_on_faulty(SsdProfile::optane_p5800x(), 1, plan);
-            let status = submit_and_status(&drv, Bio::write(5, buf(5, 1), BioFlags::NONE));
-            assert_eq!(status, BioStatus::Media);
+            let status = submit_and_wait(&drv, Bio::write(5, buf(5, 1), BioFlags::NONE));
+            assert_eq!(status, Err(BioStatus::Media));
             assert_eq!(drv.err_stats().snapshot().media_errors, 1);
         });
         sim.run();
@@ -636,7 +611,7 @@ mod tests {
                                 Arc::new(Mutex::new(vec![0u8; 4096])),
                                 BioFlags::NONE,
                             );
-                            submit_and_wait(&*d, bio);
+                            submit_and_wait(&*d, bio).expect("write");
                         }
                     }));
                 }

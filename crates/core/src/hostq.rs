@@ -352,7 +352,7 @@ mod tests {
     fn four_writes(dev: &dyn BlockDevice) {
         for lba in 0..4u64 {
             let data = Arc::new(Mutex::new(vec![lba as u8; 4096]));
-            submit_and_wait(dev, Bio::write(lba, data, BioFlags::NONE));
+            submit_and_wait(dev, Bio::write(lba, data, BioFlags::NONE)).expect("write");
         }
     }
 

@@ -235,42 +235,6 @@ impl PmrLayout {
     }
 }
 
-/// Byte offset of the seal epoch within an SQE (reserved Dword 13).
-const SQE_EPOCH_OFF: usize = 52;
-/// Byte offset of the seal checksum within an SQE (reserved Dword 14).
-const SQE_CSUM_OFF: usize = 56;
-
-/// Seals a 64-byte SQE for crash-safe recovery parsing: stamps the ring
-/// epoch (the PMR recovery generation) into bytes 52..56 and an FNV-1a
-/// checksum over bytes 0..56 into bytes 56..60. Both live in reserved
-/// Dwords the device-side decoder ignores, so a sealed entry is still a
-/// valid stock-NVMe command (Table 2 compatibility).
-pub fn seal_sqe(raw: &mut [u8; 64], epoch: u32) {
-    raw[SQE_EPOCH_OFF..SQE_EPOCH_OFF + 4].copy_from_slice(&epoch.to_le_bytes());
-    let sum = fnv1a(&raw[..SQE_CSUM_OFF]);
-    raw[SQE_CSUM_OFF..SQE_CSUM_OFF + 4].copy_from_slice(&sum.to_le_bytes());
-}
-
-/// Validates a recovered SQE's seal: the checksum must match (the slot
-/// is whole, not torn mid-WC-flush) and the epoch must equal the ring's
-/// current generation (the slot belongs to this life of the ring, not a
-/// stale image from before a re-format).
-pub fn verify_sqe(raw: &[u8; 64], epoch: u32) -> bool {
-    let slot_epoch = u32::from_le_bytes(raw[SQE_EPOCH_OFF..SQE_EPOCH_OFF + 4].try_into().unwrap());
-    let sum = u32::from_le_bytes(raw[SQE_CSUM_OFF..SQE_CSUM_OFF + 4].try_into().unwrap());
-    slot_epoch == epoch && fnv1a(&raw[..SQE_CSUM_OFF]) == sum
-}
-
-/// 32-bit FNV-1a over `bytes`.
-fn fnv1a(bytes: &[u8]) -> u32 {
-    let mut h: u32 = 0x811c_9dc5;
-    for b in bytes {
-        h ^= *b as u32;
-        h = h.wrapping_mul(0x0100_0193);
-    }
-    h
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -420,26 +384,5 @@ mod tests {
         assert_eq!(PmrLayout::decode_generation(&h), 7);
         // Plain headers carry generation 0 (back-compat).
         assert_eq!(PmrLayout::decode_generation(&l.encode_header()), 0);
-    }
-
-    #[test]
-    fn sealed_sqe_verifies_and_tears_are_detected() {
-        let mut raw = [0u8; 64];
-        raw[0] = 0x01;
-        raw[8] = 42;
-        seal_sqe(&mut raw, 3);
-        assert!(verify_sqe(&raw, 3));
-        // Wrong epoch: a slot from a previous life of the ring.
-        assert!(!verify_sqe(&raw, 4));
-        // A torn byte anywhere under the checksum is caught.
-        for i in 0..56 {
-            let mut torn = raw;
-            torn[i] ^= 0x80;
-            assert!(!verify_sqe(&torn, 3), "tear at byte {i} not detected");
-        }
-        // An unsealed (all-reserved-zero) slot never verifies.
-        let mut unsealed = [0u8; 64];
-        unsealed[0] = 0x01;
-        assert!(!verify_sqe(&unsealed, 0));
     }
 }

@@ -11,10 +11,11 @@
 
 use std::collections::HashSet;
 
+use ccnvme_obs::seal::verify_line;
 use ccnvme_pcie::MmioRegion;
 use ccnvme_ssd::NvmeCommand;
 
-use crate::layout::{verify_sqe, PmrLayout};
+use crate::layout::PmrLayout;
 
 /// One request recovered from a P-SQ slot.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -119,7 +120,7 @@ fn scan_with(read: &dyn Fn(u64, u64) -> Vec<u8>) -> Option<RecoveryReport> {
             // Per-slot seal validation: a slot torn mid-WC-flush or
             // sealed under an older ring generation is discarded, not
             // replayed (§5.5 hardening).
-            if !verify_sqe(&raw, generation) {
+            if !verify_line(&raw, generation) {
                 report.rejected_slots += 1;
                 cur = (cur + 1) % layout.depth;
                 continue;
@@ -203,7 +204,7 @@ mod tests {
     /// formatted ring's driver would write).
     fn sealed(cmd: &NvmeCommand) -> [u8; 64] {
         let mut raw = cmd.encode();
-        crate::layout::seal_sqe(&mut raw, 0);
+        ccnvme_obs::seal::seal_line(&mut raw, 0);
         raw
     }
 
@@ -392,7 +393,7 @@ mod robustness_tests {
                 ctx: ccnvme_obs::TraceCtx::ZERO,
             };
             let mut raw = cmd.encode();
-            crate::layout::seal_sqe(&mut raw, 0);
+            ccnvme_obs::seal::seal_line(&mut raw, 0);
             pmr.write(layout.slot_off(0, 1), &raw);
             pmr.write(layout.db_off(0), &2u32.to_le_bytes());
             pmr.flush();
@@ -429,7 +430,7 @@ mod robustness_tests {
                 ctx: ccnvme_obs::TraceCtx::ZERO,
             };
             let mut raw = cmd.encode();
-            crate::layout::seal_sqe(&mut raw, 0);
+            ccnvme_obs::seal::seal_line(&mut raw, 0);
             // Tear the sealed slot: flip one payload byte (the LBA) as a
             // partial 64 B line write would.
             raw[40] ^= 0xff;
@@ -468,7 +469,7 @@ mod robustness_tests {
                 ctx: ccnvme_obs::TraceCtx::ZERO,
             };
             let mut raw = cmd.encode();
-            crate::layout::seal_sqe(&mut raw, 0);
+            ccnvme_obs::seal::seal_line(&mut raw, 0);
             pmr.write(layout.slot_off(0, 0), &raw);
             pmr.write(layout.db_off(0), &1u32.to_le_bytes());
             pmr.flush();
@@ -506,7 +507,7 @@ mod robustness_tests {
                     ctx: ccnvme_obs::TraceCtx::ZERO,
                 };
                 let mut raw = cmd.encode();
-                crate::layout::seal_sqe(&mut raw, 0);
+                ccnvme_obs::seal::seal_line(&mut raw, 0);
                 pmr.write(layout.slot_off(0, slot), &raw);
             }
             pmr.write(layout.db_off(0), &3u32.to_le_bytes());

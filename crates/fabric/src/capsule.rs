@@ -23,7 +23,8 @@
 //! than guessing.
 
 use crate::error::CodecError;
-use ccnvme_obs::TraceCtx;
+use ccnvme_block::BioStatus;
+use ccnvme_obs::{seal::fnv1a64, TraceCtx};
 use mqfs::FsError;
 
 /// The ploc operation carried by a [`Capsule::PlocOp`] request.
@@ -366,6 +367,19 @@ impl Status {
     }
 }
 
+/// How a backing device's I/O ended, on the wire.
+impl From<BioStatus> for Status {
+    fn from(s: BioStatus) -> Status {
+        match s {
+            BioStatus::Ok => Status::Ok,
+            BioStatus::Error => Status::BioError,
+            BioStatus::Media => Status::BioMedia,
+            BioStatus::Timeout => Status::BioTimeout,
+            BioStatus::Busy => Status::BioBusy,
+        }
+    }
+}
+
 /// One response capsule: the echoed cid, a status and up to two scalar
 /// results plus a data payload (`FsRead` bytes, `Metrics` JSON).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -405,18 +419,6 @@ impl Response {
             data: Vec::new(),
         }
     }
-}
-
-/// FNV-1a 64-bit over `bytes` — the capsule integrity check. Not
-/// cryptographic; it guards against torn frames and software bugs, the
-/// same role as NVMe-oF's header digest.
-pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 fn put_u16(out: &mut Vec<u8>, v: u16) {
@@ -499,7 +501,7 @@ impl<'a> Cursor<'a> {
 }
 
 fn seal(mut out: Vec<u8>) -> Vec<u8> {
-    let sum = fnv64(&out);
+    let sum = fnv1a64(&out);
     put_u64(&mut out, sum);
     out
 }
@@ -520,7 +522,7 @@ fn open(bytes: &[u8]) -> Result<(u8, u64, &[u8]), CodecError> {
     }
     // Checksum after the magic/version sanity check: a foreign frame
     // reports BadMagic, a damaged fabric frame reports BadChecksum.
-    if fnv64(payload) != sum {
+    if fnv1a64(payload) != sum {
         return Err(CodecError::BadChecksum);
     }
     let opcode = c.u8()?;

@@ -17,13 +17,13 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use ccnvme_obs::{Counter, Registry};
+use ccnvme_obs::{seal::fnv1a64, Counter, Registry};
 use ccnvme_runtime::Ns;
 
 use ccnvme_ploc::{OpResult, PlocOp, RecoverVerdict};
 
 use crate::capsule::{
-    decode_response, encode_request, fnv64, Capsule, Request, Response, ShardWrite, SyncKind,
+    decode_response, encode_request, Capsule, Request, Response, ShardWrite, SyncKind,
 };
 use crate::error::FabricError;
 use crate::transport::{Connector, Transport};
@@ -261,7 +261,7 @@ impl FabricClient {
                 let mut key = [0u8; 16];
                 key[..8].copy_from_slice(&self.client_id.to_le_bytes());
                 key[8..].copy_from_slice(&cid.to_le_bytes());
-                fnv64(&key)
+                fnv1a64(&key)
             },
             span: cid as u32,
             origin: self.client_id as u32,

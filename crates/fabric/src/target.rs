@@ -22,7 +22,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use ccnvme::CcNvmeDriver;
-use ccnvme_block::{Bio, BioFlags, BioStatus, BioWaiter, BlockDevice, BLOCK_SIZE};
+use ccnvme_block::{Bio, BioFlags, BioWaiter, BlockDevice, BLOCK_SIZE};
 use ccnvme_fault::FaultInjector;
 use ccnvme_obs::{Counter, Obs};
 use ccnvme_ploc::{PlocError, PlocService, RecoverVerdict};
@@ -745,23 +745,15 @@ impl FabricTarget {
                     if *lba >= *blocks {
                         return Response::status(cid, Status::Protocol);
                     }
-                    let buf = Arc::new(parking_lot::Mutex::new(vec![0u8; BLOCK_SIZE as usize]));
-                    let st = ccnvme_block::submit_and_wait(
-                        &**drv,
-                        Bio::read(base + lba, Arc::clone(&buf)),
-                    );
-                    match st {
-                        BioStatus::Ok => {
-                            let data = buf.lock().clone();
-                            Response {
-                                cid,
-                                status: Status::Ok,
-                                val: data.len() as u64,
-                                aux: 0,
-                                data,
-                            }
-                        }
-                        other => Response::status(cid, bio_status(other)),
+                    match ccnvme_block::read_block(&**drv, base + lba) {
+                        Ok(data) => Response {
+                            cid,
+                            status: Status::Ok,
+                            val: data.len() as u64,
+                            aux: 0,
+                            data,
+                        },
+                        Err(st) => Response::status(cid, st.into()),
                     }
                 }
                 Backend::Fs(_) | Backend::Ploc(_) => Response::status(cid, Status::NotSupported),
@@ -848,13 +840,7 @@ impl FabricTarget {
             return Response::status(cid, Status::Ok);
         }
         let status = if durable {
-            match waiter.wait() {
-                Ok(()) => Status::Ok,
-                Err(_) => waiter
-                    .first_error()
-                    .map(bio_status)
-                    .unwrap_or(Status::BioError),
-            }
+            waiter.wait().map_or_else(Status::from, |()| Status::Ok)
         } else {
             Status::Ok
         };
@@ -888,16 +874,6 @@ fn commit_like(op: &Capsule) -> bool {
         // one must count as a deduplicated commit, not a re-execution.
         Capsule::PlocOp { op, .. } => op.mutates(),
         _ => false,
-    }
-}
-
-fn bio_status(s: BioStatus) -> Status {
-    match s {
-        BioStatus::Ok => Status::Ok,
-        BioStatus::Media => Status::BioMedia,
-        BioStatus::Timeout => Status::BioTimeout,
-        BioStatus::Busy => Status::BioBusy,
-        _ => Status::BioError,
     }
 }
 

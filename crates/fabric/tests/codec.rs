@@ -230,7 +230,7 @@ fn unknown_ploc_kind_reports_bad_ploc_op() {
     // seq (4); rewrite it to an unassigned kind and re-seal the checksum.
     let mut body: Vec<u8> = wire[..wire.len() - 8].to_vec();
     body[14 + 16 + 4] = 0x7f;
-    let sum = ccnvme_fabric::capsule::fnv64(&body);
+    let sum = ccnvme_obs::seal::fnv1a64(&body);
     body.extend_from_slice(&sum.to_le_bytes());
     assert_eq!(decode_request(&body), Err(CodecError::BadPlocOp(0x7f)));
 }

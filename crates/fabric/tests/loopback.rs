@@ -5,11 +5,11 @@
 use std::sync::Arc;
 
 use ccnvme::CcNvmeDriver;
-use ccnvme_block::{submit_and_wait, Bio, BioStatus, BlockDevice, BLOCK_SIZE};
+use ccnvme_block::BlockDevice;
 use ccnvme_fabric::{
-    Backend, ClientCfg, ClientStats, FabricClient, FabricConfig, FabricError, FabricTarget,
+    Backend, ClientCfg, ClientStats, FabricClient, FabricConfig, FabricError, FabricTarget, Status,
 };
-use ccnvme_fault::{FaultPlan, NetDir, NetFaultKind, NetFaultRule, Trigger};
+use ccnvme_fault::{FaultKind, FaultPlan, FaultRule, NetDir, NetFaultKind, NetFaultRule, Trigger};
 use ccnvme_sim::Sim;
 use ccnvme_ssd::{CtrlConfig, NvmeController, SsdProfile};
 use parking_lot::Mutex;
@@ -53,11 +53,7 @@ fn quick_cfg(stats: Arc<ClientStats>) -> ClientCfg {
 }
 
 fn read_block(drv: &Arc<CcNvmeDriver>, lba: u64) -> Vec<u8> {
-    let buf = Arc::new(Mutex::new(vec![0u8; BLOCK_SIZE as usize]));
-    let st = submit_and_wait(&**drv, Bio::read(lba, Arc::clone(&buf)));
-    assert_eq!(st, BioStatus::Ok, "read back lba {lba}");
-    let v = buf.lock().clone();
-    v
+    ccnvme_block::read_block(&**drv, lba).unwrap_or_else(|st| panic!("read back lba {lba}: {st:?}"))
 }
 
 /// One client allocates a transaction, stages members, commits durably,
@@ -89,6 +85,45 @@ fn single_client_commit_is_durable_and_counted() {
         assert_eq!(stats.replayed_commits.get(), 0);
         assert_eq!(stats.sessions.get(), 1);
         assert!(stats.capsules.get() >= 4);
+        client.bye();
+    });
+}
+
+/// A media error on a raw window's read reaches the client as what it
+/// is, `BioMedia` — not a generic `BioError` — and a neighbouring block
+/// still reads.
+#[test]
+fn raw_blk_read_reports_the_media_error_it_hit() {
+    in_sim(|| {
+        let base = 1_000;
+        let plan = FaultPlan::new(1).rule(FaultRule::new(
+            FaultKind::MediaRead,
+            Trigger::LbaRange {
+                start: base + 5,
+                end: base + 6,
+            },
+        ));
+        let mut cc = CtrlConfig::new(SsdProfile::optane_905p());
+        cc.device_core = CORES;
+        cc.fault = Some(Arc::new(plan.injector()));
+        let (drv, _report) = CcNvmeDriver::probe(NvmeController::new(cc), (CORES + 1) as u16, 64);
+        let backend = Backend::Raw {
+            drv: Arc::new(drv),
+            base,
+            blocks: 64,
+        };
+        let target = FabricTarget::new(backend, FabricConfig::new(CORES));
+        let mut client = FabricClient::connect(
+            1,
+            target.loopback_connector(1),
+            quick_cfg(ClientStats::detached()),
+        )
+        .expect("connect");
+        assert_eq!(
+            client.blk_read(5),
+            Err(FabricError::Remote(Status::BioMedia))
+        );
+        assert_eq!(client.blk_read(6).expect("healthy block"), vec![0; 4096]);
         client.bye();
     });
 }
@@ -523,7 +558,7 @@ fn trace_id_spans_initiator_to_media_write_across_a_kill() {
         let mut key = [0u8; 16];
         key[..8].copy_from_slice(&CLIENT_ID.to_le_bytes());
         key[8..].copy_from_slice(&cid.to_le_bytes());
-        let expected = ccnvme_fabric::capsule::fnv64(&key);
+        let expected = ccnvme_obs::seal::fnv1a64(&key);
 
         let obs = drv.obs().expect("ccNVMe driver exposes obs");
         let events = obs.trace.events_for_tx(tx);

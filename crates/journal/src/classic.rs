@@ -23,8 +23,8 @@ use std::{
     },
 };
 
-use ccnvme_block::{Bio, BioBuf, BioFlags, BioStatus, BioWaiter};
-use ccnvme_obs::{Counter, Histogram};
+use ccnvme_block::{flush_cache, Bio, BioBuf, BioFlags, BioStatus, BioWaiter};
+use ccnvme_obs::{seal::fnv1a64, Counter, Histogram};
 use ccnvme_runtime::{Ns, RtCondvar, RtMutex};
 
 use crate::{
@@ -33,15 +33,6 @@ use crate::{
     recover::{recover_areas, write_horizon, RecoverMode, RecoveredUpdate},
     CommitError, Dev, Durability, Journal, ReuseAction, TxDescriptor,
 };
-
-/// Blocks on the waiter; maps a failed set to its first typed status.
-fn wait_ok(w: &BioWaiter) -> Result<(), BioStatus> {
-    if w.wait().is_err() {
-        Err(w.first_error().unwrap_or(BioStatus::Error))
-    } else {
-        Ok(())
-    }
-}
 
 /// How the commit thread seals a compound transaction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -326,7 +317,7 @@ fn commit_chunk(
     // Build the descriptor.
     let mut entries = Vec::with_capacity(order.len());
     for (i, blk) in blocks.iter().enumerate() {
-        let sum = format::block_checksum(&blk.buf.lock());
+        let sum = fnv1a64(&blk.buf.lock());
         entries.push(JdEntry {
             final_lba: order[i],
             journal_lba: block_lbas[i],
@@ -355,7 +346,7 @@ fn commit_chunk(
                 Bio::write(jd_lba, jd_buf, BioFlags::TX_COMMIT).with_tx_id(compound_id);
             waiter.attach(&mut jd_bio);
             inner.dev.submit_bio(jd_bio);
-            wait_ok(&waiter)?;
+            waiter.wait()?;
             on_media();
         }
         CommitStyle::Horae | CommitStyle::Classic => {
@@ -386,31 +377,25 @@ fn commit_chunk(
                 );
                 waiter.attach(&mut commit_bio);
                 inner.dev.submit_bio(commit_bio);
-                wait_ok(&waiter)?;
+                waiter.wait()?;
                 on_media();
                 // Durability (not ordering): one trailing cache drain so
                 // the journal blocks are stable before fsync returns.
                 // Horae's ordering layer guarantees this on real HW.
-                if inner.dev.has_volatile_cache() {
-                    let fw = BioWaiter::new();
-                    let mut flush = Bio::flush();
-                    fw.attach(&mut flush);
-                    inner.dev.submit_bio(flush);
-                    wait_ok(&fw)?;
-                }
+                flush_cache(&*inner.dev)?;
             } else {
                 // Classic: wait for the journal blocks, then FLUSH + FUA
                 // commit record (the two ordering points of §3). The
                 // pages thaw as soon as their journal copies are written
                 // (JBD2 clears BJ_Shadow here), letting the next compound
                 // assemble during the commit-record wait.
-                wait_ok(&waiter)?;
+                waiter.wait()?;
                 on_media();
                 let commit_waiter = BioWaiter::new();
                 let mut commit_bio = Bio::write(commit_lba, commit_buf, BioFlags::PREFLUSH_FUA);
                 commit_waiter.attach(&mut commit_bio);
                 inner.dev.submit_bio(commit_bio);
-                wait_ok(&commit_waiter)?;
+                commit_waiter.wait()?;
             }
         }
     }
@@ -431,7 +416,11 @@ fn checkpoint_now(inner: &Arc<ClassicInner>) {
             waiter.attach(&mut bio);
             inner.dev.submit_bio(bio);
         }
-        if waiter.wait().is_err() {
+        if waiter
+            .wait()
+            .and_then(|()| flush_cache(&*inner.dev))
+            .is_err()
+        {
             // Abort WITHOUT advancing the horizon or releasing the ring:
             // the journal copies are now the only good ones, and replay
             // after remount will need them.
@@ -439,17 +428,6 @@ fn checkpoint_now(inner: &Arc<ClassicInner>) {
             // thread must observe it before trusting journal space.
             inner.aborted.store(true, Ordering::SeqCst);
             return;
-        }
-        if inner.dev.has_volatile_cache() {
-            let fw = BioWaiter::new();
-            let mut flush = Bio::flush();
-            fw.attach(&mut flush);
-            inner.dev.submit_bio(flush);
-            if fw.wait().is_err() {
-                // ord: SeqCst — abort publication (see above).
-                inner.aborted.store(true, Ordering::SeqCst);
-                return;
-            }
         }
         pending.clear();
     }
@@ -492,7 +470,7 @@ impl Journal for ClassicJournal {
                 waiter.attach(&mut bio);
                 self.inner.dev.submit_bio(bio);
             }
-            if let Err(status) = wait_ok(&waiter) {
+            if let Err(status) = waiter.wait() {
                 // ord: SeqCst — abort publication (ordered-data failure).
                 self.inner.aborted.store(true, Ordering::SeqCst);
                 tx.run_unpin();

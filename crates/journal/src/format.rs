@@ -8,6 +8,7 @@
 //! first and seal the transaction with a separate *commit record*.
 
 use ccnvme_block::BLOCK_SIZE;
+use ccnvme_obs::seal::fnv1a64;
 
 /// Magic of a journal description block.
 pub const JD_MAGIC: u64 = 0x4a44_5f4d_5146_5331;
@@ -47,16 +48,6 @@ pub(crate) const CHUNK_BLOCKS: usize = 64;
 /// chunk of entries. A transaction with more spills them into further
 /// chunks, exactly as it does its blocks.
 pub(crate) const CHUNK_REVOKES: usize = (JD_BUDGET - CHUNK_BLOCKS * ENTRY_BYTES) / REVOKE_BYTES;
-
-/// FNV-1a 64-bit checksum of a block's content.
-pub fn block_checksum(data: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in data {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// One mapping entry of a JD: a whole-block copy in the journal area.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -152,7 +143,7 @@ impl JdBlock {
         // The checksum protects the JD itself against torn writes — and
         // is all the validity evidence a transaction made of patches
         // alone has, so it covers every patch body.
-        let hsum = block_checksum(&b[0..off]);
+        let hsum = fnv1a64(&b[0..off]);
         let end = BLOCK_SIZE as usize;
         b[end - 8..end].copy_from_slice(&hsum.to_le_bytes());
         b
@@ -198,7 +189,7 @@ impl JdBlock {
             });
             off = body + len;
         }
-        if block_checksum(&b[0..off]) != le_u64(b, BLOCK_SIZE as usize - 8) {
+        if fnv1a64(&b[0..off]) != le_u64(b, BLOCK_SIZE as usize - 8) {
             return None;
         }
         let entries = (0..n_entries)
@@ -234,7 +225,7 @@ pub fn encode_commit_record(tx_id: u64) -> Vec<u8> {
     let mut b = vec![0u8; BLOCK_SIZE as usize];
     b[0..8].copy_from_slice(&COMMIT_MAGIC.to_le_bytes());
     b[8..16].copy_from_slice(&tx_id.to_le_bytes());
-    let sum = block_checksum(&b[0..16]);
+    let sum = fnv1a64(&b[0..16]);
     b[16..24].copy_from_slice(&sum.to_le_bytes());
     b
 }
@@ -244,7 +235,7 @@ pub fn decode_commit_record(b: &[u8]) -> Option<u64> {
     if b.len() != BLOCK_SIZE as usize || le_u64(b, 0) != COMMIT_MAGIC {
         return None;
     }
-    (block_checksum(&b[0..16]) == le_u64(b, 16)).then(|| le_u64(b, 8))
+    (fnv1a64(&b[0..16]) == le_u64(b, 16)).then(|| le_u64(b, 8))
 }
 
 /// Serializes the journal horizon (replay floor): transactions with an
@@ -256,7 +247,7 @@ pub fn encode_horizon(h: u64) -> Vec<u8> {
     let mut b = vec![0u8; BLOCK_SIZE as usize];
     b[0..8].copy_from_slice(&HORIZON_MAGIC.to_le_bytes());
     b[8..16].copy_from_slice(&h.to_le_bytes());
-    let sum = block_checksum(&b[0..16]);
+    let sum = fnv1a64(&b[0..16]);
     b[16..24].copy_from_slice(&sum.to_le_bytes());
     b
 }
@@ -265,7 +256,7 @@ pub fn encode_horizon(h: u64) -> Vec<u8> {
 pub fn decode_horizon(b: &[u8]) -> u64 {
     if b.len() != BLOCK_SIZE as usize
         || le_u64(b, 0) != HORIZON_MAGIC
-        || block_checksum(&b[0..16]) != le_u64(b, 16)
+        || fnv1a64(&b[0..16]) != le_u64(b, 16)
     {
         return 0;
     }
@@ -376,7 +367,7 @@ mod tests {
             ..JdBlock::default()
         };
         let reseal = |b: &mut [u8], body: usize| {
-            let sum = block_checksum(&b[..body]);
+            let sum = fnv1a64(&b[..body]);
             b[4088..].copy_from_slice(&sum.to_le_bytes());
         };
         let good = jd.encode();
@@ -417,10 +408,10 @@ mod tests {
     #[test]
     fn checksum_detects_single_bit_flips() {
         let data = vec![3u8; 4096];
-        let base = block_checksum(&data);
+        let base = fnv1a64(&data);
         let mut tweaked = data.clone();
         tweaked[1000] ^= 1;
-        assert_ne!(base, block_checksum(&tweaked));
+        assert_ne!(base, fnv1a64(&tweaked));
     }
 
     #[test]

@@ -43,7 +43,6 @@ use ccnvme_block::BioBuf;
 pub use area::AreaSpec;
 pub use ccnvme_block::BioStatus;
 pub use classic::{ClassicJournal, CommitStyle};
-pub use format::block_checksum;
 pub use mq::MqJournal;
 pub use nojournal::NoJournal;
 pub use ranges::ByteRanges;

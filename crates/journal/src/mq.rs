@@ -62,8 +62,8 @@ use std::{
     },
 };
 
-use ccnvme_block::{Bio, BioBuf, BioFlags, BioStatus, BioWaiter};
-use ccnvme_obs::{Counter, EventKind, Histogram, Obs, TraceEvent};
+use ccnvme_block::{flush_cache, Bio, BioBuf, BioFlags, BioStatus, BioWaiter};
+use ccnvme_obs::{seal::fnv1a64, Counter, EventKind, Histogram, Obs, TraceEvent};
 use ccnvme_runtime::RtMutex;
 
 use crate::{
@@ -424,7 +424,7 @@ impl MqJournal {
             jd.entries.push(JdEntry {
                 final_lba: blk.final_lba,
                 journal_lba,
-                checksum: format::block_checksum(&blk.buf.lock()),
+                checksum: fnv1a64(&blk.buf.lock()),
             });
             members.push(member(journal_lba, &blk.buf));
         }
@@ -571,14 +571,10 @@ impl MqJournal {
                 waiter.attach(&mut bio);
                 inner.dev.submit_bio(bio);
             }
-            let mut landed = waiter.wait().is_ok();
-            if landed && inner.dev.has_volatile_cache() {
-                let fw = BioWaiter::new();
-                let mut flush = Bio::flush();
-                fw.attach(&mut flush);
-                inner.dev.submit_bio(flush);
-                landed = fw.wait().is_ok();
-            }
+            let landed = waiter
+                .wait()
+                .and_then(|()| flush_cache(&*inner.dev))
+                .is_ok();
             // Record the new floors — of images that are home for sure.
             for (lba, tx_id, _image) in &to_write {
                 let mut tree = inner.trees[tree_index(*lba)].lock();
@@ -758,23 +754,23 @@ impl Journal for MqJournal {
         // Atomicity is reached the moment submit_bio returned for the
         // last commit request (the two MMIOs of §4). Durability waits
         // for completion of every chunk.
-        let failed = waiters.iter().find(|w| match durability {
-            Durability::Durable => w.wait().is_err(),
+        let failed = waiters.iter().find_map(|w| match durability {
+            Durability::Durable => w.wait().err(),
             // fatomic: errors normally surface asynchronously (at the
             // next checkpoint), but pick up anything already known.
-            Durability::Atomic => w.first_error().is_some(),
+            Durability::Atomic => w.first_error(),
         });
         // Without shadow paging the frozen pages thaw only now — after
         // the journal writes (the +MQJournal ablation's remaining cost).
         tx.run_unpin();
-        if let Some(w) = failed {
+        if let Some(status) = failed {
             // The driver failed the whole ccNVMe transaction (one member
             // hit an unrecoverable error). Its journal records are dead;
             // abort the journal.
             // ord: SeqCst — abort must publish before any later commit
             // on another queue can report success.
             self.inner.aborted.store(true, Ordering::SeqCst);
-            return Err(CommitError::Io(w.first_error().unwrap_or(BioStatus::Error)));
+            return Err(CommitError::Io(status));
         }
         self.inner.commits.inc();
         self.inner.commit_hist.record(ccnvme_runtime::now() - t0);

@@ -13,7 +13,7 @@ use std::{
     },
 };
 
-use ccnvme_block::{Bio, BioFlags, BioStatus, BioWaiter};
+use ccnvme_block::{flush_cache, Bio, BioFlags, BioStatus, BioWaiter};
 
 use crate::{
     recover::RecoveredUpdate, CommitError, Dev, Durability, Journal, ReuseAction, TxDescriptor,
@@ -36,8 +36,7 @@ impl NoJournal {
         }
     }
 
-    fn fail(&self, w: &BioWaiter, tx: &mut TxDescriptor) -> CommitError {
-        let status = w.first_error().unwrap_or(BioStatus::Error);
+    fn fail(&self, status: BioStatus, tx: &mut TxDescriptor) -> CommitError {
         // ord: SeqCst — abort must publish before any later commit
         // on another thread can report success.
         self.aborted.store(true, Ordering::SeqCst);
@@ -67,8 +66,8 @@ impl Journal for NoJournal {
                 waiter.attach(&mut bio);
                 self.dev.submit_bio(bio);
             }
-            if waiter.wait().is_err() {
-                return Err(self.fail(&waiter, &mut tx));
+            if let Err(status) = waiter.wait() {
+                return Err(self.fail(status, &mut tx));
             }
         }
         if !tx.meta.is_empty() {
@@ -78,17 +77,13 @@ impl Journal for NoJournal {
                 waiter.attach(&mut bio);
                 self.dev.submit_bio(bio);
             }
-            if waiter.wait().is_err() {
-                return Err(self.fail(&waiter, &mut tx));
+            if let Err(status) = waiter.wait() {
+                return Err(self.fail(status, &mut tx));
             }
         }
-        if durability == Durability::Durable && self.dev.has_volatile_cache() {
-            let waiter = BioWaiter::new();
-            let mut flush = Bio::flush();
-            waiter.attach(&mut flush);
-            self.dev.submit_bio(flush);
-            if waiter.wait().is_err() {
-                return Err(self.fail(&waiter, &mut tx));
+        if durability == Durability::Durable {
+            if let Err(status) = flush_cache(&*self.dev) {
+                return Err(self.fail(status, &mut tx));
             }
         }
         tx.run_unpin();

@@ -26,7 +26,8 @@ use std::{
     sync::Arc,
 };
 
-use ccnvme_block::{submit_and_wait, Bio, BioBuf, BioFlags, BioStatus, BioWaiter, BLOCK_SIZE};
+use ccnvme_block::{flush_cache, read_block, submit_and_wait, Bio, BioFlags, BioStatus};
+use ccnvme_obs::seal::fnv1a64;
 
 use crate::{
     area::AreaSpec,
@@ -55,17 +56,10 @@ pub struct RecoveredUpdate {
     pub tx_id: u64,
 }
 
-/// Reads one block from the device.
-fn read_block(dev: &Dev, lba: u64) -> Vec<u8> {
-    let buf: BioBuf = Arc::new(parking_lot::Mutex::new(vec![0u8; BLOCK_SIZE as usize]));
-    submit_and_wait(&**dev, Bio::read(lba, Arc::clone(&buf)));
-    let data = buf.lock().clone();
-    data
-}
-
-/// Reads the persistent replay floor at `horizon_lba`.
+/// Reads the persistent replay floor at `horizon_lba`; a block that
+/// cannot be read holds no floor (replay everything), like a blank one.
 pub fn read_horizon(dev: &Dev, horizon_lba: u64) -> u64 {
-    format::decode_horizon(&read_block(dev, horizon_lba))
+    read_block(&**dev, horizon_lba).map_or(0, |b| format::decode_horizon(&b))
 }
 
 /// Writes `h` as the persistent replay floor at `horizon_lba` (FUA) and
@@ -73,20 +67,12 @@ pub fn read_horizon(dev: &Dev, horizon_lba: u64) -> u64 {
 /// the caller must neither remember `h` as written nor reuse journal
 /// space that only `h` protects.
 pub(crate) fn write_horizon(dev: &Dev, horizon_lba: u64, h: u64) -> Result<(), BioStatus> {
-    let buf: BioBuf = Arc::new(parking_lot::Mutex::new(format::encode_horizon(h)));
-    let flags = BioFlags {
-        preflush: false,
+    let buf = Arc::new(parking_lot::Mutex::new(format::encode_horizon(h)));
+    let fua = BioFlags {
         fua: true,
-        tx: false,
-        tx_commit: false,
+        ..BioFlags::NONE
     };
-    let waiter = BioWaiter::new();
-    let mut bio = Bio::write(horizon_lba, buf, flags);
-    waiter.attach(&mut bio);
-    dev.submit_bio(bio);
-    waiter
-        .wait()
-        .map_err(|_| waiter.first_error().unwrap_or(BioStatus::Error))
+    submit_and_wait(&**dev, Bio::write(horizon_lba, buf, fua))
 }
 
 /// Scans `areas` and produces the ordered, validated update list.
@@ -97,12 +83,15 @@ pub fn recover_areas(
     min_tx: u64,
     discard: &HashSet<u64>,
 ) -> Vec<RecoveredUpdate> {
-    // Pass 1: find all JDs and (classic) commit records.
+    // Pass 1: find all JDs and (classic) commit records. A block that
+    // cannot be read is no record.
     let mut jds: Vec<JdBlock> = Vec::new();
     let mut commits: HashSet<u64> = HashSet::new();
     for area in areas {
         for i in 0..area.len {
-            let raw = read_block(dev, area.start + i);
+            let Ok(raw) = read_block(&**dev, area.start + i) else {
+                continue;
+            };
             if let Some(jd) = JdBlock::decode(&raw) {
                 jds.push(jd);
             } else if let Some(tx_id) = format::decode_commit_record(&raw) {
@@ -121,12 +110,11 @@ pub fn recover_areas(
         }
         let mut contents = Vec::with_capacity(jd.entries.len());
         for e in &jd.entries {
-            let data = read_block(dev, e.journal_lba);
-            if format::block_checksum(&data) != e.checksum {
+            match read_block(&**dev, e.journal_lba) {
+                Ok(data) if fnv1a64(&data) == e.checksum => contents.push(data),
                 // Torn transaction: some journaled block never landed.
-                continue 'jd;
+                _ => continue 'jd,
             }
-            contents.push(data);
         }
         valid.push((jd, contents));
     }
@@ -169,8 +157,14 @@ pub fn recover_areas(
     let mut updates: Vec<RecoveredUpdate> = homes
         .into_iter()
         .map(|(final_lba, home)| {
-            let (mut tx_id, mut data) =
-                home.base.unwrap_or_else(|| (0, read_block(dev, final_lba)));
+            let (mut tx_id, mut data) = home.base.unwrap_or_else(|| {
+                // Patches need the block they patch: like any metadata
+                // read, a failure here is a modeled kernel panic.
+                match read_block(&**dev, final_lba) {
+                    Ok(at_home) => (0, at_home),
+                    Err(st) => panic!("metadata read failed at lba {final_lba}: {st:?}"),
+                }
+            });
             let base_tx = tx_id;
             for (t, p) in home.patches.iter().filter(|(t, _)| *t > base_tx) {
                 let at = p.offset as usize;
@@ -192,23 +186,11 @@ pub fn recover_areas(
 /// and the mount degrades to read-only.
 const REPLAY_ATTEMPTS: u32 = 3;
 
-/// One full-block write with bounded transparent retries; returns the
+/// Runs `io` up to [`REPLAY_ATTEMPTS`] times, until it succeeds; the
 /// last status when every attempt failed.
-fn write_with_retry(dev: &Dev, lba: u64, data: &[u8]) -> Result<(), ccnvme_block::BioStatus> {
-    use ccnvme_block::{BioFlags, BioStatus, BioWaiter};
-    let mut last = BioStatus::Error;
-    for _ in 0..REPLAY_ATTEMPTS {
-        let waiter = BioWaiter::new();
-        let buf: BioBuf = Arc::new(parking_lot::Mutex::new(data.to_vec()));
-        let mut bio = Bio::write(lba, buf, BioFlags::NONE);
-        waiter.attach(&mut bio);
-        dev.submit_bio(bio);
-        if waiter.wait().is_ok() {
-            return Ok(());
-        }
-        last = waiter.first_error().unwrap_or(BioStatus::Error);
-    }
-    Err(last)
+fn with_retry(mut io: impl FnMut() -> Result<(), BioStatus>) -> Result<(), BioStatus> {
+    let first = io();
+    (1..REPLAY_ATTEMPTS).fold(first, |res, _| res.or_else(|_| io()))
 }
 
 /// Applies recovered updates to the device and flushes.
@@ -224,30 +206,15 @@ fn write_with_retry(dev: &Dev, lba: u64, data: &[u8]) -> Result<(), ccnvme_block
 /// [`REPLAY_ATTEMPTS`] times; an exhausted retry budget returns the
 /// failing status so the mount can degrade to read-only instead of
 /// presenting a half-replayed file system as healthy.
-pub fn replay_updates(
-    dev: &Dev,
-    updates: &[RecoveredUpdate],
-) -> Result<(), ccnvme_block::BioStatus> {
-    use ccnvme_block::{BioStatus, BioWaiter};
+pub fn replay_updates(dev: &Dev, updates: &[RecoveredUpdate]) -> Result<(), BioStatus> {
     if updates.is_empty() {
         return Ok(());
     }
     for u in updates {
-        write_with_retry(dev, u.final_lba, &u.data)?;
+        with_retry(|| {
+            let buf = Arc::new(parking_lot::Mutex::new(u.data.clone()));
+            submit_and_wait(&**dev, Bio::write(u.final_lba, buf, BioFlags::NONE))
+        })?;
     }
-    if dev.has_volatile_cache() {
-        let mut last = BioStatus::Error;
-        for _ in 0..REPLAY_ATTEMPTS {
-            let fw = BioWaiter::new();
-            let mut flush = Bio::flush();
-            fw.attach(&mut flush);
-            dev.submit_bio(flush);
-            if fw.wait().is_ok() {
-                return Ok(());
-            }
-            last = fw.first_error().unwrap_or(BioStatus::Error);
-        }
-        return Err(last);
-    }
-    Ok(())
+    with_retry(|| flush_cache(&**dev))
 }

@@ -44,10 +44,7 @@ fn tx_with(journal: &dyn Journal, metas: &[(u64, u8)], datas: &[(u64, u8)]) -> T
 }
 
 fn read_block(dev: &Arc<dyn BlockDevice>, lba: u64) -> Vec<u8> {
-    let buf = block(0);
-    submit_and_wait(&**dev, Bio::read(lba, Arc::clone(&buf)));
-    let data = buf.lock().clone();
-    data
+    ccnvme_block::read_block(&**dev, lba).expect("read back")
 }
 
 /// First byte of a block (the tests fill whole blocks with one byte).
@@ -237,9 +234,7 @@ fn mq_cross_area_conflict_resolved_by_tx_id() {
         }
         journal.checkpoint_all();
         // Whatever landed at home must be the highest tx id ever logged.
-        let buf = block(0);
-        submit_and_wait(&*dev, Bio::read(40, Arc::clone(&buf)));
-        let stamped = u64::from_le_bytes(buf.lock()[1..9].try_into().unwrap());
+        let stamped = u64::from_le_bytes(read_block(&dev, 40)[1..9].try_into().unwrap());
         assert_eq!(stamped, 20, "newest of 20 transactions wins");
     });
     sim.run();
@@ -274,9 +269,10 @@ fn mq_selective_revocation_prevents_stale_replay() {
         submit_and_wait(
             &*dev,
             Bio::write(50, block(0x42), ccnvme_block::BioFlags::NONE),
-        );
+        )
+        .expect("data write");
         // Crash before the data is flushed? Use a flush for durability.
-        submit_and_wait(&*dev, Bio::flush());
+        submit_and_wait(&*dev, Bio::flush()).expect("flush");
         let image = drv.controller().power_fail(CrashMode::adversarial(4));
         let (_d2, dev2, report) = reboot_cc(&image, profile);
         let areas2 = AreaSpec::split(JOURNAL_START, JOURNAL_LEN, CORES);
@@ -789,7 +785,8 @@ fn horizon_excludes_old_transactions_from_replay() {
                     tx_commit: false,
                 },
             ),
-        );
+        )
+        .expect("write");
         let updates = journal.recover(&HashSet::new());
         assert!(
             updates.iter().all(|u| u.tx_id > old_id),
@@ -1109,7 +1106,8 @@ fn mq_patches_ride_in_the_jd_and_replay_over_home_or_a_full_copy() {
         submit_and_wait(
             &*dev,
             Bio::write(300, block(0x11), ccnvme_block::BioFlags::NONE),
-        );
+        )
+        .expect("write");
         let whole = tx_with(&journal, &[(301, 0x22)], &[]);
         journal
             .commit_tx(whole, Durability::Durable)

@@ -19,7 +19,7 @@ use std::{
     sync::Arc,
 };
 
-use ccnvme_block::{submit_and_wait, Bio, BioBuf, BioStatus, BLOCK_SIZE};
+use ccnvme_block::{read_block, BioBuf, BLOCK_SIZE};
 use ccnvme_runtime::{RtCondvar, RtMutex};
 use mqfs_journal::{ByteRanges, Dev};
 use parking_lot::Mutex;
@@ -235,16 +235,15 @@ impl BufferCache {
             blk.acquire();
             let still_needs = !blk.data.lock().loaded;
             if still_needs {
-                let buf: BioBuf = Arc::new(Mutex::new(vec![0u8; BLOCK_SIZE as usize]));
-                let status = submit_and_wait(&*self.dev, Bio::read(lba, Arc::clone(&buf)));
                 // A metadata read error is modeled as a kernel panic
                 // (ext4 errors=panic): serving zeroed metadata would be
                 // corruption, and threading fallibility through every
                 // bitmap/pointer access is not worth it for the model.
                 // Data-block read errors DO propagate as EIO (fs.rs).
-                assert_eq!(status, BioStatus::Ok, "metadata read failed at lba {lba}");
+                let data = read_block(&*self.dev, lba)
+                    .unwrap_or_else(|st| panic!("metadata read failed at lba {lba}: {st:?}"));
                 let mut d = blk.data.lock();
-                d.data.copy_from_slice(&buf.lock());
+                d.data = data;
                 d.loaded = true;
             }
             blk.release();
@@ -278,6 +277,7 @@ impl BufferCache {
 
 #[cfg(test)]
 mod tests {
+    use ccnvme_block::{Bio, BioStatus};
     use ccnvme_sim::Sim;
 
     use super::*;

@@ -31,7 +31,7 @@ use std::{
     },
 };
 
-use ccnvme_block::{submit_and_wait, Bio, BioBuf, BioStatus, BLOCK_SIZE};
+use ccnvme_block::{flush_cache, read_block, submit_and_wait, Bio, BioBuf, BLOCK_SIZE};
 use ccnvme_obs::{Counter, Histogram};
 use ccnvme_runtime::{Ns, RtMutex, RtRwLock};
 use mqfs_journal::{
@@ -317,12 +317,12 @@ impl FileSystem {
         let layout = Layout::new(dev.capacity_blocks(), cfg.journal_blocks);
         // Write the superblock and a blank horizon directly.
         let sb: BioBuf = Arc::new(Mutex::new(layout.encode_superblock()));
-        submit_and_wait(
+        let _ = submit_and_wait(
             &*dev,
             Bio::write(layout.superblock(), sb, ccnvme_block::BioFlags::NONE),
         );
         let hz: BioBuf = Arc::new(Mutex::new(vec![0u8; BLOCK_SIZE as usize]));
-        submit_and_wait(
+        let _ = submit_and_wait(
             &*dev,
             Bio::write(layout.horizon(), hz, ccnvme_block::BioFlags::NONE),
         );
@@ -346,9 +346,7 @@ impl FileSystem {
             fs.dev.submit_bio(bio);
         }
         let _ = waiter.wait();
-        if fs.dev.has_volatile_cache() {
-            submit_and_wait(&*fs.dev, Bio::flush());
-        }
+        let _ = flush_cache(&*fs.dev);
         fs
     }
 
@@ -357,15 +355,8 @@ impl FileSystem {
     /// window (empty for the baseline variants).
     pub fn mount(dev: Dev, cfg: FsConfig, discard: &HashSet<u64>) -> FsResult<Arc<FileSystem>> {
         // Read the superblock directly.
-        let sb_buf: BioBuf = Arc::new(Mutex::new(vec![0u8; BLOCK_SIZE as usize]));
-        let status = submit_and_wait(&*dev, Bio::read(0, Arc::clone(&sb_buf)));
-        if status != BioStatus::Ok {
-            return Err(FsError::Io);
-        }
-        let layout = {
-            let b = sb_buf.lock();
-            Layout::decode_superblock(&b).ok_or(FsError::Io)?
-        };
+        let sb = read_block(&*dev, 0).map_err(|_| FsError::Io)?;
+        let layout = Layout::decode_superblock(&sb).ok_or(FsError::Io)?;
         let journal = build_journal(&cfg, &dev, &layout);
         // Journal recovery: replay valid transactions in ID order.
         let updates = journal.recover(discard);
@@ -450,9 +441,7 @@ impl FileSystem {
         self.journal.checkpoint_all();
         self.journal.shutdown();
         // Final durability barrier.
-        if self.dev.has_volatile_cache() {
-            submit_and_wait(&*self.dev, Bio::flush());
-        }
+        let _ = flush_cache(&*self.dev);
     }
 
     /// The configured variant.
@@ -753,15 +742,7 @@ impl FileSystem {
 
     fn read_page_from_disk(&self, st: &InodeSt, fb: u64) -> FsResult<Vec<u8>> {
         match self.bmap(st, fb) {
-            Some(lba) => {
-                let buf: BioBuf = Arc::new(Mutex::new(vec![0u8; BLOCK_SIZE as usize]));
-                let status = submit_and_wait(&*self.dev, Bio::read(lba, Arc::clone(&buf)));
-                if status != BioStatus::Ok {
-                    return Err(FsError::Io);
-                }
-                let v = buf.lock().clone();
-                Ok(v)
-            }
+            Some(lba) => read_block(&*self.dev, lba).map_err(|_| FsError::Io),
             None => Ok(vec![0u8; BLOCK_SIZE as usize]),
         }
     }
@@ -999,10 +980,7 @@ impl FileSystem {
         if pst.dir.as_ref().expect("loaded").contains(name) {
             return Err(FsError::Exists);
         }
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in name.bytes() {
-            h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        let h = ccnvme_obs::seal::fnv1a64(name.as_bytes());
         let goal = (h ^ parent.wrapping_mul(0x9e37)) % self.layout.ninodes;
         let mut ws = WriteSet::default();
         let ino = self.alloc.alloc_inode_near(goal, &mut ws)?;

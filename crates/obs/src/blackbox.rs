@@ -16,8 +16,9 @@
 //!
 //! Layout (one 64 B header + [`BLACKBOX_SLOTS`] 64 B record slots):
 //! every slot is self-describing — it embeds its own global sequence
-//! number — and sealed exactly like an SQE: the PMR recovery generation
-//! at bytes 52..56 and an FNV-1a checksum over bytes 0..56 at 56..60.
+//! number — and sealed exactly like an SQE, by [`crate::seal::seal_line`]:
+//! the PMR recovery generation at bytes 52..56 and an FNV-1a checksum
+//! over bytes 0..56 at 56..60.
 //! Mounting is a pure read: scan the slots, drop the ones whose seal
 //! fails (torn by the cut, or stale from a previous life of the ring),
 //! sort by sequence. Torn tails and lapped writers need no cursor word
@@ -33,6 +34,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use parking_lot::Mutex;
 
 use crate::ctx::TraceCtx;
+use crate::seal::{seal_line, sealed_epoch, verify_line};
 use crate::trace::{EventKind, TraceEvent};
 use crate::Ns;
 
@@ -55,40 +57,6 @@ pub const BLACKBOX_MAGIC: u64 = u64::from_le_bytes(*b"ccBBOX01");
 /// recorder's hot-path tax is a few tens of ns per record instead of a
 /// full MMIO op each.
 pub const BATCH_RECORDS: usize = 8;
-
-/// Byte offset of the seal epoch within a record (mirrors the SQE seal).
-const SEAL_EPOCH_OFF: usize = 52;
-/// Byte offset of the seal checksum within a record.
-const SEAL_CSUM_OFF: usize = 56;
-
-/// 32-bit FNV-1a, the same function the SQE and ploc seals use.
-fn fnv1a(bytes: &[u8]) -> u32 {
-    let mut h: u32 = 0x811c_9dc5;
-    for b in bytes {
-        h ^= *b as u32;
-        h = h.wrapping_mul(0x0100_0193);
-    }
-    h
-}
-
-/// Seals a 64 B blackbox line: epoch into bytes 52..56, FNV-1a over
-/// bytes 0..56 into 56..60 (identical offsets to `seal_sqe`).
-fn seal(raw: &mut [u8; 64], epoch: u32) {
-    raw[SEAL_EPOCH_OFF..SEAL_EPOCH_OFF + 4].copy_from_slice(&epoch.to_le_bytes());
-    let sum = fnv1a(&raw[..SEAL_CSUM_OFF]);
-    raw[SEAL_CSUM_OFF..SEAL_CSUM_OFF + 4].copy_from_slice(&sum.to_le_bytes());
-}
-
-/// Whether a 64 B line's checksum is whole (not torn mid-write).
-fn seal_whole(raw: &[u8; 64]) -> bool {
-    let sum = u32::from_le_bytes(raw[SEAL_CSUM_OFF..SEAL_CSUM_OFF + 4].try_into().unwrap());
-    fnv1a(&raw[..SEAL_CSUM_OFF]) == sum
-}
-
-/// The epoch a sealed line was stamped with.
-fn seal_epoch(raw: &[u8; 64]) -> u32 {
-    u32::from_le_bytes(raw[SEAL_EPOCH_OFF..SEAL_EPOCH_OFF + 4].try_into().unwrap())
-}
 
 /// Destination a [`Blackbox`] posts its records into. Implemented by
 /// the PMR MMIO region; deliberately write-only — the recorder has no
@@ -124,14 +92,14 @@ fn encode_record(seq: u64, ev: &TraceEvent, epoch: u32) -> [u8; 64] {
     raw[36..44].copy_from_slice(&ev.ctx.trace_id.to_le_bytes());
     raw[44..48].copy_from_slice(&ev.ctx.span.to_le_bytes());
     raw[48..52].copy_from_slice(&ev.ctx.origin.to_le_bytes());
-    seal(&mut raw, epoch);
+    seal_line(&mut raw, epoch);
     raw
 }
 
 /// Decodes a sealed record slot; `None` if the slot is torn, stale
 /// (wrong epoch), or carries an unknown event kind.
 fn decode_record(raw: &[u8; 64], epoch: u32) -> Option<BlackboxRecord> {
-    if !seal_whole(raw) || seal_epoch(raw) != epoch {
+    if !verify_line(raw, epoch) {
         return None;
     }
     let kind = EventKind::from_code(raw[16])?;
@@ -215,7 +183,7 @@ impl Blackbox {
         let mut h = [0u8; 64];
         h[0..8].copy_from_slice(&BLACKBOX_MAGIC.to_le_bytes());
         h[8..12].copy_from_slice(&BLACKBOX_SLOTS.to_le_bytes());
-        seal(&mut h, epoch);
+        seal_line(&mut h, epoch);
         sink.post(base, &h);
         Arc::new(Blackbox {
             sink: Arc::downgrade(&sink),
@@ -356,10 +324,9 @@ pub fn mount(region: &[u8]) -> Result<BlackboxMount, String> {
     if magic != BLACKBOX_MAGIC {
         return Err("blackbox header magic missing (region never formatted)".into());
     }
-    if !seal_whole(&header) {
+    let Some(epoch) = sealed_epoch(&header) else {
         return Err("blackbox header seal torn".into());
-    }
-    let epoch = seal_epoch(&header);
+    };
     let slots = u32::from_le_bytes(header[8..12].try_into().unwrap());
     if slots == 0 || slots > BLACKBOX_SLOTS {
         return Err(format!("blackbox header slot count {slots} out of range"));

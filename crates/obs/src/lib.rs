@@ -28,6 +28,9 @@
 //!   only on the posted path.
 //! * [`forensics`] — post-crash timeline reconstruction and per-tx
 //!   verdicts over a mounted blackbox ring.
+//! * [`seal`] — the stack's one checksum (FNV-1a, 32- and 64-bit) and
+//!   its one 64 B PMR line seal, shared by the SQE ring, ploc, the
+//!   blackbox, the journal, the fabric codec and the cluster records.
 //!
 //! Time stamps are passed in by callers as plain nanosecond integers, so
 //! every layer of the stack can report into the crate. Its one dependency
@@ -42,6 +45,7 @@ pub mod forensics;
 pub mod json;
 pub mod metrics;
 pub mod registry;
+pub mod seal;
 mod sync_shim;
 pub mod trace;
 

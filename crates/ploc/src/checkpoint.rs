@@ -2,10 +2,10 @@
 //!
 //! A [`Checkpoint<T>`] is one sealed 64-byte PMR record: a sequence
 //! number plus a 40-byte body, stamped with the region generation and an
-//! FNV-1a seal exactly like a ccNVMe SQE slot (`crates/core` §4.2), so a
-//! torn record or one from a previous life of the region fails
-//! verification instead of being replayed. Each client owns two
-//! checkpoint slots:
+//! FNV-1a seal by the function that seals a ccNVMe SQE slot
+//! ([`ccnvme_obs::seal::seal_line`]), so a torn record or one from a
+//! previous life of the region fails verification instead of being
+//! replayed. Each client owns two checkpoint slots:
 //!
 //! * **INTENT** — `Checkpoint<PlocOp>`, written (posted, unflushed)
 //!   before the operation executes. Durable intent without a durable
@@ -20,7 +20,7 @@
 //! watermarks) decides *exactly one* of Completed-with-result or
 //! NotExecuted — never "maybe".
 
-use ccnvme::layout::{seal_sqe, verify_sqe};
+use ccnvme_obs::seal::{seal_line, verify_line};
 
 /// Byte offset of the sequence number inside a record.
 const SEQ_OFF: usize = 8;
@@ -62,14 +62,14 @@ impl<T: Memento> Checkpoint<T> {
         let mut body = [0u8; BODY_LEN];
         self.body.encode_body(&mut body);
         raw[BODY_OFF..BODY_OFF + BODY_LEN].copy_from_slice(&body);
-        seal_sqe(&mut raw, generation);
+        seal_line(&mut raw, generation);
         raw
     }
 
     /// Verifies the seal against `generation` and parses. `None` for a
     /// torn, stale-generation, never-written or wrong-kind record.
     pub fn decode(raw: &[u8; 64], generation: u32) -> Option<Checkpoint<T>> {
-        if !verify_sqe(raw, generation) || raw[0] != T::KIND {
+        if !verify_line(raw, generation) || raw[0] != T::KIND {
             return None;
         }
         let seq = u32::from_le_bytes(raw[SEQ_OFF..SEQ_OFF + 4].try_into().expect("4 bytes"));

@@ -33,7 +33,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use ccnvme::layout::{seal_sqe, verify_sqe};
+use ccnvme_obs::seal::{seal_line, sealed_epoch};
 use ccnvme_obs::{Counter, Obs};
 use ccnvme_pcie::MmioRegion;
 use ccnvme_runtime::{RtMutex, RtMutexGuard};
@@ -130,18 +130,14 @@ impl PlocGeometry {
         h[8..10].copy_from_slice(&self.clients.to_le_bytes());
         h[12..16].copy_from_slice(&self.pool.to_le_bytes());
         h[16..20].copy_from_slice(&self.buckets.to_le_bytes());
-        seal_sqe(&mut h, generation);
+        seal_line(&mut h, generation);
         h
     }
 
-    /// Parses a header read back from the PMR. The generation lives in
-    /// the seal epoch bytes, so decode reads it first and then verifies
-    /// the seal against it — an unformatted or torn header fails.
+    /// Parses a header read back from the PMR. The generation is the
+    /// seal's epoch — an unformatted or torn header fails.
     pub fn decode_header(h: &[u8; 64]) -> Option<(PlocGeometry, u32)> {
-        let generation = u32::from_le_bytes(h[52..56].try_into().expect("4 bytes"));
-        if !verify_sqe(h, generation) {
-            return None;
-        }
+        let generation = sealed_epoch(h)?;
         if u64::from_le_bytes(h[0..8].try_into().expect("8 bytes")) != PLOC_MAGIC {
             return None;
         }

@@ -112,21 +112,13 @@ impl BlockStore {
         self.st.lock().total_flushes
     }
 
-    /// Simulates power loss: each cached write independently survives
-    /// with probability `keep_prob` (deterministic under `seed`), the
-    /// rest are lost. Returns the durable image for the reboot.
+    /// Simulates power loss: the [`BlockStore::crash_snapshot`] becomes
+    /// the durable media and the cache is lost. Returns the durable
+    /// image for the reboot.
     pub fn crash(&self, seed: u64, keep_prob: f64) -> HashMap<u64, Vec<u8>> {
         let mut st = self.st.lock();
-        let mut rng = DetRng::new(seed);
-        // Drain in deterministic (sorted) order so the surviving subset
-        // depends only on the seed, not HashMap iteration order.
-        let mut entries: Vec<(u64, Vec<u8>)> = st.volatile.drain().collect();
-        entries.sort_by_key(|(lba, _)| *lba);
-        for (lba, data) in entries {
-            if rng.chance(keep_prob) {
-                st.durable.insert(lba, data);
-            }
-        }
+        st.durable = st.snapshot(seed, keep_prob);
+        st.volatile.clear();
         st.durable.clone()
     }
 
@@ -136,13 +128,21 @@ impl BlockStore {
     }
 
     /// Non-destructive crash snapshot: what the durable media would hold
-    /// if power failed right now (durable blocks plus a seeded random
-    /// subset of the volatile cache). The store keeps running.
+    /// if power failed right now. The store keeps running.
     pub fn crash_snapshot(&self, seed: u64, keep_prob: f64) -> HashMap<u64, Vec<u8>> {
-        let st = self.st.lock();
+        self.st.lock().snapshot(seed, keep_prob)
+    }
+}
+
+impl StoreState {
+    /// The durable blocks plus the cached writes that survive a power
+    /// cut, each independently with probability `keep_prob`. Drawn in
+    /// LBA order, so the subset depends only on `seed`, not on HashMap
+    /// iteration order.
+    fn snapshot(&self, seed: u64, keep_prob: f64) -> HashMap<u64, Vec<u8>> {
         let mut rng = DetRng::new(seed);
-        let mut image = st.durable.clone();
-        let mut entries: Vec<(&u64, &Vec<u8>)> = st.volatile.iter().collect();
+        let mut image = self.durable.clone();
+        let mut entries: Vec<(&u64, &Vec<u8>)> = self.volatile.iter().collect();
         entries.sort_by_key(|(lba, _)| **lba);
         for (lba, data) in entries {
             if rng.chance(keep_prob) {
@@ -230,6 +230,22 @@ mod tests {
             survivors
         }
         assert_eq!(run(), run());
+    }
+
+    #[test]
+    fn crash_installs_the_snapshot_it_would_have_taken() {
+        let s = BlockStore::new(false);
+        for lba in 0..32 {
+            s.write_block(lba, &blk(lba as u8), lba % 3 == 0);
+        }
+        s.write_block(7, &blk(0xee), false);
+        let snapshot = s.crash_snapshot(11, 0.5);
+        let image = s.crash(11, 0.5);
+        assert_eq!(snapshot, image);
+        assert_eq!(s.durable_image(), image);
+        assert_eq!(s.dirty_count(), 0);
+        // Some cached writes survived and some did not.
+        assert!(image.len() > 11 && image.len() < 32, "{}", image.len());
     }
 
     #[test]

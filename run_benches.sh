@@ -1,9 +1,12 @@
 #!/bin/bash
-# Runs every figure/table reproduction sequentially; output goes to
-# bench_results_full.txt. CRASH_POINTS trims the Table 4 campaign.
+# Builds and runs every figure/table reproduction sequentially; output
+# goes to bench_results_full.txt at the repository root. CRASH_POINTS
+# trims the Table 4 campaign.
 set -u
+cd "$(dirname "$0")"
+cargo build --release --quiet -p ccnvme-bench --bins || exit 1
 BIN=target/release
-OUT=/root/repo/bench_results_full.txt
+OUT=bench_results_full.txt
 : > "$OUT"
 for b in table3 table1 fig5 fig2 fig10 fig11 fig12 fig13 fig14 table4 fabric ploc cluster runtime; do
   echo "" >> "$OUT"

@@ -126,7 +126,8 @@ fn run_case(
         // them: a patch with no full copy under it lands on that.
         let mut cache: HashMap<u64, Vec<u8>> = HashMap::new();
         for lba in (10u64..22).step_by(2) {
-            submit_and_wait(&*dev, Bio::write(lba, block(lba as u8), BioFlags::NONE));
+            submit_and_wait(&*dev, Bio::write(lba, block(lba as u8), BioFlags::NONE))
+                .expect("seed home block");
             cache.insert(lba, vec![lba as u8; 4096]);
         }
         for spec in &txs {
