@@ -10,7 +10,7 @@ use ccnvme_bench::{
     f1, header, quick, record_run, record_run_seq, row, scaled, write_metrics, Stack, StackConfig,
 };
 use ccnvme_crashtest::{campaign_metrics, run_fault_campaign, FaultCampaignConfig};
-use ccnvme_fault::{FaultKind, FaultPlan, FaultRule, OpMask, Trigger};
+use ccnvme_fault::{FaultCounters, FaultKind, FaultPlan, FaultRule, OpMask, Trigger};
 use ccnvme_sim::Sim;
 use ccnvme_ssd::SsdProfile;
 use ccnvme_workloads::{run_fio, FioConfig, SyncMode};
@@ -54,15 +54,14 @@ fn measure(variant: FsVariant, busy_pct: f64, drop_pct: f64) -> Point {
                 targets: 1,
             },
         );
-        let e = stack.err_stats();
-        let f = stack.fault_stats();
+        let m = stack.metrics();
         let point = Point {
             kiops: res.kiops(),
-            injected: f.total(),
-            retries: e.retries,
-            kicks: e.doorbell_kicks,
+            injected: FaultCounters::media_injections(&m),
+            retries: m.counter("host_err.retries"),
+            kicks: m.counter("host_err.doorbell_kicks"),
         };
-        (point, stack.metrics())
+        (point, m)
     });
     record_run_seq(
         &format!("{variant:?}.busy{busy_pct}_drop{drop_pct}").to_lowercase(),
@@ -125,4 +124,7 @@ fn main() {
     }
     record_run("campaign", campaign_metrics(&reports));
     write_metrics("faultpath");
+    if reports.iter().any(|r| !r.failures.is_empty()) {
+        std::process::exit(1);
+    }
 }

@@ -1,11 +1,21 @@
 //! Figure 14 — Latency breakdown of the fsync/fatomic path: MQFS vs
 //! Ext4-NJ on the Optane 905P. One thread repeatedly creates a file,
-//! writes 4 KB and syncs it.
+//! writes 4 KB and syncs it. Each column is the mean of one of the file
+//! system's always-on `mqfs.sync_*_ns` phase histograms, in whole ns.
 
 use ccnvme_bench::{f0, header, row, scaled, Stack, StackConfig};
+use ccnvme_obs::MetricsSnapshot;
 use ccnvme_sim::Sim;
 use ccnvme_ssd::SsdProfile;
-use mqfs::{FsVariant, FsyncTrace};
+use mqfs::FsVariant;
+
+/// Figure 14's segments (S-iD, S-iM, S-pM, commit+W), in column order.
+const PHASES: [&str; 4] = [
+    "mqfs.sync_data_ns",
+    "mqfs.sync_inode_ns",
+    "mqfs.sync_parent_ns",
+    "mqfs.sync_commit_ns",
+];
 
 #[derive(Clone, Copy, PartialEq)]
 enum SyncKind {
@@ -13,12 +23,27 @@ enum SyncKind {
     Fatomic,
 }
 
-fn run(variant: FsVariant, kind: SyncKind) -> (FsyncTrace, f64) {
+impl SyncKind {
+    fn name(self) -> &'static str {
+        match self {
+            SyncKind::Fsync => "fsync",
+            SyncKind::Fatomic => "fatomic",
+        }
+    }
+}
+
+/// Mean of histogram `name`, truncated to whole ns.
+fn mean_ns(m: &MetricsSnapshot, name: &str) -> u64 {
+    let h = m.histogram(name).expect("registered by the file system");
+    h.sum / h.summary.count
+}
+
+/// Prints one row and returns the mean latency of the whole call (ns).
+fn run(label: &str, variant: FsVariant, kind: SyncKind) -> f64 {
     let iters = scaled(200);
-    let (avg, total, metrics) = Sim::run_main(3, move || {
+    let metrics = Sim::run_main(3, move || {
         let scfg = StackConfig::new(variant, SsdProfile::optane_905p(), 1);
         let (stack, fs) = Stack::format(&scfg);
-        fs.enable_tracing();
         for i in 0..iters {
             let ino = fs.create_path(&format!("/f{i}")).expect("create");
             fs.write(ino, 0, &[0x14u8; 4096]).expect("write");
@@ -27,43 +52,21 @@ fn run(variant: FsVariant, kind: SyncKind) -> (FsyncTrace, f64) {
                 SyncKind::Fatomic => fs.fatomic(ino).expect("fatomic"),
             }
         }
-        let traces = fs.take_traces();
-        let n = traces.len() as f64;
-        let mut avg = FsyncTrace::default();
-        for t in &traces {
-            avg.s_data += t.s_data;
-            avg.s_inode += t.s_inode;
-            avg.s_parent += t.s_parent;
-            avg.commit += t.commit;
-            avg.total += t.total;
-        }
-        avg.s_data = (avg.s_data as f64 / n) as u64;
-        avg.s_inode = (avg.s_inode as f64 / n) as u64;
-        avg.s_parent = (avg.s_parent as f64 / n) as u64;
-        avg.commit = (avg.commit as f64 / n) as u64;
-        let total = avg.total as f64 / n;
-        avg.total = total as u64;
-        (avg, total, stack.metrics())
+        stack.metrics()
     });
-    let sync = match kind {
-        SyncKind::Fsync => "fsync",
-        SyncKind::Fatomic => "fatomic",
-    };
-    ccnvme_bench::record_run_seq(&format!("{variant:?}.{sync}").to_lowercase(), metrics);
-    (avg, total)
-}
-
-fn print_trace(label: &str, t: &FsyncTrace) {
-    row(
-        label,
-        &[
-            f0(t.s_data as f64),
-            f0(t.s_inode as f64),
-            f0(t.s_parent as f64),
-            f0(t.commit as f64),
-            f0(t.total as f64),
-        ],
+    let total = format!("mqfs.{}_ns", kind.name());
+    let cells: Vec<String> = PHASES
+        .into_iter()
+        .chain([total.as_str()])
+        .map(|name| f0(mean_ns(&metrics, name) as f64))
+        .collect();
+    row(label, &cells);
+    let mean = metrics.histogram(&total).expect("registered").summary.mean;
+    ccnvme_bench::record_run_seq(
+        &format!("{variant:?}.{}", kind.name()).to_lowercase(),
+        metrics,
     );
+    mean
 }
 
 fn main() {
@@ -75,12 +78,9 @@ fn main() {
             .map(|s| s.to_string())
             .collect::<Vec<_>>(),
     );
-    let (mqfs_sync, mqfs_total) = run(FsVariant::Mqfs, SyncKind::Fsync);
-    print_trace("MQFS fsync", &mqfs_sync);
-    let (mqfs_atomic, atomic_total) = run(FsVariant::Mqfs, SyncKind::Fatomic);
-    print_trace("MQFS fatomic", &mqfs_atomic);
-    let (nj, nj_total) = run(FsVariant::Ext4NoJournal, SyncKind::Fsync);
-    print_trace("Ext4-NJ fsync", &nj);
+    let mqfs_total = run("MQFS fsync", FsVariant::Mqfs, SyncKind::Fsync);
+    let atomic_total = run("MQFS fatomic", FsVariant::Mqfs, SyncKind::Fatomic);
+    let nj_total = run("Ext4-NJ fsync", FsVariant::Ext4NoJournal, SyncKind::Fsync);
 
     println!();
     println!(

@@ -8,17 +8,17 @@
 //!       └──────────────────────┴──────────────────────┴───────────────┘
 //! ```
 //!
-//! Every record is one self-validating block: magic, payload, FNV-1a
-//! checksum. A freed slot is a zeroed header block — it fails the magic
-//! check, which is the only "free" marker recovery needs. Records are
-//! only ever written as the commit member of a local ccNVMe
-//! transaction, so a crash either leaves the old block (checksum holds,
-//! old state) or the journal replays the new one (checksum holds, new
-//! state); a torn record is impossible by the §4 contract — but the
-//! decoder still refuses one defensively.
+//! Every record is one self-validating block sealed by
+//! [`ccnvme_obs::seal::seal_block`]: magic, payload, FNV-1a checksum. A
+//! freed slot is a zeroed header block — it fails the magic check, which
+//! is the only "free" marker recovery needs. Records are only ever
+//! written as the commit member of a local ccNVMe transaction, so a
+//! crash either leaves the old block (checksum holds, old state) or the
+//! journal replays the new one (checksum holds, new state); a torn record
+//! is impossible by the §4 contract — but the decoder still refuses one
+//! defensively.
 
-use ccnvme_block::BLOCK_SIZE;
-use ccnvme_obs::seal::fnv1a64;
+use ccnvme_obs::seal::{seal_block, sealed_payload};
 
 /// Magic of a live intent-slot header block.
 pub const INTENT_MAGIC: u64 = 0x4343_5458_5052_4550; // "CCTXPREP"
@@ -109,10 +109,8 @@ impl ShardLayout {
     }
 }
 
-fn block_with(payload: &[u8]) -> Vec<u8> {
-    let mut b = vec![0u8; BLOCK_SIZE as usize];
-    b[..payload.len()].copy_from_slice(payload);
-    b
+fn le_u64(b: &[u8], off: usize) -> u64 {
+    u64::from_le_bytes(b[off..off + 8].try_into().expect("8 bytes"))
 }
 
 /// Encodes an intent header block: the gtx plus the window-relative
@@ -120,109 +118,66 @@ fn block_with(payload: &[u8]) -> Vec<u8> {
 /// `lbas[j]`).
 pub fn encode_intent(gtx: u64, lbas: &[u64]) -> Vec<u8> {
     assert!(lbas.len() <= SLOT_WRITE_CAP);
-    let mut p = Vec::with_capacity(26 + 8 * lbas.len());
-    p.extend_from_slice(&INTENT_MAGIC.to_le_bytes());
+    let mut p = Vec::with_capacity(10 + 8 * lbas.len());
     p.extend_from_slice(&gtx.to_le_bytes());
     p.extend_from_slice(&(lbas.len() as u16).to_le_bytes());
     for &lba in lbas {
         p.extend_from_slice(&lba.to_le_bytes());
     }
-    let sum = fnv1a64(&p);
-    p.extend_from_slice(&sum.to_le_bytes());
-    block_with(&p)
+    seal_block(INTENT_MAGIC, &p)
 }
 
 /// Decodes an intent header block; `None` for a free (zeroed) or
 /// damaged slot.
 pub fn decode_intent(block: &[u8]) -> Option<(u64, Vec<u64>)> {
-    if block.len() < 26 {
+    // Read before the seal is checked, the count only sizes the payload;
+    // the seal then vouches for it.
+    let count = u16::from_le_bytes(block.get(16..18)?.try_into().expect("2 bytes")) as usize;
+    if count > SLOT_WRITE_CAP {
         return None;
     }
-    let magic = u64::from_le_bytes(block[0..8].try_into().unwrap());
-    if magic != INTENT_MAGIC {
-        return None;
-    }
-    let gtx = u64::from_le_bytes(block[8..16].try_into().unwrap());
-    let count = u16::from_le_bytes(block[16..18].try_into().unwrap()) as usize;
-    if count > SLOT_WRITE_CAP || block.len() < 18 + 8 * count + 8 {
-        return None;
-    }
-    let body = 18 + 8 * count;
-    let stored = u64::from_le_bytes(block[body..body + 8].try_into().unwrap());
-    if fnv1a64(&block[..body]) != stored {
-        return None;
-    }
-    let lbas = (0..count)
-        .map(|j| u64::from_le_bytes(block[18 + 8 * j..26 + 8 * j].try_into().unwrap()))
-        .collect();
-    Some((gtx, lbas))
+    let p = sealed_payload(block, INTENT_MAGIC, 10 + 8 * count)?;
+    let lbas = (0..count).map(|j| le_u64(p, 10 + 8 * j)).collect();
+    Some((le_u64(p, 0), lbas))
 }
 
 /// Encodes a gtx high-water-mark record block.
 pub fn encode_gtx_hwm(hwm: u64) -> Vec<u8> {
-    let mut p = Vec::with_capacity(24);
-    p.extend_from_slice(&GTX_HWM_MAGIC.to_le_bytes());
-    p.extend_from_slice(&hwm.to_le_bytes());
-    let sum = fnv1a64(&p);
-    p.extend_from_slice(&sum.to_le_bytes());
-    block_with(&p)
+    seal_block(GTX_HWM_MAGIC, &hwm.to_le_bytes())
 }
 
 /// Decodes the gtx high-water-mark record; `None` for a free (never
 /// reserved) or damaged block.
 pub fn decode_gtx_hwm(block: &[u8]) -> Option<u64> {
-    if block.len() < 24 {
-        return None;
-    }
-    let magic = u64::from_le_bytes(block[0..8].try_into().unwrap());
-    if magic != GTX_HWM_MAGIC {
-        return None;
-    }
-    let stored = u64::from_le_bytes(block[16..24].try_into().unwrap());
-    if fnv1a64(&block[..16]) != stored {
-        return None;
-    }
-    Some(u64::from_le_bytes(block[8..16].try_into().unwrap()))
+    sealed_payload(block, GTX_HWM_MAGIC, 8).map(|p| le_u64(p, 0))
 }
 
 /// Encodes a decision record block.
 pub fn encode_decision(gtx: u64, commit: bool) -> Vec<u8> {
-    let mut p = Vec::with_capacity(25);
-    p.extend_from_slice(&DECISION_MAGIC.to_le_bytes());
-    p.extend_from_slice(&gtx.to_le_bytes());
-    p.push(if commit {
+    let mut p = [0u8; 9];
+    p[..8].copy_from_slice(&gtx.to_le_bytes());
+    p[8] = if commit {
         DECISION_COMMIT as u8
     } else {
         DECISION_ABORT as u8
-    });
-    let sum = fnv1a64(&p);
-    p.extend_from_slice(&sum.to_le_bytes());
-    block_with(&p)
+    };
+    seal_block(DECISION_MAGIC, &p)
 }
 
 /// Decodes a decision record block; `None` for a free or damaged slot.
 pub fn decode_decision(block: &[u8]) -> Option<(u64, bool)> {
-    if block.len() < 25 {
-        return None;
-    }
-    let magic = u64::from_le_bytes(block[0..8].try_into().unwrap());
-    if magic != DECISION_MAGIC {
-        return None;
-    }
-    let stored = u64::from_le_bytes(block[17..25].try_into().unwrap());
-    if fnv1a64(&block[..17]) != stored {
-        return None;
-    }
-    let gtx = u64::from_le_bytes(block[8..16].try_into().unwrap());
-    match block[16] as u64 {
-        DECISION_COMMIT => Some((gtx, true)),
-        DECISION_ABORT => Some((gtx, false)),
+    let p = sealed_payload(block, DECISION_MAGIC, 9)?;
+    match p[8] as u64 {
+        DECISION_COMMIT => Some((le_u64(p, 0), true)),
+        DECISION_ABORT => Some((le_u64(p, 0), false)),
         _ => None,
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use ccnvme_block::BLOCK_SIZE;
+
     use super::*;
 
     #[test]

@@ -371,12 +371,6 @@ impl CcNvmeDriver {
         (CcNvmeDriver { inner }, report)
     }
 
-    /// Host error-path counters (retries, kicks, timeouts, whole-tx
-    /// failures).
-    pub fn err_stats(&self) -> crate::HostErrSnapshot {
-        self.inner.dev.err.stats.snapshot()
-    }
-
     /// The underlying controller (power-fail injection, traffic).
     pub fn controller(&self) -> &NvmeController {
         &self.inner.ctrl
@@ -1105,11 +1099,11 @@ mod tests {
                 for (i, lba) in (100..103).enumerate() {
                     assert_eq!(drv.controller().store().read_block(lba)[0], i as u8 + 1);
                 }
-                let e = drv.err_stats();
-                assert_eq!(e.busy_completions, 1);
-                assert_eq!(e.retries, 1);
-                assert_eq!(e.retries_exhausted, 0);
-                assert_eq!(e.tx_failures, 0);
+                let e = drv.controller().link().obs.metrics.snapshot();
+                assert_eq!(e.counter("host_err.busy_completions"), 1);
+                assert_eq!(e.counter("host_err.retries"), 1);
+                assert_eq!(e.counter("host_err.retries_exhausted"), 0);
+                assert_eq!(e.counter("host_err.tx_failures"), 0);
             });
             sim.run();
         }
@@ -1133,9 +1127,9 @@ mod tests {
                 // including the untouched members and the commit — fails
                 // with the member's media status.
                 assert_eq!(*statuses.lock(), vec![BioStatus::Media; 4]);
-                let e = drv.err_stats();
-                assert_eq!(e.media_errors, 1);
-                assert_eq!(e.tx_failures, 1);
+                let e = drv.controller().link().obs.metrics.snapshot();
+                assert_eq!(e.counter("host_err.media_errors"), 1);
+                assert_eq!(e.counter("host_err.tx_failures"), 1);
                 // The queue keeps working: an independent follow-up
                 // transaction succeeds.
                 let w = submit_tx(&drv, drv.alloc_tx_id(), 300, 2);
@@ -1159,9 +1153,9 @@ mod tests {
                 let elapsed = ccnvme_sim::now() - t0;
                 assert!(elapsed >= policy.timeout, "elapsed={elapsed}");
                 assert_eq!(*statuses.lock(), vec![BioStatus::Timeout; 4]);
-                let e = drv.err_stats();
-                assert_eq!(e.timeouts, 1);
-                assert_eq!(e.tx_failures, 1);
+                let e = drv.controller().link().obs.metrics.snapshot();
+                assert_eq!(e.counter("host_err.timeouts"), 1);
+                assert_eq!(e.counter("host_err.tx_failures"), 1);
                 // The stalled transaction was aborted in place; the ring
                 // still serves new transactions.
                 let w = submit_tx(&drv, drv.alloc_tx_id(), 500, 2);
@@ -1232,7 +1226,8 @@ mod tests {
                     assert_eq!(st.failed_txs.get(&tx), Some(&BioStatus::Busy));
                     assert_eq!(st.abort_logged, 1);
                 }
-                assert_eq!(drv.err_stats().tx_failures, 1);
+                let e = drv.controller().link().obs.metrics.snapshot();
+                assert_eq!(e.counter("host_err.tx_failures"), 1);
                 let pmr = &q.dev.pmr;
                 pmr.flush();
                 let log = q
@@ -1258,10 +1253,10 @@ mod tests {
                 let elapsed = ccnvme_sim::now() - t0;
                 assert!(elapsed >= policy.kick_after, "elapsed={elapsed}");
                 assert!(elapsed < policy.timeout, "kick, not abort: {elapsed}");
-                let e = drv.err_stats();
-                assert!(e.doorbell_kicks >= 1);
-                assert_eq!(e.timeouts, 0);
-                assert_eq!(e.tx_failures, 0);
+                let e = drv.controller().link().obs.metrics.snapshot();
+                assert!(e.counter("host_err.doorbell_kicks") >= 1);
+                assert_eq!(e.counter("host_err.timeouts"), 0);
+                assert_eq!(e.counter("host_err.tx_failures"), 0);
                 for (i, lba) in (600..602).enumerate() {
                     assert_eq!(drv.controller().store().read_block(lba)[0], i as u8 + 1);
                 }

@@ -25,7 +25,7 @@ use ccnvme_ssd::{
 };
 use parking_lot::Mutex;
 
-use crate::errpolicy::{Age, ErrPolicy, HostErrStats};
+use crate::errpolicy::{Age, ErrPolicy};
 use crate::hostq::{spawn_daemons, watchdog_daemon, Attempt, ErrPath, QueueObs};
 use crate::{DEFAULT_CAPACITY_BLOCKS, QUEUE_DEPTH, SUBMIT_CPU};
 
@@ -145,11 +145,6 @@ impl NvmeDriver {
     /// The underlying controller (power-fail injection, traffic counters).
     pub fn controller(&self) -> &NvmeController {
         &self.inner.ctrl
-    }
-
-    /// Host error-path counters (retries, kicks, timeouts, reinits).
-    pub fn err_stats(&self) -> &HostErrStats {
-        &self.inner.dev.err.stats
     }
 
     fn queue_for_current_core(&self) -> &Arc<DrvQueue> {
@@ -498,10 +493,10 @@ mod tests {
             let drv = driver_on_faulty(SsdProfile::optane_p5800x(), 1, plan);
             let status = submit_and_wait(&drv, Bio::write(7, buf(7, 1), BioFlags::NONE));
             assert_eq!(status, Ok(()));
-            let s = drv.err_stats().snapshot();
-            assert_eq!(s.busy_completions, 1);
-            assert_eq!(s.retries, 1);
-            assert_eq!(s.retries_exhausted, 0);
+            let s = drv.controller().link().obs.metrics.snapshot();
+            assert_eq!(s.counter("host_err.busy_completions"), 1);
+            assert_eq!(s.counter("host_err.retries"), 1);
+            assert_eq!(s.counter("host_err.retries_exhausted"), 0);
             // The retried write really landed.
             assert_eq!(read_block(&drv, 7).expect("read")[0], 7);
         });
@@ -518,9 +513,12 @@ mod tests {
             let drv = driver_on_faulty(SsdProfile::optane_p5800x(), 1, plan);
             let status = submit_and_wait(&drv, Bio::write(1, buf(1, 1), BioFlags::NONE));
             assert_eq!(status, Err(BioStatus::Busy));
-            let s = drv.err_stats().snapshot();
-            assert_eq!(s.retries, crate::errpolicy::MAX_RETRIES as u64);
-            assert_eq!(s.retries_exhausted, 1);
+            let s = drv.controller().link().obs.metrics.snapshot();
+            assert_eq!(
+                s.counter("host_err.retries"),
+                crate::errpolicy::MAX_RETRIES as u64
+            );
+            assert_eq!(s.counter("host_err.retries_exhausted"), 1);
         });
         sim.run();
     }
@@ -538,9 +536,9 @@ mod tests {
             let elapsed = ccnvme_sim::now() - t0;
             let policy = ErrPolicy::default();
             assert!(elapsed >= policy.timeout, "aborted too early: {elapsed}");
-            let s = drv.err_stats().snapshot();
-            assert_eq!(s.timeouts, 1);
-            assert_eq!(s.queue_reinits, 1);
+            let s = drv.controller().link().obs.metrics.snapshot();
+            assert_eq!(s.counter("host_err.timeouts"), 1);
+            assert_eq!(s.counter("host_err.queue_reinits"), 1);
             // The re-created queue serves I/O normally.
             let status = submit_and_wait(&drv, Bio::write(4, buf(4, 1), BioFlags::NONE));
             assert_eq!(status, Ok(()));
@@ -568,9 +566,9 @@ mod tests {
                 "kick cannot precede the deadline"
             );
             assert!(elapsed < policy.timeout, "kick should beat the abort path");
-            let s = drv.err_stats().snapshot();
-            assert_eq!(s.doorbell_kicks, 1);
-            assert_eq!(s.timeouts, 0);
+            let s = drv.controller().link().obs.metrics.snapshot();
+            assert_eq!(s.counter("host_err.doorbell_kicks"), 1);
+            assert_eq!(s.counter("host_err.timeouts"), 0);
         });
         sim.run();
     }
@@ -585,7 +583,8 @@ mod tests {
             let drv = driver_on_faulty(SsdProfile::optane_p5800x(), 1, plan);
             let status = submit_and_wait(&drv, Bio::write(5, buf(5, 1), BioFlags::NONE));
             assert_eq!(status, Err(BioStatus::Media));
-            assert_eq!(drv.err_stats().snapshot().media_errors, 1);
+            let s = drv.controller().link().obs.metrics.snapshot();
+            assert_eq!(s.counter("host_err.media_errors"), 1);
         });
         sim.run();
     }

@@ -16,9 +16,9 @@
 //!
 //! Unrecoverable statuses (media, internal) are never retried — they
 //! propagate as typed bio errors for the journal and file system to
-//! handle. [`HostErrStats`] counts every step of the ladder, following
-//! the PCIe traffic-counter pattern, so benches can report error-path
-//! overhead.
+//! handle. [`HostErrStats`] counts every step of the ladder in the
+//! stack's metrics registry (`host_err.*`), so benches can report
+//! error-path overhead.
 
 use std::sync::Arc;
 
@@ -112,10 +112,9 @@ pub fn map_status(status: Status) -> BioStatus {
 
 /// Host error-path counters.
 ///
-/// Since the unified observability layer these live in the stack's
-/// metrics registry under `host_err.*` names (see
-/// [`HostErrStats::registered`]); the struct remains the typed view the
-/// drivers increment and the fault benches read.
+/// They live in the stack's metrics registry under `host_err.*` names
+/// (see [`HostErrStats::registered`]), which is where harnesses read
+/// them; the struct holds the handles the drivers increment.
 #[derive(Debug, Default)]
 pub struct HostErrStats {
     /// Transient busy completions observed.
@@ -150,69 +149,6 @@ impl HostErrStats {
             media_errors: reg.counter("host_err.media_errors"),
             tx_failures: reg.counter("host_err.tx_failures"),
         }
-    }
-
-    /// Takes a point-in-time snapshot.
-    pub fn snapshot(&self) -> HostErrSnapshot {
-        HostErrSnapshot {
-            busy_completions: self.busy_completions.get(),
-            retries: self.retries.get(),
-            retries_exhausted: self.retries_exhausted.get(),
-            doorbell_kicks: self.doorbell_kicks.get(),
-            timeouts: self.timeouts.get(),
-            queue_reinits: self.queue_reinits.get(),
-            media_errors: self.media_errors.get(),
-            tx_failures: self.tx_failures.get(),
-        }
-    }
-}
-
-/// Immutable snapshot of [`HostErrStats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct HostErrSnapshot {
-    /// See [`HostErrStats::busy_completions`].
-    pub busy_completions: u64,
-    /// See [`HostErrStats::retries`].
-    pub retries: u64,
-    /// See [`HostErrStats::retries_exhausted`].
-    pub retries_exhausted: u64,
-    /// See [`HostErrStats::doorbell_kicks`].
-    pub doorbell_kicks: u64,
-    /// See [`HostErrStats::timeouts`].
-    pub timeouts: u64,
-    /// See [`HostErrStats::queue_reinits`].
-    pub queue_reinits: u64,
-    /// See [`HostErrStats::media_errors`].
-    pub media_errors: u64,
-    /// See [`HostErrStats::tx_failures`].
-    pub tx_failures: u64,
-}
-
-impl HostErrSnapshot {
-    /// Per-field difference since `earlier`.
-    pub fn since(&self, earlier: &HostErrSnapshot) -> HostErrSnapshot {
-        HostErrSnapshot {
-            busy_completions: self.busy_completions - earlier.busy_completions,
-            retries: self.retries - earlier.retries,
-            retries_exhausted: self.retries_exhausted - earlier.retries_exhausted,
-            doorbell_kicks: self.doorbell_kicks - earlier.doorbell_kicks,
-            timeouts: self.timeouts - earlier.timeouts,
-            queue_reinits: self.queue_reinits - earlier.queue_reinits,
-            media_errors: self.media_errors - earlier.media_errors,
-            tx_failures: self.tx_failures - earlier.tx_failures,
-        }
-    }
-
-    /// Total error-path events.
-    pub fn total(&self) -> u64 {
-        self.busy_completions
-            + self.retries
-            + self.retries_exhausted
-            + self.doorbell_kicks
-            + self.timeouts
-            + self.queue_reinits
-            + self.media_errors
-            + self.tx_failures
     }
 }
 

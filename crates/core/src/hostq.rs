@@ -314,6 +314,8 @@ impl QueueObs {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
     use ccnvme_block::{submit_and_wait, BioFlags, BlockDevice};
     use ccnvme_fault::{FaultKind, FaultPlan, FaultRule, OpMask, Trigger};
     use ccnvme_sim::Sim;
@@ -321,7 +323,7 @@ mod tests {
     use parking_lot::Mutex;
 
     use super::*;
-    use crate::{CcNvmeDriver, HostErrSnapshot, NvmeDriver};
+    use crate::{CcNvmeDriver, NvmeDriver};
 
     #[test]
     fn on_busy_grants_exactly_the_retry_budget_with_the_documented_backoff() {
@@ -358,23 +360,28 @@ mod tests {
 
     #[test]
     fn both_drivers_account_the_same_busy_retries() {
-        fn run(drive: fn(NvmeController) -> HostErrSnapshot) -> HostErrSnapshot {
-            Sim::run_main(2, move || drive(NvmeController::new(busy_twice())))
+        /// The `host_err.*` counters of the stack `drive` ran on.
+        fn run(drive: fn(NvmeController)) -> BTreeMap<String, u64> {
+            Sim::run_main(2, move || {
+                let ctrl = NvmeController::new(busy_twice());
+                let obs = Arc::clone(&ctrl.link().obs);
+                drive(ctrl);
+                let mut counters = obs.metrics.snapshot().counters;
+                counters.retain(|name, _| name.starts_with("host_err."));
+                counters
+            })
         }
-        let nvme = run(|ctrl| {
-            let drv = NvmeDriver::new(ctrl, 1);
-            four_writes(&drv);
-            drv.err_stats().snapshot()
-        });
-        let cc = run(|ctrl| {
-            let drv = CcNvmeDriver::new(ctrl, 1, 64);
-            four_writes(&drv);
-            drv.err_stats()
-        });
+        let nvme = run(|ctrl| four_writes(&NvmeDriver::new(ctrl, 1)));
+        let cc = run(|ctrl| four_writes(&CcNvmeDriver::new(ctrl, 1, 64)));
         assert_eq!(
-            (nvme.busy_completions, nvme.retries, nvme.retries_exhausted),
+            (
+                nvme["host_err.busy_completions"],
+                nvme["host_err.retries"],
+                nvme["host_err.retries_exhausted"]
+            ),
             (2, 2, 0)
         );
+        assert_eq!(nvme.len(), 8, "every rung of the ladder is registered");
         assert_eq!(nvme, cc, "one error path, one set of books");
     }
 }

@@ -38,7 +38,7 @@ pub mod recovery;
 
 pub use ccdriver::CcNvmeDriver;
 pub use driver::NvmeDriver;
-pub use errpolicy::{ErrPolicy, HostErrSnapshot, HostErrStats};
+pub use errpolicy::{ErrPolicy, HostErrStats};
 pub use forensics::{cross_check, image_forensics, ImageForensics};
 pub use layout::PmrLayout;
 pub use recovery::{RecoveredRequest, RecoveredTx, RecoveryReport};

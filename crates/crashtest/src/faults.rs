@@ -17,7 +17,8 @@
 //!   transaction: surviving files are exactly the fully committed ones,
 //!   byte-for-byte.
 
-use ccnvme_fault::{FaultKind, FaultPlan, FaultRule, OpMask, Trigger};
+use ccnvme_fault::{FaultCounters, FaultKind, FaultPlan, FaultRule, OpMask, Trigger};
+use ccnvme_obs::MetricsSnapshot;
 use ccnvme_sim::{DetRng, Ns, Sim};
 use ccnvme_ssd::{CrashMode, DurableImage};
 use mqfs::{FileSystem, FsError};
@@ -77,10 +78,10 @@ struct RunOutcome {
     degraded: bool,
     /// The degraded state was visible to fsck (`FileSystem::check`).
     fsck_saw_degradation: bool,
-    /// Total injections the device performed.
+    /// Media and controller injections the device performed.
     fired: u64,
-    /// Host error counters.
-    err: ccnvme::HostErrSnapshot,
+    /// The stack's metrics after the script (`host_err.*` is read).
+    metrics: MetricsSnapshot,
     /// Power-cut image taken after the script.
     image: DurableImage,
 }
@@ -162,6 +163,7 @@ fn run_schedule(cfg: &StackConfig, plan: Option<FaultPlan>, crash_seed: u64) -> 
             cache_keep_prob: 0.0,
             seed: crash_seed,
         });
+        let metrics = stack.metrics();
         RunOutcome {
             window,
             fsync_ok,
@@ -169,8 +171,8 @@ fn run_schedule(cfg: &StackConfig, plan: Option<FaultPlan>, crash_seed: u64) -> 
             probe,
             degraded,
             fsck_saw_degradation,
-            fired: stack.fault_stats().total(),
-            err: stack.err_stats(),
+            fired: FaultCounters::media_injections(&metrics),
+            metrics,
             image,
         }
     })
@@ -230,10 +232,13 @@ fn classify(kind: FaultKind, o: &RunOutcome) -> Vec<String> {
         if o.probe.is_err() {
             v.push("probe mutation rejected on a healthy stack".into());
         }
-        if o.fired > 0 && kind == FaultKind::Busy && o.err.retries == 0 {
+        if o.fired > 0 && kind == FaultKind::Busy && o.metrics.counter("host_err.retries") == 0 {
             v.push("busy completion was not retried".into());
         }
-        if o.fired > 0 && kind == FaultKind::DoorbellDrop && o.err.timeouts > 0 {
+        if o.fired > 0
+            && kind == FaultKind::DoorbellDrop
+            && o.metrics.counter("host_err.timeouts") > 0
+        {
             v.push("dropped doorbell escalated to a timeout".into());
         }
     } else {
@@ -274,8 +279,8 @@ fn classify(kind: FaultKind, o: &RunOutcome) -> Vec<String> {
 /// emit the same machine-readable `ccnvme-metrics/v1` document as the
 /// bench binaries: one `fault_campaign.<kind>.<field>` counter per
 /// report field (violations = count of failed schedules recorded).
-pub fn campaign_metrics(reports: &[FaultKindReport]) -> ccnvme_obs::MetricsSnapshot {
-    let mut snap = ccnvme_obs::MetricsSnapshot::default();
+pub fn campaign_metrics(reports: &[FaultKindReport]) -> MetricsSnapshot {
+    let mut snap = MetricsSnapshot::default();
     for r in reports {
         let kind = format!("{:?}", r.kind).to_lowercase();
         let mut put = |field: &str, v: u64| {
@@ -316,9 +321,10 @@ pub fn run_fault_campaign(kinds: &[FaultKind], cfg: &FaultCampaignConfig) -> Vec
             let outcome = run_schedule(&cfg.stack, Some(plan), rng.next_u64());
             rep.fired += (outcome.fired > 0) as usize;
             rep.degraded += outcome.degraded as usize;
-            rep.retries += outcome.err.retries;
-            rep.kicks += outcome.err.doorbell_kicks;
-            rep.timeouts += outcome.err.timeouts;
+            let host_err = |name: &str| outcome.metrics.counter(&format!("host_err.{name}"));
+            rep.retries += host_err("retries");
+            rep.kicks += host_err("doorbell_kicks");
+            rep.timeouts += host_err("timeouts");
             let mut problems = classify(kind, &outcome);
             problems.extend(verify_recovery(&cfg.stack, &outcome));
             if !problems.is_empty() && rep.failures.len() < 8 {

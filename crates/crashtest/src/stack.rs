@@ -3,9 +3,9 @@
 
 use std::{collections::HashSet, sync::Arc};
 
-use ccnvme::{CcNvmeDriver, HostErrSnapshot, NvmeDriver};
+use ccnvme::{CcNvmeDriver, NvmeDriver};
 use ccnvme_block::BlockDevice;
-use ccnvme_fault::{FaultInjector, FaultPlan, FaultSnapshot};
+use ccnvme_fault::FaultPlan;
 use ccnvme_ssd::{CrashMode, CtrlConfig, DurableImage, NvmeController, SsdProfile};
 use mqfs::{FileSystem, FsConfig, FsError, FsVariant};
 
@@ -15,7 +15,6 @@ pub struct Stack {
     pub dev: Arc<dyn BlockDevice>,
     cc: Option<Arc<CcNvmeDriver>>,
     nv: Option<Arc<NvmeDriver>>,
-    fault: Option<Arc<FaultInjector>>,
 }
 
 /// Everything needed to build (and rebuild) a stack deterministically.
@@ -81,22 +80,18 @@ impl StackConfig {
         }
     }
 
-    fn ctrl_config(&self, injector: Option<&Arc<FaultInjector>>) -> CtrlConfig {
+    fn ctrl_config(&self) -> CtrlConfig {
         let mut c = CtrlConfig::new(self.profile.clone());
         c.device_core = self.cores;
         c.irq_coalesce_tx = self.irq_coalesce_tx;
-        c.fault = injector.map(Arc::clone);
+        c.fault = self.fault.clone().map(|p| Arc::new(p.injector()));
         c.record_persistence = self.record_persistence;
         c
     }
 }
 
 impl Stack {
-    fn from_ctrl(
-        cfg: &StackConfig,
-        ctrl: NvmeController,
-        fault: Option<Arc<FaultInjector>>,
-    ) -> (Stack, HashSet<u64>) {
+    fn from_ctrl(cfg: &StackConfig, ctrl: NvmeController) -> (Stack, HashSet<u64>) {
         if cfg.uses_ccnvme() {
             // One hardware queue per simulated core (including the
             // journald and device cores) so in-order transaction
@@ -109,7 +104,6 @@ impl Stack {
                     dev: Arc::clone(&drv) as Arc<dyn BlockDevice>,
                     cc: Some(drv),
                     nv: None,
-                    fault,
                 },
                 report.unfinished_tx_ids(),
             )
@@ -120,7 +114,6 @@ impl Stack {
                     dev: Arc::clone(&drv) as Arc<dyn BlockDevice>,
                     cc: None,
                     nv: Some(drv),
-                    fault,
                 },
                 HashSet::new(),
             )
@@ -129,9 +122,8 @@ impl Stack {
 
     /// Builds a fresh stack and formats a file system on it.
     pub fn format(cfg: &StackConfig) -> (Stack, Arc<FileSystem>) {
-        let inj = cfg.fault.clone().map(|p| Arc::new(p.injector()));
-        let ctrl = NvmeController::new(cfg.ctrl_config(inj.as_ref()));
-        let (stack, _discard) = Self::from_ctrl(cfg, ctrl, inj);
+        let ctrl = NvmeController::new(cfg.ctrl_config());
+        let (stack, _discard) = Self::from_ctrl(cfg, ctrl);
         let fs = FileSystem::format(Arc::clone(&stack.dev), cfg.fs_config());
         (stack, fs)
     }
@@ -141,9 +133,8 @@ impl Stack {
         cfg: &StackConfig,
         image: &DurableImage,
     ) -> Result<(Stack, Arc<FileSystem>), FsError> {
-        let inj = cfg.fault.clone().map(|p| Arc::new(p.injector()));
-        let ctrl = NvmeController::from_image(cfg.ctrl_config(inj.as_ref()), image);
-        let (stack, discard) = Self::from_ctrl(cfg, ctrl, inj);
+        let ctrl = NvmeController::from_image(cfg.ctrl_config(), image);
+        let (stack, discard) = Self::from_ctrl(cfg, ctrl);
         let fs = FileSystem::mount(Arc::clone(&stack.dev), cfg.fs_config(), &discard)?;
         // Recovery settled: replay ran and the journal's replay floor is
         // durably past every discarded ID, so the PMR abort logs have
@@ -163,12 +154,6 @@ impl Stack {
         self.cc.as_ref().map(Arc::clone)
     }
 
-    /// The stack's fault injector, when it runs with a fault plan (the
-    /// fabric loopback transport consults its net rules).
-    pub fn fault_injector(&self) -> Option<Arc<FaultInjector>> {
-        self.fault.as_ref().map(Arc::clone)
-    }
-
     /// The controller (for traffic counters and crash injection).
     pub fn controller(&self) -> &NvmeController {
         match (&self.cc, &self.nv) {
@@ -184,28 +169,11 @@ impl Stack {
         Arc::clone(&self.controller().link().obs)
     }
 
-    /// One-pass snapshot of every metric this stack has registered.
+    /// One-pass snapshot of every metric this stack has registered:
+    /// every layer's counters, the host error ladder's `host_err.*` and
+    /// the fault injector's `fault.*` among them.
     pub fn metrics(&self) -> ccnvme_obs::MetricsSnapshot {
         self.obs().metrics.snapshot()
-    }
-
-    /// Host-side error/retry counters (both driver flavours expose the
-    /// same snapshot type).
-    pub fn err_stats(&self) -> HostErrSnapshot {
-        match (&self.cc, &self.nv) {
-            (Some(d), _) => d.err_stats(),
-            (_, Some(d)) => d.err_stats().snapshot(),
-            _ => unreachable!("stack always has a driver"),
-        }
-    }
-
-    /// Device-side fault-injection counters (zero snapshot when the
-    /// stack runs without a fault plan).
-    pub fn fault_stats(&self) -> FaultSnapshot {
-        self.fault
-            .as_ref()
-            .map(|i| i.counters().snapshot())
-            .unwrap_or_default()
     }
 
     /// Non-destructive crash snapshot at the current instant.

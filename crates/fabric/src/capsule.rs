@@ -309,7 +309,7 @@ pub enum Status {
     NotSupported,
     /// The transaction staged more member writes than the target
     /// admits (a transaction must fit in the device's hardware ring;
-    /// see [`crate::FabricConfig::tx_member_cap`]).
+    /// see [`crate::target::DEFAULT_TX_MEMBER_CAP`]).
     TxOverflow,
 }
 

@@ -48,8 +48,12 @@ const CACHE_WINDOWS: usize = 2;
 /// Transaction replay-cache entries kept before the oldest are pruned.
 const TX_REPLAY_CAP: usize = 65_536;
 
-/// Default [`FabricConfig::tx_member_cap`]: staged member writes one
-/// transaction may hold open before its commit.
+/// Most member writes a single transaction may stage before its commit.
+/// Uncommitted members pin hardware-ring slots (the P-SQ head only
+/// advances past whole transactions), so an unbounded transaction would
+/// wedge its queue's handler inside the full ring. Writes past the cap
+/// are rejected with [`Status::TxOverflow`]; keep `cap ×
+/// sessions-per-queue` under the device queue depth.
 pub const DEFAULT_TX_MEMBER_CAP: u32 = 24;
 
 /// How long an idle connection handler waits per receive before
@@ -138,14 +142,6 @@ pub struct FabricConfig {
     /// Optional fault injector whose transport rules the loopback wires
     /// consult.
     pub injector: Option<Arc<FaultInjector>>,
-    /// Most member writes a single transaction may stage before its
-    /// commit. Uncommitted members pin hardware-ring slots (the P-SQ
-    /// head only advances past whole transactions), so an unbounded
-    /// transaction would wedge its queue's handler inside the full
-    /// ring. Writes past the cap are rejected with
-    /// [`Status::TxOverflow`]; keep `cap × sessions-per-queue` under
-    /// the device queue depth.
-    pub tx_member_cap: u32,
     /// Shard label stamped on this target's connections so shard-scoped
     /// fault rules (and asymmetric partitions) can single it out of a
     /// cluster. `None` for standalone targets.
@@ -159,7 +155,6 @@ impl FabricConfig {
             cores: cores.max(1),
             window: DEFAULT_WINDOW,
             injector: None,
-            tx_member_cap: DEFAULT_TX_MEMBER_CAP,
             shard_label: None,
         }
     }
@@ -217,7 +212,7 @@ struct SessSt {
 struct OpenTx {
     waiter: BioWaiter,
     /// Member writes staged so far, checked against
-    /// [`FabricConfig::tx_member_cap`].
+    /// [`DEFAULT_TX_MEMBER_CAP`].
     members: u32,
 }
 
@@ -258,10 +253,6 @@ pub struct FabricTarget {
     partitions: Arc<PartitionMap>,
     sessions: Mutex<HashMap<u64, Arc<Session>>>,
     next_conn: AtomicU64,
-    /// Highest transaction id with a recorded commit outcome — the
-    /// replay floor: commits at or below it are served from the replay
-    /// cache, never re-executed.
-    committed_floor: AtomicU64,
     tx_replay: Mutex<BTreeMap<u64, Status>>,
 }
 
@@ -283,7 +274,6 @@ impl FabricTarget {
             partitions: Arc::new(PartitionMap::default()),
             sessions: Mutex::new(HashMap::new()),
             next_conn: AtomicU64::new(0),
-            committed_floor: AtomicU64::new(0),
             tx_replay: Mutex::new(BTreeMap::new()),
         })
     }
@@ -297,15 +287,9 @@ impl FabricTarget {
         let mut cache = self.tx_replay.lock();
         for tx in &report.unfinished {
             cache.insert(tx.tx_id, Status::Ok);
-            // ord: SeqCst — the replay floor gates commit dedup against
-            // recovery-seeded state; it must never be observed behind
-            // the cache insert that justifies it.
-            self.committed_floor.fetch_max(tx.tx_id, Ordering::SeqCst);
         }
         for &tx_id in &report.aborted {
             cache.insert(tx_id, Status::BioMedia);
-            // ord: SeqCst — same replay-floor invariant as above.
-            self.committed_floor.fetch_max(tx_id, Ordering::SeqCst);
         }
     }
 
@@ -815,7 +799,7 @@ impl FabricTarget {
             // this handler inside the full ring (with the session exec
             // lock held). Reject instead — the transaction itself stays
             // open and can still be committed.
-            if !commit && open.members >= self.cfg.tx_member_cap {
+            if !commit && open.members >= DEFAULT_TX_MEMBER_CAP {
                 return Response::status(cid, Status::TxOverflow);
             }
             if !commit {
@@ -853,9 +837,6 @@ impl FabricTarget {
                 cache.pop_first();
             }
         }
-        // ord: SeqCst — the replay floor must never run ahead of the
-        // cache insert it summarizes; recovery-time dedup reads it.
-        self.committed_floor.fetch_max(tx_id, Ordering::SeqCst);
         Response::status(cid, status)
     }
 }

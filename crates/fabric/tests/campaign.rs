@@ -101,7 +101,7 @@ fn run_schedule(nth: u64) -> ScheduleOutcome {
             commits: stats.commits.get(),
             replayed: stats.replayed_commits.get(),
             reconnects: cstats.reconnects.get(),
-            partitions: injector.counters().snapshot().net_partitions,
+            partitions: injector.counters().net_partitions.get(),
             image: blocks,
         }
     })

@@ -7,7 +7,8 @@ use std::sync::Arc;
 use ccnvme::CcNvmeDriver;
 use ccnvme_block::BlockDevice;
 use ccnvme_fabric::{
-    Backend, ClientCfg, ClientStats, FabricClient, FabricConfig, FabricError, FabricTarget, Status,
+    target::DEFAULT_TX_MEMBER_CAP, Backend, ClientCfg, ClientStats, FabricClient, FabricConfig,
+    FabricError, FabricTarget, Status,
 };
 use ccnvme_fault::{FaultKind, FaultPlan, FaultRule, NetDir, NetFaultKind, NetFaultRule, Trigger};
 use ccnvme_sim::Sim;
@@ -283,9 +284,7 @@ fn credit_exhaustion_degrades_to_backpressure() {
 fn oversized_transactions_are_refused_not_wedged() {
     in_sim(|| {
         let (drv, backend) = raw_backend();
-        let mut cfg = FabricConfig::new(CORES);
-        cfg.tx_member_cap = 4;
-        let target = FabricTarget::new(backend, cfg);
+        let target = FabricTarget::new(backend, FabricConfig::new(CORES));
         let stats = target.stats();
         let mut client = FabricClient::connect(
             1,
@@ -294,25 +293,26 @@ fn oversized_transactions_are_refused_not_wedged() {
         )
         .expect("connect");
 
+        let cap = DEFAULT_TX_MEMBER_CAP as u64;
         let tx = client.alloc_tx().expect("alloc");
-        for i in 0..4u64 {
+        for i in 0..cap {
             client
                 .tx_write(tx, i, &[i as u8; 16])
                 .expect("staged member");
         }
         assert!(matches!(
-            client.tx_write(tx, 4, b"one too many"),
+            client.tx_write(tx, cap, b"one too many"),
             Err(FabricError::Remote(ccnvme_fabric::Status::TxOverflow))
         ));
         // The transaction itself is still open and commits fine.
         client
-            .tx_commit(tx, 10, b"capped-commit", true)
+            .tx_commit(tx, 100, b"capped-commit", true)
             .expect("commit");
-        assert_eq!(&read_block(&drv, 10)[..13], b"capped-commit");
+        assert_eq!(&read_block(&drv, 100)[..13], b"capped-commit");
         // And the session serves fresh transactions afterwards.
         let tx2 = client.alloc_tx().expect("alloc 2");
         client
-            .tx_commit(tx2, 11, b"next-tx", true)
+            .tx_commit(tx2, 101, b"next-tx", true)
             .expect("commit 2");
         assert_eq!(stats.commits.get(), 2);
         client.bye();
@@ -370,7 +370,7 @@ fn partition_mid_commit_replays_exactly_once() {
         );
         assert!(cstats.reconnects.get() >= 1, "client must have reconnected");
         assert_eq!(stats.reconnects.get(), cstats.reconnects.get());
-        assert_eq!(injector.counters().snapshot().net_partitions, 1);
+        assert_eq!(injector.counters().net_partitions.get(), 1);
     });
 }
 
@@ -418,7 +418,7 @@ fn duplicates_and_reorders_are_absorbed() {
         }
         assert_eq!(stats.commits.get(), N, "duplicates must not re-execute");
         assert!(
-            injector.counters().snapshot().net_dups > 0,
+            injector.counters().net_dups.get() > 0,
             "the schedule must actually duplicate"
         );
     });

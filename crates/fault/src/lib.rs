@@ -12,9 +12,9 @@
 //! Everything is deterministic: probability triggers draw from a
 //! [`DetRng`] derived from the plan seed and the rule index, so a
 //! `(plan, workload)` pair replays the exact same fault schedule on
-//! every run. Injection counts ride [`Counter`]s following the PCIe
-//! traffic-counter pattern, so benches and campaigns can report
-//! error-path overhead.
+//! every run. Injection counts ride [`Counter`]s that the stack's
+//! metrics registry exports as `fault.*`, so benches and campaigns can
+//! report error-path overhead.
 
 use std::sync::Arc;
 
@@ -410,12 +410,14 @@ pub struct Injection {
     pub torn_blocks: u16,
 }
 
-/// Per-kind injection counters (the `pcie` traffic-counter pattern).
+/// Per-kind injection counters.
 ///
 /// The counters are allocated when the injector is built — before any
 /// stack (and hence any metrics registry) exists — so the controller
 /// adopts them into its registry at attach time via
-/// [`FaultCounters::register_into`], under `fault.*` names.
+/// [`FaultCounters::register_into`], under `fault.*` names, where
+/// harnesses read them. An injector attached to no stack (a fabric
+/// target's transport rules) is read through these fields.
 #[derive(Debug, Default)]
 pub struct FaultCounters {
     /// Injected unrecoverable read errors.
@@ -462,21 +464,15 @@ impl FaultCounters {
         );
     }
 
-    /// Takes a point-in-time snapshot.
-    pub fn snapshot(&self) -> FaultSnapshot {
-        FaultSnapshot {
-            media_read: self.media_read.get(),
-            media_write: self.media_write.get(),
-            torn_dma: self.torn_dma.get(),
-            stalls: self.stalls.get(),
-            doorbell_drops: self.doorbell_drops.get(),
-            busy: self.busy.get(),
-            net_drops: self.net_drops.get(),
-            net_dups: self.net_dups.get(),
-            net_reorders: self.net_reorders.get(),
-            net_partitions: self.net_partitions.get(),
-            net_asym_partitions: self.net_asym_partitions.get(),
-        }
+    /// Media and controller injections in `m`, a snapshot of a registry
+    /// these counters were adopted into: every `fault.*` counter but the
+    /// transport kinds (`fault.net_*`), which are counted apart.
+    pub fn media_injections(m: &ccnvme_obs::MetricsSnapshot) -> u64 {
+        m.counters
+            .iter()
+            .filter(|(name, _)| name.starts_with("fault.") && !name.starts_with("fault.net_"))
+            .map(|(_, n)| n)
+            .sum()
     }
 
     fn count(&self, kind: FaultKind) {
@@ -498,56 +494,6 @@ impl FaultCounters {
             NetFaultKind::Partition => self.net_partitions.inc(),
             NetFaultKind::AsymPartition => self.net_asym_partitions.inc(),
         }
-    }
-}
-
-/// Immutable snapshot of [`FaultCounters`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FaultSnapshot {
-    /// See [`FaultCounters::media_read`].
-    pub media_read: u64,
-    /// See [`FaultCounters::media_write`].
-    pub media_write: u64,
-    /// See [`FaultCounters::torn_dma`].
-    pub torn_dma: u64,
-    /// See [`FaultCounters::stalls`].
-    pub stalls: u64,
-    /// See [`FaultCounters::doorbell_drops`].
-    pub doorbell_drops: u64,
-    /// See [`FaultCounters::busy`].
-    pub busy: u64,
-    /// See [`FaultCounters::net_drops`].
-    pub net_drops: u64,
-    /// See [`FaultCounters::net_dups`].
-    pub net_dups: u64,
-    /// See [`FaultCounters::net_reorders`].
-    pub net_reorders: u64,
-    /// See [`FaultCounters::net_partitions`].
-    pub net_partitions: u64,
-    /// See [`FaultCounters::net_asym_partitions`].
-    pub net_asym_partitions: u64,
-}
-
-impl FaultSnapshot {
-    /// Total media/controller injections (transport injections are
-    /// counted separately by [`FaultSnapshot::net_total`], so existing
-    /// media-campaign assertions keep their meaning).
-    pub fn total(&self) -> u64 {
-        self.media_read
-            + self.media_write
-            + self.torn_dma
-            + self.stalls
-            + self.doorbell_drops
-            + self.busy
-    }
-
-    /// Total transport injections of any kind.
-    pub fn net_total(&self) -> u64 {
-        self.net_drops
-            + self.net_dups
-            + self.net_reorders
-            + self.net_partitions
-            + self.net_asym_partitions
     }
 }
 
@@ -747,7 +693,7 @@ mod tests {
             .map(|i| inj.decide(&write_op(i, 1)).is_some())
             .collect();
         assert_eq!(hits, vec![false, false, true, false, false, false]);
-        assert_eq!(inj.counters().snapshot().media_write, 1);
+        assert_eq!(inj.counters().media_write.get(), 1);
     }
 
     #[test]
@@ -850,7 +796,7 @@ mod tests {
             inj.decide(&db).map(|i| i.kind),
             Some(FaultKind::DoorbellDrop)
         );
-        assert_eq!(inj.counters().snapshot().doorbell_drops, 1);
+        assert_eq!(inj.counters().doorbell_drops.get(), 1);
     }
 
     #[test]
@@ -867,6 +813,30 @@ mod tests {
             inj.decide(&write_op(1, 1)).map(|i| i.kind),
             Some(FaultKind::MediaWrite)
         );
+    }
+
+    /// The injector's counters that moved, by registry name.
+    fn fired(inj: &FaultInjector) -> Vec<(String, u64)> {
+        let reg = ccnvme_obs::Registry::new();
+        inj.counters().register_into(&reg);
+        let counters = reg.snapshot().counters;
+        counters.into_iter().filter(|(_, n)| *n > 0).collect()
+    }
+
+    #[test]
+    fn media_injections_leave_out_transport_faults_and_other_layers() {
+        let inj = FaultPlan::new(1)
+            .rule(FaultRule::new(FaultKind::Busy, Trigger::Always))
+            .net_rule(NetFaultRule::new(NetFaultKind::Drop, Trigger::Always))
+            .injector();
+        for i in 0..3 {
+            assert!(inj.decide(&write_op(i, 1)).is_some());
+        }
+        assert!(inj.decide_net(&net_op(NetDir::ToTarget, 0, 0)).is_some());
+        let reg = ccnvme_obs::Registry::new();
+        inj.counters().register_into(&reg);
+        reg.counter("host_err.retries").add(3);
+        assert_eq!(FaultCounters::media_injections(&reg.snapshot()), 3);
     }
 
     fn net_op(dir: NetDir, conn: u64, now: Ns) -> NetOp {
@@ -896,10 +866,7 @@ mod tests {
             .map(|_| inj.decide_net(&net_op(NetDir::ToTarget, 0, 0)).is_some())
             .collect();
         assert_eq!(hits, vec![false, true, false, false]);
-        let snap = inj.counters().snapshot();
-        assert_eq!(snap.net_drops, 1);
-        assert_eq!(snap.net_total(), 1);
-        assert_eq!(snap.total(), 0, "net faults do not pollute media totals");
+        assert_eq!(fired(&inj), [("fault.net_drops".to_string(), 1)]);
     }
 
     #[test]
@@ -946,7 +913,7 @@ mod tests {
         assert_eq!(got.kind, NetFaultKind::Partition);
         assert_eq!(got.heal_ns, 7_000);
         assert!(inj.decide_net(&net_op(NetDir::ToClient, 0, 0)).is_none());
-        assert_eq!(inj.counters().snapshot().net_partitions, 1);
+        assert_eq!(inj.counters().net_partitions.get(), 1);
     }
 
     #[test]
@@ -993,8 +960,7 @@ mod tests {
             .decide_net(&net_op(NetDir::ToTarget, 0, 10_101))
             .is_none());
         // One partition event, not one per swallowed frame.
-        assert_eq!(inj.counters().snapshot().net_asym_partitions, 1);
-        assert_eq!(inj.counters().snapshot().net_total(), 1);
+        assert_eq!(fired(&inj), [("fault.net_asym_partitions".to_string(), 1)]);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! first and seal the transaction with a separate *commit record*.
 
 use ccnvme_block::BLOCK_SIZE;
-use ccnvme_obs::seal::fnv1a64;
+use ccnvme_obs::seal::{fnv1a64, seal_block, sealed_payload};
 
 /// Magic of a journal description block.
 pub const JD_MAGIC: u64 = 0x4a44_5f4d_5146_5331;
@@ -222,20 +222,12 @@ impl JdPatch {
 
 /// Serializes a classic commit record for `tx_id`.
 pub fn encode_commit_record(tx_id: u64) -> Vec<u8> {
-    let mut b = vec![0u8; BLOCK_SIZE as usize];
-    b[0..8].copy_from_slice(&COMMIT_MAGIC.to_le_bytes());
-    b[8..16].copy_from_slice(&tx_id.to_le_bytes());
-    let sum = fnv1a64(&b[0..16]);
-    b[16..24].copy_from_slice(&sum.to_le_bytes());
-    b
+    seal_block(COMMIT_MAGIC, &tx_id.to_le_bytes())
 }
 
 /// Parses a commit record; returns the committed `tx_id` if valid.
 pub fn decode_commit_record(b: &[u8]) -> Option<u64> {
-    if b.len() != BLOCK_SIZE as usize || le_u64(b, 0) != COMMIT_MAGIC {
-        return None;
-    }
-    (fnv1a64(&b[0..16]) == le_u64(b, 16)).then(|| le_u64(b, 8))
+    sealed_payload(b, COMMIT_MAGIC, 8).map(|p| le_u64(p, 0))
 }
 
 /// Serializes the journal horizon (replay floor): transactions with an
@@ -244,23 +236,12 @@ pub fn decode_commit_record(b: &[u8]) -> Option<u64> {
 /// never replays a transaction whose newer superseding copies may have
 /// been overwritten.
 pub fn encode_horizon(h: u64) -> Vec<u8> {
-    let mut b = vec![0u8; BLOCK_SIZE as usize];
-    b[0..8].copy_from_slice(&HORIZON_MAGIC.to_le_bytes());
-    b[8..16].copy_from_slice(&h.to_le_bytes());
-    let sum = fnv1a64(&b[0..16]);
-    b[16..24].copy_from_slice(&sum.to_le_bytes());
-    b
+    seal_block(HORIZON_MAGIC, &h.to_le_bytes())
 }
 
 /// Parses a horizon block; zero (replay everything) if invalid/blank.
 pub fn decode_horizon(b: &[u8]) -> u64 {
-    if b.len() != BLOCK_SIZE as usize
-        || le_u64(b, 0) != HORIZON_MAGIC
-        || fnv1a64(&b[0..16]) != le_u64(b, 16)
-    {
-        return 0;
-    }
-    le_u64(b, 8)
+    sealed_payload(b, HORIZON_MAGIC, 8).map_or(0, |p| le_u64(p, 0))
 }
 
 #[cfg(test)]

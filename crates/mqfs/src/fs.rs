@@ -32,7 +32,7 @@ use std::{
 };
 
 use ccnvme_block::{flush_cache, read_block, submit_and_wait, Bio, BioBuf, BLOCK_SIZE};
-use ccnvme_obs::{Counter, Histogram};
+use ccnvme_obs::Histogram;
 use ccnvme_runtime::{Ns, RtMutex, RtRwLock};
 use mqfs_journal::{
     AreaSpec, ClassicJournal, CommitStyle, Dev, Durability, Journal, MqJournal, NoJournal,
@@ -130,21 +130,9 @@ impl FsConfig {
     }
 }
 
-/// Operation counters (read by the file-system test suite).
-#[derive(Debug, Default)]
-pub struct FsStats {
-    /// `fsync`/`fdatasync` calls completed.
-    pub fsyncs: Counter,
-    /// `fatomic`/`fdataatomic` calls completed.
-    pub fatomics: Counter,
-    /// Bytes accepted by `write`.
-    pub bytes_written: Counter,
-    /// Transactions committed.
-    pub txs: Counter,
-}
-
 /// Per-syscall latency histograms, registered in the device's metrics
-/// registry under `mqfs.<op>_ns` names. Only successful calls record
+/// registry under `mqfs.<op>_ns` names, and the sync path's Figure 14
+/// breakdown under `mqfs.sync_<phase>_ns`. Only successful calls record
 /// (error paths return before the stop watch).
 struct SyscallHists {
     create: Arc<Histogram>,
@@ -154,6 +142,14 @@ struct SyscallHists {
     fatomic: Arc<Histogram>,
     rename: Arc<Histogram>,
     unlink: Arc<Histogram>,
+    /// S-iD: collect the dirty data pages.
+    sync_data: Arc<Histogram>,
+    /// S-iM: serialize the inode and close over open operations.
+    sync_inode: Arc<Histogram>,
+    /// S-pM: capture the dependent (parent) metadata blocks.
+    sync_parent: Arc<Histogram>,
+    /// S-JH + W-*: the journal commit, submit and wait.
+    sync_commit: Arc<Histogram>,
 }
 
 impl SyscallHists {
@@ -166,23 +162,12 @@ impl SyscallHists {
             fatomic: reg.histogram("mqfs.fatomic_ns"),
             rename: reg.histogram("mqfs.rename_ns"),
             unlink: reg.histogram("mqfs.unlink_ns"),
+            sync_data: reg.histogram("mqfs.sync_data_ns"),
+            sync_inode: reg.histogram("mqfs.sync_inode_ns"),
+            sync_parent: reg.histogram("mqfs.sync_parent_ns"),
+            sync_commit: reg.histogram("mqfs.sync_commit_ns"),
         }
     }
-}
-
-/// Latency breakdown of one `fsync`, mirroring Figure 14's segments.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FsyncTrace {
-    /// S-iD: collect/allocate dirty data.
-    pub s_data: Ns,
-    /// S-iM: serialize this file's inode (and its table block).
-    pub s_inode: Ns,
-    /// S-pM: parent-directory metadata capture.
-    pub s_parent: Ns,
-    /// S-JH + W-*: journal commit (submit and wait).
-    pub commit: Ns,
-    /// End-to-end latency.
-    pub total: Ns,
 }
 
 /// A page of file data in the page cache.
@@ -297,12 +282,9 @@ pub struct FileSystem {
     /// running-transaction `t_updates` discipline of JBD2). Lock order:
     /// barrier before inode handles.
     op_barrier: RtRwLock<()>,
-    /// Statistics counters.
-    pub stats: FsStats,
-    /// Syscall-level latency histograms (`mqfs.<op>_ns`).
+    /// Syscall-level latency histograms (`mqfs.<op>_ns`) and the sync
+    /// path's phases (`mqfs.sync_<phase>_ns`).
     sys: SyscallHists,
-    trace_enabled: AtomicBool,
-    traces: Mutex<Vec<FsyncTrace>>,
     /// Set when the file system degraded to read-only after an
     /// unrecoverable error: writes fail with [`FsError::ReadOnly`],
     /// reads are still served.
@@ -414,10 +396,7 @@ impl FileSystem {
             icache: RtMutex::new(HashMap::new()),
             ops: RtMutex::new(OpIndex::default()),
             op_barrier: RtRwLock::new(()),
-            stats: FsStats::default(),
             sys,
-            trace_enabled: AtomicBool::new(false),
-            traces: Mutex::new(Vec::new()),
             degraded: AtomicBool::new(false),
             degrade_reason: Mutex::new(None),
         })
@@ -462,18 +441,6 @@ impl FileSystem {
     /// Root directory inode number.
     pub fn root(&self) -> u64 {
         ROOT_INO
-    }
-
-    /// Enables per-fsync latency tracing (Figure 14).
-    pub fn enable_tracing(&self) {
-        // ord: Relaxed — standalone flag; tracing may begin on any
-        // subsequent fsync, no ordering with other state is needed.
-        self.trace_enabled.store(true, Ordering::Relaxed);
-    }
-
-    /// Drains the recorded fsync traces.
-    pub fn take_traces(&self) -> Vec<FsyncTrace> {
-        std::mem::take(&mut self.traces.lock())
     }
 
     // ------------------------------------------------------------------
@@ -736,7 +703,6 @@ impl FileSystem {
             st.meta_dirty = MetaDirty::Timestamps;
         }
         st.inode.mtime = ccnvme_runtime::now();
-        self.stats.bytes_written.add(pos - offset);
         result
     }
 
@@ -908,41 +874,24 @@ impl FileSystem {
         // --- Commit. An empty transaction goes to the journal too: it
         // costs nothing there, and the engine learns that nothing will
         // ever be logged under the ID it handed out. ---
-        let empty = tx.is_empty();
         let committed = self.journal.commit_tx(tx, durability);
         drop(st);
-        match committed {
-            Ok(()) if empty => {}
-            Ok(()) => self.stats.txs.inc(),
-            Err(e) => {
-                // The whole transaction failed atomically (nothing of it
-                // will be replayed after a crash); degrade to read-only.
-                self.degrade(&format!("transaction commit failed: {e:?}"));
-                return Err(FsError::Io);
-            }
+        if let Err(e) = committed {
+            // The whole transaction failed atomically (nothing of it will
+            // be replayed after a crash); degrade to read-only.
+            self.degrade(&format!("transaction commit failed: {e:?}"));
+            return Err(FsError::Io);
         }
         let now = ccnvme_runtime::now();
         match durability {
-            Durability::Durable => {
-                self.stats.fsyncs.inc();
-                self.sys.fsync.record(now - t0);
-            }
-            Durability::Atomic => {
-                self.stats.fatomics.inc();
-                self.sys.fatomic.record(now - t0);
-            }
+            Durability::Durable => self.sys.fsync.record(now - t0),
+            Durability::Atomic => self.sys.fatomic.record(now - t0),
         }
-        // ord: Relaxed — tracing flag only; a racing enable may miss
-        // this fsync, which is fine for a diagnostic.
-        if self.trace_enabled.load(Ordering::Relaxed) {
-            self.traces.lock().push(FsyncTrace {
-                s_data: t_data - t0,
-                s_inode: t_inode - t_data,
-                s_parent: t_parent - t_inode,
-                commit: now - t_parent,
-                total: now - t0,
-            });
-        }
+        // Figure 14's segments: they partition `now - t0` exactly.
+        self.sys.sync_data.record(t_data - t0);
+        self.sys.sync_inode.record(t_inode - t_data);
+        self.sys.sync_parent.record(t_parent - t_inode);
+        self.sys.sync_commit.record(now - t_parent);
         Ok(())
     }
 

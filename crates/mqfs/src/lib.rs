@@ -26,6 +26,6 @@ pub mod inode;
 pub mod layout;
 
 pub use error::{FsError, FsResult};
-pub use fs::{FileSystem, FsConfig, FsStats, FsVariant, FsyncTrace};
+pub use fs::{FileSystem, FsConfig, FsVariant};
 pub use inode::InodeKind;
 pub use layout::{Layout, ROOT_INO};

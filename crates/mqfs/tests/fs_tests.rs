@@ -5,6 +5,7 @@ use std::{collections::HashSet, sync::Arc};
 
 use ccnvme::{CcNvmeDriver, NvmeDriver};
 use ccnvme_block::BlockDevice;
+use ccnvme_obs::MetricsSnapshot;
 use ccnvme_sim::Sim;
 use ccnvme_ssd::{CrashMode, CtrlConfig, DurableImage, NvmeController, SsdProfile};
 use mqfs::{FileSystem, FsConfig, FsError, FsVariant, InodeKind};
@@ -99,6 +100,17 @@ impl Stack {
             .expect("mount after crash");
         (stack, fs)
     }
+
+    /// The stack's metrics registry, where the file system and the
+    /// journal count what they did.
+    fn metrics(&self) -> MetricsSnapshot {
+        ccnvme_block::obs_of(self.dev.as_ref()).metrics.snapshot()
+    }
+}
+
+/// Samples recorded in histogram `name` (0 when it was never registered).
+fn samples(m: &MetricsSnapshot, name: &str) -> u64 {
+    m.histogram(name).map_or(0, |h| h.summary.count)
 }
 
 /// Block groups of the volume: a file's first block (and a directory's)
@@ -981,35 +993,53 @@ fn stats_count_operations() {
         fs.fsync(ino).expect("fsync");
         fs.write(ino, 4096, &[0u8; 4096]).expect("write");
         fs.fatomic(ino).expect("fatomic");
-        assert_eq!(fs.stats.fsyncs.get(), 1);
-        assert_eq!(fs.stats.fatomics.get(), 1);
-        assert_eq!(fs.stats.bytes_written.get(), 8192);
-        assert!(fs.stats.txs.get() >= 2);
+        let m = stack.metrics();
+        assert_eq!(samples(&m, "mqfs.fsync_ns"), 1);
+        assert_eq!(samples(&m, "mqfs.fatomic_ns"), 1);
+        assert_eq!(samples(&m, "mqfs.write_ns"), 2);
+        assert!(m.counter("journal.mq.commits") >= 2);
     });
     sim.run();
 }
 
+/// Figure 14's breakdown is always on: every `fsync` and `fatomic`
+/// records one sample per phase, and the four phases partition the
+/// call's latency exactly (one `t0`, one closing clock read).
 #[test]
-fn tracing_produces_figure14_segments() {
+fn sync_phases_partition_every_sync() {
     let mut sim = Sim::new(CORES + 2);
     sim.spawn("host", 0, || {
         let variant = FsVariant::Mqfs;
         let stack = Stack::new(variant, SsdProfile::optane_905p());
         let fs = FileSystem::format(Arc::clone(&stack.dev), fs_config(variant));
-        fs.enable_tracing();
-        let ino = fs.create_path("/traced").expect("create");
-        fs.write(ino, 0, &[1u8; 4096]).expect("write");
-        fs.fsync(ino).expect("fsync");
-        let traces = fs.take_traces();
-        assert_eq!(traces.len(), 1);
-        let t = traces[0];
-        assert!(t.total >= t.s_data + t.s_inode + t.s_parent + t.commit);
-        assert!(t.commit > 0, "commit covers the journal wait");
-        assert!(
-            t.total > 5_000,
-            "an fsync takes microseconds, got {}",
-            t.total
-        );
+        let (fsyncs, fatomics) = (3, 2);
+        for i in 0..fsyncs + fatomics {
+            let ino = fs.create_path(&format!("/p{i}")).expect("create");
+            fs.write(ino, 0, &[1u8; 4096]).expect("write");
+            if i < fsyncs {
+                fs.fsync(ino).expect("fsync");
+            } else {
+                fs.fatomic(ino).expect("fatomic");
+            }
+        }
+        let m = stack.metrics();
+        let sum = |name: &str| m.histogram(name).map_or(0, |h| h.sum);
+        let phases = [
+            "mqfs.sync_data_ns",
+            "mqfs.sync_inode_ns",
+            "mqfs.sync_parent_ns",
+            "mqfs.sync_commit_ns",
+        ];
+        for phase in phases {
+            assert_eq!(samples(&m, phase), fsyncs + fatomics, "{phase}");
+        }
+        assert_eq!(samples(&m, "mqfs.fsync_ns"), fsyncs);
+        assert_eq!(samples(&m, "mqfs.fatomic_ns"), fatomics);
+        let total = sum("mqfs.fsync_ns") + sum("mqfs.fatomic_ns");
+        assert_eq!(phases.into_iter().map(sum).sum::<u64>(), total);
+        assert!(sum("mqfs.sync_commit_ns") > 0, "commit covers the journal");
+        let mean = total / (fsyncs + fatomics);
+        assert!(mean > 5_000, "a sync takes microseconds, got {mean}");
     });
     sim.run();
 }
@@ -1198,11 +1228,12 @@ fn syncs_that_commit_nothing_do_not_pin_the_horizon() {
         let ino = fs.create_path("/clean").expect("create");
         fs.write(ino, 0, &[1u8; 4096]).expect("write");
         fs.fsync(ino).expect("fsync");
-        let txs = fs.stats.txs.get();
+        let commits = || stack.metrics().counter("journal.mq.commits");
+        let before = commits();
         for _ in 0..1_000 {
             fs.fdatasync(ino).expect("fdatasync of a clean file");
         }
-        assert_eq!(fs.stats.txs.get(), txs, "a clean file committed something");
+        assert_eq!(commits(), before, "a clean file committed something");
         // Wrap the 32-block area a few times over.
         for i in 0..100u64 {
             fs.write(ino, 0, &[i as u8; 4096]).expect("overwrite");

@@ -1,4 +1,5 @@
-//! The stack's one checksum and its one 64 B line seal.
+//! The stack's one checksum, its one 64 B line seal and its one sealed
+//! 4 KB block record.
 //!
 //! Every integrity check on PMR, media and wire is FNV-1a: the 32-bit
 //! hash seals 64 B PMR lines (ccNVMe SQE slots, ploc records, blackbox
@@ -11,6 +12,10 @@
 //! those are reserved Dwords 13 and 14, which the device-side decoder
 //! ignores, so a sealed SQE is still a valid stock-NVMe command (Table 2
 //! compatibility).
+//!
+//! A sealed block is `magic | payload | fnv1a64(magic‖payload)`,
+//! zero-padded to 4 KB: the journal's commit record and horizon, and the
+//! cluster's intent, decision and gtx high-water-mark records.
 
 /// Byte offset of the seal epoch within a line.
 const EPOCH_OFF: usize = 52;
@@ -59,6 +64,33 @@ pub fn verify_line(raw: &[u8; 64], epoch: u32) -> bool {
     sealed_epoch(raw) == Some(epoch)
 }
 
+/// Bytes of a sealed block record: one 4 KB block of the device.
+const BLOCK_BYTES: usize = 4096;
+
+/// Seals a one-block record: `magic` (little-endian), `payload`, then
+/// [`fnv1a64`] of both, zero-padded to 4 KB.
+pub fn seal_block(magic: u64, payload: &[u8]) -> Vec<u8> {
+    let body = 8 + payload.len();
+    let mut b = vec![0u8; BLOCK_BYTES];
+    b[..8].copy_from_slice(&magic.to_le_bytes());
+    b[8..body].copy_from_slice(payload);
+    let sum = fnv1a64(&b[..body]);
+    b[body..body + 8].copy_from_slice(&sum.to_le_bytes());
+    b
+}
+
+/// The `len`-byte payload of a block [`seal_block`] sealed under `magic`;
+/// `None` for a block of another size or magic, or whose checksum does
+/// not hold (torn, or never written).
+pub fn sealed_payload(block: &[u8], magic: u64, len: usize) -> Option<&[u8]> {
+    let body = 8 + len;
+    if block.len() != BLOCK_BYTES || body + 8 > BLOCK_BYTES || block[..8] != magic.to_le_bytes() {
+        return None;
+    }
+    let sum = u64::from_le_bytes(block[body..body + 8].try_into().expect("8 bytes"));
+    (fnv1a64(&block[..body]) == sum).then(|| &block[8..body])
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -92,5 +124,30 @@ mod tests {
         let mut unsealed = [0u8; 64];
         unsealed[0] = 0x01;
         assert!(!verify_line(&unsealed, 0));
+    }
+
+    #[test]
+    fn sealed_block_opens_only_whole_and_under_its_magic() {
+        let b = seal_block(0x5ea1, b"payload");
+        assert_eq!(b.len(), BLOCK_BYTES);
+        assert_eq!(&b[..8], &0x5ea1_u64.to_le_bytes());
+        assert_eq!(&b[8..15], b"payload");
+        assert_eq!(&b[15..23], &fnv1a64(&b[..15]).to_le_bytes());
+        assert!(b[23..].iter().all(|&x| x == 0), "zero-padded");
+        assert_eq!(sealed_payload(&b, 0x5ea1, 7), Some(&b"payload"[..]));
+        assert_eq!(sealed_payload(&b, 0x5eab, 7), None, "another magic");
+        assert_eq!(sealed_payload(&b, 0x5ea1, 6), None, "another length");
+        assert_eq!(sealed_payload(&b[..64], 0x5ea1, 7), None, "not a block");
+        assert_eq!(sealed_payload(&b, 0x5ea1, BLOCK_BYTES), None);
+        for i in 0..23 {
+            let mut torn = b.clone();
+            torn[i] ^= 0x80;
+            assert_eq!(sealed_payload(&torn, 0x5ea1, 7), None, "tear at byte {i}");
+        }
+        assert_eq!(
+            sealed_payload(&[0u8; BLOCK_BYTES], 0, 8),
+            None,
+            "blank block"
+        );
     }
 }

@@ -523,11 +523,6 @@ impl NvmeController {
         }
     }
 
-    /// The attached fault injector, if any (for reading its counters).
-    pub fn fault_injector(&self) -> Option<Arc<FaultInjector>> {
-        self.inner.cfg.fault.clone()
-    }
-
     /// The persistence-event log, when
     /// [`CtrlConfig::record_persistence`] was set.
     pub fn persist_log(&self) -> Option<Arc<PersistLog>> {
@@ -1420,15 +1415,8 @@ mod tests {
                 // block can never have landed.
                 let image = h.ctrl.graceful_image();
                 assert!(!image.blocks.contains_key(&107));
-                assert_eq!(
-                    h.ctrl
-                        .fault_injector()
-                        .unwrap()
-                        .counters()
-                        .snapshot()
-                        .torn_dma,
-                    1
-                );
+                let m = h.ctrl.link().obs.metrics.snapshot();
+                assert_eq!(m.counter("fault.torn_dma"), 1);
             });
             sim.run();
         }
@@ -1488,8 +1476,8 @@ mod tests {
                 // Ring again with the same tail; the command now executes.
                 h.ctrl.regs().write(0x1000, &h.tail.to_le_bytes());
                 assert_eq!(h.await_completion().status, Status::Success);
-                let snap = h.ctrl.fault_injector().unwrap().counters().snapshot();
-                assert_eq!(snap.doorbell_drops, 1);
+                let m = h.ctrl.link().obs.metrics.snapshot();
+                assert_eq!(m.counter("fault.doorbell_drops"), 1);
             });
             sim.run();
         }

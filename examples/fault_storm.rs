@@ -59,13 +59,13 @@ fn main() {
                 fs.write(ino, 0, &vec![k as u8 + 1; 8192])?;
                 fs.fsync(ino)
             })();
-            let e = stack.err_stats();
-            let f = stack.fault_stats();
+            let m = stack.metrics();
             println!(
                 "f{k}: {:9} | injected busy={} dropped-db={} media={} | host retries={} kicks={} tx-failures={}",
                 if r.is_ok() { "committed" } else { "FAILED" },
-                f.busy, f.doorbell_drops, f.media_write,
-                e.retries, e.doorbell_kicks, e.tx_failures,
+                m.counter("fault.busy"), m.counter("fault.doorbell_drops"), m.counter("fault.media_write"),
+                m.counter("host_err.retries"), m.counter("host_err.doorbell_kicks"),
+                m.counter("host_err.tx_failures"),
             );
             match r {
                 Ok(()) => committed.push(k),

@@ -6,10 +6,11 @@
 #     (unit suites of every layer, the crash-sweep suite at exact state
 #     counts, the fabric, ploc, cluster and lint suites, the sim/OS
 #     differential), the ccnvme-lint protocol-invariant analyzer over
-#     the workspace, the bench metrics-schema smoke run, the deep ploc
-#     and cluster crash sweeps, the forensics and OS-runtime smokes, and
-#     the benchmark: its own tests, every workload's output oracle, and
-#     exact virtual-time agreement between two runs.
+#     the workspace, the bench metrics-schema smoke run, the faultpath
+#     bench and the fault_storm example, the deep ploc and cluster crash
+#     sweeps, the forensics and OS-runtime smokes, and the benchmark: its
+#     own tests, every workload's output oracle, and exact virtual-time
+#     agreement between two runs.
 #
 #   deep (CHECK_DEEP=1): the deep file-system crash sweep
 #     (CCNVME_ENUM_DEEP=1: torn posted-write expansion plus a
@@ -65,6 +66,13 @@ for rule in persist-order static-race observer-purity; do
     cargo run -q -p ccnvme-lint -- --explain "$rule" > /dev/null
 done
 scripts/bench_smoke.sh
+# The two harnesses that read the error ladder's and the fault
+# injector's counters from the metrics registry: the error-path overhead
+# table (exits non-zero when its fault campaign breaks the error
+# contract) and the fault-storm walkthrough (it asserts degradation,
+# reads while degraded and recovery itself).
+QUICK=1 cargo run -q --release -p ccnvme-bench --bin faultpath > /dev/null
+cargo run -q --release --example fault_storm > /dev/null
 # The deep ploc and cluster crash sweeps (torn tails and every-image
 # re-crash; every cut, three shards). The file-system ones take
 # tens of minutes each and stay in the deep tier; the journal's patch-record
