@@ -742,6 +742,60 @@ impl CrashWorkload for DirRecords {
     }
 }
 
+// ---------------------------------------------------------------------------
+// carried_groups: what a directory fsync still owes after its children's
+// ---------------------------------------------------------------------------
+
+/// The crash surface of operation-group retirement (not a Table 4 row):
+/// a directory `fsync` journals only the operation groups no durable
+/// commit has carried yet. `fsync(a)` retires `a`'s create; `fatomic(b)`
+/// carries `b`'s create with atomic durability only, so the directory
+/// `fsync` after it must journal that create again, and not `a`'s; the
+/// second directory `fsync` journals the unlink of `a` alone.
+pub struct CarriedGroups;
+
+impl CarriedGroups {
+    const DIR: &'static str = "/cg";
+}
+
+// Marks: 0 = a persisted by fsync(a); 1 = b persisted by fsync(dir);
+// 2 = unlink(a) issued; 3 = unlink(a) persisted.
+impl CrashWorkload for CarriedGroups {
+    fn name(&self) -> &'static str {
+        "carried_groups"
+    }
+
+    fn run(&self, fs: &Arc<FileSystem>, log: &OpLog) {
+        let dir = fs.mkdir_path(Self::DIR).expect("mkdir");
+        let a = fs.create(dir, "a").expect("create a");
+        fs.fsync(a).expect("fsync a");
+        log.mark(0);
+        let b = fs.create(dir, "b").expect("create b");
+        fs.fatomic(b).expect("fatomic b");
+        fs.fsync(dir).expect("fsync dir");
+        log.mark(1);
+        log.mark(2);
+        fs.unlink(dir, "a").expect("unlink a");
+        fs.fsync(dir).expect("fsync dir");
+        log.mark(3);
+    }
+
+    fn verify(&self, fs: &Arc<FileSystem>, persisted: &HashSet<u64>) -> Vec<String> {
+        let mut problems = Vec::new();
+        let a = exists(fs, "/cg/a").is_some();
+        if persisted.contains(&3) && a {
+            problems.push("/cg/a: persisted unlink, file resurrected".into());
+        }
+        if persisted.contains(&0) && !persisted.contains(&2) && !a {
+            problems.push("/cg/a: fsynced create lost".into());
+        }
+        if persisted.contains(&1) && exists(fs, "/cg/b").is_none() {
+            problems.push("/cg/b: create lost although the directory fsync returned".into());
+        }
+        problems
+    }
+}
+
 /// The four Table 4 workloads with the paper's row order.
 pub fn table4_workloads() -> Vec<Arc<dyn CrashWorkload>> {
     vec![

@@ -100,8 +100,14 @@ fn extent_life_cycle_recovers_at_every_event_prefix() {
     // reuse of the freed data and leaf blocks by a new file.
     let r = sweep_fs(workloads::ExtentSpill, &SweepPlan::every());
     // Exact: the run is deterministic, so a moved count means the
-    // workload's persistence traffic changed.
-    assert_eq!((r.events, r.states), (133, 134), "crash surface moved");
+    // workload's persistence traffic changed. It was (133, 134) while a
+    // directory fsync re-journaled groups a durable commit had carried:
+    // `fsync(/ext)` after the unlink journaled the create's whole-block
+    // write of `/ext`'s directory block again, though the first
+    // `fsync(a)` had made it durable. The two events that went are that
+    // ring copy's submission entry in the PMR and its media write; the
+    // unlink's record edits now ride the JD as patches.
+    assert_eq!((r.events, r.states), (131, 132), "crash surface moved");
     assert!(
         r.failures.is_empty(),
         "crash states failed recovery: {:?}",
@@ -135,6 +141,26 @@ fn dir_records_recover_at_every_event_prefix() {
     // Exact: the run is deterministic, so a moved count means the
     // directory path's persistence traffic changed.
     assert_eq!((r.events, r.states), (166, 167), "crash surface moved");
+    assert_eq!(r.clean, r.states, "every state must recover clean");
+    assert_eq!(r.count("forensics_images"), r.states);
+    assert_eq!(r.sanitizer_violations, 0);
+}
+
+/// Operation-group retirement: a create made durable by its own `fsync`
+/// is not journaled again by the directory's, one carried by a
+/// `fatomic` is — at every event prefix, through remount, fsck, the
+/// durability oracle, forensics and the persist-order sanitizer.
+#[test]
+fn carried_groups_recover_at_every_event_prefix() {
+    let r = sweep_fs(workloads::CarriedGroups, &SweepPlan::every());
+    assert!(
+        r.failures.is_empty(),
+        "crash states failed recovery: {:?}",
+        r.failures
+    );
+    // Exact: the run is deterministic, so a moved count means what a
+    // directory fsync journals changed.
+    assert_eq!((r.events, r.states), (44, 45), "crash surface moved");
     assert_eq!(r.clean, r.states, "every state must recover clean");
     assert_eq!(r.count("forensics_images"), r.states);
     assert_eq!(r.sanitizer_violations, 0);

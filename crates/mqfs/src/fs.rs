@@ -5,10 +5,12 @@
 //! extent-leaf blocks — lives in the [`BufferCache`] keyed by device LBA
 //! and changes only through [`WriteSet::update`], which records the block
 //! and the byte range it wrote. The journal set of an operation is
-//! therefore the bytes it wrote: the operation's closing `finish` hands
-//! it to the *dependency set* of every inode whose later `fsync` must
-//! persist the operation ("MQFS always packs the target files of a file
-//! operation into a single transaction", §7.6).
+//! therefore the bytes it wrote: the operation's closing `finish` makes
+//! it an *operation group* and names the group in the *dependency set*
+//! of every inode whose later `fsync` must persist the operation ("MQFS
+//! always packs the target files of a file operation into a single
+//! transaction", §7.6). A group a durable commit carried is retired, so
+//! a later `fsync` journals only what is not yet durable.
 //!
 //! `fsync` assembles one transaction: the file's dirty data pages
 //! (ordered-mode data), a snapshot of each dependent metadata block
@@ -191,8 +193,12 @@ struct InodeSt {
     pages: HashMap<u64, Page>,
     dirty_pages: BTreeSet<u64>,
     meta_dirty: MetaDirty,
-    /// Metadata blocks the next fsync must journal.
+    /// What this file's plain `write`s allocated: the next fsync
+    /// journals it.
     dep_meta: WriteSet,
+    /// The operation groups (see [`OpIndex`]) the next fsync must
+    /// persist, by id; a retired group's id names nothing.
+    dep_groups: Vec<u64>,
     /// Directory index (directories only).
     dir: Option<DirState>,
 }
@@ -201,29 +207,80 @@ struct InodeHandle {
     st: RtMutex<InodeSt>,
 }
 
-/// Index of *open operation groups*: each namespace operation (create,
+/// One namespace operation's writes (see [`OpIndex`]).
+struct Group {
+    ws: WriteSet,
+    /// Dependency sets that name the group.
+    holders: usize,
+    /// A commit took the group: closure no longer absorbs it.
+    carried: bool,
+}
+
+/// Index of *operation groups*: each namespace operation (create,
 /// unlink, rename, link, mkdir, rmdir) dirties several metadata blocks
 /// that must reach disk **together** — committing a shared inode-table
 /// block without the matching directory block would tear the operation
-/// across transactions. `fsync` seeds its transaction with the file's
-/// dependency set and expands it to the closure over open groups
-/// ("MQFS always packs the target files of a file operation into a
-/// single transaction", §7.6).
+/// across transactions. `fsync` seeds its transaction with the groups
+/// the file's dependency set names and expands it to the closure over
+/// open groups ("MQFS always packs the target files of a file operation
+/// into a single transaction", §7.6). A group is
+///
+/// * *open* until a commit takes it: closure absorbs it;
+/// * *carried* once one did, until a durable commit that carried it
+///   returns: closure passes it by, but an `fsync` that names it still
+///   journals its bytes — the commit that took it may not be durable
+///   yet, or never will be (`fatomic`);
+/// * *retired* — gone from the index — from then on: it is on media, and
+///   contributes nothing to a later seed.
+///
+/// A carried group that no dependency set names any more is dropped
+/// too: no `fsync` can ask for it.
 #[derive(Default)]
 struct OpIndex {
-    groups: HashMap<u64, WriteSet>,
+    groups: HashMap<u64, Group>,
+    /// The open groups by the blocks they wrote.
     by_lba: HashMap<u64, Vec<u64>>,
     next: u64,
 }
 
 impl OpIndex {
-    fn register(&mut self, ws: &WriteSet) {
+    /// Opens a group for `ws` and names it in every dependency set of
+    /// `deps`.
+    fn register<'a>(&mut self, ws: WriteSet, deps: impl IntoIterator<Item = &'a mut Vec<u64>>) {
         let gid = self.next;
         self.next += 1;
         for lba in ws.lbas() {
             self.by_lba.entry(lba).or_default().push(gid);
         }
-        self.groups.insert(gid, ws.clone());
+        let mut holders = 0;
+        for dep in deps {
+            // A directory nobody fsyncs keeps naming groups its
+            // children's commits retired: forget those as it grows.
+            if dep.len() >= 64 && dep.len().is_power_of_two() {
+                dep.retain(|g| self.groups.contains_key(g));
+            }
+            dep.push(gid);
+            holders += 1;
+        }
+        let group = Group {
+            ws,
+            holders,
+            carried: false,
+        };
+        self.groups.insert(gid, group);
+    }
+
+    /// Adds the bytes of the groups `gids` names that are not retired,
+    /// open or carried, to `seed`; returns their ids.
+    fn seed(&self, gids: &[u64], seed: &mut WriteSet) -> Vec<u64> {
+        let mut named = Vec::new();
+        for gid in gids {
+            if let Some(group) = self.groups.get(gid) {
+                seed.merge(&group.ws);
+                named.push(*gid);
+            }
+        }
+        named
     }
 
     /// Expands `seed` to the closure over open groups; returns the
@@ -240,7 +297,7 @@ impl OpIndex {
             for gid in self.by_lba.get(&lba).into_iter().flatten() {
                 if seen_gids.insert(*gid) {
                     gids.push(*gid);
-                    let group = &self.groups[gid];
+                    let group = &self.groups[gid].ws;
                     frontier.extend(group.lbas().filter(|l| out.ranges(*l).is_none()));
                     out.merge(group);
                 }
@@ -249,16 +306,44 @@ impl OpIndex {
         (out, gids)
     }
 
-    fn close(&mut self, gids: &[u64]) {
+    /// A commit took `gids`: closure stops absorbing them.
+    fn carry(&mut self, gids: &[u64]) {
         for gid in gids {
-            if let Some(group) = self.groups.remove(gid) {
-                for lba in group.lbas() {
-                    if let Some(v) = self.by_lba.get_mut(&lba) {
-                        v.retain(|g| g != gid);
-                        if v.is_empty() {
-                            self.by_lba.remove(&lba);
-                        }
+            let Some(group) = self.groups.get_mut(gid) else {
+                continue; // Retired meanwhile by another durable commit.
+            };
+            if std::mem::replace(&mut group.carried, true) {
+                continue;
+            }
+            for lba in group.ws.lbas() {
+                if let Some(v) = self.by_lba.get_mut(&lba) {
+                    v.retain(|g| g != gid);
+                    if v.is_empty() {
+                        self.by_lba.remove(&lba);
                     }
+                }
+            }
+            if group.holders == 0 {
+                self.groups.remove(gid);
+            }
+        }
+    }
+
+    /// A durable commit that carried `gids` returned.
+    fn retire(&mut self, gids: &[u64]) {
+        for gid in gids {
+            self.groups.remove(gid);
+        }
+    }
+
+    /// A dependency set stops naming `gids`: its holder's commit was
+    /// not durable, or the holder was freed.
+    fn release(&mut self, gids: &[u64]) {
+        for gid in gids {
+            if let Some(group) = self.groups.get_mut(gid) {
+                group.holders -= 1;
+                if group.carried && group.holders == 0 {
+                    self.groups.remove(gid);
                 }
             }
         }
@@ -469,6 +554,7 @@ impl FileSystem {
                 dirty_pages: BTreeSet::new(),
                 meta_dirty: MetaDirty::Clean,
                 dep_meta: WriteSet::default(),
+                dep_groups: Vec::new(),
                 dir: None,
             }),
         });
@@ -820,6 +906,12 @@ impl FileSystem {
         let t_data = ccnvme_runtime::now();
         // --- S-iM: serialize the inode into its table block. ---
         let mut seed = std::mem::take(&mut st.dep_meta);
+        let named = std::mem::take(&mut st.dep_groups);
+        let mut carried = if named.is_empty() {
+            Vec::new()
+        } else {
+            self.ops.lock().seed(&named, &mut seed)
+        };
         let skip_inode = data_only && st.meta_dirty != MetaDirty::Full && seed.is_empty();
         if !skip_inode {
             ccnvme_runtime::cpu(INODE_SER_CPU);
@@ -829,9 +921,11 @@ impl FileSystem {
         // Operation-atomicity closure: every open namespace operation
         // that touched one of these blocks (including this inode's
         // table block) contributes all of its blocks.
-        let (meta, gids) = {
+        let meta = {
             let ops = self.ops.lock();
-            ops.closure(&seed)
+            let (meta, absorbed) = ops.closure(&seed);
+            carried.extend(absorbed);
+            meta
         };
         let t_inode = ccnvme_runtime::now();
         // --- S-pM + S-JH: capture the dependent metadata blocks: the
@@ -867,15 +961,24 @@ impl FileSystem {
         let t_parent = ccnvme_runtime::now();
         // Snapshots taken; operations may proceed during the commit.
         drop(barrier);
-        // The absorbed operation groups are covered by this transaction.
-        if !gids.is_empty() {
-            self.ops.lock().close(&gids);
+        // The seeded and absorbed groups ride this transaction.
+        if !carried.is_empty() {
+            self.ops.lock().carry(&carried);
         }
         // --- Commit. An empty transaction goes to the journal too: it
         // costs nothing there, and the engine learns that nothing will
         // ever be logged under the ID it handed out. ---
         let committed = self.journal.commit_tx(tx, durability);
         drop(st);
+        // Only now are the groups on media — not when the commit took
+        // them: a concurrent fsync that names one journals it until then.
+        if committed.is_ok() && durability == Durability::Durable {
+            if !carried.is_empty() {
+                self.ops.lock().retire(&carried);
+            }
+        } else if !named.is_empty() {
+            self.ops.lock().release(&named);
+        }
         if let Err(e) = committed {
             // The whole transaction failed atomically (nothing of it will
             // be replayed after a crash); degrade to read-only.
@@ -969,14 +1072,12 @@ impl FileSystem {
     }
 
     /// Ends a namespace operation: the blocks it wrote become one open
-    /// group (see [`OpIndex`]) and join the dependency set of every inode
-    /// in `holders`, so an fsync of any of them persists the operation
-    /// whole.
+    /// group (see [`OpIndex`]), named in the dependency set of every
+    /// inode in `holders`, so an fsync of any of them persists the
+    /// operation whole.
     fn finish<'a>(&self, ws: WriteSet, holders: impl IntoIterator<Item = &'a mut InodeSt>) {
-        self.ops.lock().register(&ws);
-        for st in holders {
-            st.dep_meta.merge(&ws);
-        }
+        let deps = holders.into_iter().map(|st| &mut st.dep_groups);
+        self.ops.lock().register(ws, deps);
     }
 
     /// Inserts a directory entry, growing the directory by one block
@@ -1127,6 +1228,7 @@ impl FileSystem {
         st.inode.kind = InodeKind::Free;
         st.inode.nlink = 0;
         self.write_inode(ws, ino, &st.inode);
+        self.ops.lock().release(&std::mem::take(&mut st.dep_groups));
         self.icache.lock().remove(&ino);
     }
 
@@ -1544,5 +1646,86 @@ fn build_journal(cfg: &FsConfig, dev: &Dev, layout: &Layout) -> Arc<dyn Journal>
             cfg.journald_core,
         )),
         FsVariant::Ext4NoJournal => Arc::new(NoJournal::new(Arc::clone(dev))),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use ccnvme_sim::Sim;
+
+    use super::*;
+
+    /// How `sync_inner` drives the index for one holder: seed from its
+    /// dependency set, close over open groups, carry both, then retire
+    /// (durable commit returned) or release (it was not durable).
+    /// Returns the blocks the transaction journals.
+    fn sync(ops: &mut OpIndex, deps: &mut Vec<u64>, durable: bool) -> Vec<u64> {
+        let named = std::mem::take(deps);
+        let mut seed = WriteSet::default();
+        let mut carried = ops.seed(&named, &mut seed);
+        let (meta, absorbed) = ops.closure(&seed);
+        carried.extend(absorbed);
+        ops.carry(&carried);
+        if durable {
+            ops.retire(&carried);
+        } else {
+            ops.release(&named);
+        }
+        meta.lbas().collect()
+    }
+
+    #[test]
+    fn a_group_seeds_its_holders_until_a_durable_commit_retires_it() {
+        Sim::run_main(1, || {
+            let cache = BufferCache::new(crate::alloc::tests::memdev());
+            let wrote = |lbas: &[u64]| {
+                let mut ws = WriteSet::default();
+                for &lba in lbas {
+                    ws.update(&cache.get_zeroed(lba), 0..8, |d| d.fill(1));
+                }
+                ws
+            };
+            let mut ops = OpIndex::default();
+            // create(d/x): the directory and the child hold the group.
+            let (mut d, mut x) = (Vec::new(), Vec::new());
+            ops.register(wrote(&[1, 2]), [&mut d, &mut x]);
+            // fatomic(x) carries it, atomically only.
+            assert_eq!(sync(&mut ops, &mut x, false), [1, 2]);
+            // Closure passes a carried group by...
+            assert!(ops.closure(&wrote(&[2])).1.is_empty());
+            // ...but fsync(d), which names it, still journals it.
+            assert_eq!(sync(&mut ops, &mut d, true), [1, 2]);
+            // Retired: an id that still names it contributes nothing.
+            let mut seed = WriteSet::default();
+            assert!(ops.seed(&[0], &mut seed).is_empty() && seed.is_empty());
+            assert!(ops.groups.is_empty() && ops.by_lba.is_empty());
+
+            // create(d/y), fatomic(y), then d is freed: nobody can ask
+            // for the carried group any more.
+            let mut y = Vec::new();
+            ops.register(wrote(&[3]), [&mut d, &mut y]);
+            sync(&mut ops, &mut y, false);
+            ops.release(&std::mem::take(&mut d));
+            assert!(ops.groups.is_empty());
+            // An open group whose holders are all freed stays for the
+            // closure, which takes it, and then it goes.
+            let mut e = Vec::new();
+            ops.register(wrote(&[4, 5]), [&mut e]);
+            ops.release(&std::mem::take(&mut e));
+            assert_eq!(ops.groups.len(), 1);
+            let mut f = Vec::new();
+            ops.register(wrote(&[5]), [&mut f]);
+            assert_eq!(sync(&mut ops, &mut f, false), [4, 5]);
+            assert!(ops.groups.is_empty() && ops.by_lba.is_empty());
+
+            // A directory nobody fsyncs does not hoard retired ids.
+            for lba in 10..210 {
+                let mut child = Vec::new();
+                ops.register(wrote(&[lba]), [&mut d, &mut child]);
+                sync(&mut ops, &mut child, true);
+                assert!(d.len() <= 64, "{} ids held", d.len());
+            }
+            assert!(ops.groups.is_empty());
+        });
     }
 }

@@ -1247,3 +1247,107 @@ fn syncs_that_commit_nothing_do_not_pin_the_horizon() {
     });
     sim.run();
 }
+
+/// A directory `fsync` journals only what is not yet durable: once each
+/// child's own `fsync` made its create durable, `fsync(dir)` has nothing
+/// left to carry but the directory's 256-byte inode slot — no directory
+/// block, no bitmap, no child inode, no full copy.
+#[test]
+fn dir_fsync_after_durable_child_creates_journals_only_its_inode() {
+    let variant = FsVariant::Mqfs;
+    let mut sim = Sim::new(CORES + 2);
+    sim.spawn("host", 0, move || {
+        let stack = Stack::new(variant, SsdProfile::optane_905p());
+        let fs = FileSystem::format(Arc::clone(&stack.dev), fs_config(variant));
+        let d = fs.mkdir_path("/d").expect("mkdir");
+        fs.fsync(d).expect("fsync d");
+        for i in 0..20 {
+            let ino = fs.create(d, &format!("f{i}")).expect("create");
+            fs.write(ino, 0, &[i as u8; 4096]).expect("write");
+            fs.fsync(ino).expect("fsync child");
+        }
+        let before = stack.metrics();
+        fs.fsync(d).expect("fsync d");
+        let delta = stack.metrics().since(&before);
+        let carried = [
+            "journal.mq.patches",
+            "journal.mq.patch_bytes",
+            "journal.mq.spilled_copies",
+        ]
+        .map(|name| delta.counter(name));
+        assert_eq!(carried, [1, 256, 0], "patches, patch bytes, full copies");
+    });
+    sim.run();
+}
+
+/// A group a commit carried with atomic durability only still rides the
+/// next durable commit that names it: `fatomic(x)` then `fsync(d)` makes
+/// the create of `d/x` durable. (The atomic commit has landed by the
+/// time the power is cut, so the crash alone cannot tell; what
+/// `fsync(d)` journals can.)
+#[test]
+fn fatomic_then_dir_fsync_makes_the_create_durable() {
+    let variant = FsVariant::Mqfs;
+    let mut sim = Sim::new(CORES + 2);
+    sim.spawn("host", 0, move || {
+        let profile = SsdProfile::optane_905p();
+        let stack = Stack::new(variant, profile.clone());
+        let fs = FileSystem::format(Arc::clone(&stack.dev), fs_config(variant));
+        let d = fs.mkdir_path("/d").expect("mkdir");
+        fs.fsync(d).expect("fsync d");
+        let x = fs.create(d, "x").expect("create");
+        fs.fatomic(x).expect("fatomic x");
+        let before = stack.metrics();
+        fs.fsync(d).expect("fsync d");
+        let delta = stack.metrics().since(&before);
+        assert_eq!(
+            delta.counter("journal.mq.spilled_copies"),
+            1,
+            "fsync(d) must carry the create's directory block again"
+        );
+        let image = stack.power_fail(11);
+        let (_s2, fs2) = Stack::reboot(variant, &image, profile);
+        assert!(fs2.resolve("/d/x").is_ok(), "create lost");
+        assert!(fs2.check().is_empty(), "fsck: {:?}", fs2.check());
+    });
+    sim.run();
+}
+
+/// A group retires when the durable commit that carried it returns, not
+/// when that commit takes it: an `fsync(d)` that overlaps the child's
+/// in-flight `fsync(x)` journals the create again, so it is durable
+/// once `fsync(d)` returns, whatever became of the child's commit.
+///
+/// Mutation-checked: retiring the groups before the commit instead of
+/// after it lets `fsync(d)` return first; the power cut then takes the
+/// child's commit, and with it the create's write of `d`'s new directory
+/// block, while `d`'s inode already maps it — the remount reads a
+/// block of zeros as `d`'s records.
+#[test]
+fn dir_fsync_during_a_child_commit_carries_the_create() {
+    let variant = FsVariant::Mqfs;
+    let mut sim = Sim::new(CORES + 2);
+    sim.spawn("host", 0, move || {
+        let profile = SsdProfile::optane_905p();
+        let stack = Stack::new(variant, profile.clone());
+        let fs = FileSystem::format(Arc::clone(&stack.dev), fs_config(variant));
+        let d = fs.mkdir_path("/d").expect("mkdir");
+        fs.fsync(d).expect("fsync d");
+        let x = fs.create(d, "x").expect("create");
+        fs.write(x, 0, &[7u8; 4096]).expect("write");
+        let child = {
+            let fs = Arc::clone(&fs);
+            // Fails once the power is cut under it.
+            ccnvme_sim::spawn("child", 1, move || fs.fsync(x).is_ok())
+        };
+        // Into the child's commit: past its capture, before its media.
+        ccnvme_sim::delay(5_000);
+        fs.fsync(d).expect("fsync d");
+        let image = stack.power_fail(3);
+        child.join();
+        let (_s2, fs2) = Stack::reboot(variant, &image, profile);
+        assert!(fs2.resolve("/d/x").is_ok(), "create lost");
+        assert!(fs2.check().is_empty(), "fsck: {:?}", fs2.check());
+    });
+    sim.run();
+}
