@@ -238,12 +238,14 @@ impl ClusterClient {
     /// Commits `gtx` across `by_shard` (shard index → member writes).
     /// Returns whether the transaction committed. `Ok(false)` means it
     /// aborted cleanly (a shard was down at prepare time); every other
-    /// failure leaves crash recovery to finish the job.
+    /// failure leaves crash recovery to finish the job. The contract:
+    /// `Ok(true)` ⇒ the writes are visible on every participant; no
+    /// `Ok(true)` ⇒ the transaction is all there or not at all.
     ///
-    /// Single-shard transactions skip the coordinator entirely: prepare
-    /// then decide-commit. If the shard dies in between, the client
-    /// never got a commit ack and the intent resolves to presumed abort
-    /// — the no-ack/no-effect contract holds without a verdict.
+    /// A single-shard transaction is one-phase: one `TX_COMMIT` capsule,
+    /// one local ccNVMe transaction writing the blocks home. There is
+    /// nothing to agree on, so the coordinator is never consulted and
+    /// nothing is ever left in doubt.
     pub fn commit(
         &mut self,
         gtx: u64,
@@ -252,10 +254,8 @@ impl ClusterClient {
         if by_shard.is_empty() {
             return Ok(true);
         }
-        if by_shard.len() == 1 {
-            let (shard, writes) = by_shard.into_iter().next().unwrap();
-            self.prepare_on(shard, gtx, writes)?;
-            self.decide_on(shard, gtx, true)?;
+        if let [(shard, writes)] = &by_shard[..] {
+            self.with_shard(*shard, |c| c.tx_commit_one(gtx, writes.clone()))?;
             return Ok(true);
         }
         let participants: Vec<usize> = by_shard.iter().map(|&(s, _)| s).collect();

@@ -28,10 +28,11 @@
 //!   the inquiry durably records the abort before answering, so a late
 //!   verdict retry loses to the inquiry instead of racing it.
 //!
-//! A transaction touching a single shard skips the verdict entirely
-//! (prepare + decide): if the shard crashes in between, the client has
-//! no commit ack, the intent resolves to presumed abort, and
-//! exactly-once holds without a coordinator round trip.
+//! A transaction touching a single shard has nothing to agree on and
+//! skips all four steps: its one capsule (`TX_COMMIT`) is one local
+//! ccNVMe transaction writing the blocks to their home LBAs, acked once
+//! durable. A crash before the ack leaves it all there or not at all,
+//! and no intent slot is written, so nothing is ever in doubt.
 //!
 //! Exactly-once layering: the fabric session replay cache (PR 5)
 //! absorbs *transport* retries of these capsules; the gtx-level

@@ -23,6 +23,10 @@
 //! the device's journal replay, and reports it as the in-doubt list for
 //! the resolve step ([`resolve_in_doubt_local`] /
 //! [`resolve_in_doubt_remote`]).
+//!
+//! A transaction with this node as its only participant skips the
+//! machine: `TX_COMMIT` writes its blocks home as one local transaction
+//! (`commit_one`), so no slot is ever PREPARED for it.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -52,7 +56,7 @@ const GTX_RESERVE_BATCH: u64 = 1024;
 pub struct NodeStats {
     /// Intents durably staged (phase 1 commit points).
     pub prepares: Arc<Counter>,
-    /// Prepared transactions applied (decide-commit).
+    /// Transactions applied: decide-commits and one-phase commits.
     pub applies: Arc<Counter>,
     /// Prepared transactions discarded (decide-abort).
     pub aborts: Arc<Counter>,
@@ -228,6 +232,17 @@ impl ClusterNode {
         waiter.wait().map_or_else(Status::from, |()| Status::Ok)
     }
 
+    /// Whether one shard's member writes are admissible: at least one,
+    /// at most an intent slot's worth, each inside the data window and
+    /// at most a block.
+    fn admits(&self, writes: &[ShardWrite]) -> bool {
+        !writes.is_empty()
+            && writes.len() <= SLOT_WRITE_CAP
+            && writes
+                .iter()
+                .all(|w| w.lba < self.layout.data_blocks && w.data.len() <= BLOCK_SIZE as usize)
+    }
+
     fn record_decision(&self, gtx: u64, commit: bool) -> Status {
         // ord: SeqCst — the decision cursor is the coordinator decision
         // word's allocator; it must never be observed behind the map
@@ -298,12 +313,7 @@ impl ClusterBackend for ClusterNode {
     }
 
     fn prepare(&self, gtx: u64, writes: &[ShardWrite]) -> Status {
-        if writes.is_empty()
-            || writes.len() > SLOT_WRITE_CAP
-            || writes
-                .iter()
-                .any(|w| w.lba >= self.layout.data_blocks || w.data.len() > BLOCK_SIZE as usize)
-        {
+        if !self.admits(writes) {
             return Status::Protocol;
         }
         let _exec = self.exec.lock();
@@ -376,6 +386,26 @@ impl ClusterBackend for ClusterNode {
             }
         } else {
             self.prepared.lock().insert(gtx, tx);
+        }
+        st
+    }
+
+    /// One local transaction straight to the home LBAs. `exec` is not
+    /// taken: it guards the get-or-set of the protocol maps, and this
+    /// touches none of them. Data blocks were never isolated: a decide,
+    /// too, copies staged blocks home regardless of later writers.
+    fn commit_one(&self, _gtx: u64, writes: &[ShardWrite]) -> Status {
+        if !self.admits(writes) {
+            return Status::Protocol;
+        }
+        let mut members: Vec<(u64, Vec<u8>)> = writes
+            .iter()
+            .map(|w| (self.layout.base + w.lba, pad_block(&w.data)))
+            .collect();
+        let commit = members.pop().expect("admitted writes are non-empty");
+        let st = self.local_tx(members, commit);
+        if st.is_ok() {
+            self.stats.applies.inc();
         }
         st
     }

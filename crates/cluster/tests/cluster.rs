@@ -7,9 +7,10 @@ use std::sync::Arc;
 use ccnvme::CcNvmeDriver;
 use ccnvme_block::BLOCK_SIZE;
 use ccnvme_cluster::{resolve_in_doubt_local, ClusterCfg, ClusterClient, ClusterNode, ShardLayout};
+use ccnvme_fabric::capsule::{decode_response, encode_request};
 use ccnvme_fabric::{
-    Backend, ClientCfg, ClientStats, ClusterBackend, Connector, FabricClient, FabricConfig,
-    FabricError, FabricTarget, ShardWrite, Status,
+    Backend, Capsule, ClientCfg, ClientStats, ClusterBackend, Connector, FabricClient,
+    FabricConfig, FabricError, FabricTarget, Request, ShardWrite, Status,
 };
 use ccnvme_fault::{FaultKind, FaultPlan, FaultRule, Trigger};
 use ccnvme_obs::Registry;
@@ -141,21 +142,73 @@ fn cross_shard_commit_is_atomic_and_readable() {
     });
 }
 
-/// A single-shard transaction takes the fast path: no coordinator
-/// decision record is ever written.
+/// Block data transfers so far on `node`'s device.
+fn block_ios(node: &ClusterNode) -> u64 {
+    node.obs().metrics.snapshot().counter("pcie.block_ios")
+}
+
+/// A single-shard transaction is one-phase: no coordinator decision
+/// record, no intent slot, and exactly one block written — its home
+/// block, in place.
 #[test]
 fn single_shard_commit_skips_the_coordinator() {
     in_sim(|| {
         let cluster = TestCluster::new();
         let mut client = cluster.client(2, None);
         let gtx = client.begin().expect("begin");
+        let before = block_ios(&cluster.nodes[1]);
         assert!(client
             .commit(gtx, vec![(1, writes(3, 0x77))])
             .expect("commit"));
+        assert_eq!(
+            block_ios(&cluster.nodes[1]) - before,
+            1,
+            "a one-block commit wrote more than its home block"
+        );
         assert_block(&client.get(1, 3).expect("read"), &block(0x77));
         assert_eq!(cluster.nodes[SHARDS].stats().decisions.get(), 0);
-        assert_eq!(cluster.nodes[1].stats().applies.get(), 1);
+        let stats = cluster.nodes[1].stats();
+        assert_eq!(stats.prepares.get(), 0, "the fast path staged an intent");
+        assert_eq!(stats.applies.get(), 1);
+        assert_eq!(stats.in_doubt.get(), 0);
         client.bye();
+    });
+}
+
+/// A `TX_COMMIT` retransmitted under the same cid is answered from the
+/// session's response cache, not applied a second time.
+#[test]
+fn retransmitted_tx_commit_is_answered_from_the_cache() {
+    in_sim(|| {
+        let cluster = TestCluster::new();
+        let target = &cluster.targets[0];
+        let stats = target.stats();
+        let mut wire = target.loopback_connect(8).expect("dial");
+        let mut call = |req: &Request| {
+            wire.send(&encode_request(req)).expect("send");
+            decode_response(&wire.recv(2_000_000).expect("ack")).expect("decode")
+        };
+        let hello = Request::new(
+            0,
+            Capsule::Hello {
+                client_id: 8,
+                resume: false,
+            },
+        );
+        assert!(call(&hello).status.is_ok());
+        let commit = Request::new(
+            1,
+            Capsule::TxCommit {
+                gtx: 1,
+                writes: writes(4, 0x5e),
+            },
+        );
+        assert!(call(&commit).status.is_ok());
+        assert_eq!(stats.replayed_commits.get(), 0);
+        assert!(call(&commit).status.is_ok(), "the replayed ack");
+        assert_eq!(stats.replayed_commits.get(), 1);
+        assert_eq!(stats.commits.get(), 1, "the retransmit re-executed");
+        assert_eq!(cluster.nodes[0].stats().applies.get(), 1);
     });
 }
 

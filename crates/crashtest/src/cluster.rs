@@ -19,7 +19,8 @@
 //! After both waves the oracle asserts, for every scripted transaction:
 //! **all-or-nothing visibility** across its participants (never a
 //! partial cross-shard commit), **exactly-once effects** (commits acked
-//! before the cut are fully visible, acked aborts never are), and
+//! before the cut are fully visible, acked aborts never are), a
+//! single-shard one-phase commit **never in doubt** on any domain, and
 //! **convergence** — every down-subset schedule lands on byte-identical
 //! media, and re-recovering the converged image changes nothing and
 //! reports nothing in doubt. Each down-subset schedule is one crash
@@ -53,7 +54,8 @@ pub struct ClusterSurface {
 enum TxKind {
     /// Cross-shard commit through the coordinator verdict.
     Commit,
-    /// Single-shard fast path (no verdict).
+    /// Single-shard one-phase commit (`commit_one`: no intent, no
+    /// verdict).
     FastPath,
     /// Prepared everywhere, then a durable abort verdict.
     Abort,
@@ -94,8 +96,8 @@ struct Recovered {
     nodes: Vec<Arc<ClusterNode>>,
     /// In-doubt intents resolved across both waves.
     resolved: usize,
-    /// Whether any domain mounted with in-doubt intents.
-    any_in_doubt: bool,
+    /// Every gtx some domain mounted in doubt.
+    doubted: HashSet<u64>,
 }
 
 impl Recovered {
@@ -134,7 +136,7 @@ impl ClusterSurface {
     /// intents.
     fn recover(&self, images: &[DurableImage], down: u32, record: bool) -> Recovered {
         let mut nodes: Vec<Option<Booted>> = vec![None; self.domains()];
-        let (mut resolved, mut any_in_doubt) = (0, false);
+        let (mut resolved, mut doubted) = (0, HashSet::new());
         // Wave 1: the up domains boot; in-doubt intents resolve only if
         // the coordinator is among them. Wave 2: the late domains
         // return; everything resolves.
@@ -144,7 +146,7 @@ impl ClusterSurface {
                     *slot = Some(self.boot(d, Some(&images[d]), record).0);
                 }
             }
-            any_in_doubt |= nodes.iter().flatten().any(|(_, doubt)| !doubt.is_empty());
+            doubted.extend(nodes.iter().flatten().flat_map(|(_, doubt)| doubt));
             let Some((coord, _)) = nodes[self.shards].clone() else {
                 continue;
             };
@@ -162,20 +164,20 @@ impl ClusterSurface {
                 .map(|s| s.expect("domain booted").0)
                 .collect(),
             resolved,
-            any_in_doubt,
+            doubted,
         }
     }
 
     /// The transaction oracle: all-or-nothing visibility, acked commits
-    /// visible, acked aborts not.
-    fn check(
-        &self,
-        nodes: &[Arc<ClusterNode>],
-        txs: &[TxRec],
-        acked: &HashSet<u64>,
-    ) -> Vec<String> {
+    /// visible, acked aborts not, and a one-phase commit never in
+    /// doubt anywhere.
+    fn check(&self, outcome: &Recovered, txs: &[TxRec], acked: &HashSet<u64>) -> Vec<String> {
+        let nodes = &outcome.nodes;
         let mut problems = Vec::new();
         for (i, tx) in txs.iter().enumerate() {
+            if tx.kind == TxKind::FastPath && outcome.doubted.contains(&tx.gtx) {
+                problems.push(format!("gtx {}: one-phase commit mounted in doubt", tx.gtx));
+            }
             let mut visible = Vec::new();
             for &p in &tx.participants {
                 let block = nodes[p].read_block(tx.lba).expect("read data block");
@@ -224,9 +226,10 @@ impl CrashSurface for ClusterSurface {
         self.domains() + 1
     }
 
-    /// Mirrors the cluster client's commit order exactly: prepare every
-    /// participant, record the coordinator verdict (skipped on the fast
-    /// path), decide everywhere, ack.
+    /// Mirrors the cluster client's commit order exactly: one
+    /// `commit_one` on the fast path; otherwise prepare every
+    /// participant, record the coordinator verdict, decide everywhere.
+    /// Then ack.
     fn record(&self, tape: &mut Tape) -> Vec<TxRec> {
         let mut nodes = Vec::new();
         let mut domains = Vec::new();
@@ -251,16 +254,20 @@ impl CrashSurface for ClusterSurface {
                 _ => (0..self.shards).collect(),
             };
             let lba = tx as u64;
-            for &p in &participants {
-                let w = ShardWrite {
-                    lba,
-                    data: tx_block(gtx, p, tx),
-                };
-                let st = nodes[p].prepare(gtx, &[w]);
-                assert!(st.is_ok(), "prepare tx {tx} on shard {p}: {st:?}");
-            }
-            let commit = kind != TxKind::Abort;
-            if kind != TxKind::FastPath {
+            let write = |p| ShardWrite {
+                lba,
+                data: tx_block(gtx, p, tx),
+            };
+            if kind == TxKind::FastPath {
+                let p = participants[0];
+                let st = nodes[p].commit_one(gtx, &[write(p)]);
+                assert!(st.is_ok(), "commit_one tx {tx} on shard {p}: {st:?}");
+            } else {
+                for &p in &participants {
+                    let st = nodes[p].prepare(gtx, &[write(p)]);
+                    assert!(st.is_ok(), "prepare tx {tx} on shard {p}: {st:?}");
+                }
+                let commit = kind == TxKind::Commit;
                 let (st, word) = coord.verdict(gtx, commit);
                 assert!(st.is_ok(), "verdict tx {tx}: {st:?}");
                 let want = if commit {
@@ -269,10 +276,10 @@ impl CrashSurface for ClusterSurface {
                     ccnvme_cluster::layout::DECISION_ABORT
                 };
                 assert_eq!(word, want, "verdict word of tx {tx}");
-            }
-            for &p in &participants {
-                let st = nodes[p].decide(gtx, commit);
-                assert!(st.is_ok(), "decide tx {tx} on shard {p}: {st:?}");
+                for &p in &participants {
+                    let st = nodes[p].decide(gtx, commit);
+                    assert!(st.is_ok(), "decide tx {tx} on shard {p}: {st:?}");
+                }
             }
             tape.marks().mark(tx as u64);
             txs.push(TxRec {
@@ -292,7 +299,7 @@ impl CrashSurface for ClusterSurface {
         for down in 0..schedules as u32 {
             let outcome = self.recover(images, down, false);
             resolved += outcome.resolved;
-            let mut bad = self.check(&outcome.nodes, txs, acked);
+            let mut bad = self.check(&outcome, txs, acked);
             let finals = outcome.finals();
             match &reference {
                 // Convergence: recovery order must not change the media.
@@ -312,7 +319,7 @@ impl CrashSurface for ClusterSurface {
         // must find nothing in doubt and change nothing.
         let reference = reference.expect("the empty down-set ran");
         let again = self.recover(&reference, 0, false);
-        if again.any_in_doubt || again.resolved != 0 {
+        if !again.doubted.is_empty() || again.resolved != 0 {
             problems.push("re-recovery found new in-doubt work".into());
         }
         for (d, (got, want)) in again.finals().iter().zip(&reference).enumerate() {

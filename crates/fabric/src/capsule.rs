@@ -69,14 +69,16 @@ const OP_TX_DECIDE: u8 = 0x0f;
 const OP_TX_VERDICT: u8 = 0x10;
 const OP_TX_RESOLVE: u8 = 0x11;
 const OP_BLK_READ: u8 = 0x12;
+const OP_TX_COMMIT: u8 = 0x13;
 const OP_RESPONSE: u8 = 0x80;
 
-/// Most member writes one `TX_PREPARE` capsule may carry. A prepared
-/// intent must fit one intent slot on the participant shard, so this
-/// wire cap equals the cluster's `SLOT_WRITE_CAP` (asserted by a
-/// `ccnvme-cluster` layout test) — an overlong prepare dies in the
-/// codec with a typed [`CodecError::Overflow`] instead of bouncing off
-/// the shard's slot geometry with an undiagnostic protocol error.
+/// Most member writes one `TX_PREPARE` or `TX_COMMIT` capsule may
+/// carry. A prepared intent must fit one intent slot on the participant
+/// shard, so this wire cap equals the cluster's `SLOT_WRITE_CAP`
+/// (asserted by a `ccnvme-cluster` layout test) — an overlong prepare
+/// dies in the codec with a typed [`CodecError::Overflow`] instead of
+/// bouncing off the shard's slot geometry with an undiagnostic protocol
+/// error.
 pub const MAX_PREPARE_WRITES: u16 = 8;
 
 /// Which persistence primitive an `FsSync` capsule invokes.
@@ -213,6 +215,19 @@ pub enum Capsule {
         /// The member writes this shard stages.
         writes: Vec<ShardWrite>,
     },
+    /// One-phase commit of a transaction whose only participant is this
+    /// shard (cluster backend): the member writes go to their home LBAs
+    /// as one local ccNVMe transaction — no intent slot, no decide, no
+    /// coordinator. The `Ok` ack means the writes are durable; with no
+    /// ack the transaction is all there or not at all, and nothing is
+    /// ever left in doubt. A retransmit is answered from the session's
+    /// response cache.
+    TxCommit {
+        /// Global transaction id.
+        gtx: u64,
+        /// The member writes, applied in place.
+        writes: Vec<ShardWrite>,
+    },
     /// 2PC phase 2 on a participant shard: apply (`commit = true`) or
     /// discard (`false`) the prepared intent for `gtx`. A decide for an
     /// unknown `gtx` is an idempotent no-op success — the intent was
@@ -252,7 +267,7 @@ pub enum Capsule {
     Bye,
 }
 
-/// One member write of a `TX_PREPARE` capsule.
+/// One member write of a `TX_PREPARE` or `TX_COMMIT` capsule.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardWrite {
     /// Target LBA, relative to the shard's block window.
@@ -443,6 +458,18 @@ fn put_path(out: &mut Vec<u8>, p: &str) {
     out.extend_from_slice(p.as_bytes());
 }
 
+/// The body of a `TX_PREPARE` / `TX_COMMIT` capsule.
+fn shard_tx_body(gtx: u64, writes: &[ShardWrite]) -> Vec<u8> {
+    let mut b = Vec::new();
+    put_u64(&mut b, gtx);
+    put_u16(&mut b, writes.len() as u16);
+    for w in writes {
+        put_u64(&mut b, w.lba);
+        put_bytes(&mut b, &w.data);
+    }
+    b
+}
+
 struct Cursor<'a> {
     b: &'a [u8],
     i: usize,
@@ -489,6 +516,26 @@ impl<'a> Cursor<'a> {
         }
         let raw = self.take(len as usize)?;
         String::from_utf8(raw.to_vec()).map_err(|_| CodecError::BadString)
+    }
+
+    /// The body of a `TX_PREPARE` / `TX_COMMIT` capsule, at most
+    /// [`MAX_PREPARE_WRITES`] writes.
+    fn shard_tx(&mut self) -> Result<(u64, Vec<ShardWrite>), CodecError> {
+        let gtx = self.u64()?;
+        let count = self.u16()?;
+        if count > MAX_PREPARE_WRITES {
+            return Err(CodecError::Overflow {
+                len: count as u32,
+                max: MAX_PREPARE_WRITES as u32,
+            });
+        }
+        let mut writes = Vec::with_capacity(count as usize);
+        for _ in 0..count {
+            let lba = self.u64()?;
+            let data = self.bytes()?;
+            writes.push(ShardWrite { lba, data });
+        }
+        Ok((gtx, writes))
     }
 
     fn done(&self) -> Result<(), CodecError> {
@@ -609,16 +656,8 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
             (OP_PLOC_OP, b)
         }
         Capsule::PlocRecover => (OP_PLOC_RECOVER, Vec::new()),
-        Capsule::TxPrepare { gtx, writes } => {
-            let mut b = Vec::new();
-            put_u64(&mut b, *gtx);
-            put_u16(&mut b, writes.len() as u16);
-            for w in writes {
-                put_u64(&mut b, w.lba);
-                put_bytes(&mut b, &w.data);
-            }
-            (OP_TX_PREPARE, b)
-        }
+        Capsule::TxPrepare { gtx, writes } => (OP_TX_PREPARE, shard_tx_body(*gtx, writes)),
+        Capsule::TxCommit { gtx, writes } => (OP_TX_COMMIT, shard_tx_body(*gtx, writes)),
         Capsule::TxDecide { gtx, commit } => {
             let mut b = Vec::new();
             put_u64(&mut b, *gtx);
@@ -708,21 +747,12 @@ pub fn decode_request(bytes: &[u8]) -> Result<Request, CodecError> {
         }
         OP_PLOC_RECOVER => Capsule::PlocRecover,
         OP_TX_PREPARE => {
-            let gtx = c.u64()?;
-            let count = c.u16()?;
-            if count > MAX_PREPARE_WRITES {
-                return Err(CodecError::Overflow {
-                    len: count as u32,
-                    max: MAX_PREPARE_WRITES as u32,
-                });
-            }
-            let mut writes = Vec::with_capacity(count as usize);
-            for _ in 0..count {
-                let lba = c.u64()?;
-                let data = c.bytes()?;
-                writes.push(ShardWrite { lba, data });
-            }
+            let (gtx, writes) = c.shard_tx()?;
             Capsule::TxPrepare { gtx, writes }
+        }
+        OP_TX_COMMIT => {
+            let (gtx, writes) = c.shard_tx()?;
+            Capsule::TxCommit { gtx, writes }
         }
         OP_TX_DECIDE => Capsule::TxDecide {
             gtx: c.u64()?,

@@ -351,6 +351,13 @@ impl FabricClient {
         self.call(Capsule::TxPrepare { gtx, writes }).map(|_| ())
     }
 
+    /// One-phase commit of `gtx` when this shard is its only
+    /// participant: the writes land in place as one local transaction.
+    /// The `Ok` ack means they are durable.
+    pub fn tx_commit_one(&mut self, gtx: u64, writes: Vec<ShardWrite>) -> Result<(), FabricError> {
+        self.call(Capsule::TxCommit { gtx, writes }).map(|_| ())
+    }
+
     /// Phase 2: apply or discard the prepared intent for `gtx`.
     pub fn tx_decide(&mut self, gtx: u64, commit: bool) -> Result<(), FabricError> {
         self.call(Capsule::TxDecide { gtx, commit }).map(|_| ())

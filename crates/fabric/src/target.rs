@@ -82,18 +82,20 @@ pub enum Backend {
     Ploc(Arc<PlocService>),
     /// A cluster node (`crates/cluster`): the 2PC participant /
     /// coordinator surface over the node's own ccNVMe device, driven by
-    /// the `TX_PREPARE` / `TX_DECIDE` / `TX_VERDICT` / `TX_RESOLVE`
-    /// capsules.
+    /// the `TX_COMMIT` (one participant) and `TX_PREPARE` / `TX_DECIDE`
+    /// / `TX_VERDICT` / `TX_RESOLVE` (two-phase) capsules.
     Cluster(Arc<dyn ClusterBackend>),
 }
 
-/// The two-phase-commit surface a cluster node exposes through a fabric
-/// target. Implemented by `ccnvme-cluster`; defined here so the target
-/// can dispatch cluster capsules without depending on that crate.
+/// The commit surface a cluster node exposes through a fabric target:
+/// one-phase commit for a single participant, two-phase commit
+/// otherwise. Implemented by `ccnvme-cluster`; defined here so the
+/// target can dispatch cluster capsules without depending on that
+/// crate.
 ///
 /// Every mutating call is a commit point backed by an ordinary
-/// single-shard ccNVMe transaction on the node's device, and every call
-/// is idempotent at the global-transaction level — the cluster's
+/// single-shard ccNVMe transaction on the node's device, and every 2PC
+/// call is idempotent at the global-transaction level — the cluster's
 /// exactly-once story composes the session replay cache (same client
 /// retransmitting) with these semantics (a *restarted* client, under a
 /// fresh session, re-asking about an old `gtx`).
@@ -117,6 +119,12 @@ pub trait ClusterBackend: Send + Sync {
     /// Unknown `gtx` is a no-op success (already applied, or never
     /// prepared and thus nothing to abort).
     fn decide(&self, gtx: u64, commit: bool) -> Status;
+
+    /// One-phase commit for a transaction whose only participant is
+    /// this node: `writes` land on their home LBAs as one local
+    /// transaction. The `Ok` ack means durable; nothing is staged, so
+    /// nothing can be left in doubt.
+    fn commit_one(&self, gtx: u64, writes: &[ShardWrite]) -> Status;
 
     /// Record-or-fetch the coordinator decision for `gtx`. Returns the
     /// *final* decision word (1 = commit, 2 = abort): when a decision
@@ -663,27 +671,16 @@ impl FabricTarget {
                     Err(_) => Response::status(cid, Status::Protocol),
                 }
             }
+            // A prepare is a commit point too: the intent record is its
+            // own single-shard ccNVMe transaction.
             Capsule::TxPrepare { gtx, writes } => {
-                let Backend::Cluster(node) = &self.backend else {
-                    return Response::status(cid, Status::NotSupported);
-                };
-                let status = node.prepare(*gtx, writes);
-                if status.is_ok() {
-                    // A prepare is a commit point: the intent record is
-                    // its own single-shard ccNVMe transaction.
-                    self.stats.commits.inc();
-                }
-                Response::status(cid, status)
+                self.cluster_step(cid, |n| n.prepare(*gtx, writes))
             }
             Capsule::TxDecide { gtx, commit } => {
-                let Backend::Cluster(node) = &self.backend else {
-                    return Response::status(cid, Status::NotSupported);
-                };
-                let status = node.decide(*gtx, *commit);
-                if status.is_ok() {
-                    self.stats.commits.inc();
-                }
-                Response::status(cid, status)
+                self.cluster_step(cid, |n| n.decide(*gtx, *commit))
+            }
+            Capsule::TxCommit { gtx, writes } => {
+                self.cluster_step(cid, |n| n.commit_one(*gtx, writes))
             }
             Capsule::TxVerdict { gtx, commit } => {
                 let Backend::Cluster(node) = &self.backend else {
@@ -743,6 +740,19 @@ impl FabricTarget {
                 Backend::Fs(_) | Backend::Ploc(_) => Response::status(cid, Status::NotSupported),
             },
         }
+    }
+
+    /// Runs one mutating cluster step — a commit point on the node's
+    /// device, so an `Ok` counts in `fabric.commits`.
+    fn cluster_step(&self, cid: u64, step: impl FnOnce(&dyn ClusterBackend) -> Status) -> Response {
+        let Backend::Cluster(node) = &self.backend else {
+            return Response::status(cid, Status::NotSupported);
+        };
+        let status = step(node.as_ref());
+        if status.is_ok() {
+            self.stats.commits.inc();
+        }
+        Response::status(cid, status)
     }
 
     fn with_fs(
@@ -844,10 +854,12 @@ impl FabricTarget {
 fn commit_like(op: &Capsule) -> bool {
     match op {
         Capsule::TxWrite { commit: true, .. } | Capsule::FsSync { .. } => true,
-        // Every mutating 2PC capsule is a commit point on its shard's
-        // device: the intent, the application, the decision record and
-        // the resolve-time presumed-abort record.
-        Capsule::TxPrepare { .. }
+        // Every mutating cluster capsule is a commit point on its
+        // shard's device: the one-phase commit, the intent, the
+        // application, the decision record and the resolve-time
+        // presumed-abort record.
+        Capsule::TxCommit { .. }
+        | Capsule::TxPrepare { .. }
         | Capsule::TxDecide { .. }
         | Capsule::TxVerdict { .. }
         | Capsule::TxResolve { .. } => true,

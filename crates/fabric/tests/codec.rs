@@ -4,7 +4,7 @@
 
 use ccnvme_fabric::capsule::{
     decode_request, decode_response, encode_request, encode_response, Capsule, PlocOpWire, Request,
-    Response, Status, SyncKind, MAGIC,
+    Response, ShardWrite, Status, SyncKind, MAGIC, MAX_PREPARE_WRITES,
 };
 use ccnvme_fabric::CodecError;
 use ccnvme_obs::TraceCtx;
@@ -14,7 +14,7 @@ use proptest::prelude::*;
 /// Builds one of every request shape from generic scalar inputs.
 fn build_capsule(sel: u8, a: u64, b: u64, flag: bool, flag2: bool, data: Vec<u8>) -> Capsule {
     let path = format!("/d{}/f{}", a % 7, b % 23);
-    match sel % 13 {
+    match sel % 15 {
         0 => Capsule::Hello {
             client_id: a,
             resume: flag,
@@ -65,8 +65,28 @@ fn build_capsule(sel: u8, a: u64, b: u64, flag: bool, flag2: bool, data: Vec<u8>
             },
         },
         11 => Capsule::PlocRecover,
+        12 => Capsule::TxPrepare {
+            gtx: a,
+            writes: shard_writes(b, data),
+        },
+        13 => Capsule::TxCommit {
+            gtx: a,
+            writes: shard_writes(b, data),
+        },
         _ => Capsule::Bye,
     }
+}
+
+/// `1 + b % MAX_PREPARE_WRITES` member writes, the first carrying `data`.
+fn shard_writes(b: u64, data: Vec<u8>) -> Vec<ShardWrite> {
+    let mut writes: Vec<ShardWrite> = (0..b % MAX_PREPARE_WRITES as u64)
+        .map(|j| ShardWrite {
+            lba: b ^ j,
+            data: vec![j as u8; j as usize],
+        })
+        .collect();
+    writes.insert(0, ShardWrite { lba: b, data });
+    writes
 }
 
 fn build_status(sel: u8) -> Status {
@@ -233,6 +253,48 @@ fn unknown_ploc_kind_reports_bad_ploc_op() {
     let sum = ccnvme_obs::seal::fnv1a64(&body);
     body.extend_from_slice(&sum.to_le_bytes());
     assert_eq!(decode_request(&body), Err(CodecError::BadPlocOp(0x7f)));
+}
+
+/// A `TX_COMMIT` round-trips, and one carrying more member writes than
+/// an intent slot holds is a typed overflow — the cap `TX_PREPARE` has.
+#[test]
+fn tx_commit_round_trips_and_is_capped_like_a_prepare() {
+    let writes = |n: u64| -> Vec<ShardWrite> {
+        (0..n)
+            .map(|lba| ShardWrite {
+                lba,
+                data: vec![lba as u8; 64],
+            })
+            .collect()
+    };
+    let ok = Request::new(
+        4,
+        Capsule::TxCommit {
+            gtx: 77,
+            writes: writes(MAX_PREPARE_WRITES as u64),
+        },
+    );
+    assert_eq!(decode_request(&encode_request(&ok)), Ok(ok));
+    let over = |op| decode_request(&encode_request(&Request::new(5, op)));
+    let overflow = Err(CodecError::Overflow {
+        len: MAX_PREPARE_WRITES as u32 + 1,
+        max: MAX_PREPARE_WRITES as u32,
+    });
+    let nine = writes(MAX_PREPARE_WRITES as u64 + 1);
+    assert_eq!(
+        over(Capsule::TxCommit {
+            gtx: 78,
+            writes: nine.clone(),
+        }),
+        overflow
+    );
+    assert_eq!(
+        over(Capsule::TxPrepare {
+            gtx: 78,
+            writes: nine,
+        }),
+        overflow
+    );
 }
 
 /// Trailing garbage after a well-formed body fails the checksum (the

@@ -7,8 +7,9 @@
 #     counts, the fabric, ploc, cluster and lint suites, the sim/OS
 #     differential), the ccnvme-lint protocol-invariant analyzer over
 #     the workspace, the bench metrics-schema smoke run, the faultpath
-#     bench and the fault_storm example, the deep ploc and cluster crash
-#     sweeps, the forensics and OS-runtime smokes, and the benchmark: its
+#     bench, the fault_storm example and the cluster scaling gate, the
+#     deep ploc and cluster crash sweeps, the forensics and OS-runtime
+#     smokes, and the benchmark: its
 #     own tests, every workload's output oracle, and exact virtual-time
 #     agreement between two runs.
 #
@@ -73,6 +74,11 @@ scripts/bench_smoke.sh
 # reads while degraded and recovery itself).
 QUICK=1 cargo run -q --release -p ccnvme-bench --bin faultpath > /dev/null
 cargo run -q --release --example fault_storm > /dev/null
+# The cluster scaling gate (2→8 shards ≥ 2x over the same commit mix)
+# and the kill-one-shard drill; both panic when they fail. Full size
+# (about a second): at QUICK sizes twelve commits per client are too
+# few for the gate's ratio to settle.
+cargo run -q --release -p ccnvme-bench --bin cluster > /dev/null
 # The deep ploc and cluster crash sweeps (torn tails and every-image
 # re-crash; every cut, three shards). The file-system ones take
 # tens of minutes each and stay in the deep tier; the journal's patch-record
