@@ -16,7 +16,7 @@ use std::sync::Arc;
 use ccnvme::CcNvmeDriver;
 use ccnvme_bench::{f1, header, record_run_seq, row, scaled, write_metrics, Stack, StackConfig};
 use ccnvme_fabric::{
-    Backend, Capsule, ClientCfg, ClientStats, FabricClient, FabricConfig, FabricTarget,
+    Backend, Capsule, ClientCfg, ClientStats, FabricClient, FabricConfig, FabricTarget, ShardWrite,
 };
 use ccnvme_sim::Sim;
 use ccnvme_ssd::{CtrlConfig, NvmeController, SsdProfile};
@@ -63,8 +63,29 @@ fn measure_clients(clients: usize) -> Point {
     point
 }
 
+/// Submits every capsule of `ops` before waiting for any ack. Returns
+/// the `val` of each successful response and the number of failures.
+fn pipeline(client: &mut FabricClient, ops: impl Iterator<Item = Capsule>) -> (Vec<u64>, u64) {
+    let mut errs = 0;
+    let mut cids = Vec::new();
+    for op in ops {
+        match client.submit(op) {
+            Ok(cid) => cids.push(cid),
+            Err(_) => errs += 1,
+        }
+    }
+    let mut vals = Vec::new();
+    for cid in cids {
+        match client.wait_for(cid) {
+            Ok(resp) if resp.status.is_ok() => vals.push(resp.val),
+            _ => errs += 1,
+        }
+    }
+    (vals, errs)
+}
+
 /// The overload drill: a window of 2 against a deep pipeline of raw
-/// transaction writes. Success criterion: stalls observed, zero errors.
+/// transactions. Success criterion: stalls observed, zero errors.
 fn measure_overload() -> (u64, u64) {
     let (stalls, errors, metrics) = Sim::run_main(CORES + 1, || {
         let mut cc = CtrlConfig::new(SsdProfile::optane_905p());
@@ -102,43 +123,35 @@ fn measure_overload() -> (u64, u64) {
                         },
                     )
                     .expect("connect");
-                    // Pipeline far past the window in bursts of small
-                    // transactions: an uncommitted member pins a
-                    // hardware-ring slot, so one giant transaction would
-                    // (correctly) be refused with `TxOverflow` — the
-                    // drill is about fabric credit, not ring capacity.
+                    // Pipeline far past the window: every tx id first,
+                    // then one 8-write `TX_COMMIT` capsule per
+                    // transaction.
                     const BURST: u64 = 8;
                     let depth = scaled(256).div_ceil(BURST) * BURST;
-                    let mut errs = 0u64;
-                    let mut cids = Vec::new();
-                    let mut tx = 0u64;
-                    for i in 0..depth {
-                        if i % BURST == 0 {
-                            tx = client.alloc_tx().expect("alloc");
-                        }
-                        match client.submit(Capsule::TxWrite {
-                            tx_id: tx,
-                            lba: c * 16_384 + i,
-                            data: vec![c as u8; 512],
-                            commit: i % BURST == BURST - 1,
-                            durable: false,
-                        }) {
-                            Ok(cid) => cids.push(cid),
-                            Err(_) => errs += 1,
-                        }
-                    }
-                    for cid in cids {
-                        match client.wait_for(cid) {
-                            Ok(resp) if resp.status.is_ok() => {}
-                            _ => errs += 1,
-                        }
-                    }
+                    let (txs, alloc_errs) =
+                        pipeline(&mut client, (0..depth / BURST).map(|_| Capsule::AllocTx));
+                    let commits = txs.iter().zip(0..).map(|(&tx_id, t)| Capsule::TxCommit {
+                        tx_id,
+                        writes: (0..BURST)
+                            .map(|j| ShardWrite {
+                                lba: c * 16_384 + t * BURST + j,
+                                data: vec![c as u8; 512],
+                            })
+                            .collect(),
+                    });
+                    let (_, commit_errs) = pipeline(&mut client, commits);
                     let tail = client.alloc_tx().expect("alloc tail");
                     client
-                        .tx_commit(tail, c * 16_384 + depth, &[c as u8], true)
+                        .tx_commit(
+                            tail,
+                            vec![ShardWrite {
+                                lba: c * 16_384 + depth,
+                                data: vec![c as u8],
+                            }],
+                        )
                         .expect("final durable commit");
                     client.bye();
-                    errs
+                    alloc_errs + commit_errs
                 },
             ));
         }

@@ -395,6 +395,40 @@ pub fn read_block(dev: &dyn BlockDevice, lba: u64) -> Result<Vec<u8>, BioStatus>
     Ok(data)
 }
 
+/// Submits `writes` as one ccNVMe transaction `tx_id` and waits for it:
+/// every write but the last goes out `REQ_TX`, the last `REQ_TX_COMMIT`,
+/// in order, each zero-padded to whole blocks. The transaction is
+/// crash-atomic once the commit is submitted (§4.3); the wait makes a
+/// failed member visible in the returned status.
+///
+/// # Panics
+///
+/// Panics if `writes` is empty.
+pub fn commit_tx(
+    dev: &dyn BlockDevice,
+    tx_id: u64,
+    writes: Vec<(u64, Vec<u8>)>,
+) -> Result<(), BioStatus> {
+    assert!(!writes.is_empty(), "a transaction needs a commit write");
+    let waiter = BioWaiter::new();
+    let last = writes.len() - 1;
+    for (i, (lba, mut data)) in writes.into_iter().enumerate() {
+        data.resize(
+            data.len().div_ceil(BLOCK_SIZE as usize).max(1) * BLOCK_SIZE as usize,
+            0,
+        );
+        let flags = if i == last {
+            BioFlags::TX_COMMIT
+        } else {
+            BioFlags::TX
+        };
+        let mut bio = Bio::write(lba, Arc::new(Mutex::new(data)), flags).with_tx_id(tx_id);
+        waiter.attach(&mut bio);
+        dev.submit_bio(bio);
+    }
+    waiter.wait()
+}
+
 /// Drains the device's volatile write cache and waits for it; no I/O at
 /// all when the device has none.
 pub fn flush_cache(dev: &dyn BlockDevice) -> Result<(), BioStatus> {
@@ -518,6 +552,8 @@ mod tests {
         status: BioStatus,
         volatile_cache: bool,
         submitted: Mutex<Vec<BioOp>>,
+        /// `(lba, nblocks, flags, tx_id)` of each write, in order.
+        writes: Mutex<Vec<(u64, u16, BioFlags, u64)>>,
     }
 
     impl StubDev {
@@ -526,6 +562,7 @@ mod tests {
                 status,
                 volatile_cache,
                 submitted: Mutex::new(Vec::new()),
+                writes: Mutex::new(Vec::new()),
             }
         }
     }
@@ -533,6 +570,11 @@ mod tests {
     impl BlockDevice for StubDev {
         fn submit_bio(&self, mut bio: Bio) {
             self.submitted.lock().push(bio.op);
+            if bio.op == BioOp::Write {
+                self.writes
+                    .lock()
+                    .push((bio.lba, bio.nblocks, bio.flags, bio.tx_id));
+            }
             if let (BioOp::Read, BioStatus::Ok) = (bio.op, self.status) {
                 bio.data.as_ref().expect("read buffer").lock().fill(0xab);
             }
@@ -566,6 +608,28 @@ mod tests {
             assert_eq!(read_block(&ok, 3), Ok(vec![0xab; 4096]));
             assert_eq!(flush_cache(&ok), Ok(()));
             assert_eq!(*ok.submitted.lock(), [BioOp::Read, BioOp::Flush]);
+        });
+    }
+
+    #[test]
+    fn commit_tx_sends_members_then_the_commit_padded_to_blocks() {
+        Sim::run_main(1, || {
+            let dev = StubDev::new(BioStatus::Ok, false);
+            let writes = vec![(7, vec![1; 10]), (9, vec![2; 4096]), (3, vec![3; 5000])];
+            assert_eq!(commit_tx(&dev, 42, writes), Ok(()));
+            assert_eq!(
+                *dev.writes.lock(),
+                [
+                    (7, 1, BioFlags::TX, 42),
+                    (9, 1, BioFlags::TX, 42),
+                    (3, 2, BioFlags::TX_COMMIT, 42),
+                ]
+            );
+            let failing = StubDev::new(BioStatus::Media, false);
+            assert_eq!(
+                commit_tx(&failing, 1, vec![(0, Vec::new())]),
+                Err(BioStatus::Media)
+            );
         });
     }
 

@@ -255,7 +255,7 @@ impl ClusterClient {
             return Ok(true);
         }
         if let [(shard, writes)] = &by_shard[..] {
-            self.with_shard(*shard, |c| c.tx_commit_one(gtx, writes.clone()))?;
+            self.with_shard(*shard, |c| c.tx_commit(gtx, writes.clone()))?;
             return Ok(true);
         }
         let participants: Vec<usize> = by_shard.iter().map(|&(s, _)| s).collect();

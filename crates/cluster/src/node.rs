@@ -33,7 +33,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use ccnvme::CcNvmeDriver;
-use ccnvme_block::{read_block, Bio, BioFlags, BioWaiter, BlockDevice, BLOCK_SIZE};
+use ccnvme_block::{commit_tx, read_block, BLOCK_SIZE};
+use ccnvme_fabric::capsule::admits;
 use ccnvme_fabric::{ClusterBackend, FabricClient, FabricError, ShardWrite, Status};
 use ccnvme_obs::{Counter, Gauge, Obs};
 use ccnvme_runtime::RtMutex;
@@ -41,7 +42,7 @@ use parking_lot::Mutex;
 
 use crate::layout::{
     decode_decision, decode_gtx_hwm, decode_intent, encode_decision, encode_gtx_hwm, encode_intent,
-    ShardLayout, DECISION_ABORT, DECISION_COMMIT, SLOT_WRITE_CAP,
+    ShardLayout, DECISION_ABORT, DECISION_COMMIT,
 };
 
 /// Global tx ids the coordinator durably reserves per high-water-mark
@@ -85,7 +86,7 @@ impl NodeStats {
 /// One staged-but-undecided transaction.
 struct PreparedTx {
     slot: u64,
-    /// `(window-relative lba, full-block data)` in staged order.
+    /// `(window-relative lba, data of at most a block)` in staged order.
     writes: Vec<(u64, Vec<u8>)>,
 }
 
@@ -114,12 +115,6 @@ pub struct ClusterNode {
     /// only left traces on remote shards.
     gtx_hwm: AtomicU64,
     stats: NodeStats,
-}
-
-fn pad_block(data: &[u8]) -> Vec<u8> {
-    let mut b = data.to_vec();
-    b.resize(BLOCK_SIZE as usize, 0);
-    b
 }
 
 impl ClusterNode {
@@ -207,40 +202,17 @@ impl ClusterNode {
         Arc::clone(&self.drv)
     }
 
-    /// Submits one local ccNVMe transaction: `members` as `REQ_TX`
-    /// writes, then `commit` as the `REQ_TX_COMMIT` write, and waits
-    /// for every bio to complete. Crash-atomicity already holds at the
-    /// atomicity point (the two persistent MMIOs of §4.3); the wait is
-    /// for *error* visibility — a 2PC step's `Ok` mutates this node's
-    /// in-memory protocol maps and is acked to the client, so an
-    /// injected media/timeout failure must surface in the returned
-    /// status, never after the state has diverged from the media.
-    fn local_tx(&self, members: Vec<(u64, Vec<u8>)>, commit: (u64, Vec<u8>)) -> Status {
-        let tx_id = self.drv.alloc_tx_id();
-        let waiter = BioWaiter::new();
-        for (lba, data) in members {
-            let buf = Arc::new(Mutex::new(data));
-            let mut bio = Bio::write(lba, buf, BioFlags::TX).with_tx_id(tx_id);
-            waiter.attach(&mut bio);
-            self.drv.submit_bio(bio);
-        }
-        let (lba, data) = commit;
-        let buf = Arc::new(Mutex::new(data));
-        let mut bio = Bio::write(lba, buf, BioFlags::TX_COMMIT).with_tx_id(tx_id);
-        waiter.attach(&mut bio);
-        self.drv.submit_bio(bio);
-        waiter.wait().map_or_else(Status::from, |()| Status::Ok)
-    }
-
-    /// Whether one shard's member writes are admissible: at least one,
-    /// at most an intent slot's worth, each inside the data window and
-    /// at most a block.
-    fn admits(&self, writes: &[ShardWrite]) -> bool {
-        !writes.is_empty()
-            && writes.len() <= SLOT_WRITE_CAP
-            && writes
-                .iter()
-                .all(|w| w.lba < self.layout.data_blocks && w.data.len() <= BLOCK_SIZE as usize)
+    /// Submits `writes` as one local ccNVMe transaction (the last write
+    /// commits it) and waits for every bio to complete. Crash-atomicity
+    /// already holds at the atomicity point (the two persistent MMIOs
+    /// of §4.3); the wait is for *error* visibility — a 2PC step's `Ok`
+    /// mutates this node's in-memory protocol maps and is acked to the
+    /// client, so an injected media/timeout failure must surface in the
+    /// returned status, never after the state has diverged from the
+    /// media.
+    fn local_tx(&self, writes: Vec<(u64, Vec<u8>)>) -> Status {
+        commit_tx(&*self.drv, self.drv.alloc_tx_id(), writes)
+            .map_or_else(Status::from, |()| Status::Ok)
     }
 
     fn record_decision(&self, gtx: u64, commit: bool) -> Status {
@@ -251,10 +223,10 @@ impl ClusterNode {
         if idx >= self.layout.decision_slots {
             return Status::TxOverflow;
         }
-        let st = self.local_tx(
-            Vec::new(),
-            (self.layout.decision_lba(idx), encode_decision(gtx, commit)),
-        );
+        let st = self.local_tx(vec![(
+            self.layout.decision_lba(idx),
+            encode_decision(gtx, commit),
+        )]);
         if st.is_ok() {
             self.decisions.lock().insert(gtx, commit);
             self.stats.decisions.inc();
@@ -299,10 +271,7 @@ impl ClusterBackend for ClusterNode {
             // ord: SeqCst — the reservation base must see every CAS
             // that won before we took the lock.
             let new_hwm = self.next_gtx.load(Ordering::SeqCst) + GTX_RESERVE_BATCH;
-            let st = self.local_tx(
-                Vec::new(),
-                (self.layout.gtx_hwm_lba(), encode_gtx_hwm(new_hwm)),
-            );
+            let st = self.local_tx(vec![(self.layout.gtx_hwm_lba(), encode_gtx_hwm(new_hwm))]);
             if !st.is_ok() {
                 return (st, 0);
             }
@@ -313,7 +282,7 @@ impl ClusterBackend for ClusterNode {
     }
 
     fn prepare(&self, gtx: u64, writes: &[ShardWrite]) -> Status {
-        if !self.admits(writes) {
+        if !admits(writes, self.layout.data_blocks) {
             return Status::Protocol;
         }
         let _exec = self.exec.lock();
@@ -325,18 +294,15 @@ impl ClusterBackend for ClusterNode {
         let Some(slot) = self.free_slots.lock().pop() else {
             return Status::TxOverflow;
         };
-        let staged: Vec<(u64, Vec<u8>)> =
-            writes.iter().map(|w| (w.lba, pad_block(&w.data))).collect();
-        let members: Vec<(u64, Vec<u8>)> = staged
+        let staged: Vec<(u64, Vec<u8>)> = writes.iter().map(|w| (w.lba, w.data.clone())).collect();
+        let mut intent: Vec<(u64, Vec<u8>)> = staged
             .iter()
             .enumerate()
             .map(|(j, (_, data))| (self.layout.slot_data(slot, j as u64), data.clone()))
             .collect();
         let lbas: Vec<u64> = staged.iter().map(|(lba, _)| *lba).collect();
-        let st = self.local_tx(
-            members,
-            (self.layout.slot_header(slot), encode_intent(gtx, &lbas)),
-        );
+        intent.push((self.layout.slot_header(slot), encode_intent(gtx, &lbas)));
+        let st = self.local_tx(intent);
         if st.is_ok() {
             self.prepared.lock().insert(
                 gtx,
@@ -360,22 +326,24 @@ impl ClusterBackend for ClusterNode {
             // idempotent no-op that makes redecide-after-recovery safe.
             return Status::Ok;
         };
-        let header = self.layout.slot_header(tx.slot);
-        let st = if commit {
-            // Apply + free in one transaction: the staged writes land
-            // on their final LBAs and the intent header clears
-            // atomically, so "visible" and "no longer in-doubt" cannot
-            // come apart in a crash. A read issued after this decide
-            // must observe the data.
-            let members: Vec<(u64, Vec<u8>)> = tx
-                .writes
+        // Apply + free in one transaction: the staged writes land on
+        // their final LBAs and the intent header clears atomically, so
+        // "visible" and "no longer in-doubt" cannot come apart in a
+        // crash. A read issued after this decide must observe the data.
+        // An abort only clears the header.
+        let mut apply: Vec<(u64, Vec<u8>)> = if commit {
+            tx.writes
                 .iter()
                 .map(|(lba, data)| (self.layout.base + lba, data.clone()))
-                .collect();
-            self.local_tx(members, (header, vec![0u8; BLOCK_SIZE as usize]))
+                .collect()
         } else {
-            self.local_tx(Vec::new(), (header, vec![0u8; BLOCK_SIZE as usize]))
+            Vec::new()
         };
+        apply.push((
+            self.layout.slot_header(tx.slot),
+            vec![0u8; BLOCK_SIZE as usize],
+        ));
+        let st = self.local_tx(apply);
         if st.is_ok() {
             self.free_slots.lock().push(tx.slot);
             self.stats.in_doubt.dec();
@@ -395,15 +363,15 @@ impl ClusterBackend for ClusterNode {
     /// touches none of them. Data blocks were never isolated: a decide,
     /// too, copies staged blocks home regardless of later writers.
     fn commit_one(&self, _gtx: u64, writes: &[ShardWrite]) -> Status {
-        if !self.admits(writes) {
+        if !admits(writes, self.layout.data_blocks) {
             return Status::Protocol;
         }
-        let mut members: Vec<(u64, Vec<u8>)> = writes
-            .iter()
-            .map(|w| (self.layout.base + w.lba, pad_block(&w.data)))
-            .collect();
-        let commit = members.pop().expect("admitted writes are non-empty");
-        let st = self.local_tx(members, commit);
+        let st = self.local_tx(
+            writes
+                .iter()
+                .map(|w| (self.layout.base + w.lba, w.data.clone()))
+                .collect(),
+        );
         if st.is_ok() {
             self.stats.applies.inc();
         }

@@ -6,7 +6,9 @@ use std::sync::Arc;
 
 use ccnvme::CcNvmeDriver;
 use ccnvme_block::BLOCK_SIZE;
-use ccnvme_cluster::{resolve_in_doubt_local, ClusterCfg, ClusterClient, ClusterNode, ShardLayout};
+use ccnvme_cluster::{
+    resolve_in_doubt_local, ClusterCfg, ClusterClient, ClusterError, ClusterNode, ShardLayout,
+};
 use ccnvme_fabric::capsule::{decode_response, encode_request};
 use ccnvme_fabric::{
     Backend, Capsule, ClientCfg, ClientStats, ClusterBackend, Connector, FabricClient,
@@ -175,6 +177,30 @@ fn single_shard_commit_skips_the_coordinator() {
     });
 }
 
+/// A single-shard commit over the capsule's write cap fails at once as
+/// a fabric error: the shard is not marked degraded, and the next
+/// commit goes through.
+#[test]
+fn oversized_single_shard_commit_fails_without_degrading_the_shard() {
+    in_sim(|| {
+        let cluster = TestCluster::new();
+        let mut client = cluster.client(9, None);
+        let gtx = client.begin().expect("begin");
+        let nine: Vec<ShardWrite> = (0..9).flat_map(|lba| writes(lba, 0x99)).collect();
+        assert!(matches!(
+            client.commit(gtx, vec![(0, nine)]),
+            Err(ClusterError::Fabric(FabricError::Codec(_)))
+        ));
+        assert!(client.degraded_shards().is_empty());
+        let gtx = client.begin().expect("begin");
+        assert!(client
+            .commit(gtx, vec![(0, writes(30, 0x9a))])
+            .expect("commit after the refusal"));
+        assert_block(&client.get(0, 30).expect("read"), &block(0x9a));
+        client.bye();
+    });
+}
+
 /// A `TX_COMMIT` retransmitted under the same cid is answered from the
 /// session's response cache, not applied a second time.
 #[test]
@@ -199,7 +225,7 @@ fn retransmitted_tx_commit_is_answered_from_the_cache() {
         let commit = Request::new(
             1,
             Capsule::TxCommit {
-                gtx: 1,
+                tx_id: 1,
                 writes: writes(4, 0x5e),
             },
         );

@@ -23,7 +23,7 @@
 //! than guessing.
 
 use crate::error::CodecError;
-use ccnvme_block::BioStatus;
+use ccnvme_block::{BioStatus, BLOCK_SIZE};
 use ccnvme_obs::{seal::fnv1a64, TraceCtx};
 use mqfs::FsError;
 
@@ -53,7 +53,7 @@ const TRAILER: usize = 8;
 
 const OP_HELLO: u8 = 0x01;
 const OP_ALLOC_TX: u8 = 0x02;
-const OP_TX_WRITE: u8 = 0x03;
+// 0x03 stays unassigned, so a frame carrying it decodes as `BadOpcode`.
 const OP_FS_RESOLVE: u8 = 0x04;
 const OP_FS_CREATE: u8 = 0x05;
 const OP_FS_WRITE: u8 = 0x06;
@@ -73,13 +73,22 @@ const OP_TX_COMMIT: u8 = 0x13;
 const OP_RESPONSE: u8 = 0x80;
 
 /// Most member writes one `TX_PREPARE` or `TX_COMMIT` capsule may
-/// carry. A prepared intent must fit one intent slot on the participant
-/// shard, so this wire cap equals the cluster's `SLOT_WRITE_CAP`
-/// (asserted by a `ccnvme-cluster` layout test) — an overlong prepare
-/// dies in the codec with a typed [`CodecError::Overflow`] instead of
-/// bouncing off the shard's slot geometry with an undiagnostic protocol
-/// error.
+/// carry — on a cluster shard and on a raw block window alike. A
+/// prepared intent must fit one intent slot on the participant shard,
+/// so this wire cap equals the cluster's `SLOT_WRITE_CAP` (asserted by
+/// a `ccnvme-cluster` layout test). An overlong transaction is refused
+/// by the initiator with a typed [`CodecError::Overflow`] before it
+/// takes a command id, and by the decoder should one reach the wire.
 pub const MAX_PREPARE_WRITES: u16 = 8;
+
+/// `Ok` if a field of `len` elements fits its protocol cap `max`.
+fn capped(len: usize, max: u32) -> Result<(), CodecError> {
+    let len = u32::try_from(len).unwrap_or(u32::MAX);
+    if len > max {
+        return Err(CodecError::Overflow { len, max });
+    }
+    Ok(())
+}
 
 /// Which persistence primitive an `FsSync` capsule invokes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -127,24 +136,9 @@ pub enum Capsule {
         /// Re-attach existing session state instead of resetting it.
         resume: bool,
     },
-    /// Allocate a ccNVMe transaction id (raw-block backend).
+    /// Allocate a transaction id: a ccNVMe tx id on a raw block
+    /// window, a global tx id on a cluster coordinator.
     AllocTx,
-    /// Stage one transaction member (`REQ_TX`), optionally committing
-    /// (`REQ_TX_COMMIT`). With `durable`, the ack waits for media
-    /// completion; without it, the ack fires at the atomicity point —
-    /// after the two persistent MMIOs of §4.3.
-    TxWrite {
-        /// Transaction id (from `AllocTx`).
-        tx_id: u64,
-        /// Target LBA, relative to the session's block window.
-        lba: u64,
-        /// Payload (padded to a block by the target).
-        data: Vec<u8>,
-        /// This member commits the transaction.
-        commit: bool,
-        /// Ack on durability rather than at the atomicity point.
-        durable: bool,
-    },
     /// `resolve(path) -> ino`.
     FsResolve {
         /// Absolute path.
@@ -215,16 +209,20 @@ pub enum Capsule {
         /// The member writes this shard stages.
         writes: Vec<ShardWrite>,
     },
-    /// One-phase commit of a transaction whose only participant is this
-    /// shard (cluster backend): the member writes go to their home LBAs
-    /// as one local ccNVMe transaction — no intent slot, no decide, no
-    /// coordinator. The `Ok` ack means the writes are durable; with no
-    /// ack the transaction is all there or not at all, and nothing is
-    /// ever left in doubt. A retransmit is answered from the session's
-    /// response cache.
+    /// One whole transaction on one target: the member writes go to
+    /// their home LBAs in the served window as one local ccNVMe
+    /// transaction (`REQ_TX` members, the last write `REQ_TX_COMMIT`) —
+    /// on a raw block window, or on a cluster shard that is the
+    /// transaction's only participant (no intent slot, no decide, no
+    /// coordinator). The `Ok` ack means the writes are durable; with no
+    /// ack the transaction is all there or not at all. A retransmit is
+    /// answered from the session's response cache, and on a raw window
+    /// a retry under a fresh session (or across a target restart) from
+    /// the tx-id replay cache.
     TxCommit {
-        /// Global transaction id.
-        gtx: u64,
+        /// The ccNVMe tx id `AllocTx` handed out (raw window), or the
+        /// coordinator's global tx id (cluster shard).
+        tx_id: u64,
         /// The member writes, applied in place.
         writes: Vec<ShardWrite>,
     },
@@ -276,6 +274,39 @@ pub struct ShardWrite {
     pub data: Vec<u8>,
 }
 
+/// Whether one transaction's member writes are admissible on a window
+/// of `blocks` blocks: at least one, at most [`MAX_PREPARE_WRITES`],
+/// each inside the window and at most a block.
+pub fn admits(writes: &[ShardWrite], blocks: u64) -> bool {
+    !writes.is_empty()
+        && writes.len() <= MAX_PREPARE_WRITES as usize
+        && writes
+            .iter()
+            .all(|w| w.lba < blocks && w.data.len() <= BLOCK_SIZE as usize)
+}
+
+impl Capsule {
+    /// `Ok` if every length-capped field fits the cap
+    /// [`decode_request`] enforces — the check an initiator runs before
+    /// a capsule takes a command id, so an oversized one fails at once
+    /// instead of being dropped by the target and retransmitted forever.
+    pub fn check_caps(&self) -> Result<(), CodecError> {
+        match self {
+            Capsule::FsResolve { path } | Capsule::FsCreate { path } => {
+                capped(path.len(), MAX_PATH)
+            }
+            Capsule::FsWrite { data, .. } => capped(data.len(), MAX_DATA),
+            Capsule::TxPrepare { writes, .. } | Capsule::TxCommit { writes, .. } => {
+                capped(writes.len(), MAX_PREPARE_WRITES as u32)?;
+                writes
+                    .iter()
+                    .try_for_each(|w| capped(w.data.len(), MAX_DATA))
+            }
+            _ => Ok(()),
+        }
+    }
+}
+
 /// One request: a command id plus the operation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Request {
@@ -322,9 +353,9 @@ pub enum Status {
     Protocol,
     /// The operation is not supported by this backend.
     NotSupported,
-    /// The transaction staged more member writes than the target
-    /// admits (a transaction must fit in the device's hardware ring;
-    /// see [`crate::target::DEFAULT_TX_MEMBER_CAP`]).
+    /// A cluster node ran out of room for a protocol record: no free
+    /// intent slot for a prepare, or a full decision region for a
+    /// verdict.
     TxOverflow,
 }
 
@@ -502,19 +533,15 @@ impl<'a> Cursor<'a> {
     }
 
     fn bytes(&mut self) -> Result<Vec<u8>, CodecError> {
-        let len = self.u32()?;
-        if len > MAX_DATA {
-            return Err(CodecError::Overflow { len, max: MAX_DATA });
-        }
-        Ok(self.take(len as usize)?.to_vec())
+        let len = self.u32()? as usize;
+        capped(len, MAX_DATA)?;
+        Ok(self.take(len)?.to_vec())
     }
 
     fn path(&mut self) -> Result<String, CodecError> {
-        let len = self.u16()? as u32;
-        if len > MAX_PATH {
-            return Err(CodecError::Overflow { len, max: MAX_PATH });
-        }
-        let raw = self.take(len as usize)?;
+        let len = self.u16()? as usize;
+        capped(len, MAX_PATH)?;
+        let raw = self.take(len)?;
         String::from_utf8(raw.to_vec()).map_err(|_| CodecError::BadString)
     }
 
@@ -523,12 +550,7 @@ impl<'a> Cursor<'a> {
     fn shard_tx(&mut self) -> Result<(u64, Vec<ShardWrite>), CodecError> {
         let gtx = self.u64()?;
         let count = self.u16()?;
-        if count > MAX_PREPARE_WRITES {
-            return Err(CodecError::Overflow {
-                len: count as u32,
-                max: MAX_PREPARE_WRITES as u32,
-            });
-        }
+        capped(count as usize, MAX_PREPARE_WRITES as u32)?;
         let mut writes = Vec::with_capacity(count as usize);
         for _ in 0..count {
             let lba = self.u64()?;
@@ -596,20 +618,6 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
             (OP_HELLO, b)
         }
         Capsule::AllocTx => (OP_ALLOC_TX, Vec::new()),
-        Capsule::TxWrite {
-            tx_id,
-            lba,
-            data,
-            commit,
-            durable,
-        } => {
-            let mut b = Vec::new();
-            put_u64(&mut b, *tx_id);
-            put_u64(&mut b, *lba);
-            b.push((*commit as u8) | ((*durable as u8) << 1));
-            put_bytes(&mut b, data);
-            (OP_TX_WRITE, b)
-        }
         Capsule::FsResolve { path } => {
             let mut b = Vec::new();
             put_path(&mut b, path);
@@ -657,7 +665,7 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
         }
         Capsule::PlocRecover => (OP_PLOC_RECOVER, Vec::new()),
         Capsule::TxPrepare { gtx, writes } => (OP_TX_PREPARE, shard_tx_body(*gtx, writes)),
-        Capsule::TxCommit { gtx, writes } => (OP_TX_COMMIT, shard_tx_body(*gtx, writes)),
+        Capsule::TxCommit { tx_id, writes } => (OP_TX_COMMIT, shard_tx_body(*tx_id, writes)),
         Capsule::TxDecide { gtx, commit } => {
             let mut b = Vec::new();
             put_u64(&mut b, *gtx);
@@ -706,19 +714,6 @@ pub fn decode_request(bytes: &[u8]) -> Result<Request, CodecError> {
             resume: c.u8()? != 0,
         },
         OP_ALLOC_TX => Capsule::AllocTx,
-        OP_TX_WRITE => {
-            let tx_id = c.u64()?;
-            let lba = c.u64()?;
-            let flags = c.u8()?;
-            let data = c.bytes()?;
-            Capsule::TxWrite {
-                tx_id,
-                lba,
-                data,
-                commit: flags & 1 != 0,
-                durable: flags & 2 != 0,
-            }
-        }
         OP_FS_RESOLVE => Capsule::FsResolve { path: c.path()? },
         OP_FS_CREATE => Capsule::FsCreate { path: c.path()? },
         OP_FS_WRITE => Capsule::FsWrite {
@@ -751,8 +746,8 @@ pub fn decode_request(bytes: &[u8]) -> Result<Request, CodecError> {
             Capsule::TxPrepare { gtx, writes }
         }
         OP_TX_COMMIT => {
-            let (gtx, writes) = c.shard_tx()?;
-            Capsule::TxCommit { gtx, writes }
+            let (tx_id, writes) = c.shard_tx()?;
+            Capsule::TxCommit { tx_id, writes }
         }
         OP_TX_DECIDE => Capsule::TxDecide {
             gtx: c.u64()?,

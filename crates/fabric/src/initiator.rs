@@ -236,8 +236,11 @@ impl FabricClient {
 
     /// Sends `op`, stalling for credit first if the window is full.
     /// Returns the assigned cid; pair with [`wait_for`](Self::wait_for)
-    /// for the response.
+    /// for the response. A capsule over a codec cap fails with
+    /// [`FabricError::Codec`] before it takes a cid: the target would
+    /// drop it undecoded, and the retransmits would wedge the session.
     pub fn submit(&mut self, op: Capsule) -> Result<u64, FabricError> {
+        op.check_caps()?;
         while self.unacked.len() >= self.window as usize {
             self.cfg.stats.credit_stalls.inc();
             match self.pump() {
@@ -304,43 +307,21 @@ impl FabricClient {
         }
     }
 
-    // ---- transaction surface (raw backend) ----
+    // ---- transaction surface (raw and cluster backends) ----
 
     /// Allocates a fresh remote transaction id.
     pub fn alloc_tx(&mut self) -> Result<u64, FabricError> {
         Ok(self.call(Capsule::AllocTx)?.val)
     }
 
-    /// Stages one block write into transaction `tx_id` (no commit).
-    pub fn tx_write(&mut self, tx_id: u64, lba: u64, data: &[u8]) -> Result<(), FabricError> {
-        self.call(Capsule::TxWrite {
-            tx_id,
-            lba,
-            data: data.to_vec(),
-            commit: false,
-            durable: false,
-        })
-        .map(|_| ())
-    }
-
-    /// Writes the final block of transaction `tx_id` and commits it.
-    /// With `durable`, the ack means "on media"; without, it means
-    /// "crash-atomic" (the paper's two-persistent-write point).
-    pub fn tx_commit(
-        &mut self,
-        tx_id: u64,
-        lba: u64,
-        data: &[u8],
-        durable: bool,
-    ) -> Result<(), FabricError> {
-        self.call(Capsule::TxWrite {
-            tx_id,
-            lba,
-            data: data.to_vec(),
-            commit: true,
-            durable,
-        })
-        .map(|_| ())
+    /// Commits `writes` as one transaction `tx_id` (from
+    /// [`alloc_tx`](Self::alloc_tx)) on this target — a raw block window,
+    /// or a cluster shard that is the transaction's only participant.
+    /// The `Ok` ack means the writes are durable; without it the
+    /// transaction is all there or not at all. At most
+    /// [`MAX_PREPARE_WRITES`](crate::capsule::MAX_PREPARE_WRITES) writes.
+    pub fn tx_commit(&mut self, tx_id: u64, writes: Vec<ShardWrite>) -> Result<(), FabricError> {
+        self.call(Capsule::TxCommit { tx_id, writes }).map(|_| ())
     }
 
     // ---- 2PC surface (cluster backend) ----
@@ -349,13 +330,6 @@ impl FabricClient {
     /// this shard. The `Ok` ack means the shard is prepared.
     pub fn tx_prepare(&mut self, gtx: u64, writes: Vec<ShardWrite>) -> Result<(), FabricError> {
         self.call(Capsule::TxPrepare { gtx, writes }).map(|_| ())
-    }
-
-    /// One-phase commit of `gtx` when this shard is its only
-    /// participant: the writes land in place as one local transaction.
-    /// The `Ok` ack means they are durable.
-    pub fn tx_commit_one(&mut self, gtx: u64, writes: Vec<ShardWrite>) -> Result<(), FabricError> {
-        self.call(Capsule::TxCommit { gtx, writes }).map(|_| ())
     }
 
     /// Phase 2: apply or discard the prepared intent for `gtx`.

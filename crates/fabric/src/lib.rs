@@ -8,10 +8,11 @@
 //! hardware queue — so the multi-queue scalability story survives the
 //! wire. Three protocol problems are layered on top:
 //!
-//! * **Remote persistence** — `TxWrite` capsules stage `REQ_TX` /
-//!   `REQ_TX_COMMIT` bios straight into the P-SQ from the connection's
-//!   core; a commit ack therefore still means "crash-atomic after two
-//!   persistent writes" (and, with the `durable` flag, "on media").
+//! * **Remote persistence** — one `TxCommit` capsule carries a whole
+//!   transaction, which the target submits as `REQ_TX` members and a
+//!   `REQ_TX_COMMIT` write straight into the P-SQ from the connection's
+//!   core, then waits for; a commit ack means "on media", and no ack
+//!   means the transaction is all there or not at all.
 //! * **Flow control** — a credit window per session (NVMe-oF SQHD
 //!   style): the initiator keeps at most `window` commands unacked and
 //!   stalls (counting `fabric.credit_stalls`) when credits run out, so

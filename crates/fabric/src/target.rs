@@ -11,7 +11,7 @@
 //! Exactly-once: a session (keyed by the client's stable id, surviving
 //! reconnects) processes capsules in strictly increasing command-id
 //! order, stashing early arrivals and answering retransmitted cids from
-//! a bounded response cache. Transaction commits are additionally
+//! a bounded response cache. Raw-window commits are additionally
 //! recorded in a tx-id replay cache — seeded from the ccNVMe
 //! [`RecoveryReport`](ccnvme::RecoveryReport) after a restart — so a
 //! commit retried across a partition (or across a target crash) is
@@ -22,7 +22,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use ccnvme::CcNvmeDriver;
-use ccnvme_block::{Bio, BioFlags, BioWaiter, BlockDevice, BLOCK_SIZE};
+use ccnvme_block::commit_tx;
 use ccnvme_fault::FaultInjector;
 use ccnvme_obs::{Counter, Obs};
 use ccnvme_ploc::{PlocError, PlocService, RecoverVerdict};
@@ -31,7 +31,8 @@ use mqfs::FileSystem;
 use parking_lot::Mutex;
 
 use crate::capsule::{
-    decode_request, encode_response, Capsule, Request, Response, ShardWrite, Status, SyncKind,
+    admits, decode_request, encode_response, Capsule, Request, Response, ShardWrite, Status,
+    SyncKind,
 };
 use crate::error::FabricError;
 use crate::transport::{Connector, LoopbackTransport, PartitionMap, Transport};
@@ -48,14 +49,6 @@ const CACHE_WINDOWS: usize = 2;
 /// Transaction replay-cache entries kept before the oldest are pruned.
 const TX_REPLAY_CAP: usize = 65_536;
 
-/// Most member writes a single transaction may stage before its commit.
-/// Uncommitted members pin hardware-ring slots (the P-SQ head only
-/// advances past whole transactions), so an unbounded transaction would
-/// wedge its queue's handler inside the full ring. Writes past the cap
-/// are rejected with [`Status::TxOverflow`]; keep `cap ×
-/// sessions-per-queue` under the device queue depth.
-pub const DEFAULT_TX_MEMBER_CAP: u32 = 24;
-
 /// How long an idle connection handler waits per receive before
 /// re-checking its wire (virtual ns for loopback handlers).
 const SERVE_IDLE_NS: Ns = 10 * ccnvme_runtime::MS;
@@ -66,7 +59,9 @@ pub enum Backend {
     /// The MQFS syscall surface over a mounted file system.
     Fs(Arc<FileSystem>),
     /// Raw ccNVMe transactions against a block window `[base,
-    /// base + blocks)` of the device.
+    /// base + blocks)` of the device: `AllocTx` hands out a ccNVMe tx
+    /// id, a `TX_COMMIT` capsule carries the whole transaction under
+    /// it, and `BlkRead` reads one block back.
     Raw {
         /// The ccNVMe driver.
         drv: Arc<CcNvmeDriver>,
@@ -210,18 +205,6 @@ struct SessSt {
     expected_cid: u64,
     stash: BTreeMap<u64, Request>,
     resp_cache: BTreeMap<u64, Response>,
-    /// Open transactions: tx id → completion waiter accumulating member
-    /// bios until the commit.
-    open_txs: HashMap<u64, OpenTx>,
-}
-
-/// One uncommitted transaction of a session.
-#[derive(Default)]
-struct OpenTx {
-    waiter: BioWaiter,
-    /// Member writes staged so far, checked against
-    /// [`DEFAULT_TX_MEMBER_CAP`].
-    members: u32,
 }
 
 struct Session {
@@ -246,7 +229,6 @@ impl Session {
                 expected_cid: 1,
                 stash: BTreeMap::new(),
                 resp_cache: BTreeMap::new(),
-                open_txs: HashMap::new(),
             }),
         })
     }
@@ -557,13 +539,6 @@ impl FabricTarget {
                 },
                 Backend::Fs(_) | Backend::Ploc(_) => Response::status(cid, Status::NotSupported),
             },
-            Capsule::TxWrite {
-                tx_id,
-                lba,
-                data,
-                commit,
-                durable,
-            } => self.exec_tx_write(sess, cid, *tx_id, *lba, data, *commit, *durable),
             Capsule::FsResolve { path } => self.with_fs(cid, |fs| {
                 fs.resolve(path).map(|ino| Response::ok_val(cid, ino))
             }),
@@ -679,9 +654,12 @@ impl FabricTarget {
             Capsule::TxDecide { gtx, commit } => {
                 self.cluster_step(cid, |n| n.decide(*gtx, *commit))
             }
-            Capsule::TxCommit { gtx, writes } => {
-                self.cluster_step(cid, |n| n.commit_one(*gtx, writes))
-            }
+            Capsule::TxCommit { tx_id, writes } => match &self.backend {
+                Backend::Raw { drv, base, blocks } => {
+                    Response::status(cid, self.raw_commit(drv, *base, *blocks, *tx_id, writes))
+                }
+                _ => self.cluster_step(cid, |n| n.commit_one(*tx_id, writes)),
+            },
             Capsule::TxVerdict { gtx, commit } => {
                 let Backend::Cluster(node) = &self.backend else {
                     return Response::status(cid, Status::NotSupported);
@@ -771,91 +749,51 @@ impl FabricTarget {
         }
     }
 
-    #[allow(clippy::too_many_arguments)] // the TxWrite capsule, destructured
-    fn exec_tx_write(
+    /// One transaction on a raw window: admitted against the window,
+    /// answered from the replay cache when its outcome is recorded, else
+    /// submitted as ccNVMe transaction `tx_id` and waited for.
+    fn raw_commit(
         &self,
-        sess: &Arc<Session>,
-        cid: u64,
+        drv: &CcNvmeDriver,
+        base: u64,
+        blocks: u64,
         tx_id: u64,
-        lba: u64,
-        data: &[u8],
-        commit: bool,
-        durable: bool,
-    ) -> Response {
-        let Backend::Raw { drv, base, blocks } = &self.backend else {
-            return Response::status(cid, Status::NotSupported);
-        };
-        if lba >= *blocks || data.len() > BLOCK_SIZE as usize {
-            return Response::status(cid, Status::Protocol);
+        writes: &[ShardWrite],
+    ) -> Status {
+        if !admits(writes, blocks) {
+            return Status::Protocol;
         }
-        if commit {
-            // A commit whose outcome is already recorded (this session
-            // retried across a partition, or recovery seeded it after a
-            // target restart) is answered, never re-executed: the
-            // exactly-once contract.
-            if let Some(&status) = self.tx_replay.lock().get(&tx_id) {
-                self.stats.replayed_commits.inc();
-                return Response::status(cid, status);
-            }
+        // A commit whose outcome is already recorded (the client retried
+        // under a fresh session, or recovery seeded it after a target
+        // restart) is answered, never re-executed: the exactly-once
+        // contract.
+        if let Some(&status) = self.tx_replay.lock().get(&tx_id) {
+            self.stats.replayed_commits.inc();
+            return status;
         }
-        let mut padded = data.to_vec();
-        padded.resize(BLOCK_SIZE as usize, 0);
-        let buf = Arc::new(parking_lot::Mutex::new(padded));
-        let waiter = {
-            let mut st = sess.st.lock();
-            let open = st.open_txs.entry(tx_id).or_default();
-            // Uncommitted members pin hardware-ring slots until the
-            // commit completes; an unbounded transaction would block
-            // this handler inside the full ring (with the session exec
-            // lock held). Reject instead — the transaction itself stays
-            // open and can still be committed.
-            if !commit && open.members >= DEFAULT_TX_MEMBER_CAP {
-                return Response::status(cid, Status::TxOverflow);
-            }
-            if !commit {
-                open.members += 1;
-            }
-            open.waiter.clone_handle()
-        };
-        let flags = if commit {
-            BioFlags::TX_COMMIT
-        } else {
-            BioFlags::TX
-        };
-        let mut bio = Bio::write(base + lba, buf, flags).with_tx_id(tx_id);
-        waiter.attach(&mut bio);
-        // Submitted from the handler daemon's core: the bio lands in
-        // this connection's hardware queue. When `submit_bio` returns
-        // for the commit bio the transaction has had its MMIO flush and
-        // doorbell — it is crash-atomic (§4.3), which is what a
-        // non-durable commit ack asserts.
-        drv.submit_bio(bio);
-        if !commit {
-            return Response::status(cid, Status::Ok);
-        }
-        let status = if durable {
-            waiter.wait().map_or_else(Status::from, |()| Status::Ok)
-        } else {
-            Status::Ok
-        };
-        sess.st.lock().open_txs.remove(&tx_id);
+        // Submitted from the handler daemon's core: the bios land in
+        // this connection's hardware queue, and the whole transaction is
+        // in the ring before the handler waits on anything.
+        let writes = writes
+            .iter()
+            .map(|w| (base + w.lba, w.data.clone()))
+            .collect();
+        let status = commit_tx(drv, tx_id, writes).map_or_else(Status::from, |()| Status::Ok);
         self.stats.commits.inc();
-        {
-            let mut cache = self.tx_replay.lock();
-            cache.insert(tx_id, status);
-            while cache.len() > TX_REPLAY_CAP {
-                cache.pop_first();
-            }
+        let mut cache = self.tx_replay.lock();
+        cache.insert(tx_id, status);
+        while cache.len() > TX_REPLAY_CAP {
+            cache.pop_first();
         }
-        Response::status(cid, status)
+        status
     }
 }
 
 fn commit_like(op: &Capsule) -> bool {
     match op {
-        Capsule::TxWrite { commit: true, .. } | Capsule::FsSync { .. } => true,
-        // Every mutating cluster capsule is a commit point on its
-        // shard's device: the one-phase commit, the intent, the
+        Capsule::FsSync { .. } => true,
+        // Every mutating transaction capsule is a commit point on its
+        // target's device: the one-phase commit, the intent, the
         // application, the decision record and the resolve-time
         // presumed-abort record.
         Capsule::TxCommit { .. }

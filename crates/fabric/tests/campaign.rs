@@ -8,7 +8,8 @@ use std::sync::Arc;
 
 use ccnvme::{CcNvmeDriver, RecoveredTx, RecoveryReport};
 use ccnvme_fabric::{
-    Backend, ClientCfg, ClientStats, FabricClient, FabricConfig, FabricError, FabricTarget, Status,
+    Backend, ClientCfg, ClientStats, FabricClient, FabricConfig, FabricError, FabricTarget,
+    ShardWrite, Status,
 };
 use ccnvme_fault::{FaultPlan, NetDir, NetFaultKind, NetFaultRule, Trigger};
 use ccnvme_sim::Sim;
@@ -44,6 +45,14 @@ fn raw_target(
         fcfg,
     );
     (drv, target)
+}
+
+/// One member write of a transaction.
+fn w(lba: u64, data: &[u8]) -> ShardWrite {
+    ShardWrite {
+        lba,
+        data: data.to_vec(),
+    }
 }
 
 /// What one schedule observed — compared across reruns for determinism.
@@ -84,7 +93,7 @@ fn run_schedule(nth: u64) -> ScheduleOutcome {
             let tx = client.alloc_tx().expect("alloc");
             let body = format!("sched{nth}-commit{i}");
             client
-                .tx_commit(tx, i, body.as_bytes(), true)
+                .tx_commit(tx, vec![w(i, body.as_bytes())])
                 .expect("commit must survive the schedule");
         }
         client.bye();
@@ -195,12 +204,12 @@ fn recovery_report_seeds_replay_cache() {
         // Retried commit of the unfinished (recovered) transaction:
         // acked Ok from the seeded cache, never executed.
         client
-            .tx_commit(42, 0, b"retry-after-restart", true)
+            .tx_commit(42, vec![w(0, b"retry-after-restart")])
             .expect("unfinished tx replays as Ok");
         // Retried commit of an abort-logged transaction: the recorded
         // failure, never executed.
         assert!(matches!(
-            client.tx_commit(43, 1, b"aborted-tx", true),
+            client.tx_commit(43, vec![w(1, b"aborted-tx")]),
             Err(FabricError::Remote(Status::BioMedia))
         ));
         assert_eq!(stats.commits.get(), 0, "seeded txs must not execute");
@@ -209,7 +218,7 @@ fn recovery_report_seeds_replay_cache() {
         // A fresh transaction still executes normally.
         let tx = client.alloc_tx().expect("alloc");
         client
-            .tx_commit(tx, 2, b"fresh", true)
+            .tx_commit(tx, vec![w(2, b"fresh")])
             .expect("fresh commit");
         assert_eq!(stats.commits.get(), 1);
         client.bye();
@@ -229,7 +238,7 @@ fn acked_commits_survive_adversarial_power_failure() {
             let tx = client.alloc_tx().expect("alloc");
             let body = format!("durable-{i}");
             client
-                .tx_commit(tx, i, body.as_bytes(), true)
+                .tx_commit(tx, vec![w(i, body.as_bytes())])
                 .expect("commit");
         }
         client.bye();

@@ -4,7 +4,7 @@
 
 use ccnvme_fabric::capsule::{
     decode_request, decode_response, encode_request, encode_response, Capsule, PlocOpWire, Request,
-    Response, ShardWrite, Status, SyncKind, MAGIC, MAX_PREPARE_WRITES,
+    Response, ShardWrite, Status, SyncKind, MAGIC, MAX_DATA, MAX_PATH, MAX_PREPARE_WRITES,
 };
 use ccnvme_fabric::CodecError;
 use ccnvme_obs::TraceCtx;
@@ -12,7 +12,7 @@ use mqfs::FsError;
 use proptest::prelude::*;
 
 /// Builds one of every request shape from generic scalar inputs.
-fn build_capsule(sel: u8, a: u64, b: u64, flag: bool, flag2: bool, data: Vec<u8>) -> Capsule {
+fn build_capsule(sel: u8, a: u64, b: u64, flag: bool, data: Vec<u8>) -> Capsule {
     let path = format!("/d{}/f{}", a % 7, b % 23);
     match sel % 15 {
         0 => Capsule::Hello {
@@ -20,13 +20,7 @@ fn build_capsule(sel: u8, a: u64, b: u64, flag: bool, flag2: bool, data: Vec<u8>
             resume: flag,
         },
         1 => Capsule::AllocTx,
-        2 => Capsule::TxWrite {
-            tx_id: a,
-            lba: b,
-            data,
-            commit: flag,
-            durable: flag2,
-        },
+        2 => Capsule::BlkRead { lba: b },
         3 => Capsule::FsResolve { path },
         4 => Capsule::FsCreate { path },
         5 => Capsule::FsWrite {
@@ -70,7 +64,7 @@ fn build_capsule(sel: u8, a: u64, b: u64, flag: bool, flag2: bool, data: Vec<u8>
             writes: shard_writes(b, data),
         },
         13 => Capsule::TxCommit {
-            gtx: a,
+            tx_id: a,
             writes: shard_writes(b, data),
         },
         _ => Capsule::Bye,
@@ -122,13 +116,12 @@ proptest! {
         a in any::<u64>(),
         b in any::<u64>(),
         flag in any::<bool>(),
-        flag2 in any::<bool>(),
         data in proptest::collection::vec(any::<u8>(), 0..2_048),
     ) {
         // Non-zero trace context derived from the scalars: the v2 ctx
         // field must survive the round trip like every other field.
         let ctx = TraceCtx { trace_id: a ^ b, span: a as u32, origin: b as u32 };
-        let req = Request { cid, op: build_capsule(sel, a, b, flag, flag2, data), ctx };
+        let req = Request { cid, op: build_capsule(sel, a, b, flag, data), ctx };
         let wire = encode_request(&req);
         let back = decode_request(&wire).expect("valid frame decodes");
         prop_assert_eq!(&back, &req);
@@ -161,7 +154,7 @@ proptest! {
         a in any::<u64>(),
         cut in any::<u64>(),
     ) {
-        let req = Request::new(cid, build_capsule(sel, a, a ^ 0x5a5a, false, true, vec![7; 32]));
+        let req = Request::new(cid, build_capsule(sel, a, a ^ 0x5a5a, false, vec![7; 32]));
         let wire = encode_request(&req);
         let cut = (cut as usize) % wire.len(); // a strict prefix
         let err = decode_request(&wire[..cut]).expect_err("prefix must not decode");
@@ -181,7 +174,7 @@ proptest! {
         pos in any::<u64>(),
         flip in 1u8..=255,
     ) {
-        let req = Request::new(cid, build_capsule(sel, a, a.rotate_left(13), true, false, vec![3; 64]));
+        let req = Request::new(cid, build_capsule(sel, a, a.rotate_left(13), true, vec![3; 64]));
         let mut wire = encode_request(&req);
         let pos = (pos as usize) % wire.len();
         wire[pos] ^= flip;
@@ -270,7 +263,7 @@ fn tx_commit_round_trips_and_is_capped_like_a_prepare() {
     let ok = Request::new(
         4,
         Capsule::TxCommit {
-            gtx: 77,
+            tx_id: 77,
             writes: writes(MAX_PREPARE_WRITES as u64),
         },
     );
@@ -283,7 +276,7 @@ fn tx_commit_round_trips_and_is_capped_like_a_prepare() {
     let nine = writes(MAX_PREPARE_WRITES as u64 + 1);
     assert_eq!(
         over(Capsule::TxCommit {
-            gtx: 78,
+            tx_id: 78,
             writes: nine.clone(),
         }),
         overflow
@@ -295,6 +288,63 @@ fn tx_commit_round_trips_and_is_capped_like_a_prepare() {
         }),
         overflow
     );
+}
+
+/// `Capsule::check_caps` refuses exactly what the decoder would: too
+/// many member writes, an oversized payload, an overlong path.
+#[test]
+fn check_caps_refuses_what_the_decoder_refuses() {
+    let commit = |n: usize, len: usize| Capsule::TxCommit {
+        tx_id: 1,
+        writes: vec![
+            ShardWrite {
+                lba: 0,
+                data: vec![0; len],
+            };
+            n
+        ],
+    };
+    let overflow = |len: u32, max: u32| Err(CodecError::Overflow { len, max });
+    let max = MAX_PREPARE_WRITES as usize;
+    assert_eq!(commit(max, 4_096).check_caps(), Ok(()));
+    assert_eq!(commit(max + 1, 0).check_caps(), overflow(9, 8));
+    let big = MAX_DATA as usize + 1;
+    assert_eq!(
+        commit(1, big).check_caps(),
+        overflow(MAX_DATA + 1, MAX_DATA)
+    );
+    let write = Capsule::FsWrite {
+        ino: 1,
+        offset: 0,
+        data: vec![0; big],
+    };
+    assert_eq!(write.check_caps(), overflow(MAX_DATA + 1, MAX_DATA));
+    let path = "/".repeat(MAX_PATH as usize + 1);
+    assert_eq!(
+        Capsule::FsCreate { path }.check_caps(),
+        overflow(MAX_PATH + 1, MAX_PATH)
+    );
+    for op in [commit(max + 1, 0), write] {
+        let refused = op.check_caps().expect_err("over a cap");
+        assert_eq!(
+            decode_request(&encode_request(&Request::new(1, op))),
+            Err(refused)
+        );
+    }
+}
+
+/// Opcode 0x03 is unassigned: a frame carrying it is a typed opcode
+/// rejection.
+#[test]
+fn retired_opcode_3_is_a_bad_opcode() {
+    let wire = encode_request(&Request::new(3, Capsule::AllocTx));
+    // The opcode byte follows magic (4) + version (1); re-seal the
+    // checksum over the rewritten header.
+    let mut body: Vec<u8> = wire[..wire.len() - 8].to_vec();
+    body[5] = 0x03;
+    let sum = ccnvme_obs::seal::fnv1a64(&body);
+    body.extend_from_slice(&sum.to_le_bytes());
+    assert_eq!(decode_request(&body), Err(CodecError::BadOpcode(3)));
 }
 
 /// Trailing garbage after a well-formed body fails the checksum (the

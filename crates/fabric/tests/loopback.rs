@@ -7,8 +7,8 @@ use std::sync::Arc;
 use ccnvme::CcNvmeDriver;
 use ccnvme_block::BlockDevice;
 use ccnvme_fabric::{
-    target::DEFAULT_TX_MEMBER_CAP, Backend, ClientCfg, ClientStats, FabricClient, FabricConfig,
-    FabricError, FabricTarget, Status,
+    Backend, Capsule, ClientCfg, ClientStats, CodecError, FabricClient, FabricConfig, FabricError,
+    FabricTarget, ShardWrite, Status,
 };
 use ccnvme_fault::{FaultKind, FaultPlan, FaultRule, NetDir, NetFaultKind, NetFaultRule, Trigger};
 use ccnvme_sim::Sim;
@@ -53,12 +53,20 @@ fn quick_cfg(stats: Arc<ClientStats>) -> ClientCfg {
     }
 }
 
+/// One member write of a transaction.
+fn w(lba: u64, data: &[u8]) -> ShardWrite {
+    ShardWrite {
+        lba,
+        data: data.to_vec(),
+    }
+}
+
 fn read_block(drv: &Arc<CcNvmeDriver>, lba: u64) -> Vec<u8> {
     ccnvme_block::read_block(&**drv, lba).unwrap_or_else(|st| panic!("read back lba {lba}: {st:?}"))
 }
 
-/// One client allocates a transaction, stages members, commits durably,
-/// and the committed bytes are on media; `fabric.*` counters record the
+/// One client allocates a transaction and commits two writes in one
+/// capsule; both blocks are on media and `fabric.*` counters record the
 /// exchange.
 #[test]
 fn single_client_commit_is_durable_and_counted() {
@@ -75,9 +83,8 @@ fn single_client_commit_is_durable_and_counted() {
         assert_eq!(client.window(), target.window());
 
         let tx = client.alloc_tx().expect("alloc tx");
-        client.tx_write(tx, 7, b"member-block").expect("stage");
         client
-            .tx_commit(tx, 8, b"commit-block", true)
+            .tx_commit(tx, vec![w(7, b"member-block"), w(8, b"commit-block")])
             .expect("commit");
 
         assert_eq!(&read_block(&drv, 7)[..12], b"member-block");
@@ -85,7 +92,7 @@ fn single_client_commit_is_durable_and_counted() {
         assert_eq!(stats.commits.get(), 1);
         assert_eq!(stats.replayed_commits.get(), 0);
         assert_eq!(stats.sessions.get(), 1);
-        assert!(stats.capsules.get() >= 4);
+        assert_eq!(stats.capsules.get(), 3, "hello, alloc, commit");
         client.bye();
     });
 }
@@ -157,9 +164,12 @@ fn fabric_commit_survives_the_persist_order_sanitizer() {
         .expect("connect");
 
         let tx = client.alloc_tx().expect("alloc tx");
-        client.tx_write(tx, 3, b"sanitized-member").expect("stage");
+        // Two members, so the non-boundary doorbell path runs too.
         client
-            .tx_commit(tx, 4, b"sanitized-commit", true)
+            .tx_commit(
+                tx,
+                vec![w(3, b"sanitized-member"), w(4, b"sanitized-commit")],
+            )
             .expect("commit");
         client.bye();
 
@@ -206,7 +216,7 @@ fn four_clients_commit_concurrently() {
                         let lba = c * 100 + i;
                         let body = format!("c{c}-i{i}");
                         client
-                            .tx_commit(tx, lba, body.as_bytes(), true)
+                            .tx_commit(tx, vec![w(lba, body.as_bytes())])
                             .expect("commit");
                     }
                     client.bye();
@@ -250,24 +260,25 @@ fn credit_exhaustion_degrades_to_backpressure() {
         .expect("connect");
         assert_eq!(client.window(), 2);
 
-        let tx = client.alloc_tx().expect("alloc");
+        let txs: Vec<u64> = (0..16).map(|_| client.alloc_tx().expect("alloc")).collect();
         // Pipeline far past the window without consuming acks.
         let mut cids = Vec::new();
-        for i in 0..16u64 {
+        for (lba, tx_id) in txs.into_iter().enumerate() {
             let cid = client
-                .submit(ccnvme_fabric::Capsule::TxWrite {
-                    tx_id: tx,
-                    lba: i,
-                    data: vec![i as u8; 64],
-                    commit: false,
-                    durable: false,
+                .submit(Capsule::TxCommit {
+                    tx_id,
+                    writes: vec![w(lba as u64, &[lba as u8; 64])],
                 })
                 .expect("submit");
             cids.push(cid);
         }
         for cid in cids {
             let resp = client.wait_for(cid).expect("ack");
-            assert!(resp.status.is_ok(), "write {cid} failed: {:?}", resp.status);
+            assert!(
+                resp.status.is_ok(),
+                "commit {cid} failed: {:?}",
+                resp.status
+            );
         }
         assert!(
             stats.credit_stalls.get() > 0,
@@ -277,11 +288,11 @@ fn credit_exhaustion_degrades_to_backpressure() {
     });
 }
 
-/// A transaction staging more members than the target admits is refused
-/// with a typed status instead of wedging its handler inside the full
-/// hardware ring; the transaction and the session both stay usable.
+/// A raw commit whose write falls outside the window, or carries more
+/// than a block, is refused with `Protocol` as a whole: none of its
+/// writes lands and no commit is counted.
 #[test]
-fn oversized_transactions_are_refused_not_wedged() {
+fn inadmissible_raw_commits_write_nothing() {
     in_sim(|| {
         let (drv, backend) = raw_backend();
         let target = FabricTarget::new(backend, FabricConfig::new(CORES));
@@ -293,28 +304,56 @@ fn oversized_transactions_are_refused_not_wedged() {
         )
         .expect("connect");
 
-        let cap = DEFAULT_TX_MEMBER_CAP as u64;
+        let refused = Err(FabricError::Remote(Status::Protocol));
         let tx = client.alloc_tx().expect("alloc");
-        for i in 0..cap {
-            client
-                .tx_write(tx, i, &[i as u8; 16])
-                .expect("staged member");
+        assert_eq!(
+            client.tx_commit(tx, vec![w(1, b"in-window"), w(4_096, b"outside")]),
+            refused
+        );
+        let tx = client.alloc_tx().expect("alloc");
+        assert_eq!(
+            client.tx_commit(tx, vec![w(2, b"fits"), w(3, &[7; 4_097])]),
+            refused
+        );
+        for lba in 1..=3 {
+            assert_eq!(read_block(&drv, lba), vec![0; 4_096], "lba {lba}");
         }
-        assert!(matches!(
-            client.tx_write(tx, cap, b"one too many"),
-            Err(FabricError::Remote(ccnvme_fabric::Status::TxOverflow))
-        ));
-        // The transaction itself is still open and commits fine.
+        assert_eq!(stats.commits.get(), 0);
+        client.bye();
+    });
+}
+
+/// A transaction over the capsule's write cap fails at the initiator
+/// with a typed codec error, at once: it never reaches the wire (where
+/// the target would drop it and the retransmits would wedge the
+/// session), and the session keeps committing.
+#[test]
+fn oversized_raw_commit_fails_fast_and_the_session_goes_on() {
+    in_sim(|| {
+        let (drv, backend) = raw_backend();
+        let target = FabricTarget::new(backend, FabricConfig::new(CORES));
+        let stats = target.stats();
+        let mut client = FabricClient::connect(
+            1,
+            target.loopback_connector(1),
+            quick_cfg(ClientStats::detached()),
+        )
+        .expect("connect");
+
+        let tx = client.alloc_tx().expect("alloc");
+        let nine = (0..9).map(|lba| w(lba, b"member")).collect();
+        let t0 = ccnvme_sim::now();
+        assert_eq!(
+            client.tx_commit(tx, nine),
+            Err(FabricError::Codec(CodecError::Overflow { len: 9, max: 8 }))
+        );
+        assert_eq!(ccnvme_sim::now(), t0, "refused without a round trip");
         client
-            .tx_commit(tx, 100, b"capped-commit", true)
-            .expect("commit");
-        assert_eq!(&read_block(&drv, 100)[..13], b"capped-commit");
-        // And the session serves fresh transactions afterwards.
-        let tx2 = client.alloc_tx().expect("alloc 2");
-        client
-            .tx_commit(tx2, 101, b"next-tx", true)
-            .expect("commit 2");
-        assert_eq!(stats.commits.get(), 2);
+            .tx_commit(tx, vec![w(100, b"next-commit")])
+            .expect("commit after the refusal");
+        assert_eq!(&read_block(&drv, 100)[..11], b"next-commit");
+        assert_eq!(stats.bad_frames.get(), 0);
+        assert_eq!(stats.commits.get(), 1);
         client.bye();
     });
 }
@@ -351,12 +390,12 @@ fn partition_mid_commit_replays_exactly_once() {
         // The ack of this durable commit is lost to the partition; the
         // call must ride reconnect + retransmit to completion anyway.
         client
-            .tx_commit(tx1, 5, b"survives-partition", true)
+            .tx_commit(tx1, vec![w(5, b"survives-partition")])
             .expect("commit 1");
         // Session still live: a second transaction commits normally.
         let tx2 = client.alloc_tx().expect("alloc 2");
         client
-            .tx_commit(tx2, 6, b"after-heal", true)
+            .tx_commit(tx2, vec![w(6, b"after-heal")])
             .expect("commit 2");
         client.bye();
 
@@ -407,7 +446,7 @@ fn duplicates_and_reorders_are_absorbed() {
             let tx = client.alloc_tx().expect("alloc");
             let body = format!("dup-{i}");
             client
-                .tx_commit(tx, i, body.as_bytes(), true)
+                .tx_commit(tx, vec![w(i, body.as_bytes())])
                 .expect("commit");
         }
         client.bye();
@@ -450,7 +489,7 @@ fn dropped_frames_are_retransmitted() {
             let tx = client.alloc_tx().expect("alloc");
             let body = format!("drop-{i}");
             client
-                .tx_commit(tx, i, body.as_bytes(), true)
+                .tx_commit(tx, vec![w(i, body.as_bytes())])
                 .expect("commit");
         }
         client.bye();
@@ -537,12 +576,9 @@ fn trace_id_spans_initiator_to_media_write_across_a_kill() {
         // consuming its ack: the commit can only complete through the
         // retransmitted — byte-identical, identically-stamped — frame.
         let cid = client
-            .submit(ccnvme_fabric::Capsule::TxWrite {
+            .submit(Capsule::TxCommit {
                 tx_id: tx,
-                lba: 3,
-                data: b"traced-commit".to_vec(),
-                commit: true,
-                durable: true,
+                writes: vec![w(3, b"traced-commit")],
             })
             .expect("submit");
         client.sever();

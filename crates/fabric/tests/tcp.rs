@@ -5,7 +5,9 @@
 use std::sync::Arc;
 
 use ccnvme::CcNvmeDriver;
-use ccnvme_fabric::{Backend, ClientCfg, ClientStats, FabricClient, FabricConfig, TcpFabricServer};
+use ccnvme_fabric::{
+    Backend, ClientCfg, ClientStats, FabricClient, FabricConfig, ShardWrite, TcpFabricServer,
+};
 use ccnvme_ssd::{CtrlConfig, NvmeController, SsdProfile};
 
 const CORES: usize = 2;
@@ -27,8 +29,8 @@ fn start_raw_server(window: u32) -> TcpFabricServer {
     .expect("bind tcp server")
 }
 
-/// One real-socket client: handshake, transaction commits (atomic and
-/// durable), and a metrics fetch showing `fabric.*` counters.
+/// One real-socket client: handshake, a two-write transaction commit,
+/// and a metrics fetch showing `fabric.*` counters.
 #[test]
 fn tcp_single_client_smoke() {
     let server = start_raw_server(16);
@@ -37,9 +39,8 @@ fn tcp_single_client_smoke() {
     assert_eq!(client.window(), 16);
 
     let tx = client.alloc_tx().expect("alloc");
-    client.tx_write(tx, 0, b"tcp-member").expect("stage");
     client
-        .tx_commit(tx, 1, b"tcp-commit", true)
+        .tx_commit(tx, vec![w(0, b"tcp-member"), w(1, b"tcp-commit")])
         .expect("commit");
 
     let json = client.metrics_json().expect("metrics");
@@ -69,7 +70,7 @@ fn tcp_four_clients_commit_concurrently() {
                 let tx = client.alloc_tx().expect("alloc");
                 let body = format!("tcp-c{c}-i{i}");
                 client
-                    .tx_commit(tx, c * 1_000 + i, body.as_bytes(), true)
+                    .tx_commit(tx, vec![w(c * 1_000 + i, body.as_bytes())])
                     .expect("commit");
             }
             client
@@ -111,7 +112,7 @@ fn tcp_reconnect_resumes_session() {
     for i in 0..8u64 {
         let tx = client.alloc_tx().expect("alloc");
         client
-            .tx_commit(tx, i, format!("pre-{i}").as_bytes(), true)
+            .tx_commit(tx, vec![w(i, format!("pre-{i}").as_bytes())])
             .expect("commit");
         if i == 3 {
             // Kill the wire under the client; the next call must ride
@@ -128,6 +129,14 @@ fn tcp_reconnect_resumes_session() {
     assert_eq!(commits, 8, "reconnect must not lose or duplicate commits");
     client.bye();
     server.stop();
+}
+
+/// One member write of a transaction.
+fn w(lba: u64, data: &[u8]) -> ShardWrite {
+    ShardWrite {
+        lba,
+        data: data.to_vec(),
+    }
 }
 
 fn soak() -> bool {

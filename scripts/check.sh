@@ -7,7 +7,8 @@
 #     counts, the fabric, ploc, cluster and lint suites, the sim/OS
 #     differential), the ccnvme-lint protocol-invariant analyzer over
 #     the workspace, the bench metrics-schema smoke run, the faultpath
-#     bench, the fault_storm example and the cluster scaling gate, the
+#     bench, the fault_storm example, the fabric credit-overload drill
+#     and the cluster scaling gate, the
 #     deep ploc and cluster crash sweeps, the forensics and OS-runtime
 #     smokes, and the benchmark: its
 #     own tests, every workload's output oracle, and exact virtual-time
@@ -74,6 +75,9 @@ scripts/bench_smoke.sh
 # reads while degraded and recovery itself).
 QUICK=1 cargo run -q --release -p ccnvme-bench --bin faultpath > /dev/null
 cargo run -q --release --example fault_storm > /dev/null
+# The fabric credit-overload drill: pipelined 8-write TX_COMMIT capsules
+# over a window of 2 must stall and never fail (it panics otherwise).
+QUICK=1 cargo run -q --release -p ccnvme-bench --bin fabric > /dev/null
 # The cluster scaling gate (2→8 shards ≥ 2x over the same commit mix)
 # and the kill-one-shard drill; both panic when they fail. Full size
 # (about a second): at QUICK sizes twelve commits per client are too
