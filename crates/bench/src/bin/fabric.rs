@@ -17,11 +17,12 @@ use ccnvme::CcNvmeDriver;
 use ccnvme_bench::{f1, header, record_run_seq, row, scaled, write_metrics, Stack, StackConfig};
 use ccnvme_fabric::{
     Backend, Capsule, ClientCfg, ClientStats, FabricClient, FabricConfig, FabricTarget, ShardWrite,
+    SyncKind,
 };
+use ccnvme_obs::{Histogram, Summary};
 use ccnvme_sim::Sim;
 use ccnvme_ssd::{CtrlConfig, NvmeController, SsdProfile};
-use ccnvme_workloads::{run_fio, FioConfig, SyncMode};
-use mqfs::FsVariant;
+use mqfs::{FileSystem, FsVariant};
 
 const CORES: usize = 4;
 
@@ -33,27 +34,58 @@ struct Point {
     stalls: u64,
 }
 
+/// Appends + fsyncs over `clients` fabric initiators, each on its own
+/// loopback session to one target serving `fs` and its own file;
+/// client `c` runs on core `c % CORES`. Returns commits per second in
+/// thousands and the commit-ack latency: write capsule plus sync
+/// capsule, both network hops included.
+fn fio_over_fabric(fs: &Arc<FileSystem>, clients: usize, ops: u64) -> (f64, Summary) {
+    let target = FabricTarget::new(Backend::Fs(Arc::clone(fs)), FabricConfig::new(CORES));
+    let hist = Arc::new(Histogram::new());
+    let t0 = ccnvme_sim::now();
+    let handles: Vec<_> = (0..clients)
+        .map(|c| {
+            let (target, hist) = (Arc::clone(&target), Arc::clone(&hist));
+            ccnvme_sim::spawn(&format!("fio-client-{c}"), c % CORES, move || {
+                let id = c as u64 + 1;
+                let mut client =
+                    FabricClient::connect(id, target.loopback_connector(id), ClientCfg::default())
+                        .expect("fabric connect");
+                let ino = client
+                    .create(&format!("/fio-client-{c}"))
+                    .expect("open private file");
+                let payload = vec![0xf1u8; 4096];
+                let mut offset = client.stat(ino).expect("stat");
+                for _ in 0..ops {
+                    let op0 = ccnvme_sim::now();
+                    client.write(ino, offset, &payload).expect("append");
+                    client.sync(ino, SyncKind::Fsync).expect("fsync");
+                    hist.record(ccnvme_sim::now() - op0);
+                    offset += 4096;
+                }
+                client.bye();
+            })
+        })
+        .collect();
+    for h in handles {
+        h.join();
+    }
+    let elapsed = ccnvme_sim::now() - t0;
+    let kiops = (clients as u64 * ops) as f64 / (elapsed as f64 / 1e9) / 1e3;
+    (kiops, hist.summary())
+}
+
 /// One sweep point: `clients` initiators over an MQFS fabric target.
 fn measure_clients(clients: usize) -> Point {
     let cfg = StackConfig::new(FsVariant::Mqfs, SsdProfile::optane_905p(), CORES);
     let (point, metrics) = Sim::run_main(cfg.sim_cores(), move || {
         let (stack, fs) = Stack::format(&cfg);
-        let res = run_fio(
-            &fs,
-            &FioConfig {
-                threads: CORES,
-                write_size: 4096,
-                ops_per_thread: scaled(400),
-                sync: SyncMode::Fsync,
-                clients,
-                targets: 1,
-            },
-        );
+        let (kiops, latency) = fio_over_fabric(&fs, clients, scaled(400));
         let snap = stack.metrics();
         let point = Point {
-            kiops: res.kiops(),
-            mean_us: res.latency.mean / 1e3,
-            p99_us: res.latency.p99 as f64 / 1e3,
+            kiops,
+            mean_us: latency.mean / 1e3,
+            p99_us: latency.p99 as f64 / 1e3,
             commits: snap.counter("fabric.commits"),
             stalls: 0,
         };

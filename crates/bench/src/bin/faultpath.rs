@@ -50,8 +50,6 @@ fn measure(variant: FsVariant, busy_pct: f64, drop_pct: f64) -> Point {
                 write_size: 4096,
                 ops_per_thread: scaled(2000),
                 sync: SyncMode::Fsync,
-                clients: 0,
-                targets: 1,
             },
         );
         let m = stack.metrics();

@@ -212,8 +212,6 @@ fn run_workload(fs: &Arc<FileSystem>, w: &Workload) -> WorkloadResult {
                 write_size: *write_size,
                 ops_per_thread: *ops,
                 sync: *sync,
-                clients: 0,
-                targets: 1,
             },
         ),
         Workload::Varmail {

@@ -63,27 +63,19 @@ impl fmt::Display for ClusterError {
 
 impl std::error::Error for ClusterError {}
 
+/// Full fabric-client recovery episodes per shard or coordinator
+/// operation before the target is declared down. Each episode already
+/// runs the session's own timeout/reconnect/backoff ladder.
+const ATTEMPTS: u32 = 2;
+
+/// Virtual nodes per shard on the hash ring.
+const VNODES: usize = 16;
+
 /// Cluster client tuning knobs.
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct ClusterCfg {
-    /// Full fabric-client recovery episodes per shard operation before
-    /// the shard is declared down. Each episode already runs the
-    /// session's own timeout/reconnect/backoff ladder.
-    pub attempts: u32,
-    /// Virtual nodes per shard on the hash ring.
-    pub vnodes: usize,
     /// Per-session fabric client configuration.
     pub client_cfg: ClientCfg,
-}
-
-impl Default for ClusterCfg {
-    fn default() -> Self {
-        ClusterCfg {
-            attempts: 2,
-            vnodes: 16,
-            client_cfg: ClientCfg::default(),
-        }
-    }
 }
 
 /// A connected cluster initiator: N shard sessions, one coordinator
@@ -94,7 +86,6 @@ pub struct ClusterClient {
     ring: HashRing,
     degraded: HashSet<usize>,
     degraded_gauge: Option<Arc<Gauge>>,
-    cfg: ClusterCfg,
 }
 
 impl ClusterClient {
@@ -109,7 +100,7 @@ impl ClusterClient {
         cfg: ClusterCfg,
         reg: Option<&Registry>,
     ) -> Result<ClusterClient, ClusterError> {
-        let ring = HashRing::new(shard_connectors.len(), cfg.vnodes);
+        let ring = HashRing::new(shard_connectors.len(), VNODES);
         let mut shards = Vec::with_capacity(shard_connectors.len());
         for (i, conn) in shard_connectors.into_iter().enumerate() {
             let c = FabricClient::connect(client_id, conn, cfg.client_cfg.clone())
@@ -124,7 +115,6 @@ impl ClusterClient {
             ring,
             degraded: HashSet::new(),
             degraded_gauge: reg.map(|r| r.gauge("cluster.degraded_shards")),
-            cfg,
         })
     }
 
@@ -174,7 +164,7 @@ impl ClusterClient {
             });
         }
         let mut last = FabricError::Unreachable;
-        for _ in 0..self.cfg.attempts.max(1) {
+        for _ in 0..ATTEMPTS {
             match f(&mut self.shards[shard]) {
                 Ok(v) => {
                     self.set_degraded(shard, false);
@@ -197,7 +187,7 @@ impl ClusterClient {
         mut f: impl FnMut(&mut FabricClient) -> Result<T, FabricError>,
     ) -> Result<T, ClusterError> {
         let mut last = FabricError::Unreachable;
-        for _ in 0..self.cfg.attempts.max(1) {
+        for _ in 0..ATTEMPTS {
             match f(&mut self.coord) {
                 Ok(v) => return Ok(v),
                 Err(err @ (FabricError::Remote(_) | FabricError::Codec(_))) => {

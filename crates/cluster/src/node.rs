@@ -27,9 +27,17 @@
 //! A transaction with this node as its only participant skips the
 //! machine: `TX_COMMIT` writes its blocks home as one local transaction
 //! (`commit_one`), so no slot is ever PREPARED for it.
+//!
+//! The protocol tables sit under one lock that no media write holds
+//! (§4 separates atomicity from durability, so a step's outcome can be
+//! claimed in memory before its write and published after it). A step
+//! locks, checks and *claims* what it will write — an intent preparing
+//! or deciding, a decision recording, the gtx high-water mark
+//! reserving — then runs its local transaction unlocked, then re-locks
+//! to publish the outcome or roll the claim back. A second step on the
+//! same gtx waits for that claim to settle, never for the node.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use ccnvme::CcNvmeDriver;
@@ -37,8 +45,7 @@ use ccnvme_block::{commit_tx, read_block, BLOCK_SIZE};
 use ccnvme_fabric::capsule::admits;
 use ccnvme_fabric::{ClusterBackend, FabricClient, FabricError, ShardWrite, Status};
 use ccnvme_obs::{Counter, Gauge, Obs};
-use ccnvme_runtime::RtMutex;
-use parking_lot::Mutex;
+use ccnvme_runtime::{RtCondvar, RtMutex, RtMutexGuard};
 
 use crate::layout::{
     decode_decision, decode_gtx_hwm, decode_intent, encode_decision, encode_gtx_hwm, encode_intent,
@@ -90,30 +97,48 @@ struct PreparedTx {
     writes: Vec<(u64, Vec<u8>)>,
 }
 
+/// One gtx's entry in a protocol table.
+enum Entry<T> {
+    /// A step claimed the gtx and its local transaction is in flight.
+    Claimed,
+    /// On media.
+    Durable(T),
+}
+
+/// Whether a step holds a claim on `gtx` in `table`.
+fn claimed<T>(table: &HashMap<u64, Entry<T>>, gtx: u64) -> bool {
+    matches!(table.get(&gtx), Some(Entry::Claimed))
+}
+
+/// A node's protocol state.
+struct NodeSt {
+    intents: HashMap<u64, Entry<PreparedTx>>,
+    free_slots: Vec<u64>,
+    /// Coordinator decisions (`true` = commit).
+    decisions: HashMap<u64, Entry<bool>>,
+    /// Next free decision-record slot.
+    decision_cursor: u64,
+    next_gtx: u64,
+    /// In-memory mirror of the durable gtx high-water mark: ids are
+    /// only ever handed out below it, so a remounted coordinator —
+    /// which reseeds `next_gtx` *from* the mark — can never re-issue a
+    /// gtx that an earlier incarnation gave to a client, even one that
+    /// only left traces on remote shards.
+    gtx_hwm: u64,
+    /// A step is durably raising the mark.
+    reserving: bool,
+}
+
 /// One cluster node (participant and/or coordinator) over a ccNVMe
 /// device window described by a [`ShardLayout`].
 pub struct ClusterNode {
     drv: Arc<CcNvmeDriver>,
     layout: ShardLayout,
     obs: Arc<Obs>,
-    /// Serializes mutating 2PC steps. Each step spans a map check plus
-    /// a device transaction, and the get-or-set contract of the
-    /// decision region only holds if check and write are one critical
-    /// section.
-    exec: RtMutex<()>,
-    prepared: Mutex<HashMap<u64, PreparedTx>>,
-    free_slots: Mutex<Vec<u64>>,
-    decisions: Mutex<HashMap<u64, bool>>,
-    /// Next free decision-record slot — the coordinator decision word's
-    /// durable cursor.
-    decision_seq: AtomicU64,
-    next_gtx: AtomicU64,
-    /// In-memory mirror of the durable gtx high-water mark: ids are
-    /// only ever handed out below it, so a remounted coordinator —
-    /// which reseeds `next_gtx` *from* the mark — can never re-issue a
-    /// gtx that an earlier incarnation gave to a client, even one that
-    /// only left traces on remote shards.
-    gtx_hwm: AtomicU64,
+    st: RtMutex<NodeSt>,
+    /// Notified, with `st` held, by every step that settles a claim;
+    /// the woken steps re-check once that step unlocks.
+    settled: RtCondvar,
     stats: NodeStats,
 }
 
@@ -137,14 +162,15 @@ impl ClusterNode {
         let mut decisions = HashMap::new();
         let mut max_gtx = 0u64;
         let mut cursor = 0u64;
+        // Every slot: records may land out of cursor order, and a failed one leaves a hole.
         for i in 0..layout.decision_slots {
             if let Some((gtx, commit)) = decode_decision(&read(layout.decision_lba(i))) {
-                decisions.insert(gtx, commit);
+                decisions.insert(gtx, Entry::Durable(commit));
                 max_gtx = max_gtx.max(gtx);
                 cursor = i + 1;
             }
         }
-        let mut prepared = HashMap::new();
+        let mut intents = HashMap::new();
         let mut free_slots = Vec::new();
         for slot in 0..layout.intent_slots {
             match decode_intent(&read(layout.slot_header(slot))) {
@@ -154,13 +180,13 @@ impl ClusterNode {
                         .enumerate()
                         .map(|(j, &lba)| (lba, read(layout.slot_data(slot, j as u64))))
                         .collect();
-                    prepared.insert(gtx, PreparedTx { slot, writes });
+                    intents.insert(gtx, Entry::Durable(PreparedTx { slot, writes }));
                     max_gtx = max_gtx.max(gtx);
                 }
                 None => free_slots.push(slot),
             }
         }
-        let mut in_doubt: Vec<u64> = prepared.keys().copied().collect();
+        let mut in_doubt: Vec<u64> = intents.keys().copied().collect();
         in_doubt.sort_unstable();
         stats.in_doubt.set(in_doubt.len() as i64);
         // Any id this node's earlier incarnations handed out is below
@@ -174,13 +200,16 @@ impl ClusterNode {
             drv,
             layout,
             obs,
-            exec: RtMutex::new(()),
-            prepared: Mutex::new(prepared),
-            free_slots: Mutex::new(free_slots),
-            decisions: Mutex::new(decisions),
-            decision_seq: AtomicU64::new(cursor),
-            next_gtx: AtomicU64::new((max_gtx + 1).max(hwm)),
-            gtx_hwm: AtomicU64::new(hwm),
+            st: RtMutex::new(NodeSt {
+                intents,
+                free_slots,
+                decisions,
+                decision_cursor: cursor,
+                next_gtx: (max_gtx + 1).max(hwm),
+                gtx_hwm: hwm,
+                reserving: false,
+            }),
+            settled: RtCondvar::new(),
             stats,
         });
         (node, in_doubt)
@@ -206,32 +235,65 @@ impl ClusterNode {
     /// commits it) and waits for every bio to complete. Crash-atomicity
     /// already holds at the atomicity point (the two persistent MMIOs
     /// of §4.3); the wait is for *error* visibility — a 2PC step's `Ok`
-    /// mutates this node's in-memory protocol maps and is acked to the
-    /// client, so an injected media/timeout failure must surface in the
-    /// returned status, never after the state has diverged from the
+    /// mutates this node's in-memory protocol tables and is acked to
+    /// the client, so an injected media/timeout failure must surface in
+    /// the returned status, never after the state has diverged from the
     /// media.
     fn local_tx(&self, writes: Vec<(u64, Vec<u8>)>) -> Status {
         commit_tx(&*self.drv, self.drv.alloc_tx_id(), writes)
             .map_or_else(Status::from, |()| Status::Ok)
     }
 
-    fn record_decision(&self, gtx: u64, commit: bool) -> Status {
-        // ord: SeqCst — the decision cursor is the coordinator decision
-        // word's allocator; it must never be observed behind the map
-        // insert that a concurrent get-or-set check relies on.
-        let idx = self.decision_seq.fetch_add(1, Ordering::SeqCst);
-        if idx >= self.layout.decision_slots {
-            return Status::TxOverflow;
+    /// Locks the protocol state once `claimed` no longer holds.
+    fn lock_settled(&self, claimed: impl Fn(&NodeSt) -> bool) -> RtMutexGuard<'_, NodeSt> {
+        let mut st = self.st.lock();
+        while claimed(&st) {
+            st = self.settled.wait(st);
         }
-        let st = self.local_tx(vec![(
+        st
+    }
+
+    /// The get-or-set of `gtx`'s coordinator decision: a recorded one
+    /// wins over the proposal; with none, the proposal is made durable
+    /// before it is answered. An inquiry (`None`) proposes a presumed
+    /// abort, so once it has been told "abort", no later verdict retry
+    /// can record "commit".
+    fn decision(&self, gtx: u64, proposal: Option<bool>) -> (Status, u64) {
+        let word = |commit| {
+            if commit {
+                DECISION_COMMIT
+            } else {
+                DECISION_ABORT
+            }
+        };
+        let mut st = self.lock_settled(|st| claimed(&st.decisions, gtx));
+        if let Some(Entry::Durable(recorded)) = st.decisions.get(&gtx) {
+            return (Status::Ok, word(*recorded));
+        }
+        let idx = st.decision_cursor;
+        if idx >= self.layout.decision_slots {
+            return (Status::TxOverflow, 0);
+        }
+        st.decision_cursor += 1;
+        st.decisions.insert(gtx, Entry::Claimed);
+        drop(st);
+        let commit = proposal.unwrap_or(false);
+        let status = self.local_tx(vec![(
             self.layout.decision_lba(idx),
             encode_decision(gtx, commit),
         )]);
-        if st.is_ok() {
-            self.decisions.lock().insert(gtx, commit);
-            self.stats.decisions.inc();
+        let mut st = self.st.lock();
+        self.settled.notify_all();
+        if !status.is_ok() {
+            st.decisions.remove(&gtx);
+            return (status, 0);
         }
-        st
+        st.decisions.insert(gtx, Entry::Durable(commit));
+        self.stats.decisions.inc();
+        if proposal.is_none() {
+            self.stats.presumed_aborts.inc();
+        }
+        (status, word(commit))
     }
 }
 
@@ -241,91 +303,76 @@ impl ClusterBackend for ClusterNode {
     }
 
     fn alloc_gtx(&self) -> (Status, u64) {
-        loop {
-            // ord: SeqCst — gtx ids must be unique across handler
-            // cores; a stale next_gtx/hwm read would hand a collision.
-            let cur = self.next_gtx.load(Ordering::SeqCst);
-            // ord: SeqCst — pairs with the hwm store after reservation.
-            if cur < self.gtx_hwm.load(Ordering::SeqCst) {
-                if self
-                    .next_gtx
-                    // ord: SeqCst — the CAS is the uniqueness point.
-                    .compare_exchange(cur, cur + 1, Ordering::SeqCst, Ordering::SeqCst)
-                    .is_ok()
-                {
-                    return (Status::Ok, cur);
-                }
-                continue;
+        let mut st = self.lock_settled(|st| st.reserving);
+        if st.next_gtx >= st.gtx_hwm {
+            // The reserved range is spent: durably raise the mark before
+            // serving past it, so a crash+remount (which seeds from the
+            // mark) can never re-issue an id this incarnation handed out
+            // — even one whose only traces are prepared intents on
+            // remote shards.
+            let hwm = st.next_gtx + GTX_RESERVE_BATCH;
+            st.reserving = true;
+            drop(st);
+            let status = self.local_tx(vec![(self.layout.gtx_hwm_lba(), encode_gtx_hwm(hwm))]);
+            st = self.st.lock();
+            st.reserving = false;
+            self.settled.notify_all();
+            if !status.is_ok() {
+                return (status, 0);
             }
-            // The reserved range is spent: durably raise the mark
-            // before serving past it, so a crash+remount (which seeds
-            // from the mark) can never re-issue an id this incarnation
-            // handed out — even one whose only traces are prepared
-            // intents on remote shards.
-            let _exec = self.exec.lock();
-            // ord: SeqCst — re-check under the exec lock; another core
-            // may have reserved while we queued.
-            if self.next_gtx.load(Ordering::SeqCst) < self.gtx_hwm.load(Ordering::SeqCst) {
-                continue;
-            }
-            // ord: SeqCst — the reservation base must see every CAS
-            // that won before we took the lock.
-            let new_hwm = self.next_gtx.load(Ordering::SeqCst) + GTX_RESERVE_BATCH;
-            let st = self.local_tx(vec![(self.layout.gtx_hwm_lba(), encode_gtx_hwm(new_hwm))]);
-            if !st.is_ok() {
-                return (st, 0);
-            }
-            // ord: SeqCst — publish the raised mark only after it is
-            // durable; allocator readers race this store.
-            self.gtx_hwm.store(new_hwm, Ordering::SeqCst);
+            st.gtx_hwm = hwm;
         }
+        st.next_gtx += 1;
+        (Status::Ok, st.next_gtx - 1)
     }
 
     fn prepare(&self, gtx: u64, writes: &[ShardWrite]) -> Status {
         if !admits(writes, self.layout.data_blocks) {
             return Status::Protocol;
         }
-        let _exec = self.exec.lock();
-        if self.prepared.lock().contains_key(&gtx) {
+        let mut st = self.lock_settled(|st| claimed(&st.intents, gtx));
+        if st.intents.contains_key(&gtx) {
             // Re-prepare of a known gtx (client restart): already
             // staged, the ack it missed is simply repeated.
             return Status::Ok;
         }
-        let Some(slot) = self.free_slots.lock().pop() else {
+        let Some(slot) = st.free_slots.pop() else {
             return Status::TxOverflow;
         };
-        let staged: Vec<(u64, Vec<u8>)> = writes.iter().map(|w| (w.lba, w.data.clone())).collect();
-        let mut intent: Vec<(u64, Vec<u8>)> = staged
+        st.intents.insert(gtx, Entry::Claimed);
+        drop(st);
+        let writes: Vec<(u64, Vec<u8>)> = writes.iter().map(|w| (w.lba, w.data.clone())).collect();
+        let mut intent: Vec<(u64, Vec<u8>)> = writes
             .iter()
             .enumerate()
             .map(|(j, (_, data))| (self.layout.slot_data(slot, j as u64), data.clone()))
             .collect();
-        let lbas: Vec<u64> = staged.iter().map(|(lba, _)| *lba).collect();
+        let lbas: Vec<u64> = writes.iter().map(|(lba, _)| *lba).collect();
         intent.push((self.layout.slot_header(slot), encode_intent(gtx, &lbas)));
-        let st = self.local_tx(intent);
-        if st.is_ok() {
-            self.prepared.lock().insert(
-                gtx,
-                PreparedTx {
-                    slot,
-                    writes: staged,
-                },
-            );
+        let status = self.local_tx(intent);
+        let mut st = self.st.lock();
+        self.settled.notify_all();
+        if status.is_ok() {
+            st.intents
+                .insert(gtx, Entry::Durable(PreparedTx { slot, writes }));
             self.stats.prepares.inc();
             self.stats.in_doubt.inc();
         } else {
-            self.free_slots.lock().push(slot);
+            st.intents.remove(&gtx);
+            st.free_slots.push(slot);
         }
-        st
+        status
     }
 
     fn decide(&self, gtx: u64, commit: bool) -> Status {
-        let _exec = self.exec.lock();
-        let Some(tx) = self.prepared.lock().remove(&gtx) else {
+        let mut st = self.lock_settled(|st| claimed(&st.intents, gtx));
+        let Some(Entry::Durable(tx)) = st.intents.remove(&gtx) else {
             // Already applied/aborted, or never prepared here: the
             // idempotent no-op that makes redecide-after-recovery safe.
             return Status::Ok;
         };
+        st.intents.insert(gtx, Entry::Claimed);
+        drop(st);
         // Apply + free in one transaction: the staged writes land on
         // their final LBAs and the intent header clears atomically, so
         // "visible" and "no longer in-doubt" cannot come apart in a
@@ -343,25 +390,28 @@ impl ClusterBackend for ClusterNode {
             self.layout.slot_header(tx.slot),
             vec![0u8; BLOCK_SIZE as usize],
         ));
-        let st = self.local_tx(apply);
-        if st.is_ok() {
-            self.free_slots.lock().push(tx.slot);
-            self.stats.in_doubt.dec();
-            if commit {
-                self.stats.applies.inc();
-            } else {
-                self.stats.aborts.inc();
-            }
-        } else {
-            self.prepared.lock().insert(gtx, tx);
+        let status = self.local_tx(apply);
+        let mut st = self.st.lock();
+        self.settled.notify_all();
+        if !status.is_ok() {
+            st.intents.insert(gtx, Entry::Durable(tx));
+            return status;
         }
-        st
+        st.intents.remove(&gtx);
+        st.free_slots.push(tx.slot);
+        self.stats.in_doubt.dec();
+        if commit {
+            self.stats.applies.inc();
+        } else {
+            self.stats.aborts.inc();
+        }
+        status
     }
 
-    /// One local transaction straight to the home LBAs. `exec` is not
-    /// taken: it guards the get-or-set of the protocol maps, and this
-    /// touches none of them. Data blocks were never isolated: a decide,
-    /// too, copies staged blocks home regardless of later writers.
+    /// One local transaction straight to the home LBAs, with no claim:
+    /// it touches none of the protocol tables. Data blocks were never
+    /// isolated: a decide, too, copies staged blocks home regardless of
+    /// later writers.
     fn commit_one(&self, _gtx: u64, writes: &[ShardWrite]) -> Status {
         if !admits(writes, self.layout.data_blocks) {
             return Status::Protocol;
@@ -379,51 +429,11 @@ impl ClusterBackend for ClusterNode {
     }
 
     fn verdict(&self, gtx: u64, commit: bool) -> (Status, u64) {
-        let _exec = self.exec.lock();
-        if let Some(&recorded) = self.decisions.lock().get(&gtx) {
-            // Get-or-set: the durable decision wins over the request.
-            let word = if recorded {
-                DECISION_COMMIT
-            } else {
-                DECISION_ABORT
-            };
-            return (Status::Ok, word);
-        }
-        let st = self.record_decision(gtx, commit);
-        if st.is_ok() {
-            (
-                st,
-                if commit {
-                    DECISION_COMMIT
-                } else {
-                    DECISION_ABORT
-                },
-            )
-        } else {
-            (st, 0)
-        }
+        self.decision(gtx, Some(commit))
     }
 
     fn resolve(&self, gtx: u64) -> (Status, u64) {
-        let _exec = self.exec.lock();
-        if let Some(&recorded) = self.decisions.lock().get(&gtx) {
-            let word = if recorded {
-                DECISION_COMMIT
-            } else {
-                DECISION_ABORT
-            };
-            return (Status::Ok, word);
-        }
-        // Presumed abort, made stable before answering: once an inquiry
-        // has been told "abort", no later verdict retry can record
-        // "commit" — the get-or-set in `verdict` will find this record.
-        let st = self.record_decision(gtx, false);
-        if st.is_ok() {
-            self.stats.presumed_aborts.inc();
-            (st, DECISION_ABORT)
-        } else {
-            (st, 0)
-        }
+        self.decision(gtx, None)
     }
 
     fn read_block(&self, lba: u64) -> Result<Vec<u8>, Status> {

@@ -5,7 +5,8 @@
 use std::sync::Arc;
 
 use ccnvme::CcNvmeDriver;
-use ccnvme_block::BLOCK_SIZE;
+use ccnvme_block::{read_block, BLOCK_SIZE};
+use ccnvme_cluster::layout::decode_intent;
 use ccnvme_cluster::{
     resolve_in_doubt_local, ClusterCfg, ClusterClient, ClusterError, ClusterNode, ShardLayout,
 };
@@ -89,8 +90,6 @@ impl TestCluster {
     fn client(&self, client_id: u64, reg: Option<&Registry>) -> ClusterClient {
         let (shards, coord) = self.connectors(client_id);
         let cfg = ClusterCfg {
-            attempts: 2,
-            vnodes: 16,
             client_cfg: ClientCfg {
                 ack_timeout_ns: 2_000_000,
                 backoff_ns: 50_000,
@@ -432,6 +431,88 @@ fn prepare_surfaces_injected_media_errors() {
         assert!(!st.is_ok(), "prepare acked Ok over a failing medium");
         assert_eq!(node.stats().prepares.get(), 0, "failed prepare counted");
         assert_eq!(node.stats().in_doubt.get(), 0, "failed prepare left doubt");
+    });
+}
+
+/// Runs `a` on host core 0 and `b` on host core 1 from the same virtual
+/// instant: a deterministic two-core race.
+fn race<A, B>(
+    a: impl FnOnce() -> A + Send + 'static,
+    b: impl FnOnce() -> B + Send + 'static,
+) -> (A, B)
+where
+    A: Send + 'static,
+    B: Send + 'static,
+{
+    let a = ccnvme_sim::spawn("race-a", 0, a);
+    let b = ccnvme_sim::spawn("race-b", 1, b);
+    (a.join(), b.join())
+}
+
+/// Intent slots whose header on the device names `gtx`.
+fn intents_on_media(node: &ClusterNode, gtx: u64) -> usize {
+    let layout = node.layout();
+    (0..layout.intent_slots)
+        .filter(|&slot| {
+            let header = read_block(&*node.driver(), layout.slot_header(slot)).expect("read");
+            decode_intent(&header).is_some_and(|(g, _)| g == gtx)
+        })
+        .count()
+}
+
+/// Two prepares of one gtx race on two cores: one intent is staged, and
+/// each ack finds it on the device.
+#[test]
+fn racing_prepares_of_one_gtx_stage_one_intent() {
+    in_sim(|| {
+        let node = node_on_core(CORES);
+        let prepare = |node: &Arc<ClusterNode>| {
+            let node = Arc::clone(node);
+            move || {
+                let st = node.prepare(7, &writes(3, 0x31));
+                (st, intents_on_media(&node, 7))
+            }
+        };
+        let (a, b) = race(prepare(&node), prepare(&node));
+        assert_eq!(
+            (a, b),
+            ((Status::Ok, 1), (Status::Ok, 1)),
+            "racing prepares: (status, intents on media) at each ack"
+        );
+        assert_eq!(node.stats().prepares.get(), 1, "one gtx staged twice");
+        assert_eq!(node.stats().in_doubt.get(), 1);
+    });
+}
+
+/// Two commit decides of one prepared gtx race on two cores: the writes
+/// are applied once, and each ack finds them visible.
+#[test]
+fn racing_decides_of_one_gtx_apply_once() {
+    in_sim(|| {
+        let node = node_on_core(CORES);
+        assert!(node.prepare(7, &writes(3, 0x32)).is_ok());
+        let decide = |node: &Arc<ClusterNode>| {
+            let node = Arc::clone(node);
+            move || {
+                let st = node.decide(7, true);
+                let visible = node.read_block(3).expect("read")[..32] == block(0x32)[..];
+                (st, visible)
+            }
+        };
+        let (a, b) = race(decide(&node), decide(&node));
+        assert_eq!(
+            (a, b),
+            ((Status::Ok, true), (Status::Ok, true)),
+            "racing decides: (status, writes visible) at each ack"
+        );
+        let stats = node.stats();
+        assert_eq!(stats.applies.get(), 1, "one prepared gtx applied twice");
+        assert_eq!(stats.in_doubt.get(), 0);
+        assert_eq!(
+            intents_on_media(&node, 7),
+            0,
+            "the intent outlived its decide"
+        );
     });
 }
 

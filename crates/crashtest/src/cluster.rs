@@ -3,7 +3,8 @@
 //! file-system surface ([`crate::fs`]).
 //!
 //! The recorded pass drives a scripted mix of cross-shard commits,
-//! single-shard fast-path commits and deliberate aborts against N
+//! single-shard fast-path commits, deliberate aborts and a commit
+//! verdict racing a resolve inquiry for the same gtx against N
 //! participant nodes plus one coordinator node, each on its own
 //! instrumented device — one recovery domain each. At every cut the
 //! surface additionally holds every subset of domains (coordinator
@@ -44,8 +45,8 @@ use crate::{boot_ctrl, SETTLED};
 pub struct ClusterSurface {
     /// Participant shards (domains = `shards + 1` with the coordinator).
     pub shards: usize,
-    /// Scripted transactions (cycling commit / fast-path / abort); the
-    /// ack of transaction `i` is mark `i`.
+    /// Scripted transactions (cycling commit / fast-path / abort /
+    /// race); the ack of transaction `i` is mark `i`.
     pub txs: usize,
 }
 
@@ -59,6 +60,9 @@ enum TxKind {
     FastPath,
     /// Prepared everywhere, then a durable abort verdict.
     Abort,
+    /// Prepared everywhere, then a commit verdict and a resolve inquiry
+    /// race on two cores; the answer they agree on is decided.
+    Race,
 }
 
 /// One scripted transaction as the oracle remembers it.
@@ -81,11 +85,33 @@ fn tx_block(gtx: u64, shard: usize, tx: usize) -> Vec<u8> {
 }
 
 fn scripted_kind(tx: usize) -> TxKind {
-    match tx % 3 {
+    match tx % 4 {
         0 => TxKind::Commit,
         1 => TxKind::FastPath,
-        _ => TxKind::Abort,
+        2 => TxKind::Abort,
+        _ => TxKind::Race,
     }
+}
+
+/// Races `coord.verdict(gtx, true)` on core 0 against
+/// `coord.resolve(gtx)` on core 1 (shard 0's device core, idle while
+/// the coordinator records), from the same virtual instant, and returns
+/// the decision both answered. The two must agree (§15.3): the decision
+/// for a gtx is written at most once.
+fn race_verdict_with_resolve(coord: &Arc<ClusterNode>, gtx: u64) -> bool {
+    let (c0, c1) = (Arc::clone(coord), Arc::clone(coord));
+    let verdict = ccnvme_sim::spawn("race-verdict", 0, move || c0.verdict(gtx, true));
+    let resolve = ccnvme_sim::spawn("race-resolve", 1, move || c1.resolve(gtx));
+    let ((vst, verdict), (rst, resolve)) = (verdict.join(), resolve.join());
+    assert!(
+        vst.is_ok() && rst.is_ok(),
+        "gtx {gtx}: verdict {vst:?}, resolve {rst:?}"
+    );
+    assert_eq!(
+        verdict, resolve,
+        "gtx {gtx}: racing verdict and resolve answered different decisions"
+    );
+    verdict == ccnvme_cluster::layout::DECISION_COMMIT
 }
 
 /// One booted domain: its node and the intents it mounted in doubt.
@@ -228,8 +254,8 @@ impl CrashSurface for ClusterSurface {
 
     /// Mirrors the cluster client's commit order exactly: one
     /// `commit_one` on the fast path; otherwise prepare every
-    /// participant, record the coordinator verdict, decide everywhere.
-    /// Then ack.
+    /// participant, record the coordinator verdict (a race transaction
+    /// races it against a resolve inquiry), decide everywhere. Then ack.
     fn record(&self, tape: &mut Tape) -> Vec<TxRec> {
         let mut nodes = Vec::new();
         let mut domains = Vec::new();
@@ -248,7 +274,7 @@ impl CrashSurface for ClusterSurface {
         for tx in 0..self.txs {
             let (st, gtx) = coord.alloc_gtx();
             assert!(st.is_ok(), "alloc gtx for tx {tx}: {st:?}");
-            let kind = scripted_kind(tx);
+            let mut kind = scripted_kind(tx);
             let participants = match kind {
                 TxKind::FastPath => vec![tx % self.shards],
                 _ => (0..self.shards).collect(),
@@ -267,15 +293,26 @@ impl CrashSurface for ClusterSurface {
                     let st = nodes[p].prepare(gtx, &[write(p)]);
                     assert!(st.is_ok(), "prepare tx {tx} on shard {p}: {st:?}");
                 }
-                let commit = kind == TxKind::Commit;
-                let (st, word) = coord.verdict(gtx, commit);
-                assert!(st.is_ok(), "verdict tx {tx}: {st:?}");
-                let want = if commit {
-                    ccnvme_cluster::layout::DECISION_COMMIT
+                let commit = if kind == TxKind::Race {
+                    let commit = race_verdict_with_resolve(coord, gtx);
+                    kind = if commit {
+                        TxKind::Commit
+                    } else {
+                        TxKind::Abort
+                    };
+                    commit
                 } else {
-                    ccnvme_cluster::layout::DECISION_ABORT
+                    let commit = kind == TxKind::Commit;
+                    let (st, word) = coord.verdict(gtx, commit);
+                    assert!(st.is_ok(), "verdict tx {tx}: {st:?}");
+                    let want = if commit {
+                        ccnvme_cluster::layout::DECISION_COMMIT
+                    } else {
+                        ccnvme_cluster::layout::DECISION_ABORT
+                    };
+                    assert_eq!(word, want, "verdict word of tx {tx}");
+                    commit
                 };
-                assert_eq!(word, want, "verdict word of tx {tx}");
                 for &p in &participants {
                     let st = nodes[p].decide(gtx, commit);
                     assert!(st.is_ok(), "decide tx {tx} on shard {p}: {st:?}");

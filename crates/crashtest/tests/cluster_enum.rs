@@ -60,6 +60,30 @@ fn cluster_smoke_sweep_is_all_or_nothing() {
     assert_clean(&report);
 }
 
+/// The fourth scripted transaction races a commit verdict against a
+/// resolve inquiry for its gtx on two cores. Both must answer the one
+/// decision the coordinator records, and the cuts that land inside the
+/// race must recover all-or-nothing like any other.
+#[test]
+fn cluster_verdict_racing_resolve_sweep_is_all_or_nothing() {
+    let plan = SweepPlan {
+        cuts: Cuts::EveryNthInstant(1),
+        ..SweepPlan::every()
+    };
+    let report = sweep(ClusterSurface { shards: 2, txs: 4 }, &plan);
+    assert_eq!(
+        (
+            report.events,
+            report.cuts,
+            report.states,
+            report.count("resolved_in_doubt")
+        ),
+        (105, 106, 848, 864),
+        "crash surface moved"
+    );
+    assert_clean(&report);
+}
+
 /// Deep tier (`CCNVME_ENUM_DEEP=1`): three shards, the complete cut
 /// surface, all 16 down-subsets per cut.
 #[test]

@@ -163,19 +163,35 @@ impl FabricClient {
         Ok(())
     }
 
-    /// Tears the wire down, re-dials, re-handshakes, and retransmits
-    /// every unacked frame in cid order (go-back-N).
+    /// Puts a freshly dialled wire in place of the current one: the
+    /// resume handshake, then every unacked frame again in cid order
+    /// (go-back-N). `Ok(false)`: the handshake failed and the new wire
+    /// is closed again; `Err`: the wire died during the resend.
+    fn adopt(&mut self, transport: Box<dyn Transport>) -> Result<bool, FabricError> {
+        self.transport = transport;
+        if self.hello(true).is_err() {
+            self.transport.close();
+            return Ok(false);
+        }
+        for frame in self.unacked.values() {
+            self.transport.send(frame)?;
+        }
+        Ok(true)
+    }
+
+    /// Tears the wire down, then re-dials until a new wire is adopted.
     fn reconnect(&mut self) -> Result<(), FabricError> {
         self.cfg.stats.reconnects.inc();
         self.transport.close();
         let mut attempts = 0;
         loop {
             if let Ok(t) = self.connector.connect() {
-                self.transport = t;
-                if self.hello(true).is_ok() {
-                    break;
+                match self.adopt(t) {
+                    Ok(true) => return Ok(()),
+                    // The fresh wire died already; go around again.
+                    Err(_) => return self.reconnect(),
+                    Ok(false) => {}
                 }
-                self.transport.close();
             }
             attempts += 1;
             if attempts >= self.cfg.max_reconnects {
@@ -183,40 +199,20 @@ impl FabricClient {
             }
             self.connector.backoff(self.cfg.backoff_ns);
         }
-        let pending: Vec<Vec<u8>> = self.unacked.values().cloned().collect();
-        for frame in pending {
-            if self.transport.send(&frame).is_err() {
-                // The fresh wire died already; go around again.
-                return self.reconnect();
-            }
-        }
-        Ok(())
     }
 
     /// One cheap connectivity check: a single dial with no backoff and
     /// no retries, so a dead target answers `false` in one refused
     /// connection instead of a full timeout/reconnect/backoff episode.
-    /// On success the fresh wire is adopted — resume handshake plus
-    /// go-back-N retransmit — and the next call runs on it.
+    /// On success the fresh wire is adopted and the next call runs on
+    /// it; if it dies during the resend, the frames stay unacked and
+    /// the next real call's reconnect retries them.
     pub fn probe(&mut self) -> bool {
         let Ok(t) = self.connector.connect() else {
             return false;
         };
         self.transport.close();
-        self.transport = t;
-        if self.hello(true).is_err() {
-            self.transport.close();
-            return false;
-        }
-        let pending: Vec<Vec<u8>> = self.unacked.values().cloned().collect();
-        for frame in pending {
-            if self.transport.send(&frame).is_err() {
-                // The fresh wire died already; the frames stay unacked
-                // and the next real call's reconnect retries them.
-                return false;
-            }
-        }
-        true
+        matches!(self.adopt(t), Ok(true))
     }
 
     /// Pulls one ack off the wire and banks it. `Ok(false)` means the

@@ -14,7 +14,7 @@
 //! Layering:
 //!
 //! * [`region`] — the PMR sub-region (starting at
-//!   [`PmrLayout::app_region_off`](ccnvme::PmrLayout::app_region_off)),
+//!   `ccnvme::PmrLayout::app_region_off`),
 //!   write-through shadow, persistent help watermarks;
 //! * [`checkpoint`] — sealed per-client INTENT/RESULT mementos
 //!   ([`Checkpoint`]);

@@ -2,7 +2,7 @@
 //! persistent help watermark.
 //!
 //! ploc carves a private window out of the controller's PMR starting at
-//! [`PmrLayout::app_region_off`](ccnvme::PmrLayout::app_region_off), so
+//! `ccnvme::PmrLayout::app_region_off`, so
 //! application persistence never aliases the ccNVMe rings. The region
 //! holds, in order:
 //!

@@ -26,17 +26,6 @@ pub struct FioConfig {
     pub ops_per_thread: u64,
     /// Persistence primitive.
     pub sync: SyncMode,
-    /// Remote fan-out: `0` runs the job directly against the mounted
-    /// file system; `n > 0` runs it as `n` fabric initiators, each with
-    /// its own loopback session to a fabric target serving the same
-    /// file system — the per-op latency then measures remote commit
-    /// acks. Client `i` runs on core `i % threads`.
-    pub clients: usize,
-    /// Fabric targets the clients fan out across (client `i` dials
-    /// target `i % targets`, each target serving the same file system
-    /// with its own handler daemons and sessions). `0`/`1` keep the
-    /// single-target shape; only meaningful with `clients > 0`.
-    pub targets: usize,
 }
 
 impl FioConfig {
@@ -47,8 +36,6 @@ impl FioConfig {
             write_size: 4096,
             ops_per_thread,
             sync: SyncMode::Fsync,
-            clients: 0,
-            targets: 1,
         }
     }
 }
@@ -90,13 +77,8 @@ impl WorkloadResult {
 }
 
 /// Runs the FIO job on a mounted file system. Must be called from inside
-/// the simulation; thread `i` is pinned to core `i`. With
-/// [`FioConfig::clients`] set, the job instead fans out over that many
-/// fabric initiators (see [`run_fio_fabric`]).
+/// the simulation; thread `i` is pinned to core `i`.
 pub fn run_fio(fs: &Arc<FileSystem>, cfg: &FioConfig) -> WorkloadResult {
-    if cfg.clients > 0 {
-        return run_fio_fabric(fs, cfg);
-    }
     let hist = Arc::new(Histogram::new());
     let t0 = ccnvme_runtime::now();
     let mut handles = Vec::with_capacity(cfg.threads);
@@ -129,75 +111,6 @@ pub fn run_fio(fs: &Arc<FileSystem>, cfg: &FioConfig) -> WorkloadResult {
     }
     let elapsed = ccnvme_runtime::now() - t0;
     let ops = cfg.threads as u64 * cfg.ops_per_thread;
-    WorkloadResult {
-        ops,
-        elapsed,
-        bytes: ops * cfg.write_size,
-        latency: hist.summary(),
-    }
-}
-
-/// The remote flavour of the FIO job: [`FioConfig::targets`] fabric
-/// targets serve `fs` and [`FioConfig::clients`] loopback initiators
-/// append + sync through them, client `i` pinned to target
-/// `i % targets`. The recorded per-op latency is the *commit-ack*
-/// latency — write capsule plus sync capsule, including both network
-/// hops.
-pub fn run_fio_fabric(fs: &Arc<FileSystem>, cfg: &FioConfig) -> WorkloadResult {
-    use ccnvme_fabric::{Backend, ClientCfg, FabricClient, FabricConfig, SyncKind};
-
-    let targets: Vec<_> = (0..cfg.targets.max(1))
-        .map(|_| {
-            ccnvme_fabric::FabricTarget::new(
-                Backend::Fs(Arc::clone(fs)),
-                FabricConfig::new(cfg.threads.max(1)),
-            )
-        })
-        .collect();
-    let hist = Arc::new(Histogram::new());
-    let t0 = ccnvme_runtime::now();
-    let mut handles = Vec::with_capacity(cfg.clients);
-    for c in 0..cfg.clients {
-        let target = Arc::clone(&targets[c % targets.len()]);
-        let hist = Arc::clone(&hist);
-        let cfg = cfg.clone();
-        let core = c % cfg.threads.max(1);
-        handles.push(ccnvme_runtime::spawn(
-            &format!("fio-client-{c}"),
-            core,
-            move || {
-                let client_id = c as u64 + 1;
-                let mut client = FabricClient::connect(
-                    client_id,
-                    target.loopback_connector(client_id),
-                    ClientCfg::default(),
-                )
-                .expect("fabric connect");
-                let ino = client
-                    .create(&format!("/fio-client-{c}"))
-                    .expect("open private file");
-                let payload = vec![0xf1u8; cfg.write_size as usize];
-                let mut offset = client.stat(ino).expect("stat");
-                let mode = match cfg.sync {
-                    SyncMode::Fsync => SyncKind::Fsync,
-                    SyncMode::Fdataatomic => SyncKind::Fdataatomic,
-                };
-                for _ in 0..cfg.ops_per_thread {
-                    let op0 = ccnvme_runtime::now();
-                    client.write(ino, offset, &payload).expect("append");
-                    client.sync(ino, mode).expect("sync");
-                    hist.record(ccnvme_runtime::now() - op0);
-                    offset += cfg.write_size;
-                }
-                client.bye();
-            },
-        ));
-    }
-    for h in handles {
-        h.join();
-    }
-    let elapsed = ccnvme_runtime::now() - t0;
-    let ops = cfg.clients as u64 * cfg.ops_per_thread;
     WorkloadResult {
         ops,
         elapsed,

@@ -55,8 +55,6 @@ fn fio_fdataatomic_beats_fsync() {
                 write_size: 4096,
                 ops_per_thread: 50,
                 sync: SyncMode::Fsync,
-                clients: 0,
-                targets: 1,
             },
         );
         let atomic = run_fio(
@@ -66,8 +64,6 @@ fn fio_fdataatomic_beats_fsync() {
                 write_size: 4096,
                 ops_per_thread: 50,
                 sync: SyncMode::Fdataatomic,
-                clients: 0,
-                targets: 1,
             },
         );
         assert!(
@@ -76,49 +72,6 @@ fn fio_fdataatomic_beats_fsync() {
             atomic.latency.mean,
             sync.latency.mean
         );
-    });
-    sim.run();
-}
-
-/// The remote fan-out knob: the same job over fabric initiators
-/// completes every op, and remote commit-ack latency includes the
-/// loopback round trip on top of the local sync latency.
-#[test]
-fn fio_fabric_clients_measure_commit_ack_latency() {
-    let mut sim = Sim::new(CORES + 2);
-    sim.spawn("main", 0, || {
-        let fs = mqfs_stack();
-        let local = run_fio(
-            &fs,
-            &FioConfig {
-                threads: 2,
-                write_size: 4096,
-                ops_per_thread: 30,
-                sync: SyncMode::Fsync,
-                clients: 0,
-                targets: 1,
-            },
-        );
-        let remote = run_fio(
-            &fs,
-            &FioConfig {
-                threads: 2,
-                write_size: 4096,
-                ops_per_thread: 30,
-                sync: SyncMode::Fsync,
-                clients: 4,
-                targets: 2,
-            },
-        );
-        assert_eq!(remote.ops, 4 * 30);
-        assert!(remote.kiops() > 1.0, "kiops={}", remote.kiops());
-        assert!(
-            remote.latency.mean > local.latency.mean,
-            "remote commit ack ({}) must include wire hops on top of local sync ({})",
-            remote.latency.mean,
-            local.latency.mean
-        );
-        assert!(fs.check().is_empty());
     });
     sim.run();
 }

@@ -79,10 +79,7 @@ fn connect(shards: &[TcpFabricServer], coord_addr: std::net::SocketAddr) -> Clus
         7,
         shard_conns,
         Box::new(TcpConnector::new(coord_addr)),
-        ClusterCfg {
-            attempts: 2,
-            ..ClusterCfg::default()
-        },
+        ClusterCfg::default(),
         None,
     )
     .expect("cluster connect")

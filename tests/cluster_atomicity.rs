@@ -159,8 +159,6 @@ fn record_workload(masks: Vec<u8>, part_step: usize, part_target: usize) -> Run 
             .map(|t| t.loopback_connector(1))
             .collect();
         let cfg = ClusterCfg {
-            attempts: 2,
-            vnodes: 16,
             client_cfg: ClientCfg {
                 ack_timeout_ns: 2_000_000,
                 backoff_ns: 50_000,

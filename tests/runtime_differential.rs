@@ -85,8 +85,6 @@ fn run_one(kind: RuntimeKind) -> RunOutcome {
                 write_size: 4_096,
                 ops_per_thread: OPS,
                 sync: SyncMode::Fsync,
-                clients: 0,
-                targets: 1,
             },
         );
         assert!(fs.check().is_empty(), "{kind}: fsck after workload");
