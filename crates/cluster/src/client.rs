@@ -17,9 +17,11 @@
 
 use std::collections::HashSet;
 use std::fmt;
+use std::ops::Range;
 use std::sync::Arc;
 
-use ccnvme_fabric::{ClientCfg, Connector, FabricClient, FabricError, ShardWrite};
+use ccnvme_fabric::initiator::check;
+use ccnvme_fabric::{Capsule, ClientCfg, Connector, FabricClient, FabricError, ShardWrite};
 use ccnvme_obs::{Gauge, Registry};
 
 use crate::hash::HashRing;
@@ -86,6 +88,8 @@ pub struct ClusterClient {
     ring: HashRing,
     degraded: HashSet<usize>,
     degraded_gauge: Option<Arc<Gauge>>,
+    /// Gtx ids leased from the coordinator and not yet handed out.
+    lease: Range<u64>,
 }
 
 impl ClusterClient {
@@ -115,6 +119,7 @@ impl ClusterClient {
             ring,
             degraded: HashSet::new(),
             degraded_gauge: reg.map(|r| r.gauge("cluster.degraded_shards")),
+            lease: 0..0,
         })
     }
 
@@ -182,6 +187,47 @@ impl ClusterClient {
         Err(ClusterError::ShardDown { shard, err: last })
     }
 
+    /// Sends each `(shard, capsule)` step before waiting for any answer,
+    /// so the participants of one 2PC phase work at once. A step whose
+    /// submit or wait fails for availability — or whose shard is
+    /// degraded — is retried through [`Self::with_shard`]'s ladder once
+    /// every first attempt has been waited for. Returns each step's
+    /// outcome, in order.
+    fn fan_out(&mut self, steps: &[(usize, Capsule)]) -> Vec<Result<(), ClusterError>> {
+        let sent: Vec<Result<u64, FabricError>> = steps
+            .iter()
+            .map(|(shard, op)| {
+                if self.degraded.contains(shard) {
+                    Err(FabricError::Unreachable)
+                } else {
+                    self.shards[*shard].submit(op.clone())
+                }
+            })
+            .collect();
+        let first: Vec<Result<(), FabricError>> = steps
+            .iter()
+            .zip(sent)
+            .map(|((shard, _), cid)| {
+                let resp = self.shards[*shard].wait_for(cid?)?;
+                check(&resp)
+            })
+            .collect();
+        steps
+            .iter()
+            .zip(first)
+            .map(|((shard, op), res)| match res {
+                Ok(()) => {
+                    self.set_degraded(*shard, false);
+                    Ok(())
+                }
+                Err(err @ (FabricError::Remote(_) | FabricError::Codec(_))) => {
+                    Err(ClusterError::Fabric(err))
+                }
+                Err(_) => self.with_shard(*shard, |c| c.call(op.clone()).map(|_| ())),
+            })
+            .collect()
+    }
+
     fn with_coord<T>(
         &mut self,
         mut f: impl FnMut(&mut FabricClient) -> Result<T, FabricError>,
@@ -199,9 +245,16 @@ impl ClusterClient {
         Err(ClusterError::CoordinatorDown(last))
     }
 
-    /// Allocates a fresh global transaction id from the coordinator.
+    /// Hands out a fresh global transaction id from this client's lease,
+    /// asking the coordinator for a new lease when it runs out. Every id
+    /// of a lease is below the coordinator's durable high-water mark, so
+    /// ids stay crash-unique; a lease this client never finishes only
+    /// burns ids.
     pub fn begin(&mut self) -> Result<u64, ClusterError> {
-        self.with_coord(|c| c.alloc_tx())
+        if self.lease.is_empty() {
+            self.lease = self.with_coord(|c| c.alloc_tx_run())?;
+        }
+        Ok(self.lease.next().expect("a fresh lease holds an id"))
     }
 
     /// Stages `writes` on `shard` under `gtx` (phase 1 on one shard).
@@ -236,6 +289,10 @@ impl ClusterClient {
     /// one local ccNVMe transaction writing the blocks home. There is
     /// nothing to agree on, so the coordinator is never consulted and
     /// nothing is ever left in doubt.
+    ///
+    /// Otherwise the prepares go to every participant at once, then the
+    /// verdict, then the decides, again at once: three dependent round
+    /// trips, whatever the participant count.
     pub fn commit(
         &mut self,
         gtx: u64,
@@ -249,25 +306,28 @@ impl ClusterClient {
             return Ok(true);
         }
         let participants: Vec<usize> = by_shard.iter().map(|&(s, _)| s).collect();
-        let mut prepared = Vec::new();
-        for (shard, writes) in by_shard {
-            match self.prepare_on(shard, gtx, writes) {
-                Ok(()) => prepared.push(shard),
-                Err(err) => {
-                    // Abort path. Record the abort verdict FIRST: once a
-                    // prepare exists anywhere, a crashed participant may
-                    // later resolve this gtx, and it must find abort —
-                    // never a gap a retried commit could fill.
-                    let _ = self.verdict(gtx, false);
-                    for s in prepared {
-                        let _ = self.decide_on(s, gtx, false);
-                    }
-                    return match err {
-                        ClusterError::ShardDown { .. } => Ok(false),
-                        other => Err(other),
-                    };
-                }
-            }
+        let prepares: Vec<(usize, Capsule)> = by_shard
+            .into_iter()
+            .map(|(shard, writes)| (shard, Capsule::TxPrepare { gtx, writes }))
+            .collect();
+        let outcomes = self.fan_out(&prepares);
+        let prepared: Vec<usize> = participants
+            .iter()
+            .zip(&outcomes)
+            .filter(|(_, res)| res.is_ok())
+            .map(|(&s, _)| s)
+            .collect();
+        if let Some(err) = outcomes.into_iter().find_map(Result::err) {
+            // Abort path, once every prepare has answered. Record the
+            // abort verdict FIRST: once a prepare exists anywhere, a
+            // crashed participant may later resolve this gtx, and it
+            // must find abort — never a gap a retried commit could fill.
+            let _ = self.verdict(gtx, false);
+            self.decide_all(gtx, &prepared, false);
+            return match err {
+                ClusterError::ShardDown { .. } => Ok(false),
+                other => Err(other),
+            };
         }
         // All prepared: the verdict is the commit point.
         let decision = match self.verdict(gtx, true) {
@@ -275,12 +335,19 @@ impl ClusterClient {
             Err(ClusterError::CoordinatorDown(_)) => return Err(ClusterError::InDoubt { gtx }),
             Err(other) => return Err(other),
         };
-        for s in participants {
-            // A down shard keeps its intent; its recovery resolves the
-            // gtx against the durable verdict.
-            let _ = self.decide_on(s, gtx, decision);
-        }
+        self.decide_all(gtx, &participants, decision);
         Ok(decision)
+    }
+
+    /// Decides `gtx` on every shard in `shards` at once. Failures are
+    /// tolerated: a down shard keeps its intent, and its recovery
+    /// resolves the gtx against the durable verdict.
+    fn decide_all(&mut self, gtx: u64, shards: &[usize], commit: bool) {
+        let decides: Vec<(usize, Capsule)> = shards
+            .iter()
+            .map(|&s| (s, Capsule::TxDecide { gtx, commit }))
+            .collect();
+        let _ = self.fan_out(&decides);
     }
 
     /// Finishes an interrupted commit after a client restart: asks the
@@ -288,9 +355,7 @@ impl ClusterClient {
     /// none) and drives every participant to it. Returns the decision.
     pub fn resolve_gtx(&mut self, gtx: u64, participants: &[usize]) -> Result<bool, ClusterError> {
         let decision = self.with_coord(|c| c.tx_resolve(gtx))?;
-        for &s in participants {
-            let _ = self.decide_on(s, gtx, decision);
-        }
+        self.decide_all(gtx, participants, decision);
         Ok(decision)
     }
 

@@ -28,6 +28,12 @@
 //!   the inquiry durably records the abort before answering, so a late
 //!   verdict retry loses to the inquiry instead of racing it.
 //!
+//! The participants of one step are independent domains, so the client
+//! sends a step's capsule to all of them before it waits for any answer:
+//! a cross-shard commit is three dependent round trips (prepare,
+//! verdict, decide), not one per participant per phase. Gtx ids come
+//! from the coordinator in leases of [`GTX_LEASE`].
+//!
 //! A transaction touching a single shard has nothing to agree on and
 //! skips all four steps: its one capsule (`TX_COMMIT`) is one local
 //! ccNVMe transaction writing the blocks to their home LBAs, acked once
@@ -50,4 +56,4 @@ pub mod node;
 pub use client::{ClusterCfg, ClusterClient, ClusterError};
 pub use hash::HashRing;
 pub use layout::ShardLayout;
-pub use node::{resolve_in_doubt_local, ClusterNode, NodeStats};
+pub use node::{resolve_in_doubt_local, ClusterNode, NodeStats, GTX_LEASE};

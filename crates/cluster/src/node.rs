@@ -38,6 +38,7 @@
 //! same gtx waits for that claim to settle, never for the node.
 
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 use ccnvme::CcNvmeDriver;
@@ -58,6 +59,10 @@ use crate::layout::{
 /// address space.
 const GTX_RESERVE_BATCH: u64 = 1024;
 
+/// Global tx ids one `AllocTx` leases to a client. It divides
+/// `GTX_RESERVE_BATCH`, so one reservation serves whole leases.
+pub const GTX_LEASE: u64 = 64;
+
 /// `cluster.*` counters and gauges of one node, registered into the
 /// node stack's metrics registry.
 #[derive(Debug)]
@@ -72,6 +77,8 @@ pub struct NodeStats {
     pub decisions: Arc<Counter>,
     /// Resolves answered by writing a presumed-abort record.
     pub presumed_aborts: Arc<Counter>,
+    /// Gtx leases served (`AllocTx` answers).
+    pub gtx_leases: Arc<Counter>,
     /// Currently prepared-but-undecided transactions.
     pub in_doubt: Arc<Gauge>,
 }
@@ -85,6 +92,7 @@ impl NodeStats {
             aborts: reg.counter("cluster.aborts"),
             decisions: reg.counter("cluster.decisions"),
             presumed_aborts: reg.counter("cluster.presumed_aborts"),
+            gtx_leases: reg.counter("cluster.gtx_leases"),
             in_doubt: reg.gauge("cluster.in_doubt"),
         }
     }
@@ -302,14 +310,15 @@ impl ClusterBackend for ClusterNode {
         Arc::clone(&self.obs)
     }
 
-    fn alloc_gtx(&self) -> (Status, u64) {
+    fn alloc_gtx(&self) -> (Status, Range<u64>) {
         let mut st = self.lock_settled(|st| st.reserving);
-        if st.next_gtx >= st.gtx_hwm {
-            // The reserved range is spent: durably raise the mark before
-            // serving past it, so a crash+remount (which seeds from the
-            // mark) can never re-issue an id this incarnation handed out
-            // — even one whose only traces are prepared intents on
-            // remote shards.
+        let lease = st.next_gtx..st.next_gtx + GTX_LEASE;
+        if lease.end > st.gtx_hwm {
+            // The reserved range cannot cover the lease: durably raise
+            // the mark before serving any of it, so a crash+remount
+            // (which seeds from the mark) can never re-issue an id this
+            // incarnation handed out — even one whose only traces are
+            // prepared intents on remote shards.
             let hwm = st.next_gtx + GTX_RESERVE_BATCH;
             st.reserving = true;
             drop(st);
@@ -318,12 +327,13 @@ impl ClusterBackend for ClusterNode {
             st.reserving = false;
             self.settled.notify_all();
             if !status.is_ok() {
-                return (status, 0);
+                return (status, 0..0);
             }
             st.gtx_hwm = hwm;
         }
-        st.next_gtx += 1;
-        (Status::Ok, st.next_gtx - 1)
+        st.next_gtx = lease.end;
+        self.stats.gtx_leases.inc();
+        (Status::Ok, lease)
     }
 
     fn prepare(&self, gtx: u64, writes: &[ShardWrite]) -> Status {

@@ -9,6 +9,7 @@ use ccnvme_block::{read_block, BLOCK_SIZE};
 use ccnvme_cluster::layout::decode_intent;
 use ccnvme_cluster::{
     resolve_in_doubt_local, ClusterCfg, ClusterClient, ClusterError, ClusterNode, ShardLayout,
+    GTX_LEASE,
 };
 use ccnvme_fabric::capsule::{decode_response, encode_request};
 use ccnvme_fabric::{
@@ -323,49 +324,66 @@ fn restarted_client_resolves_to_the_durable_verdict() {
 /// Killing one shard degrades only its key range: commits touching it
 /// abort cleanly, the other shard keeps committing, the
 /// `cluster.degraded_shards` gauge tracks the outage, and the first
-/// success after the heal clears it.
+/// success after the heal clears it. The aborted commit leaves nothing
+/// behind on the live participant, whichever of the two the client
+/// sent its prepare to first.
 #[test]
 fn down_shard_degrades_only_its_key_range() {
-    in_sim(|| {
-        let cluster = TestCluster::new();
-        let reg = Registry::new();
-        let mut client = cluster.client(6, Some(&reg));
-        let gauge = reg.gauge("cluster.degraded_shards");
-        // Sever shard 0's wires and refuse new connections.
-        cluster.targets[0].partition(6, ccnvme_sim::Ns::MAX);
-        client.sever_shard(0);
-        let gtx = client.begin().expect("begin");
-        let committed = client
-            .commit(gtx, vec![(0, writes(20, 0x11)), (1, writes(20, 0x22))])
-            .expect("commit across the outage");
-        assert!(!committed, "commit through a dead shard must abort");
-        assert_eq!(client.degraded_shards(), vec![0]);
-        assert_eq!(gauge.get(), 1);
-        // Shard 1's key range is untouched by the outage.
-        let gtx2 = client.begin().expect("begin");
-        assert!(client
-            .commit(gtx2, vec![(1, writes(21, 0x33))])
-            .expect("commit"));
-        assert_block(&client.get(1, 21).expect("read"), &block(0x33));
-        // Heal: the next touch of shard 0 reconnects and clears it.
-        cluster.targets[0].heal(6);
-        let gtx3 = client.begin().expect("begin");
-        assert!(client
-            .commit(gtx3, vec![(0, writes(22, 0x44)), (1, writes(22, 0x55))])
-            .expect("commit after heal"));
-        assert!(client.degraded_shards().is_empty());
-        assert_eq!(gauge.get(), 0);
-        client.bye();
-    });
+    for dead in 0..SHARDS {
+        in_sim(move || down_shard_drill(dead));
+    }
+}
+
+fn down_shard_drill(dead: usize) {
+    let live = 1 - dead;
+    let cluster = TestCluster::new();
+    let reg = Registry::new();
+    let mut client = cluster.client(6, Some(&reg));
+    let gauge = reg.gauge("cluster.degraded_shards");
+    // Sever the dead shard's wires and refuse new connections.
+    cluster.targets[dead].partition(6, ccnvme_sim::Ns::MAX);
+    client.sever_shard(dead);
+    let gtx = client.begin().expect("begin");
+    let committed = client
+        .commit(gtx, vec![(0, writes(20, 0x11)), (1, writes(20, 0x22))])
+        .expect("commit across the outage");
+    assert!(!committed, "commit through dead shard {dead} must abort");
+    assert_eq!(client.degraded_shards(), vec![dead]);
+    assert_eq!(gauge.get(), 1);
+    // The live participant's prepare was decided abort: nothing in
+    // doubt, nothing visible.
+    assert_eq!(
+        cluster.nodes[live].stats().in_doubt.get(),
+        0,
+        "shard {live} left in doubt"
+    );
+    let b = client.get(live, 20).expect("read the live shard");
+    assert!(b.iter().all(|&x| x == 0), "aborted write visible on {live}");
+    // The live shard's key range is untouched by the outage.
+    let gtx2 = client.begin().expect("begin");
+    assert!(client
+        .commit(gtx2, vec![(live, writes(21, 0x33))])
+        .expect("commit"));
+    assert_block(&client.get(live, 21).expect("read"), &block(0x33));
+    // Heal: the next touch of the dead shard reconnects and clears it.
+    cluster.targets[dead].heal(6);
+    let gtx3 = client.begin().expect("begin");
+    assert!(client
+        .commit(gtx3, vec![(0, writes(22, 0x44)), (1, writes(22, 0x55))])
+        .expect("commit after heal"));
+    assert!(client.degraded_shards().is_empty());
+    assert_eq!(gauge.get(), 0);
+    client.bye();
 }
 
 /// Global tx ids are durable across coordinator crashes: allocation
-/// raises a persisted high-water mark before an id is ever served, so
-/// a remounted coordinator — whose decision region and intent slots
-/// can be completely empty, as after a single-shard fast path or a
-/// pre-verdict crash — never re-issues an id an earlier incarnation
-/// handed out (a re-issue would alias a still-prepared intent on some
-/// shard and silently commit the old transaction's data).
+/// raises a persisted high-water mark above a whole lease before any id
+/// of it is served, so a remounted coordinator — whose decision region
+/// and intent slots can be completely empty, as after a single-shard
+/// fast path or a pre-verdict crash — never re-issues an id an earlier
+/// incarnation handed out (a re-issue would alias a still-prepared
+/// intent on some shard and silently commit the old transaction's
+/// data).
 #[test]
 fn gtx_ids_survive_coordinator_crashes() {
     in_sim(|| {
@@ -377,10 +395,11 @@ fn gtx_ids_survive_coordinator_crashes() {
         let ctrl = NvmeController::new(coord_config());
         let (drv, _report) = CcNvmeDriver::probe(ctrl, sim_cores() as u16, 64);
         let (coord, _) = ClusterNode::mount(Arc::new(drv), ShardLayout::small(0));
-        let (st, first) = coord.alloc_gtx();
+        let (st, lease) = coord.alloc_gtx();
         assert!(st.is_ok(), "alloc before crash: {st:?}");
+        assert_eq!(lease.end - lease.start, GTX_LEASE);
         // Harsh crash: volatile state gone, no decision record and no
-        // local intent ever mentioned `first`.
+        // local intent ever mentioned an id of the lease.
         let img = coord.driver().controller().crash_snapshot(CrashMode {
             pmr_extra_prefix: 0,
             cache_keep_prob: 0.0,
@@ -390,12 +409,72 @@ fn gtx_ids_survive_coordinator_crashes() {
         let (drv, _report) = CcNvmeDriver::probe(ctrl, sim_cores() as u16, 64);
         let (remounted, in_doubt) = ClusterNode::mount(Arc::new(drv), ShardLayout::small(0));
         assert!(in_doubt.is_empty(), "coordinator remounted in doubt");
-        let (st, second) = remounted.alloc_gtx();
+        let (st, after) = remounted.alloc_gtx();
         assert!(st.is_ok(), "alloc after remount: {st:?}");
         assert!(
-            second > first,
-            "gtx {second} re-issued after a coordinator crash (pre-crash id {first})"
+            lease.end <= after.start,
+            "gtxs {after:?} re-issued after a coordinator crash (pre-crash lease {lease:?})"
         );
+    });
+}
+
+/// Two clients' leases never overlap, and `begin()` asks the
+/// coordinator once per lease: N ids cost ⌈N / GTX_LEASE⌉ `AllocTx`
+/// capsules, counted by the coordinator's `cluster.gtx_leases`.
+#[test]
+fn clients_lease_disjoint_gtx_runs() {
+    in_sim(|| {
+        let cluster = TestCluster::new();
+        let (mut a, mut b) = (cluster.client(10, None), cluster.client(11, None));
+        let n = 2 * GTX_LEASE + 3;
+        let mut seen = std::collections::HashSet::new();
+        for _ in 0..n {
+            for client in [&mut a, &mut b] {
+                let gtx = client.begin().expect("begin");
+                assert!(seen.insert(gtx), "gtx {gtx} handed out twice");
+            }
+        }
+        assert_eq!(
+            cluster.nodes[SHARDS].stats().gtx_leases.get(),
+            2 * n.div_ceil(GTX_LEASE),
+            "AllocTx capsules for {n} begins per client"
+        );
+        a.bye();
+        b.bye();
+    });
+}
+
+/// Virtual time one commit takes.
+fn commit_vt(client: &mut ClusterClient, by_shard: Vec<(usize, Vec<ShardWrite>)>) -> u64 {
+    let gtx = client.begin().expect("begin");
+    let t0 = ccnvme_sim::now();
+    assert!(client.commit(gtx, by_shard).expect("commit"));
+    ccnvme_sim::now() - t0
+}
+
+/// On an idle cluster a cross-shard commit costs three dependent round
+/// trips — prepares, verdict, decides — not one per participant per
+/// phase: the two participants' prepares overlap, and so do their
+/// decides. One after the other it costs 5.5 single commits. At once
+/// it costs 3.7: a prepare and a decide are two-block transactions,
+/// and both shards serve this client's session on the same simulated
+/// host core, so the second participant's submission waits out the
+/// first's CPU work.
+#[test]
+fn cross_shard_commit_overlaps_its_participants() {
+    in_sim(|| {
+        let cluster = TestCluster::new();
+        let mut client = cluster.client(12, None);
+        let single = commit_vt(&mut client, vec![(0, writes(40, 0x61))]);
+        let cross = commit_vt(
+            &mut client,
+            vec![(0, writes(41, 0x62)), (1, writes(41, 0x63))],
+        );
+        assert!(
+            cross <= single * 4,
+            "cross-shard commit {cross} ns against single-shard {single} ns: more than 4x"
+        );
+        client.bye();
     });
 }
 

@@ -34,7 +34,8 @@ use std::sync::Arc;
 
 use ccnvme::CcNvmeDriver;
 use ccnvme_cluster::{resolve_in_doubt_local, ClusterNode, ShardLayout};
-use ccnvme_fabric::{ClusterBackend, ShardWrite};
+use ccnvme_fabric::{ClusterBackend, ShardWrite, Status};
+use ccnvme_sim::Ns;
 use ccnvme_ssd::{DurableImage, PersistLog};
 
 use crate::sweep::{CrashSurface, Domain, Judgement, Settled, SweepReport, Tape};
@@ -93,11 +94,38 @@ fn scripted_kind(tx: usize) -> TxKind {
     }
 }
 
-/// Races `coord.verdict(gtx, true)` on core 0 against
-/// `coord.resolve(gtx)` on core 1 (shard 0's device core, idle while
-/// the coordinator records), from the same virtual instant, and returns
-/// the decision both answered. The two must agree (§15.3): the decision
-/// for a gtx is written at most once.
+/// How much later the other participants of a fanned-out step start
+/// than its lead. Any gap separates their persistence events into
+/// distinct instants, so cuts fall between the lead's commit point and
+/// the others'; with no gap the participants' events share instants and
+/// every cut keeps all of a step or none of it.
+const FAN_OUT_STAGGER_NS: Ns = 1_000;
+
+/// Runs one 2PC step per participant at once, participant `i` on host
+/// core `i` — the cluster client's fan-out: every capsule is sent
+/// before any answer is awaited, and which participant gets there
+/// first is up to the fabric. Here participant `lead` does, by
+/// [`FAN_OUT_STAGGER_NS`]. Returns the statuses in order.
+fn fan_out(lead: usize, steps: Vec<impl FnOnce() -> Status + Send + 'static>) -> Vec<Status> {
+    let threads: Vec<_> = steps
+        .into_iter()
+        .enumerate()
+        .map(|(core, step)| {
+            ccnvme_sim::spawn("fan-out", core, move || {
+                if core != lead {
+                    ccnvme_sim::delay(FAN_OUT_STAGGER_NS);
+                }
+                step()
+            })
+        })
+        .collect();
+    threads.into_iter().map(|t| t.join()).collect()
+}
+
+/// Races `coord.verdict(gtx, true)` on host core 0 against
+/// `coord.resolve(gtx)` on host core 1, from the same virtual instant,
+/// and returns the decision both answered. The two must agree (§15.3):
+/// the decision for a gtx is written at most once.
 fn race_verdict_with_resolve(coord: &Arc<ClusterNode>, gtx: u64) -> bool {
     let (c0, c1) = (Arc::clone(coord), Arc::clone(coord));
     let verdict = ccnvme_sim::spawn("race-verdict", 0, move || c0.verdict(gtx, true));
@@ -141,15 +169,16 @@ impl ClusterSurface {
 
     /// Boots one domain: controller (fresh or from a crash image),
     /// ccNVMe probe (journal replay), cluster mount (intent/decision
-    /// scan).
+    /// scan). Host cores come first, one per participant; domain `d`'s
+    /// device core follows them.
     fn boot(
         &self,
         domain: usize,
         image: Option<&DurableImage>,
         record: bool,
     ) -> (Booted, Arc<CcNvmeDriver>) {
-        let ctrl = boot_ctrl(1 + domain, image, record);
-        let (drv, _report) = CcNvmeDriver::probe(ctrl, (self.domains() + 1) as u16, 64);
+        let ctrl = boot_ctrl(self.shards + domain, image, record);
+        let (drv, _report) = CcNvmeDriver::probe(ctrl, self.cores() as u16, 64);
         let drv = Arc::new(drv);
         (
             ClusterNode::mount(Arc::clone(&drv), ShardLayout::small(0)),
@@ -249,13 +278,14 @@ impl CrashSurface for ClusterSurface {
     }
 
     fn cores(&self) -> usize {
-        self.domains() + 1
+        self.shards + self.domains()
     }
 
-    /// Mirrors the cluster client's commit order exactly: one
-    /// `commit_one` on the fast path; otherwise prepare every
-    /// participant, record the coordinator verdict (a race transaction
-    /// races it against a resolve inquiry), decide everywhere. Then ack.
+    /// Mirrors the cluster client's commit order exactly: ids from one
+    /// coordinator lease; one `commit_one` on the fast path; otherwise
+    /// prepare every participant at once, record the coordinator
+    /// verdict (a race transaction races it against a resolve inquiry),
+    /// decide every participant at once. Then ack.
     fn record(&self, tape: &mut Tape) -> Vec<TxRec> {
         let mut nodes = Vec::new();
         let mut domains = Vec::new();
@@ -270,10 +300,15 @@ impl CrashSurface for ClusterSurface {
         }
         tape.start(domains);
         let coord = &nodes[self.shards];
-        let mut txs = Vec::new();
+        let mut txs: Vec<TxRec> = Vec::new();
+        let mut lease = 0..0;
         for tx in 0..self.txs {
-            let (st, gtx) = coord.alloc_gtx();
-            assert!(st.is_ok(), "alloc gtx for tx {tx}: {st:?}");
+            if lease.is_empty() {
+                let st;
+                (st, lease) = coord.alloc_gtx();
+                assert!(st.is_ok(), "lease gtxs for tx {tx}: {st:?}");
+            }
+            let gtx = lease.next().expect("a fresh lease holds an id");
             let mut kind = scripted_kind(tx);
             let participants = match kind {
                 TxKind::FastPath => vec![tx % self.shards],
@@ -289,8 +324,18 @@ impl CrashSurface for ClusterSurface {
                 let st = nodes[p].commit_one(gtx, &[write(p)]);
                 assert!(st.is_ok(), "commit_one tx {tx} on shard {p}: {st:?}");
             } else {
-                for &p in &participants {
-                    let st = nodes[p].prepare(gtx, &[write(p)]);
+                // The lead rotates over the two-phase transactions, so
+                // every participant leads some transaction's steps.
+                let two_phase = txs.iter().filter(|t| t.kind != TxKind::FastPath);
+                let lead = two_phase.count() % participants.len();
+                let prepares = participants
+                    .iter()
+                    .map(|&p| {
+                        let (node, w) = (Arc::clone(&nodes[p]), write(p));
+                        move || node.prepare(gtx, &[w])
+                    })
+                    .collect();
+                for (p, st) in participants.iter().zip(fan_out(lead, prepares)) {
                     assert!(st.is_ok(), "prepare tx {tx} on shard {p}: {st:?}");
                 }
                 let commit = if kind == TxKind::Race {
@@ -313,8 +358,14 @@ impl CrashSurface for ClusterSurface {
                     assert_eq!(word, want, "verdict word of tx {tx}");
                     commit
                 };
-                for &p in &participants {
-                    let st = nodes[p].decide(gtx, commit);
+                let decides = participants
+                    .iter()
+                    .map(|&p| {
+                        let node = Arc::clone(&nodes[p]);
+                        move || node.decide(gtx, commit)
+                    })
+                    .collect();
+                for (p, st) in participants.iter().zip(fan_out(lead, decides)) {
                     assert!(st.is_ok(), "decide tx {tx} on shard {p}: {st:?}");
                 }
             }

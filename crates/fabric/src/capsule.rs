@@ -137,7 +137,9 @@ pub enum Capsule {
         resume: bool,
     },
     /// Allocate a transaction id: a ccNVMe tx id on a raw block
-    /// window, a global tx id on a cluster coordinator.
+    /// window, a run of global tx ids on a cluster coordinator. The
+    /// response's `val` is the first id and `aux` the run length
+    /// (`0` reads as one id).
     AllocTx,
     /// `resolve(path) -> ino`.
     FsResolve {

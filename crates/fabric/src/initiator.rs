@@ -15,6 +15,7 @@
 //! [`FabricTarget`]: crate::FabricTarget
 
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 use ccnvme_obs::{seal::fnv1a64, Counter, Registry};
@@ -307,7 +308,14 @@ impl FabricClient {
 
     /// Allocates a fresh remote transaction id.
     pub fn alloc_tx(&mut self) -> Result<u64, FabricError> {
-        Ok(self.call(Capsule::AllocTx)?.val)
+        Ok(self.alloc_tx_run()?.start)
+    }
+
+    /// Allocates a run of fresh remote transaction ids: one on a raw
+    /// window, a lease of several on a cluster coordinator.
+    pub fn alloc_tx_run(&mut self) -> Result<Range<u64>, FabricError> {
+        let resp = self.call(Capsule::AllocTx)?;
+        Ok(resp.val..resp.val + resp.aux.max(1))
     }
 
     /// Commits `writes` as one transaction `tx_id` (from

@@ -18,6 +18,7 @@
 //! answered with its recorded outcome instead of re-executed.
 
 use std::collections::{BTreeMap, HashMap};
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -98,12 +99,13 @@ pub trait ClusterBackend: Send + Sync {
     /// The node stack's observability hub.
     fn obs(&self) -> Arc<Obs>;
 
-    /// Allocates a fresh global transaction id (coordinator role;
-    /// served to clients through `AllocTx`). Allocation is durable:
-    /// the id is below a persisted high-water mark, so a crashed and
-    /// remounted coordinator never re-issues it. Raising the mark is
-    /// itself a local transaction and can fail — hence the status.
-    fn alloc_gtx(&self) -> (Status, u64);
+    /// Leases a run of fresh global transaction ids (coordinator role;
+    /// served to clients through `AllocTx`, the run length in `aux`).
+    /// Allocation is durable: every id of the run is below a persisted
+    /// high-water mark before any is served, so a crashed and remounted
+    /// coordinator never re-issues one. Raising the mark is itself a
+    /// local transaction and can fail — hence the status.
+    fn alloc_gtx(&self) -> (Status, Range<u64>);
 
     /// Phase 1: durably stage `writes` for `gtx` in an intent slot.
     /// The `Ok` ack means prepared — the shard can redo the writes
@@ -534,7 +536,10 @@ impl FabricTarget {
             Capsule::AllocTx => match &self.backend {
                 Backend::Raw { drv, .. } => Response::ok_val(cid, drv.alloc_tx_id()),
                 Backend::Cluster(node) => match node.alloc_gtx() {
-                    (st, gtx) if st.is_ok() => Response::ok_val(cid, gtx),
+                    (st, run) if st.is_ok() => Response {
+                        aux: run.end - run.start,
+                        ..Response::ok_val(cid, run.start)
+                    },
                     (st, _) => Response::status(cid, st),
                 },
                 Backend::Fs(_) | Backend::Ploc(_) => Response::status(cid, Status::NotSupported),
