@@ -351,10 +351,11 @@ impl ClusterClient {
     }
 
     /// Finishes an interrupted commit after a client restart: asks the
-    /// coordinator for the durable decision (recording presumed abort if
-    /// none) and drives every participant to it. Returns the decision.
+    /// coordinator for the durable decision with a verdict that proposes
+    /// abort (recording presumed abort if none) and drives every
+    /// participant to it. Returns the decision.
     pub fn resolve_gtx(&mut self, gtx: u64, participants: &[usize]) -> Result<bool, ClusterError> {
-        let decision = self.with_coord(|c| c.tx_resolve(gtx))?;
+        let decision = self.verdict(gtx, false)?;
         self.decide_all(gtx, participants, decision);
         Ok(decision)
     }

@@ -18,15 +18,14 @@
 //! * **Verdict** (`TX_VERDICT`) — the coordinator records the decision
 //!   as one single-block transaction in its *decision region*.
 //!   Get-or-set: a decision already durable wins over any retry, so
-//!   the decision for a gtx is written at most once, ever.
+//!   the decision for a gtx is written at most once, ever. Recovery's
+//!   inquiry about an in-doubt gtx is a verdict that proposes abort:
+//!   absence is *presumed abort*, recorded durably before the answer,
+//!   so a late commit verdict loses to the inquiry instead of racing it.
 //! * **Decide** (`TX_DECIDE`) — the participant applies the staged
 //!   writes to their final LBAs *and* frees the intent header in one
 //!   local transaction (crash-atomic, so "applied" and "no longer
 //!   in-doubt" are the same event), or just frees it on abort.
-//! * **Resolve** (`TX_RESOLVE`) — recovery asks the coordinator for
-//!   the decision of an in-doubt gtx. Absence is *presumed abort*, and
-//!   the inquiry durably records the abort before answering, so a late
-//!   verdict retry loses to the inquiry instead of racing it.
 //!
 //! The participants of one step are independent domains, so the client
 //! sends a step's capsule to all of them before it waits for any answer:
@@ -35,7 +34,7 @@
 //! from the coordinator in leases of [`GTX_LEASE`].
 //!
 //! A transaction touching a single shard has nothing to agree on and
-//! skips all four steps: its one capsule (`TX_COMMIT`) is one local
+//! skips all three steps: its one capsule (`TX_COMMIT`) is one local
 //! ccNVMe transaction writing the blocks to their home LBAs, acked once
 //! durable. A crash before the ack leaves it all there or not at all,
 //! and no intent slot is written, so nothing is ever in doubt.

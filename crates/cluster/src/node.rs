@@ -21,8 +21,9 @@
 //!
 //! `mount` rebuilds the PREPARED set by scanning intent headers after
 //! the device's journal replay, and reports it as the in-doubt list for
-//! the resolve step ([`resolve_in_doubt_local`] /
-//! [`resolve_in_doubt_remote`]).
+//! the resolve step ([`resolve_in_doubt_local`]). A resolve inquiry is a
+//! coordinator verdict that proposes abort: the recorded decision wins,
+//! and with none the presumed abort is recorded before the answer.
 //!
 //! A transaction with this node as its only participant skips the
 //! machine: `TX_COMMIT` writes its blocks home as one local transaction
@@ -44,7 +45,7 @@ use std::sync::Arc;
 use ccnvme::CcNvmeDriver;
 use ccnvme_block::{commit_tx, read_block, BLOCK_SIZE};
 use ccnvme_fabric::capsule::admits;
-use ccnvme_fabric::{ClusterBackend, FabricClient, FabricError, ShardWrite, Status};
+use ccnvme_fabric::{ClusterBackend, ShardWrite, Status};
 use ccnvme_obs::{Counter, Gauge, Obs};
 use ccnvme_runtime::{RtCondvar, RtMutex, RtMutexGuard};
 
@@ -75,8 +76,6 @@ pub struct NodeStats {
     pub aborts: Arc<Counter>,
     /// Coordinator decision records written.
     pub decisions: Arc<Counter>,
-    /// Resolves answered by writing a presumed-abort record.
-    pub presumed_aborts: Arc<Counter>,
     /// Gtx leases served (`AllocTx` answers).
     pub gtx_leases: Arc<Counter>,
     /// Currently prepared-but-undecided transactions.
@@ -91,7 +90,6 @@ impl NodeStats {
             applies: reg.counter("cluster.applies"),
             aborts: reg.counter("cluster.aborts"),
             decisions: reg.counter("cluster.decisions"),
-            presumed_aborts: reg.counter("cluster.presumed_aborts"),
             gtx_leases: reg.counter("cluster.gtx_leases"),
             in_doubt: reg.gauge("cluster.in_doubt"),
         }
@@ -260,49 +258,6 @@ impl ClusterNode {
         }
         st
     }
-
-    /// The get-or-set of `gtx`'s coordinator decision: a recorded one
-    /// wins over the proposal; with none, the proposal is made durable
-    /// before it is answered. An inquiry (`None`) proposes a presumed
-    /// abort, so once it has been told "abort", no later verdict retry
-    /// can record "commit".
-    fn decision(&self, gtx: u64, proposal: Option<bool>) -> (Status, u64) {
-        let word = |commit| {
-            if commit {
-                DECISION_COMMIT
-            } else {
-                DECISION_ABORT
-            }
-        };
-        let mut st = self.lock_settled(|st| claimed(&st.decisions, gtx));
-        if let Some(Entry::Durable(recorded)) = st.decisions.get(&gtx) {
-            return (Status::Ok, word(*recorded));
-        }
-        let idx = st.decision_cursor;
-        if idx >= self.layout.decision_slots {
-            return (Status::TxOverflow, 0);
-        }
-        st.decision_cursor += 1;
-        st.decisions.insert(gtx, Entry::Claimed);
-        drop(st);
-        let commit = proposal.unwrap_or(false);
-        let status = self.local_tx(vec![(
-            self.layout.decision_lba(idx),
-            encode_decision(gtx, commit),
-        )]);
-        let mut st = self.st.lock();
-        self.settled.notify_all();
-        if !status.is_ok() {
-            st.decisions.remove(&gtx);
-            return (status, 0);
-        }
-        st.decisions.insert(gtx, Entry::Durable(commit));
-        self.stats.decisions.inc();
-        if proposal.is_none() {
-            self.stats.presumed_aborts.inc();
-        }
-        (status, word(commit))
-    }
 }
 
 impl ClusterBackend for ClusterNode {
@@ -334,6 +289,45 @@ impl ClusterBackend for ClusterNode {
         st.next_gtx = lease.end;
         self.stats.gtx_leases.inc();
         (Status::Ok, lease)
+    }
+
+    /// The get-or-set of `gtx`'s coordinator decision: a recorded one
+    /// wins over the proposal; with none, the proposal is made durable
+    /// before it is answered. A resolve inquiry proposes abort, so once
+    /// it has been told "abort", no later verdict retry can record
+    /// "commit".
+    fn verdict(&self, gtx: u64, commit: bool) -> (Status, u64) {
+        let word = |commit| {
+            if commit {
+                DECISION_COMMIT
+            } else {
+                DECISION_ABORT
+            }
+        };
+        let mut st = self.lock_settled(|st| claimed(&st.decisions, gtx));
+        if let Some(Entry::Durable(recorded)) = st.decisions.get(&gtx) {
+            return (Status::Ok, word(*recorded));
+        }
+        let idx = st.decision_cursor;
+        if idx >= self.layout.decision_slots {
+            return (Status::TxOverflow, 0);
+        }
+        st.decision_cursor += 1;
+        st.decisions.insert(gtx, Entry::Claimed);
+        drop(st);
+        let status = self.local_tx(vec![(
+            self.layout.decision_lba(idx),
+            encode_decision(gtx, commit),
+        )]);
+        let mut st = self.st.lock();
+        self.settled.notify_all();
+        if !status.is_ok() {
+            st.decisions.remove(&gtx);
+            return (status, 0);
+        }
+        st.decisions.insert(gtx, Entry::Durable(commit));
+        self.stats.decisions.inc();
+        (status, word(commit))
     }
 
     fn prepare(&self, gtx: u64, writes: &[ShardWrite]) -> Status {
@@ -438,14 +432,6 @@ impl ClusterBackend for ClusterNode {
         st
     }
 
-    fn verdict(&self, gtx: u64, commit: bool) -> (Status, u64) {
-        self.decision(gtx, Some(commit))
-    }
-
-    fn resolve(&self, gtx: u64) -> (Status, u64) {
-        self.decision(gtx, None)
-    }
-
     fn read_block(&self, lba: u64) -> Result<Vec<u8>, Status> {
         if lba >= self.layout.data_blocks {
             return Err(Status::Protocol);
@@ -456,7 +442,8 @@ impl ClusterBackend for ClusterNode {
 
 /// Resolves a participant's in-doubt transactions against a coordinator
 /// node reachable by direct call (same process — the crash enumerator's
-/// recovery wave). Returns how many were resolved to commit.
+/// recovery wave): each asks with a verdict that proposes abort. Returns
+/// how many were resolved to commit.
 pub fn resolve_in_doubt_local(
     participant: &ClusterNode,
     coordinator: &ClusterNode,
@@ -464,33 +451,15 @@ pub fn resolve_in_doubt_local(
 ) -> usize {
     let mut commits = 0;
     for &gtx in in_doubt {
-        let (st, word) = coordinator.resolve(gtx);
-        assert!(st.is_ok(), "coordinator resolve({gtx}) failed: {st:?}");
+        let (st, word) = coordinator.verdict(gtx, false);
+        assert!(
+            st.is_ok(),
+            "coordinator inquiry for gtx {gtx} failed: {st:?}"
+        );
         let commit = word == DECISION_COMMIT;
         let st = participant.decide(gtx, commit);
         assert!(st.is_ok(), "participant decide({gtx}) failed: {st:?}");
         commits += commit as usize;
     }
     commits
-}
-
-/// Resolves a participant's in-doubt transactions against a remote
-/// coordinator over an established fabric session. Returns how many
-/// resolved to commit; fails (leaving the rest in doubt, to be retried)
-/// if the coordinator is unreachable.
-pub fn resolve_in_doubt_remote(
-    participant: &ClusterNode,
-    coordinator: &mut FabricClient,
-    in_doubt: &[u64],
-) -> Result<usize, FabricError> {
-    let mut commits = 0;
-    for &gtx in in_doubt {
-        let commit = coordinator.tx_resolve(gtx)?;
-        let st = participant.decide(gtx, commit);
-        if !st.is_ok() {
-            return Err(FabricError::Remote(st));
-        }
-        commits += commit as usize;
-    }
-    Ok(commits)
 }

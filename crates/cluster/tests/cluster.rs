@@ -254,6 +254,11 @@ fn durable_verdict_wins_over_late_commit_request() {
         let b = client.get(0, 7).expect("read");
         assert!(b.iter().all(|&x| x == 0), "aborted write became visible");
         assert_eq!(cluster.nodes[0].stats().aborts.get(), 1);
+        // A resolve inquiry answers the recorded abort and records
+        // nothing more.
+        assert!(!client.resolve_gtx(gtx, &[0]).expect("resolve"));
+        assert_eq!(cluster.nodes[SHARDS].stats().decisions.get(), 1);
+        assert_eq!(cluster.nodes[0].stats().aborts.get(), 1);
         client.bye();
     });
 }
@@ -282,7 +287,9 @@ fn in_doubt_without_verdict_resolves_to_presumed_abort() {
             assert_eq!(commits, 0, "presumed abort committed");
             assert_eq!(cluster.nodes[s].stats().in_doubt.get(), 0);
         }
-        assert_eq!(cluster.nodes[SHARDS].stats().presumed_aborts.get(), 1);
+        // The first inquiry recorded the presumed abort; the second
+        // found it.
+        assert_eq!(cluster.nodes[SHARDS].stats().decisions.get(), 1);
         // The late client's commit attempt now loses to the inquiry.
         let mut late = cluster.client(4, None);
         assert!(!late.verdict(gtx, true).expect("late verdict"));

@@ -2,14 +2,16 @@
 //! `crates/cluster` — the multi-domain counterpart of the single-device
 //! file-system surface ([`crate::fs`]).
 //!
-//! The recorded pass drives a scripted mix of cross-shard commits,
-//! single-shard fast-path commits, deliberate aborts and a commit
-//! verdict racing a resolve inquiry for the same gtx against N
-//! participant nodes plus one coordinator node, each on its own
-//! instrumented device — one recovery domain each. At every cut the
-//! surface additionally holds every subset of domains (coordinator
-//! included) *down* through the first recovery wave, so in-doubt
-//! participants must park until the coordinator returns:
+//! The recorded pass serves N participant nodes plus one coordinator
+//! node, each on its own instrumented device — one recovery domain
+//! each — through loopback fabric targets, and drives a scripted mix of
+//! cross-shard commits, single-shard fast-path commits, deliberate
+//! aborts and a commit verdict racing a second client's resolve inquiry
+//! for the same gtx through the shipped [`ClusterClient`]: the sweep
+//! proves the path that runs, capsule → session → node → media. At
+//! every cut the surface additionally holds every subset of domains
+//! (coordinator included) *down* through the first recovery wave, so
+//! in-doubt participants must park until the coordinator returns:
 //!
 //! * **wave 1** — the up domains boot through ccNVMe recovery and, if
 //!   the coordinator is up, resolve their in-doubt intents against it
@@ -25,21 +27,29 @@
 //! **convergence** — every down-subset schedule lands on byte-identical
 //! media, and re-recovering the converged image changes nothing and
 //! reports nothing in doubt. Each down-subset schedule is one crash
-//! state. Counter `resolved_in_doubt`: in-doubt intents resolved across
-//! all recoveries — a sweep that never cut through a prepared-but-
-//! undecided window proved nothing about resolution, and fails.
+//! state. Counters: `resolved_in_doubt`, in-doubt intents resolved
+//! across all recoveries, and `split_in_doubt`, states in which a
+//! two-phase gtx mounted in doubt on some of its participants but not
+//! all. A sweep where either is 0 never cut through a
+//! prepared-but-undecided window, or never between two participants'
+//! steps, so it proved nothing about resolution, and fails.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use ccnvme::CcNvmeDriver;
-use ccnvme_cluster::{resolve_in_doubt_local, ClusterNode, ShardLayout};
-use ccnvme_fabric::{ClusterBackend, ShardWrite, Status};
-use ccnvme_sim::Ns;
+use ccnvme_cluster::{resolve_in_doubt_local, ClusterCfg, ClusterClient, ClusterNode, ShardLayout};
+use ccnvme_fabric::{Backend, ClusterBackend, FabricConfig, FabricTarget, ShardWrite};
 use ccnvme_ssd::{DurableImage, PersistLog};
 
 use crate::sweep::{CrashSurface, Domain, Judgement, Settled, SweepReport, Tape};
 use crate::{boot_ctrl, SETTLED};
+
+/// Host cores, one per client. A target pins its `n`-th connection's
+/// handler to core `n`, and each client dials every target once, the
+/// first client before the second: so each client's capsules are
+/// served on its own core.
+const HOST_CORES: usize = 2;
 
 /// The scripted cluster workload.
 #[derive(Clone)]
@@ -56,13 +66,15 @@ pub struct ClusterSurface {
 enum TxKind {
     /// Cross-shard commit through the coordinator verdict.
     Commit,
-    /// Single-shard one-phase commit (`commit_one`: no intent, no
+    /// Single-shard one-phase commit (one `TX_COMMIT`: no intent, no
     /// verdict).
     FastPath,
-    /// Prepared everywhere, then a durable abort verdict.
+    /// Prepared everywhere, then a resolve inquiry records presumed
+    /// abort.
     Abort,
-    /// Prepared everywhere, then a commit verdict and a resolve inquiry
-    /// race on two cores; the answer they agree on is decided.
+    /// Prepared everywhere, then a commit verdict and a second client's
+    /// resolve inquiry race on two cores; the answer they agree on is
+    /// decided.
     Race,
 }
 
@@ -94,54 +106,6 @@ fn scripted_kind(tx: usize) -> TxKind {
     }
 }
 
-/// How much later the other participants of a fanned-out step start
-/// than its lead. Any gap separates their persistence events into
-/// distinct instants, so cuts fall between the lead's commit point and
-/// the others'; with no gap the participants' events share instants and
-/// every cut keeps all of a step or none of it.
-const FAN_OUT_STAGGER_NS: Ns = 1_000;
-
-/// Runs one 2PC step per participant at once, participant `i` on host
-/// core `i` — the cluster client's fan-out: every capsule is sent
-/// before any answer is awaited, and which participant gets there
-/// first is up to the fabric. Here participant `lead` does, by
-/// [`FAN_OUT_STAGGER_NS`]. Returns the statuses in order.
-fn fan_out(lead: usize, steps: Vec<impl FnOnce() -> Status + Send + 'static>) -> Vec<Status> {
-    let threads: Vec<_> = steps
-        .into_iter()
-        .enumerate()
-        .map(|(core, step)| {
-            ccnvme_sim::spawn("fan-out", core, move || {
-                if core != lead {
-                    ccnvme_sim::delay(FAN_OUT_STAGGER_NS);
-                }
-                step()
-            })
-        })
-        .collect();
-    threads.into_iter().map(|t| t.join()).collect()
-}
-
-/// Races `coord.verdict(gtx, true)` on host core 0 against
-/// `coord.resolve(gtx)` on host core 1, from the same virtual instant,
-/// and returns the decision both answered. The two must agree (§15.3):
-/// the decision for a gtx is written at most once.
-fn race_verdict_with_resolve(coord: &Arc<ClusterNode>, gtx: u64) -> bool {
-    let (c0, c1) = (Arc::clone(coord), Arc::clone(coord));
-    let verdict = ccnvme_sim::spawn("race-verdict", 0, move || c0.verdict(gtx, true));
-    let resolve = ccnvme_sim::spawn("race-resolve", 1, move || c1.resolve(gtx));
-    let ((vst, verdict), (rst, resolve)) = (verdict.join(), resolve.join());
-    assert!(
-        vst.is_ok() && rst.is_ok(),
-        "gtx {gtx}: verdict {vst:?}, resolve {rst:?}"
-    );
-    assert_eq!(
-        verdict, resolve,
-        "gtx {gtx}: racing verdict and resolve answered different decisions"
-    );
-    verdict == ccnvme_cluster::layout::DECISION_COMMIT
-}
-
 /// One booted domain: its node and the intents it mounted in doubt.
 type Booted = (Arc<ClusterNode>, Vec<u64>);
 
@@ -150,8 +114,8 @@ struct Recovered {
     nodes: Vec<Arc<ClusterNode>>,
     /// In-doubt intents resolved across both waves.
     resolved: usize,
-    /// Every gtx some domain mounted in doubt.
-    doubted: HashSet<u64>,
+    /// The gtxs each domain mounted in doubt.
+    doubted: Vec<HashSet<u64>>,
 }
 
 impl Recovered {
@@ -159,6 +123,19 @@ impl Recovered {
     fn finals(&self) -> Vec<DurableImage> {
         let snapshot = |n: &Arc<ClusterNode>| n.driver().controller().crash_snapshot(SETTLED);
         self.nodes.iter().map(snapshot).collect()
+    }
+
+    /// Whether some transaction mounted in doubt on some of its
+    /// participants but not all.
+    fn split(&self, txs: &[TxRec]) -> bool {
+        txs.iter().any(|tx| {
+            let parts = &tx.participants;
+            let n = parts
+                .iter()
+                .filter(|&&p| self.doubted[p].contains(&tx.gtx))
+                .count();
+            0 < n && n < parts.len()
+        })
     }
 }
 
@@ -169,15 +146,15 @@ impl ClusterSurface {
 
     /// Boots one domain: controller (fresh or from a crash image),
     /// ccNVMe probe (journal replay), cluster mount (intent/decision
-    /// scan). Host cores come first, one per participant; domain `d`'s
-    /// device core follows them.
+    /// scan). Host cores come first; domain `d`'s device core follows
+    /// them.
     fn boot(
         &self,
         domain: usize,
         image: Option<&DurableImage>,
         record: bool,
     ) -> (Booted, Arc<CcNvmeDriver>) {
-        let ctrl = boot_ctrl(self.shards + domain, image, record);
+        let ctrl = boot_ctrl(HOST_CORES + domain, image, record);
         let (drv, _report) = CcNvmeDriver::probe(ctrl, self.cores() as u16, 64);
         let drv = Arc::new(drv);
         (
@@ -191,17 +168,19 @@ impl ClusterSurface {
     /// intents.
     fn recover(&self, images: &[DurableImage], down: u32, record: bool) -> Recovered {
         let mut nodes: Vec<Option<Booted>> = vec![None; self.domains()];
-        let (mut resolved, mut doubted) = (0, HashSet::new());
+        let mut doubted = vec![HashSet::new(); self.domains()];
+        let mut resolved = 0;
         // Wave 1: the up domains boot; in-doubt intents resolve only if
         // the coordinator is among them. Wave 2: the late domains
         // return; everything resolves.
         for wave_down in [false, true] {
             for (d, slot) in nodes.iter_mut().enumerate() {
                 if ((down >> d) & 1 == 1) == wave_down {
-                    *slot = Some(self.boot(d, Some(&images[d]), record).0);
+                    let booted = self.boot(d, Some(&images[d]), record).0;
+                    doubted[d].extend(&booted.1);
+                    *slot = Some(booted);
                 }
             }
-            doubted.extend(nodes.iter().flatten().flat_map(|(_, doubt)| doubt));
             let Some((coord, _)) = nodes[self.shards].clone() else {
                 continue;
             };
@@ -230,7 +209,8 @@ impl ClusterSurface {
         let nodes = &outcome.nodes;
         let mut problems = Vec::new();
         for (i, tx) in txs.iter().enumerate() {
-            if tx.kind == TxKind::FastPath && outcome.doubted.contains(&tx.gtx) {
+            let in_doubt = outcome.doubted.iter().any(|d| d.contains(&tx.gtx));
+            if tx.kind == TxKind::FastPath && in_doubt {
                 problems.push(format!("gtx {}: one-phase commit mounted in doubt", tx.gtx));
             }
             let mut visible = Vec::new();
@@ -278,95 +258,97 @@ impl CrashSurface for ClusterSurface {
     }
 
     fn cores(&self) -> usize {
-        self.shards + self.domains()
+        HOST_CORES + self.domains()
     }
 
-    /// Mirrors the cluster client's commit order exactly: ids from one
-    /// coordinator lease; one `commit_one` on the fast path; otherwise
-    /// prepare every participant at once, record the coordinator
-    /// verdict (a race transaction races it against a resolve inquiry),
-    /// decide every participant at once. Then ack.
+    /// Serves every domain through a loopback fabric target and runs
+    /// the script through [`ClusterClient`]s: ids from `begin()`; a
+    /// commit or fast-path transaction is one `commit()`, whose shard
+    /// order rotates over the two-phase transactions so that each
+    /// participant goes first in some; an abort or race transaction
+    /// runs `prepare_on` on each participant, then an abort asks
+    /// `resolve_gtx`, and a race starts the first client's commit
+    /// `verdict` and a second client's `resolve_gtx` at one instant,
+    /// on host cores 0 and 1: the two must answer alike. Then ack.
     fn record(&self, tape: &mut Tape) -> Vec<TxRec> {
-        let mut nodes = Vec::new();
+        let mut targets = Vec::new();
         let mut domains = Vec::new();
         for d in 0..self.domains() {
             let ((node, in_doubt), drv) = self.boot(d, None, true);
             assert!(in_doubt.is_empty(), "fresh domain {d} mounted in doubt");
-            nodes.push(node);
+            targets.push(FabricTarget::new(
+                Backend::Cluster(node as Arc<dyn ClusterBackend>),
+                FabricConfig::new(HOST_CORES),
+            ));
             domains.push(Domain {
                 log: drv.controller().persist_log().expect("recording"),
                 geometry: Some(drv.layout().sanitizer_geometry()),
             });
         }
+        let connect = |client_id| {
+            let shards = targets[..self.shards]
+                .iter()
+                .map(|t| t.loopback_connector(client_id))
+                .collect();
+            let coord = targets[self.shards].loopback_connector(client_id);
+            ClusterClient::connect(client_id, shards, coord, ClusterCfg::default(), None)
+                .expect("cluster connect")
+        };
+        let (mut client, mut racer) = (connect(1), connect(2));
         tape.start(domains);
-        let coord = &nodes[self.shards];
         let mut txs: Vec<TxRec> = Vec::new();
-        let mut lease = 0..0;
+        let mut two_phase = 0;
         for tx in 0..self.txs {
-            if lease.is_empty() {
-                let st;
-                (st, lease) = coord.alloc_gtx();
-                assert!(st.is_ok(), "lease gtxs for tx {tx}: {st:?}");
-            }
-            let gtx = lease.next().expect("a fresh lease holds an id");
+            let gtx = client.begin().expect("begin");
             let mut kind = scripted_kind(tx);
-            let participants = match kind {
-                TxKind::FastPath => vec![tx % self.shards],
-                _ => (0..self.shards).collect(),
+            let participants = if kind == TxKind::FastPath {
+                vec![tx % self.shards]
+            } else {
+                let mut order: Vec<usize> = (0..self.shards).collect();
+                order.rotate_left(two_phase % self.shards);
+                two_phase += 1;
+                order
             };
             let lba = tx as u64;
-            let write = |p| ShardWrite {
-                lba,
-                data: tx_block(gtx, p, tx),
+            let write = |p| {
+                vec![ShardWrite {
+                    lba,
+                    data: tx_block(gtx, p, tx),
+                }]
             };
-            if kind == TxKind::FastPath {
-                let p = participants[0];
-                let st = nodes[p].commit_one(gtx, &[write(p)]);
-                assert!(st.is_ok(), "commit_one tx {tx} on shard {p}: {st:?}");
+            if matches!(kind, TxKind::Commit | TxKind::FastPath) {
+                let by_shard = participants.iter().map(|&p| (p, write(p))).collect();
+                let committed = client.commit(gtx, by_shard).expect("commit");
+                assert!(committed, "tx {tx} aborted");
             } else {
-                // The lead rotates over the two-phase transactions, so
-                // every participant leads some transaction's steps.
-                let two_phase = txs.iter().filter(|t| t.kind != TxKind::FastPath);
-                let lead = two_phase.count() % participants.len();
-                let prepares = participants
-                    .iter()
-                    .map(|&p| {
-                        let (node, w) = (Arc::clone(&nodes[p]), write(p));
-                        move || node.prepare(gtx, &[w])
-                    })
-                    .collect();
-                for (p, st) in participants.iter().zip(fan_out(lead, prepares)) {
-                    assert!(st.is_ok(), "prepare tx {tx} on shard {p}: {st:?}");
+                for &p in &participants {
+                    client.prepare_on(p, gtx, write(p)).expect("prepare");
                 }
-                let commit = if kind == TxKind::Race {
-                    let commit = race_verdict_with_resolve(coord, gtx);
-                    kind = if commit {
+                if kind == TxKind::Abort {
+                    let commit = client.resolve_gtx(gtx, &participants).expect("resolve");
+                    assert!(
+                        !commit,
+                        "tx {tx}: an inquiry with no verdict answered commit"
+                    );
+                } else {
+                    let shards = participants.clone();
+                    let inquiry = ccnvme_sim::spawn("race-resolve", 1, move || {
+                        let answer = racer.resolve_gtx(gtx, &shards);
+                        (racer, answer)
+                    });
+                    let verdict = client.verdict(gtx, true).expect("racing verdict");
+                    let answer;
+                    (racer, answer) = inquiry.join();
+                    assert_eq!(
+                        verdict,
+                        answer.expect("racing resolve"),
+                        "gtx {gtx}: racing verdict and resolve answered different decisions"
+                    );
+                    kind = if verdict {
                         TxKind::Commit
                     } else {
                         TxKind::Abort
                     };
-                    commit
-                } else {
-                    let commit = kind == TxKind::Commit;
-                    let (st, word) = coord.verdict(gtx, commit);
-                    assert!(st.is_ok(), "verdict tx {tx}: {st:?}");
-                    let want = if commit {
-                        ccnvme_cluster::layout::DECISION_COMMIT
-                    } else {
-                        ccnvme_cluster::layout::DECISION_ABORT
-                    };
-                    assert_eq!(word, want, "verdict word of tx {tx}");
-                    commit
-                };
-                let decides = participants
-                    .iter()
-                    .map(|&p| {
-                        let node = Arc::clone(&nodes[p]);
-                        move || node.decide(gtx, commit)
-                    })
-                    .collect();
-                for (p, st) in participants.iter().zip(fan_out(lead, decides)) {
-                    assert!(st.is_ok(), "decide tx {tx} on shard {p}: {st:?}");
                 }
             }
             tape.marks().mark(tx as u64);
@@ -382,11 +364,12 @@ impl CrashSurface for ClusterSurface {
 
     fn judge(&self, txs: &Vec<TxRec>, images: &[DurableImage], acked: &HashSet<u64>) -> Judgement {
         let schedules = 1usize << self.domains();
-        let (mut clean, mut resolved, mut problems) = (0, 0, Vec::new());
+        let (mut clean, mut resolved, mut split, mut problems) = (0, 0, 0, Vec::new());
         let mut reference: Option<Vec<DurableImage>> = None;
         for down in 0..schedules as u32 {
             let outcome = self.recover(images, down, false);
             resolved += outcome.resolved;
+            split += outcome.split(txs) as u64;
             let mut bad = self.check(&outcome, txs, acked);
             let finals = outcome.finals();
             match &reference {
@@ -407,7 +390,7 @@ impl CrashSurface for ClusterSurface {
         // must find nothing in doubt and change nothing.
         let reference = reference.expect("the empty down-set ran");
         let again = self.recover(&reference, 0, false);
-        if !again.doubted.is_empty() || again.resolved != 0 {
+        if again.doubted.iter().any(|d| !d.is_empty()) || again.resolved != 0 {
             problems.push("re-recovery found new in-doubt work".into());
         }
         for (d, (got, want)) in again.finals().iter().zip(&reference).enumerate() {
@@ -419,7 +402,10 @@ impl CrashSurface for ClusterSurface {
             schedules,
             clean,
             problems,
-            counters: vec![("resolved_in_doubt", resolved as u64)],
+            counters: vec![
+                ("resolved_in_doubt", resolved as u64),
+                ("split_in_doubt", split),
+            ],
         }
     }
 
@@ -439,6 +425,11 @@ impl CrashSurface for ClusterSurface {
     fn finish(&self, _: &Vec<TxRec>, _: &[Arc<PersistLog>], report: &mut SweepReport) {
         if report.count("resolved_in_doubt") == 0 {
             report.fail("no cut ever produced an in-doubt intent — surface too coarse".into());
+        }
+        if report.count("split_in_doubt") == 0 {
+            report.fail(
+                "no cut ever fell between two participants' steps — surface too coarse".into(),
+            );
         }
     }
 }

@@ -53,7 +53,8 @@ const TRAILER: usize = 8;
 
 const OP_HELLO: u8 = 0x01;
 const OP_ALLOC_TX: u8 = 0x02;
-// 0x03 stays unassigned, so a frame carrying it decodes as `BadOpcode`.
+// 0x03 and 0x11 stay unassigned, so a frame carrying either decodes as
+// `BadOpcode`.
 const OP_FS_RESOLVE: u8 = 0x04;
 const OP_FS_CREATE: u8 = 0x05;
 const OP_FS_WRITE: u8 = 0x06;
@@ -67,7 +68,6 @@ const OP_PLOC_RECOVER: u8 = 0x0d;
 const OP_TX_PREPARE: u8 = 0x0e;
 const OP_TX_DECIDE: u8 = 0x0f;
 const OP_TX_VERDICT: u8 = 0x10;
-const OP_TX_RESOLVE: u8 = 0x11;
 const OP_BLK_READ: u8 = 0x12;
 const OP_TX_COMMIT: u8 = 0x13;
 const OP_RESPONSE: u8 = 0x80;
@@ -242,20 +242,16 @@ pub enum Capsule {
     /// single-shard ccNVMe transaction on the coordinator's decision
     /// region. Get-or-set: if a decision for `gtx` is already durable
     /// the recorded one wins and is echoed back (`val` = 1 commit /
-    /// 2 abort), so a retried verdict can never contradict itself.
+    /// 2 abort), so a retried verdict can never contradict itself. A
+    /// verdict that proposes abort is also the resolve inquiry for an
+    /// in-doubt `gtx`: with no decision recorded, ABORT becomes durable
+    /// before the answer (presumed abort), so a late commit verdict
+    /// loses to the inquiry.
     TxVerdict {
         /// Global transaction id.
         gtx: u64,
         /// The decision the coordinator wants to record.
         commit: bool,
-    },
-    /// Resolve an in-doubt `gtx` against the coordinator record:
-    /// returns the recorded decision, or durably records ABORT first
-    /// when there is none (presumed abort made stable — a late verdict
-    /// retry then loses to the inquiry, not the other way around).
-    TxResolve {
-        /// Global transaction id.
-        gtx: u64,
     },
     /// Read one block of the raw/cluster window (cluster reads and the
     /// degradation drill's key-range probes).
@@ -680,11 +676,6 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
             b.push(*commit as u8);
             (OP_TX_VERDICT, b)
         }
-        Capsule::TxResolve { gtx } => {
-            let mut b = Vec::new();
-            put_u64(&mut b, *gtx);
-            (OP_TX_RESOLVE, b)
-        }
         Capsule::BlkRead { lba } => {
             let mut b = Vec::new();
             put_u64(&mut b, *lba);
@@ -759,7 +750,6 @@ pub fn decode_request(bytes: &[u8]) -> Result<Request, CodecError> {
             gtx: c.u64()?,
             commit: c.u8()? != 0,
         },
-        OP_TX_RESOLVE => Capsule::TxResolve { gtx: c.u64()? },
         OP_BLK_READ => Capsule::BlkRead { lba: c.u64()? },
         OP_BYE => Capsule::Bye,
         other => return Err(CodecError::BadOpcode(other)),

@@ -343,16 +343,11 @@ impl FabricClient {
 
     /// Records the coordinator decision for `gtx`; returns the *final*
     /// decision (`true` = commit), which may differ from the request if
-    /// a decision was already durable.
+    /// a decision was already durable. With `commit = false` this is
+    /// also the resolve inquiry: absence becomes a durable presumed
+    /// abort.
     pub fn tx_verdict(&mut self, gtx: u64, commit: bool) -> Result<bool, FabricError> {
         let resp = self.call(Capsule::TxVerdict { gtx, commit })?;
-        Ok(resp.val == 1)
-    }
-
-    /// Resolves an in-doubt `gtx` against the coordinator record;
-    /// `true` = commit (absence becomes a durable presumed-abort).
-    pub fn tx_resolve(&mut self, gtx: u64) -> Result<bool, FabricError> {
-        let resp = self.call(Capsule::TxResolve { gtx })?;
         Ok(resp.val == 1)
     }
 

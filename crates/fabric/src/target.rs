@@ -79,7 +79,7 @@ pub enum Backend {
     /// A cluster node (`crates/cluster`): the 2PC participant /
     /// coordinator surface over the node's own ccNVMe device, driven by
     /// the `TX_COMMIT` (one participant) and `TX_PREPARE` / `TX_DECIDE`
-    /// / `TX_VERDICT` / `TX_RESOLVE` (two-phase) capsules.
+    /// / `TX_VERDICT` (two-phase) capsules.
     Cluster(Arc<dyn ClusterBackend>),
 }
 
@@ -125,12 +125,11 @@ pub trait ClusterBackend: Send + Sync {
 
     /// Record-or-fetch the coordinator decision for `gtx`. Returns the
     /// *final* decision word (1 = commit, 2 = abort): when a decision
-    /// is already durable the recorded one wins over the request.
+    /// is already durable the recorded one wins over the request. A
+    /// resolve inquiry for an in-doubt `gtx` is a verdict proposing
+    /// abort: with no decision recorded it durably records the presumed
+    /// abort before answering.
     fn verdict(&self, gtx: u64, commit: bool) -> (Status, u64);
-
-    /// Resolve an in-doubt `gtx`: the recorded decision, or a durably
-    /// recorded presumed-abort when there is none.
-    fn resolve(&self, gtx: u64) -> (Status, u64);
 
     /// Read one block of the node's data window.
     fn read_block(&self, lba: u64) -> Result<Vec<u8>, Status>;
@@ -681,19 +680,6 @@ impl FabricTarget {
                     data: Vec::new(),
                 }
             }
-            Capsule::TxResolve { gtx } => {
-                let Backend::Cluster(node) = &self.backend else {
-                    return Response::status(cid, Status::NotSupported);
-                };
-                let (status, decision) = node.resolve(*gtx);
-                Response {
-                    cid,
-                    status,
-                    val: decision,
-                    aux: 0,
-                    data: Vec::new(),
-                }
-            }
             Capsule::BlkRead { lba } => match &self.backend {
                 Backend::Cluster(node) => match node.read_block(*lba) {
                     Ok(data) => Response {
@@ -799,13 +785,12 @@ fn commit_like(op: &Capsule) -> bool {
         Capsule::FsSync { .. } => true,
         // Every mutating transaction capsule is a commit point on its
         // target's device: the one-phase commit, the intent, the
-        // application, the decision record and the resolve-time
-        // presumed-abort record.
+        // application and the decision record (a resolve inquiry's
+        // presumed abort included).
         Capsule::TxCommit { .. }
         | Capsule::TxPrepare { .. }
         | Capsule::TxDecide { .. }
-        | Capsule::TxVerdict { .. }
-        | Capsule::TxResolve { .. } => true,
+        | Capsule::TxVerdict { .. } => true,
         // A mutating ploc op commits at its RESULT flush; a replayed
         // one must count as a deduplicated commit, not a re-execution.
         Capsule::PlocOp { op, .. } => op.mutates(),

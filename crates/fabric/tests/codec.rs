@@ -14,7 +14,7 @@ use proptest::prelude::*;
 /// Builds one of every request shape from generic scalar inputs.
 fn build_capsule(sel: u8, a: u64, b: u64, flag: bool, data: Vec<u8>) -> Capsule {
     let path = format!("/d{}/f{}", a % 7, b % 23);
-    match sel % 15 {
+    match sel % 17 {
         0 => Capsule::Hello {
             client_id: a,
             resume: flag,
@@ -66,6 +66,14 @@ fn build_capsule(sel: u8, a: u64, b: u64, flag: bool, data: Vec<u8>) -> Capsule 
         13 => Capsule::TxCommit {
             tx_id: a,
             writes: shard_writes(b, data),
+        },
+        14 => Capsule::TxDecide {
+            gtx: a,
+            commit: flag,
+        },
+        15 => Capsule::TxVerdict {
+            gtx: b,
+            commit: flag,
         },
         _ => Capsule::Bye,
     }
@@ -333,18 +341,20 @@ fn check_caps_refuses_what_the_decoder_refuses() {
     }
 }
 
-/// Opcode 0x03 is unassigned: a frame carrying it is a typed opcode
-/// rejection.
+/// Opcodes 0x03 and 0x11 are unassigned: a frame carrying either is a
+/// typed opcode rejection.
 #[test]
 fn retired_opcode_3_is_a_bad_opcode() {
-    let wire = encode_request(&Request::new(3, Capsule::AllocTx));
-    // The opcode byte follows magic (4) + version (1); re-seal the
-    // checksum over the rewritten header.
-    let mut body: Vec<u8> = wire[..wire.len() - 8].to_vec();
-    body[5] = 0x03;
-    let sum = ccnvme_obs::seal::fnv1a64(&body);
-    body.extend_from_slice(&sum.to_le_bytes());
-    assert_eq!(decode_request(&body), Err(CodecError::BadOpcode(3)));
+    for opcode in [0x03, 0x11] {
+        let wire = encode_request(&Request::new(3, Capsule::AllocTx));
+        // The opcode byte follows magic (4) + version (1); re-seal the
+        // checksum over the rewritten header.
+        let mut body: Vec<u8> = wire[..wire.len() - 8].to_vec();
+        body[5] = opcode;
+        let sum = ccnvme_obs::seal::fnv1a64(&body);
+        body.extend_from_slice(&sum.to_le_bytes());
+        assert_eq!(decode_request(&body), Err(CodecError::BadOpcode(opcode)));
+    }
 }
 
 /// Trailing garbage after a well-formed body fails the checksum (the

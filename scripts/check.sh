@@ -53,7 +53,7 @@ cargo test -q
 #    transport faults, the connection-kill campaign, the TCP smoke (the
 #    long TCP soak runs in the deep tier), remote exactly-once capsules;
 #  * the ploc and cluster suites (detectable structures; hash ring,
-#    prepare/decide/verdict/resolve, degradation ladder);
+#    prepare/decide/verdict, presumed abort, degradation ladder);
 #  * the sim/OS differential test (same workload on both substrates
 #    must reach the same durable state).
 cargo test -q --release --workspace
