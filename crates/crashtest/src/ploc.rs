@@ -2,7 +2,8 @@
 //! under a scripted multi-client workload — the shared-state
 //! counterpart of the file-system surface ([`crate::fs`]).
 //!
-//! The recorded pass runs the script against a [`PlocService`] on an
+//! The recorded pass runs the script — one op list per client, all
+//! clients at once — against a [`PlocService`] on an
 //! instrumented device while the host records, per `(client, seq)`, the
 //! result each operation returned and the instant its ack became
 //! durable. Every crash image is mounted and held to the detectability
@@ -46,13 +47,16 @@ use crate::sweep::{CrashSurface, Domain, Judgement, Settled, SweepReport, Tape};
 /// device daemons are pinned one past them.
 const CORES: usize = 2;
 
-/// The scripted ploc workload.
+/// A ploc workload: one op list per client.
 #[derive(Clone)]
 pub struct PlocSurface {
     /// Geometry of the region under test.
     pub ploc: PlocConfig,
-    /// Scripted operations per client (sequences `1..=ops_per_client`).
-    pub ops_per_client: u32,
+    /// Client `c`'s operations, issued as sequences `1..`; one list per
+    /// client of `ploc`. Values and keys must be unique across the
+    /// script, so a doubled effect surfaces as a duplicated value and a
+    /// lost one as a hole in the conservation multiset.
+    pub script: Vec<Vec<PlocOp>>,
     /// Drive the workload (and the post-crash resume) through loopback
     /// fabric sessions instead of direct service calls.
     pub fabric: bool,
@@ -68,9 +72,7 @@ pub struct PlocScript {
 
 /// The deterministic per-client script. Clients cycle through all six
 /// operation kinds, staggered by client id so different kinds contend
-/// at any instant. Values and keys are unique per `(client, seq)`, so
-/// a doubled effect surfaces as a duplicated value and a lost one as a
-/// hole in the conservation multiset.
+/// at any instant. Values and keys are unique per `(client, seq)`.
 pub fn scripted_op(c: u16, seq: u32) -> PlocOp {
     let v = (c as u64) * 1_000 + seq as u64;
     let k = (c as u32) * 1_000 + seq;
@@ -123,9 +125,8 @@ impl Client {
         }
     }
 
-    /// Issues scripted operation `seq`.
-    fn op(&mut self, seq: u32) -> Result<OpResult, String> {
-        let op = scripted_op(self.c, seq);
+    /// Issues `op` as sequence `seq`.
+    fn op(&mut self, seq: u32, op: PlocOp) -> Result<OpResult, String> {
         match &mut self.remote {
             Some(fc) => fc.ploc_op(seq, op).map_err(|e| e.to_string()),
             None => self.svc.op(self.c, seq, op).map_err(|e| e.to_string()),
@@ -175,6 +176,28 @@ fn conserve(
 }
 
 impl PlocSurface {
+    /// [`scripted_op`]'s lists of `ops_per_client` operations for every
+    /// client of `ploc`, driven locally.
+    pub fn scripted(ploc: PlocConfig, ops_per_client: u32) -> Self {
+        let script = (0..ploc.clients)
+            .map(|c| {
+                (1..=ops_per_client)
+                    .map(|seq| scripted_op(c, seq))
+                    .collect()
+            })
+            .collect();
+        PlocSurface {
+            ploc,
+            script,
+            fabric: false,
+        }
+    }
+
+    /// Client `c`'s operation `seq`.
+    fn op(&self, c: u16, seq: u32) -> PlocOp {
+        self.script[c as usize][seq as usize - 1]
+    }
+
     fn target(&self, svc: &Arc<PlocService>) -> Option<Arc<FabricTarget>> {
         self.fabric
             .then(|| FabricTarget::new(Backend::Ploc(Arc::clone(svc)), FabricConfig::new(CORES)))
@@ -194,6 +217,11 @@ impl CrashSurface for PlocSurface {
     }
 
     fn record(&self, tape: &mut Tape) -> PlocScript {
+        assert_eq!(
+            self.script.len(),
+            self.ploc.clients as usize,
+            "one op list per client"
+        );
         let ctrl = boot(None, true);
         let svc = PlocService::format(ctrl.pmr(), app_base(), self.ploc, Obs::new());
         // Format's durability is unconditional: it ends in a flush.
@@ -208,12 +236,12 @@ impl CrashSurface for PlocSurface {
                 let (svc, target) = (Arc::clone(&svc), target.clone());
                 let marks = Arc::clone(tape.marks());
                 let results = Arc::clone(&results);
-                let ops = self.ops_per_client;
+                let ops = self.script[c as usize].clone();
                 let name = format!("ploc-client-{c}");
                 ccnvme_sim::spawn(&name, c as usize % CORES, move || {
                     let mut client = Client::attach(c, &svc, target.as_ref());
-                    for seq in 1..=ops {
-                        let r = client.op(seq).expect("scripted op");
+                    for (seq, op) in (1..).zip(ops) {
+                        let r = client.op(seq, op).expect("scripted op");
                         // The result is durable before the ack
                         // returns; the mark closes the oracle's
                         // "this op may no longer be lost" window.
@@ -256,7 +284,8 @@ impl CrashSurface for PlocSurface {
             let mut client = Client::attach(c, &svc, target.as_ref());
             let verdict = client.resume();
             let floor = verdict.next_seq() - 1;
-            let max_acked = (1..=self.ops_per_client)
+            let ops = self.script[c as usize].len() as u32;
+            let max_acked = (1..=ops)
                 .rev()
                 .find(|&s| acked.contains(&mark_key(c, s)))
                 .unwrap_or(0);
@@ -265,7 +294,7 @@ impl CrashSurface for PlocSurface {
                     "client {c}: acked op {max_acked} lost — verdict {verdict:?}"
                 ));
             }
-            if floor > self.ops_per_client {
+            if floor > ops {
                 problems.push(format!("client {c}: verdict {verdict:?} beyond the script"));
                 continue;
             }
@@ -288,7 +317,7 @@ impl CrashSurface for PlocSurface {
             // recorded result, not execute a second time (a double
             // would also trip the conservation check below).
             if floor >= 1 {
-                match client.op(floor) {
+                match client.op(floor, self.op(c, floor)) {
                     Ok(r) if r == definitive[&(c, floor)] => {}
                     Ok(r) => problems.push(format!(
                         "client {c}: replay of op {floor} answered {r:?}, executed {:?}",
@@ -298,8 +327,8 @@ impl CrashSurface for PlocSurface {
                 }
             }
             // Re-drive the rest of the script to its end.
-            for seq in floor + 1..=self.ops_per_client {
-                match client.op(seq) {
+            for seq in floor + 1..=ops {
+                match client.op(seq, self.op(c, seq)) {
                     Ok(r) => {
                         definitive.insert((c, seq), r);
                     }
@@ -314,8 +343,7 @@ impl CrashSurface for PlocSurface {
         let (mut enq, mut deq) = (Vec::new(), Vec::new());
         let mut inserted = Vec::new();
         for (&(c, seq), &r) in &definitive {
-            let op = scripted_op(c, seq);
-            match (op, r) {
+            match (self.op(c, seq), r) {
                 (PlocOp::Push(v), OpResult::Done) => pushed.push(v),
                 (PlocOp::Enqueue(v), OpResult::Done) => enq.push(v),
                 (PlocOp::Insert { key, val }, OpResult::Done) => inserted.push((key, val)),

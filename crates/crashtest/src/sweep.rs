@@ -434,7 +434,8 @@ fn recrash<S: CrashSurface>(
 
 /// Sweeps one surface under one plan: records the script once, walks
 /// the plan's cuts, boots and judges every crash state, re-crashes
-/// recovery per [`SweepPlan::recrash`].
+/// recovery per [`SweepPlan::recrash`]. A plan that walks no state
+/// proved nothing, and fails.
 pub fn sweep<S: CrashSurface>(surface: S, plan: &SweepPlan) -> SweepReport {
     let surface = Arc::new(surface);
     let cores = surface.cores();
@@ -496,6 +497,9 @@ pub fn sweep<S: CrashSurface>(surface: S, plan: &SweepPlan) -> SweepReport {
             recrash(&surface, &images, &mut report);
         }
     });
+    if report.states == 0 {
+        report.fail("the plan walked no crash state".into());
+    }
     surface.finish(&script, &logs, &mut report);
     report
 }
@@ -625,6 +629,19 @@ mod tests {
         assert!(r.failures[0].starts_with("prefix 0 torn 0: complaint"));
         // The toy's recovery logs nothing: its one prefix is one cut.
         assert_eq!(r.recovery_recrashes, 1);
+    }
+
+    #[test]
+    fn a_plan_that_walks_no_state_fails() {
+        let (surface, seen) = toy(0);
+        let plan = SweepPlan {
+            cuts: Cuts::Spread(0),
+            ..SweepPlan::every()
+        };
+        let r = sweep(surface, &plan);
+        assert_eq!((r.cuts, r.states, r.clean), (0, 0, 0));
+        assert!(seen.lock().is_empty());
+        assert_eq!(r.failures, ["the plan walked no crash state"]);
     }
 
     #[test]

@@ -2,6 +2,7 @@
 //! every down-subset recovery schedule, all-or-nothing and exactly-once
 //! asserted throughout (ISSUE 9 acceptance sweep).
 
+use ccnvme_crashtest::cluster::Step;
 use ccnvme_crashtest::{sweep, ClusterSurface, Cuts, RecrashSweep, SweepPlan, SweepReport};
 
 fn assert_clean(report: &SweepReport) {
@@ -51,7 +52,7 @@ fn cluster_smoke_sweep_is_all_or_nothing() {
         cuts: Cuts::EveryNthInstant(9),
         ..SweepPlan::every()
     };
-    let report = sweep(ClusterSurface { shards: 2, txs: 3 }, &plan);
+    let report = sweep(ClusterSurface::scripted(2, 3), &plan);
     assert!(report.events > 0);
     assert!(report.cuts >= 8, "only {} cuts sampled", report.cuts);
     // Exact: the run is deterministic, so a moved count means the
@@ -86,7 +87,7 @@ fn cluster_verdict_racing_resolve_sweep_is_all_or_nothing() {
         cuts: Cuts::EveryNthInstant(1),
         ..SweepPlan::every()
     };
-    let report = sweep(ClusterSurface { shards: 2, txs: 4 }, &plan);
+    let report = sweep(ClusterSurface::scripted(2, 4), &plan);
     // Same events and cuts as the hand-rolled script (every event still
     // has an instant of its own); the resolved count moves with the
     // participants' in-doubt windows (see the smoke tier): 848 → 880.
@@ -94,6 +95,34 @@ fn cluster_verdict_racing_resolve_sweep_is_all_or_nothing() {
     assert_eq!(
         counts(&report),
         (105, 106, 848, 880, 144),
+        "crash surface moved"
+    );
+    assert_clean(&report);
+}
+
+/// Shard 1 is partitioned away from the client before anything runs.
+/// The two-shard commit then fails to prepare there and must answer
+/// abort (`Ok(false)`), so it may never surface, though shard 0 held
+/// its intent; the commit to shard 1 alone fails outright; the commit
+/// to shard 0 alone succeeds. Every cut: 28 cuts × 8 down-subsets. In
+/// 80 states shard 0 mounts the aborted gtx in doubt, and each of them
+/// is split, since shard 1 never prepared it. A client that acks that
+/// commit fails 48 states with "acked commit lost".
+#[test]
+fn cluster_partitioned_sweep_is_all_or_nothing() {
+    let surface = ClusterSurface {
+        shards: 2,
+        steps: vec![
+            Step::Partition(1),
+            Step::Commit(vec![0, 1]),
+            Step::Commit(vec![1]),
+            Step::Commit(vec![0]),
+        ],
+    };
+    let report = sweep(surface, &SweepPlan::every());
+    assert_eq!(
+        counts(&report),
+        (27, 28, 224, 80, 80),
         "crash surface moved"
     );
     assert_clean(&report);
@@ -111,7 +140,7 @@ fn deep_cluster_full_sweep_is_all_or_nothing() {
         cuts: Cuts::EveryNthInstant(1),
         ..SweepPlan::every()
     };
-    let report = sweep(ClusterSurface { shards: 3, txs: 4 }, &plan);
+    let report = sweep(ClusterSurface::scripted(3, 4), &plan);
     assert_clean(&report);
 }
 
@@ -129,7 +158,7 @@ fn deep_cluster_recovery_recrashed_at_each_of_its_events_converges() {
         recrash: RecrashSweep::FinalImage,
         ..SweepPlan::every()
     };
-    let report = sweep(ClusterSurface { shards: 2, txs: 3 }, &plan);
+    let report = sweep(ClusterSurface::scripted(2, 3), &plan);
     assert!(
         report.recovery_recrashes > 1,
         "recovery logged no events to cut at"

@@ -31,16 +31,15 @@ fn deep() -> bool {
         .unwrap_or(false)
 }
 
+/// Two clients on a 32-node pool and 4 buckets.
+const SMOKE: PlocConfig = PlocConfig {
+    clients: 2,
+    pool: 32,
+    buckets: 4,
+};
+
 fn smoke_surface() -> PlocSurface {
-    PlocSurface {
-        ploc: PlocConfig {
-            clients: 2,
-            pool: 32,
-            buckets: 4,
-        },
-        ops_per_client: 6,
-        fabric: false,
-    }
+    PlocSurface::scripted(SMOKE, 6)
 }
 
 #[test]
@@ -120,8 +119,7 @@ fn recovery_recrashed_at_each_of_its_events_converges() {
 fn fabric_driven_sweep_holds_exactly_once_remotely() {
     let surface = PlocSurface {
         fabric: true,
-        ops_per_client: 4,
-        ..smoke_surface()
+        ..PlocSurface::scripted(SMOKE, 4)
     };
     let r = sweep(surface, &SweepPlan::every());
     assert!(r.events > 0);
@@ -148,10 +146,7 @@ fn deep_enumeration_with_torn_tails_and_full_recrash() {
         recrash: RecrashSweep::EveryImage,
         ..SweepPlan::every()
     };
-    let surface = PlocSurface {
-        ops_per_client: 8,
-        ..smoke_surface()
-    };
+    let surface = PlocSurface::scripted(SMOKE, 8);
     let r = sweep(surface, &plan);
     assert!(r.states > r.events + 1);
     assert!(r.recovery_recrashes > 0);

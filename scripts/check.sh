@@ -43,9 +43,12 @@ cargo test -q
 #    patch-record surface (two areas wrapping over each other's live
 #    patches of one inode-table block); the ploc surface holds exactly-once at every
 #    prefix, locally and over the fabric; the cluster surface stays
-#    all-or-nothing at every sampled cut under every down-subset; the
+#    all-or-nothing at every sampled cut under every down-subset, and
+#    at every cut of a script that partitions a shard first; the
 #    sampled Table 4 campaign and the five fault campaigns pass. State
-#    counts are asserted exactly, and every recorded run also replays
+#    counts are asserted exactly. The root suite's ploc and cluster
+#    proptests are seeded random scripts of the same two surfaces,
+#    swept by the same engine. Every recorded run also replays
 #    through the runtime persist-order sanitizer — the dynamic dual of
 #    the ccnvme-lint persist-order rule — which must report zero
 #    violations (SweepReport.sanitizer_violations);
