@@ -163,6 +163,37 @@ mod tests {
         });
     }
 
+    /// A push that checked the top's claim links above the node a pop
+    /// claims before the link lands, so a claimed node can sit below an
+    /// unclaimed one. It is popped already, and once a mount and a live
+    /// pop have unlinked it, its node is free again.
+    #[test]
+    fn a_claimed_node_below_the_top_is_popped_and_freed() {
+        Sim::run_main(2, || {
+            let (svc, ctrl) = fresh_service();
+            assert_eq!(svc.op(0, 1, PlocOp::Push(1)), Ok(OpResult::Done));
+            assert_eq!(svc.op(0, 2, PlocOp::Push(2)), Ok(OpResult::Done));
+            // Client 1's pop claims the node of 1, now below 2's.
+            let r = &svc.shared.r;
+            let top = structures::ptr_idx(r.load(r.geo().stack_cell())).expect("top");
+            let below = r.load(r.geo().node_off(top) + 16);
+            let claim = r.geo().node_off(structures::ptr_idx(below).expect("below")) + 8;
+            r.cas_word(claim, structures::ptr_tag(below), owner_word(1, 1))
+                .expect("unclaimed");
+            assert_eq!(svc.stack_contents(), vec![2]);
+
+            let cc = CtrlConfig::new(SsdProfile::optane_905p());
+            let ctrl = NvmeController::from_image(cc, &ctrl.graceful_image());
+            let base = ccnvme::PmrLayout::new(1, 16).app_region_off();
+            let svc = PlocService::mount(ctrl.pmr(), base, Obs::new()).expect("mount");
+            assert_eq!(svc.stack_contents(), vec![2]);
+            assert_eq!(svc.op(0, 3, PlocOp::Pop), Ok(OpResult::Value(2)));
+            assert_eq!(svc.op(0, 4, PlocOp::Pop), Ok(OpResult::Empty));
+            // Every node but the queue dummy.
+            assert_eq!(svc.free_nodes(), 31);
+        });
+    }
+
     #[test]
     fn pool_exhaustion_answers_full_and_frees_recycle() {
         Sim::run_main(2, || {

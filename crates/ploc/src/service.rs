@@ -167,7 +167,7 @@ impl Metrics {
 
 /// The detectable-structures service over one PMR sub-region.
 pub struct PlocService {
-    shared: Shared,
+    pub(crate) shared: Shared,
     clients: Vec<ClientState>,
     verdicts: Vec<RecoverVerdict>,
     obs: Arc<Obs>,

@@ -170,7 +170,8 @@ impl Pool {
         }
     }
 
-    /// Mount-path rebuild: free list, released set (the queue dummy) and
+    /// Mount-path rebuild: free list, released set (the queue dummy,
+    /// linked claimed nodes) and
     /// the incarnation floor (strictly above every tag in the image).
     pub fn rebuild(&self, free: Vec<u32>, released: &[u32], tag_floor: u64) {
         for n in 0..self.retired.len() {
@@ -476,12 +477,17 @@ impl Shared {
 
     // ------------------------------------------------- debug contents
 
-    /// Stack values, top first (quiesced use only).
+    /// Stack values, top first (quiesced use only). A claimed node is
+    /// popped already: a push that checked the top's claim links above
+    /// it if a pop claims it before the link lands, and it stays linked
+    /// until a later pop or push helps it off.
     pub fn stack_contents(&self) -> Vec<u64> {
         let mut out = Vec::new();
         let (mut p, _) = self.stack.read(&self.r);
         while let Some(n) = ptr_idx(p) {
-            out.push(self.load_value(n));
+            if owner_parse(self.load_claim(n)).is_none() {
+                out.push(self.load_value(n));
+            }
             p = self.load_next(n);
         }
         out
@@ -524,13 +530,13 @@ impl Shared {
     /// Finishes any claimed-but-unswung pop/dequeue left by the crash
     /// and catches the queue tail up. Single-threaded (mount).
     ///
-    /// At most one claimed node is reachable at each structure front:
-    /// operating threads refuse to build on a claimed front, and a
+    /// At most one claimed node is reachable at the queue's front: a
     /// second claim is only possible after the first swing's posted
-    /// write — so FIFO never persists claim₂ without swing₁.
+    /// write — so FIFO never persists claim₂ without swing₁. Claimed
+    /// stack nodes below an unclaimed one stay (see `stack_contents`).
     pub fn sanitize(&self) -> usize {
         let mut completed = 0;
-        // Stack: unlink a claimed top (the claimer's pop is decided; its
+        // Stack: unlink claimed tops (the claimer's pop is decided; its
         // result record was posted by the mount path before this runs).
         for _ in 0..self.r.geo().pool {
             let (top, _) = self.stack.read(&self.r);
@@ -576,8 +582,8 @@ impl Shared {
     }
 
     /// Reachability sweep: rebuilds the free list, the released set (the
-    /// current dummy) and the incarnation floor from the image. Must run
-    /// after detection and sanitize.
+    /// current dummy, linked claimed nodes) and the incarnation floor
+    /// from the image. Must run after detection and sanitize.
     pub fn rebuild_pool(&self) {
         let geo = *self.r.geo();
         let mut reachable = vec![false; geo.pool as usize];
@@ -602,7 +608,7 @@ impl Shared {
                 free.push(n);
             }
         }
-        let dummy = ptr_idx(self.r.load(geo.qhead_cell())).expect("dummy");
+        let mut released = vec![ptr_idx(self.r.load(geo.qhead_cell())).expect("dummy")];
         // Incarnation floor: above every tag in any pointer, marker or
         // clean claim word in the image.
         let mut floor = 0u64;
@@ -617,8 +623,12 @@ impl Shared {
             let cl = self.load_claim(n);
             if owner_parse(cl).is_none() {
                 floor = floor.max(cl);
+            } else if reachable[n as usize] {
+                // Claimed yet linked (see `stack_contents`): its claimer's
+                // result is durable once this mount flushes.
+                released.push(n);
             }
         }
-        self.pool.rebuild(free, &[dummy], floor + 1);
+        self.pool.rebuild(free, &released, floor + 1);
     }
 }
