@@ -13,7 +13,7 @@ use ccnvme_runtime::RtMutex;
 use crate::{
     buffer::{BufferCache, WriteSet, WHOLE},
     error::{FsError, FsResult},
-    layout::{Layout, BITS_PER_BLOCK},
+    layout::{Layout, BITS_PER_BLOCK, INODES_PER_BLOCK},
 };
 
 struct Bitmap {
@@ -158,8 +158,11 @@ impl Allocator {
         self.mark_bit(self.layout.block_bitmap_start(), lba, false, ws);
     }
 
-    /// Allocates an inode searching from `goal` (spreads unrelated files
-    /// over distinct inode-table blocks, like ext4's Orlov allocator).
+    /// Allocates the first free inode at or after index `goal`, wrapping
+    /// around. Callers pass a hash of the name, so unrelated files land
+    /// in distinct inode-table blocks: their `fsync`s share no page, and
+    /// the new inode is usually the only allocated one of its block (see
+    /// [`Allocator::inode_alone_in_block`]).
     pub fn alloc_inode_near(&self, goal: u64, ws: &mut WriteSet) -> FsResult<u64> {
         let idx = {
             let mut st = self.st.lock();
@@ -176,6 +179,16 @@ impl Allocator {
         let idx = ino - 1;
         self.st.lock().inodes.clear(idx);
         self.mark_bit(self.layout.inode_bitmap_start(), idx, false, ws);
+    }
+
+    /// Whether no inode other than `ino` is allocated in `ino`'s
+    /// inode-table block: the block's slots are `INODES_PER_BLOCK`
+    /// aligned bits of one bitmap word.
+    pub fn inode_alone_in_block(&self, ino: u64) -> bool {
+        let idx = ino - 1;
+        let shift = idx % 64 / INODES_PER_BLOCK * INODES_PER_BLOCK;
+        let word = self.st.lock().inodes.words[(idx / 64) as usize];
+        word >> shift & ((1 << INODES_PER_BLOCK) - 1) == 1 << (idx % INODES_PER_BLOCK)
     }
 
     /// Free data blocks remaining.
@@ -532,5 +545,28 @@ mod goal_tests {
             assert_ne!(blk_a, blk_b, "inode goals share a table block");
         });
         sim.run();
+    }
+
+    #[test]
+    fn an_inode_is_alone_until_a_table_block_neighbour_is_allocated() {
+        Sim::run_main(1, || {
+            let layout = Layout::new(1 << 18, 1_024);
+            let cache = Arc::new(crate::buffer::BufferCache::new(memdev()));
+            let mut ws = WriteSet::default();
+            let alloc = Allocator::format(layout, cache, &mut ws);
+            // Root is ino 1, in the first table block.
+            let second = alloc.alloc_inode_near(1, &mut ws).expect("space");
+            assert!(!alloc.inode_alone_in_block(second), "root shares it");
+            // Slots 48..64 of the first bitmap word: the fourth block.
+            let a = alloc.alloc_inode_near(50, &mut ws).expect("space");
+            assert!(alloc.inode_alone_in_block(a));
+            let b = alloc.alloc_inode_near(63, &mut ws).expect("space");
+            assert!(!alloc.inode_alone_in_block(a) && !alloc.inode_alone_in_block(b));
+            // The next block starts a new word's slots: nobody there.
+            let c = alloc.alloc_inode_near(64, &mut ws).expect("space");
+            assert!(alloc.inode_alone_in_block(c));
+            alloc.free_inode(b, &mut ws);
+            assert!(alloc.inode_alone_in_block(a));
+        });
     }
 }

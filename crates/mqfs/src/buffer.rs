@@ -20,6 +20,7 @@ use std::{
 };
 
 use ccnvme_block::{read_block, BioBuf, BLOCK_SIZE};
+use ccnvme_obs::Counter;
 use ccnvme_runtime::{RtCondvar, RtMutex};
 use mqfs_journal::{ByteRanges, Dev};
 use parking_lot::Mutex;
@@ -58,9 +59,10 @@ pub struct MetaBlock {
 }
 
 impl MetaBlock {
-    /// A block to be read from the device on first use, or — `zeroed` —
-    /// a fresh one that replaces whatever the device holds there.
-    fn new(lba: u64, zeroed: bool) -> Self {
+    /// A zero-filled block: to be read from the device on first use
+    /// unless `loaded`, and with no base on the device to patch if
+    /// `unbased`.
+    fn new(lba: u64, loaded: bool, unbased: bool) -> Self {
         MetaBlock {
             lba,
             gate: RtMutex::new(Gate::default()),
@@ -68,8 +70,8 @@ impl MetaBlock {
             data: Mutex::new(MetaData {
                 data: vec![0; BLOCK_SIZE as usize],
                 dirty: false,
-                loaded: zeroed,
-                unbased: zeroed,
+                loaded,
+                unbased,
             }),
         }
     }
@@ -209,26 +211,37 @@ impl WriteSet {
 pub struct BufferCache {
     dev: Dev,
     map: RtMutex<HashMap<u64, Arc<MetaBlock>>>,
+    /// Misses that read the device (`mqfs.meta_reads`).
+    reads: Arc<Counter>,
 }
 
 impl BufferCache {
-    /// Creates an empty cache over `dev`.
+    /// Creates an empty cache over `dev`, counting its device reads in
+    /// the device's metrics registry.
     pub fn new(dev: Dev) -> Self {
+        let reads = ccnvme_block::obs_of(dev.as_ref())
+            .metrics
+            .counter("mqfs.meta_reads");
         BufferCache {
             dev,
             map: RtMutex::new(HashMap::new()),
+            reads,
         }
+    }
+
+    /// The cached block, or a new `MetaBlock::new(lba, loaded, unbased)`
+    /// installed in its place.
+    fn entry(&self, lba: u64, loaded: bool, unbased: bool) -> Arc<MetaBlock> {
+        let mut map = self.map.lock();
+        Arc::clone(
+            map.entry(lba)
+                .or_insert_with(|| Arc::new(MetaBlock::new(lba, loaded, unbased))),
+        )
     }
 
     /// Returns the cached block, reading it from the device on a miss.
     pub fn get(&self, lba: u64) -> Arc<MetaBlock> {
-        let blk = {
-            let mut map = self.map.lock();
-            Arc::clone(
-                map.entry(lba)
-                    .or_insert_with(|| Arc::new(MetaBlock::new(lba, false))),
-            )
-        };
+        let blk = self.entry(lba, false, false);
         // Load outside the map lock; the page lock serializes loaders.
         let needs_load = !blk.data.lock().loaded;
         if needs_load {
@@ -240,6 +253,7 @@ impl BufferCache {
                 // corruption, and threading fallibility through every
                 // bitmap/pointer access is not worth it for the model.
                 // Data-block read errors DO propagate as EIO (fs.rs).
+                self.reads.inc();
                 let data = read_block(&*self.dev, lba)
                     .unwrap_or_else(|st| panic!("metadata read failed at lba {lba}: {st:?}"));
                 let mut d = blk.data.lock();
@@ -256,11 +270,18 @@ impl BufferCache {
     /// first journaling is a full copy however few bytes were written:
     /// the device holds nothing at this LBA that a patch could patch.
     pub fn get_zeroed(&self, lba: u64) -> Arc<MetaBlock> {
-        let mut map = self.map.lock();
-        Arc::clone(
-            map.entry(lba)
-                .or_insert_with(|| Arc::new(MetaBlock::new(lba, true))),
-        )
+        self.entry(lba, true, true)
+    }
+
+    /// Returns the cached block or, on a miss, a zero-filled one without
+    /// touching the device — for a block whose device copy holds nothing
+    /// live, such as an inode-table block none of whose other inodes is
+    /// allocated (ext4's `__ext4_get_inode_loc` rule). Unlike
+    /// [`BufferCache::get_zeroed`]'s, the block keeps the device copy as
+    /// its base: the LBA always held this kind of block, so a write of a
+    /// few bytes is journaled as those bytes.
+    pub fn get_vacant(&self, lba: u64) -> Arc<MetaBlock> {
+        self.entry(lba, true, false)
     }
 
     /// The cached block, if there is one. A block that is not cached

@@ -1036,6 +1036,13 @@ impl FileSystem {
         let goal = (h ^ parent.wrapping_mul(0x9e37)) % self.layout.ninodes;
         let mut ws = WriteSet::default();
         let ino = self.alloc.alloc_inode_near(goal, &mut ws)?;
+        // No other live inode in the table block: nothing on the device
+        // is worth reading under the directory lock and the barrier (a
+        // slot changes only through the cache after mount, so an
+        // uncached block holds nothing newer than the device's copy).
+        if self.alloc.inode_alone_in_block(ino) {
+            self.cache.get_vacant(self.layout.inode_pos(ino).0);
+        }
         // Initialize the child inode in memory and in its table block.
         let child = Inode::new(kind);
         self.write_inode(&mut ws, ino, &child);
@@ -1099,9 +1106,9 @@ impl FileSystem {
                 pst.inode.size = (nb + 1) * BLOCK_SIZE;
                 pst.meta_dirty = MetaDirty::Full;
                 // The device holds the block's previous owner's bytes at
-                // this LBA: nothing a patch could patch, so it is written
-                // whole (read first, as every variant always has).
-                ws.update(&self.cache.get(lba), WHOLE, dir::init_block);
+                // this LBA: nothing worth reading, nothing a patch could
+                // patch, so it is written whole.
+                ws.update(&self.cache.get_zeroed(lba), WHOLE, dir::init_block);
                 pst.dir.as_mut().expect("dir loaded").push_block()
             }
         };

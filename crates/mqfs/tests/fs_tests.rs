@@ -1178,7 +1178,9 @@ fn deep_paths_resolve() {
 /// patch — whatever sits at its LBA is a previous owner's — so until it
 /// has been captured once (journaled whole, or written out by mkfs)
 /// every write into it is recorded as a write of the whole block,
-/// however few bytes the writer touched.
+/// however few bytes the writer touched. A vacant block (an inode-table
+/// block with no other live inode) is zero-filled too, but the device
+/// copy at its LBA is its own: it is patched from the start.
 #[test]
 fn zero_filled_block_is_journaled_whole_the_first_time() {
     use mqfs::buffer::{BufferCache, WriteSet, WHOLE};
@@ -1208,6 +1210,13 @@ fn zero_filled_block_is_journaled_whole_the_first_time() {
         let mut third = WriteSet::default();
         third.update(&loaded, 0..4, |d| d.fill(9));
         assert_eq!(recorded(&third, 7_001), vec![0..4]);
+        // So does a vacant one, though it is never read.
+        let reads = stack.metrics().counter("mqfs.meta_reads");
+        let vacant = cache.get_vacant(7_002);
+        let mut fourth = WriteSet::default();
+        fourth.update(&vacant, 256..512, |d| d.fill(3));
+        assert_eq!(recorded(&fourth, 7_002), vec![256..512]);
+        assert_eq!(stack.metrics().counter("mqfs.meta_reads"), reads);
     });
     sim.run();
 }
@@ -1347,6 +1356,151 @@ fn dir_fsync_during_a_child_commit_carries_the_create() {
         child.join();
         let (_s2, fs2) = Stack::reboot(variant, &image, profile);
         assert!(fs2.resolve("/d/x").is_ok(), "create lost");
+        assert!(fs2.check().is_empty(), "fsck: {:?}", fs2.check());
+    });
+    sim.run();
+}
+
+/// The inode-table block and the inode number `make_node` aims
+/// `parent/name`'s inode at: it takes the first free inode from there,
+/// a hash of the name and the parent. Mirrors the goal in
+/// `FileSystem::make_node`; the tests that use it assert where the
+/// inode landed, so a drift fails them rather than weakening them.
+fn goal_of(fs: &FileSystem, parent: u64, name: &str) -> (u64, u64) {
+    let layout = fs.layout();
+    let h = ccnvme_obs::seal::fnv1a64(name.as_bytes());
+    let idx = (h ^ parent.wrapping_mul(0x9e37)) % layout.ninodes;
+    (layout.inode_pos(idx + 1).0, idx + 1)
+}
+
+/// A create reads nothing from the device when the new inode is the only
+/// allocated one of its table block, and a directory's new block is not
+/// read either: after the `mkdir`, 64 creates and `fsync`s in the new
+/// directory leave `mqfs.meta_reads` where it was. (Reading first, they
+/// counted 65: each create's table block and the directory's first
+/// block.)
+#[test]
+fn creates_into_vacant_table_blocks_read_nothing() {
+    let variant = FsVariant::Mqfs;
+    let mut sim = Sim::new(CORES + 2);
+    sim.spawn("host", 0, move || {
+        let stack = Stack::new(variant, SsdProfile::optane_905p());
+        let fs = FileSystem::format(Arc::clone(&stack.dev), fs_config(variant));
+        let d = fs.mkdir_path("/d").expect("mkdir");
+        let reads = || stack.metrics().counter("mqfs.meta_reads");
+        let before = reads();
+        for i in 0..64 {
+            let ino = fs.create(d, &format!("f{i}")).expect("create");
+            fs.fsync(ino).expect("fsync");
+        }
+        assert_eq!(reads() - before, 0, "creates read metadata blocks");
+        assert!(fs.check().is_empty(), "fsck: {:?}", fs.check());
+    });
+    sim.run();
+}
+
+/// A create whose inode lands in the table block of a durable file that
+/// nothing has touched since the mount must read that block: the file's
+/// slot lives only on the device, and the checkpoint writes the cached
+/// block home whole.
+///
+/// Mutation-checked: skipping the read whenever the block is uncached,
+/// whatever the inode bitmap says, zero-fills `x`'s slot in the cache;
+/// the unmount's checkpoint writes the zeros home and the remount finds
+/// `x` a free inode.
+#[test]
+fn a_create_beside_an_uncached_live_inode_keeps_it() {
+    let variant = FsVariant::Mqfs;
+    let mut sim = Sim::new(CORES + 2);
+    sim.spawn("host", 0, move || {
+        let profile = SsdProfile::optane_905p();
+        let stack = Stack::new(variant, profile.clone());
+        let fs = FileSystem::format(Arc::clone(&stack.dev), fs_config(variant));
+        let x = fs.create_path("/x").expect("create x");
+        fs.write(x, 0, &[0x3c; 4096]).expect("write x");
+        fs.fsync(x).expect("fsync x");
+        let (x_blk, _) = fs.layout().inode_pos(x);
+        // A name whose inode goes to a free slot of x's block.
+        let y_name = (0..)
+            .map(|i| format!("y{i}"))
+            .find(|n| {
+                let (blk, ino) = goal_of(&fs, fs.root(), n);
+                blk == x_blk && ino != x && ino != fs.root()
+            })
+            .expect("a name beside x");
+        let image = stack.unmounted_image(&fs);
+        // Remounted: x's table block is not cached.
+        let (stack2, fs2) = Stack::reboot(variant, &image, profile.clone());
+        let y = fs2.create(fs2.root(), &y_name).expect("create y");
+        assert_eq!(fs2.layout().inode_pos(y).0, x_blk, "y missed x's block");
+        fs2.fsync(y).expect("fsync y");
+        let image = stack2.unmounted_image(&fs2);
+        let (_s3, fs3) = Stack::reboot(variant, &image, profile);
+        assert_eq!(fs3.resolve("/x"), Ok(x));
+        assert_eq!(fs3.stat(x), (4096, InodeKind::File, 1), "x's inode");
+        assert_eq!(fs3.read(x, 0, 4096).expect("read x"), vec![0x3c; 4096]);
+        assert_eq!(fs3.resolve(&format!("/{y_name}")), Ok(y));
+        assert!(fs3.check().is_empty(), "fsck: {:?}", fs3.check());
+    });
+    sim.run();
+}
+
+/// Two creates in two directories, on two cores at once, whose inodes
+/// share one table block no live inode is in: whichever builds the block
+/// in memory, the other's slot lands in the same cached block, and both
+/// files survive `fsync`, unmount and remount.
+#[test]
+fn concurrent_creates_into_one_vacant_table_block_both_survive() {
+    let variant = FsVariant::Mqfs;
+    let mut sim = Sim::new(CORES + 2);
+    sim.spawn("host", 0, move || {
+        let profile = SsdProfile::optane_905p();
+        let stack = Stack::new(variant, profile.clone());
+        let fs = FileSystem::format(Arc::clone(&stack.dev), fs_config(variant));
+        let a = fs.mkdir_path("/a").expect("mkdir a");
+        let b = fs.mkdir_path("/b").expect("mkdir b");
+        fs.fsync(a).expect("fsync a");
+        fs.fsync(b).expect("fsync b");
+        let taken = [fs.root(), a, b].map(|ino| fs.layout().inode_pos(ino).0);
+        // One name per directory, aimed at distinct slots of one block
+        // that holds none of the live inodes.
+        let mut in_a = std::collections::HashMap::new();
+        let (na, nb) = (0..)
+            .find_map(|i| {
+                let na = format!("a{i}");
+                let (blk, ino) = goal_of(&fs, a, &na);
+                in_a.entry(blk).or_insert((na, ino));
+                let nb = format!("b{i}");
+                let (blk, ino) = goal_of(&fs, b, &nb);
+                let (na, ino_a) = in_a.get(&blk)?;
+                (!taken.contains(&blk) && *ino_a != ino).then(|| (na.clone(), nb))
+            })
+            .expect("two names aimed at one block");
+        let workers = [(a, na.clone(), 1u8), (b, nb.clone(), 2u8)].map(|(dir, name, core)| {
+            let fs = Arc::clone(&fs);
+            ccnvme_sim::spawn(&format!("w{core}"), core as usize, move || {
+                let ino = fs.create(dir, &name).expect("create");
+                fs.write(ino, 0, &[core; 4096]).expect("write");
+                fs.fsync(ino).expect("fsync");
+                ino
+            })
+        });
+        let [ia, ib] = workers.map(|w| w.join());
+        assert_eq!(
+            fs.layout().inode_pos(ia).0,
+            fs.layout().inode_pos(ib).0,
+            "the inodes missed each other's block"
+        );
+        let image = stack.unmounted_image(&fs);
+        let (_s2, fs2) = Stack::reboot(variant, &image, profile);
+        for (path, ino, byte) in [(format!("/a/{na}"), ia, 1u8), (format!("/b/{nb}"), ib, 2)] {
+            assert_eq!(fs2.resolve(&path), Ok(ino), "{path}");
+            assert_eq!(
+                fs2.read(ino, 0, 4096).expect("read"),
+                vec![byte; 4096],
+                "{path}"
+            );
+        }
         assert!(fs2.check().is_empty(), "fsck: {:?}", fs2.check());
     });
     sim.run();
