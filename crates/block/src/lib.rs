@@ -12,9 +12,13 @@
 //! assumes merging is disabled, and the workloads issue 4 KB-aligned
 //! requests.
 
+#[cfg(not(feature = "loom"))]
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use ccnvme_runtime::{RtCondvar, RtMutex};
+#[cfg(feature = "loom")]
+use loom::sync::atomic::{AtomicUsize, Ordering};
 use parking_lot::Mutex;
 
 /// A shared data buffer attached to a bio (one or more 4 KB blocks).
@@ -272,17 +276,29 @@ pub fn obs_of(dev: &dyn BlockDevice) -> std::sync::Arc<ccnvme_obs::Obs> {
 /// with the typed status of the first one that failed. Waking from the
 /// wait pays the context-switch plus interrupt-handler CPU cost on the
 /// caller's core — the cost that ccNVMe's atomicity path avoids.
+///
+/// Pollers ([`BioWaiter::landed`], [`BioWaiter::outstanding`], and
+/// [`BioWaiter::first_error`] while nothing failed) read one atomic
+/// word and take no lock.
 pub struct BioWaiter {
     inner: Arc<WaiterInner>,
 }
 
+/// The completion word's failed bit; the rest of the word counts
+/// outstanding bios in units of [`ONE_BIO`].
+const FAILED: usize = 1;
+const ONE_BIO: usize = 2;
+
 struct WaiterInner {
+    /// `outstanding << 1 | failed`. A completion changes it while it
+    /// holds `st`, so a `wait()` that checked it under `st` cannot miss
+    /// the wake-up; the failed bit is set iff `st.first_error` is.
+    state: AtomicUsize,
     st: RtMutex<WaitSt>,
     cv: RtCondvar,
 }
 
 struct WaitSt {
-    outstanding: usize,
     irq_wakeups: usize,
     first_error: Option<BioStatus>,
 }
@@ -292,8 +308,8 @@ impl BioWaiter {
     pub fn new() -> Self {
         BioWaiter {
             inner: Arc::new(WaiterInner {
+                state: AtomicUsize::new(0),
                 st: RtMutex::new(WaitSt {
-                    outstanding: 0,
                     irq_wakeups: 0,
                     first_error: None,
                 }),
@@ -309,16 +325,23 @@ impl BioWaiter {
     /// Panics if the bio already has a completion callback.
     pub fn attach(&self, bio: &mut Bio) {
         assert!(bio.end_io.is_none(), "bio already has an end_io callback");
-        self.inner.st.lock().outstanding += 1;
+        // ord: Relaxed — attaching comes before submitting the bio and
+        // before sharing a handle, and both of those synchronize.
+        self.inner.state.fetch_add(ONE_BIO, Ordering::Relaxed);
         let inner = Arc::clone(&self.inner);
         bio.end_io = Some(Box::new(move |status| {
             let mut st = inner.st.lock();
-            st.outstanding -= 1;
             st.irq_wakeups += 1;
-            if status.failed() {
-                st.first_error.get_or_insert(status);
+            let mut delta = ONE_BIO;
+            if status.failed() && st.first_error.is_none() {
+                st.first_error = Some(status);
+                // One decrement and the failed bit in one update: a
+                // poller never sees the count drop with the bit clear.
+                delta -= FAILED;
             }
-            let done = st.outstanding == 0;
+            // ord: Release — pairs with the pollers' Acquire loads: one
+            // that sees this bio done sees everything its completer did.
+            let done = inner.state.fetch_sub(delta, Ordering::Release) / ONE_BIO == 1;
             drop(st);
             if done {
                 inner.cv.notify_all();
@@ -328,12 +351,24 @@ impl BioWaiter {
 
     /// Returns the number of bios not yet completed.
     pub fn outstanding(&self) -> usize {
-        self.inner.st.lock().outstanding
+        // ord: Acquire — pairs with the completion's Release.
+        self.inner.state.load(Ordering::Acquire) / ONE_BIO
+    }
+
+    /// Whether every attached bio completed and none failed.
+    pub fn landed(&self) -> bool {
+        // ord: Acquire — pairs with the completion's Release.
+        self.inner.state.load(Ordering::Acquire) == 0
     }
 
     /// The status of the first failed bio, if any completed with an
     /// error so far.
     pub fn first_error(&self) -> Option<BioStatus> {
+        // ord: Acquire — pairs with the completion's Release, which it
+        // made under `st`: seeing the bit, the lock finds the status.
+        if self.inner.state.load(Ordering::Acquire) & FAILED == 0 {
+            return None;
+        }
         self.inner.st.lock().first_error
     }
 
@@ -353,7 +388,7 @@ impl BioWaiter {
         let wakeups;
         {
             let mut st = self.inner.st.lock();
-            while st.outstanding > 0 {
+            while self.outstanding() > 0 {
                 blocked = true;
                 st = self.inner.cv.wait(st);
             }
@@ -438,7 +473,7 @@ pub fn flush_cache(dev: &dyn BlockDevice) -> Result<(), BioStatus> {
     submit_and_wait(dev, Bio::flush())
 }
 
-#[cfg(test)]
+#[cfg(all(test, not(feature = "loom")))]
 mod tests {
     use ccnvme_sim::Sim;
 
@@ -538,12 +573,39 @@ mod tests {
             w.attach(&mut a);
             w.attach(&mut b);
             a.complete(BioStatus::Media);
+            assert_eq!(
+                (w.outstanding(), w.first_error()),
+                (1, Some(BioStatus::Media))
+            );
             b.complete(BioStatus::Timeout);
+            assert_eq!(w.outstanding(), 0);
+            assert!(!w.landed(), "every bio completed, one failed: not landed");
             assert_eq!(w.wait(), Err(BioStatus::Media));
             assert_eq!(w.first_error(), Some(BioStatus::Media));
             assert!(BioStatus::Media.failed() && !BioStatus::Media.is_ok());
         });
         sim.run();
+    }
+
+    #[test]
+    fn landed_waits_for_every_bio_and_counts_down_exactly() {
+        Sim::run_main(1, || {
+            let w = BioWaiter::new();
+            assert!(w.landed(), "nothing attached is trivially landed");
+            let mut bios: Vec<Bio> = (0..3).map(|_| Bio::flush()).collect();
+            for b in &mut bios {
+                w.attach(b);
+            }
+            for (done, b) in bios.iter_mut().enumerate() {
+                assert_eq!(w.outstanding(), 3 - done);
+                assert!(!w.landed(), "landed with {} bios outstanding", 3 - done);
+                b.complete(BioStatus::Ok);
+            }
+            assert_eq!(w.outstanding(), 0);
+            assert!(w.landed());
+            assert_eq!(w.first_error(), None);
+            assert_eq!(w.wait(), Ok(()));
+        });
     }
 
     /// A device that completes every bio inline with `status`, filling
@@ -648,5 +710,65 @@ mod tests {
         assert!(BioFlags::TX_COMMIT.tx && BioFlags::TX_COMMIT.tx_commit);
         assert!(BioFlags::TX.tx && !BioFlags::TX.tx_commit);
         assert!(BioFlags::PREFLUSH_FUA.preflush && BioFlags::PREFLUSH_FUA.fua);
+    }
+}
+
+// The loom tier: the completion word and the lock it is updated under,
+// on the loom-backed Os arm of RtMutex + RtCondvar.
+// Run with: cargo test -p ccnvme-block --features loom --lib loom_
+#[cfg(all(test, feature = "loom"))]
+mod loom_tests {
+    use super::*;
+
+    /// Two completions with `statuses` race a `landed()` poller and a
+    /// `wait()`er. Each completer counts itself in `started` before it
+    /// completes its bio, so a poller that sees the waiter landed must
+    /// also see both counted; a lost wake-up leaves the waiter parked,
+    /// a deadlock the explorer reports.
+    fn race(statuses: [BioStatus; 2]) {
+        loom::model(move || {
+            let w = BioWaiter::new();
+            let started = Arc::new(AtomicUsize::new(0));
+            let mut threads = Vec::new();
+            for status in statuses {
+                let mut bio = Bio::flush();
+                w.attach(&mut bio);
+                let started = Arc::clone(&started);
+                threads.push(loom::thread::spawn(move || {
+                    // ord: SeqCst — the model checker's only ordering.
+                    started.fetch_add(1, Ordering::SeqCst);
+                    bio.complete(status);
+                }));
+            }
+            let failing = statuses.iter().find(|s| s.failed()).copied();
+            let poller = w.clone_handle();
+            let started_seen = Arc::clone(&started);
+            threads.push(loom::thread::spawn(move || {
+                for _ in 0..2 {
+                    if poller.landed() {
+                        assert!(failing.is_none(), "landed after a failure");
+                        // ord: SeqCst — the model checker's only ordering.
+                        let n = started_seen.load(Ordering::SeqCst);
+                        assert_eq!(n, 2, "landed before the last completion");
+                    }
+                }
+            }));
+            assert_eq!(w.wait(), failing.map_or(Ok(()), Err));
+            assert_eq!(w.outstanding(), 0);
+            assert_eq!(w.landed(), failing.is_none());
+            for t in threads {
+                t.join().unwrap();
+            }
+        });
+    }
+
+    #[test]
+    fn loom_a_waiter_lands_only_after_the_last_completion() {
+        race([BioStatus::Ok, BioStatus::Ok]);
+    }
+
+    #[test]
+    fn loom_a_failed_completion_never_lands() {
+        race([BioStatus::Ok, BioStatus::Media]);
     }
 }

@@ -105,7 +105,7 @@ impl Image {
     /// Whether the transaction is completely, and successfully, on
     /// media — only then may anything of it be written home.
     fn on_media(&self) -> bool {
-        self.waiter.outstanding() == 0 && self.waiter.first_error().is_none()
+        self.waiter.landed()
     }
 }
 

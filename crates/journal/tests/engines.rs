@@ -1331,6 +1331,55 @@ fn mq_failed_home_write_aborts_the_checkpoint_and_keeps_the_journal_copy() {
     sim.run();
 }
 
+/// DESIGN §7.2 invariant 3's other half: a checkpoint never writes home
+/// the image of a transaction whose journal writes failed, even once
+/// they all completed. Transaction 1 patches block 50 and lands; the JD
+/// of transaction 2, the next patch of block 50, fails on the ring.
+#[test]
+fn mq_a_failed_transactions_image_never_goes_home() {
+    use ccnvme_fault::{FaultKind, FaultPlan, FaultRule, Trigger};
+    let mut sim = Sim::new(CORES + 1);
+    sim.spawn("host", 0, || {
+        // Area 0 logs from JOURNAL_START up: transaction 1's JD takes
+        // the first ring block, transaction 2's the second.
+        let jd2 = JOURNAL_START + 1;
+        let plan = FaultPlan::new(22).rule(FaultRule::new(
+            FaultKind::MediaWrite,
+            Trigger::LbaRange {
+                start: jd2,
+                end: jd2 + 1,
+            },
+        ));
+        let mut cfg =
+            CtrlConfig::new(SsdProfile::optane_905p()).with_fault(Arc::new(plan.injector()));
+        cfg.device_core = CORES;
+        let drv = CcNvmeDriver::new(NvmeController::new(cfg), CORES as u16, 64);
+        let dev: Arc<dyn BlockDevice> = Arc::new(drv);
+        let areas = AreaSpec::split(JOURNAL_START, JOURNAL_LEN, CORES);
+        let journal = MqJournal::new(Arc::clone(&dev), areas, HORIZON_LBA);
+        let first = image(0, &[(0..64, 0xd1)]);
+        let second = image(0, &[(0..64, 0xd1), (64..128, 0xd2)]);
+        let tx = patch_tx(&journal, &[(50, first.clone(), &[(0, 64)])]);
+        journal
+            .commit_tx(tx, Durability::Durable)
+            .expect("transaction 1 lands");
+        let tx = patch_tx(&journal, &[(50, second, &[(64, 128)])]);
+        assert!(
+            journal.commit_tx(tx, Durability::Durable).is_err(),
+            "transaction 2's JD write fails"
+        );
+        journal.checkpoint_all();
+        let home = read_block(&dev, 50);
+        assert!(
+            home == first,
+            "a failed transaction's image went home: byte 64 is {:#x}, not {:#x}",
+            home[64],
+            first[64]
+        );
+    });
+    sim.run();
+}
+
 /// §5.4 case 1: a block reused while a checkpoint is writing its stale
 /// copy home regresses to data journaling — it must ride the journal,
 /// not be written in place under the home write.

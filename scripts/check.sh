@@ -19,7 +19,8 @@
 #     crash-during-recovery sweep over every explored image — about 25
 #     minutes), the fabric TCP soak, the loom model-checking suites (the
 #     lock-free observability hot structures, DetectableCas, the
-#     runtime's channel and rwlock), and `cargo miri test` on the obs
+#     runtime's channel and rwlock, the block layer's completion word),
+#     and `cargo miri test` on the obs
 #     crate, the runtime's OS-backed tests and the simulator's bare-thread
 #     mutex tests when the miri component is
 #     installed (skipped with a notice otherwise — CI images without
@@ -151,6 +152,10 @@ if [[ "${CHECK_DEEP:-0}" == "1" ]]; then
     # RtMutex + RtCondvar, on the loom-backed Os arm: no lost wakeup, no
     # lost message, no reader beside the writer under every interleaving.
     cargo test -q -p ccnvme-runtime --features loom --lib loom_
+    # A BioWaiter's completion word: two completions, one failing, race
+    # a landed() poller and a wait()er — no lost wakeup, never landed
+    # before the last completion or after a failure.
+    cargo test -q -p ccnvme-block --features loom --lib loom_
     echo "== deep tier: miri =="
     if rustup component list 2>/dev/null | grep -q "^miri.*(installed)"; then
         # Of ccnvme-sim only the tests that boot no `Sim`: every other

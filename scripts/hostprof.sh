@@ -17,7 +17,11 @@
 #     `core` helpers skipped, so the futex lock inlined through `std`'s
 #     and `parking_lot`'s `Mutex` into its caller shows as itself;
 #   * flat shares per crate — a generic function counts for the crate that
-#     wrote it.
+#     wrote it;
+#   * who calls a hot spot: for each of the five functions with the most
+#     flat samples, its three most frequent call chains (site ← caller ←
+#     its caller, each frame named like the flat table) and the share of
+#     the site's samples each one holds.
 #
 # A sample in a library leaf without a frame (libc's memcpy, malloc) is
 # charged to its caller, read from the top of the stack, as
@@ -84,6 +88,30 @@ function report(title, count, top,    cmd, name) {
     for (name in count) printf "%6.2f%%  %s\n", 100 * count[name] / total, name | cmd
     close(cmd)
 }
+# The key of `count` with the highest count not in `taken` whose part
+# before SUBSEP is `prefix` (any key when `prefix` is empty); ties go to
+# the smaller key. Empty when none is left.
+function top_key(count, taken, prefix,    k, best) {
+    best = ""
+    for (k in count) {
+        if (k in taken) continue
+        if (prefix != "" && substr(k, 1, length(prefix) + 1) != prefix SUBSEP) continue
+        if (best == "" || count[k] > count[best] || (count[k] == count[best] && k < best)) best = k
+    }
+    return best
+}
+function report_callers(top, per,    i, j, site, key, picked, used) {
+    printf "\ncall chains of the top %d flat functions (site ← caller ← its caller)\n", top
+    split("", picked); split("", used)
+    for (i = 0; i < top && (site = top_key(flat, picked, "")) != ""; i++) {
+        picked[site] = 1
+        printf "%6.2f%%  %s\n", 100 * flat[site] / total, site
+        for (j = 0; j < per && (key = top_key(chains, used, site)) != ""; j++) {
+            used[key] = 1
+            printf "        %5.1f%% of it%s\n", 100 * chains[key] / flat[site], substr(key, length(site) + 2)
+        }
+    }
+}
 BEGIN { nsyms = nmaps = total = bin_lo = 0 }
 # The symbol table, on stdin: address, type, demangled name.
 $2 ~ /^[tTwW]$/ {
@@ -124,6 +152,10 @@ END {
             suffix[s] = " → " resolve(f[2])
         }
         flat[leaf]++
+        # The two frames above the flat function: its caller and theirs.
+        chain = ""
+        for (d = 3; d <= 4 && d <= n; d++) chain = chain " ← " resolve(f[d] - 1)
+        chains[leaf SUBSEP (chain == "" ? " ← [no frame]" : chain)]++
         if (site) { key[s] = sprintf("%x", site - bin_lo); want[key[s]] = 1 } else inlined[leaf]++
         for (d = 2; d <= n; d++) {
             name = resolve(d == 2 ? f[d] : f[d] - 1)
@@ -164,4 +196,5 @@ END {
     report("inclusive, by function", incl, 30)
     report("flat, by innermost inlined function", inlined, 30)
     report("flat, by crate", crates, 20)
+    report_callers(5, 3)
 }'
