@@ -25,6 +25,7 @@
 use crate::error::CodecError;
 use ccnvme_block::{BioStatus, BLOCK_SIZE};
 use ccnvme_obs::{seal::fnv1a64, TraceCtx};
+use ccnvme_ploc::{OpResult, RecoverVerdict};
 use mqfs::FsError;
 
 /// The ploc operation carried by a [`Capsule::PlocOp`] request.
@@ -463,6 +464,43 @@ impl Response {
             data: Vec::new(),
         }
     }
+
+    /// A success response carrying read bytes; `val` is their length.
+    pub fn ok_data(cid: u64, data: Vec<u8>) -> Response {
+        Response {
+            val: data.len() as u64,
+            data,
+            ..Response::ok_val(cid, 0)
+        }
+    }
+}
+
+/// A ploc recovery verdict as a `PlocRecover` response's `(val, aux)`:
+/// `aux = verdict | result_tag << 8 | seq << 16` (verdict 0 idle, 1
+/// completed, 2 not executed) and `val` the completed operation's result
+/// payload ([`OpResult::to_wire`]).
+pub fn encode_ploc_verdict(verdict: RecoverVerdict) -> (u64, u64) {
+    let (vt, seq, (rt, payload)) = match verdict {
+        RecoverVerdict::Idle { completed } => (0, completed, (0, 0)),
+        RecoverVerdict::Completed { seq, result } => (1, seq, result.to_wire()),
+        RecoverVerdict::NotExecuted { seq } => (2, seq, (0, 0)),
+    };
+    (payload, vt | (rt as u64) << 8 | (seq as u64) << 16)
+}
+
+/// Parses [`encode_ploc_verdict`]'s `(val, aux)`; `None` for an unknown
+/// verdict or result tag.
+pub fn decode_ploc_verdict(val: u64, aux: u64) -> Option<RecoverVerdict> {
+    let seq = (aux >> 16) as u32;
+    Some(match aux & 0xff {
+        0 => RecoverVerdict::Idle { completed: seq },
+        1 => RecoverVerdict::Completed {
+            seq,
+            result: OpResult::from_wire((aux >> 8) as u8, val)?,
+        },
+        2 => RecoverVerdict::NotExecuted { seq },
+        _ => return None,
+    })
 }
 
 fn put_u16(out: &mut Vec<u8>, v: u16) {

@@ -24,7 +24,8 @@ use ccnvme_runtime::Ns;
 use ccnvme_ploc::{OpResult, PlocOp, RecoverVerdict};
 
 use crate::capsule::{
-    decode_response, encode_request, Capsule, Request, Response, ShardWrite, SyncKind,
+    decode_ploc_verdict, decode_response, encode_request, Capsule, Request, Response, ShardWrite,
+    SyncKind,
 };
 use crate::error::FabricError;
 use crate::transport::{Connector, Transport};
@@ -428,19 +429,8 @@ impl FabricClient {
     /// did ([`ccnvme_ploc::PlocService::recover`]).
     pub fn ploc_recover(&mut self) -> Result<RecoverVerdict, FabricError> {
         let resp = self.call(Capsule::PlocRecover)?;
-        let vt = resp.aux & 0xff;
-        let rt = (resp.aux >> 8) as u8;
-        let seq = (resp.aux >> 16) as u32;
-        let bad = || FabricError::Protocol("unparseable ploc verdict".into());
-        Ok(match vt {
-            0 => RecoverVerdict::Idle { completed: seq },
-            1 => RecoverVerdict::Completed {
-                seq,
-                result: OpResult::from_wire(rt, resp.val).ok_or_else(bad)?,
-            },
-            2 => RecoverVerdict::NotExecuted { seq },
-            _ => return Err(bad()),
-        })
+        decode_ploc_verdict(resp.val, resp.aux)
+            .ok_or_else(|| FabricError::Protocol("unparseable ploc verdict".into()))
     }
 
     /// Recovers the client's verdict and seeds the auto-seq counter so

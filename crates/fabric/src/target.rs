@@ -2,8 +2,10 @@
 //! exactly-once replay machinery.
 //!
 //! A target serves one [`Backend`] — a mounted MQFS file system
-//! (syscall surface) or a raw window of a ccNVMe device (transaction
-//! surface). Each accepted connection gets a handler daemon pinned to
+//! (syscall surface), a raw window of a ccNVMe device (transaction
+//! surface), a ploc service (detectable data structures) or a cluster
+//! node (one-phase and two-phase commit). Each accepted connection gets
+//! a handler daemon pinned to
 //! core `conn % cores`; everything the handler submits therefore rides
 //! that core's ccNVMe hardware queue, preserving the paper's per-core
 //! queue affinity across the network hop.
@@ -26,14 +28,14 @@ use ccnvme::CcNvmeDriver;
 use ccnvme_block::commit_tx;
 use ccnvme_fault::FaultInjector;
 use ccnvme_obs::{Counter, Obs};
-use ccnvme_ploc::{PlocError, PlocService, RecoverVerdict};
+use ccnvme_ploc::{PlocError, PlocService};
 use ccnvme_runtime::{Ns, RtMutex};
 use mqfs::FileSystem;
 use parking_lot::Mutex;
 
 use crate::capsule::{
-    admits, decode_request, encode_response, Capsule, Request, Response, ShardWrite, Status,
-    SyncKind,
+    admits, decode_request, encode_ploc_verdict, encode_response, Capsule, Request, Response,
+    ShardWrite, Status, SyncKind,
 };
 use crate::error::FabricError;
 use crate::transport::{Connector, LoopbackTransport, PartitionMap, Transport};
@@ -170,8 +172,12 @@ impl FabricConfig {
 pub struct FabricStats {
     /// Capsules received by connection handlers.
     pub capsules: Arc<Counter>,
-    /// Commit points executed (tx commits + fs sync capsules). The
-    /// exactly-once observable: retransmitted commits must not move it.
+    /// Commit points executed: commit-like capsules (`FsSync`, the four
+    /// `Tx*` commit and 2PC capsules, a mutating `PlocOp`) that ran
+    /// against the backend and answered `Ok`. A failed one does not
+    /// count, nor does one answered from the response cache or the raw
+    /// tx replay cache — the exactly-once observable: retransmitted
+    /// commits must not move it.
     pub commits: Arc<Counter>,
     /// Commit capsules answered from a replay/response cache instead of
     /// re-executed.
@@ -397,7 +403,7 @@ impl FabricTarget {
                     vec![encode_response(&Response::status(req.cid, Status::Ok))]
                 }
                 _ => match &session {
-                    Some(sess) => self.process(sess, req, qid),
+                    Some(sess) => self.process(sess, req),
                     // Capsules before the handshake violate the
                     // protocol.
                     None => vec![encode_response(&Response::status(
@@ -427,9 +433,7 @@ impl FabricTarget {
                 Arc::clone(existing)
             }
             _ => {
-                if !resume || !sessions.contains_key(&client_id) {
-                    self.stats.sessions.inc();
-                }
+                self.stats.sessions.inc();
                 let fresh = Session::fresh(client_id);
                 sessions.insert(client_id, Arc::clone(&fresh));
                 fresh
@@ -449,7 +453,7 @@ impl FabricTarget {
     /// Runs one request through the session's in-order pipeline,
     /// returning every response that becomes ready (the request's own,
     /// plus any stashed successors it unblocks).
-    fn process(&self, sess: &Arc<Session>, req: Request, qid: u16) -> Vec<Vec<u8>> {
+    fn process(&self, sess: &Arc<Session>, req: Request) -> Vec<Vec<u8>> {
         {
             let mut st = sess.st.lock();
             if req.cid > st.expected_cid {
@@ -475,7 +479,7 @@ impl FabricTarget {
         let mut out = Vec::new();
         let mut cur = req;
         loop {
-            let resp = self.execute_serialized(sess, &cur, qid);
+            let resp = self.execute_serialized(sess, &cur);
             out.push(encode_response(&resp));
             let next = {
                 let mut st = sess.st.lock();
@@ -494,7 +498,7 @@ impl FabricTarget {
     /// re-checking the response cache after acquiring it — the
     /// double-execution guard for retransmits racing a still-running
     /// original on a dead connection.
-    fn execute_serialized(&self, sess: &Arc<Session>, req: &Request, qid: u16) -> Response {
+    fn execute_serialized(&self, sess: &Arc<Session>, req: &Request) -> Response {
         let _exec = sess.exec.lock();
         {
             let mut st = sess.st.lock();
@@ -510,7 +514,7 @@ impl FabricTarget {
             debug_assert_eq!(req.cid, st.expected_cid, "in-order pipeline");
             st.expected_cid = req.cid + 1;
         }
-        let resp = self.exec_op(sess, req, qid);
+        let resp = self.exec_op(sess, req);
         {
             let mut st = sess.st.lock();
             st.resp_cache.insert(req.cid, resp.clone());
@@ -522,264 +526,194 @@ impl FabricTarget {
         resp
     }
 
-    fn exec_op(&self, sess: &Arc<Session>, req: &Request, _qid: u16) -> Response {
+    /// Executes one capsule against the backend. `Metrics` is answered
+    /// here for every backend; every other capsule goes to the one
+    /// function that serves this backend. A commit-like capsule that
+    /// executed and answered `Ok` counts in `fabric.commits`.
+    fn exec_op(&self, sess: &Session, req: &Request) -> Response {
         // Adopt the capsule's trace context for the whole execution: every
         // Bio the backend builds on this thread inherits it, so the
         // initiator's trace id follows the request down to `MediaWrite`
         // and into the target's blackbox — across retransmits too, since
         // retransmitted frames carry the identical stamped context.
         let _trace = ccnvme_obs::ctx::scoped(req.ctx);
-        let cid = req.cid;
-        match &req.op {
-            Capsule::Hello { .. } | Capsule::Bye => Response::status(cid, Status::Protocol),
-            Capsule::AllocTx => match &self.backend {
-                Backend::Raw { drv, .. } => Response::ok_val(cid, drv.alloc_tx_id()),
-                Backend::Cluster(node) => match node.alloc_gtx() {
-                    (st, run) if st.is_ok() => Response {
-                        aux: run.end - run.start,
-                        ..Response::ok_val(cid, run.start)
-                    },
-                    (st, _) => Response::status(cid, st),
-                },
-                Backend::Fs(_) | Backend::Ploc(_) => Response::status(cid, Status::NotSupported),
-            },
-            Capsule::FsResolve { path } => self.with_fs(cid, |fs| {
-                fs.resolve(path).map(|ino| Response::ok_val(cid, ino))
-            }),
-            Capsule::FsCreate { path } => self.with_fs(cid, |fs| {
-                fs.resolve(path)
-                    .or_else(|_| fs.create_path(path))
-                    .map(|ino| Response::ok_val(cid, ino))
-            }),
-            Capsule::FsWrite { ino, offset, data } => self.with_fs(cid, |fs| {
-                fs.write(*ino, *offset, data)
-                    .map(|()| Response::status(cid, Status::Ok))
-            }),
-            Capsule::FsRead { ino, offset, len } => self.with_fs(cid, |fs| {
-                fs.read(*ino, *offset, *len as usize).map(|data| Response {
-                    cid,
-                    status: Status::Ok,
-                    val: data.len() as u64,
-                    aux: 0,
-                    data,
-                })
-            }),
-            Capsule::FsSync { ino, mode } => {
-                let resp = self.with_fs(cid, |fs| {
-                    match mode {
-                        SyncKind::Fsync => fs.fsync(*ino),
-                        SyncKind::Fdatasync => fs.fdatasync(*ino),
-                        SyncKind::Fatomic => fs.fatomic(*ino),
-                        SyncKind::Fdataatomic => fs.fdataatomic(*ino),
-                    }
-                    .map(|()| Response::status(cid, Status::Ok))
-                });
-                if resp.status.is_ok() {
-                    self.stats.commits.inc();
-                }
-                resp
-            }
-            Capsule::FsStat { ino } => self.with_fs(cid, |fs| {
-                let (size, _, _) = fs.stat(*ino);
-                Ok(Response::ok_val(cid, size))
-            }),
-            Capsule::Metrics => Response {
-                cid,
-                status: Status::Ok,
-                val: 0,
-                aux: 0,
-                data: self.obs.metrics.snapshot().to_json().into_bytes(),
-            },
-            Capsule::PlocOp { seq, op } => {
-                let Backend::Ploc(svc) = &self.backend else {
-                    return Response::status(cid, Status::NotSupported);
-                };
-                if sess.client_id > u16::MAX as u64 {
-                    return Response::status(cid, Status::Protocol);
-                }
-                match svc.op(sess.client_id as u16, *seq, *op) {
-                    Ok(result) => {
-                        if op.mutates() {
-                            // A mutating ploc op is a commit point: its
-                            // RESULT record is durable before this ack.
-                            self.stats.commits.inc();
-                        }
-                        let (tag, payload) = result.to_wire();
-                        Response {
-                            cid,
-                            status: Status::Ok,
-                            val: payload,
-                            aux: tag as u64,
-                            data: Vec::new(),
-                        }
-                    }
-                    Err(PlocError::Unformatted) => Response::status(cid, Status::NotSupported),
-                    Err(PlocError::BadClient { .. }) | Err(PlocError::BadSeq { .. }) => {
-                        Response::status(cid, Status::Protocol)
-                    }
-                }
-            }
-            Capsule::PlocRecover => {
-                let Backend::Ploc(svc) = &self.backend else {
-                    return Response::status(cid, Status::NotSupported);
-                };
-                if sess.client_id > u16::MAX as u64 {
-                    return Response::status(cid, Status::Protocol);
-                }
-                match svc.recover(sess.client_id as u16) {
-                    Ok(verdict) => {
-                        // aux packs the verdict: tag | result_tag << 8
-                        // | seq << 16; val carries the result payload.
-                        let (vt, seq, rt, payload) = match verdict {
-                            RecoverVerdict::Idle { completed } => (0u64, completed, 0u8, 0u64),
-                            RecoverVerdict::Completed { seq, result } => {
-                                let (rt, payload) = result.to_wire();
-                                (1, seq, rt, payload)
-                            }
-                            RecoverVerdict::NotExecuted { seq } => (2, seq, 0, 0),
-                        };
-                        Response {
-                            cid,
-                            status: Status::Ok,
-                            val: payload,
-                            aux: vt | (rt as u64) << 8 | (seq as u64) << 16,
-                            data: Vec::new(),
-                        }
-                    }
-                    Err(PlocError::Unformatted) => Response::status(cid, Status::NotSupported),
-                    Err(_) => Response::status(cid, Status::Protocol),
-                }
-            }
-            // A prepare is a commit point too: the intent record is its
-            // own single-shard ccNVMe transaction.
-            Capsule::TxPrepare { gtx, writes } => {
-                self.cluster_step(cid, |n| n.prepare(*gtx, writes))
-            }
-            Capsule::TxDecide { gtx, commit } => {
-                self.cluster_step(cid, |n| n.decide(*gtx, *commit))
-            }
-            Capsule::TxCommit { tx_id, writes } => match &self.backend {
-                Backend::Raw { drv, base, blocks } => {
-                    Response::status(cid, self.raw_commit(drv, *base, *blocks, *tx_id, writes))
-                }
-                _ => self.cluster_step(cid, |n| n.commit_one(*tx_id, writes)),
-            },
-            Capsule::TxVerdict { gtx, commit } => {
-                let Backend::Cluster(node) = &self.backend else {
-                    return Response::status(cid, Status::NotSupported);
-                };
-                let (status, decision) = node.verdict(*gtx, *commit);
-                if status.is_ok() {
-                    self.stats.commits.inc();
-                }
-                Response {
-                    cid,
-                    status,
-                    val: decision,
-                    aux: 0,
-                    data: Vec::new(),
-                }
-            }
-            Capsule::BlkRead { lba } => match &self.backend {
-                Backend::Cluster(node) => match node.read_block(*lba) {
-                    Ok(data) => Response {
-                        cid,
-                        status: Status::Ok,
-                        val: data.len() as u64,
-                        aux: 0,
-                        data,
-                    },
-                    Err(status) => Response::status(cid, status),
-                },
-                Backend::Raw { drv, base, blocks } => {
-                    if *lba >= *blocks {
-                        return Response::status(cid, Status::Protocol);
-                    }
-                    match ccnvme_block::read_block(&**drv, base + lba) {
-                        Ok(data) => Response {
-                            cid,
-                            status: Status::Ok,
-                            val: data.len() as u64,
-                            aux: 0,
-                            data,
-                        },
-                        Err(st) => Response::status(cid, st.into()),
-                    }
-                }
-                Backend::Fs(_) | Backend::Ploc(_) => Response::status(cid, Status::NotSupported),
-            },
+        let (cid, op) = (req.cid, &req.op);
+        if let Capsule::Metrics = op {
+            let json = self.obs.metrics.snapshot().to_json().into_bytes();
+            return Response {
+                data: json,
+                ..Response::ok_val(cid, 0)
+            };
         }
-    }
-
-    /// Runs one mutating cluster step — a commit point on the node's
-    /// device, so an `Ok` counts in `fabric.commits`.
-    fn cluster_step(&self, cid: u64, step: impl FnOnce(&dyn ClusterBackend) -> Status) -> Response {
-        let Backend::Cluster(node) = &self.backend else {
-            return Response::status(cid, Status::NotSupported);
+        let resp = match &self.backend {
+            Backend::Fs(fs) => fs_op(fs, cid, op),
+            Backend::Raw { drv, base, blocks } => {
+                if let Some(status) = self.recorded_outcome(*blocks, op) {
+                    return Response::status(cid, status);
+                }
+                self.raw_op(drv, *base, *blocks, cid, op)
+            }
+            Backend::Ploc(svc) => ploc_op(svc, sess.client_id, cid, op),
+            Backend::Cluster(node) => cluster_op(node.as_ref(), cid, op),
         };
-        let status = step(node.as_ref());
-        if status.is_ok() {
+        if resp.status.is_ok() && commit_like(op) {
             self.stats.commits.inc();
         }
-        Response::status(cid, status)
+        resp
     }
 
-    fn with_fs(
-        &self,
-        cid: u64,
-        f: impl FnOnce(&Arc<FileSystem>) -> Result<Response, mqfs::FsError>,
-    ) -> Response {
-        match &self.backend {
-            Backend::Fs(fs) => match f(fs) {
-                Ok(resp) => resp,
-                Err(e) => Response::status(cid, Status::Fs(e)),
-            },
-            Backend::Raw { .. } | Backend::Ploc(_) | Backend::Cluster(_) => {
-                Response::status(cid, Status::NotSupported)
-            }
+    /// The recorded outcome of an admissible raw `TX_COMMIT` whose tx id
+    /// already ran — the client retried under a fresh session, or
+    /// recovery seeded it after a target restart. Such a commit is
+    /// answered, never re-executed: the exactly-once contract.
+    fn recorded_outcome(&self, blocks: u64, op: &Capsule) -> Option<Status> {
+        let Capsule::TxCommit { tx_id, writes } = op else {
+            return None;
+        };
+        if !admits(writes, blocks) {
+            return None;
         }
+        let status = *self.tx_replay.lock().get(tx_id)?;
+        self.stats.replayed_commits.inc();
+        Some(status)
     }
 
-    /// One transaction on a raw window: admitted against the window,
-    /// answered from the replay cache when its outcome is recorded, else
-    /// submitted as ccNVMe transaction `tx_id` and waited for.
-    fn raw_commit(
+    /// The raw window `[base, base + blocks)`: ccNVMe tx ids, whole
+    /// transactions and block reads.
+    fn raw_op(
         &self,
         drv: &CcNvmeDriver,
         base: u64,
         blocks: u64,
-        tx_id: u64,
-        writes: &[ShardWrite],
-    ) -> Status {
-        if !admits(writes, blocks) {
-            return Status::Protocol;
+        cid: u64,
+        op: &Capsule,
+    ) -> Response {
+        match op {
+            Capsule::AllocTx => Response::ok_val(cid, drv.alloc_tx_id()),
+            Capsule::TxCommit { tx_id, writes } if admits(writes, blocks) => {
+                // Submitted from the handler daemon's core: the bios land
+                // in this connection's hardware queue, and the whole
+                // transaction is in the ring before the handler waits on
+                // anything.
+                let writes = writes
+                    .iter()
+                    .map(|w| (base + w.lba, w.data.clone()))
+                    .collect();
+                let status =
+                    commit_tx(drv, *tx_id, writes).map_or_else(Status::from, |()| Status::Ok);
+                let mut cache = self.tx_replay.lock();
+                cache.insert(*tx_id, status);
+                while cache.len() > TX_REPLAY_CAP {
+                    cache.pop_first();
+                }
+                Response::status(cid, status)
+            }
+            Capsule::BlkRead { lba } if *lba < blocks => {
+                match ccnvme_block::read_block(drv, base + lba) {
+                    Ok(data) => Response::ok_data(cid, data),
+                    Err(st) => Response::status(cid, st.into()),
+                }
+            }
+            Capsule::TxCommit { .. } | Capsule::BlkRead { .. } => {
+                Response::status(cid, Status::Protocol)
+            }
+            _ => Response::status(cid, Status::NotSupported),
         }
-        // A commit whose outcome is already recorded (the client retried
-        // under a fresh session, or recovery seeded it after a target
-        // restart) is answered, never re-executed: the exactly-once
-        // contract.
-        if let Some(&status) = self.tx_replay.lock().get(&tx_id) {
-            self.stats.replayed_commits.inc();
-            return status;
-        }
-        // Submitted from the handler daemon's core: the bios land in
-        // this connection's hardware queue, and the whole transaction is
-        // in the ring before the handler waits on anything.
-        let writes = writes
-            .iter()
-            .map(|w| (base + w.lba, w.data.clone()))
-            .collect();
-        let status = commit_tx(drv, tx_id, writes).map_or_else(Status::from, |()| Status::Ok);
-        self.stats.commits.inc();
-        let mut cache = self.tx_replay.lock();
-        cache.insert(tx_id, status);
-        while cache.len() > TX_REPLAY_CAP {
-            cache.pop_first();
-        }
-        status
     }
 }
 
+/// The MQFS syscall surface.
+fn fs_op(fs: &FileSystem, cid: u64, op: &Capsule) -> Response {
+    let answer = match op {
+        Capsule::FsResolve { path } => fs.resolve(path).map(|ino| Response::ok_val(cid, ino)),
+        Capsule::FsCreate { path } => fs
+            .resolve(path)
+            .or_else(|_| fs.create_path(path))
+            .map(|ino| Response::ok_val(cid, ino)),
+        Capsule::FsWrite { ino, offset, data } => fs
+            .write(*ino, *offset, data)
+            .map(|()| Response::status(cid, Status::Ok)),
+        Capsule::FsRead { ino, offset, len } => fs
+            .read(*ino, *offset, *len as usize)
+            .map(|data| Response::ok_data(cid, data)),
+        Capsule::FsSync { ino, mode } => match mode {
+            SyncKind::Fsync => fs.fsync(*ino),
+            SyncKind::Fdatasync => fs.fdatasync(*ino),
+            SyncKind::Fatomic => fs.fatomic(*ino),
+            SyncKind::Fdataatomic => fs.fdataatomic(*ino),
+        }
+        .map(|()| Response::status(cid, Status::Ok)),
+        Capsule::FsStat { ino } => Ok(Response::ok_val(cid, fs.stat(*ino).0)),
+        _ => return Response::status(cid, Status::NotSupported),
+    };
+    answer.unwrap_or_else(|e| Response::status(cid, Status::Fs(e)))
+}
+
+/// The ploc surface. The session's `client_id` is the ploc client slot.
+fn ploc_op(svc: &PlocService, client_id: u64, cid: u64, op: &Capsule) -> Response {
+    let answer = match (op, u16::try_from(client_id)) {
+        (Capsule::PlocOp { .. } | Capsule::PlocRecover, Err(_)) => {
+            return Response::status(cid, Status::Protocol)
+        }
+        (Capsule::PlocOp { seq, op }, Ok(client)) => svc.op(client, *seq, *op).map(|result| {
+            let (tag, payload) = result.to_wire();
+            Response {
+                aux: tag as u64,
+                ..Response::ok_val(cid, payload)
+            }
+        }),
+        (Capsule::PlocRecover, Ok(client)) => svc.recover(client).map(|verdict| {
+            let (val, aux) = encode_ploc_verdict(verdict);
+            Response {
+                aux,
+                ..Response::ok_val(cid, val)
+            }
+        }),
+        _ => return Response::status(cid, Status::NotSupported),
+    };
+    match answer {
+        Ok(resp) => resp,
+        Err(PlocError::Unformatted) => Response::status(cid, Status::NotSupported),
+        Err(PlocError::BadClient { .. } | PlocError::BadSeq { .. }) => {
+            Response::status(cid, Status::Protocol)
+        }
+    }
+}
+
+/// A cluster node: gtx leases, the one-phase commit, the three 2PC
+/// steps and block reads.
+fn cluster_op(node: &dyn ClusterBackend, cid: u64, op: &Capsule) -> Response {
+    match op {
+        Capsule::AllocTx => match node.alloc_gtx() {
+            (st, run) if st.is_ok() => Response {
+                aux: run.end - run.start,
+                ..Response::ok_val(cid, run.start)
+            },
+            (st, _) => Response::status(cid, st),
+        },
+        Capsule::TxCommit { tx_id, writes } => {
+            Response::status(cid, node.commit_one(*tx_id, writes))
+        }
+        Capsule::TxPrepare { gtx, writes } => Response::status(cid, node.prepare(*gtx, writes)),
+        Capsule::TxDecide { gtx, commit } => Response::status(cid, node.decide(*gtx, *commit)),
+        Capsule::TxVerdict { gtx, commit } => {
+            let (status, decision) = node.verdict(*gtx, *commit);
+            Response {
+                status,
+                ..Response::ok_val(cid, decision)
+            }
+        }
+        Capsule::BlkRead { lba } => match node.read_block(*lba) {
+            Ok(data) => Response::ok_data(cid, data),
+            Err(status) => Response::status(cid, status),
+        },
+        _ => Response::status(cid, Status::NotSupported),
+    }
+}
+
+/// Whether `op` is a commit point: one that executed and answered `Ok`
+/// counts in `fabric.commits`, one answered from a cache in
+/// `fabric.replayed_commits`.
 fn commit_like(op: &Capsule) -> bool {
     match op {
         Capsule::FsSync { .. } => true,

@@ -3,11 +3,13 @@
 //! never panics and never yields a capsule it was not sent.
 
 use ccnvme_fabric::capsule::{
-    decode_request, decode_response, encode_request, encode_response, Capsule, PlocOpWire, Request,
-    Response, ShardWrite, Status, SyncKind, MAGIC, MAX_DATA, MAX_PATH, MAX_PREPARE_WRITES,
+    decode_ploc_verdict, decode_request, decode_response, encode_ploc_verdict, encode_request,
+    encode_response, Capsule, PlocOpWire, Request, Response, ShardWrite, Status, SyncKind, MAGIC,
+    MAX_DATA, MAX_PATH, MAX_PREPARE_WRITES,
 };
 use ccnvme_fabric::CodecError;
 use ccnvme_obs::TraceCtx;
+use ccnvme_ploc::{OpResult, RecoverVerdict};
 use mqfs::FsError;
 use proptest::prelude::*;
 
@@ -364,4 +366,38 @@ fn appended_bytes_are_rejected() {
     let mut wire = encode_request(&Request::new(2, Capsule::FsStat { ino: 5 }));
     wire.push(0);
     assert!(decode_request(&wire).is_err());
+}
+
+/// Every ploc recovery verdict shape — `Completed` with each result
+/// tag — survives the `PlocRecover` response's `(val, aux)` packing,
+/// and an unknown verdict or result tag is refused.
+#[test]
+fn ploc_verdicts_round_trip_through_val_and_aux() {
+    let results = [
+        OpResult::Done,
+        OpResult::Value(u64::MAX - 3),
+        OpResult::Empty,
+        OpResult::NotFound,
+        OpResult::Full,
+    ];
+    let mut verdicts = vec![
+        RecoverVerdict::Idle { completed: 0 },
+        RecoverVerdict::Idle {
+            completed: u32::MAX,
+        },
+        RecoverVerdict::NotExecuted { seq: 7 },
+    ];
+    verdicts.extend(results.map(|result| RecoverVerdict::Completed { seq: 41, result }));
+    for verdict in verdicts {
+        let (val, aux) = encode_ploc_verdict(verdict);
+        assert_eq!(decode_ploc_verdict(val, aux), Some(verdict));
+    }
+    // aux = verdict | result_tag << 8 | seq << 16; val = result payload.
+    let completed = RecoverVerdict::Completed {
+        seq: 3,
+        result: OpResult::Value(9),
+    };
+    assert_eq!(encode_ploc_verdict(completed), (9, 1 | 1 << 8 | 3 << 16));
+    assert_eq!(decode_ploc_verdict(0, 3), None, "unknown verdict");
+    assert_eq!(decode_ploc_verdict(0, 1 | 5 << 8), None, "unknown result");
 }
