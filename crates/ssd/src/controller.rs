@@ -33,7 +33,7 @@ use parking_lot::Mutex;
 
 use crate::{
     command::{CompletionEntry, NvmeCommand, Opcode, Status},
-    hostmem::HostMemory,
+    hostmem::{DataBuf, HostMemory},
     persist::{PersistEventKind, PersistLog},
     profile::SsdProfile,
     store::{BlockStore, BLOCK_SIZE},
@@ -169,9 +169,13 @@ pub struct DurableImage {
 
 /// What the completer must do when a command's media time arrives.
 enum Action {
+    /// Programs the first `len` bytes of the host buffer `buf` (whole
+    /// blocks) from `lba` on. The device reads `buf` only now, at the
+    /// media program: the host leaves it alone until the completion.
     WriteBlocks {
         lba: u64,
-        data: Vec<u8>,
+        buf: DataBuf,
+        len: usize,
         durable: bool,
         also_flush: bool,
     },
@@ -725,14 +729,10 @@ fn execute(inner: &CtrlInner, q: &QueueShared, cmd: NvmeCommand, sq_head: u32) {
                     // worker moves on; the media program starts once the
                     // data has arrived.
                     let dma_end = inner.link.dma_to_device_async(bytes, DmaKind::BlockData);
-                    let data = {
-                        let b = buf.lock();
-                        assert!(
-                            b.len() as u64 >= bytes,
-                            "data buffer smaller than command length"
-                        );
-                        b[..bytes as usize].to_vec()
-                    };
+                    assert!(
+                        buf.lock().len() as u64 >= bytes,
+                        "data buffer smaller than command length"
+                    );
                     // A commit request implies a durability barrier when a
                     // volatile cache is present (§4.2: flush + FUA).
                     let commit_barrier = cmd.tx_flags.tx_commit && profile.volatile_cache;
@@ -761,20 +761,17 @@ fn execute(inner: &CtrlInner, q: &QueueShared, cmd: NvmeCommand, sq_head: u32) {
                         // prefix still lands on media (that is what makes
                         // it dangerous) but the command reports a write
                         // fault and performs no barrier.
-                        Some(inj) if inj.kind == FaultKind::TornDma => {
-                            let mut torn = data;
-                            torn.truncate(inj.torn_blocks as usize * BLOCK_SIZE as usize);
-                            (
-                                at,
-                                Status::MediaWriteError,
-                                Action::WriteBlocks {
-                                    lba: cmd.lba,
-                                    data: torn,
-                                    durable,
-                                    also_flush: false,
-                                },
-                            )
-                        }
+                        Some(inj) if inj.kind == FaultKind::TornDma => (
+                            at,
+                            Status::MediaWriteError,
+                            Action::WriteBlocks {
+                                lba: cmd.lba,
+                                buf,
+                                len: inj.torn_blocks as usize * BLOCK_SIZE as usize,
+                                durable,
+                                also_flush: false,
+                            },
+                        ),
                         // Media write fault: nothing lands.
                         Some(_) => (at, Status::MediaWriteError, Action::Nop),
                         None => (
@@ -782,7 +779,8 @@ fn execute(inner: &CtrlInner, q: &QueueShared, cmd: NvmeCommand, sq_head: u32) {
                             Status::Success,
                             Action::WriteBlocks {
                                 lba: cmd.lba,
-                                data,
+                                buf,
+                                len: bytes as usize,
                                 durable,
                                 also_flush: commit_barrier,
                             },
@@ -879,29 +877,26 @@ fn fire(inner: &CtrlInner, job: Job) {
     match job.action {
         Action::WriteBlocks {
             lba,
-            data,
+            buf,
+            len,
             durable,
             also_flush,
         } => {
-            let bytes = data.len() as u64;
             // A power-protected store treats every write as durable
             // (mirrors BlockStore's routing).
             let effective_durable = durable || !inner.cfg.profile.volatile_cache;
-            for (i, chunk) in data.chunks(BLOCK_SIZE as usize).enumerate() {
-                let mut block = chunk.to_vec();
-                block.resize(BLOCK_SIZE as usize, 0);
-                inner.store.write_block(lba + i as u64, &block, durable);
-                if let Some(p) = &inner.persist {
+            // The one copy of each block: host buffer → store. Nothing
+            // below yields while the buffer is locked.
+            for (i, chunk) in buf.lock()[..len].chunks(BLOCK_SIZE as usize).enumerate() {
+                let lba = lba + i as u64;
+                let block = chunk.to_vec();
+                let logged = inner.persist.as_ref().map(|p| (p, block.clone()));
+                inner.store.write_block(lba, block, durable);
+                if let Some((p, data)) = logged {
                     let kind = if effective_durable {
-                        PersistEventKind::MediaWrite {
-                            lba: lba + i as u64,
-                            data: block,
-                        }
+                        PersistEventKind::MediaWrite { lba, data }
                     } else {
-                        PersistEventKind::CacheWrite {
-                            lba: lba + i as u64,
-                            data: block,
-                        }
+                        PersistEventKind::CacheWrite { lba, data }
                     };
                     p.record(ccnvme_runtime::now(), kind);
                 }
@@ -917,7 +912,7 @@ fn fire(inner: &CtrlInner, job: Job) {
                 EventKind::MediaWrite,
                 job.qid,
                 job.tx_id,
-                bytes,
+                len as u64,
                 job.ctx,
             );
         }
@@ -927,13 +922,11 @@ fn fire(inner: &CtrlInner, job: Job) {
             token,
         } => {
             if let Some(buf) = inner.hostmem.get(token) {
-                let mut out = Vec::with_capacity(nblocks as usize * BLOCK_SIZE as usize);
-                for i in 0..nblocks as u64 {
-                    out.extend_from_slice(&inner.store.read_block(lba + i));
-                }
                 let mut b = buf.lock();
-                let n = out.len().min(b.len());
-                b[..n].copy_from_slice(&out[..n]);
+                let n = (nblocks as usize * BLOCK_SIZE as usize).min(b.len());
+                for (i, chunk) in b[..n].chunks_mut(BLOCK_SIZE as usize).enumerate() {
+                    inner.store.read_into(lba + i as u64, chunk);
+                }
             }
         }
         Action::Flush => {
@@ -1040,15 +1033,21 @@ mod tests {
         }
 
         fn write_cmd(&self, lba: u64, byte: u8, fua: bool) -> NvmeCommand {
-            let buf: crate::hostmem::DataBuf =
-                Arc::new(Mutex::new(vec![byte; BLOCK_SIZE as usize]));
-            let token = self.ctrl.hostmem().register(buf);
+            let buf: DataBuf = Arc::new(Mutex::new(vec![byte; BLOCK_SIZE as usize]));
+            self.io_cmd(Opcode::Write, lba, &buf, fua)
+        }
+
+        /// A read or write of `buf`'s whole blocks at `lba`, `buf`
+        /// registered under the command's data token.
+        fn io_cmd(&self, opcode: Opcode, lba: u64, buf: &DataBuf, fua: bool) -> NvmeCommand {
+            let nblocks = (buf.lock().len() as u64 / BLOCK_SIZE) as u16;
+            let token = self.ctrl.hostmem().register(Arc::clone(buf));
             NvmeCommand {
-                opcode: Opcode::Write,
+                opcode,
                 cid: 0,
                 nsid: 1,
                 lba,
-                nblocks: 1,
+                nblocks,
                 fua,
                 tx_id: 0,
                 tx_flags: TxFlags::NONE,
@@ -1089,6 +1088,54 @@ mod tests {
             let e = h.await_completion();
             assert_eq!(e.status, Status::Success);
             assert_eq!(buf.lock()[0], 0xab);
+        });
+        sim.run();
+    }
+
+    #[test]
+    fn a_multi_block_read_lands_each_block_at_its_offset() {
+        let mut sim = Sim::new(2);
+        sim.spawn("host", 0, || {
+            // A volatile cache, so a block can be durable, cached or both.
+            let mut h = Harness::new(SsdProfile::intel_750());
+            for (lba, byte, fua) in [(20, 0x11, true), (21, 0x22, true), (21, 0x33, false)] {
+                let cmd = h.write_cmd(lba, byte, fua);
+                h.submit(cmd);
+                assert_eq!(h.await_completion().status, Status::Success);
+            }
+            assert_eq!(h.ctrl.store().dirty_count(), 1);
+            let bs = BLOCK_SIZE as usize;
+            let buf: DataBuf = Arc::new(Mutex::new(vec![0xff; 3 * bs]));
+            let cmd = h.io_cmd(Opcode::Read, 20, &buf, false);
+            h.submit(cmd);
+            assert_eq!(h.await_completion().status, Status::Success);
+            let b = buf.lock();
+            // Durable at 20, the cached 0x33 over the durable 0x22 at 21,
+            // zeros for the absent 22.
+            for (i, want) in [0x11, 0x33, 0].into_iter().enumerate() {
+                assert!(
+                    b[i * bs..(i + 1) * bs].iter().all(|x| *x == want),
+                    "block {i} is not {want:#x}"
+                );
+            }
+        });
+        sim.run();
+    }
+
+    #[test]
+    fn a_completed_command_leaves_no_clone_of_the_host_buffer() {
+        let mut sim = Sim::new(2);
+        sim.spawn("host", 0, || {
+            let mut h = Harness::new(SsdProfile::optane_p5800x());
+            for opcode in [Opcode::Write, Opcode::Read] {
+                let buf: DataBuf = Arc::new(Mutex::new(vec![0x5a; 2 * BLOCK_SIZE as usize]));
+                let cmd = h.io_cmd(opcode, 40, &buf, false);
+                let token = cmd.data_token;
+                h.submit(cmd);
+                assert_eq!(h.await_completion().status, Status::Success);
+                h.ctrl.hostmem().unregister(token);
+                assert_eq!(Arc::strong_count(&buf), 1, "{opcode:?} kept the buffer");
+            }
         });
         sim.run();
     }
@@ -1394,27 +1441,23 @@ mod tests {
                 let plan =
                     FaultPlan::new(9).rule(FaultRule::new(FaultKind::TornDma, Trigger::Nth(1)));
                 let mut h = faulty(SsdProfile::optane_p5800x(), plan);
-                let buf: crate::hostmem::DataBuf =
-                    Arc::new(Mutex::new(vec![0xcc; 8 * BLOCK_SIZE as usize]));
-                let token = h.ctrl.hostmem().register(buf);
-                h.submit(NvmeCommand {
-                    opcode: Opcode::Write,
-                    cid: 0,
-                    nsid: 1,
-                    lba: 100,
-                    nblocks: 8,
-                    fua: true,
-                    tx_id: 0,
-                    tx_flags: TxFlags::NONE,
-                    data_token: token,
-                    ctx: ccnvme_obs::TraceCtx::ZERO,
-                });
+                let buf: DataBuf = Arc::new(Mutex::new(vec![0xcc; 8 * BLOCK_SIZE as usize]));
+                let cmd = h.io_cmd(Opcode::Write, 100, &buf, true);
+                h.submit(cmd);
                 let e = h.await_completion();
                 assert_eq!(e.status, Status::MediaWriteError);
-                // The tear keeps strictly fewer than 8 blocks, so the last
-                // block can never have landed.
+                // The tear keeps strictly fewer than 8 blocks: what landed
+                // is the run 100..100+k, k < 8, each block the host's.
                 let image = h.ctrl.graceful_image();
-                assert!(!image.blocks.contains_key(&107));
+                let k = image.blocks.len() as u64;
+                assert!(k < 8, "a torn write landed all {k} blocks");
+                for lba in 100..100 + k {
+                    let block = image.blocks.get(&lba).expect("the landed run is a prefix");
+                    assert!(
+                        block.iter().all(|b| *b == 0xcc),
+                        "lba {lba} is not the host's"
+                    );
+                }
                 let m = h.ctrl.link().obs.metrics.snapshot();
                 assert_eq!(m.counter("fault.torn_dma"), 1);
             });

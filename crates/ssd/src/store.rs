@@ -53,12 +53,13 @@ impl BlockStore {
         s
     }
 
-    /// Writes one block. `durable` forces media (FUA or no-cache device).
+    /// Writes one block, keeping `data` itself. `durable` forces media
+    /// (FUA or no-cache device).
     ///
     /// # Panics
     ///
     /// Panics if `data` is not exactly one block.
-    pub fn write_block(&self, lba: u64, data: &[u8], durable: bool) {
+    pub fn write_block(&self, lba: u64, data: Vec<u8>, durable: bool) {
         assert_eq!(
             data.len() as u64,
             BLOCK_SIZE,
@@ -68,21 +69,37 @@ impl BlockStore {
         st.total_writes += 1;
         if durable || self.power_protected {
             st.volatile.remove(&lba);
-            st.durable.insert(lba, data.to_vec());
+            st.durable.insert(lba, data);
         } else {
-            st.volatile.insert(lba, data.to_vec());
+            st.volatile.insert(lba, data);
         }
     }
 
     /// Reads one block; absent blocks read as zeros. The cache is
     /// consulted first (it holds the newest version).
     pub fn read_block(&self, lba: u64) -> Vec<u8> {
+        let mut out = vec![0; BLOCK_SIZE as usize];
+        self.read_into(lba, &mut out);
+        out
+    }
+
+    /// Copies the first `out.len()` bytes of block `lba` into `out`,
+    /// with the same rules as [`BlockStore::read_block`]: an absent block
+    /// reads as zeros and a cached block wins over a durable one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` is longer than one block.
+    pub fn read_into(&self, lba: u64, out: &mut [u8]) {
+        assert!(
+            out.len() as u64 <= BLOCK_SIZE,
+            "read must fit one 4 KB block"
+        );
         let st = self.st.lock();
-        st.volatile
-            .get(&lba)
-            .or_else(|| st.durable.get(&lba))
-            .cloned()
-            .unwrap_or_else(|| vec![0; BLOCK_SIZE as usize])
+        match st.volatile.get(&lba).or_else(|| st.durable.get(&lba)) {
+            Some(data) => out.copy_from_slice(&data[..out.len()]),
+            None => out.fill(0),
+        }
     }
 
     /// Makes every cached write durable; returns how many were destaged.
@@ -164,7 +181,7 @@ mod tests {
     #[test]
     fn read_your_write() {
         let s = BlockStore::new(false);
-        s.write_block(5, &blk(7), false);
+        s.write_block(5, blk(7), false);
         assert_eq!(s.read_block(5), blk(7));
     }
 
@@ -172,12 +189,15 @@ mod tests {
     fn unwritten_blocks_read_zero() {
         let s = BlockStore::new(false);
         assert_eq!(s.read_block(99), blk(0));
+        let mut prefix = [0xff; 100];
+        s.read_into(99, &mut prefix);
+        assert_eq!(prefix, [0; 100]);
     }
 
     #[test]
     fn cached_writes_lost_on_crash_without_flush() {
         let s = BlockStore::new(false);
-        s.write_block(1, &blk(1), false);
+        s.write_block(1, blk(1), false);
         let image = s.crash(42, 0.0);
         assert!(image.is_empty());
     }
@@ -185,7 +205,7 @@ mod tests {
     #[test]
     fn flushed_writes_survive_crash() {
         let s = BlockStore::new(false);
-        s.write_block(1, &blk(1), false);
+        s.write_block(1, blk(1), false);
         s.flush();
         let image = s.crash(42, 0.0);
         assert_eq!(image.get(&1), Some(&blk(1)));
@@ -194,7 +214,7 @@ mod tests {
     #[test]
     fn fua_writes_survive_crash() {
         let s = BlockStore::new(false);
-        s.write_block(2, &blk(9), true);
+        s.write_block(2, blk(9), true);
         let image = s.crash(1, 0.0);
         assert_eq!(image.get(&2), Some(&blk(9)));
     }
@@ -202,7 +222,7 @@ mod tests {
     #[test]
     fn power_protected_ignores_cache_semantics() {
         let s = BlockStore::new(true);
-        s.write_block(3, &blk(4), false);
+        s.write_block(3, blk(4), false);
         assert_eq!(s.dirty_count(), 0);
         let image = s.crash(1, 0.0);
         assert_eq!(image.get(&3), Some(&blk(4)));
@@ -211,9 +231,12 @@ mod tests {
     #[test]
     fn newest_version_wins_across_cache_and_media() {
         let s = BlockStore::new(false);
-        s.write_block(4, &blk(1), true);
-        s.write_block(4, &blk(2), false);
+        s.write_block(4, blk(1), true);
+        s.write_block(4, blk(2), false);
         assert_eq!(s.read_block(4), blk(2));
+        let mut prefix = [0xff; 100];
+        s.read_into(4, &mut prefix);
+        assert_eq!(prefix, [2; 100]);
         s.flush();
         assert_eq!(s.read_block(4), blk(2));
     }
@@ -223,7 +246,7 @@ mod tests {
         fn run() -> Vec<u64> {
             let s = BlockStore::new(false);
             for lba in 0..32 {
-                s.write_block(lba, &blk(lba as u8), false);
+                s.write_block(lba, blk(lba as u8), false);
             }
             let mut survivors: Vec<u64> = s.crash(7, 0.5).into_keys().collect();
             survivors.sort_unstable();
@@ -236,9 +259,9 @@ mod tests {
     fn crash_installs_the_snapshot_it_would_have_taken() {
         let s = BlockStore::new(false);
         for lba in 0..32 {
-            s.write_block(lba, &blk(lba as u8), lba % 3 == 0);
+            s.write_block(lba, blk(lba as u8), lba % 3 == 0);
         }
-        s.write_block(7, &blk(0xee), false);
+        s.write_block(7, blk(0xee), false);
         let snapshot = s.crash_snapshot(11, 0.5);
         let image = s.crash(11, 0.5);
         assert_eq!(snapshot, image);
@@ -251,7 +274,7 @@ mod tests {
     #[test]
     fn from_image_restores_media() {
         let s = BlockStore::new(false);
-        s.write_block(10, &blk(5), true);
+        s.write_block(10, blk(5), true);
         let img = s.durable_image();
         let s2 = BlockStore::from_image(false, img);
         assert_eq!(s2.read_block(10), blk(5));
@@ -261,7 +284,7 @@ mod tests {
     fn flush_reports_destaged_count() {
         let s = BlockStore::new(false);
         for lba in 0..5 {
-            s.write_block(lba, &blk(0), false);
+            s.write_block(lba, blk(0), false);
         }
         assert_eq!(s.flush(), 5);
         assert_eq!(s.flush(), 0);
