@@ -9,8 +9,9 @@
 use ccnvme_bench::{
     f1, header, quick, record_run, record_run_seq, row, scaled, write_metrics, Stack, StackConfig,
 };
-use ccnvme_crashtest::{campaign_metrics, run_fault_campaign, FaultCampaignConfig};
+use ccnvme_crashtest::{run_fault_campaign, FaultCampaignConfig};
 use ccnvme_fault::{FaultCounters, FaultKind, FaultPlan, FaultRule, OpMask, Trigger};
+use ccnvme_obs::MetricsSnapshot;
 use ccnvme_sim::Sim;
 use ccnvme_ssd::SsdProfile;
 use ccnvme_workloads::{run_fio, FioConfig, SyncMode};
@@ -91,9 +92,9 @@ fn main() {
         }
     }
 
-    // Deterministic fault campaign: schedules per kind, each checking the
-    // end-to-end error contract; its report lands in the metrics document
-    // as fault_campaign.* counters.
+    // Deterministic fault campaign: schedules per kind, each a crash
+    // sweep checking the end-to-end error contract; its reports land in
+    // the metrics document as crashenum.fault_campaign.* counters.
     header("Fault campaign (error-contract schedules)");
     let campaign = FaultCampaignConfig {
         stack: StackConfig::new(FsVariant::Mqfs, SsdProfile::optane_905p(), 1),
@@ -106,21 +107,23 @@ fn main() {
         FaultKind::MediaWrite,
     ];
     let reports = run_fault_campaign(&kinds, &campaign);
-    for r in &reports {
+    let mut snap = MetricsSnapshot::default();
+    for (kind, r) in kinds.iter().zip(&reports) {
         row(
-            &format!("{:?}", r.kind),
+            &format!("{kind:?}"),
             &[
-                format!("fired {}/{}", r.fired, r.schedules),
-                format!("degraded {}", r.degraded),
-                format!("retries {}", r.retries),
+                format!("fired {}/{}", r.count("fired"), campaign.schedules),
+                format!("degraded {}", r.count("degraded")),
+                format!("retries {}", r.count("retries")),
                 format!("violations {}", r.failures.len()),
             ],
         );
         for f in &r.failures {
             println!("    {f}");
         }
+        snap.counters.extend(r.metrics().counters);
     }
-    record_run("campaign", campaign_metrics(&reports));
+    record_run("campaign", snap);
     write_metrics("faultpath");
     if reports.iter().any(|r| !r.failures.is_empty()) {
         std::process::exit(1);

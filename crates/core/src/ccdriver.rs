@@ -443,7 +443,7 @@ fn enqueue(q: &Arc<CcQueue>, bio: Bio, ring: bool, flush_first: bool) {
     // per bio keeps the recorder's posted-write tax off the per-bio hot
     // path. The volatile ring still sees every bio.
     q.obs
-        .event_persist(EventKind::TxBegin, tx_id, 0, trace, flags.tx_commit);
+        .event(EventKind::TxBegin, tx_id, 0, trace, flags.tx_commit);
     // Reserve the next ring slot (block while the ring is full). The
     // slot index doubles as the command id; it stays unique because a
     // slot is only reused after its in-order completion.
@@ -467,14 +467,14 @@ fn enqueue(q: &Arc<CcQueue>, bio: Bio, ring: bool, flush_first: bool) {
     };
     store_sqe(q, &cmd);
     q.obs
-        .event(EventKind::SqeStore, tx_id, cmd.cid as u64, trace);
+        .event(EventKind::SqeStore, tx_id, cmd.cid as u64, trace, true);
     if ring {
         let tail = if flush_first {
             // Persistent-MMIO flush: clflush + mfence + zero-byte read.
             // After this, every entry of the transaction is in the PMR
             // (step 2a).
             q.dev.pmr.flush();
-            q.obs.event(EventKind::MmioFlush, tx_id, 0, trace);
+            q.obs.event(EventKind::MmioFlush, tx_id, 0, trace, true);
             ring_doorbell(q)
         } else {
             // ccnvme-lint: allow(persist-order) — non-boundary ring:
@@ -484,7 +484,8 @@ fn enqueue(q: &Arc<CcQueue>, bio: Bio, ring: bool, flush_first: bool) {
             // whose ring takes the flush_first arm above.
             ring_doorbell(q)
         };
-        q.obs.event(EventKind::Doorbell, tx_id, tail as u64, trace);
+        q.obs
+            .event(EventKind::Doorbell, tx_id, tail as u64, trace, true);
     }
 }
 
@@ -589,8 +590,13 @@ fn fail_slot(st: &mut CcqSt, q: &CcQueue, pos: usize, status: BioStatus) -> bool
             st.abort_logged += 1;
             // Posted after the log entry + count: a durable tx_abort
             // record is proof the abort-log append itself is durable.
-            q.obs
-                .event(EventKind::TxAbort, tx_id, st.abort_logged as u64, trace);
+            q.obs.event(
+                EventKind::TxAbort,
+                tx_id,
+                st.abort_logged as u64,
+                trace,
+                true,
+            );
         }
     }
     true
@@ -670,7 +676,7 @@ fn advance_queue(q: &CcQueue) {
         // Same thinning as TxBegin: the commit bio's completion is the
         // one durable witness per transaction (it rides right after the
         // head-advance write above, which it proves).
-        q.obs.event_persist(
+        q.obs.event(
             EventKind::Completion,
             bio.tx_id,
             0,

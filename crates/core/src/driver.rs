@@ -179,14 +179,14 @@ impl NvmeDriver {
             st.inflight.insert(cid, Inflight { bio, attempt });
             (cmd, slot, new_tail)
         };
-        q.obs.event(EventKind::TxBegin, tx_id, 0, trace);
+        q.obs.event(EventKind::TxBegin, tx_id, 0, trace, true);
         write_sqe(q, slot, &cmd);
         q.obs
-            .event(EventKind::SqeStore, tx_id, cmd.cid as u64, trace);
+            .event(EventKind::SqeStore, tx_id, cmd.cid as u64, trace, true);
         // Eager per-request doorbell — original NVMe behaviour.
         q.dev.regs.write(q.sqdb_off, &new_tail.to_le_bytes());
         q.obs
-            .event(EventKind::Doorbell, tx_id, new_tail as u64, trace);
+            .event(EventKind::Doorbell, tx_id, new_tail as u64, trace, true);
     }
 }
 
@@ -252,7 +252,7 @@ fn complete_one(q: &Arc<DrvQueue>, epoch: u64, entry: CompletionEntry) {
             q.cv.notify_all();
             q.obs.completed(inf.attempt.submitted_at);
             q.obs
-                .event(EventKind::Completion, inf.bio.tx_id, 0, inf.bio.ctx);
+                .event(EventKind::Completion, inf.bio.tx_id, 0, inf.bio.ctx, true);
             finish(&dev.hostmem, inf, dev.err.terminal(entry.status));
         }
     }

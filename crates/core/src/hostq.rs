@@ -15,7 +15,7 @@
 use std::sync::Arc;
 
 use ccnvme_block::{Bio, BioOp, BioStatus};
-use ccnvme_obs::{EventKind, Histogram, Obs, TraceCtx};
+use ccnvme_obs::{EventKind, Histogram, Obs, TraceCtx, TraceEvent};
 use ccnvme_runtime::{mpsc_channel, Ns, Receiver, Sender};
 use ccnvme_ssd::{HostMemory, NvmeCommand, Opcode, Status, TxFlags};
 
@@ -284,14 +284,9 @@ impl QueueObs {
         }
     }
 
-    /// Records a lifecycle event of this queue, now.
-    pub(crate) fn event(&self, kind: EventKind, tx_id: u64, arg: u64, ctx: TraceCtx) {
-        self.event_persist(kind, tx_id, arg, ctx, true);
-    }
-
-    /// [`QueueObs::event`] with an explicit persistence hint: `false`
-    /// keeps the event out of the flight recorder.
-    pub(crate) fn event_persist(
+    /// Records a lifecycle event of this queue, now; `persist: false`
+    /// keeps it out of the flight recorder.
+    pub(crate) fn event(
         &self,
         kind: EventKind,
         tx_id: u64,
@@ -299,10 +294,15 @@ impl QueueObs {
         ctx: TraceCtx,
         persist: bool,
     ) {
-        let now = ccnvme_runtime::now();
-        self.hub
-            .trace
-            .event_ctx_persist(now, kind, self.qid, tx_id, arg, ctx, persist);
+        let ev = TraceEvent {
+            at: ccnvme_runtime::now(),
+            kind,
+            qid: self.qid,
+            tx_id,
+            arg,
+            ctx,
+        };
+        self.hub.trace.record(ev, persist);
     }
 
     /// Records the submit-to-complete latency of a bio completing now.

@@ -9,36 +9,65 @@
 //! `forensics_images`). The convergence witness is the media content
 //! an fsck-clean recovery leaves behind — the PMR legitimately differs
 //! across recoveries (the ring generation bumps on every probe).
+//!
+//! A fault plan in the stack config arms the recorded run only: every
+//! crash image boots on healthy hardware. The recorded run's own
+//! findings ([`CrashWorkload::run`]) fail the sweep, and a faulted
+//! sweep reports the run's [`fault_tallies`] as counters.
 
 use std::{
-    collections::{HashMap, HashSet},
+    collections::{BTreeMap, HashMap, HashSet},
     sync::Arc,
 };
 
-use ccnvme_ssd::DurableImage;
+use ccnvme_fault::FaultCounters;
+use ccnvme_obs::MetricsSnapshot;
+use ccnvme_ssd::{DurableImage, PersistLog};
+use mqfs::FileSystem;
 
-use crate::sweep::{CrashSurface, Domain, Judgement, Settled, Tape};
+use crate::sweep::{CrashSurface, Domain, Judgement, Settled, SweepReport, Tape};
 use crate::{CrashWorkload, Stack, StackConfig, SETTLED};
+
+/// The fault tallies of a run on `fs`, from `m`, a snapshot of its
+/// stack's registry: `fired` and `degraded` (0 or 1), and the host
+/// error ladder's `retries`, `kicks` and `timeouts`. A faulted sweep
+/// reports its recorded run's as counters; a script with a live error
+/// contract judges its run on them.
+pub fn fault_tallies(m: &MetricsSnapshot, fs: &FileSystem) -> BTreeMap<&'static str, u64> {
+    let host_err = |name: &str| m.counter(&format!("host_err.{name}"));
+    [
+        ("fired", (FaultCounters::media_injections(m) > 0) as u64),
+        ("degraded", fs.error_state().is_some() as u64),
+        ("retries", host_err("retries")),
+        ("kicks", host_err("doorbell_kicks")),
+        ("timeouts", host_err("timeouts")),
+    ]
+    .into()
+}
 
 /// One workload on one stack.
 pub struct FsSurface {
     /// The script and its durability oracle.
     pub workload: Arc<dyn CrashWorkload>,
     /// Stack under test (`record_persistence` is forced on internally
-    /// for the instrumented passes).
+    /// for the instrumented passes; `fault` arms the recorded run only).
     pub stack: StackConfig,
 }
 
 impl FsSurface {
-    fn stack(&self, record: bool) -> StackConfig {
-        let mut cfg = self.stack.clone();
-        cfg.record_persistence = record;
-        cfg
+    /// The stack a crash image boots on: healthy hardware.
+    fn healthy(&self, record: bool) -> StackConfig {
+        StackConfig {
+            fault: None,
+            record_persistence: record,
+            ..self.stack.clone()
+        }
     }
 }
 
 impl CrashSurface for FsSurface {
-    type Script = ();
+    /// The recorded run's own findings and fault tallies.
+    type Script = SweepReport;
     type Witness = HashMap<u64, Vec<u8>>;
 
     fn name(&self) -> String {
@@ -49,18 +78,30 @@ impl CrashSurface for FsSurface {
         self.stack.sim_cores()
     }
 
-    fn record(&self, tape: &mut Tape) {
-        let (stack, fs) = Stack::format(&self.stack(true));
+    fn record(&self, tape: &mut Tape) -> SweepReport {
+        let (stack, fs) = Stack::format(&StackConfig {
+            record_persistence: true,
+            ..self.stack.clone()
+        });
         let log = stack.controller().persist_log();
         tape.start(vec![Domain {
             log: log.expect("record_persistence was set"),
             geometry: stack.cc_driver().map(|d| d.layout().sanitizer_geometry()),
         }]);
-        self.workload.run(&fs, tape.marks());
+        let failures = self.workload.run(&fs, tape.marks());
+        let counters = match self.stack.fault {
+            None => Default::default(),
+            Some(_) => fault_tallies(&stack.metrics(), &fs),
+        };
+        SweepReport {
+            failures,
+            counters,
+            ..SweepReport::default()
+        }
     }
 
-    fn judge(&self, _: &(), images: &[DurableImage], acked: &HashSet<u64>) -> Judgement {
-        let mut problems = match Stack::recover(&self.stack(false), &images[0]) {
+    fn judge(&self, _: &SweepReport, images: &[DurableImage], acked: &HashSet<u64>) -> Judgement {
+        let mut problems = match Stack::recover(&self.healthy(false), &images[0]) {
             Ok((_stack, fs)) => {
                 let mut problems = fs.check();
                 problems.extend(self.workload.verify(&fs, acked));
@@ -91,7 +132,7 @@ impl CrashSurface for FsSurface {
         images: &[DurableImage],
         record: bool,
     ) -> Result<Settled<Self::Witness>, String> {
-        let (stack, fs) = Stack::recover(&self.stack(record), &images[0])
+        let (stack, fs) = Stack::recover(&self.healthy(record), &images[0])
             .map_err(|e| format!("remount failed: {e}"))?;
         // The recorded pass ends where the mount returns: an fsck would
         // let background journal work run on and lengthen the log it is
@@ -106,5 +147,9 @@ impl CrashSurface for FsSurface {
             witness: stack.crash_snapshot(SETTLED).blocks,
             logs: stack.controller().persist_log().into_iter().collect(),
         })
+    }
+
+    fn finish(&self, run: &SweepReport, _: &[Arc<PersistLog>], report: &mut SweepReport) {
+        report.absorb("recorded run", run.clone());
     }
 }

@@ -22,8 +22,8 @@
 //!    confirms every guarantee whose persistence point completed before
 //!    the crash instant.
 //!
-//! [`faults`] composes the same stack with deterministic device-error
-//! schedules instead of power cuts.
+//! [`faults`] sweeps the same surface with a deterministic device-error
+//! schedule armed on the recorded run.
 
 pub mod cluster;
 pub mod faults;
@@ -41,8 +41,8 @@ use mqfs::FileSystem;
 use parking_lot::Mutex;
 
 pub use cluster::ClusterSurface;
-pub use faults::{campaign_metrics, run_fault_campaign, FaultCampaignConfig, FaultKindReport};
-pub use fs::FsSurface;
+pub use faults::{run_fault_campaign, FaultCampaignConfig};
+pub use fs::{fault_tallies, FsSurface};
 pub use ploc::PlocSurface;
 pub use stack::{Stack, StackConfig};
 pub use sweep::{sweep, CrashSurface, Cuts, RecrashSweep, SweepPlan, SweepReport};
@@ -110,8 +110,10 @@ pub trait CrashWorkload: Send + Sync {
     /// Workload name (Table 4's first column).
     fn name(&self) -> &'static str;
 
-    /// Runs the script, recording persistence points into `log`.
-    fn run(&self, fs: &Arc<FileSystem>, log: &OpLog);
+    /// Runs the script, recording persistence points into `log`, and
+    /// returns what the run itself broke of the workload's live
+    /// contract (empty for a script that has none beyond `expect`).
+    fn run(&self, fs: &Arc<FileSystem>, log: &OpLog) -> Vec<String>;
 
     /// Verifies a recovered file system given the set of persistence
     /// points that had completed before the crash. Returns violations.

@@ -252,6 +252,23 @@ impl SweepReport {
         }
     }
 
+    /// Adds the counts of `other` to this report and keeps its failures,
+    /// each prefixed with `label`: one report over several sweeps.
+    pub fn absorb(&mut self, label: &str, other: SweepReport) {
+        self.events += other.events;
+        self.cuts += other.cuts;
+        self.states += other.states;
+        self.clean += other.clean;
+        self.recovery_recrashes += other.recovery_recrashes;
+        self.sanitizer_violations += other.sanitizer_violations;
+        for (name, n) in other.counters {
+            *self.counters.entry(name).or_default() += n;
+        }
+        for failure in other.failures {
+            self.fail(format!("{label}: {failure}"));
+        }
+    }
+
     /// Flattens the report into the machine-readable
     /// `ccnvme-metrics/v1` document the bench binaries emit:
     /// one `crashenum.<surface>.<field>` counter per field.

@@ -1,4 +1,6 @@
-//! The four crash-consistency workloads of Table 4.
+//! The crash-consistency workloads: the four of Table 4, the surfaces
+//! the enumerator pins, and [`FaultScript`], which every fault schedule
+//! runs.
 //!
 //! Each script interleaves *issue marks* (recorded before an operation
 //! mutates the namespace) with *persistence marks* (recorded after the
@@ -13,12 +15,14 @@
 
 use std::{
     collections::{BTreeSet, HashSet},
-    sync::Arc,
+    sync::{Arc, OnceLock},
 };
 
-use mqfs::FileSystem;
+use ccnvme_fault::FaultCounters;
+use ccnvme_sim::Ns;
+use mqfs::{FileSystem, FsError};
 
-use crate::{CrashWorkload, OpLog};
+use crate::{fault_tallies, CrashWorkload, OpLog};
 
 fn exists(fs: &Arc<FileSystem>, path: &str) -> Option<u64> {
     fs.resolve(path).ok()
@@ -47,7 +51,7 @@ impl CrashWorkload for CreateDelete {
         "create_delete"
     }
 
-    fn run(&self, fs: &Arc<FileSystem>, log: &OpLog) {
+    fn run(&self, fs: &Arc<FileSystem>, log: &OpLog) -> Vec<String> {
         fs.mkdir_path("/cd").expect("mkdir");
         let dir = fs.resolve("/cd").expect("resolve");
         fs.fsync(dir).expect("persist dir");
@@ -63,6 +67,7 @@ impl CrashWorkload for CreateDelete {
                 log.mark(4 * (r - 1) + 3);
             }
         }
+        Vec::new()
     }
 
     fn verify(&self, fs: &Arc<FileSystem>, persisted: &HashSet<u64>) -> Vec<String> {
@@ -115,7 +120,7 @@ impl CrashWorkload for Generic035 {
         "generic_035"
     }
 
-    fn run(&self, fs: &Arc<FileSystem>, log: &OpLog) {
+    fn run(&self, fs: &Arc<FileSystem>, log: &OpLog) -> Vec<String> {
         fs.mkdir_path("/g35").expect("mkdir");
         let dir = fs.resolve("/g35").expect("resolve");
         let t = fs.create_path("/g35/target").expect("create");
@@ -141,6 +146,7 @@ impl CrashWorkload for Generic035 {
         fs.rename(dir, "dsrc", dir, "dtgt").expect("dir rename");
         fs.fsync(dir).expect("fsync");
         log.mark(1_002);
+        Vec::new()
     }
 
     fn verify(&self, fs: &Arc<FileSystem>, persisted: &HashSet<u64>) -> Vec<String> {
@@ -207,7 +213,7 @@ impl CrashWorkload for Generic106 {
         "generic_106"
     }
 
-    fn run(&self, fs: &Arc<FileSystem>, log: &OpLog) {
+    fn run(&self, fs: &Arc<FileSystem>, log: &OpLog) -> Vec<String> {
         fs.mkdir_path("/g106").expect("mkdir");
         let dir = fs.resolve("/g106").expect("resolve");
         let orig = fs.create_path("/g106/orig").expect("create");
@@ -228,6 +234,7 @@ impl CrashWorkload for Generic106 {
         fs.rmdir(dir, "sub").expect("rmdir");
         fs.fsync(dir).expect("fsync");
         log.mark(6);
+        Vec::new()
     }
 
     fn verify(&self, fs: &Arc<FileSystem>, persisted: &HashSet<u64>) -> Vec<String> {
@@ -297,7 +304,7 @@ impl CrashWorkload for Generic321 {
         "generic_321"
     }
 
-    fn run(&self, fs: &Arc<FileSystem>, log: &OpLog) {
+    fn run(&self, fs: &Arc<FileSystem>, log: &OpLog) -> Vec<String> {
         fs.mkdir_path("/g321").expect("mkdir");
         let root = fs.resolve("/g321").expect("resolve");
         fs.fsync(root).expect("fsync");
@@ -320,6 +327,7 @@ impl CrashWorkload for Generic321 {
         fs.create_path("/g321/a/baz").expect("create");
         fs.fsync(a).expect("fsync a");
         log.mark(4);
+        Vec::new()
     }
 
     fn verify(&self, fs: &Arc<FileSystem>, persisted: &HashSet<u64>) -> Vec<String> {
@@ -405,7 +413,7 @@ impl CrashWorkload for ExtentSpill {
         "extent_spill"
     }
 
-    fn run(&self, fs: &Arc<FileSystem>, log: &OpLog) {
+    fn run(&self, fs: &Arc<FileSystem>, log: &OpLog) -> Vec<String> {
         fs.mkdir_path("/ext").expect("mkdir");
         let dir = fs.resolve("/ext").expect("resolve");
         fs.fsync(dir).expect("persist dir");
@@ -440,6 +448,7 @@ impl CrashWorkload for ExtentSpill {
         }
         fs.fsync(a).expect("fsync");
         log.mark(4);
+        Vec::new()
     }
 
     fn verify(&self, fs: &Arc<FileSystem>, persisted: &HashSet<u64>) -> Vec<String> {
@@ -551,7 +560,7 @@ impl CrashWorkload for PatchChain {
         "patch_chain"
     }
 
-    fn run(&self, fs: &Arc<FileSystem>, log: &OpLog) {
+    fn run(&self, fs: &Arc<FileSystem>, log: &OpLog) -> Vec<String> {
         let append = |core: usize, file: usize, ino: u64, block: u64| {
             let fs = Arc::clone(fs);
             ccnvme_sim::spawn("hop", core, move || {
@@ -581,6 +590,7 @@ impl CrashWorkload for PatchChain {
             blocks[f] += 1;
             log.mark(s as u64);
         }
+        Vec::new()
     }
 
     fn verify(&self, fs: &Arc<FileSystem>, persisted: &HashSet<u64>) -> Vec<String> {
@@ -682,7 +692,7 @@ impl CrashWorkload for DirRecords {
         "dir_records"
     }
 
-    fn run(&self, fs: &Arc<FileSystem>, log: &OpLog) {
+    fn run(&self, fs: &Arc<FileSystem>, log: &OpLog) -> Vec<String> {
         let dir = fs.mkdir_path(Self::DIR).expect("mkdir");
         for k in 0..=20 {
             fs.create(dir, &Self::long(k)).expect("create");
@@ -705,6 +715,7 @@ impl CrashWorkload for DirRecords {
             .expect("rename");
         fs.fsync(dir).expect("fsync dir");
         log.mark(5);
+        Vec::new()
     }
 
     fn verify(&self, fs: &Arc<FileSystem>, persisted: &HashSet<u64>) -> Vec<String> {
@@ -765,7 +776,7 @@ impl CrashWorkload for CarriedGroups {
         "carried_groups"
     }
 
-    fn run(&self, fs: &Arc<FileSystem>, log: &OpLog) {
+    fn run(&self, fs: &Arc<FileSystem>, log: &OpLog) -> Vec<String> {
         let dir = fs.mkdir_path(Self::DIR).expect("mkdir");
         let a = fs.create(dir, "a").expect("create a");
         fs.fsync(a).expect("fsync a");
@@ -778,6 +789,7 @@ impl CrashWorkload for CarriedGroups {
         fs.unlink(dir, "a").expect("unlink a");
         fs.fsync(dir).expect("fsync dir");
         log.mark(3);
+        Vec::new()
     }
 
     fn verify(&self, fs: &Arc<FileSystem>, persisted: &HashSet<u64>) -> Vec<String> {
@@ -791,6 +803,181 @@ impl CrashWorkload for CarriedGroups {
         }
         if persisted.contains(&1) && exists(fs, "/cg/b").is_none() {
             problems.push("/cg/b: create lost although the directory fsync returned".into());
+        }
+        problems
+    }
+}
+
+// ---------------------------------------------------------------------------
+// fault_campaign: the error contract of one device-fault schedule
+// ---------------------------------------------------------------------------
+
+/// The script every fault schedule runs (not a Table 4 row): `mkdir
+/// /d`, then [`FaultScript::FILES`] files of [`FaultScript::LEN`]
+/// bytes, each created, written and fsynced as one transaction, then a
+/// read-back of every fsynced file and a probe rewrite of `/d/f0`.
+///
+/// The stack's fault plan arms the recorded run, and the run is held
+/// to the live error contract, judged on what the plan fired and on the
+/// run's [`fault_tallies`]:
+///
+/// * **transient** faults (busy completions, dropped doorbells) are
+///   absorbed by the host's retry/kick ladder — every operation
+///   succeeds and nothing degrades;
+/// * **unrecoverable** faults (media errors, torn DMA, stalls) fail the
+///   *whole* enclosing transaction and degrade the file system to
+///   read-only: fsck reports it, reads keep working, the probe is
+///   rejected.
+///
+/// At every cut, recovery must never replay a torn or failed
+/// transaction: the fsynced files are exactly the committed ones,
+/// byte for byte, and any other is absent, empty or whole.
+#[derive(Default)]
+pub struct FaultScript {
+    /// Virtual times bracketing the files' transactions in the first run.
+    window: OnceLock<(Ns, Ns)>,
+}
+
+// Marks: k = `/d/f{k}`'s fsync returned; its content is `0xa0 + k`.
+impl FaultScript {
+    /// Files created and fsynced, one transaction each.
+    pub const FILES: usize = 3;
+    /// Bytes written per file, in one call: four blocks.
+    pub const LEN: usize = 4 * 4096;
+
+    /// When the files' transaction traffic began and ended in the
+    /// script's first run (on healthy hardware, where a campaign places
+    /// its fault windows); `None` before any run.
+    pub fn window(&self) -> Option<(Ns, Ns)> {
+        self.window.get().copied()
+    }
+}
+
+impl CrashWorkload for FaultScript {
+    fn name(&self) -> &'static str {
+        "fault_campaign"
+    }
+
+    fn run(&self, fs: &Arc<FileSystem>, log: &OpLog) -> Vec<String> {
+        // Set-up before any fault window: must always succeed.
+        fs.mkdir_path("/d").expect("mkdir");
+        let dir = fs.resolve("/d").expect("resolve");
+        fs.fsync(dir).expect("fsync dir");
+        let begin = ccnvme_sim::now();
+        let mut fsync_ok = [false; Self::FILES];
+        for (k, ok) in fsync_ok.iter_mut().enumerate() {
+            *ok = (|| {
+                let ino = fs.create_path(&format!("/d/f{k}"))?;
+                fs.write(ino, 0, &vec![0xa0 + k as u8; Self::LEN])?;
+                fs.fsync(ino)
+            })()
+            .is_ok();
+            if *ok {
+                log.mark(k as u64);
+            }
+        }
+        // The first run's window stands: later runs may be faulted.
+        let _ = self.window.set((begin, ccnvme_sim::now()));
+        // Reads must keep working, degraded or not.
+        let readback_ok = fsync_ok.iter().enumerate().all(|(k, ok)| {
+            !ok || exists(fs, &format!("/d/f{k}"))
+                .is_some_and(|ino| content_is(fs, ino, 0xa0 + k as u8, Self::LEN))
+        });
+        // Probe mutation: succeeds on a healthy stack, is rejected on a
+        // degraded one.
+        let probe = fs.resolve("/d/f0").and_then(|ino| {
+            fs.write(ino, 0, &[0xa0; 4096])?;
+            fs.fsync(ino)
+        });
+        // The live contract, on what the plan fired and the run's tallies.
+        let m = fs
+            .device()
+            .obs()
+            .expect("a stack's device shares the stack's registry")
+            .metrics
+            .snapshot();
+        let tallies = fault_tallies(&m, fs);
+        let (busy, drops) = (m.counter("fault.busy"), m.counter("fault.doorbell_drops"));
+        let unrecoverable = FaultCounters::media_injections(&m) > busy + drops;
+        let degraded = tallies["degraded"] > 0;
+        let all_ok = fsync_ok.iter().all(|ok| *ok);
+        let mut checks = if unrecoverable {
+            // Unrecoverable: whole-tx failure + read-only degradation.
+            let fsck = fs.check().join("; ");
+            let healed = fsync_ok.iter().skip_while(|ok| **ok).any(|ok| *ok);
+            vec![
+                (
+                    degraded,
+                    "unrecoverable fault did not degrade the file system",
+                ),
+                (
+                    fsck.contains("degraded to read-only"),
+                    "fsck does not report the degraded state",
+                ),
+                (
+                    probe.is_err(),
+                    "probe mutation accepted on a degraded file system",
+                ),
+                (!healed, "mutation succeeded after read-only degradation"),
+                // Every script fsync preceded the window: the fault must
+                // then have hit the probe's own transaction.
+                (
+                    !all_ok || probe.is_err(),
+                    "unrecoverable fault fired but nothing failed",
+                ),
+            ]
+        } else {
+            // No injection, or one the host must absorb: fully transparent.
+            vec![
+                (all_ok, "operation failed without an unrecoverable fault"),
+                (!degraded, "degraded without an unrecoverable fault"),
+                (probe.is_ok(), "probe mutation rejected on a healthy stack"),
+                (
+                    busy == 0 || tallies["retries"] > 0,
+                    "busy completion was not retried",
+                ),
+                (
+                    drops == 0 || tallies["timeouts"] == 0,
+                    "dropped doorbell escalated to a timeout",
+                ),
+            ]
+        };
+        checks.push((readback_ok, "read of committed data failed"));
+        let mut findings: Vec<String> = checks
+            .into_iter()
+            .filter(|(holds, _)| !holds)
+            .map(|(_, broken)| broken.to_string())
+            .collect();
+        match probe {
+            Err(e) if unrecoverable && !matches!(e, FsError::ReadOnly | FsError::Io) => {
+                findings.push(format!("probe failed with unexpected error: {e}"))
+            }
+            _ => {}
+        }
+        findings
+    }
+
+    fn verify(&self, fs: &Arc<FileSystem>, persisted: &HashSet<u64>) -> Vec<String> {
+        let mut problems = Vec::new();
+        for k in 0..Self::FILES {
+            let (path, byte) = (format!("/d/f{k}"), 0xa0 + k as u8);
+            let ino = exists(fs, &path);
+            if persisted.contains(&(k as u64)) {
+                if !ino.is_some_and(|ino| content_is(fs, ino, byte, Self::LEN)) {
+                    problems.push(format!("{path}: fsynced content lost or damaged"));
+                }
+            } else if let Some(ino) = ino {
+                // All-or-none: the file is written in one call before its
+                // own fsync, so a transaction that did not return leaves
+                // it empty or whole — any other size is torn.
+                let (size, _, _) = fs.stat(ino);
+                let whole = size == Self::LEN as u64 && content_is(fs, ino, byte, Self::LEN);
+                if size != 0 && !whole {
+                    problems.push(format!(
+                        "{path}: unacknowledged transaction replayed torn (size {size})"
+                    ));
+                }
+            }
         }
         problems
     }

@@ -457,12 +457,16 @@ impl MqJournal {
             );
             chain.drop_covered_images();
         }
-        inner.obs.trace.event(
-            ccnvme_runtime::now(),
-            EventKind::JournalCommit,
-            area_idx as u16 + 1,
-            tx_id,
-            TraceEvent::journal_commit_arg(copies, inline.len()),
+        inner.obs.trace.record(
+            TraceEvent {
+                at: ccnvme_runtime::now(),
+                kind: EventKind::JournalCommit,
+                qid: area_idx as u16 + 1,
+                tx_id,
+                arg: TraceEvent::journal_commit_arg(copies, inline.len()),
+                ctx: ccnvme_obs::ctx::current(),
+            },
+            true,
         );
         for bio in members {
             inner.dev.submit_bio(bio);

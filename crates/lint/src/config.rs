@@ -11,7 +11,7 @@ use std::path::Path;
 
 /// Analyzer configuration, normally loaded from `lint.toml` at the
 /// workspace root.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Config {
     /// Directories (workspace-relative) to scan for `.rs` files.
     pub include: Vec<String>,
@@ -45,7 +45,7 @@ pub struct Config {
     /// Source location of every configured value, as
     /// (`section.key`, value, 1-based line). Populated by [`Config::parse`];
     /// the staleness rule uses it to point findings at `lint.toml`
-    /// lines. Empty for the built-in defaults.
+    /// lines.
     pub value_lines: Vec<(String, String, usize)>,
 }
 
@@ -61,59 +61,13 @@ impl fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
+/// The checked-in workspace configuration, built into the binary.
+const WORKSPACE_TOML: &str = include_str!("../../../lint.toml");
+
 impl Default for Config {
-    /// The built-in defaults mirror the checked-in `lint.toml`; the
-    /// file remains authoritative for the workspace gate.
+    /// The checked-in `lint.toml`, the one home of the defaults.
     fn default() -> Self {
-        Config {
-            include: vec![
-                "crates".into(),
-                "src".into(),
-                "examples".into(),
-                "tests".into(),
-            ],
-            exclude: vec![
-                "crates/lint/tests/fixtures".into(),
-                "compat".into(),
-                "target".into(),
-            ],
-            pmr_receivers: vec!["pmr".into()],
-            doorbell_args: vec!["db_off".into()],
-            critical_atomics: vec![
-                "next_tx".into(),
-                "max_committed".into(),
-                "oldest_live".into(),
-                "horizon_written".into(),
-                "aborted".into(),
-                "degraded".into(),
-            ],
-            metric_prefixes: vec![
-                "pcie.".into(),
-                "ssd.".into(),
-                "host_err.".into(),
-                "fault.".into(),
-                "ccnvme.".into(),
-                "nvme.".into(),
-                "journal.".into(),
-                "mqfs.".into(),
-            ],
-            observer_receivers: vec!["bb".into()],
-            observer_posted: vec![
-                "append".into(),
-                "format".into(),
-                "format_batched".into(),
-                "post".into(),
-                "publish".into(),
-            ],
-            trait_methods: vec!["post".into()],
-            spawn_fns: vec![
-                "spawn".into(),
-                "spawn_daemon".into(),
-                "set_write_hook".into(),
-                "set_flush_hook".into(),
-            ],
-            value_lines: vec![],
-        }
+        Config::parse(WORKSPACE_TOML).expect("the checked-in lint.toml parses")
     }
 }
 
@@ -126,7 +80,7 @@ impl Config {
     }
 
     /// 1-based `lint.toml` line where `value` is configured under
-    /// `section.key` (1 when unknown, e.g. built-in defaults).
+    /// `section.key` (1 when unknown).
     pub fn line_for(&self, section_key: &str, value: &str) -> usize {
         self.value_lines
             .iter()
@@ -327,9 +281,12 @@ posted = ["append", "post"]
     }
 
     #[test]
-    fn default_matches_expected_namespace() {
+    fn default_is_the_checked_in_lint_toml() {
+        let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../lint.toml");
+        let file = Config::load(&path).unwrap();
         let c = Config::default();
-        assert!(c.metric_prefixes.iter().any(|p| p == "pcie."));
-        assert!(c.critical_atomics.iter().any(|a| a == "max_committed"));
+        assert_eq!(c, file);
+        assert!(c.spawn_fns.iter().any(|f| f == "spawn_daemons"));
+        assert!(c.critical_atomics.iter().any(|a| a == "bb_cursor"));
     }
 }

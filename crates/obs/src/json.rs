@@ -262,7 +262,6 @@ pub const NAMESPACE_ROOTS: &[&str] = &[
     "ssd.",
     "host_err.",
     "fault.",
-    "fault_campaign.",
     "ccnvme.",
     "nvme.",
     "journal.",

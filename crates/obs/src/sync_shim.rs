@@ -13,10 +13,10 @@
 #[cfg(not(feature = "loom"))]
 pub(crate) use parking_lot::Mutex;
 #[cfg(not(feature = "loom"))]
-pub(crate) use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+pub(crate) use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
 #[cfg(feature = "loom")]
-pub(crate) use loom::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+pub(crate) use loom::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
 /// `loom::sync::Mutex` adapted to the `parking_lot` locking signature
 /// (`lock()` returns the guard directly) so call sites stay identical

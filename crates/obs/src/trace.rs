@@ -20,9 +20,9 @@ use std::sync::Arc;
 use std::sync::OnceLock;
 
 use crate::blackbox::Blackbox;
-use crate::ctx::{self, TraceCtx};
+use crate::ctx::TraceCtx;
 use crate::metrics::Counter;
-use crate::sync_shim::{AtomicBool, AtomicU64, Mutex, Ordering};
+use crate::sync_shim::{AtomicU64, Mutex, Ordering};
 use crate::Ns;
 
 /// Default ring capacity (events retained).
@@ -159,7 +159,6 @@ struct Slot {
 pub struct TraceRing {
     slots: Box<[Mutex<Slot>]>,
     cursor: AtomicU64,
-    enabled: AtomicBool,
     /// Events lost to ring laps: a recorded event overwrote (or lost
     /// the slot race against) another. Exported as
     /// `obs.trace_ring.lapped` so silent history loss in soak runs is
@@ -180,7 +179,6 @@ impl TraceRing {
                 .map(|_| Mutex::new(Slot { seq: 0, ev: None }))
                 .collect(),
             cursor: AtomicU64::new(0),
-            enabled: AtomicBool::new(true),
             lapped: Arc::new(Counter::new()),
             blackbox: OnceLock::new(),
         }
@@ -209,29 +207,10 @@ impl TraceRing {
         self.slots.len()
     }
 
-    /// Enables or disables recording (disabled recording is one relaxed
-    /// atomic load).
-    pub fn set_enabled(&self, on: bool) {
-        // ord: Relaxed — advisory flag; a racing record may slip in.
-        self.enabled.store(on, Ordering::Relaxed);
-    }
-
-    /// Whether recording is enabled.
-    pub fn is_enabled(&self) -> bool {
-        // ord: Relaxed — advisory flag read; staleness is harmless.
-        self.enabled.load(Ordering::Relaxed)
-    }
-
     /// Total events ever recorded (including overwritten ones).
     pub fn recorded(&self) -> u64 {
         // ord: Relaxed — monotone read; readers tolerate staleness.
         self.cursor.load(Ordering::Relaxed)
-    }
-
-    /// Records one event (persistent mirroring under the default
-    /// kind-based policy; see [`TraceRing::record_filtered`]).
-    pub fn record(&self, ev: TraceEvent) {
-        self.record_filtered(ev, true);
     }
 
     /// Records one event; `persist: false` keeps it out of the
@@ -241,10 +220,7 @@ impl TraceRing {
     /// ring still holds every event, only the posted-write mirror is
     /// thinned, so the hot path pays for at most a handful of record
     /// posts per transaction.
-    pub fn record_filtered(&self, ev: TraceEvent, persist: bool) {
-        if !self.is_enabled() {
-            return;
-        }
+    pub fn record(&self, ev: TraceEvent, persist: bool) {
         // ord: Relaxed — only uniqueness of `seq` matters; the slot
         // mutex below orders the payload write it guards.
         let seq = self.cursor.fetch_add(1, Ordering::Relaxed);
@@ -274,55 +250,6 @@ impl TraceRing {
                 bb.append(&ev);
             }
         }
-    }
-
-    /// Convenience: records `(at, kind, qid, tx_id, arg)` under the
-    /// calling thread's current [`TraceCtx`].
-    pub fn event(&self, at: Ns, kind: EventKind, qid: u16, tx_id: u64, arg: u64) {
-        self.event_ctx(at, kind, qid, tx_id, arg, ctx::current());
-    }
-
-    /// Records an event under an explicit trace context — for recorders
-    /// on a different thread than the originating request (the device
-    /// model, completion paths), which carry the context with the
-    /// command instead of in a thread-local.
-    pub fn event_ctx(
-        &self,
-        at: Ns,
-        kind: EventKind,
-        qid: u16,
-        tx_id: u64,
-        arg: u64,
-        ctx: TraceCtx,
-    ) {
-        self.event_ctx_persist(at, kind, qid, tx_id, arg, ctx, true);
-    }
-
-    /// [`TraceRing::event_ctx`] with an explicit persistence hint:
-    /// `persist: false` records into the volatile ring only, even for
-    /// milestone kinds (see [`TraceRing::record_filtered`]).
-    #[allow(clippy::too_many_arguments)]
-    pub fn event_ctx_persist(
-        &self,
-        at: Ns,
-        kind: EventKind,
-        qid: u16,
-        tx_id: u64,
-        arg: u64,
-        ctx: TraceCtx,
-        persist: bool,
-    ) {
-        self.record_filtered(
-            TraceEvent {
-                at,
-                kind,
-                qid,
-                tx_id,
-                arg,
-                ctx,
-            },
-            persist,
-        );
     }
 
     /// Returns the retained events, oldest first (by record order).
@@ -407,40 +334,22 @@ mod tests {
     fn laps_are_counted_not_swallowed() {
         let r = TraceRing::new(4);
         for i in 0..4u64 {
-            r.record(ev(i, EventKind::SqeStore, i));
+            r.record(ev(i, EventKind::SqeStore, i), true);
         }
         assert_eq!(r.lapped_counter().get(), 0, "no loss before the wrap");
         for i in 4..10u64 {
-            r.record(ev(i, EventKind::SqeStore, i));
+            r.record(ev(i, EventKind::SqeStore, i), true);
         }
         // Every record into a full ring evicts exactly one event.
         assert_eq!(r.lapped_counter().get(), 6);
     }
 
     #[test]
-    fn event_captures_the_thread_context() {
-        let r = TraceRing::new(4);
-        let ctx = TraceCtx {
-            trace_id: 77,
-            span: 3,
-            origin: 5,
-        };
-        {
-            let _scope = crate::ctx::scoped(ctx);
-            r.event(10, EventKind::TxBegin, 1, 9, 0);
-        }
-        r.event(20, EventKind::Doorbell, 1, 9, 0);
-        let evs = r.events_for_tx(9);
-        assert_eq!(evs[0].ctx, ctx, "event() inherits the scoped context");
-        assert_eq!(evs[1].ctx, TraceCtx::ZERO, "context ends with its scope");
-    }
-
-    #[test]
     fn records_in_order_and_filters() {
         let r = TraceRing::new(16);
-        r.record(ev(10, EventKind::TxBegin, 7));
-        r.record(ev(20, EventKind::Doorbell, 7));
-        r.record(ev(30, EventKind::TxBegin, 8));
+        r.record(ev(10, EventKind::TxBegin, 7), true);
+        r.record(ev(20, EventKind::Doorbell, 7), true);
+        r.record(ev(30, EventKind::TxBegin, 8), true);
         assert_eq!(r.recorded(), 3);
         let tx7 = r.events_for_tx(7);
         assert_eq!(tx7.len(), 2);
@@ -452,26 +361,13 @@ mod tests {
     fn wraparound_keeps_newest() {
         let r = TraceRing::new(4);
         for i in 0..10u64 {
-            r.record(ev(i, EventKind::SqeStore, i));
+            r.record(ev(i, EventKind::SqeStore, i), true);
         }
         let evs = r.snapshot();
         assert_eq!(evs.len(), 4);
         let ats: Vec<Ns> = evs.iter().map(|e| e.at).collect();
         assert_eq!(ats, vec![6, 7, 8, 9]);
         assert_eq!(r.recorded(), 10);
-    }
-
-    #[test]
-    fn disabled_ring_records_nothing() {
-        let r = TraceRing::new(4);
-        r.set_enabled(false);
-        r.record(ev(1, EventKind::Irq, 1));
-        assert!(!r.is_enabled());
-        assert_eq!(r.recorded(), 0);
-        assert!(r.snapshot().is_empty());
-        r.set_enabled(true);
-        r.record(ev(2, EventKind::Irq, 1));
-        assert_eq!(r.snapshot().len(), 1);
     }
 
     #[test]
@@ -485,7 +381,7 @@ mod tests {
                 let r = Arc::clone(&r);
                 std::thread::spawn(move || {
                     for i in 0..PER_THREAD {
-                        r.record(ev(i, EventKind::SqeStore, t * PER_THREAD + i));
+                        r.record(ev(i, EventKind::SqeStore, t * PER_THREAD + i), true);
                     }
                 })
             })
@@ -561,15 +457,15 @@ mod loom_tests {
         loom::model(|| {
             let r = Arc::new(TraceRing::new(2));
             // Fill the ring (seqs 0, 1) before the race begins.
-            r.record(ev(0));
-            r.record(ev(1));
+            r.record(ev(0), true);
+            r.record(ev(1), true);
             let w = {
                 let r = Arc::clone(&r);
                 // The racing writer laps the ring: seq 2 overwrites
                 // slot 0, seq 3 overwrites slot 1.
                 thread::spawn(move || {
-                    r.record(ev(2));
-                    r.record(ev(3));
+                    r.record(ev(2), true);
+                    r.record(ev(3), true);
                 })
             };
             let snap = r.snapshot();
@@ -615,10 +511,10 @@ mod loom_tests {
             let handles: Vec<_> = (0..2)
                 .map(|i| {
                     let r = Arc::clone(&r);
-                    thread::spawn(move || r.record(ev(i)))
+                    thread::spawn(move || r.record(ev(i), true))
                 })
                 .collect();
-            r.record(ev(2));
+            r.record(ev(2), true);
             for h in handles {
                 h.join().unwrap();
             }

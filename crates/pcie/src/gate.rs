@@ -54,14 +54,7 @@ impl BandwidthGate {
     /// Reserves link time for `bytes` starting no earlier than now;
     /// returns the completion instant.
     pub fn acquire(&self, bytes: u64) -> Ns {
-        self.account(bytes);
-        let dur = transfer_ns(bytes, self.bytes_per_sec);
-        let now = ccnvme_runtime::now();
-        let mut busy = self.busy_until.lock();
-        let start = now.max(*busy);
-        let end = start + dur;
-        *busy = end;
-        end
+        self.acquire_after(0, bytes)
     }
 
     /// Reserves link time beginning no earlier than `not_before` (used to

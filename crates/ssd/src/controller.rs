@@ -24,7 +24,7 @@ use std::{
 };
 
 use ccnvme_fault::{FaultInjector, FaultKind, FaultOp, OpClass};
-use ccnvme_obs::{EventKind, Histogram};
+use ccnvme_obs::{EventKind, Histogram, TraceEvent};
 use ccnvme_pcie::{
     cost, mmio::RegionKind, BandwidthGate, ChannelBank, DmaKind, MmioRegion, PcieLink,
 };
@@ -201,6 +201,38 @@ struct Job {
     irq: bool,
     action: Action,
     on_complete: CompletionFn,
+}
+
+impl Job {
+    /// Command `cid`'s completion on `q`, delivered an interrupt latency
+    /// after `at`: untagged, interrupting, with nothing left to do.
+    /// [`push_with_seq`] stamps its sequence number.
+    fn new(q: &QueueShared, cid: u16, sq_head: u32, at: Ns, status: Status) -> Job {
+        Job {
+            at: at + cost::IRQ_DELIVERY,
+            seq: 0,
+            qid: q.qid,
+            cid,
+            sq_head,
+            status,
+            tx_id: 0,
+            tx_flags: crate::command::TxFlags::NONE,
+            ctx: ccnvme_obs::TraceCtx::ZERO,
+            irq: true,
+            action: Action::Nop,
+            on_complete: Arc::clone(&q.on_complete),
+        }
+    }
+
+    /// [`Job::new`] for `cmd`, carrying its transaction tags.
+    fn of(q: &QueueShared, cmd: &NvmeCommand, sq_head: u32, at: Ns, status: Status) -> Job {
+        Job {
+            tx_id: cmd.tx_id,
+            tx_flags: cmd.tx_flags,
+            ctx: cmd.ctx,
+            ..Job::new(q, cmd.cid, sq_head, at, status)
+        }
+    }
 }
 
 impl PartialEq for Job {
@@ -601,13 +633,16 @@ fn worker_loop(inner: Arc<CtrlInner>, q: Arc<QueueShared>) {
             head = (head + 1) % q.depth;
             match NvmeCommand::decode(&raw) {
                 Some(cmd) => {
-                    inner.link.obs.trace.event_ctx(
-                        ccnvme_runtime::now(),
-                        EventKind::DmaFetch,
-                        q.qid,
-                        cmd.tx_id,
-                        cmd.cid as u64,
-                        cmd.ctx,
+                    inner.link.obs.trace.record(
+                        TraceEvent {
+                            at: ccnvme_runtime::now(),
+                            kind: EventKind::DmaFetch,
+                            qid: q.qid,
+                            tx_id: cmd.tx_id,
+                            arg: cmd.cid as u64,
+                            ctx: cmd.ctx,
+                        },
+                        true,
                     );
                     execute(&inner, &q, cmd, head)
                 }
@@ -615,7 +650,8 @@ fn worker_loop(inner: Arc<CtrlInner>, q: Arc<QueueShared>) {
                     // Unknown opcode: complete with an error so the host
                     // does not hang on the slot.
                     let cid = u16::from_le_bytes([raw[2], raw[3]]);
-                    complete_error(&inner, &q, cid, head);
+                    let now = ccnvme_runtime::now();
+                    push_with_seq(&inner, Job::new(&q, cid, head, now, Status::InvalidField));
                 }
             }
         }
@@ -638,25 +674,6 @@ fn fetch_entry(inner: &CtrlInner, q: &QueueShared, slot: u32) -> [u8; 64] {
         }
     }
     raw
-}
-
-fn complete_error(inner: &CtrlInner, q: &QueueShared, cid: u16, sq_head: u32) {
-    let now = ccnvme_runtime::now();
-    let job = Job {
-        at: now + cost::IRQ_DELIVERY,
-        seq: 0, // Overwritten below.
-        qid: q.qid,
-        cid,
-        sq_head,
-        status: Status::InvalidField,
-        tx_id: 0,
-        tx_flags: crate::command::TxFlags::NONE,
-        ctx: ccnvme_obs::TraceCtx::ZERO,
-        irq: true,
-        action: Action::Nop,
-        on_complete: Arc::clone(&q.on_complete),
-    };
-    push_with_seq(inner, job);
 }
 
 fn push_with_seq(inner: &CtrlInner, mut job: Job) {
@@ -698,21 +715,7 @@ fn execute(inner: &CtrlInner, q: &QueueShared, cmd: NvmeCommand, sq_head: u32) {
         Some(FaultKind::Stall) => return,
         // Transient busy: reject quickly without touching the media.
         Some(FaultKind::Busy) => {
-            let job = Job {
-                at: now + cost::IRQ_DELIVERY,
-                seq: 0,
-                qid: q.qid,
-                cid: cmd.cid,
-                sq_head,
-                status: Status::Busy,
-                tx_id: cmd.tx_id,
-                tx_flags: cmd.tx_flags,
-                ctx: cmd.ctx,
-                irq: true,
-                action: Action::Nop,
-                on_complete: Arc::clone(&q.on_complete),
-            };
-            push_with_seq(inner, job);
+            push_with_seq(inner, Job::of(q, &cmd, sq_head, now, Status::Busy));
             return;
         }
         _ => {}
@@ -824,20 +827,11 @@ fn execute(inner: &CtrlInner, q: &QueueShared, cmd: NvmeCommand, sq_head: u32) {
     };
     inner.svc_hist.record(at.saturating_sub(now));
     let job = Job {
-        at: at + cost::IRQ_DELIVERY,
-        seq: 0,
-        qid: q.qid,
-        cid: cmd.cid,
-        sq_head,
-        status,
-        tx_id: cmd.tx_id,
-        tx_flags: cmd.tx_flags,
-        ctx: cmd.ctx,
         // Error completions are never coalesced away: the host must see
         // them even when the transaction's members are silent.
         irq: irq || status.is_err(),
         action,
-        on_complete: Arc::clone(&q.on_complete),
+        ..Job::of(q, &cmd, sq_head, at, status)
     };
     push_with_seq(inner, job);
 }
@@ -907,13 +901,16 @@ fn fire(inner: &CtrlInner, job: Job) {
                     p.record(ccnvme_runtime::now(), PersistEventKind::Flush);
                 }
             }
-            inner.link.obs.trace.event_ctx(
-                ccnvme_runtime::now(),
-                EventKind::MediaWrite,
-                job.qid,
-                job.tx_id,
-                len as u64,
-                job.ctx,
+            inner.link.obs.trace.record(
+                TraceEvent {
+                    at: ccnvme_runtime::now(),
+                    kind: EventKind::MediaWrite,
+                    qid: job.qid,
+                    tx_id: job.tx_id,
+                    arg: len as u64,
+                    ctx: job.ctx,
+                },
+                true,
             );
         }
         Action::ReadBlocks {
@@ -941,23 +938,29 @@ fn fire(inner: &CtrlInner, job: Job) {
     inner.link.upstream.acquire(16 + cost::TLP_HEADER);
     inner.link.traffic.dma_queue.inc();
     let now = ccnvme_runtime::now();
-    inner.link.obs.trace.event_ctx(
-        now,
-        EventKind::CqePost,
-        job.qid,
-        job.tx_id,
-        job.cid as u64,
-        job.ctx,
+    inner.link.obs.trace.record(
+        TraceEvent {
+            at: now,
+            kind: EventKind::CqePost,
+            qid: job.qid,
+            tx_id: job.tx_id,
+            arg: job.cid as u64,
+            ctx: job.ctx,
+        },
+        true,
     );
     if job.irq {
         inner.link.traffic.irqs.inc();
-        inner.link.obs.trace.event_ctx(
-            now,
-            EventKind::Irq,
-            job.qid,
-            job.tx_id,
-            job.cid as u64,
-            job.ctx,
+        inner.link.obs.trace.record(
+            TraceEvent {
+                at: now,
+                kind: EventKind::Irq,
+                qid: job.qid,
+                tx_id: job.tx_id,
+                arg: job.cid as u64,
+                ctx: job.ctx,
+            },
+            true,
         );
     }
     let entry = CompletionEntry {

@@ -46,10 +46,13 @@ cargo test -q
 #    prefix, locally and over the fabric; the cluster surface stays
 #    all-or-nothing at every sampled cut under every down-subset, and
 #    at every cut of a script that partitions a shard first; the
-#    sampled Table 4 campaign and the five fault campaigns pass. State
-#    counts are asserted exactly. The root suite's ploc and cluster
-#    proptests are seeded random scripts of the same two surfaces,
-#    swept by the same engine. Every recorded run also replays
+#    sampled Table 4 campaign passes, and so do the five fault
+#    campaigns, each schedule a sweep of the file-system surface with
+#    one device fault armed on its recorded run, cut through the fault
+#    window (per-kind tallies asserted exactly). State counts are
+#    asserted exactly. The root suite's ploc, cluster and
+#    fault-atomicity proptests are seeded scripts of the same
+#    surfaces, swept by the same engine. Every recorded run also replays
 #    through the runtime persist-order sanitizer — the dynamic dual of
 #    the ccnvme-lint persist-order rule — which must report zero
 #    violations (SweepReport.sanitizer_violations);
@@ -74,9 +77,10 @@ done
 scripts/bench_smoke.sh
 # The two harnesses that read the error ladder's and the fault
 # injector's counters from the metrics registry: the error-path overhead
-# table (exits non-zero when its fault campaign breaks the error
-# contract) and the fault-storm walkthrough (it asserts degradation,
-# reads while degraded and recovery itself).
+# table (exits non-zero when a schedule of its fault campaign — a crash
+# sweep — breaks the error contract at any cut) and the fault-storm
+# walkthrough (it asserts degradation, reads while degraded and recovery
+# itself).
 QUICK=1 cargo run -q --release -p ccnvme-bench --bin faultpath > /dev/null
 cargo run -q --release --example fault_storm > /dev/null
 # The fabric credit-overload drill: pipelined 8-write TX_COMMIT capsules

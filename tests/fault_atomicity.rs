@@ -1,165 +1,35 @@
 //! Property: a single injected command failure inside a `REQ_TX` group
 //! leaves either ALL of the transaction's blocks visible after remount,
-//! or NONE of them — never a torn subset.
+//! or NONE of them — never a torn subset — at every crash cut.
 //!
-//! Each case arms exactly one fault (media write error, torn DMA, or
-//! stall — the kind, window placement and injector seed come from
-//! proptest) against a script whose final `fsync` commits one
-//! transaction: a fresh file with several patterned blocks. The run
-//! ends with a power cut; the image remounts on healthy hardware and
-//! the file must be byte-exact (transaction fully applied) or
-//! absent/empty (fully discarded).
+//! Each case is one seeded schedule of the fault campaign: one
+//! unrecoverable fault (media write error, torn DMA or stall; the kind
+//! and the seed, which places the window inside the script's
+//! transaction traffic, come from proptest) armed on a script that
+//! commits one multi-block file per transaction. The sweep cuts the run
+//! at every n-th instant through the end state and boots every cut on
+//! healthy hardware: an fsynced file is byte-exact, any other absent,
+//! empty or untorn; the run itself degrades to read-only; the
+//! persist-order sanitizer stays silent.
 
-use std::sync::{Arc, OnceLock};
-
-use ccnvme_repro::crashtest::{Stack, StackConfig};
-use ccnvme_repro::fault::{FaultKind, FaultPlan, FaultRule, OpMask, Trigger};
-use ccnvme_repro::sim::Sim;
-use ccnvme_repro::ssd::{CrashMode, SsdProfile};
+use ccnvme_repro::crashtest::{run_fault_campaign, FaultCampaignConfig, StackConfig};
+use ccnvme_repro::fault::FaultKind;
+use ccnvme_repro::ssd::SsdProfile;
 use mqfs::FsVariant;
 use proptest::prelude::*;
-
-const TX_BLOCKS: usize = 6;
-
-fn stack_cfg() -> StackConfig {
-    let mut cfg = StackConfig::new(FsVariant::Mqfs, SsdProfile::optane_905p(), 2);
-    cfg.journal_blocks = 512;
-    cfg.queue_depth = 64;
-    cfg
-}
-
-fn pattern(block: usize) -> u8 {
-    0x40 + block as u8
-}
-
-/// The script up to the instant the transaction's traffic begins, and
-/// the instant it has fully completed (measured once, fault-free;
-/// the simulation is deterministic).
-fn tx_window() -> (u64, u64) {
-    static WINDOW: OnceLock<(u64, u64)> = OnceLock::new();
-    *WINDOW.get_or_init(|| {
-        let out = Arc::new(parking_lot::Mutex::new((0, 0)));
-        let o2 = Arc::clone(&out);
-        let cfg = stack_cfg();
-        let mut sim = Sim::new(cfg.sim_cores());
-        sim.spawn("measure", 0, move || {
-            let (_stack, fs) = Stack::format(&cfg);
-            let setup = fs.create_path("/setup").expect("create");
-            fs.fsync(setup).expect("fsync");
-            let t0 = ccnvme_repro::sim::now();
-            let ino = fs.create_path("/tx").expect("create");
-            for b in 0..TX_BLOCKS {
-                fs.write(ino, b as u64 * 4096, &[pattern(b); 4096])
-                    .expect("write");
-            }
-            fs.fsync(ino).expect("fsync");
-            *o2.lock() = (t0, ccnvme_repro::sim::now());
-        });
-        sim.run();
-        let w = *out.lock();
-        w
-    })
-}
-
-fn run_case(kind: FaultKind, frac: f64, seed: u64) -> Result<(), TestCaseError> {
-    let (t0, t1) = tx_window();
-    let from = t0 + ((t1 - t0) as f64 * frac) as u64;
-    let mut cfg = stack_cfg();
-    cfg.fault = Some(
-        FaultPlan::new(seed).rule(
-            FaultRule::new(
-                kind,
-                Trigger::TimeWindow {
-                    from,
-                    until: u64::MAX,
-                },
-            )
-            .ops(OpMask::WRITES)
-            .max_hits(1),
-        ),
-    );
-    let verdict: Arc<parking_lot::Mutex<Result<(), String>>> =
-        Arc::new(parking_lot::Mutex::new(Ok(())));
-    let v2 = Arc::clone(&verdict);
-    let mut sim = Sim::new(cfg.sim_cores());
-    let clean = {
-        let mut c = cfg.clone();
-        c.fault = None;
-        c
-    };
-    sim.spawn("case", 0, move || {
-        let (stack, fs) = Stack::format(&cfg);
-        let setup = fs.create_path("/setup").expect("create");
-        fs.fsync(setup).expect("fsync setup");
-        let committed = (|| {
-            let ino = fs.create_path("/tx")?;
-            for b in 0..TX_BLOCKS {
-                fs.write(ino, b as u64 * 4096, &[pattern(b); 4096])?;
-            }
-            fs.fsync(ino)
-        })()
-        .is_ok();
-        let image = stack.power_fail(CrashMode {
-            pmr_extra_prefix: 0,
-            cache_keep_prob: 0.0,
-            seed,
-        });
-        let check = || -> Result<(), String> {
-            let (_s2, fs2) =
-                Stack::recover(&clean, &image).map_err(|e| format!("remount failed: {e}"))?;
-            let problems = fs2.check();
-            if !problems.is_empty() {
-                return Err(format!("fsck: {problems:?}"));
-            }
-            match fs2.resolve("/tx") {
-                Err(_) => {
-                    // None of the transaction applied.
-                    if committed {
-                        return Err("fsynced transaction lost".into());
-                    }
-                }
-                Ok(ino) => {
-                    let (size, _, _) = fs2.stat(ino);
-                    if size == 0 {
-                        if committed {
-                            return Err("fsynced transaction emptied".into());
-                        }
-                        return Ok(()); // none-visible is fine
-                    }
-                    // Anything non-empty must be ALL of it, byte-exact.
-                    if size != (TX_BLOCKS * 4096) as u64 {
-                        return Err(format!("torn transaction: size {size}"));
-                    }
-                    for b in 0..TX_BLOCKS {
-                        let data = fs2
-                            .read(ino, b as u64 * 4096, 4096)
-                            .map_err(|e| format!("read block {b}: {e}"))?;
-                        if data.len() != 4096 || data.iter().any(|x| *x != pattern(b)) {
-                            return Err(format!("torn transaction: block {b} corrupt"));
-                        }
-                    }
-                }
-            }
-            Ok(())
-        };
-        *v2.lock() = check().map_err(|e| format!("kind={kind:?} from={from}: {e}"));
-    });
-    sim.run();
-    let v = verdict.lock().clone();
-    prop_assert!(v.is_ok(), "{}", v.unwrap_err());
-    Ok(())
-}
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
     #[test]
-    #[allow(unused_mut)]
-    fn single_member_failure_is_all_or_none(
-        kind_idx in 0usize..3,
-        frac_mille in 0u64..1000,
-        seed in any::<u64>(),
-    ) {
+    fn single_member_failure_is_all_or_none(kind_idx in 0usize..3, seed in any::<u64>()) {
         let kind = [FaultKind::MediaWrite, FaultKind::TornDma, FaultKind::Stall][kind_idx];
-        run_case(kind, frac_mille as f64 / 1000.0, seed)?;
+        let mut stack = StackConfig::new(FsVariant::Mqfs, SsdProfile::optane_905p(), 2);
+        stack.journal_blocks = 512;
+        stack.queue_depth = 64;
+        let cfg = FaultCampaignConfig { stack, schedules: 1, seed };
+        let r = run_fault_campaign(&[kind], &cfg).remove(0);
+        prop_assert!(r.failures.is_empty(), "{:?} seed {}: {:?}", kind, seed, r.failures);
+        prop_assert_eq!(r.sanitizer_violations, 0);
+        prop_assert_eq!(r.count("fired"), r.count("degraded"));
     }
 }
