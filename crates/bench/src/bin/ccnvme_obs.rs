@@ -74,13 +74,7 @@ fn crash_demo_image() -> Vec<u8> {
         }
         // Power cut: in-flight posted writes and the volatile cache are
         // lost; the PMR (and the recorder inside it) survives.
-        stack
-            .crash_snapshot(CrashMode {
-                pmr_extra_prefix: 0,
-                cache_keep_prob: 0.0,
-                seed: 7,
-            })
-            .pmr
+        stack.crash_snapshot(CrashMode::adversarial(7)).pmr
     })
 }
 

@@ -430,6 +430,22 @@ pub fn read_block(dev: &dyn BlockDevice, lba: u64) -> Result<Vec<u8>, BioStatus>
     Ok(data)
 }
 
+/// Writes each `(lba, buffer)` of `blocks` as a plain write, in order,
+/// and waits for all of them; `Ok` when none failed, else the status of
+/// the first that did.
+pub fn write_blocks(
+    dev: &dyn BlockDevice,
+    blocks: impl IntoIterator<Item = (u64, BioBuf)>,
+) -> Result<(), BioStatus> {
+    let waiter = BioWaiter::new();
+    for (lba, buf) in blocks {
+        let mut bio = Bio::write(lba, buf, BioFlags::NONE);
+        waiter.attach(&mut bio);
+        dev.submit_bio(bio);
+    }
+    waiter.wait()
+}
+
 /// Submits `writes` as one ccNVMe transaction `tx_id` and waits for it:
 /// every write but the last goes out `REQ_TX`, the last `REQ_TX_COMMIT`,
 /// in order, each zero-padded to whole blocks. The transaction is

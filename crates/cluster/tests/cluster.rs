@@ -407,11 +407,10 @@ fn gtx_ids_survive_coordinator_crashes() {
         assert_eq!(lease.end - lease.start, GTX_LEASE);
         // Harsh crash: volatile state gone, no decision record and no
         // local intent ever mentioned an id of the lease.
-        let img = coord.driver().controller().crash_snapshot(CrashMode {
-            pmr_extra_prefix: 0,
-            cache_keep_prob: 0.0,
-            seed: 7,
-        });
+        let img = coord
+            .driver()
+            .controller()
+            .crash_snapshot(CrashMode::adversarial(7));
         let ctrl = NvmeController::from_image(coord_config(), &img);
         let (drv, _report) = CcNvmeDriver::probe(ctrl, sim_cores() as u16, 64);
         let (remounted, in_doubt) = ClusterNode::mount(Arc::new(drv), ShardLayout::small(0));

@@ -32,8 +32,7 @@ use ccnvme_obs::{EventKind, Obs};
 use ccnvme_pcie::MmioRegion;
 use ccnvme_runtime::{RtCondvar, RtMutex};
 use ccnvme_ssd::{
-    CompletionEntry, DoorbellLoc, HostMemory, NvmeCommand, NvmeController, QueueParams, SqBacking,
-    Status,
+    CompletionEntry, HostMemory, NvmeCommand, NvmeController, QueueParams, SqBacking, Status,
 };
 
 use crate::{
@@ -299,11 +298,10 @@ impl CcNvmeDriver {
         let obs = ctrl.link().obs.clone();
         let bb_fits = layout.blackbox_off() + ccnvme_obs::blackbox::BLACKBOX_BYTES <= pmr.size();
         let blackbox = bb_fits.then(|| {
-            ccnvme_obs::Blackbox::format_batched(
+            ccnvme_obs::Blackbox::format(
                 Arc::clone(&pmr) as Arc<dyn ccnvme_obs::BlackboxSink>,
                 layout.blackbox_off(),
                 generation,
-                ccnvme_obs::blackbox::BATCH_RECORDS,
             )
         });
         pmr.flush();
@@ -346,8 +344,10 @@ impl CcNvmeDriver {
             ctrl.create_io_queue(QueueParams {
                 qid,
                 depth,
-                sq: SqBacking::Pmr { offset: q.ring_off },
-                sqdb: DoorbellLoc::Pmr { offset: q.db_off },
+                sq: SqBacking::Pmr {
+                    ring: q.ring_off,
+                    doorbell: q.db_off,
+                },
                 on_complete: Arc::new(move |entry| complete_in_order(&cb_q, entry)),
             });
             queues.push(q);
@@ -830,7 +830,7 @@ impl BlockDevice for CcNvmeDriver {
 mod tests {
     use ccnvme_block::{read_block, submit_and_wait, BioBuf, BioFlags, BioWaiter};
     use ccnvme_sim::Sim;
-    use ccnvme_ssd::{CrashMode, CtrlConfig, SsdProfile};
+    use ccnvme_ssd::{CacheSurvival, CrashMode, CtrlConfig, SsdProfile};
     use parking_lot::Mutex;
 
     use super::*;
@@ -913,9 +913,8 @@ mod tests {
             // cut that includes it must show the WHOLE transaction —
             // entries were flushed before the doorbell, so "all").
             let mode = CrashMode {
-                pmr_extra_prefix: usize::MAX,
-                cache_keep_prob: 0.0,
-                seed: 9,
+                torn: usize::MAX,
+                cache: CacheSurvival::DropAll,
             };
             let image = drv.controller().power_fail(mode);
             let ctrl2 =
@@ -990,7 +989,7 @@ mod tests {
             let w = submit_tx(&drv, drv.alloc_tx_id(), 300, 2);
             w.wait().expect("tx ok");
             drv.quiesce();
-            let image = drv.controller().graceful_image();
+            let image = drv.controller().crash_snapshot(CrashMode::SETTLED);
             let ctrl2 =
                 NvmeController::from_image(CtrlConfig::new(SsdProfile::optane_p5800x()), &image);
             let (_drv2, report) = CcNvmeDriver::probe(ctrl2, 1, 64);

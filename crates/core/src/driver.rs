@@ -21,7 +21,7 @@ use ccnvme_block::{Bio, BioOp, BioStatus, BioWaiter, BlockDevice};
 use ccnvme_obs::{EventKind, Obs};
 use ccnvme_runtime::{Ns, RtCondvar, RtMutex};
 use ccnvme_ssd::{
-    CompletionEntry, DoorbellLoc, HostMemory, NvmeCommand, NvmeController, QueueParams, SqBacking,
+    CompletionEntry, HostMemory, NvmeCommand, NvmeController, QueueParams, SqBacking,
 };
 use parking_lot::Mutex;
 
@@ -206,8 +206,10 @@ fn attach_queue(ctrl: &NvmeController, q: &Arc<DrvQueue>, epoch: u64) {
     ctrl.create_io_queue(QueueParams {
         qid: q.obs.qid,
         depth: q.depth,
-        sq: SqBacking::Host(Arc::clone(&q.sqmem)),
-        sqdb: DoorbellLoc::Register { offset: q.sqdb_off },
+        sq: SqBacking::Host {
+            ring: Arc::clone(&q.sqmem),
+            doorbell: q.sqdb_off,
+        },
         on_complete: Arc::new(move |entry: CompletionEntry| {
             complete_one(&cb_q, epoch, entry);
         }),

@@ -44,11 +44,11 @@ use ccnvme_cluster::{
 };
 use ccnvme_fabric::{Backend, ClusterBackend, FabricConfig, FabricTarget, ShardWrite};
 use ccnvme_sim::Ns;
-use ccnvme_ssd::DurableImage;
+use ccnvme_ssd::{CrashMode, DurableImage};
 use parking_lot::Mutex;
 
+use crate::boot_ctrl;
 use crate::sweep::{CrashSurface, Domain, Judgement, Settled, Tape};
-use crate::{boot_ctrl, SETTLED};
 
 /// Host cores, one per client. A target pins its `n`-th connection's
 /// handler to core `n`, and each client dials every target once, the
@@ -174,7 +174,8 @@ struct Recovered {
 impl Recovered {
     /// Every domain's state once recovery and resolution settled.
     fn finals(&self) -> Vec<DurableImage> {
-        let snapshot = |n: &Arc<ClusterNode>| n.driver().controller().crash_snapshot(SETTLED);
+        let snapshot =
+            |n: &Arc<ClusterNode>| n.driver().controller().crash_snapshot(CrashMode::SETTLED);
         self.nodes.iter().map(snapshot).collect()
     }
 

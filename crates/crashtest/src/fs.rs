@@ -22,11 +22,11 @@ use std::{
 
 use ccnvme_fault::FaultCounters;
 use ccnvme_obs::MetricsSnapshot;
-use ccnvme_ssd::{DurableImage, PersistLog};
+use ccnvme_ssd::{CrashMode, DurableImage, PersistLog};
 use mqfs::FileSystem;
 
 use crate::sweep::{CrashSurface, Domain, Judgement, Settled, SweepReport, Tape};
-use crate::{CrashWorkload, Stack, StackConfig, SETTLED};
+use crate::{CrashWorkload, Stack, StackConfig};
 
 /// The fault tallies of a run on `fs`, from `m`, a snapshot of its
 /// stack's registry: `fired` and `degraded` (0 or 1), and the host
@@ -144,7 +144,7 @@ impl CrashSurface for FsSurface {
             }
         }
         Ok(Settled {
-            witness: stack.crash_snapshot(SETTLED).blocks,
+            witness: stack.crash_snapshot(CrashMode::SETTLED).blocks,
             logs: stack.controller().persist_log().into_iter().collect(),
         })
     }

@@ -36,7 +36,7 @@ pub mod workloads;
 use std::{collections::HashSet, sync::Arc};
 
 use ccnvme_sim::Ns;
-use ccnvme_ssd::{CrashMode, CtrlConfig, DurableImage, NvmeController, SsdProfile};
+use ccnvme_ssd::{CtrlConfig, DurableImage, NvmeController, SsdProfile};
 use mqfs::FileSystem;
 use parking_lot::Mutex;
 
@@ -47,14 +47,6 @@ pub use ploc::PlocSurface;
 pub use stack::{Stack, StackConfig};
 pub use sweep::{sweep, CrashSurface, Cuts, RecrashSweep, SweepPlan, SweepReport};
 pub use workloads::table4_workloads;
-
-/// The snapshot of a settled device: every posted write landed, the
-/// whole cache destaged — what a recovery converged to.
-pub(crate) const SETTLED: CrashMode = CrashMode {
-    pmr_extra_prefix: usize::MAX,
-    cache_keep_prob: 1.0,
-    seed: 0,
-};
 
 /// A bare Optane 905P controller with its daemons on `device_core`:
 /// fresh, or restored from a crash image.

@@ -37,7 +37,7 @@ use std::sync::Arc;
 use ccnvme_fabric::{Backend, ClientCfg, ClientStats, FabricClient, FabricConfig, FabricTarget};
 use ccnvme_obs::Obs;
 use ccnvme_ploc::{OpResult, PlocConfig, PlocOp, PlocService, RecoverVerdict};
-use ccnvme_ssd::{DurableImage, NvmeController, PersistLog};
+use ccnvme_ssd::{CrashMode, DurableImage, NvmeController, PersistLog};
 use parking_lot::Mutex;
 
 use crate::boot_ctrl;
@@ -389,7 +389,7 @@ impl CrashSurface for PlocSurface {
         Ok(Settled {
             witness: (
                 verdicts,
-                ctrl.graceful_image().pmr[lo as usize..hi as usize].to_vec(),
+                ctrl.crash_snapshot(CrashMode::SETTLED).pmr[lo as usize..hi as usize].to_vec(),
             ),
             logs: ctrl.persist_log().into_iter().collect(),
         })

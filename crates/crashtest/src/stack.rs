@@ -13,8 +13,13 @@ use mqfs::{FileSystem, FsConfig, FsError, FsVariant};
 pub struct Stack {
     /// The device as seen by the file system.
     pub dev: Arc<dyn BlockDevice>,
-    cc: Option<Arc<CcNvmeDriver>>,
-    nv: Option<Arc<NvmeDriver>>,
+    driver: Driver,
+}
+
+/// The driver a [`Stack`] runs on.
+enum Driver {
+    Cc(Arc<CcNvmeDriver>),
+    Nv(Arc<NvmeDriver>),
 }
 
 /// Everything needed to build (and rebuild) a stack deterministically.
@@ -99,24 +104,14 @@ impl Stack {
             let queues = (cfg.cores + 2) as u16;
             let (drv, report) = CcNvmeDriver::probe(ctrl, queues, cfg.queue_depth);
             let drv = Arc::new(drv);
-            (
-                Stack {
-                    dev: Arc::clone(&drv) as Arc<dyn BlockDevice>,
-                    cc: Some(drv),
-                    nv: None,
-                },
-                report.unfinished_tx_ids(),
-            )
+            let dev = Arc::clone(&drv) as Arc<dyn BlockDevice>;
+            let driver = Driver::Cc(drv);
+            (Stack { dev, driver }, report.unfinished_tx_ids())
         } else {
             let drv = Arc::new(NvmeDriver::new(ctrl, cfg.cores + 2));
-            (
-                Stack {
-                    dev: Arc::clone(&drv) as Arc<dyn BlockDevice>,
-                    cc: None,
-                    nv: Some(drv),
-                },
-                HashSet::new(),
-            )
+            let dev = Arc::clone(&drv) as Arc<dyn BlockDevice>;
+            let driver = Driver::Nv(drv);
+            (Stack { dev, driver }, HashSet::new())
         }
     }
 
@@ -141,7 +136,7 @@ impl Stack {
         // served their purpose and can be cleared. Skipped when the
         // mount degraded — a repair mount must still see the logs.
         if fs.error_state().is_none() {
-            if let Some(cc) = &stack.cc {
+            if let Driver::Cc(cc) = &stack.driver {
                 cc.clear_abort_logs();
             }
         }
@@ -151,15 +146,17 @@ impl Stack {
     /// The ccNVMe driver, when the variant uses one (the fabric target
     /// serves raw transactions through it).
     pub fn cc_driver(&self) -> Option<Arc<CcNvmeDriver>> {
-        self.cc.as_ref().map(Arc::clone)
+        match &self.driver {
+            Driver::Cc(d) => Some(Arc::clone(d)),
+            Driver::Nv(_) => None,
+        }
     }
 
     /// The controller (for traffic counters and crash injection).
     pub fn controller(&self) -> &NvmeController {
-        match (&self.cc, &self.nv) {
-            (Some(d), _) => d.controller(),
-            (_, Some(d)) => d.controller(),
-            _ => unreachable!("stack always has a driver"),
+        match &self.driver {
+            Driver::Cc(d) => d.controller(),
+            Driver::Nv(d) => d.controller(),
         }
     }
 

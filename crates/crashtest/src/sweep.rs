@@ -24,7 +24,7 @@ use std::{
 };
 
 use ccnvme_sim::{Ns, Sim};
-use ccnvme_ssd::{CacheSurvival, DurableImage, PersistLog, SanitizerGeometry};
+use ccnvme_ssd::{CacheSurvival, CrashMode, DurableImage, PersistLog, SanitizerGeometry};
 
 use crate::OpLog;
 
@@ -303,8 +303,9 @@ struct Cut {
     /// The crash instant: marks made and posted writes issued strictly
     /// before it count.
     before: Ns,
-    /// Fate of blocks still in a volatile cache.
-    cache: CacheSurvival,
+    /// What the power cut leaves; [`walk`] raises `torn` from 0 up to
+    /// the plan's depth.
+    mode: CrashMode,
     label: String,
 }
 
@@ -313,13 +314,14 @@ impl Cuts {
     /// durable at `times` (sorted), whose script started at `t0` after
     /// `base[d]` set-up events on domain `d`, and ended at `t_end`.
     fn place(self, times: &[Vec<Ns>], base: &[usize], t0: Ns, t_end: Ns) -> Vec<Cut> {
+        let mode = |cache| CrashMode { torn: 0, cache };
         let at_instant = |before: Ns, cache, label| Cut {
             prefix: times
                 .iter()
                 .map(|t| t.partition_point(|&at| at < before))
                 .collect(),
             before,
-            cache,
+            mode: mode(cache),
             label,
         };
         match self {
@@ -340,7 +342,7 @@ impl Cuts {
                     cuts.push(Cut {
                         prefix: prefix.clone(),
                         before: merged.get(g).map_or(Ns::MAX, |&(at, _)| at),
-                        cache: CacheSurvival::DropAll,
+                        mode: mode(CacheSurvival::DropAll),
                         label: format!("prefix {g}"),
                     });
                     if let Some(&(_, d)) = merged.get(g) {
@@ -410,7 +412,7 @@ fn walk(
         for torn in 0..=torn_cap {
             let images = cursors
                 .iter()
-                .map(|c| c.image(cut.before, torn, cut.cache))
+                .map(|c| c.image(cut.before, CrashMode { torn, ..cut.mode }))
                 .collect();
             visit(i, torn, images);
         }
@@ -687,9 +689,9 @@ mod tests {
             .map(|c| (c.before, c.prefix.clone()))
             .collect();
         assert_eq!(got, [(21, vec![4, 1]), (31, vec![4, 2])]);
-        assert_eq!(spread[0].cache, CacheSurvival::DropAll);
+        assert_eq!(spread[0].mode.cache, CacheSurvival::DropAll);
         assert!(matches!(
-            spread[1].cache,
+            spread[1].mode.cache,
             CacheSurvival::Subset { seed: 1, .. }
         ));
     }

@@ -21,7 +21,7 @@ use ccnvme_crashtest::{sweep, PlocSurface, RecrashSweep, SweepPlan};
 use ccnvme_obs::Obs;
 use ccnvme_ploc::{OpResult, PlocConfig, PlocOp, PlocService, RecoverVerdict};
 use ccnvme_sim::Sim;
-use ccnvme_ssd::{CtrlConfig, NvmeController, SsdProfile};
+use ccnvme_ssd::{CrashMode, CtrlConfig, NvmeController, SsdProfile};
 use mqfs_journal::{AreaSpec, Durability, Journal, MqJournal, TxBlock, TxDescriptor};
 use parking_lot::Mutex;
 
@@ -251,7 +251,7 @@ fn ploc_and_driver_share_the_pmr_and_the_reboot() {
         );
 
         // One reboot recovers both tenants from the shared image.
-        let image = drv.controller().graceful_image();
+        let image = drv.controller().crash_snapshot(CrashMode::SETTLED);
         let mut cc2 = CtrlConfig::new(SsdProfile::optane_905p());
         cc2.device_core = CORES;
         let (drv2, _report) =

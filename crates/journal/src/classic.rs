@@ -23,7 +23,7 @@ use std::{
     },
 };
 
-use ccnvme_block::{flush_cache, Bio, BioBuf, BioFlags, BioStatus, BioWaiter};
+use ccnvme_block::{flush_cache, write_blocks, Bio, BioBuf, BioFlags, BioStatus, BioWaiter};
 use ccnvme_obs::{seal::fnv1a64, Counter, Histogram};
 use ccnvme_runtime::{Ns, RtCondvar, RtMutex};
 
@@ -410,14 +410,8 @@ fn checkpoint_now(inner: &Arc<ClassicInner>) {
     inner.checkpoints.inc();
     let mut pending = inner.pending.lock();
     if !pending.is_empty() {
-        let waiter = BioWaiter::new();
-        for (lba, entry) in pending.iter() {
-            let mut bio = Bio::write(*lba, Arc::clone(&entry.buf), BioFlags::NONE);
-            waiter.attach(&mut bio);
-            inner.dev.submit_bio(bio);
-        }
-        if waiter
-            .wait()
+        let home = pending.iter().map(|(lba, e)| (*lba, Arc::clone(&e.buf)));
+        if write_blocks(&*inner.dev, home)
             .and_then(|()| flush_cache(&*inner.dev))
             .is_err()
         {
@@ -463,19 +457,12 @@ impl Journal for ClassicJournal {
         }
         // Ordered mode: data reaches its final location before the
         // metadata commits.
-        if !tx.data.is_empty() {
-            let waiter = BioWaiter::new();
-            for blk in &tx.data {
-                let mut bio = Bio::write(blk.final_lba, Arc::clone(&blk.buf), BioFlags::NONE);
-                waiter.attach(&mut bio);
-                self.inner.dev.submit_bio(bio);
-            }
-            if let Err(status) = waiter.wait() {
-                // ord: SeqCst — abort publication (ordered-data failure).
-                self.inner.aborted.store(true, Ordering::SeqCst);
-                tx.run_unpin();
-                return Err(CommitError::Io(status));
-            }
+        let data = tx.data.iter().map(|b| (b.final_lba, Arc::clone(&b.buf)));
+        if let Err(status) = write_blocks(&*self.inner.dev, data) {
+            // ord: SeqCst — abort publication (ordered-data failure).
+            self.inner.aborted.store(true, Ordering::SeqCst);
+            tx.run_unpin();
+            return Err(CommitError::Io(status));
         }
         let ticket = Arc::new(Ticket {
             st: RtMutex::new(TicketSt {

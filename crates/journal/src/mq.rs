@@ -62,7 +62,7 @@ use std::{
     },
 };
 
-use ccnvme_block::{flush_cache, Bio, BioBuf, BioFlags, BioStatus, BioWaiter};
+use ccnvme_block::{flush_cache, write_blocks, Bio, BioBuf, BioFlags, BioStatus, BioWaiter};
 use ccnvme_obs::{seal::fnv1a64, Counter, EventKind, Histogram, Obs, TraceEvent};
 use ccnvme_runtime::RtMutex;
 
@@ -569,14 +569,10 @@ impl MqJournal {
         }
         // Phase 2: write home + flush.
         if !to_write.is_empty() {
-            let waiter = BioWaiter::new();
-            for (lba, _tx, image) in &to_write {
-                let mut bio = Bio::write(*lba, Arc::clone(image), BioFlags::NONE);
-                waiter.attach(&mut bio);
-                inner.dev.submit_bio(bio);
-            }
-            let landed = waiter
-                .wait()
+            let home = to_write
+                .iter()
+                .map(|(lba, _tx, image)| (*lba, Arc::clone(image)));
+            let landed = write_blocks(&*inner.dev, home)
                 .and_then(|()| flush_cache(&*inner.dev))
                 .is_ok();
             // Record the new floors — of images that are home for sure.

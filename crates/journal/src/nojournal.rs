@@ -13,10 +13,11 @@ use std::{
     },
 };
 
-use ccnvme_block::{flush_cache, Bio, BioFlags, BioStatus, BioWaiter};
+use ccnvme_block::{flush_cache, write_blocks, BioStatus};
 
 use crate::{
-    recover::RecoveredUpdate, CommitError, Dev, Durability, Journal, ReuseAction, TxDescriptor,
+    recover::RecoveredUpdate, CommitError, Dev, Durability, Journal, ReuseAction, TxBlock,
+    TxDescriptor,
 };
 
 /// The no-journal engine.
@@ -59,27 +60,15 @@ impl Journal for NoJournal {
         // Ext4-NJ synchronously processes each category of block: data
         // first, then metadata in place (Figure 14(b): S-iD + W-iD, then
         // S-iM + W-iM, ...).
-        if !tx.data.is_empty() {
-            let waiter = BioWaiter::new();
-            for blk in &tx.data {
-                let mut bio = Bio::write(blk.final_lba, Arc::clone(&blk.buf), BioFlags::NONE);
-                waiter.attach(&mut bio);
-                self.dev.submit_bio(bio);
-            }
-            if let Err(status) = waiter.wait() {
-                return Err(self.fail(status, &mut tx));
-            }
-        }
-        if !tx.meta.is_empty() {
-            let waiter = BioWaiter::new();
-            for blk in &tx.meta {
-                let mut bio = Bio::write(blk.final_lba, Arc::clone(&blk.buf), BioFlags::NONE);
-                waiter.attach(&mut bio);
-                self.dev.submit_bio(bio);
-            }
-            if let Err(status) = waiter.wait() {
-                return Err(self.fail(status, &mut tx));
-            }
+        let home = |blocks: &[TxBlock]| {
+            write_blocks(
+                &*self.dev,
+                blocks.iter().map(|b| (b.final_lba, Arc::clone(&b.buf))),
+            )
+        };
+        let written = home(&tx.data).and_then(|()| home(&tx.meta));
+        if let Err(status) = written {
+            return Err(self.fail(status, &mut tx));
         }
         if durability == Durability::Durable {
             if let Err(status) = flush_cache(&*self.dev) {

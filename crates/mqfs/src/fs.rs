@@ -33,7 +33,9 @@ use std::{
     },
 };
 
-use ccnvme_block::{flush_cache, read_block, submit_and_wait, Bio, BioBuf, BLOCK_SIZE};
+use ccnvme_block::{
+    flush_cache, read_block, submit_and_wait, write_blocks, Bio, BioBuf, BLOCK_SIZE,
+};
 use ccnvme_obs::Histogram;
 use ccnvme_runtime::{Ns, RtMutex, RtRwLock};
 use mqfs_journal::{
@@ -405,14 +407,8 @@ impl FileSystem {
         // written yet, so there is nothing to read.
         fs.cache.get_zeroed(layout.inode_pos(ROOT_INO).0);
         fs.write_inode(&mut ws, ROOT_INO, &Inode::new(InodeKind::Dir));
-        let waiter = ccnvme_block::BioWaiter::new();
-        for lba in ws.lbas() {
-            let blk = fs.cache.get(lba);
-            let mut bio = Bio::write(lba, blk.shadow_copy(), ccnvme_block::BioFlags::NONE);
-            waiter.attach(&mut bio);
-            fs.dev.submit_bio(bio);
-        }
-        let _ = waiter.wait();
+        let blocks = ws.lbas().map(|lba| (lba, fs.cache.get(lba).shadow_copy()));
+        let _ = write_blocks(&*fs.dev, blocks);
         let _ = flush_cache(&*fs.dev);
         fs
     }

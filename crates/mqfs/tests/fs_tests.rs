@@ -80,8 +80,8 @@ impl Stack {
             cc.quiesce();
         }
         match (&self.cc, &self.nv) {
-            (Some(d), _) => d.controller().graceful_image(),
-            (_, Some(d)) => d.controller().graceful_image(),
+            (Some(d), _) => d.controller().crash_snapshot(CrashMode::SETTLED),
+            (_, Some(d)) => d.controller().crash_snapshot(CrashMode::SETTLED),
             _ => unreachable!(),
         }
     }

@@ -50,8 +50,8 @@ pub const BLACKBOX_SLOTS: u32 = (BLACKBOX_BYTES / RECORD_SIZE - 1) as u32;
 /// Magic identifying a formatted blackbox header ("ccBBOX01").
 pub const BLACKBOX_MAGIC: u64 = u64::from_le_bytes(*b"ccBBOX01");
 
-/// Records a batched recorder stages before posting them as one MMIO
-/// burst ([`Blackbox::format_batched`]). Eight 64 B lines = 512 B per
+/// Records the recorder stages before posting them as one MMIO burst
+/// ([`Blackbox::append`]). Eight 64 B lines = 512 B per
 /// burst: one MMIO transaction amortizes the per-operation cost across
 /// the batch while staying under the posted-write backlog, so the
 /// recorder's hot-path tax is a few tens of ns per record instead of a
@@ -135,9 +135,7 @@ pub struct Blackbox {
     /// Next global record sequence number. Critical atomic: sequence
     /// uniqueness is what mount-time ordering reconstruction rests on.
     bb_cursor: AtomicU64,
-    /// Records per posted burst; 1 = post each record immediately.
-    batch: usize,
-    /// Encoded records staged for the next burst (batched mode only).
+    /// Encoded records staged for the next burst.
     staged: Mutex<Staged>,
 }
 
@@ -156,30 +154,19 @@ impl Blackbox {
     /// its own commit sequence — the header rides the caller's next
     /// flush; `format` itself adds no ordering edge. Old records need
     /// no erasing: they were sealed under a previous epoch and fail
-    /// validation at the next mount. Every record is posted as its own
-    /// write; see [`Blackbox::format_batched`] for the amortized mode.
-    pub fn format(sink: Arc<dyn BlackboxSink>, base: u64, epoch: u32) -> Arc<Blackbox> {
-        Self::format_batched(sink, base, epoch, 1)
-    }
-
-    /// [`Blackbox::format`] with burst batching: records are staged in
-    /// host memory and posted as one contiguous multi-record write once
-    /// `batch` of them accumulate, amortizing the per-MMIO-op cost.
+    /// validation at the next mount.
     ///
-    /// Batching never weakens what a surviving record proves — it only
-    /// narrows *when* one survives. A record is published at or after
-    /// the instant it was appended, so it is still posted after the
-    /// protocol write it witnesses and the FIFO argument holds
-    /// unchanged. The cost is a bounded loss window: up to `batch - 1`
-    /// staged records vanish at a cut (or a clean shutdown without
-    /// [`Blackbox::publish`]), which forensics already tolerates
-    /// because absence of a record proves nothing.
-    pub fn format_batched(
-        sink: Arc<dyn BlackboxSink>,
-        base: u64,
-        epoch: u32,
-        batch: usize,
-    ) -> Arc<Blackbox> {
+    /// Records are staged in host memory and posted as one contiguous
+    /// multi-record write once [`BATCH_RECORDS`] of them accumulate,
+    /// amortizing the per-MMIO-op cost. Batching never weakens what a
+    /// surviving record proves — it only narrows *when* one survives. A
+    /// record is published at or after the instant it was appended, so
+    /// it is still posted after the protocol write it witnesses and the
+    /// FIFO argument holds unchanged. The cost is a bounded loss window:
+    /// up to `BATCH_RECORDS - 1` staged records vanish at a cut (or a
+    /// clean shutdown without [`Blackbox::publish`]), which forensics
+    /// already tolerates because absence of a record proves nothing.
+    pub fn format(sink: Arc<dyn BlackboxSink>, base: u64, epoch: u32) -> Arc<Blackbox> {
         let mut h = [0u8; 64];
         h[0..8].copy_from_slice(&BLACKBOX_MAGIC.to_le_bytes());
         h[8..12].copy_from_slice(&BLACKBOX_SLOTS.to_le_bytes());
@@ -190,7 +177,6 @@ impl Blackbox {
             base,
             epoch,
             bb_cursor: AtomicU64::new(0),
-            batch: batch.max(1),
             staged: Mutex::new(Staged::default()),
         })
     }
@@ -212,18 +198,13 @@ impl Blackbox {
         }
     }
 
-    /// Appends one record. Unbatched, that is a single posted write
-    /// into the next ring slot; batched, the sealed record is staged
-    /// and rides the next burst. Laps simply overwrite the oldest slot.
+    /// Appends one record: the sealed record is staged and rides the
+    /// next burst. Laps simply overwrite the oldest slot.
     pub fn append(&self, ev: &TraceEvent) {
         // ord: SeqCst — bb_cursor is the ring's only allocator; every
         // record must draw a unique, totally-ordered sequence number.
         let seq = self.bb_cursor.fetch_add(1, Ordering::SeqCst);
         let raw = encode_record(seq, ev, self.epoch);
-        if self.batch <= 1 {
-            self.post(seq, &raw);
-            return;
-        }
         // Stage under the lock, post after dropping it: the sink may
         // model link occupancy, and other appenders must not serialize
         // behind that. Two bursts can leave here at once (a forced
@@ -245,7 +226,7 @@ impl Blackbox {
                 st.start_seq = seq;
             }
             st.buf.extend_from_slice(&raw);
-            if st.buf.len() >= self.batch * RECORD_SIZE as usize {
+            if st.buf.len() >= BATCH_RECORDS * RECORD_SIZE as usize {
                 posts[1] = Some((st.start_seq, std::mem::take(&mut st.buf)));
             }
         }
@@ -409,6 +390,7 @@ mod tests {
         for i in 0..10 {
             bb.append(&ev(i, EventKind::Doorbell));
         }
+        bb.publish();
         let m = mount(&sink.image()).expect("formatted region mounts");
         assert_eq!(m.epoch, 5);
         assert_eq!(m.slots, BLACKBOX_SLOTS);
@@ -435,6 +417,7 @@ mod tests {
         for i in 0..total {
             bb.append(&ev(i, EventKind::Completion));
         }
+        bb.publish();
         let m = mount(&sink.image()).expect("mounts");
         assert_eq!(m.records.len(), BLACKBOX_SLOTS as usize);
         assert_eq!(m.lapped, 17);
@@ -449,6 +432,7 @@ mod tests {
         for i in 0..4 {
             bb.append(&ev(i, EventKind::TxBegin));
         }
+        bb.publish();
         let mut img = sink.image();
         // Tear a byte of record 2 (slot 2 ⇒ bytes 64*3..64*4).
         img[64 * 3 + 20] ^= 0x40;
@@ -465,10 +449,12 @@ mod tests {
         for i in 0..6 {
             bb.append(&ev(i, EventKind::Doorbell));
         }
+        bb.publish();
         // Crash + reformat under the next generation: no erasing, the
         // old records just stop validating.
         let bb2 = Blackbox::format(Arc::clone(&sink) as Arc<dyn BlackboxSink>, 0, 2);
         bb2.append(&ev(100, EventKind::TxBegin));
+        bb2.publish();
         let m = mount(&sink.image()).expect("mounts");
         assert_eq!(m.epoch, 2);
         assert_eq!(m.records.len(), 1);
@@ -489,7 +475,7 @@ mod tests {
     #[test]
     fn batched_records_post_in_bursts_and_publish_drains() {
         let sink = MemSink::with_len(BLACKBOX_BYTES as usize);
-        let bb = Blackbox::format_batched(Arc::clone(&sink) as Arc<dyn BlackboxSink>, 0, 4, 8);
+        let bb = Blackbox::format(Arc::clone(&sink) as Arc<dyn BlackboxSink>, 0, 4);
         for i in 0..20 {
             bb.append(&ev(i, EventKind::Doorbell));
         }
@@ -516,7 +502,7 @@ mod tests {
     #[test]
     fn batched_burst_never_crosses_the_ring_wrap() {
         let sink = MemSink::with_len(BLACKBOX_BYTES as usize);
-        let bb = Blackbox::format_batched(Arc::clone(&sink) as Arc<dyn BlackboxSink>, 0, 9, 8);
+        let bb = Blackbox::format(Arc::clone(&sink) as Arc<dyn BlackboxSink>, 0, 9);
         // Land a burst window across the wrap: slots 250..254 then 0..
         let total = BLACKBOX_SLOTS as u64 + 13;
         for i in 0..total {
@@ -537,6 +523,7 @@ mod tests {
         for i in 0..5 {
             bb.append(&ev(i, EventKind::TxAbort));
         }
+        bb.publish();
         let img = sink.image();
         let m1 = mount(&img).unwrap();
         let m2 = mount(&img).unwrap();

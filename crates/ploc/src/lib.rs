@@ -45,7 +45,7 @@ mod tests {
 
     use ccnvme_obs::Obs;
     use ccnvme_sim::Sim;
-    use ccnvme_ssd::{CtrlConfig, NvmeController, SsdProfile};
+    use ccnvme_ssd::{CrashMode, CtrlConfig, NvmeController, SsdProfile};
 
     use super::*;
 
@@ -137,7 +137,7 @@ mod tests {
             svc.op(1, 1, PlocOp::Enqueue(9)).expect("enq");
             svc.op(2, 1, PlocOp::Insert { key: 1, val: 2 })
                 .expect("ins");
-            ctrl.graceful_image()
+            ctrl.crash_snapshot(CrashMode::SETTLED)
         });
         Sim::run_main(2, move || {
             let ctrl = Arc::new(NvmeController::from_image(
@@ -183,7 +183,7 @@ mod tests {
             assert_eq!(svc.stack_contents(), vec![2]);
 
             let cc = CtrlConfig::new(SsdProfile::optane_905p());
-            let ctrl = NvmeController::from_image(cc, &ctrl.graceful_image());
+            let ctrl = NvmeController::from_image(cc, &ctrl.crash_snapshot(CrashMode::SETTLED));
             let base = ccnvme::PmrLayout::new(1, 16).app_region_off();
             let svc = PlocService::mount(ctrl.pmr(), base, Obs::new()).expect("mount");
             assert_eq!(svc.stack_contents(), vec![2]);

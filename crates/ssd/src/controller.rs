@@ -8,11 +8,12 @@
 //! instant, posts the completion (CQE DMA + optional MSI-X) and invokes
 //! the driver's callback.
 //!
-//! Power loss can be injected at any instant: in-flight commands vanish,
-//! the volatile write cache survives only as a random subset, and the PMR
-//! image keeps the committed bytes plus a PCIe-ordered prefix of the
-//! in-flight MMIO writes (§4.4 of the paper: the PMR content is saved to
-//! flash by capacitor energy and restored on the next power-up).
+//! Power loss can be injected at any instant ([`CrashMode`]): in-flight
+//! commands vanish, the volatile write cache survives as the mode's
+//! [`CacheSurvival`] says, and the PMR image keeps the committed bytes
+//! plus a PCIe-ordered prefix of the in-flight MMIO writes (§4.4 of the
+//! paper: the PMR content is saved to flash by capacitor energy and
+//! restored on the next power-up).
 
 use std::{
     cmp::Reverse,
@@ -36,7 +37,7 @@ use crate::{
     hostmem::{DataBuf, HostMemory},
     persist::{PersistEventKind, PersistLog},
     profile::SsdProfile,
-    store::{BlockStore, BLOCK_SIZE},
+    store::{BlockStore, CacheSurvival, BLOCK_SIZE},
 };
 
 /// Extra latency for fetching a queue entry directly from the PMR
@@ -87,31 +88,25 @@ impl CtrlConfig {
     }
 }
 
-/// Where a submission queue's entries live.
+/// Where a submission queue's entries and its tail doorbell live.
 pub enum SqBacking {
-    /// Classic NVMe: a ring in host memory; the device fetches entries
-    /// with a 64 B DMA each (the paper's "DMA(Q)").
-    Host(Arc<Mutex<Vec<u8>>>),
-    /// ccNVMe: a ring inside the device's PMR; the host wrote the entries
-    /// via MMIO, so the device reads them without crossing PCIe.
+    /// Classic NVMe: a ring in host memory, which the device fetches
+    /// with a 64 B DMA per entry (the paper's "DMA(Q)"), and a volatile
+    /// doorbell register.
+    Host {
+        /// The ring.
+        ring: Arc<Mutex<Vec<u8>>>,
+        /// Byte offset of the doorbell within the register BAR.
+        doorbell: u64,
+    },
+    /// ccNVMe: a ring inside the device's PMR (P-SQ), which the host
+    /// wrote via MMIO so the device reads it without crossing PCIe, and
+    /// a persistent doorbell (P-SQDB) beside it.
     Pmr {
         /// Byte offset of slot 0 within the PMR.
-        offset: u64,
-    },
-}
-
-/// Where a submission queue's tail doorbell lives.
-#[derive(Debug, Clone, Copy)]
-pub enum DoorbellLoc {
-    /// Classic NVMe doorbell register (volatile).
-    Register {
-        /// Byte offset within the register BAR.
-        offset: u64,
-    },
-    /// ccNVMe persistent doorbell (P-SQDB) inside the PMR.
-    Pmr {
-        /// Byte offset within the PMR.
-        offset: u64,
+        ring: u64,
+        /// Byte offset of the doorbell within the PMR.
+        doorbell: u64,
     },
 }
 
@@ -124,36 +119,43 @@ pub struct QueueParams {
     pub qid: u16,
     /// Ring capacity in slots.
     pub depth: u32,
-    /// Entry storage.
+    /// Entry storage and tail doorbell.
     pub sq: SqBacking,
-    /// Tail doorbell location.
-    pub sqdb: DoorbellLoc,
     /// Completion callback (runs on the device completer thread).
     pub on_complete: CompletionFn,
 }
 
-/// Crash-injection parameters for [`NvmeController::power_fail`].
-#[derive(Debug, Clone, Copy)]
+/// What a power cut leaves beyond the PMR's arrived bytes and the
+/// durable media: asked of a live device
+/// ([`NvmeController::crash_snapshot`]) and of a recorded run
+/// ([`PersistCursor::image`](crate::PersistCursor::image)) in the same
+/// terms.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CrashMode {
     /// How many not-yet-arrived posted MMIO writes additionally survive
     /// (beyond those that already arrived). PCIe ordering makes this a
     /// prefix of the in-flight queue.
-    pub pmr_extra_prefix: usize,
-    /// Probability that each volatile-cache block was destaged to media
-    /// before the power cut.
-    pub cache_keep_prob: f64,
-    /// Seed for the cache-subset decision.
-    pub seed: u64,
+    pub torn: usize,
+    /// The fate of blocks still in the volatile write cache.
+    pub cache: CacheSurvival,
 }
 
 impl CrashMode {
+    /// A settled device: every posted write landed, the whole cache
+    /// destaged — what a graceful power-down or a converged recovery
+    /// leaves.
+    pub const SETTLED: CrashMode = CrashMode {
+        torn: usize::MAX,
+        cache: CacheSurvival::KeepAll,
+    };
+
     /// The most adversarial crash: nothing beyond what provably arrived
-    /// survives, and the whole volatile cache is lost.
-    pub fn adversarial(seed: u64) -> Self {
+    /// survives, and the whole volatile cache is lost. The seed selects
+    /// nothing (the cache is dropped whole); it stays for API stability.
+    pub fn adversarial(_seed: u64) -> Self {
         CrashMode {
-            pmr_extra_prefix: 0,
-            cache_keep_prob: 0.0,
-            seed,
+            torn: 0,
+            cache: CacheSurvival::DropAll,
         }
     }
 }
@@ -484,9 +486,9 @@ impl NvmeController {
         });
         let prev = self.inner.queues.lock().insert(params.qid, Arc::clone(&q));
         assert!(prev.is_none(), "queue {} already exists", params.qid);
-        let key = match params.sqdb {
-            DoorbellLoc::Register { offset } => (false, offset),
-            DoorbellLoc::Pmr { offset } => (true, offset),
+        let key = match q.sq {
+            SqBacking::Host { doorbell, .. } => (false, doorbell),
+            SqBacking::Pmr { doorbell, .. } => (true, doorbell),
         };
         self.inner.db_targets.lock().insert(key, Arc::clone(&q));
         let inner = Arc::clone(&self.inner);
@@ -506,11 +508,9 @@ impl NvmeController {
         }
     }
 
-    /// Injects a power failure and returns the surviving device state.
-    ///
-    /// All in-flight commands are lost; the volatile cache survives as a
-    /// seeded random subset; the PMR keeps its committed bytes plus the
-    /// configured prefix of in-flight posted writes.
+    /// Injects a power failure and returns the surviving device state:
+    /// the device stops, every in-flight command is lost, and what is
+    /// left is [`Self::crash_snapshot`] in `mode`.
     pub fn power_fail(&self, mode: CrashMode) -> DurableImage {
         // ord: SeqCst — the kill switch must be visible to every
         // worker before we snapshot the durable image.
@@ -528,34 +528,17 @@ impl NvmeController {
             drop(st);
             self.inner.completer.cv.notify_all();
         }
-        DurableImage {
-            pmr: self.inner.pmr.crash_image(mode.pmr_extra_prefix),
-            blocks: self.inner.store.crash(mode.seed, mode.cache_keep_prob),
-        }
+        self.crash_snapshot(mode)
     }
 
     /// Non-destructive crash snapshot: the [`DurableImage`] a power
-    /// failure at this instant would leave behind. The device keeps
-    /// running — this is what lets the crash-consistency harness derive
-    /// hundreds of crash states from a single workload execution.
+    /// failure in `mode` at this instant would leave behind, while the
+    /// device keeps running. [`CrashMode::SETTLED`] is the graceful
+    /// power-down's image once the caller has quiesced its own I/O.
     pub fn crash_snapshot(&self, mode: CrashMode) -> DurableImage {
         DurableImage {
-            pmr: self.inner.pmr.crash_image(mode.pmr_extra_prefix),
-            blocks: self
-                .inner
-                .store
-                .crash_snapshot(mode.seed, mode.cache_keep_prob),
-        }
-    }
-
-    /// Graceful power-down: destages the cache, lets every posted MMIO
-    /// write arrive and returns the full device state. The caller must
-    /// have quiesced its own outstanding I/O first.
-    pub fn graceful_image(&self) -> DurableImage {
-        self.inner.store.flush();
-        DurableImage {
-            pmr: self.inner.pmr.crash_image(usize::MAX),
-            blocks: self.inner.store.durable_image(),
+            pmr: self.inner.pmr.crash_image(mode.torn),
+            blocks: self.inner.store.image(&mode.cache),
         }
     }
 
@@ -661,15 +644,15 @@ fn worker_loop(inner: Arc<CtrlInner>, q: Arc<QueueShared>) {
 fn fetch_entry(inner: &CtrlInner, q: &QueueShared, slot: u32) -> [u8; 64] {
     let mut raw = [0u8; 64];
     match &q.sq {
-        SqBacking::Host(mem) => {
+        SqBacking::Host { ring, .. } => {
             inner.link.dma_to_device(64, DmaKind::QueueEntry);
-            let mem = mem.lock();
+            let mem = ring.lock();
             let off = slot as usize * 64;
             raw.copy_from_slice(&mem[off..off + 64]);
         }
-        SqBacking::Pmr { offset } => {
+        SqBacking::Pmr { ring, .. } => {
             ccnvme_runtime::delay(PMR_FETCH_NS);
-            let bytes = inner.pmr.device_read(offset + slot as u64 * 64, 64);
+            let bytes = inner.pmr.device_read(ring + slot as u64 * 64, 64);
             raw.copy_from_slice(&bytes);
         }
     }
@@ -876,30 +859,21 @@ fn fire(inner: &CtrlInner, job: Job) {
             durable,
             also_flush,
         } => {
-            // A power-protected store treats every write as durable
-            // (mirrors BlockStore's routing).
-            let effective_durable = durable || !inner.cfg.profile.volatile_cache;
             // The one copy of each block: host buffer → store. Nothing
-            // below yields while the buffer is locked.
+            // below yields while the buffer is locked. The log records
+            // where the store routed it.
             for (i, chunk) in buf.lock()[..len].chunks(BLOCK_SIZE as usize).enumerate() {
                 let lba = lba + i as u64;
                 let block = chunk.to_vec();
                 let logged = inner.persist.as_ref().map(|p| (p, block.clone()));
-                inner.store.write_block(lba, block, durable);
+                let durable = inner.store.write_block(lba, block, durable);
                 if let Some((p, data)) = logged {
-                    let kind = if effective_durable {
-                        PersistEventKind::MediaWrite { lba, data }
-                    } else {
-                        PersistEventKind::CacheWrite { lba, data }
-                    };
+                    let kind = PersistEventKind::BlockWrite { lba, data, durable };
                     p.record(ccnvme_runtime::now(), kind);
                 }
             }
             if also_flush {
-                inner.store.flush();
-                if let Some(p) = &inner.persist {
-                    p.record(ccnvme_runtime::now(), PersistEventKind::Flush);
-                }
+                drain_cache(inner);
             }
             inner.link.obs.trace.record(
                 TraceEvent {
@@ -926,12 +900,7 @@ fn fire(inner: &CtrlInner, job: Job) {
                 }
             }
         }
-        Action::Flush => {
-            inner.store.flush();
-            if let Some(p) = &inner.persist {
-                p.record(ccnvme_runtime::now(), PersistEventKind::Flush);
-            }
-        }
+        Action::Flush => drain_cache(inner),
         Action::Nop => {}
     }
     // CQE posting: a 16 B DMA to the host-side completion queue.
@@ -975,6 +944,14 @@ fn fire(inner: &CtrlInner, job: Job) {
     (job.on_complete)(entry);
 }
 
+/// Drains the volatile cache to media, and logs the drain.
+fn drain_cache(inner: &CtrlInner) {
+    inner.store.flush();
+    if let Some(p) = &inner.persist {
+        p.record(ccnvme_runtime::now(), PersistEventKind::Flush);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use ccnvme_runtime::mpsc_channel;
@@ -1007,8 +984,10 @@ mod tests {
             ctrl.create_io_queue(QueueParams {
                 qid: 1,
                 depth: DEPTH,
-                sq: SqBacking::Host(Arc::clone(&sqmem)),
-                sqdb: DoorbellLoc::Register { offset: 0x1000 },
+                sq: SqBacking::Host {
+                    ring: Arc::clone(&sqmem),
+                    doorbell: 0x1000,
+                },
                 on_complete: Arc::new(move |e| {
                     let _ = tx.try_send(e);
                 }),
@@ -1236,6 +1215,80 @@ mod tests {
         sim.run();
     }
 
+    /// The live device and its persistence log are two routes to one
+    /// crash model: at any instant, `crash_snapshot(mode)` is the log's
+    /// image of the same cut, whatever the cache's fate and however many
+    /// posted PMR writes survive.
+    #[test]
+    fn live_snapshot_and_logged_image_agree() {
+        let mut sim = Sim::new(2);
+        sim.spawn("host", 0, || {
+            let mut cfg = CtrlConfig::new(SsdProfile::intel_750());
+            cfg.record_persistence = true;
+            let mut h = Harness::with_config(cfg);
+            let log = h.ctrl.persist_log().expect("recording");
+            let caches = [
+                CacheSurvival::DropAll,
+                CacheSurvival::KeepAll,
+                CacheSurvival::Subset {
+                    seed: 7,
+                    keep_prob: 0.5,
+                },
+            ];
+            let agree = |h: &Harness, at: &str| {
+                let now = ccnvme_sim::now();
+                let prefix = log.event_times().partition_point(|&t| t <= now);
+                let mut kept = Vec::new();
+                for cache in caches {
+                    for torn in [0, usize::MAX] {
+                        let mode = CrashMode { torn, cache };
+                        let live = h.ctrl.crash_snapshot(mode);
+                        let logged = log.state_at(prefix, mode);
+                        assert!(live.pmr == logged.pmr, "{at}, {mode:?}: PMR differs");
+                        assert!(
+                            live.blocks == logged.blocks,
+                            "{at}, {mode:?}: blocks differ"
+                        );
+                        kept.push(live.blocks.len());
+                    }
+                }
+                // Each fate keeps a different share of the cache.
+                assert!(kept[0] < kept[4] && kept[4] < kept[2], "{at}: {kept:?}");
+            };
+            // Durable and cached blocks, a flush, then cached blocks over
+            // durable ones and a PMR write that has arrived.
+            for lba in 0..48 {
+                if lba == 24 {
+                    h.submit(NvmeCommand {
+                        opcode: Opcode::Flush,
+                        cid: 0,
+                        nsid: 1,
+                        lba: 0,
+                        nblocks: 0,
+                        fua: false,
+                        tx_id: 0,
+                        tx_flags: TxFlags::NONE,
+                        data_token: 0,
+                        ctx: ccnvme_obs::TraceCtx::ZERO,
+                    });
+                    h.await_completion();
+                }
+                let cmd = h.write_cmd(lba % 40, lba as u8, lba % 5 == 0);
+                h.submit(cmd);
+                h.await_completion();
+            }
+            h.ctrl.pmr().write(64, &[0xaa; 64]);
+            h.ctrl.pmr().flush();
+            agree(&h, "quiesced");
+            for i in 0..8u8 {
+                h.ctrl.pmr().write(128 + 64 * i as u64, &[i + 1; 64]);
+            }
+            assert!(h.ctrl.pmr().in_flight_count() > 0);
+            agree(&h, "posted writes in flight");
+        });
+        sim.run();
+    }
+
     #[test]
     fn in_flight_command_lost_on_crash() {
         let mut sim = Sim::new(2);
@@ -1281,8 +1334,10 @@ mod tests {
             ctrl.create_io_queue(QueueParams {
                 qid: 1,
                 depth: DEPTH,
-                sq: SqBacking::Host(Arc::clone(&sqmem)),
-                sqdb: DoorbellLoc::Register { offset: 0x1000 },
+                sq: SqBacking::Host {
+                    ring: Arc::clone(&sqmem),
+                    doorbell: 0x1000,
+                },
                 on_complete: Arc::new(move |e| {
                     let _ = tx.try_send(e);
                 }),
@@ -1337,8 +1392,10 @@ mod tests {
             ctrl.create_io_queue(QueueParams {
                 qid: 1,
                 depth: DEPTH,
-                sq: SqBacking::Pmr { offset: 4096 },
-                sqdb: DoorbellLoc::Pmr { offset: 0 },
+                sq: SqBacking::Pmr {
+                    ring: 4096,
+                    doorbell: 0,
+                },
                 on_complete: Arc::new(move |e| {
                     let _ = tx.try_send(e);
                 }),
@@ -1428,7 +1485,11 @@ mod tests {
                 let e = h.await_completion();
                 assert_eq!(e.status, Status::MediaWriteError);
                 assert_eq!(e.status.sct(), crate::command::StatusCodeType::Media);
-                assert!(!h.ctrl.graceful_image().blocks.contains_key(&5));
+                assert!(!h
+                    .ctrl
+                    .crash_snapshot(CrashMode::SETTLED)
+                    .blocks
+                    .contains_key(&5));
                 // The Nth(1) budget is spent; the retry goes through.
                 let cmd = h.write_cmd(5, 0xbb, true);
                 h.submit(cmd);
@@ -1451,7 +1512,7 @@ mod tests {
                 assert_eq!(e.status, Status::MediaWriteError);
                 // The tear keeps strictly fewer than 8 blocks: what landed
                 // is the run 100..100+k, k < 8, each block the host's.
-                let image = h.ctrl.graceful_image();
+                let image = h.ctrl.crash_snapshot(CrashMode::SETTLED);
                 let k = image.blocks.len() as u64;
                 assert!(k < 8, "a torn write landed all {k} blocks");
                 for lba in 100..100 + k {
@@ -1549,8 +1610,10 @@ mod extra_tests {
             ctrl.create_io_queue(QueueParams {
                 qid: 1,
                 depth: 64,
-                sq: SqBacking::Host(Arc::clone(&sqmem)),
-                sqdb: DoorbellLoc::Register { offset: 0x1000 },
+                sq: SqBacking::Host {
+                    ring: Arc::clone(&sqmem),
+                    doorbell: 0x1000,
+                },
                 on_complete: Arc::new(move |e| {
                     let _ = tx.try_send(e);
                 }),
@@ -1588,8 +1651,10 @@ mod extra_tests {
             ctrl.create_io_queue(QueueParams {
                 qid: 1,
                 depth: 64,
-                sq: SqBacking::Host(Arc::clone(&sqmem)),
-                sqdb: DoorbellLoc::Register { offset: 0x1000 },
+                sq: SqBacking::Host {
+                    ring: Arc::clone(&sqmem),
+                    doorbell: 0x1000,
+                },
                 on_complete: Arc::new(move |e| {
                     let _ = tx.try_send(e);
                 }),
@@ -1634,8 +1699,10 @@ mod extra_tests {
             ctrl.create_io_queue(QueueParams {
                 qid: 1,
                 depth: 64,
-                sq: SqBacking::Host(Arc::clone(&sqmem)),
-                sqdb: DoorbellLoc::Register { offset: 0x1000 },
+                sq: SqBacking::Host {
+                    ring: Arc::clone(&sqmem),
+                    doorbell: 0x1000,
+                },
                 on_complete: Arc::new(move |e| {
                     let _ = tx.try_send(e);
                 }),
@@ -1680,8 +1747,10 @@ mod extra_tests {
             ctrl.create_io_queue(QueueParams {
                 qid: 1,
                 depth: 64,
-                sq: SqBacking::Pmr { offset: 4096 },
-                sqdb: DoorbellLoc::Pmr { offset: 0 },
+                sq: SqBacking::Pmr {
+                    ring: 4096,
+                    doorbell: 0,
+                },
                 on_complete: Arc::new(move |e| {
                     let _ = tx.try_send(e);
                 }),

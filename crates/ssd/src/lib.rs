@@ -21,13 +21,10 @@ pub mod profile;
 pub mod store;
 
 pub use command::{CompletionEntry, NvmeCommand, Opcode, Status, StatusCodeType, TxFlags};
-pub use controller::{
-    CrashMode, CtrlConfig, DoorbellLoc, DurableImage, NvmeController, QueueParams, SqBacking,
-};
+pub use controller::{CrashMode, CtrlConfig, DurableImage, NvmeController, QueueParams, SqBacking};
 pub use hostmem::{DataBuf, HostMemory};
 pub use persist::{
-    CacheSurvival, PersistCursor, PersistEventKind, PersistLog, QueueWindow, SanitizerGeometry,
-    SanitizerViolation,
+    PersistCursor, PersistEventKind, PersistLog, QueueWindow, SanitizerGeometry, SanitizerViolation,
 };
 pub use profile::SsdProfile;
-pub use store::{BlockStore, BLOCK_SIZE};
+pub use store::{BlockStore, CacheSurvival, BLOCK_SIZE};

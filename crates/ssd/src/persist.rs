@@ -9,22 +9,23 @@
 //!   abort-log append). Each carries both the *issue* instant (when the
 //!   CPU posted it) and the *arrival* instant (when it physically
 //!   reached the device and became crash-durable).
-//! * **`MediaWrite`** — a block landing on durable media (FUA, commit
-//!   barrier, or any write on a power-protected device).
-//! * **`CacheWrite`** — a block landing only in the volatile write
-//!   cache (lost on power failure unless later flushed).
+//! * **`BlockWrite`** — a block landing where
+//!   [`BlockStore::write_block`](crate::BlockStore::write_block) routed
+//!   it: on durable media, or only in the volatile write cache (lost on
+//!   power failure unless later flushed).
 //! * **`Flush`** — a cache drain making every cached block durable.
 //!
 //! Sorting the log by `(durable_at, seq)` yields a deterministic legal
 //! serialization of durability effects (the log sorts itself once, on
 //! the first read after a recording, and never copies a payload to do
 //! so); a [`PersistCursor`] walks that order forwards over one running
-//! image and [`PersistLog::state_at`] materializes the exact
-//! [`DurableImage`] after any single event prefix, plus any
-//! PCIe-ordering-legal set of still-posted PMR writes. Because PCIe
-//! posted writes to one region arrive FIFO, the legal "torn" sets
-//! collapse to a *count*: the first `torn` still-in-flight PMR writes
-//! issued before the cut (see DESIGN.md §11).
+//! PMR image and one block `Media`, and [`PersistLog::state_at`]
+//! materializes the exact [`DurableImage`] after any single event
+//! prefix, plus any PCIe-ordering-legal set of still-posted PMR
+//! writes. Because PCIe posted writes to one region arrive FIFO, the
+//! legal "torn" sets collapse to a *count*: the first `torn`
+//! still-in-flight PMR writes issued before the cut (see DESIGN.md
+//! §11).
 //!
 //! The log doubles as the ground truth for the **persist-order
 //! sanitizer** ([`PersistLog::sanitize`]): a shadow state machine that
@@ -43,10 +44,10 @@ use std::{
     },
 };
 
-use ccnvme_runtime::{DetRng, Ns};
+use ccnvme_runtime::Ns;
 
-use crate::controller::DurableImage;
-use crate::store::BLOCK_SIZE;
+use crate::controller::{CrashMode, DurableImage};
+use crate::store::Media;
 
 /// One durable-effecting event.
 #[derive(Debug, Clone)]
@@ -61,19 +62,16 @@ pub enum PersistEventKind {
         /// Virtual time the CPU issued the posted write.
         issued_at: Ns,
     },
-    /// A block becoming durable on media.
-    MediaWrite {
+    /// A block landing on media (`durable`) or in the volatile write
+    /// cache only, as the block store routed it.
+    BlockWrite {
         /// Logical block address.
         lba: u64,
-        /// Block content (exactly [`BLOCK_SIZE`] bytes).
+        /// Block content (exactly [`BLOCK_SIZE`](crate::BLOCK_SIZE)
+        /// bytes).
         data: Vec<u8>,
-    },
-    /// A block landing in the volatile write cache only.
-    CacheWrite {
-        /// Logical block address.
-        lba: u64,
-        /// Block content (exactly [`BLOCK_SIZE`] bytes).
-        data: Vec<u8>,
+        /// Whether the block went to durable media.
+        durable: bool,
     },
     /// A cache drain: every cached block becomes durable.
     Flush,
@@ -88,27 +86,6 @@ struct PersistEvent {
     seq: u64,
     /// What happened.
     kind: PersistEventKind,
-}
-
-/// What happens to blocks still sitting in the volatile cache at the
-/// crash instant (beyond the enumerated events).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum CacheSurvival {
-    /// Adversarial: the whole residual cache is lost.
-    DropAll,
-    /// Benign: every residual cached block happened to be destaged.
-    KeepAll,
-    /// Each residual cached block, taken in LBA order, was destaged
-    /// with probability `keep_prob` under a generator seeded with
-    /// `seed` — the subset
-    /// [`NvmeController::crash_snapshot`](crate::NvmeController::crash_snapshot)
-    /// keeps for the same seed.
-    Subset {
-        /// Seed of the subset decision.
-        seed: u64,
-        /// Probability that a cached block had reached the media.
-        keep_prob: f64,
-    },
 }
 
 /// A completed persistent-MMIO flush, recorded out-of-band: every PMR
@@ -308,20 +285,18 @@ impl PersistLog {
             log: self,
             pos: 0,
             pmr: self.base_pmr.lock().expect("poisoned").clone(),
-            blocks: self.base_blocks.lock().expect("poisoned").clone(),
-            cached: HashMap::new(),
+            media: Media::new(self.base_blocks.lock().expect("poisoned").clone()),
         }
     }
 
-    /// Materializes the exact [`DurableImage`] after the first `prefix`
-    /// events plus the first `torn` still-posted PMR writes (clamped to
-    /// the FIFO-legal maximum), with `cache` deciding the fate of blocks
-    /// still in the volatile cache. Random access: replays from the base
+    /// Materializes the exact [`DurableImage`] a power cut in `mode`
+    /// leaves after the first `prefix` events (see
+    /// [`PersistCursor::image`]). Random access: replays from the base
     /// image; a sweep over many prefixes walks a [`PersistCursor`].
-    pub fn state_at(&self, prefix: usize, torn: usize, cache: CacheSurvival) -> DurableImage {
+    pub fn state_at(&self, prefix: usize, mode: CrashMode) -> DurableImage {
         let mut cursor = self.cursor();
         cursor.advance_to(prefix);
-        cursor.image(cursor.next_at(), torn, cache)
+        cursor.image(cursor.next_at(), mode)
     }
 
     /// Runs the persist-order sanitizer: replays every PMR write in host
@@ -471,8 +446,7 @@ pub struct PersistCursor<'a> {
     log: &'a PersistLog,
     pos: usize,
     pmr: Vec<u8>,
-    blocks: HashMap<u64, Vec<u8>>,
-    cached: HashMap<u64, Vec<u8>>,
+    media: Media,
 }
 
 impl PersistCursor<'_> {
@@ -492,7 +466,15 @@ impl PersistCursor<'_> {
         let prefix = prefix.min(log.ev.len());
         assert!(prefix >= self.pos, "a persist cursor only moves forwards");
         for e in &log.ev[self.pos..prefix] {
-            apply(&mut self.pmr, &mut self.blocks, &mut self.cached, &e.kind);
+            match &e.kind {
+                PersistEventKind::PmrWrite { off, data, .. } => {
+                    write_pmr(&mut self.pmr, *off, data)
+                }
+                PersistEventKind::BlockWrite { lba, data, durable } => {
+                    self.media.write(*lba, data.clone(), *durable)
+                }
+                PersistEventKind::Flush => self.media.flush(),
+            }
         }
         self.pos = prefix;
     }
@@ -519,12 +501,11 @@ impl PersistCursor<'_> {
     }
 
     /// The [`DurableImage`] a power cut at `crash_at` leaves with the
-    /// cursor's events applied, plus the first `torn` still-posted PMR
-    /// writes (clamped to [`Self::max_torn`]), with `cache` deciding the
-    /// fate of blocks still in the volatile cache.
-    pub fn image(&self, crash_at: Ns, torn: usize, cache: CacheSurvival) -> DurableImage {
+    /// cursor's events applied, plus the first `mode.torn` still-posted
+    /// PMR writes (clamped to [`Self::max_torn`]), with `mode.cache`
+    /// deciding the fate of blocks still in the volatile cache.
+    pub fn image(&self, crash_at: Ns, mode: CrashMode) -> DurableImage {
         let mut pmr = self.pmr.clone();
-        let mut blocks = self.blocks.clone();
         // The legal torn tail: a FIFO prefix of PMR writes that were
         // posted before the cut but had not arrived.
         let log = self.log.sorted();
@@ -538,29 +519,14 @@ impl PersistCursor<'_> {
         });
         for (off, data, _) in in_flight
             .take_while(|&(_, _, issued_at)| issued_at < crash_at)
-            .take(torn)
+            .take(mode.torn)
         {
             write_pmr(&mut pmr, off, data);
         }
-        match cache {
-            CacheSurvival::DropAll => {}
-            CacheSurvival::KeepAll => {
-                blocks.extend(self.cached.iter().map(|(lba, b)| (*lba, b.clone())));
-            }
-            CacheSurvival::Subset { seed, keep_prob } => {
-                // Decide in LBA order so the surviving subset depends on
-                // the seed alone, not on HashMap iteration order.
-                let mut residual: Vec<(&u64, &Vec<u8>)> = self.cached.iter().collect();
-                residual.sort_by_key(|(lba, _)| **lba);
-                let mut rng = DetRng::new(seed);
-                for (lba, b) in residual {
-                    if rng.chance(keep_prob) {
-                        blocks.insert(*lba, b.clone());
-                    }
-                }
-            }
+        DurableImage {
+            pmr,
+            blocks: self.media.image(&mode.cache),
         }
-        DurableImage { pmr, blocks }
     }
 }
 
@@ -572,34 +538,15 @@ fn write_pmr(pmr: &mut [u8], off: u64, data: &[u8]) {
     }
 }
 
-fn apply(
-    pmr: &mut [u8],
-    blocks: &mut HashMap<u64, Vec<u8>>,
-    cached: &mut HashMap<u64, Vec<u8>>,
-    kind: &PersistEventKind,
-) {
-    match kind {
-        PersistEventKind::PmrWrite { off, data, .. } => write_pmr(pmr, *off, data),
-        PersistEventKind::MediaWrite { lba, data } => {
-            let mut b = data.clone();
-            b.resize(BLOCK_SIZE as usize, 0);
-            cached.remove(lba);
-            blocks.insert(*lba, b);
-        }
-        PersistEventKind::CacheWrite { lba, data } => {
-            let mut b = data.clone();
-            b.resize(BLOCK_SIZE as usize, 0);
-            cached.insert(*lba, b);
-        }
-        PersistEventKind::Flush => {
-            blocks.extend(cached.drain());
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::{CacheSurvival, BLOCK_SIZE};
+    use ccnvme_runtime::DetRng;
+
+    fn mode(torn: usize, cache: CacheSurvival) -> CrashMode {
+        CrashMode { torn, cache }
+    }
 
     #[test]
     fn prefix_replay_applies_events_in_durability_order() {
@@ -621,11 +568,11 @@ mod tests {
                 issued_at: 5,
             },
         );
-        let img = log.state_at(2, 0, CacheSurvival::DropAll);
+        let img = log.state_at(2, mode(0, CacheSurvival::DropAll));
         assert_eq!(&img.pmr[..2], &[2, 2]);
-        let img = log.state_at(1, 0, CacheSurvival::DropAll);
+        let img = log.state_at(1, mode(0, CacheSurvival::DropAll));
         assert_eq!(&img.pmr[..2], &[1, 1]);
-        let img = log.state_at(0, 0, CacheSurvival::DropAll);
+        let img = log.state_at(0, mode(0, CacheSurvival::DropAll));
         assert_eq!(&img.pmr[..2], &[0, 0]);
     }
 
@@ -672,12 +619,12 @@ mod tests {
         // A crash earlier than the next arrival admits fewer: only the
         // write issued at t=2 was in flight at t=3.
         assert_eq!(cursor.max_torn(3), 1);
-        let img = log.state_at(1, 1, CacheSurvival::DropAll);
+        let img = log.state_at(1, mode(1, CacheSurvival::DropAll));
         assert_eq!(&img.pmr[..4], &[1, 2, 0, 0]);
-        let img = log.state_at(1, 2, CacheSurvival::DropAll);
+        let img = log.state_at(1, mode(2, CacheSurvival::DropAll));
         assert_eq!(&img.pmr[..4], &[1, 2, 3, 0]);
         // Requesting more than legal clamps at the FIFO-legal maximum.
-        let img = log.state_at(1, 9, CacheSurvival::DropAll);
+        let img = log.state_at(1, mode(9, CacheSurvival::DropAll));
         assert_eq!(&img.pmr[..4], &[1, 2, 3, 0]);
     }
 
@@ -712,18 +659,19 @@ mod tests {
         let log = PersistLog::new(8);
         log.record(
             10,
-            PersistEventKind::CacheWrite {
+            PersistEventKind::BlockWrite {
                 lba: 7,
                 data: vec![9],
+                durable: false,
             },
         );
-        let dropped = log.state_at(1, 0, CacheSurvival::DropAll);
+        let dropped = log.state_at(1, mode(0, CacheSurvival::DropAll));
         assert!(dropped.blocks.is_empty());
-        let kept = log.state_at(1, 0, CacheSurvival::KeepAll);
+        let kept = log.state_at(1, mode(0, CacheSurvival::KeepAll));
         assert_eq!(kept.blocks.get(&7).map(|b| b[0]), Some(9));
         // A flush makes the block durable regardless of policy.
         log.record(20, PersistEventKind::Flush);
-        let flushed = log.state_at(2, 0, CacheSurvival::DropAll);
+        let flushed = log.state_at(2, mode(0, CacheSurvival::DropAll));
         assert_eq!(flushed.blocks.get(&7).map(|b| b[0]), Some(9));
     }
 
@@ -732,9 +680,10 @@ mod tests {
         let log = PersistLog::new(8);
         log.record(
             30,
-            PersistEventKind::MediaWrite {
+            PersistEventKind::BlockWrite {
                 lba: 1,
                 data: vec![3],
+                durable: true,
             },
         );
         log.record(
@@ -750,9 +699,10 @@ mod tests {
         assert_eq!(log.event_times(), vec![10, 30]);
         log.record(
             20,
-            PersistEventKind::CacheWrite {
+            PersistEventKind::BlockWrite {
                 lba: 2,
                 data: vec![2],
+                durable: false,
             },
         );
         assert_eq!(log.event_times(), vec![10, 20, 30]);
@@ -760,8 +710,8 @@ mod tests {
         for p in 0..=log.len() {
             cursor.advance_to(p);
             assert_eq!(cursor.pos(), p);
-            let walked = cursor.image(cursor.next_at(), 0, CacheSurvival::KeepAll);
-            let direct = log.state_at(p, 0, CacheSurvival::KeepAll);
+            let walked = cursor.image(cursor.next_at(), mode(0, CacheSurvival::KeepAll));
+            let direct = log.state_at(p, mode(0, CacheSurvival::KeepAll));
             assert_eq!(walked.pmr, direct.pmr, "prefix {p}");
             assert_eq!(walked.blocks, direct.blocks, "prefix {p}");
         }
@@ -774,9 +724,10 @@ mod tests {
         for lba in 0..64u64 {
             log.record(
                 10 + lba,
-                PersistEventKind::CacheWrite {
+                PersistEventKind::BlockWrite {
                     lba,
                     data: vec![lba as u8],
+                    durable: false,
                 },
             );
         }
@@ -785,14 +736,18 @@ mod tests {
                 seed,
                 keep_prob: 0.5,
             };
-            let mut kept: Vec<u64> = log.state_at(64, 0, policy).blocks.into_keys().collect();
+            let mut kept: Vec<u64> = log
+                .state_at(64, mode(0, policy))
+                .blocks
+                .into_keys()
+                .collect();
             kept.sort_unstable();
             kept
         };
         assert_eq!(subset(7), subset(7), "same seed, same subset");
         assert_ne!(subset(7), subset(8), "the seed picks the subset");
         assert!(!subset(7).is_empty() && subset(7).len() < 64);
-        // The same draw the live store makes for the same seed.
+        // One coin per cached block, tossed in LBA order.
         let mut rng = DetRng::new(7);
         let want: Vec<u64> = (0..64).filter(|_| rng.chance(0.5)).collect();
         assert_eq!(subset(7), want);
@@ -920,7 +875,7 @@ mod tests {
         let mut blocks = HashMap::new();
         blocks.insert(3u64, vec![0xaa; BLOCK_SIZE as usize]);
         log.set_base(&[5, 6, 7, 8], &blocks);
-        let img = log.state_at(0, 0, CacheSurvival::DropAll);
+        let img = log.state_at(0, mode(0, CacheSurvival::DropAll));
         assert_eq!(img.pmr, vec![5, 6, 7, 8]);
         assert_eq!(img.blocks.get(&3).map(|b| b[0]), Some(0xaa));
     }

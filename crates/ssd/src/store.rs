@@ -1,12 +1,17 @@
 //! The persistent block store behind the simulated SSD.
 //!
-//! Blocks are 4 KB. The store separates *durable* media from the
+//! Blocks are 4 KB. `Media` separates *durable* media from the
 //! *volatile write cache*: on a drive with a volatile cache (flash
 //! without power-loss protection), a completed write sits in the cache
 //! until a FLUSH command (or its FUA bit) pushes it to media. A power
 //! failure destroys an arbitrary subset of the cache — the device may
 //! have destaged any of it in the background — which is exactly the
 //! hazard that journaling's FLUSH ordering points guard against.
+//!
+//! `Media` is the one model of that rule: the live [`BlockStore`]
+//! keeps one under its lock, and a
+//! [`PersistCursor`](crate::PersistCursor) replays the persistence log
+//! into another, so a live snapshot and a log cut leave the same image.
 
 use std::collections::HashMap;
 
@@ -16,16 +21,96 @@ use parking_lot::Mutex;
 /// Logical block size in bytes.
 pub const BLOCK_SIZE: u64 = 4096;
 
-struct StoreState {
-    durable: HashMap<u64, Vec<u8>>,
-    volatile: HashMap<u64, Vec<u8>>,
-    total_writes: u64,
-    total_flushes: u64,
+/// What happens to blocks still sitting in the volatile cache at a
+/// power cut.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum CacheSurvival {
+    /// Adversarial: the whole residual cache is lost.
+    DropAll,
+    /// Benign: every residual cached block happened to be destaged.
+    KeepAll,
+    /// Each residual cached block, taken in LBA order, was destaged
+    /// with probability `keep_prob` under a generator seeded with
+    /// `seed`.
+    Subset {
+        /// Seed of the subset decision.
+        seed: u64,
+        /// Probability that a cached block had reached the media.
+        keep_prob: f64,
+    },
 }
 
-/// Sparse 4 KB-block storage with durable/volatile separation.
+/// Durable blocks plus the volatile write cache over them.
+pub(crate) struct Media {
+    durable: HashMap<u64, Vec<u8>>,
+    cached: HashMap<u64, Vec<u8>>,
+}
+
+impl Media {
+    /// Media holding `durable`, with an empty cache.
+    pub fn new(durable: HashMap<u64, Vec<u8>>) -> Self {
+        Media {
+            durable,
+            cached: HashMap::new(),
+        }
+    }
+
+    /// Lands one block on media when `durable`, else in the cache,
+    /// where it shadows the media's older version.
+    pub fn write(&mut self, lba: u64, data: Vec<u8>, durable: bool) {
+        if durable {
+            self.cached.remove(&lba);
+            self.durable.insert(lba, data);
+        } else {
+            self.cached.insert(lba, data);
+        }
+    }
+
+    /// Makes every cached block durable.
+    pub fn flush(&mut self) {
+        self.durable.extend(self.cached.drain());
+    }
+
+    /// The newest version of block `lba`: cached before durable.
+    pub fn read(&self, lba: u64) -> Option<&[u8]> {
+        self.cached
+            .get(&lba)
+            .or_else(|| self.durable.get(&lba))
+            .map(Vec::as_slice)
+    }
+
+    /// Number of blocks sitting in the cache.
+    pub fn cached_len(&self) -> usize {
+        self.cached.len()
+    }
+
+    /// The blocks a power cut leaves: the durable ones plus the cached
+    /// ones `cache` lets survive. A [`CacheSurvival::Subset`] is drawn
+    /// in LBA order, so it depends on the seed alone, not on HashMap
+    /// iteration order.
+    pub fn image(&self, cache: &CacheSurvival) -> HashMap<u64, Vec<u8>> {
+        let mut image = self.durable.clone();
+        // Keeping everything is the subset drawn with certainty.
+        let (seed, keep_prob) = match *cache {
+            CacheSurvival::DropAll => return image,
+            CacheSurvival::KeepAll => (0, 1.0),
+            CacheSurvival::Subset { seed, keep_prob } => (seed, keep_prob),
+        };
+        let mut cached: Vec<(&u64, &Vec<u8>)> = self.cached.iter().collect();
+        cached.sort_unstable_by_key(|(lba, _)| **lba);
+        let mut rng = DetRng::new(seed);
+        for (lba, data) in cached {
+            if rng.chance(keep_prob) {
+                image.insert(*lba, data.clone());
+            }
+        }
+        image
+    }
+}
+
+/// Sparse 4 KB-block storage: the live device's `Media`.
 pub struct BlockStore {
-    st: Mutex<StoreState>,
+    media: Mutex<Media>,
     /// Power-protected devices treat every completed write as durable.
     power_protected: bool,
 }
@@ -34,45 +119,34 @@ impl BlockStore {
     /// Creates an empty store. `power_protected` disables the volatile
     /// cache (Optane-style drives).
     pub fn new(power_protected: bool) -> Self {
+        Self::from_image(power_protected, HashMap::new())
+    }
+
+    /// Creates a store whose durable media is pre-loaded with `image`
+    /// (the reboot path).
+    pub fn from_image(power_protected: bool, image: HashMap<u64, Vec<u8>>) -> Self {
         BlockStore {
-            st: Mutex::new(StoreState {
-                durable: HashMap::new(),
-                volatile: HashMap::new(),
-                total_writes: 0,
-                total_flushes: 0,
-            }),
+            media: Mutex::new(Media::new(image)),
             power_protected,
         }
     }
 
-    /// Creates a store whose durable media is pre-loaded with `image`
-    /// (the reboot path after [`BlockStore::crash`]).
-    pub fn from_image(power_protected: bool, image: HashMap<u64, Vec<u8>>) -> Self {
-        let s = BlockStore::new(power_protected);
-        s.st.lock().durable = image;
-        s
-    }
-
-    /// Writes one block, keeping `data` itself. `durable` forces media
-    /// (FUA or no-cache device).
+    /// Writes one block, keeping `data` itself, and returns whether it
+    /// went to media: when `durable` (FUA or a commit barrier) or on a
+    /// power-protected device. The one place a block is routed.
     ///
     /// # Panics
     ///
     /// Panics if `data` is not exactly one block.
-    pub fn write_block(&self, lba: u64, data: Vec<u8>, durable: bool) {
+    pub fn write_block(&self, lba: u64, data: Vec<u8>, durable: bool) -> bool {
         assert_eq!(
             data.len() as u64,
             BLOCK_SIZE,
             "write must be one 4 KB block"
         );
-        let mut st = self.st.lock();
-        st.total_writes += 1;
-        if durable || self.power_protected {
-            st.volatile.remove(&lba);
-            st.durable.insert(lba, data);
-        } else {
-            st.volatile.insert(lba, data);
-        }
+        let durable = durable || self.power_protected;
+        self.media.lock().write(lba, data, durable);
+        durable
     }
 
     /// Reads one block; absent blocks read as zeros. The cache is
@@ -95,78 +169,26 @@ impl BlockStore {
             out.len() as u64 <= BLOCK_SIZE,
             "read must fit one 4 KB block"
         );
-        let st = self.st.lock();
-        match st.volatile.get(&lba).or_else(|| st.durable.get(&lba)) {
+        match self.media.lock().read(lba) {
             Some(data) => out.copy_from_slice(&data[..out.len()]),
             None => out.fill(0),
         }
     }
 
-    /// Makes every cached write durable; returns how many were destaged.
-    pub fn flush(&self) -> usize {
-        let mut st = self.st.lock();
-        st.total_flushes += 1;
-        let drained: Vec<(u64, Vec<u8>)> = st.volatile.drain().collect();
-        let n = drained.len();
-        for (lba, data) in drained {
-            st.durable.insert(lba, data);
-        }
-        n
+    /// Makes every cached write durable.
+    pub fn flush(&self) {
+        self.media.lock().flush();
     }
 
     /// Number of blocks sitting in the volatile cache.
     pub fn dirty_count(&self) -> usize {
-        self.st.lock().volatile.len()
+        self.media.lock().cached_len()
     }
 
-    /// Total write commands absorbed (statistics).
-    pub fn total_writes(&self) -> u64 {
-        self.st.lock().total_writes
-    }
-
-    /// Total FLUSH commands executed (statistics).
-    pub fn total_flushes(&self) -> u64 {
-        self.st.lock().total_flushes
-    }
-
-    /// Simulates power loss: the [`BlockStore::crash_snapshot`] becomes
-    /// the durable media and the cache is lost. Returns the durable
-    /// image for the reboot.
-    pub fn crash(&self, seed: u64, keep_prob: f64) -> HashMap<u64, Vec<u8>> {
-        let mut st = self.st.lock();
-        st.durable = st.snapshot(seed, keep_prob);
-        st.volatile.clear();
-        st.durable.clone()
-    }
-
-    /// Snapshot of the durable media (graceful shutdown path).
-    pub fn durable_image(&self) -> HashMap<u64, Vec<u8>> {
-        self.st.lock().durable.clone()
-    }
-
-    /// Non-destructive crash snapshot: what the durable media would hold
-    /// if power failed right now. The store keeps running.
-    pub fn crash_snapshot(&self, seed: u64, keep_prob: f64) -> HashMap<u64, Vec<u8>> {
-        self.st.lock().snapshot(seed, keep_prob)
-    }
-}
-
-impl StoreState {
-    /// The durable blocks plus the cached writes that survive a power
-    /// cut, each independently with probability `keep_prob`. Drawn in
-    /// LBA order, so the subset depends only on `seed`, not on HashMap
-    /// iteration order.
-    fn snapshot(&self, seed: u64, keep_prob: f64) -> HashMap<u64, Vec<u8>> {
-        let mut rng = DetRng::new(seed);
-        let mut image = self.durable.clone();
-        let mut entries: Vec<(&u64, &Vec<u8>)> = self.volatile.iter().collect();
-        entries.sort_by_key(|(lba, _)| **lba);
-        for (lba, data) in entries {
-            if rng.chance(keep_prob) {
-                image.insert(*lba, data.clone());
-            }
-        }
-        image
+    /// The blocks a power cut at this instant would leave, with `cache`
+    /// deciding the fate of the cached ones. The store keeps running.
+    pub fn image(&self, cache: &CacheSurvival) -> HashMap<u64, Vec<u8>> {
+        self.media.lock().image(cache)
     }
 }
 
@@ -197,9 +219,9 @@ mod tests {
     #[test]
     fn cached_writes_lost_on_crash_without_flush() {
         let s = BlockStore::new(false);
-        s.write_block(1, blk(1), false);
-        let image = s.crash(42, 0.0);
-        assert!(image.is_empty());
+        assert!(!s.write_block(1, blk(1), false));
+        assert!(s.image(&CacheSurvival::DropAll).is_empty());
+        assert_eq!(s.image(&CacheSurvival::KeepAll).get(&1), Some(&blk(1)));
     }
 
     #[test]
@@ -207,24 +229,25 @@ mod tests {
         let s = BlockStore::new(false);
         s.write_block(1, blk(1), false);
         s.flush();
-        let image = s.crash(42, 0.0);
+        assert_eq!(s.dirty_count(), 0);
+        let image = s.image(&CacheSurvival::DropAll);
         assert_eq!(image.get(&1), Some(&blk(1)));
     }
 
     #[test]
     fn fua_writes_survive_crash() {
         let s = BlockStore::new(false);
-        s.write_block(2, blk(9), true);
-        let image = s.crash(1, 0.0);
+        assert!(s.write_block(2, blk(9), true));
+        let image = s.image(&CacheSurvival::DropAll);
         assert_eq!(image.get(&2), Some(&blk(9)));
     }
 
     #[test]
     fn power_protected_ignores_cache_semantics() {
         let s = BlockStore::new(true);
-        s.write_block(3, blk(4), false);
+        assert!(s.write_block(3, blk(4), false), "routed to media");
         assert_eq!(s.dirty_count(), 0);
-        let image = s.crash(1, 0.0);
+        let image = s.image(&CacheSurvival::DropAll);
         assert_eq!(image.get(&3), Some(&blk(4)));
     }
 
@@ -237,56 +260,38 @@ mod tests {
         let mut prefix = [0xff; 100];
         s.read_into(4, &mut prefix);
         assert_eq!(prefix, [2; 100]);
+        // A power cut that drops the cache falls back to the media's.
+        assert_eq!(s.image(&CacheSurvival::DropAll).get(&4), Some(&blk(1)));
         s.flush();
         assert_eq!(s.read_block(4), blk(2));
     }
 
     #[test]
     fn crash_subset_is_deterministic() {
-        fn run() -> Vec<u64> {
+        let run = |seed| {
             let s = BlockStore::new(false);
             for lba in 0..32 {
-                s.write_block(lba, blk(lba as u8), false);
+                s.write_block(lba, blk(lba as u8), lba % 3 == 0);
             }
-            let mut survivors: Vec<u64> = s.crash(7, 0.5).into_keys().collect();
+            let cache = CacheSurvival::Subset {
+                seed,
+                keep_prob: 0.5,
+            };
+            let mut survivors: Vec<u64> = s.image(&cache).into_keys().collect();
             survivors.sort_unstable();
             survivors
-        }
-        assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn crash_installs_the_snapshot_it_would_have_taken() {
-        let s = BlockStore::new(false);
-        for lba in 0..32 {
-            s.write_block(lba, blk(lba as u8), lba % 3 == 0);
-        }
-        s.write_block(7, blk(0xee), false);
-        let snapshot = s.crash_snapshot(11, 0.5);
-        let image = s.crash(11, 0.5);
-        assert_eq!(snapshot, image);
-        assert_eq!(s.durable_image(), image);
-        assert_eq!(s.dirty_count(), 0);
+        };
+        assert_eq!(run(11), run(11));
         // Some cached writes survived and some did not.
-        assert!(image.len() > 11 && image.len() < 32, "{}", image.len());
+        let n = run(11).len();
+        assert!(n > 11 && n < 32, "{n}");
     }
 
     #[test]
     fn from_image_restores_media() {
         let s = BlockStore::new(false);
         s.write_block(10, blk(5), true);
-        let img = s.durable_image();
-        let s2 = BlockStore::from_image(false, img);
+        let s2 = BlockStore::from_image(false, s.image(&CacheSurvival::DropAll));
         assert_eq!(s2.read_block(10), blk(5));
-    }
-
-    #[test]
-    fn flush_reports_destaged_count() {
-        let s = BlockStore::new(false);
-        for lba in 0..5 {
-            s.write_block(lba, blk(0), false);
-        }
-        assert_eq!(s.flush(), 5);
-        assert_eq!(s.flush(), 0);
     }
 }

@@ -46,11 +46,7 @@ fn main() {
                 fs.fsync(ino).expect("fsync");
             }
         }
-        let image = stack.crash_snapshot(CrashMode {
-            pmr_extra_prefix: 0,
-            cache_keep_prob: 0.0,
-            seed: 7,
-        });
+        let image = stack.crash_snapshot(CrashMode::adversarial(7));
 
         // Forensics on the raw bytes: timelines, verdicts, and the
         // one-directional cross-check against the recovery scan. A
@@ -84,11 +80,7 @@ fn main() {
             report.generation,
             report.unfinished.len()
         );
-        let rebooted = drv.controller().crash_snapshot(CrashMode {
-            pmr_extra_prefix: usize::MAX,
-            cache_keep_prob: 1.0,
-            seed: 0,
-        });
+        let rebooted = drv.controller().crash_snapshot(CrashMode::SETTLED);
         let fx2 = image_forensics(&rebooted.pmr).expect("recovered ring mounts");
         println!(
             "post-recovery ring: epoch {} (was {}), {} surviving timelines \

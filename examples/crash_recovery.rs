@@ -17,7 +17,7 @@ use ccnvme_repro::block::{Bio, BioBuf, BioFlags, BioWaiter, BlockDevice};
 use ccnvme_repro::crashtest::{sweep, workloads, FsSurface, RecrashSweep, StackConfig, SweepPlan};
 use ccnvme_repro::mqfs::FsVariant;
 use ccnvme_repro::sim::Sim;
-use ccnvme_repro::ssd::{CrashMode, CtrlConfig, NvmeController, SsdProfile};
+use ccnvme_repro::ssd::{CacheSurvival, CrashMode, CtrlConfig, NvmeController, SsdProfile};
 
 fn block(byte: u8) -> BioBuf {
     Arc::new(parking_lot::Mutex::new(vec![byte; 4096]))
@@ -62,12 +62,11 @@ fn main() {
         println!("tx {tx3}: member submitted, commit never issued");
 
         // Power fails right now. Let in-flight posted writes arrive
-        // (pmr_extra_prefix: MAX) so tx2's doorbell makes it; tx3 has no
+        // (torn: MAX) so tx2's doorbell makes it; tx3 has no
         // doorbell either way.
         let image = drv.controller().power_fail(CrashMode {
-            pmr_extra_prefix: usize::MAX,
-            cache_keep_prob: 0.0,
-            seed: 1,
+            torn: usize::MAX,
+            cache: CacheSurvival::DropAll,
         });
 
         // Reboot: probe scans the P-SQ windows.

@@ -7,7 +7,8 @@
 #     counts, the fabric, ploc, cluster and lint suites, the sim/OS
 #     differential), the ccnvme-lint protocol-invariant analyzer over
 #     the workspace, the bench metrics-schema smoke run, the faultpath
-#     bench, the fault_storm example, the fabric credit-overload drill
+#     bench, the fault_storm, quickstart and black_box examples, the
+#     fabric credit-overload drill
 #     and the cluster scaling gate, the
 #     deep ploc and cluster crash sweeps, the forensics and OS-runtime
 #     smokes, and the benchmark: its
@@ -83,6 +84,12 @@ scripts/bench_smoke.sh
 # itself).
 QUICK=1 cargo run -q --release -p ccnvme-bench --bin faultpath > /dev/null
 cargo run -q --release --example fault_storm > /dev/null
+# Two crash walkthroughs, each asserting its own outcome: an fsync'd
+# file survives a power cut and fsck is clean (quickstart); the flight
+# recorder mounts and cross-checks a wrecked and a settled image
+# (black_box).
+cargo run -q --release --example quickstart > /dev/null
+cargo run -q --release --example black_box > /dev/null
 # The fabric credit-overload drill: pipelined 8-write TX_COMMIT capsules
 # over a window of 2 must stall and never fail (it panics otherwise).
 QUICK=1 cargo run -q --release -p ccnvme-bench --bin fabric > /dev/null

@@ -125,11 +125,7 @@ fn boot_pmr(image: &DurableImage) -> Vec<u8> {
             CORES as u16,
             64,
         );
-        let graceful = drv.controller().crash_snapshot(CrashMode {
-            pmr_extra_prefix: usize::MAX,
-            cache_keep_prob: 1.0,
-            seed: 0,
-        });
+        let graceful = drv.controller().crash_snapshot(CrashMode::SETTLED);
         *cap.lock() = Some(graceful.pmr);
     });
     sim.run();

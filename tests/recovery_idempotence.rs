@@ -99,13 +99,7 @@ fn reboot(
 /// Full-media snapshot for byte-identical comparison (everything lands:
 /// all posted writes, whole cache).
 fn media(drv: &CcNvmeDriver) -> std::collections::HashMap<u64, Vec<u8>> {
-    drv.controller()
-        .crash_snapshot(CrashMode {
-            pmr_extra_prefix: usize::MAX,
-            cache_keep_prob: 1.0,
-            seed: 0,
-        })
-        .blocks
+    drv.controller().crash_snapshot(CrashMode::SETTLED).blocks
 }
 
 fn run_case(

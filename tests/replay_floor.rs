@@ -12,13 +12,12 @@ use ccnvme::recovery::scan_pmr_bytes;
 use ccnvme_repro::crashtest::{Stack, StackConfig};
 use ccnvme_repro::fault::{FaultKind, FaultPlan, FaultRule, Trigger};
 use ccnvme_repro::sim::Sim;
-use ccnvme_repro::ssd::{CrashMode, SsdProfile};
+use ccnvme_repro::ssd::{CacheSurvival, CrashMode, SsdProfile};
 use mqfs::FsVariant;
 
 const POWER_CUT: CrashMode = CrashMode {
-    pmr_extra_prefix: 0,
-    cache_keep_prob: 0.0,
-    seed: 7,
+    torn: 0,
+    cache: CacheSurvival::DropAll,
 };
 
 fn failing_writes_in(start: u64, end: u64) -> Option<FaultPlan> {
