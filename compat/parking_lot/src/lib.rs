@@ -6,6 +6,11 @@
 //! [`Condvar`] (whose `wait` takes `&mut MutexGuard`). Poisoned std
 //! locks are transparently recovered — panicking while holding a lock
 //! is already a bug the simulation surfaces elsewhere.
+//!
+//! With the off-by-default `census` feature, [`Mutex::lock`] counts its
+//! acquisitions by call site and prints one `lockprof <count> <site>`
+//! line per site to stderr when the process exits
+//! (`scripts/lockprof.sh`).
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
@@ -35,7 +40,10 @@ impl<T> Mutex<T> {
 
 impl<T: ?Sized> Mutex<T> {
     /// Acquires the lock, blocking the calling thread until it is free.
+    #[cfg_attr(feature = "census", track_caller)]
     pub fn lock(&self) -> MutexGuard<'_, T> {
+        #[cfg(feature = "census")]
+        census::count(std::panic::Location::caller());
         MutexGuard {
             inner: Some(self.inner.lock().unwrap_or_else(PoisonError::into_inner)),
         }
@@ -132,6 +140,49 @@ impl Default for Condvar {
 impl fmt::Debug for Condvar {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Condvar").finish_non_exhaustive()
+    }
+}
+
+/// Lock acquisitions by call site, printed at process exit.
+#[cfg(feature = "census")]
+mod census {
+    use std::{
+        collections::HashMap,
+        io::Write,
+        panic::Location,
+        sync::{Mutex, Once, PoisonError},
+    };
+
+    type Sites = HashMap<&'static Location<'static>, u64>;
+
+    static SITES: Mutex<Option<Sites>> = Mutex::new(None);
+
+    extern "C" {
+        fn atexit(f: extern "C" fn()) -> std::ffi::c_int;
+    }
+
+    pub(crate) fn count(site: &'static Location<'static>) {
+        static REPORT_AT_EXIT: Once = Once::new();
+        // SAFETY: `report` is a plain `extern "C" fn()` that stays valid
+        // for the life of the process, as `atexit` requires.
+        REPORT_AT_EXIT.call_once(|| unsafe {
+            atexit(report);
+        });
+        let mut sites = SITES.lock().unwrap_or_else(PoisonError::into_inner);
+        *sites
+            .get_or_insert_with(HashMap::new)
+            .entry(site)
+            .or_insert(0) += 1;
+    }
+
+    /// Runs from `atexit`, when thread-locals are gone: touches only the
+    /// static table and stderr.
+    extern "C" fn report() {
+        let sites = SITES.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut out = std::io::stderr().lock();
+        for (site, n) in sites.iter().flatten() {
+            let _ = writeln!(out, "lockprof {n} {site}");
+        }
     }
 }
 

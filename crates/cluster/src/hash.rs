@@ -6,7 +6,7 @@
 //! fall into the new shard's arcs — roughly `1/(n+1)` of them — which
 //! is what lets a cluster grow without rehashing the world.
 
-use ccnvme_obs::seal::fnv1a64;
+use ccnvme_obs::hash::fnv1a64;
 
 /// A consistent-hash ring over `shards` shards.
 #[derive(Debug, Clone)]

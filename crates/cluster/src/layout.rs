@@ -9,7 +9,7 @@
 //! ```
 //!
 //! Every record is one self-validating block sealed by
-//! [`ccnvme_obs::seal::seal_block`]: magic, payload, FNV-1a checksum. A
+//! [`ccnvme_obs::seal::seal_block`]: magic, payload, CRC-32C checksum. A
 //! freed slot is a zeroed header block — it fails the magic check, which
 //! is the only "free" marker recovery needs. Records are only ever
 //! written as the commit member of a local ccNVMe transaction, so a

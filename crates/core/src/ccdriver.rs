@@ -20,7 +20,7 @@
 //!   P-SQ-head and P-SQDB are returned as the unfinished transactions.
 
 use std::{
-    collections::{HashMap, HashSet, VecDeque},
+    collections::{HashSet, VecDeque},
     sync::{
         atomic::{AtomicU64, Ordering},
         Arc,
@@ -28,7 +28,7 @@ use std::{
 };
 
 use ccnvme_block::{Bio, BioOp, BioStatus, BlockDevice};
-use ccnvme_obs::{EventKind, Obs};
+use ccnvme_obs::{hash::IntMap, EventKind, Obs};
 use ccnvme_pcie::MmioRegion;
 use ccnvme_runtime::{RtCondvar, RtMutex};
 use ccnvme_ssd::{
@@ -82,7 +82,7 @@ struct CcqSt {
     /// Every bio of such a transaction completes with the recorded
     /// status (transaction-atomic error handling); the entry is dropped
     /// when the transaction's boundary slot pops.
-    failed_txs: HashMap<u64, BioStatus>,
+    failed_txs: IntMap<u64, BioStatus>,
     /// Entries written to the queue's persistent abort log so far
     /// (mirrors the count line in the PMR).
     abort_logged: u32,
@@ -333,7 +333,7 @@ impl CcNvmeDriver {
                     head_idx: 0,
                     slots: VecDeque::new(),
                     last_rung: 0,
-                    failed_txs: HashMap::new(),
+                    failed_txs: IntMap::default(),
                     // The merged log survives the probe; appends must
                     // land after the preserved prefix.
                     abort_logged: abort_counts[i as usize],
@@ -478,7 +478,7 @@ fn enqueue(q: &Arc<CcQueue>, bio: Bio, ring: bool, flush_first: bool) {
             ring_doorbell(q)
         } else {
             // ccnvme-lint: allow(persist-order) — non-boundary ring:
-            // the SQE is sealed with the ring epoch and an FNV slot
+            // the SQE is sealed with the ring epoch and a CRC-32C slot
             // checksum, so recovery discards a torn or stale slot;
             // durability is only promised at the commit boundary,
             // whose ring takes the flush_first arm above.

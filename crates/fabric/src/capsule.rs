@@ -10,7 +10,7 @@
 //! ```text
 //! +--------+---------+--------+---------+----------------+------------+
 //! | magic  | version | opcode |   cid   | opcode-specific|  checksum  |
-//! |  u32   |   u8    |   u8   |   u64   |      body      | FNV-1a u64 |
+//! |  u32   |   u8    |   u8   |   u64   |      body      | CRC-32C u64|
 //! +--------+---------+--------+---------+----------------+------------+
 //! ```
 //!
@@ -24,7 +24,7 @@
 
 use crate::error::CodecError;
 use ccnvme_block::{BioStatus, BLOCK_SIZE};
-use ccnvme_obs::{seal::fnv1a64, TraceCtx};
+use ccnvme_obs::{seal::crc32c, TraceCtx};
 use ccnvme_ploc::{OpResult, RecoverVerdict};
 use mqfs::FsError;
 
@@ -606,7 +606,7 @@ impl<'a> Cursor<'a> {
 }
 
 fn seal(mut out: Vec<u8>) -> Vec<u8> {
-    let sum = fnv1a64(&out);
+    let sum = u64::from(crc32c(&out));
     put_u64(&mut out, sum);
     out
 }
@@ -627,7 +627,7 @@ fn open(bytes: &[u8]) -> Result<(u8, u64, &[u8]), CodecError> {
     }
     // Checksum after the magic/version sanity check: a foreign frame
     // reports BadMagic, a damaged fabric frame reports BadChecksum.
-    if fnv1a64(payload) != sum {
+    if u64::from(crc32c(payload)) != sum {
         return Err(CodecError::BadChecksum);
     }
     let opcode = c.u8()?;

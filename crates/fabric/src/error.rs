@@ -22,7 +22,7 @@ pub enum CodecError {
     BadSyncMode(u8),
     /// Unknown ploc operation kind in a `PlocOp` capsule.
     BadPlocOp(u8),
-    /// The trailing FNV-1a checksum does not match the payload.
+    /// The trailing CRC-32C checksum does not match the payload.
     BadChecksum,
     /// A length-prefixed field exceeds its protocol cap.
     Overflow {

@@ -18,7 +18,7 @@ use std::collections::BTreeMap;
 use std::ops::Range;
 use std::sync::Arc;
 
-use ccnvme_obs::{seal::fnv1a64, Counter, Registry};
+use ccnvme_obs::{hash::fnv1a64, Counter, Registry};
 use ccnvme_runtime::Ns;
 
 use ccnvme_ploc::{OpResult, PlocOp, RecoverVerdict};

@@ -253,7 +253,7 @@ fn unknown_ploc_kind_reports_bad_ploc_op() {
     // seq (4); rewrite it to an unassigned kind and re-seal the checksum.
     let mut body: Vec<u8> = wire[..wire.len() - 8].to_vec();
     body[14 + 16 + 4] = 0x7f;
-    let sum = ccnvme_obs::seal::fnv1a64(&body);
+    let sum = u64::from(ccnvme_obs::seal::crc32c(&body));
     body.extend_from_slice(&sum.to_le_bytes());
     assert_eq!(decode_request(&body), Err(CodecError::BadPlocOp(0x7f)));
 }
@@ -353,7 +353,7 @@ fn retired_opcode_3_is_a_bad_opcode() {
         // checksum over the rewritten header.
         let mut body: Vec<u8> = wire[..wire.len() - 8].to_vec();
         body[5] = opcode;
-        let sum = ccnvme_obs::seal::fnv1a64(&body);
+        let sum = u64::from(ccnvme_obs::seal::crc32c(&body));
         body.extend_from_slice(&sum.to_le_bytes());
         assert_eq!(decode_request(&body), Err(CodecError::BadOpcode(opcode)));
     }

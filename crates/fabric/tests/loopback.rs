@@ -620,7 +620,7 @@ fn trace_id_spans_initiator_to_media_write_across_a_kill() {
         let mut key = [0u8; 16];
         key[..8].copy_from_slice(&CLIENT_ID.to_le_bytes());
         key[8..].copy_from_slice(&cid.to_le_bytes());
-        let expected = ccnvme_obs::seal::fnv1a64(&key);
+        let expected = ccnvme_obs::hash::fnv1a64(&key);
 
         let obs = drv.obs().expect("ccNVMe driver exposes obs");
         let events = obs.trace.events_for_tx(tx);

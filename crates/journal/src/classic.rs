@@ -24,7 +24,7 @@ use std::{
 };
 
 use ccnvme_block::{flush_cache, write_blocks, Bio, BioBuf, BioFlags, BioStatus, BioWaiter};
-use ccnvme_obs::{seal::fnv1a64, Counter, Histogram};
+use ccnvme_obs::{seal::crc32c, Counter, Histogram};
 use ccnvme_runtime::{Ns, RtCondvar, RtMutex};
 
 use crate::{
@@ -317,7 +317,7 @@ fn commit_chunk(
     // Build the descriptor.
     let mut entries = Vec::with_capacity(order.len());
     for (i, blk) in blocks.iter().enumerate() {
-        let sum = fnv1a64(&blk.buf.lock());
+        let sum = u64::from(crc32c(&blk.buf.lock()));
         entries.push(JdEntry {
             final_lba: order[i],
             journal_lba: block_lbas[i],

@@ -8,7 +8,7 @@
 //! first and seal the transaction with a separate *commit record*.
 
 use ccnvme_block::BLOCK_SIZE;
-use ccnvme_obs::seal::{fnv1a64, seal_block, sealed_payload};
+use ccnvme_obs::seal::{crc32c, seal_block, sealed_payload};
 
 /// Magic of a journal description block.
 pub const JD_MAGIC: u64 = 0x4a44_5f4d_5146_5331;
@@ -143,7 +143,7 @@ impl JdBlock {
         // The checksum protects the JD itself against torn writes — and
         // is all the validity evidence a transaction made of patches
         // alone has, so it covers every patch body.
-        let hsum = fnv1a64(&b[0..off]);
+        let hsum = u64::from(crc32c(&b[0..off]));
         let end = BLOCK_SIZE as usize;
         b[end - 8..end].copy_from_slice(&hsum.to_le_bytes());
         b
@@ -189,7 +189,7 @@ impl JdBlock {
             });
             off = body + len;
         }
-        if fnv1a64(&b[0..off]) != le_u64(b, BLOCK_SIZE as usize - 8) {
+        if u64::from(crc32c(&b[0..off])) != le_u64(b, BLOCK_SIZE as usize - 8) {
             return None;
         }
         let entries = (0..n_entries)
@@ -288,6 +288,28 @@ mod tests {
         let mut b = jd.encode();
         b[9] ^= 0x10; // Corrupt the tx_id.
         assert!(JdBlock::decode(&b).is_none());
+        // A record area ending mid-word (32 + 24 + 8 + 12 + 5 bytes): a
+        // tear in any byte of it, the last one included, is caught.
+        let jd = JdBlock {
+            tx_id: 2,
+            entries: vec![entry(100, 9000, 7)],
+            revokes: vec![55],
+            patches: vec![JdPatch {
+                final_lba: 300,
+                offset: 16,
+                bytes: vec![0xab; 5],
+            }],
+        };
+        let good = jd.encode();
+        for i in 0..JD_HEADER + ENTRY_BYTES + REVOKE_BYTES + PATCH_HEADER_BYTES + 5 {
+            let mut b = good.clone();
+            b[i] ^= 0x01;
+            assert!(
+                JdBlock::decode(&b).is_none(),
+                "tear at byte {i} not detected"
+            );
+        }
+        assert_eq!(JdBlock::decode(&good), Some(jd));
     }
 
     #[test]
@@ -348,7 +370,7 @@ mod tests {
             ..JdBlock::default()
         };
         let reseal = |b: &mut [u8], body: usize| {
-            let sum = fnv1a64(&b[..body]);
+            let sum = u64::from(crc32c(&b[..body]));
             b[4088..].copy_from_slice(&sum.to_le_bytes());
         };
         let good = jd.encode();
@@ -389,10 +411,10 @@ mod tests {
     #[test]
     fn checksum_detects_single_bit_flips() {
         let data = vec![3u8; 4096];
-        let base = fnv1a64(&data);
+        let base = crc32c(&data);
         let mut tweaked = data.clone();
         tweaked[1000] ^= 1;
-        assert_ne!(base, fnv1a64(&tweaked));
+        assert_ne!(base, crc32c(&tweaked));
     }
 
     #[test]

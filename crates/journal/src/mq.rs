@@ -55,7 +55,7 @@
 //! record it revokes.
 
 use std::{
-    collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque},
+    collections::{BTreeMap, BTreeSet, HashSet, VecDeque},
     sync::{
         atomic::{AtomicBool, AtomicU64, Ordering},
         Arc,
@@ -63,7 +63,11 @@ use std::{
 };
 
 use ccnvme_block::{flush_cache, write_blocks, Bio, BioBuf, BioFlags, BioStatus, BioWaiter};
-use ccnvme_obs::{seal::fnv1a64, Counter, EventKind, Histogram, Obs, TraceEvent};
+use ccnvme_obs::{
+    hash::{IntMap, IntSet},
+    seal::crc32c,
+    Counter, EventKind, Histogram, Obs, TraceEvent,
+};
 use ccnvme_runtime::RtMutex;
 
 use crate::{
@@ -151,7 +155,7 @@ impl Chain {
     }
 }
 
-type Tree = RtMutex<HashMap<u64, Chain>>;
+type Tree = RtMutex<IntMap<u64, Chain>>;
 
 struct LoggedTx {
     tx_id: u64,
@@ -266,7 +270,9 @@ impl MqJournal {
             inner: Arc::new(MqInner {
                 dev,
                 areas,
-                trees: (0..NTREES).map(|_| RtMutex::new(HashMap::new())).collect(),
+                trees: (0..NTREES)
+                    .map(|_| RtMutex::new(IntMap::default()))
+                    .collect(),
                 next_tx: AtomicU64::new(1),
                 unlogged: parking_lot::Mutex::new(BTreeSet::new()),
                 horizon_lba,
@@ -381,7 +387,7 @@ impl MqJournal {
             .filter_map(|b| Some((patch_cost(written.get(&b.final_lba)?), b.final_lba)))
             .collect();
         by_cost.sort_unstable();
-        let mut inline: HashSet<u64> = HashSet::new();
+        let mut inline: IntSet<u64> = IntSet::default();
         for (cost, lba) in by_cost {
             if cost <= left + format::ENTRY_BYTES {
                 left = left + format::ENTRY_BYTES - cost;
@@ -424,7 +430,7 @@ impl MqJournal {
             jd.entries.push(JdEntry {
                 final_lba: blk.final_lba,
                 journal_lba,
-                checksum: fnv1a64(&blk.buf.lock()),
+                checksum: u64::from(crc32c(&blk.buf.lock())),
             });
             members.push(member(journal_lba, &blk.buf));
         }

@@ -27,7 +27,7 @@ use std::{
 };
 
 use ccnvme_block::{flush_cache, read_block, submit_and_wait, Bio, BioFlags, BioStatus};
-use ccnvme_obs::seal::fnv1a64;
+use ccnvme_obs::seal::crc32c;
 
 use crate::{
     area::AreaSpec,
@@ -111,7 +111,7 @@ pub fn recover_areas(
         let mut contents = Vec::with_capacity(jd.entries.len());
         for e in &jd.entries {
             match read_block(&**dev, e.journal_lba) {
-                Ok(data) if fnv1a64(&data) == e.checksum => contents.push(data),
+                Ok(data) if u64::from(crc32c(&data)) == e.checksum => contents.push(data),
                 // Torn transaction: some journaled block never landed.
                 _ => continue 'jd,
             }

@@ -13,14 +13,10 @@
 //! (§5.2) is the bytes it wrote, by construction rather than by
 //! bookkeeping.
 
-use std::{
-    collections::{BTreeMap, HashMap},
-    ops::Range,
-    sync::Arc,
-};
+use std::{collections::BTreeMap, ops::Range, sync::Arc};
 
 use ccnvme_block::{read_block, BioBuf, BLOCK_SIZE};
-use ccnvme_obs::Counter;
+use ccnvme_obs::{hash::IntMap, Counter};
 use ccnvme_runtime::{RtCondvar, RtMutex};
 use mqfs_journal::{ByteRanges, Dev};
 use parking_lot::Mutex;
@@ -210,7 +206,7 @@ impl WriteSet {
 /// The metadata buffer cache.
 pub struct BufferCache {
     dev: Dev,
-    map: RtMutex<HashMap<u64, Arc<MetaBlock>>>,
+    map: RtMutex<IntMap<u64, Arc<MetaBlock>>>,
     /// Misses that read the device (`mqfs.meta_reads`).
     reads: Arc<Counter>,
 }
@@ -224,7 +220,7 @@ impl BufferCache {
             .counter("mqfs.meta_reads");
         BufferCache {
             dev,
-            map: RtMutex::new(HashMap::new()),
+            map: RtMutex::new(IntMap::default()),
             reads,
         }
     }
@@ -298,6 +294,8 @@ impl BufferCache {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashMap;
+
     use ccnvme_block::{Bio, BioStatus};
     use ccnvme_sim::Sim;
 

@@ -26,7 +26,7 @@
 //!   locks are held for the whole commit, serializing such `fsync`s.
 
 use std::{
-    collections::{BTreeMap, BTreeSet, HashMap, HashSet},
+    collections::{BTreeMap, BTreeSet, HashSet},
     sync::{
         atomic::{AtomicBool, Ordering},
         Arc,
@@ -36,7 +36,10 @@ use std::{
 use ccnvme_block::{
     flush_cache, read_block, submit_and_wait, write_blocks, Bio, BioBuf, BLOCK_SIZE,
 };
-use ccnvme_obs::Histogram;
+use ccnvme_obs::{
+    hash::{IntMap, IntSet},
+    Histogram,
+};
 use ccnvme_runtime::{Ns, RtMutex, RtRwLock};
 use mqfs_journal::{
     AreaSpec, ClassicJournal, CommitStyle, Dev, Durability, Journal, MqJournal, NoJournal,
@@ -192,7 +195,7 @@ enum MetaDirty {
 struct InodeSt {
     inode: Inode,
     /// File-data page cache (file block index → content).
-    pages: HashMap<u64, Page>,
+    pages: IntMap<u64, Page>,
     dirty_pages: BTreeSet<u64>,
     meta_dirty: MetaDirty,
     /// What this file's plain `write`s allocated: the next fsync
@@ -239,9 +242,9 @@ struct Group {
 /// too: no `fsync` can ask for it.
 #[derive(Default)]
 struct OpIndex {
-    groups: HashMap<u64, Group>,
+    groups: IntMap<u64, Group>,
     /// The open groups by the blocks they wrote.
-    by_lba: HashMap<u64, Vec<u64>>,
+    by_lba: IntMap<u64, Vec<u64>>,
     next: u64,
 }
 
@@ -294,7 +297,7 @@ impl OpIndex {
         let mut out = seed.clone();
         let mut gids = Vec::new();
         let mut frontier: Vec<u64> = seed.lbas().collect();
-        let mut seen_gids: HashSet<u64> = HashSet::new();
+        let mut seen_gids: IntSet<u64> = IntSet::default();
         while let Some(lba) = frontier.pop() {
             for gid in self.by_lba.get(&lba).into_iter().flatten() {
                 if seen_gids.insert(*gid) {
@@ -360,7 +363,7 @@ pub struct FileSystem {
     cache: Arc<BufferCache>,
     alloc: Allocator,
     journal: Arc<dyn Journal>,
-    icache: RtMutex<HashMap<u64, Arc<InodeHandle>>>,
+    icache: RtMutex<IntMap<u64, Arc<InodeHandle>>>,
     /// Open namespace-operation groups (see [`OpIndex`]).
     ops: RtMutex<OpIndex>,
     /// Capture barrier: namespace operations hold it shared for their
@@ -474,7 +477,7 @@ impl FileSystem {
             cache,
             alloc,
             journal,
-            icache: RtMutex::new(HashMap::new()),
+            icache: RtMutex::new(IntMap::default()),
             ops: RtMutex::new(OpIndex::default()),
             op_barrier: RtRwLock::new(()),
             sys,
@@ -546,7 +549,7 @@ impl FileSystem {
         let handle = Arc::new(InodeHandle {
             st: RtMutex::new(InodeSt {
                 inode,
-                pages: HashMap::new(),
+                pages: IntMap::default(),
                 dirty_pages: BTreeSet::new(),
                 meta_dirty: MetaDirty::Clean,
                 dep_meta: WriteSet::default(),
@@ -1028,7 +1031,7 @@ impl FileSystem {
         if pst.dir.as_ref().expect("loaded").contains(name) {
             return Err(FsError::Exists);
         }
-        let h = ccnvme_obs::seal::fnv1a64(name.as_bytes());
+        let h = ccnvme_obs::hash::fnv1a64(name.as_bytes());
         let goal = (h ^ parent.wrapping_mul(0x9e37)) % self.layout.ninodes;
         let mut ws = WriteSet::default();
         let ino = self.alloc.alloc_inode_near(goal, &mut ws)?;

@@ -1368,7 +1368,7 @@ fn dir_fsync_during_a_child_commit_carries_the_create() {
 /// inode landed, so a drift fails them rather than weakening them.
 fn goal_of(fs: &FileSystem, parent: u64, name: &str) -> (u64, u64) {
     let layout = fs.layout();
-    let h = ccnvme_obs::seal::fnv1a64(name.as_bytes());
+    let h = ccnvme_obs::hash::fnv1a64(name.as_bytes());
     let idx = (h ^ parent.wrapping_mul(0x9e37)) % layout.ninodes;
     (layout.inode_pos(idx + 1).0, idx + 1)
 }

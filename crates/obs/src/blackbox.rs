@@ -17,7 +17,7 @@
 //! Layout (one 64 B header + [`BLACKBOX_SLOTS`] 64 B record slots):
 //! every slot is self-describing — it embeds its own global sequence
 //! number — and sealed exactly like an SQE, by [`crate::seal::seal_line`]:
-//! the PMR recovery generation at bytes 52..56 and an FNV-1a checksum
+//! the PMR recovery generation at bytes 52..56 and a CRC-32C checksum
 //! over bytes 0..56 at 56..60.
 //! Mounting is a pure read: scan the slots, drop the ones whose seal
 //! fails (torn by the cut, or stale from a previous life of the ring),
@@ -80,7 +80,7 @@ pub fn persisted_kind(kind: EventKind) -> bool {
 }
 
 /// Encodes one record: seq, timestamp, event fields, trace context,
-/// then the epoch+FNV seal.
+/// then the epoch+CRC-32C seal.
 fn encode_record(seq: u64, ev: &TraceEvent, epoch: u32) -> [u8; 64] {
     let mut raw = [0u8; 64];
     raw[0..8].copy_from_slice(&seq.to_le_bytes());

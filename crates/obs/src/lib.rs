@@ -28,9 +28,11 @@
 //!   only on the posted path.
 //! * [`forensics`] — post-crash timeline reconstruction and per-tx
 //!   verdicts over a mounted blackbox ring.
-//! * [`seal`] — the stack's one checksum (FNV-1a, 32- and 64-bit) and
-//!   its one 64 B PMR line seal, shared by the SQE ring, ploc, the
-//!   blackbox, the journal, the fabric codec and the cluster records.
+//! * [`seal`] — the stack's one integrity checksum (CRC-32C) and its
+//!   one 64 B PMR line seal, shared by the SQE ring, ploc, the blackbox,
+//!   the journal, the fabric codec and the cluster records.
+//! * [`hash`] — the placement hash (FNV-1a-64) and the integer-keyed
+//!   [`hash::IntMap`] / [`hash::IntSet`] of the operation path.
 //!
 //! Time stamps are passed in by callers as plain nanosecond integers, so
 //! every layer of the stack can report into the crate. Its one dependency
@@ -42,6 +44,7 @@
 pub mod blackbox;
 pub mod ctx;
 pub mod forensics;
+pub mod hash;
 pub mod json;
 pub mod metrics;
 pub mod registry;

@@ -189,8 +189,9 @@ impl Histogram {
         }
     }
 
-    /// Records one sample. Lock-free: relaxed atomic adds plus one CAS
-    /// loop for the (f64) sum of squares.
+    /// Records one sample. Lock-free: relaxed atomic adds, one CAS loop
+    /// for the (f64) sum of squares, and a read-modify-write of `min` /
+    /// `max` only for a new extreme.
     pub fn record(&self, v: Ns) {
         // ord: Relaxed — each aggregate cell is independently correct;
         // cross-cell skew is tolerated by summary() (documented above).
@@ -199,10 +200,18 @@ impl Histogram {
         self.count.fetch_add(1, Ordering::Relaxed);
         // ord: Relaxed — as above, independent aggregate cell.
         self.sum.fetch_add(v, Ordering::Relaxed);
-        // ord: Relaxed — as above, independent aggregate cell.
-        self.min.fetch_min(v, Ordering::Relaxed);
-        // ord: Relaxed — as above, independent aggregate cell.
-        self.max.fetch_max(v, Ordering::Relaxed);
+        // Extremes change rarely: read first, and write only a new one.
+        // ord: Relaxed — as above, independent aggregate cell; a stale
+        // read only costs the read-modify-write it would have skipped.
+        if v < self.min.load(Ordering::Relaxed) {
+            // ord: Relaxed — as above, independent aggregate cell.
+            self.min.fetch_min(v, Ordering::Relaxed);
+        }
+        // ord: Relaxed — as for `min`.
+        if v > self.max.load(Ordering::Relaxed) {
+            // ord: Relaxed — as above, independent aggregate cell.
+            self.max.fetch_max(v, Ordering::Relaxed);
+        }
         let sq = (v as f64) * (v as f64);
         // ord: Relaxed — CAS loop below revalidates the value it read.
         let mut cur = self.sum_sq.load(Ordering::Relaxed);

@@ -1,6 +1,9 @@
 //! Bandwidth gates: serialized shared resources in virtual time.
 
-use std::sync::Arc;
+use std::sync::{
+    atomic::{AtomicU64, Ordering},
+    Arc,
+};
 
 use ccnvme_obs::Counter;
 use ccnvme_runtime::Ns;
@@ -16,7 +19,8 @@ use crate::cost::transfer_ns;
 /// that instant (non-posted semantics) or continue (posted semantics).
 pub struct BandwidthGate {
     bytes_per_sec: u64,
-    busy_until: Mutex<Ns>,
+    /// The instant the last reservation ends.
+    busy_until: AtomicU64,
     /// Observability: total bytes reserved through this gate, if wired
     /// into a metrics registry (see [`BandwidthGate::metered`]).
     bytes_reserved: Option<Arc<Counter>>,
@@ -32,7 +36,7 @@ impl BandwidthGate {
         assert!(bytes_per_sec > 0, "bandwidth must be positive");
         BandwidthGate {
             bytes_per_sec,
-            busy_until: Mutex::new(0),
+            busy_until: AtomicU64::new(0),
             bytes_reserved: None,
         }
     }
@@ -62,17 +66,24 @@ impl BandwidthGate {
     pub fn acquire_after(&self, not_before: Ns, bytes: u64) -> Ns {
         self.account(bytes);
         let dur = transfer_ns(bytes, self.bytes_per_sec);
-        let now = ccnvme_runtime::now();
-        let mut busy = self.busy_until.lock();
-        let start = now.max(*busy).max(not_before);
-        let end = start + dur;
-        *busy = end;
-        end
+        let earliest = ccnvme_runtime::now().max(not_before);
+        let end = |busy: Ns| earliest.max(busy) + dur;
+        let busy = self
+            .busy_until
+            // ord: Relaxed — the word is the gate's whole state and
+            // publishes no other data; one read-modify-write per
+            // reservation keeps reservations disjoint in its
+            // modification order.
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |busy| Some(end(busy)))
+            .expect("the update always yields a value");
+        end(busy)
     }
 
     /// Returns the instant until which the gate is currently reserved.
     pub fn busy_until(&self) -> Ns {
-        *self.busy_until.lock()
+        // ord: Relaxed — a snapshot of the one word; nothing else is
+        // read under it.
+        self.busy_until.load(Ordering::Relaxed)
     }
 
     /// Returns the configured bandwidth in bytes/second.
@@ -177,6 +188,42 @@ mod tests {
             assert_eq!(g.acquire_after(10_000, 500), 10_500);
         });
         sim.run();
+    }
+
+    /// Real threads racing on one gate: every reservation is its own
+    /// interval of the link, none overlapping another.
+    #[test]
+    fn reservations_stay_disjoint_on_real_threads() {
+        const THREADS: usize = 4;
+        const EACH: usize = 1_000;
+        let spans = ccnvme_runtime::run_on(ccnvme_runtime::RuntimeKind::Os, THREADS, || {
+            let g = Arc::new(BandwidthGate::new(1_000_000_000));
+            let dur = transfer_ns(4096, g.bytes_per_sec());
+            let workers: Vec<_> = (0..THREADS)
+                .map(|t| {
+                    let g = Arc::clone(&g);
+                    ccnvme_runtime::spawn("gate", t, move || {
+                        (0..EACH).map(|_| g.acquire(4096)).collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            let mut spans: Vec<(Ns, Ns)> = workers
+                .into_iter()
+                .flat_map(|w| w.join())
+                .map(|end| (end - dur, end))
+                .collect();
+            spans.sort_unstable();
+            spans
+        });
+        assert_eq!(spans.len(), THREADS * EACH);
+        for w in spans.windows(2) {
+            assert!(
+                w[0].1 <= w[1].0,
+                "reservations {:?} and {:?} overlap",
+                w[0],
+                w[1]
+            );
+        }
     }
 
     #[test]

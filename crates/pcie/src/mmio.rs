@@ -19,7 +19,10 @@
 //! the non-posted read cannot pass the posted writes, so its completion
 //! proves they reached the PMR.
 
-use std::{collections::VecDeque, sync::Arc};
+use std::{
+    collections::VecDeque,
+    sync::{Arc, OnceLock},
+};
 
 use ccnvme_runtime::Ns;
 use parking_lot::Mutex;
@@ -66,10 +69,12 @@ struct MmioState {
 pub struct MmioRegion {
     name: String,
     kind: RegionKind,
+    /// Bytes in the region, fixed at construction.
+    size: u64,
     link: Arc<PcieLink>,
     st: Mutex<MmioState>,
-    hook: Mutex<Option<WriteHook>>,
-    flush_hook: Mutex<Option<FlushHook>>,
+    hook: OnceLock<WriteHook>,
+    flush_hook: OnceLock<FlushHook>,
     flush_hist: Arc<ccnvme_obs::Histogram>,
 }
 
@@ -80,13 +85,14 @@ impl MmioRegion {
         MmioRegion {
             name: name.to_string(),
             kind,
+            size,
             link,
             st: Mutex::new(MmioState {
                 committed: vec![0; size as usize],
                 in_flight: VecDeque::new(),
             }),
-            hook: Mutex::new(None),
-            flush_hook: Mutex::new(None),
+            hook: OnceLock::new(),
+            flush_hook: OnceLock::new(),
             flush_hist,
         }
     }
@@ -98,18 +104,30 @@ impl MmioRegion {
 
     /// Returns the region size in bytes.
     pub fn size(&self) -> u64 {
-        self.st.lock().committed.len() as u64
+        self.size
     }
 
     /// Installs the device-side notification hook (doorbell callback).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the region already has one.
     pub fn set_write_hook(&self, hook: WriteHook) {
-        *self.hook.lock() = Some(hook);
+        if self.hook.set(hook).is_err() {
+            panic!("region {} already has a write hook", self.name);
+        }
     }
 
     /// Installs the posted-write drain hook, fired when a non-posted
     /// read (a [`flush`](Self::flush) or [`read`](Self::read)) completes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the region already has one.
     pub fn set_flush_hook(&self, hook: FlushHook) {
-        *self.flush_hook.lock() = Some(hook);
+        if self.flush_hook.set(hook).is_err() {
+            panic!("region {} already has a flush hook", self.name);
+        }
     }
 
     /// Issues a posted MMIO write of `data` at `off` from the current
@@ -170,8 +188,7 @@ impl MmioRegion {
         if arrive_at > now + backlog_window {
             ccnvme_runtime::delay(arrive_at - now - backlog_window);
         }
-        let hook = self.hook.lock();
-        if let Some(h) = hook.as_ref() {
+        if let Some(h) = self.hook.get() {
             h(off, data, arrive_at);
         }
     }
@@ -227,11 +244,8 @@ impl MmioRegion {
         ccnvme_runtime::delay(wait);
         // Every write posted before this read has now arrived — report
         // the drain point to the sanitizer (or any other observer).
-        {
-            let fh = self.flush_hook.lock();
-            if let Some(h) = fh.as_ref() {
-                h(ccnvme_runtime::now());
-            }
+        if let Some(h) = self.flush_hook.get() {
+            h(ccnvme_runtime::now());
         }
         let st = self.st.lock();
         st.committed[off as usize..(off + len) as usize].to_vec()
@@ -436,6 +450,14 @@ mod tests {
             assert_eq!(link.traffic.mmio_stores.get(), 0);
         });
         sim.run();
+    }
+
+    #[test]
+    #[should_panic(expected = "already has a write hook")]
+    fn a_second_write_hook_panics() {
+        let (_link, r) = region(RegionKind::Registers);
+        r.set_write_hook(Box::new(|_, _, _| {}));
+        r.set_write_hook(Box::new(|_, _, _| {}));
     }
 
     #[test]

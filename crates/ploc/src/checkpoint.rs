@@ -2,7 +2,7 @@
 //!
 //! A [`Checkpoint<T>`] is one sealed 64-byte PMR record: a sequence
 //! number plus a 40-byte body, stamped with the region generation and an
-//! FNV-1a seal by the function that seals a ccNVMe SQE slot
+//! CRC-32C seal by the function that seals a ccNVMe SQE slot
 //! ([`ccnvme_obs::seal::seal_line`]), so a torn record or one from a
 //! previous life of the region fails verification instead of being
 //! replayed. Each client owns two checkpoint slots:

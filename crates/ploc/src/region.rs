@@ -42,7 +42,7 @@ use ccnvme_runtime::{RtMutex, RtMutexGuard};
 pub const PLOC_MAGIC: u64 = 0x706c_6f63_504d_5231;
 
 /// Bytes per checkpoint record (same footprint as an SQE, reusing the
-/// slot-seal layout: epoch at 52..56, FNV-1a over 0..56 at 56..60).
+/// slot-seal layout: epoch at 52..56, CRC-32C over 0..56 at 56..60).
 pub const RECORD: u64 = 64;
 /// Bytes per dcas cell: value word + owner word.
 pub const CELL: u64 = 16;

@@ -172,9 +172,11 @@ pub(crate) struct Kernel {
 }
 
 thread_local! {
-    /// The kernel running on this OS thread and who of it is executing:
-    /// installed by [`Kernel::as_runner`], retargeted at every hand-off.
-    static CTX: RefCell<Option<(Arc<Kernel>, Next)>> = const { RefCell::new(None) };
+    /// The kernel running on this OS thread, who of it is executing and
+    /// on which core (a thread's core is fixed at spawn; the runner's
+    /// reads 0): installed by [`Kernel::as_runner`], retargeted at every
+    /// hand-off.
+    static CTX: RefCell<Option<(Arc<Kernel>, Next, usize)>> = const { RefCell::new(None) };
     static AMBIENT: Cell<[u64; 2]> = const { Cell::new([0; 2]) };
 }
 
@@ -185,7 +187,7 @@ const NOT_IN_SIM: &str = "this operation must be called from inside a simulated 
 
 fn with_current<R>(f: impl FnOnce(&Arc<Kernel>, usize) -> R) -> Option<R> {
     CTX.with(|c| match &*c.borrow() {
-        Some((kernel, Next::Thread(tid))) => Some(f(kernel, *tid)),
+        Some((kernel, Next::Thread(tid), _)) => Some(f(kernel, *tid)),
         _ => None,
     })
 }
@@ -221,8 +223,12 @@ pub(crate) fn wake(tid: usize) {
     with_current(|kernel, _| kernel.wake(tid));
 }
 
-fn set_current(who: Next) {
-    CTX.with(|c| c.borrow_mut().as_mut().expect("a run is in progress").1 = who);
+fn set_current(who: Next, core: usize) {
+    CTX.with(|c| {
+        let mut c = c.borrow_mut();
+        let ctx = c.as_mut().expect("a run is in progress");
+        (ctx.1, ctx.2) = (who, core);
+    });
 }
 
 /// Entry point of every fiber: runs the thread's body, then leaves for good.
@@ -307,7 +313,7 @@ impl Kernel {
     /// before the switch. Nothing a stack owns is live across it: a
     /// finishing thread's is never resumed.
     fn switch_to(&self, mut st: MutexGuard<'_, KState>, me: Next, next: Next) {
-        let (save, to) = {
+        let (save, to, core) = {
             let st = &mut *st;
             #[cfg(test)]
             {
@@ -328,8 +334,8 @@ impl Kernel {
                     slot.sp.as_ptr()
                 }
             };
-            let (to, ambient) = match next {
-                Next::Runner => (st.runner_sp.get(), st.runner_ambient),
+            let (to, ambient, core) = match next {
+                Next::Runner => (st.runner_sp.get(), st.runner_ambient, 0),
                 Next::Thread(tid) => {
                     let slot = &mut st.threads[tid];
                     if slot.stack.is_none() {
@@ -337,14 +343,14 @@ impl Kernel {
                         slot.sp.set(fiber::prepare(&mut stack, fiber_main, tid));
                         slot.stack = Some(stack);
                     }
-                    (slot.sp.get(), slot.ambient)
+                    (slot.sp.get(), slot.ambient, slot.core)
                 }
             };
             AMBIENT.set(ambient);
-            (save, to)
+            (save, to, core)
         };
         drop(st);
-        set_current(next);
+        set_current(next, core);
         // SAFETY: `to` is the stack pointer of a suspended context that
         // nobody else resumes: `prepare`d just above, or stored by the
         // `switch` that suspended `next`, which has not run since (only
@@ -454,7 +460,7 @@ impl Kernel {
     /// Runs `f` — the runner's side of a run — with this kernel as the
     /// OS thread's current one; the caller's own context is back after.
     fn as_runner<R>(self: &Arc<Self>, f: impl FnOnce(&Kernel) -> R) -> R {
-        let outer = CTX.replace(Some((Arc::clone(self), Next::Runner)));
+        let outer = CTX.replace(Some((Arc::clone(self), Next::Runner, 0)));
         let out = f(self);
         CTX.set(outer);
         out
@@ -512,11 +518,11 @@ impl Kernel {
                 // they were handed to, which is where their destructors
                 // (a `Sender`'s wake-up of its receiver) expect to run.
                 slot.state = ThreadState::Finished;
-                let body = slot.body.take();
+                let (body, core) = (slot.body.take(), slot.core);
                 drop(st);
-                set_current(Next::Thread(tid));
+                set_current(Next::Thread(tid), core);
                 drop(body);
-                set_current(Next::Runner);
+                set_current(Next::Runner, 0);
             }
         }
         let mut st = self.st.lock();
@@ -811,9 +817,10 @@ where
 
 /// Returns the simulated core the current thread is pinned to.
 pub fn current_core() -> usize {
-    let (kernel, tid) = ctx();
-    let st = kernel.st.lock();
-    st.threads[tid].core
+    CTX.with(|c| match &*c.borrow() {
+        Some((_, Next::Thread(_), core)) => *core,
+        _ => panic!("{NOT_IN_SIM}"),
+    })
 }
 
 #[cfg(test)]
@@ -831,6 +838,25 @@ mod tests {
             assert_eq!(now(), 150);
         });
         assert_eq!(sim.run(), 150);
+    }
+
+    /// The core travels with the thread across hand-offs, whoever ran
+    /// in between, and whether it started at a spawn or a resume.
+    #[test]
+    fn current_core_is_the_spawn_core_across_hand_offs() {
+        let mut sim = Sim::new(3);
+        for core in [2, 0, 1] {
+            sim.spawn("t", core, move || {
+                assert_eq!(current_core(), core);
+                cpu(10);
+                assert_eq!(current_core(), core);
+                let child = spawn("child", (core + 1) % 3, current_core);
+                delay(5);
+                assert_eq!(current_core(), core);
+                assert_eq!(child.join(), (core + 1) % 3);
+            });
+        }
+        sim.run();
     }
 
     #[test]

@@ -14,7 +14,8 @@
 //! race-free and leaves nothing to wait for on the host; the
 //! `parking_lot` mutexes around the wait lists only satisfy `Send`/`Sync`,
 //! and a [`SimMutex`] nobody waits for never touches its own: taking and
-//! releasing it is one compare-exchange on its state word each.
+//! releasing it is one compare-exchange on its state word each. A
+//! [`SimCondvar`] nobody waits on is notified with one load.
 //!
 //! **Outside a simulation** (a bare thread: no [`crate::Sim`] is running
 //! on it) nothing can park and nothing is parked, so there is one rule: a
@@ -260,6 +261,9 @@ impl WaitTimeoutResult {
 /// A condition variable that parks simulated threads in virtual time.
 pub struct SimCondvar {
     waiters: Mutex<VecDeque<usize>>,
+    /// `waiters.len()`, stored under the `waiters` lock and read without
+    /// it: a notify that finds nobody queued takes no lock.
+    queued: AtomicUsize,
 }
 
 impl SimCondvar {
@@ -267,7 +271,25 @@ impl SimCondvar {
     pub fn new() -> Self {
         SimCondvar {
             waiters: Mutex::new(VecDeque::new()),
+            queued: AtomicUsize::new(0),
         }
+    }
+
+    /// Edits the wait list under its lock and republishes its length.
+    fn edit_waiters<R>(&self, f: impl FnOnce(&mut VecDeque<usize>) -> R) -> R {
+        let mut waiters = self.waiters.lock();
+        let r = f(&mut waiters);
+        // ord: Relaxed — a waiter queues before it releases the
+        // `SimMutex` whose holder later notifies, so the mutex orders
+        // this store before that notifier's load.
+        self.queued.store(waiters.len(), Ordering::Relaxed);
+        r
+    }
+
+    /// Whether a notify has anyone to wake.
+    fn any_queued(&self) -> bool {
+        // ord: Relaxed — see `edit_waiters`.
+        self.queued.load(Ordering::Relaxed) > 0
     }
 
     /// Atomically releases `guard` and parks until notified, then
@@ -275,7 +297,7 @@ impl SimCondvar {
     pub fn wait<'a, T: ?Sized>(&self, guard: SimMutexGuard<'a, T>) -> SimMutexGuard<'a, T> {
         let (kernel, me) = kernel::ctx();
         let mx = guard.mx;
-        self.waiters.lock().push_back(me);
+        self.edit_waiters(|w| w.push_back(me));
         drop(guard);
         kernel.block_current(me);
         mx.lock()
@@ -290,21 +312,24 @@ impl SimCondvar {
     ) -> (SimMutexGuard<'a, T>, WaitTimeoutResult) {
         let (kernel, me) = kernel::ctx();
         let mx = guard.mx;
-        self.waiters.lock().push_back(me);
+        self.edit_waiters(|w| w.push_back(me));
         drop(guard);
         let reason = kernel.block_current_timeout(me, timeout);
         let timed_out = reason == WakeReason::TimedOut;
         if timed_out {
             // The notifier did not pick this thread; deregister so a later
             // notify is not wasted on it.
-            self.waiters.lock().retain(|&w| w != me);
+            self.edit_waiters(|w| w.retain(|&w| w != me));
         }
         (mx.lock(), WaitTimeoutResult { timed_out })
     }
 
     /// Wakes one waiting thread, if any.
     pub fn notify_one(&self) {
-        let next = self.waiters.lock().pop_front();
+        if !self.any_queued() {
+            return;
+        }
+        let next = self.edit_waiters(VecDeque::pop_front);
         if let Some(next) = next {
             kernel::wake(next);
         }
@@ -312,7 +337,10 @@ impl SimCondvar {
 
     /// Wakes all waiting threads.
     pub fn notify_all(&self) {
-        let drained: Vec<usize> = self.waiters.lock().drain(..).collect();
+        if !self.any_queued() {
+            return;
+        }
+        let drained: Vec<usize> = self.edit_waiters(|w| w.drain(..).collect());
         for w in drained {
             kernel::wake(w);
         }

@@ -25,7 +25,7 @@ use std::{
 };
 
 use ccnvme_fault::{FaultInjector, FaultKind, FaultOp, OpClass};
-use ccnvme_obs::{EventKind, Histogram, TraceEvent};
+use ccnvme_obs::{hash::IntMap, EventKind, Histogram, TraceEvent};
 use ccnvme_pcie::{
     cost, mmio::RegionKind, BandwidthGate, ChannelBank, DmaKind, MmioRegion, PcieLink,
 };
@@ -299,7 +299,7 @@ struct CtrlInner {
     write_bw: BandwidthGate,
     completer: CompleterShared,
     queues: Mutex<HashMap<u16, Arc<QueueShared>>>,
-    db_targets: Mutex<HashMap<(bool, u64), Arc<QueueShared>>>,
+    db_targets: Mutex<IntMap<(bool, u64), Arc<QueueShared>>>,
     alive: AtomicBool,
     /// Device service time per command (fetch-to-media-done estimate),
     /// exported as `ssd.service_ns`.
@@ -384,7 +384,7 @@ impl NvmeController {
                 cv: RtCondvar::new(),
             },
             queues: Mutex::new(HashMap::new()),
-            db_targets: Mutex::new(HashMap::new()),
+            db_targets: Mutex::new(IntMap::default()),
             alive: AtomicBool::new(true),
             persist,
         });

@@ -6,14 +6,12 @@
 //! performs the data DMA. Buffer contents live in host DRAM and therefore
 //! do not survive a simulated power loss.
 
-use std::{
-    collections::HashMap,
-    sync::{
-        atomic::{AtomicU64, Ordering},
-        Arc,
-    },
+use std::sync::{
+    atomic::{AtomicU64, Ordering},
+    Arc,
 };
 
+use ccnvme_obs::hash::IntMap;
 use parking_lot::Mutex;
 
 /// A shared host data buffer (never locked across simulation yields).
@@ -22,7 +20,7 @@ pub type DataBuf = Arc<Mutex<Vec<u8>>>;
 /// Registry mapping data tokens to host buffers.
 #[derive(Default)]
 pub struct HostMemory {
-    bufs: Mutex<HashMap<u64, DataBuf>>,
+    bufs: Mutex<IntMap<u64, DataBuf>>,
     next: AtomicU64,
 }
 
@@ -30,7 +28,7 @@ impl HostMemory {
     /// Creates an empty registry.
     pub fn new() -> Self {
         HostMemory {
-            bufs: Mutex::new(HashMap::new()),
+            bufs: Mutex::new(IntMap::default()),
             next: AtomicU64::new(1),
         }
     }

@@ -15,6 +15,7 @@
 
 use std::collections::HashMap;
 
+use ccnvme_obs::hash::IntMap;
 use ccnvme_runtime::DetRng;
 use parking_lot::Mutex;
 
@@ -42,16 +43,16 @@ pub enum CacheSurvival {
 
 /// Durable blocks plus the volatile write cache over them.
 pub(crate) struct Media {
-    durable: HashMap<u64, Vec<u8>>,
-    cached: HashMap<u64, Vec<u8>>,
+    durable: IntMap<u64, Vec<u8>>,
+    cached: IntMap<u64, Vec<u8>>,
 }
 
 impl Media {
     /// Media holding `durable`, with an empty cache.
     pub fn new(durable: HashMap<u64, Vec<u8>>) -> Self {
         Media {
-            durable,
-            cached: HashMap::new(),
+            durable: durable.into_iter().collect(),
+            cached: IntMap::default(),
         }
     }
 
@@ -89,7 +90,11 @@ impl Media {
     /// in LBA order, so it depends on the seed alone, not on HashMap
     /// iteration order.
     pub fn image(&self, cache: &CacheSurvival) -> HashMap<u64, Vec<u8>> {
-        let mut image = self.durable.clone();
+        let mut image: HashMap<u64, Vec<u8>> = self
+            .durable
+            .iter()
+            .map(|(&lba, data)| (lba, data.clone()))
+            .collect();
         // Keeping everything is the subset drawn with certainty.
         let (seed, keep_prob) = match *cache {
             CacheSurvival::DropAll => return image,
