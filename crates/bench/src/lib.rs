@@ -251,7 +251,7 @@ pub fn header(title: &str) {
 pub fn row(label: &str, cells: &[String]) {
     print!("{label:<22}");
     for c in cells {
-        print!("{c:>12}");
+        print!(" {c:>11}");
     }
     println!();
 }

@@ -18,12 +18,15 @@
 //!   rings the CQ doorbell once per transaction.
 //! * **Recovery** (§4.4): on probe after a crash, the entries between
 //!   P-SQ-head and P-SQDB are returned as the unfinished transactions.
+//! * A busy command is retried through a volatile **retry SQ** in host
+//!   memory, never through a second P-SQ slot: the P-SQ entry is its
+//!   recovery record and stays in the window until the in-order pop.
 
 use std::{
     collections::{HashSet, VecDeque},
     sync::{
         atomic::{AtomicU64, Ordering},
-        Arc,
+        Arc, OnceLock,
     },
 };
 
@@ -34,6 +37,7 @@ use ccnvme_runtime::{RtCondvar, RtMutex};
 use ccnvme_ssd::{
     CompletionEntry, HostMemory, NvmeCommand, NvmeController, QueueParams, SqBacking, Status,
 };
+use parking_lot::Mutex;
 
 use crate::{
     errpolicy::{Age, ErrPolicy},
@@ -48,7 +52,7 @@ use crate::{
 const DB_BASE: u64 = 0x1000;
 
 struct Slot {
-    bio: Option<Bio>,
+    bio: Bio,
     /// The slot's command and the state of its latest attempt.
     attempt: Attempt,
     done: bool,
@@ -59,12 +63,6 @@ struct Slot {
     /// Transaction membership, for transaction-atomic error handling.
     is_tx: bool,
     tx_id: u64,
-    /// `Some(orig_ring_idx)`: this slot is a retry incarnation; its
-    /// completion resolves the original slot at that ring index. A
-    /// retried command cannot be re-fetched in place (the device's head
-    /// is already past it), so the retry occupies a fresh P-SQ slot
-    /// whose result is forwarded backwards.
-    retry_for: Option<u16>,
 }
 
 struct CcqSt {
@@ -86,6 +84,20 @@ struct CcqSt {
     /// Entries written to the queue's persistent abort log so far
     /// (mirrors the count line in the PMR).
     abort_logged: u32,
+    /// Tail of the retry SQ: the last value rung on its doorbell.
+    retry_tail: u32,
+}
+
+/// A queue's retry SQ: a volatile ring in host memory that the device
+/// fetches like a baseline queue's. A busy command was never executed,
+/// so its retry needs a submission slot but no second recovery record:
+/// it goes here under its own command id (its P-SQ ring index), and its
+/// completion resolves its own P-SQ slot. At most depth − 1 commands
+/// can be busy and the device frees a host-SQ slot at fetch, so the
+/// ring never fills.
+struct RetrySq {
+    ring: Arc<Mutex<Vec<u8>>>,
+    db_off: u64,
 }
 
 struct CcQueue {
@@ -100,6 +112,8 @@ struct CcQueue {
     dev: Arc<CcDev>,
     st: RtMutex<CcqSt>,
     cv: RtCondvar,
+    /// Created by the queue's first retry: a healthy run has none.
+    retry_sq: OnceLock<RetrySq>,
 }
 
 /// The device as a queue sees it. The controller holds the completion
@@ -124,31 +138,6 @@ impl CcQueue {
         let depth = self.dev.layout.depth;
         let pos = ((ring_idx as u32 + depth - st.head_idx) % depth) as usize;
         (pos < st.slots.len()).then_some(pos)
-    }
-
-    /// Position of the original slot the outcome of the slot at `pos`
-    /// belongs to: `pos` itself unless that is a retry incarnation,
-    /// whose original may be gone already (popped after an abort).
-    fn original_of(&self, st: &CcqSt, pos: usize) -> Option<usize> {
-        match st.slots[pos].retry_for {
-            None => Some(pos),
-            Some(orig) => self
-                .pos_of(st, orig)
-                .filter(|&o| st.slots[o].retry_for.is_none()),
-        }
-    }
-
-    /// Claims the next ring slot (the caller made sure there is room).
-    fn claim_slot(&self, st: &mut CcqSt) -> u16 {
-        let slot = st.tail;
-        st.tail = (st.tail + 1) % self.dev.layout.depth;
-        slot as u16
-    }
-
-    /// Whether the ring has no free slot (one stays empty so a full
-    /// ring never reads as an empty one).
-    fn is_full(&self, st: &CcqSt) -> bool {
-        st.slots.len() as u32 >= self.dev.layout.depth - 1
     }
 }
 
@@ -337,8 +326,10 @@ impl CcNvmeDriver {
                     // The merged log survives the probe; appends must
                     // land after the preserved prefix.
                     abort_logged: abort_counts[i as usize],
+                    retry_tail: 0,
                 }),
                 cv: RtCondvar::new(),
+                retry_sq: OnceLock::new(),
             });
             let cb_q = Arc::clone(&q);
             ctrl.create_io_queue(QueueParams {
@@ -362,11 +353,12 @@ impl CcNvmeDriver {
             obs,
         });
         let wd = Arc::clone(&inner);
+        let rd = Arc::clone(&inner);
         spawn_daemons(
             "ccnvme",
             retry_rx,
             move || cc_watchdog_loop(wd),
-            cc_resubmit,
+            move |q, cid| cc_resubmit(&rd.ctrl, q, cid),
         );
         (CcNvmeDriver { inner }, report)
     }
@@ -444,24 +436,25 @@ fn enqueue(q: &Arc<CcQueue>, bio: Bio, ring: bool, flush_first: bool) {
     // path. The volatile ring still sees every bio.
     q.obs
         .event(EventKind::TxBegin, tx_id, 0, trace, flags.tx_commit);
-    // Reserve the next ring slot (block while the ring is full). The
+    // Reserve the next ring slot (block while the ring is full; one
+    // slot stays empty so a full ring never reads as an empty one). The
     // slot index doubles as the command id; it stays unique because a
     // slot is only reused after its in-order completion.
     let cmd = {
         let mut st = q.st.lock();
-        while q.is_full(&st) {
+        while st.slots.len() as u32 >= q.dev.layout.depth - 1 {
             st = q.cv.wait(st);
         }
-        let cmd = attempt.start(q.claim_slot(&mut st));
+        let cmd = attempt.start(st.tail as u16);
+        st.tail = (st.tail + 1) % q.dev.layout.depth;
         st.slots.push_back(Slot {
-            bio: Some(bio),
+            bio,
             attempt,
             done: false,
             status: BioStatus::Ok,
             boundary: flags.tx_commit || !flags.tx,
             is_tx: flags.tx || flags.tx_commit,
             tx_id,
-            retry_for: None,
         });
         cmd
     };
@@ -512,30 +505,22 @@ fn ring_doorbell(q: &CcQueue) -> u32 {
     tail_now
 }
 
-/// Completion-side logic: first-come-first-complete per queue, in
-/// transaction units (§4.4). Error completions are resolved through the
-/// host error ladder first: transient busy schedules a transparent
-/// retry, retry incarnations forward their result to the original slot,
-/// and everything else records a typed status for the in-order pop.
+/// Completion-side logic, for the P-SQ and the retry SQ alike:
+/// first-come-first-complete per queue, in transaction units (§4.4).
+/// Error completions are resolved through the host error ladder first:
+/// transient busy schedules a transparent retry, and everything else
+/// records a typed status for the in-order pop.
 fn complete_in_order(q: &Arc<CcQueue>, entry: CompletionEntry) {
     {
         let mut st = q.st.lock();
         if let Some(pos) = q.pos_of(&st, entry.cid) {
-            // A retry incarnation is done either way; its result
-            // resolves the original slot (which may schedule yet
-            // another retry).
-            if st.slots[pos].retry_for.is_some() {
-                st.slots[pos].done = true;
-            }
-            if let Some(orig) = q.original_of(&st, pos) {
-                apply_result(&mut st, q, orig, entry.status);
-            }
+            apply_result(&mut st, q, pos, entry.status);
         }
     }
     advance_queue(q);
 }
 
-/// Records the outcome of one command attempt on its (original) slot:
+/// Records the outcome of one command attempt on its slot:
 /// transparent retry for transient busy, typed terminal status
 /// otherwise. Caller holds the queue lock.
 fn apply_result(st: &mut CcqSt, q: &Arc<CcQueue>, pos: usize, status: Status) {
@@ -612,32 +597,21 @@ fn advance_queue(q: &CcQueue) {
         let mut st = q.st.lock();
         // Longest done-prefix, truncated at the last transaction
         // boundary inside it: requests complete to the upper layer only
-        // in whole transactions. A retry incarnation closes the prefix
-        // only when it is not interleaved inside an open transaction
-        // group — advancing the persistent head past uncommitted members
-        // would let recovery replay a commit without them.
+        // in whole transactions.
         let mut boundary_len = 0;
-        let mut open_tx = false;
         for (i, s) in st.slots.iter().enumerate() {
             if !s.done {
                 break;
             }
-            if s.retry_for.is_some() {
-                if !open_tx {
-                    boundary_len = i + 1;
-                }
-            } else if s.boundary {
+            if s.boundary {
                 boundary_len = i + 1;
-                open_tx = false;
-            } else {
-                open_tx = true;
             }
         }
         if boundary_len == 0 {
             None
         } else {
             for _ in 0..boundary_len {
-                let mut s = st.slots.pop_front().expect("prefix length checked");
+                let s = st.slots.pop_front().expect("prefix length checked");
                 st.head_idx = (st.head_idx + 1) % q.dev.layout.depth;
                 if s.attempt.token != 0 {
                     tokens.push(s.attempt.token);
@@ -652,10 +626,8 @@ fn advance_queue(q: &CcQueue) {
                 if s.is_tx && s.boundary {
                     st.failed_txs.remove(&s.tx_id);
                 }
-                if let Some(bio) = s.bio.take() {
-                    q.obs.completed(s.attempt.submitted_at);
-                    finished.push((bio, status));
-                }
+                q.obs.completed(s.attempt.submitted_at);
+                finished.push((s.bio, status));
             }
             Some(st.head_idx)
         }
@@ -716,17 +688,11 @@ fn cc_watchdog_loop(inner: Arc<CcInner>) {
                         to_abort.push(i);
                     }
                 }
+                // A timed-out transaction member dooms its whole
+                // transaction.
                 for &i in &to_abort {
-                    // A timed-out retry incarnation forwards the abort
-                    // to its original; a timed-out transaction member
-                    // dooms its whole transaction.
-                    if st.slots[i].retry_for.is_some() {
-                        st.slots[i].done = true;
-                    }
-                    if let Some(orig) = q.original_of(&st, i) {
-                        if fail_slot(&mut st, q, orig, BioStatus::Timeout) {
-                            q.dev.err.stats.timeouts.inc();
-                        }
+                    if fail_slot(&mut st, q, i, BioStatus::Timeout) {
+                        q.dev.err.stats.timeouts.inc();
                     }
                 }
                 !to_abort.is_empty()
@@ -744,52 +710,60 @@ fn cc_watchdog_loop(inner: Arc<CcInner>) {
             // `last_rung`, a tail whose entries were flushed before
             // the original ring; no new SQE bytes are exposed.
             q.dev.pmr.write(q.db_off, &tail.to_le_bytes());
+            // And the retry tail: recovers a dropped retry doorbell.
+            // Rung under the lock, so it never goes behind a newer tail
+            // `cc_resubmit` rang.
+            if let Some(sq) = q.retry_sq.get() {
+                let st = q.st.lock();
+                q.dev.regs.write(sq.db_off, &st.retry_tail.to_le_bytes());
+            }
         },
     )
 }
 
-/// Resubmits the command of `orig_cid` as a fresh retry-incarnation
-/// P-SQ entry (the device's fetch head is already past the original
-/// slot, so in-place resubmission is impossible).
-// ccnvme-lint: commit_path
-fn cc_resubmit(q: &Arc<CcQueue>, orig_cid: u16) {
-    let cmd = {
-        let mut st = q.st.lock();
-        let opos = loop {
-            let Some(opos) = q.pos_of(&st, orig_cid) else {
-                return; // popped (e.g. aborted by the watchdog) meanwhile
-            };
-            if st.slots[opos].done || st.slots[opos].retry_for.is_some() {
-                return;
-            }
-            if !q.is_full(&st) {
-                break opos;
-            }
-            st = q.cv.wait(st);
+/// `q`'s retry SQ, created on first use: its qid and doorbell follow
+/// the P-SQs', its depth is the P-SQ's, and its completions take the
+/// same in-order path.
+fn retry_sq<'q>(ctrl: &NvmeController, q: &'q Arc<CcQueue>) -> &'q RetrySq {
+    q.retry_sq.get_or_init(|| {
+        let depth = q.dev.layout.depth;
+        let qid = q.dev.layout.nqueues + q.obs.qid;
+        let sq = RetrySq {
+            ring: Arc::new(Mutex::new(vec![0u8; depth as usize * 64])),
+            db_off: DB_BASE + qid as u64 * 8,
         };
-        let slot = q.claim_slot(&mut st);
-        let orig = &mut st.slots[opos];
-        orig.attempt.restart();
-        let retry = Slot {
-            bio: None,
-            attempt: Attempt::retry_of(&orig.attempt, slot),
-            done: false,
-            status: BioStatus::Ok,
-            boundary: true,
-            is_tx: false,
-            tx_id: orig.tx_id,
-            retry_for: Some(orig_cid),
-        };
-        let cmd = retry.attempt.cmd.clone();
-        st.slots.push_back(retry);
-        cmd
+        let cb_q = Arc::clone(q);
+        ctrl.create_io_queue(QueueParams {
+            qid,
+            depth,
+            sq: SqBacking::Host {
+                ring: Arc::clone(&sq.ring),
+                doorbell: sq.db_off,
+            },
+            on_complete: Arc::new(move |entry| complete_in_order(&cb_q, entry)),
+        });
+        sq
+    })
+}
+
+/// Resubmits the busy command at ring index `cid` through `q`'s retry
+/// SQ, under the same command id. Its P-SQ entry stays in the recovery
+/// window until the in-order pop, so the retry writes nothing to the
+/// PMR and never waits for a P-SQ slot.
+fn cc_resubmit(ctrl: &NvmeController, q: &Arc<CcQueue>, cid: u16) {
+    let sq = retry_sq(ctrl, q);
+    let mut st = q.st.lock();
+    let Some(pos) = q.pos_of(&st, cid).filter(|&pos| !st.slots[pos].done) else {
+        return; // aborted by the watchdog meanwhile
     };
-    // The retry entry must be durable before the doorbell exposes it —
-    // same discipline as a commit.
-    store_sqe(q, &cmd);
-    q.dev.pmr.flush();
+    let cmd = st.slots[pos].attempt.restart();
+    let off = st.retry_tail as usize * 64;
+    sq.ring.lock()[off..off + 64].copy_from_slice(&cmd.encode());
+    st.retry_tail = (st.retry_tail + 1) % q.dev.layout.depth;
     q.dev.err.stats.retries.inc();
-    ring_doorbell(q);
+    // Rung under the lock, like the watchdog's re-ring: the doorbell
+    // only moves forward.
+    q.dev.regs.write(sq.db_off, &st.retry_tail.to_le_bytes());
 }
 
 impl BlockDevice for CcNvmeDriver {
@@ -1063,10 +1037,11 @@ mod tests {
 
         use super::*;
 
-        fn driver_on_faulty(profile: SsdProfile, plan: FaultPlan) -> CcNvmeDriver {
-            let mut cfg = CtrlConfig::new(profile).with_fault(Arc::new(plan.injector()));
+        fn driver_on_faulty(plan: FaultPlan, depth: u32) -> CcNvmeDriver {
+            let mut cfg =
+                CtrlConfig::new(SsdProfile::optane_p5800x()).with_fault(Arc::new(plan.injector()));
             cfg.device_core = 1;
-            CcNvmeDriver::new(NvmeController::new(cfg), 1, 64)
+            CcNvmeDriver::new(NvmeController::new(cfg), 1, depth)
         }
 
         /// Submits a transaction and collects every member's completion
@@ -1097,7 +1072,7 @@ mod tests {
             let mut sim = Sim::new(2);
             sim.spawn("host", 0, || {
                 let plan = FaultPlan::new(7).rule(FaultRule::new(FaultKind::Busy, Trigger::Nth(1)));
-                let drv = driver_on_faulty(SsdProfile::optane_p5800x(), plan);
+                let drv = driver_on_faulty(plan, 64);
                 let w = submit_tx(&drv, drv.alloc_tx_id(), 100, 3);
                 w.wait()
                     .expect("transaction durable despite transient busy");
@@ -1125,7 +1100,7 @@ mod tests {
                         end: 202,
                     },
                 ));
-                let drv = driver_on_faulty(SsdProfile::optane_p5800x(), plan);
+                let drv = driver_on_faulty(plan, 64);
                 let statuses = submit_tx_statuses(&drv, drv.alloc_tx_id(), 200, 3);
                 drv.quiesce();
                 // Transaction-atomic failure: every bio of the tx —
@@ -1150,7 +1125,7 @@ mod tests {
                 // The 4th write command fetched is the commit.
                 let plan =
                     FaultPlan::new(7).rule(FaultRule::new(FaultKind::Stall, Trigger::Nth(4)));
-                let drv = driver_on_faulty(SsdProfile::optane_p5800x(), plan);
+                let drv = driver_on_faulty(plan, 64);
                 let policy = ErrPolicy::default();
                 let t0 = ccnvme_sim::now();
                 let statuses = submit_tx_statuses(&drv, drv.alloc_tx_id(), 400, 3);
@@ -1183,7 +1158,7 @@ mod tests {
                         end: 702,
                     },
                 ));
-                let drv = driver_on_faulty(SsdProfile::optane_p5800x(), plan);
+                let drv = driver_on_faulty(plan, 64);
                 let tx = drv.alloc_tx_id();
                 let statuses = submit_tx_statuses(&drv, tx, 700, 3);
                 drv.quiesce();
@@ -1250,7 +1225,7 @@ mod tests {
             sim.spawn("host", 0, || {
                 let plan = FaultPlan::new(7)
                     .rule(FaultRule::new(FaultKind::DoorbellDrop, Trigger::Nth(1)));
-                let drv = driver_on_faulty(SsdProfile::optane_p5800x(), plan);
+                let drv = driver_on_faulty(plan, 64);
                 let policy = ErrPolicy::default();
                 let t0 = ccnvme_sim::now();
                 let w = submit_tx(&drv, drv.alloc_tx_id(), 600, 2);
@@ -1265,6 +1240,101 @@ mod tests {
                 for (i, lba) in (600..602).enumerate() {
                     assert_eq!(drv.controller().store().read_block(lba)[0], i as u8 + 1);
                 }
+            });
+            sim.run();
+        }
+
+        #[test]
+        fn busy_head_of_a_full_ring_is_retried_before_any_kick() {
+            let mut sim = Sim::new(2);
+            sim.spawn("host", 0, || {
+                // A 4-deep ring holds three commands: three writes fill
+                // it, and the first of them, its head, completes busy.
+                let plan = FaultPlan::new(7).rule(FaultRule::new(FaultKind::Busy, Trigger::Nth(1)));
+                let drv = driver_on_faulty(plan, 4);
+                let t0 = ccnvme_sim::now();
+                let waiter = BioWaiter::new();
+                for lba in 0..3u64 {
+                    let mut bio = Bio::write(lba, buf(lba as u8 + 1), BioFlags::NONE);
+                    waiter.attach(&mut bio);
+                    drv.submit_bio(bio);
+                }
+                assert_eq!(waiter.wait(), Ok(()));
+                let elapsed = ccnvme_sim::now() - t0;
+                assert!(
+                    elapsed < ErrPolicy::default().kick_after,
+                    "elapsed={elapsed}"
+                );
+                let e = drv.controller().link().obs.metrics.snapshot();
+                assert_eq!(e.counter("host_err.retries"), 1);
+                assert_eq!(e.counter("host_err.timeouts"), 0);
+                for lba in 0..3u64 {
+                    assert_eq!(drv.controller().store().read_block(lba)[0], lba as u8 + 1);
+                }
+            });
+            sim.run();
+        }
+
+        #[test]
+        fn a_crash_during_a_retry_recovers_each_member_once() {
+            let mut sim = Sim::new(2);
+            sim.spawn("host", 0, || {
+                let plan = FaultPlan::new(7).rule(FaultRule::new(FaultKind::Busy, Trigger::Nth(1)));
+                let drv = driver_on_faulty(plan, 64);
+                let tx = drv.alloc_tx_id();
+                let _w = submit_tx(&drv, tx, 900, 2);
+                // Crash as soon as the busy member's retry is submitted.
+                let retries = drv
+                    .controller()
+                    .link()
+                    .obs
+                    .metrics
+                    .counter("host_err.retries");
+                while retries.get() == 0 {
+                    ccnvme_sim::delay(1_000);
+                }
+                let mode = CrashMode {
+                    torn: usize::MAX,
+                    cache: CacheSurvival::DropAll,
+                };
+                let image = drv.controller().power_fail(mode);
+                let ctrl2 = NvmeController::from_image(
+                    CtrlConfig::new(SsdProfile::optane_p5800x()),
+                    &image,
+                );
+                let (_drv2, report) = CcNvmeDriver::probe(ctrl2, 1, 64);
+                let txs: Vec<_> = report.unfinished.iter().filter(|t| t.tx_id == tx).collect();
+                assert_eq!(txs.len(), 1, "{:?}", report.unfinished);
+                let lbas: Vec<u64> = txs[0].requests.iter().map(|r| r.lba).collect();
+                assert_eq!(lbas, [900, 901, 902]);
+                assert_eq!(report.rejected_slots, 0);
+            });
+            sim.run();
+        }
+
+        #[test]
+        fn a_dropped_retry_doorbell_is_recovered_by_one_kick() {
+            let mut sim = Sim::new(2);
+            sim.spawn("host", 0, || {
+                // The write completes busy, and the doorbell of its retry
+                // (the second the device sees, after the P-SQDB ring) is
+                // dropped.
+                let plan = FaultPlan::new(7)
+                    .rule(FaultRule::new(FaultKind::Busy, Trigger::Nth(1)))
+                    .rule(FaultRule::new(FaultKind::DoorbellDrop, Trigger::Nth(2)));
+                let drv = driver_on_faulty(plan, 64);
+                let policy = ErrPolicy::default();
+                let t0 = ccnvme_sim::now();
+                submit_and_wait(&drv, Bio::write(5, buf(5), BioFlags::NONE)).expect("write");
+                let elapsed = ccnvme_sim::now() - t0;
+                assert!(elapsed >= policy.kick_after, "elapsed={elapsed}");
+                assert!(elapsed < policy.timeout, "kick, not abort: {elapsed}");
+                let e = drv.controller().link().obs.metrics.snapshot();
+                assert_eq!(e.counter("fault.doorbell_drops"), 1);
+                assert_eq!(e.counter("host_err.retries"), 1);
+                assert_eq!(e.counter("host_err.doorbell_kicks"), 1);
+                assert_eq!(e.counter("host_err.timeouts"), 0);
+                assert_eq!(drv.controller().store().read_block(5)[0], 5);
             });
             sim.run();
         }

@@ -9,8 +9,8 @@
 //! latency recording. What differs between the drivers — the queue state
 //! machine: out-of-order completion over a cid pool with
 //! drain-and-recreate, against in-order transaction-unit pop over a
-//! persistent ring with retry incarnations and abort-in-place — stays in
-//! [`crate::driver`] and [`crate::ccdriver`] (DESIGN.md §8).
+//! persistent ring with a host-memory retry queue and abort-in-place —
+//! stays in [`crate::driver`] and [`crate::ccdriver`] (DESIGN.md §8).
 
 use std::sync::Arc;
 
@@ -76,22 +76,6 @@ impl Attempt {
             },
             token,
             submitted_at: 0,
-            attempts: 0,
-            last_kick: 0,
-        }
-    }
-
-    /// A fresh attempt at `orig`'s command under another command id (a
-    /// ccNVMe retry incarnation). The payload stays registered to
-    /// `orig`.
-    pub(crate) fn retry_of(orig: &Attempt, cid: u16) -> Attempt {
-        Attempt {
-            cmd: NvmeCommand {
-                cid,
-                ..orig.cmd.clone()
-            },
-            token: 0,
-            submitted_at: ccnvme_runtime::now(),
             attempts: 0,
             last_kick: 0,
         }

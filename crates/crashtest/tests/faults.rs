@@ -137,13 +137,10 @@ fn transient_faults_leave_create_delete_clean_at_every_cut() {
 }
 
 /// A busy completion is retried within its backoff even when the ring
-/// is full. Fails today: the ccNVMe driver retries into a new P-SQ slot,
-/// a full ring frees one only by popping its head, and the head is the
-/// busy command itself — mkfs's batch fills the 64-deep ring, its busy
-/// writes wait for the watchdog and end in `Timeout`:
-/// "left: 11, right: 0" (32 of 43 busy completions retried).
+/// is full: the ccNVMe driver retries through its host-memory retry
+/// queue, never through a second P-SQ slot, so mkfs's batch filling the
+/// 64-deep ring leaves no busy write waiting for the watchdog.
 #[test]
-#[ignore = "ccNVMe retries need a free P-SQ slot; see ROADMAP item 6"]
 fn busy_storm_over_a_full_ring_retries_without_timeouts() {
     let r = storm(FaultKind::Busy, OpMask::WRITES);
     assert_eq!(r.count("timeouts"), 0);
