@@ -28,10 +28,10 @@ fn main() {
         cuts: Cuts::Spread(crash_points),
         ..SweepPlan::every()
     };
-    for workload in table4_workloads() {
+    for script in table4_workloads() {
         let mut stack = StackConfig::new(FsVariant::Mqfs, SsdProfile::optane_905p(), 2);
         stack.journal_blocks = 512; // Small journal: fast recovery scans.
-        let report = sweep(FsSurface { workload, stack }, &plan);
+        let report = sweep(FsSurface { script, stack }, &plan);
         ccnvme_bench::row(
             &report.surface,
             &[report.states.to_string(), report.clean.to_string()],

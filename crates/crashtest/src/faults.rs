@@ -4,19 +4,18 @@
 //! Where a plain crash sweep varies only *when the power dies*, a fault
 //! schedule also fixes *when the hardware misbehaves*: it arms exactly
 //! one fault — a kind plus a virtual-time window start derived from the
-//! campaign seed — on the recorded run of [`FaultScript`], whose live
-//! error contract judges the run itself. The run is then cut at every
-//! n-th instant, through the fault window to the nothing-lost end
+//! campaign seed — on the recorded run of [`fault_campaign`], whose
+//! live error contract judges the run itself. The run is then cut at
+//! every n-th instant, through the fault window to the nothing-lost end
 //! state, and every cut boots on healthy hardware: recovery never
 //! replays a torn or failed transaction, the persist-order sanitizer
 //! stays silent, and the flight recorder never contradicts recovery.
 
-use std::sync::Arc;
-
 use ccnvme_fault::{FaultKind, FaultPlan, FaultRule, OpMask, Trigger};
-use ccnvme_sim::{DetRng, Ns};
+use ccnvme_sim::{DetRng, Ns, Sim};
 
-use crate::workloads::FaultScript;
+use crate::sweep::{CrashSurface, Tape};
+use crate::workloads::{fault_campaign, FAULT_FILES};
 use crate::{sweep, Cuts, FsSurface, StackConfig, SweepPlan, SweepReport};
 
 /// Every schedule is cut at every `CUT_STRIDE`-th instant of its run.
@@ -67,28 +66,25 @@ pub fn run_fault_campaign(kinds: &[FaultKind], cfg: &FaultCampaignConfig) -> Vec
         cuts: Cuts::EveryNthInstant(CUT_STRIDE),
         ..SweepPlan::every()
     };
-    let script = Arc::new(FaultScript::default());
     let surface = |fault| FsSurface {
-        workload: Arc::clone(&script) as _,
+        script: fault_campaign(),
         stack: StackConfig {
             fault,
             ..cfg.stack.clone()
         },
     };
-    // A healthy first run brackets the traffic the fault windows are
-    // placed in; one cut through it is enough, the schedules sweep the
-    // same script.
-    let one_cut = SweepPlan {
-        cuts: Cuts::Spread(1),
-        ..plan
-    };
-    let healthy = sweep(surface(None), &one_cut);
+    // A healthy run brackets the file steps' traffic, where the fault
+    // windows are placed.
+    let healthy = surface(None);
+    let run = Sim::run_main(healthy.cores(), move || {
+        healthy.record(&mut Tape::default())
+    });
     assert!(
-        healthy.failures.is_empty(),
+        run.report.failures.is_empty(),
         "fault campaign: healthy run: {:?}",
-        healthy.failures
+        run.report.failures
     );
-    let (t_begin, t_end) = script.window().expect("the healthy run ran the script");
+    let (t_begin, t_end) = (run.steps[1].issued, run.steps[FAULT_FILES].ended);
     let mut reports = Vec::with_capacity(kinds.len());
     for (ki, &kind) in kinds.iter().enumerate() {
         let mut rep = SweepReport {

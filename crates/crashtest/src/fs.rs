@@ -1,9 +1,9 @@
-//! The file-system crash surface: a [`CrashWorkload`] on a full stack
+//! The file-system crash surface: an [`FsScript`] on a full stack
 //! (device → driver → journal → MQFS / Ext4 variants).
 //!
 //! Every crash image is booted into a fresh stack, remounted (ccNVMe
-//! window recovery + journal replay), fsck'd and checked against the
-//! workload's durability oracle. On ccNVMe stacks the flight recorder
+//! window recovery + journal replay), fsck'd and held to the script's
+//! step rule ([`FsScript::judge`]). On ccNVMe stacks the flight recorder
 //! must also mount on every reachable image, and its per-transaction
 //! verdicts must never contradict the §4.4 recovery scan (counter
 //! `forensics_images`). The convergence witness is the media content
@@ -11,9 +11,9 @@
 //! across recoveries (the ring generation bumps on every probe).
 //!
 //! A fault plan in the stack config arms the recorded run only: every
-//! crash image boots on healthy hardware. The recorded run's own
-//! findings ([`CrashWorkload::run`]) fail the sweep, and a faulted
-//! sweep reports the run's [`fault_tallies`] as counters.
+//! crash image boots on healthy hardware. What the recorded run broke
+//! of the script's live contract ([`FsScript::live`]) fails the sweep,
+//! and a faulted sweep reports the run's [`fault_tallies`] as counters.
 
 use std::{
     collections::{BTreeMap, HashMap, HashSet},
@@ -25,8 +25,9 @@ use ccnvme_obs::MetricsSnapshot;
 use ccnvme_ssd::{CrashMode, DurableImage, PersistLog};
 use mqfs::FileSystem;
 
+use crate::script::{FsScript, Namespace, StepRun};
 use crate::sweep::{CrashSurface, Domain, Judgement, Settled, SweepReport, Tape};
-use crate::{CrashWorkload, Stack, StackConfig};
+use crate::{Stack, StackConfig};
 
 /// The fault tallies of a run on `fs`, from `m`, a snapshot of its
 /// stack's registry: `fired` and `degraded` (0 or 1), and the host
@@ -45,10 +46,10 @@ pub fn fault_tallies(m: &MetricsSnapshot, fs: &FileSystem) -> BTreeMap<&'static 
     .into()
 }
 
-/// One workload on one stack.
+/// One script on one stack.
 pub struct FsSurface {
-    /// The script and its durability oracle.
-    pub workload: Arc<dyn CrashWorkload>,
+    /// The script.
+    pub script: FsScript,
     /// Stack under test (`record_persistence` is forced on internally
     /// for the instrumented passes; `fault` arms the recorded run only).
     pub stack: StackConfig,
@@ -65,20 +66,27 @@ impl FsSurface {
     }
 }
 
+/// What a recorded run of an [`FsSurface`] did.
+pub struct FsRun {
+    /// Each step's instants and outcome.
+    pub steps: Vec<StepRun>,
+    /// What the run broke of the live contract, and its fault tallies.
+    pub report: SweepReport,
+}
+
 impl CrashSurface for FsSurface {
-    /// The recorded run's own findings and fault tallies.
-    type Script = SweepReport;
+    type Script = FsRun;
     type Witness = HashMap<u64, Vec<u8>>;
 
     fn name(&self) -> String {
-        self.workload.name().into()
+        self.script.name.into()
     }
 
     fn cores(&self) -> usize {
         self.stack.sim_cores()
     }
 
-    fn record(&self, tape: &mut Tape) -> SweepReport {
+    fn record(&self, tape: &mut Tape) -> FsRun {
         let (stack, fs) = Stack::format(&StackConfig {
             record_persistence: true,
             ..self.stack.clone()
@@ -88,23 +96,26 @@ impl CrashSurface for FsSurface {
             log: log.expect("record_persistence was set"),
             geometry: stack.cc_driver().map(|d| d.layout().sanitizer_geometry()),
         }]);
-        let failures = self.workload.run(&fs, tape.marks());
+        let steps = self.script.run(&fs, tape.marks());
+        let failures = (self.script.live)(&self.script, &fs, &steps);
         let counters = match self.stack.fault {
             None => Default::default(),
             Some(_) => fault_tallies(&stack.metrics(), &fs),
         };
-        SweepReport {
+        let report = SweepReport {
             failures,
             counters,
             ..SweepReport::default()
-        }
+        };
+        FsRun { steps, report }
     }
 
-    fn judge(&self, _: &SweepReport, images: &[DurableImage], acked: &HashSet<u64>) -> Judgement {
+    fn judge(&self, run: &FsRun, images: &[DurableImage], acked: &HashSet<u64>) -> Judgement {
         let mut problems = match Stack::recover(&self.healthy(false), &images[0]) {
             Ok((_stack, fs)) => {
                 let mut problems = fs.check();
-                problems.extend(self.workload.verify(&fs, acked));
+                let found = Namespace::observe(&fs);
+                problems.extend(self.script.judge(&run.steps, acked, &found).err());
                 problems
             }
             Err(e) => vec![format!("remount failed: {e}")],
@@ -149,7 +160,7 @@ impl CrashSurface for FsSurface {
         })
     }
 
-    fn finish(&self, run: &SweepReport, _: &[Arc<PersistLog>], report: &mut SweepReport) {
-        report.absorb("recorded run", run.clone());
+    fn finish(&self, run: &FsRun, _: &[Arc<PersistLog>], report: &mut SweepReport) {
+        report.absorb("recorded run", run.report.clone());
     }
 }

@@ -6,21 +6,18 @@
 //! prefix, at every n-th instant, or at N instants spread over the run
 //! (the Table 4 campaign) — boots each cut's images into a fresh stack
 //! and holds the recovered state to the surface's oracle. Three
-//! surfaces plug in: the file system under a [`CrashWorkload`]
-//! ([`FsSurface`]), the ploc detectable structures ([`PlocSurface`])
-//! and the sharded 2PC cluster ([`ClusterSurface`]).
+//! surfaces plug in, each taking its script as data: the file system
+//! under an [`FsScript`] ([`FsSurface`]), the ploc detectable
+//! structures ([`PlocSurface`]) and the sharded 2PC cluster
+//! ([`ClusterSurface`]).
 //!
-//! A [`CrashWorkload`] is a deterministic script of file-system
-//! operations; after every *persistence point* (a returned `fsync`) it
-//! records a mark carrying the guarantee that point established. Every
+//! An [`FsScript`] is a list of steps, each a few file-system
+//! operations on one core ending in an `fsync` ([`script`]). Every
 //! crash image is remounted (journal recovery + ccNVMe
-//! unfinished-window handling), and two checks run:
-//!
-//! 1. **Consistency** — `FileSystem::check` (an fsck) finds no
-//!    structural damage;
-//! 2. **Durability/atomicity oracle** — the workload's `verify` method
-//!    confirms every guarantee whose persistence point completed before
-//!    the crash instant.
+//! unfinished-window handling), must pass `FileSystem::check` (an
+//! fsck), and is held to one rule: the recovered namespace equals the
+//! model after the last persisted step, or after a later issued step,
+//! skipping steps that failed before the cut.
 //!
 //! [`faults`] sweeps the same surface with a deterministic device-error
 //! schedule armed on the recorded run.
@@ -29,21 +26,22 @@ pub mod cluster;
 pub mod faults;
 pub mod fs;
 pub mod ploc;
+pub mod script;
 pub mod stack;
 pub mod sweep;
 pub mod workloads;
 
-use std::{collections::HashSet, sync::Arc};
+use std::collections::HashSet;
 
 use ccnvme_sim::Ns;
 use ccnvme_ssd::{CtrlConfig, DurableImage, NvmeController, SsdProfile};
-use mqfs::FileSystem;
 use parking_lot::Mutex;
 
 pub use cluster::ClusterSurface;
 pub use faults::{run_fault_campaign, FaultCampaignConfig};
 pub use fs::{fault_tallies, FsSurface};
 pub use ploc::PlocSurface;
+pub use script::{FsScript, Model, Namespace, Op};
 pub use stack::{Stack, StackConfig};
 pub use sweep::{sweep, CrashSurface, Cuts, RecrashSweep, SweepPlan, SweepReport};
 pub use workloads::table4_workloads;
@@ -64,7 +62,7 @@ pub(crate) fn boot_ctrl(
     }
 }
 
-/// Record of persistence points reached by a workload run.
+/// The ack marks of a recorded run, each with the instant it was made.
 #[derive(Default)]
 pub struct OpLog {
     marks: Mutex<Vec<(u64, Ns)>>,
@@ -76,14 +74,13 @@ impl OpLog {
         OpLog::default()
     }
 
-    /// Records that persistence point `op` completed now.
+    /// Records mark `op` now.
     pub fn mark(&self, op: u64) {
         self.marks.lock().push((op, ccnvme_sim::now()));
     }
 
-    /// Persistence points completed strictly before `t`: a crash cut
-    /// *just before* the event at `t` must not credit a point
-    /// completing exactly at `t`.
+    /// Marks made strictly before `t`: a crash cut *just before* the
+    /// event at `t` must not credit a mark made exactly at `t`.
     ///
     /// Marks arrive in virtual-time order (the simulation clock is
     /// monotone), so the completed set is the prefix up to the first
@@ -95,21 +92,6 @@ impl OpLog {
         let end = marks.partition_point(|&(_, m)| m < t);
         marks[..end].iter().map(|&(op, _)| op).collect()
     }
-}
-
-/// A deterministic crash-consistency workload.
-pub trait CrashWorkload: Send + Sync {
-    /// Workload name (Table 4's first column).
-    fn name(&self) -> &'static str;
-
-    /// Runs the script, recording persistence points into `log`, and
-    /// returns what the run itself broke of the workload's live
-    /// contract (empty for a script that has none beyond `expect`).
-    fn run(&self, fs: &Arc<FileSystem>, log: &OpLog) -> Vec<String>;
-
-    /// Verifies a recovered file system given the set of persistence
-    /// points that had completed before the crash. Returns violations.
-    fn verify(&self, fs: &Arc<FileSystem>, persisted: &HashSet<u64>) -> Vec<String>;
 }
 
 #[cfg(test)]

@@ -9,10 +9,8 @@
 //! (`CCNVME_ENUM_DEEP=1`) adds torn posted-write expansion and re-crash
 //! sweeps over every explored image.
 
-use std::sync::Arc;
-
 use ccnvme_crashtest::{
-    sweep, workloads, CrashWorkload, FsSurface, RecrashSweep, StackConfig, SweepPlan, SweepReport,
+    sweep, workloads, FsScript, FsSurface, RecrashSweep, StackConfig, SweepPlan, SweepReport,
 };
 use ccnvme_ssd::SsdProfile;
 use mqfs::FsVariant;
@@ -26,9 +24,9 @@ fn smoke_stack() -> StackConfig {
     cfg
 }
 
-fn sweep_fs(workload: impl CrashWorkload + 'static, plan: &SweepPlan) -> SweepReport {
+fn sweep_fs(script: FsScript, plan: &SweepPlan) -> SweepReport {
     let surface = FsSurface {
-        workload: Arc::new(workload),
+        script,
         stack: smoke_stack(),
     };
     sweep(surface, plan)
@@ -42,7 +40,7 @@ fn deep() -> bool {
 
 #[test]
 fn smoke_workload_explores_every_event_prefix() {
-    let r = sweep_fs(workloads::CreateDelete { rounds: 1 }, &SweepPlan::every());
+    let r = sweep_fs(workloads::create_delete(1), &SweepPlan::every());
     assert!(r.events > 0, "instrumentation recorded no events");
     // Completeness, asserted exactly: one state per event boundary,
     // including the empty prefix (crash at t0) and the full log.
@@ -101,7 +99,7 @@ fn smoke_workload_explores_every_event_prefix() {
 fn extent_life_cycle_recovers_at_every_event_prefix() {
     // In-place extent growth, a spill into a leaf block, unlink, and
     // reuse of the freed data and leaf blocks by a new file.
-    let r = sweep_fs(workloads::ExtentSpill, &SweepPlan::every());
+    let r = sweep_fs(workloads::extent_spill(), &SweepPlan::every());
     // Exact: the run is deterministic, so a moved count means the
     // workload's persistence traffic changed. It was (133, 134) while a
     // directory fsync re-journaled groups a durable commit had carried:
@@ -131,13 +129,15 @@ fn extent_life_cycle_recovers_at_every_event_prefix() {
 /// Mutation-checked: with `write_dirents` writing a split record's
 /// `rec_len` into the cached block through a `WriteSet` nobody journals
 /// (the new record declared, its predecessor's `rec_len` not), the
-/// sweep reports 142 clean states of 167 — `/dr: lacks ["s"] and holds
-/// [] against step 1, and is not step 2` from prefix 813 on: on media
-/// the old `rec_len` of block 0's last record still spans the bytes the
-/// patch put `s` in, so the chain skips it.
+/// sweep reports 38 clean states of 59, the first failure at prefix
+/// 709: `/dr: holds {00l…, …, 20l…} nlink 2 — step 1 has {00l…, …,
+/// 20l…, s} nlink 2, step 2 has {00l…, …, 19l…, s} nlink 2` (the
+/// name lists elided here). On media the old `rec_len` of block 0's last
+/// record still spans the bytes the patch put `s` in, so the chain
+/// skips it.
 #[test]
 fn dir_records_recover_at_every_event_prefix() {
-    let r = sweep_fs(workloads::DirRecords, &SweepPlan::every());
+    let r = sweep_fs(workloads::dir_records(), &SweepPlan::every());
     assert!(
         r.failures.is_empty(),
         "crash states failed recovery: {:?}",
@@ -158,7 +158,7 @@ fn dir_records_recover_at_every_event_prefix() {
 /// durability oracle, forensics and the persist-order sanitizer.
 #[test]
 fn carried_groups_recover_at_every_event_prefix() {
-    let r = sweep_fs(workloads::CarriedGroups, &SweepPlan::every());
+    let r = sweep_fs(workloads::carried_groups(), &SweepPlan::every());
     assert!(
         r.failures.is_empty(),
         "crash states failed recovery: {:?}",
@@ -179,7 +179,7 @@ fn recovery_recrashed_at_each_of_its_events_converges() {
         recrash: RecrashSweep::FinalImage,
         ..SweepPlan::every()
     };
-    let r = sweep_fs(workloads::CreateDelete { rounds: 1 }, &plan);
+    let r = sweep_fs(workloads::create_delete(1), &plan);
     assert!(
         r.recovery_recrashes > 0,
         "re-crash sweep injected no crash points into recovery"
@@ -206,7 +206,7 @@ fn deep_enumeration_with_torn_tails_and_full_recrash() {
         recrash: RecrashSweep::EveryImage,
         ..SweepPlan::every()
     };
-    let r = sweep_fs(workloads::CreateDelete { rounds: 2 }, &plan);
+    let r = sweep_fs(workloads::create_delete(2), &plan);
     assert!(
         r.states > r.events + 1,
         "torn expansion explored no extra states"
@@ -219,20 +219,20 @@ fn deep_enumeration_with_torn_tails_and_full_recrash() {
     );
 }
 
-/// The stack [`workloads::PatchChain`] is written for: two cores, a
+/// The stack [`workloads::patch_chain`] is written for: two cores, a
 /// journal of four blocks per area, and hardware queues just deep enough
 /// — the re-crash sweep cuts every recovery at each of its persistence
 /// events, most of which are the probe re-sealing queue slots.
 fn patch_chain_stack() -> StackConfig {
     let mut cfg = smoke_stack();
-    cfg.journal_blocks = workloads::PatchChain::JOURNAL_BLOCKS;
+    cfg.journal_blocks = workloads::PATCH_CHAIN_JOURNAL_BLOCKS;
     cfg.queue_depth = 16;
     cfg
 }
 
 fn sweep_patch_chain(recrash: RecrashSweep) -> SweepReport {
     let surface = FsSurface {
-        workload: Arc::new(workloads::PatchChain),
+        script: workloads::patch_chain(),
         stack: patch_chain_stack(),
     };
     let plan = SweepPlan {
@@ -256,16 +256,17 @@ fn sweep_patch_chain(recrash: RecrashSweep) -> SweepReport {
 }
 
 /// The patch record's crash surface: every event prefix of
-/// [`workloads::PatchChain`] through remount, fsck, the durability
+/// [`workloads::patch_chain`] through remount, fsck, the durability
 /// oracle, forensics and the persist-order sanitizer, and the recovery
 /// of the final image re-crashed at each of its own events.
 ///
 /// Mutation-checked: with the release rule weakened to "skip when a
 /// newer version exists elsewhere, release anyway" (`Chain::settled`
-/// accepting a newer *patch*) the sweep reports 197 clean states of
-/// 238 — `/p29: size 4096, expected 2..=4 whole blocks` from prefix 829
-/// on: the first area wrapped past its patch of that inode's slot, and
-/// the newer patch in the idle area only holds the neighbour's.
+/// accepting a newer *patch*) the sweep reports 178 clean states of
+/// 230, the first failure at prefix 712, while `/c`'s create is in
+/// flight: `/: holds {p29} nlink 2 — step 1 has {p29, q12} nlink 2,
+/// step 2 has {c, p29, q12} nlink 2` — `/q12`'s persisted create is
+/// lost.
 #[test]
 fn patch_chain_recovers_at_every_event_prefix() {
     let r = sweep_patch_chain(RecrashSweep::FinalImage);

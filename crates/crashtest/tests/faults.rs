@@ -3,8 +3,6 @@
 //! engine: the run itself is held to the error contract, and every cut
 //! of it recovers on healthy hardware.
 
-use std::sync::Arc;
-
 use ccnvme_crashtest::{
     run_fault_campaign, sweep, workloads, Cuts, FaultCampaignConfig, FsSurface, StackConfig,
     SweepPlan, SweepReport,
@@ -109,7 +107,7 @@ fn storm(kind: FaultKind, ops: OpMask) -> SweepReport {
     stack.fault =
         Some(FaultPlan::new(9).rule(FaultRule::new(kind, Trigger::Probability(0.2)).ops(ops)));
     let surface = FsSurface {
-        workload: Arc::new(workloads::CreateDelete { rounds: 3 }),
+        script: workloads::create_delete(3),
         stack,
     };
     let plan = SweepPlan {

@@ -119,8 +119,8 @@ fn main() {
         recrash: RecrashSweep::FinalImage,
         ..SweepPlan::every()
     };
-    let workload = Arc::new(workloads::CreateDelete { rounds: 1 });
-    let report = sweep(FsSurface { workload, stack }, &plan);
+    let script = workloads::create_delete(1);
+    let report = sweep(FsSurface { script, stack }, &plan);
     println!("  durable events recorded : {}", report.events);
     println!("  crash states explored   : {}", report.states);
     println!("  repaired (fsck+oracle)  : {}", report.clean);

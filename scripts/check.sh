@@ -7,7 +7,8 @@
 #     counts, the fabric, ploc, cluster and lint suites, the sim/OS
 #     differential), the ccnvme-lint protocol-invariant analyzer over
 #     the workspace, the bench metrics-schema smoke run, the faultpath
-#     bench, the fault_storm, quickstart and black_box examples, the
+#     bench, the fault_storm, quickstart, black_box and crash_recovery
+#     examples, the
 #     fabric credit-overload drill
 #     and the cluster scaling gate, the
 #     deep ploc and cluster crash sweeps, the forensics and OS-runtime
@@ -41,7 +42,7 @@ cargo test -q
 #  * the crash-sweep suite, one engine under all of it: every
 #    event-prefix of the small file-system workload recovers clean and
 #    recovery re-crashed at each of its own events converges (~3000
-#    simulated boots); the same for PatchChain, the journal's
+#    simulated boots); the same for patch_chain, the journal's
 #    patch-record surface (two areas wrapping over each other's live
 #    patches of one inode-table block); the ploc surface holds exactly-once at every
 #    prefix, locally and over the fabric; the cluster surface stays
@@ -84,12 +85,15 @@ scripts/bench_smoke.sh
 # itself).
 QUICK=1 cargo run -q --release -p ccnvme-bench --bin faultpath > /dev/null
 cargo run -q --release --example fault_storm > /dev/null
-# Two crash walkthroughs, each asserting its own outcome: an fsync'd
+# Three crash walkthroughs, each asserting its own outcome: an fsync'd
 # file survives a power cut and fsck is clean (quickstart); the flight
 # recorder mounts and cross-checks a wrecked and a settled image
-# (black_box).
+# (black_box); the P-SQ recovery window, then every event prefix of a
+# small file-system script recovers clean and recovery re-crashed at
+# each of its events converges (crash_recovery).
 cargo run -q --release --example quickstart > /dev/null
 cargo run -q --release --example black_box > /dev/null
+cargo run -q --release --example crash_recovery > /dev/null
 # The fabric credit-overload drill: pipelined 8-write TX_COMMIT capsules
 # over a window of 2 must stall and never fail (it panics otherwise).
 QUICK=1 cargo run -q --release -p ccnvme-bench --bin fabric > /dev/null
@@ -101,7 +105,7 @@ cargo run -q --release -p ccnvme-bench --bin cluster > /dev/null
 # The deep ploc and cluster crash sweeps (torn tails and every-image
 # re-crash; every cut, three shards). The file-system ones take
 # tens of minutes each and stay in the deep tier; the journal's patch-record
-# surface (PatchChain: every event prefix through remount, fsck, oracle,
+# surface (patch_chain: every event prefix through remount, fsck, oracle,
 # forensics and sanitizer, plus the final image's recovery re-crashed at
 # each of its events, exact counts) already ran above, inside
 # `--workspace`, as enumerate::patch_chain_recovers_at_every_event_prefix.
@@ -148,7 +152,7 @@ if [[ "$first" != "$second" ]]; then
 fi
 
 if [[ "${CHECK_DEEP:-0}" == "1" ]]; then
-    echo "== deep tier: file-system crash sweeps (torn tails, every-image re-crash; PatchChain every-image) =="
+    echo "== deep tier: file-system crash sweeps (torn tails, every-image re-crash; patch_chain every-image) =="
     CCNVME_ENUM_DEEP=1 cargo test -q --release -p ccnvme-crashtest --test enumerate deep_
     echo "== deep tier: fabric TCP soak (real sockets, reconnect mid-commit) =="
     CCNVME_TCP_SOAK=1 cargo test -q --release -p ccnvme-fabric --test tcp

@@ -1,11 +1,12 @@
 //! Model-based property testing: random operation sequences run against
-//! both MQFS (full simulated stack) and a trivial in-memory model; the
-//! observable state must match, the volume must stay fsck-clean, and a
-//! crash at the end must preserve every fsynced fact.
+//! both MQFS (full simulated stack) and the crash harness's in-memory
+//! model; the observed namespace must equal the model's (names, sizes,
+//! holes and every block), the volume must stay fsck-clean, and a crash
+//! at the end must preserve every fsynced fact.
 
 use std::{collections::HashMap, sync::Arc};
 
-use ccnvme_repro::crashtest::{Stack, StackConfig};
+use ccnvme_repro::crashtest::{Model, Namespace, Op as FsOp, Stack, StackConfig};
 use ccnvme_repro::sim::Sim;
 use ccnvme_repro::ssd::{CrashMode, SsdProfile};
 use mqfs::{FsError, FsVariant};
@@ -33,15 +34,6 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
-/// In-memory model: name → pages. Mirrors the FS semantics of the ops.
-#[derive(Default)]
-struct Model {
-    files: HashMap<u8, HashMap<u16, u8>>,
-    /// State at the last persistence point per file (what a crash must
-    /// preserve at minimum when the file still exists).
-    synced: HashMap<u8, HashMap<u16, u8>>,
-}
-
 fn path(f: u8) -> String {
     format!("/m{f}")
 }
@@ -54,14 +46,15 @@ fn run_script(ops: Vec<Op>) -> Result<(), TestCaseError> {
     sim.spawn("model", 0, move || {
         let (stack, fs) = Stack::format(&cfg);
         let mut model = Model::default();
+        // Per file, its blocks at its last `fsync` (0 for a hole): what a
+        // crash must preserve at minimum while the file keeps its name.
+        let mut synced: HashMap<u8, Vec<u8>> = HashMap::new();
         for op in &ops {
             match *op {
                 Op::Create(f) => {
-                    let wanted = !model.files.contains_key(&f);
+                    let wanted = !model.exists(&path(f));
                     match fs.create_path(&path(f)) {
-                        Ok(_) if wanted => {
-                            model.files.insert(f, HashMap::new());
-                        }
+                        Ok(_) if wanted => model.apply(&FsOp::Create(path(f))),
                         Err(FsError::Exists) if !wanted => {}
                         other => {
                             *f2.lock() = Some(format!("create {f}: unexpected {other:?}"));
@@ -70,27 +63,33 @@ fn run_script(ops: Vec<Op>) -> Result<(), TestCaseError> {
                     }
                 }
                 Op::Write(f, page, byte) => {
-                    if let Some(pages) = model.files.get_mut(&f) {
+                    if model.exists(&path(f)) {
                         let ino = fs.resolve(&path(f)).expect("model says it exists");
                         fs.write(ino, page as u64 * 4096, &[byte; 4096])
                             .expect("write");
-                        pages.insert(page, byte);
+                        model.apply(&FsOp::Write {
+                            path: path(f),
+                            block: page as u64,
+                            blocks: 1,
+                            byte,
+                        });
                     } else {
                         assert_eq!(fs.resolve(&path(f)).err(), Some(FsError::NotFound));
                     }
                 }
                 Op::Unlink(f) => {
-                    let existed = model.files.remove(&f).is_some();
-                    model.synced.remove(&f);
+                    let existed = model.exists(&path(f));
+                    synced.remove(&f);
                     let r = fs.unlink_path(&path(f));
                     if existed {
                         r.expect("model says it existed");
+                        model.apply(&FsOp::Unlink(path(f)));
                     } else {
                         assert_eq!(r.err(), Some(FsError::NotFound));
                     }
                 }
                 Op::Fsync(f) | Op::Fatomic(f) => {
-                    if let Some(pages) = model.files.get(&f) {
+                    if let Some(blocks) = model.blocks(&path(f)) {
                         let ino = fs.resolve(&path(f)).expect("exists");
                         match op {
                             Op::Fsync(_) => {
@@ -98,51 +97,32 @@ fn run_script(ops: Vec<Op>) -> Result<(), TestCaseError> {
                                 // Only fsync is a durability point; the
                                 // paper's fatomic promises atomicity, not
                                 // survival of an immediate crash.
-                                model.synced.insert(f, pages.clone());
+                                synced.insert(f, blocks.to_vec());
                             }
                             _ => fs.fatomic(ino).expect("fatomic"),
                         }
                     }
                 }
                 Op::Rename(a, b) => {
-                    if a == b || !model.files.contains_key(&a) {
+                    if a == b || !model.exists(&path(a)) {
                         continue;
                     }
                     fs.rename(fs.root(), &format!("m{a}"), fs.root(), &format!("m{b}"))
                         .expect("rename");
-                    let pages = model.files.remove(&a).expect("checked");
-                    model.files.insert(b, pages);
-                    model.synced.remove(&a);
-                    model.synced.remove(&b);
+                    model.apply(&FsOp::Rename {
+                        from: path(a),
+                        to: path(b),
+                    });
+                    synced.remove(&a);
+                    synced.remove(&b);
                 }
             }
         }
-        // Live-state equivalence.
-        for f in 0u8..8 {
-            match model.files.get(&f) {
-                None => {
-                    if fs.resolve(&path(f)).is_ok() {
-                        *f2.lock() = Some(format!("file {f} should not exist"));
-                        return;
-                    }
-                }
-                Some(pages) => {
-                    let ino = match fs.resolve(&path(f)) {
-                        Ok(i) => i,
-                        Err(e) => {
-                            *f2.lock() = Some(format!("file {f} lost: {e}"));
-                            return;
-                        }
-                    };
-                    for (page, byte) in pages {
-                        let data = fs.read(ino, *page as u64 * 4096, 4096).expect("read");
-                        if data.len() != 4096 || data.iter().any(|b| b != byte) {
-                            *f2.lock() = Some(format!("file {f} page {page} content mismatch"));
-                            return;
-                        }
-                    }
-                }
-            }
+        // Live-state equivalence: every name, size, hole and block.
+        let want = [("the model".to_string(), model.namespace())];
+        if let Err(e) = Namespace::observe(&fs).matches(&want) {
+            *f2.lock() = Some(e);
+            return;
         }
         let problems = fs.check();
         if !problems.is_empty() {
@@ -164,7 +144,7 @@ fn run_script(ops: Vec<Op>) -> Result<(), TestCaseError> {
             *f2.lock() = Some(format!("post-crash fsck: {problems:?}"));
             return;
         }
-        for (f, pages) in &model.synced {
+        for (f, pages) in &synced {
             let ino = match fs2.resolve(&path(*f)) {
                 Ok(i) => i,
                 Err(e) => {
@@ -172,12 +152,12 @@ fn run_script(ops: Vec<Op>) -> Result<(), TestCaseError> {
                     return;
                 }
             };
-            for (page, byte) in pages {
-                let data = fs2.read(ino, *page as u64 * 4096, 4096).expect("read");
+            for (page, byte) in pages.iter().enumerate() {
+                let data = fs2.read(ino, page as u64 * 4096, 4096).expect("read");
                 // The page may hold a NEWER (post-sync, pre-crash) value
                 // or the synced one — but the synced value must not have
                 // regressed to anything else.
-                let live = model.files.get(f).and_then(|p| p.get(page));
+                let live = model.blocks(&path(*f)).and_then(|p| p.get(page));
                 let ok = data.iter().all(|b| b == byte)
                     || live.is_some_and(|l| data.iter().all(|b| b == l));
                 if !ok {
