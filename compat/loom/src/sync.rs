@@ -254,6 +254,22 @@ impl<T> Mutex<T> {
         Ok(MutexGuard { m: self, id })
     }
 
+    /// Acquires the lock if it is free; a scheduling point like `lock`,
+    /// but never blocks.
+    pub fn try_lock(&self) -> std::sync::TryLockResult<MutexGuard<'_, T>> {
+        rt::switch();
+        // SAFETY: as in `lock`: the baton is held.
+        let id = unsafe {
+            let slot = &mut *self.id.get();
+            *slot.get_or_insert_with(rt::alloc_lock_id)
+        };
+        if rt::try_acquire(id) {
+            Ok(MutexGuard { m: self, id })
+        } else {
+            Err(std::sync::TryLockError::WouldBlock)
+        }
+    }
+
     /// Consumes the mutex, returning the inner value.
     pub fn into_inner(self) -> std::sync::LockResult<T> {
         Ok(self.data.into_inner())

@@ -120,8 +120,22 @@ impl BioFlags {
     };
 }
 
-/// Completion callback, invoked exactly once.
-pub type BioEndIo = Box<dyn FnOnce(BioStatus) + Send>;
+/// What a bio's completion calls: a [`BioWaiter`]'s shared state, or any
+/// `Fn(BioStatus)` closure.
+pub trait EndIo: Send + Sync {
+    /// Called once per bio it is attached to, with the bio's status.
+    fn end_io(&self, status: BioStatus);
+}
+
+impl<F: Fn(BioStatus) + Send + Sync> EndIo for F {
+    fn end_io(&self, status: BioStatus) {
+        self(status)
+    }
+}
+
+/// Completion callback, invoked exactly once per bio: one may be shared
+/// by many bios (a [`BioWaiter`] attaches its one state to each).
+pub type BioEndIo = Arc<dyn EndIo>;
 
 /// One block I/O request.
 pub struct Bio {
@@ -219,7 +233,7 @@ impl Bio {
     /// Invokes the completion callback (driver side).
     pub fn complete(&mut self, status: BioStatus) {
         if let Some(f) = self.end_io.take() {
-            f(status);
+            f.end_io(status);
         }
     }
 }
@@ -303,6 +317,27 @@ struct WaitSt {
     first_error: Option<BioStatus>,
 }
 
+impl EndIo for WaiterInner {
+    fn end_io(&self, status: BioStatus) {
+        let mut st = self.st.lock();
+        st.irq_wakeups += 1;
+        let mut delta = ONE_BIO;
+        if status.failed() && st.first_error.is_none() {
+            st.first_error = Some(status);
+            // One decrement and the failed bit in one update: a poller
+            // never sees the count drop with the bit clear.
+            delta -= FAILED;
+        }
+        // ord: Release — pairs with the pollers' Acquire loads: one that
+        // sees this bio done sees everything its completer did.
+        let done = self.state.fetch_sub(delta, Ordering::Release) / ONE_BIO == 1;
+        drop(st);
+        if done {
+            self.cv.notify_all();
+        }
+    }
+}
+
 impl BioWaiter {
     /// Creates a waiter with no attached bios.
     pub fn new() -> Self {
@@ -328,25 +363,7 @@ impl BioWaiter {
         // ord: Relaxed — attaching comes before submitting the bio and
         // before sharing a handle, and both of those synchronize.
         self.inner.state.fetch_add(ONE_BIO, Ordering::Relaxed);
-        let inner = Arc::clone(&self.inner);
-        bio.end_io = Some(Box::new(move |status| {
-            let mut st = inner.st.lock();
-            st.irq_wakeups += 1;
-            let mut delta = ONE_BIO;
-            if status.failed() && st.first_error.is_none() {
-                st.first_error = Some(status);
-                // One decrement and the failed bit in one update: a
-                // poller never sees the count drop with the bit clear.
-                delta -= FAILED;
-            }
-            // ord: Release — pairs with the pollers' Acquire loads: one
-            // that sees this bio done sees everything its completer did.
-            let done = inner.state.fetch_sub(delta, Ordering::Release) / ONE_BIO == 1;
-            drop(st);
-            if done {
-                inner.cv.notify_all();
-            }
-        }));
+        bio.end_io = Some(Arc::clone(&self.inner) as BioEndIo);
     }
 
     /// Returns the number of bios not yet completed.
@@ -571,7 +588,7 @@ mod tests {
             let hits = Arc::new(ccnvme_obs::Counter::new());
             let h = Arc::clone(&hits);
             let mut bio = Bio::flush();
-            bio.end_io = Some(Box::new(move |_| h.inc()));
+            bio.end_io = Some(Arc::new(move |_| h.inc()));
             bio.complete(BioStatus::Ok);
             bio.complete(BioStatus::Ok); // Second call is a no-op.
             assert_eq!(hits.get(), 1);

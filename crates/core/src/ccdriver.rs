@@ -86,6 +86,9 @@ struct CcqSt {
     abort_logged: u32,
     /// Tail of the retry SQ: the last value rung on its doorbell.
     retry_tail: u32,
+    /// `advance_queue`'s list of popped bios, kept empty between calls
+    /// so its buffer is reused.
+    finished: Vec<(Bio, BioStatus)>,
 }
 
 /// A queue's retry SQ: a volatile ring in host memory that the device
@@ -327,6 +330,7 @@ impl CcNvmeDriver {
                     // land after the preserved prefix.
                     abort_logged: abort_counts[i as usize],
                     retry_tail: 0,
+                    finished: Vec::new(),
                 }),
                 cv: RtCondvar::new(),
                 retry_sq: OnceLock::new(),
@@ -591,9 +595,7 @@ fn fail_slot(st: &mut CcqSt, q: &CcQueue, pos: usize, status: BioStatus) -> bool
 /// persists the new P-SQ-head and rings the CQ doorbell, completing the
 /// popped bios (a failed transaction fails every one of its bios).
 fn advance_queue(q: &CcQueue) {
-    let mut finished: Vec<(Bio, BioStatus)> = Vec::new();
-    let mut tokens: Vec<u64> = Vec::new();
-    let new_head = {
+    let (new_head, mut finished) = {
         let mut st = q.st.lock();
         // Longest done-prefix, truncated at the last transaction
         // boundary inside it: requests complete to the upper layer only
@@ -608,34 +610,30 @@ fn advance_queue(q: &CcQueue) {
             }
         }
         if boundary_len == 0 {
-            None
-        } else {
-            for _ in 0..boundary_len {
-                let s = st.slots.pop_front().expect("prefix length checked");
-                st.head_idx = (st.head_idx + 1) % q.dev.layout.depth;
-                if s.attempt.token != 0 {
-                    tokens.push(s.attempt.token);
-                }
-                // Transaction-atomic error handling: one failed member
-                // fails the whole transaction.
-                let status = if s.is_tx {
-                    st.failed_txs.get(&s.tx_id).copied().unwrap_or(s.status)
-                } else {
-                    s.status
-                };
-                if s.is_tx && s.boundary {
-                    st.failed_txs.remove(&s.tx_id);
-                }
-                q.obs.completed(s.attempt.submitted_at);
-                finished.push((s.bio, status));
-            }
-            Some(st.head_idx)
+            return;
         }
+        let mut finished = std::mem::take(&mut st.finished);
+        for _ in 0..boundary_len {
+            let s = st.slots.pop_front().expect("prefix length checked");
+            st.head_idx = (st.head_idx + 1) % q.dev.layout.depth;
+            if s.attempt.token != 0 {
+                q.dev.hostmem.unregister(s.attempt.token);
+            }
+            // Transaction-atomic error handling: one failed member fails
+            // the whole transaction.
+            let status = if s.is_tx {
+                st.failed_txs.get(&s.tx_id).copied().unwrap_or(s.status)
+            } else {
+                s.status
+            };
+            if s.is_tx && s.boundary {
+                st.failed_txs.remove(&s.tx_id);
+            }
+            q.obs.completed(s.attempt.submitted_at);
+            finished.push((s.bio, status));
+        }
+        (st.head_idx, finished)
     };
-    let Some(new_head) = new_head else { return };
-    for token in tokens {
-        q.dev.hostmem.unregister(token);
-    }
     // Chained completion doorbell (§4.4): persist the new P-SQ-head
     // (posted MMIO into the PMR — a lost update only widens the recovery
     // window), then ring the CQ doorbell. One pair per transaction, not
@@ -644,7 +642,7 @@ fn advance_queue(q: &CcQueue) {
     // upper layer as failures, so recovery must never replay them.
     q.dev.pmr.write(q.head_off, &new_head.to_le_bytes());
     q.dev.regs.write(q.cqdb_off, &new_head.to_le_bytes());
-    for (mut bio, status) in finished {
+    for (mut bio, status) in finished.drain(..) {
         // Same thinning as TxBegin: the commit bio's completion is the
         // one durable witness per transaction (it rides right after the
         // head-advance write above, which it proves).
@@ -656,6 +654,11 @@ fn advance_queue(q: &CcQueue) {
             bio.flags.tx_commit,
         );
         bio.complete(status);
+    }
+    // Hand the list back for the next call, unless the queue is held:
+    // waiting for it would move virtual time.
+    if let Some(mut st) = q.st.try_lock() {
+        st.finished = finished;
     }
     // Wake slot waiters (and quiescers) only after the upper layer saw
     // the completions.
@@ -945,7 +948,7 @@ mod tests {
                 };
                 let mut bio = Bio::write(200 + i, buf(1), flags).with_tx_id(tx);
                 let order2 = Arc::clone(&order);
-                bio.end_io = Some(Box::new(move |_| order2.lock().push(i)));
+                bio.end_io = Some(Arc::new(move |_| order2.lock().push(i)));
                 drv.submit_bio(bio);
             }
             drv.quiesce();
@@ -1061,7 +1064,7 @@ mod tests {
                 };
                 let mut bio = Bio::write(base_lba + i, buf(i as u8 + 1), flags).with_tx_id(tx_id);
                 let st2 = Arc::clone(&statuses);
-                bio.end_io = Some(Box::new(move |status| st2.lock().push(status)));
+                bio.end_io = Some(Arc::new(move |status| st2.lock().push(status)));
                 drv.submit_bio(bio);
             }
             statuses

@@ -6,14 +6,36 @@
 //! own operations did — not on which other transaction happened to
 //! snapshot the block first.
 
-use std::ops::Range;
+use std::{fmt, ops::Range};
+
+/// Ranges a [`ByteRanges`] holds without a heap allocation: a block's
+/// writers almost always declare one or two.
+const INLINE: usize = 2;
 
 /// A set of byte offsets inside one block, kept as sorted, disjoint,
 /// non-adjacent ranges.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ByteRanges(Vec<Range<usize>>);
+#[derive(Clone)]
+pub struct ByteRanges(Repr);
+
+#[derive(Clone)]
+enum Repr {
+    /// The first `len` ranges of the array.
+    Inline {
+        len: usize,
+        ranges: [Range<usize>; INLINE],
+    },
+    Heap(Vec<Range<usize>>),
+}
 
 impl ByteRanges {
+    /// The ranges, ascending, as a slice.
+    fn as_slice(&self) -> &[Range<usize>] {
+        match &self.0 {
+            Repr::Inline { len, ranges } => &ranges[..*len],
+            Repr::Heap(v) => v,
+        }
+    }
+
     /// Adds `r`, merging it with every range it overlaps or touches.
     pub fn insert(&mut self, r: Range<usize>) {
         if r.is_empty() {
@@ -21,24 +43,70 @@ impl ByteRanges {
         }
         // The ranges that neither end before `r` starts nor start after
         // it ends all fuse with it.
-        let first = self.0.partition_point(|x| x.end < r.start);
-        let last = self.0.partition_point(|x| x.start <= r.end);
-        let fused = self.0[first..last]
+        let have = self.as_slice();
+        let first = have.partition_point(|x| x.end < r.start);
+        let last = have.partition_point(|x| x.start <= r.end);
+        let fused = have[first..last]
             .iter()
             .fold(r, |a, x| a.start.min(x.start)..a.end.max(x.end));
-        self.0.splice(first..last, [fused]);
+        match &mut self.0 {
+            Repr::Heap(v) => {
+                v.splice(first..last, [fused]);
+            }
+            Repr::Inline { len, ranges } if *len - (last - first) < INLINE => {
+                let mut out = [0..0, 0..0];
+                let kept = ranges[..first]
+                    .iter()
+                    .chain([&fused])
+                    .chain(&ranges[last..*len]);
+                let mut n = 0;
+                for (slot, x) in out.iter_mut().zip(kept) {
+                    (*slot, n) = (x.clone(), n + 1);
+                }
+                (*ranges, *len) = (out, n);
+            }
+            Repr::Inline { len, ranges } => {
+                let mut v = Vec::with_capacity(2 * INLINE);
+                v.extend_from_slice(&ranges[..*len]);
+                v.splice(first..last, [fused]);
+                self.0 = Repr::Heap(v);
+            }
+        }
     }
 
     /// Adds every range of `other`.
     pub fn extend(&mut self, other: &ByteRanges) {
-        for r in &other.0 {
+        for r in other.as_slice() {
             self.insert(r.clone());
         }
     }
 
     /// The ranges, ascending.
     pub fn iter(&self) -> impl Iterator<Item = Range<usize>> + '_ {
-        self.0.iter().cloned()
+        self.as_slice().iter().cloned()
+    }
+}
+
+impl Default for ByteRanges {
+    fn default() -> Self {
+        ByteRanges(Repr::Inline {
+            len: 0,
+            ranges: [0..0, 0..0],
+        })
+    }
+}
+
+impl PartialEq for ByteRanges {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl Eq for ByteRanges {}
+
+impl fmt::Debug for ByteRanges {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("ByteRanges").field(&self.as_slice()).finish()
     }
 }
 

@@ -177,11 +177,6 @@ impl SyscallHists {
     }
 }
 
-/// A page of file data in the page cache.
-struct Page {
-    data: Vec<u8>,
-}
-
 /// How dirty the inode metadata is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum MetaDirty {
@@ -194,8 +189,10 @@ enum MetaDirty {
 
 struct InodeSt {
     inode: Inode,
-    /// File-data page cache (file block index → content).
-    pages: IntMap<u64, Page>,
+    /// File-data page cache (file block index → content). An `fsync`
+    /// hands a dirty page to its transaction as it is, so a page may be
+    /// shared with I/O in flight: a write copies such a page first.
+    pages: IntMap<u64, BioBuf>,
     dirty_pages: BTreeSet<u64>,
     meta_dirty: MetaDirty,
     /// What this file's plain `write`s allocated: the next fsync
@@ -765,18 +762,28 @@ impl FileSystem {
                 result = Err(e);
                 break;
             }
-            // Read-modify-write for partial pages that exist on disk.
-            if !st.pages.contains_key(&fb) {
-                let need_read = (in_page != 0 || n != BLOCK_SIZE as usize) && was_mapped;
-                let page = if need_read {
-                    self.read_page_from_disk(&st, fb)?
-                } else {
-                    vec![0u8; BLOCK_SIZE as usize]
-                };
-                st.pages.insert(fb, Page { data: page });
+            let bytes = &data[src..src + n];
+            match st.pages.get_mut(&fb).and_then(Arc::get_mut) {
+                Some(page) => page.get_mut()[in_page..in_page + n].copy_from_slice(bytes),
+                // Not cached, or shared with a transaction in flight: a
+                // new page, from the caller's bytes alone if they cover
+                // it, else from the old content (read-modify-write for a
+                // partial page that exists on disk).
+                None => {
+                    let page = if n == BLOCK_SIZE as usize {
+                        bytes.to_vec()
+                    } else {
+                        let mut page = match st.pages.get(&fb) {
+                            Some(shared) => shared.lock().clone(),
+                            None if was_mapped => self.read_page_from_disk(&st, fb)?,
+                            None => vec![0u8; BLOCK_SIZE as usize],
+                        };
+                        page[in_page..in_page + n].copy_from_slice(bytes);
+                        page
+                    };
+                    st.pages.insert(fb, Arc::new(Mutex::new(page)));
+                }
             }
-            let page = st.pages.get_mut(&fb).expect("inserted above");
-            page.data[in_page..in_page + n].copy_from_slice(&data[src..src + n]);
             st.dirty_pages.insert(fb);
             pos += n as u64;
             src += n;
@@ -819,10 +826,9 @@ impl FileSystem {
             let n = ((BLOCK_SIZE as usize - in_page) as u64).min(end - pos) as usize;
             if !st.pages.contains_key(&fb) {
                 let page = self.read_page_from_disk(&st, fb)?;
-                st.pages.insert(fb, Page { data: page });
+                st.pages.insert(fb, Arc::new(Mutex::new(page)));
             }
-            let page = &st.pages[&fb];
-            out.extend_from_slice(&page.data[in_page..in_page + n]);
+            out.extend_from_slice(&st.pages[&fb].lock()[in_page..in_page + n]);
             pos += n as u64;
         }
         Ok(out)
@@ -874,11 +880,11 @@ impl FileSystem {
         let mut st = h.st.lock();
         let mut tx = TxDescriptor::new(self.journal.alloc_tx_id());
         // --- S-iD: collect dirty data pages (ordered-mode data). ---
-        let dirty: Vec<u64> = st.dirty_pages.iter().copied().collect();
-        for fb in dirty {
+        for &fb in &st.dirty_pages {
             ccnvme_runtime::cpu(PAGE_COLLECT_CPU);
             let lba = self.bmap(&st, fb).expect("dirty page must be mapped");
-            let buf: BioBuf = Arc::new(Mutex::new(st.pages[&fb].data.clone()));
+            // Shared, not copied: a later write copies it instead.
+            let buf = Arc::clone(&st.pages[&fb]);
             if st.inode.kind == InodeKind::Dir {
                 // Directory content is metadata: journal it.
                 tx.meta.push(TxBlock {

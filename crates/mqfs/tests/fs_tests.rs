@@ -288,6 +288,45 @@ fn fatomic_all_or_nothing_hello_sosp() {
     }
 }
 
+/// `fatomic` returns while its data is still on the way to the media,
+/// and the page cache shares the page with that transaction: writes to
+/// the page right after it — whole or partial — must leave the
+/// transaction's copy alone, or the device programs never-synced bytes
+/// for it.
+#[test]
+fn writes_after_fatomic_leave_the_in_flight_page_alone() {
+    let variant = FsVariant::Mqfs;
+    let mut sim = Sim::new(CORES + 2);
+    sim.spawn("host", 0, move || {
+        let profile = SsdProfile::optane_905p();
+        let stack = Stack::new(variant, profile.clone());
+        let fs = FileSystem::format(Arc::clone(&stack.dev), fs_config(variant));
+        let whole = fs.create_path("/whole").expect("create");
+        let part = fs.create_path("/part").expect("create");
+        for ino in [whole, part] {
+            fs.write(ino, 0, &[b'a'; 4096]).expect("write");
+            fs.fatomic(ino).expect("fatomic");
+        }
+        fs.write(whole, 0, &[b'b'; 4096])
+            .expect("overwrite the page");
+        fs.write(part, 100, b"bbbb")
+            .expect("overwrite part of the page");
+        // Both transactions land; the overwrites were never synced.
+        ccnvme_sim::delay(1_000_000);
+        let image = stack.power_fail(5);
+        let (_s2, fs2) = Stack::reboot(variant, &image, profile);
+        for path in ["/whole", "/part"] {
+            let ino = fs2.resolve(path).expect("fatomic'd file");
+            let content = fs2.read(ino, 0, 4096).expect("read");
+            assert!(
+                content == [b'a'; 4096],
+                "{path}: an unsynced write reached the media"
+            );
+        }
+    });
+    sim.run();
+}
+
 #[test]
 fn fatomic_is_much_faster_than_fsync() {
     let variant = FsVariant::Mqfs;

@@ -136,16 +136,31 @@ pub struct Blackbox {
     /// uniqueness is what mount-time ordering reconstruction rests on.
     bb_cursor: AtomicU64,
     /// Encoded records staged for the next burst.
-    staged: Mutex<Staged>,
+    staged: Mutex<Burst>,
 }
 
-/// Sealed records awaiting one contiguous burst: `buf` holds the
-/// encodings of sequences `start_seq, start_seq+1, …` whose ring slots
-/// are consecutive (append flushes the batch before any discontinuity).
-#[derive(Default)]
-struct Staged {
+/// The bytes of one full burst.
+const BURST_BYTES: usize = BATCH_RECORDS * RECORD_SIZE as usize;
+
+/// Sealed records for one contiguous burst: the first `len` bytes of
+/// `buf` hold the encodings of sequences `start_seq, start_seq+1, …`
+/// whose ring slots are consecutive (append flushes the batch before any
+/// discontinuity). The stage is one; a burst on its way out is a copy of
+/// it on the poster's stack.
+#[derive(Clone, Copy)]
+struct Burst {
     start_seq: u64,
-    buf: Vec<u8>,
+    len: usize,
+    buf: [u8; BURST_BYTES],
+}
+
+impl Burst {
+    /// Empties the stage, returning what it held; `None` if nothing.
+    fn take(&mut self) -> Option<Burst> {
+        let staged = *self;
+        self.len = 0;
+        (staged.len > 0).then_some(staged)
+    }
 }
 
 impl Blackbox {
@@ -177,7 +192,11 @@ impl Blackbox {
             base,
             epoch,
             bb_cursor: AtomicU64::new(0),
-            staged: Mutex::new(Staged::default()),
+            staged: Mutex::new(Burst {
+                start_seq: 0,
+                len: 0,
+                buf: [0; BURST_BYTES],
+            }),
         })
     }
 
@@ -191,10 +210,10 @@ impl Blackbox {
         self.base + RECORD_SIZE * (1 + seq % BLACKBOX_SLOTS as u64)
     }
 
-    /// Posts the records starting at sequence `start` as one write.
-    fn post(&self, start: u64, records: &[u8]) {
+    /// Posts a burst as one write.
+    fn post(&self, burst: &Burst) {
         if let Some(sink) = self.sink.upgrade() {
-            sink.post(self.slot_off(start), records);
+            sink.post(self.slot_off(burst.start_seq), &burst.buf[..burst.len]);
         }
     }
 
@@ -210,28 +229,29 @@ impl Blackbox {
         // behind that. Two bursts can leave here at once (a forced
         // flush plus a full batch); each covers a disjoint slot run, so
         // their posting order is irrelevant to the mount.
-        let mut posts: [Option<(u64, Vec<u8>)>; 2] = [None, None];
+        let mut posts: [Option<Burst>; 2] = [None, None];
         {
             let mut st = self.staged.lock();
-            let expected = st.start_seq + (st.buf.len() / RECORD_SIZE as usize) as u64;
+            let expected = st.start_seq + (st.len / RECORD_SIZE as usize) as u64;
             // A burst must cover consecutive ring slots: flush staged
             // records before an out-of-order sequence (a slower thread
             // drew its seq earlier but locked later) and before the
             // ring wraps back to slot 0.
-            if !st.buf.is_empty() && (seq != expected || seq.is_multiple_of(BLACKBOX_SLOTS as u64))
-            {
-                posts[0] = Some((st.start_seq, std::mem::take(&mut st.buf)));
+            if seq != expected || seq.is_multiple_of(BLACKBOX_SLOTS as u64) {
+                posts[0] = st.take();
             }
-            if st.buf.is_empty() {
+            if st.len == 0 {
                 st.start_seq = seq;
             }
-            st.buf.extend_from_slice(&raw);
-            if st.buf.len() >= BATCH_RECORDS * RECORD_SIZE as usize {
-                posts[1] = Some((st.start_seq, std::mem::take(&mut st.buf)));
+            let at = st.len;
+            st.buf[at..at + raw.len()].copy_from_slice(&raw);
+            st.len += raw.len();
+            if st.len == BURST_BYTES {
+                posts[1] = st.take();
             }
         }
-        for (start, buf) in posts.into_iter().flatten() {
-            self.post(start, &buf);
+        for burst in posts.iter().flatten() {
+            self.post(burst);
         }
     }
 
@@ -240,14 +260,10 @@ impl Blackbox {
     /// doorbell — so callers may drain the stage at quiet points
     /// without adding ordering edges. No-op when nothing is staged.
     pub fn publish(&self) {
-        let burst = {
-            let mut st = self.staged.lock();
-            if st.buf.is_empty() {
-                return;
-            }
-            (st.start_seq, std::mem::take(&mut st.buf))
-        };
-        self.post(burst.0, &burst.1);
+        let burst = self.staged.lock().take();
+        if let Some(burst) = burst {
+            self.post(&burst);
+        }
     }
 }
 

@@ -168,8 +168,8 @@ const N_BUCKETS: usize = 992; // bucket_index(u64::MAX) + 1
 /// degrade only for adversarial inputs near `u64::MAX`, where the
 /// bucket-based quantiles stay correct.
 pub struct Histogram {
+    /// Samples per bucket; their sum is the sample count.
     buckets: Box<[AtomicU64]>,
-    count: AtomicU64,
     sum: AtomicU64,
     sum_sq: AtomicU64, // f64 bit pattern, CAS-accumulated
     min: AtomicU64,
@@ -181,7 +181,6 @@ impl Histogram {
     pub fn new() -> Self {
         Histogram {
             buckets: (0..N_BUCKETS).map(|_| AtomicU64::new(0)).collect(),
-            count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
             sum_sq: AtomicU64::new(0f64.to_bits()),
             min: AtomicU64::new(u64::MAX),
@@ -196,8 +195,6 @@ impl Histogram {
         // ord: Relaxed — each aggregate cell is independently correct;
         // cross-cell skew is tolerated by summary() (documented above).
         self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
-        // ord: Relaxed — as above, independent aggregate cell.
-        self.count.fetch_add(1, Ordering::Relaxed);
         // ord: Relaxed — as above, independent aggregate cell.
         self.sum.fetch_add(v, Ordering::Relaxed);
         // Extremes change rarely: read first, and write only a new one.
@@ -228,15 +225,20 @@ impl Histogram {
         }
     }
 
-    /// Returns the number of recorded samples.
+    /// Returns the number of recorded samples: the buckets' sum, so a
+    /// quantile's scan over them agrees with it.
     pub fn count(&self) -> u64 {
-        // ord: Relaxed — monotone read; readers tolerate staleness.
-        self.count.load(Ordering::Relaxed)
+        // ord: Relaxed — monotone reads; readers tolerate staleness.
+        self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum()
     }
 
     /// Returns the (approximate) value at quantile `q` in `[0, 1]`.
     pub fn quantile(&self, q: f64) -> u64 {
-        let count = self.count();
+        self.quantile_of(q, self.count())
+    }
+
+    /// [`Histogram::quantile`] of a histogram holding `count` samples.
+    fn quantile_of(&self, q: f64, count: u64) -> u64 {
         if count == 0 {
             return 0;
         }
@@ -280,9 +282,9 @@ impl Histogram {
             min: self.min.load(Ordering::Relaxed),
             // ord: Relaxed — summary reads are approximate (doc'd above).
             max: self.max.load(Ordering::Relaxed),
-            p50: self.quantile(0.50),
-            p95: self.quantile(0.95),
-            p99: self.quantile(0.99),
+            p50: self.quantile_of(0.50, count),
+            p95: self.quantile_of(0.95, count),
+            p99: self.quantile_of(0.99, count),
             stddev: var.max(0.0).sqrt(),
         }
     }

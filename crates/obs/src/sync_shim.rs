@@ -1,7 +1,7 @@
 //! Sync-primitive indirection for loom model checking.
 //!
 //! The hot structures of this crate (the metric atomics, the
-//! `TraceRing` slot mutexes, the registry map lock) import their
+//! `TraceRing` lock, the registry map lock) import their
 //! primitives from here instead of `std::sync`/`parking_lot`. In a
 //! normal build the re-exports are zero-cost aliases; under
 //! `--features loom` they resolve to the model checker's

@@ -11,10 +11,10 @@
 //! doorbell is what the caller waits for; everything after is the
 //! background durability pipeline.
 //!
-//! The ring is fixed-capacity and wait-free for writers up to slot
-//! granularity: a global atomic cursor assigns slots, each slot is its
-//! own tiny mutex (uncontended unless two recorders lap each other on
-//! the same slot), and old events are overwritten once the ring wraps.
+//! The ring is fixed-capacity: one lock over a dense vector of events,
+//! under which each record draws its sequence number, so the vector is
+//! in record order from the oldest retained slot on. Old events are
+//! overwritten once the ring wraps.
 
 use std::sync::Arc;
 use std::sync::OnceLock;
@@ -22,7 +22,7 @@ use std::sync::OnceLock;
 use crate::blackbox::Blackbox;
 use crate::ctx::TraceCtx;
 use crate::metrics::Counter;
-use crate::sync_shim::{AtomicU64, Mutex, Ordering};
+use crate::sync_shim::Mutex;
 use crate::Ns;
 
 /// Default ring capacity (events retained).
@@ -148,21 +148,21 @@ impl TraceEvent {
     }
 }
 
-struct Slot {
-    /// Global sequence number of the event held (slot content is valid
-    /// when `seq % capacity == slot index` context matches).
-    seq: u64,
-    ev: Option<TraceEvent>,
+/// The events of a [`TraceRing`]: event `seq` is at `seq % capacity`.
+struct Events {
+    /// Events recorded so far, overwritten ones included.
+    recorded: u64,
+    /// Up to the ring's capacity; full once it wrapped.
+    evs: Vec<TraceEvent>,
 }
 
 /// Fixed-capacity, overwrite-on-wrap event recorder.
 pub struct TraceRing {
-    slots: Box<[Mutex<Slot>]>,
-    cursor: AtomicU64,
-    /// Events lost to ring laps: a recorded event overwrote (or lost
-    /// the slot race against) another. Exported as
-    /// `obs.trace_ring.lapped` so silent history loss in soak runs is
-    /// visible.
+    capacity: usize,
+    events: Mutex<Events>,
+    /// Events lost to ring laps: a recorded event overwrote another.
+    /// Exported as `obs.trace_ring.lapped` so silent history loss in
+    /// soak runs is visible.
     lapped: Arc<Counter>,
     /// Optional persistent mirror: milestone events (see
     /// [`crate::blackbox::persisted_kind`]) are also appended to the
@@ -175,10 +175,11 @@ impl TraceRing {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "trace ring needs at least one slot");
         TraceRing {
-            slots: (0..capacity)
-                .map(|_| Mutex::new(Slot { seq: 0, ev: None }))
-                .collect(),
-            cursor: AtomicU64::new(0),
+            capacity,
+            events: Mutex::new(Events {
+                recorded: 0,
+                evs: Vec::with_capacity(capacity),
+            }),
             lapped: Arc::new(Counter::new()),
             blackbox: OnceLock::new(),
         }
@@ -204,13 +205,12 @@ impl TraceRing {
 
     /// Number of events the ring retains.
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.capacity
     }
 
     /// Total events ever recorded (including overwritten ones).
     pub fn recorded(&self) -> u64 {
-        // ord: Relaxed — monotone read; readers tolerate staleness.
-        self.cursor.load(Ordering::Relaxed)
+        self.events.lock().recorded
     }
 
     /// Records one event; `persist: false` keeps it out of the
@@ -221,24 +221,22 @@ impl TraceRing {
     /// thinned, so the hot path pays for at most a handful of record
     /// posts per transaction.
     pub fn record(&self, ev: TraceEvent, persist: bool) {
-        // ord: Relaxed — only uniqueness of `seq` matters; the slot
-        // mutex below orders the payload write it guards.
-        let seq = self.cursor.fetch_add(1, Ordering::Relaxed);
-        {
-            let mut slot = self.slots[(seq % self.slots.len() as u64) as usize].lock();
-            // A slower writer lapped by a full ring revolution must not
-            // clobber the newer event already in the slot; either way a
-            // wrapped ring loses one event per record, which the lapped
-            // counter makes visible.
-            if slot.ev.is_none() || seq >= slot.seq {
-                if slot.ev.is_some() {
-                    self.lapped.inc();
-                }
-                slot.seq = seq;
-                slot.ev = Some(ev);
+        let lapped = {
+            let mut st = self.events.lock();
+            let at = (st.recorded % self.capacity as u64) as usize;
+            st.recorded += 1;
+            if at < st.evs.len() {
+                st.evs[at] = ev;
+                true
             } else {
-                self.lapped.inc();
+                st.evs.push(ev);
+                false
             }
+        };
+        // A wrapped ring loses one event per record, which the lapped
+        // counter makes visible.
+        if lapped {
+            self.lapped.inc();
         }
         // Mirror protocol milestones into the persistent flight
         // recorder. The append is staged/posted on the calling thread
@@ -254,16 +252,16 @@ impl TraceRing {
 
     /// Returns the retained events, oldest first (by record order).
     pub fn snapshot(&self) -> Vec<TraceEvent> {
-        let mut evs: Vec<(u64, TraceEvent)> = self
-            .slots
-            .iter()
-            .filter_map(|s| {
-                let s = s.lock();
-                s.ev.map(|ev| (s.seq, ev))
-            })
-            .collect();
-        evs.sort_by_key(|(seq, _)| *seq);
-        evs.into_iter().map(|(_, ev)| ev).collect()
+        let st = self.events.lock();
+        // Once the ring wrapped, the oldest event is the next one to be
+        // overwritten.
+        let oldest = if st.evs.len() < self.capacity {
+            0
+        } else {
+            (st.recorded % self.capacity as u64) as usize
+        };
+        let (newer, older) = st.evs.split_at(oldest);
+        older.iter().chain(newer).copied().collect()
     }
 
     /// Retained events of one transaction, oldest first.
@@ -423,7 +421,7 @@ mod tests {
 }
 
 /// Model-checked regressions for the ring's two documented races: the
-/// wrap-while-snapshot window and the lapped-writer slot guard. Run
+/// wrap-while-snapshot window and writers lapping each other. Run
 /// with `cargo test -p ccnvme-obs --features loom --lib loom_`; every
 /// interleaving of the loom threads is explored (see DESIGN.md §10).
 #[cfg(all(test, feature = "loom"))]
@@ -477,7 +475,7 @@ mod loom_tests {
                 assert_eq!(e.at, 10 * (e.tx_id + 1), "torn event: {e:?}");
                 assert!(e.tx_id < 4, "event never recorded: {e:?}");
             }
-            // Record order is preserved: `snapshot` sorts by slot seq,
+            // Record order is preserved: `snapshot` returns it,
             // and our `at` increases with seq, so the returned events
             // must be strictly increasing — a consistent (possibly
             // gapped, never reordered) view of the record sequence.
@@ -498,12 +496,11 @@ mod loom_tests {
         });
     }
 
-    /// White-box regression for the lapped-writer guard in `record`:
-    /// three concurrent writers race for the single slot of a
-    /// capacity-1 ring, acquiring the slot lock in any order. The
-    /// newest event (highest seq) must always win — without the
-    /// `seq >= slot.seq` guard a slow writer holding an old seq could
-    /// clobber it after losing the cursor race.
+    /// Three concurrent writers race for the single slot of a
+    /// capacity-1 ring, taking the ring's lock in any order. Each draws
+    /// its sequence number under that lock, so the last to take it
+    /// holds the newest: the slot ends with one whole event, and the two
+    /// it overwrote are counted as laps.
     #[test]
     fn loom_lapped_writer_never_clobbers_newer_event() {
         loom::model(|| {
@@ -518,14 +515,12 @@ mod loom_tests {
             for h in handles {
                 h.join().unwrap();
             }
-            let slot = r.slots[0].lock();
-            assert_eq!(slot.seq, 2, "slot lost the newest seq");
-            let e = slot.ev.expect("slot recorded");
+            let snap = r.snapshot();
+            assert_eq!(snap.len(), 1, "one slot, one event: {snap:?}");
+            let e = snap[0];
             assert_eq!(e.at, 10 * (e.tx_id + 1), "torn event: {e:?}");
-            // The slot holds whichever record drew seq 2 off the
-            // cursor — any of the three writers — but never an event
-            // whose seq lost the race.
-            assert!(e.tx_id < 3);
+            assert!(e.tx_id < 3, "event never recorded: {e:?}");
+            assert_eq!((r.recorded(), r.lapped_counter().get()), (3, 2));
         });
     }
 }

@@ -54,15 +54,45 @@ pub enum RegionKind {
     Registers,
 }
 
+/// A posted write on its way; its bytes are in [`MmioState::bytes`].
 struct PendingWrite {
     off: u64,
-    data: Vec<u8>,
+    len: usize,
     arrive_at: Ns,
 }
 
 struct MmioState {
     committed: Vec<u8>,
+    /// Posted writes not applied yet, in issue order, which PCIe makes
+    /// their arrival order.
     in_flight: VecDeque<PendingWrite>,
+    /// Their bytes, back to back in the same order.
+    bytes: VecDeque<u8>,
+}
+
+impl MmioState {
+    /// Applies every in-flight write that arrived by `now`.
+    fn commit_arrived(&mut self, now: Ns) {
+        while let Some(w) = self.in_flight.front() {
+            if w.arrive_at > now {
+                break;
+            }
+            let (off, len) = (w.off as usize, w.len);
+            self.in_flight.pop_front();
+            copy_out(&self.bytes, 0, &mut self.committed[off..off + len]);
+            self.bytes.drain(..len);
+        }
+    }
+}
+
+/// Copies `dst.len()` bytes of `fifo`, starting `start` bytes in.
+fn copy_out(fifo: &VecDeque<u8>, start: usize, dst: &mut [u8]) {
+    let (front, back) = fifo.as_slices();
+    let (end, split) = (start + dst.len(), front.len());
+    let in_front = start.min(split)..end.min(split);
+    let n = in_front.len();
+    dst[..n].copy_from_slice(&front[in_front]);
+    dst[n..].copy_from_slice(&back[start.max(split) - split..end.max(split) - split]);
 }
 
 /// A BAR-mapped region of device memory reachable over a [`PcieLink`].
@@ -90,6 +120,7 @@ impl MmioRegion {
             st: Mutex::new(MmioState {
                 committed: vec![0; size as usize],
                 in_flight: VecDeque::new(),
+                bytes: VecDeque::new(),
             }),
             hook: OnceLock::new(),
             flush_hook: OnceLock::new(),
@@ -173,11 +204,15 @@ impl MmioRegion {
             RegionKind::Pmr => link_done.max(self.link.pmr_write_engine.acquire(len.max(4))),
             RegionKind::Registers => link_done,
         };
-        self.st.lock().in_flight.push_back(PendingWrite {
-            off,
-            data: data.to_vec(),
-            arrive_at,
-        });
+        {
+            let mut st = self.st.lock();
+            st.in_flight.push_back(PendingWrite {
+                off,
+                len: data.len(),
+                arrive_at,
+            });
+            st.bytes.extend(data);
+        }
         // Backpressure: the CPU can keep roughly POSTED_BACKLOG_BYTES of
         // posted data outstanding before stalling on the WC buffer.
         let backlog_window = cost::transfer_ns(
@@ -233,7 +268,10 @@ impl MmioRegion {
                 ccnvme_runtime::delay(t - now);
             }
         }
-        self.commit_arrived();
+        // The read returns every write that arrived by now, and any later
+        // one somebody else applies meanwhile: applied below, under the
+        // lock the read takes anyway.
+        let drained_at = ccnvme_runtime::now();
         // Pay the round trip plus data time for the read itself.
         let mut wait = self.link.rtt;
         if len > 0 {
@@ -247,41 +285,38 @@ impl MmioRegion {
         if let Some(h) = self.flush_hook.get() {
             h(ccnvme_runtime::now());
         }
-        let st = self.st.lock();
+        let mut st = self.st.lock();
+        st.commit_arrived(drained_at);
         st.committed[off as usize..(off + len) as usize].to_vec()
     }
 
     /// Device-side read: returns the bytes that have *arrived* by now.
     /// Free of PCIe cost (the controller reads its own memory).
     pub fn device_read(&self, off: u64, len: u64) -> Vec<u8> {
-        self.commit_arrived();
-        let st = self.st.lock();
+        let mut out = vec![0; len as usize];
+        self.device_read_into(off, &mut out);
+        out
+    }
+
+    /// [`MmioRegion::device_read`] into `buf`: the `buf.len()` bytes at
+    /// `off`.
+    pub fn device_read_into(&self, off: u64, buf: &mut [u8]) {
+        let mut st = self.st.lock();
+        st.commit_arrived(ccnvme_runtime::now());
+        let range = off as usize..off as usize + buf.len();
         assert!(
-            (off + len) as usize <= st.committed.len(),
+            range.end <= st.committed.len(),
             "device read out of bounds in region {}",
             self.name
         );
-        st.committed[off as usize..(off + len) as usize].to_vec()
-    }
-
-    /// Applies every in-flight write whose arrival time has passed.
-    pub fn commit_arrived(&self) {
-        let now = ccnvme_runtime::now();
-        let mut st = self.st.lock();
-        while let Some(front) = st.in_flight.front() {
-            if front.arrive_at > now {
-                break;
-            }
-            let w = st.in_flight.pop_front().expect("front checked above");
-            let off = w.off as usize;
-            st.committed[off..off + w.data.len()].copy_from_slice(&w.data);
-        }
+        buf.copy_from_slice(&st.committed[range]);
     }
 
     /// Returns the number of writes still in flight (not yet arrived).
     pub fn in_flight_count(&self) -> usize {
-        self.commit_arrived();
-        self.st.lock().in_flight.len()
+        let mut st = self.st.lock();
+        st.commit_arrived(ccnvme_runtime::now());
+        st.in_flight.len()
     }
 
     /// Produces the crash image of the region: the committed bytes plus
@@ -292,12 +327,14 @@ impl MmioRegion {
     /// controller had observed, which is lost on power-down anyway; crash
     /// tooling normally only snapshots PMR regions.
     pub fn crash_image(&self, surviving_in_flight: usize) -> Vec<u8> {
-        self.commit_arrived();
-        let st = self.st.lock();
+        let mut st = self.st.lock();
+        st.commit_arrived(ccnvme_runtime::now());
         let mut image = st.committed.clone();
+        let mut start = 0;
         for w in st.in_flight.iter().take(surviving_in_flight) {
             let off = w.off as usize;
-            image[off..off + w.data.len()].copy_from_slice(&w.data);
+            copy_out(&st.bytes, start, &mut image[off..off + w.len]);
+            start += w.len;
         }
         image
     }
@@ -313,6 +350,7 @@ impl MmioRegion {
         assert_eq!(image.len(), st.committed.len(), "restore size mismatch");
         st.committed.copy_from_slice(image);
         st.in_flight.clear();
+        st.bytes.clear();
     }
 }
 
@@ -368,6 +406,23 @@ mod tests {
             assert_eq!(r.read(128, 4), vec![1, 2, 3, 4]);
         });
         sim.run();
+    }
+
+    #[test]
+    fn copy_out_reads_across_the_fifo_wrap() {
+        let mut fifo: VecDeque<u8> = VecDeque::with_capacity(8);
+        fifo.extend(0..6u8);
+        fifo.drain(..4);
+        fifo.extend(6..12u8);
+        assert!(!fifo.as_slices().1.is_empty(), "the bytes wrapped");
+        let mut all = [0u8; 8];
+        copy_out(&fifo, 0, &mut all);
+        assert_eq!(all, [4, 5, 6, 7, 8, 9, 10, 11]);
+        for (start, want) in [(1, [5, 6, 7]), (5, [9, 10, 11]), (0, [4, 5, 6])] {
+            let mut part = [0u8; 3];
+            copy_out(&fifo, start, &mut part);
+            assert_eq!(part, want);
+        }
     }
 
     #[test]

@@ -23,7 +23,7 @@
 
 use std::cell::UnsafeCell;
 use std::ops::{Deref, DerefMut};
-use std::sync::PoisonError;
+use std::sync::{PoisonError, TryLockError};
 use std::time::{Duration, Instant};
 
 use ccnvme_sim::{Ns, SimCondvar, SimMutex, SimMutexGuard};
@@ -116,6 +116,19 @@ impl<T> RtMutex<T> {
                 inner: GuardInner::Os(m.lock().unwrap_or_else(PoisonError::into_inner)),
             },
         }
+    }
+
+    /// Acquires the lock if it is free; never blocks.
+    pub fn try_lock(&self) -> Option<RtMutexGuard<'_, T>> {
+        let inner = match &self.inner {
+            MxInner::Sim(m) => GuardInner::Sim(m.try_lock()?),
+            MxInner::Os(m) => GuardInner::Os(match m.try_lock() {
+                Ok(g) => g,
+                Err(TryLockError::Poisoned(p)) => p.into_inner(),
+                Err(TryLockError::WouldBlock) => return None,
+            }),
+        };
+        Some(RtMutexGuard { inner })
     }
 
     /// Returns a mutable reference to the data without locking.

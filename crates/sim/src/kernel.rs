@@ -4,8 +4,8 @@
 //! OS thread that called [`Sim::run`], and the simulation dispatches its
 //! own events: there is no scheduler. A thread that yields (advancing the
 //! clock, blocking on a primitive from [`crate::sync`], or exiting) pops
-//! the earliest live event from the binary heap itself, under the one
-//! [`KState`] lock, and advances the clock to it. If that event is its own it simply keeps running;
+//! the earliest live event from the binary heap itself, in the kernel's
+//! one [`KState`], and advances the clock to it. If that event is its own it simply keeps running;
 //! otherwise [`Kernel::switch_to`] swaps registers with the owning
 //! thread's stack — the one hand-off, no system call. The caller of
 //! [`Sim::run`] switches to the first event's thread and is switched back
@@ -14,32 +14,35 @@
 //! **One runnable context.** There is one OS thread, so exactly one
 //! simulated thread is between "dispatched" and "yielded" at any instant:
 //! event order is the heap's `(time, seq)` and all simulation-visible
-//! state is free of data races by construction. The internal mutexes
-//! exist to satisfy Rust's `Send`/`Sync` rules — a [`Sim`] may be built on
-//! one OS thread and run on another — and are never held across a
-//! hand-off. What is per OS thread and has to follow the simulated thread
-//! instead is swapped at the hand-off: [`CTX`] and the two [`ambient`]
-//! words.
+//! state is free of data races by construction. The kernel's state is
+//! therefore not behind a lock but in a [`RefCell`]: a [`Sim`] may be
+//! built on one OS thread and run on another (it is `Send`), but never
+//! shared between two (it is not `Sync`), and a running kernel is reached
+//! only from the OS thread running it (see [`ctx`]). The borrow is never
+//! held across a hand-off; a re-entrant one panics, as relocking a held
+//! lock would deadlock. What is per OS thread and has to follow the
+//! simulated thread instead is swapped at the hand-off: [`CTX`] and the
+//! two [`ambient`] words.
 //!
-//! **What a thread pays for asking.** The two things model code reads all
-//! the time are outside the lock: the clock is one atomic word on
-//! [`Kernel`] that only [`Kernel::dispatch`] writes, so [`now`] is a
-//! thread-local lookup and a load, and a thread reaches its kernel
-//! through a borrow of [`CTX`] ([`ctx`]) rather than a clone of the
-//! `Arc` in it.
+//! The kernel also keeps every [`crate::SimCondvar`]'s wait list, by the
+//! condvar's id: a thread waits on one condvar at a time, so each list is
+//! threaded through the waiting threads' slots and costs no allocation.
+//!
+//! **What a thread pays for asking.** [`now`] is a thread-local lookup
+//! and a read of the clock, which only [`Kernel::dispatch`] writes, and a
+//! thread reaches its kernel through the pointer in [`CTX`] ([`ctx`]):
+//! no lock, no reference count.
 
 use std::{
-    cell::{Cell, RefCell},
+    cell::{Cell, RefCell, RefMut},
     cmp::Reverse,
-    collections::BinaryHeap,
+    collections::{hash_map::Entry, BinaryHeap, HashMap},
+    hash::{BuildHasherDefault, Hasher},
     panic::{self, AssertUnwindSafe},
-    sync::{
-        atomic::{AtomicBool, AtomicU64, Ordering},
-        Arc,
-    },
+    sync::Arc,
 };
 
-use parking_lot::{Mutex, MutexGuard};
+use parking_lot::Mutex;
 
 use crate::{
     fiber::{self, Stack},
@@ -70,9 +73,9 @@ fn install_quiet_shutdown_hook() {
         std::panic::set_hook(Box::new(move |info| {
             if info.payload().downcast_ref::<SimShutdown>().is_none() {
                 with_current(|kernel, tid| {
-                    // `try_lock`: a panic under the state lock must not
-                    // hang the report of itself.
-                    if let Some(st) = kernel.st.try_lock() {
+                    // `try_borrow`: a panic while the state is borrowed
+                    // must not turn the report of itself into a second.
+                    if let Ok(st) = kernel.st.try_borrow() {
                         let slot = &st.threads[tid];
                         eprintln!(
                             "simulated thread {:?} on core {} at t={} ns",
@@ -122,11 +125,43 @@ struct ThreadSlot {
     /// Mapped at the first dispatch, given up when the thread finishes.
     stack: Option<Stack>,
     /// Where [`fiber::switch`] left the suspended thread's stack pointer.
-    /// Boxed: the switch stores it after the state lock is gone, when
+    /// Boxed: the switch stores it after the state borrow is gone, when
     /// `threads` may have moved.
     sp: Box<Cell<usize>>,
     /// The thread's [`ambient`] words while it is suspended.
     ambient: [u64; 2],
+    /// The thread queued behind this one on the condvar it waits on
+    /// ([`NIL`] at the tail); meaningless while it waits on none.
+    cv_next: usize,
+}
+
+/// The end of a condvar's wait list.
+const NIL: usize = usize::MAX;
+
+/// The first and last thread waiting on one condvar.
+#[derive(Clone, Copy)]
+struct WaitList {
+    head: usize,
+    tail: usize,
+}
+
+/// Hashes a condvar id with one multiply: the ids are distinct integers
+/// drawn from a counter, and the map indexes by the low bits.
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("condvar ids hash as one u64")
+    }
+
+    fn write_u64(&mut self, id: u64) {
+        self.0 = id.wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(32);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 #[derive(PartialEq, Eq, PartialOrd, Ord)]
@@ -156,19 +191,22 @@ struct KState {
     /// Stacks of finished threads, for the next first dispatch; unmapped
     /// at shutdown.
     free: Vec<Stack>,
+    /// Each [`crate::SimCondvar`] somebody waits on, by its id; the list
+    /// runs through [`ThreadSlot::cv_next`].
+    waits: HashMap<u64, WaitList, BuildHasherDefault<IdHasher>>,
     #[cfg(test)]
     switches: u64,
 }
 
 pub(crate) struct Kernel {
     /// The virtual clock: the time of the event dispatched last. Only
-    /// [`Kernel::dispatch`] writes it, under the `st` lock; [`now`] reads
-    /// it without.
-    now: AtomicU64,
+    /// [`Kernel::dispatch`] writes it; [`now`] reads it without borrowing
+    /// `st`.
+    now: Cell<Ns>,
     /// Set by [`Kernel::shutdown_all`]: a thread resumed from now on is
     /// resumed to unwind.
-    shutdown: AtomicBool,
-    st: Mutex<KState>,
+    shutdown: Cell<bool>,
+    st: RefCell<KState>,
 }
 
 thread_local! {
@@ -176,39 +214,46 @@ thread_local! {
     /// on which core (a thread's core is fixed at spawn; the runner's
     /// reads 0): installed by [`Kernel::as_runner`], retargeted at every
     /// hand-off.
-    static CTX: RefCell<Option<(Arc<Kernel>, Next, usize)>> = const { RefCell::new(None) };
+    static CTX: Cell<Option<(*const Kernel, Next, usize)>> = const { Cell::new(None) };
     static AMBIENT: Cell<[u64; 2]> = const { Cell::new([0; 2]) };
 }
 
-/// Runs `f` on the running simulation and the calling thread's id in it;
-/// `None` when the caller is not a simulated thread. `f` must not hand
-/// off: the context stays borrowed while it runs.
 const NOT_IN_SIM: &str = "this operation must be called from inside a simulated thread";
 
-fn with_current<R>(f: impl FnOnce(&Arc<Kernel>, usize) -> R) -> Option<R> {
-    CTX.with(|c| match &*c.borrow() {
-        Some((kernel, Next::Thread(tid), _)) => Some(f(kernel, *tid)),
+/// The running simulation and the calling thread's id in it; `None`
+/// when the caller is not a simulated thread.
+///
+/// The reference is for the caller's own use while it runs (hand-offs
+/// included) and must not be kept anywhere that outlives the thread.
+pub(crate) fn current<'a>() -> Option<(&'a Kernel, usize)> {
+    match CTX.get() {
+        Some((kernel, Next::Thread(tid), _)) => {
+            // SAFETY: `CTX` names a kernel only inside `as_runner`, which
+            // `Sim::run` and `Sim::drop` call with the `Sim` exclusively
+            // borrowed and its boxed kernel at a fixed address; `CTX` is
+            // restored before `as_runner` returns. A simulated thread runs
+            // only in there, on the OS thread that called it: so while the
+            // caller runs, the kernel is alive (the liveness `switch_to`
+            // relies on for `save`) and no other OS thread can reach it —
+            // a `Sim` is `!Sync`, nobody else holds `&Sim` or `&mut Sim`,
+            // and handles keep no reference to the kernel. Shared access
+            // from this one OS thread is what `Kernel`'s `Cell`s and
+            // `RefCell` are for. A suspended thread does not run, and a
+            // finished one never again, so no use of the reference is
+            // later.
+            Some((unsafe { &*kernel }, tid))
+        }
         _ => None,
-    })
+    }
+}
+
+fn with_current<R>(f: impl FnOnce(&Kernel, usize) -> R) -> Option<R> {
+    current().map(|(kernel, tid)| f(kernel, tid))
 }
 
 /// The running simulation, borrowed, and the calling thread's id in it.
-/// The borrow is for the caller's own use while it runs (hand-offs
-/// included) and must not be kept anywhere that outlives the thread.
 pub(crate) fn ctx<'a>() -> (&'a Kernel, usize) {
-    let (kernel, tid) = with_current(|kernel, tid| (Arc::as_ptr(kernel), tid)).expect(NOT_IN_SIM);
-    // SAFETY: the caller is a simulated thread, and one executes only
-    // inside `as_runner`, whose frame on the runner's stack holds an `Arc`
-    // of this kernel in `CTX` (in `outer`, while a nested simulation has
-    // `CTX`) until every thread is finished or unwound — the liveness
-    // `switch_to` relies on for `save`. A suspended thread does not run,
-    // and a finished one never again, so no use of the borrow is later.
-    (unsafe { &*kernel }, tid)
-}
-
-/// The running simulation, to keep: what a spawned thread's handle holds.
-fn current_kernel() -> Arc<Kernel> {
-    with_current(|kernel, _| Arc::clone(kernel)).expect(NOT_IN_SIM)
+    current().expect(NOT_IN_SIM)
 }
 
 /// The calling simulated thread's id; `None` on any other thread.
@@ -224,17 +269,14 @@ pub(crate) fn wake(tid: usize) {
 }
 
 fn set_current(who: Next, core: usize) {
-    CTX.with(|c| {
-        let mut c = c.borrow_mut();
-        let ctx = c.as_mut().expect("a run is in progress");
-        (ctx.1, ctx.2) = (who, core);
-    });
+    let (kernel, _, _) = CTX.get().expect("a run is in progress");
+    CTX.set(Some((kernel, who, core)));
 }
 
 /// Entry point of every fiber: runs the thread's body, then leaves for good.
 extern "sysv64" fn fiber_main(tid: usize) -> ! {
     let (kernel, _) = ctx();
-    let body = kernel.st.lock().threads[tid].body.take();
+    let body = kernel.state().threads[tid].body.take();
     body.expect("a thread is started once")();
     kernel.exit_current(tid)
 }
@@ -242,9 +284,9 @@ extern "sysv64" fn fiber_main(tid: usize) -> ! {
 impl Kernel {
     fn new(cores: usize) -> Self {
         Kernel {
-            now: AtomicU64::new(0),
-            shutdown: AtomicBool::new(false),
-            st: Mutex::new(KState {
+            now: Cell::new(0),
+            shutdown: Cell::new(false),
+            st: RefCell::new(KState {
                 seq: 0,
                 heap: BinaryHeap::new(),
                 threads: Vec::new(),
@@ -256,19 +298,27 @@ impl Kernel {
                 runner_ambient: [0; 2],
                 zombie: None,
                 free: Vec::new(),
+                waits: HashMap::default(),
                 #[cfg(test)]
                 switches: 0,
             }),
         }
     }
 
+    /// The kernel's state, borrowed until the guard drops.
+    ///
+    /// # Panics
+    ///
+    /// Panics if it is borrowed already: the caller re-entered the kernel.
+    fn state(&self) -> RefMut<'_, KState> {
+        self.st
+            .try_borrow_mut()
+            .expect("kernel state borrowed twice: the kernel was re-entered")
+    }
+
     /// The virtual clock.
     fn clock(&self) -> Ns {
-        // ord: Relaxed — written (`dispatch`) and read on the one OS
-        // thread that runs the simulation; a reader on another thread
-        // (`Sim::now` after `run`) got the `Sim` through something that
-        // orders it after the run.
-        self.now.load(Ordering::Relaxed)
+        self.now.get()
     }
 
     /// Pushes a dispatch event for `tid` at `time`, superseding any other
@@ -297,8 +347,7 @@ impl Kernel {
             }
             slot.state = ThreadState::Running;
             debug_assert!(ev.time >= self.clock(), "time went backwards");
-            // ord: Relaxed — see `clock`.
-            self.now.store(ev.time, Ordering::Relaxed);
+            self.now.set(ev.time);
             st.events_processed += 1;
             return Next::Thread(ev.tid);
         }
@@ -309,10 +358,10 @@ impl Kernel {
 
     /// The one hand-off: suspends `me`, which is executing this, and
     /// resumes `next`; returns when something hands back to `me`. Takes
-    /// the state lock the caller decided `next` under and gives it up
+    /// the state borrow the caller decided `next` under and gives it up
     /// before the switch. Nothing a stack owns is live across it: a
     /// finishing thread's is never resumed.
-    fn switch_to(&self, mut st: MutexGuard<'_, KState>, me: Next, next: Next) {
+    fn switch_to(&self, mut st: RefMut<'_, KState>, me: Next, next: Next) {
         let (save, to, core) = {
             let st = &mut *st;
             #[cfg(test)]
@@ -360,7 +409,7 @@ impl Kernel {
         // `shutdown_all` names a finished thread. `save` points into the
         // `Sim`'s kernel, which the frame of `Sim::run` or `drop` on the
         // runner's stack keeps alive across every hand-off, and nothing
-        // locks `st` again before the store. A thread starts and is
+        // borrows `st` again before the store. A thread starts and is
         // resumed only inside `Sim::run`, which happens once: a context
         // never continues on another OS thread than it started on.
         unsafe { fiber::switch(save, to) }
@@ -369,16 +418,15 @@ impl Kernel {
     /// Gives up the CPU: dispatches the next event and, unless it is the
     /// caller's own, hands over until dispatched again. The caller must
     /// already have arranged its wakeup (heap event or waitlist
-    /// registration) under the `st` lock it passes in.
-    fn yield_current(&self, mut st: MutexGuard<'_, KState>, tid: usize) {
+    /// registration) in the `st` borrow it passes in.
+    fn yield_current(&self, mut st: RefMut<'_, KState>, tid: usize) {
         let next = self.dispatch(&mut st);
         if next == Next::Thread(tid) {
             return;
         }
         self.switch_to(st, Next::Thread(tid), next);
-        // ord: Relaxed — set by the runner on this OS thread, before the
-        // hand-off that got here.
-        if self.shutdown.load(Ordering::Relaxed) {
+        // Set by the runner before the hand-off that got here.
+        if self.shutdown.get() {
             // Unwind this thread's stack; its body catches the token.
             panic::panic_any(SimShutdown);
         }
@@ -387,7 +435,7 @@ impl Kernel {
     /// Models `ns` of CPU work on the current thread's core, serializing
     /// with other work on the same core.
     fn cpu_current(&self, tid: usize, ns: Ns) {
-        let mut st = self.st.lock();
+        let mut st = self.state();
         let core = st.threads[tid].core;
         let start = self.clock().max(st.cores[core]);
         let end = start + ns;
@@ -399,7 +447,7 @@ impl Kernel {
 
     /// Advances the current thread's clock by `ns` without occupying a core.
     fn delay_current(&self, tid: usize, ns: Ns) {
-        let mut st = self.st.lock();
+        let mut st = self.state();
         Self::schedule(&mut st, self.clock() + ns, tid);
         st.threads[tid].state = ThreadState::Ready;
         self.yield_current(st, tid);
@@ -408,7 +456,7 @@ impl Kernel {
     /// Blocks the current thread, `tid`, until [`Kernel::wake`] is called
     /// for it.
     pub(crate) fn block_current(&self, tid: usize) {
-        let mut st = self.st.lock();
+        let mut st = self.state();
         let slot = &mut st.threads[tid];
         slot.state = ThreadState::Blocked;
         slot.wake_reason = WakeReason::TimedOut;
@@ -418,34 +466,122 @@ impl Kernel {
     /// Blocks the current thread, `tid`, until woken or until `ns` virtual
     /// time elapses, whichever happens first.
     pub(crate) fn block_current_timeout(&self, tid: usize, ns: Ns) -> WakeReason {
-        let mut st = self.st.lock();
+        let mut st = self.state();
         Self::schedule(&mut st, self.clock() + ns, tid);
         let slot = &mut st.threads[tid];
         slot.state = ThreadState::Blocked;
         slot.wake_reason = WakeReason::TimedOut;
         self.yield_current(st, tid);
-        let st = self.st.lock();
+        let st = self.state();
         st.threads[tid].wake_reason
     }
 
     /// Wakes `tid` if it is blocked; a no-op otherwise. Idempotent.
     pub(crate) fn wake(&self, tid: usize) {
-        let mut st = self.st.lock();
+        self.wake_in(&mut self.state(), tid);
+    }
+
+    fn wake_in(&self, st: &mut KState, tid: usize) {
         if st.threads[tid].state == ThreadState::Blocked {
-            Self::schedule(&mut st, self.clock(), tid);
+            Self::schedule(st, self.clock(), tid);
             let slot = &mut st.threads[tid];
             slot.state = ThreadState::Ready;
             slot.wake_reason = WakeReason::Notified;
         }
     }
 
+    /// Queues `tid` at the tail of condvar `cv`'s wait list.
+    pub(crate) fn cv_enqueue(&self, cv: u64, tid: usize) {
+        let mut st = self.state();
+        let st = &mut *st;
+        st.threads[tid].cv_next = NIL;
+        match st.waits.entry(cv) {
+            Entry::Occupied(mut e) => {
+                let list = e.get_mut();
+                st.threads[list.tail].cv_next = tid;
+                list.tail = tid;
+            }
+            Entry::Vacant(e) => {
+                e.insert(WaitList {
+                    head: tid,
+                    tail: tid,
+                });
+            }
+        }
+    }
+
+    /// Takes the longest waiter off `cv`'s wait list and wakes it;
+    /// whether there was one.
+    pub(crate) fn cv_notify_one(&self, cv: u64) -> bool {
+        let mut st = self.state();
+        let st = &mut *st;
+        let Entry::Occupied(mut e) = st.waits.entry(cv) else {
+            return false;
+        };
+        let head = e.get().head;
+        if head == e.get().tail {
+            e.remove();
+        } else {
+            e.get_mut().head = st.threads[head].cv_next;
+        }
+        self.wake_in(st, head);
+        true
+    }
+
+    /// Empties `cv`'s wait list, waking the threads on it longest waiter
+    /// first; how many there were.
+    pub(crate) fn cv_notify_all(&self, cv: u64) -> usize {
+        let mut st = self.state();
+        let st = &mut *st;
+        let Some(list) = st.waits.remove(&cv) else {
+            return 0;
+        };
+        let (mut tid, mut woken) = (list.head, 1);
+        loop {
+            let next = st.threads[tid].cv_next;
+            self.wake_in(st, tid);
+            if tid == list.tail {
+                return woken;
+            }
+            (tid, woken) = (next, woken + 1);
+        }
+    }
+
+    /// Takes `tid` off `cv`'s wait list; whether it was on it.
+    pub(crate) fn cv_remove(&self, cv: u64, tid: usize) -> bool {
+        let mut st = self.state();
+        let st = &mut *st;
+        let Entry::Occupied(mut e) = st.waits.entry(cv) else {
+            return false;
+        };
+        let list = e.get_mut();
+        let (mut prev, mut at) = (NIL, list.head);
+        while at != tid {
+            if at == list.tail {
+                return false;
+            }
+            (prev, at) = (at, st.threads[at].cv_next);
+        }
+        let next = st.threads[tid].cv_next;
+        if prev == NIL && list.tail == tid {
+            e.remove();
+        } else if prev == NIL {
+            list.head = next;
+        } else {
+            st.threads[prev].cv_next = next;
+            if list.tail == tid {
+                list.tail = prev;
+            }
+        }
+        true
+    }
+
     /// Last act of a simulated thread: marks it finished and hands off
     /// to the next event's owner.
     fn exit_current(&self, tid: usize) -> ! {
-        let mut st = self.st.lock();
+        let mut st = self.state();
         st.threads[tid].state = ThreadState::Finished;
-        // ord: Relaxed — set by the runner on this OS thread.
-        let next = if self.shutdown.load(Ordering::Relaxed) {
+        let next = if self.shutdown.get() {
             Next::Runner // Unwound by `shutdown_all`, which goes on.
         } else {
             if !st.threads[tid].daemon {
@@ -459,8 +595,8 @@ impl Kernel {
 
     /// Runs `f` — the runner's side of a run — with this kernel as the
     /// OS thread's current one; the caller's own context is back after.
-    fn as_runner<R>(self: &Arc<Self>, f: impl FnOnce(&Kernel) -> R) -> R {
-        let outer = CTX.replace(Some((Arc::clone(self), Next::Runner, 0)));
+    fn as_runner<R>(&self, f: impl FnOnce(&Kernel) -> R) -> R {
+        let outer = CTX.replace(Some((self as *const Kernel, Next::Runner, 0)));
         let out = f(self);
         CTX.set(outer);
         out
@@ -469,11 +605,11 @@ impl Kernel {
     /// Runs the threads until the run is over. Returns the deadlock
     /// report if that is how it ended.
     fn run_to_stop(&self) -> Option<String> {
-        let mut st = self.st.lock();
+        let mut st = self.state();
         let first = self.dispatch(&mut st);
         if first != Next::Runner {
             self.switch_to(st, Next::Runner, first);
-            st = self.st.lock();
+            st = self.state();
         }
         if st.panic_payload.is_some() || st.live == 0 {
             return None;
@@ -496,11 +632,10 @@ impl Kernel {
     /// Ends every unfinished thread, one at a time in spawn order, and
     /// unmaps the stacks.
     fn shutdown_all(&self) {
-        // ord: Relaxed — read by the threads resumed below, on this OS
-        // thread.
-        self.shutdown.store(true, Ordering::Relaxed);
+        // Read by the threads resumed below.
+        self.shutdown.set(true);
         for tid in 0.. {
-            let mut st = self.st.lock();
+            let mut st = self.state();
             let Some(slot) = st.threads.get_mut(tid) else {
                 break;
             };
@@ -512,7 +647,7 @@ impl Kernel {
                 // `SimShutdown`, which runs its destructors. One of them
                 // yielding does not get it a second turn.
                 self.switch_to(st, Next::Runner, Next::Thread(tid));
-                self.st.lock().threads[tid].state = ThreadState::Finished;
+                self.state().threads[tid].state = ThreadState::Finished;
             } else {
                 // Never started. Its captures are dropped as the thread
                 // they were handed to, which is where their destructors
@@ -525,7 +660,7 @@ impl Kernel {
                 set_current(Next::Runner, 0);
             }
         }
-        let mut st = self.st.lock();
+        let mut st = self.state();
         st.zombie = None;
         st.free.clear();
     }
@@ -540,7 +675,9 @@ struct JoinState<T> {
 
 /// Handle to a spawned simulated thread; `join` blocks in virtual time.
 pub struct SimJoinHandle<T> {
-    kernel: Arc<Kernel>,
+    /// The address of the thread's kernel, to tell a join across
+    /// simulations; never dereferenced.
+    kernel: usize,
     st: Arc<Mutex<JoinState<T>>>,
 }
 
@@ -553,8 +690,8 @@ impl<T> SimJoinHandle<T> {
     /// Panics if called from outside the simulation.
     pub fn join(self) -> T {
         let (kernel, me) = ctx();
-        debug_assert!(
-            std::ptr::eq(kernel, &*self.kernel),
+        debug_assert_eq!(
+            kernel as *const Kernel as usize, self.kernel,
             "join across simulations"
         );
         loop {
@@ -571,7 +708,7 @@ impl<T> SimJoinHandle<T> {
 }
 
 fn spawn_inner<T, F>(
-    kernel: &Arc<Kernel>,
+    kernel: &Kernel,
     name: &str,
     core: usize,
     daemon: bool,
@@ -604,7 +741,7 @@ where
         Err(payload) => {
             if !payload.is::<SimShutdown>() {
                 let (kernel, _) = ctx();
-                let mut st = kernel.st.lock();
+                let mut st = kernel.state();
                 if st.panic_payload.is_none() {
                     st.panic_payload = Some(payload);
                 }
@@ -613,7 +750,7 @@ where
         }
     };
     {
-        let mut st = kernel.st.lock();
+        let mut st = kernel.state();
         assert!(
             core < st.cores.len(),
             "core {} out of range ({} cores configured)",
@@ -632,6 +769,7 @@ where
             stack: None,
             sp: Box::default(),
             ambient: [0; 2],
+            cv_next: NIL,
         });
         if !daemon {
             st.live += 1;
@@ -639,7 +777,7 @@ where
         Kernel::schedule(&mut st, kernel.clock(), tid);
     }
     SimJoinHandle {
-        kernel: Arc::clone(kernel),
+        kernel: kernel as *const Kernel as usize,
         st: join_st,
     }
 }
@@ -648,8 +786,18 @@ where
 ///
 /// Construct with [`Sim::new`], seed initial threads with [`Sim::spawn`],
 /// then drive everything to completion with [`Sim::run`].
+///
+/// A `Sim` may move to another OS thread but is never shared between
+/// two: its kernel's state is not behind a lock (see the module docs).
+///
+/// ```compile_fail
+/// fn shared<T: Sync>() {}
+/// shared::<ccnvme_sim::Sim>();
+/// ```
 pub struct Sim {
-    kernel: Arc<Kernel>,
+    /// Boxed: a running simulation reaches it through a pointer in
+    /// [`CTX`], so it must not move while `Sim` does.
+    kernel: Box<Kernel>,
     ran: bool,
 }
 
@@ -663,7 +811,7 @@ impl Sim {
         assert!(cores > 0, "a simulation needs at least one core");
         install_quiet_shutdown_hook();
         Sim {
-            kernel: Arc::new(Kernel::new(cores)),
+            kernel: Box::new(Kernel::new(cores)),
             ran: false,
         }
     }
@@ -701,7 +849,7 @@ impl Sim {
             kernel.shutdown_all();
             deadlock
         });
-        let payload = self.kernel.st.lock().panic_payload.take();
+        let payload = self.kernel.state().panic_payload.take();
         if let Some(p) = payload {
             panic::resume_unwind(p);
         }
@@ -740,7 +888,7 @@ impl Sim {
 
     /// Returns the number of events the simulation has dispatched.
     pub fn events_processed(&self) -> u64 {
-        self.kernel.st.lock().events_processed
+        self.kernel.state().events_processed
     }
 }
 
@@ -803,7 +951,7 @@ where
     T: Send + 'static,
     F: FnOnce() -> T + Send + 'static,
 {
-    spawn_inner(&current_kernel(), name, core, false, f)
+    spawn_inner(ctx().0, name, core, false, f)
 }
 
 /// Spawns a daemon thread from inside the simulation.
@@ -812,20 +960,49 @@ where
     T: Send + 'static,
     F: FnOnce() -> T + Send + 'static,
 {
-    spawn_inner(&current_kernel(), name, core, true, f)
+    spawn_inner(ctx().0, name, core, true, f)
 }
 
 /// Returns the simulated core the current thread is pinned to.
 pub fn current_core() -> usize {
-    CTX.with(|c| match &*c.borrow() {
-        Some((_, Next::Thread(_), core)) => *core,
+    match CTX.get() {
+        Some((_, Next::Thread(_), core)) => core,
         _ => panic!("{NOT_IN_SIM}"),
-    })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    // The two `bare_state_*` tests boot no `Sim`, so they cross no fiber
+    // switch and miri can run them (`scripts/check.sh`, deep tier).
+
+    #[test]
+    #[should_panic(expected = "re-entered")]
+    fn bare_state_borrowed_twice_panics() {
+        let kernel = Kernel::new(1);
+        let _st = kernel.state();
+        let _again = kernel.state();
+    }
+
+    #[test]
+    fn bare_state_guard_drop_releases_the_borrow() {
+        let kernel = Kernel::new(2);
+        kernel.state().live = 3;
+        let st = kernel.state();
+        assert_eq!((st.live, st.cores.len()), (3, 2));
+        drop(st);
+        assert!(kernel.st.try_borrow_mut().is_ok());
+    }
+
+    /// A `Sim` moves between OS threads; the doctest on [`Sim`] pins that
+    /// it is not shared between them.
+    #[test]
+    fn sim_is_send() {
+        fn moves<T: Send>() {}
+        moves::<Sim>();
+    }
 
     #[test]
     fn single_thread_clock() {
@@ -1048,7 +1225,7 @@ mod tests {
         assert_eq!(sim.events_processed(), 10_001);
         // The runner switched to the thread and the thread, finished,
         // back: nothing in between.
-        assert_eq!(sim.kernel.st.lock().switches, 2);
+        assert_eq!(sim.kernel.state().switches, 2);
     }
 
     #[test]
@@ -1100,7 +1277,7 @@ mod tests {
                         }
                     });
                     let end = sim.run();
-                    let switches = sim.kernel.st.lock().switches;
+                    let switches = sim.kernel.state().switches;
                     (end, sim.events_processed(), switches)
                 })
             })

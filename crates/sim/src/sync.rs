@@ -11,11 +11,13 @@
 //!
 //! Both rely on the kernel's guarantee that at most one simulated thread
 //! executes at a time, which makes their internal critical sections
-//! race-free and leaves nothing to wait for on the host; the
-//! `parking_lot` mutexes around the wait lists only satisfy `Send`/`Sync`,
-//! and a [`SimMutex`] nobody waits for never touches its own: taking and
+//! race-free and leaves nothing to wait for on the host. A [`SimMutex`]
+//! keeps its queue behind a `parking_lot` mutex, which only satisfies
+//! `Send`/`Sync`, and one nobody waits for never touches it: taking and
 //! releasing it is one compare-exchange on its state word each. A
-//! [`SimCondvar`] nobody waits on is notified with one load.
+//! [`SimCondvar`] is an id and a count: its wait list is the kernel's,
+//! threaded through the waiting threads, so waiting allocates nothing and
+//! takes no lock, and one nobody waits on is notified with one load.
 //!
 //! **Outside a simulation** (a bare thread: no [`crate::Sim`] is running
 //! on it) nothing can park and nothing is parked, so there is one rule: a
@@ -29,7 +31,7 @@ use std::{
     collections::VecDeque,
     fmt,
     ops::{Deref, DerefMut},
-    sync::atomic::{AtomicUsize, Ordering},
+    sync::atomic::{AtomicU64, AtomicUsize, Ordering},
 };
 
 use parking_lot::Mutex;
@@ -122,6 +124,14 @@ impl<T: ?Sized> SimMutex<T> {
             self.lock_contended(me, seen);
         }
         SimMutexGuard { mx: self }
+    }
+
+    /// Acquires the lock if it is free; never parks.
+    pub fn try_lock(&self) -> Option<SimMutexGuard<'_, T>> {
+        let me = kernel::current_tid().unwrap_or(BARE);
+        // ord: Acquire — as in `lock`.
+        let took = self.swing(0, held_by(me), Ordering::Acquire).is_ok();
+        took.then_some(SimMutexGuard { mx: self })
     }
 
     /// The rest of [`SimMutex::lock`] when the mutex was not free: queues
@@ -260,46 +270,74 @@ impl WaitTimeoutResult {
 
 /// A condition variable that parks simulated threads in virtual time.
 pub struct SimCondvar {
-    waiters: Mutex<VecDeque<usize>>,
-    /// `waiters.len()`, stored under the `waiters` lock and read without
-    /// it: a notify that finds nobody queued takes no lock.
+    /// Names this condvar's wait list in the kernel.
+    id: u64,
+    /// Threads on that list, counted up by a waiter as it queues and
+    /// down by whoever takes it off: a notify that finds nobody queued
+    /// asks the kernel nothing. A simulation that ends with a waiter
+    /// queued leaves the count above zero, which costs the next notify
+    /// a look at its list, nothing else.
     queued: AtomicUsize,
 }
+
+/// The next [`SimCondvar`] id.
+static NEXT_ID: AtomicU64 = AtomicU64::new(0);
 
 impl SimCondvar {
     /// Creates a condition variable with no waiters.
     pub fn new() -> Self {
         SimCondvar {
-            waiters: Mutex::new(VecDeque::new()),
+            // ord: Relaxed — only uniqueness matters.
+            id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
             queued: AtomicUsize::new(0),
         }
     }
 
-    /// Edits the wait list under its lock and republishes its length.
-    fn edit_waiters<R>(&self, f: impl FnOnce(&mut VecDeque<usize>) -> R) -> R {
-        let mut waiters = self.waiters.lock();
-        let r = f(&mut waiters);
-        // ord: Relaxed — a waiter queues before it releases the
-        // `SimMutex` whose holder later notifies, so the mutex orders
-        // this store before that notifier's load.
-        self.queued.store(waiters.len(), Ordering::Relaxed);
-        r
+    /// Counts `n` waiters taken off the wait list.
+    fn dequeued(&self, n: usize) {
+        // ord: Relaxed — brings the count back to what the kernel's list
+        // holds; see `park` for what orders it.
+        self.queued.fetch_sub(n, Ordering::Relaxed);
     }
 
     /// Whether a notify has anyone to wake.
     fn any_queued(&self) -> bool {
-        // ord: Relaxed — see `edit_waiters`.
+        // ord: Relaxed — see `park`.
         self.queued.load(Ordering::Relaxed) > 0
+    }
+
+    /// Queues the calling thread, releases `guard` and parks; returns
+    /// why the thread resumed.
+    fn park<T: ?Sized>(&self, guard: SimMutexGuard<'_, T>, timeout: Option<Ns>) -> WakeReason {
+        let (kernel, me) = kernel::ctx();
+        kernel.cv_enqueue(self.id, me);
+        // ord: Relaxed — a waiter queues before it releases the `SimMutex`
+        // whose holder later notifies, so the mutex orders this update
+        // before that notifier's load.
+        self.queued.fetch_add(1, Ordering::Relaxed);
+        drop(guard);
+        match timeout {
+            None => {
+                kernel.block_current(me);
+                WakeReason::Notified
+            }
+            Some(ns) => {
+                let reason = kernel.block_current_timeout(me, ns);
+                // The notifier did not pick this thread; deregister so
+                // a later notify is not wasted on it.
+                if reason == WakeReason::TimedOut && kernel.cv_remove(self.id, me) {
+                    self.dequeued(1);
+                }
+                reason
+            }
+        }
     }
 
     /// Atomically releases `guard` and parks until notified, then
     /// re-acquires the mutex.
     pub fn wait<'a, T: ?Sized>(&self, guard: SimMutexGuard<'a, T>) -> SimMutexGuard<'a, T> {
-        let (kernel, me) = kernel::ctx();
         let mx = guard.mx;
-        self.edit_waiters(|w| w.push_back(me));
-        drop(guard);
-        kernel.block_current(me);
+        self.park(guard, None);
         mx.lock()
     }
 
@@ -310,28 +348,15 @@ impl SimCondvar {
         guard: SimMutexGuard<'a, T>,
         timeout: Ns,
     ) -> (SimMutexGuard<'a, T>, WaitTimeoutResult) {
-        let (kernel, me) = kernel::ctx();
         let mx = guard.mx;
-        self.edit_waiters(|w| w.push_back(me));
-        drop(guard);
-        let reason = kernel.block_current_timeout(me, timeout);
-        let timed_out = reason == WakeReason::TimedOut;
-        if timed_out {
-            // The notifier did not pick this thread; deregister so a later
-            // notify is not wasted on it.
-            self.edit_waiters(|w| w.retain(|&w| w != me));
-        }
+        let timed_out = self.park(guard, Some(timeout)) == WakeReason::TimedOut;
         (mx.lock(), WaitTimeoutResult { timed_out })
     }
 
     /// Wakes one waiting thread, if any.
     pub fn notify_one(&self) {
-        if !self.any_queued() {
-            return;
-        }
-        let next = self.edit_waiters(VecDeque::pop_front);
-        if let Some(next) = next {
-            kernel::wake(next);
+        if self.any_queued() && kernel::current().is_some_and(|(k, _)| k.cv_notify_one(self.id)) {
+            self.dequeued(1);
         }
     }
 
@@ -340,9 +365,8 @@ impl SimCondvar {
         if !self.any_queued() {
             return;
         }
-        let drained: Vec<usize> = self.edit_waiters(|w| w.drain(..).collect());
-        for w in drained {
-            kernel::wake(w);
+        if let Some((kernel, _)) = kernel::current() {
+            self.dequeued(kernel.cv_notify_all(self.id));
         }
     }
 }

@@ -652,8 +652,9 @@ fn fetch_entry(inner: &CtrlInner, q: &QueueShared, slot: u32) -> [u8; 64] {
         }
         SqBacking::Pmr { ring, .. } => {
             ccnvme_runtime::delay(PMR_FETCH_NS);
-            let bytes = inner.pmr.device_read(ring + slot as u64 * 64, 64);
-            raw.copy_from_slice(&bytes);
+            inner
+                .pmr
+                .device_read_into(ring + slot as u64 * 64, &mut raw);
         }
     }
     raw

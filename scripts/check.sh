@@ -175,9 +175,10 @@ if [[ "${CHECK_DEEP:-0}" == "1" ]]; then
     if rustup component list 2>/dev/null | grep -q "^miri.*(installed)"; then
         # Of ccnvme-sim only the tests that boot no `Sim`: every other
         # one crosses `fiber::switch`, a `naked_asm!` body miri cannot
-        # execute. These two cover `SimMutex`'s `UnsafeCell` and state
-        # word on the path a bare thread takes.
-        cargo miri test -q -p ccnvme-sim --lib sync::tests::bare_mutex_
+        # execute. These four cover `SimMutex`'s `UnsafeCell` and state
+        # word on the path a bare thread takes, and the borrow of the
+        # kernel's state.
+        cargo miri test -q -p ccnvme-sim --lib -- sync::tests::bare_mutex_ kernel::tests::bare_state_
         cargo miri test -q -p ccnvme-obs
         # The OS-backed runtime tests (`os_*`) cross no fiber switch and
         # cover RtRwLock's UnsafeCell, the runtime crate's one `unsafe`.

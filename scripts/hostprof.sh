@@ -23,11 +23,15 @@
 #     its caller, each frame named like the flat table) and the share of
 #     the site's samples each one holds.
 #
-# A sample in a library leaf without a frame (libc's memcpy, malloc) is
-# charged to its caller, read from the top of the stack, as
-# "caller → [libc.so.6]" — the frame walk alone skips that caller. Needs
-# cc, nm, (llvm-)addr2line and awk; x86-64 Linux. Not part of
-# scripts/check.sh.
+# A sample in a shared library is named after the library's exported
+# function that holds it (`readelf --dyn-syms`), as "malloc [libc.so.6]",
+# or, in a local function the table does not name (malloc's internals,
+# memmove's AVX variant), after the nearest exported one below it, as
+# "after __default_morecore [libc.so.6]". A sample in
+# such a leaf, which has no frame of its own, is charged to its caller,
+# read from the top of the stack, as "caller → malloc [libc.so.6]" — the
+# frame walk alone skips that caller. Needs cc, nm, readelf,
+# (llvm-)addr2line and awk; x86-64 Linux. Not part of scripts/check.sh.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -60,11 +64,49 @@ function hex(s,    n, i) {
     return n
 }
 function in_bin(pc) { return pc >= bin_lo && pc < bin_hi }
-# The function `pc` is in: the last symbol at or below it, or the name of
-# the mapping when `pc` is outside the binary (libc, the vdso).
-function resolve(pc,    lo, hi, mid, i) {
+# Loads the exported functions of the shared library at `path` into
+# lib_addr / lib_name, ascending by address (readelf prints the address
+# zero-padded, so sorting the text sorts the numbers).
+function load_lib(path,    cmd, line, g, n) {
+    lib_n[path] = 0
+    cmd = "readelf --dyn-syms -W \"" path "\" 2> /dev/null | sort -k2,2"
+    while ((cmd | getline line) > 0) {
+        if (split(line, g, " ") < 8 || (g[4] != "FUNC" && g[4] != "IFUNC") || g[7] == "UND") continue
+        n = lib_n[path]++
+        lib_addr[path, n] = hex(g[2])
+        lib_size[path, n] = g[3] ~ /^0x/ ? hex(substr(g[3], 3)) : g[3] + 0
+        sub(/@.*/, "", g[8])
+        lib_name[path, n] = g[8]
+    }
+    close(cmd)
+}
+# The exported function of mapping `i` that holds `pc`, or "after" the
+# nearest one below it when `pc` is past its end (in a local function the
+# table does not name); "" if none is below it. A
+# library maps its executable segment at that segment file offset, so
+# the offset into the file is the address its symbol table uses.
+function lib_sym(i, pc,    path, addr, lo, hi, mid) {
+    path = map_path[i]
+    if (!(path in lib_n)) load_lib(path)
+    addr = pc - map_lo[i] + map_off[i]
+    lo = 0; hi = lib_n[path] - 1
+    if (hi < 0 || lib_addr[path, 0] > addr) return ""
+    while (lo < hi) {
+        mid = int((lo + hi + 1) / 2)
+        if (lib_addr[path, mid] <= addr) lo = mid; else hi = mid - 1
+    }
+    return (addr < lib_addr[path, lo] + lib_size[path, lo] ? "" : "after ") lib_name[path, lo]
+}
+# The function `pc` is in: the last symbol at or below it; outside the
+# binary, the library function and the mapping name, or the name alone
+# (the vdso, anonymous memory).
+function resolve(pc,    lo, hi, mid, i, name) {
     if (!in_bin(pc)) {
-        for (i = 0; i < nmaps; i++) if (pc >= map_lo[i] && pc < map_hi[i]) return "[" map_name[i] "]"
+        for (i = 0; i < nmaps; i++) {
+            if (pc < map_lo[i] || pc >= map_hi[i]) continue
+            name = map_path[i] ~ /\.so/ ? lib_sym(i, pc) : ""
+            return (name == "" ? "" : name " ") "[" map_name[i] "]"
+        }
         return "[unmapped]"
     }
     pc -= bin_lo
@@ -76,9 +118,10 @@ function resolve(pc,    lo, hi, mid, i) {
     return sym_name[lo]
 }
 # The crate a function was written in: the first path segment of its
-# name, inside `<… as …>` for a trait impl.
+# name, inside `<… as …>` for a trait impl; for a library function, the
+# library.
 function crate_of(name) {
-    if (name ~ /^\[/) return name
+    if (match(name, /\[[^][]*\]$/)) return substr(name, RSTART)
     gsub(/^[<&*]+(mut |dyn |const )?/, "", name)
     return (name ~ /^[a-z_][a-z0-9_]*::/) ? substr(name, 1, index(name, "::") - 1) : "[no crate]"
 }
@@ -127,7 +170,8 @@ END {
         if (in_maps) {
             split(f[1], range, "-")
             map_lo[nmaps] = hex(range[1]); map_hi[nmaps] = hex(range[2])
-            map_name[nmaps] = n >= 6 ? f[6] : "anon"
+            map_off[nmaps] = hex(f[3])
+            map_name[nmaps] = map_path[nmaps] = n >= 6 ? f[6] : "anon"
             if (f[6] == bin) { if (!bin_lo) bin_lo = map_lo[nmaps]; bin_hi = map_hi[nmaps] }
             sub(/.*\//, "", map_name[nmaps]); nmaps++
         } else if (n >= 2) {

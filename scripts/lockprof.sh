@@ -14,8 +14,9 @@
 #   * the 20 call sites that lock most often.
 #
 # Every `lock()` of the stack's `parking_lot::Mutex` counts: the mutexes
-# behind `RtMutex` on the OS runtime, the simulator's wait lists and
-# kernel state, and every plain `parking_lot` lock in the layers. Under the
+# behind `RtMutex` on the OS runtime, a contended `SimMutex`'s queue, and
+# every plain `parking_lot` lock in the layers (the simulator's kernel
+# state and condvar wait lists take none). Under the
 # simulator the counts are the same on every run. The census build
 # replaces the binary scripts/hostprof.sh and scripts/allocprof.sh build in
 # the same directory (they rebuild it). Not part of scripts/check.sh.
