@@ -21,8 +21,90 @@ use ccnvme_runtime::{RtCondvar, RtMutex};
 use loom::sync::atomic::{AtomicUsize, Ordering};
 use parking_lot::Mutex;
 
-/// A shared data buffer attached to a bio (one or more 4 KB blocks).
+/// A read bio's destination buffer (one or more 4 KB blocks), filled in
+/// by the device.
 pub type BioBuf = Arc<Mutex<Vec<u8>>>;
+
+/// An immutable, shared block buffer (one or more whole 4 KB blocks):
+/// what a write bio carries. The simulated device keeps this very
+/// allocation as the media content, so nothing between a writer's
+/// snapshot and the store copies it; a writer that wants to change the
+/// bytes again gets a private copy ([`BlockBuf::get_mut`] answers `None`
+/// while anyone else holds it).
+#[derive(Clone)]
+pub struct BlockBuf(Arc<Vec<u8>>);
+
+impl BlockBuf {
+    /// Wraps `data` without copying it.
+    pub fn new(data: Vec<u8>) -> BlockBuf {
+        BlockBuf(Arc::new(data))
+    }
+
+    /// The bytes, writable in place when this is the only handle to
+    /// them; `None` while they are shared (with a bio in flight, a
+    /// journal image or the device's media).
+    pub fn get_mut(&mut self) -> Option<&mut [u8]> {
+        Arc::get_mut(&mut self.0).map(Vec::as_mut_slice)
+    }
+
+    /// The shared allocation itself, as a device keeps it.
+    pub fn shared(&self) -> &Arc<Vec<u8>> {
+        &self.0
+    }
+}
+
+impl std::ops::Deref for BlockBuf {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.0
+    }
+}
+
+impl From<Vec<u8>> for BlockBuf {
+    fn from(data: Vec<u8>) -> BlockBuf {
+        BlockBuf::new(data)
+    }
+}
+
+impl From<BioBuf> for BlockBuf {
+    /// Takes the bytes out of a [`BioBuf`] nobody else holds, without
+    /// copying them; a shared one is copied.
+    fn from(buf: BioBuf) -> BlockBuf {
+        let data = Arc::try_unwrap(buf).map_or_else(|b| b.lock().clone(), Mutex::into_inner);
+        BlockBuf::new(data)
+    }
+}
+
+impl std::fmt::Debug for BlockBuf {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "BlockBuf({} B)", self.0.len())
+    }
+}
+
+/// A bio's data.
+pub enum BioData {
+    /// A flush carries none.
+    None,
+    /// A write's source.
+    Src(BlockBuf),
+    /// A read's destination.
+    Dst(BioBuf),
+}
+
+/// Blocks in a buffer of `len` bytes.
+///
+/// # Panics
+///
+/// Panics unless `len` is a nonzero multiple of [`BLOCK_SIZE`].
+fn whole_blocks(len: usize) -> u16 {
+    let len = len as u64;
+    assert!(
+        len > 0 && len.is_multiple_of(BLOCK_SIZE),
+        "bio data must be whole blocks"
+    );
+    (len / BLOCK_SIZE) as u16
+}
 
 /// Logical block size of the stack.
 pub const BLOCK_SIZE: u64 = 4096;
@@ -145,9 +227,9 @@ pub struct Bio {
     pub lba: u64,
     /// Length in blocks (0 for [`BioOp::Flush`]).
     pub nblocks: u16,
-    /// Data buffer (`Write`: source, `Read`: destination). Must hold at
-    /// least `nblocks * BLOCK_SIZE` bytes.
-    pub data: Option<BioBuf>,
+    /// Data buffer (`Write`: source, `Read`: destination). Holds
+    /// exactly `nblocks * BLOCK_SIZE` bytes.
+    pub data: BioData,
     /// Modifier flags.
     pub flags: BioFlags,
     /// ccNVMe transaction ID (meaningful when `flags.tx`).
@@ -162,20 +244,13 @@ pub struct Bio {
 
 impl Bio {
     /// Creates a write bio over `data`.
-    pub fn write(lba: u64, data: BioBuf, flags: BioFlags) -> Bio {
-        let nblocks = {
-            let len = data.lock().len() as u64;
-            assert!(
-                len > 0 && len.is_multiple_of(BLOCK_SIZE),
-                "bio data must be whole blocks"
-            );
-            (len / BLOCK_SIZE) as u16
-        };
+    pub fn write(lba: u64, data: impl Into<BlockBuf>, flags: BioFlags) -> Bio {
+        let data = data.into();
         Bio {
             op: BioOp::Write,
             lba,
-            nblocks,
-            data: Some(data),
+            nblocks: whole_blocks(data.len()),
+            data: BioData::Src(data),
             flags,
             tx_id: 0,
             ctx: ccnvme_obs::ctx::current(),
@@ -185,19 +260,12 @@ impl Bio {
 
     /// Creates a read bio into `data`.
     pub fn read(lba: u64, data: BioBuf) -> Bio {
-        let nblocks = {
-            let len = data.lock().len() as u64;
-            assert!(
-                len > 0 && len.is_multiple_of(BLOCK_SIZE),
-                "bio data must be whole blocks"
-            );
-            (len / BLOCK_SIZE) as u16
-        };
+        let nblocks = whole_blocks(data.lock().len());
         Bio {
             op: BioOp::Read,
             lba,
             nblocks,
-            data: Some(data),
+            data: BioData::Dst(data),
             flags: BioFlags::NONE,
             tx_id: 0,
             ctx: ccnvme_obs::ctx::current(),
@@ -211,7 +279,7 @@ impl Bio {
             op: BioOp::Flush,
             lba: 0,
             nblocks: 0,
-            data: None,
+            data: BioData::None,
             flags: BioFlags::NONE,
             tx_id: 0,
             ctx: ccnvme_obs::ctx::current(),
@@ -452,7 +520,7 @@ pub fn read_block(dev: &dyn BlockDevice, lba: u64) -> Result<Vec<u8>, BioStatus>
 /// the first that did.
 pub fn write_blocks(
     dev: &dyn BlockDevice,
-    blocks: impl IntoIterator<Item = (u64, BioBuf)>,
+    blocks: impl IntoIterator<Item = (u64, BlockBuf)>,
 ) -> Result<(), BioStatus> {
     let waiter = BioWaiter::new();
     for (lba, buf) in blocks {
@@ -481,16 +549,16 @@ pub fn commit_tx(
     let waiter = BioWaiter::new();
     let last = writes.len() - 1;
     for (i, (lba, mut data)) in writes.into_iter().enumerate() {
-        data.resize(
-            data.len().div_ceil(BLOCK_SIZE as usize).max(1) * BLOCK_SIZE as usize,
-            0,
-        );
+        let padded = data.len().div_ceil(BLOCK_SIZE as usize).max(1) * BLOCK_SIZE as usize;
+        // Exactly: the device keeps this allocation as the media blocks.
+        data.reserve_exact(padded - data.len());
+        data.resize(padded, 0);
         let flags = if i == last {
             BioFlags::TX_COMMIT
         } else {
             BioFlags::TX
         };
-        let mut bio = Bio::write(lba, Arc::new(Mutex::new(data)), flags).with_tx_id(tx_id);
+        let mut bio = Bio::write(lba, data, flags).with_tx_id(tx_id);
         waiter.attach(&mut bio);
         dev.submit_bio(bio);
     }
@@ -525,6 +593,29 @@ mod tests {
     }
 
     #[test]
+    fn a_unique_bio_buf_becomes_a_block_buf_without_a_copy() {
+        let unique: BioBuf = Arc::new(Mutex::new(vec![7u8; 4096]));
+        let at = unique.lock().as_ptr();
+        let block = BlockBuf::from(unique);
+        assert_eq!(block.as_ptr(), at, "the bytes moved, not copied");
+        let shared: BioBuf = Arc::new(Mutex::new(vec![8u8; 4096]));
+        let keep = Arc::clone(&shared);
+        let copy = BlockBuf::from(shared);
+        assert_ne!(copy.as_ptr(), keep.lock().as_ptr());
+        assert_eq!(&copy[..], &keep.lock()[..]);
+    }
+
+    #[test]
+    fn a_shared_block_buf_is_not_writable_in_place() {
+        let mut a = BlockBuf::new(vec![1u8; 4096]);
+        let b = a.clone();
+        assert!(a.get_mut().is_none(), "shared with b");
+        drop(b);
+        a.get_mut().expect("the only handle")[0] = 2;
+        assert_eq!(a[0], 2);
+    }
+
+    #[test]
     #[should_panic(expected = "whole blocks")]
     fn partial_block_data_rejected() {
         let data: BioBuf = Arc::new(Mutex::new(vec![0u8; 100]));
@@ -537,7 +628,7 @@ mod tests {
         sim.spawn("t", 0, || {
             let waiter = BioWaiter::new();
             let mut bios: Vec<Bio> = (0..3)
-                .map(|i| Bio::write(i, Arc::new(Mutex::new(vec![0u8; 4096])), BioFlags::NONE))
+                .map(|i| Bio::write(i, vec![0u8; 4096], BioFlags::NONE))
                 .collect();
             for b in &mut bios {
                 waiter.attach(b);
@@ -670,8 +761,8 @@ mod tests {
                     .lock()
                     .push((bio.lba, bio.nblocks, bio.flags, bio.tx_id));
             }
-            if let (BioOp::Read, BioStatus::Ok) = (bio.op, self.status) {
-                bio.data.as_ref().expect("read buffer").lock().fill(0xab);
+            if let (BioData::Dst(buf), BioStatus::Ok) = (&bio.data, self.status) {
+                buf.lock().fill(0xab);
             }
             bio.complete(self.status);
         }
@@ -694,7 +785,7 @@ mod tests {
         Sim::run_main(1, || {
             for status in [BioStatus::Media, BioStatus::Timeout, BioStatus::Busy] {
                 let dev = StubDev::new(status, true);
-                let write = Bio::write(3, Arc::new(Mutex::new(vec![0u8; 4096])), BioFlags::NONE);
+                let write = Bio::write(3, vec![0u8; 4096], BioFlags::NONE);
                 assert_eq!(submit_and_wait(&dev, write), Err(status));
                 assert_eq!(read_block(&dev, 3), Err(status));
                 assert_eq!(flush_cache(&dev), Err(status));

@@ -403,6 +403,22 @@ mod tests {
     }
 
     #[test]
+    fn the_store_keeps_the_written_allocation_itself() {
+        Sim::run_main(2, || {
+            let drv = driver_on(SsdProfile::optane_p5800x(), 1);
+            let data = ccnvme_block::BlockBuf::new(vec![0x3c; 2 * 4096]);
+            submit_and_wait(&drv, Bio::write(42, data.clone(), BioFlags::NONE)).expect("write");
+            for lba in [42, 43] {
+                let kept = drv.controller().store().block(lba).expect("landed");
+                assert!(
+                    Arc::ptr_eq(kept.buffer(), data.shared()),
+                    "lba {lba} copied"
+                );
+            }
+        });
+    }
+
+    #[test]
     fn per_request_doorbells_and_irqs() {
         let mut sim = Sim::new(2);
         sim.spawn("host", 0, || {

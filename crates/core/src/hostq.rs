@@ -14,10 +14,10 @@
 
 use std::sync::Arc;
 
-use ccnvme_block::{Bio, BioOp, BioStatus};
+use ccnvme_block::{Bio, BioData, BioOp, BioStatus};
 use ccnvme_obs::{EventKind, Histogram, Obs, TraceCtx, TraceEvent};
 use ccnvme_runtime::{mpsc_channel, Ns, Receiver, Sender};
-use ccnvme_ssd::{HostMemory, NvmeCommand, Opcode, Status, TxFlags};
+use ccnvme_ssd::{HostBuf, HostMemory, NvmeCommand, Opcode, Status, TxFlags};
 
 use crate::errpolicy::{map_status, Age, ErrPolicy, HostErrStats, MAX_RETRIES};
 
@@ -51,8 +51,9 @@ impl Attempt {
             BioOp::Read => Opcode::Read,
         };
         let token = match &bio.data {
-            Some(buf) => hostmem.register(Arc::clone(buf)),
-            None => 0,
+            BioData::Src(buf) => hostmem.register(HostBuf::Src(Arc::clone(buf.shared()))),
+            BioData::Dst(buf) => hostmem.register(HostBuf::Dst(Arc::clone(buf))),
+            BioData::None => 0,
         };
         Attempt {
             cmd: NvmeCommand {

@@ -5,6 +5,8 @@
 //! `tail` advances as transactions append, `head` advances as
 //! checkpointing reclaims space.
 
+use std::ops::Range;
+
 use parking_lot::Mutex;
 
 /// Location and size of one journal area on the device.
@@ -71,23 +73,27 @@ impl AreaRing {
         self.spec.len - self.used()
     }
 
-    /// Allocates `n` consecutive-in-ring blocks and returns their device
-    /// LBAs (they may wrap around the area boundary, hence a list).
+    /// Allocates `n` consecutive-in-ring blocks and returns their ring
+    /// positions; position `p` lives at device LBA
+    /// [`AreaRing::lba`]`(p)` (a run may wrap around the area boundary).
     ///
     /// Returns `None` when fewer than `n` blocks are free; the caller
     /// must checkpoint first.
-    pub fn alloc(&self, n: u64) -> Option<Vec<u64>> {
+    pub fn alloc(&self, n: u64) -> Option<Range<u64>> {
         let mut st = self.st.lock();
         if self.spec.len - st.used < n {
             return None;
         }
-        let mut lbas = Vec::with_capacity(n as usize);
-        for _ in 0..n {
-            lbas.push(self.spec.start + st.tail);
-            st.tail = (st.tail + 1) % self.spec.len;
-            st.used += 1;
-        }
-        Some(lbas)
+        let run = st.tail..st.tail + n;
+        st.tail = (st.tail + n) % self.spec.len;
+        st.used += n;
+        Some(run)
+    }
+
+    /// The device LBA of ring position `pos`, one of a run
+    /// [`AreaRing::alloc`] returned.
+    pub fn lba(&self, pos: u64) -> u64 {
+        self.spec.start + pos % self.spec.len
     }
 
     /// Releases the `n` oldest blocks (checkpoint completed them).
@@ -133,9 +139,11 @@ mod tests {
     #[test]
     fn alloc_until_full_then_none() {
         let r = AreaRing::new(AreaSpec { start: 10, len: 4 });
-        assert_eq!(r.alloc(3), Some(vec![10, 11, 12]));
-        assert_eq!(r.alloc(2), None);
-        assert_eq!(r.alloc(1), Some(vec![13]));
+        let lbas =
+            |run: Option<Range<u64>>| run.map(|run| run.map(|p| r.lba(p)).collect::<Vec<_>>());
+        assert_eq!(lbas(r.alloc(3)), Some(vec![10, 11, 12]));
+        assert_eq!(lbas(r.alloc(2)), None);
+        assert_eq!(lbas(r.alloc(1)), Some(vec![13]));
         assert_eq!(r.free(), 0);
     }
 
@@ -144,7 +152,8 @@ mod tests {
         let r = AreaRing::new(AreaSpec { start: 0, len: 4 });
         r.alloc(4).expect("fits");
         r.release(2);
-        assert_eq!(r.alloc(2), Some(vec![0, 1])); // Wrapped.
+        let run = r.alloc(2).expect("fits");
+        assert_eq!(run.map(|p| r.lba(p)).collect::<Vec<_>>(), vec![0, 1]); // Wrapped.
     }
 
     #[test]
@@ -153,7 +162,8 @@ mod tests {
         r.alloc(2).expect("fits");
         r.release(2);
         // Tail at 2; allocating 2 wraps to block 0 of the area.
-        assert_eq!(r.alloc(2), Some(vec![102, 100]));
+        let run = r.alloc(2).expect("fits");
+        assert_eq!(run.map(|p| r.lba(p)).collect::<Vec<_>>(), vec![102, 100]);
     }
 
     #[test]

@@ -23,7 +23,7 @@ use std::{
     },
 };
 
-use ccnvme_block::{flush_cache, write_blocks, Bio, BioBuf, BioFlags, BioStatus, BioWaiter};
+use ccnvme_block::{flush_cache, write_blocks, Bio, BioFlags, BioStatus, BioWaiter, BlockBuf};
 use ccnvme_obs::{seal::crc32c, Counter, Histogram};
 use ccnvme_runtime::{Ns, RtCondvar, RtMutex};
 
@@ -77,7 +77,7 @@ struct CommitQ {
 
 /// A journaled block awaiting checkpoint.
 struct CheckpointEntry {
-    buf: BioBuf,
+    buf: BlockBuf,
 }
 
 struct ClassicInner {
@@ -293,9 +293,9 @@ fn commit_chunk(
         } else {
             2
         };
-    let lbas = loop {
+    let run = loop {
         match inner.ring.alloc(need) {
-            Some(l) => break l,
+            Some(run) => break run,
             None => {
                 checkpoint_now(inner);
                 // ord: SeqCst — pairs with the aborted stores; must see
@@ -306,22 +306,21 @@ fn commit_chunk(
             }
         }
     };
-    let (jd_lba, block_lbas): (u64, &[u64]) = if inner.style == CommitStyle::CcTx {
+    let (jd_pos, first_block) = if inner.style == CommitStyle::CcTx {
         // ccNVMe style: the JD is the commit request and goes LAST.
-        let (jd, b) = lbas.split_last().expect("need >= 1");
-        (*jd, b)
+        (run.end - 1, run.start)
     } else {
-        let (jd, rest) = lbas.split_first().expect("need >= 2");
-        (*jd, &rest[..rest.len() - 1])
+        (run.start, run.start + 1)
     };
+    let jd_lba = inner.ring.lba(jd_pos);
+    let block_lba = |i: usize| inner.ring.lba(first_block + i as u64);
     // Build the descriptor.
     let mut entries = Vec::with_capacity(order.len());
     for (i, blk) in blocks.iter().enumerate() {
-        let sum = u64::from(crc32c(&blk.buf.lock()));
         entries.push(JdEntry {
             final_lba: order[i],
-            journal_lba: block_lbas[i],
-            checksum: sum,
+            journal_lba: block_lba(i),
+            checksum: u64::from(crc32c(&blk.buf)),
         });
     }
     let jd = JdBlock {
@@ -330,15 +329,15 @@ fn commit_chunk(
         revokes,
         patches: Vec::new(),
     };
-    let jd_buf: BioBuf = Arc::new(parking_lot::Mutex::new(jd.encode()));
+    let jd_buf = jd.encode();
     let waiter = BioWaiter::new();
     match inner.style {
         CommitStyle::CcTx => {
             // Members first, the JD commit last; atomicity and implicit
             // durability barrier come from the ccNVMe transaction.
             for (i, blk) in blocks.iter().enumerate() {
-                let mut bio = Bio::write(block_lbas[i], Arc::clone(&blk.buf), BioFlags::TX)
-                    .with_tx_id(compound_id);
+                let mut bio =
+                    Bio::write(block_lba(i), blk.buf.clone(), BioFlags::TX).with_tx_id(compound_id);
                 waiter.attach(&mut bio);
                 inner.dev.submit_bio(bio);
             }
@@ -354,14 +353,12 @@ fn commit_chunk(
             waiter.attach(&mut jd_bio);
             inner.dev.submit_bio(jd_bio);
             for (i, blk) in blocks.iter().enumerate() {
-                let mut bio = Bio::write(block_lbas[i], Arc::clone(&blk.buf), BioFlags::NONE);
+                let mut bio = Bio::write(block_lba(i), blk.buf.clone(), BioFlags::NONE);
                 waiter.attach(&mut bio);
                 inner.dev.submit_bio(bio);
             }
-            let commit_lba = *lbas.last().expect("need >= 2");
-            let commit_buf: BioBuf = Arc::new(parking_lot::Mutex::new(
-                format::encode_commit_record(compound_id),
-            ));
+            let commit_lba = inner.ring.lba(run.end - 1);
+            let commit_buf = format::encode_commit_record(compound_id);
             if inner.style == CommitStyle::Horae {
                 // Horae: no ordering point — the commit record goes out
                 // with the journal blocks; a single wait at the end.
@@ -410,7 +407,7 @@ fn checkpoint_now(inner: &Arc<ClassicInner>) {
     inner.checkpoints.inc();
     let mut pending = inner.pending.lock();
     if !pending.is_empty() {
-        let home = pending.iter().map(|(lba, e)| (*lba, Arc::clone(&e.buf)));
+        let home = pending.iter().map(|(lba, e)| (*lba, e.buf.clone()));
         if write_blocks(&*inner.dev, home)
             .and_then(|()| flush_cache(&*inner.dev))
             .is_err()
@@ -457,7 +454,7 @@ impl Journal for ClassicJournal {
         }
         // Ordered mode: data reaches its final location before the
         // metadata commits.
-        let data = tx.data.iter().map(|b| (b.final_lba, Arc::clone(&b.buf)));
+        let data = tx.data.iter().map(|b| (b.final_lba, b.buf.clone()));
         if let Err(status) = write_blocks(&*self.inner.dev, data) {
             // ord: SeqCst — abort publication (ordered-data failure).
             self.inner.aborted.store(true, Ordering::SeqCst);

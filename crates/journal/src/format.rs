@@ -110,43 +110,14 @@ impl JdBlock {
     /// past the end of its block — the engines split a transaction into
     /// chained chunks before either can happen.
     pub fn encode(&self) -> Vec<u8> {
-        assert!(self.record_bytes() <= JD_BUDGET, "JD records over budget");
-        let mut b = vec![0u8; BLOCK_SIZE as usize];
-        b[0..8].copy_from_slice(&JD_MAGIC.to_le_bytes());
-        b[8..16].copy_from_slice(&self.tx_id.to_le_bytes());
-        b[16..20].copy_from_slice(&(self.entries.len() as u32).to_le_bytes());
-        b[20..24].copy_from_slice(&(self.revokes.len() as u32).to_le_bytes());
-        b[24..28].copy_from_slice(&(self.patches.len() as u32).to_le_bytes());
-        let mut off = JD_HEADER;
-        for e in &self.entries {
-            b[off..off + 8].copy_from_slice(&e.final_lba.to_le_bytes());
-            b[off + 8..off + 16].copy_from_slice(&e.journal_lba.to_le_bytes());
-            b[off + 16..off + 24].copy_from_slice(&e.checksum.to_le_bytes());
-            off += ENTRY_BYTES;
-        }
-        for r in &self.revokes {
-            b[off..off + 8].copy_from_slice(&r.to_le_bytes());
-            off += REVOKE_BYTES;
-        }
-        for p in &self.patches {
-            assert!(
-                p.offset as usize + p.bytes.len() <= BLOCK_SIZE as usize,
-                "patch reaches past its block"
-            );
-            b[off..off + 8].copy_from_slice(&p.final_lba.to_le_bytes());
-            b[off + 8..off + 10].copy_from_slice(&p.offset.to_le_bytes());
-            b[off + 10..off + 12].copy_from_slice(&(p.bytes.len() as u16).to_le_bytes());
-            off += PATCH_HEADER_BYTES;
-            b[off..off + p.bytes.len()].copy_from_slice(&p.bytes);
-            off += p.bytes.len();
-        }
-        // The checksum protects the JD itself against torn writes — and
-        // is all the validity evidence a transaction made of patches
-        // alone has, so it covers every patch body.
-        let hsum = u64::from(crc32c(&b[0..off]));
-        let end = BLOCK_SIZE as usize;
-        b[end - 8..end].copy_from_slice(&hsum.to_le_bytes());
-        b
+        encode_jd(
+            self.tx_id,
+            self.entries.iter().copied(),
+            &self.revokes,
+            self.patches
+                .iter()
+                .map(|p| (p.final_lba, p.offset, p.bytes.as_slice())),
+        )
     }
 
     /// Parses a block; `None` if it is not a valid, untorn JD. Every
@@ -211,6 +182,70 @@ impl JdBlock {
             patches,
         })
     }
+}
+
+/// Serializes a JD from its records as they come: `entries`, then the
+/// `revokes`, then each patch `(home LBA, offset, bytes)` with its bytes
+/// borrowed from wherever they are (an engine passes slices of the very
+/// images it journals). [`JdBlock::decode`] reads it back.
+///
+/// # Panics
+///
+/// Panics if the records exceed [`JD_BUDGET`] or a patch reaches past
+/// the end of its block.
+pub fn encode_jd<'a>(
+    tx_id: u64,
+    entries: impl IntoIterator<Item = JdEntry>,
+    revokes: &[u64],
+    patches: impl IntoIterator<Item = (u64, u16, &'a [u8])>,
+) -> Vec<u8> {
+    const END: usize = JD_HEADER + JD_BUDGET;
+    let mut b = vec![0u8; BLOCK_SIZE as usize];
+    let mut off = JD_HEADER;
+    let room = |off: usize, len: usize| {
+        assert!(off + len <= END, "JD records over budget");
+    };
+    let mut n_entries = 0u32;
+    for e in entries {
+        room(off, ENTRY_BYTES);
+        b[off..off + 8].copy_from_slice(&e.final_lba.to_le_bytes());
+        b[off + 8..off + 16].copy_from_slice(&e.journal_lba.to_le_bytes());
+        b[off + 16..off + 24].copy_from_slice(&e.checksum.to_le_bytes());
+        off += ENTRY_BYTES;
+        n_entries += 1;
+    }
+    for r in revokes {
+        room(off, REVOKE_BYTES);
+        b[off..off + 8].copy_from_slice(&r.to_le_bytes());
+        off += REVOKE_BYTES;
+    }
+    let mut n_patches = 0u32;
+    for (final_lba, offset, bytes) in patches {
+        assert!(
+            offset as usize + bytes.len() <= BLOCK_SIZE as usize,
+            "patch reaches past its block"
+        );
+        room(off, PATCH_HEADER_BYTES + bytes.len());
+        b[off..off + 8].copy_from_slice(&final_lba.to_le_bytes());
+        b[off + 8..off + 10].copy_from_slice(&offset.to_le_bytes());
+        b[off + 10..off + 12].copy_from_slice(&(bytes.len() as u16).to_le_bytes());
+        off += PATCH_HEADER_BYTES;
+        b[off..off + bytes.len()].copy_from_slice(bytes);
+        off += bytes.len();
+        n_patches += 1;
+    }
+    b[0..8].copy_from_slice(&JD_MAGIC.to_le_bytes());
+    b[8..16].copy_from_slice(&tx_id.to_le_bytes());
+    b[16..20].copy_from_slice(&n_entries.to_le_bytes());
+    b[20..24].copy_from_slice(&(revokes.len() as u32).to_le_bytes());
+    b[24..28].copy_from_slice(&n_patches.to_le_bytes());
+    // The checksum protects the JD itself against torn writes — and is
+    // all the validity evidence a transaction made of patches alone
+    // has, so it covers every patch body.
+    let hsum = u64::from(crc32c(&b[0..off]));
+    let end = BLOCK_SIZE as usize;
+    b[end - 8..end].copy_from_slice(&hsum.to_le_bytes());
+    b
 }
 
 impl JdPatch {

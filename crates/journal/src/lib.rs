@@ -38,7 +38,7 @@ use std::{
     sync::Arc,
 };
 
-use ccnvme_block::BioBuf;
+use ccnvme_block::{BioBuf, BlockBuf};
 
 pub use area::AreaSpec;
 pub use ccnvme_block::BioStatus;
@@ -59,13 +59,60 @@ pub enum Durability {
     Atomic,
 }
 
-/// One block belonging to a transaction.
+/// One block belonging to a transaction. Its content is a [`BlockBuf`]
+/// snapshot, which the journal writes and keeps without copying; a
+/// `TxBlock<BioBuf>` is accepted too, and converted as it is pushed
+/// (without a copy when nobody else holds the buffer).
 #[derive(Clone)]
-pub struct TxBlock {
+pub struct TxBlock<B = BlockBuf> {
     /// Home location of the block in the file-system area.
     pub final_lba: u64,
     /// Content (for journaled metadata this is the shadow copy).
-    pub buf: BioBuf,
+    pub buf: B,
+}
+
+impl From<TxBlock<BioBuf>> for TxBlock {
+    fn from(b: TxBlock<BioBuf>) -> TxBlock {
+        TxBlock {
+            final_lba: b.final_lba,
+            buf: b.buf.into(),
+        }
+    }
+}
+
+/// A transaction's blocks of one kind, in order: a `Vec<TxBlock>` whose
+/// `push` also takes a `TxBlock<BioBuf>`.
+#[derive(Default)]
+pub struct TxBlocks(Vec<TxBlock>);
+
+impl TxBlocks {
+    /// Appends `b`.
+    pub fn push(&mut self, b: impl Into<TxBlock>) {
+        self.0.push(b.into());
+    }
+}
+
+impl std::ops::Deref for TxBlocks {
+    type Target = Vec<TxBlock>;
+
+    fn deref(&self) -> &Vec<TxBlock> {
+        &self.0
+    }
+}
+
+impl std::ops::DerefMut for TxBlocks {
+    fn deref_mut(&mut self) -> &mut Vec<TxBlock> {
+        &mut self.0
+    }
+}
+
+impl<'a> IntoIterator for &'a TxBlocks {
+    type Item = &'a TxBlock;
+    type IntoIter = std::slice::Iter<'a, TxBlock>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.iter()
+    }
 }
 
 /// Callback releasing a frozen metadata page once its journal copy is
@@ -80,9 +127,9 @@ pub struct TxDescriptor {
     pub tx_id: u64,
     /// Ordered-mode data blocks: written to their final location as part
     /// of the transaction, not journaled.
-    pub data: Vec<TxBlock>,
+    pub data: TxBlocks,
     /// Journaled blocks (metadata; or data too in data-journaling mode).
-    pub meta: Vec<TxBlock>,
+    pub meta: TxBlocks,
     /// Blocks revoked by this transaction (freed metadata whose stale
     /// journal copies must not be replayed).
     pub revokes: Vec<u64>,
@@ -102,8 +149,8 @@ impl TxDescriptor {
     pub fn new(tx_id: u64) -> Self {
         TxDescriptor {
             tx_id,
-            data: Vec::new(),
-            meta: Vec::new(),
+            data: TxBlocks::default(),
+            meta: TxBlocks::default(),
             revokes: Vec::new(),
             written: BTreeMap::new(),
             unpin: Vec::new(),

@@ -56,23 +56,20 @@
 
 use std::{
     collections::{BTreeMap, BTreeSet, HashSet, VecDeque},
+    ops::Range,
     sync::{
         atomic::{AtomicBool, AtomicU64, Ordering},
         Arc,
     },
 };
 
-use ccnvme_block::{flush_cache, write_blocks, Bio, BioBuf, BioFlags, BioStatus, BioWaiter};
-use ccnvme_obs::{
-    hash::{IntMap, IntSet},
-    seal::crc32c,
-    Counter, EventKind, Histogram, Obs, TraceEvent,
-};
+use ccnvme_block::{flush_cache, write_blocks, Bio, BioFlags, BioStatus, BioWaiter, BlockBuf};
+use ccnvme_obs::{hash::IntMap, seal::crc32c, Counter, EventKind, Histogram, Obs, TraceEvent};
 use ccnvme_runtime::RtMutex;
 
 use crate::{
     area::{AreaRing, AreaSpec},
-    format::{self, JdBlock, JdEntry, JdPatch, CHUNK_BLOCKS, CHUNK_REVOKES},
+    format::{self, JdEntry, CHUNK_BLOCKS, CHUNK_REVOKES},
     recover::{read_horizon, recover_areas, write_horizon, RecoverMode, RecoveredUpdate},
     ByteRanges, CommitError, Dev, Durability, Journal, ReuseAction, TxBlock, TxDescriptor,
 };
@@ -87,6 +84,9 @@ const BLOCKS_PER_GROUP: u64 = 32_768;
 /// Maximum total blocks (data + journaled) per chunk.
 const CHUNK_TOTAL: usize = 96;
 
+// A chunk's inline set is a bitmask over its journaled blocks.
+const _: () = assert!(CHUNK_BLOCKS <= u64::BITS as usize);
+
 /// One live journal record of a home block.
 #[derive(Debug, Clone, Copy)]
 struct Version {
@@ -100,7 +100,7 @@ struct Version {
 /// A home block as one transaction saw it, whole.
 struct Image {
     tx_id: u64,
-    buf: BioBuf,
+    buf: BlockBuf,
     /// The transaction's journal writes.
     waiter: BioWaiter,
 }
@@ -139,19 +139,36 @@ impl Chain {
         self.floor >= tx_id || self.versions.iter().any(|v| v.full && v.tx_id > tx_id)
     }
 
-    /// The newest image whose transaction is on media.
+    /// The newest image whose transaction is on media: a scan of the
+    /// images in flight, which only a checkpoint pays.
     fn newest_image_on_media(&self) -> Option<&Image> {
         self.images.iter().rev().find(|i| i.on_media())
     }
 
-    /// Drops every image that will never be the one written home:
-    /// those older than the newest on media (images are cumulative) and
-    /// those at or below the floor.
+    /// Drops images from the front that will never be the one written
+    /// home: those at or below the floor, then each one the next image,
+    /// on media, covers (images are cumulative). It stops at the first
+    /// image whose successor is still in flight, so it costs
+    /// O(dropped + 1), not a scan of the backlog; an image behind a
+    /// straggler goes once the straggler lands.
     fn drop_covered_images(&mut self) {
-        let covered = self.images.iter().rposition(Image::on_media).unwrap_or(0);
-        self.images.drain(..covered);
         let floor = self.floor;
-        self.images.retain(|i| i.tx_id > floor);
+        let mut covered = self.images.partition_point(|i| i.tx_id <= floor);
+        while self
+            .images
+            .get(covered + 1)
+            .is_some_and(|next| next.on_media())
+        {
+            covered += 1;
+        }
+        self.images.drain(..covered);
+    }
+
+    /// Forgets transaction `tx_id`'s image (images ascend by ID).
+    fn drop_image_of(&mut self, tx_id: u64) {
+        let from = self.images.partition_point(|i| i.tx_id < tx_id);
+        let to = self.images.partition_point(|i| i.tx_id <= tx_id);
+        self.images.drain(from..to);
     }
 }
 
@@ -239,6 +256,16 @@ struct Chunk {
     revokes: Vec<u64>,
 }
 
+/// Takes the first `n` elements of `v`: the whole `Vec` itself, with no
+/// allocation, when it holds no more.
+fn take_front<T>(v: &mut Vec<T>, n: usize) -> Vec<T> {
+    if v.len() <= n {
+        return std::mem::take(v);
+    }
+    let rest = v.split_off(n);
+    std::mem::replace(v, rest)
+}
+
 /// Bytes the patches for `ranges` take in a JD.
 fn patch_cost(ranges: &ByteRanges) -> usize {
     ranges
@@ -304,7 +331,7 @@ impl MqJournal {
     /// other areas, checkpointing those too (rare cross-queue conflict).
     /// `None` once the journal is aborted and the ring stays full: a
     /// failed checkpoint releases nothing, ever.
-    fn reserve(&self, area_idx: usize, need: u64) -> Option<Vec<u64>> {
+    fn reserve(&self, area_idx: usize, need: u64) -> Option<Range<u64>> {
         let area = &self.inner.areas[area_idx];
         assert!(
             need <= area.ring.spec().len,
@@ -312,8 +339,8 @@ impl MqJournal {
         );
         let mut attempts = 0u32;
         loop {
-            if let Some(l) = area.ring.alloc(need) {
-                return Some(l);
+            if let Some(run) = area.ring.alloc(need) {
+                return Some(run);
             }
             attempts += 1;
             self.checkpoint_area(area_idx);
@@ -377,87 +404,101 @@ impl MqJournal {
         let area = &inner.areas[area_idx];
         // Which blocks ride inside the JD: cheapest patches first, while
         // the bytes left beside the revokes and the entries last (a
-        // block that moves inline gives its entry's bytes back).
+        // block that moves inline gives its entry's bytes back). Bit `i`
+        // of `inline` stands for `chunk.meta[i]`.
         let mut left = format::JD_BUDGET
             - chunk.revokes.len() * format::REVOKE_BYTES
             - chunk.meta.len() * format::ENTRY_BYTES;
-        let mut by_cost: Vec<(usize, u64)> = chunk
-            .meta
-            .iter()
-            .filter_map(|b| Some((patch_cost(written.get(&b.final_lba)?), b.final_lba)))
-            .collect();
-        by_cost.sort_unstable();
-        let mut inline: IntSet<u64> = IntSet::default();
-        for (cost, lba) in by_cost {
-            if cost <= left + format::ENTRY_BYTES {
-                left = left + format::ENTRY_BYTES - cost;
-                inline.insert(lba);
+        // (cost, home LBA — the tie-break — and index in the chunk).
+        let mut by_cost = [(0usize, 0u64, 0usize); CHUNK_BLOCKS];
+        let mut patchable = 0;
+        for (i, b) in chunk.meta.iter().enumerate() {
+            if let Some(ranges) = written.get(&b.final_lba) {
+                by_cost[patchable] = (patch_cost(ranges), b.final_lba, i);
+                patchable += 1;
             }
         }
-        let copies = chunk.meta.len() - inline.len();
+        let by_cost = &mut by_cost[..patchable];
+        by_cost.sort_unstable();
+        let mut inline = 0u64;
+        for &(cost, _, i) in by_cost.iter() {
+            if cost <= left + format::ENTRY_BYTES {
+                left = left + format::ENTRY_BYTES - cost;
+                inline |= 1 << i;
+            }
+        }
+        let is_inline = |i: usize| inline & (1 << i) != 0;
+        let n_inline = inline.count_ones() as usize;
+        let copies = chunk.meta.len() - n_inline;
         let need = copies as u64 + 1;
-        let lbas = self.reserve(area_idx, need)?;
-        let (jd_lba, copy_lbas) = lbas.split_last().expect("need >= 1");
+        let run = self.reserve(area_idx, need)?;
+        // The copies fill the run in order; the JD takes its last block.
+        let copy_lba = |k: usize| area.ring.lba(run.start + k as u64);
+        let jd_lba = area.ring.lba(run.end - 1);
         // Build every bio first, so the tracker is complete before
         // anybody can see it: a checkpoint on another core reads it
         // through the versions registered below.
         let waiter = BioWaiter::new();
-        let mut jd = JdBlock {
-            tx_id,
-            revokes: chunk.revokes,
-            ..JdBlock::default()
-        };
-        let member = |lba: u64, buf: &BioBuf| {
-            let mut bio = Bio::write(lba, Arc::clone(buf), BioFlags::TX).with_tx_id(tx_id);
+        let member = |lba: u64, buf: &BlockBuf| {
+            let mut bio = Bio::write(lba, buf.clone(), BioFlags::TX).with_tx_id(tx_id);
             waiter.attach(&mut bio);
             bio
         };
+        let copied = || {
+            chunk
+                .meta
+                .iter()
+                .enumerate()
+                .filter(|&(i, _)| !is_inline(i))
+        };
+        let inlined = || chunk.meta.iter().enumerate().filter(|&(i, _)| is_inline(i));
         let mut members: Vec<Bio> = Vec::with_capacity(chunk.data.len() + copies);
         members.extend(chunk.data.iter().map(|b| member(b.final_lba, &b.buf)));
-        let mut copy_lbas = copy_lbas.iter();
-        for blk in &chunk.meta {
-            if inline.contains(&blk.final_lba) {
-                let image = blk.buf.lock();
-                let ranges = written[&blk.final_lba].iter();
-                jd.patches.extend(ranges.map(|r| JdPatch {
-                    final_lba: blk.final_lba,
-                    offset: r.start as u16,
-                    bytes: image[r].to_vec(),
-                }));
-                continue;
-            }
-            let journal_lba = *copy_lbas.next().expect("one ring block per copy");
-            jd.entries.push(JdEntry {
-                final_lba: blk.final_lba,
-                journal_lba,
-                checksum: u64::from(crc32c(&blk.buf.lock())),
-            });
-            members.push(member(journal_lba, &blk.buf));
-        }
+        members.extend(
+            copied()
+                .enumerate()
+                .map(|(k, (_, blk))| member(copy_lba(k), &blk.buf)),
+        );
+        // Entries, revokes and patches go straight into the JD block:
+        // each patch's bytes come from the image itself.
+        let patches = || {
+            inlined().flat_map(|(_, blk)| {
+                let image = &blk.buf;
+                written[&blk.final_lba]
+                    .iter()
+                    .map(move |r| (blk.final_lba, r.start as u16, &image[r]))
+            })
+        };
+        let entries = copied().enumerate().map(|(k, (_, blk))| JdEntry {
+            final_lba: blk.final_lba,
+            journal_lba: copy_lba(k),
+            checksum: u64::from(crc32c(&blk.buf)),
+        });
+        let jd = format::encode_jd(tx_id, entries, &chunk.revokes, patches());
         inner.spilled_copies.add(copies as u64);
-        inner.patches.add(jd.patches.len() as u64);
-        let patch_bytes = jd.patches.iter().map(|p| p.bytes.len() as u64).sum();
+        let (n_patches, patch_bytes) =
+            patches().fold((0, 0), |(n, sum), (_, _, b)| (n + 1, sum + b.len() as u64));
+        inner.patches.add(n_patches);
         inner.patch_bytes.add(patch_bytes);
-        let revoking = !jd.revokes.is_empty();
-        let jd_buf: BioBuf = Arc::new(parking_lot::Mutex::new(jd.encode()));
-        let mut jd_bio = Bio::write(*jd_lba, jd_buf, BioFlags::TX_COMMIT).with_tx_id(tx_id);
+        let revoking = !chunk.revokes.is_empty();
+        let mut jd_bio = Bio::write(jd_lba, jd, BioFlags::TX_COMMIT).with_tx_id(tx_id);
         waiter.attach(&mut jd_bio);
         // Register versions before any I/O so concurrent checkpoints and
         // reuse checks see the transaction.
-        for blk in &chunk.meta {
+        for (i, blk) in chunk.meta.iter().enumerate() {
             let mut tree = inner.trees[tree_index(blk.final_lba)].lock();
             let chain = tree.entry(blk.final_lba).or_default();
             chain.versions.push(Version {
                 tx_id,
                 area: area_idx,
-                full: !inline.contains(&blk.final_lba),
+                full: !is_inline(i),
             });
             let at = chain.images.partition_point(|i| i.tx_id < tx_id);
             chain.images.insert(
                 at,
                 Image {
                     tx_id,
-                    buf: Arc::clone(&blk.buf),
+                    buf: blk.buf.clone(),
                     waiter: waiter.clone_handle(),
                 },
             );
@@ -469,7 +510,7 @@ impl MqJournal {
                 kind: EventKind::JournalCommit,
                 qid: area_idx as u16 + 1,
                 tx_id,
-                arg: TraceEvent::journal_commit_arg(copies, inline.len()),
+                arg: TraceEvent::journal_commit_arg(copies, n_inline),
                 ctx: ccnvme_obs::ctx::current(),
             },
             true,
@@ -538,7 +579,7 @@ impl MqJournal {
         // Phase 1: decide what to write home. Only transactions whose
         // journal writes completed are eligible (a running transaction is
         // never checkpointed).
-        let mut to_write: Vec<(u64, u64, BioBuf)> = Vec::new(); // (lba, tx, image)
+        let mut to_write: Vec<(u64, u64, BlockBuf)> = Vec::new(); // (lba, tx, image)
         for tx in st.logged.iter() {
             if tx.waiter.outstanding() != 0 {
                 break; // FIFO: later txs are at least as young.
@@ -569,7 +610,7 @@ impl MqJournal {
                 let image = chain
                     .newest_image_on_media()
                     .expect("an unsettled record on media keeps an image at or above it");
-                to_write.push((*lba, image.tx_id, Arc::clone(&image.buf)));
+                to_write.push((*lba, image.tx_id, image.buf.clone()));
                 chain.going_home = true;
             }
         }
@@ -577,7 +618,7 @@ impl MqJournal {
         if !to_write.is_empty() {
             let home = to_write
                 .iter()
-                .map(|(lba, _tx, image)| (*lba, Arc::clone(image)));
+                .map(|(lba, _tx, image)| (*lba, image.clone()));
             let landed = write_blocks(&*inner.dev, home)
                 .and_then(|()| flush_cache(&*inner.dev))
                 .is_ok();
@@ -637,7 +678,7 @@ impl MqJournal {
                     chain
                         .versions
                         .retain(|v| !(v.tx_id == tx.tx_id && v.area == area_idx));
-                    chain.images.retain(|i| i.tx_id != tx.tx_id);
+                    chain.drop_image_of(tx.tx_id);
                     if chain.versions.is_empty() && chain.floor == 0 {
                         tree.remove(lba);
                     }
@@ -735,37 +776,40 @@ impl Journal for MqJournal {
         // One JD describes at most a chunk: transactions with more
         // blocks, or more revokes, than one holds go out as chained
         // chunks sharing the ID, back to back; all but the last only
-        // need to be atomic.
-        let mut data = std::mem::take(&mut tx.data).into_iter().peekable();
-        let mut meta = std::mem::take(&mut tx.meta).into_iter().peekable();
-        let mut revokes = std::mem::take(&mut tx.revokes).into_iter().peekable();
-        let mut waiters: Vec<BioWaiter> = Vec::new();
-        loop {
-            let mut chunk = Chunk::default();
-            chunk.revokes.extend(revokes.by_ref().take(CHUNK_REVOKES));
-            chunk.meta.extend(meta.by_ref().take(CHUNK_BLOCKS));
-            let room = CHUNK_TOTAL - chunk.meta.len();
-            chunk.data.extend(data.by_ref().take(room));
-            let last = data.peek().is_none() && meta.peek().is_none() && revokes.peek().is_none();
+        // need to be atomic. A transaction that fits one chunk is that
+        // chunk, moved rather than copied.
+        let mut earlier: Vec<BioWaiter> = Vec::new();
+        let last = loop {
+            let meta = take_front(&mut tx.meta, CHUNK_BLOCKS);
+            let data = take_front(&mut tx.data, CHUNK_TOTAL - meta.len());
+            let chunk = Chunk {
+                revokes: take_front(&mut tx.revokes, CHUNK_REVOKES),
+                data,
+                meta,
+            };
+            let last = tx.data.is_empty() && tx.meta.is_empty() && tx.revokes.is_empty();
             let Some(waiter) = self.commit_chunk(tx.tx_id, chunk, &tx.written, last) else {
                 self.inner.unlogged.lock().remove(&tx.tx_id);
                 tx.run_unpin();
                 return Err(CommitError::Aborted);
             };
-            waiters.push(waiter);
             if last {
-                break;
+                break waiter;
             }
-        }
+            earlier.push(waiter);
+        };
         // Atomicity is reached the moment submit_bio returned for the
         // last commit request (the two MMIOs of §4). Durability waits
         // for completion of every chunk.
-        let failed = waiters.iter().find_map(|w| match durability {
-            Durability::Durable => w.wait().err(),
-            // fatomic: errors normally surface asynchronously (at the
-            // next checkpoint), but pick up anything already known.
-            Durability::Atomic => w.first_error(),
-        });
+        let failed = earlier
+            .iter()
+            .chain([&last])
+            .find_map(|w| match durability {
+                Durability::Durable => w.wait().err(),
+                // fatomic: errors normally surface asynchronously (at the
+                // next checkpoint), but pick up anything already known.
+                Durability::Atomic => w.first_error(),
+            });
         // Without shadow paging the frozen pages thaw only now — after
         // the journal writes (the +MQJournal ablation's remaining cost).
         tx.run_unpin();
@@ -922,7 +966,7 @@ mod tests {
                     let mut tx = TxDescriptor::new(j.alloc_tx_id());
                     tx.meta.extend(lbas.iter().map(|&final_lba| TxBlock {
                         final_lba,
-                        buf: Arc::new(parking_lot::Mutex::new(vec![0u8; 4096])),
+                        buf: BlockBuf::new(vec![0u8; 4096]),
                     }));
                     j.commit_tx(tx, Durability::Durable).expect("commit");
                 };

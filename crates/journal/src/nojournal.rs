@@ -7,10 +7,7 @@
 
 use std::{
     collections::HashSet,
-    sync::{
-        atomic::{AtomicBool, AtomicU64, Ordering},
-        Arc,
-    },
+    sync::atomic::{AtomicBool, AtomicU64, Ordering},
 };
 
 use ccnvme_block::{flush_cache, write_blocks, BioStatus};
@@ -63,7 +60,7 @@ impl Journal for NoJournal {
         let home = |blocks: &[TxBlock]| {
             write_blocks(
                 &*self.dev,
-                blocks.iter().map(|b| (b.final_lba, Arc::clone(&b.buf))),
+                blocks.iter().map(|b| (b.final_lba, b.buf.clone())),
             )
         };
         let written = home(&tx.data).and_then(|()| home(&tx.meta));

@@ -21,10 +21,7 @@
 //! full copy (else the block as the device holds it) with the surviving
 //! patches above it applied in order.
 
-use std::{
-    collections::{BTreeMap, HashMap, HashSet},
-    sync::Arc,
-};
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 use ccnvme_block::{flush_cache, read_block, submit_and_wait, Bio, BioFlags, BioStatus};
 use ccnvme_obs::seal::crc32c;
@@ -67,12 +64,14 @@ pub fn read_horizon(dev: &Dev, horizon_lba: u64) -> u64 {
 /// the caller must neither remember `h` as written nor reuse journal
 /// space that only `h` protects.
 pub(crate) fn write_horizon(dev: &Dev, horizon_lba: u64, h: u64) -> Result<(), BioStatus> {
-    let buf = Arc::new(parking_lot::Mutex::new(format::encode_horizon(h)));
     let fua = BioFlags {
         fua: true,
         ..BioFlags::NONE
     };
-    submit_and_wait(&**dev, Bio::write(horizon_lba, buf, fua))
+    submit_and_wait(
+        &**dev,
+        Bio::write(horizon_lba, format::encode_horizon(h), fua),
+    )
 }
 
 /// Scans `areas` and produces the ordered, validated update list.
@@ -212,8 +211,10 @@ pub fn replay_updates(dev: &Dev, updates: &[RecoveredUpdate]) -> Result<(), BioS
     }
     for u in updates {
         with_retry(|| {
-            let buf = Arc::new(parking_lot::Mutex::new(u.data.clone()));
-            submit_and_wait(&**dev, Bio::write(u.final_lba, buf, BioFlags::NONE))
+            submit_and_wait(
+                &**dev,
+                Bio::write(u.final_lba, u.data.clone(), BioFlags::NONE),
+            )
         })?;
     }
     with_retry(|| flush_cache(&**dev))

@@ -8,7 +8,9 @@
 use std::{collections::HashSet, sync::Arc};
 
 use ccnvme::{CcNvmeDriver, NvmeDriver};
-use ccnvme_block::{submit_and_wait, Bio, BioBuf, BlockDevice};
+use ccnvme_block::{
+    submit_and_wait, Bio, BioBuf, BioData, BioOp, BioStatus, BlockBuf, BlockDevice,
+};
 use ccnvme_sim::Sim;
 use ccnvme_ssd::{CrashMode, CtrlConfig, DurableImage, NvmeController, SsdProfile};
 use mqfs_journal::{
@@ -224,7 +226,8 @@ fn mq_cross_area_conflict_resolved_by_tx_id() {
                     });
                     // Stamp the content with the tx id so we can check
                     // monotonicity.
-                    tx.meta[0].buf.lock()[1..9].copy_from_slice(&tx.tx_id.to_le_bytes());
+                    let stamp = tx.tx_id.to_le_bytes();
+                    tx.meta[0].buf.get_mut().expect("unshared")[1..9].copy_from_slice(&stamp);
                     j.commit_tx(tx, Durability::Durable).expect("commit ok");
                 }
             }));
@@ -1403,4 +1406,119 @@ fn mq_block_reused_mid_checkpoint_must_be_journaled() {
         assert_ne!(journal.note_block_reuse(50), ReuseAction::MustJournal);
     });
     sim.run();
+}
+
+/// An in-memory device whose writes of chosen transactions wait, in
+/// flight, until the test lands them — in any order it likes. Every
+/// other bio completes at once; a completed bio's buffer is dropped.
+#[derive(Default)]
+struct GatedDev {
+    blocks: Mutex<std::collections::HashMap<u64, Vec<u8>>>,
+    held_txs: Mutex<HashSet<u64>>,
+    held: Mutex<Vec<Bio>>,
+}
+
+impl GatedDev {
+    fn land(&self, mut bio: Bio) {
+        match &bio.data {
+            BioData::Src(buf) => {
+                self.blocks.lock().insert(bio.lba, buf.to_vec());
+            }
+            BioData::Dst(buf) => {
+                let blocks = self.blocks.lock();
+                let data = blocks.get(&bio.lba).cloned().unwrap_or(vec![0; 4096]);
+                buf.lock().copy_from_slice(&data);
+            }
+            BioData::None => {}
+        }
+        bio.complete(BioStatus::Ok);
+    }
+
+    /// Lands every held bio of transaction `tx_id`.
+    fn land_tx(&self, tx_id: u64) {
+        self.held_txs.lock().remove(&tx_id);
+        let held = std::mem::take(&mut *self.held.lock());
+        let (now, later): (Vec<Bio>, Vec<Bio>) = held.into_iter().partition(|b| b.tx_id == tx_id);
+        *self.held.lock() = later;
+        now.into_iter().for_each(|b| self.land(b));
+    }
+}
+
+impl BlockDevice for GatedDev {
+    fn submit_bio(&self, bio: Bio) {
+        if bio.op == BioOp::Write && self.held_txs.lock().contains(&bio.tx_id) {
+            self.held.lock().push(bio);
+        } else {
+            self.land(bio);
+        }
+    }
+
+    fn num_queues(&self) -> usize {
+        CORES
+    }
+
+    fn has_volatile_cache(&self) -> bool {
+        false
+    }
+
+    fn capacity_blocks(&self) -> u64 {
+        1 << 20
+    }
+}
+
+/// A newer image of a block lands before an older one (two areas, two
+/// transactions in flight). The older image's journal keeps it only
+/// until something covers it: the checkpoint writes the newest landed
+/// image home, and the older image is gone from the journal by the time
+/// it lands. Images are counted by the handles on their buffers.
+#[test]
+fn mq_a_newer_image_landing_first_goes_home_and_prunes_the_older() {
+    Sim::run_main(CORES, || {
+        let gated = Arc::new(GatedDev::default());
+        let dev: Arc<dyn BlockDevice> = Arc::clone(&gated) as Arc<dyn BlockDevice>;
+        let areas = AreaSpec::split(JOURNAL_START, JOURNAL_LEN, CORES);
+        let journal = Arc::new(MqJournal::new(dev, areas, HORIZON_LBA));
+        // Commits a transaction of block 40 from `core`, left in flight;
+        // returns its image and ID.
+        let commit = |core: usize, byte: u8| {
+            let j = Arc::clone(&journal);
+            let gated = Arc::clone(&gated);
+            let image = BlockBuf::new(vec![byte; 4096]);
+            let buf = image.clone();
+            let tx_id = ccnvme_sim::spawn("committer", core, move || {
+                let mut tx = TxDescriptor::new(j.alloc_tx_id());
+                let tx_id = tx.tx_id;
+                gated.held_txs.lock().insert(tx_id);
+                tx.meta.push(TxBlock { final_lba: 40, buf });
+                j.commit_tx(tx, Durability::Atomic).expect("fatomic");
+                tx_id
+            })
+            .join();
+            (image, tx_id)
+        };
+        let handles = |b: &BlockBuf| Arc::strong_count(b.shared());
+        // A on core 0 (area 0), B on core 1 (area 1): each image is held
+        // by the test, the journal and the bio in flight.
+        let (a, a_tx) = commit(0, 0xa1);
+        let (b, b_tx) = commit(1, 0xb2);
+        assert_eq!((handles(&a), handles(&b)), (3, 3));
+        gated.land_tx(b_tx);
+        assert_eq!(handles(&b), 2, "B landed: its bio is gone");
+        journal.checkpoint_all();
+        assert_eq!(gated.blocks.lock()[&40], vec![0xb2; 4096], "B went home");
+        assert_eq!(handles(&a), 2, "A, below the floor, left the journal");
+        gated.land_tx(a_tx);
+        assert_eq!(handles(&a), 1, "A landed and nothing keeps it");
+        // Without a checkpoint: D lands before C, then E's commit prunes
+        // C, which D covers; D stays until something covers it.
+        let (c, c_tx) = commit(0, 0xc3);
+        let (d, d_tx) = commit(1, 0xd4);
+        gated.land_tx(d_tx);
+        let (e, _) = commit(1, 0xe5);
+        assert_eq!(handles(&c), 2, "C is covered by D: only its bio keeps it");
+        assert_eq!(handles(&d), 2, "D is the newest landed image");
+        gated.land_tx(c_tx);
+        assert_eq!(handles(&c), 1);
+        assert_eq!(handles(&e), 3);
+    });
 }

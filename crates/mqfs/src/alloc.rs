@@ -278,15 +278,14 @@ pub(crate) mod tests {
                         .get(&bio.lba)
                         .cloned()
                         .unwrap_or_else(|| vec![0; 4096]);
-                    bio.data
-                        .as_ref()
-                        .expect("buf")
-                        .lock()
-                        .copy_from_slice(&data);
+                    if let ccnvme_block::BioData::Dst(buf) = &bio.data {
+                        buf.lock().copy_from_slice(&data);
+                    }
                 }
                 ccnvme_block::BioOp::Write => {
-                    let data = bio.data.as_ref().expect("buf").lock().clone();
-                    self.blocks.lock().insert(bio.lba, data);
+                    if let ccnvme_block::BioData::Src(buf) = &bio.data {
+                        self.blocks.lock().insert(bio.lba, buf.to_vec());
+                    }
                 }
                 ccnvme_block::BioOp::Flush => {}
             }

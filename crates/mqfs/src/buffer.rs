@@ -15,7 +15,7 @@
 
 use std::{collections::BTreeMap, ops::Range, sync::Arc};
 
-use ccnvme_block::{read_block, BioBuf, BLOCK_SIZE};
+use ccnvme_block::{read_block, BlockBuf, BLOCK_SIZE};
 use ccnvme_obs::{hash::IntMap, Counter};
 use ccnvme_runtime::{RtCondvar, RtMutex};
 use mqfs_journal::{ByteRanges, Dev};
@@ -143,15 +143,16 @@ impl MetaBlock {
         journal
     }
 
-    /// Copies the content into a fresh bio buffer (the shadow copy of
-    /// §5.3) and clears the dirty flag. The copy is what a transaction
-    /// journals or mkfs writes out, so from here on the block has a
-    /// base that sub-block writes can patch.
-    pub fn shadow_copy(&self) -> BioBuf {
+    /// Copies the content into a fresh, immutable block buffer (the
+    /// shadow copy of §5.3) and clears the dirty flag. The copy is what
+    /// a transaction journals or mkfs writes out — the device keeps it
+    /// as is — so from here on the block has a base that sub-block
+    /// writes can patch.
+    pub fn shadow_copy(&self) -> BlockBuf {
         let mut d = self.data.lock();
         d.dirty = false;
         d.unbased = false;
-        Arc::new(Mutex::new(d.data.clone()))
+        BlockBuf::new(d.data.clone())
     }
 }
 
@@ -315,15 +316,14 @@ mod tests {
                         .get(&bio.lba)
                         .cloned()
                         .unwrap_or_else(|| vec![0; BLOCK_SIZE as usize]);
-                    bio.data
-                        .as_ref()
-                        .expect("read buf")
-                        .lock()
-                        .copy_from_slice(&data);
+                    if let ccnvme_block::BioData::Dst(buf) = &bio.data {
+                        buf.lock().copy_from_slice(&data);
+                    }
                 }
                 ccnvme_block::BioOp::Write => {
-                    let data = bio.data.as_ref().expect("write buf").lock().clone();
-                    self.blocks.lock().insert(bio.lba, data);
+                    if let ccnvme_block::BioData::Src(buf) = &bio.data {
+                        self.blocks.lock().insert(bio.lba, buf.to_vec());
+                    }
                 }
                 ccnvme_block::BioOp::Flush => {}
             }
@@ -406,11 +406,11 @@ mod tests {
             let recorded = ws.ranges(9).expect("the write recorded its block");
             assert_eq!(recorded.iter().collect::<Vec<_>>(), vec![0..1]);
             let copy = blk.shadow_copy();
-            assert_eq!(copy.lock()[0], 0xbb);
+            assert_eq!(copy[0], 0xbb);
             assert!(!blk.data.lock().dirty, "the shadow copy cleaned it");
             // Later mutation does not affect the shadow.
             ws.update(&blk, 0..1, |d| d[0] = 0xcc);
-            assert_eq!(copy.lock()[0], 0xbb);
+            assert_eq!(copy[0], 0xbb);
         });
         sim.run();
     }

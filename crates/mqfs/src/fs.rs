@@ -34,7 +34,7 @@ use std::{
 };
 
 use ccnvme_block::{
-    flush_cache, read_block, submit_and_wait, write_blocks, Bio, BioBuf, BLOCK_SIZE,
+    flush_cache, read_block, submit_and_wait, write_blocks, Bio, BlockBuf, BLOCK_SIZE,
 };
 use ccnvme_obs::{
     hash::{IntMap, IntSet},
@@ -192,7 +192,7 @@ struct InodeSt {
     /// File-data page cache (file block index → content). An `fsync`
     /// hands a dirty page to its transaction as it is, so a page may be
     /// shared with I/O in flight: a write copies such a page first.
-    pages: IntMap<u64, BioBuf>,
+    pages: IntMap<u64, BlockBuf>,
     dirty_pages: BTreeSet<u64>,
     meta_dirty: MetaDirty,
     /// What this file's plain `write`s allocated: the next fsync
@@ -385,12 +385,12 @@ impl FileSystem {
     pub fn format(dev: Dev, cfg: FsConfig) -> Arc<FileSystem> {
         let layout = Layout::new(dev.capacity_blocks(), cfg.journal_blocks);
         // Write the superblock and a blank horizon directly.
-        let sb: BioBuf = Arc::new(Mutex::new(layout.encode_superblock()));
+        let sb = layout.encode_superblock();
         let _ = submit_and_wait(
             &*dev,
             Bio::write(layout.superblock(), sb, ccnvme_block::BioFlags::NONE),
         );
-        let hz: BioBuf = Arc::new(Mutex::new(vec![0u8; BLOCK_SIZE as usize]));
+        let hz = vec![0u8; BLOCK_SIZE as usize];
         let _ = submit_and_wait(
             &*dev,
             Bio::write(layout.horizon(), hz, ccnvme_block::BioFlags::NONE),
@@ -763,25 +763,27 @@ impl FileSystem {
                 break;
             }
             let bytes = &data[src..src + n];
-            match st.pages.get_mut(&fb).and_then(Arc::get_mut) {
-                Some(page) => page.get_mut()[in_page..in_page + n].copy_from_slice(bytes),
-                // Not cached, or shared with a transaction in flight: a
-                // new page, from the caller's bytes alone if they cover
-                // it, else from the old content (read-modify-write for a
-                // partial page that exists on disk).
+            match st.pages.get_mut(&fb).and_then(BlockBuf::get_mut) {
+                Some(page) => page[in_page..in_page + n].copy_from_slice(bytes),
+                // Not cached, or shared — with a transaction in flight,
+                // or with the device, which keeps a written page as its
+                // media block: a new page, from the caller's bytes alone
+                // if they cover it, else from the old content
+                // (read-modify-write for a partial page that exists on
+                // disk).
                 None => {
                     let page = if n == BLOCK_SIZE as usize {
                         bytes.to_vec()
                     } else {
                         let mut page = match st.pages.get(&fb) {
-                            Some(shared) => shared.lock().clone(),
+                            Some(shared) => shared.to_vec(),
                             None if was_mapped => self.read_page_from_disk(&st, fb)?,
                             None => vec![0u8; BLOCK_SIZE as usize],
                         };
                         page[in_page..in_page + n].copy_from_slice(bytes);
                         page
                     };
-                    st.pages.insert(fb, Arc::new(Mutex::new(page)));
+                    st.pages.insert(fb, BlockBuf::new(page));
                 }
             }
             st.dirty_pages.insert(fb);
@@ -826,9 +828,9 @@ impl FileSystem {
             let n = ((BLOCK_SIZE as usize - in_page) as u64).min(end - pos) as usize;
             if !st.pages.contains_key(&fb) {
                 let page = self.read_page_from_disk(&st, fb)?;
-                st.pages.insert(fb, Arc::new(Mutex::new(page)));
+                st.pages.insert(fb, BlockBuf::new(page));
             }
-            out.extend_from_slice(&st.pages[&fb].lock()[in_page..in_page + n]);
+            out.extend_from_slice(&st.pages[&fb][in_page..in_page + n]);
             pos += n as u64;
         }
         Ok(out)
@@ -884,7 +886,7 @@ impl FileSystem {
             ccnvme_runtime::cpu(PAGE_COLLECT_CPU);
             let lba = self.bmap(&st, fb).expect("dirty page must be mapped");
             // Shared, not copied: a later write copies it instead.
-            let buf = Arc::clone(&st.pages[&fb]);
+            let buf = st.pages[&fb].clone();
             if st.inode.kind == InodeKind::Dir {
                 // Directory content is metadata: journal it.
                 tx.meta.push(TxBlock {

@@ -288,6 +288,40 @@ fn fatomic_all_or_nothing_hello_sosp() {
     }
 }
 
+/// Once `fsync` returns, the device keeps the page cache's page itself
+/// as the media block (a write's buffer is shared, never copied): a
+/// rewrite of the page must leave the live media block alone until that
+/// rewrite is synced and lands.
+#[test]
+fn a_page_rewritten_after_fsync_leaves_the_media_block_until_it_lands() {
+    let variant = FsVariant::Mqfs;
+    Sim::run_main(CORES + 2, move || {
+        let profile = SsdProfile::optane_905p();
+        let stack = Stack::new(variant, profile.clone());
+        let fs = FileSystem::format(Arc::clone(&stack.dev), fs_config(variant));
+        let ino = fs.create_path("/f").expect("create");
+        fs.write(ino, 0, &[b'a'; 4096]).expect("write");
+        fs.fsync(ino).expect("fsync");
+        fs.write(ino, 100, b"bbbb")
+            .expect("rewrite part of the page");
+        let content_after = |image: &DurableImage| {
+            let (_s, fs) = Stack::reboot(variant, image, profile.clone());
+            let ino = fs.resolve("/f").expect("synced file");
+            fs.read(ino, 0, 4096).expect("read")
+        };
+        let live = stack.cc.as_ref().expect("ccNVMe stack").controller();
+        let before = live.crash_snapshot(CrashMode::adversarial(5));
+        assert!(
+            content_after(&before) == [b'a'; 4096],
+            "the rewrite reached the media before it was synced"
+        );
+        fs.fsync(ino).expect("fsync the rewrite");
+        let after = content_after(&stack.power_fail(5));
+        assert_eq!(&after[100..104], b"bbbb");
+        assert!(after[..100].iter().chain(&after[104..]).all(|b| *b == b'a'));
+    });
+}
+
 /// `fatomic` returns while its data is still on the way to the media,
 /// and the page cache shares the page with that transaction: writes to
 /// the page right after it — whole or partial — must leave the
@@ -1239,7 +1273,7 @@ fn zero_filled_block_is_journaled_whole_the_first_time() {
         assert_eq!(recorded(&first, 7_000), [WHOLE], "no base to patch yet");
         // Captured for a transaction: from here on it has a base.
         let copy = fresh.shadow_copy();
-        assert_eq!(copy.lock()[8], 0xee);
+        assert_eq!(copy[8], 0xee);
         let mut second = WriteSet::default();
         second.update(&fresh, 8..16, |d| d.fill(0xdd));
         second.update(&fresh, 300..301, |d| d[0] = 1);

@@ -19,7 +19,7 @@ use std::{
     cmp::Reverse,
     collections::{BinaryHeap, HashMap},
     sync::{
-        atomic::{AtomicBool, Ordering},
+        atomic::{AtomicBool, AtomicU64, Ordering},
         Arc,
     },
 };
@@ -34,10 +34,10 @@ use parking_lot::Mutex;
 
 use crate::{
     command::{CompletionEntry, NvmeCommand, Opcode, Status},
-    hostmem::{DataBuf, HostMemory},
+    hostmem::{HostBuf, HostMemory, SrcBuf},
     persist::{PersistEventKind, PersistLog},
     profile::SsdProfile,
-    store::{BlockStore, CacheSurvival, BLOCK_SIZE},
+    store::{BlockStore, CacheSurvival, MediaBlock, BLOCK_SIZE},
 };
 
 /// Extra latency for fetching a queue entry directly from the PMR
@@ -173,10 +173,11 @@ pub struct DurableImage {
 enum Action {
     /// Programs the first `len` bytes of the host buffer `buf` (whole
     /// blocks) from `lba` on. The device reads `buf` only now, at the
-    /// media program: the host leaves it alone until the completion.
+    /// media program, and keeps its blocks by reference: the buffer is
+    /// immutable, so nobody can change them under the store.
     WriteBlocks {
         lba: u64,
-        buf: DataBuf,
+        buf: SrcBuf,
         len: usize,
         durable: bool,
         also_flush: bool,
@@ -300,6 +301,11 @@ struct CtrlInner {
     completer: CompleterShared,
     queues: Mutex<HashMap<u16, Arc<QueueShared>>>,
     db_targets: Mutex<IntMap<(bool, u64), Arc<QueueShared>>>,
+    /// Bit [`doorbell_bit`] of every doorbell ever registered, so a
+    /// store that cannot be one — a P-SQ head or a CQ head update —
+    /// skips the `db_targets` lock. Bits are never cleared: a deleted
+    /// queue's, or a colliding store's, only costs the lookup.
+    db_filter: AtomicU64,
     alive: AtomicBool,
     /// Device service time per command (fetch-to-media-done estimate),
     /// exported as `ssd.service_ns`.
@@ -385,6 +391,7 @@ impl NvmeController {
             },
             queues: Mutex::new(HashMap::new()),
             db_targets: Mutex::new(IntMap::default()),
+            db_filter: AtomicU64::new(0),
             alive: AtomicBool::new(true),
             persist,
         });
@@ -490,6 +497,10 @@ impl NvmeController {
             SqBacking::Host { doorbell, .. } => (false, doorbell),
             SqBacking::Pmr { doorbell, .. } => (true, doorbell),
         };
+        let filter = &self.inner.db_filter;
+        // ord: Relaxed — the queue is created before the driver can ring
+        // its doorbell, and that ordering is the driver's own.
+        filter.fetch_or(doorbell_bit(key), Ordering::Relaxed);
         self.inner.db_targets.lock().insert(key, Arc::clone(&q));
         let inner = Arc::clone(&self.inner);
         let device_core = self.inner.cfg.device_core;
@@ -549,9 +560,33 @@ impl NvmeController {
     }
 }
 
+/// Bytes of a doorbell store: both drivers ring every doorbell with one
+/// little-endian `u32`.
+const DOORBELL_BYTES: usize = 4;
+
+/// The tail a store of doorbell width carries; `None` for any other
+/// store (a 64 B P-SQ entry, an 8 B abort-log record), which then costs
+/// no doorbell lookup at all.
+fn doorbell_tail(data: &[u8]) -> Option<u32> {
+    <[u8; DOORBELL_BYTES]>::try_from(data)
+        .ok()
+        .map(u32::from_le_bytes)
+}
+
+/// The bit of `CtrlInner::db_filter` that a doorbell at `(is_pmr, off)`
+/// sets: one of 64, by a multiplicative hash.
+fn doorbell_bit((is_pmr, off): (bool, u64)) -> u64 {
+    let h = (off << 1 | u64::from(is_pmr)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    1 << (h >> 58)
+}
+
 impl CtrlInner {
     fn doorbell(&self, is_pmr: bool, off: u64, data: &[u8], arrive_at: Ns) {
-        if data.len() < 4 {
+        let Some(tail) = doorbell_tail(data) else {
+            return;
+        };
+        // ord: Relaxed — see `create_io_queue`.
+        if self.db_filter.load(Ordering::Relaxed) & doorbell_bit((is_pmr, off)) == 0 {
             return;
         }
         let target = self.db_targets.lock().get(&(is_pmr, off)).cloned();
@@ -572,7 +607,6 @@ impl CtrlInner {
                     return;
                 }
             }
-            let tail = u32::from_le_bytes(data[..4].try_into().expect("4 bytes"));
             let mut st = q.st.lock();
             st.tail = tail % q.depth;
             st.tail_visible_at = st.tail_visible_at.max(arrive_at);
@@ -706,10 +740,8 @@ fn execute(inner: &CtrlInner, q: &QueueShared, cmd: NvmeCommand, sq_head: u32) {
     }
     let (at, status, action) = match cmd.opcode {
         Opcode::Write => {
-            let buf = inner.hostmem.get(cmd.data_token);
-            match buf {
-                None => (now, Status::InvalidField, Action::Nop),
-                Some(buf) => {
+            match inner.hostmem.get(cmd.data_token) {
+                Some(HostBuf::Src(buf)) => {
                     let bytes = cmd.bytes();
                     // Host → device data transfer (the "Block I/O" of
                     // Table 1). The DMA engine streams it while the fetch
@@ -717,7 +749,7 @@ fn execute(inner: &CtrlInner, q: &QueueShared, cmd: NvmeCommand, sq_head: u32) {
                     // data has arrived.
                     let dma_end = inner.link.dma_to_device_async(bytes, DmaKind::BlockData);
                     assert!(
-                        buf.lock().len() as u64 >= bytes,
+                        buf.len() as u64 >= bytes,
                         "data buffer smaller than command length"
                     );
                     // A commit request implies a durability barrier when a
@@ -774,6 +806,8 @@ fn execute(inner: &CtrlInner, q: &QueueShared, cmd: NvmeCommand, sq_head: u32) {
                         ),
                     }
                 }
+                // No buffer, or one the host registered to be written.
+                _ => (now, Status::InvalidField, Action::Nop),
             }
         }
         Opcode::Read => {
@@ -860,12 +894,13 @@ fn fire(inner: &CtrlInner, job: Job) {
             durable,
             also_flush,
         } => {
-            // The one copy of each block: host buffer → store. Nothing
-            // below yields while the buffer is locked. The log records
-            // where the store routed it.
-            for (i, chunk) in buf.lock()[..len].chunks(BLOCK_SIZE as usize).enumerate() {
+            // Each whole block of the first `len` bytes lands as a
+            // reference into the host's buffer — a torn transfer's
+            // prefix too — with no copy. The log records where the
+            // store routed it.
+            for i in 0..len / BLOCK_SIZE as usize {
                 let lba = lba + i as u64;
-                let block = chunk.to_vec();
+                let block = MediaBlock::new(Arc::clone(&buf), i);
                 let logged = inner.persist.as_ref().map(|p| (p, block.clone()));
                 let durable = inner.store.write_block(lba, block, durable);
                 if let Some((p, data)) = logged {
@@ -893,7 +928,7 @@ fn fire(inner: &CtrlInner, job: Job) {
             nblocks,
             token,
         } => {
-            if let Some(buf) = inner.hostmem.get(token) {
+            if let Some(HostBuf::Dst(buf)) = inner.hostmem.get(token) {
                 let mut b = buf.lock();
                 let n = (nblocks as usize * BLOCK_SIZE as usize).min(b.len());
                 for (i, chunk) in b[..n].chunks_mut(BLOCK_SIZE as usize).enumerate() {
@@ -960,6 +995,7 @@ mod tests {
 
     use super::*;
     use crate::command::TxFlags;
+    use crate::hostmem::DataBuf;
 
     /// Builds a controller with one host-memory queue and returns helpers
     /// to submit and await commands.
@@ -1016,15 +1052,20 @@ mod tests {
         }
 
         fn write_cmd(&self, lba: u64, byte: u8, fua: bool) -> NvmeCommand {
-            let buf: DataBuf = Arc::new(Mutex::new(vec![byte; BLOCK_SIZE as usize]));
-            self.io_cmd(Opcode::Write, lba, &buf, fua)
+            let buf = Arc::new(vec![byte; BLOCK_SIZE as usize]);
+            self.io_cmd(lba, HostBuf::Src(buf), fua)
         }
 
-        /// A read or write of `buf`'s whole blocks at `lba`, `buf`
-        /// registered under the command's data token.
-        fn io_cmd(&self, opcode: Opcode, lba: u64, buf: &DataBuf, fua: bool) -> NvmeCommand {
-            let nblocks = (buf.lock().len() as u64 / BLOCK_SIZE) as u16;
-            let token = self.ctrl.hostmem().register(Arc::clone(buf));
+        /// A write (of a source) or read (into a destination) of `buf`'s
+        /// whole blocks at `lba`, `buf` registered under the command's
+        /// data token.
+        fn io_cmd(&self, lba: u64, buf: HostBuf, fua: bool) -> NvmeCommand {
+            let (opcode, len) = match &buf {
+                HostBuf::Src(b) => (Opcode::Write, b.len()),
+                HostBuf::Dst(b) => (Opcode::Read, b.lock().len()),
+            };
+            let nblocks = (len as u64 / BLOCK_SIZE) as u16;
+            let token = self.ctrl.hostmem().register(buf);
             NvmeCommand {
                 opcode,
                 cid: 0,
@@ -1054,8 +1095,8 @@ mod tests {
             let e = h.await_completion();
             assert_eq!(e.status, Status::Success);
             // Read it back.
-            let buf: crate::hostmem::DataBuf = Arc::new(Mutex::new(vec![0u8; BLOCK_SIZE as usize]));
-            let token = h.ctrl.hostmem().register(Arc::clone(&buf));
+            let buf: DataBuf = Arc::new(Mutex::new(vec![0u8; BLOCK_SIZE as usize]));
+            let token = h.ctrl.hostmem().register(HostBuf::Dst(Arc::clone(&buf)));
             h.submit(NvmeCommand {
                 opcode: Opcode::Read,
                 cid: 0,
@@ -1089,7 +1130,7 @@ mod tests {
             assert_eq!(h.ctrl.store().dirty_count(), 1);
             let bs = BLOCK_SIZE as usize;
             let buf: DataBuf = Arc::new(Mutex::new(vec![0xff; 3 * bs]));
-            let cmd = h.io_cmd(Opcode::Read, 20, &buf, false);
+            let cmd = h.io_cmd(20, HostBuf::Dst(Arc::clone(&buf)), false);
             h.submit(cmd);
             assert_eq!(h.await_completion().status, Status::Success);
             let b = buf.lock();
@@ -1106,21 +1147,124 @@ mod tests {
     }
 
     #[test]
-    fn a_completed_command_leaves_no_clone_of_the_host_buffer() {
+    fn a_completed_write_lives_on_as_the_media_and_a_read_leaves_no_clone() {
         let mut sim = Sim::new(2);
         sim.spawn("host", 0, || {
             let mut h = Harness::new(SsdProfile::optane_p5800x());
-            for opcode in [Opcode::Write, Opcode::Read] {
-                let buf: DataBuf = Arc::new(Mutex::new(vec![0x5a; 2 * BLOCK_SIZE as usize]));
-                let cmd = h.io_cmd(opcode, 40, &buf, false);
-                let token = cmd.data_token;
-                h.submit(cmd);
-                assert_eq!(h.await_completion().status, Status::Success);
-                h.ctrl.hostmem().unregister(token);
-                assert_eq!(Arc::strong_count(&buf), 1, "{opcode:?} kept the buffer");
+            let bs = BLOCK_SIZE as usize;
+            let src = Arc::new([vec![0x5a; bs], vec![0xa5; bs]].concat());
+            let cmd = h.io_cmd(40, HostBuf::Src(Arc::clone(&src)), false);
+            let token = cmd.data_token;
+            h.submit(cmd);
+            assert_eq!(h.await_completion().status, Status::Success);
+            h.ctrl.hostmem().unregister(token);
+            // The store holds the submitted allocation itself, one
+            // reference per block, and nothing else does.
+            for (i, lba) in [40, 41].into_iter().enumerate() {
+                let kept = h.ctrl.store().block(lba).expect("landed");
+                assert!(Arc::ptr_eq(kept.buffer(), &src), "block {lba} was copied");
+                assert_eq!(kept.bytes(), &src[i * bs..(i + 1) * bs]);
             }
+            assert_eq!(
+                Arc::strong_count(&src),
+                3,
+                "the test's handle and two blocks"
+            );
+            let dst: DataBuf = Arc::new(Mutex::new(vec![0; 2 * bs]));
+            let cmd = h.io_cmd(40, HostBuf::Dst(Arc::clone(&dst)), false);
+            let token = cmd.data_token;
+            h.submit(cmd);
+            assert_eq!(h.await_completion().status, Status::Success);
+            h.ctrl.hostmem().unregister(token);
+            assert_eq!(Arc::strong_count(&dst), 1, "the read kept the buffer");
+            assert_eq!(*dst.lock(), *src);
         });
         sim.run();
+    }
+
+    #[test]
+    fn only_a_doorbell_width_store_rings() {
+        Sim::run_main(2, || {
+            let mut h = Harness::new(SsdProfile::optane_p5800x());
+            let cmd = h.write_cmd(9, 0x77, false);
+            assert_eq!(h.submit(cmd), 0);
+            h.await_completion();
+            // Put the entry for slot 1 in place, then ring it with every
+            // width but the doorbell's.
+            let mut cmd = h.write_cmd(10, 0x78, false);
+            cmd.cid = 1;
+            h.sqmem.lock()[64..128].copy_from_slice(&cmd.encode());
+            let tail = 2u32;
+            h.ctrl.regs().write(0x1000, &(tail as u64).to_le_bytes());
+            h.ctrl.regs().write(0x1000, &(tail as u16).to_le_bytes());
+            ccnvme_runtime::delay(1_000_000);
+            assert!(
+                h.ctrl.store().block(10).is_none(),
+                "a non-doorbell store rang"
+            );
+            h.ctrl.regs().write(0x1000, &tail.to_le_bytes());
+            assert_eq!(h.await_completion().status, Status::Success);
+            assert!(h.ctrl.store().block(10).is_some());
+        });
+    }
+
+    /// Whether `inner.doorbell(is_pmr, off, data)` returns while another
+    /// OS thread holds the doorbell map — were it to look its target up,
+    /// it would wait for the holder's two-second timeout.
+    fn rings_without_the_map(inner: &CtrlInner, is_pmr: bool, off: u64, data: &[u8]) -> bool {
+        use std::sync::mpsc;
+        let timed_out = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            let (held_tx, held_rx) = mpsc::channel();
+            let (done_tx, done_rx) = mpsc::channel::<()>();
+            let timed_out = &timed_out;
+            s.spawn(move || {
+                let map = inner.db_targets.lock();
+                held_tx.send(()).expect("test thread alive");
+                let waited = done_rx.recv_timeout(std::time::Duration::from_secs(2));
+                // ord: SeqCst — test bookkeeping, read after the join.
+                timed_out.store(waited.is_err(), Ordering::SeqCst);
+                drop(map);
+            });
+            held_rx.recv().expect("holder started");
+            inner.doorbell(is_pmr, off, data, 0);
+            let _ = done_tx.send(());
+        });
+        // ord: SeqCst — the scope joined the holder.
+        !timed_out.load(Ordering::SeqCst)
+    }
+
+    #[test]
+    fn a_p_sq_entry_store_never_takes_the_doorbell_map_lock() {
+        Sim::run_main(2, || {
+            let h = Harness::new(SsdProfile::optane_p5800x());
+            // 64 B at the queue's very doorbell: only its width rules it out.
+            assert!(
+                rings_without_the_map(&h.ctrl.inner, false, 0x1000, &[0u8; 64]),
+                "a 64 B store waited for the doorbell map"
+            );
+        });
+    }
+
+    #[test]
+    fn a_doorbell_width_store_off_every_doorbell_skips_the_map() {
+        Sim::run_main(2, || {
+            let h = Harness::new(SsdProfile::optane_p5800x());
+            let inner = &h.ctrl.inner;
+            // ord: Relaxed — the queue was created on this thread.
+            let filter = inner.db_filter.load(Ordering::Relaxed);
+            assert_ne!(filter & doorbell_bit((false, 0x1000)), 0);
+            // A CQ-head-like store: 4 B beside the doorbell, on a bit no
+            // doorbell set.
+            let off = (1..64)
+                .map(|k| 0x1000 + 4 * k)
+                .find(|&off| filter & doorbell_bit((false, off)) == 0)
+                .expect("one free bit of 64");
+            assert!(
+                rings_without_the_map(inner, false, off, &7u32.to_le_bytes()),
+                "a store off every doorbell waited for the doorbell map"
+            );
+        });
     }
 
     #[test]
@@ -1349,9 +1493,8 @@ mod tests {
                 .into_iter()
                 .enumerate()
             {
-                let buf: crate::hostmem::DataBuf =
-                    Arc::new(Mutex::new(vec![i as u8; BLOCK_SIZE as usize]));
-                let token = ctrl.hostmem().register(buf);
+                let buf = Arc::new(vec![i as u8; BLOCK_SIZE as usize]);
+                let token = ctrl.hostmem().register(HostBuf::Src(buf));
                 let cmd = NvmeCommand {
                     opcode: Opcode::Write,
                     cid: i as u16,
@@ -1401,9 +1544,8 @@ mod tests {
                     let _ = tx.try_send(e);
                 }),
             });
-            let buf: crate::hostmem::DataBuf =
-                Arc::new(Mutex::new(vec![0x5a; BLOCK_SIZE as usize]));
-            let token = ctrl.hostmem().register(buf);
+            let buf = Arc::new(vec![0x5a; BLOCK_SIZE as usize]);
+            let token = ctrl.hostmem().register(HostBuf::Src(buf));
             let cmd = NvmeCommand {
                 opcode: Opcode::Write,
                 cid: 9,
@@ -1506,8 +1648,8 @@ mod tests {
                 let plan =
                     FaultPlan::new(9).rule(FaultRule::new(FaultKind::TornDma, Trigger::Nth(1)));
                 let mut h = faulty(SsdProfile::optane_p5800x(), plan);
-                let buf: DataBuf = Arc::new(Mutex::new(vec![0xcc; 8 * BLOCK_SIZE as usize]));
-                let cmd = h.io_cmd(Opcode::Write, 100, &buf, true);
+                let buf = Arc::new(vec![0xcc; 8 * BLOCK_SIZE as usize]);
+                let cmd = h.io_cmd(100, HostBuf::Src(buf), true);
                 h.submit(cmd);
                 let e = h.await_completion();
                 assert_eq!(e.status, Status::MediaWriteError);
@@ -1527,6 +1669,45 @@ mod tests {
                 assert_eq!(m.counter("fault.torn_dma"), 1);
             });
             sim.run();
+        }
+
+        #[test]
+        fn a_torn_dma_from_a_shared_buffer_lands_exactly_its_whole_blocks_before_the_tear() {
+            let bs = BLOCK_SIZE as usize;
+            let torn = Sim::run_main(2, move || {
+                let mut torn = Vec::new();
+                for seed in 1..=8 {
+                    let plan = FaultPlan::new(seed)
+                        .rule(FaultRule::new(FaultKind::TornDma, Trigger::Nth(1)));
+                    let mut h = faulty(SsdProfile::optane_p5800x(), plan);
+                    // Three distinct blocks, still held by the host.
+                    let buf = Arc::new([vec![1; bs], vec![2; bs], vec![3; bs]].concat());
+                    let cmd = h.io_cmd(200, HostBuf::Src(Arc::clone(&buf)), true);
+                    h.submit(cmd);
+                    assert_eq!(h.await_completion().status, Status::MediaWriteError);
+                    let store = h.ctrl.store();
+                    let k = (0..3)
+                        .take_while(|i| store.block(200 + i).is_some())
+                        .count();
+                    for i in 0..3 {
+                        match store.block(200 + i as u64) {
+                            Some(b) if i < k => {
+                                assert!(Arc::ptr_eq(b.buffer(), &buf), "block {i} copied");
+                                assert_eq!(b.bytes(), &buf[i * bs..(i + 1) * bs]);
+                            }
+                            None if i >= k => {}
+                            _ => panic!("seed {seed}: block {i} breaks the prefix of {k}"),
+                        }
+                    }
+                    torn.push(k);
+                }
+                torn
+            });
+            assert!(
+                torn.iter().all(|&k| k < 3),
+                "a tear landed every block: {torn:?}"
+            );
+            assert!(torn.contains(&2), "no seed tore after two blocks: {torn:?}");
         }
 
         #[test]
@@ -1600,6 +1781,7 @@ mod extra_tests {
 
     use super::*;
     use crate::command::TxFlags;
+    use crate::hostmem::DataBuf;
 
     #[test]
     fn write_with_missing_buffer_token_fails_cleanly() {
@@ -1708,9 +1890,8 @@ mod extra_tests {
                     let _ = tx.try_send(e);
                 }),
             });
-            let buf: crate::hostmem::DataBuf =
-                Arc::new(Mutex::new(vec![0xffu8; 2 * BLOCK_SIZE as usize]));
-            let token = ctrl.hostmem().register(Arc::clone(&buf));
+            let buf: DataBuf = Arc::new(Mutex::new(vec![0xffu8; 2 * BLOCK_SIZE as usize]));
+            let token = ctrl.hostmem().register(HostBuf::Dst(Arc::clone(&buf)));
             let cmd = NvmeCommand {
                 opcode: Opcode::Read,
                 cid: 0,

@@ -14,13 +14,28 @@ use std::sync::{
 use ccnvme_obs::hash::IntMap;
 use parking_lot::Mutex;
 
-/// A shared host data buffer (never locked across simulation yields).
+/// A read's destination buffer, which the device fills (never locked
+/// across simulation yields).
 pub type DataBuf = Arc<Mutex<Vec<u8>>>;
+
+/// A write's source buffer: immutable, so the device reads it without a
+/// lock and keeps its blocks as the media content instead of copying.
+pub type SrcBuf = Arc<Vec<u8>>;
+
+/// A registered host buffer: where a write's data comes from, or where a
+/// read's goes.
+#[derive(Clone)]
+pub enum HostBuf {
+    /// A write's source.
+    Src(SrcBuf),
+    /// A read's destination.
+    Dst(DataBuf),
+}
 
 /// Registry mapping data tokens to host buffers.
 #[derive(Default)]
 pub struct HostMemory {
-    bufs: Mutex<IntMap<u64, DataBuf>>,
+    bufs: Mutex<IntMap<u64, HostBuf>>,
     next: AtomicU64,
 }
 
@@ -34,7 +49,7 @@ impl HostMemory {
     }
 
     /// Registers `buf` and returns its token (nonzero).
-    pub fn register(&self, buf: DataBuf) -> u64 {
+    pub fn register(&self, buf: HostBuf) -> u64 {
         // ord: Relaxed — token uniqueness is all that matters; the
         // map mutex below orders the insertion itself.
         let token = self.next.fetch_add(1, Ordering::Relaxed);
@@ -43,12 +58,12 @@ impl HostMemory {
     }
 
     /// Looks up a token.
-    pub fn get(&self, token: u64) -> Option<DataBuf> {
+    pub fn get(&self, token: u64) -> Option<HostBuf> {
         self.bufs.lock().get(&token).cloned()
     }
 
     /// Removes a registration (after command completion).
-    pub fn unregister(&self, token: u64) -> Option<DataBuf> {
+    pub fn unregister(&self, token: u64) -> Option<HostBuf> {
         self.bufs.lock().remove(&token)
     }
 
@@ -71,9 +86,12 @@ mod tests {
     fn register_get_unregister() {
         let hm = HostMemory::new();
         let buf: DataBuf = Arc::new(Mutex::new(vec![1, 2, 3]));
-        let t = hm.register(Arc::clone(&buf));
+        let t = hm.register(HostBuf::Dst(Arc::clone(&buf)));
         assert!(t != 0);
-        assert_eq!(*hm.get(t).expect("registered").lock(), vec![1, 2, 3]);
+        let Some(HostBuf::Dst(got)) = hm.get(t) else {
+            panic!("registered as a destination");
+        };
+        assert!(Arc::ptr_eq(&got, &buf));
         hm.unregister(t);
         assert!(hm.get(t).is_none());
         assert!(hm.is_empty());
@@ -82,8 +100,8 @@ mod tests {
     #[test]
     fn tokens_are_unique() {
         let hm = HostMemory::new();
-        let a = hm.register(Arc::new(Mutex::new(vec![])));
-        let b = hm.register(Arc::new(Mutex::new(vec![])));
+        let a = hm.register(HostBuf::Src(Arc::new(vec![])));
+        let b = hm.register(HostBuf::Src(Arc::new(vec![])));
         assert_ne!(a, b);
     }
 }

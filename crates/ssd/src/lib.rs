@@ -22,9 +22,9 @@ pub mod store;
 
 pub use command::{CompletionEntry, NvmeCommand, Opcode, Status, StatusCodeType, TxFlags};
 pub use controller::{CrashMode, CtrlConfig, DurableImage, NvmeController, QueueParams, SqBacking};
-pub use hostmem::{DataBuf, HostMemory};
+pub use hostmem::{DataBuf, HostBuf, HostMemory};
 pub use persist::{
     PersistCursor, PersistEventKind, PersistLog, QueueWindow, SanitizerGeometry, SanitizerViolation,
 };
 pub use profile::SsdProfile;
-pub use store::{BlockStore, CacheSurvival, BLOCK_SIZE};
+pub use store::{BlockStore, CacheSurvival, MediaBlock, BLOCK_SIZE};

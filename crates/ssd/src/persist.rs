@@ -47,7 +47,7 @@ use std::{
 use ccnvme_runtime::Ns;
 
 use crate::controller::{CrashMode, DurableImage};
-use crate::store::Media;
+use crate::store::{Media, MediaBlock};
 
 /// One durable-effecting event.
 #[derive(Debug, Clone)]
@@ -68,8 +68,8 @@ pub enum PersistEventKind {
         /// Logical block address.
         lba: u64,
         /// Block content (exactly [`BLOCK_SIZE`](crate::BLOCK_SIZE)
-        /// bytes).
-        data: Vec<u8>,
+        /// bytes), shared with the store and the host's buffer.
+        data: MediaBlock,
         /// Whether the block went to durable media.
         durable: bool,
     },
@@ -661,7 +661,7 @@ mod tests {
             10,
             PersistEventKind::BlockWrite {
                 lba: 7,
-                data: vec![9],
+                data: vec![9].into(),
                 durable: false,
             },
         );
@@ -682,7 +682,7 @@ mod tests {
             30,
             PersistEventKind::BlockWrite {
                 lba: 1,
-                data: vec![3],
+                data: vec![3].into(),
                 durable: true,
             },
         );
@@ -701,7 +701,7 @@ mod tests {
             20,
             PersistEventKind::BlockWrite {
                 lba: 2,
-                data: vec![2],
+                data: vec![2].into(),
                 durable: false,
             },
         );
@@ -726,7 +726,7 @@ mod tests {
                 10 + lba,
                 PersistEventKind::BlockWrite {
                     lba,
-                    data: vec![lba as u8],
+                    data: vec![lba as u8].into(),
                     durable: false,
                 },
             );

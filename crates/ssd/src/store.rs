@@ -12,8 +12,13 @@
 //! keeps one under its lock, and a
 //! [`PersistCursor`](crate::PersistCursor) replays the persistence log
 //! into another, so a live snapshot and a log cut leave the same image.
+//!
+//! A block's content is a [`MediaBlock`]: one block of a host write's
+//! buffer, kept by reference. The device copies nothing at its media
+//! program; the write's source is immutable, so the store and the log
+//! may share it with the host.
 
-use std::collections::HashMap;
+use std::{collections::HashMap, sync::Arc};
 
 use ccnvme_obs::hash::IntMap;
 use ccnvme_runtime::DetRng;
@@ -41,24 +46,74 @@ pub enum CacheSurvival {
     },
 }
 
+/// One block of media content: block `index` of a shared, immutable
+/// host buffer (the last block of a buffer may be short; a block built
+/// from a `Vec` is the whole of it).
+#[derive(Clone)]
+pub struct MediaBlock {
+    buf: Arc<Vec<u8>>,
+    index: usize,
+}
+
+impl MediaBlock {
+    /// Block `index` of `buf`, kept by reference.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `buf` ends before block `index` starts.
+    pub fn new(buf: Arc<Vec<u8>>, index: usize) -> MediaBlock {
+        assert!(
+            index * (BLOCK_SIZE as usize) < buf.len(),
+            "block {index} lies past the buffer's end"
+        );
+        MediaBlock { buf, index }
+    }
+
+    /// The block's bytes.
+    pub fn bytes(&self) -> &[u8] {
+        let start = self.index * BLOCK_SIZE as usize;
+        &self.buf[start..self.buf.len().min(start + BLOCK_SIZE as usize)]
+    }
+
+    /// The buffer the block lies in.
+    pub fn buffer(&self) -> &Arc<Vec<u8>> {
+        &self.buf
+    }
+}
+
+impl From<Vec<u8>> for MediaBlock {
+    fn from(data: Vec<u8>) -> MediaBlock {
+        MediaBlock::new(Arc::new(data), 0)
+    }
+}
+
+impl std::fmt::Debug for MediaBlock {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "MediaBlock({} B)", self.bytes().len())
+    }
+}
+
 /// Durable blocks plus the volatile write cache over them.
 pub(crate) struct Media {
-    durable: IntMap<u64, Vec<u8>>,
-    cached: IntMap<u64, Vec<u8>>,
+    durable: IntMap<u64, MediaBlock>,
+    cached: IntMap<u64, MediaBlock>,
 }
 
 impl Media {
     /// Media holding `durable`, with an empty cache.
     pub fn new(durable: HashMap<u64, Vec<u8>>) -> Self {
         Media {
-            durable: durable.into_iter().collect(),
+            durable: durable
+                .into_iter()
+                .map(|(lba, data)| (lba, data.into()))
+                .collect(),
             cached: IntMap::default(),
         }
     }
 
     /// Lands one block on media when `durable`, else in the cache,
     /// where it shadows the media's older version.
-    pub fn write(&mut self, lba: u64, data: Vec<u8>, durable: bool) {
+    pub fn write(&mut self, lba: u64, data: MediaBlock, durable: bool) {
         if durable {
             self.cached.remove(&lba);
             self.durable.insert(lba, data);
@@ -73,11 +128,8 @@ impl Media {
     }
 
     /// The newest version of block `lba`: cached before durable.
-    pub fn read(&self, lba: u64) -> Option<&[u8]> {
-        self.cached
-            .get(&lba)
-            .or_else(|| self.durable.get(&lba))
-            .map(Vec::as_slice)
+    pub fn read(&self, lba: u64) -> Option<&MediaBlock> {
+        self.cached.get(&lba).or_else(|| self.durable.get(&lba))
     }
 
     /// Number of blocks sitting in the cache.
@@ -93,7 +145,7 @@ impl Media {
         let mut image: HashMap<u64, Vec<u8>> = self
             .durable
             .iter()
-            .map(|(&lba, data)| (lba, data.clone()))
+            .map(|(&lba, data)| (lba, data.bytes().to_vec()))
             .collect();
         // Keeping everything is the subset drawn with certainty.
         let (seed, keep_prob) = match *cache {
@@ -101,12 +153,12 @@ impl Media {
             CacheSurvival::KeepAll => (0, 1.0),
             CacheSurvival::Subset { seed, keep_prob } => (seed, keep_prob),
         };
-        let mut cached: Vec<(&u64, &Vec<u8>)> = self.cached.iter().collect();
+        let mut cached: Vec<(&u64, &MediaBlock)> = self.cached.iter().collect();
         cached.sort_unstable_by_key(|(lba, _)| **lba);
         let mut rng = DetRng::new(seed);
         for (lba, data) in cached {
             if rng.chance(keep_prob) {
-                image.insert(*lba, data.clone());
+                image.insert(*lba, data.bytes().to_vec());
             }
         }
         image
@@ -136,16 +188,17 @@ impl BlockStore {
         }
     }
 
-    /// Writes one block, keeping `data` itself, and returns whether it
-    /// went to media: when `durable` (FUA or a commit barrier) or on a
-    /// power-protected device. The one place a block is routed.
+    /// Writes one block, keeping `data` itself (a reference into the
+    /// host's buffer, not a copy), and returns whether it went to media:
+    /// when `durable` (FUA or a commit barrier) or on a power-protected
+    /// device. The one place a block is routed.
     ///
     /// # Panics
     ///
     /// Panics if `data` is not exactly one block.
-    pub fn write_block(&self, lba: u64, data: Vec<u8>, durable: bool) -> bool {
+    pub fn write_block(&self, lba: u64, data: MediaBlock, durable: bool) -> bool {
         assert_eq!(
-            data.len() as u64,
+            data.bytes().len() as u64,
             BLOCK_SIZE,
             "write must be one 4 KB block"
         );
@@ -175,9 +228,14 @@ impl BlockStore {
             "read must fit one 4 KB block"
         );
         match self.media.lock().read(lba) {
-            Some(data) => out.copy_from_slice(&data[..out.len()]),
+            Some(data) => out.copy_from_slice(&data.bytes()[..out.len()]),
             None => out.fill(0),
         }
+    }
+
+    /// The newest version of block `lba` as the store keeps it.
+    pub fn block(&self, lba: u64) -> Option<MediaBlock> {
+        self.media.lock().read(lba).cloned()
     }
 
     /// Makes every cached write durable.
@@ -201,7 +259,11 @@ impl BlockStore {
 mod tests {
     use super::*;
 
-    fn blk(byte: u8) -> Vec<u8> {
+    fn blk(byte: u8) -> MediaBlock {
+        vec![byte; BLOCK_SIZE as usize].into()
+    }
+
+    fn bytes(byte: u8) -> Vec<u8> {
         vec![byte; BLOCK_SIZE as usize]
     }
 
@@ -209,13 +271,32 @@ mod tests {
     fn read_your_write() {
         let s = BlockStore::new(false);
         s.write_block(5, blk(7), false);
-        assert_eq!(s.read_block(5), blk(7));
+        assert_eq!(s.read_block(5), bytes(7));
+    }
+
+    #[test]
+    fn a_written_block_is_the_host_buffer_itself() {
+        let s = BlockStore::new(false);
+        let buf = Arc::new([bytes(1), bytes(2), bytes(3)].concat());
+        for i in 0..3 {
+            s.write_block(20 + i as u64, MediaBlock::new(Arc::clone(&buf), i), false);
+        }
+        for i in 0..3u8 {
+            let kept = s.block(20 + i as u64).expect("written");
+            assert!(Arc::ptr_eq(kept.buffer(), &buf), "block {i} copied");
+            assert_eq!(kept.bytes(), &bytes(i + 1)[..]);
+        }
+        assert_eq!(
+            Arc::strong_count(&buf),
+            4,
+            "the test's handle and the three blocks"
+        );
     }
 
     #[test]
     fn unwritten_blocks_read_zero() {
         let s = BlockStore::new(false);
-        assert_eq!(s.read_block(99), blk(0));
+        assert_eq!(s.read_block(99), bytes(0));
         let mut prefix = [0xff; 100];
         s.read_into(99, &mut prefix);
         assert_eq!(prefix, [0; 100]);
@@ -226,7 +307,7 @@ mod tests {
         let s = BlockStore::new(false);
         assert!(!s.write_block(1, blk(1), false));
         assert!(s.image(&CacheSurvival::DropAll).is_empty());
-        assert_eq!(s.image(&CacheSurvival::KeepAll).get(&1), Some(&blk(1)));
+        assert_eq!(s.image(&CacheSurvival::KeepAll).get(&1), Some(&bytes(1)));
     }
 
     #[test]
@@ -236,7 +317,7 @@ mod tests {
         s.flush();
         assert_eq!(s.dirty_count(), 0);
         let image = s.image(&CacheSurvival::DropAll);
-        assert_eq!(image.get(&1), Some(&blk(1)));
+        assert_eq!(image.get(&1), Some(&bytes(1)));
     }
 
     #[test]
@@ -244,7 +325,7 @@ mod tests {
         let s = BlockStore::new(false);
         assert!(s.write_block(2, blk(9), true));
         let image = s.image(&CacheSurvival::DropAll);
-        assert_eq!(image.get(&2), Some(&blk(9)));
+        assert_eq!(image.get(&2), Some(&bytes(9)));
     }
 
     #[test]
@@ -253,7 +334,7 @@ mod tests {
         assert!(s.write_block(3, blk(4), false), "routed to media");
         assert_eq!(s.dirty_count(), 0);
         let image = s.image(&CacheSurvival::DropAll);
-        assert_eq!(image.get(&3), Some(&blk(4)));
+        assert_eq!(image.get(&3), Some(&bytes(4)));
     }
 
     #[test]
@@ -261,14 +342,14 @@ mod tests {
         let s = BlockStore::new(false);
         s.write_block(4, blk(1), true);
         s.write_block(4, blk(2), false);
-        assert_eq!(s.read_block(4), blk(2));
+        assert_eq!(s.read_block(4), bytes(2));
         let mut prefix = [0xff; 100];
         s.read_into(4, &mut prefix);
         assert_eq!(prefix, [2; 100]);
         // A power cut that drops the cache falls back to the media's.
-        assert_eq!(s.image(&CacheSurvival::DropAll).get(&4), Some(&blk(1)));
+        assert_eq!(s.image(&CacheSurvival::DropAll).get(&4), Some(&bytes(1)));
         s.flush();
-        assert_eq!(s.read_block(4), blk(2));
+        assert_eq!(s.read_block(4), bytes(2));
     }
 
     #[test]
@@ -297,6 +378,6 @@ mod tests {
         let s = BlockStore::new(false);
         s.write_block(10, blk(5), true);
         let s2 = BlockStore::from_image(false, s.image(&CacheSurvival::DropAll));
-        assert_eq!(s2.read_block(10), blk(5));
+        assert_eq!(s2.read_block(10), bytes(5));
     }
 }

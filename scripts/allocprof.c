@@ -1,8 +1,9 @@
 // Malloc census for scripts/allocprof.sh: preloaded into the benchmark, it
 // counts every allocation — malloc, calloc, realloc and the aligned family —
-// by size and by call stack (the frame-pointer chain above the allocator
-// call, DEPTH return addresses), and writes the table and /proc/self/maps to
-// $ALLOCPROF_OUT when the process exits. Frees are not counted. Needs the
+// by size, by size class (allocations and reallocs apart) and by call stack
+// (the frame-pointer chain above the allocator call, DEPTH return
+// addresses), and writes the table and /proc/self/maps to $ALLOCPROF_OUT
+// when the process exits. Frees are not counted. Needs the
 // program built with -C force-frame-pointers=yes. x86-64 Linux, glibc.
 #define _GNU_SOURCE
 #include <stdint.h>
@@ -29,9 +30,16 @@ struct site {
 
 static struct site sites[SLOTS];
 static uint64_t total_count, total_bytes, block_count, lost_count;
+// Size classes: <= 1 KB, 1-4 KB, exactly 4 KB, > 4 KB; [0] fresh
+// allocations, [1] reallocs.
+static uint64_t classes[2][4];
 static char lock;
 
-__attribute__((noinline)) static void census(size_t size) {
+static int size_class(size_t size) {
+    return size <= 1024 ? 0 : size < BLOCK ? 1 : size == BLOCK ? 2 : 3;
+}
+
+__attribute__((noinline)) static void census(size_t size, int is_realloc) {
     uintptr_t pcs[DEPTH] = {0};
     uintptr_t *fp = __builtin_frame_address(0), limit = (uintptr_t)fp + STACK_BYTES;
     // From the allocator entry point's frame: its return address is the
@@ -50,6 +58,7 @@ __attribute__((noinline)) static void census(size_t size) {
     }
     total_count++;
     total_bytes += size;
+    classes[is_realloc][size_class(size)]++;
     if (size == BLOCK) block_count++;
     uint64_t i = hash % SLOTS, probes = 0;
     while (sites[i].count && memcmp(sites[i].pcs, pcs, sizeof pcs) && ++probes < SLOTS)
@@ -66,32 +75,32 @@ __attribute__((noinline)) static void census(size_t size) {
 }
 
 void *malloc(size_t size) {
-    census(size);
+    census(size, 0);
     return __libc_malloc(size);
 }
 
 void *calloc(size_t n, size_t size) {
-    census(n * size);
+    census(n * size, 0);
     return __libc_calloc(n, size);
 }
 
 void *realloc(void *p, size_t size) {
-    census(size);
+    census(size, 1);
     return __libc_realloc(p, size);
 }
 
 void *memalign(size_t align, size_t size) {
-    census(size);
+    census(size, 0);
     return __libc_memalign(align, size);
 }
 
 void *aligned_alloc(size_t align, size_t size) {
-    census(size);
+    census(size, 0);
     return __libc_memalign(align, size);
 }
 
 int posix_memalign(void **out, size_t align, size_t size) {
-    census(size);
+    census(size, 0);
     void *p = __libc_memalign(align, size);
     if (!p) return 12; // ENOMEM
     *out = p;
@@ -106,6 +115,11 @@ static void dump(void) {
     // blocks, the return addresses from the allocator's caller outwards.
     fprintf(out, "total %lu %lu %lu %lu\n", (unsigned long)total_count,
             (unsigned long)total_bytes, (unsigned long)block_count, (unsigned long)lost_count);
+    // Per size class: allocations, then reallocs.
+    fputs("classes", out);
+    for (int c = 0; c < 4; c++)
+        fprintf(out, " %lu %lu", (unsigned long)classes[0][c], (unsigned long)classes[1][c]);
+    fputc('\n', out);
     for (int i = 0; i < SLOTS; i++) {
         if (!sites[i].count) continue;
         fprintf(out, "%lu %lu %lu", (unsigned long)sites[i].count, (unsigned long)sites[i].bytes,

@@ -13,6 +13,8 @@
 #
 #   * allocations, bytes allocated, and allocations of exactly one 4 KB
 #     block with their share of all allocations;
+#   * allocations and reallocs (a realloc counts as an allocation too) by
+#     size class: <= 1 KB, 1-4 KB, exactly 4 KB, > 4 KB;
 #   * the 20 source sites that allocate most often, each an allocation
 #     stack's first frame in crates/ or benchmark/src/ (innermost inlined
 #     frame first, so a `Vec` built inside an inlined helper counts for
@@ -55,6 +57,7 @@ function hex(s,    n, i) {
 }
 function in_bin(pc) { return pc >= bin_lo && pc < bin_hi }
 $1 == "total" { total = $2; bytes = $3; blocks = $4; lost = $5; next }
+$1 == "classes" { for (c = 0; c < 4; c++) { fresh[c] = $(2 + 2 * c); grown[c] = $(3 + 2 * c) }; next }
 $1 == "maps" { in_maps = 1; next }
 in_maps {
     if ($6 == bin) { split($1, range, "-"); if (!bin_lo) bin_lo = hex(range[1]); bin_hi = hex(range[2]) }
@@ -98,6 +101,10 @@ END {
     printf "  allocations per op  %10.2f\n", total / ops
     printf "  bytes per op        %10.1f KB\n", bytes / ops / 1024
     printf "  4 KB blocks per op  %10.2f  (%.1f %% of allocations)\n", blocks / ops, 100 * blocks / total
+    printf "  by size class       %10s %11s\n", "allocs/op", "reallocs/op"
+    split("<= 1 KB|1-4 KB|= 4 KB|> 4 KB", name, "|")
+    for (c = 0; c < 4; c++)
+        printf "    %-17s %10.2f %11.2f\n", name[c + 1], (fresh[c] + grown[c]) / ops, grown[c] / ops
     if (lost) printf "  (%d allocations overflowed the stack table and have no site)\n", lost
     printf "\ntop 20 sites by allocations per op (first frame in crates/ or benchmark/src/)\n"
     printf "%10s %9s %9s  %s\n", "allocs/op", "KB/op", "4KB/op", "site"

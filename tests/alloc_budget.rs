@@ -17,23 +17,35 @@ use ccnvme_repro::sim::Sim;
 use ccnvme_repro::ssd::SsdProfile;
 use mqfs::FsVariant;
 
-/// Allocations per append+sync measured on this stack (30.05, in a debug
-/// build), plus 10 %. The page cache sharing its pages with the
+/// Allocations per append+sync measured on this stack (19.05, debug and
+/// release alike), plus 10 %. The page cache sharing its pages with the
 /// transaction, inline byte ranges, posted writes without a copy each and
-/// the waiter as a bio's completion brought it down from 55.
-const BUDGET_PER_OP: f64 = 30.05 * 1.1;
+/// the waiter as a bio's completion brought it down from 55 to 30.05;
+/// the device keeping a write's buffer instead of copying it, and a
+/// commit that allocates only what it keeps, to 19.05.
+const BUDGET_PER_OP: f64 = 19.05 * 1.1;
+
+/// Of those, allocations of exactly one 4 KB block per append+sync
+/// (4.00, measured the same way), plus 10 %: the page the append writes,
+/// the JD and the blocks the stack reads or writes besides. A copy of
+/// each written block on the device side would add two.
+const BLOCKS_PER_OP: f64 = 4.0 * 1.1;
 
 thread_local! {
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Allocations, and those of exactly one 4 KB block.
+    static ALLOCS: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
 }
 
-fn count() {
+fn count(size: usize) {
     // `try_with`: an allocation while the thread's locals are torn down
     // is not counted.
-    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    let _ = ALLOCS.try_with(|n| {
+        let (all, blocks) = n.get();
+        n.set((all + 1, blocks + u64::from(size == 4096)));
+    });
 }
 
-fn allocs() -> u64 {
+fn allocs() -> (u64, u64) {
     ALLOCS.with(Cell::get)
 }
 
@@ -44,19 +56,19 @@ struct Counting;
 unsafe impl GlobalAlloc for Counting {
     // SAFETY: passed on to the system allocator under the caller's contract.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         System.alloc(layout)
     }
 
     // SAFETY: passed on to the system allocator under the caller's contract.
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         System.alloc_zeroed(layout)
     }
 
     // SAFETY: passed on to the system allocator under the caller's contract.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
+        count(new_size);
         System.realloc(ptr, layout, new_size)
     }
 
@@ -89,10 +101,18 @@ fn append_and_sync_stay_within_the_allocation_budget() {
         let before = allocs();
         (64..264).for_each(|i| append(i, false));
         (264..464).for_each(|i| append(i, true));
-        (allocs() - before) as f64 / 400.0
+        let after = allocs();
+        let per_op = |n: u64, m: u64| (n - m) as f64 / 400.0;
+        (per_op(after.0, before.0), per_op(after.1, before.1))
     });
+    let (per_op, blocks_per_op) = per_op;
     assert!(
         per_op <= BUDGET_PER_OP,
         "{per_op:.2} allocations per append+sync, over the budget of {BUDGET_PER_OP:.1}"
+    );
+    assert!(
+        blocks_per_op <= BLOCKS_PER_OP,
+        "{blocks_per_op:.2} 4 KB blocks allocated per append+sync, over the budget of \
+         {BLOCKS_PER_OP:.2}"
     );
 }
