@@ -23,6 +23,7 @@ use ccnvme_bench::{Stack, StackConfig};
 use ccnvme_fabric::{Backend, ClientCfg, FabricClient, FabricConfig, FabricTarget, SyncKind};
 use ccnvme_obs::json::validate_metrics;
 use ccnvme_obs::MetricsSnapshot;
+use ccnvme_pcie::PmrImage;
 use ccnvme_sim::Sim;
 use ccnvme_ssd::CrashMode;
 use ccnvme_ssd::SsdProfile;
@@ -59,7 +60,7 @@ fn report() -> MetricsSnapshot {
 
 /// Runs a small ccNVMe stack to a deterministic power cut and returns
 /// the surviving PMR image (media is irrelevant to the recorder).
-fn crash_demo_image() -> Vec<u8> {
+fn crash_demo_image() -> PmrImage {
     let scfg = StackConfig::new(FsVariant::Mqfs, SsdProfile::optane_905p(), 1);
     Sim::run_main(scfg.sim_cores(), move || {
         let (stack, fs) = Stack::format(&scfg);
@@ -79,7 +80,7 @@ fn crash_demo_image() -> Vec<u8> {
 }
 
 /// Analyzes one PMR image; returns `true` when it is contradiction-free.
-fn run_forensics(image: &[u8]) -> bool {
+fn run_forensics(image: &PmrImage) -> bool {
     let fx = match ccnvme::image_forensics(image) {
         Ok(fx) => fx,
         Err(e) => {
@@ -124,7 +125,7 @@ fn forensics_cmd(args: &[String]) -> i32 {
     }
     let image = match image_file {
         Some(f) => match std::fs::read(f) {
-            Ok(b) => b,
+            Ok(b) => PmrImage::from(b),
             Err(e) => {
                 eprintln!("{f}: cannot read: {e}");
                 return 1;
@@ -133,7 +134,7 @@ fn forensics_cmd(args: &[String]) -> i32 {
         None => crash_demo_image(),
     };
     if let Some(path) = save {
-        if let Err(e) = std::fs::write(path, &image) {
+        if let Err(e) = std::fs::write(path, image.read_vec(0, image.size())) {
             eprintln!("{path}: cannot write: {e}");
             return 1;
         }

@@ -846,9 +846,15 @@ mod tests {
             let w = submit_tx(&drv, drv.alloc_tx_id(), 100, 3);
             w.wait().expect("tx durable");
             for (i, lba) in (100..103).enumerate() {
-                assert_eq!(drv.controller().store().read_block(lba)[0], i as u8 + 1);
+                assert_eq!(
+                    drv.controller().store().block(lba).expect("landed")[0],
+                    i as u8 + 1
+                );
             }
-            assert_eq!(drv.controller().store().read_block(103)[0], 0xcc);
+            assert_eq!(
+                drv.controller().store().block(103).expect("landed")[0],
+                0xcc
+            );
         });
         sim.run();
     }
@@ -927,8 +933,7 @@ mod tests {
             // atomically never happened.
             assert!(report.unfinished.iter().all(|t| t.tx_id != tx));
             // And the device never executed the writes.
-            let store = ccnvme_ssd::BlockStore::from_image(true, image.blocks);
-            assert_eq!(store.read_block(60), vec![0u8; 4096]);
+            assert!(!image.blocks.contains_key(&60));
         });
         sim.run();
     }
@@ -1080,7 +1085,10 @@ mod tests {
                 w.wait()
                     .expect("transaction durable despite transient busy");
                 for (i, lba) in (100..103).enumerate() {
-                    assert_eq!(drv.controller().store().read_block(lba)[0], i as u8 + 1);
+                    assert_eq!(
+                        drv.controller().store().block(lba).expect("landed")[0],
+                        i as u8 + 1
+                    );
                 }
                 let e = drv.controller().link().obs.metrics.snapshot();
                 assert_eq!(e.counter("host_err.busy_completions"), 1);
@@ -1241,7 +1249,10 @@ mod tests {
                 assert_eq!(e.counter("host_err.timeouts"), 0);
                 assert_eq!(e.counter("host_err.tx_failures"), 0);
                 for (i, lba) in (600..602).enumerate() {
-                    assert_eq!(drv.controller().store().read_block(lba)[0], i as u8 + 1);
+                    assert_eq!(
+                        drv.controller().store().block(lba).expect("landed")[0],
+                        i as u8 + 1
+                    );
                 }
             });
             sim.run();
@@ -1272,7 +1283,10 @@ mod tests {
                 assert_eq!(e.counter("host_err.retries"), 1);
                 assert_eq!(e.counter("host_err.timeouts"), 0);
                 for lba in 0..3u64 {
-                    assert_eq!(drv.controller().store().read_block(lba)[0], lba as u8 + 1);
+                    assert_eq!(
+                        drv.controller().store().block(lba).expect("landed")[0],
+                        lba as u8 + 1
+                    );
                 }
             });
             sim.run();
@@ -1337,7 +1351,7 @@ mod tests {
                 assert_eq!(e.counter("host_err.retries"), 1);
                 assert_eq!(e.counter("host_err.doorbell_kicks"), 1);
                 assert_eq!(e.counter("host_err.timeouts"), 0);
-                assert_eq!(drv.controller().store().read_block(5)[0], 5);
+                assert_eq!(drv.controller().store().block(5).expect("landed")[0], 5);
             });
             sim.run();
         }

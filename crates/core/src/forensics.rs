@@ -31,6 +31,7 @@
 //! verdict, which is loss of evidence, not a contradiction.
 
 use ccnvme_obs::{ForensicsReport, TxVerdict};
+use ccnvme_pcie::PmrImage;
 
 use crate::layout::PmrLayout;
 use crate::recovery::{scan_pmr_bytes, RecoveryReport};
@@ -46,23 +47,22 @@ pub struct ImageForensics {
     pub contradictions: Vec<String>,
 }
 
-/// Mounts the blackbox of a raw PMR image and cross-checks it against
-/// the recovery scan. `Err` means the image has no mountable ccNVMe
-/// layout or no mountable blackbox ring — never that the rings
-/// disagree (that is reported via `contradictions`).
-pub fn image_forensics(image: &[u8]) -> Result<ImageForensics, String> {
-    let header: [u8; 64] = image
-        .get(..64)
-        .and_then(|h| h.try_into().ok())
-        .ok_or_else(|| "image smaller than a PMR header".to_string())?;
-    let layout =
-        PmrLayout::decode_header(&header).ok_or_else(|| "no valid ccNVMe header".to_string())?;
-    let bb_off = layout.blackbox_off() as usize;
-    let bb_end = bb_off + ccnvme_obs::blackbox::BLACKBOX_BYTES as usize;
-    let region = image
-        .get(bb_off..bb_end)
-        .ok_or_else(|| "image truncated before the blackbox region".to_string())?;
-    let mount = ccnvme_obs::blackbox::mount(region)?;
+/// Mounts the blackbox of a PMR image and cross-checks it against the
+/// recovery scan. `Err` means the image has no mountable ccNVMe layout
+/// or no mountable blackbox ring — never that the rings disagree (that
+/// is reported via `contradictions`).
+pub fn image_forensics(image: &PmrImage) -> Result<ImageForensics, String> {
+    if image.size() < 64 {
+        return Err("image smaller than a PMR header".to_string());
+    }
+    let layout = PmrLayout::decode_header(&image.read_vec(0, 64))
+        .ok_or_else(|| "no valid ccNVMe header".to_string())?;
+    let bb_off = layout.blackbox_off();
+    let bb_len = ccnvme_obs::blackbox::BLACKBOX_BYTES as usize;
+    if bb_off as usize + bb_len > image.size() {
+        return Err("image truncated before the blackbox region".to_string());
+    }
+    let mount = ccnvme_obs::blackbox::mount(&image.read_vec(bb_off, bb_len))?;
     let report = ccnvme_obs::forensics::analyze(&mount);
     let recovery = scan_pmr_bytes(image).ok_or_else(|| "recovery scan failed".to_string())?;
     let contradictions = cross_check(&report, &recovery);

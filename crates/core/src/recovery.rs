@@ -12,7 +12,7 @@
 use std::collections::HashSet;
 
 use ccnvme_obs::seal::verify_line;
-use ccnvme_pcie::MmioRegion;
+use ccnvme_pcie::{MmioRegion, PmrImage};
 use ccnvme_ssd::NvmeCommand;
 
 use crate::layout::PmrLayout;
@@ -81,17 +81,15 @@ pub fn scan_pmr(pmr: &MmioRegion) -> Option<RecoveryReport> {
     scan_with(&|off, len| pmr.read(off, len))
 }
 
-/// [`scan_pmr`] over a raw PMR image (no simulator, no PCIe cost): the
-/// byte-level entry point forensics tooling uses on saved crash dumps.
-pub fn scan_pmr_bytes(image: &[u8]) -> Option<RecoveryReport> {
-    if image.len() < 64 {
+/// [`scan_pmr`] over a PMR image (no simulator, no PCIe cost): the
+/// entry point forensics tooling uses on crash images and saved dumps.
+pub fn scan_pmr_bytes(image: &PmrImage) -> Option<RecoveryReport> {
+    if image.size() < 64 {
         return None;
     }
     scan_with(&|off, len| {
-        let start = off as usize;
-        let end = start + len as usize;
-        if end <= image.len() {
-            image[start..end].to_vec()
+        if off as usize + len as usize <= image.size() {
+            image.read_vec(off, len as usize)
         } else {
             vec![0; len as usize]
         }

@@ -35,7 +35,7 @@
 //! recoveries, and `split_in_doubt`, states in which a two-phase gtx
 //! mounted in doubt on some of its participants but not all.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::Arc;
 
 use ccnvme::CcNvmeDriver;
@@ -43,8 +43,9 @@ use ccnvme_cluster::{
     resolve_in_doubt_local, ClusterCfg, ClusterClient, ClusterError, ClusterNode, ShardLayout,
 };
 use ccnvme_fabric::{Backend, ClusterBackend, FabricConfig, FabricTarget, ShardWrite};
+use ccnvme_obs::hash::IntMap;
 use ccnvme_sim::Ns;
-use ccnvme_ssd::{CrashMode, DurableImage};
+use ccnvme_ssd::{CrashMode, DurableImage, MediaBlock};
 use parking_lot::Mutex;
 
 use crate::boot_ctrl;
@@ -331,7 +332,7 @@ impl ClusterSurface {
 
 impl CrashSurface for ClusterSurface {
     type Script = Vec<TxRec>;
-    type Witness = Vec<HashMap<u64, Vec<u8>>>;
+    type Witness = Vec<IntMap<u64, MediaBlock>>;
 
     fn name(&self) -> String {
         format!("cluster{}", self.shards)

@@ -16,13 +16,13 @@
 //! and a faulted sweep reports the run's [`fault_tallies`] as counters.
 
 use std::{
-    collections::{BTreeMap, HashMap, HashSet},
+    collections::{BTreeMap, HashSet},
     sync::Arc,
 };
 
 use ccnvme_fault::FaultCounters;
-use ccnvme_obs::MetricsSnapshot;
-use ccnvme_ssd::{CrashMode, DurableImage, PersistLog};
+use ccnvme_obs::{hash::IntMap, MetricsSnapshot};
+use ccnvme_ssd::{CrashMode, DurableImage, MediaBlock, PersistLog};
 use mqfs::FileSystem;
 
 use crate::script::{FsScript, Namespace, StepRun};
@@ -76,7 +76,7 @@ pub struct FsRun {
 
 impl CrashSurface for FsSurface {
     type Script = FsRun;
-    type Witness = HashMap<u64, Vec<u8>>;
+    type Witness = IntMap<u64, MediaBlock>;
 
     fn name(&self) -> String {
         self.script.name.into()

@@ -56,10 +56,8 @@ pub(crate) fn boot_ctrl(
     let mut cfg = CtrlConfig::new(SsdProfile::optane_905p());
     cfg.device_core = device_core;
     cfg.record_persistence = record_persistence;
-    match image {
-        Some(image) => NvmeController::from_image(cfg, image),
-        None => NvmeController::new(cfg),
-    }
+    let blank = DurableImage::blank(cfg.profile.pmr_size);
+    NvmeController::from_image(cfg, image.unwrap_or(&blank))
 }
 
 /// The ack marks of a recorded run, each with the instant it was made.

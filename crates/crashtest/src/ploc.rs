@@ -37,7 +37,7 @@ use std::sync::Arc;
 use ccnvme_fabric::{Backend, ClientCfg, ClientStats, FabricClient, FabricConfig, FabricTarget};
 use ccnvme_obs::Obs;
 use ccnvme_ploc::{OpResult, PlocConfig, PlocOp, PlocService, RecoverVerdict};
-use ccnvme_ssd::{CrashMode, DurableImage, NvmeController, PersistLog};
+use ccnvme_ssd::{CrashMode, DurableImage, PersistLog};
 use parking_lot::Mutex;
 
 use crate::boot_ctrl;
@@ -92,11 +92,6 @@ fn mark_key(c: u16, seq: u32) -> u64 {
 
 fn app_base() -> u64 {
     ccnvme::PmrLayout::new(1, 16).app_region_off()
-}
-
-/// A device booted fresh or from a crash image.
-fn boot(image: Option<&DurableImage>, record: bool) -> Arc<NvmeController> {
-    Arc::new(boot_ctrl(CORES, image, record))
 }
 
 /// One scripted client: direct service calls, or a loopback fabric
@@ -222,7 +217,7 @@ impl CrashSurface for PlocSurface {
             self.ploc.clients as usize,
             "one op list per client"
         );
-        let ctrl = boot(None, true);
+        let ctrl = Arc::new(boot_ctrl(CORES, None, true));
         let svc = PlocService::format(ctrl.pmr(), app_base(), self.ploc, Obs::new());
         // Format's durability is unconditional: it ends in a flush.
         tape.start(vec![Domain {
@@ -268,7 +263,7 @@ impl CrashSurface for PlocSurface {
         images: &[DurableImage],
         acked: &HashSet<u64>,
     ) -> Judgement {
-        let ctrl = boot(Some(&images[0]), false);
+        let ctrl = Arc::new(boot_ctrl(CORES, Some(&images[0]), false));
         let svc = match PlocService::mount(ctrl.pmr(), app_base(), Obs::new()) {
             Ok(svc) => svc,
             Err(e) => return Judgement::single(vec![format!("mount failed: {e}")]),
@@ -379,7 +374,7 @@ impl CrashSurface for PlocSurface {
         images: &[DurableImage],
         record: bool,
     ) -> Result<Settled<Self::Witness>, String> {
-        let ctrl = boot(Some(&images[0]), record);
+        let ctrl = Arc::new(boot_ctrl(CORES, Some(&images[0]), record));
         let svc = PlocService::mount(ctrl.pmr(), app_base(), Obs::new())
             .map_err(|e| format!("mount failed: {e}"))?;
         let verdicts = (0..self.ploc.clients)
@@ -389,7 +384,9 @@ impl CrashSurface for PlocSurface {
         Ok(Settled {
             witness: (
                 verdicts,
-                ctrl.crash_snapshot(CrashMode::SETTLED).pmr[lo as usize..hi as usize].to_vec(),
+                ctrl.crash_snapshot(CrashMode::SETTLED)
+                    .pmr
+                    .read_vec(lo, (hi - lo) as usize),
             ),
             logs: ctrl.persist_log().into_iter().collect(),
         })

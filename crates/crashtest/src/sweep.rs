@@ -552,7 +552,7 @@ mod tests {
         }
 
         fn record(&self, tape: &mut Tape) {
-            let log = Arc::new(PersistLog::new(8));
+            let log = Arc::new(PersistLog::new(DurableImage::blank(8)));
             tape.start(vec![Domain {
                 log: Arc::clone(&log),
                 geometry: None,
@@ -570,7 +570,7 @@ mod tests {
         }
 
         fn judge(&self, _: &(), images: &[DurableImage], _: &HashSet<u64>) -> Judgement {
-            let pmr = &images[0].pmr;
+            let pmr = images[0].pmr.read_vec(0, 3);
             self.seen.lock().push([pmr[0], pmr[1], pmr[2]]);
             Judgement::single(vec!["complaint".into(); self.complaints])
         }
@@ -578,7 +578,7 @@ mod tests {
         fn settle(&self, _: &[DurableImage], _: bool) -> Result<Settled<()>, String> {
             Ok(Settled {
                 witness: (),
-                logs: vec![Arc::new(PersistLog::new(8))],
+                logs: vec![Arc::new(PersistLog::new(DurableImage::blank(8)))],
             })
         }
     }

@@ -262,11 +262,10 @@ fn sweep_patch_chain(recrash: RecrashSweep) -> SweepReport {
 ///
 /// Mutation-checked: with the release rule weakened to "skip when a
 /// newer version exists elsewhere, release anyway" (`Chain::settled`
-/// accepting a newer *patch*) the sweep reports 178 clean states of
-/// 230, the first failure at prefix 712, while `/c`'s create is in
-/// flight: `/: holds {p29} nlink 2 — step 1 has {p29, q12} nlink 2,
-/// step 2 has {c, p29, q12} nlink 2` — `/q12`'s persisted create is
-/// lost.
+/// accepting a newer *patch*) the sweep reports 185 clean states of
+/// 226, the first failure at prefix 817: `/p29: holds 4096 bytes [10]
+/// nlink 1 — step 7 has 8192 bytes [10 11] nlink 1, step 8 has 8192
+/// bytes [10 11] nlink 1` — `/p29`'s persisted append is lost.
 #[test]
 fn patch_chain_recovers_at_every_event_prefix() {
     let r = sweep_patch_chain(RecrashSweep::FinalImage);

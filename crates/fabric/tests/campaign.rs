@@ -103,7 +103,7 @@ fn run_schedule(nth: u64) -> ScheduleOutcome {
             .blocks
             .iter()
             .filter(|(lba, _)| **lba < COMMITS)
-            .map(|(l, d)| (*l, d.clone()))
+            .map(|(l, d)| (*l, d.to_vec()))
             .collect();
         blocks.sort();
         ScheduleOutcome {

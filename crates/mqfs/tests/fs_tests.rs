@@ -785,7 +785,9 @@ fn a_corrupted_rec_len_on_media_is_an_fsck_finding() {
                         .is_ok_and(|r| r.iter().any(|d| d.name == "second"))
             })
             .expect("the root directory's block");
-        block[8..10].copy_from_slice(&5u16.to_le_bytes());
+        let mut bytes = block.to_vec();
+        bytes[8..10].copy_from_slice(&5u16.to_le_bytes());
+        *block = bytes.into();
         let (_s2, fs2) = Stack::reboot(variant, &image, profile);
         assert_eq!(
             fs2.check(),
@@ -808,7 +810,9 @@ fn an_mqfs_v2_superblock_refuses_to_mount() {
         let mut image = stack.unmounted_image(&fs);
         let sb = image.blocks.get_mut(&0).expect("superblock");
         assert_eq!(&sb[2..8], b"3vSFQM", "an MQFSv3 volume");
-        sb[2] = b'2';
+        let mut bytes = sb.to_vec();
+        bytes[2] = b'2';
+        *sb = bytes.into();
         let mut cfg = CtrlConfig::new(profile);
         cfg.device_core = CORES + 1;
         let (stack2, discard) = Stack::from_ctrl(variant, NvmeController::from_image(cfg, &image));

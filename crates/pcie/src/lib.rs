@@ -16,18 +16,22 @@
 //! * **Crash semantics** — posted writes arrive in FIFO order, so the
 //!   device state after a power cut is the committed bytes plus a *prefix*
 //!   of the in-flight writes. The crash-consistency harness exploits this
-//!   to enumerate crash states.
+//!   to enumerate crash states. Every PMR image — live, crashed, booted
+//!   from or replayed — is one [`PmrImage`] of shared copy-on-write
+//!   pages.
 //!
 //! All timing is in nanoseconds on the ambient `ccnvme_runtime` clock
 //! (virtual under the simulator).
 
 pub mod cost;
 pub mod gate;
+pub mod image;
 pub mod link;
 pub mod mmio;
 pub mod traffic;
 
 pub use gate::{BandwidthGate, ChannelBank};
+pub use image::PmrImage;
 pub use link::{DmaKind, PcieLink};
 pub use mmio::{MmioRegion, WriteHook};
 pub use traffic::{TrafficCounters, TrafficSnapshot};

@@ -18,6 +18,11 @@
 //! `clflush` + `mfence` + zero-byte read — is modeled by [`MmioRegion::flush`]:
 //! the non-posted read cannot pass the posted writes, so its completion
 //! proves they reached the PMR.
+//!
+//! The arrived bytes are a [`PmrImage`]: a region is built from one (a
+//! fresh device from a zeroed image, a rebooted one from its crash
+//! image) and its crash image is one, sharing every page no later write
+//! touched.
 
 use std::{
     collections::VecDeque,
@@ -27,7 +32,7 @@ use std::{
 use ccnvme_runtime::Ns;
 use parking_lot::Mutex;
 
-use crate::{cost, link::PcieLink};
+use crate::{cost, image::PmrImage, link::PcieLink};
 
 /// Callback invoked (on the writing thread) when a host write is issued to
 /// the region; used by the device model to notice doorbell rings. The
@@ -62,7 +67,7 @@ struct PendingWrite {
 }
 
 struct MmioState {
-    committed: Vec<u8>,
+    committed: PmrImage,
     /// Posted writes not applied yet, in issue order, which PCIe makes
     /// their arrival order.
     in_flight: VecDeque<PendingWrite>,
@@ -73,26 +78,15 @@ struct MmioState {
 impl MmioState {
     /// Applies every in-flight write that arrived by `now`.
     fn commit_arrived(&mut self, now: Ns) {
-        while let Some(w) = self.in_flight.front() {
-            if w.arrive_at > now {
-                break;
-            }
-            let (off, len) = (w.off as usize, w.len);
+        let bytes = self.bytes.make_contiguous();
+        let mut used = 0;
+        while let Some(w) = self.in_flight.front().filter(|w| w.arrive_at <= now) {
+            self.committed.write(w.off, &bytes[used..used + w.len]);
+            used += w.len;
             self.in_flight.pop_front();
-            copy_out(&self.bytes, 0, &mut self.committed[off..off + len]);
-            self.bytes.drain(..len);
         }
+        self.bytes.drain(..used);
     }
-}
-
-/// Copies `dst.len()` bytes of `fifo`, starting `start` bytes in.
-fn copy_out(fifo: &VecDeque<u8>, start: usize, dst: &mut [u8]) {
-    let (front, back) = fifo.as_slices();
-    let (end, split) = (start + dst.len(), front.len());
-    let in_front = start.min(split)..end.min(split);
-    let n = in_front.len();
-    dst[..n].copy_from_slice(&front[in_front]);
-    dst[n..].copy_from_slice(&back[start.max(split) - split..end.max(split) - split]);
 }
 
 /// A BAR-mapped region of device memory reachable over a [`PcieLink`].
@@ -111,26 +105,26 @@ pub struct MmioRegion {
 impl MmioRegion {
     /// Creates a zero-filled region of `size` bytes.
     pub fn new(name: &str, kind: RegionKind, size: u64, link: Arc<PcieLink>) -> Self {
-        let flush_hist = link.obs.metrics.histogram("pcie.mmio_flush_ns");
+        Self::from_image(name, kind, PmrImage::zeroed(size as usize), link)
+    }
+
+    /// Creates a region holding `image` (the power-up path), sized to
+    /// it. The region shares the image's pages until it writes them.
+    pub fn from_image(name: &str, kind: RegionKind, image: PmrImage, link: Arc<PcieLink>) -> Self {
         MmioRegion {
             name: name.to_string(),
             kind,
-            size,
+            size: image.size() as u64,
+            flush_hist: link.obs.metrics.histogram("pcie.mmio_flush_ns"),
             link,
             st: Mutex::new(MmioState {
-                committed: vec![0; size as usize],
+                committed: image,
                 in_flight: VecDeque::new(),
                 bytes: VecDeque::new(),
             }),
             hook: OnceLock::new(),
             flush_hook: OnceLock::new(),
-            flush_hist,
         }
-    }
-
-    /// Returns the region's name (diagnostics).
-    pub fn name(&self) -> &str {
-        &self.name
     }
 
     /// Returns the region size in bytes.
@@ -237,7 +231,7 @@ impl MmioRegion {
         ccnvme_runtime::cpu(cost::CLFLUSH_COST);
         // The zero-byte read may not pass the posted writes, so it pushes
         // them to the device and its completion proves their arrival.
-        self.read_internal(0, 0);
+        self.read(0, 0);
         // The flush wait varies with the posted-write backlog — the cost
         // the paper's §4.3 pays once per transaction. Export it.
         self.flush_hist.record(ccnvme_runtime::now() - t0);
@@ -246,16 +240,11 @@ impl MmioRegion {
     /// Issues a non-posted MMIO read of `len` bytes at `off`, blocking the
     /// calling thread for the full round trip. Ordering: the read flushes
     /// all previously posted writes to the device first.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the read exceeds the region bounds.
     pub fn read(&self, off: u64, len: u64) -> Vec<u8> {
-        assert!(
-            off + len <= self.size(),
-            "MMIO read out of bounds in region {}",
-            self.name
-        );
-        self.read_internal(off, len)
-    }
-
-    fn read_internal(&self, off: u64, len: u64) -> Vec<u8> {
         self.link.traffic.mmio_reads.inc();
         // Wait for every in-flight posted write to arrive, in order.
         let last_arrival = {
@@ -287,29 +276,16 @@ impl MmioRegion {
         }
         let mut st = self.st.lock();
         st.commit_arrived(drained_at);
-        st.committed[off as usize..(off + len) as usize].to_vec()
+        st.committed.read_vec(off, len as usize)
     }
 
-    /// Device-side read: returns the bytes that have *arrived* by now.
-    /// Free of PCIe cost (the controller reads its own memory).
-    pub fn device_read(&self, off: u64, len: u64) -> Vec<u8> {
-        let mut out = vec![0; len as usize];
-        self.device_read_into(off, &mut out);
-        out
-    }
-
-    /// [`MmioRegion::device_read`] into `buf`: the `buf.len()` bytes at
-    /// `off`.
+    /// Device-side read into `buf` of the `buf.len()` bytes at `off`
+    /// that have *arrived* by now. Free of PCIe cost (the controller
+    /// reads its own memory).
     pub fn device_read_into(&self, off: u64, buf: &mut [u8]) {
         let mut st = self.st.lock();
         st.commit_arrived(ccnvme_runtime::now());
-        let range = off as usize..off as usize + buf.len();
-        assert!(
-            range.end <= st.committed.len(),
-            "device read out of bounds in region {}",
-            self.name
-        );
-        buf.copy_from_slice(&st.committed[range]);
+        st.committed.read(off, buf);
     }
 
     /// Returns the number of writes still in flight (not yet arrived).
@@ -319,38 +295,25 @@ impl MmioRegion {
         st.in_flight.len()
     }
 
-    /// Produces the crash image of the region: the committed bytes plus
-    /// the first `surviving_in_flight` still-pending writes. PCIe posted
-    /// ordering guarantees the surviving set is a prefix.
+    /// Produces the crash image of the region: the arrived bytes plus
+    /// the first `surviving_in_flight` still-pending writes
+    /// ([`PmrImage::with_torn_prefix`]). It shares every page those
+    /// writes do not touch with the region.
     ///
     /// For a [`RegionKind::Registers`] region the image is what the
     /// controller had observed, which is lost on power-down anyway; crash
     /// tooling normally only snapshots PMR regions.
-    pub fn crash_image(&self, surviving_in_flight: usize) -> Vec<u8> {
+    pub fn crash_image(&self, surviving_in_flight: usize) -> PmrImage {
         let mut st = self.st.lock();
         st.commit_arrived(ccnvme_runtime::now());
-        let mut image = st.committed.clone();
+        let st = &mut *st;
+        let bytes: &[u8] = st.bytes.make_contiguous();
         let mut start = 0;
-        for w in st.in_flight.iter().take(surviving_in_flight) {
-            let off = w.off as usize;
-            copy_out(&st.bytes, start, &mut image[off..off + w.len]);
+        let posted = st.in_flight.iter().map(move |w| {
             start += w.len;
-        }
-        image
-    }
-
-    /// Replaces the region content (power-restore path) and clears any
-    /// in-flight writes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `image` has a different size than the region.
-    pub fn restore(&self, image: &[u8]) {
-        let mut st = self.st.lock();
-        assert_eq!(image.len(), st.committed.len(), "restore size mismatch");
-        st.committed.copy_from_slice(image);
-        st.in_flight.clear();
-        st.bytes.clear();
+            (w.off, &bytes[start - w.len..start])
+        });
+        st.committed.with_torn_prefix(posted, surviving_in_flight)
     }
 }
 
@@ -409,20 +372,31 @@ mod tests {
     }
 
     #[test]
-    fn copy_out_reads_across_the_fifo_wrap() {
-        let mut fifo: VecDeque<u8> = VecDeque::with_capacity(8);
-        fifo.extend(0..6u8);
-        fifo.drain(..4);
-        fifo.extend(6..12u8);
-        assert!(!fifo.as_slices().1.is_empty(), "the bytes wrapped");
-        let mut all = [0u8; 8];
-        copy_out(&fifo, 0, &mut all);
-        assert_eq!(all, [4, 5, 6, 7, 8, 9, 10, 11]);
-        for (start, want) in [(1, [5, 6, 7]), (5, [9, 10, 11]), (0, [4, 5, 6])] {
-            let mut part = [0u8; 3];
-            copy_out(&fifo, start, &mut part);
-            assert_eq!(part, want);
+    fn arrived_writes_apply_across_the_fifo_wrap() {
+        let mut st = MmioState {
+            committed: PmrImage::zeroed(16),
+            in_flight: VecDeque::new(),
+            bytes: VecDeque::with_capacity(8),
+        };
+        fn post(st: &mut MmioState, off: u64, data: &[u8], arrive_at: Ns) {
+            st.in_flight.push_back(PendingWrite {
+                off,
+                len: data.len(),
+                arrive_at,
+            });
+            st.bytes.extend(data);
         }
+        post(&mut st, 0, &[1, 2, 3, 4], 1);
+        post(&mut st, 6, &[5, 6], 2);
+        st.commit_arrived(1);
+        post(&mut st, 8, &[7, 8, 9, 10, 11, 12], 2);
+        assert!(!st.bytes.as_slices().1.is_empty(), "the bytes wrapped");
+        st.commit_arrived(2);
+        assert_eq!(
+            st.committed.read_vec(0, 16),
+            [1, 2, 3, 4, 0, 0, 5, 6, 7, 8, 9, 10, 11, 12, 0, 0]
+        );
+        assert!(st.bytes.is_empty());
     }
 
     #[test]
@@ -432,9 +406,9 @@ mod tests {
             let (_link, r) = region(RegionKind::Pmr);
             r.write(0, &[9u8; 16]);
             // Immediately after issue the write may still be in flight.
-            let early = r.device_read(0, 16);
+            let early = r.crash_image(0).read_vec(0, 16);
             delay(1_000_000); // 1 ms: plenty for arrival.
-            let late = r.device_read(0, 16);
+            let late = r.crash_image(0).read_vec(0, 16);
             assert_eq!(late, vec![9u8; 16]);
             // Early state is either all-zero (not arrived) or the data.
             assert!(early == vec![0u8; 16] || early == vec![9u8; 16]);
@@ -459,10 +433,10 @@ mod tests {
                 let total = 8 - pending;
                 // Every committed write is in the image.
                 for i in 0..total {
-                    assert_eq!(img[i * 64], i as u8 + 1);
+                    assert_eq!(img.read_vec(i as u64 * 64, 1), [i as u8 + 1]);
                 }
                 // The last write is not.
-                assert_eq!(img[7 * 64], 0);
+                assert_eq!(img.read_vec(7 * 64, 1), [0]);
             }
         });
         sim.run();
@@ -479,8 +453,8 @@ mod tests {
             r.flush();
             assert_eq!(r.in_flight_count(), 0);
             let img = r.crash_image(0);
-            for i in 0..8usize {
-                assert_eq!(img[i * 64], i as u8 + 1);
+            for i in 0..8u8 {
+                assert_eq!(img.read_vec(i as u64 * 64, 1), [i + 1]);
             }
         });
         sim.run();
@@ -516,15 +490,24 @@ mod tests {
     }
 
     #[test]
-    fn restore_replaces_content() {
+    fn a_region_built_from_an_image_holds_it_until_written() {
         let mut sim = Sim::new(1);
         sim.spawn("t", 0, || {
-            let (_link, r) = region(RegionKind::Pmr);
-            r.write(0, &[1u8; 8]);
+            let link = Arc::new(PcieLink::new(3_300_000_000));
+            let mut image = PmrImage::zeroed(1 << 21);
+            image.write(0, &[5u8; 8]);
+            let r = MmioRegion::from_image("p", RegionKind::Pmr, image.clone(), link);
+            assert_eq!(r.size(), 1 << 21);
+            assert_eq!(r.crash_image(0).read_vec(0, 8), vec![5u8; 8]);
+            assert_eq!(r.crash_image(0).shared_pages(&image), 512, "nothing copied");
+            r.write(4096, &[1u8; 8]);
             r.flush();
-            let img = vec![5u8; 1 << 21];
-            r.restore(&img);
-            assert_eq!(r.device_read(0, 8), vec![5u8; 8]);
+            assert_eq!(r.crash_image(0).shared_pages(&image), 511);
+            assert_eq!(
+                image.read_vec(4096, 8),
+                vec![0u8; 8],
+                "the image stays as it was"
+            );
         });
         sim.run();
     }
@@ -573,50 +556,5 @@ mod tests {
         let large_ratio = p64k as f64 / w64k as f64;
         assert!(small_ratio > 2.0, "small ratio {small_ratio}");
         assert!(large_ratio < 1.3, "large ratio {large_ratio}");
-    }
-}
-
-#[cfg(test)]
-mod prop_tests {
-    use std::sync::Arc;
-
-    use ccnvme_sim::Sim;
-    use proptest::prelude::*;
-
-    use super::*;
-
-    proptest! {
-        #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
-
-        /// For every cut point k, the crash image equals replaying the
-        /// committed writes plus exactly the first k in-flight ones —
-        /// the PCIe FIFO prefix property.
-        #[test]
-        fn crash_image_is_always_a_fifo_prefix(
-            writes in proptest::collection::vec((0u64..32, any::<u8>()), 1..24),
-            cut in 0usize..24,
-        ) {
-            let writes2 = writes.clone();
-            let mut sim = Sim::new(1);
-            sim.spawn("t", 0, move || {
-                let link = Arc::new(PcieLink::new(3_300_000_000));
-                let r = MmioRegion::new("p", RegionKind::Pmr, 4096, link);
-                for (slot, byte) in &writes2 {
-                    r.write(slot * 64, &[*byte; 64]);
-                }
-                let pending = r.in_flight_count();
-                let arrived = writes2.len() - pending;
-                let k = cut.min(pending);
-                let image = r.crash_image(k);
-                // Reference: replay the first arrived + k writes.
-                let mut model = vec![0u8; 4096];
-                for (slot, byte) in writes2.iter().take(arrived + k) {
-                    let off = (*slot * 64) as usize;
-                    model[off..off + 64].copy_from_slice(&[*byte; 64]);
-                }
-                assert_eq!(image, model);
-            });
-            sim.run();
-        }
     }
 }

@@ -155,7 +155,7 @@ impl PlocGeometry {
 /// The shadow is the volatile truth structures operate on; every store
 /// is mirrored to the PMR as one posted write of the same bytes, so a
 /// multi-word cell store is crash-atomic at whole-write granularity
-/// (exactly the granularity the persist log's `state_at` materializes).
+/// (exactly the granularity a persist-log cursor materializes).
 pub struct PlocRegion {
     pmr: Arc<MmioRegion>,
     base: u64,

@@ -27,7 +27,7 @@ use std::{
 use ccnvme_fault::{FaultInjector, FaultKind, FaultOp, OpClass};
 use ccnvme_obs::{hash::IntMap, EventKind, Histogram, TraceEvent};
 use ccnvme_pcie::{
-    cost, mmio::RegionKind, BandwidthGate, ChannelBank, DmaKind, MmioRegion, PcieLink,
+    cost, mmio::RegionKind, BandwidthGate, ChannelBank, DmaKind, MmioRegion, PcieLink, PmrImage,
 };
 use ccnvme_runtime::{Ns, RtCondvar, RtMutex};
 use parking_lot::Mutex;
@@ -160,13 +160,26 @@ impl CrashMode {
     }
 }
 
-/// The device state that survives a power cycle.
+/// The device state that survives a power cycle. It shares its PMR
+/// pages and its blocks with the device that left it and with every
+/// device booted from it; nothing in it is copied until written.
 #[derive(Clone)]
 pub struct DurableImage {
     /// PMR content (saved to flash on power loss, restored on power-up).
-    pub pmr: Vec<u8>,
+    pub pmr: PmrImage,
     /// Durable media blocks.
-    pub blocks: HashMap<u64, Vec<u8>>,
+    pub blocks: IntMap<u64, MediaBlock>,
+}
+
+impl DurableImage {
+    /// A device that never ran: a zeroed PMR of `pmr_size` bytes and
+    /// empty media.
+    pub fn blank(pmr_size: u64) -> DurableImage {
+        DurableImage {
+            pmr: PmrImage::zeroed(pmr_size as usize),
+            blocks: IntMap::default(),
+        }
+    }
 }
 
 /// What the completer must do when a command's media time arrives.
@@ -284,6 +297,14 @@ struct QueueShared {
     cv: RtCondvar,
 }
 
+impl QueueShared {
+    /// Tells the queue's worker to exit.
+    fn stop(&self) {
+        self.st.lock().shutdown = true;
+        self.cv.notify_all();
+    }
+}
+
 struct CtrlInner {
     cfg: CtrlConfig,
     link: Arc<PcieLink>,
@@ -326,34 +347,24 @@ pub struct NvmeController {
 impl NvmeController {
     /// Creates a powered-up controller with empty media.
     pub fn new(cfg: CtrlConfig) -> Self {
-        Self::with_store(cfg, None)
+        let blank = DurableImage::blank(cfg.profile.pmr_size);
+        Self::from_image(cfg, &blank)
     }
 
-    /// Creates a controller whose media and PMR are restored from a
-    /// previous [`DurableImage`] (the reboot path).
+    /// Creates a controller powered up from `image`: its media holds the
+    /// image's blocks and its PMR the image's pages, shared until
+    /// written, and a recorded run replays on top of the image.
     pub fn from_image(cfg: CtrlConfig, image: &DurableImage) -> Self {
-        let ctrl = Self::with_store(cfg, Some(image.blocks.clone()));
-        ctrl.inner.pmr.restore(&image.pmr);
-        if let Some(p) = &ctrl.inner.persist {
-            // Prefix replay must start from the restored state, not a
-            // blank device.
-            p.set_base(&image.pmr, &image.blocks);
-        }
-        ctrl
-    }
-
-    fn with_store(cfg: CtrlConfig, blocks: Option<HashMap<u64, Vec<u8>>>) -> Self {
         let profile = cfg.profile.clone();
         let link = Arc::new(PcieLink::new(profile.link_bw));
-        let power_protected = !profile.volatile_cache;
-        let store = Arc::new(match blocks {
-            Some(b) => BlockStore::from_image(power_protected, b),
-            None => BlockStore::new(power_protected),
-        });
-        let pmr = Arc::new(MmioRegion::new(
+        let store = Arc::new(BlockStore::from_image(
+            !profile.volatile_cache,
+            image.blocks.clone(),
+        ));
+        let pmr = Arc::new(MmioRegion::from_image(
             "pmr",
             RegionKind::Pmr,
-            profile.pmr_size,
+            image.pmr.clone(),
             Arc::clone(&link),
         ));
         let regs = Arc::new(MmioRegion::new(
@@ -367,7 +378,7 @@ impl NvmeController {
         }
         let persist = cfg
             .record_persistence
-            .then(|| Arc::new(PersistLog::new(profile.pmr_size as usize)));
+            .then(|| Arc::new(PersistLog::new(image.clone())));
         let inner = Arc::new(CtrlInner {
             read_channels: ChannelBank::new(profile.read_channels()),
             write_channels: ChannelBank::new(profile.write_channels()),
@@ -512,10 +523,7 @@ impl NvmeController {
     /// Stops a queue's worker and forgets the queue.
     pub fn delete_io_queue(&self, qid: u16) {
         if let Some(q) = self.inner.queues.lock().remove(&qid) {
-            let mut st = q.st.lock();
-            st.shutdown = true;
-            drop(st);
-            q.cv.notify_all();
+            q.stop();
         }
     }
 
@@ -527,10 +535,7 @@ impl NvmeController {
         // worker before we snapshot the durable image.
         self.inner.alive.store(false, Ordering::SeqCst);
         for q in self.inner.queues.lock().values() {
-            let mut st = q.st.lock();
-            st.shutdown = true;
-            drop(st);
-            q.cv.notify_all();
+            q.stop();
         }
         {
             let mut st = self.inner.completer.st.lock();
@@ -1363,7 +1368,8 @@ mod tests {
     /// The live device and its persistence log are two routes to one
     /// crash model: at any instant, `crash_snapshot(mode)` is the log's
     /// image of the same cut, whatever the cache's fate and however many
-    /// posted PMR writes survive.
+    /// posted PMR writes survive: both count the same writes in flight
+    /// and tear them by the one FIFO-prefix rule at every depth.
     #[test]
     fn live_snapshot_and_logged_image_agree() {
         let mut sim = Sim::new(2);
@@ -1380,25 +1386,36 @@ mod tests {
                     keep_prob: 0.5,
                 },
             ];
+            // Returns how many posted PMR writes were in flight.
             let agree = |h: &Harness, at: &str| {
                 let now = ccnvme_sim::now();
                 let prefix = log.event_times().partition_point(|&t| t <= now);
+                let mut cursor = log.cursor();
+                cursor.advance_to(prefix);
+                let in_flight = h.ctrl.pmr().in_flight_count();
+                assert_eq!(cursor.max_torn(cursor.next_at()), in_flight, "{at}");
                 let mut kept = Vec::new();
                 for cache in caches {
-                    for torn in [0, usize::MAX] {
+                    for torn in (0..=in_flight).chain([usize::MAX]) {
                         let mode = CrashMode { torn, cache };
                         let live = h.ctrl.crash_snapshot(mode);
-                        let logged = log.state_at(prefix, mode);
+                        let logged = cursor.image(cursor.next_at(), mode);
                         assert!(live.pmr == logged.pmr, "{at}, {mode:?}: PMR differs");
                         assert!(
                             live.blocks == logged.blocks,
                             "{at}, {mode:?}: blocks differ"
                         );
-                        kept.push(live.blocks.len());
                     }
+                    kept.push(
+                        h.ctrl
+                            .crash_snapshot(CrashMode { torn: 0, cache })
+                            .blocks
+                            .len(),
+                    );
                 }
                 // Each fate keeps a different share of the cache.
-                assert!(kept[0] < kept[4] && kept[4] < kept[2], "{at}: {kept:?}");
+                assert!(kept[0] < kept[2] && kept[2] < kept[1], "{at}: {kept:?}");
+                in_flight
             };
             // Durable and cached blocks, a flush, then cached blocks over
             // durable ones and a PMR write that has arrived.
@@ -1424,12 +1441,14 @@ mod tests {
             }
             h.ctrl.pmr().write(64, &[0xaa; 64]);
             h.ctrl.pmr().flush();
-            agree(&h, "quiesced");
+            assert_eq!(agree(&h, "quiesced"), 0);
+            // Eight overlapping 512 B stores, each slower to drain than
+            // to issue, most across a page boundary.
             for i in 0..8u8 {
-                h.ctrl.pmr().write(128 + 64 * i as u64, &[i + 1; 64]);
+                h.ctrl.pmr().write(3840 + 128 * i as u64, &[i + 1; 512]);
             }
-            assert!(h.ctrl.pmr().in_flight_count() > 0);
-            agree(&h, "posted writes in flight");
+            let in_flight = agree(&h, "posted writes in flight");
+            assert!(in_flight >= 2, "{in_flight} posted writes in flight");
         });
         sim.run();
     }
@@ -1461,8 +1480,23 @@ mod tests {
             let image = h.ctrl.power_fail(CrashMode::adversarial(1));
             let ctrl2 =
                 NvmeController::from_image(CtrlConfig::new(SsdProfile::optane_905p()), &image);
-            assert_eq!(ctrl2.store().read_block(8)[0], 2);
-            assert_eq!(ctrl2.pmr().device_read(100, 8), vec![0xcc; 8]);
+            assert_eq!(ctrl2.store().block(8).expect("restored")[0], 2);
+            assert_eq!(ctrl2.pmr().crash_image(0).read_vec(100, 8), vec![0xcc; 8]);
+            // The device booted on the image itself: its blocks are the
+            // image's allocations, and an idle device's settled snapshot
+            // shares every PMR page with the region and the image.
+            assert!(!image.blocks.is_empty());
+            for (lba, block) in &image.blocks {
+                let kept = ctrl2.store().block(*lba).expect("booted with it");
+                assert!(
+                    Arc::ptr_eq(kept.buffer(), block.buffer()),
+                    "block {lba} copied"
+                );
+            }
+            let pages = image.pmr.size().div_ceil(ccnvme_pcie::image::PAGE_SIZE);
+            let settled = ctrl2.crash_snapshot(CrashMode::SETTLED).pmr;
+            assert_eq!(settled.shared_pages(&ctrl2.pmr().crash_image(0)), pages);
+            assert_eq!(settled.shared_pages(&image.pmr), pages);
         });
         sim.run();
     }

@@ -18,14 +18,15 @@
 //! Sorting the log by `(durable_at, seq)` yields a deterministic legal
 //! serialization of durability effects (the log sorts itself once, on
 //! the first read after a recording, and never copies a payload to do
-//! so); a [`PersistCursor`] walks that order forwards over one running
-//! PMR image and one block `Media`, and [`PersistLog::state_at`]
-//! materializes the exact [`DurableImage`] after any single event
-//! prefix, plus any PCIe-ordering-legal set of still-posted PMR
-//! writes. Because PCIe posted writes to one region arrive FIFO, the
-//! legal "torn" sets collapse to a *count*: the first `torn`
-//! still-in-flight PMR writes issued before the cut (see DESIGN.md
-//! §11).
+//! so); a [`PersistCursor`] walks that order forwards from the image
+//! the device booted from, over one running [`PmrImage`] and one block
+//! `Media`, and materializes the exact [`DurableImage`] after any event
+//! prefix it stands at, plus any PCIe-ordering-legal set of
+//! still-posted PMR writes. Because PCIe posted writes to one region
+//! arrive FIFO, the legal "torn" sets collapse to a *count*: the first
+//! `torn` still-in-flight PMR writes issued before the cut, applied by
+//! the same [`PmrImage::with_torn_prefix`] a live crash snapshot uses
+//! (see DESIGN.md §11).
 //!
 //! The log doubles as the ground truth for the **persist-order
 //! sanitizer** ([`PersistLog::sanitize`]): a shadow state machine that
@@ -38,13 +39,12 @@
 
 use std::{
     collections::HashMap,
-    sync::{
-        atomic::{AtomicU64, Ordering},
-        Mutex, MutexGuard,
-    },
+    sync::atomic::{AtomicU64, Ordering},
 };
 
+use ccnvme_pcie::PmrImage;
 use ccnvme_runtime::Ns;
+use parking_lot::{Mutex, MutexGuard};
 
 use crate::controller::{CrashMode, DurableImage};
 use crate::store::{Media, MediaBlock};
@@ -162,8 +162,8 @@ pub struct PersistLog {
     /// changes no durable bytes, so it must not widen the enumerable
     /// crash surface — it only feeds the sanitizer.
     flush_marks: Mutex<Vec<FlushMark>>,
-    base_pmr: Mutex<Vec<u8>>,
-    base_blocks: Mutex<HashMap<u64, Vec<u8>>>,
+    /// The image the device booted from: every prefix replays on it.
+    base: DurableImage,
 }
 
 /// The recorded events, and whether they currently stand in durability
@@ -176,9 +176,8 @@ struct EventLog {
 }
 
 impl PersistLog {
-    /// An empty log over a zeroed PMR of `pmr_size` bytes and empty
-    /// media.
-    pub fn new(pmr_size: usize) -> Self {
+    /// An empty log of a device booted from `base`.
+    pub fn new(base: DurableImage) -> Self {
         PersistLog {
             events: Mutex::new(EventLog {
                 ev: Vec::new(),
@@ -186,18 +185,8 @@ impl PersistLog {
             }),
             event_seq: AtomicU64::new(0),
             flush_marks: Mutex::new(Vec::new()),
-            base_pmr: Mutex::new(vec![0u8; pmr_size]),
-            base_blocks: Mutex::new(HashMap::new()),
+            base,
         }
-    }
-
-    /// Re-bases the log on a restored image (the reboot path): prefixes
-    /// replay on top of this state instead of a blank device.
-    pub fn set_base(&self, pmr: &[u8], blocks: &HashMap<u64, Vec<u8>>) {
-        let mut base = self.base_pmr.lock().expect("poisoned");
-        base.clear();
-        base.extend_from_slice(pmr);
-        *self.base_blocks.lock().expect("poisoned") = blocks.clone();
     }
 
     /// Records one event. `at` is the instant the effect becomes
@@ -208,7 +197,7 @@ impl PersistLog {
         // events; a relaxed counter could give two racing recorders the
         // same tie-break and make the serialization ambiguous.
         let seq = self.event_seq.fetch_add(1, Ordering::SeqCst);
-        let mut log = self.events.lock().expect("poisoned");
+        let mut log = self.events.lock();
         if log.ev.last().is_some_and(|l| (l.at, l.seq) > (at, seq)) {
             log.sorted = false;
         }
@@ -217,7 +206,7 @@ impl PersistLog {
 
     /// The events in durability order `(at, seq)`.
     fn sorted(&self) -> MutexGuard<'_, EventLog> {
-        let mut log = self.events.lock().expect("poisoned");
+        let mut log = self.events.lock();
         if !log.sorted {
             log.ev.sort_by_key(|e| (e.at, e.seq));
             log.sorted = true;
@@ -235,16 +224,13 @@ impl PersistLog {
         // ord: SeqCst — pairs with the event-seq cursor so the mark's
         // coverage boundary agrees with the recorded write seqs.
         let upto_seq = self.event_seq.load(Ordering::SeqCst);
-        self.flush_marks
-            .lock()
-            .expect("poisoned")
-            .push(FlushMark { at, upto_seq });
+        self.flush_marks.lock().push(FlushMark { at, upto_seq });
     }
 
     /// Number of recorded events (= number of enumerable boundaries - 1;
     /// prefixes run `0..=len()`).
     pub fn len(&self) -> usize {
-        self.events.lock().expect("poisoned").ev.len()
+        self.events.lock().ev.len()
     }
 
     /// True when nothing durable happened.
@@ -259,18 +245,13 @@ impl PersistLog {
     /// durability event, or the crash-surface walk would silently skip
     /// states.
     pub fn pmr_writes_in_range(&self, lo: u64, hi: u64) -> usize {
-        self.events
-            .lock()
-            .expect("poisoned")
-            .ev
-            .iter()
-            .filter(|e| match &e.kind {
-                PersistEventKind::PmrWrite { off, data, .. } => {
-                    *off < hi && off + data.len() as u64 > lo
-                }
-                _ => false,
-            })
-            .count()
+        let hits = |e: &&PersistEvent| match &e.kind {
+            PersistEventKind::PmrWrite { off, data, .. } => {
+                *off < hi && off + data.len() as u64 > lo
+            }
+            _ => false,
+        };
+        self.events.lock().ev.iter().filter(hits).count()
     }
 
     /// The durability instant of every event, in durability order — the
@@ -284,19 +265,9 @@ impl PersistLog {
         PersistCursor {
             log: self,
             pos: 0,
-            pmr: self.base_pmr.lock().expect("poisoned").clone(),
-            media: Media::new(self.base_blocks.lock().expect("poisoned").clone()),
+            pmr: self.base.pmr.clone(),
+            media: Media::new(self.base.blocks.clone()),
         }
-    }
-
-    /// Materializes the exact [`DurableImage`] a power cut in `mode`
-    /// leaves after the first `prefix` events (see
-    /// [`PersistCursor::image`]). Random access: replays from the base
-    /// image; a sweep over many prefixes walks a [`PersistCursor`].
-    pub fn state_at(&self, prefix: usize, mode: CrashMode) -> DurableImage {
-        let mut cursor = self.cursor();
-        cursor.advance_to(prefix);
-        cursor.image(cursor.next_at(), mode)
     }
 
     /// Runs the persist-order sanitizer: replays every PMR write in host
@@ -333,10 +304,10 @@ impl PersistLog {
         // Program order, not durability order: the protocol promises the
         // *issue* sequence store → flush → ring, and PCIe FIFO delivery
         // then preserves it on the wire.
-        let log = self.events.lock().expect("poisoned");
+        let log = self.events.lock();
         let mut ev: Vec<&PersistEvent> = log.ev.iter().collect();
         ev.sort_by_key(|e| e.seq);
-        let mut marks = self.flush_marks.lock().expect("poisoned").clone();
+        let mut marks = self.flush_marks.lock().clone();
         marks.sort_by_key(|m| m.upto_seq);
         let mut next_mark = 0usize;
 
@@ -347,16 +318,16 @@ impl PersistLog {
             tail: u32,
             dirty: HashMap<u32, (u64, Ns, bool)>,
         }
-        let base = self.base_pmr.lock().expect("poisoned");
+        let base = &self.base.pmr;
         let mut shadows: Vec<QShadow> = geo
             .queues
             .iter()
             .map(|w| {
                 // A restored image may carry a non-zero doorbell; start
                 // the window there, not at slot 0.
-                let off = w.db_off as usize;
-                let tail = if off + 4 <= base.len() && w.depth > 0 {
-                    u32::from_le_bytes(base[off..off + 4].try_into().expect("4 bytes")) % w.depth
+                let tail = if w.db_off as usize + 4 <= base.size() && w.depth > 0 {
+                    let db = base.read_vec(w.db_off, 4).try_into().expect("4 bytes");
+                    u32::from_le_bytes(db) % w.depth
                 } else {
                     0
                 };
@@ -366,7 +337,6 @@ impl PersistLog {
                 }
             })
             .collect();
-        drop(base);
 
         let mut out = Vec::new();
         for e in &ev {
@@ -445,7 +415,7 @@ impl PersistLog {
 pub struct PersistCursor<'a> {
     log: &'a PersistLog,
     pos: usize,
-    pmr: Vec<u8>,
+    pmr: PmrImage,
     media: Media,
 }
 
@@ -467,9 +437,7 @@ impl PersistCursor<'_> {
         assert!(prefix >= self.pos, "a persist cursor only moves forwards");
         for e in &log.ev[self.pos..prefix] {
             match &e.kind {
-                PersistEventKind::PmrWrite { off, data, .. } => {
-                    write_pmr(&mut self.pmr, *off, data)
-                }
+                PersistEventKind::PmrWrite { off, data, .. } => self.pmr.write(*off, data),
                 PersistEventKind::BlockWrite { lba, data, durable } => {
                     self.media.write(*lba, data.clone(), *durable)
                 }
@@ -487,17 +455,28 @@ impl PersistCursor<'_> {
         log.ev.get(self.pos).map_or(Ns::MAX, |e| e.at)
     }
 
+    /// The PMR writes still posted at a crash at `crash_at` with the
+    /// cursor's events applied, in issue order: those after the cursor,
+    /// up to the first one issued at or after the crash instant.
+    fn posted(log: &EventLog, pos: usize, crash_at: Ns) -> impl Iterator<Item = (u64, &[u8])> {
+        let pmr = log.ev[pos..].iter().filter_map(move |e| match &e.kind {
+            PersistEventKind::PmrWrite {
+                off,
+                data,
+                issued_at,
+            } => Some((*issued_at < crash_at).then_some((*off, &data[..]))),
+            _ => None,
+        });
+        pmr.map_while(|w| w)
+    }
+
     /// How many still-posted PMR writes may additionally survive a crash
     /// at `crash_at` with the cursor's events applied: those issued
     /// before the crash instant but not yet arrived. PCIe FIFO ordering
     /// makes any surviving set a prefix of these, so the answer is a
     /// count.
     pub fn max_torn(&self, crash_at: Ns) -> usize {
-        let log = self.log.sorted();
-        log.ev[self.pos..]
-            .iter()
-            .filter(|e| matches!(&e.kind, PersistEventKind::PmrWrite { issued_at, .. } if *issued_at < crash_at))
-            .count()
+        Self::posted(&self.log.sorted(), self.pos, crash_at).count()
     }
 
     /// The [`DurableImage`] a power cut at `crash_at` leaves with the
@@ -505,36 +484,13 @@ impl PersistCursor<'_> {
     /// PMR writes (clamped to [`Self::max_torn`]), with `mode.cache`
     /// deciding the fate of blocks still in the volatile cache.
     pub fn image(&self, crash_at: Ns, mode: CrashMode) -> DurableImage {
-        let mut pmr = self.pmr.clone();
-        // The legal torn tail: a FIFO prefix of PMR writes that were
-        // posted before the cut but had not arrived.
         let log = self.log.sorted();
-        let in_flight = log.ev[self.pos..].iter().filter_map(|e| match &e.kind {
-            PersistEventKind::PmrWrite {
-                off,
-                data,
-                issued_at,
-            } => Some((*off, data, *issued_at)),
-            _ => None,
-        });
-        for (off, data, _) in in_flight
-            .take_while(|&(_, _, issued_at)| issued_at < crash_at)
-            .take(mode.torn)
-        {
-            write_pmr(&mut pmr, off, data);
-        }
         DurableImage {
-            pmr,
+            pmr: self
+                .pmr
+                .with_torn_prefix(Self::posted(&log, self.pos, crash_at), mode.torn),
             blocks: self.media.image(&mode.cache),
         }
-    }
-}
-
-fn write_pmr(pmr: &mut [u8], off: u64, data: &[u8]) {
-    let off = off as usize;
-    let end = (off + data.len()).min(pmr.len());
-    if off < end {
-        pmr[off..end].copy_from_slice(&data[..end - off]);
     }
 }
 
@@ -542,15 +498,30 @@ fn write_pmr(pmr: &mut [u8], off: u64, data: &[u8]) {
 mod tests {
     use super::*;
     use crate::store::{CacheSurvival, BLOCK_SIZE};
+    use ccnvme_obs::hash::IntMap;
     use ccnvme_runtime::DetRng;
+    use std::sync::Arc;
 
     fn mode(torn: usize, cache: CacheSurvival) -> CrashMode {
         CrashMode { torn, cache }
     }
 
+    /// The image a power cut in `mode` leaves after the first `prefix`
+    /// events of `log`.
+    fn state_at(log: &PersistLog, prefix: usize, mode: CrashMode) -> DurableImage {
+        let mut cursor = log.cursor();
+        cursor.advance_to(prefix);
+        cursor.image(cursor.next_at(), mode)
+    }
+
+    /// A log of a device that booted blank, with a PMR of `pmr_size` B.
+    fn blank_log(pmr_size: u64) -> PersistLog {
+        PersistLog::new(DurableImage::blank(pmr_size))
+    }
+
     #[test]
     fn prefix_replay_applies_events_in_durability_order() {
-        let log = PersistLog::new(128);
+        let log = blank_log(128);
         // Recorded out of arrival order on purpose.
         log.record(
             20,
@@ -568,17 +539,17 @@ mod tests {
                 issued_at: 5,
             },
         );
-        let img = log.state_at(2, mode(0, CacheSurvival::DropAll));
-        assert_eq!(&img.pmr[..2], &[2, 2]);
-        let img = log.state_at(1, mode(0, CacheSurvival::DropAll));
-        assert_eq!(&img.pmr[..2], &[1, 1]);
-        let img = log.state_at(0, mode(0, CacheSurvival::DropAll));
-        assert_eq!(&img.pmr[..2], &[0, 0]);
+        let img = state_at(&log, 2, mode(0, CacheSurvival::DropAll));
+        assert_eq!(img.pmr.read_vec(0, 2), &[2, 2]);
+        let img = state_at(&log, 1, mode(0, CacheSurvival::DropAll));
+        assert_eq!(img.pmr.read_vec(0, 2), &[1, 1]);
+        let img = state_at(&log, 0, mode(0, CacheSurvival::DropAll));
+        assert_eq!(img.pmr.read_vec(0, 2), &[0, 0]);
     }
 
     #[test]
     fn torn_tail_is_a_fifo_prefix_of_posted_writes() {
-        let log = PersistLog::new(128);
+        let log = blank_log(128);
         log.record(
             10,
             PersistEventKind::PmrWrite {
@@ -619,18 +590,18 @@ mod tests {
         // A crash earlier than the next arrival admits fewer: only the
         // write issued at t=2 was in flight at t=3.
         assert_eq!(cursor.max_torn(3), 1);
-        let img = log.state_at(1, mode(1, CacheSurvival::DropAll));
-        assert_eq!(&img.pmr[..4], &[1, 2, 0, 0]);
-        let img = log.state_at(1, mode(2, CacheSurvival::DropAll));
-        assert_eq!(&img.pmr[..4], &[1, 2, 3, 0]);
+        let img = state_at(&log, 1, mode(1, CacheSurvival::DropAll));
+        assert_eq!(img.pmr.read_vec(0, 4), &[1, 2, 0, 0]);
+        let img = state_at(&log, 1, mode(2, CacheSurvival::DropAll));
+        assert_eq!(img.pmr.read_vec(0, 4), &[1, 2, 3, 0]);
         // Requesting more than legal clamps at the FIFO-legal maximum.
-        let img = log.state_at(1, mode(9, CacheSurvival::DropAll));
-        assert_eq!(&img.pmr[..4], &[1, 2, 3, 0]);
+        let img = state_at(&log, 1, mode(9, CacheSurvival::DropAll));
+        assert_eq!(img.pmr.read_vec(0, 4), &[1, 2, 3, 0]);
     }
 
     #[test]
     fn pmr_writes_in_range_counts_only_intersecting_stores() {
-        let log = PersistLog::new(128);
+        let log = blank_log(128);
         log.record(
             10,
             PersistEventKind::PmrWrite {
@@ -656,7 +627,7 @@ mod tests {
 
     #[test]
     fn cache_survival_policies_bracket_the_volatile_cache() {
-        let log = PersistLog::new(8);
+        let log = blank_log(8);
         log.record(
             10,
             PersistEventKind::BlockWrite {
@@ -665,19 +636,19 @@ mod tests {
                 durable: false,
             },
         );
-        let dropped = log.state_at(1, mode(0, CacheSurvival::DropAll));
+        let dropped = state_at(&log, 1, mode(0, CacheSurvival::DropAll));
         assert!(dropped.blocks.is_empty());
-        let kept = log.state_at(1, mode(0, CacheSurvival::KeepAll));
+        let kept = state_at(&log, 1, mode(0, CacheSurvival::KeepAll));
         assert_eq!(kept.blocks.get(&7).map(|b| b[0]), Some(9));
         // A flush makes the block durable regardless of policy.
         log.record(20, PersistEventKind::Flush);
-        let flushed = log.state_at(2, mode(0, CacheSurvival::DropAll));
+        let flushed = state_at(&log, 2, mode(0, CacheSurvival::DropAll));
         assert_eq!(flushed.blocks.get(&7).map(|b| b[0]), Some(9));
     }
 
     #[test]
     fn cursor_walks_every_prefix_state_at_materializes() {
-        let log = PersistLog::new(8);
+        let log = blank_log(8);
         log.record(
             30,
             PersistEventKind::BlockWrite {
@@ -711,8 +682,8 @@ mod tests {
             cursor.advance_to(p);
             assert_eq!(cursor.pos(), p);
             let walked = cursor.image(cursor.next_at(), mode(0, CacheSurvival::KeepAll));
-            let direct = log.state_at(p, mode(0, CacheSurvival::KeepAll));
-            assert_eq!(walked.pmr, direct.pmr, "prefix {p}");
+            let direct = state_at(&log, p, mode(0, CacheSurvival::KeepAll));
+            assert!(walked.pmr == direct.pmr, "prefix {p}");
             assert_eq!(walked.blocks, direct.blocks, "prefix {p}");
         }
         assert_eq!(cursor.next_at(), Ns::MAX);
@@ -720,7 +691,7 @@ mod tests {
 
     #[test]
     fn subset_survival_is_a_seeded_choice_in_lba_order() {
-        let log = PersistLog::new(8);
+        let log = blank_log(8);
         for lba in 0..64u64 {
             log.record(
                 10 + lba,
@@ -736,11 +707,8 @@ mod tests {
                 seed,
                 keep_prob: 0.5,
             };
-            let mut kept: Vec<u64> = log
-                .state_at(64, mode(0, policy))
-                .blocks
-                .into_keys()
-                .collect();
+            let image = state_at(&log, 64, mode(0, policy));
+            let mut kept: Vec<u64> = image.blocks.into_keys().collect();
             kept.sort_unstable();
             kept
         };
@@ -788,7 +756,7 @@ mod tests {
 
     #[test]
     fn sanitizer_accepts_store_flush_ring() {
-        let log = PersistLog::new(512);
+        let log = blank_log(512);
         pmr_write(&log, 10, 64, sqe(1, true)); // slot 0, commit boundary
         log.record_mmio_flush(20);
         pmr_write(&log, 30, 0, 1u32.to_le_bytes().to_vec()); // ring tail=1
@@ -802,7 +770,7 @@ mod tests {
 
     #[test]
     fn sanitizer_catches_doorbell_before_flush() {
-        let log = PersistLog::new(512);
+        let log = blank_log(512);
         pmr_write(&log, 10, 64, sqe(1, true)); // slot 0, never flushed
         pmr_write(&log, 30, 0, 1u32.to_le_bytes().to_vec());
         log.record_mmio_flush(40); // Too late: after the ring.
@@ -815,7 +783,7 @@ mod tests {
 
     #[test]
     fn sanitizer_flags_only_the_unflushed_slot_of_a_batch() {
-        let log = PersistLog::new(512);
+        let log = blank_log(512);
         pmr_write(&log, 10, 64, sqe(1, true)); // slot 0
         log.record_mmio_flush(20);
         pmr_write(&log, 25, 128, sqe(2, true)); // slot 1, after the flush
@@ -827,11 +795,10 @@ mod tests {
 
     #[test]
     fn sanitizer_tracks_ring_wraparound_and_restored_tail() {
-        let log = PersistLog::new(512);
         // A restored image whose doorbell already reads 3.
-        let mut base = vec![0u8; 512];
-        base[0..4].copy_from_slice(&3u32.to_le_bytes());
-        log.set_base(&base, &HashMap::new());
+        let mut base = DurableImage::blank(512);
+        base.pmr.write(0, &3u32.to_le_bytes());
+        let log = PersistLog::new(base);
         // Slot 3 then wrap to slot 0, flushed, then ring tail=1.
         pmr_write(&log, 10, 64 + 3 * 64, sqe(1, true));
         pmr_write(&log, 11, 64, sqe(2, true));
@@ -847,7 +814,7 @@ mod tests {
     /// write that hides its tx-flags byte is judged strictly.
     #[test]
     fn sanitizer_exempts_sealed_non_boundary_slots() {
-        let log = PersistLog::new(512);
+        let log = blank_log(512);
         // Transaction member: stored and rung with no flush. Legal.
         pmr_write(&log, 10, 64, sqe(1, false));
         pmr_write(&log, 20, 0, 1u32.to_le_bytes().to_vec());
@@ -863,20 +830,31 @@ mod tests {
 
     #[test]
     fn sanitizer_ignores_writes_outside_the_queue_windows() {
-        let log = PersistLog::new(512);
+        let log = blank_log(512);
         pmr_write(&log, 10, 400, vec![9; 16]); // App region: no slot.
         pmr_write(&log, 20, 0, 1u32.to_le_bytes().to_vec());
         assert!(log.sanitize(&geo1()).is_empty());
     }
 
     #[test]
-    fn rebased_log_replays_on_top_of_the_restored_image() {
-        let log = PersistLog::new(4);
-        let mut blocks = HashMap::new();
-        blocks.insert(3u64, vec![0xaa; BLOCK_SIZE as usize]);
-        log.set_base(&[5, 6, 7, 8], &blocks);
-        let img = log.state_at(0, mode(0, CacheSurvival::DropAll));
-        assert_eq!(img.pmr, vec![5, 6, 7, 8]);
-        assert_eq!(img.blocks.get(&3).map(|b| b[0]), Some(0xaa));
+    fn a_log_replays_on_top_of_the_image_it_booted_from() {
+        let mut blocks = IntMap::default();
+        blocks.insert(3u64, vec![0xaa; BLOCK_SIZE as usize].into());
+        let base = DurableImage {
+            pmr: PmrImage::from(vec![5, 6, 7, 8]),
+            blocks,
+        };
+        let log = PersistLog::new(base.clone());
+        let img = state_at(&log, 0, mode(0, CacheSurvival::DropAll));
+        assert_eq!(img.pmr.read_vec(0, 4), [5, 6, 7, 8]);
+        assert_eq!(
+            img.pmr.shared_pages(&base.pmr),
+            1,
+            "the base page, not a copy"
+        );
+        assert!(Arc::ptr_eq(
+            img.blocks[&3].buffer(),
+            base.blocks[&3].buffer()
+        ));
     }
 }

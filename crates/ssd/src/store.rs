@@ -16,9 +16,10 @@
 //! A block's content is a [`MediaBlock`]: one block of a host write's
 //! buffer, kept by reference. The device copies nothing at its media
 //! program; the write's source is immutable, so the store and the log
-//! may share it with the host.
+//! may share it with the host, and a crash image holds the same blocks
+//! the store does.
 
-use std::{collections::HashMap, sync::Arc};
+use std::{ops::Deref, sync::Arc};
 
 use ccnvme_obs::hash::IntMap;
 use ccnvme_runtime::DetRng;
@@ -81,6 +82,23 @@ impl MediaBlock {
     }
 }
 
+impl Deref for MediaBlock {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        self.bytes()
+    }
+}
+
+/// Equal bytes; the same block of the same buffer compares without
+/// being read.
+impl PartialEq for MediaBlock {
+    fn eq(&self, other: &MediaBlock) -> bool {
+        (Arc::ptr_eq(&self.buf, &other.buf) && self.index == other.index)
+            || self.bytes() == other.bytes()
+    }
+}
+
 impl From<Vec<u8>> for MediaBlock {
     fn from(data: Vec<u8>) -> MediaBlock {
         MediaBlock::new(Arc::new(data), 0)
@@ -101,12 +119,9 @@ pub(crate) struct Media {
 
 impl Media {
     /// Media holding `durable`, with an empty cache.
-    pub fn new(durable: HashMap<u64, Vec<u8>>) -> Self {
+    pub fn new(durable: IntMap<u64, MediaBlock>) -> Self {
         Media {
-            durable: durable
-                .into_iter()
-                .map(|(lba, data)| (lba, data.into()))
-                .collect(),
+            durable,
             cached: IntMap::default(),
         }
     }
@@ -132,21 +147,12 @@ impl Media {
         self.cached.get(&lba).or_else(|| self.durable.get(&lba))
     }
 
-    /// Number of blocks sitting in the cache.
-    pub fn cached_len(&self) -> usize {
-        self.cached.len()
-    }
-
     /// The blocks a power cut leaves: the durable ones plus the cached
     /// ones `cache` lets survive. A [`CacheSurvival::Subset`] is drawn
     /// in LBA order, so it depends on the seed alone, not on HashMap
-    /// iteration order.
-    pub fn image(&self, cache: &CacheSurvival) -> HashMap<u64, Vec<u8>> {
-        let mut image: HashMap<u64, Vec<u8>> = self
-            .durable
-            .iter()
-            .map(|(&lba, data)| (lba, data.bytes().to_vec()))
-            .collect();
+    /// iteration order. The image holds the media's own blocks.
+    pub fn image(&self, cache: &CacheSurvival) -> IntMap<u64, MediaBlock> {
+        let mut image = self.durable.clone();
         // Keeping everything is the subset drawn with certainty.
         let (seed, keep_prob) = match *cache {
             CacheSurvival::DropAll => return image,
@@ -156,11 +162,8 @@ impl Media {
         let mut cached: Vec<(&u64, &MediaBlock)> = self.cached.iter().collect();
         cached.sort_unstable_by_key(|(lba, _)| **lba);
         let mut rng = DetRng::new(seed);
-        for (lba, data) in cached {
-            if rng.chance(keep_prob) {
-                image.insert(*lba, data.bytes().to_vec());
-            }
-        }
+        let kept = cached.into_iter().filter(|_| rng.chance(keep_prob));
+        image.extend(kept.map(|(lba, data)| (*lba, data.clone())));
         image
     }
 }
@@ -173,15 +176,10 @@ pub struct BlockStore {
 }
 
 impl BlockStore {
-    /// Creates an empty store. `power_protected` disables the volatile
-    /// cache (Optane-style drives).
-    pub fn new(power_protected: bool) -> Self {
-        Self::from_image(power_protected, HashMap::new())
-    }
-
-    /// Creates a store whose durable media is pre-loaded with `image`
-    /// (the reboot path).
-    pub fn from_image(power_protected: bool, image: HashMap<u64, Vec<u8>>) -> Self {
+    /// Creates a store whose durable media holds the blocks of `image`,
+    /// not copies of them (empty for a fresh device). `power_protected`
+    /// disables the volatile cache (Optane-style drives).
+    pub fn from_image(power_protected: bool, image: IntMap<u64, MediaBlock>) -> Self {
         BlockStore {
             media: Mutex::new(Media::new(image)),
             power_protected,
@@ -207,17 +205,9 @@ impl BlockStore {
         durable
     }
 
-    /// Reads one block; absent blocks read as zeros. The cache is
-    /// consulted first (it holds the newest version).
-    pub fn read_block(&self, lba: u64) -> Vec<u8> {
-        let mut out = vec![0; BLOCK_SIZE as usize];
-        self.read_into(lba, &mut out);
-        out
-    }
-
-    /// Copies the first `out.len()` bytes of block `lba` into `out`,
-    /// with the same rules as [`BlockStore::read_block`]: an absent block
-    /// reads as zeros and a cached block wins over a durable one.
+    /// Copies the first `out.len()` bytes of block `lba` into `out`: an
+    /// absent block reads as zeros, and a cached block wins over a
+    /// durable one (it is the newest version).
     ///
     /// # Panics
     ///
@@ -245,12 +235,12 @@ impl BlockStore {
 
     /// Number of blocks sitting in the volatile cache.
     pub fn dirty_count(&self) -> usize {
-        self.media.lock().cached_len()
+        self.media.lock().cached.len()
     }
 
     /// The blocks a power cut at this instant would leave, with `cache`
     /// deciding the fate of the cached ones. The store keeps running.
-    pub fn image(&self, cache: &CacheSurvival) -> HashMap<u64, Vec<u8>> {
+    pub fn image(&self, cache: &CacheSurvival) -> IntMap<u64, MediaBlock> {
         self.media.lock().image(cache)
     }
 }
@@ -258,6 +248,18 @@ impl BlockStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// An empty store.
+    fn empty(power_protected: bool) -> BlockStore {
+        BlockStore::from_image(power_protected, IntMap::default())
+    }
+
+    /// Block `lba` as a read returns it.
+    fn read(s: &BlockStore, lba: u64) -> Vec<u8> {
+        let mut out = bytes(0);
+        s.read_into(lba, &mut out);
+        out
+    }
 
     fn blk(byte: u8) -> MediaBlock {
         vec![byte; BLOCK_SIZE as usize].into()
@@ -269,14 +271,14 @@ mod tests {
 
     #[test]
     fn read_your_write() {
-        let s = BlockStore::new(false);
+        let s = empty(false);
         s.write_block(5, blk(7), false);
-        assert_eq!(s.read_block(5), bytes(7));
+        assert_eq!(read(&s, 5), bytes(7));
     }
 
     #[test]
     fn a_written_block_is_the_host_buffer_itself() {
-        let s = BlockStore::new(false);
+        let s = empty(false);
         let buf = Arc::new([bytes(1), bytes(2), bytes(3)].concat());
         for i in 0..3 {
             s.write_block(20 + i as u64, MediaBlock::new(Arc::clone(&buf), i), false);
@@ -295,8 +297,8 @@ mod tests {
 
     #[test]
     fn unwritten_blocks_read_zero() {
-        let s = BlockStore::new(false);
-        assert_eq!(s.read_block(99), bytes(0));
+        let s = empty(false);
+        assert_eq!(read(&s, 99), bytes(0));
         let mut prefix = [0xff; 100];
         s.read_into(99, &mut prefix);
         assert_eq!(prefix, [0; 100]);
@@ -304,58 +306,58 @@ mod tests {
 
     #[test]
     fn cached_writes_lost_on_crash_without_flush() {
-        let s = BlockStore::new(false);
+        let s = empty(false);
         assert!(!s.write_block(1, blk(1), false));
         assert!(s.image(&CacheSurvival::DropAll).is_empty());
-        assert_eq!(s.image(&CacheSurvival::KeepAll).get(&1), Some(&bytes(1)));
+        assert_eq!(s.image(&CacheSurvival::KeepAll).get(&1), Some(&blk(1)));
     }
 
     #[test]
     fn flushed_writes_survive_crash() {
-        let s = BlockStore::new(false);
+        let s = empty(false);
         s.write_block(1, blk(1), false);
         s.flush();
         assert_eq!(s.dirty_count(), 0);
         let image = s.image(&CacheSurvival::DropAll);
-        assert_eq!(image.get(&1), Some(&bytes(1)));
+        assert_eq!(image.get(&1), Some(&blk(1)));
     }
 
     #[test]
     fn fua_writes_survive_crash() {
-        let s = BlockStore::new(false);
+        let s = empty(false);
         assert!(s.write_block(2, blk(9), true));
         let image = s.image(&CacheSurvival::DropAll);
-        assert_eq!(image.get(&2), Some(&bytes(9)));
+        assert_eq!(image.get(&2), Some(&blk(9)));
     }
 
     #[test]
     fn power_protected_ignores_cache_semantics() {
-        let s = BlockStore::new(true);
+        let s = empty(true);
         assert!(s.write_block(3, blk(4), false), "routed to media");
         assert_eq!(s.dirty_count(), 0);
         let image = s.image(&CacheSurvival::DropAll);
-        assert_eq!(image.get(&3), Some(&bytes(4)));
+        assert_eq!(image.get(&3), Some(&blk(4)));
     }
 
     #[test]
     fn newest_version_wins_across_cache_and_media() {
-        let s = BlockStore::new(false);
+        let s = empty(false);
         s.write_block(4, blk(1), true);
         s.write_block(4, blk(2), false);
-        assert_eq!(s.read_block(4), bytes(2));
+        assert_eq!(read(&s, 4), bytes(2));
         let mut prefix = [0xff; 100];
         s.read_into(4, &mut prefix);
         assert_eq!(prefix, [2; 100]);
         // A power cut that drops the cache falls back to the media's.
-        assert_eq!(s.image(&CacheSurvival::DropAll).get(&4), Some(&bytes(1)));
+        assert_eq!(s.image(&CacheSurvival::DropAll).get(&4), Some(&blk(1)));
         s.flush();
-        assert_eq!(s.read_block(4), bytes(2));
+        assert_eq!(read(&s, 4), bytes(2));
     }
 
     #[test]
     fn crash_subset_is_deterministic() {
         let run = |seed| {
-            let s = BlockStore::new(false);
+            let s = empty(false);
             for lba in 0..32 {
                 s.write_block(lba, blk(lba as u8), lba % 3 == 0);
             }
@@ -374,10 +376,13 @@ mod tests {
     }
 
     #[test]
-    fn from_image_restores_media() {
-        let s = BlockStore::new(false);
+    fn from_image_restores_media_without_a_copy() {
+        let s = empty(false);
         s.write_block(10, blk(5), true);
-        let s2 = BlockStore::from_image(false, s.image(&CacheSurvival::DropAll));
-        assert_eq!(s2.read_block(10), bytes(5));
+        let image = s.image(&CacheSurvival::DropAll);
+        let s2 = BlockStore::from_image(false, image.clone());
+        assert_eq!(read(&s2, 10), bytes(5));
+        let kept = s2.block(10).expect("restored");
+        assert!(Arc::ptr_eq(kept.buffer(), image[&10].buffer()));
     }
 }

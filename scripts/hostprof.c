@@ -1,4 +1,4 @@
-// SIGPROF sampler for scripts/hostprof.sh: preloaded into the benchmark,
+// SIGPROF sampler for scripts/hostprof.sh: preloaded into the profiled program,
 // it records where the process is every 4 ms of CPU time (250 Hz) — the
 // word at the top of the stack, the instruction pointer and the
 // frame-pointer chain above it — and writes the samples and

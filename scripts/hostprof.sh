@@ -1,13 +1,16 @@
 #!/usr/bin/env bash
-# Where a benchmark workload's host time goes: a sampling profile of
-# `benchmark/` on one workload, by function and by crate.
+# Where host time goes: a sampling profile of `benchmark/` on one
+# workload, or of one test binary, by function and by crate.
 #
 #   scripts/hostprof.sh <workload> [seconds]      (default 15; seed 1)
+#   scripts/hostprof.sh --test <package> <test-target> [filter]
 #
-# Builds the benchmark — unmodified — into target/hostprof with frame
-# pointers and line tables (the release profile strips debuginfo unless
-# told otherwise), preloads scripts/hostprof.c (SIGPROF at 250 Hz of CPU
-# time, frame-pointer walk, fiber stacks included) and prints:
+# Builds the benchmark — unmodified — or the test target (in release,
+# run with --test-threads=1 and the optional name filter) into
+# target/hostprof with frame pointers and line tables (the release
+# profile strips debuginfo unless told otherwise), preloads
+# scripts/hostprof.c (SIGPROF at 250 Hz of CPU time, frame-pointer walk,
+# fiber stacks included) and prints:
 #
 #   * flat shares (where the instruction pointer was) and inclusive shares
 #     (on the stack at all) per function, resolved with the binary's own
@@ -35,8 +38,15 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-workload="${1:?usage: scripts/hostprof.sh <workload> [seconds]}"
-seconds="${2:-15}"
+usage="usage: scripts/hostprof.sh <workload> [seconds] | --test <package> <test-target> [filter]"
+if [ "${1:-}" = "--test" ]; then
+    package="${2:?$usage}"
+    test_target="${3:?$usage}"
+    filter="${4:-}"
+else
+    workload="${1:?$usage}"
+    seconds="${2:-15}"
+fi
 command -v cc > /dev/null || { echo "hostprof: no C compiler (cc) to build the sampler with" >&2; exit 1; }
 a2l="$(command -v llvm-addr2line || command -v addr2line)" ||
     { echo "hostprof: no addr2line to resolve inlined code with" >&2; exit 1; }
@@ -48,13 +58,23 @@ cc -O2 -shared -fPIC -o "$dir/hostprof.so" scripts/hostprof.c
 lock_keep="$(mktemp)"
 cp benchmark/Cargo.lock "$lock_keep"
 trap 'cp "$lock_keep" benchmark/Cargo.lock; rm -f "$lock_keep"' EXIT
-CARGO_TARGET_DIR="$dir" RUSTFLAGS="-C force-frame-pointers=yes" \
-    CARGO_PROFILE_RELEASE_DEBUG=line-tables-only CARGO_PROFILE_RELEASE_STRIP=none \
+export CARGO_TARGET_DIR="$dir" RUSTFLAGS="-C force-frame-pointers=yes" \
+    CARGO_PROFILE_RELEASE_DEBUG=line-tables-only CARGO_PROFILE_RELEASE_STRIP=none
+rm -f "$dir/samples"
+if [ -n "${test_target:-}" ]; then
+    # The test binary's path is the last "executable" cargo reports.
+    bin="$(cargo test --release --offline --quiet --no-run --message-format=json \
+        -p "$package" --test "$test_target" |
+        grep -o '"executable":"[^"]*"' | tail -n 1 | cut -d'"' -f4)"
+    [ -n "$bin" ] || { echo "hostprof: no test binary for $package --test $test_target" >&2; exit 1; }
+    HOSTPROF_OUT="$dir/samples" LD_PRELOAD="$PWD/$dir/hostprof.so" \
+        "$bin" --test-threads=1 ${filter:+"$filter"} > /dev/null
+else
     cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml
-bin="$dir/release/ccnvme-benchmark"
-
-HOSTPROF_OUT="$dir/samples" LD_PRELOAD="$PWD/$dir/hostprof.so" BENCH_OUT="$dir/out" \
-    "$bin" --workload "$workload" --seed 1 --seconds "$seconds" --trace 0 > /dev/null
+    bin="$dir/release/ccnvme-benchmark"
+    HOSTPROF_OUT="$dir/samples" LD_PRELOAD="$PWD/$dir/hostprof.so" BENCH_OUT="$dir/out" \
+        "$bin" --workload "$workload" --seed 1 --seconds "$seconds" --trace 0 > /dev/null
+fi
 
 nm -n -C --defined-only "$bin" | awk -v bin="$(realpath "$bin")" -v samples="$dir/samples" \
     -v pcs="$dir/inlined.pcs" -v a2l="$a2l" '

@@ -24,6 +24,7 @@ use ccnvme_repro::ccnvme::{image_forensics, CcNvmeDriver, PmrLayout};
 use ccnvme_repro::journal::{Durability, Journal, MqJournal, TxBlock, TxDescriptor};
 use ccnvme_repro::obs::blackbox::BLACKBOX_BYTES;
 use ccnvme_repro::obs::TxVerdict;
+use ccnvme_repro::pcie::PmrImage;
 use ccnvme_repro::sim::Sim;
 use ccnvme_repro::ssd::{CrashMode, CtrlConfig, DurableImage, NvmeController, SsdProfile};
 use parking_lot::Mutex;
@@ -101,7 +102,7 @@ fn crashed_image(txs: Vec<TxSpec>, crash_seed: u64, delay_frac: u8) -> DurableIm
 /// The comparable essence of one forensics pass.
 type Essence = (u32, u64, u32, Vec<(u64, TxVerdict)>, Vec<String>);
 
-fn forensics_essence(pmr: &[u8]) -> Result<Essence, String> {
+fn forensics_essence(pmr: &PmrImage) -> Result<Essence, String> {
     let fx = image_forensics(pmr)?;
     Ok((
         fx.report.epoch,
@@ -113,9 +114,9 @@ fn forensics_essence(pmr: &[u8]) -> Result<Essence, String> {
 }
 
 /// Boots the image through real recovery (probe re-formats the ring
-/// under the next generation) and returns the graceful PMR bytes.
-fn boot_pmr(image: &DurableImage) -> Vec<u8> {
-    let captured: Arc<Mutex<Option<Vec<u8>>>> = Arc::new(Mutex::new(None));
+/// under the next generation) and returns the graceful PMR image.
+fn boot_pmr(image: &DurableImage) -> PmrImage {
+    let captured: Arc<Mutex<Option<PmrImage>>> = Arc::new(Mutex::new(None));
     let cap = Arc::clone(&captured);
     let image = image.clone();
     let mut sim = Sim::new(CORES + 1);
@@ -134,11 +135,9 @@ fn boot_pmr(image: &DurableImage) -> Vec<u8> {
 }
 
 /// The recorder's sub-region of a PMR image.
-fn bb_region(pmr: &[u8]) -> &[u8] {
-    let header: [u8; 64] = pmr[..64].try_into().expect("PMR has a header");
-    let layout = PmrLayout::decode_header(&header).expect("bootable image");
-    let off = layout.blackbox_off() as usize;
-    &pmr[off..off + BLACKBOX_BYTES as usize]
+fn bb_region(pmr: &PmrImage) -> Vec<u8> {
+    let layout = PmrLayout::decode_header(&pmr.read_vec(0, 64)).expect("bootable image");
+    pmr.read_vec(layout.blackbox_off(), BLACKBOX_BYTES as usize)
 }
 
 fn run_case(

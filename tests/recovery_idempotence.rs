@@ -24,8 +24,11 @@ use ccnvme_repro::ccnvme::CcNvmeDriver;
 use ccnvme_repro::journal::{
     recover::replay_updates, Durability, Journal, MqJournal, TxBlock, TxDescriptor,
 };
+use ccnvme_repro::obs::hash::IntMap;
 use ccnvme_repro::sim::Sim;
-use ccnvme_repro::ssd::{CrashMode, CtrlConfig, DurableImage, NvmeController, SsdProfile};
+use ccnvme_repro::ssd::{
+    CrashMode, CtrlConfig, DurableImage, MediaBlock, NvmeController, SsdProfile,
+};
 use parking_lot::Mutex;
 use proptest::prelude::*;
 
@@ -98,7 +101,7 @@ fn reboot(
 
 /// Full-media snapshot for byte-identical comparison (everything lands:
 /// all posted writes, whole cache).
-fn media(drv: &CcNvmeDriver) -> std::collections::HashMap<u64, Vec<u8>> {
+fn media(drv: &CcNvmeDriver) -> IntMap<u64, MediaBlock> {
     drv.controller().crash_snapshot(CrashMode::SETTLED).blocks
 }
 
@@ -165,7 +168,7 @@ fn run_case(
         // on the right base, in order.
         if let Some(lba) = cache
             .keys()
-            .find(|lba| reference.get(lba) != cache.get(lba))
+            .find(|lba| reference.get(lba).map(|b| &b[..]) != cache.get(lba).map(|b| &b[..]))
         {
             *f2.lock() = Some(format!("block {lba} replayed to the wrong content"));
         }
