@@ -33,5 +33,5 @@ pub mod traffic;
 pub use gate::{BandwidthGate, ChannelBank};
 pub use image::PmrImage;
 pub use link::{DmaKind, PcieLink};
-pub use mmio::{MmioRegion, WriteHook};
+pub use mmio::{MmioEvent, MmioRegion};
 pub use traffic::{TrafficCounters, TrafficSnapshot};

@@ -7,8 +7,9 @@
 //! * [`RegionKind::Pmr`] — the NVMe Persistent Memory Region: bytes that
 //!   have *arrived* at the device survive power loss (the device backs
 //!   them up with capacitor energy, §2 and §4.4 of the paper).
-//! * [`RegionKind::Registers`] — doorbell registers: writes notify the
-//!   controller but the content is volatile.
+//! * [`RegionKind::Registers`] — doorbell registers: a store costs its
+//!   link time and notifies the controller, and the region keeps no
+//!   bytes: nothing reads a doorbell back.
 //!
 //! Host writes are *posted*: the CPU issues write-combining stores and
 //! continues; the data drains over the link and arrives later. PCIe
@@ -34,21 +35,36 @@ use parking_lot::Mutex;
 
 use crate::{cost, image::PmrImage, link::PcieLink};
 
-/// Callback invoked (on the writing thread) when a host write is issued to
-/// the region; used by the device model to notice doorbell rings. The
-/// third argument is the virtual time at which the posted write *arrives*
-/// at the device — because PCIe delivers posted writes in FIFO order,
-/// every earlier write to the same region has arrived by then, so a
-/// device acting at that instant sees a consistent queue.
-pub type WriteHook = Box<dyn Fn(u64, &[u8], Ns) + Send + Sync>;
+/// What a region tells its hook, on the thread that touched it.
+#[derive(Debug, Clone, Copy)]
+pub enum MmioEvent<'a> {
+    /// A posted write, described once, as it is posted: before the
+    /// CPU's backpressure stall and in the step that queues it. PCIe
+    /// delivers posted writes to one region FIFO, so every earlier
+    /// write to the region has arrived by `arrive_at`, and a device
+    /// acting at that instant sees a consistent queue.
+    Posted {
+        /// Byte offset within the region.
+        off: u64,
+        /// The written bytes.
+        data: &'a [u8],
+        /// Virtual time the CPU posted the write.
+        issued_at: Ns,
+        /// Virtual time the write arrives at the device.
+        arrive_at: Ns,
+    },
+    /// A non-posted read (a [`MmioRegion::flush`] or
+    /// [`MmioRegion::read`]) completed at `at`: every previously posted
+    /// write has provably arrived (§4.3: the zero-byte read cannot pass
+    /// the posted writes).
+    Drained {
+        /// The read's completion instant.
+        at: Ns,
+    },
+}
 
-/// Callback invoked (on the issuing thread) when a non-posted read of
-/// the region completes — the moment every previously posted write has
-/// provably arrived. Both [`MmioRegion::flush`] and [`MmioRegion::read`]
-/// are such drain points (§4.3: the zero-byte read cannot pass the
-/// posted writes). The argument is the completion instant. Used by the
-/// persist-order sanitizer to record flush coverage.
-pub type FlushHook = Box<dyn Fn(Ns) + Send + Sync>;
+/// A region's one hook ([`MmioRegion::set_hook`]).
+type Hook = Box<dyn Fn(MmioEvent<'_>) + Send + Sync>;
 
 /// The persistence class of a region.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -97,8 +113,7 @@ pub struct MmioRegion {
     size: u64,
     link: Arc<PcieLink>,
     st: Mutex<MmioState>,
-    hook: OnceLock<WriteHook>,
-    flush_hook: OnceLock<FlushHook>,
+    hook: OnceLock<Hook>,
     flush_hist: Arc<ccnvme_obs::Histogram>,
 }
 
@@ -123,7 +138,6 @@ impl MmioRegion {
                 bytes: VecDeque::new(),
             }),
             hook: OnceLock::new(),
-            flush_hook: OnceLock::new(),
         }
     }
 
@@ -132,26 +146,21 @@ impl MmioRegion {
         self.size
     }
 
-    /// Installs the device-side notification hook (doorbell callback).
+    /// Installs the region's one hook: the device model's view of every
+    /// posted write and every drain point.
     ///
     /// # Panics
     ///
     /// Panics if the region already has one.
-    pub fn set_write_hook(&self, hook: WriteHook) {
+    pub fn set_hook(&self, hook: Hook) {
         if self.hook.set(hook).is_err() {
-            panic!("region {} already has a write hook", self.name);
+            panic!("region {} already has a hook", self.name);
         }
     }
 
-    /// Installs the posted-write drain hook, fired when a non-posted
-    /// read (a [`flush`](Self::flush) or [`read`](Self::read)) completes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the region already has one.
-    pub fn set_flush_hook(&self, hook: FlushHook) {
-        if self.flush_hook.set(hook).is_err() {
-            panic!("region {} already has a flush hook", self.name);
+    fn notify(&self, event: MmioEvent<'_>) {
+        if let Some(h) = self.hook.get() {
+            h(event);
         }
     }
 
@@ -159,8 +168,10 @@ impl MmioRegion {
     /// simulated thread.
     ///
     /// Costs CPU time for the write-combining stores; the data itself
-    /// drains over the link asynchronously. The CPU stalls only when the
-    /// posted-write backlog exceeds the WC/root-complex buffering
+    /// drains over the link asynchronously. The write is queued (in a
+    /// PMR) and handed to the hook as [`MmioEvent::Posted`] in one step;
+    /// only then does the CPU stall, and only when the posted-write
+    /// backlog exceeds the WC/root-complex buffering
     /// ([`cost::POSTED_BACKLOG_BYTES`]).
     ///
     /// # Panics
@@ -176,7 +187,13 @@ impl MmioRegion {
             self.name
         );
         let len = data.len() as u64;
-        match self.kind {
+        ccnvme_runtime::cpu(cost::MMIO_OP_BASE + cost::wc_lines(len) * cost::STORE_PER_LINE);
+        // The link and the device-side PMR write engine are pipelined
+        // stages: the arrival time is gated by whichever stage drains
+        // later, and sustained bandwidth is the minimum of the two.
+        let link_done = self.link.downstream.acquire(len.max(4) + cost::TLP_HEADER);
+        let issued_at = ccnvme_runtime::now();
+        let arrive_at = match self.kind {
             RegionKind::Pmr => {
                 self.link.traffic.mmio_stores.inc();
                 self.link.traffic.mmio_store_bytes.add(len);
@@ -184,41 +201,34 @@ impl MmioRegion {
                     // Doorbell/head pointer update (not a WC entry burst).
                     self.link.traffic.mmio_pointer_stores.inc();
                 }
+                let arrive_at = link_done.max(self.link.pmr_write_engine.acquire(len.max(4)));
+                let mut st = self.st.lock();
+                st.in_flight.push_back(PendingWrite {
+                    off,
+                    len: data.len(),
+                    arrive_at,
+                });
+                st.bytes.extend(data);
+                arrive_at
             }
+            // A doorbell BAR keeps no bytes: nothing reads one back.
             RegionKind::Registers => {
                 self.link.traffic.mmio_doorbells.inc();
+                link_done
             }
-        }
-        ccnvme_runtime::cpu(cost::MMIO_OP_BASE + cost::wc_lines(len) * cost::STORE_PER_LINE);
-        // The link and the device-side PMR write engine are pipelined
-        // stages: the arrival time is gated by whichever stage drains
-        // later, and sustained bandwidth is the minimum of the two.
-        let link_done = self.link.downstream.acquire(len.max(4) + cost::TLP_HEADER);
-        let arrive_at = match self.kind {
-            RegionKind::Pmr => link_done.max(self.link.pmr_write_engine.acquire(len.max(4))),
-            RegionKind::Registers => link_done,
         };
-        {
-            let mut st = self.st.lock();
-            st.in_flight.push_back(PendingWrite {
-                off,
-                len: data.len(),
-                arrive_at,
-            });
-            st.bytes.extend(data);
-        }
+        self.notify(MmioEvent::Posted {
+            off,
+            data,
+            issued_at,
+            arrive_at,
+        });
         // Backpressure: the CPU can keep roughly POSTED_BACKLOG_BYTES of
         // posted data outstanding before stalling on the WC buffer.
-        let backlog_window = cost::transfer_ns(
-            cost::POSTED_BACKLOG_BYTES,
-            self.link.pmr_write_engine.bytes_per_sec(),
-        );
-        let now = ccnvme_runtime::now();
-        if arrive_at > now + backlog_window {
-            ccnvme_runtime::delay(arrive_at - now - backlog_window);
-        }
-        if let Some(h) = self.hook.get() {
-            h(off, data, arrive_at);
+        let engine_bps = self.link.pmr_write_engine.bytes_per_sec();
+        let backlog_window = cost::transfer_ns(cost::POSTED_BACKLOG_BYTES, engine_bps);
+        if arrive_at > issued_at + backlog_window {
+            ccnvme_runtime::delay(arrive_at - issued_at - backlog_window);
         }
     }
 
@@ -247,15 +257,10 @@ impl MmioRegion {
     pub fn read(&self, off: u64, len: u64) -> Vec<u8> {
         self.link.traffic.mmio_reads.inc();
         // Wait for every in-flight posted write to arrive, in order.
-        let last_arrival = {
-            let st = self.st.lock();
-            st.in_flight.back().map(|w| w.arrive_at)
-        };
-        if let Some(t) = last_arrival {
-            let now = ccnvme_runtime::now();
-            if t > now {
-                ccnvme_runtime::delay(t - now);
-            }
+        let last_arrival = self.st.lock().in_flight.back().map_or(0, |w| w.arrive_at);
+        let now = ccnvme_runtime::now();
+        if last_arrival > now {
+            ccnvme_runtime::delay(last_arrival - now);
         }
         // The read returns every write that arrived by now, and any later
         // one somebody else applies meanwhile: applied below, under the
@@ -265,15 +270,14 @@ impl MmioRegion {
         let mut wait = self.link.rtt;
         if len > 0 {
             let end = self.link.pmr_read_engine.acquire(len);
-            let now = ccnvme_runtime::now();
-            wait += end.saturating_sub(now);
+            wait += end.saturating_sub(drained_at);
         }
         ccnvme_runtime::delay(wait);
         // Every write posted before this read has now arrived — report
         // the drain point to the sanitizer (or any other observer).
-        if let Some(h) = self.flush_hook.get() {
-            h(ccnvme_runtime::now());
-        }
+        self.notify(MmioEvent::Drained {
+            at: ccnvme_runtime::now(),
+        });
         let mut st = self.st.lock();
         st.commit_arrived(drained_at);
         st.committed.read_vec(off, len as usize)
@@ -300,9 +304,8 @@ impl MmioRegion {
     /// ([`PmrImage::with_torn_prefix`]). It shares every page those
     /// writes do not touch with the region.
     ///
-    /// For a [`RegionKind::Registers`] region the image is what the
-    /// controller had observed, which is lost on power-down anyway; crash
-    /// tooling normally only snapshots PMR regions.
+    /// A [`RegionKind::Registers`] region keeps no bytes, so its image
+    /// is the one it was built from.
     pub fn crash_image(&self, surviving_in_flight: usize) -> PmrImage {
         let mut st = self.st.lock();
         st.commit_arrived(ccnvme_runtime::now());
@@ -467,10 +470,18 @@ mod tests {
             let (link, r) = region(RegionKind::Registers);
             let hits = Arc::new(ccnvme_obs::Counter::new());
             let h2 = Arc::clone(&hits);
-            r.set_write_hook(Box::new(move |off, data, arrive_at| {
-                assert_eq!(off, 4);
-                assert_eq!(data.len(), 4);
-                assert!(arrive_at >= now());
+            r.set_hook(Box::new(move |e| {
+                let MmioEvent::Posted {
+                    off,
+                    data,
+                    issued_at,
+                    arrive_at,
+                } = e
+                else {
+                    panic!("a store drains nothing: {e:?}");
+                };
+                assert_eq!((off, data.len()), (4, 4));
+                assert!(issued_at == now() && arrive_at > issued_at);
                 h2.inc();
             }));
             r.write(4, &42u32.to_le_bytes());
@@ -481,12 +492,61 @@ mod tests {
         sim.run();
     }
 
+    /// Nothing reads a doorbell BAR back, so it queues nothing: a store
+    /// costs its link time, rings the hook and is gone.
     #[test]
-    #[should_panic(expected = "already has a write hook")]
-    fn a_second_write_hook_panics() {
+    fn a_registers_region_holds_no_store() {
+        let mut sim = Sim::new(1);
+        sim.spawn("t", 0, || {
+            let (_link, r) = region(RegionKind::Registers);
+            for i in 0..10_000u32 {
+                r.write(4, &i.to_le_bytes());
+                delay(1_000);
+            }
+            let st = r.st.lock();
+            assert_eq!((st.in_flight.len(), st.bytes.len()), (0, 0));
+        });
+        sim.run();
+    }
+
+    /// A posted PMR write reaches the hook before the backpressure stall,
+    /// while the region already holds it in flight, stamped with the
+    /// instant it was posted.
+    #[test]
+    fn the_hook_sees_a_write_when_it_is_posted() {
+        let mut sim = Sim::new(1);
+        sim.spawn("t", 0, || {
+            let (_link, r) = region(RegionKind::Pmr);
+            let r = Arc::new(r);
+            let weak = Arc::downgrade(&r);
+            let posted = Arc::new(Mutex::new(Vec::new()));
+            let p2 = Arc::clone(&posted);
+            r.set_hook(Box::new(move |e| {
+                if let MmioEvent::Posted { issued_at, .. } = e {
+                    let queued = weak.upgrade().map(|r| r.st.lock().in_flight.len());
+                    p2.lock().push((issued_at, now(), queued));
+                }
+            }));
+            let mut stalled = false;
+            for i in 0..8u64 {
+                let t0 = now();
+                r.write(i * 2048, &[1; 2048]);
+                let (issued_at, hooked_at, queued) = posted.lock()[i as usize];
+                assert_eq!(issued_at, hooked_at);
+                assert!(queued >= Some(1), "{queued:?}");
+                stalled |= now() - t0 > issued_at - t0;
+            }
+            assert!(stalled, "the backlog never stalled the CPU");
+        });
+        sim.run();
+    }
+
+    #[test]
+    #[should_panic(expected = "already has a hook")]
+    fn a_second_hook_panics() {
         let (_link, r) = region(RegionKind::Registers);
-        r.set_write_hook(Box::new(|_, _, _| {}));
-        r.set_write_hook(Box::new(|_, _, _| {}));
+        r.set_hook(Box::new(|_| {}));
+        r.set_hook(Box::new(|_| {}));
     }
 
     #[test]

@@ -27,7 +27,8 @@ use std::{
 use ccnvme_fault::{FaultInjector, FaultKind, FaultOp, OpClass};
 use ccnvme_obs::{hash::IntMap, EventKind, Histogram, TraceEvent};
 use ccnvme_pcie::{
-    cost, mmio::RegionKind, BandwidthGate, ChannelBank, DmaKind, MmioRegion, PcieLink, PmrImage,
+    cost, mmio::RegionKind, BandwidthGate, ChannelBank, DmaKind, MmioEvent, MmioRegion, PcieLink,
+    PmrImage,
 };
 use ccnvme_runtime::{Ns, RtCondvar, RtMutex};
 use parking_lot::Mutex;
@@ -406,46 +407,42 @@ impl NvmeController {
             alive: AtomicBool::new(true),
             persist,
         });
-        // Doorbell dispatch hooks: both BARs route writes at registered
-        // offsets to the owning queue's worker.
-        let weak = Arc::downgrade(&inner);
-        inner
-            .regs
-            .set_write_hook(Box::new(move |off, data, arrive_at| {
-                if let Some(i) = weak.upgrade() {
-                    i.doorbell(false, off, data, arrive_at);
-                }
-            }));
-        let weak = Arc::downgrade(&inner);
-        inner
-            .pmr
-            .set_write_hook(Box::new(move |off, data, arrive_at| {
-                if let Some(i) = weak.upgrade() {
-                    if let Some(p) = &i.persist {
-                        // The hook runs on the issuing thread at post
-                        // time; the write becomes crash-durable only at
-                        // its PCIe arrival instant.
-                        p.record(
-                            arrive_at,
-                            PersistEventKind::PmrWrite {
+        // One hook per BAR: both route writes at registered offsets to
+        // the owning queue's worker; the PMR's also logs each posted
+        // write as the region describes it (crash-durable at its PCIe
+        // arrival instant) and each drain point. A completed non-posted
+        // PMR read is a §4.3 drain point: every write recorded before it
+        // has arrived. The sanitizer replays these marks against the
+        // event log to assert no doorbell exposed an unflushed P-SQ slot.
+        for (is_pmr, bar) in [(false, &inner.regs), (true, &inner.pmr)] {
+            let weak = Arc::downgrade(&inner);
+            bar.set_hook(Box::new(move |e| {
+                let Some(i) = weak.upgrade() else { return };
+                let log = i.persist.as_deref().filter(|_| is_pmr);
+                match e {
+                    MmioEvent::Posted {
+                        off,
+                        data,
+                        issued_at,
+                        arrive_at,
+                    } => {
+                        if let Some(p) = log {
+                            let kind = PersistEventKind::PmrWrite {
                                 off,
                                 data: data.to_vec(),
-                                issued_at: ccnvme_runtime::now(),
-                            },
-                        );
+                                issued_at,
+                            };
+                            p.record(arrive_at, kind);
+                        }
+                        i.doorbell(is_pmr, off, data, arrive_at);
                     }
-                    i.doorbell(true, off, data, arrive_at);
+                    MmioEvent::Drained { at } => {
+                        if let Some(p) = log {
+                            p.record_mmio_flush(at);
+                        }
+                    }
                 }
             }));
-        if let Some(p) = &inner.persist {
-            // A completed non-posted PMR read is a §4.3 drain point:
-            // every write recorded before it has arrived. The sanitizer
-            // replays these marks against the event log to assert no
-            // doorbell exposed an unflushed P-SQ slot.
-            let p2 = Arc::clone(p);
-            inner
-                .pmr
-                .set_flush_hook(Box::new(move |at| p2.record_mmio_flush(at)));
         }
         // The completer daemon.
         let inner2 = Arc::clone(&inner);
@@ -1451,6 +1448,59 @@ mod tests {
             assert!(in_flight >= 2, "{in_flight} posted writes in flight");
         });
         sim.run();
+    }
+
+    /// The region and the log describe a posted PMR write once, as it
+    /// is posted. While back-to-back 2 KB stores stall the CPU on their
+    /// backlog, a daemon sampling every 37 ns finds the writes the
+    /// region holds in flight to be exactly the logged writes issued
+    /// before the instant and arriving after it, torn alike at every
+    /// depth.
+    #[test]
+    fn the_live_fifo_and_the_log_agree_while_the_cpu_stalls() {
+        Sim::run_main(2, || {
+            let mut cfg = CtrlConfig::new(SsdProfile::intel_750());
+            cfg.record_persistence = true;
+            let ctrl = NvmeController::new(cfg);
+            let log = ctrl.persist_log().expect("recording");
+            let pmr = ctrl.pmr();
+            let most_in_flight = Arc::new(AtomicU64::new(0));
+            let (seen, pmr2) = (Arc::clone(&most_in_flight), Arc::clone(&pmr));
+            ccnvme_runtime::spawn_daemon("sampler", 1, move || loop {
+                let now = ccnvme_sim::now();
+                let prefix = log.event_times().partition_point(|&t| t <= now);
+                let mut cursor = log.cursor();
+                cursor.advance_to(prefix);
+                let in_flight = pmr2.in_flight_count();
+                let logged = cursor.max_torn(cursor.next_at());
+                assert_eq!(in_flight, logged, "in flight at t={now} ns");
+                for torn in 0..=in_flight {
+                    let mode = CrashMode {
+                        torn,
+                        cache: CacheSurvival::DropAll,
+                    };
+                    let image = cursor.image(cursor.next_at(), mode).pmr;
+                    assert!(pmr2.crash_image(torn) == image, "t={now} ns, torn {torn}");
+                }
+                // ord: Relaxed — a statistic the host reads after the run.
+                seen.fetch_max(in_flight as u64, Ordering::Relaxed);
+                ccnvme_runtime::delay(37);
+            });
+            let t0 = ccnvme_sim::now();
+            for i in 0..8u8 {
+                pmr.write(2048 * i as u64, &[i + 1; 2048]);
+            }
+            let stalled = ccnvme_sim::now() - t0;
+            pmr.flush();
+            ccnvme_runtime::delay(1_000);
+            // ord: Relaxed — see above.
+            let most = most_in_flight.load(Ordering::Relaxed);
+            assert!(most >= 2, "at most {most} posted writes in flight");
+            assert!(
+                stalled > 8 * 1_000,
+                "the backlog never stalled: {stalled} ns"
+            );
+        });
     }
 
     #[test]

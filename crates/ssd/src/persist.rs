@@ -8,7 +8,11 @@
 //!   flush landing a P-SQ slot, a P-SQDB ring, a P-SQ-head advance, an
 //!   abort-log append). Each carries both the *issue* instant (when the
 //!   CPU posted it) and the *arrival* instant (when it physically
-//!   reached the device and became crash-durable).
+//!   reached the device and became crash-durable), both as the region
+//!   described the write to its hook
+//!   ([`MmioEvent::Posted`](ccnvme_pcie::MmioEvent::Posted)) in the
+//!   step that queued it, so the writes the log holds posted but not
+//!   arrived at an instant are the ones the live region holds in flight.
 //! * **`BlockWrite`** — a block landing where
 //!   [`BlockStore::write_block`](crate::BlockStore::write_block) routed
 //!   it: on durable media, or only in the volatile write cache (lost on
@@ -33,9 +37,11 @@
 //! replays the PMR writes in host program order and asserts the §4.3
 //! protocol — no persistent doorbell may expose a ring slot whose
 //! posted write was not covered by an earlier MMIO flush. Flush marks
-//! arrive through a side channel ([`PersistLog::record_mmio_flush`])
-//! rather than as event kinds, so enabling the sanitizer never changes
-//! the enumerable crash surface.
+//! come through the same region hook
+//! ([`MmioEvent::Drained`](ccnvme_pcie::MmioEvent::Drained)) into a side
+//! channel ([`PersistLog::record_mmio_flush`]) rather than as event
+//! kinds, so enabling the sanitizer never changes the enumerable crash
+//! surface.
 
 use std::{
     collections::HashMap,
@@ -52,14 +58,16 @@ use crate::store::{Media, MediaBlock};
 /// One durable-effecting event.
 #[derive(Debug, Clone)]
 pub enum PersistEventKind {
-    /// A posted MMIO write into the PMR. `issued_at` is the CPU-side
-    /// post instant; the event's `at` is the PCIe arrival instant.
+    /// A posted MMIO write into the PMR. `issued_at` is the region's
+    /// post instant, before any backpressure stall; the event's `at` is
+    /// the PCIe arrival instant.
     PmrWrite {
         /// Byte offset within the PMR.
         off: u64,
         /// The written bytes.
         data: Vec<u8>,
-        /// Virtual time the CPU issued the posted write.
+        /// Virtual time the CPU posted the write, as the region
+        /// stamped it.
         issued_at: Ns,
     },
     /// A block landing on media (`durable`) or in the volatile write
