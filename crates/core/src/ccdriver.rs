@@ -668,9 +668,7 @@ fn advance_queue(q: &CcQueue) {
     // woke, the burst's MMIO cost and link time overlap the caller's
     // next operation instead of extending this one (and the next
     // commit's flush no longer finds it in flight).
-    if let Some(bb) = q.obs.hub.trace.blackbox() {
-        bb.publish();
-    }
+    q.obs.hub.trace.publish();
 }
 
 /// Stage 1/2 of the timeout ladder for the ccNVMe driver. Unlike the
@@ -1038,6 +1036,54 @@ mod tests {
             drv.quiesce();
         });
         sim.run();
+    }
+
+    /// A transaction's virtual latency does not depend on where the
+    /// flight recorder stands in its ring: a burst whose slots cross
+    /// the ring's end is drained after the waiters wake, like every
+    /// other. A single-block transaction persists three records (begin,
+    /// doorbell, completion) and the ring has 255 = 3 × 85 slots, so
+    /// the `k` plain writes before the loop (one doorbell record each)
+    /// fix for good which of a transaction's records meets the end.
+    #[test]
+    fn a_transactions_latency_does_not_depend_on_the_recorders_phase() {
+        use ccnvme_obs::blackbox::BLACKBOX_SLOTS;
+        const TXS: u64 = 270;
+        const WARM_UP: usize = 5;
+        assert!(
+            3 * TXS >= 3 * BLACKBOX_SLOTS as u64,
+            "three records a transaction, three laps"
+        );
+        for k in 0..3u64 {
+            let lats = Sim::run_main(2, move || {
+                let drv = driver_on(SsdProfile::optane_p5800x(), 1);
+                for lba in 0..k {
+                    submit_and_wait(&drv, Bio::write(lba, buf(1), BioFlags::NONE)).expect("write");
+                }
+                (0..TXS)
+                    .map(|i| {
+                        let t0 = ccnvme_sim::now();
+                        submit_tx(&drv, drv.alloc_tx_id(), 8 + i % 64, 0)
+                            .wait()
+                            .expect("tx ok");
+                        ccnvme_sim::now() - t0
+                    })
+                    .collect::<Vec<_>>()
+            });
+            let steady = lats[WARM_UP];
+            let off: Vec<(usize, u64)> = lats
+                .iter()
+                .copied()
+                .enumerate()
+                .skip(WARM_UP)
+                .filter(|&(_, lat)| lat != steady)
+                .collect();
+            assert_eq!(
+                off,
+                vec![],
+                "k = {k}: transactions off the {steady} ns latency"
+            );
+        }
     }
 
     mod faults {

@@ -287,6 +287,6 @@ posted = ["append", "post"]
         let c = Config::default();
         assert_eq!(c, file);
         assert!(c.spawn_fns.iter().any(|f| f == "spawn_daemons"));
-        assert!(c.critical_atomics.iter().any(|a| a == "bb_cursor"));
+        assert!(c.critical_atomics.iter().any(|a| a == "next_tx"));
     }
 }

@@ -30,6 +30,15 @@ impl Counter {
         self.add(1);
     }
 
+    /// Sets the count outright, for an owner that keeps the count under
+    /// its own lock and only ever raises it there: a store, not a
+    /// read-modify-write.
+    pub fn set(&self, n: u64) {
+        // ord: Relaxed — standalone aggregate; the owner's lock orders
+        // the stores.
+        self.value.store(n, Ordering::Relaxed);
+    }
+
     /// Returns the current value.
     pub fn get(&self) -> u64 {
         // ord: Relaxed — monotone read; readers tolerate staleness.

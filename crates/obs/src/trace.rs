@@ -14,12 +14,14 @@
 //! The ring is fixed-capacity: one lock over a dense vector of events,
 //! under which each record draws its sequence number, so the vector is
 //! in record order from the oldest retained slot on. Old events are
-//! overwritten once the ring wraps.
+//! overwritten once the ring wraps. The same lock holds the persistent
+//! flight recorder's stage, so a recorded event takes one lock whether
+//! or not it is also persisted.
 
 use std::sync::Arc;
 use std::sync::OnceLock;
 
-use crate::blackbox::Blackbox;
+use crate::blackbox::{persisted_kind, Blackbox, Burst};
 use crate::ctx::TraceCtx;
 use crate::metrics::Counter;
 use crate::sync_shim::Mutex;
@@ -154,6 +156,8 @@ struct Events {
     recorded: u64,
     /// Up to the ring's capacity; full once it wrapped.
     evs: Vec<TraceEvent>,
+    /// The flight recorder's staged records and next sequence number.
+    stage: Burst,
 }
 
 /// Fixed-capacity, overwrite-on-wrap event recorder.
@@ -162,7 +166,8 @@ pub struct TraceRing {
     events: Mutex<Events>,
     /// Events lost to ring laps: a recorded event overwrote another.
     /// Exported as `obs.trace_ring.lapped` so silent history loss in
-    /// soak runs is visible.
+    /// soak runs is visible. Set under the ring's lock, where the count
+    /// is `recorded - capacity` once the ring is full.
     lapped: Arc<Counter>,
     /// Optional persistent mirror: milestone events (see
     /// [`crate::blackbox::persisted_kind`]) are also appended to the
@@ -179,6 +184,7 @@ impl TraceRing {
             events: Mutex::new(Events {
                 recorded: 0,
                 evs: Vec::with_capacity(capacity),
+                stage: Burst::EMPTY,
             }),
             lapped: Arc::new(Counter::new()),
             blackbox: OnceLock::new(),
@@ -190,11 +196,6 @@ impl TraceRing {
     /// stack, and with it a new ring).
     pub fn attach_blackbox(&self, bb: Arc<Blackbox>) {
         let _ = self.blackbox.set(bb);
-    }
-
-    /// The attached flight recorder, if any.
-    pub fn blackbox(&self) -> Option<&Arc<Blackbox>> {
-        self.blackbox.get()
     }
 
     /// The lap/overwrite counter (shared so [`crate::Obs::new`] can
@@ -221,32 +222,47 @@ impl TraceRing {
     /// thinned, so the hot path pays for at most a handful of record
     /// posts per transaction.
     pub fn record(&self, ev: TraceEvent, persist: bool) {
-        let lapped = {
+        // Protocol milestones are mirrored into the persistent flight
+        // recorder. The record is staged on the calling thread at or
+        // after the protocol write the event witnesses, so PCIe FIFO
+        // order makes a surviving record a durable witness of it. No
+        // flush, no doorbell — purely observational.
+        let recorder = self
+            .blackbox
+            .get()
+            .filter(|_| persist && persisted_kind(ev.kind));
+        let full = {
             let mut st = self.events.lock();
             let at = (st.recorded % self.capacity as u64) as usize;
             st.recorded += 1;
             if at < st.evs.len() {
                 st.evs[at] = ev;
-                true
+                // A wrapped ring loses one event per record.
+                self.lapped.set(st.recorded - self.capacity as u64);
             } else {
                 st.evs.push(ev);
-                false
             }
+            recorder.and_then(|bb| bb.append(&mut st.stage, &ev))
         };
-        // A wrapped ring loses one event per record, which the lapped
-        // counter makes visible.
-        if lapped {
-            self.lapped.inc();
+        // A full stage is posted after the lock drops.
+        if let (Some(bb), Some(burst)) = (recorder, full) {
+            bb.post(&burst);
         }
-        // Mirror protocol milestones into the persistent flight
-        // recorder. The append is staged/posted on the calling thread
-        // at or after the protocol write the event witnesses, so PCIe
-        // FIFO order makes a surviving record a durable witness of it.
-        // No flush, no doorbell — purely observational.
-        if persist && crate::blackbox::persisted_kind(ev.kind) {
-            if let Some(bb) = self.blackbox.get() {
-                bb.append(&ev);
-            }
+    }
+
+    /// Posts the flight recorder's staged records now (one burst, two
+    /// writes when it crosses the ring's end). Still purely
+    /// observational — posted writes with no flush, read-back, or
+    /// doorbell — so callers may drain the stage at quiet points
+    /// without adding ordering edges. No-op without a recorder or when
+    /// nothing is staged.
+    pub fn publish(&self) {
+        let Some(bb) = self.blackbox.get() else {
+            return;
+        };
+        let staged = self.events.lock().stage.take();
+        if let Some(burst) = staged {
+            bb.post(&burst);
         }
     }
 
