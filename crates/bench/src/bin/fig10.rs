@@ -91,10 +91,11 @@ fn measure(engine: Engine, threads: usize, write_kb: u64, txs_per_thread: u64) -
                 CommitStyle::Horae,
                 scfg.cores + 1,
             )),
-            Engine::CcNvme | Engine::CcNvmeAtomic => Arc::new(MqJournal::new(
+            Engine::CcNvme | Engine::CcNvmeAtomic => Arc::new(MqJournal::with_checkpoint_core(
                 dev,
                 AreaSpec::split(JOURNAL_START, JOURNAL_LEN, threads),
                 HORIZON,
+                scfg.cores + 1,
             )),
         };
         let durability = if engine == Engine::CcNvmeAtomic {

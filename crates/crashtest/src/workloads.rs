@@ -314,6 +314,66 @@ pub fn carried_groups() -> FsScript {
     )
 }
 
+/// Journal region [`background_checkpoint`] runs on: two areas of 80
+/// blocks, more than the 65 (one chunk's ring blocks) at or below which
+/// an area has no mark.
+pub const BACKGROUND_JOURNAL_BLOCKS: u64 = 160;
+
+/// Directories [`background_checkpoint`]'s first commit creates.
+const BACKGROUND_DIRS: usize = 30;
+
+/// The crash surface of a background checkpoint (not a Table 4 row):
+/// on core 0, one `fsync` commits a directory and
+/// [`BACKGROUND_DIRS`] subdirectories — each new directory block a
+/// whole copy in the ring, which leaves no more than three times the
+/// transaction's blocks free in an area of [`BACKGROUND_JOURNAL_BLOCKS`]
+/// — then a file is appended to block by block, each append `fsync`ed.
+/// The first commit passes the mark; the pass it starts — home writes,
+/// flush, horizon with FUA, release — runs on the journald core while
+/// the appends commit, and no commit checkpoints (the live contract
+/// checks both).
+pub fn background_checkpoint() -> FsScript {
+    let dirs = (0..BACKGROUND_DIRS).map(|i| mkdir(&format!("/bg/d{i}")));
+    let first = [mkdir("/bg")]
+        .into_iter()
+        .chain(dirs)
+        .chain([fsync("/bg")])
+        .collect();
+    let f = "/bg/f";
+    let appends = (0..6).map(|b| {
+        let mut step = if b == 0 { vec![create(f)] } else { vec![] };
+        step.extend([write(f, b, 1, b as u8 + 1), fsync(f)]);
+        step
+    });
+    FsScript {
+        live: checkpointed_in_the_background,
+        ..FsScript::new("background_checkpoint", [first].into_iter().chain(appends))
+    }
+}
+
+/// [`background_checkpoint`]'s precondition, checked after the run on
+/// top of [`every_op_ok`]: a checkpoint pass ran, and no commit waited
+/// for ring space — so none ran a pass itself.
+fn checkpointed_in_the_background(
+    script: &FsScript,
+    fs: &FileSystem,
+    runs: &[StepRun],
+) -> Vec<String> {
+    let mut findings = every_op_ok(script, fs, runs);
+    let m = ccnvme_block::obs_of(&**fs.device()).metrics.snapshot();
+    let passes = m.counter("journal.mq.checkpoints");
+    let waits = m
+        .histogram("journal.mq.reserve_wait_ns")
+        .map_or(0, |h| h.summary.count);
+    if passes == 0 || waits != 0 {
+        findings.push(format!(
+            "want a background checkpoint and no commit waiting for ring space: \
+             {passes} checkpoints, {waits} waits (did the journal size or the mark change?)"
+        ));
+    }
+    findings
+}
+
 /// Files [`fault_campaign`] creates and fsyncs, one step each (steps
 /// `1..=FAULT_FILES`).
 pub const FAULT_FILES: usize = 3;

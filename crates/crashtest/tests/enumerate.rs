@@ -173,6 +173,33 @@ fn carried_groups_recover_at_every_event_prefix() {
     assert_eq!(r.sanitizer_violations, 0);
 }
 
+/// A checkpoint off the commit path: every event prefix of
+/// [`workloads::background_checkpoint`], whose pass runs on the
+/// journald core between the appends' commits, through remount, fsck,
+/// the durability oracle, forensics and the persist-order sanitizer.
+#[test]
+fn background_checkpoint_recovers_at_every_event_prefix() {
+    let mut stack = smoke_stack();
+    stack.journal_blocks = workloads::BACKGROUND_JOURNAL_BLOCKS;
+    let surface = FsSurface {
+        script: workloads::background_checkpoint(),
+        stack,
+    };
+    let r = sweep(surface, &SweepPlan::every());
+    assert!(
+        r.failures.is_empty(),
+        "crash states failed recovery: {:?}",
+        r.failures
+    );
+    // Exact: the run is deterministic, so a moved count means the
+    // background pass's persistence traffic, or where it falls among
+    // the commits, changed.
+    assert_eq!((r.events, r.states), (289, 290), "crash surface moved");
+    assert_eq!(r.clean, r.states, "every state must recover clean");
+    assert_eq!(r.count("forensics_images"), r.states);
+    assert_eq!(r.sanitizer_violations, 0);
+}
+
 #[test]
 fn recovery_recrashed_at_each_of_its_events_converges() {
     let plan = SweepPlan {

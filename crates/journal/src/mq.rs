@@ -65,7 +65,7 @@ use std::{
 
 use ccnvme_block::{flush_cache, write_blocks, Bio, BioFlags, BioStatus, BioWaiter, BlockBuf};
 use ccnvme_obs::{hash::IntMap, seal::crc32c, Counter, EventKind, Histogram, Obs, TraceEvent};
-use ccnvme_runtime::RtMutex;
+use ccnvme_runtime::{RtCondvar, RtMutex, RtMutexGuard};
 
 use crate::{
     area::{AreaRing, AreaSpec},
@@ -83,6 +83,23 @@ const BLOCKS_PER_GROUP: u64 = 32_768;
 
 /// Maximum total blocks (data + journaled) per chunk.
 const CHUNK_TOTAL: usize = 96;
+
+/// The I/O phases of a checkpoint pass that wait behind the device's
+/// backlog: home writes, the flush, the horizon with FUA. While each
+/// phase waits, an area logs about the journal blocks it has in flight
+/// when the pass starts (Little's law: its log rate times the backlog's
+/// latency). So the background checkpointer starts on an area once its
+/// ring has no more than this many times those blocks free: the pass
+/// then releases before the rest of the ring is used. A durable
+/// committer keeps one transaction in flight, and its area's pass
+/// starts a few blocks short of full; a burst of atomic commits keeps
+/// the device's backlog in flight, and its pass starts that far ahead.
+const PASS_PHASES: u64 = 3;
+
+/// A ring of at most one chunk's ring blocks (its copies and its JD)
+/// has no mark: a single commit can fill it, and the commit that finds
+/// it full checkpoints it.
+const MARKED_RING_MIN: u64 = CHUNK_BLOCKS as u64 + 1;
 
 // A chunk's inline set is a bitmask over its journaled blocks.
 const _: () = assert!(CHUNK_BLOCKS <= u64::BITS as usize);
@@ -187,16 +204,52 @@ struct LoggedTx {
     waiter: BioWaiter,
 }
 
+#[derive(Default)]
 struct AreaSt {
     logged: VecDeque<LoggedTx>,
+    /// Transactions ever logged here: a committer waiting for one to
+    /// come in compares counts.
+    logs: u64,
+    /// A checkpoint pass over the area is running (at most one is).
+    checkpointing: bool,
+    /// Committers in `reserve` waiting for a transaction to be logged.
+    waiting: usize,
 }
 
 struct MqArea {
     ring: AreaRing,
     st: RtMutex<AreaSt>,
+    /// Notified when a pass over the area ends — its ring space
+    /// released — and, while a committer waits, when a transaction is
+    /// logged. No `st` holder waits for I/O, so commits keep logging
+    /// while a pass writes home.
+    changed: RtCondvar,
+    /// Queued for, or in, a background pass.
+    kicked: AtomicBool,
     /// Oldest live transaction ID in this area (u64::MAX when empty);
     /// feeds the global horizon computation without cross-area locks.
     oldest_live: AtomicU64,
+}
+
+/// The background checkpointer: a daemon that checkpoints the areas
+/// whose rings passed the mark, one pass at a time, in the order they
+/// passed it. It starts at the first kick, so a journal whose rings
+/// never pass the mark — most boots of a crash sweep — runs no thread
+/// for it.
+struct Checkpointer {
+    core: usize,
+    st: RtMutex<CheckpointerSt>,
+    /// Notified on a kick, and when a pass ends after `shutdown`.
+    cv: RtCondvar,
+}
+
+#[derive(Default)]
+struct CheckpointerSt {
+    queue: VecDeque<usize>,
+    started: bool,
+    /// A pass is running: `shutdown` waits for its end.
+    busy: bool,
+    shutdown: bool,
 }
 
 struct MqInner {
@@ -216,6 +269,8 @@ struct MqInner {
     /// Set after an unrecoverable commit-path error; further commits are
     /// refused and errored transactions are never checkpointed.
     aborted: AtomicBool,
+    /// Checkpoints the areas past the mark off the commit path.
+    checkpointer: Checkpointer,
     /// Committed transactions (`journal.mq.commits`).
     commits: Arc<Counter>,
     /// Commit latency from `commit_tx` entry to return
@@ -226,6 +281,9 @@ struct MqInner {
     checkpoints: Arc<Counter>,
     /// Duration of one checkpoint pass (`journal.mq.checkpoint_ns`).
     checkpoint_hist: Arc<Histogram>,
+    /// Virtual time a commit that found its ring full waited for space
+    /// (`journal.mq.reserve_wait_ns`).
+    reserve_wait_hist: Arc<Histogram>,
     /// Patch records written into JDs (`journal.mq.patches`).
     patches: Arc<Counter>,
     /// Payload bytes of those records (`journal.mq.patch_bytes`).
@@ -274,10 +332,39 @@ fn patch_cost(ranges: &ByteRanges) -> usize {
         .sum()
 }
 
+/// Whether an area's ring has passed the mark: no more than
+/// [`PASS_PHASES`] times its journal blocks in flight — the newest
+/// transactions whose writes have not all landed — are free.
+fn past_mark(ring: &AreaRing, st: &AreaSt) -> bool {
+    if ring.spec().len <= MARKED_RING_MIN {
+        return false;
+    }
+    let in_flight: u64 = st
+        .logged
+        .iter()
+        .rev()
+        .take_while(|t| t.waiter.outstanding() != 0)
+        .map(|t| t.ring_blocks)
+        .sum();
+    ring.free() <= PASS_PHASES * in_flight
+}
+
 impl MqJournal {
     /// Creates the engine over one journal area per core. `horizon_lba`
-    /// holds the persistent replay floor.
+    /// holds the persistent replay floor. Its background checkpointer
+    /// runs on the calling thread's core.
     pub fn new(dev: Dev, areas: Vec<AreaSpec>, horizon_lba: u64) -> Self {
+        Self::with_checkpoint_core(dev, areas, horizon_lba, ccnvme_runtime::current_core())
+    }
+
+    /// [`MqJournal::new`] with the background checkpointer on `core` —
+    /// one no committer runs on (MQFS: `FsConfig::journald_core`).
+    pub fn with_checkpoint_core(
+        dev: Dev,
+        areas: Vec<AreaSpec>,
+        horizon_lba: u64,
+        core: usize,
+    ) -> Self {
         assert!(!areas.is_empty(), "need at least one journal area");
         let obs = ccnvme_block::obs_of(dev.as_ref());
         let areas = areas
@@ -285,9 +372,9 @@ impl MqJournal {
             .map(|spec| {
                 Arc::new(MqArea {
                     ring: AreaRing::new(spec),
-                    st: RtMutex::new(AreaSt {
-                        logged: VecDeque::new(),
-                    }),
+                    st: RtMutex::new(AreaSt::default()),
+                    changed: RtCondvar::new(),
+                    kicked: AtomicBool::new(false),
                     oldest_live: AtomicU64::new(u64::MAX),
                 })
             })
@@ -305,10 +392,16 @@ impl MqJournal {
                 horizon_lba,
                 horizon_written: AtomicU64::new(0),
                 aborted: AtomicBool::new(false),
+                checkpointer: Checkpointer {
+                    core,
+                    st: RtMutex::new(CheckpointerSt::default()),
+                    cv: RtCondvar::new(),
+                },
                 commits: metrics.counter("journal.mq.commits"),
                 commit_hist: metrics.histogram("journal.mq.commit_ns"),
                 checkpoints: metrics.counter("journal.mq.checkpoints"),
                 checkpoint_hist: metrics.histogram("journal.mq.checkpoint_ns"),
+                reserve_wait_hist: metrics.histogram("journal.mq.reserve_wait_ns"),
                 patches: metrics.counter("journal.mq.patches"),
                 patch_bytes: metrics.counter("journal.mq.patch_bytes"),
                 spilled_copies: metrics.counter("journal.mq.spilled_copies"),
@@ -326,9 +419,106 @@ impl MqJournal {
         ccnvme_runtime::current_core() % self.inner.areas.len()
     }
 
-    /// Reserves `need` blocks of `area_idx`'s ring, checkpointing our own
-    /// area as needed — and, if release is blocked by older records in
-    /// other areas, checkpointing those too (rare cross-queue conflict).
+    /// Queues `area_idx` for a background pass, unless it is queued or
+    /// in one already, starting the daemon at the first kick.
+    fn kick(&self, area_idx: usize) {
+        let ck = &self.inner.checkpointer;
+        let area = &self.inner.areas[area_idx];
+        // ord: SeqCst — the daemon clears the flag after its pass; one
+        // kick per pass.
+        if area.kicked.swap(true, Ordering::SeqCst) {
+            return;
+        }
+        let mut st = ck.st.lock();
+        if st.shutdown {
+            return;
+        }
+        st.queue.push_back(area_idx);
+        let start = !std::mem::replace(&mut st.started, true);
+        drop(st);
+        if start {
+            let journal = MqJournal {
+                inner: Arc::clone(&self.inner),
+            };
+            ccnvme_runtime::spawn_daemon("mq-checkpointer", ck.core, move || {
+                journal.run_checkpointer()
+            });
+        } else {
+            ck.cv.notify_one();
+        }
+    }
+
+    /// The background checkpointer's loop: one pass per kick, until
+    /// `shutdown`.
+    fn run_checkpointer(&self) {
+        let ck = &self.inner.checkpointer;
+        let mut st = ck.st.lock();
+        loop {
+            if st.shutdown {
+                return;
+            }
+            let Some(area_idx) = st.queue.pop_front() else {
+                st = ck.cv.wait(st);
+                continue;
+            };
+            st.busy = true;
+            drop(st);
+            self.background_pass(area_idx);
+            let area = &self.inner.areas[area_idx];
+            // ord: SeqCst — pairs with the swap in `kick`.
+            area.kicked.store(false, Ordering::SeqCst);
+            st = ck.st.lock();
+            st.busy = false;
+            if st.shutdown {
+                ck.cv.notify_all();
+            }
+        }
+    }
+
+    /// A pass over `area_idx` off the commit path. When nothing left the
+    /// ring and no other area held its front, the front's journal
+    /// writes are in flight: the daemon waits for them and passes again.
+    fn background_pass(&self, area_idx: usize) {
+        let released = |released| released > 0;
+        if self.checkpoint_through_blockers(area_idx, released) {
+            return;
+        }
+        let front = {
+            let st = self.inner.areas[area_idx].st.lock();
+            st.logged.front().map(|t| t.waiter.clone_handle())
+        };
+        if let Some(w) = front {
+            let _ = w.wait();
+            self.checkpoint_through_blockers(area_idx, released);
+        }
+    }
+
+    /// Checkpoints `area_idx` and, unless `done` with the blocks that
+    /// released, the areas holding versions older than its front — in
+    /// ascending index — then `area_idx` again. Returns `done` of the
+    /// last pass.
+    fn checkpoint_through_blockers(&self, area_idx: usize, done: impl Fn(u64) -> bool) -> bool {
+        if done(self.checkpoint_area(area_idx)) {
+            return true;
+        }
+        for b in self.blocking_areas(area_idx) {
+            self.checkpoint_area(b);
+        }
+        done(self.checkpoint_area(area_idx))
+    }
+
+    /// One pass over every area, in index order. Returns the ring
+    /// blocks released.
+    fn checkpoint_round(&self) -> u64 {
+        (0..self.inner.areas.len())
+            .map(|i| self.checkpoint_area(i))
+            .sum()
+    }
+
+    /// Reserves `need` blocks of `area_idx`'s ring. A commit that finds
+    /// it full waits for space: for the pass running over it, else
+    /// checkpointing our own area and, if release is blocked by older
+    /// records in other areas, those too (rare cross-queue conflict).
     /// `None` once the journal is aborted and the ring stays full: a
     /// failed checkpoint releases nothing, ever.
     fn reserve(&self, area_idx: usize, need: u64) -> Option<Range<u64>> {
@@ -337,51 +527,104 @@ impl MqJournal {
             need <= area.ring.spec().len,
             "transaction larger than the whole journal area"
         );
+        if let Some(run) = area.ring.alloc(need) {
+            return Some(run);
+        }
+        let t0 = ccnvme_runtime::now();
+        let has_room = |_| area.ring.free() >= need;
         let mut attempts = 0u32;
-        loop {
+        let run = loop {
             if let Some(run) = area.ring.alloc(need) {
-                return Some(run);
+                break Some(run);
             }
-            attempts += 1;
-            self.checkpoint_area(area_idx);
-            if area.ring.free() >= need {
+            if self.await_pass(area_idx) {
                 continue;
             }
-            for b in self.blocking_areas(area_idx) {
-                self.checkpoint_area(b);
-            }
-            self.checkpoint_area(area_idx);
-            if area.ring.free() >= need {
+            attempts += 1;
+            // What this attempt cannot free, a transaction logged here
+            // from now on may.
+            let logs = area.st.lock().logs;
+            if self.checkpoint_through_blockers(area_idx, has_room) {
                 continue;
             }
             if attempts >= 2 {
                 // Release-gating chains can span several areas (A's
-                // front blocked by B, B's by C, ...). Checkpointing
-                // everything resolves any chain: release order follows
-                // transaction IDs, which are acyclic.
-                self.checkpoint_all();
-                if area.ring.free() >= need {
+                // front blocked by B, B's by C, ...), in any index order.
+                // Rounds over every area resolve any chain — release
+                // order follows transaction IDs, which are acyclic —
+                // each freeing the next link, until one frees nothing.
+                while !has_room(0) && self.checkpoint_round() > 0 {}
+                if has_room(0) {
                     continue;
                 }
             }
             // ord: SeqCst — pairs with the abort stores; must see a
             // checkpoint failure before waiting for space again.
             if self.inner.aborted.load(Ordering::SeqCst) {
-                return None;
+                break None;
             }
-            // Still full: the front transaction's journal I/O has not
-            // completed yet (e.g. a large fatomic burst). Wait for it so
-            // the next checkpoint can release its space, and let the
-            // virtual clock advance so this loop cannot spin in real
-            // time while other threads make progress.
-            let front_waiter = {
-                let st = area.st.lock();
-                st.logged.front().map(|t| t.waiter.clone_handle())
-            };
-            if let Some(w) = front_waiter {
+            self.await_progress(area_idx, (attempts >= 2).then_some(logs));
+        };
+        self.inner
+            .reserve_wait_hist
+            .record(ccnvme_runtime::now() - t0);
+        run
+    }
+
+    /// Waits for the end of the pass over `area_idx` that is running, if
+    /// one is: its release is what a full ring waits for. Returns
+    /// whether there was one.
+    fn await_pass(&self, area_idx: usize) -> bool {
+        let area = &self.inner.areas[area_idx];
+        let mut st = area.st.lock();
+        if !st.checkpointing {
+            return false;
+        }
+        while st.checkpointing {
+            st = area.changed.wait(st);
+        }
+        true
+    }
+
+    /// A full ring that no pass could free waits for what holds it: the
+    /// journal writes in flight in every area (a release needs the
+    /// records it releases, and older ones elsewhere, on media), else a
+    /// pass running over any area (it holds blocks it writes home),
+    /// else — `settled`, once rounds over every area freed nothing — a
+    /// transaction still to be logged here, whose ring space another
+    /// thread on this core reserved: the area's log count passing
+    /// `settled`, the count before those rounds.
+    fn await_progress(&self, area_idx: usize, settled: Option<u64>) {
+        let inner = &self.inner;
+        let mut in_flight = Vec::new();
+        for a in &inner.areas {
+            let st = a.st.lock();
+            in_flight.extend(
+                st.logged
+                    .iter()
+                    .filter(|t| t.waiter.outstanding() != 0)
+                    .map(|t| t.waiter.clone_handle()),
+            );
+        }
+        if !in_flight.is_empty() {
+            for w in in_flight {
                 let _ = w.wait();
             }
-            ccnvme_runtime::delay(1_000);
+            return;
+        }
+        let mut passed = false;
+        for i in 0..inner.areas.len() {
+            passed |= self.await_pass(i);
+        }
+        let Some(logs) = settled.filter(|_| !passed) else {
+            return;
+        };
+        let area = &inner.areas[area_idx];
+        let mut st = area.st.lock();
+        while st.logs == logs {
+            st.waiting += 1;
+            st = area.changed.wait(st);
+            st.waiting -= 1;
         }
     }
 
@@ -520,7 +763,7 @@ impl MqJournal {
         }
         // Log the transaction before the commit goes out so a same-core
         // checkpoint triggered later sees it (it skips until I/O done).
-        {
+        let (wake, kick) = {
             let mut st = area.st.lock();
             st.logged.push_back(LoggedTx {
                 tx_id,
@@ -529,11 +772,19 @@ impl MqJournal {
                 revoking,
                 waiter: waiter.clone_handle(),
             });
+            st.logs += 1;
             if st.logged.len() == 1 {
                 // ord: SeqCst — first live entry resets the area's
                 // replay floor; checkpoint horizon math reads it.
                 area.oldest_live.store(tx_id, Ordering::SeqCst);
             }
+            // ord: SeqCst — pairs with the store after a pass; an area
+            // queued or in a pass needs no scan of its log.
+            let kick = !area.kicked.load(Ordering::SeqCst) && past_mark(&area.ring, &st);
+            (st.waiting > 0, kick)
+        };
+        if wake {
+            area.changed.notify_all();
         }
         if last {
             // Only now: the area's `oldest_live` covers the ID from here
@@ -541,6 +792,9 @@ impl MqJournal {
             inner.unlogged.lock().remove(&tx_id);
         }
         inner.dev.submit_bio(jd_bio);
+        if kick {
+            self.kick(area_idx);
+        }
         Some(waiter)
     }
 
@@ -569,13 +823,43 @@ impl MqJournal {
 
     /// Checkpoints `area_idx`: writes home the newest images on media of
     /// the blocks its transactions carry, releases the FIFO-safe prefix
-    /// of the ring and advances the persistent horizon. Runs in the
-    /// caller's context; other areas keep logging throughout (§5.2).
-    fn checkpoint_area(&self, area_idx: usize) {
+    /// of the ring and advances the persistent horizon. At most one pass
+    /// over an area runs at a time; it holds the area's `st` only to
+    /// read and trim the log, never across I/O, so the area keeps
+    /// logging throughout — and other areas do anyway (§5.2). Returns
+    /// the ring blocks released.
+    fn checkpoint_area(&self, area_idx: usize) -> u64 {
         let t0 = ccnvme_runtime::now();
+        let area = &self.inner.areas[area_idx];
+        let mut st = area.st.lock();
+        while st.checkpointing {
+            st = area.changed.wait(st);
+        }
+        st.checkpointing = true;
+        let released = self.checkpoint_pass(area_idx, st);
+        let mut st = area.st.lock();
+        st.checkpointing = false;
+        if let Some(n) = released.filter(|&n| n > 0) {
+            area.ring.release(n);
+        }
+        drop(st);
+        area.changed.notify_all();
+        if released.is_some() {
+            self.inner.checkpoints.inc();
+            self.inner
+                .checkpoint_hist
+                .record(ccnvme_runtime::now() - t0);
+        }
+        released.unwrap_or(0)
+    }
+
+    /// The phases of one pass over `area_idx`, entered with its `st`
+    /// held and the area marked as checkpointing. Returns the ring
+    /// blocks the caller may release — the horizon above them is on
+    /// media — or `None` when the pass aborted the journal.
+    fn checkpoint_pass(&self, area_idx: usize, st: RtMutexGuard<'_, AreaSt>) -> Option<u64> {
         let inner = &self.inner;
         let area = &inner.areas[area_idx];
-        let mut st = area.st.lock();
         // Phase 1: decide what to write home. Only transactions whose
         // journal writes completed are eligible (a running transaction is
         // never checkpointed).
@@ -614,6 +898,7 @@ impl MqJournal {
                 chain.going_home = true;
             }
         }
+        drop(st);
         // Phase 2: write home + flush.
         if !to_write.is_empty() {
             let home = to_write
@@ -639,7 +924,7 @@ impl MqJournal {
                 // will need them.
                 // ord: SeqCst — abort publication (see commit_tx).
                 inner.aborted.store(true, Ordering::SeqCst);
-                return;
+                return None;
             }
         }
         // Phase 3: release the safe FIFO prefix. A transaction's space
@@ -647,7 +932,9 @@ impl MqJournal {
         // carries is settled — home, revoked, or under a newer live full
         // copy — and no OLDER live version of any of them remains
         // elsewhere: that keeps the newest replayable record alive as
-        // long as any older one is.
+        // long as any older one is. Commits logged meanwhile joined the
+        // back of the log; only this pass takes from its front.
+        let mut st = area.st.lock();
         let mut released_blocks = 0u64;
         while let Some(front) = st.logged.front() {
             if front.waiter.outstanding() != 0 {
@@ -692,6 +979,7 @@ impl MqJournal {
             st.logged.front().map_or(u64::MAX, |t| t.tx_id),
             Ordering::SeqCst,
         );
+        drop(st);
         if released_blocks > 0 {
             // Phase 4: persist the horizon before the freed space can be
             // overwritten by future commits.
@@ -705,17 +993,14 @@ impl MqJournal {
                     // ring and stop taking commits.
                     // ord: SeqCst — abort publication (see commit_tx).
                     inner.aborted.store(true, Ordering::SeqCst);
-                    return;
+                    return None;
                 }
                 // ord: SeqCst — only advances after the horizon block is
                 // durable; fetch_max keeps racing checkpointers monotone.
                 inner.horizon_written.fetch_max(h, Ordering::SeqCst);
             }
-            area.ring.release(released_blocks);
         }
-        drop(st);
-        inner.checkpoints.inc();
-        inner.checkpoint_hist.record(ccnvme_runtime::now() - t0);
+        Some(released_blocks)
     }
 
     /// The areas other than `area_idx` whose oldest live transaction is
@@ -869,9 +1154,7 @@ impl Journal for MqJournal {
         // Two rounds: the first may leave FIFO-blocked suffixes whose
         // blockers get checkpointed in the second.
         for _ in 0..2 {
-            for i in 0..self.inner.areas.len() {
-                self.checkpoint_area(i);
-            }
+            self.checkpoint_round();
         }
     }
 
@@ -915,7 +1198,18 @@ impl Journal for MqJournal {
         Ok(())
     }
 
-    fn shutdown(&self) {}
+    /// Stops the background checkpointer, waiting for the end of the
+    /// pass it is running: no checkpoint writes to the device after
+    /// this returns.
+    fn shutdown(&self) {
+        let ck = &self.inner.checkpointer;
+        let mut st = ck.st.lock();
+        st.shutdown = true;
+        ck.cv.notify_all();
+        while st.busy {
+            st = ck.cv.wait(st);
+        }
+    }
 }
 
 #[cfg(test)]

@@ -5,7 +5,13 @@
 //! power failure, reboots the stack from the surviving image and checks
 //! what recovery replays.
 
-use std::{collections::HashSet, sync::Arc};
+use std::{
+    collections::HashSet,
+    sync::{
+        atomic::{AtomicU64, Ordering},
+        Arc,
+    },
+};
 
 use ccnvme::{CcNvmeDriver, NvmeDriver};
 use ccnvme_block::{
@@ -1409,13 +1415,18 @@ fn mq_block_reused_mid_checkpoint_must_be_journaled() {
 }
 
 /// An in-memory device whose writes of chosen transactions wait, in
-/// flight, until the test lands them — in any order it likes. Every
-/// other bio completes at once; a completed bio's buffer is dropped.
+/// flight, until the test lands them — in any order it likes; holding
+/// transaction 0 holds the plain writes (a checkpoint's home writes and
+/// horizon). Every other bio completes at once; a completed bio's
+/// buffer is dropped. It notes the core that submitted each plain
+/// write or flush — checkpoint I/O.
 #[derive(Default)]
 struct GatedDev {
     blocks: Mutex<std::collections::HashMap<u64, Vec<u8>>>,
     held_txs: Mutex<HashSet<u64>>,
     held: Mutex<Vec<Bio>>,
+    checkpoint_io_cores: Mutex<Vec<usize>>,
+    obs: std::sync::OnceLock<Arc<ccnvme_obs::Obs>>,
 }
 
 impl GatedDev {
@@ -1446,6 +1457,11 @@ impl GatedDev {
 
 impl BlockDevice for GatedDev {
     fn submit_bio(&self, bio: Bio) {
+        if bio.tx_id == 0 && bio.op != BioOp::Read {
+            self.checkpoint_io_cores
+                .lock()
+                .push(ccnvme_sim::current_core());
+        }
         if bio.op == BioOp::Write && self.held_txs.lock().contains(&bio.tx_id) {
             self.held.lock().push(bio);
         } else {
@@ -1463,6 +1479,10 @@ impl BlockDevice for GatedDev {
 
     fn capacity_blocks(&self) -> u64 {
         1 << 20
+    }
+
+    fn obs(&self) -> Option<Arc<ccnvme_obs::Obs>> {
+        Some(Arc::clone(self.obs.get_or_init(ccnvme_obs::Obs::new)))
     }
 }
 
@@ -1520,5 +1540,206 @@ fn mq_a_newer_image_landing_first_goes_home_and_prunes_the_older() {
         gated.land_tx(c_tx);
         assert_eq!(handles(&c), 1);
         assert_eq!(handles(&e), 3);
+    });
+}
+
+/// The background checkpointer's core in the tests below: committers
+/// run on core 0 (area 0).
+const CHECKPOINTER_CORE: usize = 2;
+
+/// Ring blocks of each area of [`background_journal`] — more than one
+/// chunk's 65, so the area has a mark. A durable committer keeps its
+/// own transaction (two ring blocks) in flight, which puts the mark at
+/// six free blocks: the 49th one-block transaction passes it and the
+/// 52nd fills the ring.
+const BACKGROUND_AREA: u64 = 104;
+
+/// The commit that passes [`BACKGROUND_AREA`]'s mark.
+const PASSES_MARK: u64 = 49;
+
+/// A journal of two [`BACKGROUND_AREA`]-block areas over `gated`,
+/// checkpointed in the background.
+fn background_journal(gated: &Arc<GatedDev>) -> Arc<MqJournal> {
+    let dev: Arc<dyn BlockDevice> = Arc::clone(gated) as Arc<dyn BlockDevice>;
+    let areas = AreaSpec::split(JOURNAL_START, 2 * BACKGROUND_AREA, CORES);
+    Arc::new(MqJournal::with_checkpoint_core(
+        dev,
+        areas,
+        HORIZON_LBA,
+        CHECKPOINTER_CORE,
+    ))
+}
+
+/// Commits `n` one-block transactions (two ring blocks each) from core
+/// 0, 1 µs apart, counting each in `logged` as it returns.
+fn commit_from_core_0(
+    journal: &Arc<MqJournal>,
+    n: u64,
+    logged: &Arc<AtomicU64>,
+) -> ccnvme_sim::SimJoinHandle<()> {
+    let (j, logged) = (Arc::clone(journal), Arc::clone(logged));
+    ccnvme_sim::spawn("committer", 0, move || {
+        for i in 0..n {
+            let tx = tx_with(&*j, &[(300 + i % 7, i as u8)], &[]);
+            j.commit_tx(tx, Durability::Durable).expect("commit ok");
+            logged.fetch_add(1, Ordering::SeqCst);
+            ccnvme_sim::delay(1_000);
+        }
+    })
+}
+
+fn reserve_waits(dev: &Arc<GatedDev>) -> u64 {
+    let snap = dev.obs().expect("gated obs").metrics.snapshot();
+    snap.histogram("journal.mq.reserve_wait_ns")
+        .map_or(0, |h| h.summary.count)
+}
+
+/// A pass over an area holds no lock its commits need: while the
+/// background checkpoint's home writes wait at the gate, the area keeps
+/// logging until its ring is truly full, and only the commit that finds
+/// it full waits — for that pass's release, not for a pass of its own.
+#[test]
+fn mq_commits_keep_logging_while_a_background_pass_writes_home() {
+    Sim::run_main(CHECKPOINTER_CORE + 1, || {
+        let gated = Arc::new(GatedDev::default());
+        gated.held_txs.lock().insert(0);
+        let journal = background_journal(&gated);
+        let logged = Arc::new(AtomicU64::new(0));
+        let full = BACKGROUND_AREA / 2;
+        let committer = commit_from_core_0(&journal, full + 1, &logged);
+        ccnvme_sim::delay(2 * full * 1_000);
+        // Commit PASSES_MARK kicked a pass, which writes home, held,
+        // while the rest fill the ring.
+        assert!(
+            gated.held.lock().iter().any(|b| b.tx_id == 0),
+            "no checkpoint is writing home"
+        );
+        assert_eq!(
+            logged.load(Ordering::SeqCst),
+            full,
+            "the area stopped logging while its pass wrote home"
+        );
+        gated.land_tx(0);
+        committer.join();
+        assert_eq!(logged.load(Ordering::SeqCst), full + 1);
+        assert_eq!(reserve_waits(&gated), 1, "only the last commit waited");
+        let cores = gated.checkpoint_io_cores.lock().clone();
+        assert!(
+            cores.iter().all(|&c| c == CHECKPOINTER_CORE),
+            "a commit ran checkpoint I/O: submitted from cores {cores:?}"
+        );
+    });
+}
+
+/// A commit checkpoints only when its ring is full: with the background
+/// checkpointer keeping up, five laps of the ring run no checkpoint
+/// I/O on the committer's core and no commit waits for space.
+#[test]
+fn mq_a_commit_below_a_full_ring_runs_no_checkpoint_io() {
+    Sim::run_main(CHECKPOINTER_CORE + 1, || {
+        let gated = Arc::new(GatedDev::default());
+        let journal = background_journal(&gated);
+        let logged = Arc::new(AtomicU64::new(0));
+        commit_from_core_0(&journal, 5 * BACKGROUND_AREA / 2, &logged).join();
+        let cores = gated.checkpoint_io_cores.lock().clone();
+        assert!(!cores.is_empty(), "nothing was checkpointed");
+        assert!(
+            cores.iter().all(|&c| c == CHECKPOINTER_CORE),
+            "a commit ran checkpoint I/O: submitted from cores {cores:?}"
+        );
+        assert_eq!(reserve_waits(&gated), 0, "a commit found its ring full");
+    });
+}
+
+/// A release chain across three areas in falling index order — area 0's
+/// front waits for an older version in area 1 to leave, area 1's for
+/// one in area 2 — under a single committer that fills area 0: the
+/// commit that finds the ring full checkpoints round after round until
+/// the chain unwinds, rather than waiting for a commit nobody makes.
+#[test]
+fn mq_a_full_ring_unwinds_a_release_chain_across_three_areas() {
+    const AREAS: usize = 3;
+    const AREA: u64 = 16;
+    Sim::run_main(AREAS, || {
+        let gated = Arc::new(GatedDev::default());
+        let dev: Arc<dyn BlockDevice> = Arc::clone(&gated) as Arc<dyn BlockDevice>;
+        let areas = AreaSpec::split(JOURNAL_START, AREAS as u64 * AREA, AREAS);
+        let journal = Arc::new(MqJournal::new(dev, areas, HORIZON_LBA));
+        let commit_on = |core: usize, lbas: &'static [u64]| {
+            let j = Arc::clone(&journal);
+            ccnvme_sim::spawn("chain", core, move || {
+                let metas: Vec<(u64, u8)> = lbas.iter().map(|&l| (l, core as u8)).collect();
+                j.commit_tx(tx_with(&*j, &metas, &[]), Durability::Durable)
+                    .expect("commit ok");
+            })
+            .join();
+        };
+        // X = 100 in area 2; X and Y = 101 in area 1; Y in area 0.
+        commit_on(2, &[100]);
+        commit_on(1, &[100, 101]);
+        commit_on(0, &[101]);
+        // The committer fills area 0 with one-block transactions (two
+        // ring blocks each) and commits one more.
+        let j = Arc::clone(&journal);
+        ccnvme_sim::spawn("committer", 0, move || {
+            for i in 0..AREA / 2 {
+                let tx = tx_with(&*j, &[(200 + i, 1)], &[]);
+                j.commit_tx(tx, Durability::Durable).expect("commit ok");
+            }
+        })
+        .join();
+        assert_eq!(
+            reserve_waits(&gated),
+            1,
+            "the last commit found its ring full"
+        );
+        assert_eq!(
+            gated.blocks.lock()[&101][0],
+            0,
+            "Y went home from area 0's image"
+        );
+    });
+}
+
+/// `shutdown` waits for the pass the checkpointer is running: no
+/// checkpoint I/O reaches the device after it returns.
+#[test]
+fn mq_shutdown_waits_for_the_running_pass() {
+    Sim::run_main(CHECKPOINTER_CORE + 1, || {
+        let gated = Arc::new(GatedDev::default());
+        gated.held_txs.lock().insert(0);
+        let journal = background_journal(&gated);
+        commit_from_core_0(&journal, PASSES_MARK, &Arc::new(AtomicU64::new(0))).join();
+        assert!(
+            gated.held.lock().iter().any(|b| b.tx_id == 0),
+            "no checkpoint is writing home"
+        );
+        // The checkpoint I/O submitted when `shutdown` returned.
+        let at_return = Arc::new(AtomicU64::new(u64::MAX));
+        let (j, g, r) = (
+            Arc::clone(&journal),
+            Arc::clone(&gated),
+            Arc::clone(&at_return),
+        );
+        let stopper = ccnvme_sim::spawn("unmount", 1, move || {
+            j.shutdown();
+            let n = g.checkpoint_io_cores.lock().len() as u64;
+            r.store(n, Ordering::SeqCst);
+        });
+        ccnvme_sim::delay(100_000);
+        assert_eq!(
+            at_return.load(Ordering::SeqCst),
+            u64::MAX,
+            "shutdown returned while the pass wrote home"
+        );
+        gated.land_tx(0);
+        stopper.join();
+        ccnvme_sim::delay(100_000);
+        let submitted = gated.checkpoint_io_cores.lock().len() as u64;
+        assert_eq!(at_return.load(Ordering::SeqCst), submitted);
+        assert!(
+            gated.blocks.lock().contains_key(&HORIZON_LBA),
+            "the pass ended before its horizon write"
+        );
     });
 }

@@ -1627,7 +1627,12 @@ fn build_journal(cfg: &FsConfig, dev: &Dev, layout: &Layout) -> Arc<dyn Journal>
                 layout.journal_len,
                 cfg.queues.max(1),
             );
-            Arc::new(MqJournal::new(Arc::clone(dev), areas, horizon))
+            Arc::new(MqJournal::with_checkpoint_core(
+                Arc::clone(dev),
+                areas,
+                horizon,
+                cfg.journald_core,
+            ))
         }
         FsVariant::Ext4CcNvme => Arc::new(ClassicJournal::new(
             Arc::clone(dev),

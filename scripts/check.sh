@@ -108,7 +108,11 @@ cargo run -q --release -p ccnvme-bench --bin cluster > /dev/null
 # surface (patch_chain: every event prefix through remount, fsck, oracle,
 # forensics and sanitizer, plus the final image's recovery re-crashed at
 # each of its events, exact counts) already ran above, inside
-# `--workspace`, as enumerate::patch_chain_recovers_at_every_event_prefix.
+# `--workspace`, as enumerate::patch_chain_recovers_at_every_event_prefix,
+# and so did the background checkpointer's surface (a pass on the
+# journald core between the commits, every event prefix, exact counts,
+# about a second) as
+# enumerate::background_checkpoint_recovers_at_every_event_prefix.
 CCNVME_ENUM_DEEP=1 cargo test -q --release -p ccnvme-crashtest \
     --test ploc_enum --test cluster_enum deep_
 # Forensics smoke: crash a small stack, save the PMR wreckage, then
