@@ -12,6 +12,7 @@
 //! assumes merging is disabled, and the workloads issue 4 KB-aligned
 //! requests.
 
+use std::collections::VecDeque;
 #[cfg(not(feature = "loom"))]
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -515,6 +516,85 @@ pub fn read_block(dev: &dyn BlockDevice, lba: u64) -> Result<Vec<u8>, BioStatus>
     Ok(data)
 }
 
+/// Blocks per read command of [`read_run`]: 64 KB, below the 128 KB
+/// maximum data transfer size common NVMe devices report, and the most
+/// one failed command costs in single-block re-reads.
+pub const RUN_CMD_BLOCKS: u16 = 16;
+
+/// Read commands [`read_run`] keeps in flight at once. With
+/// [`RUN_CMD_BLOCKS`] that bounds its buffers at 512 KB however long the
+/// run, and it is more commands than the Optane profiles have read
+/// channels (4 on the P5800X, 6 on the 905P), so none of them idles.
+pub const RUN_IN_FLIGHT: usize = 8;
+
+/// Reads the `len` blocks from `start` and hands each to `each` as
+/// `(lba, bytes or status)`, once per block, in LBA order.
+///
+/// The run goes out as read commands of [`RUN_CMD_BLOCKS`] blocks, at
+/// most [`RUN_IN_FLIGHT`] of them in flight. A command that fails is
+/// read again one block at a time, so every block's outcome is exactly
+/// what [`read_block`] of it gives: a media error on one LBA fails that
+/// block alone.
+pub fn read_run(
+    dev: &dyn BlockDevice,
+    start: u64,
+    len: u64,
+    mut each: impl FnMut(u64, Result<&[u8], BioStatus>),
+) {
+    let end = start + len;
+    let mut next = start;
+    let mut in_flight: VecDeque<(u64, BioBuf, BioWaiter)> = VecDeque::with_capacity(RUN_IN_FLIGHT);
+    loop {
+        while in_flight.len() < RUN_IN_FLIGHT && next < end {
+            let n = (end - next).min(RUN_CMD_BLOCKS.into());
+            let buf: BioBuf = Arc::new(Mutex::new(vec![0u8; (n * BLOCK_SIZE) as usize]));
+            let waiter = BioWaiter::new();
+            let mut bio = Bio::read(next, Arc::clone(&buf));
+            waiter.attach(&mut bio);
+            dev.submit_bio(bio);
+            in_flight.push_back((next, buf, waiter));
+            next += n;
+        }
+        let Some((lba, buf, waiter)) = in_flight.pop_front() else {
+            return;
+        };
+        let landed = waiter.wait().is_ok();
+        let data = std::mem::take(&mut *buf.lock());
+        for (block, lba) in data.chunks(BLOCK_SIZE as usize).zip(lba..) {
+            if landed {
+                each(lba, Ok(block));
+            } else {
+                each(lba, read_block(dev, lba).as_deref().map_err(|&st| st));
+            }
+        }
+    }
+}
+
+/// Reads each of `lbas` as its own one-block command, all in flight
+/// together, and waits for every one: the blocks in `lbas` order when
+/// none failed, else the status of the first that did.
+pub fn read_blocks(
+    dev: &dyn BlockDevice,
+    lbas: impl IntoIterator<Item = u64>,
+) -> Result<Vec<Vec<u8>>, BioStatus> {
+    let waiter = BioWaiter::new();
+    let bufs: Vec<BioBuf> = lbas
+        .into_iter()
+        .map(|lba| {
+            let buf: BioBuf = Arc::new(Mutex::new(vec![0u8; BLOCK_SIZE as usize]));
+            let mut bio = Bio::read(lba, Arc::clone(&buf));
+            waiter.attach(&mut bio);
+            dev.submit_bio(bio);
+            buf
+        })
+        .collect();
+    waiter.wait()?;
+    Ok(bufs
+        .iter()
+        .map(|b| std::mem::take(&mut *b.lock()))
+        .collect())
+}
+
 /// Writes each `(lba, buffer)` of `blocks` as a plain write, in order,
 /// and waits for all of them; `Ok` when none failed, else the status of
 /// the first that did.
@@ -825,6 +905,147 @@ mod tests {
             let dev = StubDev::new(BioStatus::Media, false);
             assert_eq!(flush_cache(&dev), Ok(()));
             assert!(dev.submitted.lock().is_empty());
+        });
+    }
+
+    /// A device whose block `lba` holds `lba as u8` in every byte; a read
+    /// command covering `bad` fails with a media error and fills
+    /// nothing. With `hold`, bios wait in `held` for the test to
+    /// complete them; otherwise each completes inline. Records each
+    /// read command's `(lba, nblocks)`.
+    struct RunDev {
+        bad: Option<u64>,
+        hold: bool,
+        held: Mutex<Vec<Bio>>,
+        reads: Mutex<Vec<(u64, u16)>>,
+    }
+
+    impl RunDev {
+        fn new(bad: Option<u64>, hold: bool) -> RunDev {
+            RunDev {
+                bad,
+                hold,
+                held: Mutex::new(Vec::new()),
+                reads: Mutex::new(Vec::new()),
+            }
+        }
+
+        fn complete(&self, mut bio: Bio) {
+            let span = bio.lba..bio.lba + u64::from(bio.nblocks);
+            if self.bad.is_some_and(|bad| span.contains(&bad)) {
+                return bio.complete(BioStatus::Media);
+            }
+            if let BioData::Dst(buf) = &bio.data {
+                for (block, lba) in buf.lock().chunks_mut(BLOCK_SIZE as usize).zip(span) {
+                    block.fill(lba as u8);
+                }
+            }
+            bio.complete(BioStatus::Ok);
+        }
+    }
+
+    impl BlockDevice for RunDev {
+        fn submit_bio(&self, bio: Bio) {
+            self.reads.lock().push((bio.lba, bio.nblocks));
+            if self.hold {
+                self.held.lock().push(bio);
+            } else {
+                self.complete(bio);
+            }
+        }
+
+        fn num_queues(&self) -> usize {
+            1
+        }
+
+        fn has_volatile_cache(&self) -> bool {
+            false
+        }
+
+        fn capacity_blocks(&self) -> u64 {
+            1 << 20
+        }
+    }
+
+    /// Runs `read_run(dev, start, len)` and returns each block's lba and
+    /// its first byte, or its status.
+    fn run(dev: &RunDev, start: u64, len: u64) -> Vec<(u64, Result<u8, BioStatus>)> {
+        let mut got = Vec::new();
+        read_run(dev, start, len, |lba, block| {
+            got.push((
+                lba,
+                block.map(|b| {
+                    assert!(b.iter().all(|&x| x == b[0]), "block {lba} is not whole");
+                    b[0]
+                }),
+            ));
+        });
+        got
+    }
+
+    #[test]
+    fn a_run_across_command_boundaries_returns_every_block_in_lba_order() {
+        Sim::run_main(1, || {
+            let dev = RunDev::new(None, false);
+            let want: Vec<_> = (5..45).map(|lba| (lba, Ok(lba as u8))).collect();
+            assert_eq!(run(&dev, 5, 40), want);
+            assert_eq!(*dev.reads.lock(), [(5, 16), (21, 16), (37, 8)]);
+        });
+    }
+
+    #[test]
+    fn a_media_error_inside_a_command_fails_exactly_that_block() {
+        Sim::run_main(1, || {
+            let dev = RunDev::new(Some(26), false);
+            let want: Vec<_> = (5..45)
+                .map(|lba| match lba {
+                    26 => (lba, Err(BioStatus::Media)),
+                    _ => (lba, Ok(lba as u8)),
+                })
+                .collect();
+            assert_eq!(run(&dev, 5, 40), want);
+            // The failed command's 16 blocks were read again one by one.
+            let singles = dev.reads.lock().iter().filter(|r| r.1 == 1).count();
+            assert_eq!(singles, 16);
+        });
+    }
+
+    #[test]
+    fn a_run_of_n_blocks_is_n_over_blocks_per_command_reads() {
+        Sim::run_main(1, || {
+            let per = u64::from(RUN_CMD_BLOCKS);
+            for n in [1, per - 1, per, per + 1, 4_096] {
+                let dev = RunDev::new(None, false);
+                assert_eq!(run(&dev, 100, n).len() as u64, n);
+                assert_eq!(dev.reads.lock().len() as u64, n.div_ceil(per), "{n} blocks");
+            }
+            let dev = RunDev::new(None, false);
+            read_run(&dev, 0, 0, |lba, _| {
+                panic!("an empty run handed over {lba}")
+            });
+            assert!(dev.reads.lock().is_empty());
+        });
+    }
+
+    #[test]
+    fn a_run_keeps_at_most_its_bound_of_commands_in_flight() {
+        Sim::run_main(2, || {
+            let dev = Arc::new(RunDev::new(None, true));
+            let blocks = 40 * u64::from(RUN_CMD_BLOCKS);
+            let device = Arc::clone(&dev);
+            let most = ccnvme_sim::spawn("dev", 1, move || {
+                let (mut done, mut most) = (0, 0);
+                while done < 40 {
+                    ccnvme_sim::delay(1_000);
+                    let held = std::mem::take(&mut *device.held.lock());
+                    most = most.max(held.len());
+                    done += held.len();
+                    held.into_iter().for_each(|bio| device.complete(bio));
+                }
+                most
+            });
+            assert_eq!(run(&dev, 0, blocks).len() as u64, blocks);
+            assert_eq!(most.join(), RUN_IN_FLIGHT);
         });
     }
 

@@ -43,7 +43,7 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use ccnvme::CcNvmeDriver;
-use ccnvme_block::{commit_tx, read_block, BLOCK_SIZE};
+use ccnvme_block::{commit_tx, read_block, read_run, BLOCK_SIZE};
 use ccnvme_fabric::capsule::admits;
 use ccnvme_fabric::{ClusterBackend, ShardWrite, Status};
 use ccnvme_obs::{Counter, Gauge, Obs};
@@ -161,37 +161,60 @@ impl ClusterNode {
     pub fn mount(drv: Arc<CcNvmeDriver>, layout: ShardLayout) -> (Arc<ClusterNode>, Vec<u64>) {
         let obs = ccnvme_block::obs_of(&*drv);
         let stats = NodeStats::registered(&obs);
-        let read = |lba| {
-            read_block(&*drv, lba)
-                .unwrap_or_else(|st| panic!("mount scan read failed at lba {lba}: {st:?}"))
-        };
+        // One run over the protocol window, decoded in place: intent
+        // slots (header, then staged data), decision records, the mark.
+        // A block is needed when it is a header, a record, the mark or a
+        // live intent's staged data; a failed read of one is a panic.
+        let start = layout.slot_header(0);
+        let decisions_at = start + layout.intent_slots * ShardLayout::slot_blocks();
+        let hwm_lba = layout.gtx_hwm_lba();
         let mut decisions = HashMap::new();
         let mut max_gtx = 0u64;
         let mut cursor = 0u64;
-        // Every slot: records may land out of cursor order, and a failed one leaves a hole.
-        for i in 0..layout.decision_slots {
-            if let Some((gtx, commit)) = decode_decision(&read(layout.decision_lba(i))) {
-                decisions.insert(gtx, Entry::Durable(commit));
-                max_gtx = max_gtx.max(gtx);
-                cursor = i + 1;
-            }
-        }
-        let mut intents = HashMap::new();
         let mut free_slots = Vec::new();
-        for slot in 0..layout.intent_slots {
-            match decode_intent(&read(layout.slot_header(slot))) {
-                Some((gtx, lbas)) => {
-                    let writes = lbas
-                        .iter()
-                        .enumerate()
-                        .map(|(j, &lba)| (lba, read(layout.slot_data(slot, j as u64))))
-                        .collect();
-                    intents.insert(gtx, Entry::Durable(PreparedTx { slot, writes }));
+        // Each live slot's gtx and intent, its staged data filled in as
+        // the run reaches it.
+        let mut live: Vec<(u64, PreparedTx)> = Vec::new();
+        let mut hwm = 0;
+        read_run(&*drv, start, hwm_lba + 1 - start, |lba, block| {
+            let block =
+                || block.unwrap_or_else(|st| panic!("mount scan read failed at lba {lba}: {st:?}"));
+            if lba == hwm_lba {
+                hwm = decode_gtx_hwm(block()).unwrap_or(0);
+            } else if lba >= decisions_at {
+                // Every slot: records may land out of cursor order, and
+                // a failed one leaves a hole.
+                if let Some((gtx, commit)) = decode_decision(block()) {
+                    decisions.insert(gtx, Entry::Durable(commit));
                     max_gtx = max_gtx.max(gtx);
+                    cursor = lba - decisions_at + 1;
                 }
-                None => free_slots.push(slot),
+            } else {
+                let at = lba - start;
+                let (slot, j) = (
+                    at / ShardLayout::slot_blocks(),
+                    at % ShardLayout::slot_blocks(),
+                );
+                if j == 0 {
+                    match decode_intent(block()) {
+                        Some((gtx, lbas)) => {
+                            let writes = lbas.into_iter().map(|to| (to, Vec::new())).collect();
+                            live.push((gtx, PreparedTx { slot, writes }));
+                            max_gtx = max_gtx.max(gtx);
+                        }
+                        None => free_slots.push(slot),
+                    }
+                } else if let Some((_, tx)) = live.last_mut().filter(|(_, tx)| tx.slot == slot) {
+                    if let Some((_, data)) = tx.writes.get_mut(j as usize - 1) {
+                        *data = block().to_vec();
+                    }
+                }
             }
-        }
+        });
+        let intents: HashMap<u64, Entry<PreparedTx>> = live
+            .into_iter()
+            .map(|(gtx, tx)| (gtx, Entry::Durable(tx)))
+            .collect();
         let mut in_doubt: Vec<u64> = intents.keys().copied().collect();
         in_doubt.sort_unstable();
         stats.in_doubt.set(in_doubt.len() as i64);
@@ -201,7 +224,6 @@ impl ClusterNode {
         // makes allocation crash-unique — including for gtxs whose only
         // traces live on remote shards. The scan maximum is a
         // defensive floor for pre-mark media.
-        let hwm = decode_gtx_hwm(&read(layout.gtx_hwm_lba())).unwrap_or(0);
         let node = Arc::new(ClusterNode {
             drv,
             layout,

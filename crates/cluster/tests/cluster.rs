@@ -5,7 +5,7 @@
 use std::sync::Arc;
 
 use ccnvme::CcNvmeDriver;
-use ccnvme_block::{read_block, BLOCK_SIZE};
+use ccnvme_block::{read_block, BLOCK_SIZE, RUN_CMD_BLOCKS};
 use ccnvme_cluster::layout::decode_intent;
 use ccnvme_cluster::{
     resolve_in_doubt_local, ClusterCfg, ClusterClient, ClusterError, ClusterNode, ShardLayout,
@@ -19,7 +19,7 @@ use ccnvme_fabric::{
 use ccnvme_fault::{FaultKind, FaultPlan, FaultRule, Trigger};
 use ccnvme_obs::Registry;
 use ccnvme_sim::Sim;
-use ccnvme_ssd::{CrashMode, CtrlConfig, NvmeController, SsdProfile};
+use ccnvme_ssd::{CrashMode, CtrlConfig, DurableImage, NvmeController, SsdProfile};
 
 /// Host cores serving fabric connections in these tests.
 const CORES: usize = 2;
@@ -421,6 +421,52 @@ fn gtx_ids_survive_coordinator_crashes() {
             lease.end <= after.start,
             "gtxs {after:?} re-issued after a coordinator crash (pre-crash lease {lease:?})"
         );
+    });
+}
+
+/// Mount reads the protocol window as one run of multi-block reads:
+/// on `ShardLayout::standard` at most ⌈(32 × 9 + 8 192 + 1) / 16⌉ = 531
+/// commands reach the device (8 225 with one read per header, record and
+/// the mark), and a prepared intent still comes back with its staged
+/// data. A mount writes nothing, so every command it issues is a read;
+/// `ssd.service_ns` records one sample per command the device serves.
+#[test]
+fn mount_reads_the_protocol_window_in_bulk() {
+    in_sim(|| {
+        let layout = ShardLayout::standard(0);
+        let boot = |image: Option<&DurableImage>| {
+            let mut cc = CtrlConfig::new(SsdProfile::optane_905p());
+            cc.device_core = CORES;
+            let ctrl = match image {
+                Some(img) => NvmeController::from_image(cc, img),
+                None => NvmeController::new(cc),
+            };
+            Arc::new(CcNvmeDriver::probe(ctrl, sim_cores() as u16, 64).0)
+        };
+        let (node, _) = ClusterNode::mount(boot(None), layout);
+        let staged = [writes(5, 0x5a), writes(6, 0x6b)].concat();
+        assert!(node.prepare(9, &staged).is_ok());
+        let img = node
+            .driver()
+            .controller()
+            .crash_snapshot(CrashMode::SETTLED);
+        let drv = boot(Some(&img));
+        let served = |obs: Arc<ccnvme_obs::Obs>| {
+            let m = obs.metrics.snapshot();
+            m.histogram("ssd.service_ns").map_or(0, |h| h.summary.count)
+        };
+        let before = served(ccnvme_block::obs_of(&*drv));
+        let (node, in_doubt) = ClusterNode::mount(drv, layout);
+        let reads = served(node.obs()) - before;
+        let window = layout.total_blocks() - layout.data_blocks;
+        assert!(
+            reads <= window.div_ceil(RUN_CMD_BLOCKS.into()),
+            "mount read its {window}-block window in {reads} commands"
+        );
+        assert_eq!(in_doubt, [9]);
+        assert!(node.decide(9, true).is_ok());
+        assert_block(&node.read_block(5).expect("read"), &block(0x5a));
+        assert_block(&node.read_block(6).expect("read"), &block(0x6b));
     });
 }
 

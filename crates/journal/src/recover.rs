@@ -23,7 +23,9 @@
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 
-use ccnvme_block::{flush_cache, read_block, submit_and_wait, Bio, BioFlags, BioStatus};
+use ccnvme_block::{
+    flush_cache, read_block, read_blocks, read_run, submit_and_wait, Bio, BioFlags, BioStatus,
+};
 use ccnvme_obs::seal::crc32c;
 
 use crate::{
@@ -82,40 +84,40 @@ pub fn recover_areas(
     min_tx: u64,
     discard: &HashSet<u64>,
 ) -> Vec<RecoveredUpdate> {
-    // Pass 1: find all JDs and (classic) commit records. A block that
-    // cannot be read is no record.
+    // Pass 1: find all JDs and (classic) commit records, each area's
+    // ring read as one run. A block that cannot be read is no record.
     let mut jds: Vec<JdBlock> = Vec::new();
     let mut commits: HashSet<u64> = HashSet::new();
     for area in areas {
-        for i in 0..area.len {
-            let Ok(raw) = read_block(&**dev, area.start + i) else {
-                continue;
+        read_run(&**dev, area.start, area.len, |_, raw| {
+            let Ok(raw) = raw else {
+                return;
             };
-            if let Some(jd) = JdBlock::decode(&raw) {
+            if let Some(jd) = JdBlock::decode(raw) {
                 jds.push(jd);
-            } else if let Some(tx_id) = format::decode_commit_record(&raw) {
+            } else if let Some(tx_id) = format::decode_commit_record(raw) {
                 commits.insert(tx_id);
             }
-        }
+        });
     }
     // Pass 2: validate.
     let mut valid: Vec<(JdBlock, Vec<Vec<u8>>)> = Vec::new();
-    'jd: for jd in jds {
+    for jd in jds {
         if jd.tx_id < min_tx || discard.contains(&jd.tx_id) {
             continue;
         }
         if mode == RecoverMode::RequireCommitRecord && !commits.contains(&jd.tx_id) {
             continue;
         }
-        let mut contents = Vec::with_capacity(jd.entries.len());
-        for e in &jd.entries {
-            match read_block(&**dev, e.journal_lba) {
-                Ok(data) if u64::from(crc32c(&data)) == e.checksum => contents.push(data),
-                // Torn transaction: some journaled block never landed.
-                _ => continue 'jd,
-            }
+        // One JD's journaled blocks are read together. Torn transaction:
+        // some journaled block never landed, or cannot be read.
+        let Ok(contents) = read_blocks(&**dev, jd.entries.iter().map(|e| e.journal_lba)) else {
+            continue;
+        };
+        let mut pairs = jd.entries.iter().zip(&contents);
+        if pairs.all(|(e, data)| u64::from(crc32c(data)) == e.checksum) {
+            valid.push((jd, contents));
         }
-        valid.push((jd, contents));
     }
     // Pass 3: order by transaction ID and build each home block. A
     // revoke in transaction R suppresses every record of that block,

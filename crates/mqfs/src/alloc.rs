@@ -243,18 +243,25 @@ fn write_bitmap_window(bm: &Bitmap, window: u64, out: &mut [u8]) {
     }
 }
 
-/// Loads the `window`-th bitmap-block worth of bits from `data`, a word
-/// at a time; bits at or past the limit are ignored.
+/// Loads the `window`-th bitmap-block worth of bits from `data`, OR-ing
+/// in whole words; bits at or past the limit are ignored.
 fn read_bitmap_window(bm: &mut Bitmap, window: u64, data: &[u8]) {
     let first = (window * BITS_PER_BLOCK / 64) as usize;
-    for (w, bytes) in (first..).zip(data.chunks_exact(8)) {
-        let Some(slot) = bm.words.get_mut(w) else {
-            break;
-        };
-        let word = u64::from_le_bytes(bytes.try_into().expect("8 bytes")) & word_mask(bm.limit, w);
-        bm.free -= u64::from((word & !*slot).count_ones());
+    let mut taken = 0;
+    for (slot, bytes) in bm.words.iter_mut().skip(first).zip(data.chunks_exact(8)) {
+        let word = u64::from_le_bytes(bytes.try_into().expect("8 bytes"));
+        taken += (word & !*slot).count_ones();
         *slot |= word;
     }
+    // Only the last word reaches past the limit, and no bit past it was
+    // set before: each such bit was counted above, and is taken back.
+    let last = bm.words.len() - 1;
+    if (first..first + data.len() / 8).contains(&last) {
+        let past = bm.words[last] & !word_mask(bm.limit, last);
+        taken -= past.count_ones();
+        bm.words[last] ^= past;
+    }
+    bm.free -= u64::from(taken);
 }
 
 #[cfg(test)]

@@ -4,7 +4,7 @@
 use std::{collections::HashSet, sync::Arc};
 
 use ccnvme::{CcNvmeDriver, NvmeDriver};
-use ccnvme_block::BlockDevice;
+use ccnvme_block::{Bio, BioOp, BlockDevice, RUN_CMD_BLOCKS};
 use ccnvme_obs::MetricsSnapshot;
 use ccnvme_sim::Sim;
 use ccnvme_ssd::{CrashMode, CtrlConfig, DurableImage, NvmeController, SsdProfile};
@@ -1138,6 +1138,79 @@ fn fdatasync_skips_clean_metadata() {
         let d = ccnvme_repro_traffic(&stack) - t0;
         // Data block + journal descriptor only — no inode/bitmap blocks.
         assert!(d <= 2, "fdatasync wrote {d} blocks, expected <= 2");
+    });
+    sim.run();
+}
+
+/// Passes every bio to `inner`, counting the read commands that start
+/// inside `range`.
+struct ReadCounter {
+    inner: Arc<dyn BlockDevice>,
+    range: std::ops::Range<u64>,
+    reads: std::sync::atomic::AtomicU64,
+}
+
+impl BlockDevice for ReadCounter {
+    fn submit_bio(&self, bio: Bio) {
+        if bio.op == BioOp::Read && self.range.contains(&bio.lba) {
+            self.reads
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        }
+        self.inner.submit_bio(bio);
+    }
+
+    fn num_queues(&self) -> usize {
+        self.inner.num_queues()
+    }
+
+    fn has_volatile_cache(&self) -> bool {
+        self.inner.has_volatile_cache()
+    }
+
+    fn capacity_blocks(&self) -> u64 {
+        self.inner.capacity_blocks()
+    }
+}
+
+/// Mount reads each journal area's ring as one run of multi-block
+/// reads: a 4 096-block journal in 4 096 / 16 = 256 read commands, not
+/// one per block. The volume was unmounted, so every transaction is
+/// below the horizon and recovery reads no journaled block.
+#[test]
+fn mount_reads_the_journal_ring_in_bulk() {
+    let mut sim = Sim::new(CORES + 2);
+    sim.spawn("host", 0, || {
+        let variant = FsVariant::Mqfs;
+        let cfg = FsConfig {
+            journal_blocks: 4_096,
+            ..fs_config(variant)
+        };
+        let profile = SsdProfile::optane_905p();
+        let stack = Stack::new(variant, profile.clone());
+        let fs = FileSystem::format(Arc::clone(&stack.dev), cfg.clone());
+        let ino = fs.create_path("/ring").expect("create");
+        fs.write(ino, 0, &[7u8; 4096]).expect("write");
+        fs.fsync(ino).expect("fsync");
+        let layout = fs.layout();
+        let image = stack.unmounted_image(&fs);
+        let mut ctrl_cfg = CtrlConfig::new(profile);
+        ctrl_cfg.device_core = CORES + 1;
+        let (stack, discard) =
+            Stack::from_ctrl(variant, NvmeController::from_image(ctrl_cfg, &image));
+        let counter = Arc::new(ReadCounter {
+            inner: stack.dev,
+            range: layout.journal_start()..layout.data_start(),
+            reads: Default::default(),
+        });
+        let fs = FileSystem::mount(Arc::clone(&counter) as _, cfg, &discard).expect("mount");
+        let reads = counter.reads.load(std::sync::atomic::Ordering::Relaxed);
+        assert_eq!(
+            reads,
+            4_096 / u64::from(RUN_CMD_BLOCKS),
+            "ring read commands"
+        );
+        let ino = fs.resolve("/ring").expect("resolve");
+        assert_eq!(fs.read(ino, 0, 4096).expect("read"), [7u8; 4096]);
     });
     sim.run();
 }
