@@ -9,8 +9,16 @@
 //! coordinator verdict, durable decides), the rest are single-shard
 //! one-phase commits (one `TX_COMMIT`, one local transaction) routed by
 //! the hash ring. A 1-shard run has no second shard, so it carries no
-//! 2PC at all and is not the same mix; the acceptance gate compares
-//! rows that are: the 2-, 4- and 8-shard rows do not decrease.
+//! 2PC at all and is not the same mix.
+//!
+//! The sweep runs on two core layouts. In the shared one every domain's
+//! connection handlers run on the clients' 4 host cores, so a shard
+//! adds a device but no CPU: past 4 shards the host cores bound the
+//! rows, which then differ only by the run's set-up phase. In the
+//! own-cores one each domain serves on 4 cores of its own, as a node of
+//! a real cluster does, so a shard adds what it serves with. The
+//! acceptance gate compares own-cores rows of the same mix: the 2-, 4-
+//! and 8-shard rows do not decrease.
 //!
 //! Phase 2 kills one shard of four mid-run: commits touching its key
 //! range must abort cleanly (`Ok(false)`, presumed abort) while every
@@ -31,19 +39,48 @@ use ccnvme_obs::{Histogram, Registry};
 use ccnvme_sim::{Ns, Sim};
 use ccnvme_ssd::{CtrlConfig, NvmeController, SsdProfile};
 
-/// Host cores serving fabric handler daemons and client threads.
+/// Host cores of the clients, and of each domain's handlers when it
+/// has its own (see [`Cores`]).
 const CORES: usize = 4;
 
-/// Concurrent cluster initiators in the sweep — enough offered load
-/// to saturate the larger shard counts, not just the single shard.
+/// Concurrent cluster initiators in the sweep, each a closed loop: a
+/// client starts its next commit when the last one answered.
 const CLIENTS: usize = 24;
 
 /// Every `CROSS_EVERY`th commit spans two shards (full 2PC).
 const CROSS_EVERY: u64 = 8;
 
-/// Simulated cores: host cores, then one device core per domain.
-fn sim_cores(shards: usize) -> usize {
-    CORES + shards + 1
+/// Where each domain's fabric connection handlers run.
+#[derive(Clone, Copy)]
+enum Cores {
+    /// On the clients' `CORES` host cores, shared by every domain.
+    Shared,
+    /// On `CORES` cores of the domain's own, after the clients'.
+    Own,
+}
+
+impl Cores {
+    /// Host cores: the clients' (and, when shared, every handler's),
+    /// then each domain's own.
+    fn host(self, shards: usize) -> usize {
+        match self {
+            Cores::Shared => CORES,
+            Cores::Own => CORES * (shards + 2),
+        }
+    }
+
+    /// The first handler core of domain `d`.
+    fn first_handler(self, d: usize) -> usize {
+        match self {
+            Cores::Shared => 0,
+            Cores::Own => CORES * (d + 1),
+        }
+    }
+
+    /// Simulated cores: host cores, then one device core per domain.
+    fn sim(self, shards: usize) -> usize {
+        self.host(shards) + shards + 1
+    }
 }
 
 struct Point {
@@ -55,17 +92,18 @@ struct Point {
 
 /// Builds `shards` participant domains plus the coordinator, each with
 /// its own simulated device on its own core, served over loopback.
-fn build_cluster(shards: usize) -> (Vec<Arc<ClusterNode>>, Vec<Arc<FabricTarget>>) {
+fn build_cluster(shards: usize, cores: Cores) -> (Vec<Arc<ClusterNode>>, Vec<Arc<FabricTarget>>) {
     let mut nodes = Vec::new();
     let mut targets = Vec::new();
     for d in 0..shards + 1 {
         let mut cc = CtrlConfig::new(SsdProfile::optane_905p());
-        cc.device_core = CORES + d;
+        cc.device_core = cores.host(shards) + d;
         let ctrl = NvmeController::new(cc);
-        let (drv, _report) = CcNvmeDriver::probe(ctrl, sim_cores(shards) as u16, 64);
+        let (drv, _report) = CcNvmeDriver::probe(ctrl, cores.sim(shards) as u16, 64);
         let (node, in_doubt) = ClusterNode::mount(Arc::new(drv), ShardLayout::standard(0));
         assert!(in_doubt.is_empty(), "fresh node mounted in doubt");
         let mut cfg = FabricConfig::new(CORES);
+        cfg.first_core = cores.first_handler(d);
         cfg.shard_label = Some(d as u64);
         let target = FabricTarget::new(
             Backend::Cluster(Arc::clone(&node) as Arc<dyn ClusterBackend>),
@@ -106,9 +144,9 @@ fn payload(tag: u8) -> Vec<u8> {
 }
 
 /// One sweep point: `CLIENTS` initiators over `shards` participants.
-fn measure_shards(shards: usize) -> Point {
-    let (point, snap) = Sim::run_main(sim_cores(shards), move || {
-        let (nodes, targets) = build_cluster(shards);
+fn measure_shards(shards: usize, cores: Cores) -> Point {
+    let (point, snap) = Sim::run_main(cores.sim(shards), move || {
+        let (nodes, targets) = build_cluster(shards, cores);
         let hist = Arc::new(Histogram::new());
         let committed = Arc::new(AtomicU64::new(0));
         let data_blocks = ShardLayout::standard(0).data_blocks;
@@ -190,7 +228,11 @@ fn measure_shards(shards: usize) -> Point {
         };
         (point, targets[shards].obs().metrics.snapshot())
     });
-    record_run_seq(&format!("cluster.shards{shards}"), snap);
+    let label = match cores {
+        Cores::Shared => format!("cluster.shards{shards}"),
+        Cores::Own => format!("cluster.own_cores.shards{shards}"),
+    };
+    record_run_seq(&label, snap);
     point
 }
 
@@ -206,8 +248,8 @@ struct Drill {
 fn measure_kill_one_shard() -> Drill {
     const SHARDS: usize = 4;
     const DEAD: usize = 3;
-    let (drill, snap) = Sim::run_main(sim_cores(SHARDS), move || {
-        let (_nodes, targets) = build_cluster(SHARDS);
+    let (drill, snap) = Sim::run_main(Cores::Shared.sim(SHARDS), move || {
+        let (_nodes, targets) = build_cluster(SHARDS, Cores::Shared);
         let reg = targets[SHARDS].obs();
         let mut client = connect(&targets, 1, Some(&reg.metrics));
         let gauge = reg.metrics.gauge("cluster.degraded_shards");
@@ -275,9 +317,10 @@ fn measure_kill_one_shard() -> Drill {
     drill
 }
 
-fn main() {
+/// Prints one layout's sweep and returns its `(shards, point)` rows.
+fn sweep(cores: Cores, title: &str) -> Vec<(usize, Point)> {
     header(&format!(
-        "Cluster commit scaling ({CLIENTS} clients, 1-in-{CROSS_EVERY} commits cross-shard 2PC, Optane 905P per shard)"
+        "Cluster commit scaling ({CLIENTS} clients, 1-in-{CROSS_EVERY} commits cross-shard 2PC, Optane 905P per shard, {title})"
     ));
     println!(
         "{:<22}{:>12}{:>12}{:>12}{:>12}",
@@ -285,7 +328,7 @@ fn main() {
     );
     let mut points = Vec::new();
     for shards in [1usize, 2, 4, 8] {
-        let p = measure_shards(shards);
+        let p = measure_shards(shards, cores);
         row(
             &format!("{shards}"),
             &[
@@ -297,6 +340,20 @@ fn main() {
         );
         points.push((shards, p));
     }
+    for (shards, p) in &points {
+        if *shards > 1 {
+            assert!(p.cross > 0, "no cross-shard commit exercised 2PC");
+        }
+    }
+    points
+}
+
+fn main() {
+    sweep(
+        Cores::Shared,
+        &format!("handlers on the clients' {CORES} cores"),
+    );
+    let points = sweep(Cores::Own, &format!("{CORES} handler cores per domain"));
     for pair in points[1..].windows(2) {
         let ((a, p), (b, q)) = (&pair[0], &pair[1]);
         assert!(
@@ -305,11 +362,6 @@ fn main() {
             p.kiops,
             q.kiops
         );
-    }
-    for (shards, p) in &points {
-        if *shards > 1 {
-            assert!(p.cross > 0, "no cross-shard commit exercised 2PC");
-        }
     }
 
     header("Kill-one-shard degradation drill (4 shards, shard 3 dies mid-run, then heals)");

@@ -1,29 +1,41 @@
-//! On-media layout of a cluster shard's block window.
+//! On-media layout of a cluster shard: its block window, and the
+//! coordinator's decision log in the PMR.
 //!
 //! ```text
-//! base ─┬──────────────────────┬──────────────────────┬───────────────┐
-//!       │ data region          │ intent slots         │ decision slots│
-//!       │ [0, data_blocks)     │ hdr + SLOT_WRITE_CAP │ 1 block each  │
-//!       │                      │ data blocks each     │ (coordinator) │
-//!       └──────────────────────┴──────────────────────┴───────────────┘
+//! base ─┬──────────────────────┬──────────────────────┬──────────┐
+//!       │ data region          │ intent slots         │ gtx mark │
+//!       │ [0, data_blocks)     │ hdr + SLOT_WRITE_CAP │ 1 block  │
+//!       │                      │ data blocks each     │ (coord.) │
+//!       └──────────────────────┴──────────────────────┴──────────┘
+//!
+//! PMR app region ─┬────────┬────────┬─────┬──────────────────────┐
+//!                 │ line 0 │ line 1 │ ... │ line decision_slots-1│
+//!                 └────────┴────────┴─────┴──────────────────────┘
 //! ```
 //!
-//! Every record is one self-validating block sealed by
+//! Every block record is one self-validating block sealed by
 //! [`ccnvme_obs::seal::seal_block`]: magic, payload, CRC-32C checksum. A
 //! freed slot is a zeroed header block — it fails the magic check, which
-//! is the only "free" marker recovery needs. Records are only ever
+//! is the only "free" marker recovery needs. Block records are only ever
 //! written as the commit member of a local ccNVMe transaction, so a
 //! crash either leaves the old block (checksum holds, old state) or the
 //! journal replays the new one (checksum holds, new state); a torn record
 //! is impossible by the §4 contract — but the decoder still refuses one
 //! defensively.
+//!
+//! The coordinator's decisions are 64 B lines of the PMR application
+//! sub-region (`ccnvme::PmrLayout::app_region_off`), one per decision,
+//! sealed by [`ccnvme_obs::seal::seal_line`]: a decision is one posted
+//! write plus one flush, with no block I/O (§4.4). A line is written once
+//! and never overwritten; one that is torn, never written or foreign
+//! decodes as no decision — a hole the mount steps over.
 
-use ccnvme_obs::seal::{seal_block, sealed_payload};
+use ccnvme_obs::seal::{seal_block, seal_line, sealed_payload, verify_line};
 
 /// Magic of a live intent-slot header block.
 pub const INTENT_MAGIC: u64 = 0x4343_5458_5052_4550; // "CCTXPREP"
 
-/// Magic of a decision record block.
+/// Magic of a decision line.
 pub const DECISION_MAGIC: u64 = 0x4343_5458_4443_4944; // "CCTXDCID"
 
 /// Magic of the gtx high-water-mark record block.
@@ -39,6 +51,13 @@ pub const DECISION_COMMIT: u64 = 1;
 /// Decision word for ABORT.
 pub const DECISION_ABORT: u64 = 2;
 
+/// Bytes per decision line: one PMR write-combining line.
+pub const DECISION_LINE: u64 = 64;
+
+/// Seal epoch of every decision line. The log outlives every
+/// re-format of the ccNVMe rings, so it takes no ring generation.
+const DECISION_EPOCH: u32 = 0;
+
 /// Geometry of one shard's window on its device.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardLayout {
@@ -48,8 +67,8 @@ pub struct ShardLayout {
     pub data_blocks: u64,
     /// Intent slots after the data region.
     pub intent_slots: u64,
-    /// Decision record blocks after the intent region (used by the
-    /// coordinator role; participants keep the region for symmetry).
+    /// Lines of the decision log in the PMR application region (used
+    /// by the coordinator role; a participant's log stays empty).
     pub decision_slots: u64,
 }
 
@@ -91,21 +110,20 @@ impl ShardLayout {
         self.slot_header(slot) + 1 + j
     }
 
-    /// Device LBA of decision record `i`.
-    pub fn decision_lba(&self, i: u64) -> u64 {
-        debug_assert!(i < self.decision_slots);
-        self.base + self.data_blocks + self.intent_slots * Self::slot_blocks() + i
-    }
-
     /// Device LBA of the gtx high-water-mark record (coordinator role):
     /// the durable ceiling of the ids ever handed out by `alloc_gtx`.
     pub fn gtx_hwm_lba(&self) -> u64 {
-        self.base + self.data_blocks + self.intent_slots * Self::slot_blocks() + self.decision_slots
+        self.base + self.data_blocks + self.intent_slots * Self::slot_blocks()
     }
 
     /// Total window length in blocks.
     pub fn total_blocks(&self) -> u64 {
-        self.data_blocks + self.intent_slots * Self::slot_blocks() + self.decision_slots + 1
+        self.data_blocks + self.intent_slots * Self::slot_blocks() + 1
+    }
+
+    /// Bytes of the decision log, exact whatever `decision_slots` is.
+    pub fn decision_log_bytes(&self) -> u128 {
+        u128::from(self.decision_slots) * u128::from(DECISION_LINE)
     }
 }
 
@@ -152,24 +170,29 @@ pub fn decode_gtx_hwm(block: &[u8]) -> Option<u64> {
     sealed_payload(block, GTX_HWM_MAGIC, 8).map(|p| le_u64(p, 0))
 }
 
-/// Encodes a decision record block.
-pub fn encode_decision(gtx: u64, commit: bool) -> Vec<u8> {
-    let mut p = [0u8; 9];
-    p[..8].copy_from_slice(&gtx.to_le_bytes());
-    p[8] = if commit {
-        DECISION_COMMIT as u8
+/// Encodes a decision line: magic, gtx, decision word, sealed.
+pub fn encode_decision(gtx: u64, commit: bool) -> [u8; 64] {
+    let word = if commit {
+        DECISION_COMMIT
     } else {
-        DECISION_ABORT as u8
+        DECISION_ABORT
     };
-    seal_block(DECISION_MAGIC, &p)
+    let mut line = [0u8; 64];
+    line[..8].copy_from_slice(&DECISION_MAGIC.to_le_bytes());
+    line[8..16].copy_from_slice(&gtx.to_le_bytes());
+    line[16..24].copy_from_slice(&word.to_le_bytes());
+    seal_line(&mut line, DECISION_EPOCH);
+    line
 }
 
-/// Decodes a decision record block; `None` for a free or damaged slot.
-pub fn decode_decision(block: &[u8]) -> Option<(u64, bool)> {
-    let p = sealed_payload(block, DECISION_MAGIC, 9)?;
-    match p[8] as u64 {
-        DECISION_COMMIT => Some((le_u64(p, 0), true)),
-        DECISION_ABORT => Some((le_u64(p, 0), false)),
+/// Decodes a decision line; `None` for an empty, torn or foreign line.
+pub fn decode_decision(line: &[u8; 64]) -> Option<(u64, bool)> {
+    if !verify_line(line, DECISION_EPOCH) || le_u64(line, 0) != DECISION_MAGIC {
+        return None;
+    }
+    match le_u64(line, 16) {
+        DECISION_COMMIT => Some((le_u64(line, 8), true)),
+        DECISION_ABORT => Some((le_u64(line, 8), false)),
         _ => None,
     }
 }
@@ -193,10 +216,6 @@ mod tests {
         let mut block = encode_intent(1, &[0]);
         block[9] ^= 0xff; // Damage the gtx under the checksum.
         assert_eq!(decode_intent(&block), None);
-        assert_eq!(decode_decision(&vec![0u8; BLOCK_SIZE as usize]), None);
-        let mut d = encode_decision(3, true);
-        d[16] = 9; // Not a valid decision word.
-        assert_eq!(decode_decision(&d), None);
     }
 
     #[test]
@@ -208,6 +227,36 @@ mod tests {
         );
     }
 
+    /// A line that is empty, torn, foreign or carries no decision word
+    /// is no decision: the mount sees a hole there.
+    #[test]
+    fn torn_or_foreign_decision_lines_decode_to_none() {
+        assert_eq!(decode_decision(&[0u8; 64]), None);
+        let line = encode_decision(3, true);
+        // Torn: only the first half of the line landed, or only the
+        // second.
+        let mut front = [0u8; 64];
+        front[..32].copy_from_slice(&line[..32]);
+        assert_eq!(decode_decision(&front), None);
+        let mut back = line;
+        back[..32].fill(0);
+        assert_eq!(decode_decision(&back), None);
+        // One bit of the gtx flipped under the seal.
+        let mut flipped = line;
+        flipped[9] ^= 1;
+        assert_eq!(decode_decision(&flipped), None);
+        // Sealed, but under another record's magic.
+        let mut foreign = line;
+        foreign[..8].copy_from_slice(&GTX_HWM_MAGIC.to_le_bytes());
+        seal_line(&mut foreign, DECISION_EPOCH);
+        assert_eq!(decode_decision(&foreign), None);
+        // Sealed with the right magic but no decision word.
+        let mut wordless = line;
+        wordless[16..24].copy_from_slice(&9u64.to_le_bytes());
+        seal_line(&mut wordless, DECISION_EPOCH);
+        assert_eq!(decode_decision(&wordless), None);
+    }
+
     #[test]
     fn layout_regions_do_not_overlap() {
         let l = ShardLayout::small(1_000);
@@ -215,9 +264,9 @@ mod tests {
         assert_eq!(hdr0, 1_000 + 256);
         assert!(l.slot_data(0, SLOT_WRITE_CAP as u64 - 1) < l.slot_header(1));
         let last_slot_end = l.slot_data(l.intent_slots - 1, SLOT_WRITE_CAP as u64 - 1);
-        assert!(last_slot_end < l.decision_lba(0));
-        assert!(l.decision_lba(l.decision_slots - 1) < l.gtx_hwm_lba());
+        assert_eq!(last_slot_end + 1, l.gtx_hwm_lba());
         assert_eq!(l.gtx_hwm_lba(), l.base + l.total_blocks() - 1);
+        assert_eq!(l.decision_log_bytes(), 64 * 64);
     }
 
     #[test]

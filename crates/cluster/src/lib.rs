@@ -4,8 +4,9 @@
 //! persistent MMIOs (§4). This crate fans transactions across N fabric
 //! targets — each its own simulated SSD, PMR, journal and recovery
 //! domain — and makes a *cross-shard* commit exactly as crash-tolerant,
-//! by building two-phase commit out of nothing but ordinary
-//! single-shard ccNVMe transactions:
+//! by building two-phase commit out of nothing but atomic persists on
+//! one domain each: ordinary single-shard ccNVMe transactions, and one
+//! sealed PMR line per verdict:
 //!
 //! * **Prepare** (`TX_PREPARE`) — the participant durably stages the
 //!   transaction's member writes in an *intent slot* of its block
@@ -16,7 +17,8 @@
 //!   the media). From that ack on, the shard can redo the writes
 //!   after any crash, whichever way the decision goes.
 //! * **Verdict** (`TX_VERDICT`) — the coordinator records the decision
-//!   as one single-block transaction in its *decision region*.
+//!   as one sealed 64 B line of its *decision log* in the PMR
+//!   application region, posted and flushed: no block I/O.
 //!   Get-or-set: a decision already durable wins over any retry, so
 //!   the decision for a gtx is written at most once, ever. Recovery's
 //!   inquiry about an in-doubt gtx is a verdict that proposes abort:

@@ -1,11 +1,13 @@
 //! One cluster node: the 2PC participant/coordinator engine over the
 //! node's own ccNVMe device.
 //!
-//! Every mutating step is one ordinary local ccNVMe transaction, so the
-//! node inherits the §4 crash contract wholesale: a step either never
-//! happened or is completely replayed by the node's own recovery — the
-//! crash-surface enumerator then only has to reason about *which steps*
-//! survived on each domain, never about torn steps.
+//! Every mutating step is one atomic persist on the node's own domain:
+//! an ordinary local ccNVMe transaction, or, for a coordinator verdict,
+//! one sealed PMR line. So the node inherits the §4 crash contract
+//! wholesale: a step either never happened or is completely there after
+//! the node's own recovery — the crash-surface enumerator then only has
+//! to reason about *which steps* survived on each domain, never about
+//! torn steps.
 //!
 //! State machine of a prepared transaction on a participant:
 //!
@@ -20,7 +22,8 @@
 //! ```
 //!
 //! `mount` rebuilds the PREPARED set by scanning intent headers after
-//! the device's journal replay, and reports it as the in-doubt list for
+//! the device's journal replay, and the decisions by reading the
+//! decision log back, and reports the PREPARED set as the in-doubt list for
 //! the resolve step ([`resolve_in_doubt_local`]). A resolve inquiry is a
 //! coordinator verdict that proposes abort: the recorded decision wins,
 //! and with none the presumed abort is recorded before the answer.
@@ -34,8 +37,8 @@
 //! claimed in memory before its write and published after it). A step
 //! locks, checks and *claims* what it will write — an intent preparing
 //! or deciding, a decision recording, the gtx high-water mark
-//! reserving — then runs its local transaction unlocked, then re-locks
-//! to publish the outcome or roll the claim back. A second step on the
+//! reserving — then persists unlocked, then re-locks to publish the
+//! outcome or roll the claim back. A second step on the
 //! same gtx waits for that claim to settle, never for the node.
 
 use std::collections::HashMap;
@@ -51,7 +54,7 @@ use ccnvme_runtime::{RtCondvar, RtMutex, RtMutexGuard};
 
 use crate::layout::{
     decode_decision, decode_gtx_hwm, decode_intent, encode_decision, encode_gtx_hwm, encode_intent,
-    ShardLayout, DECISION_ABORT, DECISION_COMMIT,
+    ShardLayout, DECISION_ABORT, DECISION_COMMIT, DECISION_LINE,
 };
 
 /// Global tx ids the coordinator durably reserves per high-water-mark
@@ -74,7 +77,7 @@ pub struct NodeStats {
     pub applies: Arc<Counter>,
     /// Prepared transactions discarded (decide-abort).
     pub aborts: Arc<Counter>,
-    /// Coordinator decision records written.
+    /// Coordinator decision lines written.
     pub decisions: Arc<Counter>,
     /// Gtx leases served (`AllocTx` answers).
     pub gtx_leases: Arc<Counter>,
@@ -122,7 +125,7 @@ struct NodeSt {
     free_slots: Vec<u64>,
     /// Coordinator decisions (`true` = commit).
     decisions: HashMap<u64, Entry<bool>>,
-    /// Next free decision-record slot.
+    /// Next free decision-log line.
     decision_cursor: u64,
     next_gtx: u64,
     /// In-memory mirror of the durable gtx high-water mark: ids are
@@ -140,6 +143,9 @@ struct NodeSt {
 pub struct ClusterNode {
     drv: Arc<CcNvmeDriver>,
     layout: ShardLayout,
+    /// PMR offset of decision-log line 0: the start of the PMR
+    /// application region.
+    log_base: u64,
     obs: Arc<Obs>,
     st: RtMutex<NodeSt>,
     /// Notified, with `st` held, by every step that settles a claim;
@@ -150,27 +156,40 @@ pub struct ClusterNode {
 
 impl ClusterNode {
     /// Mounts a node on `drv`'s window `layout`, scanning the intent
-    /// and decision regions and the gtx high-water mark left by the
-    /// device's journal replay — a pure read, so re-mounting a settled
-    /// image is byte-idempotent. Returns the node and the in-doubt gtx
-    /// list (prepared intents with no local decision) for the caller
-    /// to resolve against the coordinator.
+    /// slots and the gtx high-water mark left by the device's journal
+    /// replay, then reading the decision log back out of the PMR — a
+    /// pure read, so re-mounting a settled image is byte-idempotent.
+    /// Returns the node and the in-doubt gtx list (prepared intents
+    /// with no local decision) for the caller to resolve against the
+    /// coordinator.
     ///
     /// Must be called from a simulated thread, after
     /// [`CcNvmeDriver::probe`] has run recovery.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the decision log does not fit between the start of
+    /// the PMR application region and the PMR's end.
     pub fn mount(drv: Arc<CcNvmeDriver>, layout: ShardLayout) -> (Arc<ClusterNode>, Vec<u64>) {
         let obs = ccnvme_block::obs_of(&*drv);
         let stats = NodeStats::registered(&obs);
+        let pmr = drv.controller().pmr();
+        let log_base = drv.layout().app_region_off();
+        let room = pmr.size().saturating_sub(log_base);
+        let log_bytes = layout.decision_log_bytes();
+        assert!(
+            log_bytes <= u128::from(room),
+            "decision log of {} lines ({log_bytes} B) does not fit the {room} B \
+             between the PMR app region at {log_base} and the PMR's end",
+            layout.decision_slots
+        );
         // One run over the protocol window, decoded in place: intent
-        // slots (header, then staged data), decision records, the mark.
-        // A block is needed when it is a header, a record, the mark or a
-        // live intent's staged data; a failed read of one is a panic.
+        // slots (header, then staged data), then the mark. A block is
+        // needed when it is a header, the mark or a live intent's
+        // staged data; a failed read of one is a panic.
         let start = layout.slot_header(0);
-        let decisions_at = start + layout.intent_slots * ShardLayout::slot_blocks();
         let hwm_lba = layout.gtx_hwm_lba();
-        let mut decisions = HashMap::new();
         let mut max_gtx = 0u64;
-        let mut cursor = 0u64;
         let mut free_slots = Vec::new();
         // Each live slot's gtx and intent, its staged data filled in as
         // the run reaches it.
@@ -181,36 +200,41 @@ impl ClusterNode {
                 || block.unwrap_or_else(|st| panic!("mount scan read failed at lba {lba}: {st:?}"));
             if lba == hwm_lba {
                 hwm = decode_gtx_hwm(block()).unwrap_or(0);
-            } else if lba >= decisions_at {
-                // Every slot: records may land out of cursor order, and
-                // a failed one leaves a hole.
-                if let Some((gtx, commit)) = decode_decision(block()) {
-                    decisions.insert(gtx, Entry::Durable(commit));
-                    max_gtx = max_gtx.max(gtx);
-                    cursor = lba - decisions_at + 1;
+                return;
+            }
+            let at = lba - start;
+            let (slot, j) = (
+                at / ShardLayout::slot_blocks(),
+                at % ShardLayout::slot_blocks(),
+            );
+            if j == 0 {
+                match decode_intent(block()) {
+                    Some((gtx, lbas)) => {
+                        let writes = lbas.into_iter().map(|to| (to, Vec::new())).collect();
+                        live.push((gtx, PreparedTx { slot, writes }));
+                        max_gtx = max_gtx.max(gtx);
+                    }
+                    None => free_slots.push(slot),
                 }
-            } else {
-                let at = lba - start;
-                let (slot, j) = (
-                    at / ShardLayout::slot_blocks(),
-                    at % ShardLayout::slot_blocks(),
-                );
-                if j == 0 {
-                    match decode_intent(block()) {
-                        Some((gtx, lbas)) => {
-                            let writes = lbas.into_iter().map(|to| (to, Vec::new())).collect();
-                            live.push((gtx, PreparedTx { slot, writes }));
-                            max_gtx = max_gtx.max(gtx);
-                        }
-                        None => free_slots.push(slot),
-                    }
-                } else if let Some((_, tx)) = live.last_mut().filter(|(_, tx)| tx.slot == slot) {
-                    if let Some((_, data)) = tx.writes.get_mut(j as usize - 1) {
-                        *data = block().to_vec();
-                    }
+            } else if let Some((_, tx)) = live.last_mut().filter(|(_, tx)| tx.slot == slot) {
+                if let Some((_, data)) = tx.writes.get_mut(j as usize - 1) {
+                    *data = block().to_vec();
                 }
             }
         });
+        // Every line: verdicts land out of cursor order, and one that
+        // never landed leaves a hole. The cursor goes one past the last
+        // sealed line, so a hole is never the start of an overwrite.
+        let mut decisions = HashMap::new();
+        let mut cursor = 0u64;
+        let log = pmr.read(log_base, log_bytes as u64);
+        for (i, line) in log.chunks_exact(DECISION_LINE as usize).enumerate() {
+            if let Some((gtx, commit)) = decode_decision(line.try_into().expect("one line")) {
+                decisions.insert(gtx, Entry::Durable(commit));
+                max_gtx = max_gtx.max(gtx);
+                cursor = i as u64 + 1;
+            }
+        }
         let intents: HashMap<u64, Entry<PreparedTx>> = live
             .into_iter()
             .map(|(gtx, tx)| (gtx, Entry::Durable(tx)))
@@ -227,6 +251,7 @@ impl ClusterNode {
         let node = Arc::new(ClusterNode {
             drv,
             layout,
+            log_base,
             obs,
             st: RtMutex::new(NodeSt {
                 intents,
@@ -251,6 +276,12 @@ impl ClusterNode {
     /// The node's `cluster.*` stats.
     pub fn stats(&self) -> &NodeStats {
         &self.stats
+    }
+
+    /// The PMR bytes of the node's decision log: line `i` at
+    /// `start + i * DECISION_LINE`.
+    pub fn decision_log(&self) -> Range<u64> {
+        self.log_base..self.log_base + self.layout.decision_log_bytes() as u64
     }
 
     /// The node's driver (for harnesses that crash the device under
@@ -337,19 +368,20 @@ impl ClusterBackend for ClusterNode {
         st.decision_cursor += 1;
         st.decisions.insert(gtx, Entry::Claimed);
         drop(st);
-        let status = self.local_tx(vec![(
-            self.layout.decision_lba(idx),
-            encode_decision(gtx, commit),
-        )]);
+        // The commit point of the global transaction: one sealed line,
+        // durable once the flush returns, so the answer below follows
+        // durability.
+        let pmr = self.drv.controller().pmr();
+        pmr.write(
+            self.log_base + idx * DECISION_LINE,
+            &encode_decision(gtx, commit),
+        );
+        pmr.flush();
         let mut st = self.st.lock();
         self.settled.notify_all();
-        if !status.is_ok() {
-            st.decisions.remove(&gtx);
-            return (status, 0);
-        }
         st.decisions.insert(gtx, Entry::Durable(commit));
         self.stats.decisions.inc();
-        (status, word(commit))
+        (Status::Ok, word(commit))
     }
 
     fn prepare(&self, gtx: u64, writes: &[ShardWrite]) -> Status {

@@ -5,8 +5,11 @@
 use std::sync::Arc;
 
 use ccnvme::CcNvmeDriver;
+use ccnvme::PmrLayout;
 use ccnvme_block::{read_block, BLOCK_SIZE, RUN_CMD_BLOCKS};
-use ccnvme_cluster::layout::decode_intent;
+use ccnvme_cluster::layout::{
+    decode_decision, decode_intent, encode_decision, DECISION_ABORT, DECISION_COMMIT, DECISION_LINE,
+};
 use ccnvme_cluster::{
     resolve_in_doubt_local, ClusterCfg, ClusterClient, ClusterError, ClusterNode, ShardLayout,
     GTX_LEASE,
@@ -385,7 +388,7 @@ fn down_shard_drill(dead: usize) {
 
 /// Global tx ids are durable across coordinator crashes: allocation
 /// raises a persisted high-water mark above a whole lease before any id
-/// of it is served, so a remounted coordinator — whose decision region
+/// of it is served, so a remounted coordinator — whose decision log
 /// and intent slots can be completely empty, as after a single-shard
 /// fast path or a pre-verdict crash — never re-issues an id an earlier
 /// incarnation handed out (a re-issue would alias a still-prepared
@@ -424,25 +427,28 @@ fn gtx_ids_survive_coordinator_crashes() {
     });
 }
 
+/// A device on the first device core, blank or booted from `image`, with
+/// its ccNVMe driver probed (journal replay done).
+fn boot(image: Option<&DurableImage>) -> Arc<CcNvmeDriver> {
+    let mut cc = CtrlConfig::new(SsdProfile::optane_905p());
+    cc.device_core = CORES;
+    let ctrl = match image {
+        Some(img) => NvmeController::from_image(cc, img),
+        None => NvmeController::new(cc),
+    };
+    Arc::new(CcNvmeDriver::probe(ctrl, sim_cores() as u16, 64).0)
+}
+
 /// Mount reads the protocol window as one run of multi-block reads:
-/// on `ShardLayout::standard` at most ⌈(32 × 9 + 8 192 + 1) / 16⌉ = 531
-/// commands reach the device (8 225 with one read per header, record and
-/// the mark), and a prepared intent still comes back with its staged
-/// data. A mount writes nothing, so every command it issues is a read;
+/// on `ShardLayout::standard` at most ⌈(32 × 9 + 1) / 16⌉ = 19 commands
+/// reach the device (33 with one read per header and the mark; the
+/// decision log is one PMR read, no command), and a prepared intent
+/// still comes back with its staged data. A mount writes nothing, so every command it issues is a read;
 /// `ssd.service_ns` records one sample per command the device serves.
 #[test]
 fn mount_reads_the_protocol_window_in_bulk() {
     in_sim(|| {
         let layout = ShardLayout::standard(0);
-        let boot = |image: Option<&DurableImage>| {
-            let mut cc = CtrlConfig::new(SsdProfile::optane_905p());
-            cc.device_core = CORES;
-            let ctrl = match image {
-                Some(img) => NvmeController::from_image(cc, img),
-                None => NvmeController::new(cc),
-            };
-            Arc::new(CcNvmeDriver::probe(ctrl, sim_cores() as u16, 64).0)
-        };
         let (node, _) = ClusterNode::mount(boot(None), layout);
         let staged = [writes(5, 0x5a), writes(6, 0x6b)].concat();
         assert!(node.prepare(9, &staged).is_ok());
@@ -468,6 +474,84 @@ fn mount_reads_the_protocol_window_in_bulk() {
         assert_block(&node.read_block(5).expect("read"), &block(0x5a));
         assert_block(&node.read_block(6).expect("read"), &block(0x6b));
     });
+}
+
+/// The decision log may hold holes: two verdicts claim lines k and
+/// k + 1, and only the second lands before a crash. Mount takes every
+/// sealed line, hole or not, and puts the cursor one past the last, so
+/// with line 2 empty and line 3 sealed the next verdict writes line 4
+/// and overwrites neither.
+#[test]
+fn mount_steps_over_a_hole_in_the_decision_log() {
+    in_sim(|| {
+        let layout = ShardLayout::small(0);
+        let (coord, _) = ClusterNode::mount(boot(None), layout);
+        assert_eq!(coord.verdict(1, true), (Status::Ok, DECISION_COMMIT));
+        assert_eq!(coord.verdict(2, false), (Status::Ok, DECISION_ABORT));
+        let at = |i: u64| coord.decision_log().start + i * DECISION_LINE;
+        let pmr = coord.driver().controller().pmr();
+        pmr.write(at(3), &encode_decision(3, true));
+        pmr.flush();
+        let img = coord
+            .driver()
+            .controller()
+            .crash_snapshot(CrashMode::SETTLED);
+        let (coord, _) = ClusterNode::mount(boot(Some(&img)), layout);
+        // The line past the hole is a recorded verdict: a resolve
+        // inquiry's abort loses to it.
+        assert_eq!(coord.verdict(3, false), (Status::Ok, DECISION_COMMIT));
+        assert_eq!(coord.verdict(4, false), (Status::Ok, DECISION_ABORT));
+        let pmr = coord.driver().controller().pmr();
+        let line = |i: u64| {
+            let raw = pmr.read(at(i), DECISION_LINE);
+            decode_decision(&raw.try_into().expect("one line"))
+        };
+        assert_eq!(
+            (0..6).map(line).collect::<Vec<_>>(),
+            [
+                Some((1, true)),
+                Some((2, false)),
+                None,
+                Some((3, true)),
+                Some((4, false)),
+                None
+            ],
+            "decision log lines 0..6 after the remount's verdict"
+        );
+    });
+}
+
+/// A decision log that does not fit between the start of the PMR's
+/// application region and the PMR's end is refused at mount, and the
+/// panic names both sizes — also for a line count whose byte size
+/// would wrap a `u64` to 0 and so seem to fit.
+#[test]
+fn a_decision_log_past_the_pmr_end_panics_at_mount() {
+    let room = SsdProfile::optane_905p().pmr_size
+        - PmrLayout::new(sim_cores() as u16, 64).app_region_off();
+    for decision_slots in [room / DECISION_LINE + 1, 1 << 58] {
+        let layout = ShardLayout {
+            decision_slots,
+            ..ShardLayout::small(0)
+        };
+        let err =
+            std::panic::catch_unwind(|| in_sim(move || ClusterNode::mount(boot(None), layout).1))
+                .expect_err("an oversized decision log mounted");
+        let msg = err
+            .downcast_ref::<String>()
+            .expect("a formatted panic message");
+        let bytes = u128::from(decision_slots) * u128::from(DECISION_LINE);
+        assert!(
+            msg.contains(&format!("({bytes} B)")) && msg.contains(&format!("the {room} B")),
+            "{decision_slots} lines: {msg}"
+        );
+    }
+    // The longest log that fits mounts.
+    let layout = ShardLayout {
+        decision_slots: room / DECISION_LINE,
+        ..ShardLayout::small(0)
+    };
+    assert!(in_sim(move || ClusterNode::mount(boot(None), layout).1).is_empty());
 }
 
 /// Two clients' leases never overlap, and `begin()` asks the
@@ -507,11 +591,12 @@ fn commit_vt(client: &mut ClusterClient, by_shard: Vec<(usize, Vec<ShardWrite>)>
 /// On an idle cluster a cross-shard commit costs three dependent round
 /// trips — prepares, verdict, decides — not one per participant per
 /// phase: the two participants' prepares overlap, and so do their
-/// decides. One after the other it costs 5.5 single commits. At once
-/// it costs 3.7: a prepare and a decide are two-block transactions,
-/// and both shards serve this client's session on the same simulated
-/// host core, so the second participant's submission waits out the
-/// first's CPU work.
+/// decides. It costs 3.0 single commits: two two-block transactions (a
+/// prepare, then a decide) on each shard, plus one sealed PMR line and
+/// its flush on the coordinator. Both shards serve this client's
+/// session on the same simulated host core, so the second
+/// participant's submission waits out the first's CPU work. With the
+/// verdict a one-block ccNVMe transaction it cost 3.7, over the bound.
 #[test]
 fn cross_shard_commit_overlaps_its_participants() {
     in_sim(|| {
@@ -523,8 +608,8 @@ fn cross_shard_commit_overlaps_its_participants() {
             vec![(0, writes(41, 0x62)), (1, writes(41, 0x63))],
         );
         assert!(
-            cross <= single * 4,
-            "cross-shard commit {cross} ns against single-shard {single} ns: more than 4x"
+            cross * 10 <= single * 33,
+            "cross-shard commit {cross} ns against single-shard {single} ns: more than 3.3x"
         );
         client.bye();
     });
@@ -543,7 +628,7 @@ fn prepare_surfaces_injected_media_errors() {
             FaultKind::MediaWrite,
             Trigger::LbaRange {
                 start: layout.slot_header(0),
-                end: layout.decision_lba(0),
+                end: layout.gtx_hwm_lba(),
             },
         ));
         let mut cc = CtrlConfig::new(SsdProfile::optane_905p());

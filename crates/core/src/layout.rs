@@ -104,9 +104,10 @@ impl PmrLayout {
     /// First byte available to application sub-regions of the PMR,
     /// rounded up to a 4 KiB boundary past the ccNVMe structures and
     /// the blackbox ring. The paper treats the PMR as a substrate
-    /// (§4.4); higher layers such as `ccnvme-ploc` carve their own
-    /// region starting here so driver and application persistence
-    /// never alias.
+    /// (§4.4); a higher layer carves its own region starting here so
+    /// driver and application persistence never alias. The app region
+    /// has one tenant per device: either `ccnvme-ploc`'s log region or
+    /// a cluster node's decision log, never both.
     pub fn app_region_off(&self) -> u64 {
         self.blackbox_off() + ccnvme_obs::blackbox::BLACKBOX_BYTES
     }

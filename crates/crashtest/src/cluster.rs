@@ -36,6 +36,7 @@
 //! mounted in doubt on some of its participants but not all.
 
 use std::collections::HashSet;
+use std::ops::Range;
 use std::sync::Arc;
 
 use ccnvme::CcNvmeDriver;
@@ -163,6 +164,22 @@ impl Step {
 /// One booted domain: its node and the intents it mounted in doubt.
 type Booted = (Arc<ClusterNode>, Vec<u64>);
 
+/// What recovery must settle identically on one domain, however it was
+/// scheduled: the media and the decision log.
+type Protocol = (IntMap<u64, MediaBlock>, Vec<u8>);
+
+/// The bytes of `image`'s decision log, which lies at `log`.
+fn log_bytes(image: &DurableImage, log: &Range<u64>) -> Vec<u8> {
+    image
+        .pmr
+        .read_vec(log.start, (log.end - log.start) as usize)
+}
+
+/// Whether two images of one domain hold the same [`Protocol`] state.
+fn same_protocol(a: &DurableImage, b: &DurableImage, log: &Range<u64>) -> bool {
+    a.blocks == b.blocks && log_bytes(a, log) == log_bytes(b, log)
+}
+
 /// What one recovery schedule produced.
 struct Recovered {
     nodes: Vec<Arc<ClusterNode>>,
@@ -178,6 +195,12 @@ impl Recovered {
         let snapshot =
             |n: &Arc<ClusterNode>| n.driver().controller().crash_snapshot(CrashMode::SETTLED);
         self.nodes.iter().map(snapshot).collect()
+    }
+
+    /// Where the decision log lies in each domain's PMR (every domain
+    /// has the same layout).
+    fn log(&self) -> Range<u64> {
+        self.nodes[0].decision_log()
     }
 
     /// Whether some transaction mounted in doubt on some of its
@@ -332,7 +355,7 @@ impl ClusterSurface {
 
 impl CrashSurface for ClusterSurface {
     type Script = Vec<TxRec>;
-    type Witness = Vec<IntMap<u64, MediaBlock>>;
+    type Witness = Vec<Protocol>;
 
     fn name(&self) -> String {
         format!("cluster{}", self.shards)
@@ -440,10 +463,11 @@ impl CrashSurface for ClusterSurface {
             let mut bad = self.check(&outcome, txs, acked);
             let finals = outcome.finals();
             match &reference {
-                // Convergence: recovery order must not change the media.
+                // Convergence: recovery order must not change the media
+                // or the decision log.
                 Some(reference) => {
                     for (d, (got, want)) in finals.iter().zip(reference).enumerate() {
-                        if got.blocks != want.blocks {
+                        if !same_protocol(got, want, &outcome.log()) {
                             bad.push(format!("domain {d} diverged"));
                         }
                     }
@@ -461,7 +485,7 @@ impl CrashSurface for ClusterSurface {
             problems.push("re-recovery found new in-doubt work".into());
         }
         for (d, (got, want)) in again.finals().iter().zip(&reference).enumerate() {
-            if got.blocks != want.blocks {
+            if !same_protocol(got, want, &again.log()) {
                 problems.push(format!("domain {d}: re-recovery changed media"));
             }
         }
@@ -482,10 +506,18 @@ impl CrashSurface for ClusterSurface {
         record: bool,
     ) -> Result<Settled<Self::Witness>, String> {
         let outcome = self.recover(images, 0, record);
-        let log = |n: &Arc<ClusterNode>| n.driver().controller().persist_log();
+        let persist_log = |n: &Arc<ClusterNode>| n.driver().controller().persist_log();
+        let decisions = outcome.log();
         Ok(Settled {
-            witness: outcome.finals().into_iter().map(|f| f.blocks).collect(),
-            logs: outcome.nodes.iter().filter_map(log).collect(),
+            witness: outcome
+                .finals()
+                .into_iter()
+                .map(|f| {
+                    let log = log_bytes(&f, &decisions);
+                    (f.blocks, log)
+                })
+                .collect(),
+            logs: outcome.nodes.iter().filter_map(persist_log).collect(),
         })
     }
 }

@@ -56,23 +56,22 @@ fn cluster_smoke_sweep_is_all_or_nothing() {
     assert!(report.events > 0);
     assert!(report.cuts >= 8, "only {} cuts sampled", report.cuts);
     // Exact: the run is deterministic, so a moved count means the
-    // script's persistence traffic (or the cut placement) changed. The
-    // fast-path transaction is one local transaction of one block: a
-    // two-member transaction is 7 events (two SQE writes into the PMR,
-    // the doorbell, two media writes, the completion head, the flight
-    // recorder's burst), a one-member one is 5. Against prepare +
-    // decide, the staged block, its intent header and the header clear
-    // are gone (an SQE and a media write each), and so are the second
-    // transaction's doorbell, completion head and recorder burst.
-    // The script runs through `ClusterClient` over loopback targets:
-    // the same local transactions, so the same 72 events. The commit's
-    // prepares fan out but reach the two shards one capsule apart, and
-    // the abort's go one round trip apart (`prepare_on`), so the two
-    // participants' in-doubt windows overlap less than when a 1 µs
-    // stagger started them together: the sampled cuts resolve 56
-    // in-doubt intents, not 64. In 8 of the 72 states one participant
-    // held a gtx in doubt and the other did not.
-    assert_eq!(counts(&report), (72, 9, 72, 56, 8), "crash surface moved");
+    // script's persistence traffic (or the cut placement) changed. A
+    // local transaction of two members is 7 events (two SQE writes
+    // into the PMR, the doorbell, two media writes, the completion
+    // head, the flight recorder's burst), of one member 5; a
+    // coordinator verdict is 1, its sealed line in the PMR (the flush
+    // that follows it is no event). The script's prepares and decides
+    // are two-member transactions, its one-shard commit a one-member
+    // one, and it records two verdicts (the commit's and the abort's
+    // presumed abort): 64 events, 72 while each verdict was a
+    // one-member transaction. The commit's prepares fan out but reach
+    // the two shards one capsule apart, and the abort's go one round
+    // trip apart (`prepare_on`): the sampled cuts resolve 56 in-doubt
+    // intents, and in 8 of the 72 states one participant held a gtx in
+    // doubt and the other did not. Every 9th instant of the 64 still
+    // samples 9 cuts.
+    assert_eq!(counts(&report), (64, 9, 72, 56, 8), "crash surface moved");
     assert_clean(&report);
 }
 
@@ -88,13 +87,18 @@ fn cluster_verdict_racing_resolve_sweep_is_all_or_nothing() {
         ..SweepPlan::every()
     };
     let report = sweep(ClusterSurface::scripted(2, 4), &plan);
-    // Same events and cuts as the hand-rolled script (every event still
-    // has an instant of its own); the resolved count moves with the
-    // participants' in-doubt windows (see the smoke tier): 848 → 880.
-    // 144 of the 848 states split a gtx across its participants.
+    // Every event has an instant of its own, so each is a cut. The
+    // script records three verdicts (commit, abort, race: the racing
+    // resolve finds the verdict's line claimed and answers from it),
+    // each one sealed PMR line where a one-member transaction took 5
+    // events: 105 → 93 events. The 12 cuts that went all fell inside a
+    // verdict, between its step's prepares and decides, with both
+    // participants in doubt, so each resolved 2 intents in all 8 down
+    // subsets and split none: 880 → 688 resolved, 144 of the 752
+    // states split a gtx across its participants, as before.
     assert_eq!(
         counts(&report),
-        (105, 106, 848, 880, 144),
+        (93, 94, 752, 688, 144),
         "crash surface moved"
     );
     assert_clean(&report);
@@ -104,10 +108,10 @@ fn cluster_verdict_racing_resolve_sweep_is_all_or_nothing() {
 /// The two-shard commit then fails to prepare there and must answer
 /// abort (`Ok(false)`), so it may never surface, though shard 0 held
 /// its intent; the commit to shard 1 alone fails outright; the commit
-/// to shard 0 alone succeeds. Every cut: 28 cuts × 8 down-subsets. In
-/// 80 states shard 0 mounts the aborted gtx in doubt, and each of them
+/// to shard 0 alone succeeds. Every cut: 24 cuts × 8 down-subsets. In
+/// 48 states shard 0 mounts the aborted gtx in doubt, and each of them
 /// is split, since shard 1 never prepared it. A client that acks that
-/// commit fails 48 states with "acked commit lost".
+/// commit fails states with "acked commit lost".
 #[test]
 fn cluster_partitioned_sweep_is_all_or_nothing() {
     let surface = ClusterSurface {
@@ -120,9 +124,13 @@ fn cluster_partitioned_sweep_is_all_or_nothing() {
         ],
     };
     let report = sweep(surface, &SweepPlan::every());
+    // The abort verdict is one sealed PMR line, where a one-member
+    // transaction took 5 events: 27 → 23 events. The 4 cuts that went
+    // each held shard 0's intent in doubt in all 8 down subsets: 80 →
+    // 48 resolved and split.
     assert_eq!(
         counts(&report),
-        (27, 28, 224, 80, 80),
+        (23, 24, 192, 48, 48),
         "crash surface moved"
     );
     assert_clean(&report);

@@ -353,7 +353,7 @@ pub enum Status {
     /// The operation is not supported by this backend.
     NotSupported,
     /// A cluster node ran out of room for a protocol record: no free
-    /// intent slot for a prepare, or a full decision region for a
+    /// intent slot for a prepare, or a full decision log for a
     /// verdict.
     TxOverflow,
 }

@@ -5,8 +5,8 @@
 //! (syscall surface), a raw window of a ccNVMe device (transaction
 //! surface), a ploc service (detectable data structures) or a cluster
 //! node (one-phase and two-phase commit). Each accepted connection gets
-//! a handler daemon pinned to
-//! core `conn % cores`; everything the handler submits therefore rides
+//! a handler daemon pinned to core `first_core + conn % cores`;
+//! everything the handler submits therefore rides
 //! that core's ccNVMe hardware queue, preserving the paper's per-core
 //! queue affinity across the network hop.
 //!
@@ -140,9 +140,13 @@ pub trait ClusterBackend: Send + Sync {
 /// Target configuration.
 #[derive(Clone)]
 pub struct FabricConfig {
-    /// Host cores available for connection handlers; connection `n` is
-    /// pinned to core `n % cores` (its hardware queue).
+    /// Host cores available for connection handlers; loopback
+    /// connection `n` is pinned to core `first_core + n % cores` (its
+    /// hardware queue).
     pub cores: usize,
+    /// The first of the target's `cores` handler cores. 0 unless the
+    /// simulation gives each target cores of its own.
+    pub first_core: usize,
     /// Per-session credit window.
     pub window: u32,
     /// Optional fault injector whose transport rules the loopback wires
@@ -159,6 +163,7 @@ impl FabricConfig {
     pub fn new(cores: usize) -> Self {
         FabricConfig {
             cores: cores.max(1),
+            first_core: 0,
             window: DEFAULT_WINDOW,
             injector: None,
             shard_label: None,
@@ -314,8 +319,9 @@ impl FabricTarget {
     }
 
     /// Opens a loopback connection for `client_id`, spawning the
-    /// connection handler daemon on core `conn % cores`. Fails with
-    /// [`FabricError::Unreachable`] while the client is partitioned.
+    /// connection handler daemon on core `first_core + conn % cores`.
+    /// Fails with [`FabricError::Unreachable`] while the client is
+    /// partitioned.
     ///
     /// Must be called from a simulated thread.
     pub fn loopback_connect(
@@ -332,7 +338,7 @@ impl FabricTarget {
         // ord: Relaxed — connection ids only need uniqueness; handler
         // placement tolerates any interleaving.
         let conn = self.next_conn.fetch_add(1, Ordering::Relaxed);
-        let core = (conn as usize) % self.cfg.cores;
+        let core = self.cfg.first_core + (conn as usize) % self.cfg.cores;
         let (client_side, mut server_side) = LoopbackTransport::pair(
             client_id,
             self.cfg.shard_label,

@@ -9,7 +9,7 @@
 //! *between phase 1 and the verdict*: both shards hold prepared
 //! intents, the client's verdict call exhausts its retry ladder with
 //! `CoordinatorDown`, and the transfer is in doubt. The coordinator
-//! then comes back (its durable decision region was still empty — the
+//! then comes back (its durable decision log was still empty — the
 //! warm-up traffic never touched it) and a resumed client finishes the
 //! same gtx: prepare is a no-op on the staged intents, the verdict
 //! records COMMIT, both decides apply. Exactly-once is proved three
@@ -103,7 +103,7 @@ fn main() {
 
     // Warm-up: single-key puts ride the ring to one shard each and
     // commit on the fast path — the coordinator is never consulted, so
-    // its decision region stays durably empty.
+    // its decision log stays durably empty.
     let mut client = connect(&shards, coord.addr());
     let mut applied_on = [0u64; SHARDS];
     for key in 0..WARMUP {

@@ -97,10 +97,11 @@ cargo run -q --release --example crash_recovery > /dev/null
 # The fabric credit-overload drill: pipelined 8-write TX_COMMIT capsules
 # over a window of 2 must stall and never fail (it panics otherwise).
 QUICK=1 cargo run -q --release -p ccnvme-bench --bin fabric > /dev/null
-# The cluster scaling gate (over the same commit mix, the 2-, 4- and
-# 8-shard rows do not decrease) and the kill-one-shard drill; both
-# panic when they fail. Full size (about a second): at QUICK sizes
-# twelve commits per client are too few for the rows to settle.
+# The cluster scaling gate (over the same commit mix, with 4 handler
+# cores per domain, the 2-, 4- and 8-shard rows do not decrease) and
+# the kill-one-shard drill; both panic when they fail. Full size
+# (about a second): at QUICK sizes twelve commits per client are too
+# few for the rows to settle.
 cargo run -q --release -p ccnvme-bench --bin cluster > /dev/null
 # The deep ploc and cluster crash sweeps (torn tails and every-image
 # re-crash; every cut, three shards). The file-system ones take
