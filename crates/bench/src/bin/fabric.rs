@@ -15,6 +15,7 @@ use std::sync::Arc;
 
 use ccnvme::CcNvmeDriver;
 use ccnvme_bench::{f1, header, record_run_seq, row, scaled, write_metrics, Stack, StackConfig};
+use ccnvme_cluster::{ClusterNode, ShardLayout};
 use ccnvme_fabric::{
     Backend, Capsule, ClientCfg, ClientStats, FabricClient, FabricConfig, FabricTarget, ShardWrite,
     SyncKind,
@@ -116,25 +117,23 @@ fn pipeline(client: &mut FabricClient, ops: impl Iterator<Item = Capsule>) -> (V
     (vals, errs)
 }
 
-/// The overload drill: a window of 2 against a deep pipeline of raw
-/// transactions. Success criterion: stalls observed, zero errors.
+/// The overload drill: a window of 2 against a deep pipeline of
+/// one-node cluster transactions. Success criterion: stalls observed,
+/// zero errors.
 fn measure_overload() -> (u64, u64) {
     let (stalls, errors, metrics) = Sim::run_main(CORES + 1, || {
         let mut cc = CtrlConfig::new(SsdProfile::optane_905p());
         cc.device_core = CORES;
         let ctrl = NvmeController::new(cc);
         let (drv, _report) = CcNvmeDriver::probe(ctrl, (CORES + 1) as u16, 64);
-        let drv = Arc::new(drv);
+        let layout = ShardLayout {
+            data_blocks: 65_536,
+            ..ShardLayout::small(0)
+        };
+        let (node, _) = ClusterNode::mount(Arc::new(drv), layout);
         let mut fcfg = FabricConfig::new(CORES);
         fcfg.window = 2;
-        let target = FabricTarget::new(
-            Backend::Raw {
-                drv,
-                base: 0,
-                blocks: 65_536,
-            },
-            fcfg,
-        );
+        let target = FabricTarget::new(Backend::Cluster(node), fcfg);
         let obs = target.obs();
         let stats = ClientStats::registered(&obs.metrics);
         let mut errors = 0u64;
@@ -155,9 +154,9 @@ fn measure_overload() -> (u64, u64) {
                         },
                     )
                     .expect("connect");
-                    // Pipeline far past the window: every tx id first,
-                    // then one 8-write `TX_COMMIT` capsule per
-                    // transaction.
+                    // Pipeline far past the window: one gtx lease per
+                    // transaction first, then one 8-write `TX_COMMIT`
+                    // capsule per transaction.
                     const BURST: u64 = 8;
                     let depth = scaled(256).div_ceil(BURST) * BURST;
                     let (txs, alloc_errs) =

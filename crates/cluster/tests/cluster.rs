@@ -521,6 +521,31 @@ fn mount_steps_over_a_hole_in_the_decision_log() {
     });
 }
 
+/// A verdict is answered only once its line has arrived: a power cut at
+/// the instant the answer returns, which keeps no posted write still on
+/// the link (`torn: 0`), leaves the decision in the remounted log. The
+/// line arrives at least 64 ns after it is posted, so without the flush
+/// before the answer the cut drops it and the inquiry below records
+/// abort instead.
+#[test]
+fn an_answered_verdict_survives_a_cut_at_the_answer() {
+    in_sim(|| {
+        let layout = ShardLayout::small(0);
+        let (coord, _) = ClusterNode::mount(boot(None), layout);
+        assert_eq!(coord.verdict(5, true), (Status::Ok, DECISION_COMMIT));
+        let img = coord
+            .driver()
+            .controller()
+            .power_fail(CrashMode::adversarial(0));
+        let (coord, _) = ClusterNode::mount(boot(Some(&img)), layout);
+        assert_eq!(
+            coord.verdict(5, false),
+            (Status::Ok, DECISION_COMMIT),
+            "the answered commit was lost to the cut"
+        );
+    });
+}
+
 /// A decision log that does not fit between the start of the PMR's
 /// application region and the PMR's end is refused at mount, and the
 /// panic names both sizes — also for a line count whose byte size

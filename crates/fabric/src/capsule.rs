@@ -74,8 +74,7 @@ const OP_TX_COMMIT: u8 = 0x13;
 const OP_RESPONSE: u8 = 0x80;
 
 /// Most member writes one `TX_PREPARE` or `TX_COMMIT` capsule may
-/// carry — on a cluster shard and on a raw block window alike. A
-/// prepared intent must fit one intent slot on the participant shard,
+/// carry. A prepared intent must fit one intent slot on the participant shard,
 /// so this wire cap equals the cluster's `SLOT_WRITE_CAP` (asserted by
 /// a `ccnvme-cluster` layout test). An overlong transaction is refused
 /// by the initiator with a typed [`CodecError::Overflow`] before it
@@ -137,9 +136,8 @@ pub enum Capsule {
         /// Re-attach existing session state instead of resetting it.
         resume: bool,
     },
-    /// Allocate a transaction id: a ccNVMe tx id on a raw block
-    /// window, a run of global tx ids on a cluster coordinator. The
-    /// response's `val` is the first id and `aux` the run length
+    /// Lease a run of global transaction ids from a cluster coordinator.
+    /// The response's `val` is the first id and `aux` the run length
     /// (`0` reads as one id).
     AllocTx,
     /// `resolve(path) -> ino`.
@@ -212,19 +210,15 @@ pub enum Capsule {
         /// The member writes this shard stages.
         writes: Vec<ShardWrite>,
     },
-    /// One whole transaction on one target: the member writes go to
-    /// their home LBAs in the served window as one local ccNVMe
-    /// transaction (`REQ_TX` members, the last write `REQ_TX_COMMIT`) —
-    /// on a raw block window, or on a cluster shard that is the
-    /// transaction's only participant (no intent slot, no decide, no
-    /// coordinator). The `Ok` ack means the writes are durable; with no
-    /// ack the transaction is all there or not at all. A retransmit is
-    /// answered from the session's response cache, and on a raw window
-    /// a retry under a fresh session (or across a target restart) from
-    /// the tx-id replay cache.
+    /// One whole transaction on the cluster shard that is its only
+    /// participant: the member writes go to their home LBAs in the
+    /// shard's window as one local ccNVMe transaction (`REQ_TX`
+    /// members, the last write `REQ_TX_COMMIT`), with no intent slot, no
+    /// decide and no coordinator. The `Ok` ack means the writes are
+    /// durable; with no ack the transaction is all there or not at all.
+    /// A retransmit is answered from the session's response cache.
     TxCommit {
-        /// The ccNVMe tx id `AllocTx` handed out (raw window), or the
-        /// coordinator's global tx id (cluster shard).
+        /// The global tx id `AllocTx` leased.
         tx_id: u64,
         /// The member writes, applied in place.
         writes: Vec<ShardWrite>,
@@ -239,9 +233,9 @@ pub enum Capsule {
         /// Commit (apply the staged writes) or abort (drop them).
         commit: bool,
     },
-    /// Record the coordinator's decision for `gtx` — itself an ordinary
-    /// single-shard ccNVMe transaction on the coordinator's decision
-    /// region. Get-or-set: if a decision for `gtx` is already durable
+    /// Record the coordinator's decision for `gtx` — one sealed 64 B
+    /// line of the coordinator's PMR decision log, followed by a PMR
+    /// flush; no block I/O. Get-or-set: if a decision for `gtx` is already durable
     /// the recorded one wins and is echoed back (`val` = 1 commit /
     /// 2 abort), so a retried verdict can never contradict itself. A
     /// verdict that proposes abort is also the resolve inquiry for an
@@ -254,8 +248,8 @@ pub enum Capsule {
         /// The decision the coordinator wants to record.
         commit: bool,
     },
-    /// Read one block of the raw/cluster window (cluster reads and the
-    /// degradation drill's key-range probes).
+    /// Read one block of a cluster shard's data window (cluster reads
+    /// and the degradation drill's key-range probes).
     BlkRead {
         /// LBA relative to the served window.
         lba: u64,

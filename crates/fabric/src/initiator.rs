@@ -305,23 +305,23 @@ impl FabricClient {
         }
     }
 
-    // ---- transaction surface (raw and cluster backends) ----
+    // ---- transaction surface (cluster backend) ----
 
     /// Allocates a fresh remote transaction id.
     pub fn alloc_tx(&mut self) -> Result<u64, FabricError> {
         Ok(self.alloc_tx_run()?.start)
     }
 
-    /// Allocates a run of fresh remote transaction ids: one on a raw
-    /// window, a lease of several on a cluster coordinator.
+    /// Allocates a run of fresh remote transaction ids: a coordinator's
+    /// lease.
     pub fn alloc_tx_run(&mut self) -> Result<Range<u64>, FabricError> {
         let resp = self.call(Capsule::AllocTx)?;
         Ok(resp.val..resp.val + resp.aux.max(1))
     }
 
     /// Commits `writes` as one transaction `tx_id` (from
-    /// [`alloc_tx`](Self::alloc_tx)) on this target — a raw block window,
-    /// or a cluster shard that is the transaction's only participant.
+    /// [`alloc_tx`](Self::alloc_tx)) on this target, a cluster shard
+    /// that is the transaction's only participant.
     /// The `Ok` ack means the writes are durable; without it the
     /// transaction is all there or not at all. At most
     /// [`MAX_PREPARE_WRITES`](crate::capsule::MAX_PREPARE_WRITES) writes.
@@ -352,7 +352,7 @@ impl FabricClient {
         Ok(resp.val == 1)
     }
 
-    /// Reads one block of the target's raw/cluster window.
+    /// Reads one block of the target's cluster data window.
     pub fn blk_read(&mut self, lba: u64) -> Result<Vec<u8>, FabricError> {
         Ok(self.call(Capsule::BlkRead { lba })?.data)
     }

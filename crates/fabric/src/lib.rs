@@ -9,20 +9,18 @@
 //! wire. Three protocol problems are layered on top:
 //!
 //! * **Remote persistence** — one `TxCommit` capsule carries a whole
-//!   transaction, which the target submits as `REQ_TX` members and a
-//!   `REQ_TX_COMMIT` write straight into the P-SQ from the connection's
-//!   core, then waits for; a commit ack means "on media", and no ack
-//!   means the transaction is all there or not at all.
+//!   transaction, which the target's cluster node submits as `REQ_TX`
+//!   members and a `REQ_TX_COMMIT` write straight into the P-SQ from the
+//!   connection's core, then waits for; a commit ack means "on media",
+//!   and no ack means the transaction is all there or not at all.
 //! * **Flow control** — a credit window per session (NVMe-oF SQHD
 //!   style): the initiator keeps at most `window` commands unacked and
 //!   stalls (counting `fabric.credit_stalls`) when credits run out, so
 //!   overload degrades to backpressure instead of errors.
 //! * **Exactly-once retransmission** — per-session strictly-increasing
-//!   command ids, a response cache, and a transaction replay cache
-//!   seeded from the ccNVMe recovery report let a client that lost an
-//!   ack to a partition retransmit blindly: re-executions are
-//!   deduplicated and answered with the recorded outcome
-//!   (`fabric.replayed_commits`).
+//!   command ids and a response cache let a client that lost an ack to
+//!   a partition retransmit blindly: re-executions are deduplicated and
+//!   answered with the recorded outcome (`fabric.replayed_commits`).
 //!
 //! Two transports implement the same [`Transport`] trait: a
 //! deterministic in-process loopback (runs in the simulator; the

@@ -1,31 +1,25 @@
-//! The fabric target: sessions, capsule execution, and the
-//! exactly-once replay machinery.
+//! The fabric target: sessions and capsule execution.
 //!
 //! A target serves one [`Backend`] — a mounted MQFS file system
-//! (syscall surface), a raw window of a ccNVMe device (transaction
-//! surface), a ploc service (detectable data structures) or a cluster
-//! node (one-phase and two-phase commit). Each accepted connection gets
-//! a handler daemon pinned to core `first_core + conn % cores`;
-//! everything the handler submits therefore rides
-//! that core's ccNVMe hardware queue, preserving the paper's per-core
-//! queue affinity across the network hop.
+//! (syscall surface), a ploc service (detectable data structures) or a
+//! cluster node (transactions: one-phase and two-phase commit). Each
+//! accepted connection gets a handler daemon pinned to core
+//! `first_core + conn % cores`; everything the handler submits
+//! therefore rides that core's ccNVMe hardware queue, preserving the
+//! paper's per-core queue affinity across the network hop.
 //!
 //! Exactly-once: a session (keyed by the client's stable id, surviving
 //! reconnects) processes capsules in strictly increasing command-id
 //! order, stashing early arrivals and answering retransmitted cids from
-//! a bounded response cache. Raw-window commits are additionally
-//! recorded in a tx-id replay cache — seeded from the ccNVMe
-//! [`RecoveryReport`](ccnvme::RecoveryReport) after a restart — so a
-//! commit retried across a partition (or across a target crash) is
-//! answered with its recorded outcome instead of re-executed.
+//! a bounded response cache. That cache is the one place a retransmit's
+//! outcome is decided; what a *restarted* client re-asks under a fresh
+//! session is the backend's own idempotency (see [`ClusterBackend`]).
 
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use ccnvme::CcNvmeDriver;
-use ccnvme_block::commit_tx;
 use ccnvme_fault::FaultInjector;
 use ccnvme_obs::{Counter, Obs};
 use ccnvme_ploc::{PlocError, PlocService};
@@ -34,8 +28,8 @@ use mqfs::FileSystem;
 use parking_lot::Mutex;
 
 use crate::capsule::{
-    admits, decode_request, encode_ploc_verdict, encode_response, Capsule, Request, Response,
-    ShardWrite, Status, SyncKind,
+    decode_request, encode_ploc_verdict, encode_response, Capsule, Request, Response, ShardWrite,
+    Status, SyncKind,
 };
 use crate::error::FabricError;
 use crate::transport::{Connector, LoopbackTransport, PartitionMap, Transport};
@@ -49,9 +43,6 @@ pub const DEFAULT_WINDOW: u32 = 16;
 /// 2× leaves slack for duplicates racing the cache prune.
 const CACHE_WINDOWS: usize = 2;
 
-/// Transaction replay-cache entries kept before the oldest are pruned.
-const TX_REPLAY_CAP: usize = 65_536;
-
 /// How long an idle connection handler waits per receive before
 /// re-checking its wire (virtual ns for loopback handlers).
 const SERVE_IDLE_NS: Ns = 10 * ccnvme_runtime::MS;
@@ -61,18 +52,6 @@ const SERVE_IDLE_NS: Ns = 10 * ccnvme_runtime::MS;
 pub enum Backend {
     /// The MQFS syscall surface over a mounted file system.
     Fs(Arc<FileSystem>),
-    /// Raw ccNVMe transactions against a block window `[base,
-    /// base + blocks)` of the device: `AllocTx` hands out a ccNVMe tx
-    /// id, a `TX_COMMIT` capsule carries the whole transaction under
-    /// it, and `BlkRead` reads one block back.
-    Raw {
-        /// The ccNVMe driver.
-        drv: Arc<CcNvmeDriver>,
-        /// First LBA of the served window.
-        base: u64,
-        /// Window length in blocks.
-        blocks: u64,
-    },
     /// Detectable lock-free data structures on the device's PMR
     /// (`crates/ploc`). The session's `client_id` doubles as the ploc
     /// client slot, so each remote client owns its own INTENT/RESULT
@@ -91,10 +70,11 @@ pub enum Backend {
 /// target can dispatch cluster capsules without depending on that
 /// crate.
 ///
-/// Every mutating call is a commit point backed by an ordinary
-/// single-shard ccNVMe transaction on the node's device, and every 2PC
-/// call is idempotent at the global-transaction level — the cluster's
-/// exactly-once story composes the session replay cache (same client
+/// Every mutating call is a commit point backed by one atomic persist on
+/// the node's own device: a local ccNVMe transaction, or, for a verdict,
+/// one sealed 64 B PMR line followed by a PMR flush. Every 2PC call is
+/// idempotent at the global-transaction level — the cluster's
+/// exactly-once story composes the session response cache (same client
 /// retransmitting) with these semantics (a *restarted* client, under a
 /// fresh session, re-asking about an old `gtx`).
 pub trait ClusterBackend: Send + Sync {
@@ -180,11 +160,10 @@ pub struct FabricStats {
     /// Commit points executed: commit-like capsules (`FsSync`, the four
     /// `Tx*` commit and 2PC capsules, a mutating `PlocOp`) that ran
     /// against the backend and answered `Ok`. A failed one does not
-    /// count, nor does one answered from the response cache or the raw
-    /// tx replay cache — the exactly-once observable: retransmitted
-    /// commits must not move it.
+    /// count, nor does one answered from the response cache — the
+    /// exactly-once observable: retransmitted commits must not move it.
     pub commits: Arc<Counter>,
-    /// Commit capsules answered from a replay/response cache instead of
+    /// Commit capsules answered from the response cache instead of
     /// re-executed.
     pub replayed_commits: Arc<Counter>,
     /// Sessions created.
@@ -255,7 +234,6 @@ pub struct FabricTarget {
     partitions: Arc<PartitionMap>,
     sessions: Mutex<HashMap<u64, Arc<Session>>>,
     next_conn: AtomicU64,
-    tx_replay: Mutex<BTreeMap<u64, Status>>,
 }
 
 impl FabricTarget {
@@ -263,7 +241,6 @@ impl FabricTarget {
     pub fn new(backend: Backend, cfg: FabricConfig) -> Arc<FabricTarget> {
         let obs = match &backend {
             Backend::Fs(fs) => ccnvme_block::obs_of(fs.device().as_ref()),
-            Backend::Raw { drv, .. } => ccnvme_block::obs_of(&**drv),
             Backend::Ploc(svc) => svc.obs(),
             Backend::Cluster(node) => node.obs(),
         };
@@ -276,23 +253,7 @@ impl FabricTarget {
             partitions: Arc::new(PartitionMap::default()),
             sessions: Mutex::new(HashMap::new()),
             next_conn: AtomicU64::new(0),
-            tx_replay: Mutex::new(BTreeMap::new()),
         })
-    }
-
-    /// Seeds the transaction replay cache from a ccNVMe recovery
-    /// report: transactions in the unfinished window are crash-atomic
-    /// and will be replayed by recovery, so a client retrying one gets
-    /// `Ok`; abort-logged transactions failed and must not be replayed,
-    /// so the retry is answered with the recorded failure.
-    pub fn seed_replay(&self, report: &ccnvme::RecoveryReport) {
-        let mut cache = self.tx_replay.lock();
-        for tx in &report.unfinished {
-            cache.insert(tx.tx_id, Status::Ok);
-        }
-        for &tx_id in &report.aborted {
-            cache.insert(tx_id, Status::BioMedia);
-        }
     }
 
     /// The target's `fabric.*` counters.
@@ -553,12 +514,6 @@ impl FabricTarget {
         }
         let resp = match &self.backend {
             Backend::Fs(fs) => fs_op(fs, cid, op),
-            Backend::Raw { drv, base, blocks } => {
-                if let Some(status) = self.recorded_outcome(*blocks, op) {
-                    return Response::status(cid, status);
-                }
-                self.raw_op(drv, *base, *blocks, cid, op)
-            }
             Backend::Ploc(svc) => ploc_op(svc, sess.client_id, cid, op),
             Backend::Cluster(node) => cluster_op(node.as_ref(), cid, op),
         };
@@ -566,65 +521,6 @@ impl FabricTarget {
             self.stats.commits.inc();
         }
         resp
-    }
-
-    /// The recorded outcome of an admissible raw `TX_COMMIT` whose tx id
-    /// already ran — the client retried under a fresh session, or
-    /// recovery seeded it after a target restart. Such a commit is
-    /// answered, never re-executed: the exactly-once contract.
-    fn recorded_outcome(&self, blocks: u64, op: &Capsule) -> Option<Status> {
-        let Capsule::TxCommit { tx_id, writes } = op else {
-            return None;
-        };
-        if !admits(writes, blocks) {
-            return None;
-        }
-        let status = *self.tx_replay.lock().get(tx_id)?;
-        self.stats.replayed_commits.inc();
-        Some(status)
-    }
-
-    /// The raw window `[base, base + blocks)`: ccNVMe tx ids, whole
-    /// transactions and block reads.
-    fn raw_op(
-        &self,
-        drv: &CcNvmeDriver,
-        base: u64,
-        blocks: u64,
-        cid: u64,
-        op: &Capsule,
-    ) -> Response {
-        match op {
-            Capsule::AllocTx => Response::ok_val(cid, drv.alloc_tx_id()),
-            Capsule::TxCommit { tx_id, writes } if admits(writes, blocks) => {
-                // Submitted from the handler daemon's core: the bios land
-                // in this connection's hardware queue, and the whole
-                // transaction is in the ring before the handler waits on
-                // anything.
-                let writes = writes
-                    .iter()
-                    .map(|w| (base + w.lba, w.data.clone()))
-                    .collect();
-                let status =
-                    commit_tx(drv, *tx_id, writes).map_or_else(Status::from, |()| Status::Ok);
-                let mut cache = self.tx_replay.lock();
-                cache.insert(*tx_id, status);
-                while cache.len() > TX_REPLAY_CAP {
-                    cache.pop_first();
-                }
-                Response::status(cid, status)
-            }
-            Capsule::BlkRead { lba } if *lba < blocks => {
-                match ccnvme_block::read_block(drv, base + lba) {
-                    Ok(data) => Response::ok_data(cid, data),
-                    Err(st) => Response::status(cid, st.into()),
-                }
-            }
-            Capsule::TxCommit { .. } | Capsule::BlkRead { .. } => {
-                Response::status(cid, Status::Protocol)
-            }
-            _ => Response::status(cid, Status::NotSupported),
-        }
     }
 }
 
@@ -718,15 +614,15 @@ fn cluster_op(node: &dyn ClusterBackend, cid: u64, op: &Capsule) -> Response {
 }
 
 /// Whether `op` is a commit point: one that executed and answered `Ok`
-/// counts in `fabric.commits`, one answered from a cache in
+/// counts in `fabric.commits`, one answered from the response cache in
 /// `fabric.replayed_commits`.
 fn commit_like(op: &Capsule) -> bool {
     match op {
         Capsule::FsSync { .. } => true,
         // Every mutating transaction capsule is a commit point on its
         // target's device: the one-phase commit, the intent, the
-        // application and the decision record (a resolve inquiry's
-        // presumed abort included).
+        // application and the verdict's sealed PMR line (a resolve
+        // inquiry's presumed abort included).
         Capsule::TxCommit { .. }
         | Capsule::TxPrepare { .. }
         | Capsule::TxDecide { .. }

@@ -1,19 +1,18 @@
 //! Fabric crash campaign: deterministic connection kills mid-commit
 //! with exactly-once replay asserted on every schedule, plus the
 //! durability oracle (acked commits survive an adversarial power
-//! failure) and the recovery-seeded replay cache.
+//! failure).
 
-use std::collections::HashSet;
 use std::sync::Arc;
 
-use ccnvme::{CcNvmeDriver, RecoveredTx, RecoveryReport};
-use ccnvme_fabric::{
-    Backend, ClientCfg, ClientStats, FabricClient, FabricConfig, FabricError, FabricTarget,
-    ShardWrite, Status,
-};
+use ccnvme::CcNvmeDriver;
+use ccnvme_fabric::{ClientCfg, ClientStats, FabricClient, FabricConfig, FabricTarget, ShardWrite};
 use ccnvme_fault::{FaultPlan, NetDir, NetFaultKind, NetFaultRule, Trigger};
 use ccnvme_sim::Sim;
 use ccnvme_ssd::{CrashMode, CtrlConfig, DurableImage, NvmeController, SsdProfile};
+
+mod common;
+use common::one_node;
 
 const CORES: usize = 2;
 const COMMITS: u64 = 4;
@@ -26,7 +25,7 @@ where
     Sim::run_main(CORES + 1, f)
 }
 
-fn raw_target(
+fn node_target(
     injector: Option<Arc<ccnvme_fault::FaultInjector>>,
 ) -> (Arc<CcNvmeDriver>, Arc<FabricTarget>) {
     let mut cc = CtrlConfig::new(SsdProfile::optane_905p());
@@ -36,14 +35,7 @@ fn raw_target(
     let drv = Arc::new(drv);
     let mut fcfg = FabricConfig::new(CORES);
     fcfg.injector = injector;
-    let target = FabricTarget::new(
-        Backend::Raw {
-            drv: Arc::clone(&drv),
-            base: 0,
-            blocks: 4_096,
-        },
-        fcfg,
-    );
+    let target = FabricTarget::new(one_node(Arc::clone(&drv), 0, 4_096), fcfg);
     (drv, target)
 }
 
@@ -76,7 +68,7 @@ fn run_schedule(nth: u64) -> ScheduleOutcome {
                 .heal(200_000),
         );
         let injector = Arc::new(plan.injector());
-        let (drv, target) = raw_target(Some(Arc::clone(&injector)));
+        let (drv, target) = node_target(Some(Arc::clone(&injector)));
         let cstats = ClientStats::detached();
         let mut client = FabricClient::connect(
             1,
@@ -174,63 +166,12 @@ fn sweep_exercises_commit_replay() {
     );
 }
 
-/// A target restart: the replay cache is rebuilt from the ccNVMe
-/// recovery report, so a client retrying a commit across the restart
-/// gets the recorded outcome — `Ok` for an unfinished (crash-atomic)
-/// transaction, the recorded failure for an abort-logged one — without
-/// re-execution.
-#[test]
-fn recovery_report_seeds_replay_cache() {
-    in_sim(|| {
-        let (_drv, target) = raw_target(None);
-        let report = RecoveryReport {
-            unfinished: vec![RecoveredTx {
-                tx_id: 42,
-                queue: 0,
-                requests: Vec::new(),
-                has_commit: true,
-            }],
-            non_tx_requests: Vec::new(),
-            aborted: HashSet::from([43u64]),
-            rejected_slots: 0,
-            generation: 1,
-        };
-        target.seed_replay(&report);
-        let stats = target.stats();
-        let mut client =
-            FabricClient::connect(1, target.loopback_connector(1), ClientCfg::default())
-                .expect("connect");
-
-        // Retried commit of the unfinished (recovered) transaction:
-        // acked Ok from the seeded cache, never executed.
-        client
-            .tx_commit(42, vec![w(0, b"retry-after-restart")])
-            .expect("unfinished tx replays as Ok");
-        // Retried commit of an abort-logged transaction: the recorded
-        // failure, never executed.
-        assert!(matches!(
-            client.tx_commit(43, vec![w(1, b"aborted-tx")]),
-            Err(FabricError::Remote(Status::BioMedia))
-        ));
-        assert_eq!(stats.commits.get(), 0, "seeded txs must not execute");
-        assert_eq!(stats.replayed_commits.get(), 2);
-
-        // A fresh transaction still executes normally.
-        let tx = client.alloc_tx().expect("alloc");
-        client
-            .tx_commit(tx, vec![w(2, b"fresh")])
-            .expect("fresh commit");
-        assert_eq!(stats.commits.get(), 1);
-        client.bye();
-    });
-}
-
 /// The plain durability oracle with no faults: every durably-acked
 /// commit is present in the adversarial crash image.
 #[test]
 fn acked_commits_survive_adversarial_power_failure() {
     let image: DurableImage = in_sim(|| {
-        let (drv, target) = raw_target(None);
+        let (drv, target) = node_target(None);
         let mut client =
             FabricClient::connect(1, target.loopback_connector(1), ClientCfg::default())
                 .expect("connect");

@@ -2,14 +2,13 @@
 //! credit backpressure, transport faults and the exactly-once
 //! reconnect/replay contract, all inside the deterministic simulator.
 
-use std::ops::Range;
 use std::sync::Arc;
 
 use ccnvme::CcNvmeDriver;
 use ccnvme_block::BlockDevice;
 use ccnvme_fabric::{
-    Backend, Capsule, ClientCfg, ClientStats, ClusterBackend, CodecError, FabricClient,
-    FabricConfig, FabricError, FabricTarget, ShardWrite, Status,
+    Backend, Capsule, ClientCfg, ClientStats, CodecError, FabricClient, FabricConfig, FabricError,
+    FabricTarget, ShardWrite, Status,
 };
 use ccnvme_fault::{FaultKind, FaultPlan, FaultRule, NetDir, NetFaultKind, NetFaultRule, Trigger};
 use ccnvme_obs::Obs;
@@ -17,6 +16,9 @@ use ccnvme_ploc::{PlocConfig, PlocOp, PlocService};
 use ccnvme_sim::Sim;
 use ccnvme_ssd::{CtrlConfig, NvmeController, SsdProfile};
 use parking_lot::Mutex;
+
+mod common;
+use common::one_node;
 
 /// Host cores serving fabric connections in these tests.
 const CORES: usize = 2;
@@ -31,18 +33,15 @@ where
     Sim::run_main(CORES + 1, f)
 }
 
-/// Builds a raw ccNVMe backend on a fresh device.
-fn raw_backend() -> (Arc<CcNvmeDriver>, Backend) {
+/// Builds a one-node cluster serving the window `[0, 4 096)` of a
+/// fresh device.
+fn node_backend() -> (Arc<CcNvmeDriver>, Backend) {
     let mut cc = CtrlConfig::new(SsdProfile::optane_905p());
     cc.device_core = CORES;
     let ctrl = NvmeController::new(cc);
     let (drv, _report) = CcNvmeDriver::probe(ctrl, (CORES + 1) as u16, 64);
     let drv = Arc::new(drv);
-    let backend = Backend::Raw {
-        drv: Arc::clone(&drv),
-        base: 0,
-        blocks: 4_096,
-    };
+    let backend = one_node(Arc::clone(&drv), 0, 4_096);
     (drv, backend)
 }
 
@@ -74,7 +73,7 @@ fn read_block(drv: &Arc<CcNvmeDriver>, lba: u64) -> Vec<u8> {
 #[test]
 fn single_client_commit_is_durable_and_counted() {
     in_sim(|| {
-        let (drv, backend) = raw_backend();
+        let (drv, backend) = node_backend();
         let target = FabricTarget::new(backend, FabricConfig::new(CORES));
         let stats = target.stats();
         let mut client = FabricClient::connect(
@@ -100,8 +99,9 @@ fn single_client_commit_is_durable_and_counted() {
     });
 }
 
-/// A target over the raw window `[1 000, 1 064)` of a device whose
-/// media fails `kind` at window LBA 5, and a client connected to it.
+/// A target over a one-node cluster whose window is `[1 000, 1 064)` of
+/// a device whose media fails `kind` at window LBA 5, and a client
+/// connected to it.
 fn media_fault_target(kind: FaultKind) -> (Arc<FabricTarget>, FabricClient) {
     let base = 1_000;
     let plan = FaultPlan::new(1).rule(FaultRule::new(
@@ -115,11 +115,7 @@ fn media_fault_target(kind: FaultKind) -> (Arc<FabricTarget>, FabricClient) {
     cc.device_core = CORES;
     cc.fault = Some(Arc::new(plan.injector()));
     let (drv, _report) = CcNvmeDriver::probe(NvmeController::new(cc), (CORES + 1) as u16, 64);
-    let backend = Backend::Raw {
-        drv: Arc::new(drv),
-        base,
-        blocks: 64,
-    };
+    let backend = one_node(Arc::new(drv), base, 64);
     let target = FabricTarget::new(backend, FabricConfig::new(CORES));
     let client = FabricClient::connect(
         1,
@@ -130,11 +126,11 @@ fn media_fault_target(kind: FaultKind) -> (Arc<FabricTarget>, FabricClient) {
     (target, client)
 }
 
-/// A media error on a raw window's read reaches the client as what it
+/// A media error on a node window's read reaches the client as what it
 /// is, `BioMedia` — not a generic `BioError` — and a neighbouring block
 /// still reads.
 #[test]
-fn raw_blk_read_reports_the_media_error_it_hit() {
+fn blk_read_reports_the_media_error_it_hit() {
     in_sim(|| {
         let (_target, mut client) = media_fault_target(FaultKind::MediaRead);
         assert_eq!(
@@ -146,10 +142,10 @@ fn raw_blk_read_reports_the_media_error_it_hit() {
     });
 }
 
-/// A raw commit whose write hits a media error answers `BioMedia`, and
+/// A commit whose write hits a media error answers `BioMedia`, and
 /// a failed commit is no commit: `fabric.commits` stays 0.
 #[test]
-fn failed_raw_commit_reports_media_and_counts_no_commit() {
+fn failed_commit_reports_media_and_counts_no_commit() {
     in_sim(|| {
         let (target, mut client) = media_fault_target(FaultKind::MediaWrite);
         let tx = client.alloc_tx().expect("alloc");
@@ -163,7 +159,7 @@ fn failed_raw_commit_reports_media_and_counts_no_commit() {
 }
 
 /// The runtime persist-order sanitizer over a fabric-served commit: the
-/// target's ccNVMe backend drives the same PMR ring protocol, so its
+/// target's cluster node drives the same PMR ring protocol, so its
 /// recorded persistence log must replay clean through the shadow queues
 /// — and trip once flush marks are discounted, proving the check has
 /// teeth on fabric traffic too.
@@ -176,11 +172,7 @@ fn fabric_commit_survives_the_persist_order_sanitizer() {
         let ctrl = NvmeController::new(cc);
         let (drv, _report) = CcNvmeDriver::probe(ctrl, (CORES + 1) as u16, 64);
         let drv = Arc::new(drv);
-        let backend = Backend::Raw {
-            drv: Arc::clone(&drv),
-            base: 0,
-            blocks: 4_096,
-        };
+        let backend = one_node(Arc::clone(&drv), 0, 4_096);
         let target = FabricTarget::new(backend, FabricConfig::new(CORES));
         let mut client = FabricClient::connect(
             1,
@@ -220,7 +212,7 @@ fn four_clients_commit_concurrently() {
     in_sim(|| {
         const CLIENTS: u64 = 4;
         const COMMITS_PER_CLIENT: u64 = 8;
-        let (drv, backend) = raw_backend();
+        let (drv, backend) = node_backend();
         let target = FabricTarget::new(backend, FabricConfig::new(CORES));
         let stats = target.stats();
 
@@ -273,7 +265,7 @@ fn four_clients_commit_concurrently() {
 #[test]
 fn credit_exhaustion_degrades_to_backpressure() {
     in_sim(|| {
-        let (_drv, backend) = raw_backend();
+        let (_drv, backend) = node_backend();
         let mut cfg = FabricConfig::new(CORES);
         cfg.window = 2;
         let target = FabricTarget::new(backend, cfg);
@@ -314,13 +306,13 @@ fn credit_exhaustion_degrades_to_backpressure() {
     });
 }
 
-/// A raw commit whose write falls outside the window, or carries more
+/// A commit whose write falls outside the window, or carries more
 /// than a block, is refused with `Protocol` as a whole: none of its
 /// writes lands and no commit is counted.
 #[test]
-fn inadmissible_raw_commits_write_nothing() {
+fn inadmissible_commits_write_nothing() {
     in_sim(|| {
-        let (drv, backend) = raw_backend();
+        let (drv, backend) = node_backend();
         let target = FabricTarget::new(backend, FabricConfig::new(CORES));
         let stats = target.stats();
         let mut client = FabricClient::connect(
@@ -354,9 +346,9 @@ fn inadmissible_raw_commits_write_nothing() {
 /// the target would drop it and the retransmits would wedge the
 /// session), and the session keeps committing.
 #[test]
-fn oversized_raw_commit_fails_fast_and_the_session_goes_on() {
+fn oversized_commit_fails_fast_and_the_session_goes_on() {
     in_sim(|| {
-        let (drv, backend) = raw_backend();
+        let (drv, backend) = node_backend();
         let target = FabricTarget::new(backend, FabricConfig::new(CORES));
         let stats = target.stats();
         let mut client = FabricClient::connect(
@@ -391,7 +383,7 @@ fn oversized_raw_commit_fails_fast_and_the_session_goes_on() {
 #[test]
 fn partition_mid_commit_replays_exactly_once() {
     in_sim(|| {
-        let (drv, backend) = raw_backend();
+        let (drv, backend) = node_backend();
         // The 3rd target->client frame is the ack of the first commit
         // (hello ack, alloc ack, commit ack). Cut it.
         let plan = FaultPlan::new(7).net_rule(
@@ -445,7 +437,7 @@ fn partition_mid_commit_replays_exactly_once() {
 #[test]
 fn duplicates_and_reorders_are_absorbed() {
     in_sim(|| {
-        let (drv, backend) = raw_backend();
+        let (drv, backend) = node_backend();
         let plan = FaultPlan::new(11)
             .net_rule(
                 NetFaultRule::new(NetFaultKind::Duplicate, Trigger::Probability(0.25))
@@ -494,7 +486,7 @@ fn duplicates_and_reorders_are_absorbed() {
 #[test]
 fn dropped_frames_are_retransmitted() {
     in_sim(|| {
-        let (drv, backend) = raw_backend();
+        let (drv, backend) = node_backend();
         // Drop two specific client->target frames.
         let plan = FaultPlan::new(3)
             .net_rule(NetFaultRule::new(NetFaultKind::Drop, Trigger::Nth(4)).dir(NetDir::ToTarget))
@@ -562,7 +554,7 @@ fn fs_backend_serves_syscall_surface() {
             b"hello over the wire".to_vec()
         );
         assert_eq!(client.stat(ino).expect("stat"), 19);
-        // AllocTx is a raw-backend operation.
+        // AllocTx is a cluster-backend operation.
         assert!(matches!(
             client.alloc_tx(),
             Err(FabricError::Remote(ccnvme_fabric::Status::NotSupported))
@@ -587,7 +579,7 @@ fn fs_backend_serves_syscall_surface() {
 fn trace_id_spans_initiator_to_media_write_across_a_kill() {
     in_sim(|| {
         const CLIENT_ID: u64 = 42;
-        let (drv, backend) = raw_backend();
+        let (drv, backend) = node_backend();
         let target = FabricTarget::new(backend, FabricConfig::new(CORES));
         let cstats = ClientStats::detached();
         let mut client = FabricClient::connect(
@@ -623,7 +615,18 @@ fn trace_id_spans_initiator_to_media_write_across_a_kill() {
         let expected = ccnvme_obs::hash::fnv1a64(&key);
 
         let obs = drv.obs().expect("ccNVMe driver exposes obs");
-        let events = obs.trace.events_for_tx(tx);
+        // The node numbers its local transactions itself, so the
+        // commit rode the last one begun: the lease's mark write came
+        // before it.
+        let local_tx = obs
+            .trace
+            .snapshot()
+            .iter()
+            .rev()
+            .find(|e| e.kind == ccnvme_obs::EventKind::TxBegin)
+            .expect("the commit began a local transaction")
+            .tx_id;
+        let events = obs.trace.events_for_tx(local_tx);
         let media: Vec<_> = events
             .iter()
             .filter(|e| e.kind == ccnvme_obs::EventKind::MediaWrite)
@@ -650,33 +653,6 @@ fn trace_id_spans_initiator_to_media_write_across_a_kill() {
             );
         }
     });
-}
-
-/// A cluster node that answers every call with success.
-struct StubNode(Arc<Obs>);
-
-impl ClusterBackend for StubNode {
-    fn obs(&self) -> Arc<Obs> {
-        Arc::clone(&self.0)
-    }
-    fn alloc_gtx(&self) -> (Status, Range<u64>) {
-        (Status::Ok, 1..2)
-    }
-    fn prepare(&self, _gtx: u64, _writes: &[ShardWrite]) -> Status {
-        Status::Ok
-    }
-    fn decide(&self, _gtx: u64, _commit: bool) -> Status {
-        Status::Ok
-    }
-    fn commit_one(&self, _gtx: u64, _writes: &[ShardWrite]) -> Status {
-        Status::Ok
-    }
-    fn verdict(&self, _gtx: u64, commit: bool) -> (Status, u64) {
-        (Status::Ok, if commit { 1 } else { 2 })
-    }
-    fn read_block(&self, _lba: u64) -> Result<Vec<u8>, Status> {
-        Ok(vec![0; 4_096])
-    }
 }
 
 /// One capsule of each family, in the order of the matrix's columns.
@@ -737,7 +713,7 @@ fn served_by(cores: usize, build: impl FnOnce() -> Backend + Send + 'static) -> 
 
 /// The backend × capsule matrix: each backend serves its own capsule
 /// families and answers `NotSupported` to every other one; `Metrics`
-/// is served by all four.
+/// is served by all three.
 #[test]
 fn each_backend_serves_exactly_its_capsule_families() {
     use ccnvme_crashtest::StackConfig;
@@ -747,7 +723,6 @@ fn each_backend_serves_exactly_its_capsule_families() {
     const O: bool = false;
     //             Metrics AllocTx TxCommit BlkRead Prepare Decide Verdict FsResolve FsStat PlocOp PlocRecover
     let fs = [X, O, O, O, O, O, O, X, X, O, O];
-    let raw = [X, X, X, X, O, O, O, O, O, O, O];
     let ploc = [X, O, O, O, O, O, O, O, O, X, X];
     let cluster = [X, X, X, X, X, X, X, O, O, O, O];
 
@@ -760,7 +735,6 @@ fn each_backend_serves_exactly_its_capsule_families() {
         fs,
         "fs"
     );
-    assert_eq!(served_by(CORES + 1, || raw_backend().1), raw, "raw");
     assert_eq!(
         served_by(CORES + 1, || {
             let mut cc = CtrlConfig::new(SsdProfile::optane_905p());
@@ -778,9 +752,7 @@ fn each_backend_serves_exactly_its_capsule_families() {
         "ploc"
     );
     assert_eq!(
-        served_by(CORES + 1, || Backend::Cluster(Arc::new(StubNode(
-            Obs::new()
-        )))),
+        served_by(CORES + 1, || node_backend().1),
         cluster,
         "cluster"
     );

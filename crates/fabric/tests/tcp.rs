@@ -6,13 +6,16 @@ use std::sync::Arc;
 
 use ccnvme::CcNvmeDriver;
 use ccnvme_fabric::{
-    Backend, ClientCfg, ClientStats, FabricClient, FabricConfig, ShardWrite, TcpFabricServer,
+    ClientCfg, ClientStats, FabricClient, FabricConfig, ShardWrite, TcpFabricServer,
 };
 use ccnvme_ssd::{CtrlConfig, NvmeController, SsdProfile};
 
+mod common;
+use common::one_node;
+
 const CORES: usize = 2;
 
-fn start_raw_server(window: u32) -> TcpFabricServer {
+fn start_node_server(window: u32) -> TcpFabricServer {
     let mut fcfg = FabricConfig::new(CORES);
     fcfg.window = window;
     TcpFabricServer::start("127.0.0.1:0", CORES, fcfg, || {
@@ -20,11 +23,7 @@ fn start_raw_server(window: u32) -> TcpFabricServer {
         cc.device_core = CORES;
         let ctrl = NvmeController::new(cc);
         let (drv, _report) = CcNvmeDriver::probe(ctrl, (CORES + 1) as u16, 64);
-        Backend::Raw {
-            drv: Arc::new(drv),
-            base: 0,
-            blocks: 4_096,
-        }
+        one_node(Arc::new(drv), 0, 4_096)
     })
     .expect("bind tcp server")
 }
@@ -33,7 +32,7 @@ fn start_raw_server(window: u32) -> TcpFabricServer {
 /// and a metrics fetch showing `fabric.*` counters.
 #[test]
 fn tcp_single_client_smoke() {
-    let server = start_raw_server(16);
+    let server = start_node_server(16);
     let mut client = FabricClient::connect(1, server.connector(), ClientCfg::default())
         .expect("connect over tcp");
     assert_eq!(client.window(), 16);
@@ -55,7 +54,7 @@ fn tcp_single_client_smoke() {
 /// loss, no double execution).
 #[test]
 fn tcp_four_clients_commit_concurrently() {
-    let server = start_raw_server(16);
+    let server = start_node_server(16);
     let addr = server.addr();
     const CLIENTS: u64 = 4;
     let commits_each: u64 = if soak() { 32 } else { 4 };
@@ -97,7 +96,7 @@ fn tcp_reconnect_resumes_session() {
     if !soak() {
         return; // deep tier only: CCNVME_TCP_SOAK=1 scripts/check.sh
     }
-    let server = start_raw_server(16);
+    let server = start_node_server(16);
     let stats = ClientStats::detached();
     let mut client = FabricClient::connect(
         9,

@@ -36,9 +36,12 @@ pub struct TrafficCounters {
     pub mmio_reads: Arc<Counter>,
     /// DMA transfers of queue entries (SQE fetch, CQE post).
     pub dma_queue: Arc<Counter>,
-    /// Block data transfers (DMA of data pages).
+    /// Host→device block data transfers: the DMA of a write command's
+    /// data pages. A read's device→host transfer is neither counted here
+    /// nor charged link time.
     pub block_ios: Arc<Counter>,
-    /// Bytes carried by block data transfers.
+    /// Bytes carried by host→device block data transfers (reads are not
+    /// counted, as for `block_ios`).
     pub block_bytes: Arc<Counter>,
     /// Interrupt requests delivered to the host (MSI-X messages).
     pub irqs: Arc<Counter>,

@@ -61,6 +61,7 @@ cargo test -q
 #  * the fabric suite: codec round-trips, loopback sessions under
 #    transport faults, the connection-kill campaign, the TCP smoke (the
 #    long TCP soak runs in the deep tier), remote exactly-once capsules;
+#    every transaction target in it is a one-node cluster;
 #  * the ploc and cluster suites (detectable structures; hash ring,
 #    prepare/decide/verdict, presumed abort, degradation ladder);
 #  * the sim/OS differential test (same workload on both substrates
@@ -72,6 +73,14 @@ cargo test -q --release --workspace
 # the atomic-ordering justification, unsafe audit, metric namespace,
 # and lint.toml staleness rules.
 cargo run -q -p ccnvme-lint
+# The fabric is a transport: a device served over the wire is a
+# one-node cluster, so the fabric library does not depend on the
+# ccNVMe driver. Fail if that dependency comes back.
+fabric_deps="$(cargo tree --offline -q -p ccnvme-fabric -e normal --depth 1)"
+if grep -q 'ccnvme v' <<< "$fabric_deps"; then
+    echo "check: ccnvme-fabric depends on the ccnvme driver crate again" >&2
+    exit 1
+fi
 # The operator-facing rule explainers.
 for rule in persist-order static-race observer-purity; do
     cargo run -q -p ccnvme-lint -- --explain "$rule" > /dev/null
@@ -95,7 +104,8 @@ cargo run -q --release --example quickstart > /dev/null
 cargo run -q --release --example black_box > /dev/null
 cargo run -q --release --example crash_recovery > /dev/null
 # The fabric credit-overload drill: pipelined 8-write TX_COMMIT capsules
-# over a window of 2 must stall and never fail (it panics otherwise).
+# to a one-node cluster target over a window of 2 must stall and never
+# fail (it panics otherwise).
 QUICK=1 cargo run -q --release -p ccnvme-bench --bin fabric > /dev/null
 # The cluster scaling gate (over the same commit mix, with 4 handler
 # cores per domain, the 2-, 4- and 8-shard rows do not decrease) and
